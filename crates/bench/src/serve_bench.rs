@@ -196,7 +196,7 @@ pub fn serve_experiment(config: &BenchConfig, clients: usize, seed: u64) -> Serv
 
     // Live introspection over the wire — the same control frames any
     // client could send mid-run. Stats and Trace are answered on the
-    // reader thread, so this works even while workers are saturated.
+    // connection's intake, so this works even while workers are saturated.
     let mut probe = server.connect();
     report.introspect_stats = probe.stats().expect("stats frame");
     report.introspect_trace = probe.trace(0).expect("trace frame");

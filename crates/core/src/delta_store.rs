@@ -166,13 +166,14 @@ impl DeltaSnapshotStore {
             &buf
         };
         let (path, stored_bytes) = self.write_payload(epoch, payload)?;
+        let raw_bytes = raw.len() as u64;
         if self.is_anchor(epoch) {
-            *self.last_anchor.lock() = Some((epoch, Arc::new(raw.clone())));
+            *self.last_anchor.lock() = Some((epoch, Arc::new(raw)));
         }
         Ok(StoredSnapshot {
             epoch,
             path,
-            raw_bytes: raw.len() as u64,
+            raw_bytes,
             stored_bytes,
         })
     }

@@ -58,7 +58,7 @@ impl ShahedFramework {
                     return None;
                 }
                 let cell = self.layout.get(cell_id as u32);
-                let drop = f64::from(r.get(cdr::CALL_RESULT).as_text() == "DROP");
+                let drop = f64::from(r.get(cdr::CALL_RESULT).text() == "DROP");
                 Some(Point {
                     x: cell.x_m,
                     y: cell.y_m,

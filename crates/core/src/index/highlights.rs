@@ -126,8 +126,13 @@ impl FreqTable {
     /// Count one occurrence of `value`. Public because the table is also
     /// the detector the meta-highlights self-monitor ([`crate::meta`])
     /// feeds system-telemetry categories through.
-    pub fn add(&mut self, value: String) {
-        *self.counts.entry(value).or_insert(0) += 1;
+    pub fn add(&mut self, value: &str) {
+        match self.counts.get_mut(value) {
+            Some(count) => *count += 1,
+            None => {
+                self.counts.insert(value.to_string(), 1);
+            }
+        }
         self.total += 1;
     }
 
@@ -247,7 +252,7 @@ impl Highlights {
         if cell_id >= 0 {
             let cell = self.per_cell.entry(cell_id as u32).or_default();
             cell.cdr_records += 1;
-            if r.get(cdr::CALL_RESULT).as_text() == "DROP" {
+            if r.get(cdr::CALL_RESULT).text() == "DROP" {
                 cell.cdr_drops += 1;
             }
             if let Some(v) = r.get(cdr::UPFLUX).as_f64() {
@@ -263,7 +268,7 @@ impl Highlights {
         for (i, &col) in config.categorical_attrs.iter().enumerate() {
             let v = r.get(col);
             if !v.is_null() {
-                self.attr_freqs[i].add(v.as_text());
+                self.attr_freqs[i].add(&v.text());
             }
         }
     }
@@ -428,10 +433,10 @@ mod tests {
     fn cdr_record(cell: i64, result: &str, up: i64, down: i64) -> Record {
         let mut values = vec![Value::Null; cdr::WIDTH];
         values[cdr::CELL_ID] = Value::Int(cell);
-        values[cdr::CALL_RESULT] = Value::Str(result.to_string());
-        values[cdr::CALL_TYPE] = Value::Str("VOICE".to_string());
-        values[cdr::TECH] = Value::Str("LTE".to_string());
-        values[cdr::PLAN_CODE] = Value::Str("PLAN0".to_string());
+        values[cdr::CALL_RESULT] = Value::Str(result.into());
+        values[cdr::CALL_TYPE] = Value::Str("VOICE".into());
+        values[cdr::TECH] = Value::Str("LTE".into());
+        values[cdr::PLAN_CODE] = Value::Str("PLAN0".into());
         values[cdr::UPFLUX] = Value::Int(up);
         values[cdr::DOWNFLUX] = Value::Int(down);
         values[cdr::DURATION_S] = Value::Int(60);

@@ -459,7 +459,7 @@ impl MetaMonitor {
         for (stream, severities) in self.streams.iter_mut().zip(&mut self.severities) {
             let (category, severity) = stream.sample(reg);
             severities.insert(category.clone(), severity);
-            stream.freq.add(category.clone());
+            stream.freq.add(&category);
             if self.ticks < self.config.min_ticks {
                 continue;
             }

@@ -225,8 +225,8 @@ pub struct Projection {
 
 impl Projection {
     pub fn resolve(attributes: &[String]) -> Self {
-        let cdr_schema = Schema::cdr();
-        let nms_schema = Schema::nms();
+        let cdr_schema = Schema::shared(TableKind::Cdr);
+        let nms_schema = Schema::shared(TableKind::Nms);
         let mut p = Projection {
             cdr_cols: vec![],
             nms_cols: vec![],

@@ -555,6 +555,35 @@ mod tests {
     }
 
     #[test]
+    fn strings_sort_as_plain_strings_inline_or_not() {
+        // Either side of the 22-byte inline bound, sharing prefixes.
+        let base = "abcdefghijklmnopqrstuvwxyz";
+        let mut texts: Vec<String> = [0, 1, 21, 22, 23, 26]
+            .iter()
+            .map(|&n| base[..n].to_string())
+            .collect();
+        texts.extend(["abcdefghijklmnopqrstuvZ", "b", "B", "é", "10", "9"].map(String::from));
+        let mut rows: Vec<Vec<Value>> = texts
+            .iter()
+            .map(|t| vec![Value::Str(t.as_str().into())])
+            .collect();
+        rows.push(vec![Value::Null]);
+        rows.push(vec![Value::Int(0)]);
+        canonical_sort(&mut rows);
+
+        texts.sort();
+        let mut want = vec![vec![Value::Null]];
+        want.extend(texts.iter().map(|t| vec![Value::Str(t.as_str().into())]));
+        want.push(vec![Value::Int(0)]);
+        assert_eq!(rows, want);
+        for (a, b) in texts.iter().zip(&texts[1..]) {
+            let (va, vb) = (Value::Str(a.as_str().into()), Value::Str(b.as_str().into()));
+            assert_eq!(cmp_values(&va, &vb), a.cmp(b));
+            assert_eq!(cmp_values(&vb, &va), b.cmp(a));
+        }
+    }
+
+    #[test]
     fn split_preserves_rows_and_orders_by_cell() {
         let (_, snaps) = trace(1);
         let parts = split_snapshot(&snaps[0], 4);

@@ -20,6 +20,7 @@
 use cas::{CasConfig, CasError, CasRecoverReport, CasStore};
 use codecs::{Codec, CodecError};
 use dfs::{Dfs, DfsError};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 use telco_trace::snapshot::{Snapshot, SnapshotParseError};
@@ -312,10 +313,10 @@ impl SnapshotStore {
                 let start = std::time::Instant::now();
                 let raw = codec.decompress_metered(packed);
                 obs::cost::add_stage_ns("decompress", start.elapsed().as_nanos() as u64);
-                raw?
+                Cow::Owned(raw?)
             }
             // The cas backend verified and decompressed on read.
-            Backend::Cas(_) => packed.to_vec(),
+            Backend::Cas(_) => Cow::Borrowed(packed),
         };
         let _s = obs::span("parse");
         let start = std::time::Instant::now();

@@ -14,6 +14,7 @@ use engine::{
     colstats, correlation_matrix, kmeans, linreg_ridge, ColStats, Dataset, KMeansModel, LinearModel,
 };
 use privacy::{Anonymizer, Hierarchy};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use telco_trace::schema::{cdr, nms};
 use telco_trace::time::EpochId;
@@ -31,7 +32,7 @@ pub fn t1_equality(fw: &dyn ExplorationFramework, epoch: EpochId) -> (Vec<(i64, 
             let ts = epoch.civil().compact();
             snap.cdr
                 .iter()
-                .filter(|r| r.get(cdr::TS_START).as_text() == ts)
+                .filter(|r| r.get(cdr::TS_START).text() == ts)
                 .map(|r| {
                     (
                         r.get(cdr::UPFLUX).as_i64().unwrap_or(0),
@@ -153,11 +154,11 @@ pub fn t4_join(
             continue;
         };
         // Caller → cell in the outer epoch.
-        let mut outer_cells: HashMap<String, u32> = HashMap::new();
+        let mut outer_cells: HashMap<Cow<'_, str>, u32> = HashMap::new();
         for r in &outer.cdr {
             if let Some(cell) = r.get(cdr::CELL_ID).as_i64() {
                 if cell >= 0 {
-                    outer_cells.insert(r.get(cdr::CALLER_ID).as_text(), cell as u32);
+                    outer_cells.insert(r.get(cdr::CALLER_ID).text(), cell as u32);
                 }
             }
         }
@@ -167,7 +168,7 @@ pub fn t4_join(
                 continue;
             };
             for r in &inner.cdr {
-                let caller = r.get(cdr::CALLER_ID).as_text();
+                let caller = r.get(cdr::CALLER_ID).text();
                 let Some(&from_cell) = outer_cells.get(&caller) else {
                     continue;
                 };
@@ -176,7 +177,7 @@ pub fn t4_join(
                 };
                 if to_cell >= 0 && to_cell as u32 != from_cell {
                     out.push(Relocation {
-                        caller_id: caller,
+                        caller_id: caller.into_owned(),
                         from_cell,
                         to_cell: to_cell as u32,
                         from_epoch: EpochId(e1),

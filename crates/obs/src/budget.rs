@@ -36,7 +36,7 @@ pub enum Interrupt {
     DeadlineExceeded,
 }
 
-/// Shared cancel flag: the reader thread flips it, the worker observes
+/// Shared cancel flag: the serve intake flips it, the worker observes
 /// it at the next checkpoint. Cloning shares the flag.
 #[derive(Debug, Clone, Default)]
 pub struct CancelFlag(Arc<AtomicBool>);
@@ -73,7 +73,7 @@ pub struct BudgetGuard {
 
 /// Install a request budget on this thread. `deadline` is the absolute
 /// instant the request expires (`None` = no time budget); `cancel` is
-/// the shared flag a reader thread flips on a client `Cancel`.
+/// the shared flag the serve intake flips on a client `Cancel`.
 #[must_use = "dropping the guard immediately uninstalls the budget"]
 pub fn begin(deadline: Option<Instant>, cancel: CancelFlag) -> BudgetGuard {
     let prev = ACTIVE.replace(Some(ActiveBudget { deadline, cancel }));

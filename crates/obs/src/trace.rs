@@ -98,7 +98,7 @@ pub fn span_event(name: &str, start_ns: u64, dur_ns: u64, args: &[(&str, &str)])
 
 /// Record an instant for an explicit trace id, from any thread, without
 /// installing a context — used where the request is *known* but not yet
-/// (or no longer) running, e.g. at admission on the reader thread. The
+/// (or no longer) running, e.g. at admission on the connection's intake. The
 /// event carries span id 0 (not part of the per-trace allocation).
 pub fn instant_for(trace_id: u64, name: &str, args: &[(&str, &str)]) {
     crate::flight().record(SpanEvent {

@@ -7,6 +7,7 @@
 //! algorithms use.
 
 use crate::hierarchy::Hierarchy;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use telco_trace::record::{Record, Value};
 
@@ -38,9 +39,9 @@ pub fn is_k_anonymous(records: &[Record], qi_cols: &[usize], k: usize) -> bool {
     if records.is_empty() {
         return true;
     }
-    let mut classes: HashMap<Vec<String>, usize> = HashMap::new();
+    let mut classes: HashMap<Vec<Cow<'_, str>>, usize> = HashMap::new();
     for r in records {
-        let key: Vec<String> = qi_cols.iter().map(|&c| r.get(c).as_text()).collect();
+        let key: Vec<Cow<'_, str>> = qi_cols.iter().map(|&c| r.get(c).text()).collect();
         *classes.entry(key).or_insert(0) += 1;
     }
     classes.values().all(|&n| n >= k)
@@ -70,7 +71,7 @@ impl Anonymizer {
                 self.quasi_identifiers
                     .iter()
                     .zip(levels)
-                    .map(|((col, h), &lvl)| h.generalize(&r.get(*col).as_text(), lvl))
+                    .map(|((col, h), &lvl)| h.generalize(&r.get(*col).text(), lvl))
                     .collect()
             })
             .collect()
@@ -142,7 +143,7 @@ impl Anonymizer {
             for (((col, _), &lvl), gen) in self.quasi_identifiers.iter().zip(levels).zip(key.iter())
             {
                 let _ = lvl;
-                rec.values[*col] = Value::Str(gen.clone());
+                rec.values[*col] = Value::Str(gen.as_str().into());
             }
             out.push(rec);
         }
@@ -201,9 +202,9 @@ mod tests {
 
     fn record(phone: &str, duration: i64, cell: &str) -> Record {
         Record::new(vec![
-            Value::Str(phone.to_string()),
+            Value::Str(phone.into()),
             Value::Int(duration),
-            Value::Str(cell.to_string()),
+            Value::Str(cell.into()),
         ])
     }
 

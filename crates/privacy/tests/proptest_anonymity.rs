@@ -12,9 +12,9 @@ prop_compose! {
         cell in 0u32..40,
     ) -> Record {
         Record::new(vec![
-            Value::Str(phone),
+            Value::Str(phone.into()),
             Value::Int(duration),
-            Value::Str(format!("c{cell}")),
+            Value::Str(format!("c{cell}").into()),
         ])
     }
 }

@@ -12,7 +12,8 @@
 //!   bounded chunks with explicit coverage/summary/shed outcomes).
 //! * [`transport`] — an in-process duplex byte channel with socket-like
 //!   semantics: backpressure, frame-atomic writes, truncation on
-//!   mid-frame hangup.
+//!   mid-frame hangup, loopback delivery of request bytes on the
+//!   sender's thread, answers coalesced into few writes.
 //! * [`admission`] — two-priority bounded admission (interactive before
 //!   scan, per-client round-robin, shed on overflow or deadline).
 //! * [`cache`] — a sharded LRU cache of decompressed epochs shared by
@@ -28,7 +29,7 @@
 //! frames expose it live — [`RequestBody::Stats`] (counters, queue
 //! depths, cache ratios, meta-highlights anomalies) and
 //! [`RequestBody::Trace`] (one request's span tree) — both answered on
-//! the reader thread so they work even mid-shed-storm. A third,
+//! the connection's intake so they work even mid-shed-storm. A third,
 //! [`RequestBody::Profile`], returns a served request's [`obs::cost`]
 //! profile (epochs touched, bytes per source/codec, rows, cache
 //! outcomes, per-stage time) — `EXPLAIN ANALYZE` over the wire.

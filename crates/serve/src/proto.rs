@@ -128,7 +128,7 @@ pub enum RequestBody {
         deadline_ms: u64,
     },
     /// Introspection: ask for the server's live stats snapshot. Answered
-    /// on the reader thread (never queued), so it works mid-shed-storm.
+    /// on the connection's intake (never queued), so it works mid-shed-storm.
     Stats,
     /// Introspection: ask for one trace's span tree; `trace_id == 0`
     /// means "the most recent trace in the flight recorder".
@@ -137,7 +137,7 @@ pub enum RequestBody {
     /// `trace_id == 0` means "the most recently profiled request".
     Profile { trace_id: u64 },
     /// Control: cooperatively cancel the in-flight request whose
-    /// client-chosen id is `target`. Answered on the reader thread and
+    /// client-chosen id is `target`. Handled on the connection's intake and
     /// fire-and-forget: no reply frame of its own — the cancelled
     /// request still terminates normally with `Partial` coverage (or
     /// whatever frame it was about to send). Cancelling an unknown or
@@ -379,13 +379,31 @@ pub mod errcode {
 
 // ---------------------------------------------------------------- writing
 
-struct Writer {
-    buf: Vec<u8>,
+/// Writes one frame at the end of a caller-owned buffer: the header goes
+/// in first with its kind and length still open, the payload is written
+/// straight behind it, and [`Writer::finish`] closes the header — no
+/// payload buffer of its own, no copy into a frame afterwards.
+struct Writer<'a> {
+    buf: &'a mut Vec<u8>,
+    /// Where this frame's header starts in `buf`.
+    start: usize,
 }
 
-impl Writer {
-    fn new() -> Self {
-        Self { buf: Vec::new() }
+impl<'a> Writer<'a> {
+    fn new(buf: &'a mut Vec<u8>) -> Self {
+        let start = buf.len();
+        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&[VERSION, 0, 0, 0, 0, 0]);
+        Self { buf, start }
+    }
+
+    /// Close the frame: fill in the kind byte and the payload length.
+    fn finish(self, kind: u8) {
+        let payload_len = self.buf.len() - self.start - HEADER_LEN;
+        assert!(payload_len <= MAX_PAYLOAD, "frame payload over bound");
+        self.buf[self.start + 3] = kind;
+        self.buf[self.start + 4..self.start + HEADER_LEN]
+            .copy_from_slice(&(payload_len as u32).to_le_bytes());
     }
 
     fn u8(&mut self, v: u8) {
@@ -436,22 +454,28 @@ impl Writer {
     }
 }
 
-/// Assemble a full frame from a kind byte and payload.
-pub fn frame(kind: u8, payload: &[u8]) -> Vec<u8> {
-    assert!(payload.len() <= MAX_PAYLOAD, "frame payload over bound");
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    out.push(kind);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+/// Append a [`ResponseBody::RowChunk`] frame over borrowed rows: the
+/// bytes [`Response::encode`] gives for an owned chunk, without cloning
+/// the rows into one first.
+pub fn encode_row_chunk_into(out: &mut Vec<u8>, id: u64, table: u8, rows: &[Vec<Value>]) {
+    let mut w = Writer::new(out);
+    w.u64(id);
+    w.u8(table);
+    w.u16(rows.len() as u16);
+    for row in rows {
+        w.u16(row.len() as u16);
+        for v in row {
+            w.value(v);
+        }
+    }
+    w.finish(kind::ROW_CHUNK);
 }
 
 impl Request {
     /// Encode as one complete frame.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut out = Vec::new();
+        let mut w = Writer::new(&mut out);
         w.u64(self.id);
         let kind = match &self.body {
             RequestBody::Explore {
@@ -498,7 +522,8 @@ impl Request {
                 kind::CANCEL
             }
         };
-        frame(kind, &w.buf)
+        w.finish(kind);
+        out
     }
 
     /// Decode a payload of the given kind.
@@ -546,7 +571,17 @@ impl Request {
 impl Response {
     /// Encode as one complete frame.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append this response to `out` as one complete frame.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        if let ResponseBody::RowChunk { table, rows } = &self.body {
+            return encode_row_chunk_into(out, self.id, *table, rows);
+        }
+        let mut w = Writer::new(out);
         w.u64(self.id);
         let kind = match &self.body {
             ResponseBody::Header { tables } => {
@@ -560,17 +595,7 @@ impl Response {
                 }
                 kind::HEADER
             }
-            ResponseBody::RowChunk { table, rows } => {
-                w.u8(*table);
-                w.u16(rows.len() as u16);
-                for row in rows {
-                    w.u16(row.len() as u16);
-                    for v in row {
-                        w.value(v);
-                    }
-                }
-                kind::ROW_CHUNK
-            }
+            ResponseBody::RowChunk { .. } => unreachable!("encoded above"),
             ResponseBody::Summary {
                 resolution,
                 cdr_records,
@@ -689,7 +714,7 @@ impl Response {
                 kind::PROFILE_REPLY
             }
         };
-        frame(kind, &w.buf)
+        w.finish(kind);
     }
 
     /// Decode a payload of the given kind.
@@ -714,10 +739,14 @@ impl Response {
             kind::ROW_CHUNK => {
                 let table = r.u8()?;
                 let nrows = r.u16()? as usize;
-                let mut rows = Vec::new();
+                // One allocation per row and one for the chunk, sized by
+                // the counts in the frame; a forged count reserves no
+                // more than the payload behind it could fill (a row
+                // takes two bytes at least, a value one).
+                let mut rows = Vec::with_capacity(nrows.min(r.remaining() / 2));
                 for _ in 0..nrows {
                     let ncols = r.u16()? as usize;
-                    let mut row = Vec::new();
+                    let mut row = Vec::with_capacity(ncols.min(r.remaining()));
                     for _ in 0..ncols {
                         row.push(r.value()?);
                     }
@@ -947,6 +976,10 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn u8(&mut self) -> Result<u8, ProtoError> {
         Ok(self.take(1)?[0])
     }
@@ -971,18 +1004,22 @@ impl<'a> Reader<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn str(&mut self) -> Result<String, ProtoError> {
+    fn str_ref(&mut self) -> Result<&'a str, ProtoError> {
         let len = self.u32()? as usize;
         // A forged string length can't reach past the (already bounded)
         // payload, so `take` is the only guard needed — no prealloc.
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::BadUtf8)
+        std::str::from_utf8(bytes).map_err(|_| ProtoError::BadUtf8)
+    }
+
+    fn str(&mut self) -> Result<String, ProtoError> {
+        self.str_ref().map(str::to_string)
     }
 
     fn value(&mut self) -> Result<Value, ProtoError> {
         match self.u8()? {
             0 => Ok(Value::Null),
-            1 => Ok(Value::Str(self.str()?)),
+            1 => Ok(Value::Str(self.str_ref()?.into())),
             2 => Ok(Value::Int(self.i64()?)),
             3 => Ok(Value::Float(self.f64()?)),
             t => Err(ProtoError::BadTag(t)),
@@ -1338,6 +1375,48 @@ mod tests {
         let mut padded = payload.to_vec();
         padded.push(0xFF);
         assert_eq!(Response::decode(k, &padded), Err(ProtoError::Trailing(1)));
+    }
+
+    #[test]
+    fn frames_append_to_a_shared_buffer_and_forged_counts_reserve_nothing() {
+        // `encode_into` appends whole frames; each equals its `encode`.
+        let rows = vec![
+            vec![Value::Int(1), Value::Null],
+            vec![Value::Str("a".into())],
+        ];
+        let chunk = Response {
+            id: 5,
+            body: ResponseBody::RowChunk {
+                table: 1,
+                rows: rows.clone(),
+            },
+        };
+        let done = Response {
+            id: 5,
+            body: ResponseBody::Done { rows: 2 },
+        };
+        let mut buf = vec![0xEE];
+        chunk.encode_into(&mut buf);
+        encode_row_chunk_into(&mut buf, 5, 1, &rows);
+        done.encode_into(&mut buf);
+        let expected = [
+            &[0xEE][..],
+            &chunk.encode(),
+            &chunk.encode(),
+            &done.encode(),
+        ]
+        .concat();
+        assert_eq!(buf, expected);
+        // A chunk that claims 65535 rows of 65535 values but carries
+        // none is a truncation, found without reserving room for them.
+        let mut payload = 5u64.to_le_bytes().to_vec();
+        payload.push(0);
+        payload.extend_from_slice(&u16::MAX.to_le_bytes());
+        payload.extend_from_slice(&u16::MAX.to_le_bytes());
+        assert_eq!(
+            Response::decode(kind::ROW_CHUNK, &payload),
+            Err(ProtoError::Truncated)
+        );
     }
 
     #[test]

@@ -20,25 +20,31 @@
 //! Request flow:
 //!
 //! ```text
-//! client ──frame──▶ reader thread ──classify──▶ admission queue
-//!                        │ (overflow)               │ pop
-//!                        ▼                          ▼
-//!                    Shed frame               worker pool ──frames──▶ client
+//! client ──frame──▶ intake ──classify──▶ admission queue
+//!                      │ (overflow)            │ pop
+//!                      ▼                       ▼
+//!                  Shed frame            worker pool ──frames──▶ client
 //! ```
 //!
-//! A per-connection reader thread decodes requests and classifies them
-//! by window length (short = interactive, long = scan); the two-priority
-//! [`AdmissionQueue`] bounds each class and keeps clients fair; workers
-//! pop, shed anything that out-waited its deadline, evaluate through the
-//! cache and stream the answer back in bounded chunks.
+//! A per-connection [`Intake`] reassembles request frames, on the thread
+//! of the client that wrote them (loopback delivery, see
+//! [`crate::transport`]), answers cancels and control frames in place
+//! and classifies the rest by window length (short = interactive, long
+//! = scan); the two-priority [`AdmissionQueue`] bounds each class and
+//! keeps clients fair; workers pop, shed anything that out-waited its
+//! deadline, evaluate through the cache and stream the answer back in
+//! bounded chunks, written to the connection a [`FrameBatch`] at a time.
+//! A request therefore crosses two thread boundaries, client to worker
+//! and back: each one is a wake-up of a sleeping thread, and how long
+//! that takes is the one cost of a request the program does not control.
 
 use crate::admission::{AdmissionConfig, AdmissionQueue, Class};
 use crate::cache::{CacheConfig, CacheInvalidator, CacheStats, EpochCache};
 use crate::proto::{
-    errcode, AnomalyWire, ProfileFrame, Request, RequestBody, Response, ResponseBody, SpanWire,
-    StatsFrame, TableHeader, TraceFrame, CHUNK_ROWS,
+    errcode, parse_frame, AnomalyWire, ProfileFrame, ProtoError, Request, RequestBody, Response,
+    ResponseBody, SpanWire, StatsFrame, TableHeader, TraceFrame,
 };
-use crate::transport::{duplex, Endpoint, TransportError};
+use crate::transport::{duplex, ByteSink, Endpoint, FrameBatch, TransportError};
 use dfs::breaker::BreakerState;
 use obs::CostProfile;
 use obs::{CancelFlag, EventKind, Histogram, Interrupt};
@@ -238,7 +244,7 @@ struct Job {
 }
 
 /// The trace id a request's spans are filed under — stable across the
-/// reader thread that admits it and the worker that serves it, and
+/// intake that admits it and the worker that serves it, and
 /// computable client-side for "why was request R slow" lookups.
 pub fn trace_id_for(conn: u64, request_id: u64) -> u64 {
     (conn << 32) | (request_id & 0xFFFF_FFFF)
@@ -269,7 +275,7 @@ struct Shared {
     /// profile lands between the terminal send and the removal.
     inflight: Inflight,
     /// Cancellation flags of admitted-but-unfinished requests, keyed by
-    /// trace id. The reader thread flips a flag on `Cancel`; entries are
+    /// trace id. The intake flips a flag on `Cancel`; entries are
     /// dropped when the request settles (terminal frame sent) or sheds.
     cancels: Mutex<HashMap<u64, CancelFlag>>,
     /// Set on shutdown to stop the optional monitor thread.
@@ -333,9 +339,8 @@ impl Drop for InflightGuard<'_> {
 pub struct Server {
     shared: Arc<Shared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    readers: Mutex<Vec<JoinHandle<()>>>,
     monitor_thread: Mutex<Option<JoinHandle<()>>>,
-    /// Server-side endpoints, closed on shutdown to unblock readers.
+    /// Server-side endpoints, closed on shutdown to hang up on clients.
     conn_endpoints: Mutex<Vec<Endpoint>>,
 }
 
@@ -408,21 +413,25 @@ impl Server {
         Self {
             shared,
             workers: Mutex::new(workers),
-            readers: Mutex::new(Vec::new()),
             monitor_thread: Mutex::new(monitor_thread),
             conn_endpoints: Mutex::new(Vec::new()),
         }
     }
 
     /// Accept a new client connection; returns the client's endpoint
-    /// wrapper. Spawns the per-connection reader thread.
+    /// wrapper. The connection's [`Intake`] takes its request bytes by
+    /// loopback delivery: no thread per connection.
     pub fn connect(&self) -> ClientConn {
         let (client_ep, server_ep) = duplex();
         let conn = NEXT_CONN.fetch_add(1, Ordering::Relaxed) + 1;
         lock_sane(&self.conn_endpoints).push(server_ep.clone());
-        let shared = self.shared.clone();
-        let reader = std::thread::spawn(move || reader_loop(&shared, conn, server_ep));
-        lock_sane(&self.readers).push(reader);
+        server_ep.deliver_to(Box::new(Intake {
+            conn,
+            state: Mutex::new(IntakeState {
+                pending: Vec::new(),
+                live: Some((self.shared.clone(), server_ep.clone())),
+            }),
+        }));
         ClientConn {
             ep: client_ep,
             conn_id: conn,
@@ -532,9 +541,6 @@ impl Server {
         for ep in lock_sane(&self.conn_endpoints).drain(..) {
             ep.close_both();
         }
-        for r in lock_sane(&self.readers).drain(..) {
-            let _ = r.join();
-        }
         self.stats()
     }
 }
@@ -556,7 +562,7 @@ fn monitor_loop(shared: &Shared, interval: Duration) {
     }
 }
 
-// ------------------------------------------------------------- reader side
+// ------------------------------------------------------------- intake side
 
 fn classify(config: &ServeConfig, body: &RequestBody) -> Class {
     if body.window_len() > config.interactive_max_window {
@@ -566,90 +572,157 @@ fn classify(config: &ServeConfig, body: &RequestBody) -> Class {
     }
 }
 
-fn reader_loop(shared: &Shared, conn: u64, ep: Endpoint) {
-    loop {
-        match ep.recv_request() {
-            Ok(Some(request)) => {
-                // Cancellation is fire-and-forget: flip the target's flag
-                // if it is still pending on this connection and move on —
-                // no reply frame, and the cancelled request itself still
-                // terminates normally (typically with a Partial answer).
-                if let RequestBody::Cancel { target } = &request.body {
-                    let target_trace = trace_id_for(conn, *target);
-                    match lock_sane(&shared.cancels).get(&target_trace) {
-                        Some(flag) => {
-                            flag.cancel();
-                            obs::inc("serve.cancel.delivered");
-                        }
-                        None => obs::inc("serve.cancel.unknown"),
+/// The server's end of one connection's request stream: reassembles
+/// frames from the bytes the client writes and admits each request.
+///
+/// It runs by loopback delivery ([`ByteSink`]), on the thread of the
+/// client that wrote the bytes, so a request reaches its worker across
+/// one thread boundary. It never waits on a worker or on room in a pipe
+/// (its own answers use [`Endpoint::send_response_now`]), which is what
+/// keeps control frames and cancels working while the pool is saturated
+/// and lets it run on a thread that is not the server's.
+struct Intake {
+    conn: u64,
+    state: Mutex<IntakeState>,
+}
+
+struct IntakeState {
+    /// Bytes of a frame that has not arrived whole yet.
+    pending: Vec<u8>,
+    /// The server and the reply endpoint, until the stream ends (hang-up
+    /// or a malformed frame); dropping them then also undoes the cycle
+    /// pipe -> intake -> endpoint -> pipe.
+    live: Option<(Arc<Shared>, Endpoint)>,
+}
+
+impl ByteSink for Intake {
+    fn on_bytes(&self, bytes: &[u8]) {
+        let mut st = lock_sane(&self.state);
+        let IntakeState { pending, live } = &mut *st;
+        let Some((shared, ep)) = live.as_ref() else {
+            return;
+        };
+        // The common case is whole frames in one write: parse them where
+        // they lie, and keep only what is left over.
+        let direct = pending.is_empty();
+        if !direct {
+            pending.extend_from_slice(bytes);
+        }
+        let stream: &[u8] = if direct { bytes } else { pending };
+        let mut used = 0;
+        let outcome = loop {
+            match parse_frame(&stream[used..]) {
+                Ok((kind, payload, len)) => {
+                    used += len;
+                    match Request::decode(kind, payload) {
+                        Ok(request) => admit(shared, self.conn, ep, request),
+                        Err(e) => break Err(e),
                     }
-                    continue;
                 }
-                // Control-plane frames are answered right here on the
-                // reader thread: they never queue, so introspection works
-                // even while the admission queue is shedding.
-                if request.body.is_control() {
-                    let _ = answer_control(shared, &ep, &request);
-                    continue;
-                }
-                let class = classify(&shared.config, &request.body);
-                let id = request.id;
-                let trace_id = trace_id_for(conn, id);
-                obs::trace::instant_for(
-                    trace_id,
-                    "admission.enqueue",
-                    &[
-                        ("class", class.label()),
-                        ("queue_depth", &shared.queue.depth().to_string()),
-                    ],
-                );
-                // Register the cancellation flag before the job can be
-                // popped, so a Cancel racing the worker still lands.
-                let cancel = CancelFlag::new();
-                lock_sane(&shared.cancels).insert(trace_id, cancel.clone());
-                let job = Job {
-                    conn,
-                    endpoint: ep.clone(),
-                    request,
-                    queued_at: Instant::now(),
-                    trace_id,
-                    cancel,
-                };
-                if let Err(shed) = shared.queue.push(conn, class, job) {
-                    lock_sane(&shared.cancels).remove(&trace_id);
-                    shared.stats.shed_overflow.fetch_add(1, Ordering::Relaxed);
-                    obs::trace::instant_for(
-                        trace_id,
-                        "admission.shed_overflow",
-                        &[("queue_depth", &shed.queue_depth.to_string())],
-                    );
-                    let _ = ep.send_response(&Response {
-                        id,
-                        body: ResponseBody::Shed {
-                            queue_depth: shed.queue_depth,
-                        },
-                    });
-                }
+                // Not a whole frame yet: the rest comes with a later write.
+                Err(ProtoError::Truncated) => break Ok(()),
+                Err(e) => break Err(e),
             }
-            Ok(None) => break, // client hung up cleanly
-            Err(TransportError::Closed) => break,
-            Err(TransportError::Proto(e)) => {
-                // A malformed frame poisons the byte stream (we can no
-                // longer find the next frame boundary): report and drop
-                // the connection rather than guessing.
-                shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                obs::inc("serve.protocol_errors");
-                let _ = ep.send_response(&Response {
-                    id: 0,
-                    body: ResponseBody::Error {
-                        code: errcode::BAD_REQUEST,
-                        message: e.to_string(),
-                    },
-                });
-                ep.close();
-                break;
+        };
+        match outcome {
+            Ok(()) if direct => pending.extend_from_slice(&bytes[used..]),
+            Ok(()) => drop(pending.drain(..used)),
+            Err(e) => {
+                reject_stream(shared, ep, &e);
+                *live = None;
             }
         }
+    }
+
+    fn on_close(&self) {
+        let mut st = lock_sane(&self.state);
+        if let Some((shared, ep)) = st.live.take() {
+            // A hang-up inside a frame is a truncation; at a frame
+            // boundary it is a clean goodbye.
+            if !st.pending.is_empty() {
+                reject_stream(&shared, &ep, &ProtoError::Truncated);
+            }
+        }
+    }
+}
+
+/// A malformed frame poisons the byte stream (the next frame boundary
+/// can no longer be found): report it and drop the connection rather
+/// than guessing.
+fn reject_stream(shared: &Shared, ep: &Endpoint, e: &ProtoError) {
+    shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+    obs::inc("serve.protocol_errors");
+    let _ = ep.send_response_now(&Response {
+        id: 0,
+        body: ResponseBody::Error {
+            code: errcode::BAD_REQUEST,
+            message: e.to_string(),
+        },
+    });
+    ep.close();
+}
+
+/// Route one decoded request: cancels and control frames are answered in
+/// place, everything else queues for a worker.
+fn admit(shared: &Shared, conn: u64, ep: &Endpoint, request: Request) {
+    // Cancellation is fire-and-forget: flip the target's flag if it is
+    // still pending on this connection and move on — no reply frame, and
+    // the cancelled request itself still terminates normally (typically
+    // with a Partial answer).
+    if let RequestBody::Cancel { target } = &request.body {
+        let target_trace = trace_id_for(conn, *target);
+        match lock_sane(&shared.cancels).get(&target_trace) {
+            Some(flag) => {
+                flag.cancel();
+                obs::inc("serve.cancel.delivered");
+            }
+            None => obs::inc("serve.cancel.unknown"),
+        }
+        return;
+    }
+    // Control-plane frames are answered right here: they never queue, so
+    // introspection works even while the admission queue is shedding.
+    if request.body.is_control() {
+        let _ = answer_control(shared, ep, &request);
+        return;
+    }
+    let class = classify(&shared.config, &request.body);
+    let id = request.id;
+    let trace_id = trace_id_for(conn, id);
+    obs::trace::instant_for(
+        trace_id,
+        "admission.enqueue",
+        &[
+            ("class", class.label()),
+            ("queue_depth", &shared.queue.depth().to_string()),
+        ],
+    );
+    // Register the cancellation flag before the job can be popped, so a
+    // Cancel racing the worker still lands.
+    let cancel = CancelFlag::new();
+    lock_sane(&shared.cancels).insert(trace_id, cancel.clone());
+    let job = Job {
+        conn,
+        endpoint: ep.clone(),
+        request,
+        queued_at: Instant::now(),
+        trace_id,
+        cancel,
+    };
+    if let Err(shed) = shared.queue.push(conn, class, job) {
+        lock_sane(&shared.cancels).remove(&trace_id);
+        shared.stats.shed_overflow.fetch_add(1, Ordering::Relaxed);
+        obs::trace::instant_for(
+            trace_id,
+            "admission.shed_overflow",
+            &[("queue_depth", &shed.queue_depth.to_string())],
+        );
+        let _ = ep.send_response_now(&Response {
+            id,
+            body: ResponseBody::Shed {
+                queue_depth: shed.queue_depth,
+            },
+        });
     }
 }
 
@@ -678,7 +751,7 @@ fn serve_one(shared: &Shared, class: Class, job: Job) {
     // Mark the request in flight before any frame leaves. The terminal
     // frame is sent inside dispatch, *before* the span guard drops and
     // the profile is recorded; the guard's removal happens after both,
-    // so the reader thread's `Trace`/`Profile` fence (`await_settled`)
+    // so the intake's `Trace`/`Profile` fence (`await_settled`)
     // gives clients a real guarantee instead of a race.
     let trace_id = job.trace_id;
     let _inflight = InflightGuard::new(shared, trace_id);
@@ -745,7 +818,7 @@ fn serve_one(shared: &Shared, class: Class, job: Job) {
                 | RequestBody::Trace { .. }
                 | RequestBody::Profile { .. }
                 | RequestBody::Cancel { .. } => {
-                    unreachable!("control frames are answered on the reader thread")
+                    unreachable!("control frames are answered on the intake")
                 }
             };
             lock_sane(&shared.profiles).record(cost.finish());
@@ -801,14 +874,14 @@ fn serve_one(shared: &Shared, class: Class, job: Job) {
 /// request has already sent its terminal frame, so this settles in
 /// microseconds; the worker's in-flight guard wakes the condvar on every
 /// removal, and the bound keeps a worker stalled on a slow client from
-/// ever wedging the reader thread.
+/// ever wedging the intake (and with it the client's sending thread).
 fn await_settled(shared: &Shared, trace_id: u64) {
     shared
         .inflight
         .await_settled(trace_id, Duration::from_millis(50));
 }
 
-/// Answer an introspection frame in place (reader thread, no admission).
+/// Answer an introspection frame in place (on the intake, no admission).
 fn answer_control(shared: &Shared, ep: &Endpoint, request: &Request) -> Result<(), TransportError> {
     let body = match &request.body {
         RequestBody::Stats => {
@@ -952,7 +1025,7 @@ fn answer_control(shared: &Shared, ep: &Endpoint, request: &Request) -> Result<(
         }
         _ => unreachable!("answer_control is only called for control frames"),
     };
-    ep.send_response(&Response {
+    ep.send_response_now(&Response {
         id: request.id,
         body,
     })
@@ -996,21 +1069,7 @@ fn serve_explore(
         Plan::Summary {
             resolution,
             highlights,
-        } => {
-            ep.send_response(&Response {
-                id,
-                body: ResponseBody::Summary {
-                    resolution: resolution.label().to_string(),
-                    cdr_records: highlights.cdr_records,
-                    nms_records: highlights.nms_records,
-                    cells: highlights.per_cell.len() as u32,
-                },
-            })?;
-            ep.send_response(&Response {
-                id,
-                body: ResponseBody::Done { rows: 0 },
-            })
-        }
+        } => send_summary(ep, id, resolution, &highlights),
         Plan::Unavailable => ep.send_response(&Response {
             id,
             body: ResponseBody::Unavailable,
@@ -1020,6 +1079,31 @@ fn serve_explore(
         prefetch(shared, conn, window);
     }
     sent
+}
+
+/// A decayed window's answer: the digest and the terminal frame, in
+/// one write.
+fn send_summary(
+    ep: &Endpoint,
+    id: u64,
+    resolution: Resolution,
+    highlights: &Highlights,
+) -> Result<(), TransportError> {
+    let mut out = FrameBatch::new(ep);
+    out.push(&Response {
+        id,
+        body: ResponseBody::Summary {
+            resolution: resolution.label().to_string(),
+            cdr_records: highlights.cdr_records,
+            nms_records: highlights.nms_records,
+            cells: highlights.per_cell.len() as u32,
+        },
+    })?;
+    out.push(&Response {
+        id,
+        body: ResponseBody::Done { rows: 0 },
+    })?;
+    out.flush()
 }
 
 fn serve_sql(
@@ -1038,7 +1122,8 @@ fn serve_sql(
     };
     match outcome {
         Ok(rs) => {
-            ep.send_response(&Response {
+            let mut out = FrameBatch::new(ep);
+            out.push(&Response {
                 id,
                 body: ResponseBody::Header {
                     tables: vec![TableHeader {
@@ -1048,24 +1133,17 @@ fn serve_sql(
                 },
             })?;
             let total = rs.rows.len() as u64;
-            for chunk in rs.rows.chunks(CHUNK_ROWS) {
-                ep.send_response(&Response {
-                    id,
-                    body: ResponseBody::RowChunk {
-                        table: 0,
-                        rows: chunk.to_vec(),
-                    },
-                })?;
-            }
+            out.push_rows(id, 0, &rs.rows)?;
             shared
                 .stats
                 .rows_streamed
                 .fetch_add(total, Ordering::Relaxed);
             obs::add("serve.rows_streamed", total);
-            ep.send_response(&Response {
+            out.push(&Response {
                 id,
                 body: ResponseBody::Done { rows: total },
-            })
+            })?;
+            out.flush()
         }
         Err(e) => send_error(ep, id, errcode::SQL, &e.to_string()),
     }
@@ -1085,8 +1163,9 @@ fn send_error(ep: &Endpoint, id: u64, code: u8, message: &str) -> Result<(), Tra
 /// Stream an exact window Volcano-style: header first, then one epoch
 /// at a time — resolve it (cache or guard-all shard load), project it,
 /// push its row chunks, drop it — so the serve tier never buffers more
-/// than one epoch of the answer. Ends with an optional coverage report
-/// (only when degraded) and the terminal `Done`.
+/// than one epoch of the answer plus a [`FrameBatch`] of encoded frames.
+/// Ends with an optional coverage report (only when degraded) and the
+/// terminal `Done`.
 fn stream_epochs(
     shared: &Shared,
     ep: &Endpoint,
@@ -1098,7 +1177,8 @@ fn stream_epochs(
     // Column names come from the projection alone — resolvable before
     // any epoch is read.
     let probe = project_snapshot_refs(std::iter::empty(), q, layout);
-    ep.send_response(&Response {
+    let mut out = FrameBatch::new(ep);
+    out.push(&Response {
         id,
         body: ResponseBody::Header {
             tables: vec![
@@ -1137,15 +1217,7 @@ fn stream_epochs(
             Some(snap) => {
                 let part = project_snapshot_refs(std::iter::once(snap.as_ref()), q, layout);
                 for (table, slice) in [(0u8, &part.cdr), (1u8, &part.nms)] {
-                    for chunk in slice.rows.chunks(CHUNK_ROWS) {
-                        ep.send_response(&Response {
-                            id,
-                            body: ResponseBody::RowChunk {
-                                table,
-                                rows: chunk.to_vec(),
-                            },
-                        })?;
-                    }
+                    out.push_rows(id, table, &slice.rows)?;
                 }
                 total += (part.cdr.rows.len() + part.nms.rows.len()) as u64;
             }
@@ -1159,7 +1231,7 @@ fn stream_epochs(
             decayed: 0,
             unavailable,
         };
-        ep.send_response(&Response {
+        out.push(&Response {
             id,
             body: ResponseBody::Coverage {
                 requested: c.requested,
@@ -1174,10 +1246,11 @@ fn stream_epochs(
         .rows_streamed
         .fetch_add(total, Ordering::Relaxed);
     obs::add("serve.rows_streamed", total);
-    ep.send_response(&Response {
+    out.push(&Response {
         id,
         body: ResponseBody::Done { rows: total },
-    })
+    })?;
+    out.flush()
 }
 
 /// Warm the cache ahead of this session's window. `ExplorerSession`
@@ -1712,7 +1785,7 @@ impl ClientConn {
         }
     }
 
-    /// Hang up. The server's reader thread for this connection exits.
+    /// Hang up. The server's intake for this connection ends.
     pub fn close(self) {
         self.ep.close();
     }
@@ -1721,4 +1794,131 @@ impl ClientConn {
 fn unexpected_reply(reply: &Reply) -> TransportError {
     let _ = reply;
     TransportError::Proto(crate::proto::ProtoError::BadTag(0))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+    use telco_trace::schema::{Schema, TableKind};
+    use telco_trace::{TraceConfig, TraceGenerator};
+
+    fn server_over(scale: f64, epochs: usize, config: ServeConfig) -> Server {
+        let mut generator = TraceGenerator::new(TraceConfig::scaled(scale).with_days(1));
+        let mut fw = SpateFramework::in_memory(generator.layout().clone());
+        for snapshot in generator.by_ref().take(epochs) {
+            fw.ingest(&snapshot);
+        }
+        Server::start(fw, config)
+    }
+
+    fn stats_request(id: u64) -> Vec<u8> {
+        Request {
+            id,
+            body: RequestBody::Stats,
+        }
+        .encode()
+    }
+
+    /// The intake sees a byte stream: a frame may come in pieces, two may
+    /// come in one write, and a hang-up inside a frame is a protocol
+    /// error while one at a frame boundary is not.
+    #[test]
+    fn frames_are_reassembled_from_any_split_of_the_byte_stream() {
+        let server = server_over(1.0 / 2048.0, 2, ServeConfig::default());
+        let mut client = server.connect();
+        let (a, b, c) = (stats_request(1), stats_request(2), stats_request(3));
+        // One byte at a time, then the tail of `b` glued to the whole of
+        // `c` and the head of a frame that never completes.
+        for byte in &a {
+            client.send_raw(&[*byte]).unwrap();
+        }
+        assert!(matches!(client.await_reply(1), Ok(Reply::Stats(_))));
+        client.send_raw(&b[..5]).unwrap();
+        let mut rest = b[5..].to_vec();
+        rest.extend_from_slice(&c);
+        rest.extend_from_slice(&stats_request(4)[..6]);
+        client.send_raw(&rest).unwrap();
+        assert!(matches!(client.await_reply(2), Ok(Reply::Stats(_))));
+        assert!(matches!(client.await_reply(3), Ok(Reply::Stats(_))));
+        client.ep.close();
+        // The server reports the truncation and hangs up.
+        match client.await_reply(0) {
+            Ok(Reply::ServerError { code, .. }) => assert_eq!(code, errcode::BAD_REQUEST),
+            other => panic!("expected the truncation report, got {other:?}"),
+        }
+
+        let clean = server.connect();
+        clean.send_raw(&stats_request(1)).unwrap();
+        clean.close();
+        assert_eq!(server.shutdown().protocol_errors, 1);
+    }
+
+    /// The intake runs on the sending client's thread, so it must never
+    /// wait for room in that client's reply pipe: a client that pipelines
+    /// requests without reading them back keeps being answered (and can
+    /// read everything afterwards).
+    #[test]
+    fn a_client_with_a_full_reply_pipe_is_still_answered_without_blocking() {
+        let cdr = Schema::shared(TableKind::Cdr);
+        let attributes: Vec<String> = (0..60).map(|i| cdr.column_name(i).to_string()).collect();
+        let config = ServeConfig {
+            workers: 1,
+            prefetch: false,
+            ..ServeConfig::default()
+        };
+        let server = server_over(1.0 / 64.0, 40, config);
+        let mut client = server.connect();
+        let scans: Vec<u64> = (0..4)
+            .map(|_| {
+                client
+                    .send(RequestBody::Explore {
+                        attributes: attributes.clone(),
+                        bbox: (f64::MIN, f64::MIN, f64::MAX, f64::MAX),
+                        window: (20, 39),
+                        deadline_ms: 0,
+                    })
+                    .unwrap()
+            })
+            .collect();
+        // The one worker answers until the unread replies pass the pipe's
+        // capacity, then waits for room with the rest still queued.
+        let mut depth = (usize::MAX, Instant::now());
+        while depth.1.elapsed() < Duration::from_millis(200) {
+            let now = server.queue_depth();
+            if now != depth.0 {
+                depth = (now, Instant::now());
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(depth.0 >= 1, "the replies did not fill the pipe");
+
+        // A control frame is answered in place, on this thread.
+        let (done_tx, done_rx) = mpsc::channel();
+        let sender = std::thread::spawn(move || {
+            let id = client.send(RequestBody::Stats).unwrap();
+            done_tx.send(()).unwrap();
+            (client, id)
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the intake waited for room in the sender's own reply pipe");
+        let (client, stats_id) = sender.join().unwrap();
+
+        // Everything is answered once the client reads.
+        let mut terminals = HashSet::new();
+        while terminals.len() < scans.len() + 1 {
+            let resp = client.ep.recv_response().unwrap().expect("early hang-up");
+            if resp.body.is_terminal() {
+                assert!(matches!(
+                    resp.body,
+                    ResponseBody::Done { .. } | ResponseBody::Stats(_)
+                ));
+                terminals.insert(resp.id);
+            }
+        }
+        assert!(terminals.contains(&stats_id));
+        client.close();
+        server.shutdown();
+    }
 }

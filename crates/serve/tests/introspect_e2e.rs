@@ -67,7 +67,7 @@ fn trace_frame_answers_why_was_request_r_slow() {
     let cold = client.trace(cold_id).unwrap();
     assert_eq!(cold.trace_id, cold_id);
     let names: Vec<&str> = cold.spans.iter().map(|s| s.name.as_str()).collect();
-    // Admission instant (span id 0, from the reader thread).
+    // Admission instant (span id 0, from the intake).
     assert!(names.contains(&"admission.enqueue"), "{names:?}");
     // Queue wait measured by timestamps, filed as a closed span.
     let wait = cold

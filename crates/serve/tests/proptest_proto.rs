@@ -22,7 +22,7 @@ fn word(bytes: &[u8]) -> String {
 fn value(tag: u8, int: i64, float_bits: u64, s: &[u8]) -> Value {
     match tag % 4 {
         0 => Value::Null,
-        1 => Value::Str(word(s)),
+        1 => Value::Str(word(s).into()),
         2 => Value::Int(int),
         // Quiet-NaN payloads don't round-trip PartialEq; keep finite.
         _ => Value::Float((float_bits % 1_000_000) as f64 / 7.0 - 3_000.0),

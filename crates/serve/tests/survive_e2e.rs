@@ -150,8 +150,8 @@ fn an_expired_deadline_degrades_to_partial_with_honest_coverage() {
 /// A `Cancel` aimed at an in-flight request interrupts it at the next
 /// checkpoint (Partial, zero rows served past the interrupt) — and a
 /// cancel for an unknown id is a harmless no-op. The 5 ms chaos stall
-/// guarantees the cancel frame (processed on the reader thread, which
-/// never blocks behind workers) lands before the first checkpoint.
+/// guarantees the cancel frame (processed on the connection's intake,
+/// which never waits behind workers) lands before the first checkpoint.
 #[test]
 fn cancel_frames_interrupt_inflight_requests_and_ignore_unknown_targets() {
     let server = poison_server(1);

@@ -8,6 +8,7 @@
 
 use crate::ast::*;
 use spate_core::framework::ExplorationFramework;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -110,10 +111,10 @@ impl<'a> SqlContext<'a> {
         crate::query(self, sql)
     }
 
-    fn table(&self, name: &str) -> Result<(Schema, Vec<Vec<Value>>), SqlError> {
+    fn table(&self, name: &str) -> Result<(&'static Schema, Vec<Vec<Value>>), SqlError> {
         let kind =
             TableKind::from_name(name).ok_or_else(|| SqlError::UnknownTable(name.to_string()))?;
-        let schema = Schema::for_kind(kind);
+        let schema = Schema::shared(kind);
         let rows: Vec<Vec<Value>> = match kind {
             TableKind::Cdr => self
                 .fw
@@ -150,7 +151,7 @@ pub fn profile_result_set(profile: &obs::CostProfile) -> ResultSet {
         rows: profile
             .rows()
             .into_iter()
-            .map(|(metric, value)| vec![Value::Str(metric), Value::Str(value)])
+            .map(|(metric, value)| vec![Value::Str(metric.into()), Value::Str(value.into())])
             .collect(),
     }
 }
@@ -158,7 +159,7 @@ pub fn profile_result_set(profile: &obs::CostProfile) -> ResultSet {
 /// One bound table in the FROM namespace.
 struct Binding {
     name: String,
-    schema: Schema,
+    schema: &'static Schema,
     offset: usize,
 }
 
@@ -388,16 +389,16 @@ fn join_tables(
         acc = match join_key {
             Some((left_idx, right_idx)) => {
                 // Hash join: build on the new table.
-                let mut built: HashMap<String, Vec<&Vec<Value>>> = HashMap::new();
+                let mut built: HashMap<Cow<'_, str>, Vec<&Vec<Value>>> = HashMap::new();
                 for row in &next {
                     built
-                        .entry(row[right_idx - b.offset].as_text())
+                        .entry(row[right_idx - b.offset].text())
                         .or_default()
                         .push(row);
                 }
                 let mut out = Vec::new();
                 for left in &acc {
-                    if let Some(matches) = built.get(&left[left_idx].as_text()) {
+                    if let Some(matches) = built.get(left[left_idx].text().as_ref()) {
                         for m in matches {
                             let mut combined = left.clone();
                             combined.extend((*m).iter().cloned());
@@ -464,14 +465,14 @@ fn find_equi_join(
 pub fn compare_values(a: &Value, b: &Value) -> Ordering {
     match (a.as_f64(), b.as_f64()) {
         (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or(Ordering::Equal),
-        _ => a.as_text().cmp(&b.as_text()),
+        _ => a.text().cmp(&b.text()),
     }
 }
 
 fn eval_value(expr: &Expr, row: &[Value], ns: &Namespace) -> Result<Value, SqlError> {
     Ok(match expr {
         Expr::Column(c) => row[ns.resolve(c)?].clone(),
-        Expr::StringLit(s) => Value::Str(s.clone()),
+        Expr::StringLit(s) => Value::Str(s.as_str().into()),
         Expr::Number(n) => Value::Float(*n),
         other => {
             return Err(SqlError::Unsupported(format!(
@@ -511,7 +512,7 @@ fn eval_bool(
         } => {
             let v = eval_value(expr, row, ns)?;
             let contained = if let Some(set_idx) = subquery_set_index(list) {
-                sub_sets[set_idx].contains(&v.as_text())
+                sub_sets[set_idx].contains(v.text().as_ref())
             } else {
                 let mut hit = false;
                 for item in list {
@@ -544,7 +545,7 @@ fn eval_bool(
             negated,
         } => {
             let v = eval_value(expr, row, ns)?;
-            like_match(&v.as_text(), pattern) != *negated
+            like_match(&v.text(), pattern) != *negated
         }
         Expr::AggregateCall { .. } => {
             return Err(SqlError::Unsupported(
@@ -654,9 +655,9 @@ fn aggregate(
     }
 
     // Group rows.
-    let mut groups: HashMap<Vec<String>, Vec<&Vec<Value>>> = HashMap::new();
+    let mut groups: HashMap<Vec<Cow<'_, str>>, Vec<&Vec<Value>>> = HashMap::new();
     for row in rows {
-        let key: Vec<String> = group_indices.iter().map(|&i| row[i].as_text()).collect();
+        let key: Vec<Cow<'_, str>> = group_indices.iter().map(|&i| row[i].text()).collect();
         groups.entry(key).or_default().push(row);
     }
     if groups.is_empty() && group_indices.is_empty() {
@@ -735,7 +736,7 @@ fn eval_having(expr: &Expr, members: &[&Vec<Value>], ns: &Namespace) -> Result<b
                     .map(|r| r[idx].clone())
                     .unwrap_or(Value::Null))
             }
-            Expr::StringLit(s) => Ok(Value::Str(s.clone())),
+            Expr::StringLit(s) => Ok(Value::Str(s.as_str().into())),
             Expr::Number(n) => Ok(Value::Float(*n)),
             other => Err(SqlError::Unsupported(format!(
                 "expression in HAVING: {other:?}"

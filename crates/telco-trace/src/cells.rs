@@ -238,11 +238,11 @@ impl CellLayout {
                 values[cell::ANTENNA_ID] = Value::Int(i64::from(c.antenna_id));
                 values[cell::X_M] = Value::Int(c.x_m as i64);
                 values[cell::Y_M] = Value::Int(c.y_m as i64);
-                values[cell::TECH] = Value::Str(c.tech.label().to_string());
+                values[cell::TECH] = Value::Str(c.tech.label().into());
                 values[cell::AZIMUTH_DEG] = Value::Int(i64::from(c.azimuth_deg));
                 values[cell::RANGE_M] = Value::Int(i64::from(c.range_m));
                 values[cell::CONTROLLER_ID] = Value::Int(i64::from(c.controller_id));
-                values[cell::SITE_NAME] = Value::Str(format!("site-{:05}", c.antenna_id));
+                values[cell::SITE_NAME] = Value::Str(format!("site-{:05}", c.antenna_id).into());
                 values[cell::REGION] = Value::Int(i64::from(c.region));
                 Record::new(values)
             })

@@ -6,6 +6,7 @@ use crate::load;
 use crate::record::{Record, Value};
 use crate::schema::{cdr, nms, FillerClass, Schema};
 use crate::snapshot::Snapshot;
+use crate::text::Text;
 use crate::time::{EpochId, EPOCHS_PER_DAY};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -172,9 +173,9 @@ impl TraceGenerator {
             FillerClass::Zero => Value::Int(0),
             FillerClass::Categorical { cardinality, skew } => {
                 if rng.gen_bool(skew) {
-                    Value::Str("A0".to_string())
+                    Value::Str("A0".into())
                 } else {
-                    Value::Str(format!("A{}", rng.gen_range(1..cardinality)))
+                    Value::Str(format!("A{}", rng.gen_range(1..cardinality)).into())
                 }
             }
             FillerClass::Counter { max, zero_bias } => {
@@ -234,24 +235,24 @@ impl TraceGenerator {
         let mut values = Vec::with_capacity(cdr::WIDTH);
         values.push(Value::Int(self.next_record_id as i64)); // RECORD_ID
         self.next_record_id += 1;
-        values.push(Value::Str(Self::user_msisdn(caller))); // CALLER_ID
-        values.push(Value::Str(Self::user_msisdn(callee))); // CALLEE_ID
+        values.push(Value::Str(Self::user_msisdn(caller).into())); // CALLER_ID
+        values.push(Value::Str(Self::user_msisdn(callee).into())); // CALLEE_ID
         values.push(Value::Int(i64::from(cell_id))); // CELL_ID
-        let civil = epoch.civil();
-        values.push(Value::Str(civil.compact())); // TS_START
-        values.push(Value::Str(civil.compact())); // TS_END (same epoch granularity)
+        let civil = Text::from(epoch.civil().compact());
+        values.push(Value::Str(civil.clone())); // TS_START
+        values.push(Value::Str(civil)); // TS_END (same epoch granularity)
         values.push(Value::Int(duration_s)); // DURATION_S
-        values.push(Value::Str(call_type.to_string())); // CALL_TYPE
-        values.push(Value::Str(call_result.to_string())); // CALL_RESULT
+        values.push(Value::Str(call_type.into())); // CALL_TYPE
+        values.push(Value::Str(call_result.into())); // CALL_RESULT
         values.push(Value::Int(upflux)); // UPFLUX
         values.push(Value::Int(downflux)); // DOWNFLUX
-        values.push(Value::Str(cell.tech.label().to_string())); // TECH
+        values.push(Value::Str(cell.tech.label().into())); // TECH
         values.push(Value::Int(i64::from(rng.gen_bool(0.02)))); // ROAMING
-        values.push(Value::Str(format!("PLAN{}", caller % 7))); // PLAN_CODE
+        values.push(Value::Str(format!("PLAN{}", caller % 7).into())); // PLAN_CODE
         values.push(Value::Int(i64::from(cell.controller_id))); // BSC_ID
         values.push(Value::Int(i64::from(cell.region))); // LAC
         values.push(Value::Int(i64::from(caller % 4))); // BILLING_CLASS
-        values.push(Value::Str("280-01".to_string())); // MCC_MNC (constant: one operator)
+        values.push(Value::Str("280-01".into())); // MCC_MNC (constant: one operator)
 
         for col in &self.cdr_schema.columns[cdr::FILLER_START..] {
             values.push(Self::fill_filler(rng, col.filler.expect("filler column")));
@@ -267,7 +268,7 @@ impl TraceGenerator {
         let expected = self.config.nms_reports_per_cell * act;
         let whole = expected.floor() as usize;
         let frac = expected - expected.floor();
-        let civil = epoch.civil().compact();
+        let civil = Text::from(epoch.civil().compact());
         for c in &self.layout.cells {
             let reports = whole + usize::from(frac > 0.0 && rng.gen_bool(frac));
             // The cell's base load this epoch is deterministic (popularity

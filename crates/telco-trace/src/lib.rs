@@ -29,6 +29,7 @@ pub mod load;
 pub mod record;
 pub mod schema;
 pub mod snapshot;
+pub mod text;
 pub mod time;
 
 pub use cells::CellLayout;
@@ -36,4 +37,5 @@ pub use generator::{TraceConfig, TraceGenerator};
 pub use record::{Record, Value};
 pub use schema::{Schema, TableKind};
 pub use snapshot::Snapshot;
+pub use text::Text;
 pub use time::{DayPeriod, EpochId, Weekday, EPOCHS_PER_DAY, EPOCH_MINUTES};

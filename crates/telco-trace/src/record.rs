@@ -5,15 +5,17 @@
 //! discrete numerical values" (paper §II-B). Records are serialized as
 //! comma-separated lines, the format the paper's snapshots arrive in.
 
+use crate::text::Text;
+use std::borrow::Cow;
 use std::fmt;
 
-/// One attribute value.
+/// One attribute value. 24 bytes: a parsed snapshot holds one per field.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Optional attribute left blank (the zero-entropy columns of Fig. 4).
     Null,
     /// Nominal text (call types, results, technology tags, ids).
-    Str(String),
+    Str(Text),
     /// Discrete numerical value (counters, byte volumes, durations).
     Int(i64),
     /// Continuous measurement (throughput, signal strength).
@@ -21,14 +23,19 @@ pub enum Value {
 }
 
 impl Value {
-    /// Canonical text form used both on the wire and for entropy analysis.
-    pub fn as_text(&self) -> String {
+    /// Canonical text form used both on the wire and for entropy analysis,
+    /// borrowed when the value already is text.
+    pub fn text(&self) -> Cow<'_, str> {
         match self {
-            Value::Null => String::new(),
-            Value::Str(s) => s.clone(),
-            Value::Int(i) => i.to_string(),
-            Value::Float(f) => format!("{f:.2}"),
+            Value::Null => Cow::Borrowed(""),
+            Value::Str(s) => Cow::Borrowed(s),
+            Value::Int(_) | Value::Float(_) => Cow::Owned(self.to_string()),
         }
+    }
+
+    /// [`Value::text`] as an owned string.
+    pub fn as_text(&self) -> String {
+        self.text().into_owned()
     }
 
     /// Numeric view: ints and parses of numeric strings; `None` otherwise.
@@ -53,11 +60,21 @@ impl Value {
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
+
+    /// Write the canonical text form straight into `out`.
+    fn write_text(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        match self {
+            Value::Null => Ok(()),
+            Value::Str(s) => out.write_str(s),
+            Value::Int(i) => write!(out, "{i}"),
+            Value::Float(x) => write!(out, "{x:.2}"),
+        }
+    }
 }
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.as_text())
+        self.write_text(f)
     }
 }
 
@@ -83,32 +100,61 @@ impl Record {
             if i > 0 {
                 out.push(',');
             }
-            let text = v.as_text();
             debug_assert!(
-                !text.contains(',') && !text.contains('\n'),
-                "value contains a delimiter: {text:?}"
+                !matches!(v, Value::Str(s) if s.contains(',') || s.contains('\n')),
+                "value contains a delimiter: {v:?}"
             );
-            out.push_str(&text);
+            v.write_text(out).expect("writing to a String cannot fail");
         }
         out.push('\n');
     }
 
-    /// Parse a CSV line. Every field comes back as `Str` (or `Null` when
-    /// empty); numeric interpretation is deferred to `Value::as_f64`, which
-    /// is what a schema-on-read big-data stack does.
+    /// Parse a CSV line, with or without its line terminator (`\n` or
+    /// `\r\n`); anything after the terminator is an error. Every field
+    /// comes back as `Str` (or `Null` when empty); numeric interpretation
+    /// is deferred to `Value::as_f64`, which is what a schema-on-read
+    /// big-data stack does.
     pub fn parse_line(line: &str, n_cols: usize) -> Option<Self> {
+        let (record, end) = Self::parse_row(line, 0, n_cols)?;
+        (end == line.len()).then_some(record)
+    }
+
+    /// Parse the row starting at byte `start` of `text`, in one pass over
+    /// its bytes: split on `,`, stop at `\n` (dropping a `\r` before it)
+    /// or at the end of `text`. Returns the record and the offset of the
+    /// next line, or `None` unless the row has exactly `n_cols` fields.
+    ///
+    /// The delimiters are ASCII, so every field of a valid `&str` is valid
+    /// UTF-8 and is sliced out without being validated again.
+    pub(crate) fn parse_row(text: &str, start: usize, n_cols: usize) -> Option<(Self, usize)> {
+        let bytes = text.as_bytes();
         let mut values = Vec::with_capacity(n_cols);
-        for field in line.split(',') {
-            values.push(if field.is_empty() {
+        let mut field_start = start;
+        let mut i = start;
+        loop {
+            while i < bytes.len() && bytes[i] != b',' && bytes[i] != b'\n' {
+                i += 1;
+            }
+            let at_comma = i < bytes.len() && bytes[i] == b',';
+            let mut field_end = i;
+            if !at_comma && i < bytes.len() && i > field_start && bytes[i - 1] == b'\r' {
+                field_end -= 1;
+            }
+            if values.len() == n_cols {
+                return None;
+            }
+            values.push(if field_start == field_end {
                 Value::Null
             } else {
-                Value::Str(field.to_string())
+                Value::Str(Text::new(&text[field_start..field_end]))
             });
+            if !at_comma {
+                let next = (i + 1).min(bytes.len());
+                return (values.len() == n_cols).then_some((Self { values }, next));
+            }
+            i += 1;
+            field_start = i;
         }
-        if values.len() != n_cols {
-            return None;
-        }
-        Some(Self { values })
     }
 }
 

@@ -2,6 +2,8 @@
 //! (most optional or low-entropy), NMS with 8 counter attributes, CELL with
 //! 10 attributes.
 
+use std::sync::OnceLock;
+
 /// The three file types arriving at the telco data center (paper Fig. 3/4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TableKind {
@@ -241,6 +243,20 @@ impl Schema {
             TableKind::Nms => Self::nms(),
             TableKind::Cell => Self::cell(),
         }
+    }
+
+    /// The schema of `kind`, built once per process: resolving a query's
+    /// attributes must not rebuild ~200 column names per request.
+    pub fn shared(kind: TableKind) -> &'static Schema {
+        static CDR: OnceLock<Schema> = OnceLock::new();
+        static NMS: OnceLock<Schema> = OnceLock::new();
+        static CELL: OnceLock<Schema> = OnceLock::new();
+        let slot = match kind {
+            TableKind::Cdr => &CDR,
+            TableKind::Nms => &NMS,
+            TableKind::Cell => &CELL,
+        };
+        slot.get_or_init(|| Self::for_kind(kind))
     }
 
     pub fn width(&self) -> usize {

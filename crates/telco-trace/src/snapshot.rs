@@ -87,60 +87,104 @@ impl Snapshot {
         out.into_bytes()
     }
 
-    /// Parse the wire format back into a snapshot.
+    /// Parse the wire format back into a snapshot: one UTF-8 validation
+    /// of the buffer, then one pass over its bytes. Lines end at `\n` or
+    /// `\r\n`; anything after the NMS table is ignored.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotParseError> {
         let text = std::str::from_utf8(bytes)
             .map_err(|_| SnapshotParseError::BadHeader("not utf-8".into()))?;
-        let mut lines = text.lines().enumerate();
-
-        let (_, header) = lines.next().ok_or(SnapshotParseError::MissingHeader)?;
-        let epoch = parse_kv(header, "#SNAPSHOT", "epoch")
-            .ok_or_else(|| SnapshotParseError::BadHeader(header.to_string()))?;
-
-        let read_table = |name: &'static str,
-                          width: usize,
-                          lines: &mut std::iter::Enumerate<std::str::Lines<'_>>|
-         -> Result<Vec<Record>, SnapshotParseError> {
-            let (_, th) = lines
-                .next()
-                .ok_or_else(|| SnapshotParseError::BadTableHeader("missing".into()))?;
-            if !th.starts_with("#TABLE") || !th.contains(name) {
-                return Err(SnapshotParseError::BadTableHeader(th.to_string()));
-            }
-            let rows: u32 = parse_kv(th, "#TABLE", "rows")
-                .ok_or_else(|| SnapshotParseError::BadTableHeader(th.to_string()))?;
-            let mut records = Vec::with_capacity(rows as usize);
-            for _ in 0..rows {
-                let (line_no, line) = lines
-                    .next()
-                    .ok_or(SnapshotParseError::RowCountMismatch { table: name })?;
-                let rec = Record::parse_line(line, width).ok_or(SnapshotParseError::BadRow {
-                    table: name,
-                    line: line_no + 1,
-                })?;
-                records.push(rec);
-            }
-            Ok(records)
+        let mut lines = Lines {
+            text,
+            pos: 0,
+            line_no: 0,
         };
 
-        let cdr_rows = read_table("CDR", cdr::WIDTH, &mut lines)?;
-        let nms_rows = read_table("NMS", nms::WIDTH, &mut lines)?;
+        let header = lines.next_line().ok_or(SnapshotParseError::MissingHeader)?;
+        let epoch = header_value(header, "epoch")
+            .filter(|_| header.starts_with("#SNAPSHOT"))
+            .ok_or_else(|| SnapshotParseError::BadHeader(header.to_string()))?;
+
+        let cdr_rows = lines.read_table("CDR", cdr::WIDTH)?;
+        let nms_rows = lines.read_table("NMS", nms::WIDTH)?;
         Ok(Snapshot::new(EpochId(epoch), cdr_rows, nms_rows))
     }
 }
 
-fn parse_kv<T: std::str::FromStr>(line: &str, prefix: &str, key: &str) -> Option<T> {
-    if !line.starts_with(prefix) {
-        return None;
-    }
-    for part in line.split_whitespace() {
-        if let Some(rest) = part.strip_prefix(key) {
-            if let Some(v) = rest.strip_prefix('=') {
-                return v.parse().ok();
-            }
+/// Cursor over the lines of a serialized snapshot.
+struct Lines<'a> {
+    text: &'a str,
+    /// Offset of the next unread line.
+    pos: usize,
+    /// Lines consumed so far (= the 1-based number of the last one).
+    line_no: usize,
+}
+
+impl<'a> Lines<'a> {
+    /// The next line, without its terminator (used for the header lines;
+    /// rows go through [`Record::parse_row`]).
+    fn next_line(&mut self) -> Option<&'a str> {
+        let rest = &self.text[self.pos..];
+        if rest.is_empty() {
+            return None;
         }
+        self.line_no += 1;
+        let Some(n) = rest.find('\n') else {
+            self.pos = self.text.len();
+            return Some(rest);
+        };
+        self.pos += n + 1;
+        let line = &rest[..n];
+        Some(line.strip_suffix('\r').unwrap_or(line))
     }
-    None
+
+    /// A `#TABLE <name> rows=<n> cols=<width>` line and its `n` rows.
+    fn read_table(
+        &mut self,
+        name: &'static str,
+        width: usize,
+    ) -> Result<Vec<Record>, SnapshotParseError> {
+        let th = self
+            .next_line()
+            .ok_or_else(|| SnapshotParseError::BadTableHeader("missing".into()))?;
+        let bad_header = || SnapshotParseError::BadTableHeader(th.to_string());
+        let mut words = th.split_whitespace();
+        if words.next() != Some("#TABLE")
+            || words.next() != Some(name)
+            || header_value(th, "cols") != Some(width)
+        {
+            return Err(bad_header());
+        }
+        let rows: u32 = header_value(th, "rows").ok_or_else(bad_header)?;
+
+        // `rows` is untrusted: reserve no more than the rest of the input
+        // can hold (a row is at least `width` bytes, terminator included,
+        // except that the last line may lack its `\n`).
+        let fits = (self.text.len() - self.pos) / width + 1;
+        let mut records = Vec::with_capacity((rows as usize).min(fits));
+        for _ in 0..rows {
+            if self.pos == self.text.len() {
+                return Err(SnapshotParseError::RowCountMismatch { table: name });
+            }
+            self.line_no += 1;
+            let (record, next) = Record::parse_row(self.text, self.pos, width).ok_or(
+                SnapshotParseError::BadRow {
+                    table: name,
+                    line: self.line_no,
+                },
+            )?;
+            records.push(record);
+            self.pos = next;
+        }
+        Ok(records)
+    }
+}
+
+/// The value of the first `key=<value>` word of a header line.
+fn header_value<T: std::str::FromStr>(line: &str, key: &str) -> Option<T> {
+    line.split_whitespace()
+        .find_map(|word| word.strip_prefix(key)?.strip_prefix('='))?
+        .parse()
+        .ok()
 }
 
 #[cfg(test)]

@@ -1,48 +1,11 @@
-//! Property tests for the snapshot wire format and the civil calendar.
+//! Property tests for the civil calendar. (The snapshot wire format's
+//! are in `parser_differential.rs`.)
 
 use proptest::prelude::*;
-use telco_trace::record::{Record, Value};
-use telco_trace::schema::{cdr, nms};
 use telco_trace::time::{days_in_month, is_leap, CivilTime, EpochId, EPOCHS_PER_DAY};
-use telco_trace::Snapshot;
-
-/// Values that are legal on the wire (no delimiter characters).
-fn arb_value() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        Just(Value::Null),
-        "[A-Za-z0-9_.-]{1,12}".prop_map(Value::Str),
-        any::<i32>().prop_map(|i| Value::Int(i64::from(i))),
-        (-1_000_000i32..1_000_000).prop_map(|i| Value::Float(f64::from(i) / 100.0)),
-    ]
-}
-
-fn arb_row(width: usize) -> impl Strategy<Value = Record> {
-    proptest::collection::vec(arb_value(), width).prop_map(Record::new)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn snapshot_wire_round_trips(
-        epoch in 0u32..100_000,
-        cdr_rows in proptest::collection::vec(arb_row(cdr::WIDTH), 0..8),
-        nms_rows in proptest::collection::vec(arb_row(nms::WIDTH), 0..20),
-    ) {
-        let snap = Snapshot::new(EpochId(epoch), cdr_rows, nms_rows);
-        let bytes = snap.to_bytes();
-        let parsed = Snapshot::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(parsed.epoch, snap.epoch);
-        prop_assert_eq!(parsed.cdr.len(), snap.cdr.len());
-        prop_assert_eq!(parsed.nms.len(), snap.nms.len());
-        // Canonical form is a fixed point.
-        prop_assert_eq!(parsed.to_bytes(), bytes);
-    }
-
-    #[test]
-    fn snapshot_parse_never_panics(junk in proptest::collection::vec(any::<u8>(), 0..400)) {
-        let _ = Snapshot::from_bytes(&junk);
-    }
 
     #[test]
     fn civil_time_is_monotone_and_consistent(epoch in 0u32..(20 * 366 * EPOCHS_PER_DAY)) {
