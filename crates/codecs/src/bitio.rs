@@ -76,8 +76,22 @@ impl<'a> BitReader<'a> {
         }
     }
 
+    /// Top up `acc`. Bits at and above `nbits` stay zero, so reads past
+    /// the end of input see the zero padding.
     #[inline]
     fn refill(&mut self) {
+        // While 8 input bytes remain: one load, then keep as many whole
+        // bytes of it as fit above the buffered bits.
+        if let Some(word) = self.input.get(self.pos..self.pos + 8) {
+            if self.nbits <= 56 {
+                let word = u64::from_le_bytes(word.try_into().expect("an 8-byte slice"));
+                let bytes = (63 - self.nbits) / 8;
+                self.acc |= (word & ((1 << (bytes * 8)) - 1)) << self.nbits;
+                self.pos += bytes as usize;
+                self.nbits += bytes * 8;
+            }
+            return;
+        }
         while self.nbits <= 56 && self.pos < self.input.len() {
             self.acc |= u64::from(self.input[self.pos]) << self.nbits;
             self.pos += 1;

@@ -145,10 +145,15 @@ fn decode_block(
             if out.len() + len > declared_len {
                 return Err(CodecError::Corrupt("output exceeds declared length"));
             }
+            // A match that overlaps its own output (`dist < len`) repeats
+            // the last `dist` bytes: each pass copies everything written
+            // since `start`, a whole number of periods, so spans double.
             let start = out.len() - dist;
-            for i in 0..len {
-                let b = out[start + i];
-                out.push(b);
+            let mut left = len;
+            while left > 0 {
+                let span = left.min(out.len() - start);
+                out.extend_from_within(start..start + span);
+                left -= span;
             }
         }
         if out.len() > declared_len {

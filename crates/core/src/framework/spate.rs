@@ -6,8 +6,8 @@ use crate::index::decay::{decay_with_fungus_traced, DecayPolicy, DecayReport, Fu
 use crate::index::highlights::HighlightConfig;
 use crate::index::persist::{self, PersistError};
 use crate::index::{Covering, TemporalIndex};
-use crate::query::{project_snapshots, Coverage, Query, QueryResult};
-use crate::storage::{SnapshotStore, StorageError, StoredSnapshot};
+use crate::query::{Coverage, Query, QueryResult, RowPlan};
+use crate::storage::{parse_stage, SnapshotStore, StorageError, StoredSnapshot};
 use codecs::{Codec, GzipLite};
 use dfs::Dfs;
 use std::collections::HashSet;
@@ -471,17 +471,22 @@ impl ExplorationFramework for SpateFramework {
                 // read right now (lost or corrupt replicas) are dropped
                 // from the answer and *accounted*, never silently skipped
                 // and never fatal to the rest of the window.
+                //
+                // One epoch at a time, straight over the serialized text:
+                // no epoch of the window is ever held decoded.
                 let requested = leaves.len() as u32;
-                let mut snaps: Vec<Snapshot> = Vec::with_capacity(leaves.len());
+                let plan = RowPlan::new(q, &self.layout);
+                let mut result = plan.empty_result();
                 let mut unavailable = 0u32;
                 for leaf in &leaves {
                     self.index.heat().touch_epoch(leaf.epoch);
-                    match self.store.load(leaf.epoch) {
-                        Ok(s) => snaps.push(s),
-                        Err(_) => unavailable += 1,
+                    let scanned = self.store.load_text(leaf.epoch).and_then(|text| {
+                        parse_stage(|| plan.scan_epoch(leaf.epoch, &text, &mut result))
+                    });
+                    if scanned.is_err() {
+                        unavailable += 1;
                     }
                 }
-                let result = project_snapshots(&snaps, q, &self.layout);
                 if unavailable == 0 {
                     QueryResult::Exact(result)
                 } else {
@@ -779,6 +784,40 @@ mod tests {
         let cov = spate.probe_coverage(EpochId(0), EpochId(5));
         assert_eq!(cov.served, 5);
         assert_eq!(cov.unavailable, 1);
+    }
+
+    #[test]
+    fn a_misfiled_leaf_is_neither_served_nor_reindexed() {
+        let (layout, snaps) = tiny_trace(6);
+        let fs = dfs::Dfs::in_memory();
+        let mut spate = SpateFramework::new(fs.clone(), layout.clone());
+        for s in &snaps {
+            spate.ingest(s);
+        }
+        spate.persist_index().unwrap();
+        // Epoch 2's leaf now holds epoch 4's snapshot, and a copy of it
+        // turns up past the index's frontier, as epoch 9.
+        let leaf = fs.read(&spate.store().path_for(EpochId(4))).unwrap();
+        fs.delete(&spate.store().path_for(EpochId(2))).unwrap();
+        for misfiled in [EpochId(2), EpochId(9)] {
+            fs.write(&spate.store().path_for(misfiled), &leaf).unwrap();
+        }
+
+        let q = Query::new(&["upflux"], BoundingBox::everything()).with_epoch_range(1, 3);
+        let QueryResult::Partial { result, coverage } = spate.query(&q) else {
+            panic!("expected a partial answer");
+        };
+        assert_eq!((coverage.served, coverage.unavailable), (2, 1));
+        assert_eq!(
+            result.cdr.rows.len(),
+            snaps[1].cdr.len() + snaps[3].cdr.len()
+        );
+        assert!(spate.load_epoch(EpochId(2)).is_none());
+
+        let (restored, report) = SpateFramework::restore_with_recovery(fs, layout).unwrap();
+        assert_eq!(report.strays_reindexed, 0);
+        assert_eq!(report.strays_unreadable, 1);
+        assert_eq!(restored.index().last_epoch(), Some(EpochId(5)));
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! w'" (§VI-A).
 
 use crate::index::highlights::{Highlights, Resolution};
-use std::collections::HashSet;
+use crate::storage::{self, StorageError};
 use std::fmt;
 use telco_trace::cells::{BoundingBox, CellLayout};
 use telco_trace::record::Value;
-use telco_trace::schema::{cdr, Schema, TableKind};
+use telco_trace::schema::{cdr, nms, Schema, TableKind};
 use telco_trace::snapshot::Snapshot;
 use telco_trace::time::EpochId;
 
@@ -60,6 +60,7 @@ pub struct TableSlice {
     pub rows: Vec<Vec<Value>>,
 }
 
+#[cfg(test)]
 impl TableSlice {
     fn empty(kind: TableKind) -> Self {
         Self {
@@ -77,6 +78,13 @@ pub struct ExactResult {
     pub nms: TableSlice,
     /// Number of epochs read to answer.
     pub epochs_read: usize,
+}
+
+impl ExactResult {
+    /// Rows across both tables.
+    pub fn row_count(&self) -> usize {
+        self.cdr.rows.len() + self.nms.rows.len()
+    }
 }
 
 /// Epoch-level accounting of how much of a query window was served.
@@ -208,8 +216,7 @@ impl QueryResult {
     /// Total exact rows across both tables (0 for summaries).
     pub fn row_count(&self) -> usize {
         match self {
-            QueryResult::Exact(e) => e.cdr.rows.len() + e.nms.rows.len(),
-            QueryResult::Partial { result, .. } => result.cdr.rows.len() + result.nms.rows.len(),
+            QueryResult::Exact(e) | QueryResult::Partial { result: e, .. } => e.row_count(),
             _ => 0,
         }
     }
@@ -247,83 +254,149 @@ impl Projection {
     }
 }
 
+/// `Q(a, b, ·)` resolved once against the schemas and the cell layout:
+/// which columns of which table to emit, and which cells lie in `b`.
+/// Every exact-branch evaluation — over decoded snapshots
+/// ([`project_snapshots`], the serving tier's cache) or straight over
+/// serialized text ([`RowPlan::scan_epoch`]) — selects rows and columns
+/// through it.
+pub struct RowPlan {
+    projection: Projection,
+    /// Bit `c` is set when cell `c` lies in `b`; `layout.len()` bits.
+    cells: Vec<u64>,
+}
+
+impl RowPlan {
+    pub fn new(q: &Query, layout: &CellLayout) -> Self {
+        let mut cells = vec![0u64; layout.len().div_ceil(64)];
+        for cell in layout.cells_in(&q.bbox) {
+            cells[cell as usize / 64] |= 1 << (cell % 64);
+        }
+        Self {
+            projection: Projection::resolve(&q.attributes),
+            cells,
+        }
+    }
+
+    /// Is a row whose cell-id field reads `cell` inside `b`? Blank,
+    /// non-numeric, negative and unknown ids are outside every box.
+    fn selects(&self, cell: Option<i64>) -> bool {
+        let Some(cell) = cell.and_then(|c| usize::try_from(c).ok()) else {
+            return false;
+        };
+        let word = self.cells.get(cell / 64);
+        word.is_some_and(|word| word >> (cell % 64) & 1 == 1)
+    }
+
+    /// The cell-id column of a table and the columns `a` selects from it.
+    fn columns(&self, table: TableKind) -> (usize, &[usize]) {
+        match table {
+            TableKind::Cdr => (cdr::CELL_ID, &self.projection.cdr_cols),
+            _ => (nms::CELL_ID, &self.projection.nms_cols),
+        }
+    }
+
+    /// The answer over no epochs: the selected column names per table (a
+    /// table with no selected column has none), no rows.
+    pub fn empty_result(&self) -> ExactResult {
+        let slice = |kind, names: &[String]| TableSlice {
+            kind,
+            column_names: names.to_vec(),
+            rows: vec![],
+        };
+        ExactResult {
+            cdr: slice(TableKind::Cdr, &self.projection.cdr_names),
+            nms: slice(TableKind::Nms, &self.projection.nms_names),
+            epochs_read: 0,
+        }
+    }
+
+    /// Evaluate over decoded snapshots, in iteration order.
+    pub fn project<'a>(&self, snapshots: impl Iterator<Item = &'a Snapshot>) -> ExactResult {
+        let mut out = self.empty_result();
+        let mut rows_scanned = 0;
+        for snap in snapshots {
+            out.epochs_read += 1;
+            rows_scanned += snap.total_records() as u64;
+            for (table, records, slice) in [
+                (TableKind::Cdr, &snap.cdr, &mut out.cdr),
+                (TableKind::Nms, &snap.nms, &mut out.nms),
+            ] {
+                let (cell_col, cols) = self.columns(table);
+                if cols.is_empty() {
+                    continue;
+                }
+                for r in records {
+                    if self.selects(r.get(cell_col).as_i64()) {
+                        let values = cols.iter().map(|&c| r.get(c).clone());
+                        slice.rows.push(values.collect());
+                    }
+                }
+            }
+        }
+        obs::cost::add_rows(rows_scanned, out.row_count() as u64);
+        out
+    }
+
+    /// Evaluate over the serialized text of `epoch` ([`Snapshot::scan`]),
+    /// appending to `out`: the filter runs on the cell-id field and only
+    /// the selected columns of rows that pass become [`Value`]s — the same
+    /// ones, in the same order, as [`Self::project`] yields over
+    /// `Snapshot::from_bytes(text)`. Every row is still checked as
+    /// `from_bytes` checks it, and every row walked counts as scanned.
+    ///
+    /// On an error — `text` does not parse, or is another epoch's — `out`
+    /// is left as it was and nothing is accounted.
+    pub fn scan_epoch(
+        &self,
+        epoch: EpochId,
+        text: &[u8],
+        out: &mut ExactResult,
+    ) -> Result<(), StorageError> {
+        let kept = (out.cdr.rows.len(), out.nms.rows.len());
+        let mut rows_walked = 0;
+        let scanned = Snapshot::scan(text, |table, row| {
+            rows_walked += 1;
+            let (cell_col, cols) = self.columns(table);
+            let slice = match table {
+                TableKind::Cdr => &mut out.cdr,
+                _ => &mut out.nms,
+            };
+            if !cols.is_empty() && self.selects(row.field(cell_col).parse().ok()) {
+                let values = cols.iter().map(|&c| Value::from_field(row.field(c)));
+                slice.rows.push(values.collect());
+            }
+        })
+        .map_err(StorageError::from)
+        .and_then(|found| storage::check_epoch(epoch, found));
+        match scanned {
+            Ok(()) => {
+                out.epochs_read += 1;
+                let returned = out.row_count() - kept.0 - kept.1;
+                obs::cost::add_rows(rows_walked, returned as u64);
+                Ok(())
+            }
+            Err(e) => {
+                out.cdr.rows.truncate(kept.0);
+                out.nms.rows.truncate(kept.1);
+                Err(e)
+            }
+        }
+    }
+}
+
 /// Evaluate the exact branch: project + spatially filter loaded snapshots.
 pub fn project_snapshots(snapshots: &[Snapshot], q: &Query, layout: &CellLayout) -> ExactResult {
     project_snapshot_refs(snapshots.iter(), q, layout)
 }
 
-/// [`project_snapshots`] over borrowed snapshots from any container —
-/// the serving tier projects straight out of `Arc<Snapshot>` cache
-/// entries without cloning a single row.
+/// [`project_snapshots`] over borrowed snapshots from any container.
 pub fn project_snapshot_refs<'a>(
     snapshots: impl Iterator<Item = &'a Snapshot>,
     q: &Query,
     layout: &CellLayout,
 ) -> ExactResult {
-    let projection = Projection::resolve(&q.attributes);
-    let cells: HashSet<u32> = layout.cells_in(&q.bbox).into_iter().collect();
-
-    let mut out = ExactResult {
-        cdr: TableSlice {
-            kind: TableKind::Cdr,
-            column_names: projection.cdr_names.clone(),
-            rows: vec![],
-        },
-        nms: TableSlice {
-            kind: TableKind::Nms,
-            column_names: projection.nms_names.clone(),
-            rows: vec![],
-        },
-        epochs_read: 0,
-    };
-    if projection.cdr_cols.is_empty() {
-        out.cdr = TableSlice::empty(TableKind::Cdr);
-    }
-    if projection.nms_cols.is_empty() {
-        out.nms = TableSlice::empty(TableKind::Nms);
-    }
-
-    let mut rows_scanned: u64 = 0;
-    for snap in snapshots {
-        out.epochs_read += 1;
-        rows_scanned += (snap.cdr.len() + snap.nms.len()) as u64;
-        if !projection.cdr_cols.is_empty() {
-            for r in &snap.cdr {
-                let cell = r.get(cdr::CELL_ID).as_i64().unwrap_or(-1);
-                if cell >= 0 && cells.contains(&(cell as u32)) {
-                    out.cdr.rows.push(
-                        projection
-                            .cdr_cols
-                            .iter()
-                            .map(|&c| r.get(c).clone())
-                            .collect(),
-                    );
-                }
-            }
-        }
-        if !projection.nms_cols.is_empty() {
-            for r in &snap.nms {
-                let cell = r
-                    .get(telco_trace::schema::nms::CELL_ID)
-                    .as_i64()
-                    .unwrap_or(-1);
-                if cell >= 0 && cells.contains(&(cell as u32)) {
-                    out.nms.rows.push(
-                        projection
-                            .nms_cols
-                            .iter()
-                            .map(|&c| r.get(c).clone())
-                            .collect(),
-                    );
-                }
-            }
-        }
-    }
-    obs::cost::add_rows(
-        rows_scanned,
-        (out.cdr.rows.len() + out.nms.rows.len()) as u64,
-    );
-    out
+    RowPlan::new(q, layout).project(snapshots)
 }
 
 /// Evaluate a query under per-query cost accounting (the explore-path
@@ -396,6 +469,119 @@ mod tests {
         let all_rows = project_snapshots(&snaps, &all, &layout).cdr.rows.len();
         let half_rows = project_snapshots(&snaps, &half, &layout).cdr.rows.len();
         assert!(half_rows < all_rows, "{half_rows} vs {all_rows}");
+    }
+
+    #[test]
+    fn the_cell_bitmap_selects_what_the_hash_set_filter_selected() {
+        let layout = TraceGenerator::new(TraceConfig::tiny()).layout().clone();
+        let n = layout.len() as i64;
+        for bbox in [
+            BoundingBox::everything(),
+            BoundingBox::new(0.0, 0.0, 38_000.0, 38_000.0),
+            BoundingBox::new(-5.0, -5.0, -1.0, -1.0), // no cell
+        ] {
+            let plan = RowPlan::new(&Query::new(&["upflux"], bbox), &layout);
+            let cells: std::collections::HashSet<u32> =
+                layout.cells_in(&bbox).into_iter().collect();
+            let reference = |v: &Value| {
+                let cell = v.as_i64().unwrap_or(-1);
+                u32::try_from(cell).is_ok_and(|c| cells.contains(&c))
+            };
+            let ids = (-2..n + 70).chain([i64::from(u32::MAX), i64::MAX, i64::MIN]);
+            let mut fields: Vec<String> = ids.map(|id| id.to_string()).collect();
+            fields.extend(["", " 3", "3 ", "+3", "03", "3.0", "x", "1e1", "٣"].map(String::from));
+            for field in &fields {
+                let value = Value::from_field(field);
+                assert_eq!(
+                    plan.selects(field.parse().ok()),
+                    reference(&value),
+                    "field {field:?} in {bbox:?}"
+                );
+                assert_eq!(plan.selects(value.as_i64()), reference(&value));
+            }
+            // An id that wraps to a cell of the box as a `u32` names no cell.
+            if let Some(&cell) = cells.iter().next() {
+                assert!(plan.selects(Some(i64::from(cell))));
+                assert!(!plan.selects(Some(i64::from(cell) + (1 << 32))));
+            }
+        }
+    }
+
+    /// Queries over the corners of `a`: duplicates, `cell_id` (in both
+    /// tables), an unknown name, either table unselected, nothing selected.
+    fn corner_queries() -> Vec<Query> {
+        let half = BoundingBox::new(0.0, 0.0, 38_000.0, 38_000.0);
+        let nowhere = BoundingBox::new(-5.0, -5.0, -1.0, -1.0);
+        vec![
+            Query::new(&["upflux", "call_drops"], half),
+            Query::new(&["downflux", "upflux", "downflux", "cell_id"], half),
+            Query::new(&["cell_id"], BoundingBox::everything()),
+            Query::new(&["rssi_dbm", "no_such_attribute"], half),
+            Query::new(&["caller_id"], BoundingBox::everything()),
+            Query::new(&["no_such_attribute"], BoundingBox::everything()),
+            Query::new(&[], half),
+            Query::new(&["upflux", "ts"], nowhere),
+        ]
+    }
+
+    #[test]
+    fn scanning_text_equals_projecting_the_parsed_snapshot() {
+        let mut generator = TraceGenerator::new(TraceConfig::tiny());
+        let layout = generator.layout().clone();
+        let snaps: Vec<Snapshot> = (&mut generator).skip(18).take(3).collect();
+        for q in corner_queries() {
+            let plan = RowPlan::new(&q, &layout);
+            let cost = obs::cost::begin(0);
+            let mut scanned = plan.empty_result();
+            for snap in &snaps {
+                plan.scan_epoch(snap.epoch, &snap.to_bytes(), &mut scanned)
+                    .unwrap();
+            }
+            let scan_cost = cost.finish();
+
+            let parsed: Vec<Snapshot> = snaps
+                .iter()
+                .map(|s| Snapshot::from_bytes(&s.to_bytes()).unwrap())
+                .collect();
+            let cost = obs::cost::begin(0);
+            assert_eq!(scanned, project_snapshots(&parsed, &q, &layout), "{q:?}");
+            let project_cost = cost.finish();
+            assert_eq!(scan_cost.rows_scanned, project_cost.rows_scanned);
+            assert_eq!(scan_cost.rows_returned, project_cost.rows_returned);
+            let walked: usize = parsed.iter().map(Snapshot::total_records).sum();
+            assert_eq!(scan_cost.rows_scanned, walked as u64);
+        }
+    }
+
+    #[test]
+    fn a_failed_scan_leaves_the_answer_as_it_was() {
+        let mut generator = TraceGenerator::new(TraceConfig::tiny());
+        let layout = generator.layout().clone();
+        let snaps: Vec<Snapshot> = (&mut generator).skip(20).take(2).collect();
+        let q = Query::new(&["upflux", "call_drops"], BoundingBox::everything());
+        let plan = RowPlan::new(&q, &layout);
+        let mut out = plan.empty_result();
+        plan.scan_epoch(snaps[0].epoch, &snaps[0].to_bytes(), &mut out)
+            .unwrap();
+        assert!(!out.cdr.rows.is_empty() && !out.nms.rows.is_empty());
+        let before = out.clone();
+
+        // The last row of the second epoch lost a field: every row before
+        // it was selected and must go again.
+        let mut text = snaps[1].to_bytes();
+        let comma = text.iter().rposition(|&b| b == b',').unwrap();
+        text.remove(comma);
+        assert!(matches!(
+            plan.scan_epoch(snaps[1].epoch, &text, &mut out),
+            Err(StorageError::Parse(_))
+        ));
+        assert_eq!(out, before);
+        // Another epoch's text, whole and valid.
+        assert!(matches!(
+            plan.scan_epoch(EpochId(99), &snaps[1].to_bytes(), &mut out),
+            Err(StorageError::WrongEpoch { .. })
+        ));
+        assert_eq!(out, before);
     }
 
     #[test]

@@ -20,7 +20,6 @@
 use cas::{CasConfig, CasError, CasRecoverReport, CasStore};
 use codecs::{Codec, CodecError};
 use dfs::{Dfs, DfsError};
-use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 use telco_trace::snapshot::{Snapshot, SnapshotParseError};
@@ -36,6 +35,11 @@ pub enum StorageError {
     Missing(EpochId),
     /// Content-addressed backend failure (verification, structure).
     Cas(CasError),
+    /// The leaf stored for `asked` holds another epoch's snapshot.
+    WrongEpoch {
+        asked: EpochId,
+        found: EpochId,
+    },
 }
 
 impl fmt::Display for StorageError {
@@ -46,6 +50,11 @@ impl fmt::Display for StorageError {
             StorageError::Parse(e) => write!(f, "parse: {e}"),
             StorageError::Missing(e) => write!(f, "snapshot for epoch {} not stored", e.0),
             StorageError::Cas(e) => write!(f, "{e}"),
+            StorageError::WrongEpoch { asked, found } => write!(
+                f,
+                "the leaf of epoch {} holds the snapshot of epoch {}",
+                asked.0, found.0
+            ),
         }
     }
 }
@@ -79,6 +88,26 @@ impl From<CasError> for StorageError {
             other => StorageError::Cas(other),
         }
     }
+}
+
+/// A leaf is trusted only as far as its own header: text whose
+/// `#SNAPSHOT epoch=` is not the epoch it was filed under (a misplaced or
+/// overwritten leaf) must not be served as that epoch.
+pub(crate) fn check_epoch(asked: EpochId, found: EpochId) -> Result<(), StorageError> {
+    if found == asked {
+        Ok(())
+    } else {
+        Err(StorageError::WrongEpoch { asked, found })
+    }
+}
+
+/// Run `parse` under the `parse` span and cost stage.
+pub(crate) fn parse_stage<T>(parse: impl FnOnce() -> T) -> T {
+    let _s = obs::span("parse");
+    let start = std::time::Instant::now();
+    let parsed = parse();
+    obs::cost::add_stage_ns("parse", start.elapsed().as_nanos() as u64);
+    parsed
 }
 
 /// Outcome of storing one snapshot.
@@ -278,16 +307,17 @@ impl SnapshotStore {
 
     /// Load and decode the snapshot of an epoch.
     pub fn load(&self, epoch: EpochId) -> Result<Snapshot, StorageError> {
-        let packed = self.load_compressed(epoch)?;
-        self.decode(&packed)
+        let text = self.load_text(epoch)?;
+        let snap = parse_stage(|| Snapshot::from_bytes(&text))?;
+        check_epoch(epoch, snap.epoch)?;
+        Ok(snap)
     }
 
-    /// Read the stored bytes of an epoch without parsing. For the path
-    /// backend these are the compressed leaf bytes (scans decompress
-    /// streaming-side); the content-addressed backend reassembles and
-    /// hash-verifies the raw payload, so what it returns is already
-    /// decompressed — [`Self::decode`] handles both.
-    pub fn load_compressed(&self, epoch: EpochId) -> Result<Vec<u8>, StorageError> {
+    /// Read the stored bytes of an epoch as they lie. For the path
+    /// backend these are the compressed leaf bytes; the content-addressed
+    /// backend reassembles and hash-verifies the raw payload, so what it
+    /// returns is already decompressed.
+    fn read_stored(&self, epoch: EpochId) -> Result<Vec<u8>, StorageError> {
         let start = std::time::Instant::now();
         obs::cost::touch_epoch(u64::from(epoch.0));
         let result = match &self.backend {
@@ -305,24 +335,23 @@ impl SnapshotStore {
         result
     }
 
-    /// Decode bytes previously fetched with [`Self::load_compressed`].
-    pub fn decode(&self, packed: &[u8]) -> Result<Snapshot, StorageError> {
-        let raw = match &self.backend {
+    /// The serialized snapshot of an epoch ([`Snapshot::to_bytes`] text):
+    /// read and decompressed, not parsed — [`Self::load`] parses all of
+    /// it, an exploration query scans it for the rows and columns it
+    /// selects (`RowPlan::scan_epoch`).
+    pub fn load_text(&self, epoch: EpochId) -> Result<Vec<u8>, StorageError> {
+        let stored = self.read_stored(epoch)?;
+        match &self.backend {
             Backend::Path { codec } => {
                 let _s = obs::span("decompress");
                 let start = std::time::Instant::now();
-                let raw = codec.decompress_metered(packed);
+                let text = codec.decompress_metered(&stored);
                 obs::cost::add_stage_ns("decompress", start.elapsed().as_nanos() as u64);
-                Cow::Owned(raw?)
+                Ok(text?)
             }
             // The cas backend verified and decompressed on read.
-            Backend::Cas(_) => Cow::Borrowed(packed),
-        };
-        let _s = obs::span("parse");
-        let start = std::time::Instant::now();
-        let snap = Snapshot::from_bytes(&raw);
-        obs::cost::add_stage_ns("parse", start.elapsed().as_nanos() as u64);
-        Ok(snap?)
+            Backend::Cas(_) => Ok(stored),
+        }
     }
 
     /// Evict the stored snapshot of an epoch (the decay fungus's file
@@ -500,13 +529,35 @@ mod tests {
     }
 
     #[test]
-    fn compressed_payload_decodes_via_decode() {
+    fn load_text_is_the_serialized_snapshot_on_both_backends() {
+        let mut generator = TraceGenerator::new(TraceConfig::tiny());
+        let snap = generator.next_snapshot().unwrap();
+        for store in [
+            store_with(Arc::new(GzipLite::default())),
+            SnapshotStore::new_cas(Dfs::in_memory(), CasConfig::default()),
+        ] {
+            store.store(&snap).unwrap();
+            assert_eq!(store.load_text(snap.epoch).unwrap(), snap.to_bytes());
+        }
+    }
+
+    #[test]
+    fn a_leaf_filed_under_another_epoch_is_not_served() {
         let store = store_with(Arc::new(GzipLite::default()));
         let mut generator = TraceGenerator::new(TraceConfig::tiny());
         let snap = generator.next_snapshot().unwrap();
         store.store(&snap).unwrap();
-        let packed = store.load_compressed(snap.epoch).unwrap();
-        let decoded = store.decode(&packed).unwrap();
-        assert_eq!(decoded.to_bytes(), snap.to_bytes());
+        // The committed leaf of epoch 0 turns up under epoch 5's path.
+        let misfiled = EpochId(snap.epoch.0 + 5);
+        let leaf = store.dfs().read(&store.path_for(snap.epoch)).unwrap();
+        store.dfs().write(&store.path_for(misfiled), &leaf).unwrap();
+        assert!(store.contains(misfiled));
+        match store.load(misfiled) {
+            Err(StorageError::WrongEpoch { asked, found }) => {
+                assert_eq!((asked, found), (misfiled, snap.epoch));
+            }
+            other => panic!("served a misfiled leaf: {other:?}"),
+        }
+        assert!(store.load(snap.epoch).is_ok());
     }
 }

@@ -51,7 +51,7 @@ use obs::{CancelFlag, EventKind, Histogram, Interrupt};
 use spate_core::framework::{ExplorationFramework, IngestStats, SpaceReport};
 use spate_core::index::highlights::Resolution;
 use spate_core::index::Covering;
-use spate_core::query::{project_snapshot_refs, Coverage, Query, QueryResult};
+use spate_core::query::{Coverage, Query, QueryResult, RowPlan};
 use spate_core::shard::{merge_snapshots, ShardedSpate};
 use spate_core::{
     AnomalyRecord, DecayReport, Highlights, MetaConfig, MetaMonitor, MetaSummary, SpateFramework,
@@ -1173,10 +1173,10 @@ fn stream_epochs(
     q: &Query,
     epochs: &[EpochId],
 ) -> Result<(), TransportError> {
-    let layout = shared.shards.layout();
-    // Column names come from the projection alone — resolvable before
-    // any epoch is read.
-    let probe = project_snapshot_refs(std::iter::empty(), q, layout);
+    // Resolved once per request: the column names (known before any
+    // epoch is read) and the row filter every epoch goes through.
+    let plan = RowPlan::new(q, shared.shards.layout());
+    let probe = plan.empty_result();
     let mut out = FrameBatch::new(ep);
     out.push(&Response {
         id,
@@ -1184,11 +1184,11 @@ fn stream_epochs(
             tables: vec![
                 TableHeader {
                     name: "CDR".into(),
-                    columns: probe.cdr.column_names.clone(),
+                    columns: probe.cdr.column_names,
                 },
                 TableHeader {
                     name: "NMS".into(),
-                    columns: probe.nms.column_names.clone(),
+                    columns: probe.nms.column_names,
                 },
             ],
         },
@@ -1215,11 +1215,11 @@ fn stream_epochs(
         }
         match resolve_epoch(shared, epoch, traced) {
             Some(snap) => {
-                let part = project_snapshot_refs(std::iter::once(snap.as_ref()), q, layout);
+                let part = plan.project(std::iter::once(snap.as_ref()));
                 for (table, slice) in [(0u8, &part.cdr), (1u8, &part.nms)] {
                     out.push_rows(id, table, &slice.rows)?;
                 }
-                total += (part.cdr.rows.len() + part.nms.rows.len()) as u64;
+                total += part.row_count() as u64;
             }
             None => unavailable += 1,
         }
@@ -1447,7 +1447,7 @@ fn evaluate_sharded(shared: &Shared, q: &Query) -> QueryResult {
                 }
             }
             let result =
-                project_snapshot_refs(arcs.iter().map(Arc::as_ref), q, shared.shards.layout());
+                RowPlan::new(q, shared.shards.layout()).project(arcs.iter().map(Arc::as_ref));
             if unavailable == 0 {
                 QueryResult::Exact(result)
             } else {

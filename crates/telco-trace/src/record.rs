@@ -23,6 +23,18 @@ pub enum Value {
 }
 
 impl Value {
+    /// What a field of a serialized row reads back as: `Null` when blank,
+    /// else its text as it stands (numeric interpretation is deferred to
+    /// [`Value::as_f64`] / [`Value::as_i64`]: schema on read).
+    #[inline]
+    pub fn from_field(field: &str) -> Self {
+        if field.is_empty() {
+            Value::Null
+        } else {
+            Value::Str(Text::new(field))
+        }
+    }
+
     /// Canonical text form used both on the wire and for entropy analysis,
     /// borrowed when the value already is text.
     pub fn text(&self) -> Cow<'_, str> {
@@ -111,9 +123,7 @@ impl Record {
 
     /// Parse a CSV line, with or without its line terminator (`\n` or
     /// `\r\n`); anything after the terminator is an error. Every field
-    /// comes back as `Str` (or `Null` when empty); numeric interpretation
-    /// is deferred to `Value::as_f64`, which is what a schema-on-read
-    /// big-data stack does.
+    /// comes back as [`Value::from_field`] reads it.
     pub fn parse_line(line: &str, n_cols: usize) -> Option<Self> {
         let (record, end) = Self::parse_row(line, 0, n_cols)?;
         (end == line.len()).then_some(record)
@@ -143,11 +153,7 @@ impl Record {
             if values.len() == n_cols {
                 return None;
             }
-            values.push(if field_start == field_end {
-                Value::Null
-            } else {
-                Value::Str(Text::new(&text[field_start..field_end]))
-            });
+            values.push(Value::from_field(&text[field_start..field_end]));
             if !at_comma {
                 let next = (i + 1).min(bytes.len());
                 return (values.len() == n_cols).then_some((Self { values }, next));

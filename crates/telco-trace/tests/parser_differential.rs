@@ -1,11 +1,12 @@
 //! Differential tests: the one-pass byte parser behind
 //! `Snapshot::from_bytes` against the line-and-split parser it replaced,
-//! on generated snapshots and on damaged bytes. Same `Ok`, same `Err`,
-//! never a panic.
+//! and the row scanner `Snapshot::scan` against `from_bytes`, on
+//! generated snapshots and on damaged bytes. Same `Ok`, same `Err`, the
+//! same text in every field, never a panic.
 
 use proptest::prelude::*;
 use telco_trace::record::{Record, Value};
-use telco_trace::schema::{cdr, nms};
+use telco_trace::schema::{cdr, nms, TableKind};
 use telco_trace::snapshot::SnapshotParseError;
 use telco_trace::time::EpochId;
 use telco_trace::{Snapshot, TraceConfig, TraceGenerator};
@@ -92,6 +93,29 @@ fn assert_same(bytes: &[u8]) {
         "parsers disagree on {:?}",
         String::from_utf8_lossy(bytes)
     );
+    assert_eq!(
+        scan_to_snapshot(bytes),
+        got,
+        "scan and from_bytes disagree on {:?}",
+        String::from_utf8_lossy(bytes)
+    );
+}
+
+/// `Snapshot::scan` with every field of every lent row read back through
+/// `RowText::field`: equal to `from_bytes` when the two agree on the
+/// outcome, on the order of the rows and on the text at every (row, col).
+fn scan_to_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotParseError> {
+    let (mut cdr_rows, mut nms_rows) = (Vec::new(), Vec::new());
+    let epoch = Snapshot::scan(bytes, |table, row| {
+        let (width, rows) = match table {
+            TableKind::Cdr => (cdr::WIDTH, &mut cdr_rows),
+            TableKind::Nms => (nms::WIDTH, &mut nms_rows),
+            TableKind::Cell => panic!("a snapshot has no CELL table"),
+        };
+        let fields = (0..width).map(|col| Value::from_field(row.field(col)));
+        rows.push(Record::new(fields.collect()));
+    })?;
+    Ok(Snapshot::new(epoch, cdr_rows, nms_rows))
 }
 
 /// Wire-legal values, with text on both sides of the inline bound and
@@ -356,5 +380,137 @@ fn line_endings_and_line_numbers() {
     );
     for bytes in [crlf.into_bytes(), bare, bad, blank] {
         assert_same(&bytes);
+    }
+}
+
+/// A snapshot with `n_cdr` + `n_nms` distinct rows whose fields include
+/// blanks and multi-byte text.
+fn framed(n_cdr: usize, n_nms: usize) -> Vec<u8> {
+    let row = |width: usize, i: usize| {
+        let fields: Vec<String> = (0..width)
+            .map(|c| match (c + i) % 4 {
+                0 => String::new(),
+                1 => format!("{}", c * 31 + i),
+                2 => "ţëxţ".to_string(),
+                _ => format!("v{i}"),
+            })
+            .collect();
+        fields.join(",") + "\n"
+    };
+    let cdr_rows: String = (0..n_cdr).map(|i| row(cdr::WIDTH, i)).collect();
+    let nms_rows: String = (0..n_nms).map(|i| row(nms::WIDTH, i)).collect();
+    tiny(&cdr_rows, &nms_rows)
+}
+
+/// Byte ranges of the lines of `bytes` (terminators excluded).
+fn line_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let mut spans = Vec::new();
+    let mut start = 0;
+    for nl in find_all(bytes, b'\n') {
+        spans.push((start, nl));
+        start = nl + 1;
+    }
+    spans
+}
+
+#[test]
+fn a_short_or_long_row_anywhere_in_either_table() {
+    let ok = framed(3, 3);
+    assert!(Snapshot::from_bytes(&ok).is_ok());
+    assert_same(&ok);
+    let lines = line_spans(&ok);
+    // Lines: header, #TABLE CDR, 3 rows, #TABLE NMS, 3 rows.
+    for (table, first_row) in [("CDR", 2), ("NMS", 6)] {
+        for (row, &(start, end)) in lines.iter().enumerate().skip(first_row).take(3) {
+            let mut long = ok.clone();
+            long.splice(end..end, *b",x");
+            let mut blank_long = ok.clone();
+            blank_long.insert(end, b',');
+            let mut short = ok.clone();
+            let comma = start + ok[start..end].iter().position(|&b| b == b',').unwrap();
+            short.remove(comma);
+            for bad in [long, blank_long, short] {
+                assert_eq!(
+                    Snapshot::scan(&bad, |_, _| {}),
+                    Err(SnapshotParseError::BadRow {
+                        table,
+                        line: row + 1
+                    })
+                );
+                assert_same(&bad);
+                // ... and with the final newline gone, and as CRLF.
+                assert_same(&bad[..bad.len() - 1]);
+                assert_same(&mutate(&bad, 6, 0, 0));
+            }
+        }
+    }
+}
+
+#[test]
+fn declared_row_counts_that_lie() {
+    let ok = framed(2, 3);
+    for (from, to) in [
+        // Too large: the NMS header is taken for a CDR row, or the input ends.
+        ("CDR rows=2", "CDR rows=3"),
+        ("NMS rows=3", "NMS rows=4"),
+        ("NMS rows=3", "NMS rows=4294967295"),
+        ("NMS rows=3", "NMS rows=99999999999"),
+        // Too small: a CDR row is taken for the NMS header; spare NMS
+        // rows are text after the table.
+        ("CDR rows=2", "CDR rows=1"),
+        ("CDR rows=2", "CDR rows=0"),
+        ("NMS rows=3", "NMS rows=2"),
+        ("NMS rows=3", "NMS rows=0"),
+    ] {
+        let lied = replace_first(&ok, from, to);
+        assert_ne!(lied, ok, "{from:?}");
+        assert_same(&lied);
+    }
+    let spare = replace_first(&ok, "NMS rows=3", "NMS rows=2");
+    let mut walked = 0;
+    Snapshot::scan(&spare, |_, _| walked += 1).unwrap();
+    assert_eq!(walked, 4, "rows past the declared count are not lent");
+}
+
+#[test]
+fn empty_tables_garbage_and_bad_utf8() {
+    for (n_cdr, n_nms) in [(0, 0), (0, 2), (2, 0)] {
+        let bytes = framed(n_cdr, n_nms);
+        assert!(Snapshot::from_bytes(&bytes).is_ok());
+        assert_same(&bytes);
+        assert_same(&mutate(&bytes, 12, 0, 0)); // text after the NMS table
+        assert_same(&bytes[..bytes.len() - 1]);
+    }
+    // Invalid UTF-8 is rejected wherever it sits, before any row is lent:
+    // in a field the scan would not otherwise look into, and in the text
+    // after the NMS table.
+    let ok = framed(2, 2);
+    let field = ok.iter().position(|&b| b == b'v').unwrap();
+    for at in [field, ok.len() - 1] {
+        let mut bad = ok.clone();
+        bad[at] = 0xFF;
+        let mut walked = 0;
+        assert_eq!(
+            Snapshot::scan(&bad, |_, _| walked += 1),
+            Err(SnapshotParseError::BadHeader("not utf-8".into()))
+        );
+        assert_eq!(walked, 0);
+        assert_same(&bad);
+    }
+    let mut tail = ok.clone();
+    tail.extend_from_slice(b"\xff\n");
+    assert!(Snapshot::scan(&tail, |_, _| {}).is_err());
+    assert_same(&tail);
+}
+
+#[test]
+fn truncation_at_every_97th_byte() {
+    let snap = TraceGenerator::new(TraceConfig::scaled(1.0 / 1024.0))
+        .nth(20)
+        .expect("the trace has a 21st epoch");
+    for bytes in [snap.to_bytes(), framed(3, 5)] {
+        for cut in (0..bytes.len()).step_by(97) {
+            assert_same(&bytes[..cut]);
+        }
     }
 }
