@@ -317,7 +317,10 @@ pub fn assemble(layout: &Layout, pieces: &[Vec<u8>]) -> Result<Vec<u8>, &'static
                     if n == CONSTANT_COL {
                         let value = &pieces[next];
                         next += 1;
-                        if value.iter().position(|&b| b == b'\n') != Some(value.len() - 1) {
+                        // One value: its only newline ends the piece (an
+                        // empty piece has none).
+                        let value_len = value.iter().position(|&b| b == b'\n').map(|p| p + 1);
+                        if value_len != Some(value.len()) {
                             return Err("constant piece is not one value");
                         }
                         let mut s = Vec::with_capacity(value.len() * table.rows as usize);

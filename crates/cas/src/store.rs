@@ -436,13 +436,16 @@ impl CasStore {
             pack_data.push(self.cfg.codec.decompress_metered(&stored)?);
         }
         // Verify each unique chunk, then materialize pieces by reference.
+        // `offset` and `len` come off the disk, and a manifest is trusted
+        // by its own hash only: their sum may not even fit a `u64`.
         for c in &manifest.chunks {
             let data = &pack_data[c.pack as usize];
-            let end = (c.offset + c.len) as usize;
-            if end > data.len() {
-                return Err(CasError::Corrupt("chunk beyond pack bounds".into()));
-            }
-            let piece = &data[c.offset as usize..end];
+            let end = c
+                .offset
+                .checked_add(c.len)
+                .filter(|&end| end <= data.len() as u64)
+                .ok_or_else(|| CasError::Corrupt("chunk beyond pack bounds".into()))?;
+            let piece = &data[c.offset as usize..end as usize];
             if ChunkHash::of(piece) != c.hash {
                 self.note_mismatch();
                 return Err(CasError::Corrupt(format!(
@@ -451,6 +454,7 @@ impl CasStore {
                 )));
             }
         }
+        // Every chunk's span was bounds-checked above.
         let pieces: Vec<Vec<u8>> = manifest
             .refs
             .iter()
@@ -1043,5 +1047,78 @@ mod tests {
         assert!(pieces > 0);
         let stats = cas.stats();
         assert!(stats.dedup_bytes_saved >= payload.len() as u64);
+    }
+    /// A disk that hands back a manifest other than the one written: the
+    /// stored manifest of `epoch` is replaced by an edited, well-formed
+    /// one, and `recover` (which trusts a manifest by its own hash) files
+    /// it as the epoch's leaf.
+    fn tamper_manifest(cas: &CasStore, epoch: u32, edit: impl FnOnce(&mut EpochManifest)) {
+        let path = cas.manifest_path(epoch);
+        let stored = cas.dfs().read(&path).unwrap();
+        let encoded = cas.cfg.codec.decompress(&stored).unwrap();
+        let mut manifest = EpochManifest::decode(&encoded).unwrap();
+        edit(&mut manifest);
+        cas.dfs().delete(&path).unwrap();
+        let stored = cas.cfg.codec.compress(&manifest.encode());
+        cas.dfs().write(&path, &stored).unwrap();
+        let report = cas.recover();
+        assert_eq!(report.manifests_indexed, 1);
+        assert_eq!(report.corrupt_manifests_dropped, 0);
+    }
+
+    #[test]
+    fn a_chunk_span_past_u64_is_corrupt_not_a_panic() {
+        let cas = store();
+        let snap = &snapshots(1)[0];
+        cas.put_epoch(snap.epoch.0, &snap.to_bytes()).unwrap();
+        // offset + len wraps to 0: "inside" every pack unless checked.
+        tamper_manifest(&cas, snap.epoch.0, |m| {
+            m.chunks[0].offset = u64::MAX;
+            m.chunks[0].len = 1;
+        });
+        assert!(matches!(
+            cas.get_epoch(snap.epoch.0),
+            Err(CasError::Corrupt(_))
+        ));
+        // A span that fits a u64 and no pack.
+        tamper_manifest(&cas, snap.epoch.0, |m| m.chunks[0].offset = u64::MAX - 1);
+        assert!(matches!(
+            cas.get_epoch(snap.epoch.0),
+            Err(CasError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn an_empty_constant_piece_is_corrupt_not_a_panic() {
+        let cas = store();
+        let snap = &snapshots(1)[0];
+        cas.put_epoch(snap.epoch.0, &snap.to_bytes()).unwrap();
+        tamper_manifest(&cas, snap.epoch.0, |m| {
+            // The piece of the first constant column, re-pointed at a
+            // zero-length chunk that verifies: its hash is sha256("").
+            let chunker::Layout::Columnar { tables, .. } = &m.layout else {
+                panic!("a snapshot chunks columnar");
+            };
+            let columns = &tables[0].pieces_per_col;
+            let constant = columns
+                .iter()
+                .position(|&n| n == chunker::CONSTANT_COL)
+                .expect("CDR has constant columns");
+            let piece: u32 = columns[..constant]
+                .iter()
+                .map(|&n| if n == chunker::CONSTANT_COL { 1 } else { n })
+                .sum();
+            m.refs[piece as usize] = m.chunks.len() as u32;
+            m.chunks.push(ChunkEntry {
+                hash: ChunkHash::of(b""),
+                pack: 0,
+                offset: 0,
+                len: 0,
+            });
+        });
+        match cas.get_epoch(snap.epoch.0) {
+            Err(CasError::Corrupt(why)) => assert!(why.contains("constant piece"), "{why}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 }

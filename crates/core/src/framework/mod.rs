@@ -20,7 +20,9 @@ pub use spate::{RecoveryReport, SpateFramework};
 
 use crate::query::{Query, QueryResult};
 use telco_trace::cells::CellLayout;
-use telco_trace::snapshot::Snapshot;
+use telco_trace::record::Record;
+use telco_trace::schema::TableKind;
+use telco_trace::snapshot::{Row, Snapshot};
 use telco_trace::time::EpochId;
 
 /// Cost of ingesting one snapshot (paper metric: "Ingestion Time ...
@@ -66,12 +68,45 @@ pub trait ExplorationFramework {
     /// Load one epoch's snapshot at full resolution, if retained.
     fn load_epoch(&self, epoch: EpochId) -> Option<Snapshot>;
 
-    /// Load every retained snapshot in the inclusive window (the scan path
-    /// the tasks T1–T8 run on).
+    /// Load every retained snapshot in the inclusive window, decoded: what
+    /// a caller that must *hold* the window wants (RAW and SHAHED's oracle
+    /// `query`, `ExplorerSession`'s prefetch cache). Whatever only reads
+    /// the window goes through [`Self::scan_rows`].
     fn scan(&self, start: EpochId, end: EpochId) -> Vec<Snapshot> {
         (start.0..=end.0)
             .filter_map(|e| self.load_epoch(EpochId(e)))
             .collect()
+    }
+
+    /// The scan path of the tasks T1–T8 and of SPATE-SQL: lend `visit` the
+    /// rows of `table` (CDR or NMS) of every retained epoch of the
+    /// inclusive window, in epoch order, one epoch per call, in stored
+    /// order. Nothing outlives the call: no epoch stays loaded once it
+    /// has been visited.
+    ///
+    /// An epoch contributes all of its rows or none. One that is not
+    /// retained, cannot be read, does not parse — a bad row anywhere in
+    /// either table — or carries another epoch's header is not visited,
+    /// exactly as [`Self::load_epoch`] answers `None` for it.
+    ///
+    /// This default decodes each epoch ([`Self::load_epoch`]) and lends
+    /// its [`Record`]s. RAW, SHAHED and SPATE lend the rows of the stored
+    /// text instead ([`SnapshotStore::scan_rows`]) and build no `Value`;
+    /// a visitor cannot tell the two apart.
+    ///
+    /// [`SnapshotStore::scan_rows`]: crate::storage::SnapshotStore::scan_rows
+    fn scan_rows(
+        &self,
+        start: EpochId,
+        end: EpochId,
+        table: TableKind,
+        visit: &mut dyn FnMut(EpochId, &[Row<'_>]),
+    ) {
+        for epoch in (start.0..=end.0).map(EpochId) {
+            if let Some(snapshot) = self.load_epoch(epoch) {
+                lend_records(epoch, snapshot.table(table), visit);
+            }
+        }
     }
 
     /// Evaluate a data exploration query `Q(a, b, w)`.
@@ -82,6 +117,18 @@ pub trait ExplorationFramework {
     /// repairs). Caches key their entries by this value and treat any
     /// change as an invalidation signal.
     fn version(&self) -> u64;
+}
+
+/// Lend one decoded epoch's records to a [`ExplorationFramework::scan_rows`]
+/// visitor, accounted as scanned rows of the active cost profile.
+pub fn lend_records(
+    epoch: EpochId,
+    records: &[Record],
+    visit: &mut dyn FnMut(EpochId, &[Row<'_>]),
+) {
+    let rows: Vec<Row<'_>> = records.iter().map(Row::Record).collect();
+    obs::cost::add_rows(rows.len() as u64, 0);
+    visit(epoch, &rows);
 }
 
 /// Observer of warehouse mutations, for cache layers that must drop

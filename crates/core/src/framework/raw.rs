@@ -8,7 +8,8 @@ use dfs::Dfs;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use telco_trace::cells::CellLayout;
-use telco_trace::snapshot::Snapshot;
+use telco_trace::schema::TableKind;
+use telco_trace::snapshot::{Row, Snapshot};
 use telco_trace::time::EpochId;
 
 /// "The default solution that stores the telco snapshots as data files on
@@ -74,6 +75,17 @@ impl ExplorationFramework for RawFramework {
             return None;
         }
         self.store.load(epoch).ok()
+    }
+
+    fn scan_rows(
+        &self,
+        start: EpochId,
+        end: EpochId,
+        table: TableKind,
+        visit: &mut dyn FnMut(EpochId, &[Row<'_>]),
+    ) {
+        let ingested = (start.0..=end.0).filter(|e| self.ingested.contains(e));
+        self.store.scan_rows(ingested.map(EpochId), table, visit);
     }
 
     fn version(&self) -> u64 {

@@ -10,8 +10,8 @@ use shahed::{AggStats, Point, ShahedIndex};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use telco_trace::cells::{BoundingBox, CellLayout};
-use telco_trace::schema::cdr;
-use telco_trace::snapshot::Snapshot;
+use telco_trace::schema::{cdr, TableKind};
+use telco_trace::snapshot::{Row, Snapshot};
 use telco_trace::time::EpochId;
 
 /// Measures tracked by the aggregate index, in order.
@@ -127,6 +127,17 @@ impl ExplorationFramework for ShahedFramework {
             return None;
         }
         self.store.load(epoch).ok()
+    }
+
+    fn scan_rows(
+        &self,
+        start: EpochId,
+        end: EpochId,
+        table: TableKind,
+        visit: &mut dyn FnMut(EpochId, &[Row<'_>]),
+    ) {
+        let ingested = (start.0..=end.0).filter(|e| self.ingested.contains(e));
+        self.store.scan_rows(ingested.map(EpochId), table, visit);
     }
 
     fn version(&self) -> u64 {

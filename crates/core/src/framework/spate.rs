@@ -13,7 +13,8 @@ use dfs::Dfs;
 use std::collections::HashSet;
 use std::sync::Arc;
 use telco_trace::cells::CellLayout;
-use telco_trace::snapshot::Snapshot;
+use telco_trace::schema::TableKind;
+use telco_trace::snapshot::{Row, Snapshot};
 use telco_trace::time::EpochId;
 
 /// The framework proposed by the paper. Defaults to the GZIP-class codec,
@@ -444,6 +445,17 @@ impl ExplorationFramework for SpateFramework {
 
     fn load_epoch(&self, epoch: EpochId) -> Option<Snapshot> {
         self.store.load(epoch).ok()
+    }
+
+    fn scan_rows(
+        &self,
+        start: EpochId,
+        end: EpochId,
+        table: TableKind,
+        visit: &mut dyn FnMut(EpochId, &[Row<'_>]),
+    ) {
+        let window = (start.0..=end.0).map(EpochId);
+        self.store.scan_rows(window, table, visit);
     }
 
     fn version(&self) -> u64 {

@@ -22,7 +22,8 @@ use codecs::{Codec, CodecError};
 use dfs::{Dfs, DfsError};
 use std::fmt;
 use std::sync::Arc;
-use telco_trace::snapshot::{Snapshot, SnapshotParseError};
+use telco_trace::schema::TableKind;
+use telco_trace::snapshot::{Row, Snapshot, SnapshotParseError};
 use telco_trace::time::EpochId;
 
 /// Errors from the storage layer.
@@ -351,6 +352,39 @@ impl SnapshotStore {
             }
             // The cas backend verified and decompressed on read.
             Backend::Cas(_) => Ok(stored),
+        }
+    }
+
+    /// `ExplorationFramework::scan_rows` over this store, for RAW, SHAHED
+    /// and SPATE alike: each of `epochs` is read and inflated
+    /// ([`Self::load_text`]), walked once ([`Snapshot::scan`], under the
+    /// `parse` stage) and its `table` rows lent to `visit` as they lie in
+    /// the text. The rows are held back until the walk has accepted the
+    /// whole snapshot and its header names `epoch`, so an epoch that
+    /// fails anywhere is skipped with none of its rows seen.
+    pub fn scan_rows(
+        &self,
+        epochs: impl Iterator<Item = EpochId>,
+        table: TableKind,
+        visit: &mut dyn FnMut(EpochId, &[Row<'_>]),
+    ) {
+        for epoch in epochs {
+            let Ok(text) = self.load_text(epoch) else {
+                continue;
+            };
+            let walked = parse_stage(|| {
+                let mut rows = Vec::new();
+                let found = Snapshot::scan(&text, |kind, row| {
+                    if kind == table {
+                        rows.push(Row::Text(row));
+                    }
+                })?;
+                check_epoch(epoch, found).map(|()| rows)
+            });
+            if let Ok(rows) = walked {
+                obs::cost::add_rows(rows.len() as u64, 0);
+                visit(epoch, &rows);
+            }
         }
     }
 

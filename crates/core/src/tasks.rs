@@ -16,33 +16,32 @@ use engine::{
 use privacy::{Anonymizer, Hierarchy};
 use std::borrow::Cow;
 use std::collections::HashMap;
-use telco_trace::schema::{cdr, nms};
+use telco_trace::schema::{cdr, nms, TableKind};
+use telco_trace::snapshot::Row;
 use telco_trace::time::EpochId;
 
 /// A task's measured wall-clock cost in seconds.
 pub type Seconds = f64;
+
+/// The T1/T2 projection of one CDR row.
+fn flux(r: &Row<'_>) -> (i64, i64) {
+    (
+        r.i64(cdr::UPFLUX).unwrap_or(0),
+        r.i64(cdr::DOWNFLUX).unwrap_or(0),
+    )
+}
 
 /// T1 — Equality: "retrieve the download and upload bytes for a requested
 /// snapshot, e.g. `SELECT upflux, downflux FROM CDR WHERE
 /// ts='201601221530'`".
 pub fn t1_equality(fw: &dyn ExplorationFramework, epoch: EpochId) -> (Vec<(i64, i64)>, Seconds) {
     let span = obs::span("core.task.t1_equality");
-    let rows = match fw.load_epoch(epoch) {
-        Some(snap) => {
-            let ts = epoch.civil().compact();
-            snap.cdr
-                .iter()
-                .filter(|r| r.get(cdr::TS_START).text() == ts)
-                .map(|r| {
-                    (
-                        r.get(cdr::UPFLUX).as_i64().unwrap_or(0),
-                        r.get(cdr::DOWNFLUX).as_i64().unwrap_or(0),
-                    )
-                })
-                .collect()
-        }
-        None => vec![],
-    };
+    let ts = epoch.civil().compact();
+    let mut rows = Vec::new();
+    fw.scan_rows(epoch, epoch, TableKind::Cdr, &mut |_, cdr_rows| {
+        let matching = cdr_rows.iter().filter(|r| r.text(cdr::TS_START) == ts);
+        rows.extend(matching.map(flux));
+    });
     (rows, span.finish_secs())
 }
 
@@ -55,14 +54,9 @@ pub fn t2_range(
 ) -> (Vec<(i64, i64)>, Seconds) {
     let span = obs::span("core.task.t2_range");
     let mut rows = Vec::new();
-    for snap in fw.scan(start, end) {
-        for r in &snap.cdr {
-            rows.push((
-                r.get(cdr::UPFLUX).as_i64().unwrap_or(0),
-                r.get(cdr::DOWNFLUX).as_i64().unwrap_or(0),
-            ));
-        }
-    }
+    fw.scan_rows(start, end, TableKind::Cdr, &mut |_, cdr_rows| {
+        rows.extend(cdr_rows.iter().map(flux));
+    });
     (rows, span.finish_secs())
 }
 
@@ -86,23 +80,23 @@ pub fn t3_aggregate(
     let mut drops_per_cell: HashMap<u32, i64> = HashMap::new();
     let mut cluster_counts: HashMap<u32, (i64, i64)> = HashMap::new(); // (drops, attempts)
     let layout = fw.layout();
-    for snap in fw.scan(start, end) {
-        for r in &snap.nms {
-            let Some(cell_id) = r.get(nms::CELL_ID).as_i64() else {
+    fw.scan_rows(start, end, TableKind::Nms, &mut |_, nms_rows| {
+        for r in nms_rows {
+            let Some(cell_id) = r.i64(nms::CELL_ID) else {
                 continue;
             };
             if cell_id < 0 || cell_id as usize >= layout.len() {
                 continue;
             }
-            let drops = r.get(nms::CALL_DROPS).as_i64().unwrap_or(0);
-            let attempts = r.get(nms::CALL_ATTEMPTS).as_i64().unwrap_or(0);
+            let drops = r.i64(nms::CALL_DROPS).unwrap_or(0);
+            let attempts = r.i64(nms::CALL_ATTEMPTS).unwrap_or(0);
             *drops_per_cell.entry(cell_id as u32).or_insert(0) += drops;
             let cluster = layout.get(cell_id as u32).controller_id;
             let entry = cluster_counts.entry(cluster).or_insert((0, 0));
             entry.0 += drops;
             entry.1 += attempts;
         }
-    }
+    });
     let drop_rate_per_cluster = cluster_counts
         .into_iter()
         .map(|(cluster, (drops, attempts))| {
@@ -149,30 +143,28 @@ pub fn t4_join(
 ) -> (Vec<Relocation>, Seconds) {
     let span = obs::span("core.task.t4_join");
     let mut out = Vec::new();
-    for e1 in start.0..=end.0 {
-        let Some(outer) = fw.load_epoch(EpochId(e1)) else {
-            continue;
-        };
-        // Caller → cell in the outer epoch.
+    fw.scan_rows(start, end, TableKind::Cdr, &mut |from_epoch, outer| {
+        if from_epoch == end {
+            return; // no later epoch to have moved to
+        }
+        // Caller → cell in the outer epoch, keyed by the lent rows' text.
         let mut outer_cells: HashMap<Cow<'_, str>, u32> = HashMap::new();
-        for r in &outer.cdr {
-            if let Some(cell) = r.get(cdr::CELL_ID).as_i64() {
+        for r in outer {
+            if let Some(cell) = r.i64(cdr::CELL_ID) {
                 if cell >= 0 {
-                    outer_cells.insert(r.get(cdr::CALLER_ID).text(), cell as u32);
+                    outer_cells.insert(r.text(cdr::CALLER_ID), cell as u32);
                 }
             }
         }
         // Inner side: re-read every later epoch from storage.
-        for e2 in e1 + 1..=end.0 {
-            let Some(inner) = fw.load_epoch(EpochId(e2)) else {
-                continue;
-            };
-            for r in &inner.cdr {
-                let caller = r.get(cdr::CALLER_ID).text();
-                let Some(&from_cell) = outer_cells.get(&caller) else {
+        let later = EpochId(from_epoch.0 + 1);
+        fw.scan_rows(later, end, TableKind::Cdr, &mut |to_epoch, inner| {
+            for r in inner {
+                let caller = r.text(cdr::CALLER_ID);
+                let Some(&from_cell) = outer_cells.get(caller.as_ref()) else {
                     continue;
                 };
-                let Some(to_cell) = r.get(cdr::CELL_ID).as_i64() else {
+                let Some(to_cell) = r.i64(cdr::CELL_ID) else {
                     continue;
                 };
                 if to_cell >= 0 && to_cell as u32 != from_cell {
@@ -180,13 +172,13 @@ pub fn t4_join(
                         caller_id: caller.into_owned(),
                         from_cell,
                         to_cell: to_cell as u32,
-                        from_epoch: EpochId(e1),
-                        to_epoch: EpochId(e2),
+                        from_epoch,
+                        to_epoch,
                     });
                 }
             }
-        }
-    }
+        });
+    });
     (out, span.finish_secs())
 }
 
@@ -197,6 +189,10 @@ pub fn t4_join(
 ///
 /// Quasi-identifiers: caller MSISDN (digit masking), call duration
 /// (widening ranges) and cell id (masking).
+///
+/// The one task that hands whole records on (the anonymized table keeps
+/// every column), so it decodes — one epoch at a time, keeping the CDR
+/// records and dropping the rest.
 pub fn t5_privacy(
     fw: &dyn ExplorationFramework,
     start: EpochId,
@@ -205,8 +201,10 @@ pub fn t5_privacy(
 ) -> (Option<privacy::AnonymizedTable>, Seconds) {
     let span = obs::span("core.task.t5_privacy");
     let mut records = Vec::new();
-    for snap in fw.scan(start, end) {
-        records.extend(snap.cdr.iter().cloned());
+    for epoch in (start.0..=end.0).map(EpochId) {
+        if let Some(snap) = fw.load_epoch(epoch) {
+            records.extend(snap.cdr);
+        }
     }
     let anonymizer = Anonymizer::new(
         vec![
@@ -255,16 +253,12 @@ pub fn t6_statistics(
 ) -> (Option<StatisticsResult>, Seconds) {
     let span = obs::span("core.task.t6_statistics");
     let mut rows: Vec<Vec<f64>> = Vec::new();
-    for snap in fw.scan(start, end) {
-        for r in &snap.cdr {
-            rows.push(
-                T6_COLUMNS
-                    .iter()
-                    .map(|&c| r.get(c).as_f64().unwrap_or(0.0))
-                    .collect(),
-            );
-        }
-    }
+    fw.scan_rows(start, end, TableKind::Cdr, &mut |_, cdr_rows| {
+        rows.extend(cdr_rows.iter().map(|r| {
+            let column = |&c| r.f64(c).unwrap_or(0.0);
+            T6_COLUMNS.iter().map(column).collect()
+        }));
+    });
     let dataset = Dataset::parallelize(rows);
     let result = match (
         colstats(dataset.clone(), T6_COLUMNS.len()),
@@ -292,9 +286,9 @@ pub fn t7_clustering(
     let span = obs::span("core.task.t7_clustering");
     let layout = fw.layout();
     let mut points: Vec<Vec<f64>> = Vec::new();
-    for snap in fw.scan(start, end) {
-        for r in &snap.nms {
-            let Some(cell_id) = r.get(nms::CELL_ID).as_i64() else {
+    fw.scan_rows(start, end, TableKind::Nms, &mut |_, nms_rows| {
+        for r in nms_rows {
+            let Some(cell_id) = r.i64(nms::CELL_ID) else {
                 continue;
             };
             if cell_id < 0 || cell_id as usize >= layout.len() {
@@ -304,11 +298,11 @@ pub fn t7_clustering(
             points.push(vec![
                 cell.x_m / 1000.0,
                 cell.y_m / 1000.0,
-                r.get(nms::CALL_DROPS).as_f64().unwrap_or(0.0),
-                r.get(nms::CALL_ATTEMPTS).as_f64().unwrap_or(0.0),
+                r.f64(nms::CALL_DROPS).unwrap_or(0.0),
+                r.f64(nms::CALL_ATTEMPTS).unwrap_or(0.0),
             ]);
         }
-    }
+    });
     let model = kmeans(&Dataset::parallelize(points), k, 20);
     (model, span.finish_secs())
 }
@@ -325,19 +319,19 @@ pub fn t8_regression(
 ) -> (Option<LinearModel>, Seconds) {
     let span = obs::span("core.task.t8_regression");
     let mut samples: Vec<(Vec<f64>, f64)> = Vec::new();
-    for snap in fw.scan(start, end) {
-        for r in &snap.nms {
-            let y = r.get(nms::TOTAL_DURATION_S).as_f64().unwrap_or(0.0);
-            samples.push((
+    fw.scan_rows(start, end, TableKind::Nms, &mut |_, nms_rows| {
+        samples.extend(nms_rows.iter().map(|r| {
+            let y = r.f64(nms::TOTAL_DURATION_S).unwrap_or(0.0);
+            (
                 vec![
-                    r.get(nms::CALL_ATTEMPTS).as_f64().unwrap_or(0.0),
-                    r.get(nms::CALL_DROPS).as_f64().unwrap_or(0.0),
-                    r.get(nms::THROUGHPUT_KBPS).as_f64().unwrap_or(0.0) / 1000.0,
+                    r.f64(nms::CALL_ATTEMPTS).unwrap_or(0.0),
+                    r.f64(nms::CALL_DROPS).unwrap_or(0.0),
+                    r.f64(nms::THROUGHPUT_KBPS).unwrap_or(0.0) / 1000.0,
                 ],
                 y,
-            ));
-        }
-    }
+            )
+        }));
+    });
     // A whisper of ridge keeps quiet windows (all-zero drop columns)
     // solvable without meaningfully biasing the fit.
     let model = linreg_ridge(Dataset::parallelize(samples), 3, 1e-6);

@@ -63,30 +63,12 @@ impl Anonymizer {
         self
     }
 
-    /// Equivalence-class sizes at a lattice node.
-    fn class_keys(&self, records: &[Record], levels: &[u32]) -> Vec<Vec<String>> {
-        records
-            .iter()
-            .map(|r| {
-                self.quasi_identifiers
-                    .iter()
-                    .zip(levels)
-                    .map(|((col, h), &lvl)| h.generalize(&r.get(*col).text(), lvl))
-                    .collect()
-            })
-            .collect()
-    }
-
     /// Does this node satisfy k-anonymity within the suppression budget?
     /// Returns the number of suppressed records on success.
-    fn check(&self, records: &[Record], levels: &[u32]) -> Option<usize> {
-        let keys = self.class_keys(records, levels);
-        let mut counts: HashMap<&[String], usize> = HashMap::new();
-        for key in &keys {
-            *counts.entry(key.as_slice()).or_insert(0) += 1;
-        }
-        let to_suppress: usize = counts.values().filter(|&&n| n < self.k).sum();
-        let budget = (records.len() as f64 * self.suppression_limit) as usize;
+    fn check(&self, table: &mut QiTable<'_>, levels: &[u32]) -> Option<usize> {
+        let (_, sizes) = table.classes(levels);
+        let to_suppress: usize = sizes.iter().filter(|&&n| n < self.k).sum();
+        let budget = (table.n_records as f64 * self.suppression_limit) as usize;
         (to_suppress <= budget).then_some(to_suppress)
     }
 
@@ -108,6 +90,7 @@ impl Anonymizer {
             .iter()
             .map(|(_, h)| h.max_level())
             .collect();
+        let mut table = QiTable::new(&self.quasi_identifiers, records);
 
         // Breadth-first by total generalization (minimality), enumerating
         // the level lattice.
@@ -115,35 +98,35 @@ impl Anonymizer {
         for budget in 0..=total_max {
             let mut found: Option<Vec<u32>> = None;
             enumerate_levels(&maxima, budget, &mut |levels| {
-                if found.is_none() && self.check(records, levels).is_some() {
+                if found.is_none() && self.check(&mut table, levels).is_some() {
                     found = Some(levels.to_vec());
                 }
             });
             if let Some(levels) = found {
-                return Some(self.apply(records, &levels, &maxima));
+                return Some(self.apply(records, &mut table, &levels, &maxima));
             }
         }
         None
     }
 
-    fn apply(&self, records: &[Record], levels: &[u32], maxima: &[u32]) -> AnonymizedTable {
-        let keys = self.class_keys(records, levels);
-        let mut counts: HashMap<&[String], usize> = HashMap::new();
-        for key in &keys {
-            *counts.entry(key.as_slice()).or_insert(0) += 1;
-        }
+    fn apply(
+        &self,
+        records: &[Record],
+        table: &mut QiTable<'_>,
+        levels: &[u32],
+        maxima: &[u32],
+    ) -> AnonymizedTable {
+        let (classes, sizes) = table.classes(levels);
         let mut out = Vec::with_capacity(records.len());
         let mut suppressed = 0usize;
-        for (r, key) in records.iter().zip(&keys) {
-            if counts[key.as_slice()] < self.k {
+        for (i, (r, &class)) in records.iter().zip(&classes).enumerate() {
+            if sizes[class as usize] < self.k {
                 suppressed += 1;
                 continue;
             }
             let mut rec = r.clone();
-            for (((col, _), &lvl), gen) in self.quasi_identifiers.iter().zip(levels).zip(key.iter())
-            {
-                let _ = lvl;
-                rec.values[*col] = Value::Str(gen.as_str().into());
+            for (q, ((col, _), &lvl)) in self.quasi_identifiers.iter().zip(levels).enumerate() {
+                rec.values[*col] = Value::Str(table.generalized(q, lvl, i).into());
             }
             out.push(rec);
         }
@@ -166,6 +149,125 @@ impl Anonymizer {
             loss,
         }
     }
+}
+
+/// The quasi-identifier columns of a table as small integers. The search
+/// visits hundreds of lattice nodes over the same records, and a node only
+/// asks which records generalize alike: each distinct value of a column is
+/// generalized once per level and given the id of its generalized form, so
+/// a node's equivalence classes are counted over id tuples and no string
+/// is built per record.
+struct QiTable<'a> {
+    columns: Vec<QiColumn<'a>>,
+    n_records: usize,
+}
+
+struct QiColumn<'a> {
+    hierarchy: &'a Hierarchy,
+    /// The column's distinct values, in order of first appearance.
+    distinct: Vec<Cow<'a, str>>,
+    /// Per record, the index of its value in `distinct`.
+    value_of: Vec<u32>,
+    /// Per level, once a node has asked for it: the generalized forms at
+    /// that level and, per distinct value, the index of its form.
+    levels: Vec<Option<(Vec<String>, Vec<u32>)>>,
+}
+
+impl<'a> QiTable<'a> {
+    fn new(quasi_identifiers: &'a [(usize, Hierarchy)], records: &'a [Record]) -> Self {
+        let columns = quasi_identifiers
+            .iter()
+            .map(|(col, hierarchy)| {
+                let mut ids: HashMap<Cow<'a, str>, u32> = HashMap::new();
+                let mut distinct = Vec::new();
+                let value_of = records
+                    .iter()
+                    .map(|r| {
+                        let value = r.get(*col).text();
+                        *ids.entry(value).or_insert_with_key(|value| {
+                            distinct.push(value.clone());
+                            distinct.len() as u32 - 1
+                        })
+                    })
+                    .collect();
+                QiColumn {
+                    hierarchy,
+                    distinct,
+                    value_of,
+                    levels: vec![None; hierarchy.max_level() as usize + 1],
+                }
+            })
+            .collect();
+        Self {
+            columns,
+            n_records: records.len(),
+        }
+    }
+
+    /// The equivalence classes at a lattice node: each record's class and
+    /// each class's size. Two records share a class when every column
+    /// generalizes them to the same form.
+    fn classes(&mut self, levels: &[u32]) -> (Vec<u32>, Vec<usize>) {
+        let mut class_of = vec![0u32; self.n_records];
+        let mut n_classes = 1;
+        for (column, &level) in self.columns.iter_mut().zip(levels) {
+            let QiColumn {
+                hierarchy,
+                distinct,
+                value_of,
+                levels,
+            } = column;
+            let (_, form_of) = levels[level as usize]
+                .get_or_insert_with(|| generalize_all(hierarchy, distinct, level));
+            // Refine the classes so far by this column's forms.
+            let mut refined: HashMap<(u32, u32), u32> = HashMap::new();
+            for (class, &value) in class_of.iter_mut().zip(value_of.iter()) {
+                let next = refined.len() as u32;
+                *class = *refined
+                    .entry((*class, form_of[value as usize]))
+                    .or_insert(next);
+            }
+            n_classes = refined.len();
+        }
+        let mut sizes = vec![0usize; n_classes];
+        for &class in &class_of {
+            sizes[class as usize] += 1;
+        }
+        (class_of, sizes)
+    }
+
+    /// The generalized form of `record`'s value in column `q`, at a level
+    /// [`Self::classes`] has been asked about.
+    fn generalized(&self, q: usize, level: u32, record: usize) -> &str {
+        let column = &self.columns[q];
+        let (forms, form_of) = column.levels[level as usize]
+            .as_ref()
+            .expect("classes() ran at this level");
+        &forms[form_of[column.value_of[record] as usize] as usize]
+    }
+}
+
+/// Generalize every distinct value of a column at `level`: the distinct
+/// forms and, per value, the index of its form.
+fn generalize_all(
+    hierarchy: &Hierarchy,
+    distinct: &[Cow<'_, str>],
+    level: u32,
+) -> (Vec<String>, Vec<u32>) {
+    let mut ids: HashMap<String, u32> = HashMap::new();
+    let form_of = distinct
+        .iter()
+        .map(|value| {
+            let next = ids.len() as u32;
+            *ids.entry(hierarchy.generalize(value, level))
+                .or_insert(next)
+        })
+        .collect();
+    let mut forms = vec![String::new(); ids.len()];
+    for (form, id) in ids {
+        forms[id as usize] = form;
+    }
+    (forms, form_of)
 }
 
 /// Visit every level vector with the given total sum (bounded per-QI).

@@ -48,7 +48,7 @@ use crate::transport::{duplex, ByteSink, Endpoint, FrameBatch, TransportError};
 use dfs::breaker::BreakerState;
 use obs::CostProfile;
 use obs::{CancelFlag, EventKind, Histogram, Interrupt};
-use spate_core::framework::{ExplorationFramework, IngestStats, SpaceReport};
+use spate_core::framework::{lend_records, ExplorationFramework, IngestStats, SpaceReport};
 use spate_core::index::highlights::Resolution;
 use spate_core::index::Covering;
 use spate_core::query::{Coverage, Query, QueryResult, RowPlan};
@@ -63,7 +63,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use telco_trace::cells::{BoundingBox, CellLayout};
-use telco_trace::snapshot::Snapshot;
+use telco_trace::schema::TableKind;
+use telco_trace::snapshot::{Row, Snapshot};
 use telco_trace::time::EpochId;
 
 /// Server tuning knobs.
@@ -1473,12 +1474,26 @@ fn evaluate_sharded(shared: &Shared, q: &Query) -> QueryResult {
     }
 }
 
-/// Read-only [`ExplorationFramework`] view routing `load_epoch`/`scan`
-/// through the shared cache — how the SQL executor (which materializes
-/// tables via `scan`) shares cached, shard-merged decompressions with
-/// the explore path.
+/// Read-only [`ExplorationFramework`] view routing `load_epoch` and
+/// `scan_rows` through the shared cache — how the SQL executor (which
+/// materializes tables via `scan_rows`) shares cached, shard-merged
+/// decompressions with the explore path.
 struct CachedView<'a> {
     shared: &'a Shared,
+}
+
+impl CachedView<'_> {
+    /// One epoch through the shared cache, behind the budget checkpoint of
+    /// the SQL scan path: an interrupted request sees the remaining epochs
+    /// as unavailable, the same degraded (never wrong, only narrower)
+    /// answer the explore path gives.
+    fn resolve(&self, epoch: EpochId) -> Option<Arc<Snapshot>> {
+        if obs::budget::interrupted().is_some() {
+            obs::inc("serve.scan.interrupted");
+            return None;
+        }
+        resolve_epoch(self.shared, epoch, false)
+    }
 }
 
 impl ExplorationFramework for CachedView<'_> {
@@ -1499,14 +1514,23 @@ impl ExplorationFramework for CachedView<'_> {
     }
 
     fn load_epoch(&self, epoch: EpochId) -> Option<Snapshot> {
-        // Budget checkpoint on the SQL scan path: an interrupted request
-        // sees the remaining epochs as unavailable, the same degraded
-        // (never wrong, only narrower) answer the explore path gives.
-        if obs::budget::interrupted().is_some() {
-            obs::inc("serve.scan.interrupted");
-            return None;
+        self.resolve(epoch).map(|arc| (*arc).clone())
+    }
+
+    /// The SQL scan path: rows are lent straight from the cached
+    /// `Arc<Snapshot>`s; no snapshot is cloned out of the cache.
+    fn scan_rows(
+        &self,
+        start: EpochId,
+        end: EpochId,
+        table: TableKind,
+        visit: &mut dyn FnMut(EpochId, &[Row<'_>]),
+    ) {
+        for epoch in (start.0..=end.0).map(EpochId) {
+            if let Some(snapshot) = self.resolve(epoch) {
+                lend_records(epoch, snapshot.table(table), visit);
+            }
         }
-        resolve_epoch(self.shared, epoch, false).map(|arc| (*arc).clone())
     }
 
     fn query(&self, q: &Query) -> QueryResult {

@@ -111,35 +111,25 @@ impl<'a> SqlContext<'a> {
         crate::query(self, sql)
     }
 
-    fn table(&self, name: &str) -> Result<(&'static Schema, Vec<Vec<Value>>), SqlError> {
-        let kind =
-            TableKind::from_name(name).ok_or_else(|| SqlError::UnknownTable(name.to_string()))?;
-        let schema = Schema::shared(kind);
-        let rows: Vec<Vec<Value>> = match kind {
-            TableKind::Cdr => self
-                .fw
-                .scan(self.window.0, self.window.1)
-                .into_iter()
-                .flat_map(|s| s.cdr.into_iter().map(|r| r.values))
-                .collect(),
-            TableKind::Nms => self
-                .fw
-                .scan(self.window.0, self.window.1)
-                .into_iter()
-                .flat_map(|s| s.nms.into_iter().map(|r| r.values))
-                .collect(),
-            TableKind::Cell => self
-                .fw
-                .layout()
-                .to_records()
-                .into_iter()
-                .map(|r| r.values)
-                .collect(),
-        };
-        // Every materialized base-table row is a scanned row in the
-        // active cost profile (no-op outside EXPLAIN ANALYZE / serve).
-        obs::cost::add_rows(rows.len() as u64, 0);
-        Ok((schema, rows))
+    /// Materialize one FROM table: every row as wide as the schema, with
+    /// only the columns `used` (ascending) filled in. CDR and NMS rows are
+    /// lent by the framework's row scan, so a column the statement never
+    /// names is never built; it stays `Null` and is never read.
+    fn table(&self, schema: &Schema, used: &[usize]) -> Vec<Vec<Value>> {
+        if schema.kind == TableKind::Cell {
+            let rows = self.fw.layout().to_records();
+            // Every materialized base-table row is a scanned row in the
+            // active cost profile (no-op outside EXPLAIN ANALYZE / serve);
+            // the row scan accounts for the rows it lends.
+            obs::cost::add_rows(rows.len() as u64, 0);
+            return rows.into_iter().map(|r| r.values).collect();
+        }
+        let mut rows = Vec::new();
+        let (start, end) = self.window;
+        self.fw.scan_rows(start, end, schema.kind, &mut |_, lent| {
+            rows.extend(lent.iter().map(|r| r.sparse_values(used, schema.width())));
+        });
+        rows
     }
 }
 
@@ -216,23 +206,33 @@ pub fn execute(ctx: &SqlContext<'_>, stmt: &SelectStatement) -> Result<ResultSet
         return Err(SqlError::Unsupported("FROM is required".into()));
     }
     let mut bindings = Vec::new();
-    let mut tables = Vec::new();
     let mut offset = 0;
     for t in &stmt.from {
-        let (schema, rows) = ctx.table(&t.table)?;
-        let width = schema.width();
+        let kind = TableKind::from_name(&t.table)
+            .ok_or_else(|| SqlError::UnknownTable(t.table.clone()))?;
+        let schema = Schema::shared(kind);
         bindings.push(Binding {
             name: t.binding().to_string(),
             schema,
             offset,
         });
-        offset += width;
-        tables.push(rows);
+        offset += schema.width();
     }
     let ns = Namespace {
         bindings,
         width: offset,
     };
+    // Materialize each table with the columns the statement reads of it.
+    let referenced = referenced_columns(stmt, &ns);
+    let tables = ns
+        .bindings
+        .iter()
+        .map(|b| {
+            let columns = 0..b.schema.width();
+            let used: Vec<usize> = columns.filter(|c| referenced[b.offset + c]).collect();
+            ctx.table(b.schema, &used)
+        })
+        .collect();
 
     // Pre-evaluate uncorrelated subqueries into value sets.
     let mut sub_sets: Vec<HashSet<String>> = Vec::new();
@@ -308,6 +308,61 @@ pub fn execute(ctx: &SqlContext<'_>, stmt: &SelectStatement) -> Result<ResultSet
         columns,
         rows: out_rows,
     })
+}
+
+/// Which columns of the FROM namespace the statement reads: the select
+/// list (`*` reads all of them), WHERE, GROUP BY and HAVING. ORDER BY
+/// names output columns, and a subquery binds its own tables. A reference
+/// that does not resolve marks nothing; it fails where it is evaluated.
+fn referenced_columns(stmt: &SelectStatement, ns: &Namespace) -> Vec<bool> {
+    fn mark_expr(expr: &Expr, mark: &mut impl FnMut(&ColumnRef)) {
+        match expr {
+            Expr::Column(c) => mark(c),
+            Expr::StringLit(_) | Expr::Number(_) => {}
+            Expr::Compare { left, right, .. } => {
+                mark_expr(left, mark);
+                mark_expr(right, mark);
+            }
+            Expr::And(l, r) | Expr::Or(l, r) => {
+                mark_expr(l, mark);
+                mark_expr(r, mark);
+            }
+            Expr::Not(e) | Expr::InSubquery { expr: e, .. } | Expr::Like { expr: e, .. } => {
+                mark_expr(e, mark)
+            }
+            Expr::InList { expr, list, .. } => {
+                mark_expr(expr, mark);
+                list.iter().for_each(|item| mark_expr(item, mark));
+            }
+            Expr::Between {
+                expr, low, high, ..
+            } => {
+                mark_expr(expr, mark);
+                mark_expr(low, mark);
+                mark_expr(high, mark);
+            }
+            Expr::AggregateCall { column, .. } => column.iter().for_each(mark),
+        }
+    }
+
+    let mut used = vec![false; ns.width];
+    let mut mark = |c: &ColumnRef| {
+        if let Ok(i) = ns.resolve(c) {
+            used[i] = true;
+        }
+    };
+    for item in &stmt.items {
+        match item {
+            SelectItem::Wildcard => return vec![true; ns.width],
+            SelectItem::Column(c, _) => mark(c),
+            SelectItem::Aggregate { column, .. } => column.iter().for_each(&mut mark),
+        }
+    }
+    stmt.group_by.iter().for_each(&mut mark);
+    for expr in stmt.predicate.iter().chain(&stmt.having) {
+        mark_expr(expr, &mut mark);
+    }
+    used
 }
 
 /// Replace `InSubquery` nodes with `InList`-like references into

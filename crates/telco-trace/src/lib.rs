@@ -36,6 +36,6 @@ pub use cells::CellLayout;
 pub use generator::{TraceConfig, TraceGenerator};
 pub use record::{Record, Value};
 pub use schema::{Schema, TableKind};
-pub use snapshot::Snapshot;
+pub use snapshot::{Row, Snapshot};
 pub use text::Text;
 pub use time::{DayPeriod, EpochId, Weekday, EPOCHS_PER_DAY, EPOCH_MINUTES};

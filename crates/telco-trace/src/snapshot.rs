@@ -1,9 +1,10 @@
 //! Snapshots: the 30-minute batches of CDR + NMS records that stream into
 //! SPATE, and their text wire format (what the storage layer compresses).
 
-use crate::record::Record;
+use crate::record::{Record, Value};
 use crate::schema::{cdr, nms, TableKind};
 use crate::time::EpochId;
+use std::borrow::Cow;
 use std::fmt;
 
 /// One ingestion batch `d_i`: all user and network activity of one epoch.
@@ -49,6 +50,18 @@ impl Snapshot {
 
     pub fn total_records(&self) -> usize {
         self.cdr.len() + self.nms.len()
+    }
+
+    /// The records of one of the snapshot's two tables.
+    ///
+    /// # Panics
+    /// For [`TableKind::Cell`]: the cell inventory is not snapshot data.
+    pub fn table(&self, table: TableKind) -> &[Record] {
+        match table {
+            TableKind::Cdr => &self.cdr,
+            TableKind::Nms => &self.nms,
+            TableKind::Cell => panic!("a snapshot has no CELL table"),
+        }
     }
 
     /// Serialize to the text wire format:
@@ -149,6 +162,72 @@ impl<'a> RowText<'a> {
             .unwrap_or(bytes.len() - start);
         // `,` is ASCII: both ends are character boundaries.
         &self.line[start..start + len]
+    }
+
+    /// Every column's text, in column order.
+    pub fn fields(&self) -> impl Iterator<Item = &'a str> {
+        self.line.split(',')
+    }
+}
+
+/// One row of a table as a scan lends it: the text of a serialized row
+/// ([`Snapshot::scan`]) or a decoded [`Record`], read the same way. Each
+/// accessor returns what the [`Value`] that [`Snapshot::from_bytes`]
+/// builds for the column would: `row.i64(c)` is
+/// `Value::from_field(field).as_i64()`, without the `Value`.
+#[derive(Debug, Clone, Copy)]
+pub enum Row<'a> {
+    Text(RowText<'a>),
+    Record(&'a Record),
+}
+
+impl<'a> Row<'a> {
+    /// [`Value::text`] of column `col`.
+    pub fn text(&self, col: usize) -> Cow<'a, str> {
+        match *self {
+            Row::Text(row) => Cow::Borrowed(row.field(col)),
+            Row::Record(record) => record.get(col).text(),
+        }
+    }
+
+    /// [`Value::as_i64`] of column `col`.
+    pub fn i64(&self, col: usize) -> Option<i64> {
+        match *self {
+            Row::Text(row) => row.field(col).parse().ok(),
+            Row::Record(record) => record.get(col).as_i64(),
+        }
+    }
+
+    /// [`Value::as_f64`] of column `col`.
+    pub fn f64(&self, col: usize) -> Option<f64> {
+        match *self {
+            Row::Text(row) => row.field(col).parse().ok(),
+            Row::Record(record) => record.get(col).as_f64(),
+        }
+    }
+
+    /// A `width`-column row of values holding this row's columns `cols`
+    /// (ascending) and `Null` everywhere else: one pass over the text,
+    /// which ends at the last column asked for.
+    pub fn sparse_values(&self, cols: &[usize], width: usize) -> Vec<Value> {
+        let mut values = vec![Value::Null; width];
+        match *self {
+            Row::Text(row) => {
+                let mut fields = row.fields();
+                let mut next = 0;
+                for &col in cols {
+                    let field = fields.nth(col - next).expect("a column of the table");
+                    values[col] = Value::from_field(field);
+                    next = col + 1;
+                }
+            }
+            Row::Record(record) => {
+                for &col in cols {
+                    values[col] = record.get(col).clone();
+                }
+            }
+        }
+        values
     }
 }
 
@@ -326,7 +405,6 @@ fn header_value<T: std::str::FromStr>(line: &str, key: &str) -> Option<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::Value;
 
     fn tiny_snapshot() -> Snapshot {
         let mut cdr_row = vec![Value::Null; cdr::WIDTH];

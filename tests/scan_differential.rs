@@ -1,0 +1,243 @@
+//! One scan contract, two drivers. T1–T8 and SPATE-SQL read a window
+//! through `ExplorationFramework::scan_rows`; RAW, SHAHED and SPATE (Path
+//! and CAS) answer it from the stored text without decoding, and the
+//! trait's provided default answers it from `load_epoch`'s decoded
+//! records. Every task and statement must give the same answer through
+//! both, on every framework — also when a leaf in the middle of the
+//! window is missing or damaged, where the epoch must contribute nothing:
+//! not even the rows that precede the damage.
+
+use spate::core::framework::{
+    ExplorationFramework, IngestStats, RawFramework, ShahedFramework, SpaceReport, SpateFramework,
+};
+use spate::core::query::{Query, QueryResult};
+use spate::core::storage::SnapshotStore;
+use spate::core::tasks;
+use spate::dfs::Dfs;
+use spate::sql::SqlContext;
+use spate::trace::time::EpochId;
+use spate::trace::{CellLayout, Snapshot, TraceConfig, TraceGenerator};
+use std::collections::BTreeMap;
+
+/// A morning's worth of epochs: enough traffic for T4 to find movers.
+const FIRST: u32 = 14;
+const LAST: u32 = 21;
+/// The leaf the damaged warehouses lose.
+const DAMAGED: u32 = 17;
+
+fn trace() -> (CellLayout, Vec<Snapshot>) {
+    let mut generator = TraceGenerator::new(TraceConfig::scaled(1.0 / 512.0));
+    let layout = generator.layout().clone();
+    let snaps = (&mut generator)
+        .skip(FIRST as usize)
+        .take((LAST - FIRST + 1) as usize)
+        .collect();
+    (layout, snaps)
+}
+
+/// `fw` with its row scanner taken away: `scan_rows` is the trait's
+/// provided default, which decodes every epoch through `load_epoch`.
+struct Decoded<'a>(&'a dyn ExplorationFramework);
+
+impl ExplorationFramework for Decoded<'_> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn layout(&self) -> &CellLayout {
+        self.0.layout()
+    }
+    fn ingest(&mut self, _: &Snapshot) -> IngestStats {
+        unreachable!("a read-only view")
+    }
+    fn space(&self) -> SpaceReport {
+        self.0.space()
+    }
+    fn load_epoch(&self, epoch: EpochId) -> Option<Snapshot> {
+        self.0.load_epoch(epoch)
+    }
+    fn query(&self, q: &Query) -> QueryResult {
+        self.0.query(q)
+    }
+    fn version(&self) -> u64 {
+        self.0.version()
+    }
+}
+
+const STATEMENTS: [&str; 7] = [
+    "SELECT upflux, downflux FROM CDR",
+    "SELECT caller_id, duration_s FROM CDR WHERE call_result = 'DROP' OR duration_s > 100",
+    "SELECT cell_id, SUM(call_drops), COUNT(*) FROM NMS GROUP BY cell_id \
+     HAVING SUM(call_attempts) > 0 ORDER BY 2 DESC",
+    "SELECT a.caller_id FROM CDR a, CDR b \
+     WHERE a.caller_id = b.caller_id AND a.cell_id != b.cell_id",
+    "SELECT * FROM NMS",
+    "SELECT * FROM CDR WHERE tech LIKE '_G' LIMIT 40",
+    "SELECT cell_id FROM CELL WHERE cell_id IN (SELECT cell_id FROM NMS WHERE call_drops > 0)",
+];
+
+/// Every task and statement over the window, each answer in a printed
+/// form that compares exactly (floats print every digit; hash maps are
+/// sorted first).
+fn answers(fw: &dyn ExplorationFramework) -> Vec<(&'static str, String)> {
+    let (start, end) = (EpochId(FIRST), EpochId(LAST));
+    let t3 = tasks::t3_aggregate(fw, start, end).0;
+    let t3: (BTreeMap<_, _>, BTreeMap<_, _>) = (
+        t3.drops_per_cell.into_iter().collect(),
+        t3.drop_rate_per_cluster.into_iter().collect(),
+    );
+    let t1 = |epoch| format!("{:?}", tasks::t1_equality(fw, EpochId(epoch)).0);
+    let mut out = vec![
+        ("T1", t1(FIRST + 1)),
+        ("T1 of the damaged epoch", t1(DAMAGED)),
+        ("T2", format!("{:?}", tasks::t2_range(fw, start, end).0)),
+        ("T3", format!("{t3:?}")),
+        ("T4", format!("{:?}", tasks::t4_join(fw, start, end).0)),
+        (
+            "T5",
+            format!("{:?}", tasks::t5_privacy(fw, start, end, 3).0),
+        ),
+        (
+            "T6",
+            format!("{:?}", tasks::t6_statistics(fw, start, end).0),
+        ),
+        (
+            "T7",
+            format!("{:?}", tasks::t7_clustering(fw, start, end, 3).0),
+        ),
+        (
+            "T8",
+            format!("{:?}", tasks::t8_regression(fw, start, end).0),
+        ),
+    ];
+    let ctx = SqlContext::new(fw, start, end);
+    out.extend(STATEMENTS.map(|sql| (sql, format!("{:?}", ctx.query(sql)))));
+    out
+}
+
+type Answers = [(&'static str, String)];
+
+fn assert_same(what: &str, got: &Answers, want: &Answers) {
+    assert_eq!(got.len(), want.len());
+    for ((label, got), (_, want)) in got.iter().zip(want) {
+        assert!(got == want, "{what}: {label}\n got {got}\nwant {want}");
+    }
+}
+
+/// The four warehouses, holding `snaps`.
+struct Warehouses {
+    raw: RawFramework,
+    shahed: ShahedFramework,
+    path: SpateFramework,
+    cas: SpateFramework,
+}
+
+impl Warehouses {
+    fn ingest(layout: &CellLayout, snaps: &[Snapshot]) -> Self {
+        let mut w = Warehouses {
+            raw: RawFramework::in_memory(layout.clone()),
+            shahed: ShahedFramework::in_memory(layout.clone()),
+            path: SpateFramework::in_memory(layout.clone()),
+            cas: SpateFramework::with_cas(Dfs::in_memory(), layout.clone()),
+        };
+        for s in snaps {
+            w.raw.ingest(s);
+            w.shahed.ingest(s);
+            w.path.ingest(s);
+            w.cas.ingest(s);
+        }
+        w.shahed.finalize();
+        w
+    }
+
+    fn each(&self) -> [(&'static str, &dyn ExplorationFramework, &SnapshotStore); 4] {
+        [
+            ("RAW", &self.raw, self.raw.store()),
+            ("SHAHED", &self.shahed, self.shahed.store()),
+            ("SPATE-Path", &self.path, self.path.store()),
+            ("SPATE-CAS", &self.cas, self.cas.store()),
+        ]
+    }
+}
+
+/// Put `text` where the leaf of `epoch` was (`None`: leave it missing),
+/// behind the back of the framework that owns the store.
+fn replace_leaf(store: &SnapshotStore, epoch: EpochId, text: Option<&[u8]>) {
+    store.evict(epoch).expect("evict the leaf");
+    let Some(text) = text else { return };
+    match store.cas() {
+        Some(cas) => {
+            cas.put_epoch(epoch.0, text).expect("put the damaged epoch");
+        }
+        None => {
+            let codec = spate::codecs::by_name(store.codec_name()).expect("a known codec");
+            let stored = codec.compress(text);
+            store
+                .dfs()
+                .write(&store.path_for(epoch), &stored)
+                .expect("write the damaged leaf");
+        }
+    }
+}
+
+#[test]
+fn every_scanner_answers_as_the_decoded_driver_does() {
+    let (layout, snaps) = trace();
+    let warehouses = Warehouses::ingest(&layout, &snaps);
+    let want = answers(&Decoded(&warehouses.raw));
+    // The window is not trivially empty.
+    assert!(want.iter().all(|(_, answer)| answer.len() > 12), "{want:?}");
+    for (name, fw, _) in warehouses.each() {
+        assert_same(&format!("{name}, scanner"), &answers(fw), &want);
+        assert_same(&format!("{name}, decoded"), &answers(&Decoded(fw)), &want);
+    }
+}
+
+#[test]
+fn a_damaged_leaf_contributes_nothing_on_either_driver() {
+    let (layout, snaps) = trace();
+    let damaged = &snaps[(DAMAGED - FIRST) as usize];
+    assert_eq!(damaged.epoch, EpochId(DAMAGED));
+    let text = damaged.to_bytes();
+    let text_str = std::str::from_utf8(&text).unwrap();
+
+    // Cut in the middle of the last CDR row: every row before it is whole.
+    let nms_table = text_str.find("#TABLE NMS").unwrap();
+    let truncated = &text[..nms_table - 40];
+    // One NMS row a field short: every CDR row before it is whole.
+    let last_row = text_str.trim_end().rfind('\n').unwrap() + 1;
+    let first_comma = last_row + text_str[last_row..].find(',').unwrap();
+    let short_row = [&text[..last_row], &text[first_comma + 1..]].concat();
+    assert!(Snapshot::from_bytes(truncated).is_err());
+    assert!(Snapshot::from_bytes(&short_row).is_err());
+    // A whole snapshot, of the next epoch.
+    let misfiled = snaps[(DAMAGED - FIRST) as usize + 1].to_bytes();
+
+    // What a warehouse that never saw the epoch answers.
+    let others: Vec<Snapshot> = snaps
+        .iter()
+        .filter(|s| s.epoch != damaged.epoch)
+        .cloned()
+        .collect();
+    let without = Warehouses::ingest(&layout, &others);
+    let want = answers(&Decoded(&without.raw));
+
+    let damages: [(&str, Option<&[u8]>); 4] = [
+        ("missing", None),
+        ("truncated mid-row", Some(truncated)),
+        ("one short row", Some(&short_row)),
+        ("another epoch's header", Some(&misfiled)),
+    ];
+    for (damage, leaf) in damages {
+        let warehouses = Warehouses::ingest(&layout, &snaps);
+        for (name, fw, store) in warehouses.each() {
+            replace_leaf(store, damaged.epoch, leaf);
+            assert!(fw.load_epoch(damaged.epoch).is_none(), "{name}, {damage}");
+            assert_same(&format!("{name}, {damage}, scanner"), &answers(fw), &want);
+            assert_same(
+                &format!("{name}, {damage}, decoded"),
+                &answers(&Decoded(fw)),
+                &want,
+            );
+        }
+    }
+}
