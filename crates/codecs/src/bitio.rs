@@ -76,6 +76,20 @@ impl<'a> BitReader<'a> {
         }
     }
 
+    /// Continue a stream another reader has partly consumed: `pos` is the
+    /// index of the first byte of `input` not yet loaded and the low `nbits`
+    /// (≤ 63) of `acc` are the loaded bits not yet consumed. Whatever `acc`
+    /// holds above them is dropped.
+    pub fn resume(input: &'a [u8], pos: usize, acc: u64, nbits: u32) -> Self {
+        debug_assert!(pos <= input.len() && nbits < 64);
+        Self {
+            input,
+            pos,
+            acc: acc & ((1u64 << nbits) - 1),
+            nbits,
+        }
+    }
+
     /// Top up `acc`. Bits at and above `nbits` stay zero, so reads past
     /// the end of input see the zero padding.
     #[inline]
@@ -207,6 +221,23 @@ mod tests {
         assert_eq!(r.read_bits(8), 0xFF);
         assert_eq!(r.read_bits(16), 0);
         assert!(r.is_overrun());
+    }
+
+    #[test]
+    fn resume_continues_mid_stream() {
+        let bytes: Vec<u8> = (0..40u32).map(|i| (i * 37 + 11) as u8).collect();
+        let mut whole = BitReader::new(&bytes);
+        let head = (whole.read_bits(13), whole.read_bits(7));
+        // The hand-over state of a reader that took 7 bytes of an 8-byte
+        // load, consumed 20 bits, and still has byte 7 above the 36 bits
+        // it owns.
+        let word = u64::from_le_bytes(bytes[..8].try_into().unwrap());
+        assert_eq!(head, ((word & 0x1FFF) as u32, ((word >> 13) & 0x7F) as u32));
+        let mut resumed = BitReader::resume(&bytes, 7, word >> 20, 36);
+        while !whole.is_overrun() {
+            assert_eq!(resumed.read_bits(11), whole.read_bits(11));
+        }
+        assert!(resumed.is_overrun());
     }
 
     #[test]

@@ -8,7 +8,10 @@
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::crc32::crc32;
-use crate::huffman::{read_lengths, write_lengths, HuffmanDecoder, HuffmanEncoder};
+use crate::huffman::{
+    read_lengths, write_lengths, Entry, HuffmanDecoder, HuffmanEncoder, INVALID_CODE,
+    MAX_DECODE_LEN,
+};
 use crate::lz77::{self, Lz77Config, Token, MIN_MATCH};
 use crate::slots::{base_of, slot_of};
 use crate::varint;
@@ -94,6 +97,65 @@ fn encode_block(out: &mut Vec<u8>, tokens: &[Token]) {
     out.extend_from_slice(&bits);
 }
 
+/// Index width of the decoders' primary tables: 2 KiB of entries that
+/// stay in L1 and cost 512 writes per block to fill.
+const PRIMARY_BITS: u32 = 9;
+
+/// Bits one token can take from the stream: a length code and the 6 extra
+/// bits of length slot 15, a distance code and the 13 extra bits of
+/// distance slot 29.
+const MAX_TOKEN_BITS: u32 = MAX_DECODE_LEN + 6 + MAX_DECODE_LEN + 13;
+/// Bits the fast loop's refill guarantees.
+const REFILL_BITS: u32 = 56;
+const _: () = assert!(MAX_TOKEN_BITS <= REFILL_BITS);
+
+/// Literal entries carry the byte; length-slot entries carry the slot's
+/// base with `MIN_MATCH` already added.
+fn litlen_entry(sym: usize) -> Entry {
+    if sym < LEN_SLOT_BASE {
+        Entry::literal(sym as u8)
+    } else {
+        let (base, extra_bits) = base_of((sym - LEN_SLOT_BASE) as u32);
+        Entry::base(base as u16 + MIN_MATCH as u16, extra_bits)
+    }
+}
+
+/// Distance-slot entries carry the slot's base with the `+ 1` added.
+fn dist_entry(sym: usize) -> Entry {
+    let (base, extra_bits) = base_of(sym as u32);
+    Entry::base(base as u16 + 1, extra_bits)
+}
+
+/// Append one literal, bounded by the declared length.
+#[inline(always)]
+fn emit_literal(out: &mut Vec<u8>, byte: u8, declared_len: usize) -> Result<(), CodecError> {
+    if out.len() >= declared_len {
+        return Err(CodecError::Corrupt("output exceeds declared length"));
+    }
+    out.push(byte);
+    Ok(())
+}
+
+/// Append one match, bounded by the history and the declared length.
+#[inline(always)]
+fn emit_match(
+    out: &mut Vec<u8>,
+    dist: usize,
+    len: usize,
+    declared_len: usize,
+) -> Result<(), CodecError> {
+    if dist > out.len() {
+        return Err(CodecError::Corrupt("match distance exceeds history"));
+    }
+    if out.len() + len > declared_len {
+        return Err(CodecError::Corrupt("output exceeds declared length"));
+    }
+    lz77::copy_match(out, dist, len);
+    Ok(())
+}
+
+const NO_DIST_TABLE: CodecError = CodecError::Corrupt("match token without distance table");
+
 fn decode_block(
     input: &[u8],
     pos: &mut usize,
@@ -108,56 +170,86 @@ fn decode_block(
     if dist_lengths.len() != DIST_ALPHABET {
         return Err(CodecError::Corrupt("bad distance alphabet size"));
     }
-    let litlen_dec = HuffmanDecoder::from_lengths(&litlen_lengths)?;
-    // A block of pure literals has an empty distance table.
-    let dist_dec = HuffmanDecoder::from_lengths(&dist_lengths).ok();
+    let litlen_dec = HuffmanDecoder::build(&litlen_lengths, PRIMARY_BITS, litlen_entry)?;
+    // A block of pure literals has an all-zero distance table; any other
+    // table the decoder cannot build is corrupt.
+    let dist_dec = if dist_lengths.iter().all(|&l| l == 0) {
+        None
+    } else {
+        Some(HuffmanDecoder::build(
+            &dist_lengths,
+            PRIMARY_BITS,
+            dist_entry,
+        )?)
+    };
 
     let n_tokens = varint::read_u32(input, pos)? as usize;
     let bit_bytes = varint::read_u32(input, pos)? as usize;
     if *pos + bit_bytes > input.len() {
         return Err(CodecError::Truncated);
     }
-    let mut r = BitReader::new(&input[*pos..*pos + bit_bytes]);
+    let bits = &input[*pos..*pos + bit_bytes];
     *pos += bit_bytes;
 
-    for _ in 0..n_tokens {
+    // Fast loop, while a whole 8-byte load is left. The refill ORs the
+    // next word in above the `nbits` buffered bits and counts only the
+    // whole bytes of it that fit; what it loaded above `nbits` are true
+    // stream bits that the next refill ORs in again, unchanged. It leaves
+    // `nbits >= REFILL_BITS >= MAX_TOKEN_BITS`, so a token never reads
+    // past what is loaded and no subtraction below can underflow.
+    let (mut acc, mut nbits, mut ip) = (0u64, 0u32, 0usize);
+    let mut tokens_left = n_tokens;
+    while tokens_left > 0 {
+        let Some(word) = bits.get(ip..ip + 8) else {
+            break;
+        };
+        acc |= u64::from_le_bytes(word.try_into().expect("an 8-byte slice")) << nbits;
+        ip += ((63 - nbits) >> 3) as usize;
+        nbits |= REFILL_BITS;
+
+        let entry = litlen_dec.lookup(acc);
+        if entry.code_len() == 0 {
+            return Err(INVALID_CODE);
+        }
+        acc >>= entry.code_len();
+        nbits -= entry.code_len();
+        if entry.is_literal() {
+            emit_literal(out, entry.payload() as u8, declared_len)?;
+        } else {
+            let len = entry.payload() as usize + (acc & ((1 << entry.extra_bits()) - 1)) as usize;
+            acc >>= entry.extra_bits();
+            nbits -= entry.extra_bits();
+            let entry = dist_dec.as_ref().ok_or(NO_DIST_TABLE)?.lookup(acc);
+            if entry.code_len() == 0 {
+                return Err(INVALID_CODE);
+            }
+            acc >>= entry.code_len();
+            nbits -= entry.code_len();
+            let dist = entry.payload() as usize + (acc & ((1 << entry.extra_bits()) - 1)) as usize;
+            acc >>= entry.extra_bits();
+            nbits -= entry.extra_bits();
+            emit_match(out, dist, len, declared_len)?;
+        }
+        tokens_left -= 1;
+    }
+
+    // The last < 8 bytes go through the checked reader.
+    let mut r = BitReader::resume(bits, ip, acc, nbits);
+    for _ in 0..tokens_left {
         // Past the end of the bit buffer the reader yields zero bits, which
         // a zero-valued Huffman code would happily decode forever; a token
         // count larger than the bits can support is a truncated stream.
         if r.is_overrun() {
             return Err(CodecError::Truncated);
         }
-        let sym = litlen_dec.decode(&mut r)? as usize;
-        if sym < LEN_SLOT_BASE {
-            out.push(sym as u8);
+        let entry = litlen_dec.decode(&mut r)?;
+        if entry.is_literal() {
+            emit_literal(out, entry.payload() as u8, declared_len)?;
         } else {
-            let (base, leb) = base_of((sym - LEN_SLOT_BASE) as u32);
-            let len = (base + if leb > 0 { r.read_bits(leb) } else { 0 }) as usize + MIN_MATCH;
-            let dist_dec = dist_dec
-                .as_ref()
-                .ok_or(CodecError::Corrupt("match token without distance table"))?;
-            let ds = dist_dec.decode(&mut r)? as u32;
-            let (dbase, deb) = base_of(ds);
-            let dist = (dbase + if deb > 0 { r.read_bits(deb) } else { 0 }) as usize + 1;
-            if dist > out.len() {
-                return Err(CodecError::Corrupt("match distance exceeds history"));
-            }
-            if out.len() + len > declared_len {
-                return Err(CodecError::Corrupt("output exceeds declared length"));
-            }
-            // A match that overlaps its own output (`dist < len`) repeats
-            // the last `dist` bytes: each pass copies everything written
-            // since `start`, a whole number of periods, so spans double.
-            let start = out.len() - dist;
-            let mut left = len;
-            while left > 0 {
-                let span = left.min(out.len() - start);
-                out.extend_from_within(start..start + span);
-                left -= span;
-            }
-        }
-        if out.len() > declared_len {
-            return Err(CodecError::Corrupt("output exceeds declared length"));
+            let len = (entry.payload() + r.read_bits(entry.extra_bits())) as usize;
+            let entry = dist_dec.as_ref().ok_or(NO_DIST_TABLE)?.decode(&mut r)?;
+            let dist = (entry.payload() + r.read_bits(entry.extra_bits())) as usize;
+            emit_match(out, dist, len, declared_len)?;
         }
     }
     Ok(())
@@ -194,7 +286,7 @@ impl Codec for GzipLite {
         let stored_crc = u32::from_le_bytes(input[pos..pos + 4].try_into().unwrap());
         pos += 4;
         let n_blocks = varint::read_u32(input, &mut pos)? as usize;
-        let mut out = Vec::with_capacity(crate::bounded_capacity(declared_len));
+        let mut out = Vec::with_capacity(crate::bounded_capacity(declared_len) + lz77::COPY_SLACK);
         for _ in 0..n_blocks {
             decode_block(input, &mut pos, &mut out, declared_len)?;
         }

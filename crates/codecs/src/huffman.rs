@@ -179,63 +179,220 @@ impl HuffmanEncoder {
     }
 }
 
-/// Table-driven canonical Huffman decoder.
+/// One decoder table entry, packed so a token costs one load.
 ///
-/// A single table of `2^max_len` entries maps the next `max_len` peeked bits
-/// to `(symbol, length)`.
-#[derive(Debug)]
-pub struct HuffmanDecoder {
-    table: Vec<(u16, u8)>,
-    max_len: u8,
+/// | bits  | field                                                        |
+/// |-------|--------------------------------------------------------------|
+/// | 0–3   | code length in bits; 0 = no code is a prefix of the input    |
+/// | 4–7   | raw extra bits that follow the code (match slots)            |
+/// | 8     | literal flag                                                 |
+/// | 9     | sub-table pointer (decoder-internal, never seen by callers)  |
+/// | 16–31 | payload: the literal byte, or the slot's pre-resolved base   |
+///
+/// The caller of [`HuffmanDecoder::build`] chooses flag, extra-bit count
+/// and payload per symbol; the decoder adds the code length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Entry(u32);
+
+const ENTRY_LITERAL: u32 = 1 << 8;
+const ENTRY_SUBTABLE: u32 = 1 << 9;
+
+impl Entry {
+    const NO_CODE: Entry = Entry(0);
+
+    /// Entry of a symbol that stands for the byte `byte`.
+    #[inline]
+    pub fn literal(byte: u8) -> Self {
+        Entry(ENTRY_LITERAL | u32::from(byte) << 16)
+    }
+
+    /// Entry of a slot symbol: its value is `base` plus `extra_bits` raw
+    /// bits read after the code.
+    #[inline]
+    pub fn base(base: u16, extra_bits: u32) -> Self {
+        debug_assert!(extra_bits <= 15);
+        Entry(extra_bits << 4 | u32::from(base) << 16)
+    }
+
+    /// Bits the code occupies; 0 when the input matches no code.
+    #[inline(always)]
+    pub fn code_len(self) -> u32 {
+        self.0 & 15
+    }
+
+    #[inline(always)]
+    pub fn extra_bits(self) -> u32 {
+        (self.0 >> 4) & 15
+    }
+
+    #[inline(always)]
+    pub fn is_literal(self) -> bool {
+        self.0 & ENTRY_LITERAL != 0
+    }
+
+    #[inline(always)]
+    pub fn payload(self) -> u32 {
+        self.0 >> 16
+    }
 }
 
-const INVALID: (u16, u8) = (u16::MAX, 0);
+/// Longest code the decoder accepts (a length travels as one nibble).
+pub const MAX_DECODE_LEN: u32 = 15;
+
+/// What bits that match no code decode to.
+pub const INVALID_CODE: CodecError = CodecError::Corrupt("invalid huffman code");
+
+/// Two-level table-driven canonical Huffman decoder.
+///
+/// The low `primary_bits` of the input index the primary table. A code
+/// no longer than that fills every slot it is a prefix of; codes longer
+/// than that share a sub-table, appended to the same vector, that the
+/// primary slot of their common prefix points to and the following bits
+/// index. The primary table stays in L1 and costs `1 << primary_bits`
+/// writes to build, whatever the longest code is.
+#[derive(Debug)]
+pub struct HuffmanDecoder {
+    table: Vec<Entry>,
+    primary_bits: u32,
+}
 
 impl HuffmanDecoder {
-    pub fn from_lengths(lengths: &[u8]) -> Result<Self, CodecError> {
-        let max_len = lengths.iter().copied().max().unwrap_or(0);
-        if max_len == 0 {
-            return Err(CodecError::Corrupt("huffman table with no codes"));
+    /// Build the table for the canonical code over `lengths`, asking
+    /// `meta` for the flag, extra-bit count and payload of each coded
+    /// symbol. Fails on an empty code, a length above 15 or lengths that
+    /// violate the Kraft inequality; a Kraft-deficient code is accepted
+    /// and its unassigned bit patterns decode to "no code".
+    pub fn build(
+        lengths: &[u8],
+        primary_bits: u32,
+        meta: impl Fn(usize) -> Entry,
+    ) -> Result<Self, CodecError> {
+        let mut count = [0u32; MAX_DECODE_LEN as usize + 1];
+        for &l in lengths {
+            if u32::from(l) > MAX_DECODE_LEN {
+                return Err(CodecError::Corrupt("huffman code length > 15"));
+            }
+            count[usize::from(l)] += 1;
         }
-        if max_len > 15 {
-            return Err(CodecError::Corrupt("huffman code length > 15"));
-        }
-        // Validate the Kraft inequality before building the table.
-        let kraft: u64 = lengths
-            .iter()
-            .filter(|&&l| l > 0)
-            .map(|&l| 1u64 << (max_len - l))
+        count[0] = 0;
+        let max_len = (1..=MAX_DECODE_LEN)
+            .rev()
+            .find(|&l| count[l as usize] > 0)
+            .ok_or(CodecError::Corrupt("huffman table with no codes"))?;
+        let kraft: u64 = (1..=max_len)
+            .map(|l| u64::from(count[l as usize]) << (max_len - l))
             .sum();
         if kraft > 1u64 << max_len {
             return Err(CodecError::Corrupt("huffman lengths violate Kraft"));
         }
-        let codes = canonical_codes(lengths);
-        let mut table = vec![INVALID; 1usize << max_len];
-        for (sym, (&len, code)) in lengths.iter().zip(codes).enumerate() {
+        // First canonical code (MSB-first numbering) of each length.
+        let mut first = [0u32; MAX_DECODE_LEN as usize + 1];
+        let mut code = 0u32;
+        for l in 1..=max_len as usize {
+            code = (code + count[l - 1]) << 1;
+            first[l] = code;
+        }
+
+        let primary_bits = primary_bits.clamp(1, max_len);
+        let primary_size = 1usize << primary_bits;
+        let primary_mask = primary_size - 1;
+        let mut table = vec![Entry::NO_CODE; primary_size];
+
+        // A symbol's entry: what the caller chose plus the whole code
+        // length, in the primary table and in a sub-table alike, so a
+        // caller consumes both kinds of hit the same way.
+        let coded = |sym: usize, len: u32| {
+            let m = meta(sym);
+            debug_assert_eq!(m.0 & (15 | ENTRY_SUBTABLE), 0);
+            Entry(m.0 | len)
+        };
+
+        // Short codes fill the primary table. A long code leaves, in the
+        // extra-bits field of its prefix's primary slot (code length still
+        // 0), the index width its sub-table needs.
+        let mut next = first;
+        for (sym, &len) in lengths.iter().enumerate() {
             if len == 0 {
                 continue;
             }
-            let rev = reverse_bits(code, len);
-            let step = 1usize << len;
-            let mut idx = rev as usize;
-            while idx < table.len() {
-                table[idx] = (sym as u16, len);
-                idx += step;
+            let len = u32::from(len);
+            let rev = reverse_bits(next[len as usize], len as u8) as usize;
+            next[len as usize] += 1;
+            if len <= primary_bits {
+                let entry = coded(sym, len);
+                for slot in table[rev..].iter_mut().step_by(1 << len) {
+                    *slot = entry;
+                }
+            } else {
+                let slot = &mut table[rev & primary_mask];
+                slot.0 = slot.0.max((len - primary_bits) << 4);
             }
         }
-        Ok(Self { table, max_len })
+
+        if max_len > primary_bits {
+            // Turn the recorded widths into pointers and append the
+            // sub-tables. At most `1 << primary_bits` of them with
+            // `1 << (15 - primary_bits)` entries each, so an offset always
+            // fits the 16-bit payload.
+            for prefix in 0..primary_size {
+                let slot = table[prefix];
+                if slot.code_len() == 0 && slot.extra_bits() != 0 {
+                    let offset = table.len() as u32;
+                    debug_assert!(offset < 1 << 16);
+                    table[prefix] = Entry(ENTRY_SUBTABLE | slot.0 | offset << 16);
+                    table.resize(table.len() + (1 << slot.extra_bits()), Entry::NO_CODE);
+                }
+            }
+            let mut next = first;
+            for (sym, &len) in lengths.iter().enumerate() {
+                let len = u32::from(len);
+                if len <= primary_bits {
+                    next[len as usize] += 1;
+                    continue;
+                }
+                let rev = reverse_bits(next[len as usize], len as u8) as usize;
+                next[len as usize] += 1;
+                let pointer = table[rev & primary_mask];
+                let start = pointer.payload() as usize;
+                let end = start + (1 << pointer.extra_bits());
+                let entry = coded(sym, len);
+                for slot in table[start + (rev >> primary_bits)..end]
+                    .iter_mut()
+                    .step_by(1 << (len - primary_bits))
+                {
+                    *slot = entry;
+                }
+            }
+        }
+        Ok(Self {
+            table,
+            primary_bits,
+        })
     }
 
-    /// Decode one symbol from the bit stream.
-    #[inline]
-    pub fn decode(&self, r: &mut BitReader<'_>) -> Result<u16, CodecError> {
-        let peek = r.peek_bits(u32::from(self.max_len));
-        let (sym, len) = self.table[peek as usize];
-        if len == 0 {
-            return Err(CodecError::Corrupt("invalid huffman code"));
+    /// The entry of the code at the low end of `bits`, of which the low
+    /// 15 must be stream bits (zero padding past the end of the stream).
+    /// Nothing is consumed: the caller drops [`Entry::code_len`] bits.
+    #[inline(always)]
+    pub fn lookup(&self, bits: u64) -> Entry {
+        let primary_mask = (1u64 << self.primary_bits) - 1;
+        let mut entry = self.table[(bits & primary_mask) as usize];
+        if entry.0 & ENTRY_SUBTABLE != 0 {
+            let sub = (bits >> self.primary_bits) & ((1u64 << entry.extra_bits()) - 1);
+            entry = self.table[entry.payload() as usize + sub as usize];
         }
-        r.consume(u32::from(len));
-        Ok(sym)
+        entry
+    }
+
+    /// Decode one symbol's entry from a checked bit reader.
+    #[inline]
+    pub fn decode(&self, r: &mut BitReader<'_>) -> Result<Entry, CodecError> {
+        let entry = self.lookup(u64::from(r.peek_bits(MAX_DECODE_LEN)));
+        if entry.code_len() == 0 {
+            return Err(INVALID_CODE);
+        }
+        r.consume(entry.code_len());
+        Ok(entry)
     }
 }
 
@@ -281,18 +438,33 @@ pub fn read_lengths(input: &[u8], pos: &mut usize) -> Result<Vec<u8>, CodecError
 mod tests {
     use super::*;
 
-    fn round_trip_symbols(freqs: &[u64], stream: &[usize], max_len: u8) {
-        let enc = HuffmanEncoder::from_frequencies(freqs, max_len);
-        let dec = HuffmanDecoder::from_lengths(enc.lengths()).unwrap();
+    /// A decoder whose payload is the symbol itself.
+    fn symbol_decoder(lengths: &[u8], primary_bits: u32) -> Result<HuffmanDecoder, CodecError> {
+        HuffmanDecoder::build(lengths, primary_bits, |sym| Entry::base(sym as u16, 0))
+    }
+
+    /// Encode `stream` with `lengths` and decode it back through tables of
+    /// several primary widths: one level, two levels, nearly all sub-tables.
+    fn round_trip_lengths(lengths: &[u8], stream: &[usize]) {
+        let enc = HuffmanEncoder::from_lengths(lengths);
         let mut w = BitWriter::new();
         for &s in stream {
             enc.encode(&mut w, s);
         }
         let bytes = w.finish();
-        let mut r = BitReader::new(&bytes);
-        for &s in stream {
-            assert_eq!(dec.decode(&mut r).unwrap() as usize, s);
+        for primary_bits in [1, 3, 9, 10, 15] {
+            let dec = symbol_decoder(lengths, primary_bits).unwrap();
+            let mut r = BitReader::new(&bytes);
+            for &s in stream {
+                let entry = dec.decode(&mut r).unwrap();
+                assert_eq!(entry.payload() as usize, s, "primary_bits {primary_bits}");
+                assert_eq!(entry.code_len(), u32::from(lengths[s]));
+            }
         }
+    }
+
+    fn round_trip_symbols(freqs: &[u64], stream: &[usize], max_len: u8) {
+        round_trip_lengths(&build_lengths(freqs, max_len), stream);
     }
 
     #[test]
@@ -316,7 +488,7 @@ mod tests {
     #[test]
     fn empty_alphabet_yields_zero_lengths() {
         assert_eq!(build_lengths(&[0, 0, 0], 13), vec![0, 0, 0]);
-        assert!(HuffmanDecoder::from_lengths(&[0, 0]).is_err());
+        assert!(symbol_decoder(&[0, 0], 10).is_err());
     }
 
     #[test]
@@ -349,17 +521,8 @@ mod tests {
                 .sum();
             assert!(kraft <= 1.0 + 1e-9, "kraft {kraft} for max_len {max_len}");
             // And it must still decode.
-            let enc = HuffmanEncoder::from_lengths(&lengths);
-            let dec = HuffmanDecoder::from_lengths(&lengths).unwrap();
-            let mut w = BitWriter::new();
-            for s in 0..freqs.len() {
-                enc.encode(&mut w, s);
-            }
-            let bytes = w.finish();
-            let mut r = BitReader::new(&bytes);
-            for s in 0..freqs.len() {
-                assert_eq!(dec.decode(&mut r).unwrap() as usize, s);
-            }
+            let stream: Vec<usize> = (0..freqs.len()).collect();
+            round_trip_lengths(&lengths, &stream);
         }
     }
 
@@ -393,19 +556,52 @@ mod tests {
     #[test]
     fn decoder_rejects_invalid_kraft() {
         // Three 1-bit codes cannot coexist.
-        assert!(HuffmanDecoder::from_lengths(&[1, 1, 1]).is_err());
+        assert!(symbol_decoder(&[1, 1, 1], 10).is_err());
+        assert!(symbol_decoder(&[1, 16], 10).is_err());
     }
 
     #[test]
     fn decoder_rejects_garbage_bits() {
-        // Kraft-deficient code: symbol 0 has the only code (0b0, 2 bits
-        // would be canonical 00). Bits selecting an unassigned slot error.
+        // Kraft-deficient code: two 2-bit codes (00 and 01); bits selecting
+        // an unassigned slot error, in the primary table and in a sub-table.
         let lengths = [2u8, 2, 0, 0];
-        let dec = HuffmanDecoder::from_lengths(&lengths).unwrap();
         let mut w = BitWriter::new();
         w.write_bits(0b11, 2); // reversed pattern not covered by any code
         let bytes = w.finish();
+        for primary_bits in [1, 2, 10] {
+            let dec = symbol_decoder(&lengths, primary_bits).unwrap();
+            let mut r = BitReader::new(&bytes);
+            assert!(dec.decode(&mut r).is_err(), "primary_bits {primary_bits}");
+        }
+    }
+
+    #[test]
+    fn entries_carry_the_callers_metadata() {
+        // 1-bit literal, 2-bit slot with 5 extra bits, 15-bit literal and
+        // slot behind a sub-table.
+        let mut lengths = vec![1u8, 2, 15, 15];
+        lengths.resize(6, 0);
+        let dec = HuffmanDecoder::build(&lengths, 9, |sym| match sym {
+            0 => Entry::literal(b'x'),
+            1 => Entry::base(24_577, 5),
+            2 => Entry::literal(0xFF),
+            _ => Entry::base(7, 13),
+        })
+        .unwrap();
+        let enc = HuffmanEncoder::from_lengths(&lengths);
+        let mut w = BitWriter::new();
+        for sym in 0..4 {
+            enc.encode(&mut w, sym);
+        }
+        let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
-        assert!(dec.decode(&mut r).is_err());
+        let e = dec.decode(&mut r).unwrap();
+        assert!(e.is_literal() && e.payload() == u32::from(b'x') && e.code_len() == 1);
+        let e = dec.decode(&mut r).unwrap();
+        assert!(!e.is_literal() && e.payload() == 24_577 && e.extra_bits() == 5);
+        let e = dec.decode(&mut r).unwrap();
+        assert!(e.is_literal() && e.payload() == 0xFF && e.code_len() == 15);
+        let e = dec.decode(&mut r).unwrap();
+        assert!(!e.is_literal() && e.payload() == 7 && e.extra_bits() == 13);
     }
 }

@@ -125,7 +125,7 @@ impl Codec for SevenzLite {
 
         let mut models = Models::new();
         let mut dec = RangeDecoder::new(&input[pos..]);
-        let mut out = Vec::with_capacity(crate::bounded_capacity(declared_len));
+        let mut out = Vec::with_capacity(crate::bounded_capacity(declared_len) + lz77::COPY_SLACK);
         let mut prev_byte = 0u8;
         for _ in 0..n_tokens {
             // The range decoder yields zero bytes past the end of input; a
@@ -156,11 +156,7 @@ impl Codec for SevenzLite {
                 if out.len() + len > declared_len {
                     return Err(CodecError::Corrupt("output exceeds declared length"));
                 }
-                let start = out.len() - dist;
-                for i in 0..len {
-                    let b = out[start + i];
-                    out.push(b);
-                }
+                lz77::copy_match(&mut out, dist, len);
                 prev_byte = *out.last().unwrap();
             }
             if out.len() > declared_len {

@@ -104,7 +104,7 @@ impl Codec for SnappyLite {
         let stored_crc = u32::from_le_bytes(input[pos..pos + 4].try_into().unwrap());
         pos += 4;
 
-        let mut out = Vec::with_capacity(crate::bounded_capacity(declared_len));
+        let mut out = Vec::with_capacity(crate::bounded_capacity(declared_len) + lz77::COPY_SLACK);
         while out.len() < declared_len {
             let tag = *input.get(pos).ok_or(CodecError::Truncated)?;
             pos += 1;
@@ -145,11 +145,7 @@ impl Codec for SnappyLite {
                     if dist == 0 || dist > out.len() {
                         return Err(CodecError::Corrupt("copy distance exceeds history"));
                     }
-                    let start = out.len() - dist;
-                    for i in 0..len {
-                        let b = out[start + i];
-                        out.push(b);
-                    }
+                    lz77::copy_match(&mut out, dist, len);
                 }
                 _ => return Err(CodecError::Corrupt("unknown tag type")),
             }

@@ -278,7 +278,9 @@ impl Codec for ZstdLite {
         }
         let mut extras = BitReader::new(&input[pos..pos + extras_len]);
 
-        let mut buf = Vec::with_capacity(crate::bounded_capacity(dict_bytes.len() + declared_len));
+        let mut buf = Vec::with_capacity(
+            crate::bounded_capacity(dict_bytes.len() + declared_len) + lz77::COPY_SLACK,
+        );
         buf.extend_from_slice(dict_bytes);
         let mut lit_pos = 0usize;
         let take_literals =
@@ -305,11 +307,7 @@ impl Codec for ZstdLite {
             if buf.len() + match_len > dict_bytes.len() + declared_len {
                 return Err(CodecError::Corrupt("output exceeds declared length"));
             }
-            let start = buf.len() - dist;
-            for k in 0..match_len {
-                let b = buf[start + k];
-                buf.push(b);
-            }
+            lz77::copy_match(&mut buf, dist, match_len);
         }
         take_literals(&mut buf, &mut lit_pos, trailing)?;
         if lit_pos != lit_syms.len() {
