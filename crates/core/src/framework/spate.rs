@@ -5,8 +5,8 @@ use crate::framework::{ExplorationFramework, IngestStats, SpaceReport, StoreObse
 use crate::index::decay::{decay_with_fungus_traced, DecayPolicy, DecayReport, Fungus};
 use crate::index::highlights::HighlightConfig;
 use crate::index::persist::{self, PersistError};
-use crate::index::{Covering, TemporalIndex};
-use crate::query::{Coverage, Query, QueryResult, RowPlan};
+use crate::index::TemporalIndex;
+use crate::query::{Coverage, Plan, Query, QueryResult, RowPlan};
 use crate::storage::{parse_stage, SnapshotStore, StorageError, StoredSnapshot};
 use codecs::{Codec, GzipLite};
 use dfs::Dfs;
@@ -341,6 +341,23 @@ impl SpateFramework {
         report
     }
 
+    /// Decide how `q` is answered, before any leaf is read: warm the
+    /// attributes it selects in the heat ledger and probe the index for
+    /// a covering of `w`.
+    pub fn plan(&self, q: &Query) -> Plan {
+        for attr in &q.attributes {
+            self.index.heat().touch_attribute(attr);
+        }
+        let covering = {
+            let _s = obs::span("index_probe");
+            let start = std::time::Instant::now();
+            let covering = self.index.find_covering(q.window.0, q.window.1);
+            obs::cost::add_stage_ns("index_probe", start.elapsed().as_nanos() as u64);
+            covering
+        };
+        Plan::of(covering, &self.layout, &q.bbox)
+    }
+
     /// Classify every epoch of an inclusive window by what the warehouse
     /// can serve *right now*: full-resolution leaf readable (served),
     /// evicted by decay (decayed), or stored-but-unreadable / never
@@ -464,69 +481,23 @@ impl ExplorationFramework for SpateFramework {
 
     fn query(&self, q: &Query) -> QueryResult {
         let _span = obs::span("spate.query");
-        // Workload heat: every query warms the attributes it selects and
-        // (below) the epochs it actually reads.
-        for attr in &q.attributes {
-            self.index.heat().touch_attribute(attr);
+        let plan = self.plan(q);
+        let _s = matches!(plan, Plan::Exact(_)).then(|| obs::span("scan"));
+        // One epoch at a time, straight over the serialized text: no
+        // epoch of the window is ever held decoded.
+        let rows = RowPlan::new(q, &self.layout);
+        let result = plan.evaluate(&rows, |epoch, out| {
+            self.index.heat().touch_epoch(epoch);
+            let text = self.store.load_text(epoch);
+            text.and_then(|text| parse_stage(|| rows.scan_epoch(epoch, &text, out)))
+                .is_ok()
+        });
+        if let QueryResult::Partial { coverage, .. } = &result {
+            obs::inc("spate.query.partial");
+            let unavailable = u64::from(coverage.unavailable);
+            obs::add("spate.query.unavailable_epochs", unavailable);
         }
-        let covering = {
-            let _s = obs::span("index_probe");
-            let start = std::time::Instant::now();
-            let covering = self.index.find_covering(q.window.0, q.window.1);
-            obs::cost::add_stage_ns("index_probe", start.elapsed().as_nanos() as u64);
-            covering
-        };
-        match covering {
-            Covering::Exact(leaves) => {
-                let _s = obs::span("scan");
-                // Degraded-coverage contract: epochs whose leaf can't be
-                // read right now (lost or corrupt replicas) are dropped
-                // from the answer and *accounted*, never silently skipped
-                // and never fatal to the rest of the window.
-                //
-                // One epoch at a time, straight over the serialized text:
-                // no epoch of the window is ever held decoded.
-                let requested = leaves.len() as u32;
-                let plan = RowPlan::new(q, &self.layout);
-                let mut result = plan.empty_result();
-                let mut unavailable = 0u32;
-                for leaf in &leaves {
-                    self.index.heat().touch_epoch(leaf.epoch);
-                    let scanned = self.store.load_text(leaf.epoch).and_then(|text| {
-                        parse_stage(|| plan.scan_epoch(leaf.epoch, &text, &mut result))
-                    });
-                    if scanned.is_err() {
-                        unavailable += 1;
-                    }
-                }
-                if unavailable == 0 {
-                    QueryResult::Exact(result)
-                } else {
-                    obs::inc("spate.query.partial");
-                    obs::add("spate.query.unavailable_epochs", u64::from(unavailable));
-                    QueryResult::Partial {
-                        result,
-                        coverage: Coverage {
-                            requested,
-                            served: requested - unavailable,
-                            decayed: 0,
-                            unavailable,
-                        },
-                    }
-                }
-            }
-            Covering::Summary {
-                resolution,
-                highlights,
-            } => {
-                let cells: HashSet<u32> = self.layout.cells_in(&q.bbox).into_iter().collect();
-                QueryResult::Summary {
-                    resolution,
-                    highlights: highlights.filter_cells(&cells),
-                }
-            }
-            Covering::Unavailable => QueryResult::Unavailable,
-        }
+        result
     }
 }
 

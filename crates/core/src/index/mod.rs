@@ -11,7 +11,6 @@ pub mod decay;
 pub mod heat;
 pub mod highlights;
 pub mod persist;
-pub mod sketch;
 
 use crate::storage::StoredSnapshot;
 use heat::HeatLedger;

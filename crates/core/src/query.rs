@@ -6,12 +6,14 @@
 //! w'" (§VI-A).
 
 use crate::index::highlights::{Highlights, Resolution};
+use crate::index::Covering;
 use crate::storage::{self, StorageError};
+use std::collections::HashSet;
 use std::fmt;
 use telco_trace::cells::{BoundingBox, CellLayout};
 use telco_trace::record::Value;
 use telco_trace::schema::{cdr, nms, Schema, TableKind};
-use telco_trace::snapshot::Snapshot;
+use telco_trace::snapshot::{Row, Snapshot};
 use telco_trace::time::EpochId;
 
 /// A data exploration query.
@@ -182,6 +184,16 @@ pub enum QueryResult {
 }
 
 impl QueryResult {
+    /// The answer of an exact-branch run: `Exact` when every requested
+    /// epoch was served, `Partial` carrying the report otherwise.
+    pub(crate) fn from_run(result: ExactResult, coverage: Coverage) -> Self {
+        if coverage.is_complete() {
+            QueryResult::Exact(result)
+        } else {
+            QueryResult::Partial { result, coverage }
+        }
+    }
+
     pub fn is_exact(&self) -> bool {
         matches!(self, QueryResult::Exact(_))
     }
@@ -222,6 +234,118 @@ impl QueryResult {
     }
 }
 
+/// What the index offers for `Q(a, b, w)`, decided once per query
+/// (`SpateFramework::plan`, `ShardedSpate::plan`) before any leaf is read.
+#[derive(Debug)]
+pub enum Plan {
+    /// Every epoch of `w` is retained at full resolution: the epochs to
+    /// read, in order.
+    Exact(Vec<EpochId>),
+    /// `w` decayed: the lowest covering node's highlights, filtered to `b`.
+    Summary {
+        resolution: Resolution,
+        highlights: Highlights,
+    },
+    /// Nothing retained covers `w`.
+    Unavailable,
+}
+
+impl Plan {
+    /// What one index's `covering` of `w` offers a query over box `bbox`:
+    /// a summary's highlights are filtered to the cells of `b`.
+    pub(crate) fn of(covering: Covering<'_>, layout: &CellLayout, bbox: &BoundingBox) -> Plan {
+        match covering {
+            Covering::Exact(leaves) => Plan::Exact(leaves.iter().map(|l| l.epoch).collect()),
+            Covering::Summary {
+                resolution,
+                highlights,
+            } => {
+                let cells: HashSet<u32> = layout.cells_in(bbox).into_iter().collect();
+                Plan::Summary {
+                    resolution,
+                    highlights: highlights.filter_cells(&cells),
+                }
+            }
+            Covering::Unavailable => Plan::Unavailable,
+        }
+    }
+
+    /// Evaluate into a buffered answer: the exact branch runs through
+    /// [`run_exact`] keeping every row `reach` appends.
+    pub fn evaluate(
+        self,
+        rows: &RowPlan,
+        reach: impl FnMut(EpochId, &mut ExactResult) -> bool,
+    ) -> QueryResult {
+        match self {
+            Plan::Exact(epochs) => {
+                let mut result = rows.empty_result();
+                let keep = |_: &mut ExactResult| Ok::<(), std::convert::Infallible>(());
+                let run = run_exact(&epochs, &mut result, reach, keep)
+                    .unwrap_or_else(|never| match never {});
+                QueryResult::from_run(result, run.coverage)
+            }
+            Plan::Summary {
+                resolution,
+                highlights,
+            } => QueryResult::Summary {
+                resolution,
+                highlights,
+            },
+            Plan::Unavailable => QueryResult::Unavailable,
+        }
+    }
+}
+
+/// How a run of the exact branch ended.
+#[derive(Debug, Clone, Copy)]
+pub struct ExactRun {
+    pub coverage: Coverage,
+    /// Epochs a budget interrupt cut off; they count as `unavailable`.
+    pub cut_off: u32,
+}
+
+/// The exact branch of `Q(a, b, w)`, for every evaluator. For each epoch
+/// of the plan, in order: a cooperative [`obs::budget`] checkpoint — on
+/// cancellation or deadline expiry the scan stops and the rest of the
+/// window is reported unavailable, a `Partial` instead of an overrun —
+/// then `reach` appends the epoch's selected rows to `out` or answers
+/// `false` with `out` as it was, then `emit` disposes of what `out`
+/// holds (stream it and clear, or keep it).
+///
+/// The degraded-coverage contract: an epoch whose leaf cannot be read
+/// right now (lost or corrupt replicas) is dropped from the answer and
+/// *accounted*, never silently skipped and never fatal to the rest of
+/// the window. Only `emit` can fail the run.
+pub fn run_exact<E>(
+    epochs: &[EpochId],
+    out: &mut ExactResult,
+    mut reach: impl FnMut(EpochId, &mut ExactResult) -> bool,
+    mut emit: impl FnMut(&mut ExactResult) -> Result<(), E>,
+) -> Result<ExactRun, E> {
+    let requested = epochs.len() as u32;
+    let (mut unavailable, mut cut_off) = (0, 0);
+    for (reached, &epoch) in epochs.iter().enumerate() {
+        if obs::budget::interrupted().is_some() {
+            cut_off = requested - reached as u32;
+            break;
+        }
+        if reach(epoch, out) {
+            emit(out)?;
+        } else {
+            unavailable += 1;
+        }
+    }
+    unavailable += cut_off;
+    let coverage = Coverage {
+        requested,
+        served: requested - unavailable,
+        decayed: 0,
+        unavailable,
+    };
+    Ok(ExactRun { coverage, cut_off })
+}
+
 /// Resolve a query's attribute selection against both schemas.
 pub struct Projection {
     pub cdr_cols: Vec<usize>,
@@ -256,10 +380,10 @@ impl Projection {
 
 /// `Q(a, b, ·)` resolved once against the schemas and the cell layout:
 /// which columns of which table to emit, and which cells lie in `b`.
-/// Every exact-branch evaluation — over decoded snapshots
-/// ([`project_snapshots`], the serving tier's cache) or straight over
-/// serialized text ([`RowPlan::scan_epoch`]) — selects rows and columns
-/// through it.
+/// [`Self::select`] is the one place a row is tested against `b` and
+/// projected onto `a`; the two drivers — [`Self::project`] over a
+/// decoded snapshot, [`Self::scan_epoch`] over serialized text — only
+/// feed it rows.
 pub struct RowPlan {
     projection: Projection,
     /// Bit `c` is set when cell `c` lies in `b`; `layout.len()` bits.
@@ -288,11 +412,19 @@ impl RowPlan {
         word.is_some_and(|word| word >> (cell % 64) & 1 == 1)
     }
 
-    /// The cell-id column of a table and the columns `a` selects from it.
-    fn columns(&self, table: TableKind) -> (usize, &[usize]) {
-        match table {
-            TableKind::Cdr => (cdr::CELL_ID, &self.projection.cdr_cols),
-            _ => (nms::CELL_ID, &self.projection.nms_cols),
+    /// Append `row` of `table`, projected onto `a`, to `out` if its cell
+    /// lies in `b` (and `a` selects anything of `table` at all): the
+    /// filter reads the cell-id column alone, and only the selected
+    /// columns of a row that passes become [`Value`]s.
+    pub(crate) fn select(&self, table: TableKind, row: Row<'_>, out: &mut ExactResult) {
+        let (cell_col, cols, slice) = match table {
+            TableKind::Cdr => (cdr::CELL_ID, &self.projection.cdr_cols, &mut out.cdr),
+            _ => (nms::CELL_ID, &self.projection.nms_cols, &mut out.nms),
+        };
+        if !cols.is_empty() && self.selects(row.i64(cell_col)) {
+            slice
+                .rows
+                .push(cols.iter().map(|&c| row.value(c)).collect());
         }
     }
 
@@ -311,39 +443,24 @@ impl RowPlan {
         }
     }
 
-    /// Evaluate over decoded snapshots, in iteration order.
-    pub fn project<'a>(&self, snapshots: impl Iterator<Item = &'a Snapshot>) -> ExactResult {
-        let mut out = self.empty_result();
-        let mut rows_scanned = 0;
-        for snap in snapshots {
-            out.epochs_read += 1;
-            rows_scanned += snap.total_records() as u64;
-            for (table, records, slice) in [
-                (TableKind::Cdr, &snap.cdr, &mut out.cdr),
-                (TableKind::Nms, &snap.nms, &mut out.nms),
-            ] {
-                let (cell_col, cols) = self.columns(table);
-                if cols.is_empty() {
-                    continue;
-                }
-                for r in records {
-                    if self.selects(r.get(cell_col).as_i64()) {
-                        let values = cols.iter().map(|&c| r.get(c).clone());
-                        slice.rows.push(values.collect());
-                    }
-                }
+    /// Evaluate over one decoded snapshot, appending to `out`.
+    pub fn project(&self, snap: &Snapshot, out: &mut ExactResult) {
+        let kept = out.row_count();
+        for table in [TableKind::Cdr, TableKind::Nms] {
+            for record in snap.table(table) {
+                self.select(table, Row::Record(record), out);
             }
         }
-        obs::cost::add_rows(rows_scanned, out.row_count() as u64);
-        out
+        out.epochs_read += 1;
+        let returned = out.row_count() - kept;
+        obs::cost::add_rows(snap.total_records() as u64, returned as u64);
     }
 
     /// Evaluate over the serialized text of `epoch` ([`Snapshot::scan`]),
-    /// appending to `out`: the filter runs on the cell-id field and only
-    /// the selected columns of rows that pass become [`Value`]s — the same
-    /// ones, in the same order, as [`Self::project`] yields over
-    /// `Snapshot::from_bytes(text)`. Every row is still checked as
-    /// `from_bytes` checks it, and every row walked counts as scanned.
+    /// appending to `out` the same rows, in the same order, as
+    /// [`Self::project`] does over `Snapshot::from_bytes(text)`.
+    /// Every row is still checked as `from_bytes` checks it, and every
+    /// row walked counts as scanned.
     ///
     /// On an error — `text` does not parse, or is another epoch's — `out`
     /// is left as it was and nothing is accounted.
@@ -357,15 +474,7 @@ impl RowPlan {
         let mut rows_walked = 0;
         let scanned = Snapshot::scan(text, |table, row| {
             rows_walked += 1;
-            let (cell_col, cols) = self.columns(table);
-            let slice = match table {
-                TableKind::Cdr => &mut out.cdr,
-                _ => &mut out.nms,
-            };
-            if !cols.is_empty() && self.selects(row.field(cell_col).parse().ok()) {
-                let values = cols.iter().map(|&c| Value::from_field(row.field(c)));
-                slice.rows.push(values.collect());
-            }
+            self.select(table, Row::Text(row), out);
         })
         .map_err(StorageError::from)
         .and_then(|found| storage::check_epoch(epoch, found));
@@ -396,7 +505,12 @@ pub fn project_snapshot_refs<'a>(
     q: &Query,
     layout: &CellLayout,
 ) -> ExactResult {
-    RowPlan::new(q, layout).project(snapshots)
+    let plan = RowPlan::new(q, layout);
+    let mut out = plan.empty_result();
+    for snap in snapshots {
+        plan.project(snap, &mut out);
+    }
+    out
 }
 
 /// Evaluate a query under per-query cost accounting (the explore-path
@@ -480,9 +594,8 @@ mod tests {
             BoundingBox::new(0.0, 0.0, 38_000.0, 38_000.0),
             BoundingBox::new(-5.0, -5.0, -1.0, -1.0), // no cell
         ] {
-            let plan = RowPlan::new(&Query::new(&["upflux"], bbox), &layout);
-            let cells: std::collections::HashSet<u32> =
-                layout.cells_in(&bbox).into_iter().collect();
+            let plan = RowPlan::new(&Query::new(&["cell_id"], bbox), &layout);
+            let cells: HashSet<u32> = layout.cells_in(&bbox).into_iter().collect();
             let reference = |v: &Value| {
                 let cell = v.as_i64().unwrap_or(-1);
                 u32::try_from(cell).is_ok_and(|c| cells.contains(&c))
@@ -504,6 +617,133 @@ mod tests {
                 assert!(plan.selects(Some(i64::from(cell))));
                 assert!(!plan.selects(Some(i64::from(cell) + (1 << 32))));
             }
+
+            // The same fields as the cell id of NMS rows: `select` keeps
+            // the reference's rows, read from the text or from the record.
+            let mut text = format!(
+                "#SNAPSHOT epoch=0 ts=0\n#TABLE CDR rows=0 cols={}\n#TABLE NMS rows={} cols={}\n",
+                cdr::WIDTH,
+                fields.len(),
+                nms::WIDTH
+            );
+            for field in &fields {
+                let row = (0..nms::WIDTH).map(|c| if c == nms::CELL_ID { field } else { "0" });
+                text.push_str(&row.collect::<Vec<_>>().join(","));
+                text.push('\n');
+            }
+            let (mut of_text, mut of_records) = (plan.empty_result(), plan.empty_result());
+            Snapshot::scan(text.as_bytes(), |table, row| {
+                plan.select(table, Row::Text(row), &mut of_text)
+            })
+            .unwrap();
+            for record in &Snapshot::from_bytes(text.as_bytes()).unwrap().nms {
+                plan.select(TableKind::Nms, Row::Record(record), &mut of_records);
+            }
+            let kept = fields
+                .iter()
+                .map(|f| Value::from_field(f))
+                .filter(reference);
+            assert_eq!(of_text.nms.rows, kept.map(|v| vec![v]).collect::<Vec<_>>());
+            assert_eq!(of_text, of_records);
+            assert!(of_text.cdr.rows.is_empty());
+        }
+    }
+
+    type Texts = std::collections::HashMap<EpochId, Vec<u8>>;
+
+    /// Three epochs, their serialized text by epoch, and a plan selecting
+    /// from both tables everywhere.
+    fn three_epochs() -> (RowPlan, Vec<EpochId>, Texts) {
+        let mut generator = TraceGenerator::new(TraceConfig::tiny());
+        let q = Query::new(&["upflux", "call_drops"], BoundingBox::everything());
+        let plan = RowPlan::new(&q, generator.layout());
+        let snaps: Vec<Snapshot> = (&mut generator).skip(18).take(3).collect();
+        let epochs = snaps.iter().map(|s| s.epoch).collect();
+        let texts = snaps.iter().map(|s| (s.epoch, s.to_bytes())).collect();
+        (plan, epochs, texts)
+    }
+
+    /// A reach step scanning `texts`.
+    fn scan<'a>(
+        plan: &'a RowPlan,
+        texts: &'a Texts,
+    ) -> impl FnMut(EpochId, &mut ExactResult) -> bool + 'a {
+        move |epoch, out| plan.scan_epoch(epoch, &texts[&epoch], out).is_ok()
+    }
+
+    #[test]
+    fn an_epoch_out_of_reach_costs_its_own_rows_and_is_counted() {
+        let (plan, epochs, mut texts) = three_epochs();
+        let keep = |_: &mut ExactResult| Ok::<(), ()>(());
+        let mut whole = plan.empty_result();
+        let run = run_exact(&epochs, &mut whole, scan(&plan, &texts), keep).unwrap();
+        assert_eq!((run.coverage.served, run.cut_off), (3, 0));
+        assert!(QueryResult::from_run(whole, run.coverage).is_exact());
+
+        // The middle epoch's last row loses a field, after every row
+        // before it was selected: the answer is the other two epochs'.
+        let bad = texts.get_mut(&epochs[1]).unwrap();
+        let comma = bad.iter().rposition(|&b| b == b',').unwrap();
+        bad.remove(comma);
+        let mut others = plan.empty_result();
+        for e in [epochs[0], epochs[2]] {
+            plan.scan_epoch(e, &texts[&e], &mut others).unwrap();
+        }
+        let mut emitted = 0;
+        let mut out = plan.empty_result();
+        let run = run_exact(&epochs, &mut out, scan(&plan, &texts), |_| {
+            emitted += 1;
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        assert_eq!(out, others);
+        let coverage = Coverage {
+            requested: 3,
+            served: 2,
+            decayed: 0,
+            unavailable: 1,
+        };
+        assert_eq!((run.coverage, run.cut_off), (coverage, 0));
+        assert_eq!(emitted, 2, "emit follows a reached epoch only");
+        assert!(QueryResult::from_run(out, coverage).is_partial());
+
+        // A failing emit ends the run with its error.
+        let mut out = plan.empty_result();
+        let failed = run_exact(&epochs, &mut out, scan(&plan, &texts), |_| Err("hung up"));
+        assert_eq!((failed.unwrap_err(), out.epochs_read), ("hung up", 1));
+    }
+
+    #[test]
+    fn an_interrupt_cuts_off_the_rest_of_the_window() {
+        let (plan, epochs, texts) = three_epochs();
+        for stop_before in 0..=epochs.len() {
+            let cancel = obs::CancelFlag::new();
+            let _budget = obs::budget::begin(None, cancel.clone());
+            let mut reached = 0;
+            let mut out = plan.empty_result();
+            if stop_before == 0 {
+                cancel.cancel();
+            }
+            let mut reach = scan(&plan, &texts);
+            let run = run_exact(
+                &epochs,
+                &mut out,
+                |epoch, out| {
+                    reached += 1;
+                    if reached == stop_before {
+                        cancel.cancel();
+                    }
+                    reach(epoch, out)
+                },
+                |_| Ok::<(), ()>(()),
+            )
+            .unwrap();
+            let left = (epochs.len() - stop_before) as u32;
+            assert_eq!(reached, stop_before);
+            assert_eq!(out.epochs_read, stop_before);
+            assert_eq!(run.cut_off, left);
+            assert_eq!(run.coverage.unavailable, left);
+            assert_eq!(run.coverage.served, stop_before as u32);
         }
     }
 

@@ -22,7 +22,7 @@
 //! and a thousand-user server never disagree about freshness.
 
 use crate::framework::ExplorationFramework;
-use crate::query::{project_snapshots, Query, QueryResult};
+use crate::query::{project_snapshot_refs, Query, QueryResult};
 use telco_trace::snapshot::Snapshot;
 use telco_trace::time::EpochId;
 
@@ -81,13 +81,11 @@ impl ExplorerSession {
             if q.window.0 >= c.start && q.window.1 <= c.end {
                 if c.version == fw.version() {
                     self.stats.cache_hits += 1;
-                    let slice: Vec<Snapshot> = c
+                    let slice = c
                         .snapshots
                         .iter()
-                        .filter(|s| s.epoch >= q.window.0 && s.epoch <= q.window.1)
-                        .cloned()
-                        .collect();
-                    return QueryResult::Exact(project_snapshots(&slice, q, fw.layout()));
+                        .filter(|s| s.epoch >= q.window.0 && s.epoch <= q.window.1);
+                    return QueryResult::Exact(project_snapshot_refs(slice, q, fw.layout()));
                 }
                 // The warehouse changed under the cached window: the rows
                 // may be decayed or superseded. Never serve them.

@@ -35,7 +35,8 @@ use crate::framework::{
 };
 use crate::index::decay::DecayReport;
 use crate::index::heat::HeatLedger;
-use crate::query::{Coverage, ExactResult, Query, QueryResult};
+use crate::index::highlights::{Highlights, Resolution};
+use crate::query::{Coverage, ExactResult, Plan, Query, QueryResult};
 use std::cmp::Ordering as CmpOrdering;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
@@ -145,6 +146,18 @@ fn merge_exact(parts: Vec<ExactResult>) -> ExactResult {
     out
 }
 
+/// Fold the summaries shards hold of one window into one: each shard's
+/// highlights summarize only its own cells, so their merge is the digest
+/// of the union; the resolution is the first shard's. `None` of none.
+fn fold_summaries(
+    parts: impl Iterator<Item = (Resolution, Highlights)>,
+) -> Option<(Resolution, Highlights)> {
+    parts.reduce(|(resolution, mut acc), (_, highlights)| {
+        acc.merge(&highlights);
+        (resolution, acc)
+    })
+}
+
 /// Gather the per-shard answers to one query. Precedence when shards
 /// disagree (transient only — shards share the ingest stream and decay
 /// schedule, so steady-state coverings agree):
@@ -162,20 +175,14 @@ pub fn merge_results(parts: Vec<QueryResult>) -> QueryResult {
         return QueryResult::Unavailable;
     }
     if parts.iter().any(QueryResult::is_summary) {
-        let mut merged: Option<(crate::index::highlights::Resolution, crate::Highlights)> = None;
-        for p in parts {
-            if let QueryResult::Summary {
+        let summaries = parts.into_iter().filter_map(|p| match p {
+            QueryResult::Summary {
                 resolution,
                 highlights,
-            } = p
-            {
-                match &mut merged {
-                    None => merged = Some((resolution, highlights)),
-                    Some((_, acc)) => acc.merge(&highlights),
-                }
-            }
-        }
-        let (resolution, highlights) = merged.expect("a summary part exists");
+            } => Some((resolution, highlights)),
+            _ => None,
+        });
+        let (resolution, highlights) = fold_summaries(summaries).expect("a summary part exists");
         return QueryResult::Summary {
             resolution,
             highlights,
@@ -183,16 +190,11 @@ pub fn merge_results(parts: Vec<QueryResult>) -> QueryResult {
     }
     let mut exacts: Vec<ExactResult> = Vec::new();
     let mut coverage: Option<Coverage> = None;
-    let mut any_partial = false;
     let mut unavailable_parts = 0usize;
     for p in parts {
         let c = p.coverage();
         match p {
-            QueryResult::Exact(e) => exacts.push(e),
-            QueryResult::Partial { result, .. } => {
-                any_partial = true;
-                exacts.push(result);
-            }
+            QueryResult::Exact(e) | QueryResult::Partial { result: e, .. } => exacts.push(e),
             QueryResult::Unavailable => unavailable_parts += 1,
             QueryResult::Summary { .. } => unreachable!("summaries handled above"),
         }
@@ -206,7 +208,6 @@ pub fn merge_results(parts: Vec<QueryResult>) -> QueryResult {
     let mut coverage = coverage.unwrap_or_default();
     if unavailable_parts > 0 {
         // A shard with nothing retained serves none of the window.
-        any_partial = true;
         coverage = coverage.merge(Coverage {
             requested: coverage.requested,
             served: 0,
@@ -214,12 +215,9 @@ pub fn merge_results(parts: Vec<QueryResult>) -> QueryResult {
             unavailable: coverage.requested,
         });
     }
-    let result = merge_exact(exacts);
-    if any_partial || !coverage.is_complete() {
-        QueryResult::Partial { result, coverage }
-    } else {
-        QueryResult::Exact(result)
-    }
+    // A partial part's report is incomplete and merging only shrinks
+    // `served`, so the envelope alone says whether the answer is whole.
+    QueryResult::from_run(merge_exact(exacts), coverage)
 }
 
 fn read_sane<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
@@ -416,9 +414,49 @@ impl ShardedSpate {
         Some(merge_snapshots(epoch, parts))
     }
 
+    /// Decide how `q` is answered across the shards: route the bounding
+    /// box to its shards and let the *primary* (lowest touched) shard
+    /// classify the window; when it has decayed there, the touched
+    /// shards' highlights are gathered and merged. Attribute heat files
+    /// on the primary shard only, so the merged ledger's counters are
+    /// invariant under the shard count. Shards are read one guard at a
+    /// time, ascending, and none is held on return: running the plan
+    /// re-acquires guards per epoch, so a slow client never blocks
+    /// ingest/decay.
+    pub fn plan(&self, q: &Query) -> Plan {
+        let mut summaries = Vec::new();
+        for (nth, i) in self.shards_for(&q.bbox).into_iter().enumerate() {
+            let g = self.read(i);
+            if nth == 0 {
+                for attr in &q.attributes {
+                    g.index().heat().touch_attribute(attr);
+                }
+            }
+            let covering = g.index().find_covering(q.window.0, q.window.1);
+            match Plan::of(covering, &self.layout, &q.bbox) {
+                Plan::Summary {
+                    resolution,
+                    highlights,
+                } => summaries.push((resolution, highlights)),
+                decided if nth == 0 => return decided,
+                // Exact where the primary summarizes (transient
+                // mid-mutation disagreement): nothing to add.
+                _ => {}
+            }
+        }
+        let (resolution, highlights) =
+            fold_summaries(summaries.into_iter()).expect("the primary shard's summary");
+        Plan::Summary {
+            resolution,
+            highlights,
+        }
+    }
+
     /// Scatter-gather a query: evaluate on every shard the box touches
-    /// (sequentially on the calling thread, so the caller's trace, cost
-    /// profile and deadline budget apply to the whole fan-out), then
+    /// (sequentially on the calling thread, so the caller's trace and
+    /// cost profile cover the whole fan-out, and an installed
+    /// [`obs::budget`] stops every shard's scan at its next epoch
+    /// boundary — the rest of the window merges as unavailable), then
     /// merge per [`merge_results`].
     ///
     /// The fan-out is a parent `shard.scatter` span with one
@@ -638,6 +676,41 @@ mod tests {
                 other => panic!("expected exact/exact, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_spent_budget_stops_every_scan_before_its_first_read() {
+        let (layout, snaps) = trace(4);
+        let mut single = SpateFramework::in_memory(layout.clone());
+        let sharded = ShardedSpate::in_memory(layout, 2);
+        for s in &snaps {
+            single.ingest(s);
+            sharded.ingest(s);
+        }
+        let reads = |single: &SpateFramework| {
+            let of = |fw: &SpateFramework| fw.store().dfs().metrics().reads;
+            of(single) + of(&sharded.read(0)) + of(&sharded.read(1))
+        };
+        let before = reads(&single);
+        let q =
+            Query::new(&["upflux", "call_drops"], BoundingBox::everything()).with_epoch_range(0, 3);
+        {
+            let cancel = obs::CancelFlag::new();
+            cancel.cancel();
+            let _budget = obs::budget::begin(None, cancel);
+            for answer in [single.query(&q), sharded.query(&q)] {
+                let QueryResult::Partial { result, coverage } = answer else {
+                    panic!("expected a partial answer, got {answer:?}");
+                };
+                assert_eq!(result.row_count(), 0);
+                assert_eq!((coverage.requested, coverage.served), (4, 0));
+                assert_eq!(coverage.unavailable, 4);
+            }
+            assert_eq!(reads(&single), before, "no leaf was read");
+        }
+        // Without a budget installed nothing changes.
+        assert!(single.query(&q).is_exact() && sharded.query(&q).is_exact());
+        assert!(reads(&single) > before);
     }
 
     #[test]

@@ -50,8 +50,7 @@ use obs::CostProfile;
 use obs::{CancelFlag, EventKind, Histogram, Interrupt};
 use spate_core::framework::{lend_records, ExplorationFramework, IngestStats, SpaceReport};
 use spate_core::index::highlights::Resolution;
-use spate_core::index::Covering;
-use spate_core::query::{Coverage, Query, QueryResult, RowPlan};
+use spate_core::query::{run_exact, Coverage, ExactResult, Plan, Query, QueryResult, RowPlan};
 use spate_core::shard::{merge_snapshots, ShardedSpate};
 use spate_core::{
     AnomalyRecord, DecayReport, Highlights, MetaConfig, MetaMonitor, MetaSummary, SpateFramework,
@@ -1065,7 +1064,7 @@ fn serve_explore(
     // its own load — a slow client never blocks ingest/decay, and a
     // scan never pins a shard it isn't reading this instant.
     let _eval_span = obs::span("serve.evaluate");
-    let sent = match plan_query(shared, &q) {
+    let sent = match shared.shards.plan(&q) {
         Plan::Exact(epochs) => stream_epochs(shared, ep, id, &q, &epochs),
         Plan::Summary {
             resolution,
@@ -1161,12 +1160,12 @@ fn send_error(ep: &Endpoint, id: u64, code: u8, message: &str) -> Result<(), Tra
     })
 }
 
-/// Stream an exact window Volcano-style: header first, then one epoch
-/// at a time — resolve it (cache or guard-all shard load), project it,
-/// push its row chunks, drop it — so the serve tier never buffers more
-/// than one epoch of the answer plus a [`FrameBatch`] of encoded frames.
-/// Ends with an optional coverage report (only when degraded) and the
-/// terminal `Done`.
+/// Stream an exact window Volcano-style: header first, then the shared
+/// exact-branch loop ([`run_exact`]) one epoch at a time — reach it
+/// ([`reach_cached`]), push its row chunks, clear them — so the serve
+/// tier never buffers more than one epoch of the answer plus a
+/// [`FrameBatch`] of encoded frames. Ends with an optional coverage
+/// report (only when degraded) and the terminal `Done`.
 fn stream_epochs(
     shared: &Shared,
     ep: &Endpoint,
@@ -1176,8 +1175,8 @@ fn stream_epochs(
 ) -> Result<(), TransportError> {
     // Resolved once per request: the column names (known before any
     // epoch is read) and the row filter every epoch goes through.
-    let plan = RowPlan::new(q, shared.shards.layout());
-    let probe = plan.empty_result();
+    let rows = RowPlan::new(q, shared.shards.layout());
+    let mut part = rows.empty_result();
     let mut out = FrameBatch::new(ep);
     out.push(&Response {
         id,
@@ -1185,60 +1184,41 @@ fn stream_epochs(
             tables: vec![
                 TableHeader {
                     name: "CDR".into(),
-                    columns: probe.cdr.column_names,
+                    columns: std::mem::take(&mut part.cdr.column_names),
                 },
                 TableHeader {
                     name: "NMS".into(),
-                    columns: probe.nms.column_names,
+                    columns: std::mem::take(&mut part.nms.column_names),
                 },
             ],
         },
     })?;
-    let requested = epochs.len() as u32;
-    let mut unavailable = 0u32;
     let mut total = 0u64;
-    let traced = obs::trace::current().is_some();
-    for (resolved, &epoch) in epochs.iter().enumerate() {
-        // Cooperative budget checkpoint at every epoch boundary: on
-        // cancellation or deadline expiry, stop scanning and report
-        // everything unresolved as honestly unavailable — the client
-        // gets a Partial instead of an overrun.
-        if obs::budget::interrupted().is_some() {
-            obs::inc("serve.scan.interrupted");
-            if traced {
-                obs::trace::event(
-                    "budget.interrupted",
-                    &[("epochs_left", &(epochs.len() - resolved).to_string())],
-                );
-            }
-            unavailable += (epochs.len() - resolved) as u32;
-            break;
+    let run = run_exact(epochs, &mut part, reach_cached(shared, &rows), |part| {
+        total += part.row_count() as u64;
+        for (table, slice) in [(0u8, &mut part.cdr), (1u8, &mut part.nms)] {
+            out.push_rows(id, table, &slice.rows)?;
+            slice.rows.clear();
         }
-        match resolve_epoch(shared, epoch, traced) {
-            Some(snap) => {
-                let part = plan.project(std::iter::once(snap.as_ref()));
-                for (table, slice) in [(0u8, &part.cdr), (1u8, &part.nms)] {
-                    out.push_rows(id, table, &slice.rows)?;
-                }
-                total += part.row_count() as u64;
-            }
-            None => unavailable += 1,
+        Ok::<(), TransportError>(())
+    })?;
+    if run.cut_off > 0 {
+        obs::inc("serve.scan.interrupted");
+        if obs::trace::current().is_some() {
+            obs::trace::event(
+                "budget.interrupted",
+                &[("epochs_left", &run.cut_off.to_string())],
+            );
         }
     }
-    if unavailable > 0 {
-        let c = Coverage {
-            requested,
-            served: requested - unavailable,
-            decayed: 0,
-            unavailable,
-        };
+    if !run.coverage.is_complete() {
         out.push(&Response {
             id,
             body: ResponseBody::Coverage {
-                requested: c.requested,
-                served: c.served,
-                decayed: c.decayed,
-                unavailable: c.unavailable,
+                requested: run.coverage.requested,
+                served: run.coverage.served,
+                decayed: run.coverage.decayed,
+                unavailable: run.coverage.unavailable,
             },
         })?;
     }
@@ -1300,74 +1280,6 @@ fn prefetch(shared: &Shared, conn: u64, window: (u32, u32)) {
 
 // -------------------------------------------------------------- evaluation
 
-/// The covering decision for one request, made once under the primary
-/// shard's read guard, with summaries already gathered and merged
-/// across every touched shard.
-enum Plan {
-    /// Full-resolution window: the epoch ids to stream, in order.
-    Exact(Vec<EpochId>),
-    /// The window decayed: merged, bbox-filtered highlights.
-    Summary {
-        resolution: Resolution,
-        highlights: Highlights,
-    },
-    Unavailable,
-}
-
-/// Decide how to answer `q`: route the bounding box to its shards, let
-/// the *primary* (lowest touched) shard classify the window, and — when
-/// the window has decayed — gather and merge the touched shards'
-/// highlights. Attribute heat files on the primary shard only, so the
-/// merged ledger's counters are invariant under the shard count.
-fn plan_query(shared: &Shared, q: &Query) -> Plan {
-    let shards = &shared.shards;
-    let touched = shards.shards_for(&q.bbox);
-    let primary = touched[0];
-    {
-        let g = shards.read(primary);
-        let heat = g.index().heat();
-        for attr in &q.attributes {
-            heat.touch_attribute(attr);
-        }
-        match g.index().find_covering(q.window.0, q.window.1) {
-            Covering::Exact(leaves) => {
-                return Plan::Exact(leaves.iter().map(|l| l.epoch).collect())
-            }
-            Covering::Summary { .. } => {}
-            Covering::Unavailable => return Plan::Unavailable,
-        }
-        // Guard drops: the summary gather below re-reads each touched
-        // shard under its own guard, in ascending order.
-    }
-    let cells: HashSet<u32> = shards.layout().cells_in(&q.bbox).into_iter().collect();
-    let mut merged: Option<(Resolution, Highlights)> = None;
-    for &i in &touched {
-        let g = shards.read(i);
-        if let Covering::Summary {
-            resolution,
-            highlights,
-        } = g.index().find_covering(q.window.0, q.window.1)
-        {
-            // Each shard's highlights summarize only its own cells;
-            // the union over touched shards is the full bbox digest.
-            let filtered = highlights.filter_cells(&cells);
-            match &mut merged {
-                None => merged = Some((resolution, filtered)),
-                Some((_, acc)) => acc.merge(&filtered),
-            }
-        }
-    }
-    match merged {
-        Some((resolution, highlights)) => Plan::Summary {
-            resolution,
-            highlights,
-        },
-        // A shard flipped to exact between the two looks (transient
-        // mid-mutation disagreement): nothing summarizable remains.
-        None => Plan::Unavailable,
-    }
-}
-
 /// Load one epoch from **all** shards under simultaneously-held read
 /// guards (ascending order — deadlock-free against the single-lock
 /// writers), merge the parts into canonical row order and publish the
@@ -1417,60 +1329,18 @@ fn resolve_epoch(shared: &Shared, epoch: EpochId, traced: bool) -> Option<Arc<Sn
     load_merged_into_cache(shared, epoch)
 }
 
-/// The cache-aware, shard-gathering twin of `SpateFramework::query`:
-/// identical covering semantics, but exact-branch epochs are resolved
-/// through the shared cache (merged across shards) and the result is
-/// buffered — the materializing SQL path wants whole tables, not a
-/// stream.
-fn evaluate_sharded(shared: &Shared, q: &Query) -> QueryResult {
-    let _span = obs::span("serve.evaluate");
-    match plan_query(shared, q) {
-        Plan::Exact(epochs) => {
-            let requested = epochs.len() as u32;
-            let mut arcs: Vec<Arc<Snapshot>> = Vec::with_capacity(epochs.len());
-            let mut unavailable = 0u32;
-            let traced = obs::trace::current().is_some();
-            for (resolved, &epoch) in epochs.iter().enumerate() {
-                if obs::budget::interrupted().is_some() {
-                    obs::inc("serve.scan.interrupted");
-                    if traced {
-                        obs::trace::event(
-                            "budget.interrupted",
-                            &[("epochs_left", &(epochs.len() - resolved).to_string())],
-                        );
-                    }
-                    unavailable += (epochs.len() - resolved) as u32;
-                    break;
-                }
-                match resolve_epoch(shared, epoch, traced) {
-                    Some(arc) => arcs.push(arc),
-                    None => unavailable += 1,
-                }
-            }
-            let result =
-                RowPlan::new(q, shared.shards.layout()).project(arcs.iter().map(Arc::as_ref));
-            if unavailable == 0 {
-                QueryResult::Exact(result)
-            } else {
-                QueryResult::Partial {
-                    result,
-                    coverage: Coverage {
-                        requested,
-                        served: requested - unavailable,
-                        decayed: 0,
-                        unavailable,
-                    },
-                }
-            }
-        }
-        Plan::Summary {
-            resolution,
-            highlights,
-        } => QueryResult::Summary {
-            resolution,
-            highlights,
-        },
-        Plan::Unavailable => QueryResult::Unavailable,
+/// The serving tier's *reach* step of [`run_exact`]: one epoch through
+/// the shared cache ([`resolve_epoch`]), its selected rows appended.
+fn reach_cached<'a>(
+    shared: &'a Shared,
+    rows: &'a RowPlan,
+) -> impl FnMut(EpochId, &mut ExactResult) -> bool + 'a {
+    let traced = obs::trace::current().is_some();
+    move |epoch, out| {
+        let snapshot = resolve_epoch(shared, epoch, traced);
+        snapshot
+            .map(|snapshot| rows.project(&snapshot, out))
+            .is_some()
     }
 }
 
@@ -1534,7 +1404,10 @@ impl ExplorationFramework for CachedView<'_> {
     }
 
     fn query(&self, q: &Query) -> QueryResult {
-        evaluate_sharded(self.shared, q)
+        let _span = obs::span("serve.evaluate");
+        let rows = RowPlan::new(q, self.layout());
+        let plan = self.shared.shards.plan(q);
+        plan.evaluate(&rows, reach_cached(self.shared, &rows))
     }
 
     fn version(&self) -> u64 {

@@ -206,6 +206,14 @@ impl<'a> Row<'a> {
         }
     }
 
+    /// Column `col` as the [`Value`] [`Snapshot::from_bytes`] builds for it.
+    pub fn value(&self, col: usize) -> Value {
+        match *self {
+            Row::Text(row) => Value::from_field(row.field(col)),
+            Row::Record(record) => record.get(col).clone(),
+        }
+    }
+
     /// A `width`-column row of values holding this row's columns `cols`
     /// (ascending) and `Null` everywhere else: one pass over the text,
     /// which ends at the last column asked for.

@@ -79,6 +79,7 @@ proptest! {
             for (col, field) in fields.iter().enumerate() {
                 let value = Value::from_field(field);
                 for row in [text_row, &record_row] {
+                    prop_assert_eq!(&row.value(col), &value, "{:?}", field);
                     prop_assert_eq!(row.text(col), value.text(), "{:?}", field);
                     prop_assert_eq!(row.i64(col), value.as_i64(), "{:?}", field);
                     // By bits: NaN reads back as NaN.

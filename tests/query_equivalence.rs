@@ -1,17 +1,20 @@
-//! `Q(a, b, w)` answered three ways must be one answer: by SPATE scanning
+//! `Q(a, b, w)` answered four ways must be one answer: by SPATE scanning
 //! the serialized snapshot text (`SpateFramework::query`, over the Path
 //! and the CAS backend, unsharded and at 1 / 2 / 4 shards), by projecting
-//! whole decoded snapshots (`project_snapshots` over `load_epoch`), and
-//! by the RAW row-store oracle, which shares none of the scan code.
+//! whole decoded snapshots (`project_snapshots` over `load_epoch`), by
+//! the RAW row-store oracle, which shares none of the scan code, and by
+//! the serving tier streaming it to a client over 1 and 2 shards.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spate::core::framework::{ExplorationFramework, RawFramework, SpateFramework};
 use spate::core::query::{project_snapshots, ExactResult, Query, QueryResult};
 use spate::core::shard::{canonical_sort, ShardedSpate};
+use spate::core::DecayPolicy;
+use spate::serve::{Reply, ServeConfig, Server};
 use spate::trace::cells::BoundingBox;
 use spate::trace::schema::{Schema, TableKind};
-use spate::trace::time::EpochId;
+use spate::trace::time::{EpochId, EPOCHS_PER_DAY};
 use spate::trace::{CellLayout, Snapshot, TraceConfig, TraceGenerator};
 
 const EPOCHS: u32 = 40;
@@ -168,4 +171,95 @@ fn a_leaf_with_a_bad_row_costs_exactly_its_epoch() {
     // other eleven epochs, although it had emitted epoch 30's leading
     // rows before it met the bad one.
     assert_eq!(result, exact(oracle.query(&q)));
+}
+
+#[test]
+fn the_served_answer_is_the_frameworks_answer() {
+    // Three days under a one-day retention: day 0 has decayed into its
+    // highlights, days 1 and 2 are at full resolution.
+    let generator = TraceGenerator::new(TraceConfig::scaled(1.0 / 2048.0).with_days(3));
+    let layout = generator.layout().clone();
+    let snaps: Vec<Snapshot> = generator.collect();
+    let warehouse = || {
+        SpateFramework::in_memory(layout.clone()).with_decay(DecayPolicy {
+            full_resolution_days: 1,
+            day_highlight_days: 100,
+            month_highlight_days: 100,
+            year_highlight_days: 100,
+        })
+    };
+    let mut direct = warehouse();
+    for s in &snaps {
+        direct.ingest(s);
+    }
+
+    // The random queries moved into the retained days, then day 0 and a
+    // window of next year.
+    let retained = 2 * EPOCHS_PER_DAY;
+    let mut queries: Vec<Query> = random_queries(&layout, 0x5ca7, 40)
+        .into_iter()
+        .map(|q| {
+            let (start, end) = (q.window.0 .0, q.window.1 .0);
+            q.with_epoch_range(retained + start, retained + end)
+        })
+        .collect();
+    let anywhere = Query::new(&["upflux", "call_drops"], BoundingBox::everything());
+    queries.push(anywhere.clone().with_epoch_range(0, EPOCHS_PER_DAY - 1));
+    queries.push(anywhere.with_epoch_range(20_000, 20_003));
+
+    for n_shards in [1, 2] {
+        let shards = ShardedSpate::new((0..n_shards).map(|_| warehouse()).collect());
+        for s in &snaps {
+            shards.ingest(s);
+        }
+        let server = Server::start_sharded(shards, ServeConfig::default());
+        let mut client = server.connect();
+        let (mut rows_seen, mut summaries, mut unavailable) = (0, 0, 0);
+        for q in &queries {
+            let attributes: Vec<&str> = q.attributes.iter().map(String::as_str).collect();
+            let window = (q.window.0 .0, q.window.1 .0);
+            let served = client.explore(&attributes, q.bbox, window).unwrap();
+            match (direct.query(q), served) {
+                (
+                    QueryResult::Exact(want),
+                    Reply::Rows {
+                        tables,
+                        mut rows,
+                        coverage,
+                        total_rows,
+                    },
+                ) => {
+                    let want = sorted(want);
+                    assert_eq!(coverage, None, "a healthy warehouse, {q:?}");
+                    assert_eq!(tables[0].columns, want.cdr.column_names, "{q:?}");
+                    assert_eq!(tables[1].columns, want.nms.column_names, "{q:?}");
+                    rows.iter_mut().for_each(|table| canonical_sort(table));
+                    assert_eq!(rows, [want.cdr.rows, want.nms.rows], "{q:?}");
+                    assert_eq!(total_rows as usize, rows[0].len() + rows[1].len());
+                    rows_seen += total_rows;
+                }
+                (
+                    QueryResult::Summary {
+                        resolution,
+                        highlights,
+                    },
+                    served,
+                ) => {
+                    let want = Reply::Summary {
+                        resolution: resolution.label().to_string(),
+                        cdr_records: highlights.cdr_records,
+                        nms_records: highlights.nms_records,
+                        cells: highlights.per_cell.len() as u32,
+                    };
+                    assert_eq!(served, want, "{q:?}");
+                    summaries += 1;
+                }
+                (QueryResult::Unavailable, Reply::Unavailable) => unavailable += 1,
+                (want, served) => panic!("{n_shards} shards, {q:?}: {served:?} for {want:?}"),
+            }
+        }
+        assert!(rows_seen > 300, "the queries select something: {rows_seen}");
+        assert_eq!((summaries, unavailable), (1, 1));
+        assert_eq!(server.shutdown().protocol_errors, 0);
+    }
 }
