@@ -10,10 +10,9 @@
 //!             | scale | obs-replay | space-summary | all (default)
 //!
 //! --seed N             workload/fault-plan seed for the chaos, serve,
-//!                      chaos-serve, trace, cas, heat and scale experiments
-//!                      (default 7); two runs with the same seed print
-//!                      identical `chaos:`/`serve:`/`chaos-serve:`/
-//!                      `trace:`/`cas:`/`heat:`/`scale:` lines
+//!                      chaos-serve, trace, cas, heat, scale and obs-replay
+//!                      drills (default 7); two runs with the same flags
+//!                      print identical `<drill>:` lines
 //! --clients N          concurrent clients for the serve, chaos-serve and
 //!                      scale experiments (default 8)
 //! --shards N           shard count for the scale experiment (default 4)
@@ -35,74 +34,74 @@
 //! rough factors, crossovers — are the reproduction target.
 
 use spate_bench::experiments::{self, FRAMEWORK_NAMES};
-use spate_bench::{build_frameworks, BenchConfig};
-use telco_trace::time::EPOCHS_PER_DAY;
+use spate_bench::{report, Args, BenchConfig, DRILLS};
+use std::path::Path;
+
+/// A paper artifact: `repro` names (figures that share a printer are
+/// `|`-joined), `--help` text, printer.
+type Figure = (&'static str, &'static str, fn(&BenchConfig));
+
+/// `all` runs every row but the last.
+const FIGURES: &[Figure] = &[
+    (
+        "fig4",
+        "Fig. 4  — per-attribute entropy of CDR/NMS/CELL",
+        fig4,
+    ),
+    (
+        "table1",
+        "Table I — lossless codec ratio and compress/decompress times",
+        table1,
+    ),
+    (
+        "fig7|fig8|fig9|fig10",
+        "Figs. 7-10 — ingestion time & disk space by day period / weekday",
+        ingest_figs,
+    ),
+    (
+        "fig11|fig12",
+        "Figs. 11-12 — task response time on RAW/SHAHED/SPATE",
+        response_figs,
+    ),
+    (
+        "decay",
+        "continuous decay: sliding-window eviction under ingestion",
+        decay_run,
+    ),
+    (
+        "space-summary",
+        "one-line total-space comparison",
+        space_summary,
+    ),
+];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut experiment = "all".to_string();
-    let mut config = BenchConfig::default();
-    let mut profile = false;
-    let mut metrics_json: Option<String> = None;
-    let mut trace_json: Option<String> = None;
-    let mut introspect = false;
-    let mut seed = 7u64;
-    let mut clients = 8usize;
-    let mut shards = 4usize;
-    let mut cas_backend = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "-h" | "--help" => {
-                print_help();
-                return;
-            }
-            "--profile" => profile = true,
-            "--metrics-json" => {
-                i += 1;
-                metrics_json = Some(args.get(i).expect("--metrics-json needs a path").clone());
-            }
-            "--trace-json" => {
-                i += 1;
-                trace_json = Some(args.get(i).expect("--trace-json needs a path").clone());
-            }
-            "--introspect" => introspect = true,
-            "--scale" => {
-                i += 1;
-                let v = &args[i];
-                config.scale = if let Some(denom) = v.strip_prefix("1/") {
-                    1.0 / denom.parse::<f64>().expect("bad --scale")
-                } else {
-                    v.parse().expect("bad --scale")
-                };
-            }
-            "--days" => {
-                i += 1;
-                config.days = args[i].parse().expect("bad --days");
-            }
-            "--unthrottled" => config.throttled = false,
-            "--seed" => {
-                i += 1;
-                seed = args[i].parse().expect("bad --seed");
-            }
-            "--clients" => {
-                i += 1;
-                clients = args[i].parse().expect("bad --clients");
-            }
-            "--shards" => {
-                i += 1;
-                shards = args[i].parse().expect("bad --shards");
-            }
-            "--cas" => cas_backend = true,
-            other if !other.starts_with("--") => experiment = other.to_string(),
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(&argv).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2);
+    });
+    if args.help {
+        print_help();
+        return;
+    }
+    let figures: Vec<_> = FIGURES
+        .iter()
+        .filter(|(names, ..)| match args.experiment.as_str() {
+            "all" => *names != "space-summary",
+            name => names.split('|').any(|n| n == name),
+        })
+        .collect();
+    let drill = DRILLS.iter().find(|(name, ..)| *name == args.experiment);
+    if figures.is_empty() && drill.is_none() {
+        eprintln!(
+            "unknown experiment {} (try `repro --help`)",
+            args.experiment
+        );
+        std::process::exit(2);
     }
 
+    let config = &args.config;
     println!(
         "SPATE reproduction — scale 1/{:.0} of the paper's 5GB trace, {} days, I/O model: {}",
         1.0 / config.scale,
@@ -115,49 +114,36 @@ fn main() {
     );
     println!("{}", "=".repeat(76));
 
-    match experiment.as_str() {
-        "fig4" => fig4(&config),
-        "table1" => table1(&config),
-        "fig7" | "fig8" | "fig9" | "fig10" => ingest_figs(&config),
-        "fig11" | "fig12" => response_figs(&config),
-        "decay" => decay_run(&config),
-        "chaos" => chaos_run(&config, seed, cas_backend),
-        "serve" => serve_run(&config, clients, seed, introspect),
-        "chaos-serve" => chaos_serve_run(&config, clients, seed),
-        "trace" => trace_run(&config, seed),
-        "cas" => cas_run(&config, seed),
-        "heat" => heat_run(&config, seed),
-        "scale" => scale_run(shards, clients, seed),
-        "obs-replay" => obs_replay_run(shards, seed),
-        "space-summary" => space_summary(&config),
-        "all" => {
-            fig4(&config);
-            table1(&config);
-            ingest_figs(&config);
-            response_figs(&config);
-            decay_run(&config);
-        }
-        other => {
-            eprintln!("unknown experiment {other} (try `repro --help`)");
-            std::process::exit(2);
-        }
+    for (_, _, print) in figures {
+        print(config);
     }
+    // A drill's exit code is its gates: the report is printed and
+    // persisted either way, the artifacts below are still written, and a
+    // gate that does not hold is then named on stderr.
+    let failed_gates = drill.and_then(|(name, about, run)| {
+        println!("\n## {name} — {}\n", about.lines().next().unwrap_or(""));
+        report::emit(&run(&args), Path::new(".")).err()
+    });
 
-    if profile {
+    if args.profile {
         println!("\n## Profile — span flame table\n");
         print!("{}", obs::export::flame_table(obs::global()));
     }
-    if let Some(path) = metrics_json {
-        std::fs::write(&path, obs::export::json(obs::global())).expect("writing --metrics-json");
+    if let Some(path) = &args.metrics_json {
+        std::fs::write(path, obs::export::json(obs::global())).expect("writing --metrics-json");
         println!("\nmetrics written to {path}");
     }
-    if let Some(path) = trace_json {
+    if let Some(path) = &args.trace_json {
         let events = obs::flight().dump();
-        std::fs::write(&path, obs::export::chrome_trace(&events)).expect("writing --trace-json");
+        std::fs::write(path, obs::export::chrome_trace(&events)).expect("writing --trace-json");
         println!(
             "\nflight recorder ({} events) written to {path}",
             events.len()
         );
+    }
+    if let Some(failed) = failed_gates {
+        eprintln!("{failed}");
+        std::process::exit(1);
     }
 }
 
@@ -170,41 +156,22 @@ USAGE:
     repro [EXPERIMENT] [FLAGS]
 
 EXPERIMENTS:
-    all              every paper artifact below, in order (default)
-    fig4             Fig. 4  — per-attribute entropy of CDR/NMS/CELL
-    table1           Table I — lossless codec ratio and compress/decompress times
-    fig7|fig8|fig9|fig10
-                     Figs. 7-10 — ingestion time & disk space by day period / weekday
-    fig11|fig12      Figs. 11-12 — task response time on RAW/SHAHED/SPATE
-    decay            continuous decay: sliding-window eviction under ingestion
-    chaos            seeded fault injection, repair, degraded-coverage queries
-    serve            concurrent serving tier: seeded clients, mid-run decay,
-                     latency percentiles, shed rate, cache hit ratio,
-                     meta-highlights self-monitoring
-    chaos-serve      adversarial serving-tier drill: poison queries, deadline
-                     storms, cancel races, malformed frames, mid-stream
-                     disconnects, then serving over a chaos-faulted DFS with
-                     replica circuit breakers — gates on zero server deaths
-                     and a terminal frame for every request
-    trace            trace one seeded request end-to-end (cold vs warm) and
-                     print its span tree — \"why was request R slow\"
-    cas              content-addressed store vs. path store: dedup ratio,
-                     query equality, Merkle root, decay-as-GC leak gate
-    heat             per-query cost accounting (EXPLAIN ANALYZE) and heat
-                     ledger: seeded skewed workload, band census, restart
-                     round-trip, zero-cost-leak gate
-    scale            shard-per-core scale-out drill: million-user trace
-                     ingested 1-shard vs N-shard (parallel per-shard I/O),
-                     scatter-gather byte-identity gate, concurrent client
-                     storm percentiles, per-shard decay drill
-    obs-replay       telemetry time-series recorder drill: per-shard
-                     metrics sampled into decay-compressed windows
-                     (Sprintz-packed), persisted to OBS_TELEMETRY.bin,
-                     reloaded byte-identically after a restart, per-shard
-                     p95/heat re-rendered from the file alone; balanced
-                     phase keeps shard.skew silent, skewed phase fires it
-    space-summary    one-line total-space comparison
-
+    all              every paper artifact below up to `decay`, in order (default)"
+    );
+    let paper = FIGURES.iter().map(|(name, about, _)| (name, about));
+    for (name, about) in paper.chain(DRILLS.iter().map(|(name, about, _)| (name, about))) {
+        let mut column = name.to_string();
+        if column.len() > 16 {
+            println!("    {column}");
+            column.clear();
+        }
+        for line in about.lines() {
+            println!("    {column:<16} {line}");
+            column.clear();
+        }
+    }
+    println!(
+        "
 FLAGS:
     --scale 1/N          trace scale relative to the paper's 5 GB (default 1/128)
     --days D             days of trace to generate
@@ -224,12 +191,14 @@ FLAGS:
                          (open in chrome://tracing or Perfetto)
     -h, --help           this text
 
-Machine-readable reports: chaos, serve, chaos-serve, cas, heat, scale and
-obs-replay write BENCH_CHAOS.json, BENCH_SERVE.json,
-BENCH_CHAOS_SERVE.json, BENCH_CAS.json, BENCH_HEAT.json, BENCH_SCALE.json
-and BENCH_OBS.json next to the run output (BENCH_SCALE.json and
-BENCH_OBS.json are timing-free so CI can byte-compare runs; see
-EXPERIMENTS.md for the field index of every file)."
+Every drill from `chaos` down prints its deterministic fields as `<drill>:`
+lines (same flags, same lines), its timings as `<drill>-perf:` lines, and
+exits 1 naming the gate if one of its gates does not hold. chaos --cas,
+serve, chaos-serve, cas, heat, scale and obs-replay also write
+BENCH_CHAOS.json, BENCH_SERVE.json, BENCH_CHAOS_SERVE.json, BENCH_CAS.json,
+BENCH_HEAT.json, BENCH_SCALE.json and BENCH_OBS.json into the working
+directory (EXPERIMENTS.md has the command that regenerates each committed
+file and says which are timing-free)."
     );
 }
 
@@ -371,697 +340,6 @@ fn decay_run(config: &BenchConfig) {
     println!("(paper Fig. 5: full resolution decays first, then day/month highlights)");
 }
 
-fn chaos_run(config: &BenchConfig, seed: u64, cas: bool) {
-    println!("\n## Chaos — seeded faults, repair, and degraded-coverage queries\n");
-    let r = experiments::chaos_experiment_with(config, seed, cas);
-    // Every `chaos:` line is a pure function of (seed, scale, days, backend)
-    // — CI runs the experiment twice and diffs them to enforce determinism.
-    println!(
-        "chaos: seed={} backend={} epochs={} ingest_retries={} ingest_failures={}",
-        r.seed,
-        if r.cas { "cas" } else { "path" },
-        r.epochs_ingested,
-        r.ingest_retries,
-        r.ingest_failures
-    );
-    let f = &r.faults;
-    println!(
-        "chaos: injected transient_reads={} transient_writes={} corrupt_replicas={} slow_reads={} crashes={} revivals={}",
-        f.transient_reads_injected,
-        f.transient_writes_injected,
-        f.corrupt_replicas_injected,
-        f.slow_reads_injected,
-        f.crashes_injected,
-        f.revivals
-    );
-    println!(
-        "chaos: recovered checksum_mismatches={} read_failovers={} retry_attempts={} retry_successes={} retries_exhausted={}",
-        f.checksum_mismatches, f.read_failovers, f.retry_attempts, f.retry_successes, f.retries_exhausted
-    );
-    let rep = &r.repair;
-    println!(
-        "chaos: repair passes={} blocks_scanned={} under_replicated={} replicas_added={} corrupt_dropped={} unrecoverable={}",
-        f.repair_passes,
-        rep.blocks_scanned,
-        rep.under_replicated,
-        rep.replicas_added,
-        rep.corrupt_replicas_dropped,
-        rep.unrecoverable
-    );
-    println!(
-        "chaos: queries run={} exact={} partial={} unavailable={} inconsistent_coverage={}",
-        r.queries_run,
-        r.exact_results,
-        r.partial_results,
-        r.unavailable_results,
-        r.inconsistent_coverage
-    );
-    println!(
-        "chaos: blackout unavailable_epochs={} degraded_cleanly={}",
-        r.blackout_unavailable, r.blackout_degraded_cleanly
-    );
-    println!(
-        "chaos: final coverage={} present_leaves={} data_loss={}",
-        r.final_coverage, r.present_leaves, r.data_loss_epochs
-    );
-    println!(
-        "(acceptance: data_loss=0, repair healed every injected fault, same seed → identical lines)"
-    );
-    write_bench_json(
-        "BENCH_CHAOS.json",
-        &[
-            ("experiment", "\"chaos\"".into()),
-            ("seed", r.seed.to_string()),
-            (
-                "backend",
-                format!("\"{}\"", if r.cas { "cas" } else { "path" }),
-            ),
-            ("epochs_ingested", r.epochs_ingested.to_string()),
-            ("ingest_retries", r.ingest_retries.to_string()),
-            ("ingest_failures", r.ingest_failures.to_string()),
-            ("data_loss_epochs", r.data_loss_epochs.to_string()),
-            ("repair_passes", r.faults.repair_passes.to_string()),
-            ("replicas_added", r.repair.replicas_added.to_string()),
-            (
-                "corrupt_replicas_dropped",
-                r.repair.corrupt_replicas_dropped.to_string(),
-            ),
-            ("queries_run", r.queries_run.to_string()),
-            ("inconsistent_coverage", r.inconsistent_coverage.to_string()),
-            ("coverage_served", r.final_coverage.served.to_string()),
-            ("coverage_decayed", r.final_coverage.decayed.to_string()),
-            (
-                "coverage_unavailable",
-                r.final_coverage.unavailable.to_string(),
-            ),
-        ],
-    );
-}
-
-fn serve_run(config: &BenchConfig, clients: usize, seed: u64, introspect: bool) {
-    println!("\n## Serving tier — concurrent clients under mid-run decay\n");
-    let r = spate_bench::serve_experiment(config, clients, seed);
-    // `serve:` lines are a pure function of (seed, clients, scale) — CI
-    // runs the experiment twice and diffs them, and gates on the
-    // stale_reads/protocol_errors fields being zero.
-    println!(
-        "serve: seed={} clients={} queries={} rows_streamed={} phase1_rows={} day0_count={} counts_agree={}",
-        r.seed, r.clients, r.queries, r.rows_streamed, r.phase1_rows, r.day0_count, r.counts_agree
-    );
-    println!(
-        "serve: per_client_rows={:?} stale_reads={} protocol_errors={}",
-        r.per_client_rows, r.stale_reads, r.protocol_errors
-    );
-    // Meta-highlights: ticks happen at fixed workload barriers and the
-    // run injects no faults, so both fields are deterministic — CI diffs
-    // this line and gates on anomalies_deterministic=0.
-    println!(
-        "serve: meta_ticks={} anomalies_deterministic={}",
-        r.meta_ticks, r.anomalies_deterministic
-    );
-    // Timing-dependent: never diffed, varies run to run.
-    let (i50, i95, i99) = spate_bench::serve_bench::latency_us("interactive");
-    let (s50, s95, s99) = spate_bench::serve_bench::latency_us("scan");
-    println!(
-        "serve-perf: throughput={:.0} q/s wall={:.3}s interactive_us p50={} p95={} p99={} scan_us p50={} p95={} p99={}",
-        r.throughput(),
-        r.wall_secs,
-        i50,
-        i95,
-        i99,
-        s50,
-        s95,
-        s99
-    );
-    println!(
-        "serve-perf: shed_overflow={} shed_deadline={} shed_rate={:.4} client_retries={} prefetches={}",
-        r.shed_overflow,
-        r.shed_deadline,
-        r.shed_rate(),
-        r.shed_retries,
-        r.prefetches
-    );
-    println!(
-        "serve-perf: cache hit_ratio={:.3} hits={} misses={} inserts={} evictions={} invalidations={} (decay invalidated {})",
-        r.cache.hit_ratio(),
-        r.cache.hits,
-        r.cache.misses,
-        r.cache.inserts,
-        r.cache.evictions,
-        r.cache.invalidations,
-        r.decay_invalidations
-    );
-    println!(
-        "serve-perf: meta anomalies_total={} (timing-stream advisories; shed storms are expected under this load)",
-        r.anomalies_total
-    );
-    if introspect {
-        print_introspection(&r.introspect_stats, &r.introspect_trace);
-    }
-    println!(
-        "(acceptance: stale_reads=0, protocol_errors=0, counts_agree=true, anomalies_deterministic=0, same seed → identical `serve:` lines)"
-    );
-    write_bench_json(
-        "BENCH_SERVE.json",
-        &[
-            ("experiment", "\"serve\"".into()),
-            ("seed", r.seed.to_string()),
-            ("clients", r.clients.to_string()),
-            ("queries", r.queries.to_string()),
-            ("rows_streamed", r.rows_streamed.to_string()),
-            ("throughput_qps", format!("{:.1}", r.throughput())),
-            ("wall_secs", format!("{:.3}", r.wall_secs)),
-            ("interactive_p50_us", i50.to_string()),
-            ("interactive_p95_us", i95.to_string()),
-            ("interactive_p99_us", i99.to_string()),
-            ("scan_p50_us", s50.to_string()),
-            ("scan_p95_us", s95.to_string()),
-            ("scan_p99_us", s99.to_string()),
-            ("shed_rate", format!("{:.4}", r.shed_rate())),
-            ("cache_hit_ratio", format!("{:.3}", r.cache.hit_ratio())),
-            ("stale_reads", r.stale_reads.to_string()),
-            ("protocol_errors", r.protocol_errors.to_string()),
-        ],
-    );
-}
-
-fn chaos_serve_run(config: &BenchConfig, clients: usize, seed: u64) {
-    println!("\n## Chaos-serve — adversarial serving-tier survivability drill\n");
-    let r = spate_bench::chaos_serve_experiment(config, clients, seed);
-    // Every `chaos-serve:` line is a pure function of (seed, clients,
-    // scale) — CI runs the drill twice and diffs them byte-for-byte.
-    for line in r.deterministic_lines() {
-        println!("chaos-serve: {line}");
-    }
-    // Timing-dependent: wall time and timing-stream meta advisories
-    // (deadline/cancel interrupts, shed pressure) vary run to run.
-    println!(
-        "chaos-serve-perf: wall={:.3}s meta_anomalies_total={} (timing-stream advisories included)",
-        r.wall_secs, r.anomalies_total
-    );
-    println!(
-        "(acceptance: all_terminal=true, survived=true, poison isolated={}/{}, \
-         inconsistent_coverage=0, recovered_closed=true, degraded_unavailable=true, \
-         same seed → identical `chaos-serve:` lines)",
-        r.poison_isolated, r.poison_queries
-    );
-    // No timing fields in the JSON: CI byte-compares two same-seed runs.
-    write_bench_json(
-        "BENCH_CHAOS_SERVE.json",
-        &[
-            ("experiment", "\"chaos-serve\"".into()),
-            ("seed", r.seed.to_string()),
-            ("clients", r.clients.to_string()),
-            ("requests_awaited", r.requests_awaited.to_string()),
-            ("terminal_frames", r.terminal_frames.to_string()),
-            ("all_terminal", r.all_terminal().to_string()),
-            ("survived_storm", r.survived_storm.to_string()),
-            ("healthy_queries", r.healthy_queries.to_string()),
-            ("healthy_rows", r.healthy_rows.to_string()),
-            ("poison_queries", r.poison_queries.to_string()),
-            ("poison_isolated", r.poison_isolated.to_string()),
-            ("worker_panics", r.worker_panics.to_string()),
-            ("worker_respawns", r.worker_respawns.to_string()),
-            ("deadline_storms", r.deadline_storms.to_string()),
-            ("deadline_partials", r.deadline_partials.to_string()),
-            ("cancels_sent", r.cancels_sent.to_string()),
-            ("cancel_partials", r.cancel_partials.to_string()),
-            ("malformed_frames", r.malformed_frames.to_string()),
-            ("malformed_rejected", r.malformed_rejected.to_string()),
-            ("protocol_errors", r.protocol_errors.to_string()),
-            ("disconnects", r.disconnects.to_string()),
-            ("sheds_seen", r.sheds_seen.to_string()),
-            ("meta_ticks", r.meta_ticks.to_string()),
-            ("survive_anomalies", r.survive_anomalies.to_string()),
-            ("dfs_ingest_failures", r.dfs_ingest_failures.to_string()),
-            ("dfs_queries", r.dfs_queries.to_string()),
-            ("dfs_exact", r.dfs_exact.to_string()),
-            ("dfs_partial", r.dfs_partial.to_string()),
-            ("dfs_unavailable", r.dfs_unavailable.to_string()),
-            (
-                "dfs_inconsistent_coverage",
-                r.dfs_inconsistent_coverage.to_string(),
-            ),
-            ("dfs_breaker_trips", r.dfs_breaker_trips.to_string()),
-            (
-                "drill_recovered_closed",
-                r.drill_recovered_closed.to_string(),
-            ),
-            (
-                "drill_degraded_unavailable",
-                r.drill_degraded_unavailable.to_string(),
-            ),
-        ],
-    );
-}
-
-/// Pretty-print the live introspection frames a serve run captured over
-/// the wire just before shutdown. Contents are timing-dependent (which
-/// request happens to be the latest trace, current counter values), so
-/// nothing here carries a diffable prefix.
-fn print_introspection(stats: &spate_serve::StatsFrame, trace: &spate_serve::TraceFrame) {
-    println!("\nintrospection — live StatsFrame:");
-    println!(
-        "  queries={} rows_streamed={} shed_overflow={} shed_deadline={} protocol_errors={}",
-        stats.queries,
-        stats.rows_streamed,
-        stats.shed_overflow,
-        stats.shed_deadline,
-        stats.protocol_errors
-    );
-    println!(
-        "  queue interactive={} scan={} | cache hits={} misses={} evictions={} invalidations={}",
-        stats.queue_interactive,
-        stats.queue_scan,
-        stats.cache_hits,
-        stats.cache_misses,
-        stats.cache_evictions,
-        stats.cache_invalidations
-    );
-    println!(
-        "  meta ticks={} anomalies_total={} anomalies_deterministic={}",
-        stats.meta_ticks, stats.anomalies_total, stats.anomalies_deterministic
-    );
-    for a in &stats.anomalies {
-        println!(
-            "  anomaly tick={} stream={} category={} share={:.3} deterministic={}",
-            a.tick,
-            a.stream,
-            a.category,
-            a.share_milli as f64 / 1000.0,
-            a.deterministic
-        );
-    }
-    println!(
-        "  registry counters: {} (top: {})",
-        stats.counters.len(),
-        stats
-            .counters
-            .iter()
-            .take(4)
-            .map(|(n, v)| format!("{n}={v}"))
-            .collect::<Vec<_>>()
-            .join(" ")
-    );
-    println!(
-        "\nintrospection — latest TraceFrame (trace_id={:#x}, {} spans):",
-        trace.trace_id,
-        trace.spans.len()
-    );
-    for line in spate_bench::serve_bench::trace_lines(trace) {
-        println!("  {line}");
-    }
-}
-
-fn trace_run(config: &BenchConfig, seed: u64) {
-    println!("\n## Trace — one seeded request end-to-end, cold vs warm\n");
-    let r = spate_bench::trace_experiment(config, seed);
-    // `trace:` lines are a pure function of (seed, scale): span structure,
-    // names, args and the cold/warm cache split never depend on timing.
-    // CI diffs two runs byte-for-byte.
-    println!(
-        "trace: seed={} window=({},{}) cold_spans={} warm_spans={}",
-        r.seed,
-        r.window.0,
-        r.window.1,
-        r.cold.spans.len(),
-        r.warm.spans.len()
-    );
-    let cold_misses = r
-        .cold
-        .spans
-        .iter()
-        .filter(|s| s.name == "cache.miss")
-        .count();
-    let warm_hits = r
-        .warm
-        .spans
-        .iter()
-        .filter(|s| s.name == "cache.hit")
-        .count();
-    println!("trace: cold_cache_misses={cold_misses} warm_cache_hits={warm_hits}");
-    for line in spate_bench::serve_bench::trace_lines(&r.cold) {
-        println!("trace: cold {line}");
-    }
-    for line in spate_bench::serve_bench::trace_lines(&r.warm) {
-        println!("trace: warm {line}");
-    }
-    // Timing-dependent: the actual durations, never diffed.
-    println!(
-        "trace-perf: wall={:.3}s chrome_json_bytes={} (dump the full recorder with --trace-json)",
-        r.wall_secs,
-        r.chrome_json.len()
-    );
-    println!(
-        "(acceptance: cold run misses once per window epoch, warm run hits every epoch, same seed → identical `trace:` lines)"
-    );
-}
-
-fn cas_run(config: &BenchConfig, seed: u64) {
-    println!("\n## CAS — content-addressed store vs. path store, same seeded week\n");
-    let (r, perf) = experiments::cas_experiment(config, seed);
-    // `cas:` lines are a pure function of (seed, scale, days) — CI runs
-    // the experiment twice and diffs them byte-for-byte; the Merkle root
-    // doubles as a whole-store content fingerprint.
-    println!(
-        "cas: seed={} epochs={} raw_bytes={} path_bytes={} cas_bytes={} reduction_permille={}",
-        r.seed,
-        r.epochs,
-        r.raw_bytes,
-        r.path_bytes,
-        r.cas_bytes,
-        r.reduction_permille()
-    );
-    println!(
-        "cas: pack_bytes={} manifest_bytes={} dedup_hits={} dedup_bytes_saved={} unique_chunks={} packs={}",
-        r.pack_bytes, r.manifest_bytes, r.dedup_hits, r.dedup_bytes_saved, r.unique_chunks, r.packs
-    );
-    println!("cas: manifest_root={}", r.manifest_root);
-    println!(
-        "cas: queries_run={} results_equal={}",
-        r.queries_run, r.results_equal
-    );
-    println!(
-        "cas: delta_bytes={} delta_cas_bytes={}",
-        r.delta_bytes, r.delta_cas_bytes
-    );
-    println!(
-        "cas: decay_freed={} gc_swept={} unreferenced_chunks={} leak_bytes={}",
-        r.decay_freed, r.gc_swept, r.unreferenced_chunks, r.leak_bytes
-    );
-    println!(
-        "CAS stores the week in {:.2} MB vs {:.2} MB path files — {:.1}% smaller at equal query results",
-        r.cas_bytes as f64 / 1e6,
-        r.path_bytes as f64 / 1e6,
-        r.reduction_pct()
-    );
-    // Timing-dependent: never diffed, varies run to run.
-    println!(
-        "cas-perf: read_us path p50={} p95={} | cas p50={} p95={} | wall={:.3}s",
-        perf.path_read_p50_us,
-        perf.path_read_p95_us,
-        perf.cas_read_p50_us,
-        perf.cas_read_p95_us,
-        perf.wall_secs
-    );
-    println!(
-        "(acceptance: results_equal=true, reduction_permille>=200, leak_bytes=0, unreferenced_chunks=0, same seed → identical `cas:` lines)"
-    );
-    write_bench_json(
-        "BENCH_CAS.json",
-        &[
-            ("experiment", "\"cas\"".into()),
-            ("seed", r.seed.to_string()),
-            ("epochs", r.epochs.to_string()),
-            ("raw_bytes", r.raw_bytes.to_string()),
-            ("path_bytes", r.path_bytes.to_string()),
-            ("cas_bytes", r.cas_bytes.to_string()),
-            ("pack_bytes", r.pack_bytes.to_string()),
-            ("manifest_bytes", r.manifest_bytes.to_string()),
-            ("reduction_pct", format!("{:.2}", r.reduction_pct())),
-            ("reduction_permille", r.reduction_permille().to_string()),
-            ("dedup_hits", r.dedup_hits.to_string()),
-            ("dedup_bytes_saved", r.dedup_bytes_saved.to_string()),
-            ("delta_bytes", r.delta_bytes.to_string()),
-            ("delta_cas_bytes", r.delta_cas_bytes.to_string()),
-            ("manifest_root", format!("\"{}\"", r.manifest_root)),
-            ("results_equal", r.results_equal.to_string()),
-            (
-                "gc_reclaimed_bytes",
-                (r.decay_freed + r.gc_swept).to_string(),
-            ),
-            ("leak_bytes", r.leak_bytes.to_string()),
-            ("unreferenced_chunks", r.unreferenced_chunks.to_string()),
-            ("path_read_p95_us", perf.path_read_p95_us.to_string()),
-            ("cas_read_p95_us", perf.cas_read_p95_us.to_string()),
-            ("wall_secs", format!("{:.3}", perf.wall_secs)),
-        ],
-    );
-}
-
-fn heat_run(config: &BenchConfig, seed: u64) {
-    println!("\n## Heat — per-query cost accounting and the heat ledger\n");
-    let r = spate_bench::heat_experiment(config, seed);
-    // Every `heat:` line is a pure function of (seed, scale, days) — CI
-    // runs the experiment twice and diffs them byte-for-byte, and gates
-    // on leak_bytes=0 / profiles_reconcile=true / restart_bands_identical.
-    println!(
-        "heat: seed={} epochs={} queries={} bytes_read_total={} bytes_decompressed_total={}",
-        r.seed, r.epochs_ingested, r.queries_run, r.bytes_read_total, r.bytes_decompressed_total
-    );
-    println!(
-        "heat: rows_scanned={} rows_returned={} epochs_touched={} leak_bytes={} profiles_reconcile={}",
-        r.rows_scanned, r.rows_returned, r.epochs_touched, r.leak_bytes, r.profiles_reconcile
-    );
-    println!(
-        "heat: bands hot={} warm={} cold={} tracked={} tick={} exports_consistent={}",
-        r.hot, r.warm, r.cold, r.tracked_epochs, r.ledger_tick, r.exports_consistent
-    );
-    for (epoch, heat_milli, accesses) in &r.top_epochs {
-        println!("heat: top_epoch={epoch} heat_milli={heat_milli} accesses={accesses}");
-    }
-    for (attr, accesses) in &r.top_attributes {
-        println!("heat: top_attribute={attr} accesses={accesses}");
-    }
-    // The rows EXPLAIN ANALYZE would print for the paper's T1 and T4,
-    // timing entries stripped so the lines stay diffable.
-    println!("heat: t1 result_rows={}", r.t1_rows);
-    for (metric, value) in &r.t1_metrics {
-        println!("heat: t1 {metric}={value}");
-    }
-    println!("heat: t4 result_rows={}", r.t4_rows);
-    for (metric, value) in &r.t4_metrics {
-        println!("heat: t4 {metric}={value}");
-    }
-    println!(
-        "heat: restart_bands_identical={} restart_tracked={} index_image_bytes={}",
-        r.restart_bands_identical, r.restart_tracked_epochs, r.index_image_bytes
-    );
-    // Timing-dependent: never diffed.
-    println!("heat-perf: wall={:.3}s", r.wall_secs);
-    println!(
-        "(acceptance: leak_bytes=0, profiles_reconcile=true, hot>0, restart_bands_identical=true, same seed → identical `heat:` lines)"
-    );
-    // Unlike the other bench reports this one carries no timing field:
-    // CI `cmp`s two same-seed BENCH_HEAT.json files byte-for-byte.
-    write_bench_json(
-        "BENCH_HEAT.json",
-        &[
-            ("experiment", "\"heat\"".into()),
-            ("seed", r.seed.to_string()),
-            ("epochs_ingested", r.epochs_ingested.to_string()),
-            ("queries_run", r.queries_run.to_string()),
-            ("bytes_read_total", r.bytes_read_total.to_string()),
-            (
-                "bytes_decompressed_total",
-                r.bytes_decompressed_total.to_string(),
-            ),
-            ("rows_scanned", r.rows_scanned.to_string()),
-            ("rows_returned", r.rows_returned.to_string()),
-            ("epochs_touched", r.epochs_touched.to_string()),
-            ("leak_bytes", r.leak_bytes.to_string()),
-            ("profiles_reconcile", r.profiles_reconcile.to_string()),
-            ("hot", r.hot.to_string()),
-            ("warm", r.warm.to_string()),
-            ("cold", r.cold.to_string()),
-            ("tracked_epochs", r.tracked_epochs.to_string()),
-            ("ledger_tick", r.ledger_tick.to_string()),
-            (
-                "top_epoch",
-                r.top_epochs.first().map_or(0, |(e, _, _)| *e).to_string(),
-            ),
-            (
-                "top_attribute",
-                format!(
-                    "\"{}\"",
-                    r.top_attributes.first().map_or("", |(a, _)| a.as_str())
-                ),
-            ),
-            ("t1_result_rows", r.t1_rows.to_string()),
-            ("t4_result_rows", r.t4_rows.to_string()),
-            ("exports_consistent", r.exports_consistent.to_string()),
-            (
-                "restart_bands_identical",
-                r.restart_bands_identical.to_string(),
-            ),
-            ("index_image_bytes", r.index_image_bytes.to_string()),
-        ],
-    );
-}
-
-fn scale_run(shards: usize, clients: usize, seed: u64) {
-    println!("\n## Scale — shard-per-core scale-out drill, 1 shard vs {shards}\n");
-    let r = spate_bench::scale_experiment(shards, clients, seed);
-    // Every `scale:` line is a pure function of (seed, shards, clients) —
-    // CI runs the drill twice and diffs them byte-for-byte; the answer
-    // digests double as a 1-vs-N cross-check fingerprint.
-    println!(
-        "scale: seed={} shards={} clients={} epochs={} cdr_rows={} nms_rows={}",
-        r.seed, r.shards, r.clients, r.epochs, r.cdr_rows, r.nms_rows
-    );
-    println!(
-        "scale: queries_run={} answers_identical={} answer_digest={:#018x} inconsistent_coverage={}",
-        r.queries_run, r.answers_identical, r.answer_digest, r.inconsistent_coverage
-    );
-    println!(
-        "scale: single_version={} sharded_version={}",
-        r.single_version, r.sharded_version
-    );
-    println!(
-        "scale: decay single_leaves={} sharded_leaves={} post_decay_identical={} post_decay_digest={:#018x} post_decay_inconsistent={}",
-        r.single_leaves_evicted,
-        r.sharded_leaves_evicted,
-        r.post_decay_identical,
-        r.post_decay_digest,
-        r.post_decay_inconsistent
-    );
-    // Timing-dependent: never diffed, varies run to run.
-    println!(
-        "scale-perf: ingest raw_mb={:.1} single={:.3}s ({:.1} MB/s) sharded={:.3}s ({:.1} MB/s) speedup={:.2}x",
-        r.raw_bytes as f64 / 1e6,
-        r.ingest_single_secs,
-        r.single_mbps(),
-        r.ingest_sharded_secs,
-        r.sharded_mbps(),
-        r.speedup()
-    );
-    println!(
-        "scale-perf: storm queries={} qps={:.0} latency_us p50={} p95={} p99={} wall={:.3}s total_wall={:.3}s",
-        r.storm_queries,
-        r.storm_qps(),
-        r.storm_p50_us,
-        r.storm_p95_us,
-        r.storm_p99_us,
-        r.storm_wall_secs,
-        r.wall_secs
-    );
-    println!(
-        "(acceptance: answers_identical=true pre and post decay, inconsistent_coverage=0, \
-         sharded_leaves = shards x single_leaves, ingest speedup >= 2x at 4 shards, \
-         same seed → identical `scale:` lines)"
-    );
-    // No timing fields in the JSON: CI byte-compares two same-seed runs.
-    write_bench_json(
-        "BENCH_SCALE.json",
-        &[
-            ("experiment", "\"scale\"".into()),
-            ("seed", r.seed.to_string()),
-            ("shards", r.shards.to_string()),
-            ("clients", r.clients.to_string()),
-            ("epochs", r.epochs.to_string()),
-            ("cdr_rows", r.cdr_rows.to_string()),
-            ("nms_rows", r.nms_rows.to_string()),
-            ("queries_run", r.queries_run.to_string()),
-            ("answers_identical", r.answers_identical.to_string()),
-            ("answer_digest", format!("\"{:#018x}\"", r.answer_digest)),
-            ("inconsistent_coverage", r.inconsistent_coverage.to_string()),
-            ("single_version", r.single_version.to_string()),
-            ("sharded_version", r.sharded_version.to_string()),
-            ("single_leaves_evicted", r.single_leaves_evicted.to_string()),
-            (
-                "sharded_leaves_evicted",
-                r.sharded_leaves_evicted.to_string(),
-            ),
-            ("post_decay_identical", r.post_decay_identical.to_string()),
-            (
-                "post_decay_digest",
-                format!("\"{:#018x}\"", r.post_decay_digest),
-            ),
-            (
-                "post_decay_inconsistent",
-                r.post_decay_inconsistent.to_string(),
-            ),
-        ],
-    );
-}
-
-fn obs_replay_run(shards: usize, seed: u64) {
-    println!("\n## Obs-replay — the telemetry recorder, dogfooding compress-and-decay\n");
-    let r = spate_bench::obs_replay_experiment(shards, seed);
-    // Every `obs:` line is a pure function of (seed, shards) — CI runs
-    // the drill twice and diffs them byte-for-byte, and gates on
-    // skew_balanced=0 / skew_skewed>=1 / reload_identical=true.
-    println!(
-        "obs: seed={} shards={} epochs={} ticks={} meta_ticks={}",
-        r.seed, r.shards, r.epochs, r.ticks, r.meta_ticks
-    );
-    println!(
-        "obs: windows_recorded={} series_recorded={} samples_total={} reload_identical={} compression_ok={}",
-        r.windows_recorded, r.series_recorded, r.samples_total, r.reload_identical, r.compression_ok
-    );
-    println!(
-        "obs: skew_anomalies balanced={} skewed={}",
-        r.skew_balanced, r.skew_skewed
-    );
-    // Re-rendered from the loaded OBS_TELEMETRY.bin image, not the live
-    // registry — the replay proof.
-    for row in &r.shard_rows {
-        println!(
-            "obs: shard={} bytes={} leaves={} queries={} heat hot={} warm={} cold={}",
-            row.shard, row.bytes, row.leaves, row.queries, row.hot, row.warm, row.cold
-        );
-    }
-    // Timing-dependent: latencies and packed sizes vary run to run.
-    let p95: Vec<String> = r
-        .p95_us
-        .iter()
-        .enumerate()
-        .map(|(i, v)| format!("shard{i}={v}"))
-        .collect();
-    println!("obs-replay-perf: windowed_p95_us {}", p95.join(" "));
-    println!(
-        "obs-replay-perf: raw_bytes={} packed_value_bytes={} ratio={:.1}x image_bytes={} wall={:.3}s",
-        r.raw_bytes,
-        r.packed_value_bytes,
-        r.compression_ratio(),
-        r.image_bytes,
-        r.wall_secs
-    );
-    std::fs::write("OBS_TELEMETRY.bin", &r.image).expect("writing OBS_TELEMETRY.bin");
-    println!("recorded telemetry written to OBS_TELEMETRY.bin");
-    println!(
-        "(acceptance: windows_recorded>=30, reload_identical=true, compression_ok=true, \
-         skew balanced=0 skewed>=1, same seed → identical `obs:` lines)"
-    );
-    // No timing fields in the JSON: CI byte-compares two same-seed runs.
-    let mut fields: Vec<(&str, String)> = vec![
-        ("experiment", "\"obs-replay\"".into()),
-        ("seed", r.seed.to_string()),
-        ("shards", r.shards.to_string()),
-        ("epochs", r.epochs.to_string()),
-        ("ticks", r.ticks.to_string()),
-        ("meta_ticks", r.meta_ticks.to_string()),
-        ("windows_recorded", r.windows_recorded.to_string()),
-        ("series_recorded", r.series_recorded.to_string()),
-        ("samples_total", r.samples_total.to_string()),
-        ("reload_identical", r.reload_identical.to_string()),
-        ("compression_ok", r.compression_ok.to_string()),
-        ("skew_anomalies_balanced", r.skew_balanced.to_string()),
-        ("skew_anomalies_skewed", r.skew_skewed.to_string()),
-    ];
-    let queries: Vec<String> = r.shard_rows.iter().map(|s| s.queries.to_string()).collect();
-    let hot: Vec<String> = r.shard_rows.iter().map(|s| s.hot.to_string()).collect();
-    let bytes: Vec<String> = r.shard_rows.iter().map(|s| s.bytes.to_string()).collect();
-    fields.push(("shard_queries", format!("[{}]", queries.join(", "))));
-    fields.push(("shard_heat_hot", format!("[{}]", hot.join(", "))));
-    fields.push(("shard_bytes", format!("[{}]", bytes.join(", "))));
-    write_bench_json("BENCH_OBS.json", &fields);
-}
-
-/// Persist a flat machine-readable report next to the human-readable run
-/// output. Values arrive pre-formatted as JSON literals (numbers bare,
-/// strings quoted) so the writer stays dependency-free.
-fn write_bench_json(name: &str, fields: &[(&str, String)]) {
-    let mut out = String::from("{\n");
-    for (i, (k, v)) in fields.iter().enumerate() {
-        out.push_str(&format!("  \"{k}\": {v}"));
-        out.push_str(if i + 1 == fields.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("}\n");
-    std::fs::write(name, out).unwrap_or_else(|e| panic!("writing {name}: {e}"));
-    println!("bench report written to {name}");
-}
-
 fn response_figs(config: &BenchConfig) {
     println!("\n## Figures 11-12 — task response time (s)\n");
     println!(
@@ -1069,13 +347,7 @@ fn response_figs(config: &BenchConfig) {
         config.days,
         1.0 / config.scale
     );
-    let (mut fws, mut generator) = build_frameworks(config);
-    spate_bench::setup::ingest_all(
-        &mut fws,
-        &mut generator,
-        (config.days * EPOCHS_PER_DAY) as usize,
-    );
-    let r = experiments::response_experiment(config, &fws);
+    let r = experiments::response_experiment_from_scratch(config);
 
     println!(
         "\n{:<16} {:>10} {:>10} {:>10}   note",

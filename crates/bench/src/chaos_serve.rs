@@ -24,10 +24,10 @@
 //!    recover closed after repair, and degrade to `BlockUnavailable`
 //!    (never a hang) when every replica sits behind an open breaker.
 //!
-//! Deterministic fields print as `chaos-serve:` lines (CI runs the
-//! drill twice and diffs them); wall time and timing-stream anomaly
-//! advisories print as `chaos-serve-perf:` lines and are never diffed.
+//! Wall time and the timing-stream anomaly advisories are the only perf
+//! fields of its [`Report`]; everything else is deterministic.
 
+use crate::report::{Report, Value};
 use crate::BenchConfig;
 use dfs::{BreakerConfig, BreakerState, Dfs, DfsConfig, DfsError, FaultConfig, IoModel};
 use rand::rngs::StdRng;
@@ -53,11 +53,8 @@ const POISON_PER_CLIENT: usize = 2;
 const STORMS_PER_CLIENT: usize = 2;
 const CANCELS_PER_CLIENT: usize = 2;
 
-/// Outcome of the chaos-serve drill. Everything above `wall_secs` is a
-/// pure function of `(seed, clients, scale)` — [`deterministic_lines`]
-/// renders those fields and CI diffs two same-seed runs byte-for-byte.
-///
-/// [`deterministic_lines`]: ChaosServeReport::deterministic_lines
+/// Outcome of the chaos-serve drill. Everything above `anomalies_total`
+/// is a pure function of `(seed, clients, scale)`.
 #[derive(Debug, Clone)]
 pub struct ChaosServeReport {
     pub seed: u64,
@@ -127,7 +124,7 @@ pub struct ChaosServeReport {
     pub drill_skipped: u64,
     pub drill_recovered_closed: bool,
     pub drill_degraded_unavailable: bool,
-    // ---- timing-dependent below (never diffed) ----
+    // ---- timing-dependent below ----
     /// All meta anomalies including timing-stream advisories (shed
     /// pressure, latency inflation, cancel/deadline races).
     pub anomalies_total: u64,
@@ -140,78 +137,80 @@ impl ChaosServeReport {
         self.requests_awaited > 0 && self.terminal_frames == self.requests_awaited
     }
 
-    /// The diffable report: one string per `chaos-serve:` output line,
-    /// covering every deterministic field and nothing time-derived. The
-    /// determinism test and the `repro` binary both render from here, so
-    /// the CI diff and the in-process assertion can never drift apart.
-    pub fn deterministic_lines(&self) -> Vec<String> {
-        vec![
-            format!(
-                "seed={} clients={} requests_awaited={} terminal_frames={} all_terminal={}",
-                self.seed,
-                self.clients,
-                self.requests_awaited,
-                self.terminal_frames,
-                self.all_terminal()
-            ),
-            format!(
-                "storm healthy={} healthy_rows={} slow_rows={} disconnects={} sheds={}",
-                self.healthy_queries,
-                self.healthy_rows,
-                self.slow_rows,
-                self.disconnects,
-                self.sheds_seen
-            ),
-            format!(
-                "storm poison sent={} isolated={} worker_panics={} worker_respawns={}",
-                self.poison_queries, self.poison_isolated, self.worker_panics, self.worker_respawns
-            ),
-            format!(
-                "storm deadline storms={} partials={} expired_counted={}",
-                self.deadline_storms, self.deadline_partials, self.deadline_expired_counted
-            ),
-            format!(
-                "storm cancel sent={} partials={} cancelled_counted={}",
-                self.cancels_sent, self.cancel_partials, self.cancelled_counted
-            ),
-            format!(
-                "storm malformed sent={} rejected={} protocol_errors={}",
-                self.malformed_frames, self.malformed_rejected, self.protocol_errors
-            ),
-            format!(
-                "storm survived={} server_queries={} meta_ticks={} survive_anomalies={}",
-                self.survived_storm, self.server_queries, self.meta_ticks, self.survive_anomalies
-            ),
-            format!(
-                "dfs epochs={} ingest_retries={} ingest_failures={} queries={} exact={} partial={} unavailable={} inconsistent_coverage={}",
-                self.dfs_epochs_ingested,
-                self.dfs_ingest_retries,
-                self.dfs_ingest_failures,
-                self.dfs_queries,
-                self.dfs_exact,
-                self.dfs_partial,
-                self.dfs_unavailable,
-                self.dfs_inconsistent_coverage
-            ),
-            format!(
-                "dfs faults checksum_mismatches={} read_failovers={} breaker_trips={} breaker_recoveries={} breaker_skipped={}",
-                self.dfs_checksum_mismatches,
-                self.dfs_read_failovers,
-                self.dfs_breaker_trips,
-                self.dfs_breaker_recoveries,
-                self.dfs_breaker_skipped
-            ),
-            format!(
-                "drill trips={} probes={} recoveries={} reopens={} skipped={} recovered_closed={} degraded_unavailable={}",
-                self.drill_trips,
-                self.drill_probes,
-                self.drill_recoveries,
-                self.drill_reopens,
-                self.drill_skipped,
-                self.drill_recovered_closed,
-                self.drill_degraded_unavailable
-            ),
-        ]
+    /// Everything but the wall time and the timing-stream advisories is
+    /// deterministic, so `BENCH_CHAOS_SERVE.json` is timing-free.
+    pub fn report(&self) -> Report {
+        let mut r = Report::new("chaos-serve", Some("BENCH_CHAOS_SERVE.json"));
+        r.det("seed", self.seed);
+        r.det("clients", self.clients);
+        // Nobody hung, nobody died, the server answered afterwards.
+        r.det("requests_awaited", self.requests_awaited).at_least(1);
+        r.det("terminal_frames", self.terminal_frames)
+            .eq_field("requests_awaited");
+        r.det("all_terminal", self.all_terminal()).eq(true);
+        r.det("survived_storm", self.survived_storm).eq(true);
+        r.det("healthy_queries", self.healthy_queries);
+        r.det("healthy_rows", self.healthy_rows);
+        r.det_console("slow_rows", self.slow_rows);
+        // Every poison query became an INTERNAL error frame and a counted
+        // worker panic; none killed the pool.
+        r.det("poison_queries", self.poison_queries).at_least(1);
+        r.det("poison_isolated", self.poison_isolated)
+            .eq_field("poison_queries");
+        r.det("worker_panics", self.worker_panics)
+            .eq_field("poison_queries");
+        r.det("worker_respawns", self.worker_respawns);
+        // Deadline storms and cancel races degrade to zero-served Partial.
+        r.det("deadline_storms", self.deadline_storms).at_least(1);
+        r.det("deadline_partials", self.deadline_partials)
+            .eq_field("deadline_storms");
+        r.det_console("deadline_expired_counted", self.deadline_expired_counted);
+        r.det("cancels_sent", self.cancels_sent).at_least(1);
+        r.det("cancel_partials", self.cancel_partials)
+            .eq_field("cancels_sent");
+        r.det_console("cancelled_counted", self.cancelled_counted);
+        // The one malformed frame: BAD_REQUEST, then the connection is cut.
+        r.det("malformed_frames", self.malformed_frames).eq(1);
+        r.det("malformed_rejected", self.malformed_rejected).eq(1);
+        r.det("protocol_errors", self.protocol_errors).eq(1);
+        r.det("disconnects", self.disconnects).eq(1);
+        r.det("sheds_seen", self.sheds_seen).eq(0);
+        r.det_console("server_queries", self.server_queries);
+        r.det("meta_ticks", self.meta_ticks);
+        r.det("survive_anomalies", self.survive_anomalies)
+            .at_least(1);
+        // Phase 2: chaos never lost an ingest, degradation stayed honest.
+        r.det_console("dfs_epochs_ingested", self.dfs_epochs_ingested);
+        r.det_console("dfs_ingest_retries", self.dfs_ingest_retries);
+        r.det("dfs_ingest_failures", self.dfs_ingest_failures).eq(0);
+        r.det("dfs_queries", self.dfs_queries).at_least(1);
+        r.det("dfs_exact", self.dfs_exact);
+        r.det("dfs_partial", self.dfs_partial);
+        r.det("dfs_unavailable", self.dfs_unavailable);
+        r.det("dfs_inconsistent_coverage", self.dfs_inconsistent_coverage)
+            .eq(0);
+        r.det_console("dfs_checksum_mismatches", self.dfs_checksum_mismatches);
+        r.det_console("dfs_read_failovers", self.dfs_read_failovers);
+        r.det("dfs_breaker_trips", self.dfs_breaker_trips);
+        r.det_console("dfs_breaker_recoveries", self.dfs_breaker_recoveries);
+        r.det_console("dfs_breaker_skipped", self.dfs_breaker_skipped);
+        // Phase 3: trip, cool down, half-open probe, recovery; and an
+        // all-replicas-open read degrades instead of hanging.
+        r.det_console("drill_trips", self.drill_trips).at_least(1);
+        r.det_console("drill_probes", self.drill_probes);
+        r.det_console("drill_recoveries", self.drill_recoveries);
+        r.det_console("drill_reopens", self.drill_reopens);
+        r.det_console("drill_skipped", self.drill_skipped);
+        r.det("drill_recovered_closed", self.drill_recovered_closed)
+            .eq(true);
+        r.det(
+            "drill_degraded_unavailable",
+            self.drill_degraded_unavailable,
+        )
+        .eq(true);
+        r.perf("wall_secs", Value::Float(self.wall_secs, 3));
+        r.perf("anomalies_total", self.anomalies_total);
+        r
     }
 }
 

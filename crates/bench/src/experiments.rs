@@ -1,5 +1,6 @@
 //! The experiment drivers, one per paper artifact.
 
+use crate::report::{Report, Value};
 use crate::setup::{build_frameworks, ingest_all, BenchConfig, Frameworks};
 use codecs::table1_codecs as codec_list;
 use codecs::GzipLite;
@@ -314,6 +315,70 @@ pub struct ChaosReport {
     pub present_leaves: usize,
 }
 
+impl ChaosReport {
+    /// Every field is deterministic. `BENCH_CHAOS.json` records the
+    /// CAS-backend run: the path run passes the same gates and writes no
+    /// file, so one run never overwrites the other's report.
+    pub fn report(&self) -> Report {
+        let (faults, repair, coverage) = (&self.faults, &self.repair, &self.final_coverage);
+        let mut r = Report::new("chaos", self.cas.then_some("BENCH_CHAOS.json"));
+        r.det("seed", self.seed);
+        r.det("backend", if self.cas { "cas" } else { "path" });
+        r.det("epochs_ingested", self.epochs_ingested);
+        r.det("ingest_retries", self.ingest_retries);
+        r.det("ingest_failures", self.ingest_failures).eq(0);
+        // The fault plan did damage …
+        r.det_console("transient_reads_injected", faults.transient_reads_injected)
+            .at_least(1);
+        r.det_console(
+            "transient_writes_injected",
+            faults.transient_writes_injected,
+        );
+        r.det_console(
+            "corrupt_replicas_injected",
+            faults.corrupt_replicas_injected,
+        )
+        .at_least(1);
+        r.det_console("slow_reads_injected", faults.slow_reads_injected);
+        r.det_console("crashes_injected", faults.crashes_injected)
+            .at_least(1);
+        r.det_console("revivals", faults.revivals);
+        r.det_console("checksum_mismatches", faults.checksum_mismatches);
+        r.det_console("read_failovers", faults.read_failovers);
+        r.det_console("retry_attempts", faults.retry_attempts);
+        r.det_console("retry_successes", faults.retry_successes);
+        r.det_console("retries_exhausted", faults.retries_exhausted);
+        // … and repair healed all of it.
+        r.det("data_loss_epochs", self.data_loss_epochs).eq(0);
+        r.det("repair_passes", faults.repair_passes);
+        r.det_console("blocks_scanned", repair.blocks_scanned);
+        r.det_console("under_replicated", repair.under_replicated);
+        r.det("replicas_added", repair.replicas_added).at_least(1);
+        r.det("corrupt_replicas_dropped", repair.corrupt_replicas_dropped);
+        r.det_console("unrecoverable", repair.unrecoverable).eq(0);
+        r.det("queries_run", self.queries_run);
+        r.det_console("exact_results", self.exact_results);
+        r.det_console("partial_results", self.partial_results);
+        r.det_console("unavailable_results", self.unavailable_results);
+        r.det("inconsistent_coverage", self.inconsistent_coverage)
+            .eq(0);
+        r.det_console("blackout_unavailable", self.blackout_unavailable);
+        r.det_console("blackout_degraded_cleanly", self.blackout_degraded_cleanly)
+            .eq(true);
+        // Decay ran, so the final probe exercises both healthy buckets.
+        r.det_console("coverage_requested", coverage.requested)
+            .holds(
+                "== coverage_served + coverage_decayed",
+                coverage.requested == coverage.served + coverage.decayed,
+            );
+        r.det("coverage_served", coverage.served);
+        r.det("coverage_decayed", coverage.decayed).at_least(1);
+        r.det("coverage_unavailable", coverage.unavailable).eq(0);
+        r.det_console("present_leaves", self.present_leaves);
+        r
+    }
+}
+
 /// Check a query result's coverage arithmetic against the leaf count of
 /// its window. Returns false only for genuinely inconsistent reports.
 fn coverage_is_consistent(result: &QueryResult, requested: u32) -> bool {
@@ -330,15 +395,11 @@ fn coverage_is_consistent(result: &QueryResult, requested: u32) -> bool {
 /// crash/restart cycle — while running T1–T4 and a data-exploration query
 /// every simulated day, repairing daily, then staging a two-node blackout
 /// drill and verifying zero data loss once the cluster heals.
-pub fn chaos_experiment(config: &BenchConfig, seed: u64) -> ChaosReport {
-    chaos_experiment_with(config, seed, false)
-}
-
-/// [`chaos_experiment`] with a switchable storage backend: `cas = true`
-/// runs the identical fault schedule over the content-addressed store, so
-/// CI can hold dedup'd storage to the same zero-data-loss bar as the
-/// per-epoch path layout.
-pub fn chaos_experiment_with(config: &BenchConfig, seed: u64, cas: bool) -> ChaosReport {
+///
+/// `cas = true` runs the identical fault schedule over the
+/// content-addressed store, which is held to the same zero-data-loss bar
+/// as the per-epoch path layout.
+pub fn chaos_experiment(config: &BenchConfig, seed: u64, cas: bool) -> ChaosReport {
     let mut generator = config.generator();
     let layout = generator.layout().clone();
 
@@ -491,8 +552,8 @@ pub fn chaos_experiment_with(config: &BenchConfig, seed: u64, cas: bool) -> Chao
 /// Outcome of the `repro cas` experiment: the same seeded week ingested
 /// through the per-epoch path backend and the content-addressed backend
 /// side by side. Every field is a pure function of `(seed, scale, days)` —
-/// CI runs the experiment twice and diffs the printed `cas:` lines, so
-/// nothing time-derived lives here (timings go in [`CasPerf`]).
+/// two runs with the same seed must produce equal reports, so nothing
+/// time-derived lives here (timings go in [`CasPerf`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CasReport {
     pub seed: u64,
@@ -545,8 +606,8 @@ impl CasReport {
         }
     }
 
-    /// Same reduction as integer permille — diffable and shell-comparable
-    /// (CI gates on `>= 200`, i.e. the 20 % acceptance bar).
+    /// Same reduction as integer permille, so the gate (`>= 200`, the
+    /// 20 % acceptance bar) compares integers.
     pub fn reduction_permille(&self) -> i64 {
         if self.path_bytes == 0 {
             0
@@ -555,9 +616,49 @@ impl CasReport {
                 as i64
         }
     }
+
+    /// `BENCH_CAS.json` ends in three timing fields, so only its
+    /// deterministic fields compare against the committed file.
+    pub fn report(&self, perf: &CasPerf) -> Report {
+        let mut r = Report::new("cas", Some("BENCH_CAS.json"));
+        r.det("seed", self.seed);
+        r.det("epochs", self.epochs);
+        r.det("raw_bytes", self.raw_bytes);
+        r.det("path_bytes", self.path_bytes);
+        r.det("cas_bytes", self.cas_bytes);
+        r.det("pack_bytes", self.pack_bytes);
+        r.det("manifest_bytes", self.manifest_bytes);
+        r.det("reduction_pct", Value::Float(self.reduction_pct(), 2));
+        r.det("reduction_permille", self.reduction_permille())
+            .at_least(200);
+        r.det("dedup_hits", self.dedup_hits).at_least(1);
+        r.det("dedup_bytes_saved", self.dedup_bytes_saved)
+            .at_least(1);
+        r.det_console("unique_chunks", self.unique_chunks);
+        r.det_console("packs", self.packs);
+        r.det("delta_bytes", self.delta_bytes);
+        // Content addressing also shrinks the anchor+delta layout.
+        r.det("delta_cas_bytes", self.delta_cas_bytes)
+            .holds("< delta_bytes", self.delta_cas_bytes < self.delta_bytes);
+        // Doubles as a whole-store content fingerprint across runs.
+        r.det("manifest_root", self.manifest_root.as_str());
+        r.det_console("queries_run", self.queries_run).at_least(1);
+        r.det("results_equal", self.results_equal).eq(true);
+        r.det_console("decay_freed", self.decay_freed).at_least(1);
+        r.det_console("gc_swept", self.gc_swept);
+        r.det("gc_reclaimed_bytes", self.decay_freed + self.gc_swept);
+        r.det("leak_bytes", self.leak_bytes).eq(0);
+        r.det("unreferenced_chunks", self.unreferenced_chunks).eq(0);
+        r.perf("path_read_p50_us", perf.path_read_p50_us);
+        r.perf_json("path_read_p95_us", perf.path_read_p95_us);
+        r.perf("cas_read_p50_us", perf.cas_read_p50_us);
+        r.perf_json("cas_read_p95_us", perf.cas_read_p95_us);
+        r.perf_json("wall_secs", Value::Float(perf.wall_secs, 3));
+        r
+    }
 }
 
-/// Wall-clock measurements of the CAS experiment — never diffed.
+/// Wall-clock measurements of the CAS experiment: its report's perf fields.
 #[derive(Debug, Clone, Copy)]
 pub struct CasPerf {
     /// Per-epoch full-snapshot read latency, path backend (µs).
@@ -634,7 +735,7 @@ pub fn cas_experiment(config: &BenchConfig, seed: u64) -> (CasReport, CasPerf) {
     }
 
     // Read-path latency: one cold-ish full-snapshot load per epoch per
-    // backend (timing only — never part of the diffable report).
+    // backend (timing only: perf fields of the report).
     let mut path_us: Vec<u64> = Vec::with_capacity(epochs.len());
     let mut cas_us: Vec<u64> = Vec::with_capacity(epochs.len());
     for &e in &epochs {
@@ -897,100 +998,20 @@ mod tests {
         }
     }
 
+    // The gates of both drills, their same-seed determinism and the
+    // committed files are `tests/drills.rs`'s; what is left here is what
+    // a second seed shows.
     #[test]
-    fn chaos_runs_are_reproducible_and_lossless() {
+    fn another_seed_draws_another_fault_schedule_and_another_merkle_root() {
         let config = chaos_config();
-        let first = chaos_experiment(&config, 7);
-        // The zero-data-loss gate: after the blackout ends and repair
-        // completes, every epoch is served or decayed.
-        assert_eq!(first.data_loss_epochs, 0, "{first:?}");
-        assert_eq!(first.ingest_failures, 0, "{first:?}");
-        assert_eq!(first.repair.unrecoverable, 0, "{first:?}");
-        assert_eq!(first.inconsistent_coverage, 0, "{first:?}");
-        assert!(first.blackout_degraded_cleanly, "{first:?}");
-        // The fault plan actually did damage, and repair actually healed.
-        assert!(first.faults.corrupt_replicas_injected > 0, "{first:?}");
-        assert!(first.faults.transient_reads_injected > 0, "{first:?}");
-        assert!(first.faults.crashes_injected > 0, "{first:?}");
-        assert!(
-            first.repair.replicas_added > 0 || first.repair.corrupt_replicas_dropped > 0,
-            "{first:?}"
+        let (a, b) = (
+            chaos_experiment(&config, 7, false),
+            chaos_experiment(&config, 8, false),
         );
-        // Decay ran, so the coverage report exercises all three buckets.
-        assert!(first.final_coverage.decayed > 0, "{first:?}");
-        assert_eq!(
-            first.final_coverage.served + first.final_coverage.decayed,
-            first.final_coverage.requested,
-            "{first:?}"
-        );
-
-        // Determinism: the same seed reproduces every counter; a different
-        // seed draws a different fault schedule.
-        let again = chaos_experiment(&config, 7);
-        assert_eq!(first, again);
-        let other = chaos_experiment(&config, 8);
-        assert_ne!(first.faults, other.faults);
-    }
-
-    #[test]
-    fn chaos_over_cas_is_reproducible_and_lossless() {
-        let config = chaos_config();
-        let first = chaos_experiment_with(&config, 7, true);
-        assert!(first.cas);
-        // The content-addressed backend must clear the same bars as the
-        // path backend under the identical fault schedule.
-        assert_eq!(first.data_loss_epochs, 0, "{first:?}");
-        assert_eq!(first.ingest_failures, 0, "{first:?}");
-        assert_eq!(first.inconsistent_coverage, 0, "{first:?}");
-        assert!(first.blackout_degraded_cleanly, "{first:?}");
-        assert!(first.faults.corrupt_replicas_injected > 0, "{first:?}");
-        assert!(first.final_coverage.decayed > 0, "{first:?}");
-        assert_eq!(
-            first.final_coverage.served + first.final_coverage.decayed,
-            first.final_coverage.requested,
-            "{first:?}"
-        );
-        let again = chaos_experiment_with(&config, 7, true);
-        assert_eq!(first, again);
-    }
-
-    #[test]
-    fn cas_experiment_dedups_answers_identically_and_gcs_clean() {
-        // The default 1/128 bench scale, not the 1/2048 chaos scale: the
-        // per-epoch manifest floor is fixed-size, so the reduction ratio
-        // is only meaningful once epochs carry real data (at 1/2048 an
-        // epoch compresses to ~1.4 KB and metadata eats the win).
-        let config = BenchConfig {
-            scale: 1.0 / 128.0,
-            days: 7,
-            throttled: false,
-        };
-        let (r, _perf) = cas_experiment(&config, 7);
-        assert_eq!(r.epochs, 7 * EPOCHS_PER_DAY as usize, "{r:?}");
-        // Equal answers from both backends on every probe query.
-        assert!(r.queries_run > 0);
-        assert!(r.results_equal, "{r:?}");
-        // The acceptance bar: >= 20 % smaller than the path backend.
-        assert!(
-            r.reduction_permille() >= 200,
-            "reduction {}‰: {r:?}",
-            r.reduction_permille()
-        );
-        assert!(r.dedup_hits > 0, "{r:?}");
-        assert!(r.dedup_bytes_saved > 0, "{r:?}");
-        // Content addressing also shrinks the anchor+delta layout.
-        assert!(r.delta_cas_bytes < r.delta_bytes, "{r:?}");
-        // Decay-as-GC leaves nothing behind.
-        assert_eq!(r.unreferenced_chunks, 0, "{r:?}");
-        assert_eq!(r.leak_bytes, 0, "{r:?}");
-        assert!(r.decay_freed > 0, "{r:?}");
-
-        // Determinism: same seed → identical report, including the Merkle
-        // root; another seed → different trace, different root.
-        let (again, _) = cas_experiment(&config, 7);
-        assert_eq!(r, again);
-        let (other, _) = cas_experiment(&config, 8);
-        assert_ne!(r.manifest_root, other.manifest_root);
+        assert_ne!(a.faults, b.faults);
+        let day = BenchConfig { days: 1, ..config };
+        let ((a, _), (b, _)) = (cas_experiment(&day, 7), cas_experiment(&day, 8));
+        assert_ne!(a.manifest_root, b.manifest_root);
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //!   heat ledger into non-trivial hot/warm/cold bands, and those bands
 //!   must survive a persist + restore round-trip byte-identically.
 //!
-//! Every `heat:` line printed by `repro` from this report is a pure
-//! function of `(seed, scale, days)` — CI runs the experiment twice and
-//! diffs the lines. Wall time goes on a `heat-perf:` line, never diffed.
+//! Everything but the wall time is a pure function of `(seed, scale,
+//! days)`, so `BENCH_HEAT.json` is timing-free.
 
+use crate::report::{Report, Value};
 use crate::setup::BenchConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -74,8 +74,65 @@ pub struct HeatBenchReport {
     /// `HeatReport::bands()` identical before persist and after restore.
     pub restart_bands_identical: bool,
     pub restart_tracked_epochs: usize,
-    /// Timing-dependent; never diffed.
+    /// Timing-dependent.
     pub wall_secs: f64,
+}
+
+impl HeatBenchReport {
+    pub fn report(&self) -> Report {
+        let mut r = Report::new("heat", Some("BENCH_HEAT.json"));
+        r.det("seed", self.seed);
+        r.det("epochs_ingested", self.epochs_ingested);
+        r.det("queries_run", self.queries_run);
+        r.det("bytes_read_total", self.bytes_read_total).at_least(1);
+        r.det("bytes_decompressed_total", self.bytes_decompressed_total);
+        r.det("rows_scanned", self.rows_scanned).at_least(1);
+        r.det("rows_returned", self.rows_returned);
+        r.det("epochs_touched", self.epochs_touched).at_least(1);
+        // The zero-cost-leak gate: a sum over every profile, T1 and T4
+        // included, so zero here is zero `unattributed_bytes` in each.
+        r.det("leak_bytes", self.leak_bytes).eq(0);
+        r.det("profiles_reconcile", self.profiles_reconcile)
+            .eq(true);
+        // The skewed workload must separate the bands.
+        r.det("hot", self.hot).at_least(1);
+        r.det("warm", self.warm);
+        r.det("cold", self.cold);
+        r.det("tracked_epochs", self.tracked_epochs)
+            .holds(">= hot + warm", self.tracked_epochs >= self.hot + self.warm);
+        r.det("ledger_tick", self.ledger_tick);
+        r.det("top_epoch", self.top_epochs.first().map_or(0, |e| e.0));
+        let top = self.top_attributes.first();
+        r.det("top_attribute", top.map_or("", |(a, _)| a.as_str()));
+        r.det("t1_result_rows", self.t1_rows);
+        r.det("t4_result_rows", self.t4_rows);
+        r.det("exports_consistent", self.exports_consistent)
+            .eq(true);
+        r.det("restart_bands_identical", self.restart_bands_identical)
+            .eq(true);
+        r.det_console("restart_tracked_epochs", self.restart_tracked_epochs)
+            .eq_field("tracked_epochs");
+        r.det("index_image_bytes", self.index_image_bytes)
+            .at_least(1);
+        let top = self.top_epochs.iter();
+        let top = top.map(|(e, heat, n)| format!("epoch={e} heat_milli={heat} accesses={n}"));
+        r.det_console("top_epochs", Value::Lines(top.collect()));
+        let top = self.top_attributes.iter();
+        let top = top.map(|(a, n)| format!("attribute={a} accesses={n}"));
+        r.det_console("top_attributes", Value::Lines(top.collect()));
+        // The rows EXPLAIN ANALYZE would print for the paper's T1 and T4.
+        let rows = |m: &[(String, String)]| {
+            Value::Lines(
+                m.iter()
+                    .map(|(metric, v)| format!("{metric}={v}"))
+                    .collect(),
+            )
+        };
+        r.det_console("t1", rows(&self.t1_metrics));
+        r.det_console("t4", rows(&self.t4_metrics));
+        r.perf("wall_secs", Value::Float(self.wall_secs, 3));
+        r
+    }
 }
 
 /// The attribute pool the skewed workload draws from, hottest-first by
@@ -256,46 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn heat_experiment_reconciles_and_survives_restart() {
-        let r = heat_experiment(&tiny(), 11);
-        assert_eq!(r.epochs_ingested, 2 * EPOCHS_PER_DAY);
-        assert_eq!(r.queries_run, EXPLORE_QUERIES);
-        assert!(r.profiles_reconcile, "a profile failed to reconcile");
-        assert_eq!(r.leak_bytes, 0, "unattributed bytes leaked");
-        assert!(r.bytes_read_total > 0);
-        assert!(r.rows_scanned > 0);
-        assert!(r.epochs_touched > 0);
-        assert!(r.hot > 0, "skewed workload must produce hot epochs");
-        assert!(r.tracked_epochs >= r.hot + r.warm);
-        assert!(r.exports_consistent);
-        assert!(r.restart_bands_identical, "heat bands changed on restart");
-        assert_eq!(r.restart_tracked_epochs, r.tracked_epochs);
-        assert!(r.index_image_bytes > 0);
-        // The SQL profiles carry the rows EXPLAIN ANALYZE would print.
-        let names: Vec<&str> = r.t1_metrics.iter().map(|(m, _)| m.as_str()).collect();
-        assert!(names.contains(&"rows_scanned"));
-        assert!(names.contains(&"unattributed_bytes"));
-        assert!(!names.iter().any(|m| m.starts_with("time.")));
-    }
-
-    #[test]
-    fn same_seed_is_deterministic() {
-        let (a, b) = (heat_experiment(&tiny(), 7), heat_experiment(&tiny(), 7));
-        assert_eq!(a.bytes_read_total, b.bytes_read_total);
-        assert_eq!(a.bytes_decompressed_total, b.bytes_decompressed_total);
-        assert_eq!(a.rows_scanned, b.rows_scanned);
-        assert_eq!(a.rows_returned, b.rows_returned);
-        assert_eq!(a.epochs_touched, b.epochs_touched);
-        assert_eq!((a.hot, a.warm, a.cold), (b.hot, b.warm, b.cold));
-        assert_eq!(a.top_epochs, b.top_epochs);
-        assert_eq!(a.top_attributes, b.top_attributes);
-        assert_eq!(a.t1_metrics, b.t1_metrics);
-        assert_eq!(a.t4_metrics, b.t4_metrics);
-        assert_eq!(a.t1_rows, b.t1_rows);
-        assert_eq!(a.t4_rows, b.t4_rows);
-    }
-
-    #[test]
     fn different_seeds_shift_the_workload() {
         let (a, b) = (heat_experiment(&tiny(), 1), heat_experiment(&tiny(), 2));
         // Same trace, different queries: totals may coincide but the
@@ -304,5 +321,11 @@ mod tests {
             a.top_epochs != b.top_epochs || a.bytes_read_total != b.bytes_read_total,
             "two seeds produced an identical workload"
         );
+        // The SQL profiles carry the rows EXPLAIN ANALYZE would print,
+        // minus the timing entries.
+        let names: Vec<&str> = a.t1_metrics.iter().map(|(m, _)| m.as_str()).collect();
+        assert!(names.contains(&"rows_scanned"));
+        assert!(names.contains(&"unattributed_bytes"));
+        assert!(!names.iter().any(|m| m.starts_with("time.")));
     }
 }

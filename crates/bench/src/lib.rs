@@ -1,7 +1,8 @@
 //! Experiment drivers regenerating every table and figure of the SPATE
-//! paper's evaluation. Each driver returns structured rows; the `repro`
-//! binary prints them in the paper's layout, and the criterion benches
-//! wrap the same code paths.
+//! paper's evaluation, plus the repo-grown drills. Each driver returns
+//! structured rows. The paper artifacts are printed by the `repro` binary
+//! in the paper's layout, and the criterion benches wrap the same code
+//! paths:
 //!
 //! | Driver | Paper artifact |
 //! |---|---|
@@ -9,30 +10,102 @@
 //! | [`table1_codecs`] | Table I — codec ratio / T_c1 / T_c2 per snapshot |
 //! | [`ingest_experiment`] | Figs. 7–10 — ingestion time & disk space by day period and weekday |
 //! | [`response_experiment`] | Figs. 11–12 — response time of tasks T1–T8 on RAW/SHAHED/SPATE |
-//! | [`serve_experiment`] | `repro serve` — concurrent serving tier under mid-run decay (no paper counterpart) |
-//! | [`trace_experiment`] | `repro trace` — one request traced end-to-end, cold vs warm (no paper counterpart) |
-//! | [`cas_experiment`] | `repro cas` — content-addressed store vs. path store: dedup ratio, query equality, GC-leak gate (no paper counterpart) |
-//! | [`heat_experiment`] | `repro heat` — per-query cost accounting and heat-ledger bands under a skewed workload (no paper counterpart) |
-//! | [`chaos_serve_experiment`] | `repro chaos-serve` — adversarial serving-tier drill: poison queries, deadline storms, cancel races, malformed frames, disconnects, chaos-dfs backend with circuit breakers (no paper counterpart) |
-//! | [`scale_experiment`] | `repro scale` — shard-per-core scale-out drill: parallel ingest 1-vs-N shards, scatter-gather byte-identity, concurrent storm percentiles, per-shard decay (no paper counterpart) |
-//! | [`obs_replay_experiment`] | `repro obs-replay` — telemetry recorder drill: per-shard metrics sampled into decay-compressed windows, persisted, reloaded byte-identically, skew anomaly gates (no paper counterpart) |
+//!
+//! The drills (no paper counterpart) are the rows of [`DRILLS`]. Each
+//! builds one [`Report`] — its result fields and their gates, declared
+//! once — and [`report::emit`] prints it, persists `BENCH_<X>.json` and
+//! fails the run on a gate that does not hold; `tests/drills.rs` runs the
+//! same table.
 
+pub mod args;
 pub mod chaos_serve;
 pub mod experiments;
 pub mod heat_bench;
 pub mod obs_replay;
+pub mod report;
 pub mod scale_bench;
 pub mod serve_bench;
 pub mod setup;
 
+pub use args::Args;
 pub use chaos_serve::{chaos_serve_experiment, ChaosServeReport};
 pub use experiments::{
-    cas_experiment, chaos_experiment, chaos_experiment_with, fig4_entropy, ingest_experiment,
-    response_experiment, table1_codecs, CasPerf, CasReport, ChaosReport, CodecRow, EntropyReport,
-    IngestReport, ResponseReport,
+    cas_experiment, chaos_experiment, fig4_entropy, ingest_experiment, response_experiment,
+    table1_codecs, CasPerf, CasReport, ChaosReport, CodecRow, EntropyReport, IngestReport,
+    ResponseReport,
 };
 pub use heat_bench::{heat_experiment, HeatBenchReport};
 pub use obs_replay::{obs_replay_experiment, ObsReplayReport};
+pub use report::Report;
 pub use scale_bench::{scale_experiment, ScaleReport};
 pub use serve_bench::{serve_experiment, trace_experiment, ServeReport, TraceReport};
 pub use setup::{build_frameworks, BenchConfig, Frameworks};
+
+/// One seeded drill: its `repro` name, its `--help` text (the first line
+/// is also its heading) and the run that builds its report.
+pub type Drill = (&'static str, &'static str, fn(&Args) -> Report);
+
+pub const DRILLS: &[Drill] = &[
+    (
+        "chaos",
+        "seeded faults, repair, and degraded-coverage queries\n\
+         (--cas: over the content-addressed backend)",
+        |a| chaos_experiment(&a.config, a.seed, a.cas).report(),
+    ),
+    (
+        "serve",
+        "serving tier: seeded concurrent clients under mid-run decay\n\
+         latency percentiles, shed rate, cache hit ratio,\n\
+         meta-highlights self-monitoring",
+        |a| serve_experiment(&a.config, a.clients, a.seed).report(a.introspect),
+    ),
+    (
+        "chaos-serve",
+        "adversarial serving-tier survivability drill\n\
+         poison queries, deadline storms, cancel races, malformed\n\
+         frames, mid-stream disconnects, then serving over a\n\
+         chaos-faulted DFS with replica circuit breakers",
+        |a| chaos_serve_experiment(&a.config, a.clients, a.seed).report(),
+    ),
+    (
+        "trace",
+        "one seeded request end-to-end, cold vs warm\n\
+         prints its span tree: \"why was request R slow\"",
+        |a| trace_experiment(&a.config, a.seed).report(),
+    ),
+    (
+        "cas",
+        "content-addressed store vs. path store, same seeded week\n\
+         dedup ratio, query equality, Merkle root, decay-as-GC\n\
+         leak gate",
+        |a| {
+            let (r, perf) = cas_experiment(&a.config, a.seed);
+            r.report(&perf)
+        },
+    ),
+    (
+        "heat",
+        "per-query cost accounting and the heat ledger\n\
+         seeded skewed workload, EXPLAIN ANALYZE rows of T1/T4,\n\
+         band census, restart round-trip, zero-cost-leak gate",
+        |a| heat_experiment(&a.config, a.seed).report(),
+    ),
+    (
+        "scale",
+        "shard-per-core scale-out drill, 1 shard vs N\n\
+         million-user trace, parallel per-shard ingest,\n\
+         scatter-gather byte-identity, concurrent client storm,\n\
+         per-shard decay",
+        |a| scale_experiment(a.shards, a.clients, a.seed).report(),
+    ),
+    (
+        "obs-replay",
+        "the telemetry recorder, dogfooding compress-and-decay\n\
+         per-shard metrics sampled into decay-compressed windows\n\
+         (Sprintz-packed), persisted to OBS_TELEMETRY.bin,\n\
+         reloaded byte-identically, re-rendered from the file\n\
+         alone; balanced phase keeps shard.skew silent, skewed\n\
+         phase fires it",
+        |a| obs_replay_experiment(a.shards, a.seed).report(),
+    ),
+];

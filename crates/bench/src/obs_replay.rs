@@ -16,10 +16,13 @@
 //! Every tick publishes the `spate.shard.*` gauges, advances the meta
 //! monitor and takes one recorder sample; `window_samples` ticks close a
 //! window, old windows decay to coarser resolution, and the final image
-//! is Sprintz-packed. The report splits like the other drills: `obs:`
-//! lines are a pure function of `(seed, shards)` and are diffed by CI;
-//! `obs-replay-perf:` lines carry latencies and byte sizes.
+//! is Sprintz-packed. The report splits like the other drills: the
+//! deterministic fields are a pure function of `(seed, shards)` and
+//! `BENCH_OBS.json` holds only them; latencies and byte sizes are perf
+//! fields. The image itself records latencies, so `OBS_TELEMETRY.bin`
+//! differs from run to run.
 
+use crate::report::{Report, Value};
 use obs::recorder::{pack_series, Recorder, RecorderConfig};
 use spate_core::query::Query;
 use spate_core::shard::{shard_of_cell, ShardedSpate};
@@ -89,6 +92,53 @@ impl ObsReplayReport {
     /// Raw-samples-to-packed ratio of the Sprintz codec.
     pub fn compression_ratio(&self) -> f64 {
         self.raw_bytes as f64 / self.packed_value_bytes.max(1) as f64
+    }
+
+    pub fn report(&self) -> Report {
+        let column =
+            |f: fn(&ReplayShardRow) -> u64| -> Vec<u64> { self.shard_rows.iter().map(f).collect() };
+        let queries = column(|s| s.queries);
+        let mut r = Report::new("obs-replay", Some("BENCH_OBS.json"));
+        r.artifact = Some(("OBS_TELEMETRY.bin", self.image.clone()));
+        r.det("seed", self.seed);
+        r.det("shards", self.shards);
+        r.det("epochs", self.epochs);
+        r.det("ticks", self.ticks);
+        r.det("meta_ticks", self.meta_ticks);
+        r.det("windows_recorded", self.windows_recorded)
+            .at_least(30);
+        r.det("series_recorded", self.series_recorded);
+        r.det("samples_total", self.samples_total);
+        r.det("reload_identical", self.reload_identical).eq(true);
+        r.det("compression_ok", self.compression_ok).eq(true);
+        // Balanced phase silent, skewed phase fires.
+        r.det("skew_anomalies_balanced", self.skew_balanced).eq(0);
+        r.det("skew_anomalies_skewed", self.skew_skewed).at_least(1);
+        // Re-rendered from the loaded image, not the live registry — the
+        // replay proof. The skewed phase sent every extra query to shard 0.
+        r.det("shard_queries", queries.clone()).holds(
+            "has one entry per shard, the first above every other",
+            queries.len() == self.shards && queries[1..].iter().all(|&q| q < queries[0]),
+        );
+        r.det("shard_heat_hot", column(|s| s.hot));
+        r.det("shard_bytes", column(|s| s.bytes));
+        let rows = self.shard_rows.iter().map(|s| {
+            format!(
+                "shard={} leaves={} heat_warm={} heat_cold={}",
+                s.shard, s.leaves, s.warm, s.cold
+            )
+        });
+        r.det_console("shard_rows", Value::Lines(rows.collect()));
+        r.perf("windowed_p95_us", self.p95_us.clone());
+        r.perf("raw_bytes", self.raw_bytes);
+        r.perf("packed_value_bytes", self.packed_value_bytes);
+        r.perf(
+            "compression_ratio",
+            Value::Float(self.compression_ratio(), 1),
+        );
+        r.perf("image_bytes", self.image_bytes);
+        r.perf("wall_secs", Value::Float(self.wall_secs, 3));
+        r
     }
 }
 

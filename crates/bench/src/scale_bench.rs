@@ -17,11 +17,12 @@
 //! 4. **Decay drill** — both facades decay the oldest day, equality is
 //!    re-checked over the now-degraded windows.
 //!
-//! The report splits like the other drills: `scale:` lines are a pure
-//! function of `(seed, shards, clients)` and are diffed by CI (two runs,
-//! byte-for-byte, plus a 1-vs-N answer-digest cross-check); `scale-perf:`
-//! lines carry wall-clock, throughput and latency and are never diffed.
+//! The report splits like the other drills: the deterministic fields are
+//! a pure function of `(seed, shards, clients)` — the answer digests
+//! double as a 1-vs-N cross-check fingerprint — and `BENCH_SCALE.json`
+//! holds only them; wall-clock, throughput and latency are perf fields.
 
+use crate::report::{Report, Value};
 use codecs::Identity;
 use dfs::{Dfs, DfsConfig, IoModel};
 use rand::rngs::StdRng;
@@ -53,7 +54,7 @@ const STORM_QUERIES: usize = 16;
 /// *effective* post-replication rate: a 3-replica pipeline funneled
 /// through one ~20 MB/s throttled spindle that is simultaneously
 /// serving reads. Deliberately slow so ingest stays write-bound on any
-/// host — the speedup CI gate measures overlap of simulated I/O, not
+/// host — the speedup gate measures overlap of simulated I/O, not
 /// the runner's compression throughput.
 fn shard_node_disk() -> IoModel {
     IoModel {
@@ -114,6 +115,66 @@ impl ScaleReport {
 
     pub fn storm_qps(&self) -> f64 {
         self.storm_queries as f64 / self.storm_wall_secs.max(1e-9)
+    }
+
+    pub fn report(&self) -> Report {
+        let shards = self.shards as u64;
+        let mut r = Report::new("scale", Some("BENCH_SCALE.json"));
+        r.det("seed", self.seed);
+        r.det("shards", self.shards);
+        r.det("clients", self.clients);
+        r.det("epochs", self.epochs);
+        r.det("cdr_rows", self.cdr_rows);
+        r.det("nms_rows", self.nms_rows);
+        // Scatter-gather: every reply byte-identical 1-vs-N, before …
+        r.det("queries_run", self.queries_run);
+        r.det("answers_identical", self.answers_identical).eq(true);
+        r.det("answer_digest", Value::Hex(self.answer_digest));
+        r.det("inconsistent_coverage", self.inconsistent_coverage)
+            .eq(0);
+        r.det("single_version", self.single_version).at_least(1);
+        r.det("sharded_version", self.sharded_version).holds(
+            "== shards * single_version",
+            self.sharded_version == shards * self.single_version,
+        );
+        // … and after every shard decayed the same day.
+        r.det("single_leaves_evicted", self.single_leaves_evicted)
+            .at_least(1);
+        r.det("sharded_leaves_evicted", self.sharded_leaves_evicted)
+            .holds(
+                "== shards * single_leaves_evicted",
+                self.sharded_leaves_evicted == shards * self.single_leaves_evicted,
+            );
+        r.det("post_decay_identical", self.post_decay_identical)
+            .eq(true);
+        r.det("post_decay_digest", Value::Hex(self.post_decay_digest));
+        r.det("post_decay_inconsistent", self.post_decay_inconsistent)
+            .eq(0);
+        r.perf("raw_mb", Value::Float(self.raw_bytes as f64 / 1e6, 1));
+        r.perf(
+            "ingest_single_secs",
+            Value::Float(self.ingest_single_secs, 3),
+        );
+        r.perf("single_mbps", Value::Float(self.single_mbps(), 1));
+        r.perf(
+            "ingest_sharded_secs",
+            Value::Float(self.ingest_sharded_secs, 3),
+        );
+        r.perf("sharded_mbps", Value::Float(self.sharded_mbps(), 1));
+        // Per-shard disks overlap their (simulated) writes: four of them
+        // must at least halve the ingest wall-clock.
+        let speedup = r.perf("speedup", Value::Float(self.speedup(), 2));
+        if self.shards >= 4 {
+            speedup.at_least(2.0);
+        }
+        r.perf("storm_queries", self.storm_queries);
+        r.perf("storm_qps", Value::Float(self.storm_qps(), 0));
+        r.perf("storm_p50_us", self.storm_p50_us);
+        r.perf("storm_p95_us", self.storm_p95_us);
+        r.perf("storm_p99_us", self.storm_p99_us);
+        r.perf("storm_wall_secs", Value::Float(self.storm_wall_secs, 3));
+        r.perf("wall_secs", Value::Float(self.wall_secs, 3));
+        r
     }
 }
 

@@ -4,19 +4,20 @@
 //! two barrier-separated phases. Between the phases the main thread
 //! ingests the first snapshot of day 2, which triggers the decay pass
 //! and evicts every day-0 epoch the clients were just reading — the
-//! same mid-run mutation the CI smoke gate uses to prove the shared
-//! cache never serves stale rows.
+//! mid-run mutation that proves the shared cache never serves stale rows
+//! (the `stale_reads == 0` gate).
 //!
 //! The report splits cleanly into two halves:
 //!
 //! * **answer-deterministic** — query counts, per-client row totals,
 //!   the day-0 SQL aggregate, stale reads, protocol errors. These are a
 //!   pure function of `(seed, clients, scale)` regardless of thread
-//!   interleaving; the `repro` binary prints them as `serve:` lines and
-//!   CI diffs two runs byte-for-byte.
+//!   interleaving: the deterministic fields of the [`Report`].
 //! * **timing-dependent** — latency percentiles, throughput, shed and
-//!   cache-hit counts. Printed as `serve-perf:` lines, never diffed.
+//!   cache-hit counts: its perf fields, ten of them persisted, so only
+//!   `BENCH_SERVE.json`'s other seven compare against the committed file.
 
+use crate::report::{Report, Value};
 use crate::BenchConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,7 +27,6 @@ use spate_core::DecayPolicy;
 use spate_serve::{CacheStats, Reply, ServeConfig, Server, StatsFrame, TraceFrame};
 use std::sync::{Arc, Barrier};
 use telco_trace::cells::BoundingBox;
-use telco_trace::record::Value;
 use telco_trace::time::EPOCHS_PER_DAY;
 use telco_trace::{Snapshot, TraceConfig, TraceGenerator};
 
@@ -55,9 +55,9 @@ pub struct ServeReport {
     /// Meta-highlights self-monitoring: the monitor is ticked at fixed
     /// workload boundaries, so the tick count is a constant of the
     /// scenario and a fault-free run reports exactly zero deterministic
-    /// anomalies (both diffed by CI). `anomalies_total` may also count
+    /// anomalies (both gated). `anomalies_total` may also count
     /// timing-stream advisories (shed storms are expected here) and is
-    /// reported but never diffed.
+    /// a perf field.
     pub meta_ticks: u64,
     pub anomalies_total: u64,
     pub anomalies_deterministic: u64,
@@ -70,6 +70,10 @@ pub struct ServeReport {
     pub decay_invalidations: u64,
     pub prefetches: u64,
     pub wall_secs: f64,
+    /// `(p50, p95, p99)` of the server's labeled `serve.latency_us`
+    /// histogram, per admission class, microseconds.
+    pub interactive_us: (u64, u64, u64),
+    pub scan_us: (u64, u64, u64),
     /// Live introspection frames fetched over the wire just before
     /// shutdown — what `repro serve --introspect` prints.
     pub introspect_stats: StatsFrame,
@@ -85,13 +89,100 @@ impl ServeReport {
         let shed = self.shed_overflow + self.shed_deadline;
         shed as f64 / (self.queries + shed).max(1) as f64
     }
+
+    /// `introspect` appends the live Stats/Trace frames (`--introspect`).
+    pub fn report(&self, introspect: bool) -> Report {
+        let mut r = Report::new("serve", Some("BENCH_SERVE.json"));
+        r.det("seed", self.seed);
+        r.det("clients", self.clients);
+        r.det("queries", self.queries);
+        r.det("rows_streamed", self.rows_streamed);
+        r.det_console("phase1_rows", self.phase1_rows);
+        r.det_console("per_client_rows", self.per_client_rows.clone());
+        r.det_console("day0_count", self.day0_count);
+        r.det_console("counts_agree", self.counts_agree).eq(true);
+        r.perf_json("throughput_qps", Value::Float(self.throughput(), 1));
+        r.perf_json("wall_secs", Value::Float(self.wall_secs, 3));
+        r.perf_json("interactive_p50_us", self.interactive_us.0);
+        r.perf_json("interactive_p95_us", self.interactive_us.1);
+        r.perf_json("interactive_p99_us", self.interactive_us.2);
+        r.perf_json("scan_p50_us", self.scan_us.0);
+        r.perf_json("scan_p95_us", self.scan_us.1);
+        r.perf_json("scan_p99_us", self.scan_us.2);
+        r.perf("shed_overflow", self.shed_overflow);
+        r.perf("shed_deadline", self.shed_deadline);
+        r.perf_json("shed_rate", Value::Float(self.shed_rate(), 4));
+        r.perf("shed_retries", self.shed_retries);
+        r.perf("prefetches", self.prefetches);
+        r.perf_json("cache_hit_ratio", Value::Float(self.cache.hit_ratio(), 3));
+        r.perf("cache_hits", self.cache.hits);
+        r.perf("cache_misses", self.cache.misses);
+        r.perf("cache_inserts", self.cache.inserts);
+        r.perf("cache_evictions", self.cache.evictions);
+        r.perf("cache_invalidations", self.cache.invalidations);
+        // The mid-run decay evicted epochs the clients had just cached …
+        r.perf("decay_invalidations", self.decay_invalidations)
+            .at_least(1);
+        // … and no phase-2 answer over the decayed day still carried rows.
+        r.det("stale_reads", self.stale_reads).eq(0);
+        r.det("protocol_errors", self.protocol_errors).eq(0);
+        // Ticks happen at the scenario's five barriers and the run injects
+        // no fault, so a calm run reports no deterministic anomaly.
+        r.det_console("meta_ticks", self.meta_ticks).eq(5);
+        r.det_console("anomalies_deterministic", self.anomalies_deterministic)
+            .eq(0);
+        // Timing-stream advisories; shed storms are expected under this load.
+        r.perf("anomalies_total", self.anomalies_total);
+        if introspect {
+            self.introspection(&mut r);
+        }
+        r
+    }
+
+    /// The live Stats and Trace frames fetched over the wire just before
+    /// shutdown, as further perf fields: which request happens to be the
+    /// latest trace and the current counter values depend on timing.
+    fn introspection(&self, r: &mut Report) {
+        let (stats, trace) = (&self.introspect_stats, &self.introspect_trace);
+        r.perf("live_queries", stats.queries);
+        r.perf("live_rows_streamed", stats.rows_streamed);
+        r.perf("live_shed_overflow", stats.shed_overflow);
+        r.perf("live_shed_deadline", stats.shed_deadline);
+        r.perf("live_protocol_errors", stats.protocol_errors);
+        r.perf("live_queue_interactive", stats.queue_interactive);
+        r.perf("live_queue_scan", stats.queue_scan);
+        r.perf("live_cache_hits", stats.cache_hits);
+        r.perf("live_cache_misses", stats.cache_misses);
+        r.perf("live_cache_evictions", stats.cache_evictions);
+        r.perf("live_cache_invalidations", stats.cache_invalidations);
+        r.perf("live_meta_ticks", stats.meta_ticks);
+        r.perf("live_anomalies_total", stats.anomalies_total);
+        r.perf(
+            "live_anomalies_deterministic",
+            stats.anomalies_deterministic,
+        );
+        r.perf("live_registry_counters", stats.counters.len());
+        let anomalies = stats.anomalies.iter().map(|a| {
+            let share = a.share_milli as f64 / 1000.0;
+            format!(
+                "tick={} stream={} category={} share={share:.3} deterministic={}",
+                a.tick, a.stream, a.category, a.deterministic
+            )
+        });
+        r.perf("live_anomaly", Value::Lines(anomalies.collect()));
+        let top = stats.counters.iter().take(4);
+        let top = top.map(|(name, v)| format!("{name}={v}"));
+        r.perf("live_top_counter", Value::Lines(top.collect()));
+        r.perf("live_trace_id", Value::Hex(trace.trace_id));
+        r.perf("live_trace", Value::Lines(trace_lines(trace)));
+    }
 }
 
 /// Latency percentiles in microseconds for one admission class, read
 /// back from the labeled `serve.latency_us{class="..."}` histogram the
 /// server populates (one metric name, one label — not a mangled name
 /// per class).
-pub fn latency_us(class: &str) -> (u64, u64, u64) {
+fn latency_us(class: &str) -> (u64, u64, u64) {
     let h = obs::global().histogram_labeled("serve.latency_us", &[("class", class)]);
     (h.quantile(0.50), h.quantile(0.95), h.quantile(0.99))
 }
@@ -168,6 +259,8 @@ pub fn serve_experiment(config: &BenchConfig, clients: usize, seed: u64) -> Serv
         decay_invalidations,
         prefetches: 0,
         wall_secs: 0.0,
+        interactive_us: (0, 0, 0),
+        scan_us: (0, 0, 0),
         introspect_stats: StatsFrame::default(),
         introspect_trace: TraceFrame::default(),
     };
@@ -186,6 +279,8 @@ pub fn serve_experiment(config: &BenchConfig, clients: usize, seed: u64) -> Serv
     report.wall_secs = started.elapsed().as_secs_f64();
     report.cache = server.cache_stats();
     report.prefetches = obs::global().counter("serve.prefetch").get();
+    report.interactive_us = latency_us("interactive");
+    report.scan_us = latency_us("scan");
 
     server.monitor_tick();
     server.monitor_tick();
@@ -229,6 +324,37 @@ pub struct TraceReport {
     /// `chrome://tracing` / Perfetto).
     pub chrome_json: String,
     pub wall_secs: f64,
+}
+
+impl TraceReport {
+    /// Span structure, names, args and the cold/warm cache split never
+    /// depend on timing; the durations are not rendered.
+    pub fn report(&self) -> Report {
+        let named =
+            |frame: &TraceFrame, name: &str| frame.spans.iter().filter(|s| s.name == name).count();
+        let epochs = self.window.1 - self.window.0 + 1;
+        let mut r = Report::new("trace", None);
+        r.det("seed", self.seed);
+        r.det("window_start", self.window.0);
+        r.det("window_end", self.window.1);
+        r.det("cold_spans", self.cold.spans.len());
+        r.det("warm_spans", self.warm.spans.len());
+        // Cold misses once per window epoch, warm hits every epoch.
+        r.det("cold_evaluate_spans", named(&self.cold, "serve.evaluate"))
+            .eq(1);
+        r.det("cold_cache_misses", named(&self.cold, "cache.miss"))
+            .eq(epochs);
+        r.det("warm_cache_hits", named(&self.warm, "cache.hit"))
+            .eq(epochs);
+        r.det("warm_cache_misses", named(&self.warm, "cache.miss"))
+            .eq(0);
+        r.det("cold", Value::Lines(trace_lines(&self.cold)));
+        r.det("warm", Value::Lines(trace_lines(&self.warm)));
+        r.perf("wall_secs", Value::Float(self.wall_secs, 3));
+        // Dump the whole recorder with --trace-json.
+        r.perf("chrome_json_bytes", self.chrome_json.len());
+        r
+    }
 }
 
 /// Render one wire trace as deterministic, diffable lines: span ids are
@@ -379,7 +505,7 @@ fn client_loop(server: &Server, barrier: &Barrier, seed: u64, id: u64) -> Client
         {
             Reply::Shed { .. } => retries += 1,
             Reply::Rows { rows, .. } => match rows[0][0][0] {
-                Value::Int(n) => break n,
+                telco_trace::Value::Int(n) => break n,
                 ref v => panic!("unexpected count value {v:?}"),
             },
             other => panic!("phase 1 sql expected rows, got {other:?}"),
@@ -405,7 +531,7 @@ fn client_loop(server: &Server, barrier: &Barrier, seed: u64, id: u64) -> Client
         {
             Reply::Shed { .. } => retries += 1,
             Reply::Rows { rows, .. } => {
-                if rows[0][0][0] != Value::Int(0) {
+                if rows[0][0][0] != telco_trace::Value::Int(0) {
                     stale_reads += 1;
                 }
                 break;

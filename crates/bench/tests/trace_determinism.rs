@@ -34,18 +34,24 @@ fn seeded_trace_reconstruction_is_deterministic() {
     assert_eq!(misses, 4, "{lines:#?}");
     assert!(lines.iter().any(|l| l.contains("admission.wait")));
     assert!(lines.iter().any(|l| l.contains("serve.request")));
+    assert!(lines.iter().any(|l| l.ends_with(" serve.evaluate")));
     assert!(lines.iter().any(|l| l.contains("dfs.read")));
     // Warm re-read of the same window: hits only.
     let warm = trace_lines(&a.warm);
     assert_eq!(warm.iter().filter(|l| l.contains(" cache.hit ")).count(), 4);
     assert!(!warm.iter().any(|l| l.contains(" cache.miss ")));
 
-    // The Chrome trace_event dump is structurally valid.
+    // The Chrome trace_event dump is structurally valid: balanced, not
+    // empty, complete-span and instant phases only, the request in it.
     assert!(a.chrome_json.starts_with("{\"traceEvents\": ["));
     assert_eq!(
         a.chrome_json.matches('{').count(),
         a.chrome_json.matches('}').count()
     );
-    assert!(a.chrome_json.contains("\"ph\": \"X\""));
-    assert!(a.chrome_json.contains("\"ph\": \"i\""));
+    let phases = a.chrome_json.split("\"ph\": \"").skip(1);
+    let mut phases: Vec<&str> = phases.map(|p| &p[..1]).collect();
+    phases.sort_unstable();
+    phases.dedup();
+    assert_eq!(phases, ["X", "i"]);
+    assert!(a.chrome_json.contains("\"name\": \"serve.request\""));
 }

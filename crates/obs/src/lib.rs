@@ -162,6 +162,20 @@ pub fn reset() {
     shard::reset();
 }
 
+/// The process-global registry, flight recorder and shard set are shared
+/// by every unit test of this crate, and one of them — the reset race
+/// below — clears them 200 times. It holds this lock for writing; a test
+/// that asserts what the globals *contain* holds it for reading, so the
+/// two never overlap and the race keeps its full strength.
+#[cfg(test)]
+static GLOBALS: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
+/// Held by a test for as long as no `reset()` may clear the globals.
+#[cfg(test)]
+pub(crate) fn globals_stay() -> std::sync::RwLockReadGuard<'static, ()> {
+    GLOBALS.read().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     /// Satellite of the documented [`crate::reset`] contract: reset racing
@@ -174,6 +188,7 @@ mod tests {
     #[test]
     fn reset_racing_with_recorders_is_safe() {
         use std::sync::atomic::{AtomicBool, Ordering};
+        let _alone = super::GLOBALS.write().unwrap_or_else(|e| e.into_inner());
         let stop = AtomicBool::new(false);
         let local = crate::Registry::new();
         std::thread::scope(|s| {
@@ -233,6 +248,7 @@ mod tests {
 
     #[test]
     fn module_level_helpers_hit_the_global_registry() {
+        let _no_reset = super::globals_stay();
         super::add("test.lib.counter", 7);
         super::inc("test.lib.counter");
         assert_eq!(super::counter("test.lib.counter").get(), 8);

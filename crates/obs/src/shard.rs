@@ -110,6 +110,7 @@ mod tests {
 
     #[test]
     fn scopes_nest_and_restore() {
+        let _no_reset = crate::globals_stay();
         assert_eq!(current(), None);
         {
             let _a = enter(1);
@@ -127,6 +128,7 @@ mod tests {
 
     #[test]
     fn sharded_helpers_record_both_series() {
+        let _no_reset = crate::globals_stay();
         let _s = enter(2);
         add_sharded("test.shard.bytes", 10);
         observe_sharded("test.shard.lat", 100);

@@ -171,6 +171,7 @@ mod tests {
 
     #[test]
     fn paths_nest_and_self_time_excludes_children() {
+        let _no_reset = crate::globals_stay();
         {
             let _outer = span("test.span.outer");
             std::thread::sleep(Duration::from_millis(10));
@@ -193,6 +194,7 @@ mod tests {
 
     #[test]
     fn finish_secs_matches_the_recorded_total() {
+        let _no_reset = crate::globals_stay();
         let g = span("test.span.finish");
         std::thread::sleep(Duration::from_millis(5));
         let secs = g.finish_secs();

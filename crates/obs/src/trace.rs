@@ -131,6 +131,7 @@ mod tests {
 
     #[test]
     fn spans_and_events_record_into_the_active_trace() {
+        let _no_reset = crate::globals_stay();
         let trace_id = 0xF00D_0001;
         {
             let _t = begin(trace_id);
