@@ -150,44 +150,11 @@ fn bench_decay_query(c: &mut Criterion) {
     group.finish();
 }
 
-/// Plain per-snapshot compression vs anchor+delta storage (the paper's
-/// §IX-B future-work extension): ingest cost of each.
-fn bench_delta_storage(c: &mut Criterion) {
-    use spate_core::{DeltaSnapshotStore, SnapshotStore};
-    let (_, snaps) = snapshots(8);
-    let mut group = c.benchmark_group("ablation/delta_storage_ingest");
-    group.sample_size(10);
-    group.bench_function("plain_gzip", |b| {
-        b.iter_with_setup(
-            || SnapshotStore::new(Dfs::in_memory(), Arc::new(GzipLite::default())),
-            |store| {
-                for s in &snaps {
-                    store.store(s).unwrap();
-                }
-                store.stored_bytes()
-            },
-        )
-    });
-    group.bench_function("anchor_delta", |b| {
-        b.iter_with_setup(
-            || DeltaSnapshotStore::new(Dfs::in_memory(), Arc::new(GzipLite::default()), 8),
-            |store| {
-                for s in &snaps {
-                    store.store(s).unwrap();
-                }
-                store.stored_bytes()
-            },
-        )
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_codec_choice,
     bench_dictionary,
     bench_theta,
-    bench_decay_query,
-    bench_delta_storage
+    bench_decay_query
 );
 criterion_main!(benches);

@@ -3,14 +3,11 @@
 use crate::report::{Report, Value};
 use crate::setup::{build_frameworks, ingest_all, BenchConfig, Frameworks};
 use codecs::table1_codecs as codec_list;
-use codecs::GzipLite;
 use dfs::{Dfs, DfsConfig, FaultConfig, FaultStatsSnapshot, IoModel, RepairReport};
 use spate_core::framework::{ExplorationFramework, SpateFramework};
 use spate_core::index::decay::DecayPolicy;
 use spate_core::query::{Coverage, Query, QueryResult};
 use spate_core::tasks;
-use spate_core::DeltaSnapshotStore;
-use std::sync::Arc;
 use std::time::Instant;
 use telco_trace::cells::BoundingBox;
 use telco_trace::entropy::EntropyProfile;
@@ -580,10 +577,6 @@ pub struct CasReport {
     /// Query-equivalence check: identical queries against both backends.
     pub queries_run: usize,
     pub results_equal: bool,
-    /// Anchor+delta store bytes, plain DFS backend.
-    pub delta_bytes: u64,
-    /// Anchor+delta store bytes, CAS backend (anchors chunked raw).
-    pub delta_cas_bytes: u64,
     /// Bytes released by evicting every epoch (decay-as-GC).
     pub decay_freed: u64,
     /// Deferred garbage reclaimed by the final sweep.
@@ -591,8 +584,8 @@ pub struct CasReport {
     /// Chunks with zero references still indexed after full decay — must
     /// be 0.
     pub unreferenced_chunks: u64,
-    /// On-disk bytes remaining after full decay + GC (CAS root and the
-    /// CAS-backed delta store) — must be 0, the GC-leak gate.
+    /// On-disk bytes remaining under the CAS root after full decay + GC —
+    /// must be 0, the GC-leak gate.
     pub leak_bytes: u64,
 }
 
@@ -636,10 +629,6 @@ impl CasReport {
             .at_least(1);
         r.det_console("unique_chunks", self.unique_chunks);
         r.det_console("packs", self.packs);
-        r.det("delta_bytes", self.delta_bytes);
-        // Content addressing also shrinks the anchor+delta layout.
-        r.det("delta_cas_bytes", self.delta_cas_bytes)
-            .holds("< delta_bytes", self.delta_cas_bytes < self.delta_bytes);
         // Doubles as a whole-store content fingerprint across runs.
         r.det("manifest_root", self.manifest_root.as_str());
         r.det_console("queries_run", self.queries_run).at_least(1);
@@ -681,9 +670,8 @@ fn percentile_us(sorted: &[u64], p: f64) -> u64 {
 
 /// The `repro cas` experiment: ingest one seeded week into the path
 /// backend and the content-addressed backend on separate clusters, verify
-/// both answer identical queries, measure the dedup'd footprint (plus the
-/// anchor+delta variant of both), then decay everything and verify the GC
-/// reclaims every byte.
+/// both answer identical queries, measure the dedup'd footprint, then
+/// decay everything and verify the GC reclaims every byte.
 pub fn cas_experiment(config: &BenchConfig, seed: u64) -> (CasReport, CasPerf) {
     let wall = Instant::now();
     let mut trace_config = config.trace_config();
@@ -693,18 +681,12 @@ pub fn cas_experiment(config: &BenchConfig, seed: u64) -> (CasReport, CasPerf) {
 
     let mut path_fw = SpateFramework::new(config.dfs(), layout.clone());
     let mut cas_fw = SpateFramework::with_cas(config.dfs(), layout);
-    // The paper's anchor+delta scheme with and without content addressing,
-    // on their own clusters (anchors every 8 epochs, as in the core tests).
-    let delta_path = DeltaSnapshotStore::new(config.dfs(), Arc::new(GzipLite::default()), 8);
-    let delta_cas = DeltaSnapshotStore::new_cas(config.dfs(), Arc::new(GzipLite::default()), 8);
 
     let mut raw_bytes = 0u64;
     let mut epochs: Vec<EpochId> = Vec::new();
     while let Some(snapshot) = generator.next_snapshot() {
         raw_bytes += path_fw.ingest(&snapshot).raw_bytes;
         cas_fw.ingest(&snapshot);
-        delta_path.store(&snapshot).expect("delta path ingest");
-        delta_cas.store(&snapshot).expect("delta cas ingest");
         epochs.push(snapshot.epoch);
     }
 
@@ -758,20 +740,16 @@ pub fn cas_experiment(config: &BenchConfig, seed: u64) -> (CasReport, CasPerf) {
     let manifest_root = cas_store.root_hash();
     let unique_chunks = cas_store.chunk_count();
     let packs = cas_store.pack_count();
-    let delta_bytes = delta_path.stored_bytes();
-    let delta_cas_bytes = delta_cas.stored_bytes();
 
-    // Full decay: evict every epoch (deltas before their anchors, hence
-    // reverse order), then sweep deferred garbage. Decay is the GC — after
-    // this the stores must hold zero bytes.
+    // Full decay: evict every epoch, newest first, then sweep deferred
+    // garbage. Decay is the GC — after this the store must hold zero bytes.
     let mut decay_freed = 0u64;
     for &e in epochs.iter().rev() {
         decay_freed += cas_fw.store().evict(e).expect("cas evict");
-        delta_cas.evict(e).expect("delta cas evict");
     }
     let gc_swept = cas_store.gc();
     let unreferenced_chunks = cas_store.unreferenced_chunks();
-    let leak_bytes = cas_store.listed_bytes() + delta_cas.stored_bytes();
+    let leak_bytes = cas_store.listed_bytes();
 
     let report = CasReport {
         seed,
@@ -788,8 +766,6 @@ pub fn cas_experiment(config: &BenchConfig, seed: u64) -> (CasReport, CasPerf) {
         manifest_root,
         queries_run,
         results_equal,
-        delta_bytes,
-        delta_cas_bytes,
         decay_freed,
         gc_swept,
         unreferenced_chunks,

@@ -15,7 +15,7 @@
 //! * **Better pack compression.** Columnar order groups same-typed values,
 //!   which the pack codec compresses far tighter than row-major text.
 //!
-//! Anything that does not parse (delta payloads, foreign blobs) falls back
+//! Anything that does not parse (arbitrary bytes, foreign blobs) falls back
 //! to fixed-size pieces — content addressing never requires the columnar
 //! layout, it only benefits from it.
 

@@ -33,7 +33,6 @@
 
 pub mod bitio;
 pub mod crc32;
-pub mod delta;
 pub mod dict;
 pub mod fse;
 pub mod gzip_lite;
@@ -46,7 +45,6 @@ pub mod snappy_lite;
 pub mod varint;
 pub mod zstd_lite;
 
-pub use delta::DeltaCodec;
 pub use dict::Dictionary;
 pub use gzip_lite::GzipLite;
 pub use sevenz_lite::SevenzLite;

@@ -1,7 +1,7 @@
 //! Cross-codec behaviour: container discrimination, scaling behaviour, and
 //! thread-safety of shared codec values.
 
-use codecs::{table1_codecs, Codec, DeltaCodec, Dictionary, GzipLite, ZstdLite};
+use codecs::{table1_codecs, Codec, Dictionary, GzipLite, ZstdLite};
 use std::sync::Arc;
 
 /// A telco-ish payload with tunable redundancy.
@@ -105,31 +105,4 @@ fn dictionary_codec_shares_dictionaries_across_threads() {
             });
         }
     });
-}
-
-#[test]
-fn delta_chain_over_many_epochs() {
-    // A chain of evolving payloads, each delta'd against the first (anchor
-    // semantics): all recoverable, all smaller than cold compression.
-    let delta = DeltaCodec::default();
-    let anchor = payload(2_000, 60);
-    let gzip = GzipLite::default();
-    for step in 1..=10usize {
-        let mut evolved = anchor.clone();
-        // Mutate ~step% of rows.
-        let row_len = 40;
-        for r in 0..(2_000 * step / 100) {
-            let at = (r * 97) % (evolved.len() - row_len);
-            evolved[at] = b'X';
-        }
-        let packed = delta.compress(&anchor, &evolved);
-        assert_eq!(delta.decompress(&anchor, &packed).unwrap(), evolved);
-        let cold = gzip.compress(&evolved);
-        assert!(
-            packed.len() < cold.len(),
-            "step {step}: delta {} vs cold {}",
-            packed.len(),
-            cold.len()
-        );
-    }
 }

@@ -70,8 +70,8 @@ pub trait ExplorationFramework {
 
     /// Load every retained snapshot in the inclusive window, decoded: what
     /// a caller that must *hold* the window wants (RAW and SHAHED's oracle
-    /// `query`, `ExplorerSession`'s prefetch cache). Whatever only reads
-    /// the window goes through [`Self::scan_rows`].
+    /// `query`). Whatever only reads the window goes through
+    /// [`Self::scan_rows`].
     fn scan(&self, start: EpochId, end: EpochId) -> Vec<Snapshot> {
         (start.0..=end.0)
             .filter_map(|e| self.load_epoch(EpochId(e)))

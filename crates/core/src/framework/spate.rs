@@ -207,23 +207,13 @@ impl SpateFramework {
         layout: CellLayout,
     ) -> Result<(Self, RecoveryReport), RestoreError> {
         let store = SnapshotStore::new(dfs, Arc::new(GzipLite::default())).with_root("/spate");
-        Self::restore_over(store, layout)
+        Self::restore_from(store, layout)
     }
 
-    /// [`Self::restore_with_recovery`] for a warehouse written by
-    /// [`Self::with_cas`]: rebuilds the content-addressed backend's
-    /// refcounts from the on-disk manifests before reconciling the index.
-    pub fn restore_with_recovery_cas(
-        dfs: Dfs,
-        layout: CellLayout,
-    ) -> Result<(Self, RecoveryReport), RestoreError> {
-        Self::restore_over(
-            SnapshotStore::new_cas(dfs, cas::CasConfig::default()),
-            layout,
-        )
-    }
-
-    fn restore_over(
+    /// Restore over `store`, whichever backend wrote the warehouse: a
+    /// content-addressed store gets its refcounts rebuilt from the on-disk
+    /// manifests before the index is reconciled (see [`Self::recover`]).
+    pub fn restore_from(
         store: SnapshotStore,
         layout: CellLayout,
     ) -> Result<(Self, RecoveryReport), RestoreError> {
@@ -261,7 +251,7 @@ impl SpateFramework {
     /// 2. **Missing leaves** — index leaves claiming presence whose file
     ///    is gone are marked absent, so queries degrade to summaries or
     ///    partial coverage instead of erroring epoch by epoch.
-    /// 3. **Strays** — committed `.snap` files the index doesn't know:
+    /// 3. **Strays** — committed leaves the index doesn't know:
     ///    those *newer* than the index's last epoch are re-indexed in
     ///    epoch order (crash after commit, before index persist); older
     ///    ones are stale (decay evicted the leaf but the delete crashed)
@@ -295,24 +285,17 @@ impl SpateFramework {
             obs::inc("spate.recover.leaves_marked_absent");
         }
         let known: HashSet<u32> = self.index.all_leaves().map(|l| l.epoch.0).collect();
-        let suffix = self.store.leaf_suffix();
-        let mut strays: Vec<(EpochId, String)> = self
-            .store
-            .committed_paths()
-            .into_iter()
-            .filter_map(|p| parse_leaf_epoch(&p, suffix).map(|e| (e, p)))
-            .filter(|(e, _)| !known.contains(&e.0))
-            .collect();
-        strays.sort();
-        for (epoch, path) in strays {
+        let strays = self.store.committed_epochs();
+        for epoch in strays.into_iter().filter(|e| !known.contains(&e.0)) {
             if self.index.last_epoch().is_none_or(|last| epoch > last) {
                 match self.store.load(epoch) {
                     Ok(snap) => {
+                        let path = self.store.path_for(epoch);
                         let stored = StoredSnapshot {
                             epoch,
-                            path: path.clone(),
-                            raw_bytes: snap.to_bytes().len() as u64,
                             stored_bytes: self.store.dfs().file_len(&path).unwrap_or(0),
+                            path,
+                            raw_bytes: snap.to_bytes().len() as u64,
                         };
                         self.index.incremence(&snap, &stored);
                         report.strays_reindexed += 1;
@@ -410,14 +393,6 @@ impl RecoveryReport {
     pub fn is_clean(&self) -> bool {
         *self == Self::default()
     }
-}
-
-/// Epoch encoded in a leaf path `<root>/<y>/<m>/<d>/<epoch:010><suffix>`
-/// (`.snap` for the path backend, `.mf` for the content-addressed one).
-fn parse_leaf_epoch(path: &str, suffix: &str) -> Option<EpochId> {
-    let name = path.rsplit('/').next()?;
-    let digits = name.strip_suffix(suffix)?;
-    digits.parse::<u32>().ok().map(EpochId)
 }
 
 /// Errors rebuilding a framework from persisted state.
@@ -706,7 +681,11 @@ mod tests {
             spate.ingest(s);
         }
         let root_before = spate.store().cas().unwrap().root_hash();
-        let (restored, report) = SpateFramework::restore_with_recovery_cas(fs, layout).unwrap();
+        let (restored, report) = SpateFramework::restore_from(
+            SnapshotStore::new_cas(fs, cas::CasConfig::default()),
+            layout,
+        )
+        .unwrap();
         assert_eq!(report.strays_reindexed, 2);
         assert_eq!(restored.index().last_epoch(), Some(snaps[5].epoch));
         let cas = restored.store().cas().unwrap();

@@ -16,8 +16,8 @@ use std::fmt;
 use telco_trace::time::EpochId;
 
 const MAGIC: &[u8; 4] = b"SPIX";
-/// Version 2 appended the heat-ledger section; version-1 images are still
-/// readable and restore with an empty ledger.
+/// Version 2 appended the heat-ledger section. Nothing writes version 1
+/// any more and it is refused like any other unknown version.
 const VERSION: u8 = 2;
 
 /// Errors restoring a persisted index image.
@@ -200,7 +200,35 @@ struct Reader<'a> {
     pos: usize,
 }
 
+// The fewest bytes one entry of each counted list can take (a varint is at
+// least one byte, an `f64` eight): what `Reader::count` divides by.
+const MIN_AGG_LEN: usize = 1 + 3 * 8;
+const MIN_CELL_LEN: usize = 1 + 3 + 6 * MIN_AGG_LEN;
+const MIN_VALUE_LEN: usize = 1 + 1;
+const MIN_TABLE_LEN: usize = 1 + 1;
+const MIN_HEAT_LEN: usize = 1 + 8 + 4;
+/// Year, decayed flag, empty highlights (six varints), month count.
+const MIN_YEAR_LEN: usize = 1 + 1 + 6 + 1;
+
 impl<'a> Reader<'a> {
+    /// A declared entry count, refused *before* anything is reserved for
+    /// it when the bytes left could not hold that many entries of at
+    /// least `min_entry_len` each — the rule `codecs::bounded_capacity`
+    /// applies to declared lengths. Without it a few forged bytes reserve
+    /// gigabytes ahead of the read loop that would report `Truncated`.
+    fn count(
+        &mut self,
+        min_entry_len: usize,
+        exceeds: &'static str,
+    ) -> Result<usize, PersistError> {
+        let n = self.u64()?;
+        let fits = (self.input.len() - self.pos) / min_entry_len;
+        if n > fits as u64 {
+            return Err(PersistError::Corrupt(CodecError::Corrupt(exceeds)));
+        }
+        Ok(n as usize)
+    }
+
     fn u64(&mut self) -> Result<u64, PersistError> {
         Ok(varint::read_u64(self.input, &mut self.pos)?)
     }
@@ -267,7 +295,7 @@ impl<'a> Reader<'a> {
         let last_epoch = EpochId(self.u32()?);
         let cdr_records = self.u64()?;
         let nms_records = self.u64()?;
-        let n_cells = self.u64()? as usize;
+        let n_cells = self.count(MIN_CELL_LEN, "cell count exceeds image")?;
         if n_cells > 1 << 24 {
             return Err(PersistError::Corrupt(CodecError::Corrupt(
                 "implausible cell count",
@@ -278,7 +306,7 @@ impl<'a> Reader<'a> {
             let id = self.u32()?;
             per_cell.insert(id, self.cell_summary()?);
         }
-        let n_tables = self.u64()? as usize;
+        let n_tables = self.count(MIN_TABLE_LEN, "table count exceeds image")?;
         if n_tables > 1 << 16 {
             return Err(PersistError::Corrupt(CodecError::Corrupt(
                 "implausible table count",
@@ -287,7 +315,7 @@ impl<'a> Reader<'a> {
         let mut attr_freqs = Vec::with_capacity(n_tables);
         for _ in 0..n_tables {
             let total = self.u64()?;
-            let n = self.u64()? as usize;
+            let n = self.count(MIN_VALUE_LEN, "value count exceeds image")?;
             if n > 1 << 24 {
                 return Err(PersistError::Corrupt(CodecError::Corrupt(
                     "implausible value count",
@@ -338,7 +366,7 @@ impl<'a> Reader<'a> {
             warm_threshold: self.f64()?,
         };
         let tick = self.u64()?;
-        let n_epochs = self.u64()? as usize;
+        let n_epochs = self.count(MIN_HEAT_LEN, "heat epoch count exceeds image")?;
         if n_epochs > 1 << 24 {
             return Err(PersistError::Corrupt(CodecError::Corrupt(
                 "implausible heat epoch count",
@@ -349,7 +377,7 @@ impl<'a> Reader<'a> {
             let epoch = self.u32()?;
             epochs.push((epoch, self.heat_entry()?));
         }
-        let n_attrs = self.u64()? as usize;
+        let n_attrs = self.count(MIN_HEAT_LEN, "heat attribute count exceeds image")?;
         if n_attrs > 1 << 16 {
             return Err(PersistError::Corrupt(CodecError::Corrupt(
                 "implausible heat attribute count",
@@ -369,13 +397,12 @@ pub fn from_bytes(input: &[u8]) -> Result<TemporalIndex, PersistError> {
     if input.len() < 5 || &input[..4] != MAGIC {
         return Err(PersistError::BadMagic);
     }
-    let version = input[4];
-    if !matches!(version, 1 | 2) {
-        return Err(PersistError::BadVersion(version));
+    if input[4] != VERSION {
+        return Err(PersistError::BadVersion(input[4]));
     }
     let mut r = Reader { input, pos: 5 };
 
-    let n_attrs = r.u64()? as usize;
+    let n_attrs = r.count(1, "attr count exceeds image")?;
     if n_attrs > 1 << 10 {
         return Err(PersistError::Corrupt(CodecError::Corrupt(
             "implausible attr count",
@@ -399,7 +426,7 @@ pub fn from_bytes(input: &[u8]) -> Result<TemporalIndex, PersistError> {
     };
     let root_highlights = r.highlights()?;
 
-    let n_years = r.u64()? as usize;
+    let n_years = r.count(MIN_YEAR_LEN, "year count exceeds image")?;
     if n_years > 1 << 12 {
         return Err(PersistError::Corrupt(CodecError::Corrupt(
             "implausible year count",
@@ -464,12 +491,7 @@ pub fn from_bytes(input: &[u8]) -> Result<TemporalIndex, PersistError> {
             decayed,
         });
     }
-    // v1 images predate the heat ledger: restore with an empty one.
-    let heat = if version >= 2 {
-        r.heat()?
-    } else {
-        HeatLedger::default()
-    };
+    let heat = r.heat()?;
 
     Ok(TemporalIndex {
         config,
@@ -564,12 +586,103 @@ mod tests {
         ));
     }
 
+    /// A small index whose heat ledger has entries, serialized.
+    fn warmed_image() -> Vec<u8> {
+        let index = build_index(3);
+        index.heat().touch_epoch(EpochId(0));
+        index.heat().touch_epoch(EpochId(2));
+        index.heat().touch_attribute("drops");
+        to_bytes(&index)
+    }
+
+    /// Encoded length of the heat section, the suffix of an image.
+    fn heat_section_len(ledger: &HeatLedger) -> usize {
+        let mut buf = Vec::new();
+        write_heat(&mut buf, ledger);
+        buf.len()
+    }
+
     #[test]
-    fn truncation_is_detected_not_panicking() {
-        let image = to_bytes(&build_index(10));
-        for cut in [5usize, 20, image.len() / 2, image.len() - 1] {
+    fn truncated_and_flipped_images_never_panic() {
+        let image = warmed_image();
+        for cut in 0..image.len() {
             assert!(from_bytes(&image[..cut]).is_err(), "cut {cut}");
         }
+        let mut flipped = image.clone();
+        for at in 0..image.len() {
+            for mask in [0x01, 0x80, 0xff] {
+                flipped[at] = image[at] ^ mask;
+                // Ok or Err, either is fine: it must return.
+                let _ = from_bytes(&flipped);
+            }
+            flipped[at] = image[at];
+        }
+    }
+
+    fn assert_exceeds_image(forged: &[u8], site: &str) {
+        match from_bytes(forged) {
+            Err(PersistError::Corrupt(CodecError::Corrupt(why)))
+                if why.ends_with("count exceeds image") => {}
+            Err(other) => panic!("{site}: refused, but by the read loop: {other}"),
+            Ok(_) => panic!("{site}: accepted"),
+        }
+    }
+
+    #[test]
+    fn a_forged_count_is_refused_before_anything_is_reserved() {
+        // Each count below passes its 1 << 24 ceiling, and an entry is
+        // hundreds of bytes in memory: reserving for it would take
+        // gigabytes. The error must come from the count, not from the
+        // read loop running off the end (`Truncated`).
+        let image = warmed_image();
+        // Walk the valid image to where each count sits.
+        let mut r = Reader {
+            input: &image,
+            pos: 5,
+        };
+        for _ in 0..r.u64().unwrap() {
+            r.u64().unwrap();
+        }
+        r.pos += 3 * 8;
+        if r.byte().unwrap() != 0 {
+            r.u32().unwrap();
+        }
+        for _ in 0..4 {
+            r.u64().unwrap();
+        }
+        let cells_at = r.pos;
+        for _ in 0..r.u64().unwrap() {
+            r.u32().unwrap();
+            r.cell_summary().unwrap();
+        }
+        assert!(r.u64().unwrap() > 0, "the root has frequency tables");
+        r.u64().unwrap();
+        let values_at = r.pos;
+        let heat_len = heat_section_len(from_bytes(&image).unwrap().heat());
+        r.pos = image.len() - heat_len + 3 * 8;
+        r.u64().unwrap();
+        let heat_epochs_at = r.pos;
+
+        for (site, at) in [
+            ("cells", cells_at),
+            ("values", values_at),
+            ("heat epochs", heat_epochs_at),
+        ] {
+            r.pos = at;
+            assert!(r.u64().unwrap() < 1 << 24);
+            let mut forged = image[..at].to_vec();
+            varint::write_u64(&mut forged, 1 << 24);
+            forged.extend_from_slice(&image[r.pos..]);
+            assert_exceeds_image(&forged, site);
+        }
+
+        // The same forgery in 39 bytes: an empty config, no last epoch and
+        // a root that declares 1 << 24 cells.
+        let mut tiny = b"SPIX\x02\x00".to_vec();
+        tiny.extend_from_slice(&[0; 3 * 8 + 1 + 4]);
+        varint::write_u64(&mut tiny, 1 << 24);
+        assert_eq!(tiny.len(), 39);
+        assert_exceeds_image(&tiny, "39-byte image");
     }
 
     #[test]
@@ -597,23 +710,18 @@ mod tests {
     }
 
     #[test]
-    fn version_1_images_restore_with_empty_ledger() {
+    fn version_1_images_are_refused() {
         let index = build_index(6);
-        index.heat().touch_epoch(EpochId(2));
         let mut image = to_bytes(&index);
         assert_eq!(image[4], 2, "current images are v2");
-        // Reconstruct a v1 image: same structural payload with the heat
-        // suffix stripped and the version byte rolled back.
-        let heat_len = {
-            let mut buf = Vec::new();
-            super::write_heat(&mut buf, index.heat());
-            buf.len()
-        };
-        image.truncate(image.len() - heat_len);
+        // A v1 image: the same structural payload without the heat suffix,
+        // under the old version byte.
+        image.truncate(image.len() - heat_section_len(index.heat()));
         image[4] = 1;
-        let restored = from_bytes(&image).unwrap();
-        assert_eq!(restored.last_epoch(), index.last_epoch());
-        assert_eq!(restored.heat().tracked_epochs(), 0, "v1 → empty ledger");
+        assert!(matches!(
+            from_bytes(&image),
+            Err(PersistError::BadVersion(1))
+        ));
     }
 
     #[test]

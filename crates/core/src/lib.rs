@@ -47,17 +47,14 @@
 //! assert!(result.is_exact());
 //! ```
 
-pub mod delta_store;
 pub mod framework;
 pub mod index;
 pub mod meta;
 pub mod query;
-pub mod session;
 pub mod shard;
 pub mod storage;
 pub mod tasks;
 
-pub use delta_store::DeltaSnapshotStore;
 pub use framework::{
     ExplorationFramework, RawFramework, RecoveryReport, ShahedFramework, SpateFramework,
     StoreObserver,
@@ -68,7 +65,6 @@ pub use index::highlights::{HighlightConfig, Highlights};
 pub use index::TemporalIndex;
 pub use meta::{AnomalyRecord, MetaConfig, MetaMonitor, MetaSummary, StreamKind};
 pub use query::{profile_query, Coverage, Query, QueryResult};
-pub use session::ExplorerSession;
 pub use shard::{
     merge_results, merge_snapshots, shard_of_cell, split_snapshot, ShardStat, ShardedSpate,
 };

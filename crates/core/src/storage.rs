@@ -164,13 +164,9 @@ impl SnapshotStore {
 
     /// Content-addressed store: dedup, Merkle manifests, decay-as-GC.
     pub fn new_cas(dfs: Dfs, cfg: CasConfig) -> Self {
-        let cfg = CasConfig {
-            root: "/spate".to_string(),
-            ..cfg
-        };
         Self {
             dfs: dfs.clone(),
-            backend: Backend::Cas(CasStore::new(dfs, cfg)),
+            backend: Backend::Cas(CasStore::new(dfs, cfg.with_root("/spate"))),
             root: "/spate".to_string(),
         }
     }
@@ -205,7 +201,7 @@ impl SnapshotStore {
     }
 
     /// Leaf filename suffix of this backend (`.snap` or `.mf`).
-    pub fn leaf_suffix(&self) -> &'static str {
+    fn leaf_suffix(&self) -> &'static str {
         match &self.backend {
             Backend::Path { .. } => ".snap",
             Backend::Cas(_) => ".mf",
@@ -429,20 +425,23 @@ impl SnapshotStore {
         }
     }
 
-    /// All committed leaf paths under this root, lexicographic (and thus
-    /// epoch) order. For the content-addressed backend these are the epoch
-    /// manifests (packs and Merkle rollups are not leaves).
-    pub fn committed_paths(&self) -> Vec<String> {
+    /// The epochs with a committed leaf under this root, ascending: the
+    /// inverse of [`Self::path_for`] over what the filesystem lists. For
+    /// the content-addressed backend the leaves are the epoch manifests
+    /// (packs and Merkle rollups are not leaves).
+    pub fn committed_epochs(&self) -> Vec<EpochId> {
         let suffix = self.leaf_suffix();
         let skip_packs = format!("{}/packs/", self.root);
         let skip_merkle = format!("{}/merkle/", self.root);
-        self.dfs
+        let mut epochs: Vec<EpochId> = self
+            .dfs
             .list(&format!("{}/", self.root))
-            .into_iter()
-            .filter(|p| {
-                p.ends_with(suffix) && !p.starts_with(&skip_packs) && !p.starts_with(&skip_merkle)
-            })
-            .collect()
+            .iter()
+            .filter(|p| !p.starts_with(&skip_packs) && !p.starts_with(&skip_merkle))
+            .filter_map(|p| parse_leaf_epoch(p, suffix))
+            .collect();
+        epochs.sort_unstable();
+        epochs
     }
 
     /// Orphaned staging files under this root (crashed ingests).
@@ -453,6 +452,13 @@ impl SnapshotStore {
             .filter(|p| p.ends_with(TMP_SUFFIX))
             .collect()
     }
+}
+
+/// Epoch encoded in a leaf path `<root>/<y>/<m>/<d>/<epoch:010><suffix>`.
+fn parse_leaf_epoch(path: &str, suffix: &str) -> Option<EpochId> {
+    let name = path.rsplit('/').next()?;
+    let digits = name.strip_suffix(suffix)?;
+    digits.parse::<u32>().ok().map(EpochId)
 }
 
 #[cfg(test)]
@@ -559,7 +565,7 @@ mod tests {
         assert!(store.contains(snap.epoch));
         assert_eq!(store.load(snap.epoch).unwrap().to_bytes(), snap.to_bytes());
         assert!(store.orphan_tmp_paths().is_empty());
-        assert_eq!(store.committed_paths().len(), 1);
+        assert_eq!(store.committed_epochs(), [snap.epoch]);
     }
 
     #[test]

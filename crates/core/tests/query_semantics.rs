@@ -4,7 +4,6 @@
 
 use spate_core::framework::{ExplorationFramework, RawFramework, SpateFramework};
 use spate_core::query::{Query, QueryResult};
-use spate_core::ExplorerSession;
 use telco_trace::cells::BoundingBox;
 use telco_trace::time::EpochId;
 use telco_trace::{Snapshot, TraceConfig, TraceGenerator};
@@ -107,33 +106,6 @@ fn projection_column_order_follows_the_query() {
     for row in &e.cdr.rows {
         assert_eq!(row.len(), 3);
     }
-}
-
-#[test]
-fn session_and_direct_paths_agree_under_mixed_zooming() {
-    let (_, spate, _) = fixtures(10);
-    let mut session = ExplorerSession::new();
-    let side = telco_trace::cells::REGION_SIDE_M;
-    // A zoom sequence: broad → narrow time → narrow space → re-broaden.
-    let queries = [
-        Query::new(&["upflux"], BoundingBox::everything()).with_epoch_range(0, 9),
-        Query::new(&["upflux"], BoundingBox::everything()).with_epoch_range(3, 6),
-        Query::new(
-            &["upflux"],
-            BoundingBox::new(0.0, 0.0, side / 2.0, side / 2.0),
-        )
-        .with_epoch_range(4, 5),
-        Query::new(&["upflux"], BoundingBox::everything()).with_epoch_range(0, 9),
-    ];
-    for q in &queries {
-        let via_session = match session.explore(&spate, q) {
-            QueryResult::Exact(e) => e.cdr.rows.len(),
-            other => panic!("{other:?}"),
-        };
-        assert_eq!(via_session, rows(&spate, q));
-    }
-    let stats = session.stats();
-    assert!(stats.cache_hits >= 2, "{stats:?}");
 }
 
 #[test]

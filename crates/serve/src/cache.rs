@@ -1,8 +1,8 @@
 //! The shared, sharded decompressed-epoch cache of the serving tier.
 //!
-//! `ExplorerSession` caches decompressed windows *per session*; with many
-//! concurrent clients zooming over the same recent epochs that wastes
-//! both memory (N copies) and decompression work (N cold starts). The
+//! A cache of decompressed windows per client would, with many
+//! concurrent clients zooming over the same recent epochs, waste both
+//! memory (N copies) and decompression work (N cold starts). The
 //! serving tier instead shares one cache of `Arc<Snapshot>` entries,
 //! keyed by epoch, across all clients:
 //!

@@ -83,8 +83,7 @@ pub struct ServeConfig {
     pub cache_shards: usize,
     /// Epochs cached per shard.
     pub cache_capacity_per_shard: usize,
-    /// Warm the cache ahead of each session's window (the serving-tier
-    /// generalization of `ExplorerSession`'s containment trick).
+    /// Warm the cache ahead of each session's window (see `prefetch`).
     pub prefetch: bool,
     /// Max epochs prefetched ahead of a served window.
     pub prefetch_lookahead: u32,
@@ -1234,13 +1233,13 @@ fn stream_epochs(
     out.flush()
 }
 
-/// Warm the cache ahead of this session's window. `ExplorerSession`
-/// exploits *containment* (zoom-ins re-use the cached wide window); the
-/// serving-tier generalization adds *look-ahead*: after serving
-/// `[a, b]`, the epochs just past `b` are decompressed into the shared
-/// cache, betting on the pan-forward exploration pattern. Skipped when
-/// the window is contained in the session's previous one (zoom-in — the
-/// cache is already warm there).
+/// Warm the cache ahead of this session's window. The shared cache
+/// already gives *containment* (a zoom-in re-uses the epochs its wider
+/// window loaded); this adds *look-ahead*: after serving `[a, b]`, the
+/// epochs just past `b` are decompressed into the shared cache, betting
+/// on the pan-forward exploration pattern. Skipped when the window is
+/// contained in the session's previous one (zoom-in — the cache is
+/// already warm there).
 fn prefetch(shared: &Shared, conn: u64, window: (u32, u32)) {
     // Speculation never spends a request's remaining budget: a request
     // that was cancelled or ran out of deadline skips the warm-up.

@@ -137,6 +137,52 @@ fn cache_is_shared_across_clients_and_invalidated_by_ingest() {
 }
 
 #[test]
+fn zooming_inside_a_served_window_is_answered_from_the_cache() {
+    // Exactly 10 epochs, so look-ahead past epoch 9 has nothing to load
+    // and every cache miss below belongs to a query.
+    let (layout, snaps) = trace(1, 10);
+    let mut fw = SpateFramework::in_memory(layout.clone());
+    let mut twin = SpateFramework::in_memory(layout);
+    for s in &snaps {
+        fw.ingest(s);
+        twin.ingest(s);
+    }
+    let server = Server::start(fw, ServeConfig::default());
+    let mut client = server.connect();
+
+    let side = telco_trace::cells::REGION_SIDE_M;
+    let half = BoundingBox::new(0.0, 0.0, side / 2.0, side / 2.0);
+    // Broad → narrow time → narrow space → re-broaden.
+    let zooms = [
+        (BoundingBox::everything(), (0, 9)),
+        (BoundingBox::everything(), (3, 6)),
+        (half, (4, 5)),
+        (BoundingBox::everything(), (0, 9)),
+    ];
+    let mut before = server.cache_stats();
+    for (bbox, window) in zooms {
+        let q = Query::new(&["upflux"], bbox).with_epoch_range(window.0, window.1);
+        match client.explore(&["upflux"], bbox, window).unwrap() {
+            Reply::Rows { total_rows, .. } => {
+                assert_eq!(total_rows as usize, twin.query(&q).row_count());
+            }
+            other => panic!("expected rows, got {other:?}"),
+        }
+        let now = server.cache_stats();
+        if before.inserts == 0 {
+            assert_eq!(now.misses, 10, "the first window loads each epoch once");
+        } else {
+            assert_eq!(now.misses, before.misses, "{window:?} re-read an epoch");
+            assert!(now.hits > before.hits, "{window:?} missed the cache");
+        }
+        before = now;
+    }
+
+    client.close();
+    server.shutdown();
+}
+
+#[test]
 fn jobs_past_their_deadline_are_shed_not_served() {
     let (layout, snaps) = trace(1, 3);
     let mut fw = SpateFramework::in_memory(layout);
