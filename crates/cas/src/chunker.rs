@@ -6,12 +6,17 @@
 //! streams and cuts every stream at *row-aligned* boundaries. Two things
 //! fall out of that:
 //!
-//! * **Dedup across epochs and columns.** The paper's Fig. 4 shows ≥ 30
+//! * **Constant columns cost one value.** The paper's Fig. 4 shows ≥ 30
 //!   all-zero CDR columns and > 100 columns under one bit of entropy; a
 //!   constant column is stored as one piece holding the single value
-//!   (replayed per row on assembly), so all such columns collapse to one
-//!   stored chunk — shared across every column with that value and every
-//!   epoch, regardless of per-epoch row counts.
+//!   (replayed per row on assembly), regardless of the row count. Such a
+//!   piece is a few bytes, so the store carries it inline in the epoch's
+//!   manifest, once per distinct value, rather than as a chunk: sharing a
+//!   two-byte chunk across epochs saved 1.8 bytes a hit and made every
+//!   read open the first epoch's pack.
+//! * **Dedup of real pieces.** Row-aligned cuts make equal column content
+//!   yield equal pieces, within an epoch and across epochs, whatever the
+//!   row counts.
 //! * **Better pack compression.** Columnar order groups same-typed values,
 //!   which the pack codec compresses far tighter than row-major text.
 //!
@@ -164,10 +169,9 @@ fn try_split_columnar(raw: &[u8], cfg: &Chunking) -> Option<(Layout, Vec<Vec<u8>
         i += rows as usize;
         let mut table_header = table_line.to_vec();
         table_header.push(b'\n');
-        // Constant columns — the dedup goldmine (Fig. 4: ≥ 30 all-zero CDR
-        // columns) — store one piece holding the single value, replayed
-        // `rows` times on assembly, so every all-zero column of every epoch
-        // collapses to the same two-byte chunk. Other large columns cut
+        // Constant columns (Fig. 4: ≥ 30 all-zero CDR columns) store one
+        // piece holding the single value, replayed `rows` times on
+        // assembly, so an all-zero column is two bytes. Other large columns cut
         // their own row-aligned pieces; small varying columns coalesce with
         // their neighbors into group pieces near the byte target, keeping
         // the per-chunk manifest overhead amortized. Pieces are buffered
@@ -280,102 +284,239 @@ fn parse_kv<T: std::str::FromStr>(line: &str, key: &str) -> Option<T> {
     None
 }
 
+/// Never pre-reserve more than this from sizes a manifest declares; the
+/// output still grows on demand past it.
+const MAX_PREALLOC: usize = 16 << 20;
+
 /// Rebuild the original bytes from a layout and its pieces (in the order
-/// `split` emitted them). Fails on any count or shape mismatch.
-pub fn assemble(layout: &Layout, pieces: &[Vec<u8>]) -> Result<Vec<u8>, &'static str> {
+/// `split` emitted them), borrowed in whatever form the caller holds them.
+/// Fails on any count or shape mismatch.
+///
+/// One pass: every column keeps a cursor into its piece run and each row
+/// is written straight to the output, so no column stream is ever copied
+/// out of its pieces. The constant columns between two varying ones are
+/// laid out once per table as a ready-made row fragment (`0,0,,0,`) and
+/// replayed with one copy per row.
+pub fn assemble<P: AsRef<[u8]>>(layout: &Layout, pieces: &[P]) -> Result<Vec<u8>, &'static str> {
     if layout.piece_count() != pieces.len() {
         return Err("piece count does not match layout");
     }
-    match layout {
+    let piece_bytes: usize = pieces.iter().map(|p| p.as_ref().len()).sum();
+    let (header, tables) = match layout {
         Layout::Blob { .. } => {
-            let mut out = Vec::with_capacity(pieces.iter().map(Vec::len).sum());
+            let mut out = Vec::with_capacity(piece_bytes);
             for p in pieces {
-                out.extend_from_slice(p);
+                out.extend_from_slice(p.as_ref());
             }
-            Ok(out)
+            return Ok(out);
         }
-        Layout::Columnar { header, tables } => {
-            let mut out = Vec::new();
-            out.extend_from_slice(header);
-            let mut next = 0usize;
-            for table in tables {
-                out.extend_from_slice(&table.header);
-                if table.pieces_per_col.len() != table.cols as usize {
-                    return Err("column count does not match layout");
-                }
-                // Rebuild each column's value stream. A column with zero
-                // pieces (while rows > 0) continues the piece run opened
-                // by an earlier column — grouped small columns share
-                // pieces — so each column consumes exactly `rows` values
-                // from the current run before the next run may begin.
-                // Constant columns replay their single-value piece `rows`
-                // times without touching the run.
-                let mut streams: Vec<Vec<u8>> = Vec::with_capacity(table.cols as usize);
-                let mut run: Vec<u8> = Vec::new();
-                let mut cursor = 0usize;
-                for &n in &table.pieces_per_col {
-                    if n == CONSTANT_COL {
-                        let value = &pieces[next];
-                        next += 1;
-                        // One value: its only newline ends the piece (an
-                        // empty piece has none).
-                        let value_len = value.iter().position(|&b| b == b'\n').map(|p| p + 1);
-                        if value_len != Some(value.len()) {
-                            return Err("constant piece is not one value");
-                        }
-                        let mut s = Vec::with_capacity(value.len() * table.rows as usize);
-                        for _ in 0..table.rows {
-                            s.extend_from_slice(value);
-                        }
-                        streams.push(s);
-                        continue;
-                    }
-                    if n > 0 {
-                        if cursor != run.len() {
-                            return Err("piece run has trailing rows");
-                        }
-                        run.clear();
-                        cursor = 0;
-                        for _ in 0..n {
-                            run.extend_from_slice(&pieces[next]);
-                            next += 1;
-                        }
-                    }
-                    let start = cursor;
-                    for _ in 0..table.rows {
-                        let end = run[cursor..]
-                            .iter()
-                            .position(|&b| b == b'\n')
-                            .map(|p| cursor + p)
-                            .ok_or("column stream ran out of rows")?;
-                        cursor = end + 1;
-                    }
-                    streams.push(run[start..cursor].to_vec());
-                }
-                if cursor != run.len() {
-                    return Err("piece run has trailing rows");
-                }
-                let mut cursors = vec![0usize; streams.len()];
-                for _ in 0..table.rows {
-                    for (c, stream) in streams.iter().enumerate() {
-                        let start = cursors[c];
-                        let end = stream[start..]
-                            .iter()
-                            .position(|&b| b == b'\n')
-                            .map(|p| start + p)
-                            .ok_or("column stream ran out of rows")?;
-                        if c > 0 {
-                            out.push(b',');
-                        }
-                        out.extend_from_slice(&stream[start..end]);
-                        cursors[c] = end + 1;
-                    }
-                    out.push(b'\n');
-                }
+        Layout::Columnar { header, tables } => (header, tables),
+    };
+    // Every stored value ends in a newline and every written one in a
+    // separator, so a varying column takes exactly its pieces' bytes; a
+    // constant one takes `rows` times its piece instead of once.
+    let mut size = header.len() + piece_bytes;
+    let mut next = 0usize;
+    for table in tables {
+        size = size.saturating_add(table.header.len());
+        for &n in &table.pieces_per_col {
+            if n == CONSTANT_COL {
+                let replays = (table.rows as usize).saturating_sub(1);
+                size = size.saturating_add(pieces[next].as_ref().len().saturating_mul(replays));
+                next += 1;
+            } else {
+                next += n as usize;
             }
-            Ok(out)
         }
     }
+    let mut out = Vec::with_capacity(size.min(MAX_PREALLOC));
+    out.extend_from_slice(header);
+    let mut next = 0usize;
+    for table in tables {
+        out.extend_from_slice(&table.header);
+        if table.pieces_per_col.len() != table.cols as usize {
+            return Err("column count does not match layout");
+        }
+        next = assemble_table(table, pieces, next, &mut out)?;
+    }
+    Ok(out)
+}
+
+/// A read position inside one piece run: `pieces[piece..end]` taken as one
+/// byte stream, `off` bytes into its first piece.
+#[derive(Clone, Copy)]
+struct Cursor {
+    piece: usize,
+    off: usize,
+    end: usize,
+}
+
+impl Cursor {
+    /// Append the next newline-terminated value to `out`, closed by `sep`.
+    #[inline]
+    fn copy_value<P: AsRef<[u8]>>(
+        &mut self,
+        pieces: &[P],
+        out: &mut Vec<u8>,
+        sep: u8,
+    ) -> Result<(), &'static str> {
+        while self.piece < self.end {
+            let rest = &pieces[self.piece].as_ref()[self.off..];
+            // Most values are a few bytes: take 16 at once, find the
+            // newline in them without a loop, keep the bytes up to it.
+            if let Some(chunk) = rest.first_chunk::<16>() {
+                const LOW: u128 = u128::from_le_bytes([0x01; 16]);
+                const HIGH: u128 = u128::from_le_bytes([0x80; 16]);
+                // A zero byte where `chunk` has a newline; the lowest set
+                // bit of `hit` marks the first one.
+                let v = u128::from_le_bytes(*chunk) ^ (LOW * u128::from(b'\n'));
+                let hit = v.wrapping_sub(LOW) & !v & HIGH;
+                if hit != 0 {
+                    let n = (hit.trailing_zeros() / 8) as usize;
+                    let at = out.len();
+                    out.extend_from_slice(chunk);
+                    out.truncate(at + n + 1);
+                    out[at + n] = sep;
+                    self.off += n + 1;
+                    return Ok(());
+                }
+            }
+            if let Some(n) = rest.iter().position(|&b| b == b'\n') {
+                out.extend_from_slice(&rest[..n]);
+                out.push(sep);
+                self.off += n + 1;
+                return Ok(());
+            }
+            // The value runs on into the next piece of the run.
+            out.extend_from_slice(rest);
+            self.piece += 1;
+            self.off = 0;
+        }
+        Err("column stream ran out of rows")
+    }
+
+    /// Step over `rows` values: where the next column sharing this run
+    /// starts.
+    fn skip_values<P: AsRef<[u8]>>(&mut self, pieces: &[P], rows: u32) -> Result<(), &'static str> {
+        let mut left = rows;
+        while left > 0 {
+            if self.piece == self.end {
+                return Err("column stream ran out of rows");
+            }
+            let rest = &pieces[self.piece].as_ref()[self.off..];
+            match rest.iter().position(|&b| b == b'\n') {
+                Some(n) => {
+                    self.off += n + 1;
+                    left -= 1;
+                }
+                None => {
+                    self.piece += 1;
+                    self.off = 0;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Nothing but exhausted pieces left.
+    fn at_end<P: AsRef<[u8]>>(&self, pieces: &[P]) -> bool {
+        self.piece == self.end
+            || (pieces[self.piece].as_ref().len() == self.off
+                && pieces[self.piece + 1..self.end]
+                    .iter()
+                    .all(|p| p.as_ref().is_empty()))
+    }
+}
+
+/// What one row takes from a stretch of columns.
+enum Part {
+    /// Adjacent constant columns: this range of the table's row fragment
+    /// buffer, separators included.
+    Constants(std::ops::Range<usize>),
+    /// One varying column: the next value under its cursor, then `sep`.
+    Value { cursor: usize, sep: u8 },
+}
+
+/// Write the rows of `table`, whose pieces start at `pieces[next]`; returns
+/// the index of the piece after its last.
+fn assemble_table<P: AsRef<[u8]>>(
+    table: &TableLayout,
+    pieces: &[P],
+    mut next: usize,
+    out: &mut Vec<u8>,
+) -> Result<usize, &'static str> {
+    // A column with zero pieces (while rows > 0) continues the piece run
+    // opened by an earlier column — grouped small columns share pieces —
+    // so each column takes exactly `rows` values of the current run before
+    // the next run may begin. Constant columns replay their single-value
+    // piece without touching the run.
+    let mut parts: Vec<Part> = Vec::new();
+    let mut constants: Vec<u8> = Vec::new();
+    let mut cursors: Vec<Cursor> = Vec::new();
+    // The last column of every run: once the rows are written it must
+    // stand at the end of its run.
+    let mut tails: Vec<usize> = Vec::new();
+    let last = table.pieces_per_col.len().saturating_sub(1);
+    for (c, &n) in table.pieces_per_col.iter().enumerate() {
+        let sep = if c == last { b'\n' } else { b',' };
+        if n == CONSTANT_COL {
+            let value = pieces[next].as_ref();
+            next += 1;
+            // One value: its only newline ends the piece (an empty piece
+            // has none).
+            if value.iter().position(|&b| b == b'\n') != Some(value.len().wrapping_sub(1)) {
+                return Err("constant piece is not one value");
+            }
+            let start = constants.len();
+            constants.extend_from_slice(&value[..value.len() - 1]);
+            constants.push(sep);
+            match parts.last_mut() {
+                Some(Part::Constants(range)) => range.end = constants.len(),
+                _ => parts.push(Part::Constants(start..constants.len())),
+            }
+            continue;
+        }
+        let start = if n > 0 {
+            tails.extend(cursors.len().checked_sub(1));
+            let run = Cursor {
+                piece: next,
+                off: 0,
+                end: next + n as usize,
+            };
+            next = run.end;
+            run
+        } else if let Some(&previous) = cursors.last() {
+            // Where the column before it in the run stops.
+            let mut shared = previous;
+            shared.skip_values(pieces, table.rows)?;
+            shared
+        } else {
+            // No run opened yet: an empty one.
+            Cursor {
+                piece: next,
+                off: 0,
+                end: next,
+            }
+        };
+        parts.push(Part::Value {
+            cursor: cursors.len(),
+            sep,
+        });
+        cursors.push(start);
+    }
+    tails.extend(cursors.len().checked_sub(1));
+    for _ in 0..table.rows {
+        for part in &parts {
+            match part {
+                Part::Constants(range) => out.extend_from_slice(&constants[range.clone()]),
+                Part::Value { cursor, sep } => cursors[*cursor].copy_value(pieces, out, *sep)?,
+            }
+        }
+    }
+    if tails.iter().any(|&t| !cursors[t].at_end(pieces)) {
+        return Err("piece run has trailing rows");
+    }
+    Ok(next)
 }
 
 #[cfg(test)]

@@ -12,9 +12,10 @@
 //!
 //! Consequences the rest of the system gets for free:
 //!
-//! - **Dedup**: constant or slow-moving columns (operator codes, filler
-//!   attributes, quiet NMS counters) hash to identical pieces across
-//!   epochs and are stored once.
+//! - **Dedup**: slow-moving columns (operator codes, quiet NMS counters)
+//!   hash to identical pieces across epochs and are stored once; a piece
+//!   no longer than its own address (a constant column's single value) is
+//!   carried inline by the manifest instead.
 //! - **Decay is garbage collection**: dropping an epoch deletes one
 //!   manifest and releases refcounts; packs are deleted when their last
 //!   live chunk goes.
@@ -29,7 +30,7 @@ pub mod store;
 
 pub use chunker::{Chunking, Layout};
 pub use hash::{sha256, ChunkHash};
-pub use manifest::{build_merkle, ChunkEntry, EpochManifest, Merkle};
+pub use manifest::{build_merkle, ChunkEntry, EpochManifest, Merkle, Piece, INLINE_MAX};
 pub use store::{CasConfig, CasRecoverReport, CasStats, CasStore, PutReceipt};
 
 use codecs::CodecError;

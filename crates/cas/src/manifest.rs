@@ -3,7 +3,9 @@
 //! An epoch's *manifest* is the unit the rest of the warehouse sees: a
 //! compact binary record naming every piece of the snapshot by content
 //! hash, where it lives (pack, offset, length) and how to reassemble the
-//! original bytes. Manifests are themselves content-addressed — the stored
+//! original bytes. A piece no longer than a content address is not named
+//! but carried: the manifest holds its bytes (see [`INLINE_MAX`]).
+//! Manifests are themselves content-addressed — the stored
 //! manifest's hash is the epoch's Merkle leaf — and roll up the same
 //! temporal hierarchy as the index tree: epoch leaves hash into a **day
 //! manifest**, days into a **month manifest**, months into the **root**.
@@ -17,8 +19,18 @@ use codecs::varint;
 use std::collections::BTreeMap;
 use telco_trace::time::EpochId;
 
-/// Magic prefix of an encoded epoch manifest.
-pub const MANIFEST_MAGIC: &[u8; 6] = b"CASMF1";
+/// Magic prefix of an encoded epoch manifest. `CASMF1` (no inline pieces)
+/// is refused: no image outlives the process that wrote it.
+pub const MANIFEST_MAGIC: &[u8; 6] = b"CASMF2";
+
+/// Longest piece a manifest carries inline instead of addressing: a piece
+/// no longer than its own address. Naming it by hash would spend at least
+/// as many bytes as the piece, and make every epoch that uses the value
+/// `0` read the pack of the first epoch that stored it. An inline piece
+/// has no hash, no chunk entry, no refcount and no pack; the manifest's
+/// own hash — the epoch's Merkle leaf, verified before decode —
+/// authenticates it (identity addressing, as IPFS does for tiny blocks).
+pub const INLINE_MAX: usize = ChunkHash::LEN;
 
 /// One unique chunk referenced by a manifest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,12 +56,49 @@ pub struct EpochManifest {
     pub packs: Vec<ChunkHash>,
     /// Unique chunks, first-use order.
     pub chunks: Vec<ChunkEntry>,
-    /// One entry per layout piece: index into [`Self::chunks`]. Repeated
-    /// indices are how intra-epoch dedup shows up on disk.
+    /// Unique inline pieces (each at most [`INLINE_MAX`] bytes), first-use
+    /// order.
+    pub inline: Vec<Vec<u8>>,
+    /// One entry per layout piece, over one index space: below
+    /// `chunks.len()` an index into [`Self::chunks`], from there on into
+    /// [`Self::inline`] (see [`Self::piece`]). Repeated indices are how
+    /// intra-epoch dedup shows up on disk.
     pub refs: Vec<u32>,
 }
 
+/// What one entry of [`EpochManifest::refs`] resolves to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Piece<'a> {
+    /// Bytes of a pack, addressed and verified by hash.
+    Chunk(&'a ChunkEntry),
+    /// Bytes the manifest carries itself.
+    Inline(&'a [u8]),
+}
+
 impl EpochManifest {
+    /// The piece a ref names; `None` past both tables (never for a ref of
+    /// a decoded manifest).
+    pub fn piece(&self, r: u32) -> Option<Piece<'_>> {
+        let r = r as usize;
+        match self.chunks.get(r) {
+            Some(chunk) => Some(Piece::Chunk(chunk)),
+            None => self
+                .inline
+                .get(r - self.chunks.len())
+                .map(|bytes| Piece::Inline(bytes)),
+        }
+    }
+
+    /// The hash of every chunk occurrence, in piece order (inline pieces
+    /// hold no reference): what an epoch pins and its drop releases.
+    pub fn chunk_refs(&self) -> Vec<ChunkHash> {
+        self.refs
+            .iter()
+            .filter_map(|&r| self.chunks.get(r as usize))
+            .map(|chunk| chunk.hash)
+            .collect()
+    }
+
     /// Deterministic binary encoding (varints + raw hashes).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.chunks.len() * 24 + self.refs.len() * 2);
@@ -66,6 +115,11 @@ impl EpochManifest {
             varint::write_u32(&mut out, c.pack);
             varint::write_u64(&mut out, c.offset);
             varint::write_u64(&mut out, c.len);
+        }
+        varint::write_u64(&mut out, self.inline.len() as u64);
+        for bytes in &self.inline {
+            varint::write_u64(&mut out, bytes.len() as u64);
+            out.extend_from_slice(bytes);
         }
         varint::write_u64(&mut out, self.refs.len() as u64);
         for &r in &self.refs {
@@ -106,11 +160,20 @@ impl EpochManifest {
                 len,
             });
         }
+        let n_inline = read_count(bytes, &mut pos, "inline pieces")?;
+        let mut inline = Vec::with_capacity(n_inline.min(MAX_PREALLOC));
+        for _ in 0..n_inline {
+            let piece = read_bytes(bytes, &mut pos, "inline piece")?;
+            if piece.len() > INLINE_MAX {
+                return Err(corrupt("inline piece longer than an address"));
+            }
+            inline.push(piece);
+        }
         let n_refs = read_count(bytes, &mut pos, "refs")?;
         let mut refs = Vec::with_capacity(n_refs.min(MAX_PREALLOC));
         for _ in 0..n_refs {
             let r = varint::read_u32(bytes, &mut pos).map_err(|_| corrupt("ref"))?;
-            if r as usize >= chunks.len() {
+            if r as usize >= chunks.len() + inline.len() {
                 return Err(corrupt("ref out of range"));
             }
             refs.push(r);
@@ -128,6 +191,7 @@ impl EpochManifest {
             layout,
             packs,
             chunks,
+            inline,
             refs,
         })
     }
@@ -340,6 +404,7 @@ mod tests {
             layout,
             packs: vec![ChunkHash::of(b"pack")],
             chunks,
+            inline: Vec::new(),
             refs,
         }
     }
@@ -371,6 +436,91 @@ mod tests {
         let mut m = sample_manifest();
         m.refs[0] = m.chunks.len() as u32;
         assert!(EpochManifest::decode(&m.encode()).is_err());
+        // One inline piece moves the limit by one.
+        m.inline.push(b"0\n".to_vec());
+        assert_eq!(EpochManifest::decode(&m.encode()).unwrap(), m);
+        assert_eq!(m.piece(m.refs[0]), Some(Piece::Inline(b"0\n")));
+        m.refs[0] += 1;
+        assert!(EpochManifest::decode(&m.encode()).is_err());
+    }
+
+    /// The encoded manifest of a stored snapshot: chunks, inline pieces
+    /// and a columnar layout, as `put_epoch` lays them out.
+    fn real_manifest_bytes() -> Vec<u8> {
+        use crate::store::{CasConfig, CasStore};
+        use codecs::Codec;
+        let cas = CasStore::new(
+            dfs::Dfs::new(dfs::DfsConfig::default()),
+            CasConfig::default(),
+        );
+        let snap = TraceGenerator::new(TraceConfig::tiny()).next().unwrap();
+        cas.put_epoch(snap.epoch.0, &snap.to_bytes()).unwrap();
+        let stored = cas.dfs().read(&cas.manifest_path(snap.epoch.0)).unwrap();
+        codecs::SevenzLite::default().decompress(&stored).unwrap()
+    }
+
+    #[test]
+    fn a_real_manifest_carries_its_small_pieces_inline() {
+        let m = EpochManifest::decode(&real_manifest_bytes()).unwrap();
+        assert!(!m.inline.is_empty(), "constant columns are a few bytes");
+        assert!(m.inline.iter().all(|p| p.len() <= INLINE_MAX));
+        assert!(m.chunks.iter().all(|c| c.len > INLINE_MAX as u64));
+        assert_eq!(m.chunk_refs().len() + count_inline_refs(&m), m.refs.len());
+    }
+
+    fn count_inline_refs(m: &EpochManifest) -> usize {
+        m.refs
+            .iter()
+            .filter(|&&r| matches!(m.piece(r), Some(Piece::Inline(_))))
+            .count()
+    }
+
+    /// No prefix of a manifest decodes, and no single changed byte makes
+    /// `decode` panic (overflow checks on in debug, wrapping in release):
+    /// it is refused, or — a hash byte, an inline byte, an offset — it is
+    /// another well-formed manifest whose every ref resolves.
+    #[test]
+    fn every_prefix_and_every_byte_flip_of_a_real_manifest_is_handled() {
+        let bytes = real_manifest_bytes();
+        for cut in 0..bytes.len() {
+            assert!(EpochManifest::decode(&bytes[..cut]).is_err(), "cut={cut}");
+        }
+        let mut refused = 0usize;
+        for at in 0..bytes.len() {
+            for xor in [0x01u8, 0x10, 0x80, 0xFF] {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= xor;
+                match EpochManifest::decode(&flipped) {
+                    Err(CasError::Corrupt(_)) => refused += 1,
+                    Err(e) => panic!("at {at}: unexpected error class {e}"),
+                    Ok(m) => {
+                        assert!(m.refs.iter().all(|&r| m.piece(r).is_some()), "at {at}");
+                        assert_eq!(m.layout.piece_count(), m.refs.len(), "at {at}");
+                    }
+                }
+            }
+        }
+        assert!(refused > bytes.len(), "structure bytes must be checked");
+    }
+
+    #[test]
+    fn an_overlong_inline_piece_and_the_old_magic_are_corrupt() {
+        let mut m = sample_manifest();
+        m.inline.push(vec![b'7'; INLINE_MAX]);
+        assert_eq!(EpochManifest::decode(&m.encode()).unwrap(), m);
+        m.inline[0].push(b'7');
+        match EpochManifest::decode(&m.encode()) {
+            Err(CasError::Corrupt(why)) => assert!(why.contains("inline piece longer"), "{why}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        // A `CASMF1` image: same fields up to the chunk table, no inline
+        // table. Refused on its magic, whatever follows.
+        let mut old = sample_manifest().encode();
+        old[..6].copy_from_slice(b"CASMF1");
+        match EpochManifest::decode(&old) {
+            Err(CasError::Corrupt(why)) => assert!(why.contains("bad magic"), "{why}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]

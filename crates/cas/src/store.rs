@@ -10,7 +10,11 @@
 //! ```
 //!
 //! Pieces dedup by content hash: a piece already stored (by any epoch, in
-//! any column) is only *referenced*, never rewritten. Refcounts live in
+//! any column) is only *referenced*, never rewritten. A piece no longer
+//! than a content address is neither hashed nor packed: the manifest
+//! carries its bytes ([`crate::manifest::INLINE_MAX`]), so an epoch whose
+//! only shared content is a handful of `0` values reads its own pack and
+//! nobody else's. Refcounts live in
 //! memory and are rebuilt from the on-disk manifests by [`CasStore::recover`],
 //! so the durable state is exactly {manifests, packs}. Dropping an epoch
 //! decrements its references and deletes any pack whose last live chunk
@@ -19,7 +23,7 @@
 
 use crate::chunker::{self, Chunking};
 use crate::hash::ChunkHash;
-use crate::manifest::{build_merkle, ChunkEntry, EpochManifest, Merkle};
+use crate::manifest::{build_merkle, ChunkEntry, EpochManifest, Merkle, Piece, INLINE_MAX};
 use crate::CasError;
 use codecs::{Codec, SevenzLite};
 use dfs::{Dfs, DfsError};
@@ -36,11 +40,12 @@ pub const TMP_SUFFIX: &str = ".tmp";
 pub struct CasConfig {
     /// Namespace root on the filesystem.
     pub root: String,
-    /// Pack and manifest compression codec. Packs are written once per
-    /// epoch and read piecemeal, so the default is the strongest Table-I
-    /// codec (`7z-lite`) rather than the path store's `gzip-lite`: the
-    /// asymmetric cost profile (slow compress, fast decompress) is exactly
-    /// the write-once/read-many regime the paper optimizes for.
+    /// Pack and manifest compression codec. A pack is one stream, written
+    /// once per epoch and inflated whole by every read of that epoch, so
+    /// the default is the strongest Table-I codec (`7z-lite`) rather than
+    /// the path store's `gzip-lite`: it buys the smallest warehouse, and
+    /// pays for it on every read — its range decoder is about seven times
+    /// slower per output byte than `gzip-lite`'s inflate.
     pub codec: Arc<dyn Codec>,
     /// Piece-cutting parameters.
     pub chunking: Chunking,
@@ -68,7 +73,9 @@ impl CasConfig {
 pub struct CasStats {
     pub puts: u64,
     pub gets: u64,
-    /// Piece occurrences resolved to an already-known chunk.
+    /// Piece occurrences that added no bytes: a chunk the store (or this
+    /// epoch) already holds, or an inline piece this epoch's manifest
+    /// already carries.
     pub dedup_hits: u64,
     /// Uncompressed bytes those occurrences would have added.
     pub dedup_bytes_saved: u64,
@@ -87,7 +94,7 @@ pub struct PutReceipt {
     pub raw_len: u64,
     /// Marginal bytes this epoch added: new pack + manifest.
     pub new_bytes: u64,
-    /// Piece occurrences that hit an existing chunk.
+    /// Piece occurrences that added no bytes (see [`CasStats::dedup_hits`]).
     pub dedup_hits: u64,
     pub manifest_hash: ChunkHash,
 }
@@ -213,24 +220,44 @@ impl CasStore {
         }
         let (layout, pieces) = chunker::split(raw, &self.cfg.chunking);
 
-        // Resolve every piece to a chunk: known (in the store or earlier in
-        // this epoch) or new (appended to this epoch's pack buffer).
+        // Resolve every piece: carried inline when it is no longer than an
+        // address, else a chunk — known (in the store or earlier in this
+        // epoch) or new (appended to this epoch's pack buffer). A repeat
+        // inside the epoch, inline or chunk, is a dedup hit.
         struct Pending {
             hash: ChunkHash,
             existing_pack: Option<ChunkHash>, // None: this epoch's new pack
             offset: u64,
             len: u64,
         }
+        enum Slot {
+            Chunk(u32),
+            Inline(u32),
+        }
         let mut table: Vec<Pending> = Vec::new();
         let mut index_of: HashMap<ChunkHash, u32> = HashMap::new();
-        let mut refs: Vec<u32> = Vec::with_capacity(pieces.len());
+        let mut inline: Vec<Vec<u8>> = Vec::new();
+        let mut inline_index_of: HashMap<&[u8], u32> = HashMap::new();
+        let mut slots: Vec<Slot> = Vec::with_capacity(pieces.len());
         let mut pack_buf: Vec<u8> = Vec::new();
         let mut dedup_hits = 0u64;
         let mut dedup_saved = 0u64;
         for piece in &pieces {
+            if piece.len() <= INLINE_MAX {
+                let fresh = inline.len() as u32;
+                let i = *inline_index_of.entry(piece.as_slice()).or_insert(fresh);
+                if i == fresh {
+                    inline.push(piece.clone());
+                } else {
+                    dedup_hits += 1;
+                    dedup_saved += piece.len() as u64;
+                }
+                slots.push(Slot::Inline(i));
+                continue;
+            }
             let h = ChunkHash::of(piece);
             if let Some(&i) = index_of.get(&h) {
-                refs.push(i);
+                slots.push(Slot::Chunk(i));
                 dedup_hits += 1;
                 dedup_saved += piece.len() as u64;
                 continue;
@@ -255,9 +282,18 @@ impl CasStore {
                 }
             };
             index_of.insert(h, table.len() as u32);
-            refs.push(table.len() as u32);
+            slots.push(Slot::Chunk(table.len() as u32));
             table.push(pending);
         }
+        // One index space for the manifest: chunks, then inline pieces.
+        let n_chunks = table.len() as u32;
+        let refs: Vec<u32> = slots
+            .iter()
+            .map(|slot| match *slot {
+                Slot::Chunk(i) => i,
+                Slot::Inline(i) => n_chunks + i,
+            })
+            .collect();
 
         // Compress + address the new pack (if this epoch added anything).
         let new_pack: Option<(ChunkHash, Vec<u8>)> = if pack_buf.is_empty() {
@@ -295,7 +331,8 @@ impl CasStore {
             layout,
             packs,
             chunks,
-            refs: refs.clone(),
+            inline,
+            refs,
         };
         // Manifests are compressed on disk like packs; their content
         // address (and the Merkle leaf) is the hash of the stored bytes.
@@ -335,10 +372,7 @@ impl CasStore {
                 });
             }
         }
-        let chunk_refs: Vec<ChunkHash> = refs
-            .iter()
-            .map(|&i| manifest.chunks[i as usize].hash)
-            .collect();
+        let chunk_refs = manifest.chunk_refs();
         for h in &chunk_refs {
             let (pack, first_ref) = {
                 let info = st.chunks.get_mut(h).expect("referenced chunk must exist");
@@ -404,9 +438,14 @@ impl CasStore {
 
     /// Reassemble an epoch payload, verifying every hash on the way:
     /// manifest bytes against the recorded Merkle leaf, pack bytes against
-    /// their address, every piece against its chunk hash, and the total
-    /// length. A verification failure triggers one targeted
-    /// [`Dfs::repair_file`] + re-read before giving up.
+    /// their address, every piece against its chunk hash (an inline piece
+    /// is part of the verified manifest), and the total length. A
+    /// verification failure triggers one targeted [`Dfs::repair_file`] +
+    /// re-read before giving up.
+    ///
+    /// The child spans split the cost: `cas.get.verify` is every SHA-256,
+    /// `cas.get.inflate` the codec, `cas.get.assemble` the chunker; the
+    /// dfs reads and the manifest decode stay in `cas.get`'s self time.
     pub fn get_epoch(&self, epoch: u32) -> Result<Vec<u8>, CasError> {
         let _span = obs::span("cas.get");
         // Per-query cost accounting: the dfs reads below (manifest +
@@ -422,7 +461,7 @@ impl CasStore {
         };
         let path = self.manifest_path(epoch);
         let stored = self.read_verified(&path, &expect)?;
-        let manifest = EpochManifest::decode(&self.cfg.codec.decompress_metered(&stored)?)?;
+        let manifest = EpochManifest::decode(&self.inflate(&stored)?)?;
         if manifest.epoch != epoch {
             return Err(CasError::Corrupt(format!(
                 "manifest at {path} claims epoch {}",
@@ -433,42 +472,51 @@ impl CasStore {
         let mut pack_data: Vec<Vec<u8>> = Vec::with_capacity(manifest.packs.len());
         for ph in &manifest.packs {
             let stored = self.read_verified(&self.pack_path(ph), ph)?;
-            pack_data.push(self.cfg.codec.decompress_metered(&stored)?);
+            pack_data.push(self.inflate(&stored)?);
         }
-        // Verify each unique chunk, then materialize pieces by reference.
+        // Verify each unique chunk, then lend the pieces by reference.
         // `offset` and `len` come off the disk, and a manifest is trusted
         // by its own hash only: their sum may not even fit a `u64`.
-        for c in &manifest.chunks {
-            let data = &pack_data[c.pack as usize];
-            let end = c
-                .offset
-                .checked_add(c.len)
-                .filter(|&end| end <= data.len() as u64)
-                .ok_or_else(|| CasError::Corrupt("chunk beyond pack bounds".into()))?;
-            let piece = &data[c.offset as usize..end as usize];
-            if ChunkHash::of(piece) != c.hash {
-                self.note_mismatch();
-                return Err(CasError::Corrupt(format!(
-                    "chunk {} failed content verification",
-                    c.hash.hex()
-                )));
+        let chunk_bytes = |c: &ChunkEntry| -> Option<&[u8]> {
+            let start = usize::try_from(c.offset).ok()?;
+            let end = start.checked_add(usize::try_from(c.len).ok()?)?;
+            pack_data[c.pack as usize].get(start..end)
+        };
+        {
+            let _verify = obs::span("cas.get.verify");
+            for c in &manifest.chunks {
+                let piece = chunk_bytes(c)
+                    .ok_or_else(|| CasError::Corrupt("chunk beyond pack bounds".into()))?;
+                if ChunkHash::of(piece) != c.hash {
+                    self.note_mismatch();
+                    return Err(CasError::Corrupt(format!(
+                        "chunk {} failed content verification",
+                        c.hash.hex()
+                    )));
+                }
             }
         }
-        // Every chunk's span was bounds-checked above.
-        let pieces: Vec<Vec<u8>> = manifest
+        let _assemble = obs::span("cas.get.assemble");
+        let pieces: Vec<&[u8]> = manifest
             .refs
             .iter()
-            .map(|&r| {
-                let c = &manifest.chunks[r as usize];
-                pack_data[c.pack as usize][c.offset as usize..(c.offset + c.len) as usize].to_vec()
+            .map(|&r| match manifest.piece(r)? {
+                Piece::Chunk(c) => chunk_bytes(c),
+                Piece::Inline(bytes) => Some(bytes),
             })
-            .collect();
+            .collect::<Option<_>>()
+            .ok_or_else(|| CasError::Corrupt("piece beyond its table or pack".into()))?;
         let raw = chunker::assemble(&manifest.layout, &pieces)
             .map_err(|e| CasError::Corrupt(format!("assemble: {e}")))?;
         if raw.len() as u64 != manifest.raw_len {
             return Err(CasError::Corrupt("reassembled length mismatch".into()));
         }
         Ok(raw)
+    }
+
+    fn inflate(&self, stored: &[u8]) -> Result<Vec<u8>, CasError> {
+        let _span = obs::span("cas.get.inflate");
+        Ok(self.cfg.codec.decompress_metered(stored)?)
     }
 
     /// Read a content-addressed file, re-fetching by hash through a
@@ -485,7 +533,7 @@ impl CasStore {
                 self.dfs.read(path)?
             }
         };
-        if ChunkHash::of(&bytes) == *expect {
+        if Self::matches(&bytes, expect) {
             return Ok(bytes);
         }
         // Bytes came back readable but wrong: corruption below the
@@ -494,12 +542,17 @@ impl CasStore {
         self.note_refetch();
         let _ = self.dfs.repair_file(path);
         let again = self.dfs.read(path)?;
-        if ChunkHash::of(&again) == *expect {
+        if Self::matches(&again, expect) {
             return Ok(again);
         }
         Err(CasError::Corrupt(format!(
             "{path} does not match its content address"
         )))
+    }
+
+    fn matches(bytes: &[u8], expect: &ChunkHash) -> bool {
+        let _span = obs::span("cas.get.verify");
+        ChunkHash::of(bytes) == *expect
     }
 
     fn note_mismatch(&self) {
@@ -735,11 +788,7 @@ impl CasStore {
                     refs: 0,
                 });
             }
-            let chunk_refs: Vec<ChunkHash> = manifest
-                .refs
-                .iter()
-                .map(|&r| manifest.chunks[r as usize].hash)
-                .collect();
+            let chunk_refs = manifest.chunk_refs();
             for h in &chunk_refs {
                 let (pack, first_ref) = {
                     let info = st.chunks.get_mut(h).expect("chunk just inserted");
@@ -903,7 +952,7 @@ mod tests {
     }
 
     #[test]
-    fn consecutive_epochs_dedup_constant_columns() {
+    fn repeated_constant_columns_count_as_dedup_hits() {
         let cas = store();
         for s in snapshots(4) {
             cas.put_epoch(s.epoch.0, &s.to_bytes()).unwrap();
@@ -911,7 +960,7 @@ mod tests {
         let stats = cas.stats();
         assert!(
             stats.dedup_hits > 0,
-            "constant columns must hit the chunk table: {stats:?}"
+            "a repeated constant value must count as a hit: {stats:?}"
         );
         assert!(stats.dedup_bytes_saved > 0);
     }
@@ -969,6 +1018,34 @@ mod tests {
         assert_ne!(cas1.root_hash(), full, "root moves when the set changes");
         cas2.drop_epoch(snaps[0].epoch.0).unwrap();
         assert_eq!(cas1.root_hash(), cas2.root_hash());
+    }
+
+    /// Every address in a real store — packs, Merkle leaves, day, month
+    /// and root manifests — is the same on the portable SHA-256 path as
+    /// on the one the CPU picked, so the root does not depend on the CPU.
+    #[test]
+    fn every_address_is_the_same_on_both_sha_paths() {
+        let cas = store();
+        for s in snapshots(3) {
+            cas.put_epoch(s.epoch.0, &s.to_bytes()).unwrap();
+        }
+        let portable = |bytes: &[u8]| {
+            let mut h = [0u8; 16];
+            h.copy_from_slice(&crate::hash::sha256_portable(bytes)[..16]);
+            ChunkHash(h)
+        };
+        for path in cas.dfs().list("/cas/") {
+            let bytes = cas.dfs().read(&path).unwrap();
+            assert_eq!(ChunkHash::of(&bytes), portable(&bytes), "{path}");
+            if let Some(hex) = path.strip_prefix(&cas.packs_prefix()) {
+                assert_eq!(hex, format!("{}.pk", portable(&bytes).hex()));
+            }
+        }
+        let merkle = cas.merkle();
+        for text in merkle.days.values().chain(merkle.months.values()) {
+            assert_eq!(ChunkHash::of(text), portable(text));
+        }
+        assert_eq!(merkle.root_hash, portable(&merkle.root));
     }
 
     #[test]
@@ -1048,6 +1125,25 @@ mod tests {
         let stats = cas.stats();
         assert!(stats.dedup_bytes_saved >= payload.len() as u64);
     }
+
+    #[test]
+    fn a_payload_of_small_pieces_is_its_manifest_alone() {
+        let cas = store();
+        // Two constant columns: two inline values, no chunk, no pack.
+        let raw = b"#SNAPSHOT epoch=3 ts=0\n#TABLE CDR rows=3 cols=2\n0,LTE\n0,LTE\n0,LTE\n";
+        let receipt = cas.put_epoch(3, raw).unwrap();
+        assert_eq!((cas.pack_count(), cas.chunk_count()), (0, 0));
+        assert_eq!(receipt.new_bytes, cas.manifest_bytes());
+        assert_eq!(cas.get_epoch(3).unwrap(), raw);
+        // The same value again in a second epoch is carried again, not
+        // shared: nothing ties the two epochs together.
+        cas.put_epoch(4, &raw[..]).unwrap();
+        assert_eq!(cas.stats().dedup_hits, 0);
+        cas.drop_epoch(3).unwrap();
+        assert_eq!(cas.get_epoch(4).unwrap(), raw);
+        assert_eq!(cas.bytes_stored(), cas.listed_bytes());
+    }
+
     /// A disk that hands back a manifest other than the one written: the
     /// stored manifest of `epoch` is replaced by an edited, well-formed
     /// one, and `recover` (which trusts a manifest by its own hash) files
@@ -1064,6 +1160,53 @@ mod tests {
         let report = cas.recover();
         assert_eq!(report.manifests_indexed, 1);
         assert_eq!(report.corrupt_manifests_dropped, 0);
+    }
+
+    /// Every prefix and every changed byte of a stored manifest: refused
+    /// against the Merkle leaf, and — once `recover` has filed the damaged
+    /// file under its own hash, so that only the codec, `decode` and the
+    /// chunk checks stand in the way — still never a panic and never
+    /// different bytes.
+    #[test]
+    fn every_prefix_and_byte_flip_of_a_stored_manifest_is_refused() {
+        let dfs = Dfs::new(DfsConfig::default());
+        let cas = CasStore::new(dfs.clone(), CasConfig::default());
+        let snap = &snapshots(1)[0];
+        let (epoch, raw) = (snap.epoch.0, snap.to_bytes());
+        cas.put_epoch(epoch, &raw).unwrap();
+        let path = cas.manifest_path(epoch);
+        let stored = dfs.read(&path).unwrap();
+        let files: Vec<(String, Vec<u8>)> = dfs
+            .list("/cas/")
+            .into_iter()
+            .map(|p| (p.clone(), dfs.read(&p).unwrap()))
+            .collect();
+        let damaged =
+            (0..stored.len())
+                .map(|cut| stored[..cut].to_vec())
+                .chain((0..stored.len()).map(|at| {
+                    let mut flipped = stored.clone();
+                    flipped[at] ^= 1 << (at % 8);
+                    flipped
+                }));
+        for bytes in damaged {
+            dfs.delete(&path).unwrap();
+            dfs.write(&path, &bytes).unwrap();
+            assert!(cas.get_epoch(epoch).is_err(), "leaf check");
+            let (reopened, _) = CasStore::open(dfs.clone(), CasConfig::default());
+            match reopened.get_epoch(epoch) {
+                Ok(got) => assert_eq!(got, raw),
+                Err(CasError::Missing(_) | CasError::Corrupt(_) | CasError::Codec(_)) => {}
+                Err(e) => panic!("unexpected error class: {e}"),
+            }
+            // `recover` drops a manifest it cannot decode and then the
+            // pack nothing references; put both back.
+            for (p, bytes) in &files {
+                if !dfs.exists(p) {
+                    dfs.write(p, bytes).unwrap();
+                }
+            }
+        }
     }
 
     #[test]

@@ -118,13 +118,16 @@ impl RangeEncoder {
 /// [`RangeDecoder::is_overrun`] reports whether any such read happened, so
 /// callers decoding untrusted token counts can stop instead of synthesizing
 /// output from the implicit zero padding forever.
+///
+/// Every method is forced inline: a caller that keeps the decoder in a
+/// local then holds `range`, `code` and `pos` in registers across a whole
+/// token instead of reloading them around each call.
 #[derive(Debug)]
 pub struct RangeDecoder<'a> {
     input: &'a [u8],
     pos: usize,
     code: u32,
     range: u32,
-    overrun: bool,
 }
 
 impl<'a> RangeDecoder<'a> {
@@ -134,7 +137,6 @@ impl<'a> RangeDecoder<'a> {
             pos: 1, // skip the encoder's initial zero cache byte
             code: 0,
             range: u32::MAX,
-            overrun: false,
         };
         for _ in 0..4 {
             d.code = (d.code << 8) | u32::from(d.next_byte());
@@ -142,26 +144,43 @@ impl<'a> RangeDecoder<'a> {
         d
     }
 
-    #[inline]
+    /// The next input byte; past the end, zero. `pos` counts every read,
+    /// so it moves past `input.len()` exactly when one of them missed.
+    #[inline(always)]
     fn next_byte(&mut self) -> u8 {
-        if self.pos >= self.input.len() {
-            self.overrun = true;
-        }
         let b = self.input.get(self.pos).copied().unwrap_or(0);
         self.pos += 1;
         b
+    }
+
+    /// Bring `range` back to at least [`TOP`]. One byte is always enough:
+    /// a decision enters with `range >= TOP` and leaves at least
+    /// `(range >> 11) * 31` of it (a [`BitModel`] stays inside
+    /// `[31, 2017]`) or, for a direct bit, half of it, so `range` never
+    /// falls below `1 << 16` and one shift by 8 restores the invariant.
+    #[inline(always)]
+    fn normalize(&mut self) {
+        if self.range < TOP {
+            self.range <<= 8;
+            self.code = (self.code << 8) | u32::from(self.next_byte());
+        }
     }
 
     /// True once any read has gone past the end of the input. Well-formed
     /// streams never overrun: the decoder's byte consumption mirrors the
     /// encoder's normalization schedule, and the encoder flushes five
     /// trailing bytes to cover the decoder's initial lookahead.
+    #[inline(always)]
     pub fn is_overrun(&self) -> bool {
-        self.overrun
+        self.pos > self.input.len()
     }
 
-    /// Decode one bit under an adaptive model.
-    #[inline]
+    /// Decode one bit under an adaptive model. The compare stays a branch:
+    /// a modelled bit is mostly predictable (that is what the model is
+    /// for), and both branch-free forms (mask arithmetic, `cmov`) measured
+    /// slower on pack streams because they put the model update on the
+    /// `range`/`code` dependency chain.
+    #[inline(always)]
     pub fn decode_bit(&mut self, model: &mut BitModel) -> u32 {
         let bound = (self.range >> PROB_BITS) * u32::from(model.0);
         let bit = if self.code < bound {
@@ -173,68 +192,76 @@ impl<'a> RangeDecoder<'a> {
             1
         };
         model.update(bit);
-        while self.range < TOP {
-            self.range <<= 8;
-            self.code = (self.code << 8) | u32::from(self.next_byte());
-        }
+        self.normalize();
         bit
     }
 
-    /// Decode `n` unmodeled bits, MSB first.
+    /// Decode `n` unmodeled bits, MSB first. Direct bits are coin flips,
+    /// so the compare is turned into a mask rather than a branch that
+    /// would mispredict every other bit.
+    #[inline(always)]
     pub fn decode_direct(&mut self, n: u32) -> u32 {
         let mut value = 0u32;
         for _ in 0..n {
             self.range >>= 1;
-            let bit = if self.code >= self.range {
-                self.code -= self.range;
-                1
-            } else {
-                0
-            };
+            let bit = u32::from(self.code >= self.range);
+            self.code -= self.range & bit.wrapping_neg();
             value = (value << 1) | bit;
-            while self.range < TOP {
-                self.range <<= 8;
-                self.code = (self.code << 8) | u32::from(self.next_byte());
-            }
+            self.normalize();
         }
         value
     }
 }
 
-/// A complete binary tree of bit models encoding fixed-width symbols.
+/// A complete binary tree of `N` bit models (slot 0 unused) coding symbols
+/// of `log2(N)` bits, MSB first. The models live inline, so a set of trees
+/// in a local is addressed off the stack pointer and the walk is a loop of
+/// constant trip count over an array of constant size.
 #[derive(Debug, Clone)]
-pub struct BitTree {
-    models: Vec<BitModel>,
-    bits: u32,
+pub struct BitTree<const N: usize> {
+    models: [BitModel; N],
 }
 
-impl BitTree {
-    pub fn new(bits: u32) -> Self {
+impl<const N: usize> Default for BitTree<N> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<const N: usize> BitTree<N> {
+    /// Symbol width in bits.
+    pub const BITS: u32 = {
+        assert!(N.is_power_of_two() && N >= 2);
+        N.trailing_zeros()
+    };
+
+    pub fn new() -> Self {
         Self {
-            models: vec![BitModel::default(); 1 << bits],
-            bits,
+            models: [BitModel::default(); N],
         }
     }
 
-    /// Encode a `bits`-wide symbol MSB-first.
+    /// Encode a symbol below `N`.
     pub fn encode(&mut self, enc: &mut RangeEncoder, symbol: u32) {
-        debug_assert!(symbol < (1 << self.bits));
+        debug_assert!((symbol as usize) < N);
         let mut m = 1usize;
-        for i in (0..self.bits).rev() {
+        for i in (0..Self::BITS).rev() {
             let bit = (symbol >> i) & 1;
             enc.encode_bit(&mut self.models[m], bit);
             m = (m << 1) | bit as usize;
         }
     }
 
-    /// Decode a `bits`-wide symbol.
+    /// Decode a symbol.
+    #[inline(always)]
     pub fn decode(&mut self, dec: &mut RangeDecoder<'_>) -> u32 {
         let mut m = 1usize;
-        for _ in 0..self.bits {
-            let bit = dec.decode_bit(&mut self.models[m]);
+        for _ in 0..Self::BITS {
+            // `m < N` before every step; the mask only tells the compiler.
+            let bit = dec.decode_bit(&mut self.models[m & (N - 1)]);
             m = (m << 1) | bit as usize;
         }
-        (m as u32) - (1 << self.bits)
+        (m - N) as u32
     }
 }
 
@@ -284,7 +311,7 @@ mod tests {
 
     #[test]
     fn bit_tree_round_trips_all_symbols() {
-        let mut tree_enc = BitTree::new(8);
+        let mut tree_enc = BitTree::<256>::new();
         let symbols: Vec<u32> = (0..256)
             .chain((0..256).rev())
             .chain([0, 255, 128, 1])
@@ -294,7 +321,7 @@ mod tests {
             tree_enc.encode(&mut enc, s);
         }
         let bytes = enc.finish();
-        let mut tree_dec = BitTree::new(8);
+        let mut tree_dec = BitTree::<256>::new();
         let mut dec = RangeDecoder::new(&bytes);
         for &s in &symbols {
             assert_eq!(tree_dec.decode(&mut dec), s);
@@ -305,7 +332,7 @@ mod tests {
     fn mixed_modeled_and_direct_round_trip() {
         let mut enc = RangeEncoder::new();
         let mut m = BitModel::default();
-        let mut tree = BitTree::new(4);
+        let mut tree = BitTree::<16>::new();
         for i in 0..1000u32 {
             enc.encode_bit(&mut m, i & 1);
             tree.encode(&mut enc, i % 16);
@@ -315,7 +342,7 @@ mod tests {
 
         let mut dec = RangeDecoder::new(&bytes);
         let mut m = BitModel::default();
-        let mut tree = BitTree::new(4);
+        let mut tree = BitTree::<16>::new();
         for i in 0..1000u32 {
             assert_eq!(dec.decode_bit(&mut m), i & 1);
             assert_eq!(tree.decode(&mut dec), i % 16);

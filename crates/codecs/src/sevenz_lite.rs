@@ -40,18 +40,18 @@ impl SevenzLite {
 /// The adaptive model set, identical on both coder sides.
 struct Models {
     is_match: BitModel,
-    literal: Vec<BitTree>,
-    length: BitTree,
-    dist_slot: BitTree,
+    literal: [BitTree<256>; LIT_CONTEXTS],
+    length: BitTree<256>,
+    dist_slot: BitTree<64>,
 }
 
 impl Models {
     fn new() -> Self {
         Self {
             is_match: BitModel::default(),
-            literal: (0..LIT_CONTEXTS).map(|_| BitTree::new(8)).collect(),
-            length: BitTree::new(8),
-            dist_slot: BitTree::new(6),
+            literal: std::array::from_fn(|_| BitTree::new()),
+            length: BitTree::new(),
+            dist_slot: BitTree::new(),
         }
     }
 
