@@ -119,98 +119,36 @@ pub fn split(raw: &[u8], cfg: &Chunking) -> (Layout, Vec<Vec<u8>>) {
     )
 }
 
+/// One pass over the text: each row is walked once and its fields go
+/// straight onto their columns' streams, which are then cut (or moved
+/// whole) into pieces. `None` wherever the bytes are not the snapshot
+/// wire layout.
 fn try_split_columnar(raw: &[u8], cfg: &Chunking) -> Option<(Layout, Vec<Vec<u8>>)> {
-    if raw.is_empty() || *raw.last().unwrap() != b'\n' {
+    // Every line ends in a newline, the last one included.
+    if raw.last() != Some(&b'\n') || !raw.starts_with(b"#SNAPSHOT ") {
         return None;
     }
-    // Every line below excludes its terminating newline.
-    let lines: Vec<&[u8]> = raw[..raw.len() - 1].split(|&b| b == b'\n').collect();
-    let header_line = *lines.first()?;
-    if !header_line.starts_with(b"#SNAPSHOT ") {
-        return None;
-    }
-    let mut header = header_line.to_vec();
-    header.push(b'\n');
+    let mut at = line_end(raw, 0);
+    let header = raw[..at].to_vec();
 
     let mut tables = Vec::new();
     let mut pieces = Vec::new();
-    let mut i = 1;
-    while i < lines.len() {
-        let table_line = lines[i];
-        if !table_line.starts_with(b"#TABLE ") {
+    while at < raw.len() {
+        let rows_at = line_end(raw, at);
+        let table_header = &raw[at..rows_at];
+        if !table_header.starts_with(b"#TABLE ") {
             return None; // trailing junk: not the expected layout
         }
-        let text = std::str::from_utf8(table_line).ok()?;
+        let text = std::str::from_utf8(table_header).ok()?;
         let rows: u32 = parse_kv(text, "rows")?;
         let cols: u32 = parse_kv(text, "cols")?;
         if cols == 0 {
             return None;
         }
-        i += 1;
-        if lines.len() - i < rows as usize {
-            return None;
-        }
-        // Transpose: column streams of newline-terminated values.
-        let mut streams: Vec<Vec<u8>> = vec![Vec::new(); cols as usize];
-        for r in 0..rows as usize {
-            let mut fields = 0usize;
-            for field in lines[i + r].split(|&b| b == b',') {
-                if fields >= cols as usize {
-                    return None;
-                }
-                streams[fields].extend_from_slice(field);
-                streams[fields].push(b'\n');
-                fields += 1;
-            }
-            if fields != cols as usize {
-                return None;
-            }
-        }
-        i += rows as usize;
-        let mut table_header = table_line.to_vec();
-        table_header.push(b'\n');
-        // Constant columns (Fig. 4: ≥ 30 all-zero CDR columns) store one
-        // piece holding the single value, replayed `rows` times on
-        // assembly, so an all-zero column is two bytes. Other large columns cut
-        // their own row-aligned pieces; small varying columns coalesce with
-        // their neighbors into group pieces near the byte target, keeping
-        // the per-chunk manifest overhead amortized. Pieces are buffered
-        // per column so a group run may span constant columns without
-        // fragmenting; each group piece is owned by its first column.
-        let mut pieces_per_col = vec![0u32; cols as usize];
-        let mut col_pieces: Vec<Vec<Vec<u8>>> = vec![Vec::new(); cols as usize];
-        let mut group: Vec<u8> = Vec::new();
-        let mut group_col = 0usize;
-        for (c, stream) in streams.into_iter().enumerate() {
-            if let Some(value) = constant_value(&stream, rows) {
-                pieces_per_col[c] = CONSTANT_COL;
-                col_pieces[c].push(value);
-            } else if cfg.min_piece_bytes == 0 || stream.len() >= cfg.min_piece_bytes {
-                if !group.is_empty() {
-                    pieces_per_col[group_col] += 1;
-                    col_pieces[group_col].push(std::mem::take(&mut group));
-                }
-                let cuts = cut_row_aligned(&stream, rows, cfg);
-                pieces_per_col[c] = cuts.len() as u32;
-                col_pieces[c] = cuts;
-            } else if !stream.is_empty() {
-                if group.is_empty() {
-                    group_col = c;
-                } else if group.len() + stream.len() > cfg.target_piece_bytes.max(1) {
-                    pieces_per_col[group_col] += 1;
-                    col_pieces[group_col].push(std::mem::take(&mut group));
-                    group_col = c;
-                }
-                group.extend_from_slice(&stream);
-            }
-        }
-        if !group.is_empty() {
-            pieces_per_col[group_col] += 1;
-            col_pieces[group_col].push(group);
-        }
-        pieces.extend(col_pieces.into_iter().flatten());
+        let (pieces_per_col, next) = split_table(raw, rows_at, rows, cols, cfg, &mut pieces)?;
+        at = next;
         tables.push(TableLayout {
-            header: table_header,
+            header: table_header.to_vec(),
             rows,
             cols,
             pieces_per_col,
@@ -222,22 +160,135 @@ fn try_split_columnar(raw: &[u8], cfg: &Chunking) -> Option<(Layout, Vec<Vec<u8>
     Some((Layout::Columnar { header, tables }, pieces))
 }
 
-/// If every row of `stream` holds the same value, return one copy of it
-/// (newline included). Requires at least two rows — a one-row column gains
-/// nothing from the constant encoding and groups better with its
-/// neighbors.
-fn constant_value(stream: &[u8], rows: u32) -> Option<Vec<u8>> {
-    if rows < 2 {
+/// The offset just past the line that starts at `at`. The caller has
+/// checked that `raw` ends in a newline and that `at < raw.len()`.
+fn line_end(raw: &[u8], at: usize) -> usize {
+    let len = raw[at..].iter().position(|&b| b == b'\n');
+    at + len.expect("the last line ends in a newline") + 1
+}
+
+/// One column while its table is transposed: the stream of its
+/// newline-terminated values, and whether every value so far equals the
+/// first (`stream[..first]`, newline included).
+#[derive(Default, Clone)]
+struct Column {
+    stream: Vec<u8>,
+    first: usize,
+    constant: bool,
+}
+
+/// Transpose the `rows` lines of `cols` fields at `raw[at..]` and append
+/// the table's pieces to `pieces`; returns the piece count per column and
+/// the offset of the line after the table.
+fn split_table(
+    raw: &[u8],
+    mut at: usize,
+    rows: u32,
+    cols: u32,
+    cfg: &Chunking,
+    pieces: &mut Vec<Vec<u8>>,
+) -> Option<(Vec<u32>, usize)> {
+    let n_rows = rows as usize;
+    let n_cols = cols as usize;
+    let mut pieces_per_col = vec![0u32; n_cols];
+    if n_rows == 0 {
+        return Some((pieces_per_col, at));
+    }
+    // A row takes a byte per field at least (its separator): a table that
+    // claims more than the text could hold is refused before anything is
+    // sized from its counts.
+    let left = raw.len() - at;
+    if n_rows.checked_mul(n_cols)? > left {
         return None;
     }
-    let first = &stream[..stream.iter().position(|&b| b == b'\n')? + 1];
-    if first.len() * rows as usize == stream.len()
-        && stream.chunks_exact(first.len()).all(|c| c == first)
-    {
-        Some(first.to_vec())
-    } else {
-        None
+    let mut columns = vec![Column::default(); n_cols];
+    for r in 0..n_rows {
+        if at == raw.len() {
+            return None; // fewer lines than rows
+        }
+        let row_at = at;
+        let mut field_at = at;
+        let mut c = 0usize;
+        loop {
+            let b = raw[at];
+            at += 1;
+            if b != b',' && b != b'\n' {
+                continue;
+            }
+            let column = columns.get_mut(c)?; // more fields than columns
+            let field = &raw[field_at..at - 1];
+            if r == 0 {
+                column.first = field.len() + 1;
+                column.constant = true;
+            } else if column.constant && field != &column.stream[..column.first - 1] {
+                column.constant = false;
+            }
+            column.stream.extend_from_slice(field);
+            column.stream.push(b'\n');
+            c += 1;
+            field_at = at;
+            if b == b'\n' {
+                break;
+            }
+        }
+        if c != n_cols {
+            return None;
+        }
+        // Rows of one table are about as wide as each other: size every
+        // stream from the first row's value, unless that row is so wide
+        // that the estimate could not be true of the text that is left.
+        if r == 0 && (at - row_at).saturating_mul(n_rows) <= 2 * left {
+            for column in &mut columns {
+                column.stream.reserve(column.first * (n_rows - 1));
+            }
+        }
     }
+    // Constant columns (Fig. 4: ≥ 30 all-zero CDR columns) store one
+    // piece holding the single value, replayed `rows` times on assembly,
+    // so an all-zero column is two bytes; a one-row column gains nothing
+    // from that and groups better with its neighbors. Other large columns
+    // cut their own row-aligned pieces; small varying columns coalesce
+    // with their neighbors into group pieces near the byte target, keeping
+    // the per-chunk manifest overhead amortized. A group's piece takes the
+    // place of its first column, so a group run may span constant columns
+    // without fragmenting.
+    let mut group: Vec<u8> = Vec::new();
+    let mut group_slot = 0usize;
+    for (c, column) in columns.into_iter().enumerate() {
+        let Column {
+            stream,
+            first,
+            constant,
+        } = column;
+        if constant && n_rows >= 2 {
+            pieces_per_col[c] = CONSTANT_COL;
+            pieces.push(stream[..first].to_vec());
+        } else if cfg.min_piece_bytes == 0 || stream.len() >= cfg.min_piece_bytes {
+            if !group.is_empty() {
+                pieces[group_slot] = std::mem::take(&mut group);
+            }
+            let before = pieces.len();
+            cut_row_aligned(stream, n_rows, cfg, pieces);
+            pieces_per_col[c] = (pieces.len() - before) as u32;
+        } else {
+            if !group.is_empty() && group.len() + stream.len() > cfg.target_piece_bytes.max(1) {
+                pieces[group_slot] = std::mem::take(&mut group);
+            }
+            if group.is_empty() {
+                // Opens a group: its one piece is filled in when it closes.
+                pieces_per_col[c] = 1;
+                group_slot = pieces.len();
+                pieces.push(Vec::new());
+                group = stream;
+            } else {
+                group.extend_from_slice(&stream);
+            }
+        }
+    }
+    if !group.is_empty() {
+        pieces[group_slot] = group;
+    }
+    Some((pieces_per_col, at))
 }
 
 /// Cut one column stream at row boundaries, every `rows_per_piece` rows —
@@ -245,18 +296,17 @@ fn constant_value(stream: &[u8], rows: u32) -> Option<Vec<u8>> {
 /// so pieces land near the byte target. The per-piece row count depends
 /// only on row count and stream length, so identical column content yields
 /// identical pieces across epochs.
-fn cut_row_aligned(stream: &[u8], rows: u32, cfg: &Chunking) -> Vec<Vec<u8>> {
-    if rows == 0 {
-        debug_assert!(stream.is_empty());
-        return Vec::new();
-    }
+fn cut_row_aligned(stream: Vec<u8>, rows: usize, cfg: &Chunking, out: &mut Vec<Vec<u8>>) {
     let q = cfg.row_quantum.max(1);
-    let avg = stream.len().div_ceil(rows as usize).max(1);
+    let avg = stream.len().div_ceil(rows).max(1);
     let mut rows_per_piece = cfg.target_piece_bytes / avg / q * q;
     if rows_per_piece == 0 {
         rows_per_piece = q;
     }
-    let mut out = Vec::new();
+    if rows <= rows_per_piece {
+        out.push(stream); // one piece: the stream as it stands
+        return;
+    }
     let mut start = 0usize;
     let mut in_piece = 0usize;
     for (pos, &b) in stream.iter().enumerate() {
@@ -272,7 +322,6 @@ fn cut_row_aligned(stream: &[u8], rows: u32, cfg: &Chunking) -> Vec<Vec<u8>> {
     if start < stream.len() {
         out.push(stream[start..].to_vec());
     }
-    out
 }
 
 fn parse_kv<T: std::str::FromStr>(line: &str, key: &str) -> Option<T> {

@@ -212,13 +212,24 @@ impl CasStore {
     /// Nothing is referenced until the manifest commits, so a failed put
     /// leaves at most an orphan pack that [`Self::gc`] / [`Self::recover`]
     /// sweep.
+    ///
+    /// The child spans split the cost: `cas.put.split` is the chunker,
+    /// `cas.put.pack` the piece hashes and the new pack's compression,
+    /// `cas.put.manifest` the manifest's encoding and compression,
+    /// `cas.put.commit` the filesystem writes and the refcounts.
     pub fn put_epoch(&self, epoch: u32, raw: &[u8]) -> Result<PutReceipt, CasError> {
         let _span = obs::span("cas.put");
+        // A pure function of `raw`: done before the lock, so that a read
+        // of another epoch does not wait behind it.
+        let (layout, mut pieces) = {
+            let _split = obs::span("cas.put.split");
+            chunker::split(raw, &self.cfg.chunking)
+        };
         let mut st = self.state.lock();
         if st.epochs.contains_key(&epoch) {
             return Err(CasError::AlreadyStored(epoch));
         }
-        let (layout, pieces) = chunker::split(raw, &self.cfg.chunking);
+        let pack_span = obs::span("cas.put.pack");
 
         // Resolve every piece: carried inline when it is no longer than an
         // address, else a chunk — known (in the store or earlier in this
@@ -236,18 +247,20 @@ impl CasStore {
         }
         let mut table: Vec<Pending> = Vec::new();
         let mut index_of: HashMap<ChunkHash, u32> = HashMap::new();
-        let mut inline: Vec<Vec<u8>> = Vec::new();
+        // Where in `pieces` each distinct inline piece first occurs.
+        let mut inline_at: Vec<usize> = Vec::new();
         let mut inline_index_of: HashMap<&[u8], u32> = HashMap::new();
         let mut slots: Vec<Slot> = Vec::with_capacity(pieces.len());
-        let mut pack_buf: Vec<u8> = Vec::new();
+        // Columnar pieces add up to no more than the text they came from.
+        let mut pack_buf: Vec<u8> = Vec::with_capacity(raw.len());
         let mut dedup_hits = 0u64;
         let mut dedup_saved = 0u64;
-        for piece in &pieces {
+        for (at, piece) in pieces.iter().enumerate() {
             if piece.len() <= INLINE_MAX {
-                let fresh = inline.len() as u32;
+                let fresh = inline_at.len() as u32;
                 let i = *inline_index_of.entry(piece.as_slice()).or_insert(fresh);
                 if i == fresh {
-                    inline.push(piece.clone());
+                    inline_at.push(at);
                 } else {
                     dedup_hits += 1;
                     dedup_saved += piece.len() as u64;
@@ -285,6 +298,11 @@ impl CasStore {
             slots.push(Slot::Chunk(table.len() as u32));
             table.push(pending);
         }
+        // The manifest owns its inline pieces: they move, nothing is copied.
+        let inline: Vec<Vec<u8>> = inline_at
+            .into_iter()
+            .map(|at| std::mem::take(&mut pieces[at]))
+            .collect();
         // One index space for the manifest: chunks, then inline pieces.
         let n_chunks = table.len() as u32;
         let refs: Vec<u32> = slots
@@ -302,7 +320,9 @@ impl CasStore {
             let bytes = self.cfg.codec.compress_metered(&pack_buf);
             (!bytes.is_empty()).then(|| (ChunkHash::of(&bytes), bytes))
         };
+        drop(pack_span);
 
+        let manifest_span = obs::span("cas.put.manifest");
         // Materialize the manifest's pack table in first-use order.
         let mut packs: Vec<ChunkHash> = Vec::new();
         let mut pack_index: HashMap<ChunkHash, u32> = HashMap::new();
@@ -339,7 +359,9 @@ impl CasStore {
         let mbytes = self.cfg.codec.compress_metered(&manifest.encode());
         let manifest_hash = ChunkHash::of(&mbytes);
         let path = self.manifest_path(epoch);
+        drop(manifest_span);
 
+        let _commit = obs::span("cas.put.commit");
         // Durable commit: pack, then manifest (staged + atomic rename).
         let mut pack_written = 0u64;
         if let Some((ph, bytes)) = &new_pack {
@@ -949,6 +971,22 @@ mod tests {
             cas.put_epoch(snaps[0].epoch.0, b"again"),
             Err(CasError::AlreadyStored(_))
         ));
+    }
+
+    /// A put says where its time went: one child span per stage.
+    #[test]
+    fn a_put_records_its_four_stages() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let stage = |name: &str| obs::global().span_stats(&format!("cas.put;cas.put.{name}"));
+        let stages = ["split", "pack", "manifest", "commit"].map(stage);
+        let before = stages.each_ref().map(|s| s.calls.load(Relaxed));
+        let cas = store();
+        for s in &snapshots(2) {
+            cas.put_epoch(s.epoch.0, &s.to_bytes()).unwrap();
+        }
+        for (stage, before) in stages.iter().zip(before) {
+            assert!(stage.calls.load(Relaxed) >= before + 2);
+        }
     }
 
     #[test]

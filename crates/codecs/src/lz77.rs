@@ -6,6 +6,8 @@
 //! in their [`Lz77Config`] (window size, chain depth, lazy matching) and in
 //! how they entropy-code the resulting [`Token`] stream.
 
+use std::cell::Cell;
+
 /// Minimum match length. Using 4 keeps the hash exact for the first probe.
 pub const MIN_MATCH: usize = 4;
 
@@ -93,10 +95,120 @@ impl Lz77Config {
 
 const HASH_LOG: u32 = 16;
 
+/// The four bytes at `data[at..at + 4]` as one word.
+#[inline(always)]
+fn word_at(data: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(data[at..at + 4].try_into().expect("a 4-byte slice"))
+}
+
 #[inline(always)]
 fn hash4(data: &[u8], pos: usize) -> usize {
-    let v = u32::from_le_bytes([data[pos], data[pos + 1], data[pos + 2], data[pos + 3]]);
-    ((v.wrapping_mul(0x9E37_79B1)) >> (32 - HASH_LOG)) as usize
+    (word_at(data, pos).wrapping_mul(0x9E37_79B1) >> (32 - HASH_LOG)) as usize
+}
+
+/// Length of the common prefix of `data[a..]` and `data[b..]`, at most
+/// `max`; the caller guarantees `a < b` and `b + max <= data.len()`.
+#[inline(always)]
+fn match_len(data: &[u8], a: usize, b: usize, max: usize) -> usize {
+    // Both sides sliced once: the word loop carries no bounds check.
+    let (x, y) = (&data[a..a + max], &data[b..b + max]);
+    let mut n = 0;
+    for (wx, wy) in x.chunks_exact(8).zip(y.chunks_exact(8)) {
+        let wx = u64::from_le_bytes(wx.try_into().expect("an 8-byte chunk"));
+        let wy = u64::from_le_bytes(wy.try_into().expect("an 8-byte chunk"));
+        if wx != wy {
+            return n + ((wx ^ wy).trailing_zeros() / 8) as usize;
+        }
+        n += 8;
+    }
+    while n < max && x[n] == y[n] {
+        n += 1;
+    }
+    n
+}
+
+/// One walk down a hash chain: the search for the longest match at `pos`.
+///
+/// A walk only reads the tables, so two of them (the search at `pos` and
+/// the lazy search at `pos + 1`) can be stepped alternately: each is a
+/// chain of dependent table loads, and the processor overlaps the two.
+struct Walk {
+    pos: usize,
+    /// Oldest position still inside the window.
+    min_pos: usize,
+    /// Longest match possible here: `min(max_match, n - pos)`.
+    max: usize,
+    /// The candidate the next step examines.
+    cand: usize,
+    /// Candidates left in the budget.
+    chain: u32,
+    best_len: usize,
+    best_dist: u32,
+    /// `data[pos + best_len - 3 ..= pos + best_len]`: what a candidate
+    /// must hold at the same offsets to match any longer than `best_len`.
+    want: u32,
+    done: bool,
+}
+
+impl Walk {
+    /// Examine one candidate and move to its predecessor in the chain.
+    #[inline(always)]
+    fn step(&mut self, data: &[u8], prev: &[i32], mask: usize, good_enough: usize) {
+        let c = self.cand;
+        // A candidate that differs in the four bytes ending at index
+        // `best_len` matches no longer than `best_len`: only
+        // non-improvements are skipped. `best_len < max` while the walk
+        // runs, so both words are inside the input.
+        if word_at(data, c + self.best_len - 3) == self.want {
+            let len = match_len(data, c, self.pos, self.max);
+            if len > self.best_len {
+                self.best_len = len;
+                self.best_dist = (self.pos - c) as u32;
+                if len >= good_enough || len >= self.max {
+                    self.done = true;
+                    return;
+                }
+                self.want = word_at(data, self.pos + len - 3);
+            }
+        }
+        self.chain -= 1;
+        // A chain runs towards older positions, so the one at the window's
+        // edge is the last. Its slot of `prev` is not read either: when the
+        // table is exactly one window long that slot is `pos`'s own, `pos`
+        // is inserted before its walk runs, and what the slot then holds is
+        // the head of this very chain.
+        if self.chain == 0 || c == self.min_pos {
+            self.done = true;
+            return;
+        }
+        let next = prev[c & mask];
+        if next < self.min_pos as i32 {
+            self.done = true; // end of chain (-1) or out of the window
+            return;
+        }
+        self.cand = next as usize;
+    }
+
+    /// Step until the walk is over.
+    #[inline(always)]
+    fn finish(&mut self, data: &[u8], prev: &[i32], mask: usize, good_enough: usize) {
+        while !self.done {
+            self.step(data, prev, mask, good_enough);
+        }
+    }
+}
+
+/// The largest `prev` table a thread keeps between parses: the LZMA class's
+/// window, the widest of the four.
+const KEEP_MAX: usize = 1 << 20;
+
+thread_local! {
+    /// This thread's tables from its last parse (`head`, `prev`). Refilling
+    /// them is a `memset`; a fresh half megabyte per call is handed back to
+    /// the system by the allocator on free and faults in again page by
+    /// page, unless something larger freed earlier happens to have raised
+    /// its thresholds (the 4 MiB `prev` of every LZMA-class parse used to).
+    static TABLES: Cell<(Vec<i32>, Vec<i32>)> = const { Cell::new((Vec::new(), Vec::new())) };
 }
 
 /// Hash-chain LZ77 match finder over a single input buffer.
@@ -109,89 +221,57 @@ pub struct MatchFinder<'a> {
     config: Lz77Config,
     head: Vec<i32>,
     prev: Vec<i32>,
-    window_mask: usize,
+    /// `prev.len() - 1`.
+    mask: usize,
 }
 
 impl<'a> MatchFinder<'a> {
     pub fn new(data: &'a [u8], config: Lz77Config) -> Self {
-        let window = config.window_size();
+        // Positions are below `data.len()`, so a table that covers the
+        // input never wraps: a 3 KB manifest does not zero a 4 MiB window.
+        // Which candidates are in reach is still decided by the configured
+        // window (`Walk::min_pos`).
+        let table = config.window_size().min(data.len().next_power_of_two());
+        let (mut head, mut prev) = TABLES.take();
+        head.clear();
+        head.resize(1 << HASH_LOG, -1);
+        prev.clear();
+        prev.resize(table, -1);
         Self {
             data,
             config,
-            head: vec![-1; 1 << HASH_LOG],
-            prev: vec![-1; window],
-            window_mask: window - 1,
+            head,
+            prev,
+            mask: table - 1,
         }
     }
 
+    /// Put `pos` at the head of its chain; returns the head it displaces
+    /// (`-1` for an empty chain).
     #[inline]
-    fn insert(&mut self, pos: usize) {
-        if pos + MIN_MATCH > self.data.len() {
-            return;
-        }
+    fn insert(&mut self, pos: usize) -> i32 {
         let h = hash4(self.data, pos);
-        self.prev[pos & self.window_mask] = self.head[h];
+        let displaced = self.head[h];
+        self.prev[pos & self.mask] = displaced;
         self.head[h] = pos as i32;
+        displaced
     }
 
-    /// Length of the common prefix of `data[a..]` and `data[b..]`, capped.
-    #[inline]
-    fn match_len(&self, a: usize, b: usize, cap: usize) -> usize {
-        let data = self.data;
-        let max = cap.min(data.len() - b);
-        let mut n = 0;
-        // Compare 8 bytes at a time.
-        while n + 8 <= max {
-            let x = u64::from_le_bytes(data[a + n..a + n + 8].try_into().unwrap());
-            let y = u64::from_le_bytes(data[b + n..b + n + 8].try_into().unwrap());
-            let xor = x ^ y;
-            if xor != 0 {
-                return n + (xor.trailing_zeros() / 8) as usize;
-            }
-            n += 8;
-        }
-        while n < max && data[a + n] == data[b + n] {
-            n += 1;
-        }
-        n
-    }
-
-    /// Best match for position `pos`, or `None`.
-    fn find_match(&self, pos: usize) -> Option<(u32, u32)> {
-        if pos + MIN_MATCH > self.data.len() {
-            return None;
-        }
+    /// The walk for `pos`, about to examine `first` (the head of `pos`'s
+    /// chain, `-1` for an empty one).
+    #[inline(always)]
+    fn walk(&self, pos: usize, first: i32) -> Walk {
         let min_pos = pos.saturating_sub(self.config.window_size());
-        let mut cand = self.head[hash4(self.data, pos)];
-        let mut best_len = MIN_MATCH - 1;
-        let mut best_dist = 0u32;
-        let cap = self.config.max_match as usize;
-        let mut chain = self.config.max_chain;
-        while cand >= 0 && chain > 0 {
-            let c = cand as usize;
-            if c < min_pos || c >= pos {
-                break;
-            }
-            // Quick reject: check the byte just past the current best.
-            if pos + best_len < self.data.len()
-                && self.data[c + best_len] == self.data[pos + best_len]
-            {
-                let len = self.match_len(c, pos, cap);
-                if len > best_len {
-                    best_len = len;
-                    best_dist = (pos - c) as u32;
-                    if len >= self.config.good_enough as usize || len >= cap {
-                        break;
-                    }
-                }
-            }
-            cand = self.prev[c & self.window_mask];
-            chain -= 1;
-        }
-        if best_len >= MIN_MATCH {
-            Some((best_len as u32, best_dist))
-        } else {
-            None
+        Walk {
+            pos,
+            min_pos,
+            max: (self.config.max_match as usize).min(self.data.len() - pos),
+            cand: first as usize,
+            chain: self.config.max_chain,
+            best_len: MIN_MATCH - 1,
+            best_dist: 0,
+            want: word_at(self.data, pos),
+            done: first < min_pos as i32 || self.config.max_chain == 0,
         }
     }
 
@@ -199,55 +279,78 @@ impl<'a> MatchFinder<'a> {
     pub fn parse(mut self, prefix_len: usize) -> Vec<Token> {
         let data = self.data;
         let n = data.len();
+        // Positions too close to the end to hold a match are never indexed.
+        let indexed = n.saturating_sub(MIN_MATCH - 1);
         // Seed the chains with the dictionary prefix.
-        for pos in 0..prefix_len.min(n) {
+        for pos in 0..prefix_len.min(indexed) {
             self.insert(pos);
         }
-        let mut tokens = Vec::with_capacity((n - prefix_len) / 2 + 16);
+        let good_enough = self.config.good_enough as usize;
+        let mask = self.mask;
+        // Telco text parses to about one token per twelve bytes.
+        let mut tokens = Vec::with_capacity(n.saturating_sub(prefix_len) / 8 + 16);
         let mut pos = prefix_len;
         while pos < n {
-            let here = self.find_match(pos);
-            match here {
-                None => {
-                    tokens.push(Token::Literal(data[pos]));
-                    self.insert(pos);
-                    pos += 1;
+            if pos >= indexed {
+                tokens.push(Token::Literal(data[pos]));
+                pos += 1;
+                continue;
+            }
+            // Whatever token comes next, `pos` is indexed before anything
+            // else reads the tables: take its chain head and insert it now,
+            // so that the search at `pos + 1` can start beside this one.
+            let first = self.insert(pos);
+            let mut here = self.walk(pos, first);
+            let prev = &self.prev[..];
+            while !here.done && here.best_len < MIN_MATCH {
+                here.step(data, prev, mask, good_enough);
+            }
+            if here.best_len < MIN_MATCH {
+                tokens.push(Token::Literal(data[pos]));
+                pos += 1;
+                continue;
+            }
+            // Lazy evaluation: if the next position has a strictly longer
+            // match, emit a literal instead and take that one. Its search
+            // starts once a match here is certain (after a literal nothing
+            // is searched twice) and is dropped unread if the match here
+            // turns out good enough.
+            let mut deferred = None;
+            if self.config.lazy && pos + 1 < indexed && here.best_len < good_enough {
+                let mut next = self.walk(pos + 1, self.head[hash4(data, pos + 1)]);
+                while !here.done && !next.done {
+                    here.step(data, prev, mask, good_enough);
+                    next.step(data, prev, mask, good_enough);
                 }
-                Some((mut len, mut dist)) => {
-                    // Lazy evaluation: if the next position has a strictly
-                    // longer match, emit a literal instead and retry there.
-                    if self.config.lazy
-                        && pos + 1 < n
-                        && (len as usize) < self.config.good_enough as usize
-                    {
-                        self.insert(pos);
-                        let mut match_pos = pos;
-                        if let Some((len2, dist2)) = self.find_match(pos + 1) {
-                            if len2 > len + 1 {
-                                tokens.push(Token::Literal(data[pos]));
-                                match_pos = pos + 1;
-                                len = len2;
-                                dist = dist2;
-                            }
-                        }
-                        tokens.push(Token::Match { len, dist });
-                        let end = match_pos + len as usize;
-                        // `pos` was already inserted above; index the rest of
-                        // the matched region.
-                        for p in (pos + 1)..end.min(n) {
-                            self.insert(p);
-                        }
-                        pos = end;
-                    } else {
-                        tokens.push(Token::Match { len, dist });
-                        let end = pos + len as usize;
-                        for p in pos..end.min(n) {
-                            self.insert(p);
-                        }
-                        pos = end;
+                here.finish(data, prev, mask, good_enough);
+                if here.best_len < good_enough {
+                    next.finish(data, prev, mask, good_enough);
+                    if next.best_len > here.best_len + 1 {
+                        deferred = Some(next);
                     }
                 }
+            } else {
+                here.finish(data, prev, mask, good_enough);
             }
+            let taken = match deferred {
+                Some(next) => {
+                    tokens.push(Token::Literal(data[pos]));
+                    next
+                }
+                None => here,
+            };
+            tokens.push(Token::Match {
+                len: taken.best_len as u32,
+                dist: taken.best_dist,
+            });
+            let end = taken.pos + taken.best_len;
+            for p in pos + 1..end.min(indexed) {
+                self.insert(p);
+            }
+            pos = end;
+        }
+        if self.prev.len() <= KEEP_MAX {
+            TABLES.set((self.head, self.prev));
         }
         tokens
     }

@@ -78,10 +78,35 @@ impl Value {
         match self {
             Value::Null => Ok(()),
             Value::Str(s) => out.write_str(s),
-            Value::Int(i) => write!(out, "{i}"),
+            Value::Int(i) => write_int(*i, out),
             Value::Float(x) => write!(out, "{x:.2}"),
         }
     }
+}
+
+/// `write!(out, "{i}")` without the formatting machinery: most of what a
+/// snapshot serializes is short integers. Digits are laid from the back of
+/// a buffer that holds the longest case, `i64::MIN`'s 19 digits and sign.
+fn write_int(i: i64, out: &mut impl fmt::Write) -> fmt::Result {
+    if (0..10).contains(&i) {
+        return out.write_char(char::from(b'0' + i as u8));
+    }
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut left = i.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (left % 10) as u8;
+        left /= 10;
+        if left == 0 {
+            break;
+        }
+    }
+    if i < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.write_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits and sign"))
 }
 
 impl fmt::Display for Value {
@@ -167,6 +192,32 @@ impl Record {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The hand-written integer form is `{i}`'s, digit for digit.
+    #[test]
+    fn int_text_is_the_standard_format() {
+        let mut cases = vec![0, 1, -1, 9, -9, 10, -10, i64::MIN, i64::MAX];
+        let mut power = 10i64;
+        loop {
+            cases.extend([power - 1, power, power + 1, 1 - power, -power, -power - 1]);
+            match power.checked_mul(10) {
+                Some(next) => power = next,
+                None => break,
+            }
+        }
+        for i in cases {
+            assert_eq!(Value::Int(i).as_text(), format!("{i}"));
+            assert_eq!(Value::Int(i).to_string(), format!("{i}"));
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn any_int_text_is_the_standard_format(i in any::<i64>()) {
+            prop_assert_eq!(Value::Int(i).as_text(), format!("{i}"));
+        }
+    }
 
     #[test]
     fn value_text_forms() {
