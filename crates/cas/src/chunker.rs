@@ -24,6 +24,10 @@
 //! to fixed-size pieces — content addressing never requires the columnar
 //! layout, it only benefits from it.
 
+use std::ops::Range;
+use telco_trace::schema::{Schema, TableKind};
+use telco_trace::Snapshot;
+
 /// Piece-cutting parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct Chunking {
@@ -88,17 +92,65 @@ pub struct TableLayout {
     pub pieces_per_col: Vec<u32>,
 }
 
+/// The table sections of a snapshot, in stored order.
+pub(crate) const SNAPSHOT_SECTIONS: [TableKind; 2] = [TableKind::Cdr, TableKind::Nms];
+
+impl TableLayout {
+    /// Is this section `section` of a snapshot, as wide as its table and
+    /// under the very line `Snapshot::to_bytes` writes for its row count?
+    /// Then the line need not be stored ([`crate::manifest`]), and the
+    /// section reads as columns ([`crate::reader`]).
+    pub(crate) fn is_as_written(&self, section: usize) -> bool {
+        SNAPSHOT_SECTIONS.get(section).is_some_and(|&kind| {
+            self.cols as usize == Schema::shared(kind).width()
+                && self.header == Snapshot::table_header_line(kind, self.rows as usize).as_bytes()
+        })
+    }
+
+    /// Pieces this table's columns reference.
+    pub fn piece_count(&self) -> usize {
+        let per_col = self.pieces_per_col.iter();
+        per_col
+            .map(|&n| if n == CONSTANT_COL { 1 } else { n as usize })
+            .sum()
+    }
+}
+
 impl Layout {
     /// Total pieces this layout references.
     pub fn piece_count(&self) -> usize {
         match self {
-            Layout::Columnar { tables, .. } => tables
-                .iter()
-                .flat_map(|t| t.pieces_per_col.iter())
-                .map(|&n| if n == CONSTANT_COL { 1 } else { n as usize })
-                .sum(),
+            Layout::Columnar { tables, .. } => tables.iter().map(TableLayout::piece_count).sum(),
             Layout::Blob { n_pieces } => *n_pieces as usize,
         }
+    }
+
+    /// The pieces each section owns, as a range of the piece sequence: the
+    /// table sections of a columnar layout in order, or a blob's one.
+    pub fn sections(&self) -> Vec<Range<usize>> {
+        match self {
+            Layout::Columnar { tables, .. } => {
+                let mut start = 0;
+                let section = |table: &TableLayout| {
+                    let pieces = start..start + table.piece_count();
+                    start = pieces.end;
+                    pieces
+                };
+                tables.iter().map(section).collect()
+            }
+            Layout::Blob { n_pieces } => std::iter::once(0..*n_pieces as usize).collect(),
+        }
+    }
+
+    /// The epoch a columnar layout's `#SNAPSHOT` header names, read as
+    /// the snapshot parser reads it; `None` for a blob and for a header
+    /// that names none.
+    pub fn snapshot_epoch(&self) -> Option<u32> {
+        let Layout::Columnar { header, .. } = self else {
+            return None;
+        };
+        let line = std::str::from_utf8(header).ok()?;
+        Snapshot::header_epoch(line).map(|epoch| epoch.0)
     }
 }
 

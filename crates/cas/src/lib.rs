@@ -4,9 +4,10 @@
 //! payload is split into pieces — per-attribute column slices when the
 //! snapshot wire format parses, fixed-size blobs otherwise — and each
 //! distinct piece is stored exactly once, addressed by its content hash.
-//! The pieces an epoch newly contributes are jointly compressed into one
-//! *pack* file (itself content-addressed); the epoch is then represented
-//! by a *manifest* listing its chunk references. Manifests roll up into
+//! The pieces an epoch newly contributes are compressed, one unit per
+//! table, into one *pack* file (itself content-addressed); the epoch is
+//! then represented by a *manifest* listing its chunk references, and a
+//! scan reads back the units of the table it wants, as columns. Manifests roll up into
 //! day and month manifests and a single root hash mirroring the temporal
 //! index tree, so one hash authenticates an entire retained subtree.
 //!
@@ -20,17 +21,20 @@
 //!   manifest and releases refcounts; packs are deleted when their last
 //!   live chunk goes.
 //! - **End-to-end verification**: every read re-hashes manifest, pack and
-//!   piece bytes against their addresses, and a mismatch triggers a
+//!   the piece bytes it lends against their addresses, and a mismatch triggers a
 //!   targeted replica repair + re-fetch before the error surfaces.
 
 pub mod chunker;
 pub mod hash;
 pub mod manifest;
+pub mod pack;
+pub mod reader;
 pub mod store;
 
 pub use chunker::{Chunking, Layout};
 pub use hash::{sha256, ChunkHash};
 pub use manifest::{build_merkle, ChunkEntry, EpochManifest, Merkle, Piece, INLINE_MAX};
+pub use reader::{EpochReader, SnapshotColumns};
 pub use store::{CasConfig, CasRecoverReport, CasStats, CasStore, PutReceipt};
 
 use codecs::CodecError;

@@ -1,9 +1,9 @@
 //! Epoch manifests and the Merkle rollup.
 //!
-//! An epoch's *manifest* is the unit the rest of the warehouse sees: a
+//! An epoch's *manifest* is what the rest of the warehouse sees of it: a
 //! compact binary record naming every piece of the snapshot by content
-//! hash, where it lives (pack, offset, length) and how to reassemble the
-//! original bytes. A piece no longer than a content address is not named
+//! hash, where it lives (pack, unit, offset, length) and how to reassemble
+//! the original bytes. A piece no longer than a content address is not named
 //! but carried: the manifest holds its bytes (see [`INLINE_MAX`]).
 //! Manifests are themselves content-addressed — the stored
 //! manifest's hash is the epoch's Merkle leaf — and roll up the same
@@ -18,10 +18,13 @@ use crate::CasError;
 use codecs::varint;
 use std::collections::BTreeMap;
 use telco_trace::time::EpochId;
+use telco_trace::Snapshot;
 
 /// Magic prefix of an encoded epoch manifest. `CASMF1` (no inline pieces)
-/// is refused: no image outlives the process that wrote it.
-pub const MANIFEST_MAGIC: &[u8; 6] = b"CASMF2";
+/// and `CASMF2` (packs of one stream: no unit per chunk; every header
+/// line spelt out) are refused: no image outlives the process that wrote
+/// it.
+pub const MANIFEST_MAGIC: &[u8; 6] = b"CASMF3";
 
 /// Longest piece a manifest carries inline instead of addressing: a piece
 /// no longer than its own address. Naming it by hash would spend at least
@@ -39,7 +42,11 @@ pub struct ChunkEntry {
     pub hash: ChunkHash,
     /// Index into [`EpochManifest::packs`].
     pub pack: u32,
-    /// Byte offset in the pack's uncompressed stream.
+    /// Which of the pack's units (see [`crate::pack`]) holds the piece.
+    /// The manifest does not know how many units a pack has: a reader
+    /// checks the index against the pack it opened.
+    pub unit: u32,
+    /// Byte offset in that unit's inflated bytes.
     pub offset: u64,
     /// Piece length in bytes.
     pub len: u64,
@@ -113,6 +120,7 @@ impl EpochManifest {
         for c in &self.chunks {
             out.extend_from_slice(&c.hash.0);
             varint::write_u32(&mut out, c.pack);
+            varint::write_u32(&mut out, c.unit);
             varint::write_u64(&mut out, c.offset);
             varint::write_u64(&mut out, c.len);
         }
@@ -125,7 +133,7 @@ impl EpochManifest {
         for &r in &self.refs {
             varint::write_u32(&mut out, r);
         }
-        encode_layout(&mut out, &self.layout);
+        encode_layout(&mut out, &self.layout, self.epoch);
         out
     }
 
@@ -148,6 +156,7 @@ impl EpochManifest {
         for _ in 0..n_chunks {
             let hash = read_hash(bytes, &mut pos)?;
             let pack = varint::read_u32(bytes, &mut pos).map_err(|_| corrupt("chunk pack"))?;
+            let unit = varint::read_u32(bytes, &mut pos).map_err(|_| corrupt("chunk unit"))?;
             let offset = varint::read_u64(bytes, &mut pos).map_err(|_| corrupt("chunk offset"))?;
             let len = varint::read_u64(bytes, &mut pos).map_err(|_| corrupt("chunk len"))?;
             if pack as usize >= packs.len() {
@@ -156,6 +165,7 @@ impl EpochManifest {
             chunks.push(ChunkEntry {
                 hash,
                 pack,
+                unit,
                 offset,
                 len,
             });
@@ -178,7 +188,7 @@ impl EpochManifest {
             }
             refs.push(r);
         }
-        let layout = decode_layout(bytes, &mut pos)?;
+        let layout = decode_layout(bytes, &mut pos, epoch)?;
         if pos != bytes.len() {
             return Err(corrupt("trailing bytes"));
         }
@@ -235,7 +245,38 @@ fn read_bytes(bytes: &[u8], pos: &mut usize, what: &str) -> Result<Vec<u8>, CasE
     Ok(out)
 }
 
-fn encode_layout(out: &mut Vec<u8>, layout: &Layout) {
+/// A header line of a columnar layout. The three lines of a snapshot are
+/// a function of numbers the manifest holds anyway (its epoch, a table's
+/// rows) and were a fifth of its stored bytes: the line `as_written` is
+/// one tag byte, any other line is spelt out.
+fn encode_header(out: &mut Vec<u8>, header: &[u8], as_written: bool) {
+    out.push(u8::from(!as_written));
+    if !as_written {
+        varint::write_u64(out, header.len() as u64);
+        out.extend_from_slice(header);
+    }
+}
+
+fn decode_header(
+    bytes: &[u8],
+    pos: &mut usize,
+    as_written: impl FnOnce() -> Option<String>,
+) -> Result<Vec<u8>, CasError> {
+    let corrupt = |what: &str| CasError::Corrupt(format!("manifest layout: {what}"));
+    let tag = *bytes
+        .get(*pos)
+        .ok_or_else(|| corrupt("missing header tag"))?;
+    *pos += 1;
+    match tag {
+        0 => as_written()
+            .map(String::into_bytes)
+            .ok_or_else(|| corrupt("no header line to write")),
+        1 => read_bytes(bytes, pos, "header"),
+        _ => Err(corrupt("unknown header tag")),
+    }
+}
+
+fn encode_layout(out: &mut Vec<u8>, layout: &Layout, epoch: u32) {
     match layout {
         Layout::Blob { n_pieces } => {
             out.push(0);
@@ -243,14 +284,13 @@ fn encode_layout(out: &mut Vec<u8>, layout: &Layout) {
         }
         Layout::Columnar { header, tables } => {
             out.push(1);
-            varint::write_u64(out, header.len() as u64);
-            out.extend_from_slice(header);
+            let as_written = Snapshot::header_line(EpochId(epoch));
+            encode_header(out, header, header == as_written.as_bytes());
             varint::write_u64(out, tables.len() as u64);
-            for t in tables {
-                varint::write_u64(out, t.header.len() as u64);
-                out.extend_from_slice(&t.header);
+            for (section, t) in tables.iter().enumerate() {
                 varint::write_u32(out, t.rows);
                 varint::write_u32(out, t.cols);
+                encode_header(out, &t.header, t.is_as_written(section));
                 // LSB-tagged piece counts: a normal count n encodes as
                 // n << 1; the CONSTANT_COL sentinel encodes as 1. Tables
                 // hold dozens of constant columns per epoch, so spending
@@ -269,7 +309,7 @@ fn encode_layout(out: &mut Vec<u8>, layout: &Layout) {
     }
 }
 
-fn decode_layout(bytes: &[u8], pos: &mut usize) -> Result<Layout, CasError> {
+fn decode_layout(bytes: &[u8], pos: &mut usize, epoch: u32) -> Result<Layout, CasError> {
     let corrupt = |what: &str| CasError::Corrupt(format!("manifest layout: {what}"));
     let tag = *bytes.get(*pos).ok_or_else(|| corrupt("missing tag"))?;
     *pos += 1;
@@ -279,16 +319,19 @@ fn decode_layout(bytes: &[u8], pos: &mut usize) -> Result<Layout, CasError> {
             Ok(Layout::Blob { n_pieces: n })
         }
         1 => {
-            let header = read_bytes(bytes, pos, "header")?;
+            let header = decode_header(bytes, pos, || Some(Snapshot::header_line(EpochId(epoch))))?;
             let n_tables = read_count(bytes, pos, "tables")?;
             let mut tables = Vec::with_capacity(n_tables.min(MAX_PREALLOC));
-            for _ in 0..n_tables {
-                let theader = read_bytes(bytes, pos, "table header")?;
+            for section in 0..n_tables {
                 let rows = varint::read_u32(bytes, pos).map_err(|_| corrupt("rows"))?;
                 let cols = varint::read_u32(bytes, pos).map_err(|_| corrupt("cols"))?;
                 if cols as usize > MAX_ITEMS {
                     return Err(corrupt("cols too big"));
                 }
+                let theader = decode_header(bytes, pos, || {
+                    let kind = *chunker::SNAPSHOT_SECTIONS.get(section)?;
+                    Some(Snapshot::table_header_line(kind, rows as usize))
+                })?;
                 let mut pieces_per_col = Vec::with_capacity((cols as usize).min(MAX_PREALLOC));
                 for _ in 0..cols {
                     let tagged =
@@ -390,6 +433,7 @@ mod tests {
                 let e = ChunkEntry {
                     hash: ChunkHash::of(p),
                     pack: 0,
+                    unit: 0,
                     offset: *off,
                     len: p.len() as u64,
                 };
@@ -416,6 +460,45 @@ mod tests {
         assert_eq!(EpochManifest::decode(&bytes).unwrap(), m);
         // Determinism: two encodes agree byte for byte.
         assert_eq!(bytes, m.encode());
+    }
+
+    fn layout_mut(m: &mut EpochManifest) -> (&mut Vec<u8>, &mut Vec<TableLayout>) {
+        match &mut m.layout {
+            Layout::Columnar { header, tables } => (header, tables),
+            Layout::Blob { .. } => panic!("a snapshot chunks columnar"),
+        }
+    }
+
+    /// The header lines `to_bytes` writes are a tag byte each; any other
+    /// line is spelt out, and both come back as they were.
+    #[test]
+    fn header_lines_round_trip_written_or_spelt_out() {
+        let written = sample_manifest();
+        let mut spelt = written.clone();
+        let (header, tables) = layout_mut(&mut spelt);
+        header.splice(9..9, *b" ");
+        tables[1].header.splice(6..6, *b" ");
+        // Each spelt-out line costs itself and a length byte.
+        let cost = header.len() + 1 + tables[1].header.len() + 1;
+        assert_eq!(EpochManifest::decode(&spelt.encode()).unwrap(), spelt);
+        assert_eq!(spelt.encode().len(), written.encode().len() + cost);
+
+        // A third section has no line to write: its tag must say so.
+        let mut third = written.clone();
+        let line = b"#TABLE CELL rows=0 cols=1\n";
+        layout_mut(&mut third).1.push(TableLayout {
+            header: line.to_vec(),
+            rows: 0,
+            cols: 1,
+            pieces_per_col: vec![0],
+        });
+        let mut bytes = third.encode();
+        assert_eq!(EpochManifest::decode(&bytes).unwrap(), third);
+        // ... tag, length, line, one piece count.
+        let tag = bytes.len() - 1 - line.len() - 1 - 1;
+        assert_eq!(bytes[tag], 1);
+        bytes[tag] = 0;
+        assert!(EpochManifest::decode(&bytes).is_err());
     }
 
     #[test]
@@ -504,7 +587,7 @@ mod tests {
     }
 
     #[test]
-    fn an_overlong_inline_piece_and_the_old_magic_are_corrupt() {
+    fn an_overlong_inline_piece_and_the_old_magics_are_corrupt() {
         let mut m = sample_manifest();
         m.inline.push(vec![b'7'; INLINE_MAX]);
         assert_eq!(EpochManifest::decode(&m.encode()).unwrap(), m);
@@ -513,13 +596,15 @@ mod tests {
             Err(CasError::Corrupt(why)) => assert!(why.contains("inline piece longer"), "{why}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
-        // A `CASMF1` image: same fields up to the chunk table, no inline
-        // table. Refused on its magic, whatever follows.
-        let mut old = sample_manifest().encode();
-        old[..6].copy_from_slice(b"CASMF1");
-        match EpochManifest::decode(&old) {
-            Err(CasError::Corrupt(why)) => assert!(why.contains("bad magic"), "{why}"),
-            other => panic!("expected Corrupt, got {other:?}"),
+        // A `CASMF1` or `CASMF2` image (no inline table; no unit per
+        // chunk): refused on its magic, whatever follows.
+        for magic in [b"CASMF1", b"CASMF2"] {
+            let mut old = sample_manifest().encode();
+            old[..6].copy_from_slice(magic);
+            match EpochManifest::decode(&old) {
+                Err(CasError::Corrupt(why)) => assert!(why.contains("bad magic"), "{why}"),
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
         }
     }
 

@@ -4,8 +4,9 @@
 //!
 //! ```text
 //! <root>/<y>/<m>/<d>/<epoch>.mf      epoch manifest (committed via .tmp + rename)
-//! <root>/packs/<hash>.pk             pack: the epoch's *new* pieces, jointly compressed,
-//!                                    named by the hash of the stored (compressed) bytes
+//! <root>/packs/<hash>.pk             pack: the epoch's *new* pieces, one compressed unit
+//!                                    per table section (see [`crate::pack`]), named by
+//!                                    the hash of the stored file
 //! <root>/merkle/...                  persisted day/month/root manifests (rebuildable)
 //! ```
 //!
@@ -23,12 +24,14 @@
 
 use crate::chunker::{self, Chunking};
 use crate::hash::ChunkHash;
-use crate::manifest::{build_merkle, ChunkEntry, EpochManifest, Merkle, Piece, INLINE_MAX};
-use crate::CasError;
+use crate::manifest::{build_merkle, ChunkEntry, EpochManifest, Merkle, INLINE_MAX};
+use crate::reader::EpochReader;
+use crate::{pack, CasError};
 use codecs::{Codec, SevenzLite};
 use dfs::{Dfs, DfsError};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
 use telco_trace::time::EpochId;
 
@@ -40,12 +43,13 @@ pub const TMP_SUFFIX: &str = ".tmp";
 pub struct CasConfig {
     /// Namespace root on the filesystem.
     pub root: String,
-    /// Pack and manifest compression codec. A pack is one stream, written
-    /// once per epoch and inflated whole by every read of that epoch, so
-    /// the default is the strongest Table-I codec (`7z-lite`) rather than
-    /// the path store's `gzip-lite`: it buys the smallest warehouse, and
-    /// pays for it on every read — its range decoder is about seven times
-    /// slower per output byte than `gzip-lite`'s inflate.
+    /// Pack and manifest compression codec. A pack is written once per
+    /// epoch, one stream per table section, and a read inflates the
+    /// streams of the tables it scans, so the default is the strongest
+    /// Table-I codec (`7z-lite`) rather than the path store's `gzip-lite`:
+    /// it buys the smallest warehouse, and pays for it on every read — its
+    /// range decoder is about seven times slower per output byte than
+    /// `gzip-lite`'s inflate.
     pub codec: Arc<dyn Codec>,
     /// Piece-cutting parameters.
     pub chunking: Chunking,
@@ -72,7 +76,10 @@ impl CasConfig {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CasStats {
     pub puts: u64,
+    /// Epochs opened for reading.
     pub gets: u64,
+    /// Tables read column by column ([`EpochReader::table`]).
+    pub tables_read: u64,
     /// Piece occurrences that added no bytes: a chunk the store (or this
     /// epoch) already holds, or an inline piece this epoch's manifest
     /// already carries.
@@ -111,6 +118,7 @@ pub struct CasRecoverReport {
 
 struct ChunkInfo {
     pack: ChunkHash,
+    unit: u32,
     offset: u64,
     len: u64,
     refs: u64,
@@ -142,7 +150,7 @@ struct State {
 #[derive(Clone)]
 pub struct CasStore {
     dfs: Dfs,
-    cfg: Arc<CasConfig>,
+    pub(crate) cfg: Arc<CasConfig>,
     state: Arc<Mutex<State>>,
 }
 
@@ -214,7 +222,8 @@ impl CasStore {
     /// sweep.
     ///
     /// The child spans split the cost: `cas.put.split` is the chunker,
-    /// `cas.put.pack` the piece hashes and the new pack's compression,
+    /// `cas.put.pack` the piece hashes and the compression of the new
+    /// pack's units,
     /// `cas.put.manifest` the manifest's encoding and compression,
     /// `cas.put.commit` the filesystem writes and the refcounts.
     pub fn put_epoch(&self, epoch: u32, raw: &[u8]) -> Result<PutReceipt, CasError> {
@@ -233,11 +242,13 @@ impl CasStore {
 
         // Resolve every piece: carried inline when it is no longer than an
         // address, else a chunk — known (in the store or earlier in this
-        // epoch) or new (appended to this epoch's pack buffer). A repeat
-        // inside the epoch, inline or chunk, is a dedup hit.
+        // epoch) or new (appended to its section's unit of this epoch's
+        // pack). A repeat inside the epoch, inline or chunk, is a dedup
+        // hit.
         struct Pending {
             hash: ChunkHash,
             existing_pack: Option<ChunkHash>, // None: this epoch's new pack
+            unit: u32,
             offset: u64,
             len: u64,
         }
@@ -245,17 +256,27 @@ impl CasStore {
             Chunk(u32),
             Inline(u32),
         }
+        // One unit per table section of a columnar layout, so that a scan
+        // of one table inflates that table alone; a blob is one unit. A
+        // piece's section is a fact of the layout, not an option.
+        let sections = layout.sections();
+        // Room for every piece of the section: none is copied twice.
+        let section_bytes = |s: &Range<usize>| pieces[s.clone()].iter().map(Vec::len).sum();
+        let units = sections
+            .iter()
+            .map(|s| Vec::with_capacity(section_bytes(s)));
+        let mut units: Vec<Vec<u8>> = units.collect();
         let mut table: Vec<Pending> = Vec::new();
         let mut index_of: HashMap<ChunkHash, u32> = HashMap::new();
         // Where in `pieces` each distinct inline piece first occurs.
         let mut inline_at: Vec<usize> = Vec::new();
         let mut inline_index_of: HashMap<&[u8], u32> = HashMap::new();
         let mut slots: Vec<Slot> = Vec::with_capacity(pieces.len());
-        // Columnar pieces add up to no more than the text they came from.
-        let mut pack_buf: Vec<u8> = Vec::with_capacity(raw.len());
         let mut dedup_hits = 0u64;
         let mut dedup_saved = 0u64;
-        for (at, piece) in pieces.iter().enumerate() {
+        let of_sections = sections.iter().enumerate();
+        for (section, at) in of_sections.flat_map(|(i, s)| s.clone().map(move |at| (i, at))) {
+            let piece = &pieces[at];
             if piece.len() <= INLINE_MAX {
                 let fresh = inline_at.len() as u32;
                 let i = *inline_index_of.entry(piece.as_slice()).or_insert(fresh);
@@ -281,15 +302,18 @@ impl CasStore {
                 Pending {
                     hash: h,
                     existing_pack: Some(info.pack),
+                    unit: info.unit,
                     offset: info.offset,
                     len: info.len,
                 }
             } else {
-                let offset = pack_buf.len() as u64;
-                pack_buf.extend_from_slice(piece);
+                let unit = &mut units[section];
+                let offset = unit.len() as u64;
+                unit.extend_from_slice(piece);
                 Pending {
                     hash: h,
                     existing_pack: None,
+                    unit: section as u32,
                     offset,
                     len: piece.len() as u64,
                 }
@@ -313,13 +337,23 @@ impl CasStore {
             })
             .collect();
 
-        // Compress + address the new pack (if this epoch added anything).
-        let new_pack: Option<(ChunkHash, Vec<u8>)> = if pack_buf.is_empty() {
-            None
-        } else {
-            let bytes = self.cfg.codec.compress_metered(&pack_buf);
-            (!bytes.is_empty()).then(|| (ChunkHash::of(&bytes), bytes))
-        };
+        // A section whose pieces all dedup adds no unit: number the ones
+        // that hold something, compress each on its own, address the file.
+        let mut unit_index = vec![0u32; units.len()];
+        let mut streams: Vec<Vec<u8>> = Vec::new();
+        for (unit, index) in units.iter().zip(&mut unit_index) {
+            *index = streams.len() as u32;
+            if !unit.is_empty() {
+                streams.push(self.cfg.codec.compress_metered(unit));
+            }
+        }
+        for p in table.iter_mut().filter(|p| p.existing_pack.is_none()) {
+            p.unit = unit_index[p.unit as usize];
+        }
+        let new_pack: Option<(ChunkHash, Vec<u8>)> = (!streams.is_empty()).then(|| {
+            let bytes = pack::encode(&streams);
+            (ChunkHash::of(&bytes), bytes)
+        });
         drop(pack_span);
 
         let manifest_span = obs::span("cas.put.manifest");
@@ -340,6 +374,7 @@ impl CasStore {
                     p.existing_pack
                         .unwrap_or_else(|| new_pack.as_ref().expect("new chunk needs a pack").0),
                 ),
+                unit: p.unit,
                 offset: p.offset,
                 len: p.len,
             })
@@ -388,6 +423,7 @@ impl CasStore {
             for p in table.iter().filter(|p| p.existing_pack.is_none()) {
                 st.chunks.entry(p.hash).or_insert(ChunkInfo {
                     pack: *ph,
+                    unit: p.unit,
                     offset: p.offset,
                     len: p.len,
                     refs: 0,
@@ -458,17 +494,22 @@ impl CasStore {
         Ok(())
     }
 
-    /// Reassemble an epoch payload, verifying every hash on the way:
-    /// manifest bytes against the recorded Merkle leaf, pack bytes against
-    /// their address, every piece against its chunk hash (an inline piece
-    /// is part of the verified manifest), and the total length. A
-    /// verification failure triggers one targeted [`Dfs::repair_file`] +
-    /// re-read before giving up.
+    /// Open an epoch for reading: its manifest, read and verified against
+    /// the recorded Merkle leaf, and every pack the manifest names, read
+    /// and verified against its address. A verification failure triggers
+    /// one targeted [`Dfs::repair_file`] + re-read before giving up. The
+    /// manifest must be the one of `epoch`, and a columnar layout whose
+    /// `#SNAPSHOT` header names an epoch must name this one. Nothing is
+    /// inflated but the manifest: the reader's [`EpochReader::table`]
+    /// inflates the units of one table section,
+    /// [`EpochReader::assemble`] all of them.
     ///
-    /// The child spans split the cost: `cas.get.verify` is every SHA-256,
-    /// `cas.get.inflate` the codec, `cas.get.assemble` the chunker; the
-    /// dfs reads and the manifest decode stay in `cas.get`'s self time.
-    pub fn get_epoch(&self, epoch: u32) -> Result<Vec<u8>, CasError> {
+    /// The child spans of `cas.get` split the cost of a read: `.verify` is
+    /// every SHA-256, `.inflate.<section>` the codec on one unit,
+    /// `.index` a table's newline index, `.assemble` the chunker — there
+    /// only where row text is rebuilt; the dfs reads and the manifest
+    /// decode stay in `cas.get`'s self time.
+    pub fn open_epoch(&self, epoch: u32) -> Result<EpochReader<'_>, CasError> {
         let _span = obs::span("cas.get");
         // Per-query cost accounting: the dfs reads below (manifest +
         // packs) were initiated by the CAS, so they bill to "cas".
@@ -483,62 +524,37 @@ impl CasStore {
         };
         let path = self.manifest_path(epoch);
         let stored = self.read_verified(&path, &expect)?;
-        let manifest = EpochManifest::decode(&self.inflate(&stored)?)?;
+        let encoded = {
+            let _inflate = obs::span("cas.get.inflate.manifest");
+            self.cfg.codec.decompress_metered(&stored)?
+        };
+        let manifest = EpochManifest::decode(&encoded)?;
         if manifest.epoch != epoch {
             return Err(CasError::Corrupt(format!(
                 "manifest at {path} claims epoch {}",
                 manifest.epoch
             )));
         }
-        // Fetch + decompress each referenced pack once.
-        let mut pack_data: Vec<Vec<u8>> = Vec::with_capacity(manifest.packs.len());
-        for ph in &manifest.packs {
-            let stored = self.read_verified(&self.pack_path(ph), ph)?;
-            pack_data.push(self.inflate(&stored)?);
-        }
-        // Verify each unique chunk, then lend the pieces by reference.
-        // `offset` and `len` come off the disk, and a manifest is trusted
-        // by its own hash only: their sum may not even fit a `u64`.
-        let chunk_bytes = |c: &ChunkEntry| -> Option<&[u8]> {
-            let start = usize::try_from(c.offset).ok()?;
-            let end = start.checked_add(usize::try_from(c.len).ok()?)?;
-            pack_data[c.pack as usize].get(start..end)
-        };
-        {
-            let _verify = obs::span("cas.get.verify");
-            for c in &manifest.chunks {
-                let piece = chunk_bytes(c)
-                    .ok_or_else(|| CasError::Corrupt("chunk beyond pack bounds".into()))?;
-                if ChunkHash::of(piece) != c.hash {
-                    self.note_mismatch();
-                    return Err(CasError::Corrupt(format!(
-                        "chunk {} failed content verification",
-                        c.hash.hex()
-                    )));
-                }
+        if let Some(found) = manifest.layout.snapshot_epoch() {
+            if found != epoch {
+                return Err(CasError::Corrupt(format!(
+                    "the snapshot stored for epoch {epoch} is the one of epoch {found}"
+                )));
             }
         }
-        let _assemble = obs::span("cas.get.assemble");
-        let pieces: Vec<&[u8]> = manifest
-            .refs
-            .iter()
-            .map(|&r| match manifest.piece(r)? {
-                Piece::Chunk(c) => chunk_bytes(c),
-                Piece::Inline(bytes) => Some(bytes),
-            })
-            .collect::<Option<_>>()
-            .ok_or_else(|| CasError::Corrupt("piece beyond its table or pack".into()))?;
-        let raw = chunker::assemble(&manifest.layout, &pieces)
-            .map_err(|e| CasError::Corrupt(format!("assemble: {e}")))?;
-        if raw.len() as u64 != manifest.raw_len {
-            return Err(CasError::Corrupt("reassembled length mismatch".into()));
+        let mut packs = Vec::with_capacity(manifest.packs.len());
+        for ph in &manifest.packs {
+            packs.push(self.read_verified(&self.pack_path(ph), ph)?);
         }
-        Ok(raw)
+        EpochReader::new(self, manifest, packs)
     }
 
-    fn inflate(&self, stored: &[u8]) -> Result<Vec<u8>, CasError> {
-        let _span = obs::span("cas.get.inflate");
-        Ok(self.cfg.codec.decompress_metered(stored)?)
+    /// Reassemble an epoch payload: [`Self::open_epoch`], every unit the
+    /// manifest's chunks lie in inflated, every chunk verified against
+    /// its hash (an inline piece is part of the verified manifest), the
+    /// pieces put back together and the total length checked.
+    pub fn get_epoch(&self, epoch: u32) -> Result<Vec<u8>, CasError> {
+        self.open_epoch(epoch)?.assemble()
     }
 
     /// Read a content-addressed file, re-fetching by hash through a
@@ -577,7 +593,11 @@ impl CasStore {
         ChunkHash::of(bytes) == *expect
     }
 
-    fn note_mismatch(&self) {
+    pub(crate) fn note_table_read(&self) {
+        self.state.lock().stats.tables_read += 1;
+    }
+
+    pub(crate) fn note_mismatch(&self) {
         self.state.lock().stats.verify_mismatches += 1;
         obs::inc("cas.verify.mismatch");
     }
@@ -720,12 +740,12 @@ impl CasStore {
             if path.starts_with(&merkle_prefix) {
                 continue;
             }
+            let pack_name = path
+                .strip_prefix(&packs_prefix)
+                .and_then(|n| n.strip_suffix(".pk"));
             let orphan = if path.ends_with(TMP_SUFFIX) {
                 true
-            } else if let Some(hex) = path
-                .strip_prefix(&packs_prefix)
-                .and_then(|n| n.strip_suffix(".pk"))
-            {
+            } else if let Some(hex) = pack_name {
                 !ChunkHash::from_hex(hex).is_some_and(|h| st.packs.contains_key(&h))
             } else if path.ends_with(".mf") {
                 !manifest_path_epoch(&path).is_some_and(|e| st.epochs.contains_key(&e))
@@ -735,7 +755,11 @@ impl CasStore {
             if orphan {
                 if let Ok(n) = self.dfs.delete(&path) {
                     reclaimed += n;
-                    st.stats.gc_packs_deleted += 1;
+                    // Staging temps and stray manifests are reclaimed
+                    // bytes, not packs.
+                    if pack_name.is_some() {
+                        st.stats.gc_packs_deleted += 1;
+                    }
                     st.stats.gc_bytes_reclaimed += n;
                     obs::add("cas.gc.bytes_reclaimed", n);
                 }
@@ -805,6 +829,7 @@ impl CasStore {
                 });
                 st.chunks.entry(c.hash).or_insert(ChunkInfo {
                     pack: ph,
+                    unit: c.unit,
                     offset: c.offset,
                     len: c.len,
                     refs: 0,
@@ -936,8 +961,10 @@ fn manifest_path_epoch(path: &str) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunker::Layout;
     use dfs::DfsConfig;
     use telco_trace::generator::{TraceConfig, TraceGenerator};
+    use telco_trace::schema::TableKind;
     use telco_trace::snapshot::Snapshot;
 
     fn store() -> CasStore {
@@ -1175,10 +1202,11 @@ mod tests {
         assert_eq!(cas.get_epoch(3).unwrap(), raw);
         // The same value again in a second epoch is carried again, not
         // shared: nothing ties the two epochs together.
-        cas.put_epoch(4, &raw[..]).unwrap();
+        let next = b"#SNAPSHOT epoch=4 ts=0\n#TABLE CDR rows=3 cols=2\n0,LTE\n0,LTE\n0,LTE\n";
+        cas.put_epoch(4, next).unwrap();
         assert_eq!(cas.stats().dedup_hits, 0);
         cas.drop_epoch(3).unwrap();
-        assert_eq!(cas.get_epoch(4).unwrap(), raw);
+        assert_eq!(cas.get_epoch(4).unwrap(), next);
         assert_eq!(cas.bytes_stored(), cas.listed_bytes());
     }
 
@@ -1200,73 +1228,295 @@ mod tests {
         assert_eq!(report.corrupt_manifests_dropped, 0);
     }
 
-    /// Every prefix and every changed byte of a stored manifest: refused
-    /// against the Merkle leaf, and — once `recover` has filed the damaged
-    /// file under its own hash, so that only the codec, `decode` and the
-    /// chunk checks stand in the way — still never a panic and never
-    /// different bytes.
+    /// The fields of both tables of `raw`, as the parser lends them.
+    fn fields_of(raw: &[u8]) -> [Vec<Vec<String>>; 2] {
+        let mut tables = [Vec::new(), Vec::new()];
+        Snapshot::scan(raw, |kind, row| {
+            let fields = row.fields().map(str::to_string).collect();
+            tables[usize::from(kind == TableKind::Nms)].push(fields);
+        })
+        .unwrap();
+        tables
+    }
+
+    /// Every read of `epoch` is refused for a reason a damaged store may
+    /// give, or returns what was stored: `get_epoch` the bytes of `raw`,
+    /// `table(i)` the fields of its table `i`. Never a panic, never
+    /// anything else.
+    fn assert_refused_or_right(cas: &CasStore, epoch: u32, raw: &[u8]) {
+        let refused = |e: &CasError| {
+            matches!(
+                e,
+                CasError::Missing(_) | CasError::Corrupt(_) | CasError::Codec(_)
+            )
+        };
+        match cas.get_epoch(epoch) {
+            Ok(got) => assert_eq!(got, raw),
+            Err(e) => assert!(refused(&e), "unexpected error class: {e}"),
+        }
+        let reader = match cas.open_epoch(epoch) {
+            Ok(reader) => reader,
+            Err(e) => return assert!(refused(&e), "unexpected error class: {e}"),
+        };
+        for (i, want) in fields_of(raw).iter().enumerate() {
+            match reader.table(i) {
+                Ok(table) => {
+                    assert_eq!(table.rows(), want.len());
+                    for (r, fields) in want.iter().enumerate() {
+                        let got = (0..table.width()).map(|c| table.row(r).text(c));
+                        assert!(got.eq(fields.iter().map(String::as_str)), "row {r}");
+                    }
+                }
+                Err(e) => assert!(refused(&e), "unexpected error class: {e}"),
+            }
+        }
+    }
+
+    /// Every prefix and every single-bit flip of a stored `CASMF3`
+    /// manifest and of a stored `CASPK1` pack: refused against its address
+    /// (the Merkle leaf; the pack's name), and — once the damaged file is
+    /// filed under its own hash, so that only the container directory, the
+    /// codec, `decode` and the chunk checks stand in the way — still never
+    /// a panic and never other bytes, from `get_epoch`, `open_epoch` and
+    /// `table(i)` alike.
     #[test]
-    fn every_prefix_and_byte_flip_of_a_stored_manifest_is_refused() {
+    fn every_prefix_and_bit_flip_of_a_stored_manifest_and_pack_is_refused() {
         let dfs = Dfs::new(DfsConfig::default());
         let cas = CasStore::new(dfs.clone(), CasConfig::default());
-        let snap = &snapshots(1)[0];
+        // The smallest epoch there is: the sweep is quadratic in its size.
+        let snap = TraceGenerator::new(TraceConfig::tiny()).next().unwrap();
         let (epoch, raw) = (snap.epoch.0, snap.to_bytes());
         cas.put_epoch(epoch, &raw).unwrap();
-        let path = cas.manifest_path(epoch);
-        let stored = dfs.read(&path).unwrap();
+        assert_refused_or_right(&cas, epoch, &raw);
         let files: Vec<(String, Vec<u8>)> = dfs
             .list("/cas/")
             .into_iter()
             .map(|p| (p.clone(), dfs.read(&p).unwrap()))
             .collect();
-        let damaged =
-            (0..stored.len())
-                .map(|cut| stored[..cut].to_vec())
-                .chain((0..stored.len()).map(|at| {
-                    let mut flipped = stored.clone();
-                    flipped[at] ^= 1 << (at % 8);
-                    flipped
-                }));
-        for bytes in damaged {
-            dfs.delete(&path).unwrap();
-            dfs.write(&path, &bytes).unwrap();
-            assert!(cas.get_epoch(epoch).is_err(), "leaf check");
-            let (reopened, _) = CasStore::open(dfs.clone(), CasConfig::default());
-            match reopened.get_epoch(epoch) {
-                Ok(got) => assert_eq!(got, raw),
-                Err(CasError::Missing(_) | CasError::Corrupt(_) | CasError::Codec(_)) => {}
-                Err(e) => panic!("unexpected error class: {e}"),
+        assert_eq!(files.len(), 2, "one manifest, one pack");
+        let restore = || {
+            for path in dfs.list("/cas/") {
+                dfs.delete(&path).unwrap();
             }
-            // `recover` drops a manifest it cannot decode and then the
-            // pack nothing references; put both back.
-            for (p, bytes) in &files {
-                if !dfs.exists(p) {
-                    dfs.write(p, bytes).unwrap();
+            for (path, bytes) in &files {
+                dfs.write(path, bytes).unwrap();
+            }
+        };
+        let (mut cases, mut still_right) = (0, 0);
+        for (path, stored) in &files {
+            let is_pack = path.ends_with(".pk");
+            let prefixes = (0..stored.len()).map(|cut| stored[..cut].to_vec());
+            let flips = (0..stored.len() * 8).map(|bit| {
+                let mut flipped = stored.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                flipped
+            });
+            for damaged in prefixes.chain(flips) {
+                dfs.delete(path).unwrap();
+                dfs.write(path, &damaged).unwrap();
+                assert!(cas.get_epoch(epoch).is_err(), "address check");
+                assert!(cas.open_epoch(epoch).is_err(), "address check");
+                if is_pack {
+                    // The damaged pack under its own name, and a manifest
+                    // that names it.
+                    let own = ChunkHash::of(&damaged);
+                    dfs.write(&cas.pack_path(&own), &damaged).unwrap();
+                    let manifest = cas.manifest_path(epoch);
+                    let stored = cas.cfg.codec.decompress(&dfs.read(&manifest).unwrap());
+                    let mut edited = EpochManifest::decode(&stored.unwrap()).unwrap();
+                    edited.packs[0] = own;
+                    dfs.delete(&manifest).unwrap();
+                    let stored = cas.cfg.codec.compress(&edited.encode());
+                    dfs.write(&manifest, &stored).unwrap();
                 }
+                let (reopened, _) = CasStore::open(dfs.clone(), CasConfig::default());
+                assert_refused_or_right(&reopened, epoch, &raw);
+                cases += 1;
+                still_right += usize::from(reopened.get_epoch(epoch).is_ok());
+                restore();
             }
+        }
+        // What still reads, reads right: a `7z-lite` stream carries a
+        // header byte and a range-coder flush tail its decoder does not
+        // look at. Every other bit of both files is covered by a check.
+        assert!(still_right * 50 < cases, "{still_right} of {cases}");
+        cas.recover();
+        assert_eq!(cas.get_epoch(epoch).unwrap(), raw);
+    }
+
+    /// A store holding one daytime epoch (both tables have rows, and the
+    /// pack a unit for each), and what was stored.
+    fn one_daytime_epoch() -> (CasStore, u32, Vec<u8>) {
+        let cas = store();
+        let snap = TraceGenerator::new(TraceConfig::scaled(1.0 / 256.0))
+            .nth(20)
+            .unwrap();
+        let raw = snap.to_bytes();
+        cas.put_epoch(snap.epoch.0, &raw).unwrap();
+        (cas, snap.epoch.0, raw)
+    }
+
+    /// `get_epoch` and `table(i)` for each of `tables` answer `Corrupt`.
+    fn assert_corrupt(cas: &CasStore, epoch: u32, tables: &[usize]) {
+        assert!(matches!(cas.get_epoch(epoch), Err(CasError::Corrupt(_))));
+        let reader = cas.open_epoch(epoch).unwrap();
+        for &i in tables {
+            let read = reader.table(i).map(|table| table.rows());
+            assert!(matches!(read, Err(CasError::Corrupt(_))), "{i}: {read:?}");
+        }
+    }
+
+    /// The ref index of the first piece of column `col` of `table`.
+    fn piece_of_column(table: &chunker::TableLayout, col: usize) -> usize {
+        let before = &table.pieces_per_col[..col];
+        let pieces = before.iter().map(|&n| match n {
+            chunker::CONSTANT_COL => 1,
+            n => n as usize,
+        });
+        pieces.sum()
+    }
+
+    fn tables_of(m: &mut EpochManifest) -> &mut Vec<chunker::TableLayout> {
+        match &mut m.layout {
+            Layout::Columnar { tables, .. } => tables,
+            Layout::Blob { .. } => panic!("a snapshot chunks columnar"),
         }
     }
 
     #[test]
     fn a_chunk_span_past_u64_is_corrupt_not_a_panic() {
-        let cas = store();
-        let snap = &snapshots(1)[0];
-        cas.put_epoch(snap.epoch.0, &snap.to_bytes()).unwrap();
-        // offset + len wraps to 0: "inside" every pack unless checked.
-        tamper_manifest(&cas, snap.epoch.0, |m| {
+        let (cas, epoch, _) = one_daytime_epoch();
+        // offset + len wraps to 0: "inside" every unit unless checked.
+        tamper_manifest(&cas, epoch, |m| {
             m.chunks[0].offset = u64::MAX;
             m.chunks[0].len = 1;
         });
-        assert!(matches!(
-            cas.get_epoch(snap.epoch.0),
-            Err(CasError::Corrupt(_))
-        ));
-        // A span that fits a u64 and no pack.
-        tamper_manifest(&cas, snap.epoch.0, |m| m.chunks[0].offset = u64::MAX - 1);
-        assert!(matches!(
-            cas.get_epoch(snap.epoch.0),
-            Err(CasError::Corrupt(_))
-        ));
+        assert_corrupt(&cas, epoch, &[0]);
+        // A span that fits a u64 and no unit.
+        tamper_manifest(&cas, epoch, |m| m.chunks[0].offset = u64::MAX - 1);
+        assert_corrupt(&cas, epoch, &[0]);
+    }
+
+    #[test]
+    fn a_chunk_in_a_unit_the_pack_lacks_or_in_the_other_tables_is_corrupt() {
+        let (cas, epoch, raw) = one_daytime_epoch();
+        let first_of_nms = |m: &EpochManifest| {
+            let Layout::Columnar { tables, .. } = &m.layout else {
+                panic!("a snapshot chunks columnar");
+            };
+            let refs = &m.refs[tables[0].piece_count()..];
+            let chunk = refs.iter().find(|&&r| (r as usize) < m.chunks.len());
+            *chunk.expect("NMS has a chunk") as usize
+        };
+        tamper_manifest(&cas, epoch, |m| {
+            assert_eq!((m.chunks[0].unit, m.chunks[first_of_nms(m)].unit), (0, 1));
+            m.chunks[0].unit = 2;
+        });
+        assert_corrupt(&cas, epoch, &[0]);
+        // The first CDR chunk re-pointed into the NMS unit: that unit is
+        // inflated for it, and what lies there is not what the hash names.
+        tamper_manifest(&cas, epoch, |m| m.chunks[0].unit = 1);
+        assert_corrupt(&cas, epoch, &[0]);
+        // The NMS table names no chunk of the CDR unit and reads on.
+        let nms = cas.open_epoch(epoch).unwrap().table(1).unwrap();
+        assert_eq!(nms.rows(), fields_of(&raw)[1].len());
+        tamper_manifest(&cas, epoch, |m| m.chunks[0].unit = 0);
+        assert_refused_or_right(&cas, epoch, &raw);
+        assert_eq!(cas.get_epoch(epoch).unwrap(), raw);
+    }
+
+    #[test]
+    fn a_run_a_value_short_or_long_and_a_constant_of_two_values_are_corrupt() {
+        let (cas, epoch, raw) = one_daytime_epoch();
+        let rows = fields_of(&raw)[1].len() as u32;
+        for claimed in [rows - 1, rows + 1] {
+            tamper_manifest(&cas, epoch, |m| tables_of(m)[1].rows = claimed);
+            assert_corrupt(&cas, epoch, &[1]);
+        }
+        tamper_manifest(&cas, epoch, |m| {
+            tables_of(m)[1].rows = rows;
+            // The first constant CDR column, re-pointed at two values.
+            let cdr = &tables_of(m)[0];
+            let columns = cdr.pieces_per_col.iter();
+            let constant = columns
+                .clone()
+                .position(|&n| n == chunker::CONSTANT_COL)
+                .expect("CDR has constant columns");
+            let piece = piece_of_column(cdr, constant);
+            m.refs[piece] = (m.chunks.len() + m.inline.len()) as u32;
+            m.inline.push(b"0\n0\n".to_vec());
+        });
+        assert_corrupt(&cas, epoch, &[0]);
+    }
+
+    /// Nothing `put_epoch` writes has a value that runs on from one piece
+    /// into the next, and the layout allows it: the first piece of the
+    /// first CDR run, cut in two inside a value, reads as before.
+    #[test]
+    fn a_value_spanning_a_piece_boundary_reads_whole() {
+        let (cas, epoch, raw) = one_daytime_epoch();
+        let (_, pieces) = chunker::split(&raw, &cas.cfg.chunking);
+        tamper_manifest(&cas, epoch, |m| {
+            let cdr = &mut tables_of(m)[0];
+            let col = cdr.pieces_per_col.iter().position(|&n| n == 1).unwrap();
+            let at = piece_of_column(cdr, col);
+            cdr.pieces_per_col[col] = 2;
+            let piece = &pieces[at];
+            let cut = (piece.len() / 2..piece.len())
+                .find(|&cut| piece[cut - 1] != b'\n' && piece[cut] != b'\n')
+                .expect("a value of two bytes");
+            let r = m.refs[at] as usize;
+            assert_eq!(m.refs.iter().filter(|&&x| x as usize == r).count(), 1);
+            let whole = m.chunks[r];
+            assert_eq!(whole.hash, ChunkHash::of(piece));
+            m.chunks[r] = ChunkEntry {
+                hash: ChunkHash::of(&piece[..cut]),
+                len: cut as u64,
+                ..whole
+            };
+            // A new chunk goes last: the inline pieces' indices move up.
+            let n_chunks = m.chunks.len() as u32;
+            m.refs
+                .iter_mut()
+                .filter(|x| **x >= n_chunks)
+                .for_each(|x| *x += 1);
+            m.refs.insert(at + 1, n_chunks);
+            m.chunks.push(ChunkEntry {
+                hash: ChunkHash::of(&piece[cut..]),
+                offset: whole.offset + cut as u64,
+                len: whole.len - cut as u64,
+                ..whole
+            });
+        });
+        assert_eq!(cas.get_epoch(epoch).unwrap(), raw);
+        let reader = cas.open_epoch(epoch).unwrap();
+        assert!(reader.table(0).is_ok() && reader.table(1).is_ok());
+        assert_refused_or_right(&cas, epoch, &raw);
+    }
+
+    #[test]
+    fn gc_counts_packs_as_packs_and_bytes_for_every_orphan() {
+        let (cas, epoch, raw) = one_daytime_epoch();
+        let dfs = cas.dfs();
+        let orphan = ChunkHash::of(b"orphan pack bytes");
+        dfs.write(&cas.pack_path(&orphan), b"orphan pack bytes")
+            .unwrap();
+        let staging = format!("{}{}", cas.manifest_path(98), TMP_SUFFIX);
+        dfs.write(&staging, b"half a manifest").unwrap();
+        dfs.write(&cas.manifest_path(99), b"a stray manifest")
+            .unwrap();
+        let before = cas.stats();
+        let reclaimed = cas.gc();
+        assert_eq!(reclaimed, 17 + 15 + 16);
+        let after = cas.stats();
+        assert_eq!(after.gc_packs_deleted - before.gc_packs_deleted, 1);
+        assert_eq!(
+            after.gc_bytes_reclaimed - before.gc_bytes_reclaimed,
+            reclaimed
+        );
+        assert_eq!(cas.gc(), 0, "nothing left to sweep");
+        assert_eq!(cas.bytes_stored(), cas.listed_bytes());
+        assert_eq!(cas.get_epoch(epoch).unwrap(), raw);
     }
 
     #[test]
@@ -1293,6 +1543,7 @@ mod tests {
             m.chunks.push(ChunkEntry {
                 hash: ChunkHash::of(b""),
                 pack: 0,
+                unit: 0,
                 offset: 0,
                 len: 0,
             });

@@ -1,0 +1,277 @@
+//! Column arm ≡ text arm. The reference reading of a stored epoch is
+//! `get_epoch` + `Snapshot::scan`: the payload reassembled and walked as
+//! text. `open_epoch().snapshot_columns(tables)` must lend, for every
+//! column of every row of every table it reads, the same field text — or
+//! decline (`None`: the caller reads the text), or refuse what the
+//! reference refuses too. It reads one table without inflating the other,
+//! so a payload the reference refuses for one table's sake may still lend
+//! the other; asked for both tables it never lends what the reference
+//! refuses.
+
+use cas::{CasConfig, CasError, CasStore, Chunking, Layout};
+use dfs::Dfs;
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use telco_trace::schema::{cdr, nms, TableKind};
+use telco_trace::{Snapshot, TraceConfig, TraceGenerator};
+
+const EPOCH: u32 = 7;
+
+/// Both tables' fields as the text walk lends them, when it accepts the
+/// payload as the snapshot of `EPOCH`.
+fn reference(raw: &[u8]) -> Option<[Vec<Vec<String>>; 2]> {
+    let mut tables = [Vec::new(), Vec::new()];
+    let epoch = Snapshot::scan(raw, |kind, row| {
+        let fields = row.fields().map(str::to_string).collect();
+        tables[usize::from(kind == TableKind::Nms)].push(fields);
+    });
+    (epoch.ok()?.0 == EPOCH).then_some(tables)
+}
+
+/// What the column arm made of a payload, asked for both tables.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arm {
+    Columns,
+    Text,
+    Refused,
+}
+
+/// Store `raw` and hold every way of asking for its columns against the
+/// reference.
+fn check(cas: &CasStore, raw: &[u8]) -> Arm {
+    cas.put_epoch(EPOCH, raw).expect("put");
+    let want = reference(raw);
+    let reader = match cas.open_epoch(EPOCH) {
+        Ok(reader) => reader,
+        Err(CasError::Corrupt(_)) => {
+            assert!(want.is_none(), "refused what the text walk accepts");
+            cas.drop_epoch(EPOCH).unwrap();
+            return Arm::Refused;
+        }
+        Err(e) => panic!("unexpected error class: {e}"),
+    };
+    assert_eq!(reader.assemble().unwrap(), raw);
+    let both = [TableKind::Cdr, TableKind::Nms];
+    let mut arm = Arm::Text;
+    for wanted in [&both[..1], &both[1..], &both[..]] {
+        let columns = match reader.snapshot_columns(wanted) {
+            Ok(Some(columns)) => columns,
+            Ok(None) => continue,
+            Err(CasError::Corrupt(_)) => {
+                assert!(want.is_none(), "refused what the text walk accepts");
+                arm = Arm::Refused;
+                continue;
+            }
+            Err(e) => panic!("unexpected error class: {e}"),
+        };
+        let Some(want) = &want else {
+            assert!(wanted.len() < 2, "lent what the text walk refuses");
+            continue;
+        };
+        let kinds: Vec<TableKind> = columns.tables.iter().map(|(kind, _)| *kind).collect();
+        assert_eq!(kinds, wanted);
+        assert_eq!(columns.rows, (want[0].len() + want[1].len()) as u64);
+        for (kind, table) in &columns.tables {
+            let want = &want[usize::from(*kind == TableKind::Nms)];
+            assert_eq!(table.rows(), want.len(), "{kind:?}");
+            for (r, fields) in want.iter().enumerate() {
+                assert_eq!(table.width(), fields.len());
+                for (c, field) in fields.iter().enumerate() {
+                    assert_eq!(table.row(r).text(c), field.as_str(), "{kind:?} {r} {c}");
+                }
+            }
+        }
+        if wanted.len() == 2 {
+            arm = Arm::Columns;
+        }
+    }
+    cas.drop_epoch(EPOCH).unwrap();
+    arm
+}
+
+fn store(chunking: Chunking) -> CasStore {
+    let config = CasConfig {
+        chunking,
+        ..CasConfig::default()
+    };
+    CasStore::new(Dfs::in_memory(), config)
+}
+
+/// Epoch `nth` of the trace at `scale`, relabelled as `EPOCH`.
+fn generated(scale: f64, nth: usize) -> Vec<u8> {
+    let mut snap = TraceGenerator::new(TraceConfig::scaled(scale))
+        .nth(nth)
+        .unwrap();
+    snap.epoch = telco_trace::EpochId(EPOCH);
+    snap.to_bytes()
+}
+
+#[test]
+fn generated_snapshots_read_alike_at_three_scales() {
+    let cas = store(Chunking::default());
+    for (scale, epochs) in [
+        (1.0 / 512.0, vec![0, 9, 18, 27, 36]),
+        (1.0 / 64.0, vec![3, 24]),
+        (1.0 / 8.0, vec![24]),
+    ] {
+        for nth in epochs {
+            let raw = generated(scale, nth);
+            assert_eq!(check(&cas, &raw), Arm::Columns, "1/{} #{nth}", 1.0 / scale);
+        }
+    }
+    // At 1/8 a column is large enough to cut a run of several pieces.
+    let (layout, _) = cas::chunker::split(&generated(1.0 / 8.0, 24), &Chunking::default());
+    let Layout::Columnar { tables, .. } = layout else {
+        panic!("a snapshot chunks columnar");
+    };
+    let longest = tables.iter().flat_map(|t| &t.pieces_per_col);
+    let longest = longest.filter(|&&n| n != cas::chunker::CONSTANT_COL).max();
+    assert!(longest.is_some_and(|&n| n > 1), "{longest:?}");
+}
+
+/// A snapshot of `rows` CDR and NMS rows whose columns are, by turns,
+/// constant, empty here and there, short, and wide enough to cut pieces of
+/// their own under [`small_pieces`].
+fn table_text(rng: &mut StdRng, rows: [usize; 2]) -> String {
+    let mut text = format!("#SNAPSHOT epoch={EPOCH} ts=201601180330\n");
+    for ((kind, width), rows) in [(TableKind::Cdr, cdr::WIDTH), (TableKind::Nms, nms::WIDTH)]
+        .into_iter()
+        .zip(rows)
+    {
+        text.push_str(&format!(
+            "#TABLE {} rows={rows} cols={width}\n",
+            kind.name()
+        ));
+        let kinds: Vec<u32> = (0..width).map(|_| rng.gen_range(0..8)).collect();
+        for _ in 0..rows {
+            let fields: Vec<String> = kinds
+                .iter()
+                .map(|&kind| match kind {
+                    0 | 1 => "0".to_string(),
+                    2 => String::new(),
+                    3 if rng.gen_range(0..3) == 0 => String::new(),
+                    3 | 4 => rng.gen_range(0..100u32).to_string(),
+                    5 => format!("{:.3}", rng.gen_range(-9.0..9.0f64)),
+                    6 => "LTE".to_string(),
+                    _ => format!("a-wide-text-value-{:09}", rng.gen_range(0..1u32 << 30)),
+                })
+                .collect();
+            text.push_str(&fields.join(","));
+            text.push('\n');
+        }
+    }
+    text
+}
+
+/// Pieces small enough that a few dozen rows group, cut and span.
+fn small_pieces() -> Chunking {
+    Chunking {
+        row_quantum: 4,
+        target_piece_bytes: 256,
+        blob_piece_bytes: 64,
+        min_piece_bytes: 64,
+    }
+}
+
+const ROWS: [usize; 6] = [0, 1, 2, 63, 64, 65];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn random_tables_read_alike(
+        seed in any::<u64>(),
+        cdr_rows in 0..ROWS.len(),
+        nms_rows in 0..ROWS.len(),
+        small in any::<bool>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let text = table_text(&mut rng, [ROWS[cdr_rows], ROWS[nms_rows]]);
+        let chunking = if small { small_pieces() } else { Chunking::default() };
+        prop_assert_eq!(check(&store(chunking), text.as_bytes()), Arm::Columns);
+    }
+
+    /// One byte of a well-formed snapshot replaced by anything: whatever
+    /// the chunker and the parser make of it, the two arms agree.
+    #[test]
+    fn a_changed_byte_reads_alike_or_not_at_all(
+        seed in any::<u64>(),
+        at in any::<u32>(),
+        byte in prop_oneof![
+            Just(b','), Just(b'\n'), Just(b'\r'), Just(b'#'), Just(b'7'), Just(0xFFu8), any::<u8>()
+        ],
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut raw = table_text(&mut rng, [3, 5]).into_bytes();
+        let at = at as usize % raw.len();
+        raw[at] = byte;
+        check(&store(small_pieces()), &raw);
+    }
+}
+
+#[test]
+fn what_is_not_plainly_a_snapshot_is_read_as_text_or_refused() {
+    let mut rng = StdRng::seed_from_u64(22);
+    let text = table_text(&mut rng, [5, 9]);
+    let nms_at = text.find("#TABLE NMS").unwrap();
+    let (head, nms_section) = text.split_at(nms_at);
+    let cdr_at = head.find("#TABLE CDR").unwrap();
+    let (header, cdr_section) = head.split_at(cdr_at);
+    let cas = store(small_pieces());
+    assert_eq!(check(&cas, text.as_bytes()), Arm::Columns);
+
+    // `\r\n` lines parse, and a column would hold the `\r`.
+    let crlf = text.replace('\n', "\r\n");
+    assert!(reference(crlf.as_bytes()).is_some());
+    assert_eq!(check(&cas, crlf.as_bytes()), Arm::Text);
+    // ... in the rows of one table only.
+    let nms_crlf = format!("{head}{}", nms_section.replace('\n', "\r\n"));
+    assert_eq!(check(&cas, nms_crlf.as_bytes()), Arm::Text);
+
+    // Tables the other way round; a third table; a CDR of 199 columns;
+    // an opaque payload: none parses as a snapshot, all are stored.
+    let swapped = format!("{header}{nms_section}{cdr_section}");
+    let third = format!("{text}#TABLE CELL rows=1 cols=2\na,b\n");
+    let narrow_rows = cdr_section.lines().skip(1).map(|row| {
+        let (row, _last) = row.rsplit_once(',').unwrap();
+        format!("{row}\n")
+    });
+    let narrow_rows: String = narrow_rows.collect();
+    let narrow = format!("{header}#TABLE CDR rows=5 cols=199\n{narrow_rows}{nms_section}");
+    for raw in [swapped.as_bytes(), narrow.as_bytes(), b"\x00\x01 opaque"] {
+        assert!(reference(raw).is_none());
+        assert_eq!(check(&cas, raw), Arm::Text);
+    }
+    // The parser ignores what follows the NMS table; the columns do not
+    // try to.
+    assert!(reference(third.as_bytes()).is_some());
+    assert_eq!(check(&cas, third.as_bytes()), Arm::Text);
+    // Spelt otherwise than `to_bytes` spells it.
+    let spaced = text.replace("#TABLE NMS rows", "#TABLE NMS  rows");
+    assert!(reference(spaced.as_bytes()).is_some());
+    assert_eq!(check(&cas, spaced.as_bytes()), Arm::Text);
+
+    // Bytes that are not UTF-8: in a CDR value, in an NMS value, in the
+    // header. Neither arm lends the table that holds them.
+    let not_utf8_from = |from: usize| {
+        let mut raw = text.clone().into_bytes();
+        let value = raw[from..].iter().position(u8::is_ascii_alphanumeric);
+        raw[from + value.unwrap()] = 0xFF;
+        raw
+    };
+    let in_cdr = not_utf8_from(cdr_at + cdr_section.find('\n').unwrap());
+    let in_nms = not_utf8_from(nms_at + nms_section.find('\n').unwrap());
+    let mut in_header = text.clone().into_bytes();
+    in_header[cdr_at - 2] = 0xFF;
+    for raw in [in_cdr, in_nms] {
+        assert!(reference(&raw).is_none());
+        assert_eq!(check(&cas, &raw), Arm::Refused);
+    }
+    assert!(reference(&in_header).is_none());
+    assert_eq!(check(&cas, &in_header), Arm::Text);
+
+    // Another epoch's snapshot under this one's name is not opened.
+    let misfiled = text.replace(&format!("epoch={EPOCH} "), "epoch=8 ");
+    assert_eq!(check(&cas, misfiled.as_bytes()), Arm::Refused);
+}

@@ -20,13 +20,14 @@ fn store() -> (Dfs, CasStore) {
 }
 
 /// A payload that exercises the columnar path when `snapshotish` and the
-/// blob path otherwise.
+/// blob path otherwise. Its header names no epoch: the store files it
+/// under whichever it is put as.
 fn payload(data: &[u8], rows: usize, snapshotish: bool) -> Vec<u8> {
     if !snapshotish {
         return data.to_vec();
     }
-    let mut out = format!("#SNAPSHOT epoch=1 ts=2016-01-18T00:00\n#TABLE CDR rows={rows} cols=3\n")
-        .into_bytes();
+    let mut out =
+        format!("#SNAPSHOT ts=2016-01-18T00:00\n#TABLE CDR rows={rows} cols=3\n").into_bytes();
     for r in 0..rows {
         let a = data.get(r % data.len().max(1)).copied().unwrap_or(0);
         out.extend_from_slice(format!("{a},280-01,{}\n", r % 7).as_bytes());

@@ -7,7 +7,7 @@ use crate::index::highlights::HighlightConfig;
 use crate::index::persist::{self, PersistError};
 use crate::index::TemporalIndex;
 use crate::query::{Coverage, Plan, Query, QueryResult, RowPlan};
-use crate::storage::{parse_stage, SnapshotStore, StorageError, StoredSnapshot};
+use crate::storage::{SnapshotStore, StorageError, StoredSnapshot};
 use codecs::{Codec, GzipLite};
 use dfs::Dfs;
 use std::collections::HashSet;
@@ -458,14 +458,13 @@ impl ExplorationFramework for SpateFramework {
         let _span = obs::span("spate.query");
         let plan = self.plan(q);
         let _s = matches!(plan, Plan::Exact(_)).then(|| obs::span("scan"));
-        // One epoch at a time, straight over the serialized text: no
-        // epoch of the window is ever held decoded.
+        // One epoch at a time, straight over what the store holds of it —
+        // serialized text, or the columns of a CAS epoch: no epoch of the
+        // window is ever held decoded.
         let rows = RowPlan::new(q, &self.layout);
         let result = plan.evaluate(&rows, |epoch, out| {
             self.index.heat().touch_epoch(epoch);
-            let text = self.store.load_text(epoch);
-            text.and_then(|text| parse_stage(|| rows.scan_epoch(epoch, &text, out)))
-                .is_ok()
+            rows.scan_stored(&self.store, epoch, out).is_ok()
         });
         if let QueryResult::Partial { coverage, .. } = &result {
             obs::inc("spate.query.partial");

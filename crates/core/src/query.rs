@@ -7,7 +7,7 @@
 
 use crate::index::highlights::{Highlights, Resolution};
 use crate::index::Covering;
-use crate::storage::{self, StorageError};
+use crate::storage::{self, EpochRows, SnapshotStore, StorageError};
 use std::collections::HashSet;
 use std::fmt;
 use telco_trace::cells::{BoundingBox, CellLayout};
@@ -381,13 +381,17 @@ impl Projection {
 /// `Q(a, b, ·)` resolved once against the schemas and the cell layout:
 /// which columns of which table to emit, and which cells lie in `b`.
 /// [`Self::select`] is the one place a row is tested against `b` and
-/// projected onto `a`; the two drivers — [`Self::project`] over a
-/// decoded snapshot, [`Self::scan_epoch`] over serialized text — only
-/// feed it rows.
+/// projected onto `a`; the drivers — [`Self::project`] over a decoded
+/// snapshot, [`Self::scan_epoch`] over serialized text,
+/// [`Self::scan_columns`] over the columns of a CAS epoch — only feed it
+/// rows.
 pub struct RowPlan {
     projection: Projection,
     /// Bit `c` is set when cell `c` lies in `b`; `layout.len()` bits.
     cells: Vec<u64>,
+    /// The tables `a` selects a column of: the only ones whose rows can
+    /// reach the answer.
+    tables: Vec<TableKind>,
 }
 
 impl RowPlan {
@@ -396,9 +400,18 @@ impl RowPlan {
         for cell in layout.cells_in(&q.bbox) {
             cells[cell as usize / 64] |= 1 << (cell % 64);
         }
+        let projection = Projection::resolve(&q.attributes);
+        let selected = [
+            (TableKind::Cdr, !projection.cdr_cols.is_empty()),
+            (TableKind::Nms, !projection.nms_cols.is_empty()),
+        ];
         Self {
-            projection: Projection::resolve(&q.attributes),
+            projection,
             cells,
+            tables: selected
+                .into_iter()
+                .filter_map(|(t, s)| s.then_some(t))
+                .collect(),
         }
     }
 
@@ -489,6 +502,43 @@ impl RowPlan {
                 out.cdr.rows.truncate(kept.0);
                 out.nms.rows.truncate(kept.1);
                 Err(e)
+            }
+        }
+    }
+
+    /// Evaluate over the columns of one CAS epoch, appending to `out`
+    /// what [`Self::scan_epoch`] appends over the same epoch's text: the
+    /// tables `a` selects nothing of were not read and could add nothing,
+    /// and every row of the epoch counts as scanned. `columns` is whole
+    /// and checked, so this cannot fail.
+    pub(crate) fn scan_columns(&self, columns: &cas::SnapshotColumns, out: &mut ExactResult) {
+        let kept = out.row_count();
+        for (kind, table) in &columns.tables {
+            for r in 0..table.rows() {
+                self.select(*kind, table.row(r), out);
+            }
+        }
+        out.epochs_read += 1;
+        let returned = out.row_count() - kept;
+        obs::cost::add_rows(columns.rows, returned as u64);
+    }
+
+    /// Evaluate over `epoch` as `store` holds it, under the `parse`
+    /// stage: its text, or — a CAS store — the columns of the tables `a`
+    /// selects from, so that `b` is tested on the cell-id column and only
+    /// the columns `a` names become values. On an error `out` is left as
+    /// it was.
+    pub fn scan_stored(
+        &self,
+        store: &SnapshotStore,
+        epoch: EpochId,
+        out: &mut ExactResult,
+    ) -> Result<(), StorageError> {
+        match store.read_rows(epoch, &self.tables)? {
+            EpochRows::Text(text) => storage::parse_stage(|| self.scan_epoch(epoch, &text, out)),
+            EpochRows::Columns(columns) => {
+                storage::parse_stage(|| self.scan_columns(&columns, out));
+                Ok(())
             }
         }
     }

@@ -12,12 +12,15 @@
 //!   chunked into per-attribute column pieces, deduplicated by content
 //!   hash into shared pack files, and each epoch's leaf is a `.mf`
 //!   manifest of chunk references (see the `cas` crate). Eviction
-//!   releases refcounts and garbage-collects dead packs.
+//!   releases refcounts and garbage-collects dead packs. A scan reads
+//!   such an epoch column by column, one table at a time
+//!   ([`SnapshotStore::read_rows`]); the Path backend, `load` and any
+//!   layout that is not plainly a snapshot's read the serialized text.
 //!
 //! Either way the index, decay and query layers above see the same
 //! store/load/evict surface.
 
-use cas::{CasConfig, CasError, CasRecoverReport, CasStore};
+use cas::{CasConfig, CasError, CasRecoverReport, CasStore, SnapshotColumns};
 use codecs::{Codec, CodecError};
 use dfs::{Dfs, DfsError};
 use std::fmt;
@@ -109,6 +112,15 @@ pub(crate) fn parse_stage<T>(parse: impl FnOnce() -> T) -> T {
     let parsed = parse();
     obs::cost::add_stage_ns("parse", start.elapsed().as_nanos() as u64);
     parsed
+}
+
+/// One stored epoch as a scan reads it ([`SnapshotStore::read_rows`]).
+pub(crate) enum EpochRows {
+    /// The serialized snapshot ([`Snapshot::to_bytes`] text): a Path
+    /// leaf, or a CAS epoch the column arm does not read.
+    Text(Vec<u8>),
+    /// A CAS epoch, the tables the scan asked for held as columns.
+    Columns(SnapshotColumns),
 }
 
 /// Outcome of storing one snapshot.
@@ -351,35 +363,77 @@ impl SnapshotStore {
         }
     }
 
+    /// What a scan of `tables` reads of an epoch. The Path backend hands
+    /// out the text ([`Self::load_text`]). The CAS backend opens the
+    /// epoch and inflates, verifies and indexes the sections of `tables`
+    /// and no other, under the `read` stage
+    /// ([`cas::EpochReader::snapshot_columns`]: checked as the parser
+    /// checks the same tables of the text, nothing lent before every table
+    /// asked for has passed); what that does not read as columns it
+    /// reassembles and hands out as text.
+    pub(crate) fn read_rows(
+        &self,
+        epoch: EpochId,
+        tables: &[TableKind],
+    ) -> Result<EpochRows, StorageError> {
+        let Backend::Cas(cas) = &self.backend else {
+            return self.load_text(epoch).map(EpochRows::Text);
+        };
+        let start = std::time::Instant::now();
+        obs::cost::touch_epoch(u64::from(epoch.0));
+        let read = cas.open_epoch(epoch.0).and_then(|reader| {
+            Ok(match reader.snapshot_columns(tables)? {
+                Some(columns) => EpochRows::Columns(columns),
+                None => EpochRows::Text(reader.assemble()?),
+            })
+        });
+        obs::cost::add_stage_ns("read", start.elapsed().as_nanos() as u64);
+        Ok(read?)
+    }
+
     /// `ExplorationFramework::scan_rows` over this store, for RAW, SHAHED
-    /// and SPATE alike: each of `epochs` is read and inflated
-    /// ([`Self::load_text`]), walked once ([`Snapshot::scan`], under the
-    /// `parse` stage) and its `table` rows lent to `visit` as they lie in
-    /// the text. The rows are held back until the walk has accepted the
-    /// whole snapshot and its header names `epoch`, so an epoch that
-    /// fails anywhere is skipped with none of its rows seen.
+    /// and SPATE alike: each of `epochs` is read ([`Self::read_rows`]) and
+    /// its `table` rows lent to `visit`. Text is walked once
+    /// ([`Snapshot::scan`], under the `parse` stage) and the rows lent as
+    /// they lie in it, held back until the walk has accepted the whole
+    /// snapshot and its header names `epoch`; a CAS epoch lends the rows
+    /// of the one table it inflated. Either way an epoch that fails a
+    /// check is skipped with none of its rows seen.
     pub fn scan_rows(
         &self,
         epochs: impl Iterator<Item = EpochId>,
         table: TableKind,
         visit: &mut dyn FnMut(EpochId, &[Row<'_>]),
     ) {
+        let mut lend = |epoch, rows: &[Row<'_>]| {
+            obs::cost::add_rows(rows.len() as u64, 0);
+            visit(epoch, rows);
+        };
         for epoch in epochs {
-            let Ok(text) = self.load_text(epoch) else {
-                continue;
-            };
-            let walked = parse_stage(|| {
-                let mut rows = Vec::new();
-                let found = Snapshot::scan(&text, |kind, row| {
-                    if kind == table {
-                        rows.push(Row::Text(row));
+            match self.read_rows(epoch, &[table]) {
+                Ok(EpochRows::Text(text)) => {
+                    let walked = parse_stage(|| {
+                        let mut rows = Vec::new();
+                        let found = Snapshot::scan(&text, |kind, row| {
+                            if kind == table {
+                                rows.push(Row::Text(row));
+                            }
+                        })?;
+                        check_epoch(epoch, found).map(|()| rows)
+                    });
+                    if let Ok(rows) = walked {
+                        lend(epoch, &rows);
                     }
-                })?;
-                check_epoch(epoch, found).map(|()| rows)
-            });
-            if let Ok(rows) = walked {
-                obs::cost::add_rows(rows.len() as u64, 0);
-                visit(epoch, &rows);
+                }
+                Ok(EpochRows::Columns(columns)) => {
+                    let rows: Vec<Row<'_>> = parse_stage(|| {
+                        let tables = columns.tables.iter();
+                        let rows = tables.flat_map(|(_, t)| (0..t.rows()).map(|r| t.row(r)));
+                        rows.collect()
+                    });
+                    lend(epoch, &rows);
+                }
+                Err(_) => {}
             }
         }
     }

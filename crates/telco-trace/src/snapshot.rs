@@ -76,28 +76,39 @@ impl Snapshot {
     pub fn to_bytes(&self) -> Vec<u8> {
         // Generated CDR rows (200 columns) take ~490 bytes, NMS rows ~38.
         let mut out = String::with_capacity(self.cdr.len() * 512 + self.nms.len() * 48 + 128);
-        out.push_str(&format!(
-            "#SNAPSHOT epoch={} ts={}\n",
-            self.epoch.0,
-            self.epoch.civil().compact()
-        ));
-        out.push_str(&format!(
-            "#TABLE CDR rows={} cols={}\n",
-            self.cdr.len(),
-            cdr::WIDTH
-        ));
-        for r in &self.cdr {
-            r.to_line(&mut out);
-        }
-        out.push_str(&format!(
-            "#TABLE NMS rows={} cols={}\n",
-            self.nms.len(),
-            nms::WIDTH
-        ));
-        for r in &self.nms {
-            r.to_line(&mut out);
+        out.push_str(&Self::header_line(self.epoch));
+        for table in [TableKind::Cdr, TableKind::Nms] {
+            let records = self.table(table);
+            out.push_str(&Self::table_header_line(table, records.len()));
+            for r in records {
+                r.to_line(&mut out);
+            }
         }
         out.into_bytes()
+    }
+
+    /// The line [`Self::to_bytes`] opens the snapshot of `epoch` with,
+    /// newline included.
+    pub fn header_line(epoch: EpochId) -> String {
+        format!(
+            "#SNAPSHOT epoch={} ts={}\n",
+            epoch.0,
+            epoch.civil().compact()
+        )
+    }
+
+    /// The line [`Self::to_bytes`] opens a `table` section of `rows` rows
+    /// with, newline included.
+    ///
+    /// # Panics
+    /// For [`TableKind::Cell`]: the cell inventory is not snapshot data.
+    pub fn table_header_line(table: TableKind, rows: usize) -> String {
+        let width = match table {
+            TableKind::Cdr => cdr::WIDTH,
+            TableKind::Nms => nms::WIDTH,
+            TableKind::Cell => panic!("a snapshot has no CELL table"),
+        };
+        format!("#TABLE {} rows={rows} cols={width}\n", table.name())
     }
 
     /// Parse the wire format back into a snapshot: one UTF-8 validation
@@ -110,6 +121,13 @@ impl Snapshot {
         };
         let epoch = walk(bytes, &mut rows)?;
         Ok(Snapshot::new(epoch, rows.cdr, rows.nms))
+    }
+
+    /// The epoch a `#SNAPSHOT epoch=<n> ...` header line names, as
+    /// [`Self::from_bytes`] reads it; `None` for any other line.
+    pub fn header_epoch(line: &str) -> Option<EpochId> {
+        let epoch = header_value(line, "epoch").filter(|_| line.starts_with("#SNAPSHOT"))?;
+        Some(EpochId(epoch))
     }
 
     /// Walk the wire format without building a snapshot: `visit` is lent
@@ -170,14 +188,236 @@ impl<'a> RowText<'a> {
     }
 }
 
+/// One table of a snapshot held column by column: what a columnar store
+/// lends a scan instead of rebuilt row text. A column is either one value
+/// that every row holds, or `rows` values of a shared text of
+/// newline-terminated values; a field is found by its row and column, and
+/// no field of a column a scan does not name is ever looked at.
+///
+/// Built through [`ColumnTableBuilder`], which admits what
+/// [`Snapshot::scan`] admits of the same table: as many values a column as
+/// the table has rows, no separator inside a value, UTF-8.
+#[derive(Debug)]
+pub struct ColumnTable {
+    rows: usize,
+    /// The values of the varying columns, column by column, each ended by
+    /// a newline.
+    text: String,
+    /// Where each value of `text` starts, then `text.len()`.
+    starts: Vec<u32>,
+    /// The values of the constant columns, end to end.
+    constants: String,
+    columns: Vec<Column>,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Column {
+    /// Every row holds this range of `constants`.
+    Constant { start: u32, end: u32 },
+    /// Row `r` holds value `first + r` of `text`.
+    Varying { first: usize },
+}
+
+/// Why a [`ColumnTableBuilder`] refused its input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ColumnError {
+    /// A run of values does not hold one value a row for each of its
+    /// columns, or a constant is not exactly one value.
+    ValueCount,
+    /// A value holds a field separator: as text, its row would have a
+    /// field too many.
+    Separator,
+    NotUtf8,
+    /// More than `u32::MAX` bytes of values.
+    TooLarge,
+}
+
+impl fmt::Display for ColumnError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            ColumnError::ValueCount => "a column does not hold one value a row",
+            ColumnError::Separator => "a value holds a field separator",
+            ColumnError::NotUtf8 => "column values are not utf-8",
+            ColumnError::TooLarge => "more than 4 GiB of column values",
+        })
+    }
+}
+
+impl std::error::Error for ColumnError {}
+
+impl ColumnTable {
+    /// Start a table of `rows` rows; its columns are declared left to
+    /// right.
+    pub fn builder(rows: usize) -> ColumnTableBuilder {
+        ColumnTableBuilder {
+            rows,
+            text: Vec::new(),
+            starts: vec![0],
+            constants: Vec::new(),
+            columns: Vec::new(),
+            varying: 0,
+        }
+    }
+
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Columns declared.
+    pub fn width(&self) -> usize {
+        self.columns.len()
+    }
+
+    /// Row `row` of the table, as a scan reads it.
+    ///
+    /// # Panics
+    /// If the table has no row `row`.
+    pub fn row(&self, row: usize) -> Row<'_> {
+        assert!(row < self.rows, "row {row} of a {}-row table", self.rows);
+        Row::Column(RowColumns { table: self, row })
+    }
+
+    /// The text of column `col` in row `row` (the builder has checked
+    /// every index and boundary this takes).
+    fn field(&self, row: usize, col: usize) -> &str {
+        match self.columns[col] {
+            Column::Constant { start, end } => &self.constants[start as usize..end as usize],
+            Column::Varying { first } => {
+                let at = first + row;
+                &self.text[self.starts[at] as usize..self.starts[at + 1] as usize - 1]
+            }
+        }
+    }
+}
+
+/// Builds a [`ColumnTable`]. Columns are declared left to right with
+/// [`Self::constant`] and [`Self::varying`]; the values of the varying
+/// columns arrive, in the same order, as [`Self::run`]s that each serve
+/// one or more of them.
+pub struct ColumnTableBuilder {
+    rows: usize,
+    /// As in [`ColumnTable`], not yet known to be UTF-8.
+    text: Vec<u8>,
+    starts: Vec<u32>,
+    constants: Vec<u8>,
+    columns: Vec<Column>,
+    /// Varying columns declared so far.
+    varying: usize,
+}
+
+impl ColumnTableBuilder {
+    /// The next column holds `value` — one newline-terminated value — in
+    /// every row.
+    pub fn constant(&mut self, value: &[u8]) -> Result<(), ColumnError> {
+        let Some((b'\n', field)) = value.split_last() else {
+            return Err(ColumnError::ValueCount);
+        };
+        if field.contains(&b'\n') {
+            return Err(ColumnError::ValueCount);
+        }
+        if field.contains(&b',') {
+            return Err(ColumnError::Separator);
+        }
+        let start = self.constants.len();
+        self.constants.extend_from_slice(field);
+        let range = u32::try_from(start)
+            .ok()
+            .zip(u32::try_from(self.constants.len()).ok());
+        let (start, end) = range.ok_or(ColumnError::TooLarge)?;
+        self.columns.push(Column::Constant { start, end });
+        Ok(())
+    }
+
+    /// The next column takes the next `rows` values of the runs.
+    pub fn varying(&mut self) {
+        let first = self.varying * self.rows;
+        self.columns.push(Column::Varying { first });
+        self.varying += 1;
+    }
+
+    /// The values of `cols` varying columns, one column after the other
+    /// and each value ended by a newline: `pieces` end to end (a value may
+    /// run on from one piece into the next). Refused unless that is
+    /// exactly `rows × cols` values.
+    pub fn run<'p>(
+        &mut self,
+        pieces: impl IntoIterator<Item = &'p [u8]>,
+        cols: usize,
+    ) -> Result<(), ColumnError> {
+        let from = self.text.len();
+        for piece in pieces {
+            self.text.extend_from_slice(piece);
+        }
+        if u32::try_from(self.text.len()).is_err() {
+            return Err(ColumnError::TooLarge);
+        }
+        let run = &self.text[from..];
+        let starts = &mut self.starts;
+        let values_before = starts.len();
+        // A value takes a byte at least: its newline.
+        starts.reserve(run.len().min(self.rows.saturating_mul(cols)));
+        let mut separator = false;
+        for (at, &b) in run.iter().enumerate() {
+            separator |= b == b',';
+            if b == b'\n' {
+                starts.push((from + at + 1) as u32);
+            }
+        }
+        if separator {
+            return Err(ColumnError::Separator);
+        }
+        let whole = run.last().is_none_or(|&b| b == b'\n');
+        if !whole || Some(starts.len() - values_before) != self.rows.checked_mul(cols) {
+            return Err(ColumnError::ValueCount);
+        }
+        Ok(())
+    }
+
+    /// The table, once every varying column has its values and all of
+    /// them are UTF-8.
+    pub fn finish(self) -> Result<ColumnTable, ColumnError> {
+        if Some(self.starts.len() - 1) != self.varying.checked_mul(self.rows) {
+            return Err(ColumnError::ValueCount);
+        }
+        // Every value ends in a newline, so a character cannot straddle
+        // two of them: valid as a whole is valid value by value.
+        let utf8 = |bytes| String::from_utf8(bytes).map_err(|_| ColumnError::NotUtf8);
+        Ok(ColumnTable {
+            rows: self.rows,
+            text: utf8(self.text)?,
+            starts: self.starts,
+            constants: utf8(self.constants)?,
+            columns: self.columns,
+        })
+    }
+}
+
+/// One row of a [`ColumnTable`].
+#[derive(Debug, Clone, Copy)]
+pub struct RowColumns<'a> {
+    table: &'a ColumnTable,
+    row: usize,
+}
+
+impl<'a> RowColumns<'a> {
+    /// The text of column `col` (empty for a blank field).
+    ///
+    /// # Panics
+    /// If the table has no column `col`.
+    pub fn field(&self, col: usize) -> &'a str {
+        self.table.field(self.row, col)
+    }
+}
+
 /// One row of a table as a scan lends it: the text of a serialized row
-/// ([`Snapshot::scan`]) or a decoded [`Record`], read the same way. Each
-/// accessor returns what the [`Value`] that [`Snapshot::from_bytes`]
-/// builds for the column would: `row.i64(c)` is
-/// `Value::from_field(field).as_i64()`, without the `Value`.
+/// ([`Snapshot::scan`]), a row of a [`ColumnTable`] or a decoded
+/// [`Record`], read the same way. Each accessor returns what the [`Value`]
+/// that [`Snapshot::from_bytes`] builds for the column would: `row.i64(c)`
+/// is `Value::from_field(field).as_i64()`, without the `Value`.
 #[derive(Debug, Clone, Copy)]
 pub enum Row<'a> {
     Text(RowText<'a>),
+    Column(RowColumns<'a>),
     Record(&'a Record),
 }
 
@@ -186,6 +426,7 @@ impl<'a> Row<'a> {
     pub fn text(&self, col: usize) -> Cow<'a, str> {
         match *self {
             Row::Text(row) => Cow::Borrowed(row.field(col)),
+            Row::Column(row) => Cow::Borrowed(row.field(col)),
             Row::Record(record) => record.get(col).text(),
         }
     }
@@ -194,6 +435,7 @@ impl<'a> Row<'a> {
     pub fn i64(&self, col: usize) -> Option<i64> {
         match *self {
             Row::Text(row) => row.field(col).parse().ok(),
+            Row::Column(row) => row.field(col).parse().ok(),
             Row::Record(record) => record.get(col).as_i64(),
         }
     }
@@ -202,6 +444,7 @@ impl<'a> Row<'a> {
     pub fn f64(&self, col: usize) -> Option<f64> {
         match *self {
             Row::Text(row) => row.field(col).parse().ok(),
+            Row::Column(row) => row.field(col).parse().ok(),
             Row::Record(record) => record.get(col).as_f64(),
         }
     }
@@ -210,13 +453,14 @@ impl<'a> Row<'a> {
     pub fn value(&self, col: usize) -> Value {
         match *self {
             Row::Text(row) => Value::from_field(row.field(col)),
+            Row::Column(row) => Value::from_field(row.field(col)),
             Row::Record(record) => record.get(col).clone(),
         }
     }
 
     /// A `width`-column row of values holding this row's columns `cols`
-    /// (ascending) and `Null` everywhere else: one pass over the text,
-    /// which ends at the last column asked for.
+    /// (ascending) and `Null` everywhere else: over text, one pass that
+    /// ends at the last column asked for.
     pub fn sparse_values(&self, cols: &[usize], width: usize) -> Vec<Value> {
         let mut values = vec![Value::Null; width];
         match *self {
@@ -227,6 +471,11 @@ impl<'a> Row<'a> {
                     let field = fields.nth(col - next).expect("a column of the table");
                     values[col] = Value::from_field(field);
                     next = col + 1;
+                }
+            }
+            Row::Column(row) => {
+                for &col in cols {
+                    values[col] = Value::from_field(row.field(col));
                 }
             }
             Row::Record(record) => {
@@ -329,13 +578,12 @@ fn walk<'a>(
     };
 
     let header = lines.next_line().ok_or(SnapshotParseError::MissingHeader)?;
-    let epoch = header_value(header, "epoch")
-        .filter(|_| header.starts_with("#SNAPSHOT"))
+    let epoch = Snapshot::header_epoch(header)
         .ok_or_else(|| SnapshotParseError::BadHeader(header.to_string()))?;
 
     lines.read_table(TableKind::Cdr, cdr::WIDTH, handler)?;
     lines.read_table(TableKind::Nms, nms::WIDTH, handler)?;
-    Ok(EpochId(epoch))
+    Ok(epoch)
 }
 
 /// Cursor over the lines of a serialized snapshot.

@@ -1,11 +1,12 @@
-//! `Row` reads a column the same from either side: from the text of a
-//! serialized row (`Snapshot::scan`) and from the `Record` that
-//! `Snapshot::from_bytes` builds of the same bytes. Both must equal
+//! `Row` reads a column the same from every side: from the text of a
+//! serialized row (`Snapshot::scan`), from a `ColumnTable` holding the
+//! same fields column by column, and from the `Record` that
+//! `Snapshot::from_bytes` builds of the same bytes. All must equal
 //! `Value::from_field(field)` read through `text` / `as_i64` / `as_f64`.
 
 use proptest::prelude::*;
 use telco_trace::schema::{cdr, nms, TableKind};
-use telco_trace::snapshot::Row;
+use telco_trace::snapshot::{ColumnError, ColumnTable, Row};
 use telco_trace::{Snapshot, Value};
 
 /// Fields on the edges of the numeric views and of the 22-byte inline
@@ -55,13 +56,47 @@ fn nms_snapshot(rows: &[Vec<String>]) -> Vec<u8> {
     text.into_bytes()
 }
 
+/// The rows as a column table: a column whose rows all agree is a
+/// constant, and the others share runs of `per_run` columns.
+fn column_table(rows: &[Vec<String>], per_run: usize) -> ColumnTable {
+    let mut table = ColumnTable::builder(rows.len());
+    let mut run: Vec<u8> = Vec::new();
+    let mut in_run = 0;
+    for col in 0..nms::WIDTH {
+        let mut values = rows.iter().map(|row| &row[col]);
+        let first = values.next().expect("a row");
+        if rows.len() > 1 && values.all(|v| v == first) {
+            table.constant(format!("{first}\n").as_bytes()).unwrap();
+            continue;
+        }
+        table.varying();
+        for row in rows {
+            run.extend_from_slice(row[col].as_bytes());
+            run.push(b'\n');
+        }
+        in_run += 1;
+        if in_run == per_run {
+            // Cut mid-value: a value may run on into the next piece.
+            let (head, tail) = run.split_at(run.len() / 2);
+            table.run([head, tail], in_run).unwrap();
+            run.clear();
+            in_run = 0;
+        }
+    }
+    if in_run > 0 {
+        table.run([run.as_slice()], in_run).unwrap();
+    }
+    table.finish().unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
     #[test]
-    fn text_rows_and_records_read_alike(
+    fn text_rows_column_rows_and_records_read_alike(
         rows in proptest::collection::vec(proptest::collection::vec(field(), nms::WIDTH), 1..6),
         wanted in proptest::collection::vec(any::<bool>(), nms::WIDTH),
+        per_run in 1..4usize,
     ) {
         let bytes = nms_snapshot(&rows);
         let decoded = Snapshot::from_bytes(&bytes).expect("generated rows parse");
@@ -72,13 +107,16 @@ proptest! {
         })
         .expect("scan accepts what from_bytes accepts");
         prop_assert_eq!(lent.len(), rows.len());
+        let columns = column_table(&rows, per_run);
+        prop_assert_eq!((columns.rows(), columns.width()), (rows.len(), nms::WIDTH));
 
         let cols: Vec<usize> = (0..nms::WIDTH).filter(|&c| wanted[c]).collect();
-        for ((fields, record), text_row) in rows.iter().zip(&decoded.nms).zip(&lent) {
+        for (r, ((fields, record), text_row)) in rows.iter().zip(&decoded.nms).zip(&lent).enumerate() {
             let record_row = Row::Record(record);
+            let column_row = columns.row(r);
             for (col, field) in fields.iter().enumerate() {
                 let value = Value::from_field(field);
-                for row in [text_row, &record_row] {
+                for row in [text_row, &column_row, &record_row] {
                     prop_assert_eq!(&row.value(col), &value, "{:?}", field);
                     prop_assert_eq!(row.text(col), value.text(), "{:?}", field);
                     prop_assert_eq!(row.i64(col), value.as_i64(), "{:?}", field);
@@ -92,6 +130,7 @@ proptest! {
             }
             let sparse = text_row.sparse_values(&cols, nms::WIDTH);
             prop_assert_eq!(&sparse, &record_row.sparse_values(&cols, nms::WIDTH));
+            prop_assert_eq!(&sparse, &column_row.sparse_values(&cols, nms::WIDTH));
             for (col, value) in sparse.iter().enumerate() {
                 let expected = if wanted[col] { record.get(col).clone() } else { Value::Null };
                 prop_assert_eq!(value, &expected);
@@ -113,5 +152,65 @@ fn a_decoded_number_reads_as_its_text_would() {
     assert_eq!(
         row.sparse_values(&[1], 2),
         [Value::Null, Value::Float(2.345)]
+    );
+}
+
+/// What the parser refuses of a table's text, the builder refuses of its
+/// columns: a column without one value a row, a constant that is not one
+/// value, a separator inside a value, bytes that are not UTF-8.
+#[test]
+fn the_builder_refuses_what_the_parser_would() {
+    let two_rows = || {
+        let mut table = ColumnTable::builder(2);
+        table.varying();
+        table
+    };
+    let refused = |run: &[u8], cols| two_rows().run([run], cols).unwrap_err();
+    assert_eq!(refused(b"a\n", 1), ColumnError::ValueCount);
+    assert_eq!(refused(b"a\nb\nc\n", 1), ColumnError::ValueCount);
+    assert_eq!(refused(b"a\nb", 1), ColumnError::ValueCount);
+    assert_eq!(refused(b"a\nb\n", 2), ColumnError::ValueCount);
+    assert_eq!(refused(b"a,b\nc\n", 1), ColumnError::Separator);
+
+    let mut table = two_rows();
+    table.run([&b"a\n"[..], b"\n"], 1).unwrap();
+    let table = table.finish().unwrap();
+    assert_eq!(
+        (table.row(0).text(0), table.row(1).text(0)),
+        ("a".into(), "".into())
+    );
+    // A second varying column that no run serves.
+    let mut table = two_rows();
+    table.run([&b"a\nb\n"[..]], 1).unwrap();
+    table.varying();
+    assert_eq!(table.finish().unwrap_err(), ColumnError::ValueCount);
+    let mut table = two_rows();
+    table.run([&b"\xff\nb\n"[..]], 1).unwrap();
+    assert_eq!(table.finish().unwrap_err(), ColumnError::NotUtf8);
+
+    for (constant, error) in [
+        (&b""[..], ColumnError::ValueCount),
+        (b"0", ColumnError::ValueCount),
+        (b"0\n0\n", ColumnError::ValueCount),
+        (b"0,1\n", ColumnError::Separator),
+    ] {
+        assert_eq!(
+            two_rows().constant(constant).unwrap_err(),
+            error,
+            "{constant:?}"
+        );
+    }
+    let mut table = ColumnTable::builder(0);
+    table.constant(b"\xff\n").unwrap();
+    assert_eq!(table.finish().unwrap_err(), ColumnError::NotUtf8);
+
+    // No rows: columns, and nothing in them.
+    let mut empty = ColumnTable::builder(0);
+    empty.varying();
+    empty.run([&b""[..]], 1).unwrap();
+    assert_eq!(empty.finish().unwrap().rows(), 0);
+    assert_eq!(
+        ColumnTable::builder(0).run([&b"a\n"[..]], 1).unwrap_err(),
+        ColumnError::ValueCount
     );
 }

@@ -1,9 +1,10 @@
 //! `Q(a, b, w)` answered four ways must be one answer: by SPATE scanning
-//! the serialized snapshot text (`SpateFramework::query`, over the Path
-//! and the CAS backend, unsharded and at 1 / 2 / 4 shards), by projecting
-//! whole decoded snapshots (`project_snapshots` over `load_epoch`), by
-//! the RAW row-store oracle, which shares none of the scan code, and by
-//! the serving tier streaming it to a client over 1 and 2 shards.
+//! what its store holds (`SpateFramework::query`: the serialized text of
+//! the Path backend, the column pieces of the CAS backend, unsharded and
+//! at 1 / 2 / 4 shards), by projecting whole decoded snapshots
+//! (`project_snapshots` over `load_epoch`), by the RAW row-store oracle,
+//! which shares none of the scan code, and by the serving tier streaming
+//! it to a client over 1 and 2 shards.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -134,6 +135,13 @@ fn scan_projection_and_oracle_agree_on_random_queries() {
         }
     }
     assert!(rows > 1_000, "the queries select something: {rows} rows");
+    // The CAS answers came off columns, and never off more tables than
+    // `a` selects from: at most two an epoch opened.
+    let stats = cas.store().cas().expect("the CAS backend").stats();
+    assert!(
+        stats.tables_read > 0 && stats.tables_read < 2 * stats.gets,
+        "{stats:?}"
+    );
 }
 
 #[test]

@@ -1,11 +1,12 @@
-//! One scan contract, two drivers. T1–T8 and SPATE-SQL read a window
-//! through `ExplorationFramework::scan_rows`; RAW, SHAHED and SPATE (Path
-//! and CAS) answer it from the stored text without decoding, and the
-//! trait's provided default answers it from `load_epoch`'s decoded
-//! records. Every task and statement must give the same answer through
-//! both, on every framework — also when a leaf in the middle of the
-//! window is missing or damaged, where the epoch must contribute nothing:
-//! not even the rows that precede the damage.
+//! One scan contract, three drivers. T1–T8 and SPATE-SQL read a window
+//! through `ExplorationFramework::scan_rows`; RAW, SHAHED and SPATE-Path
+//! answer it from the stored text without decoding, SPATE-CAS from the
+//! verified column pieces of the one table asked for, and the trait's
+//! provided default answers it from `load_epoch`'s decoded records. Every
+//! task and statement must give the same answer through each, on every
+//! framework — also when a leaf in the middle of the window is missing or
+//! damaged, where the epoch must contribute nothing: not even the rows
+//! that precede the damage.
 
 use spate::core::framework::{
     ExplorationFramework, IngestStats, RawFramework, ShahedFramework, SpaceReport, SpateFramework,
@@ -190,6 +191,19 @@ fn every_scanner_answers_as_the_decoded_driver_does() {
         assert_same(&format!("{name}, scanner"), &answers(fw), &want);
         assert_same(&format!("{name}, decoded"), &answers(&Decoded(fw)), &want);
     }
+    // The CAS row above is the column arm: a one-table scan opens every
+    // epoch of the window and reads one table of each as columns.
+    let cas = warehouses.cas.store().cas().expect("the CAS backend");
+    let before = cas.stats();
+    tasks::t2_range(&warehouses.cas, EpochId(FIRST), EpochId(LAST));
+    let (opened, tables) = (
+        cas.stats().gets - before.gets,
+        cas.stats().tables_read - before.tables_read,
+    );
+    assert_eq!(
+        (opened, tables),
+        (u64::from(LAST - FIRST + 1), u64::from(LAST - FIRST + 1))
+    );
 }
 
 #[test]
