@@ -6,11 +6,11 @@
 //!       [--metrics-json PATH] [--introspect] [--trace-json PATH]
 //!
 //! EXPERIMENT: table1 | fig4 | fig7 | fig8 | fig9 | fig10 | fig11 | fig12
-//!             | decay | chaos | serve | chaos-serve | trace | cas | heat
+//!             | decay | chaos | serve | chaos-serve | trace | cas | cost
 //!             | scale | obs-replay | space-summary | all (default)
 //!
 //! --seed N             workload/fault-plan seed for the chaos, serve,
-//!                      chaos-serve, trace, cas, heat, scale and obs-replay
+//!                      chaos-serve, trace, cas, cost, scale and obs-replay
 //!                      drills (default 7); two runs with the same flags
 //!                      print identical `<drill>:` lines
 //! --clients N          concurrent clients for the serve, chaos-serve and
@@ -176,7 +176,7 @@ FLAGS:
     --scale 1/N          trace scale relative to the paper's 5 GB (default 1/128)
     --days D             days of trace to generate
     --unthrottled        disable the cluster-disk I/O model
-    --seed N             seed for chaos/serve/chaos-serve/trace/cas/heat/
+    --seed N             seed for chaos/serve/chaos-serve/trace/cas/cost/
                          scale/obs-replay workloads (default 7)
     --clients N          concurrent clients for serve, chaos-serve and scale
                          (default 8)
@@ -184,8 +184,8 @@ FLAGS:
                          experiments (default 4)
     --cas                run chaos over the content-addressed backend
     --profile            print the span flame table after the experiment
-    --metrics-json PATH  dump the metric registry (counters, gauges including
-                         the spate.heat.* gauges, histograms, spans) as JSON
+    --metrics-json PATH  dump the metric registry (counters, gauges,
+                         histograms, spans) as JSON
     --introspect         print live Stats/Trace frames after a serve run
     --trace-json PATH    dump the flight recorder as Chrome trace_event JSON
                          (open in chrome://tracing or Perfetto)
@@ -194,9 +194,9 @@ FLAGS:
 Every drill from `chaos` down prints its deterministic fields as `<drill>:`
 lines (same flags, same lines), its timings as `<drill>-perf:` lines, and
 exits 1 naming the gate if one of its gates does not hold. chaos --cas,
-serve, chaos-serve, cas, heat, scale and obs-replay also write
+serve, chaos-serve, cas, cost, scale and obs-replay also write
 BENCH_CHAOS.json, BENCH_SERVE.json, BENCH_CHAOS_SERVE.json, BENCH_CAS.json,
-BENCH_HEAT.json, BENCH_SCALE.json and BENCH_OBS.json into the working
+BENCH_COST.json, BENCH_SCALE.json and BENCH_OBS.json into the working
 directory (EXPERIMENTS.md has the command that regenerates each committed
 file and says which are timing-free)."
     );

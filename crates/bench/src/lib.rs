@@ -19,8 +19,8 @@
 
 pub mod args;
 pub mod chaos_serve;
+pub mod cost_bench;
 pub mod experiments;
-pub mod heat_bench;
 pub mod obs_replay;
 pub mod report;
 pub mod scale_bench;
@@ -29,12 +29,12 @@ pub mod setup;
 
 pub use args::Args;
 pub use chaos_serve::{chaos_serve_experiment, ChaosServeReport};
+pub use cost_bench::cost_experiment;
 pub use experiments::{
     cas_experiment, chaos_experiment, fig4_entropy, ingest_experiment, response_experiment,
     table1_codecs, CasPerf, CasReport, ChaosReport, CodecRow, EntropyReport, IngestReport,
     ResponseReport,
 };
-pub use heat_bench::{heat_experiment, HeatBenchReport};
 pub use obs_replay::{obs_replay_experiment, ObsReplayReport};
 pub use report::Report;
 pub use scale_bench::{scale_experiment, ScaleReport};
@@ -84,11 +84,11 @@ pub const DRILLS: &[Drill] = &[
         },
     ),
     (
-        "heat",
-        "per-query cost accounting and the heat ledger\n\
+        "cost",
+        "per-query cost accounting\n\
          seeded skewed workload, EXPLAIN ANALYZE rows of T1/T4,\n\
-         band census, restart round-trip, zero-cost-leak gate",
-        |a| heat_experiment(&a.config, a.seed).report(),
+         most-touched epochs, zero-cost-leak gate",
+        |a| cost_experiment(&a.config, a.seed),
     ),
     (
         "scale",

@@ -50,9 +50,6 @@ pub struct ReplayShardRow {
     pub bytes: u64,
     pub leaves: u64,
     pub queries: u64,
-    pub hot: u64,
-    pub warm: u64,
-    pub cold: u64,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -120,14 +117,9 @@ impl ObsReplayReport {
             "has one entry per shard, the first above every other",
             queries.len() == self.shards && queries[1..].iter().all(|&q| q < queries[0]),
         );
-        r.det("shard_heat_hot", column(|s| s.hot));
         r.det("shard_bytes", column(|s| s.bytes));
-        let rows = self.shard_rows.iter().map(|s| {
-            format!(
-                "shard={} leaves={} heat_warm={} heat_cold={}",
-                s.shard, s.leaves, s.warm, s.cold
-            )
-        });
+        let rows = self.shard_rows.iter();
+        let rows = rows.map(|s| format!("shard={} leaves={}", s.shard, s.leaves));
         r.det_console("shard_rows", Value::Lines(rows.collect()));
         r.perf("windowed_p95_us", self.p95_us.clone());
         r.perf("raw_bytes", self.raw_bytes);
@@ -206,8 +198,7 @@ pub fn obs_replay_experiment(shards: usize, seed: u64) -> ObsReplayReport {
         obs::slo::global().record(t0.elapsed().as_micros() as u64);
         // Gauges first, then the monitor, then the recorder: every tick
         // samples the same freshly-published per-shard state.
-        facade.publish_shard_gauges();
-        facade.publish_heat_gauges();
+        facade.shard_stats();
         let fired = monitor.tick(obs::global());
         let skew = fired
             .iter()
@@ -247,9 +238,6 @@ pub fn obs_replay_experiment(shards: usize, seed: u64) -> ObsReplayReport {
             bytes: g("spate.shard.bytes"),
             leaves: g("spate.shard.leaves"),
             queries: g("spate.shard.queries"),
-            hot: g("spate.shard.heat.hot"),
-            warm: g("spate.shard.heat.warm"),
-            cold: g("spate.shard.heat.cold"),
         });
         p95_us.push(last_recorded(
             &loaded,

@@ -11,7 +11,7 @@ use std::path::Path;
 use std::sync::Mutex;
 
 const COMMANDS: &[&str] = &[
-    "heat --seed 11 --scale 1/1024 --days 5",
+    "cost --seed 11 --scale 1/1024 --days 5",
     "chaos-serve --clients 4 --seed 7 --scale 1/2048",
     "obs-replay --shards 4 --seed 7",
     "chaos --cas --seed 7 --scale 1/2048 --days 7 --unthrottled",

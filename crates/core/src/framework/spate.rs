@@ -324,13 +324,9 @@ impl SpateFramework {
         report
     }
 
-    /// Decide how `q` is answered, before any leaf is read: warm the
-    /// attributes it selects in the heat ledger and probe the index for
-    /// a covering of `w`.
+    /// Decide how `q` is answered, before any leaf is read: probe the
+    /// index for a covering of `w`.
     pub fn plan(&self, q: &Query) -> Plan {
-        for attr in &q.attributes {
-            self.index.heat().touch_attribute(attr);
-        }
         let covering = {
             let _s = obs::span("index_probe");
             let start = std::time::Instant::now();
@@ -463,7 +459,6 @@ impl ExplorationFramework for SpateFramework {
         // window is ever held decoded.
         let rows = RowPlan::new(q, &self.layout);
         let result = plan.evaluate(&rows, |epoch, out| {
-            self.index.heat().touch_epoch(epoch);
             rows.scan_stored(&self.store, epoch, out).is_ok()
         });
         if let QueryResult::Partial { coverage, .. } = &result {

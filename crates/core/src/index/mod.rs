@@ -8,12 +8,10 @@
 //! corresponding 48 snapshot leaves."
 
 pub mod decay;
-pub mod heat;
 pub mod highlights;
 pub mod persist;
 
 use crate::storage::StoredSnapshot;
-use heat::HeatLedger;
 use highlights::{HighlightConfig, Highlights, Resolution};
 use telco_trace::snapshot::Snapshot;
 use telco_trace::time::EpochId;
@@ -85,9 +83,6 @@ pub struct TemporalIndex {
     /// highlights of all the completed years").
     pub(crate) root_highlights: Highlights,
     pub(crate) last_epoch: Option<EpochId>,
-    /// Workload heat ledger: per-epoch/per-attribute access accounting
-    /// with time decay, persisted alongside the structural index.
-    pub(crate) heat: HeatLedger,
 }
 
 impl TemporalIndex {
@@ -98,18 +93,11 @@ impl TemporalIndex {
             years: Vec::new(),
             root_highlights: Highlights::empty(EpochId(0), n_attrs),
             last_epoch: None,
-            heat: HeatLedger::default(),
         }
     }
 
     pub fn config(&self) -> &HighlightConfig {
         &self.config
-    }
-
-    /// The workload heat ledger (interior mutability: recording an access
-    /// needs only `&self`).
-    pub fn heat(&self) -> &HeatLedger {
-        &self.heat
     }
 
     pub fn years(&self) -> &[YearNode] {
@@ -142,10 +130,6 @@ impl TemporalIndex {
             "snapshots must arrive in epoch order"
         );
         self.last_epoch = Some(epoch);
-        // The heat ledger's logical clock follows ingest, so decayed heat
-        // is a pure function of the access/ingest history (never wall
-        // clock): same seed, same heat.
-        self.heat.advance_to(u64::from(epoch.0));
         let civil = epoch.civil();
         let n_attrs = self.config.categorical_attrs.len();
 

@@ -6,7 +6,6 @@
 //! into a compact varint-based binary image; [`crate::SpateFramework`]
 //! stores it (compressed) beside the snapshots.
 
-use crate::index::heat::{HeatConfig, HeatEntry, HeatLedger};
 use crate::index::highlights::{CellSummary, FreqTable, HighlightConfig, Highlights};
 use crate::index::{DayNode, EpochLeaf, MonthNode, TemporalIndex, YearNode};
 use codecs::varint;
@@ -16,9 +15,10 @@ use std::fmt;
 use telco_trace::time::EpochId;
 
 const MAGIC: &[u8; 4] = b"SPIX";
-/// Version 2 appended the heat-ledger section. Nothing writes version 1
-/// any more and it is refused like any other unknown version.
-const VERSION: u8 = 2;
+/// Version 3 is the structural tree alone: what was ingested and what
+/// decayed, nothing about what was queried. Versions 1 and 2 are refused
+/// like any other unknown version.
+const VERSION: u8 = 3;
 
 /// Errors restoring a persisted index image.
 #[derive(Debug)]
@@ -102,34 +102,6 @@ fn write_highlights(out: &mut Vec<u8>, h: &Highlights) {
     }
 }
 
-fn write_heat_entry(out: &mut Vec<u8>, e: &HeatEntry) {
-    write_f64(out, e.heat);
-    varint::write_u64(out, e.last_tick);
-    varint::write_u64(out, e.accesses);
-    varint::write_u64(out, e.cache_hits);
-    varint::write_u64(out, e.cache_misses);
-}
-
-fn write_heat(out: &mut Vec<u8>, ledger: &HeatLedger) {
-    let (config, tick, epochs, attributes) = ledger.persist_view();
-    write_f64(out, config.half_life_epochs);
-    write_f64(out, config.hot_threshold);
-    write_f64(out, config.warm_threshold);
-    varint::write_u64(out, tick);
-    // Both lists come out of BTreeMaps, so they are already sorted and the
-    // image stays deterministic.
-    varint::write_u64(out, epochs.len() as u64);
-    for (epoch, entry) in &epochs {
-        varint::write_u64(out, u64::from(*epoch));
-        write_heat_entry(out, entry);
-    }
-    varint::write_u64(out, attributes.len() as u64);
-    for (name, entry) in &attributes {
-        write_string(out, name);
-        write_heat_entry(out, entry);
-    }
-}
-
 fn write_leaf(out: &mut Vec<u8>, l: &EpochLeaf) {
     varint::write_u64(out, u64::from(l.epoch.0));
     write_string(out, &l.path);
@@ -187,9 +159,6 @@ pub fn to_bytes(index: &TemporalIndex) -> Vec<u8> {
             }
         }
     }
-
-    // v2: heat-ledger section, appended after the structural tree.
-    write_heat(&mut out, &index.heat);
     out
 }
 
@@ -206,7 +175,6 @@ const MIN_AGG_LEN: usize = 1 + 3 * 8;
 const MIN_CELL_LEN: usize = 1 + 3 + 6 * MIN_AGG_LEN;
 const MIN_VALUE_LEN: usize = 1 + 1;
 const MIN_TABLE_LEN: usize = 1 + 1;
-const MIN_HEAT_LEN: usize = 1 + 8 + 4;
 /// Year, decayed flag, empty highlights (six varints), month count.
 const MIN_YEAR_LEN: usize = 1 + 1 + 6 + 1;
 
@@ -348,48 +316,6 @@ impl<'a> Reader<'a> {
             present: self.byte()? != 0,
         })
     }
-
-    fn heat_entry(&mut self) -> Result<HeatEntry, PersistError> {
-        Ok(HeatEntry {
-            heat: self.f64()?,
-            last_tick: self.u64()?,
-            accesses: self.u64()?,
-            cache_hits: self.u64()?,
-            cache_misses: self.u64()?,
-        })
-    }
-
-    fn heat(&mut self) -> Result<HeatLedger, PersistError> {
-        let config = HeatConfig {
-            half_life_epochs: self.f64()?,
-            hot_threshold: self.f64()?,
-            warm_threshold: self.f64()?,
-        };
-        let tick = self.u64()?;
-        let n_epochs = self.count(MIN_HEAT_LEN, "heat epoch count exceeds image")?;
-        if n_epochs > 1 << 24 {
-            return Err(PersistError::Corrupt(CodecError::Corrupt(
-                "implausible heat epoch count",
-            )));
-        }
-        let mut epochs = Vec::with_capacity(n_epochs);
-        for _ in 0..n_epochs {
-            let epoch = self.u32()?;
-            epochs.push((epoch, self.heat_entry()?));
-        }
-        let n_attrs = self.count(MIN_HEAT_LEN, "heat attribute count exceeds image")?;
-        if n_attrs > 1 << 16 {
-            return Err(PersistError::Corrupt(CodecError::Corrupt(
-                "implausible heat attribute count",
-            )));
-        }
-        let mut attributes = Vec::with_capacity(n_attrs);
-        for _ in 0..n_attrs {
-            let name = self.string()?;
-            attributes.push((name, self.heat_entry()?));
-        }
-        Ok(HeatLedger::from_parts(config, tick, epochs, attributes))
-    }
 }
 
 /// Restore an index from a serialized image.
@@ -491,14 +417,12 @@ pub fn from_bytes(input: &[u8]) -> Result<TemporalIndex, PersistError> {
             decayed,
         });
     }
-    let heat = r.heat()?;
 
     Ok(TemporalIndex {
         config,
         years,
         root_highlights,
         last_epoch,
-        heat,
     })
 }
 
@@ -586,25 +510,9 @@ mod tests {
         ));
     }
 
-    /// A small index whose heat ledger has entries, serialized.
-    fn warmed_image() -> Vec<u8> {
-        let index = build_index(3);
-        index.heat().touch_epoch(EpochId(0));
-        index.heat().touch_epoch(EpochId(2));
-        index.heat().touch_attribute("drops");
-        to_bytes(&index)
-    }
-
-    /// Encoded length of the heat section, the suffix of an image.
-    fn heat_section_len(ledger: &HeatLedger) -> usize {
-        let mut buf = Vec::new();
-        write_heat(&mut buf, ledger);
-        buf.len()
-    }
-
     #[test]
     fn truncated_and_flipped_images_never_panic() {
-        let image = warmed_image();
+        let image = to_bytes(&build_index(3));
         for cut in 0..image.len() {
             assert!(from_bytes(&image[..cut]).is_err(), "cut {cut}");
         }
@@ -634,7 +542,7 @@ mod tests {
         // hundreds of bytes in memory: reserving for it would take
         // gigabytes. The error must come from the count, not from the
         // read loop running off the end (`Truncated`).
-        let image = warmed_image();
+        let image = to_bytes(&build_index(3));
         // Walk the valid image to where each count sits.
         let mut r = Reader {
             input: &image,
@@ -658,16 +566,8 @@ mod tests {
         assert!(r.u64().unwrap() > 0, "the root has frequency tables");
         r.u64().unwrap();
         let values_at = r.pos;
-        let heat_len = heat_section_len(from_bytes(&image).unwrap().heat());
-        r.pos = image.len() - heat_len + 3 * 8;
-        r.u64().unwrap();
-        let heat_epochs_at = r.pos;
 
-        for (site, at) in [
-            ("cells", cells_at),
-            ("values", values_at),
-            ("heat epochs", heat_epochs_at),
-        ] {
+        for (site, at) in [("cells", cells_at), ("values", values_at)] {
             r.pos = at;
             assert!(r.u64().unwrap() < 1 << 24);
             let mut forged = image[..at].to_vec();
@@ -678,7 +578,7 @@ mod tests {
 
         // The same forgery in 39 bytes: an empty config, no last epoch and
         // a root that declares 1 << 24 cells.
-        let mut tiny = b"SPIX\x02\x00".to_vec();
+        let mut tiny = b"SPIX\x03\x00".to_vec();
         tiny.extend_from_slice(&[0; 3 * 8 + 1 + 4]);
         varint::write_u64(&mut tiny, 1 << 24);
         assert_eq!(tiny.len(), 39);
@@ -686,54 +586,35 @@ mod tests {
     }
 
     #[test]
-    fn heat_ledger_survives_restart_with_identical_bands() {
-        let index = build_index(60);
-        // A skewed workload: epoch 3 hot, epoch 40 warm, epoch 10 touched
-        // long before the current tick so it has cooled.
-        for _ in 0..8 {
-            index.heat().touch_epoch(EpochId(3));
-        }
-        index.heat().touch_epoch(EpochId(40));
-        index.heat().record_cache(EpochId(3), true);
-        index.heat().record_cache(EpochId(40), false);
-        index.heat().touch_attribute("drops");
-        index.heat().touch_attribute("drops");
-
-        let restored = from_bytes(&to_bytes(&index)).unwrap();
-        let (before, after) = (index.heat().report(), restored.heat().report());
-        assert_eq!(before, after, "full report identical after restore");
-        assert_eq!(before.bands(), after.bands());
-        assert_eq!(restored.heat().tick(), index.heat().tick());
-        assert_eq!(restored.heat().config(), index.heat().config());
-        assert_eq!(after.epochs[0].epoch, EpochId(3));
-        assert_eq!(after.attributes[0].0, "drops");
-    }
-
-    #[test]
-    fn version_1_images_are_refused() {
-        let index = build_index(6);
-        let mut image = to_bytes(&index);
-        assert_eq!(image[4], 2, "current images are v2");
-        // A v1 image: the same structural payload without the heat suffix,
-        // under the old version byte.
-        image.truncate(image.len() - heat_section_len(index.heat()));
-        image[4] = 1;
+    fn version_2_images_are_refused() {
+        // A v2 image was today's structural payload followed by a section
+        // of query history; the version byte alone turns it away.
+        let mut image = to_bytes(&build_index(6));
+        assert_eq!(image[4], 3, "current images are v3");
+        image[4] = 2;
         assert!(matches!(
             from_bytes(&image),
-            Err(PersistError::BadVersion(1))
+            Err(PersistError::BadVersion(2))
         ));
     }
 
     #[test]
-    fn heat_serialization_is_deterministic() {
-        let index = build_index(20);
-        index.heat().touch_epoch(EpochId(1));
-        index.heat().touch_epoch(EpochId(7));
-        index.heat().touch_attribute("upflux");
-        let a = to_bytes(&index);
-        let b = to_bytes(&index);
-        assert_eq!(a, b);
-        let again = to_bytes(&from_bytes(&a).unwrap());
-        assert_eq!(again, a, "stable across a round trip");
+    fn the_image_depends_only_on_what_was_ingested() {
+        use crate::framework::{ExplorationFramework, SpateFramework};
+        use crate::query::{Query, QueryResult};
+        use telco_trace::cells::BoundingBox;
+
+        let mut generator = TraceGenerator::new(TraceConfig::tiny());
+        let mut fw = SpateFramework::in_memory(generator.layout().clone());
+        for snap in (&mut generator).take(6) {
+            fw.ingest(&snap);
+        }
+        let before = to_bytes(fw.index());
+        let q =
+            Query::new(&["upflux", "downflux"], BoundingBox::everything()).with_epoch_range(1, 4);
+        for _ in 0..3 {
+            assert!(matches!(fw.query(&q), QueryResult::Exact(_)));
+        }
+        assert_eq!(to_bytes(fw.index()), before, "queries left a mark");
     }
 }

@@ -60,7 +60,6 @@ pub use framework::{
     StoreObserver,
 };
 pub use index::decay::{DecayPolicy, DecayReport};
-pub use index::heat::{Band, HeatConfig, HeatLedger, HeatReport};
 pub use index::highlights::{HighlightConfig, Highlights};
 pub use index::TemporalIndex;
 pub use meta::{AnomalyRecord, MetaConfig, MetaMonitor, MetaSummary, StreamKind};

@@ -104,11 +104,10 @@ enum Sampler {
     Interrupt { prev: u64 },
     /// Replica circuit-breaker trips and half-open reopens.
     Breaker { prev: u64 },
-    /// Shard imbalance: worst max/mean ratio across per-shard bytes,
-    /// heat, and windowed query counts (the `spate.shard.*` series
-    /// published by `ShardedSpate::publish_shard_gauges`). The paper's
-    /// rarity rule then fires when a run that is normally balanced
-    /// develops a hot spot.
+    /// Shard imbalance: worst max/mean ratio across per-shard bytes and
+    /// windowed query counts (the `spate.shard.*` series published by
+    /// `ShardedSpate::shard_stats`). The paper's rarity rule then fires
+    /// when a run that is normally balanced develops a hot spot.
     ShardSkew {
         prev_queries: std::collections::BTreeMap<u32, u64>,
     },
@@ -275,18 +274,15 @@ impl Stream {
                     return ("idle".into(), 0);
                 }
                 let shard_label = |i: u32| [("shard".to_string(), i.to_string())];
-                let gauge_dim = |name: &str| -> Vec<u64> {
-                    shards
-                        .iter()
-                        .map(|&i| {
-                            let l = shard_label(i);
-                            let labels = [(l[0].0.as_str(), l[0].1.as_str())];
-                            reg.gauge_labeled(name, &labels).get().max(0) as u64
-                        })
-                        .collect()
-                };
-                let bytes = gauge_dim("spate.shard.bytes");
-                let heat = gauge_dim("spate.shard.heat_milli");
+                let bytes: Vec<u64> = shards
+                    .iter()
+                    .map(|&i| {
+                        let l = shard_label(i);
+                        let labels = [(l[0].0.as_str(), l[0].1.as_str())];
+                        let gauge = reg.gauge_labeled("spate.shard.bytes", &labels);
+                        gauge.get().max(0) as u64
+                    })
+                    .collect();
                 let queries: Vec<u64> = shards
                     .iter()
                     .map(|&i| {
@@ -299,7 +295,7 @@ impl Stream {
                     })
                     .collect();
                 let mut worst = 0.0f64;
-                for dim in [&bytes, &heat, &queries] {
+                for dim in [&bytes, &queries] {
                     let sum: u64 = dim.iter().sum();
                     if sum == 0 {
                         continue;
@@ -419,10 +415,10 @@ impl MetaMonitor {
                 freq: FreqTable::default(),
                 sampler: Sampler::Breaker { prev: 0 },
             },
-            // Per-shard bytes/heat are pure functions of the ingested
-            // cells and the query plan; windowed query counts follow the
-            // seeded workload. A skewed layout therefore fires this
-            // stream identically on every run: deterministic, CI-gated.
+            // Per-shard bytes are a pure function of the ingested cells;
+            // windowed query counts follow the seeded workload. A skewed
+            // layout therefore fires this stream identically on every
+            // run: deterministic, CI-gated.
             Stream {
                 name: "shard.skew",
                 kind: StreamKind::Deterministic,
@@ -618,12 +614,10 @@ mod tests {
         assert!(lat[0].category.starts_with("p99~4^"), "{:?}", lat[0]);
     }
 
-    fn publish_shard(reg: &Registry, shard: u32, bytes: i64, heat_milli: i64, queries: u64) {
+    fn publish_shard(reg: &Registry, shard: u32, bytes: i64, queries: u64) {
         let s = shard.to_string();
         reg.gauge_labeled("spate.shard.bytes", &[("shard", &s)])
             .set(bytes);
-        reg.gauge_labeled("spate.shard.heat_milli", &[("shard", &s)])
-            .set(heat_milli);
         reg.counter_labeled("spate.shard.queries", &[("shard", &s)])
             .add(queries);
     }
@@ -637,7 +631,7 @@ mod tests {
         // Balanced 4-shard layout: every tick stays "balanced".
         for _ in 0..8 {
             for s in 0..4 {
-                publish_shard(&reg, s, 1_000, 500, 25);
+                publish_shard(&reg, s, 1_000, 25);
             }
             let fired = m.tick(&reg);
             assert!(!fired.iter().any(|a| a.stream == "shard.skew"), "{fired:?}");
@@ -652,14 +646,14 @@ mod tests {
         // Balanced history first, so "balanced" is modal.
         for _ in 0..8 {
             for s in 0..4 {
-                publish_shard(&reg, s, 1_000, 500, 25);
+                publish_shard(&reg, s, 1_000, 25);
             }
             assert!(m.tick(&reg).iter().all(|a| a.stream != "shard.skew"));
         }
         // One shard takes all the new queries this window: max/mean = 4.
-        publish_shard(&reg, 0, 1_000, 500, 400);
+        publish_shard(&reg, 0, 1_000, 400);
         for s in 1..4 {
-            publish_shard(&reg, s, 1_000, 500, 0);
+            publish_shard(&reg, s, 1_000, 0);
         }
         let fired = m.tick(&reg);
         let skew: Vec<_> = fired.iter().filter(|a| a.stream == "shard.skew").collect();
@@ -676,15 +670,15 @@ mod tests {
         let mut m = MetaMonitor::default();
         for _ in 0..8 {
             for s in 0..4 {
-                publish_shard(&reg, s, 1_000, 0, 10);
+                publish_shard(&reg, s, 1_000, 10);
             }
             m.tick(&reg);
         }
         // One shard now holds ~64x the bytes of the others
         // (max/mean = 64000/16750 ≈ 3.8, past the hot-spot threshold).
-        publish_shard(&reg, 0, 64_000, 0, 10);
+        publish_shard(&reg, 0, 64_000, 10);
         for s in 1..4 {
-            publish_shard(&reg, s, 1_000, 0, 10);
+            publish_shard(&reg, s, 1_000, 10);
         }
         let fired = m.tick(&reg);
         let skew: Vec<_> = fired.iter().filter(|a| a.stream == "shard.skew").collect();

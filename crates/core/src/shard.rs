@@ -3,8 +3,8 @@
 //!
 //! The paper's workload is a full telco province; a single framework
 //! instance serializes every ingest and decay pass behind one lock. This
-//! module partitions the store, temporal index, heat ledger and decay
-//! schedule **by cell** (`cell_id % n_shards`): each shard is a complete
+//! module partitions the store, temporal index and decay schedule
+//! **by cell** (`cell_id % n_shards`): each shard is a complete
 //! `SpateFramework` with its own epochs, highlights and simulated
 //! cluster, so ingest compresses and writes N sub-snapshots in parallel
 //! and decay/repair run per shard without blocking queries on unrelated
@@ -14,10 +14,9 @@
 //!
 //! A query `Q(a, b, w)` touches exactly the shards owning cells inside
 //! `b` ([`ShardedSpate::shards_for`]); the *primary* shard (lowest
-//! touched index) owns the covering decision and the heat accounting for
-//! the request, keeping the merged heat report invariant under the shard
-//! count. A bounding box matching no cells routes to every shard, so the
-//! degenerate case behaves exactly like the unsharded framework.
+//! touched index) owns the covering decision for the request. A bounding
+//! box matching no cells routes to every shard, so the degenerate case
+//! behaves exactly like the unsharded framework.
 //!
 //! # Canonical merge (shard-count invariance)
 //!
@@ -34,7 +33,6 @@ use crate::framework::{
     ExplorationFramework, IngestStats, SpaceReport, SpateFramework, StoreObserver,
 };
 use crate::index::decay::DecayReport;
-use crate::index::heat::HeatLedger;
 use crate::index::highlights::{Highlights, Resolution};
 use crate::query::{Coverage, ExactResult, Plan, Query, QueryResult};
 use std::cmp::Ordering as CmpOrdering;
@@ -309,8 +307,8 @@ impl ShardedSpate {
         }
     }
 
-    /// The shard owning a query's covering decision and heat accounting:
-    /// the lowest-numbered shard its box touches.
+    /// The shard owning a query's covering decision: the lowest-numbered
+    /// shard its box touches.
     pub fn primary_for(&self, bbox: &BoundingBox) -> usize {
         self.shards_for(bbox)[0]
     }
@@ -417,21 +415,14 @@ impl ShardedSpate {
     /// Decide how `q` is answered across the shards: route the bounding
     /// box to its shards and let the *primary* (lowest touched) shard
     /// classify the window; when it has decayed there, the touched
-    /// shards' highlights are gathered and merged. Attribute heat files
-    /// on the primary shard only, so the merged ledger's counters are
-    /// invariant under the shard count. Shards are read one guard at a
-    /// time, ascending, and none is held on return: running the plan
-    /// re-acquires guards per epoch, so a slow client never blocks
-    /// ingest/decay.
+    /// shards' highlights are gathered and merged. Shards are read one
+    /// guard at a time, ascending, and none is held on return: running
+    /// the plan re-acquires guards per epoch, so a slow client never
+    /// blocks ingest/decay.
     pub fn plan(&self, q: &Query) -> Plan {
         let mut summaries = Vec::new();
         for (nth, i) in self.shards_for(&q.bbox).into_iter().enumerate() {
             let g = self.read(i);
-            if nth == 0 {
-                for attr in &q.attributes {
-                    g.index().heat().touch_attribute(attr);
-                }
-            }
             let covering = g.index().find_covering(q.window.0, q.window.1);
             match Plan::of(covering, &self.layout, &q.bbox) {
                 Plan::Summary {
@@ -486,81 +477,33 @@ impl ShardedSpate {
         merge_results(parts)
     }
 
-    /// The shards' heat ledgers rolled into one (see
-    /// [`HeatLedger::merge`]): band census and counters as if one ledger
-    /// had seen every access.
-    pub fn heat_merged(&self) -> HeatLedger {
-        let first = {
-            let g = self.read(0);
-            let h = g.index().heat();
-            // Identity-merge clones the ledger without exposing its
-            // persistence internals outside the index.
-            h.merge(&HeatLedger::new(h.config()))
-        };
-        (1..self.shards.len()).fold(first, |acc, i| acc.merge(self.read(i).index().heat()))
-    }
-
-    /// Merged heat report across shards.
-    pub fn heat_report(&self) -> crate::HeatReport {
-        self.heat_merged().report()
-    }
-
-    /// Publish the merged `spate.heat.*` gauges (global rollup across
-    /// the partitioned index).
-    pub fn publish_heat_gauges(&self) {
-        self.heat_merged().publish_gauges();
-    }
-
-    /// Publish the per-shard `spate.shard.*` gauges: stored bytes,
-    /// present leaves, heat (total decayed heat in milli-units plus the
-    /// band census) and staleness version for every shard. These series
-    /// are what the `shard.skew` meta-stream and the per-shard Stats
-    /// breakdown read; benches and the serve tier call this at
-    /// monitor-tick cadence.
-    pub fn publish_shard_gauges(&self) {
-        for i in 0..self.shards.len() {
-            let s = self.read(i);
-            let label = obs::shard::label(i as u32);
-            let labels = [("shard", label.as_ref())];
-            let space = s.space();
-            obs::gauge_set_labeled(
-                "spate.shard.bytes",
-                &labels,
-                (space.data_bytes + space.index_bytes) as i64,
-            );
-            let leaves = s.index().all_leaves().filter(|l| l.present).count();
-            obs::gauge_set_labeled("spate.shard.leaves", &labels, leaves as i64);
-            obs::gauge_set_labeled("spate.shard.version", &labels, s.version() as i64);
-            let report = s.index().heat().report();
-            let heat_milli: i64 = report.epochs.iter().map(|e| (e.heat * 1000.0) as i64).sum();
-            obs::gauge_set_labeled("spate.shard.heat_milli", &labels, heat_milli);
-            obs::gauge_set_labeled("spate.shard.heat.hot", &labels, report.hot as i64);
-            obs::gauge_set_labeled("spate.shard.heat.warm", &labels, report.warm as i64);
-            obs::gauge_set_labeled("spate.shard.heat.cold", &labels, report.cold as i64);
-        }
-    }
-
-    /// The per-shard Stats breakdown: `(shard, bytes, leaves, queries,
-    /// hot, warm, cold, version)` per shard — the serve tier's Stats
-    /// frame payload. Also publishes the gauges as a side effect so a
-    /// Stats request keeps the skew monitor's inputs fresh.
+    /// The per-shard Stats breakdown — the serve tier's Stats frame
+    /// payload — read from each shard under its own guard, and published
+    /// as the `spate.shard.{bytes,leaves,version}` gauges the
+    /// `shard.skew` meta-stream reads, so a Stats request (and every
+    /// monitor tick that calls this) keeps the skew monitor's inputs
+    /// fresh.
     pub fn shard_stats(&self) -> Vec<ShardStat> {
-        self.publish_shard_gauges();
         (0..self.shards.len() as u32)
             .map(|i| {
                 let label = obs::shard::label(i);
                 let labels = [("shard", label.as_ref())];
-                let get = |name: &str| obs::gauge_labeled(name, &labels).get().max(0) as u64;
-                ShardStat {
-                    shard: i,
-                    bytes: get("spate.shard.bytes"),
-                    leaves: get("spate.shard.leaves") as u32,
-                    queries: obs::counter_labeled("spate.shard.queries", &labels).get(),
-                    hot: get("spate.shard.heat.hot") as u32,
-                    warm: get("spate.shard.heat.warm") as u32,
-                    cold: get("spate.shard.heat.cold") as u32,
-                    version: get("spate.shard.version"),
-                }
+                let queries = obs::counter_labeled("spate.shard.queries", &labels).get();
+                let stat = {
+                    let s = self.read(i as usize);
+                    let space = s.space();
+                    ShardStat {
+                        shard: i,
+                        bytes: space.data_bytes + space.index_bytes,
+                        leaves: s.index().all_leaves().filter(|l| l.present).count() as u32,
+                        queries,
+                        version: s.version(),
+                    }
+                };
+                obs::gauge_set_labeled("spate.shard.bytes", &labels, stat.bytes as i64);
+                obs::gauge_set_labeled("spate.shard.leaves", &labels, i64::from(stat.leaves));
+                obs::gauge_set_labeled("spate.shard.version", &labels, stat.version as i64);
+                stat
             })
             .collect()
     }
@@ -574,9 +517,6 @@ pub struct ShardStat {
     pub bytes: u64,
     pub leaves: u32,
     pub queries: u64,
-    pub hot: u32,
-    pub warm: u32,
-    pub cold: u32,
     pub version: u64,
 }
 
@@ -816,8 +756,13 @@ mod tests {
             assert!(st.queries >= 2, "shard {i} counted {}", st.queries);
             assert!(st.version > 0);
         }
-        // The gauges behind the stats are in the global registry, where
-        // the skew monitor reads them.
+        // The rows are this facade's own shards, whatever another facade
+        // in the process last published under the same gauge names.
+        let space = sharded.space();
+        let total: u64 = stats.iter().map(|st| st.bytes).sum();
+        assert_eq!(total, space.data_bytes + space.index_bytes);
+        // The same values are in the global registry, where the skew
+        // monitor reads them.
         assert!(obs::gauge_labeled("spate.shard.bytes", &[("shard", "0")]).get() > 0);
         // And per-shard latency histograms recorded one sample per query.
         assert!(
@@ -826,21 +771,5 @@ mod tests {
                 .count()
                 >= 2
         );
-    }
-
-    #[test]
-    fn merged_heat_rolls_up_per_shard_ledgers() {
-        let (layout, snaps) = trace(2);
-        let sharded = ShardedSpate::in_memory(layout, 2);
-        for s in &snaps {
-            sharded.ingest(s);
-        }
-        sharded.read(0).index().heat().touch_epoch(EpochId(0));
-        sharded.read(1).index().heat().touch_epoch(EpochId(0));
-        sharded.read(1).index().heat().touch_attribute("upflux");
-        let r = sharded.heat_report();
-        let e0 = r.epochs.iter().find(|e| e.epoch == EpochId(0)).unwrap();
-        assert_eq!(e0.accesses, 2, "both shards' touches roll up");
-        assert_eq!(r.attributes[0].0, "upflux");
     }
 }

@@ -1,12 +1,7 @@
-//! `Dataset<T>`: a partitioned collection with data-parallel operators.
-//!
-//! Operators execute one worker thread per partition via crossbeam scoped
-//! threads. Transformations are eager (no lazy DAG) — the workloads here
-//! are single-pass pipelines over snapshot data, where laziness buys
-//! nothing but complexity.
-
-use std::collections::HashMap;
-use std::hash::Hash;
+//! `Dataset<T>`: a partitioned collection with one data-parallel
+//! operator, [`Dataset::aggregate`] — the fold-then-combine every
+//! algorithm in [`crate::ml`] is written over. It runs one worker thread
+//! per partition via crossbeam scoped threads.
 
 /// Number of partitions to use by default: one per available core.
 pub fn default_parallelism() -> usize {
@@ -43,10 +38,6 @@ impl<T: Send + Sync> Dataset<T> {
         Self::from_vec(data, p)
     }
 
-    pub fn from_partitions(partitions: Vec<Vec<T>>) -> Self {
-        Self { partitions }
-    }
-
     pub fn n_partitions(&self) -> usize {
         self.partitions.len()
     }
@@ -59,43 +50,9 @@ impl<T: Send + Sync> Dataset<T> {
         self.partitions.iter().all(Vec::is_empty)
     }
 
-    /// Run `f` over each partition in parallel, collecting the outputs.
-    fn run_partitions<U: Send>(self, f: impl Fn(Vec<T>) -> Vec<U> + Sync) -> Dataset<U> {
-        let out = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .partitions
-                .into_iter()
-                .map(|part| scope.spawn(|_| f(part)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect::<Vec<_>>()
-        })
-        .expect("scope panicked");
-        Dataset { partitions: out }
-    }
-
-    pub fn map<U: Send>(self, f: impl Fn(T) -> U + Sync) -> Dataset<U> {
-        let _s = obs::span("engine.map");
-        self.run_partitions(|part| part.into_iter().map(&f).collect())
-    }
-
-    pub fn filter(self, pred: impl Fn(&T) -> bool + Sync) -> Dataset<T> {
-        let _s = obs::span("engine.filter");
-        self.run_partitions(|part| part.into_iter().filter(|t| pred(t)).collect())
-    }
-
-    pub fn flat_map<U: Send, I: IntoIterator<Item = U>>(
-        self,
-        f: impl Fn(T) -> I + Sync,
-    ) -> Dataset<U> {
-        let _s = obs::span("engine.flat_map");
-        self.run_partitions(|part| part.into_iter().flat_map(&f).collect())
-    }
-
-    /// Gather all elements (partition order preserved).
-    pub fn collect(self) -> Vec<T> {
+    /// Gather all elements (partition order preserved): k-means seeding
+    /// walks the points in order.
+    pub(crate) fn collect(self) -> Vec<T> {
         self.partitions.into_iter().flatten().collect()
     }
 
@@ -125,118 +82,6 @@ impl<T: Send + Sync> Dataset<T> {
         .expect("scope panicked");
         partials.into_iter().fold(zero, comb)
     }
-
-    /// Parallel reduction; `None` on an empty dataset.
-    pub fn reduce(self, f: impl Fn(T, T) -> T + Sync) -> Option<T> {
-        let _s = obs::span("engine.reduce");
-        let partials = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .partitions
-                .into_iter()
-                .map(|part| {
-                    let f = &f;
-                    scope.spawn(move |_| part.into_iter().reduce(f))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .filter_map(|h| h.join().expect("worker panicked"))
-                .collect::<Vec<_>>()
-        })
-        .expect("scope panicked");
-        partials.into_iter().reduce(f)
-    }
-}
-
-impl<K, V> Dataset<(K, V)>
-where
-    K: Send + Eq + Hash,
-    V: Send,
-{
-    /// Merge values per key with `f` (Spark's `reduceByKey`): local combine
-    /// per partition, then a global merge.
-    pub fn reduce_by_key(self, f: impl Fn(V, V) -> V + Sync) -> HashMap<K, V> {
-        let _s = obs::span("engine.reduce_by_key");
-        let locals: Vec<HashMap<K, V>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .partitions
-                .into_iter()
-                .map(|part| {
-                    let f = &f;
-                    scope.spawn(move |_| {
-                        let mut m: HashMap<K, V> = HashMap::new();
-                        for (k, v) in part {
-                            match m.remove(&k) {
-                                Some(prev) => {
-                                    m.insert(k, f(prev, v));
-                                }
-                                None => {
-                                    m.insert(k, v);
-                                }
-                            }
-                        }
-                        m
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        })
-        .expect("scope panicked");
-
-        let mut out: HashMap<K, V> = HashMap::new();
-        for local in locals {
-            for (k, v) in local {
-                match out.remove(&k) {
-                    Some(prev) => {
-                        out.insert(k, f(prev, v));
-                    }
-                    None => {
-                        out.insert(k, v);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Group values per key.
-    pub fn group_by_key(self) -> HashMap<K, Vec<V>> {
-        let mut out: HashMap<K, Vec<V>> = HashMap::new();
-        for part in self.partitions {
-            for (k, v) in part {
-                out.entry(k).or_default().push(v);
-            }
-        }
-        out
-    }
-}
-
-impl<K, V> Dataset<(K, V)>
-where
-    K: Send + Sync + Eq + Hash + Clone,
-    V: Send + Sync + Clone,
-{
-    /// Inner hash join on the key.
-    pub fn join<W: Send + Sync + Clone>(self, other: Dataset<(K, W)>) -> Dataset<(K, (V, W))> {
-        let _s = obs::span("engine.join");
-        // Build side: the other dataset's grouped map.
-        let build: HashMap<K, Vec<W>> = other.group_by_key();
-        let build = &build;
-        self.run_partitions(|part| {
-            let mut out = Vec::new();
-            for (k, v) in part {
-                if let Some(ws) = build.get(&k) {
-                    for w in ws {
-                        out.push((k.clone(), (v.clone(), w.clone())));
-                    }
-                }
-            }
-            out
-        })
-    }
 }
 
 #[cfg(test)]
@@ -257,24 +102,11 @@ mod tests {
     fn empty_and_single_element_datasets() {
         let d: Dataset<i32> = Dataset::from_vec(vec![], 4);
         assert!(d.is_empty());
-        assert_eq!(d.reduce(|a, b| a + b), None);
+        assert_eq!(d.aggregate(0, |acc, &x| acc + x, |a, b| a + b), 0);
 
         let d = Dataset::from_vec(vec![42], 4);
         assert_eq!(d.len(), 1);
-        assert_eq!(d.reduce(|a, b| a + b), Some(42));
-    }
-
-    #[test]
-    fn map_filter_flat_map() {
-        let d = Dataset::from_vec((1..=10).collect::<Vec<i64>>(), 3);
-        let result: Vec<i64> = d
-            .map(|x| x * 2)
-            .filter(|x| x % 4 == 0)
-            .flat_map(|x| vec![x, -x])
-            .collect();
-        let mut sorted = result.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![-20, -16, -12, -8, -4, 4, 8, 12, 16, 20]);
+        assert_eq!(d.aggregate(0, |acc, &x| acc + x, |a, b| a + b), 42);
     }
 
     #[test]
@@ -285,59 +117,9 @@ mod tests {
     }
 
     #[test]
-    fn reduce_by_key_merges_everywhere() {
-        let pairs: Vec<(u32, u64)> = (0..1000).map(|i| (i % 10, 1u64)).collect();
-        let counts = Dataset::from_vec(pairs, 6).reduce_by_key(|a, b| a + b);
-        assert_eq!(counts.len(), 10);
-        for k in 0..10 {
-            assert_eq!(counts[&k], 100);
-        }
-    }
-
-    #[test]
-    fn group_by_key_collects_values() {
-        let pairs = vec![("a", 1), ("b", 2), ("a", 3), ("c", 4), ("a", 5)];
-        let grouped = Dataset::from_vec(pairs, 2).group_by_key();
-        let mut a = grouped["a"].clone();
-        a.sort_unstable();
-        assert_eq!(a, vec![1, 3, 5]);
-        assert_eq!(grouped["b"], vec![2]);
-        assert_eq!(grouped.len(), 3);
-    }
-
-    #[test]
-    fn hash_join_produces_all_matches() {
-        let left = Dataset::from_vec(vec![(1, "l1"), (2, "l2"), (1, "l3"), (9, "l9")], 2);
-        let right = Dataset::from_vec(vec![(1, "r1"), (1, "r2"), (2, "r3"), (8, "r8")], 2);
-        let mut joined = left.join(right).collect();
-        joined.sort();
-        assert_eq!(
-            joined,
-            vec![
-                (1, ("l1", "r1")),
-                (1, ("l1", "r2")),
-                (1, ("l3", "r1")),
-                (1, ("l3", "r2")),
-                (2, ("l2", "r3")),
-            ]
-        );
-    }
-
-    #[test]
     fn parallelize_uses_machine_parallelism() {
         let d = Dataset::parallelize((0..64).collect::<Vec<i32>>());
         assert!(d.n_partitions() >= 1);
         assert_eq!(d.len(), 64);
-    }
-
-    #[test]
-    fn heavy_parallel_map_is_correct() {
-        // Cross-check a nontrivial computation against the sequential answer.
-        let data: Vec<u64> = (0..10_000).collect();
-        let expected: u64 = data.iter().map(|&x| x.wrapping_mul(x) % 97).sum();
-        let got = Dataset::from_vec(data, 16)
-            .map(|x| x.wrapping_mul(x) % 97)
-            .aggregate(0u64, |a, &x| a + x, |a, b| a + b);
-        assert_eq!(got, expected);
     }
 }

@@ -1,29 +1,11 @@
-//! Property tests: every data-parallel operator must agree with its
+//! Property tests: the data-parallel operator must agree with its
 //! obvious sequential counterpart, for any data and any partitioning.
 
 use engine::Dataset;
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn map_filter_equals_sequential(
-        data in proptest::collection::vec(any::<i32>(), 0..500),
-        parts in 1usize..12,
-    ) {
-        let parallel: Vec<i64> = Dataset::from_vec(data.clone(), parts)
-            .map(|x| i64::from(x) * 3)
-            .filter(|x| x % 2 == 0)
-            .collect();
-        let sequential: Vec<i64> = data
-            .iter()
-            .map(|&x| i64::from(x) * 3)
-            .filter(|x| x % 2 == 0)
-            .collect();
-        prop_assert_eq!(parallel, sequential);
-    }
 
     #[test]
     fn aggregate_equals_fold(
@@ -37,51 +19,6 @@ proptest! {
     }
 
     #[test]
-    fn reduce_by_key_equals_hashmap_fold(
-        pairs in proptest::collection::vec((0u8..16, any::<i16>()), 0..400),
-        parts in 1usize..8,
-    ) {
-        let typed: Vec<(u8, i64)> = pairs.iter().map(|&(k, v)| (k, i64::from(v))).collect();
-        let parallel = Dataset::from_vec(typed.clone(), parts).reduce_by_key(|a, b| a + b);
-        let mut sequential: HashMap<u8, i64> = HashMap::new();
-        for (k, v) in typed {
-            *sequential.entry(k).or_insert(0) += v;
-        }
-        prop_assert_eq!(parallel, sequential);
-    }
-
-    #[test]
-    fn join_equals_nested_loop(
-        left in proptest::collection::vec((0u8..8, 0u16..100), 0..60),
-        right in proptest::collection::vec((0u8..8, 0u16..100), 0..60),
-        parts in 1usize..6,
-    ) {
-        let mut parallel = Dataset::from_vec(left.clone(), parts)
-            .join(Dataset::from_vec(right.clone(), parts))
-            .collect();
-        let mut sequential: Vec<(u8, (u16, u16))> = Vec::new();
-        for &(lk, lv) in &left {
-            for &(rk, rv) in &right {
-                if lk == rk {
-                    sequential.push((lk, (lv, rv)));
-                }
-            }
-        }
-        parallel.sort_unstable();
-        sequential.sort_unstable();
-        prop_assert_eq!(parallel, sequential);
-    }
-
-    #[test]
-    fn reduce_is_order_insensitive_for_commutative_ops(
-        data in proptest::collection::vec(0u32..1000, 0..300),
-        parts in 1usize..10,
-    ) {
-        let parallel = Dataset::from_vec(data.clone(), parts).reduce(|a, b| a.max(b));
-        prop_assert_eq!(parallel, data.iter().copied().max());
-    }
-
-    #[test]
     fn partition_count_never_loses_elements(
         data in proptest::collection::vec(any::<u8>(), 0..500),
         parts in 1usize..20,
@@ -89,10 +26,19 @@ proptest! {
         let d = Dataset::from_vec(data.clone(), parts);
         prop_assert_eq!(d.len(), data.len());
         prop_assert!(d.n_partitions() >= 1);
-        let mut collected = d.collect();
-        let mut expected = data;
-        collected.sort_unstable();
-        expected.sort_unstable();
-        prop_assert_eq!(collected, expected);
+        // The same multiset of values, whichever partition holds each.
+        let histogram = d.aggregate(
+            vec![0u32; 256],
+            |mut seen, &x| {
+                seen[usize::from(x)] += 1;
+                seen
+            },
+            |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect(),
+        );
+        let mut expected = vec![0u32; 256];
+        for &x in &data {
+            expected[usize::from(x)] += 1;
+        }
+        prop_assert_eq!(histogram, expected);
     }
 }

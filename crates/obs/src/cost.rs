@@ -4,8 +4,8 @@
 //! cost profile answers *"what did this query cost"* — epochs touched,
 //! bytes read from each storage source, bytes decompressed per codec,
 //! rows scanned vs rows returned, cache hits/misses, and time split by
-//! stage. It is the data layer the cost-based planner and the
-//! heat-adaptive decay policy read from (ROADMAP items 3 and 4).
+//! stage. It is the only record of where queries go: every profile,
+//! `EXPLAIN ANALYZE`, the Profile frame and the zero-leak gate read it.
 //!
 //! The collection mechanism mirrors [`crate::trace`]: a thread-local
 //! slot holding the active profile, installed by [`begin`] and restored

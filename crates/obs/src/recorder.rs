@@ -25,8 +25,7 @@
 //! The persisted image ([`Recorder::to_bytes`] / [`Recorder::from_bytes`])
 //! round-trips byte-identically: `repro obs-replay` records a run, saves
 //! it, reloads it after a "restart" and re-renders per-shard latency and
-//! heat from the file alone. ROADMAP item 3 (heat-adaptive decay) reads
-//! these recordings as its what-if replay input.
+//! load from the file alone.
 
 use crate::registry::Registry;
 use crate::Histogram;

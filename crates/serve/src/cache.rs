@@ -18,10 +18,10 @@
 //!   can never be re-populated concurrently with the eviction that
 //!   removed it.
 //! * **Accounting split** — the cache keeps *lifetime* hit/miss totals
-//!   (the Stats frame); per-query outcomes flow into the active
-//!   [`obs::cost`] profile, and per-epoch outcomes into the temporal
-//!   index's heat ledger (`HeatLedger::record_cache`), the single source
-//!   of truth for epoch heat.
+//!   (the Stats frame); per-query outcomes, and which epochs a query
+//!   touched, flow into the active [`obs::cost`] profile. Nothing else
+//!   records an access, so a hit takes this cache's shard mutex and no
+//!   framework lock.
 
 use spate_core::StoreObserver;
 use std::collections::HashMap;
@@ -116,10 +116,8 @@ impl EpochCache {
     }
 
     /// Look an epoch up, refreshing its recency on hit. Outcomes feed the
-    /// active [`obs::cost`] profile (per-query accounting); *per-epoch*
-    /// heat accounting lives in the temporal index's heat ledger, written
-    /// by the serving paths that know which framework they evaluate
-    /// against — the cache itself keeps only lifetime totals.
+    /// active [`obs::cost`] profile (per-query accounting); the cache
+    /// itself keeps only lifetime totals.
     pub fn get(&self, epoch: EpochId) -> Option<Arc<Snapshot>> {
         let mut sh = self.shard(epoch).lock().unwrap();
         sh.tick += 1;

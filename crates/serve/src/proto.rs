@@ -310,8 +310,8 @@ pub struct StatsFrame {
     /// 2 open — so operators see which replicas a shard is routing
     /// around without attaching a debugger.
     pub breaker_nodes: Vec<(u32, u32, u8)>,
-    /// Per-shard size/heat/query breakdown — the serve-tier view of
-    /// `ShardedSpate::shard_stats`, so "which shard is hot?" is one
+    /// Per-shard size/query breakdown — the serve-tier view of
+    /// `ShardedSpate::shard_stats`, so "which shard is busy?" is one
     /// Stats round-trip instead of a gauge-scrape.
     pub shard_stats: Vec<ShardStatWire>,
 }
@@ -326,10 +326,6 @@ pub struct ShardStatWire {
     pub leaves: u32,
     /// Queries routed to this shard since startup.
     pub queries: u64,
-    /// Heat-band census of this shard's epochs.
-    pub hot: u32,
-    pub warm: u32,
-    pub cold: u32,
     /// Shard-local snapshot version (ingest counter).
     pub version: u64,
 }
@@ -679,9 +675,6 @@ impl Response {
                     w.u64(st.bytes);
                     w.u32(st.leaves);
                     w.u64(st.queries);
-                    w.u32(st.hot);
-                    w.u32(st.warm);
-                    w.u32(st.cold);
                     w.u64(st.version);
                 }
                 kind::STATS_REPLY
@@ -829,9 +822,6 @@ impl Response {
                         bytes: r.u64()?,
                         leaves: r.u32()?,
                         queries: r.u64()?,
-                        hot: r.u32()?,
-                        warm: r.u32()?,
-                        cold: r.u32()?,
                         version: r.u64()?,
                     });
                 }
@@ -1159,7 +1149,7 @@ mod tests {
 
     #[test]
     fn stats_reply_round_trips() {
-        roundtrip_response(Response {
+        let full = Response {
             id: 9,
             body: ResponseBody::Stats(StatsFrame {
                 queries: 120,
@@ -1208,9 +1198,6 @@ mod tests {
                         bytes: 1 << 33,
                         leaves: 48,
                         queries: 90,
-                        hot: 4,
-                        warm: 12,
-                        cold: 32,
                         version: 7,
                     },
                     ShardStatWire {
@@ -1218,14 +1205,23 @@ mod tests {
                         bytes: 512,
                         leaves: 1,
                         queries: 0,
-                        hot: 0,
-                        warm: 0,
-                        cold: 1,
                         version: 1,
                     },
                 ],
             }),
-        });
+        };
+        let bytes = full.encode();
+        roundtrip_response(full);
+        // Every proper prefix of the payload is a truncation, wherever it
+        // falls in the per-shard rows.
+        let (k, payload, _) = parse_frame(&bytes).unwrap();
+        for cut in 0..payload.len() {
+            assert_eq!(
+                Response::decode(k, &payload[..cut]),
+                Err(ProtoError::Truncated),
+                "cut {cut}"
+            );
+        }
         // Empty snapshot (fresh server) is valid too.
         roundtrip_response(Response {
             id: 1,

@@ -504,13 +504,6 @@ impl Server {
         lock_sane(&self.shared.monitor).recent()
     }
 
-    /// Heat report of the owned framework facade: the per-shard ledgers
-    /// rolled into one, so hot/warm/cold bands reflect every served
-    /// query and cache touch regardless of which shard recorded it.
-    pub fn heat_report(&self) -> spate_core::HeatReport {
-        self.shared.shards.heat_report()
-    }
-
     /// The finished [`CostProfile`] of a served request, if still
     /// retained; `trace_id == 0` means "the most recent request".
     pub fn profile(&self, trace_id: u64) -> Option<CostProfile> {
@@ -936,10 +929,6 @@ fn answer_control(shared: &Shared, ep: &Endpoint, request: &Request) -> Result<(
             obs::gauge_set("dfs.breaker.recoveries", breaker.recoveries as i64);
             obs::gauge_set("dfs.breaker.reopens", breaker.reopens as i64);
             obs::gauge_set("dfs.breaker.open_nodes", i64::from(open_nodes));
-            // Global heat rollup across the partitioned index: the
-            // `spate.heat.*` gauges a scraper reads must describe the
-            // whole facade, not whichever shard published last.
-            shared.shards.publish_heat_gauges();
             // Per-shard breakdown: `shard_stats` also refreshes the
             // `spate.shard.*` gauges the skew monitor and the recorder
             // read, so a Stats poll keeps the shard telemetry fresh.
@@ -952,9 +941,6 @@ fn answer_control(shared: &Shared, ep: &Endpoint, request: &Request) -> Result<(
                     bytes: st.bytes,
                     leaves: st.leaves,
                     queries: st.queries,
-                    hot: st.hot,
-                    warm: st.warm,
-                    cold: st.cold,
                     version: st.version,
                 })
                 .collect();
@@ -1300,28 +1286,17 @@ fn load_merged_into_cache(shared: &Shared, epoch: EpochId) -> Option<Arc<Snapsho
 }
 
 /// Resolve one epoch for serving: shared cache first, guard-all shard
-/// load on a miss. Cache heat files on shard 0's ledger (deterministic
-/// and shard-count-invariant after the merge rollup).
+/// load on a miss. A hit takes no shard lock — the cache counts it
+/// ([`EpochCache::get`]) and the request's cost profile records the
+/// epoch — so a cached read never waits on an ingest or a decay pass.
 fn resolve_epoch(shared: &Shared, epoch: EpochId, traced: bool) -> Option<Arc<Snapshot>> {
     if let Some(hit) = shared.cache.get(epoch) {
-        shared
-            .shards
-            .read(0)
-            .index()
-            .heat()
-            .record_cache(epoch, true);
         obs::cost::touch_epoch(u64::from(epoch.0));
         if traced {
             obs::trace::event("cache.hit", &[("epoch", &epoch.0.to_string())]);
         }
         return Some(hit);
     }
-    shared
-        .shards
-        .read(0)
-        .index()
-        .heat()
-        .record_cache(epoch, false);
     if traced {
         obs::trace::event("cache.miss", &[("epoch", &epoch.0.to_string())]);
     }
@@ -1814,6 +1789,65 @@ mod tests {
             }
         }
         assert!(terminals.contains(&stats_id));
+        client.close();
+        server.shutdown();
+    }
+
+    /// A cache hit records its access in the request's cost profile and
+    /// the cache's own counters, nowhere that needs a shard: an ingest
+    /// holding shard 0 for writing (it compresses under that lock) must
+    /// not delay an explore whose box lives on shard 1 and whose epochs
+    /// are all cached.
+    #[test]
+    fn a_cached_explore_is_answered_while_another_shard_is_locked_for_writing() {
+        let mut generator = TraceGenerator::new(TraceConfig::scaled(1.0 / 1024.0).with_days(1));
+        let layout = generator.layout().clone();
+        let server = Server::start_sharded(
+            ShardedSpate::in_memory(layout.clone(), 2),
+            ServeConfig::default(),
+        );
+        for snapshot in generator.by_ref().take(4) {
+            server.ingest(&snapshot);
+        }
+        let cell = layout
+            .cells_in(&BoundingBox::everything())
+            .into_iter()
+            .find(|&c| spate_core::shard_of_cell(c, 2) == 1)
+            .expect("a cell on shard 1");
+        let site = layout.get(cell);
+        let (x, y) = (site.x_m, site.y_m);
+        let tight = BoundingBox::new(x - 1.0, y - 1.0, x + 1.0, y + 1.0);
+        assert_eq!(server.shared.shards.shards_for(&tight), vec![1]);
+
+        // Warm the cache; the repeat of the same window on the same
+        // connection is a zoom-in, so it prefetches nothing either.
+        let mut client = server.connect();
+        let warm = client.explore(&["upflux"], tight, (0, 3)).unwrap();
+        let misses = server.cache_stats().misses;
+
+        let (held_tx, held_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let shards = &server.shared.shards;
+            scope.spawn(move || {
+                let _ingesting = shards.write(0);
+                held_tx.send(()).unwrap();
+                let _ = release_rx.recv();
+            });
+            held_rx.recv().unwrap();
+            let client = &mut client;
+            scope.spawn(move || {
+                let _ = done_tx.send(client.explore(&["upflux"], tight, (0, 3)));
+            });
+            let answered = done_rx.recv_timeout(Duration::from_secs(10));
+            drop(release_tx);
+            let cached = answered
+                .expect("a cached read waited on shard 0's write lock")
+                .unwrap();
+            assert_eq!(cached.total_rows(), warm.total_rows());
+        });
+        assert_eq!(server.cache_stats().misses, misses, "fully cached");
         client.close();
         server.shutdown();
     }

@@ -226,8 +226,7 @@ proptest! {
             0..8,
         ),
         shard_rows in proptest::collection::vec(
-            ((any::<u32>(), any::<u64>(), any::<u32>(), any::<u64>()),
-             (any::<u32>(), any::<u32>(), any::<u32>(), any::<u64>())),
+            ((any::<u32>(), any::<u64>(), any::<u32>(), any::<u64>()), any::<u64>()),
             0..5,
         ),
         anoms in proptest::collection::vec(
@@ -284,15 +283,12 @@ proptest! {
                 breaker_reopens: counts[17],
                 breaker_skipped: counts[18],
                 breaker_nodes: breaker_nodes.clone(),
-                shard_stats: shard_rows.iter().map(|((sh, by, le, q), (h, w, c, v))| {
+                shard_stats: shard_rows.iter().map(|((sh, by, le, q), v)| {
                     spate_serve::proto::ShardStatWire {
                         shard: *sh,
                         bytes: *by,
                         leaves: *le,
                         queries: *q,
-                        hot: *h,
-                        warm: *w,
-                        cold: *c,
                         version: *v,
                     }
                 }).collect(),
