@@ -28,11 +28,12 @@
 //! fields of its [`Report`]; everything else is deterministic.
 
 use crate::report::{Report, Value};
-use crate::BenchConfig;
+use crate::setup::{ingest_resubmitting, warehouse, BenchConfig};
 use dfs::{BreakerConfig, BreakerState, Dfs, DfsConfig, DfsError, FaultConfig, IoModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spate_core::framework::{ExplorationFramework, SpateFramework};
+use spate_core::framework::SpateFramework;
+use spate_core::DecayPolicy;
 use spate_serve::proto::{errcode, MAGIC, VERSION};
 use spate_serve::{
     Reply, RequestBody, ServeConfig, Server, CHAOS_PANIC_ATTRIBUTE, CHAOS_STALL_ATTRIBUTE,
@@ -41,7 +42,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use telco_trace::cells::BoundingBox;
 use telco_trace::time::EPOCHS_PER_DAY;
-use telco_trace::{Snapshot, TraceConfig, TraceGenerator};
+use telco_trace::{TraceConfig, TraceGenerator};
 
 /// Epochs ingested for the storm phase (all retained, no decay).
 const STORM_EPOCHS: usize = 12;
@@ -52,167 +53,6 @@ const HEALTHY_PER_CLIENT: usize = 8;
 const POISON_PER_CLIENT: usize = 2;
 const STORMS_PER_CLIENT: usize = 2;
 const CANCELS_PER_CLIENT: usize = 2;
-
-/// Outcome of the chaos-serve drill. Everything above `anomalies_total`
-/// is a pure function of `(seed, clients, scale)`.
-#[derive(Debug, Clone)]
-pub struct ChaosServeReport {
-    pub seed: u64,
-    pub clients: usize,
-    /// Storm requests a client waited on (poison/deadline/cancel/healthy).
-    pub requests_awaited: u64,
-    /// Storm requests that received a terminal frame (rows, summary,
-    /// shed, or error — anything that lets the client move on).
-    pub terminal_frames: u64,
-    pub healthy_queries: u64,
-    pub healthy_rows: u64,
-    pub poison_queries: u64,
-    /// Poison queries answered with an `INTERNAL` error terminal frame.
-    pub poison_isolated: u64,
-    pub deadline_storms: u64,
-    /// Deadline storms that honestly degraded: `Partial` coverage with
-    /// zero epochs served (the 5 ms stall guarantees the 1 ms deadline
-    /// is spent before the first checkpoint).
-    pub deadline_partials: u64,
-    pub cancels_sent: u64,
-    /// Cancelled requests that terminated with `Partial` zero-served
-    /// coverage instead of hanging or erroring.
-    pub cancel_partials: u64,
-    pub malformed_frames: u64,
-    /// Malformed frames answered with `BAD_REQUEST` *and* followed by a
-    /// connection drop (the byte stream is unrecoverable past garbage).
-    pub malformed_rejected: u64,
-    pub disconnects: u64,
-    pub slow_rows: u64,
-    /// Load sheds observed by storm clients — expected 0 (the drill's
-    /// queue is deeper than its maximum outstanding load).
-    pub sheds_seen: u64,
-    /// Server-side stats after shutdown — all workload-deterministic.
-    pub server_queries: u64,
-    pub worker_panics: u64,
-    pub worker_respawns: u64,
-    pub cancelled_counted: u64,
-    pub deadline_expired_counted: u64,
-    pub protocol_errors: u64,
-    /// A fresh connection answered a healthy query after the storm.
-    pub survived_storm: bool,
-    pub meta_ticks: u64,
-    /// Deterministic-stream meta anomalies (the `serve.survive` stream
-    /// flagging the panic burst) — ≥ 1 in any storm run.
-    pub survive_anomalies: u64,
-    // ---- phase 2: dfs-backed serving under storage chaos ----
-    pub dfs_epochs_ingested: usize,
-    pub dfs_ingest_retries: u64,
-    pub dfs_ingest_failures: u64,
-    pub dfs_queries: u64,
-    pub dfs_exact: u64,
-    pub dfs_partial: u64,
-    pub dfs_unavailable: u64,
-    /// Degraded answers whose coverage arithmetic did not add up — must
-    /// be 0 (degradation is honest or it is a bug).
-    pub dfs_inconsistent_coverage: u64,
-    pub dfs_checksum_mismatches: u64,
-    pub dfs_read_failovers: u64,
-    pub dfs_breaker_trips: u64,
-    pub dfs_breaker_recoveries: u64,
-    pub dfs_breaker_skipped: u64,
-    // ---- phase 3: breaker state-machine drill ----
-    pub drill_trips: u64,
-    pub drill_probes: u64,
-    pub drill_recoveries: u64,
-    pub drill_reopens: u64,
-    pub drill_skipped: u64,
-    pub drill_recovered_closed: bool,
-    pub drill_degraded_unavailable: bool,
-    // ---- timing-dependent below ----
-    /// All meta anomalies including timing-stream advisories (shed
-    /// pressure, latency inflation, cancel/deadline races).
-    pub anomalies_total: u64,
-    pub wall_secs: f64,
-}
-
-impl ChaosServeReport {
-    /// Every storm request got a terminal frame — the no-hung-client gate.
-    pub fn all_terminal(&self) -> bool {
-        self.requests_awaited > 0 && self.terminal_frames == self.requests_awaited
-    }
-
-    /// Everything but the wall time and the timing-stream advisories is
-    /// deterministic, so `BENCH_CHAOS_SERVE.json` is timing-free.
-    pub fn report(&self) -> Report {
-        let mut r = Report::new("chaos-serve", Some("BENCH_CHAOS_SERVE.json"));
-        r.det("seed", self.seed);
-        r.det("clients", self.clients);
-        // Nobody hung, nobody died, the server answered afterwards.
-        r.det("requests_awaited", self.requests_awaited).at_least(1);
-        r.det("terminal_frames", self.terminal_frames)
-            .eq_field("requests_awaited");
-        r.det("all_terminal", self.all_terminal()).eq(true);
-        r.det("survived_storm", self.survived_storm).eq(true);
-        r.det("healthy_queries", self.healthy_queries);
-        r.det("healthy_rows", self.healthy_rows);
-        r.det_console("slow_rows", self.slow_rows);
-        // Every poison query became an INTERNAL error frame and a counted
-        // worker panic; none killed the pool.
-        r.det("poison_queries", self.poison_queries).at_least(1);
-        r.det("poison_isolated", self.poison_isolated)
-            .eq_field("poison_queries");
-        r.det("worker_panics", self.worker_panics)
-            .eq_field("poison_queries");
-        r.det("worker_respawns", self.worker_respawns);
-        // Deadline storms and cancel races degrade to zero-served Partial.
-        r.det("deadline_storms", self.deadline_storms).at_least(1);
-        r.det("deadline_partials", self.deadline_partials)
-            .eq_field("deadline_storms");
-        r.det_console("deadline_expired_counted", self.deadline_expired_counted);
-        r.det("cancels_sent", self.cancels_sent).at_least(1);
-        r.det("cancel_partials", self.cancel_partials)
-            .eq_field("cancels_sent");
-        r.det_console("cancelled_counted", self.cancelled_counted);
-        // The one malformed frame: BAD_REQUEST, then the connection is cut.
-        r.det("malformed_frames", self.malformed_frames).eq(1);
-        r.det("malformed_rejected", self.malformed_rejected).eq(1);
-        r.det("protocol_errors", self.protocol_errors).eq(1);
-        r.det("disconnects", self.disconnects).eq(1);
-        r.det("sheds_seen", self.sheds_seen).eq(0);
-        r.det_console("server_queries", self.server_queries);
-        r.det("meta_ticks", self.meta_ticks);
-        r.det("survive_anomalies", self.survive_anomalies)
-            .at_least(1);
-        // Phase 2: chaos never lost an ingest, degradation stayed honest.
-        r.det_console("dfs_epochs_ingested", self.dfs_epochs_ingested);
-        r.det_console("dfs_ingest_retries", self.dfs_ingest_retries);
-        r.det("dfs_ingest_failures", self.dfs_ingest_failures).eq(0);
-        r.det("dfs_queries", self.dfs_queries).at_least(1);
-        r.det("dfs_exact", self.dfs_exact);
-        r.det("dfs_partial", self.dfs_partial);
-        r.det("dfs_unavailable", self.dfs_unavailable);
-        r.det("dfs_inconsistent_coverage", self.dfs_inconsistent_coverage)
-            .eq(0);
-        r.det_console("dfs_checksum_mismatches", self.dfs_checksum_mismatches);
-        r.det_console("dfs_read_failovers", self.dfs_read_failovers);
-        r.det("dfs_breaker_trips", self.dfs_breaker_trips);
-        r.det_console("dfs_breaker_recoveries", self.dfs_breaker_recoveries);
-        r.det_console("dfs_breaker_skipped", self.dfs_breaker_skipped);
-        // Phase 3: trip, cool down, half-open probe, recovery; and an
-        // all-replicas-open read degrades instead of hanging.
-        r.det_console("drill_trips", self.drill_trips).at_least(1);
-        r.det_console("drill_probes", self.drill_probes);
-        r.det_console("drill_recoveries", self.drill_recoveries);
-        r.det_console("drill_reopens", self.drill_reopens);
-        r.det_console("drill_skipped", self.drill_skipped);
-        r.det("drill_recovered_closed", self.drill_recovered_closed)
-            .eq(true);
-        r.det(
-            "drill_degraded_unavailable",
-            self.drill_degraded_unavailable,
-        )
-        .eq(true);
-        r.perf("wall_secs", Value::Float(self.wall_secs, 3));
-        r.perf("anomalies_total", self.anomalies_total);
-        r
-    }
-}
 
 /// Swallow the intentional poison-query panics (they would spam stderr
 /// once per injection); every other panic still reaches the previous
@@ -438,22 +278,22 @@ fn breaker_drill() -> BreakerDrill {
     }
 }
 
-/// Run the full three-phase drill and collect the report.
-pub fn chaos_serve_experiment(config: &BenchConfig, clients: usize, seed: u64) -> ChaosServeReport {
+/// Run the full three-phase drill and build the report. Everything but
+/// the wall time and the timing-stream advisories is deterministic, so
+/// `BENCH_CHAOS_SERVE.json` is timing-free.
+pub fn chaos_serve_experiment(config: &BenchConfig, clients: usize, seed: u64) -> Report {
     obs::reset();
     install_quiet_poison_hook();
     let started = Instant::now();
 
     // ---------------- phase 1: survivability storm ----------------
-    let mut trace_config = TraceConfig::scaled(config.scale);
-    trace_config.days = 1;
-    let mut generator = TraceGenerator::new(trace_config);
-    let layout = generator.layout().clone();
-    let snaps: Vec<Snapshot> = (&mut generator).take(STORM_EPOCHS).collect();
-    let mut fw = SpateFramework::in_memory(layout);
-    for s in &snaps {
-        fw.ingest(s);
-    }
+    let trace = TraceConfig::scaled(config.scale).with_days(1);
+    let (fw, _) = warehouse(
+        trace.clone(),
+        Dfs::in_memory(),
+        DecayPolicy::never(),
+        STORM_EPOCHS,
+    );
 
     // One worker serializes every job, which is what makes the counters
     // exact: the post-storm health probe cannot answer before every
@@ -559,9 +399,7 @@ pub fn chaos_serve_experiment(config: &BenchConfig, clients: usize, seed: u64) -
     let stats = server.shutdown();
 
     // ------------- phase 2: dfs-backed serving under chaos -------------
-    let mut trace_config = TraceConfig::scaled(config.scale);
-    trace_config.days = 1;
-    let mut generator = TraceGenerator::new(trace_config);
+    let mut generator = TraceGenerator::new(trace);
     let layout = generator.layout().clone();
     // Small blocks so leaf files span several blocks; replication 2 over
     // 4 nodes keeps blocks findable with one node down but lets the
@@ -583,23 +421,10 @@ pub fn chaos_serve_experiment(config: &BenchConfig, clients: usize, seed: u64) -
     let mut dfs_ingest_retries = 0u64;
     let mut dfs_ingest_failures = 0u64;
     for snapshot in (&mut generator).take(day) {
-        let mut attempts = 0u32;
-        loop {
-            match fw.try_ingest(&snapshot) {
-                Ok(_) => {
-                    dfs_epochs_ingested += 1;
-                    break;
-                }
-                Err(_) if attempts < 50 => {
-                    attempts += 1;
-                    dfs_ingest_retries += 1;
-                }
-                Err(_) => {
-                    dfs_ingest_failures += 1;
-                    break;
-                }
-            }
-        }
+        let (ingested, retries) = ingest_resubmitting(&mut fw, &snapshot);
+        dfs_epochs_ingested += usize::from(ingested);
+        dfs_ingest_failures += u64::from(!ingested);
+        dfs_ingest_retries += retries;
     }
     // Heal the ingest-time damage so serving-time degradation is the
     // chaos plan's live work, not leftovers.
@@ -662,54 +487,91 @@ pub fn chaos_serve_experiment(config: &BenchConfig, clients: usize, seed: u64) -
     // ------------- phase 3: breaker state-machine drill -------------
     let drill = breaker_drill();
 
-    ChaosServeReport {
-        seed,
-        clients,
-        requests_awaited: storm.awaited,
-        terminal_frames: storm.terminal,
-        healthy_queries: storm.healthy,
-        healthy_rows: storm.rows,
-        poison_queries: (clients * POISON_PER_CLIENT) as u64,
-        poison_isolated: storm.poison_ok,
-        deadline_storms: (clients * STORMS_PER_CLIENT) as u64,
-        deadline_partials: storm.storm_ok,
-        cancels_sent: (clients * CANCELS_PER_CLIENT) as u64,
-        cancel_partials: storm.cancel_ok,
-        malformed_frames,
-        malformed_rejected,
-        disconnects,
-        slow_rows,
-        sheds_seen: storm.sheds,
-        server_queries: stats.queries,
-        worker_panics: stats.panics,
-        worker_respawns: stats.worker_respawns,
-        cancelled_counted: stats.cancelled,
-        deadline_expired_counted: stats.deadline_expired,
-        protocol_errors: stats.protocol_errors,
-        survived_storm,
-        meta_ticks: meta.ticks,
-        survive_anomalies: meta.anomalies_deterministic,
-        dfs_epochs_ingested,
-        dfs_ingest_retries,
-        dfs_ingest_failures,
-        dfs_queries,
-        dfs_exact,
-        dfs_partial,
-        dfs_unavailable,
-        dfs_inconsistent_coverage,
-        dfs_checksum_mismatches: faults.checksum_mismatches,
-        dfs_read_failovers: faults.read_failovers,
-        dfs_breaker_trips: dfs_breaker.trips,
-        dfs_breaker_recoveries: dfs_breaker.recoveries,
-        dfs_breaker_skipped: dfs_breaker.skipped,
-        drill_trips: drill.trips,
-        drill_probes: drill.probes,
-        drill_recoveries: drill.recoveries,
-        drill_reopens: drill.reopens,
-        drill_skipped: drill.skipped,
-        drill_recovered_closed: drill.recovered_closed,
-        drill_degraded_unavailable: drill.degraded_unavailable,
-        anomalies_total: meta.anomalies_total,
-        wall_secs: started.elapsed().as_secs_f64(),
-    }
+    let mut r = Report::new("chaos-serve", Some("BENCH_CHAOS_SERVE.json"));
+    r.det("seed", seed);
+    r.det("clients", clients);
+    // Nobody hung, nobody died, the server answered afterwards: every
+    // storm request a client waited on (poison/deadline/cancel/healthy)
+    // received a terminal frame (rows, summary, shed, or error — anything
+    // that lets the client move on).
+    r.det("requests_awaited", storm.awaited).at_least(1);
+    r.det("terminal_frames", storm.terminal)
+        .eq_field("requests_awaited");
+    let all_terminal = storm.awaited > 0 && storm.terminal == storm.awaited;
+    r.det("all_terminal", all_terminal).eq(true);
+    r.det("survived_storm", survived_storm).eq(true);
+    r.det("healthy_queries", storm.healthy);
+    r.det("healthy_rows", storm.rows);
+    r.det_console("slow_rows", slow_rows);
+    // Every poison query became an INTERNAL error frame and a counted
+    // worker panic; none killed the pool.
+    r.det("poison_queries", clients * POISON_PER_CLIENT)
+        .at_least(1);
+    r.det("poison_isolated", storm.poison_ok)
+        .eq_field("poison_queries");
+    r.det("worker_panics", stats.panics)
+        .eq_field("poison_queries");
+    r.det("worker_respawns", stats.worker_respawns);
+    // Deadline storms and cancel races degrade to zero-served Partial
+    // (the 5 ms stall guarantees the 1 ms deadline is spent before the
+    // first checkpoint) instead of hanging or erroring.
+    r.det("deadline_storms", clients * STORMS_PER_CLIENT)
+        .at_least(1);
+    r.det("deadline_partials", storm.storm_ok)
+        .eq_field("deadline_storms");
+    r.det_console("deadline_expired_counted", stats.deadline_expired);
+    r.det("cancels_sent", clients * CANCELS_PER_CLIENT)
+        .at_least(1);
+    r.det("cancel_partials", storm.cancel_ok)
+        .eq_field("cancels_sent");
+    r.det_console("cancelled_counted", stats.cancelled);
+    // The one malformed frame: BAD_REQUEST, then the connection is cut
+    // (the byte stream is unrecoverable past garbage).
+    r.det("malformed_frames", malformed_frames).eq(1);
+    r.det("malformed_rejected", malformed_rejected).eq(1);
+    r.det("protocol_errors", stats.protocol_errors).eq(1);
+    r.det("disconnects", disconnects).eq(1);
+    // The drill's queue is deeper than its maximum outstanding load.
+    r.det("sheds_seen", storm.sheds).eq(0);
+    r.det_console("server_queries", stats.queries);
+    r.det("meta_ticks", meta.ticks);
+    // Deterministic-stream meta anomalies: the `serve.survive` stream
+    // flagging the panic burst.
+    r.det("survive_anomalies", meta.anomalies_deterministic)
+        .at_least(1);
+    // Phase 2: chaos never lost an ingest, degradation stayed honest
+    // (its coverage arithmetic adds up, or it is a bug).
+    r.det_console("dfs_epochs_ingested", dfs_epochs_ingested);
+    r.det_console("dfs_ingest_retries", dfs_ingest_retries);
+    r.det("dfs_ingest_failures", dfs_ingest_failures).eq(0);
+    r.det("dfs_queries", dfs_queries).at_least(1);
+    r.det("dfs_exact", dfs_exact);
+    r.det("dfs_partial", dfs_partial);
+    r.det("dfs_unavailable", dfs_unavailable);
+    r.det("dfs_inconsistent_coverage", dfs_inconsistent_coverage)
+        .eq(0);
+    r.det_console("dfs_checksum_mismatches", faults.checksum_mismatches);
+    r.det_console("dfs_read_failovers", faults.read_failovers);
+    r.det("dfs_breaker_trips", dfs_breaker.trips);
+    r.det_console("dfs_breaker_recoveries", dfs_breaker.recoveries);
+    r.det_console("dfs_breaker_skipped", dfs_breaker.skipped);
+    // Phase 3: trip, cool down, half-open probe, recovery; and an
+    // all-replicas-open read degrades instead of hanging.
+    r.det_console("drill_trips", drill.trips).at_least(1);
+    r.det_console("drill_probes", drill.probes);
+    r.det_console("drill_recoveries", drill.recoveries);
+    r.det_console("drill_reopens", drill.reopens);
+    r.det_console("drill_skipped", drill.skipped);
+    r.det("drill_recovered_closed", drill.recovered_closed)
+        .eq(true);
+    r.det("drill_degraded_unavailable", drill.degraded_unavailable)
+        .eq(true);
+    r.perf(
+        "wall_secs",
+        Value::Float(started.elapsed().as_secs_f64(), 3),
+    );
+    // All meta anomalies, timing-stream advisories included (shed
+    // pressure, latency inflation, cancel/deadline races).
+    r.perf("anomalies_total", meta.anomalies_total);
+    r
 }

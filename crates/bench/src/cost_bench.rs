@@ -14,11 +14,10 @@
 //! days)`, so `BENCH_COST.json` is timing-free.
 
 use crate::report::{Report, Value};
-use crate::setup::BenchConfig;
+use crate::setup::{warehouse, BenchConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spate_core::framework::{ExplorationFramework, SpateFramework};
-use spate_core::{profile_query, Query};
+use spate_core::{profile_query, DecayPolicy, Query};
 use spate_sql::{parser, query_profiled, SqlContext};
 use std::collections::BTreeMap;
 use telco_trace::cells::BoundingBox;
@@ -38,16 +37,13 @@ pub fn cost_experiment(config: &BenchConfig, seed: u64) -> Report {
     let total_epochs = config.days * EPOCHS_PER_DAY;
     assert!(config.days >= 2, "cost experiment needs at least 2 days");
 
-    let mut generator = config.generator();
-    let mut fw = SpateFramework::new(config.dfs(), generator.layout().clone());
-    let mut ingested = 0u32;
-    for _ in 0..total_epochs {
-        let Some(snapshot) = generator.next_snapshot() else {
-            break;
-        };
-        fw.ingest(&snapshot);
-        ingested += 1;
-    }
+    let (fw, _) = warehouse(
+        config.trace_config(),
+        config.dfs(),
+        DecayPolicy::never(),
+        total_epochs as usize,
+    );
+    let ingested = fw.index().last_epoch().map_or(0, |e| e.0 + 1);
 
     // Seeded, recency-skewed exploration workload: half the queries land
     // on the 12 newest epochs, a third on the newest day, the rest
@@ -178,7 +174,7 @@ mod tests {
             lines.replacen(&format!(" seed={seed}"), "", 1)
         };
         assert_ne!(workload(&a, 1), workload(&b, 2));
-        assert_eq!(a.failed_gates(), [""; 0]);
+        assert_eq!(a.failed_gates(true), [""; 0]);
         // The SQL profiles carry the rows EXPLAIN ANALYZE would print,
         // minus the timing entries.
         let lines = a.lines(false);

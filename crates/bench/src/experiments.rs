@@ -1,12 +1,19 @@
-//! The experiment drivers, one per paper artifact.
+//! The paper's artifacts (Fig. 4, Table I, Figs. 7–12, the decay run) and
+//! the two storage drills (`chaos`, `cas`), each building its [`Report`].
+//!
+//! A paper artifact's tables are [`Value::Lines`] rows and the paper's
+//! shapes are its gates: deterministic ones (entropy column counts, ratio
+//! and space orderings, decay bookkeeping), which `tests/drills.rs` holds
+//! at a quick config, and perf-tagged ones (wall-clock orderings and
+//! factors), which CI's `paper` step holds on the release build.
 
 use crate::report::{Report, Value};
-use crate::setup::{build_frameworks, ingest_all, BenchConfig, Frameworks};
+use crate::setup::{build_frameworks, ingest_all, ingest_resubmitting, warehouse, BenchConfig};
 use codecs::table1_codecs as codec_list;
-use dfs::{Dfs, DfsConfig, FaultConfig, FaultStatsSnapshot, IoModel, RepairReport};
+use dfs::{Dfs, DfsConfig, FaultConfig, IoModel, RepairReport};
 use spate_core::framework::{ExplorationFramework, SpateFramework};
 use spate_core::index::decay::DecayPolicy;
-use spate_core::query::{Coverage, Query, QueryResult};
+use spate_core::query::{Query, QueryResult};
 use spate_core::tasks;
 use std::time::Instant;
 use telco_trace::cells::BoundingBox;
@@ -18,140 +25,181 @@ use telco_trace::TraceGenerator;
 /// Names of the compared frameworks, in paper order.
 pub const FRAMEWORK_NAMES: [&str; 3] = ["RAW", "SHAHED", "SPATE"];
 
+/// Wall-clock orderings are read off the best of this many passes: one
+/// pass beside a busy neighbour has bent Table I's.
+const TIMED_PASSES: usize = 3;
+
+/// One table row: a label and a value per framework, `RAW=… SHAHED=… SPATE=…`.
+fn framework_row(label: &str, values: [f64; 3], digits: usize) -> String {
+    let cells = FRAMEWORK_NAMES.iter().zip(values);
+    let cells: Vec<String> = cells.map(|(n, v)| format!("{n}={v:.digits$}")).collect();
+    format!("{label} {}", cells.join(" "))
+}
+
 // ---------------------------------------------------------------- Fig. 4
 
-/// Per-attribute entropy of the three file types.
-#[derive(Debug)]
-pub struct EntropyReport {
-    pub cdr: EntropyProfile,
-    pub nms: EntropyProfile,
-    pub cell: EntropyProfile,
+/// A profile as the figure draws it: one bar per attribute.
+fn sparkline(values: &[f64]) -> String {
+    const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
+    let max = values.iter().copied().fold(f64::MIN, f64::max).max(1e-12);
+    values
+        .iter()
+        .map(|v| BARS[((v / max) * 7.0).round() as usize])
+        .collect()
 }
 
 /// Fig. 4: "the entropy of each attribute in CDR data, NMS data, and CELL
-/// data". Analyzes one generated day.
-pub fn fig4_entropy(config: &BenchConfig) -> EntropyReport {
+/// data", bits per symbol over one generated day.
+pub fn fig4_experiment(config: &BenchConfig) -> Report {
     let mut generator = config.generator();
     let layout = generator.layout().clone();
     let mut cdr_rows = Vec::new();
     let mut nms_rows = Vec::new();
-    for _ in 0..EPOCHS_PER_DAY {
-        let Some(snap) = generator.next_snapshot() else {
-            break;
-        };
+    for snap in (&mut generator).take(EPOCHS_PER_DAY as usize) {
         cdr_rows.extend(snap.cdr);
         nms_rows.extend(snap.nms);
     }
-    EntropyReport {
-        cdr: EntropyProfile::of(&cdr_rows, cdr::WIDTH),
-        nms: EntropyProfile::of(&nms_rows, nms::WIDTH),
-        cell: EntropyProfile::of(&layout.to_records(), cell::WIDTH),
-    }
+    let cdr = EntropyProfile::of(&cdr_rows, cdr::WIDTH);
+    let nms = EntropyProfile::of(&nms_rows, nms::WIDTH);
+    let cell = EntropyProfile::of(&layout.to_records(), cell::WIDTH);
+
+    let mut r = Report::new("fig4", None);
+    // CDR: "most attributes have an entropy smaller than 1 and some even
+    // have an entropy of 0"; a few id/volume attributes carry many bits.
+    r.det("cdr_attrs", cdr.per_column.len()).eq(cdr::WIDTH);
+    r.det("cdr_zero_entropy", cdr.zero_columns()).at_least(30);
+    r.det("cdr_below_1_bit", cdr.below(1.0))
+        .at_least((cdr::WIDTH / 2 + 1) as u32);
+    r.det("cdr_max_bits", Value::Float(cdr.max(), 2))
+        .at_least(4.0);
+    r.det("cdr_mean_bits", Value::Float(cdr.mean(), 2));
+    // NMS: counters carry a few bits each.
+    r.det("nms_attrs", nms.per_column.len()).eq(nms::WIDTH);
+    r.det("nms_max_bits", Value::Float(nms.max(), 2))
+        .at_least(2.0);
+    r.det("nms_mean_bits", Value::Float(nms.mean(), 2));
+    // CELL: a low-entropy inventory (the paper's tops out near 3.5 bits).
+    r.det("cell_attrs", cell.per_column.len()).eq(cell::WIDTH);
+    r.det("cell_max_bits", Value::Float(cell.max(), 2))
+        .at_least(1.0);
+    r.det("cell_mean_bits", Value::Float(cell.mean(), 2));
+    let bars = [("CDR", &cdr), ("NMS", &nms), ("CELL", &cell)];
+    let bars = bars.map(|(name, p)| format!("{name} {}", sparkline(&p.per_column)));
+    r.det_console("bars", Value::Lines(bars.to_vec()));
+    r
 }
 
 // --------------------------------------------------------------- Table I
 
-/// One codec's measured row of Table I.
-#[derive(Debug, Clone)]
-pub struct CodecRow {
-    pub name: &'static str,
-    /// Compression ratio `r_c = S / S_c`.
-    pub ratio: f64,
-    /// Mean compression time per snapshot, seconds. As in the paper, this
-    /// includes the CPU-bound serialization performed in each compression
-    /// round ("such as parsing").
-    pub tc1_s: f64,
-    /// Mean decompression time per snapshot, seconds.
-    pub tc2_s: f64,
-}
-
-/// Table I: lossless compression libraries over `n_snapshots` mid-trace
-/// snapshots (the paper used 200 snapshots of its real trace).
-pub fn table1_codecs(config: &BenchConfig, n_snapshots: usize) -> Vec<CodecRow> {
-    let mut generator = config.generator();
+/// Table I: the lossless codecs over 32 mid-trace snapshots (the paper
+/// used 200 of its real trace) — ratio `r_c = S / S_c`, and mean
+/// compression and decompression time per snapshot.
+pub fn table1_experiment(config: &BenchConfig) -> Report {
     // Skip the first quiet night so snapshots carry daytime volume.
-    for _ in 0..16 {
-        generator.next_snapshot();
-    }
-    let snaps: Vec<Vec<u8>> = (&mut generator)
-        .take(n_snapshots)
+    let snaps: Vec<Vec<u8>> = config
+        .generator()
+        .skip(16)
+        .take(32)
         .map(|s| s.to_bytes())
         .collect();
+    let raw_total: usize = snaps.iter().map(Vec::len).sum();
 
-    codec_list()
-        .into_iter()
-        .map(|codec| {
-            let mut raw_total = 0usize;
-            let mut packed_total = 0usize;
-            let mut tc1 = 0.0;
-            let mut tc2 = 0.0;
+    // `(name, ratio, T_c1 ms, T_c2 ms)` per codec.
+    let mut rows: Vec<(&'static str, f64, f64, f64)> = Vec::new();
+    for codec in codec_list() {
+        let mut packed_total = 0usize;
+        let (mut tc1, mut tc2) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..TIMED_PASSES {
+            packed_total = 0;
+            let (mut compress, mut decompress) = (0.0, 0.0);
             for raw in &snaps {
                 let t0 = Instant::now();
-                // The per-round CPU work: re-serialize (parse-equivalent) +
-                // compress, matching the paper's measured pipeline.
                 let packed = codec.compress(raw);
-                tc1 += t0.elapsed().as_secs_f64();
+                compress += t0.elapsed().as_secs_f64();
                 let t0 = Instant::now();
                 let unpacked = codec.decompress(&packed).expect("round trip");
-                tc2 += t0.elapsed().as_secs_f64();
+                decompress += t0.elapsed().as_secs_f64();
                 assert_eq!(unpacked.len(), raw.len());
-                raw_total += raw.len();
                 packed_total += packed.len();
             }
-            let n = snaps.len() as f64;
-            CodecRow {
-                name: codec.name(),
-                ratio: raw_total as f64 / packed_total as f64,
-                tc1_s: tc1 / n,
-                tc2_s: tc2 / n,
-            }
-        })
-        .collect()
+            tc1 = tc1.min(compress);
+            tc2 = tc2.min(decompress);
+        }
+        let per_snapshot_ms = 1e3 / snaps.len() as f64;
+        rows.push((
+            codec.name(),
+            raw_total as f64 / packed_total as f64,
+            tc1 * per_snapshot_ms,
+            tc2 * per_snapshot_ms,
+        ));
+    }
+    let of = |name: &str| *rows.iter().find(|r| r.0 == name).expect("a Table I codec");
+    let (gzip, seven, snappy, zstd) = (
+        of("gzip-lite"),
+        of("7z-lite"),
+        of("snappy-lite"),
+        of("zstd-lite"),
+    );
+    let column = |f: fn(&(&'static str, f64, f64, f64)) -> String| {
+        Value::Lines(rows.iter().map(f).collect())
+    };
+
+    let mut r = Report::new("table1", None);
+    r.det("snapshots", snaps.len());
+    r.det("raw_bytes", raw_total);
+    // Paper: 9.06 / 11.75 / 4.94 / 9.72 for GZIP / 7z / SNAPPY / ZSTD.
+    r.det_console("ratio", column(|c| format!("{} {:.2}", c.0, c.1)))
+        .holds(
+            "7z > gzip > snappy, zstd > snappy, snappy < 0.75 x gzip",
+            seven.1 > gzip.1 && gzip.1 > snappy.1 && zstd.1 > snappy.1 && snappy.1 < 0.75 * gzip.1,
+        );
+    r.perf("tc1_ms", column(|c| format!("{} {:.3}", c.0, c.2)))
+        .holds(
+            "snappy compresses fastest",
+            rows.iter().all(|c| c.0 == snappy.0 || snappy.2 < c.2),
+        );
+    r.perf("tc2_ms", column(|c| format!("{} {:.3}", c.0, c.3)))
+        .holds(
+            "T_c1 > T_c2 for every codec",
+            rows.iter().all(|c| c.2 > c.3),
+        );
+    r
 }
 
 // ------------------------------------------------------------ Figs. 7-10
 
-/// Ingestion time and disk space, partitioned by day period and weekday.
-#[derive(Debug)]
-pub struct IngestReport {
-    /// Mean ingestion seconds per snapshot, `[RAW, SHAHED, SPATE]`.
-    pub time_per_period: Vec<(DayPeriod, [f64; 3])>,
-    pub time_per_weekday: Vec<(Weekday, [f64; 3])>,
-    /// Stored bytes attributed to each partition (data + proportional
-    /// index share).
-    pub space_per_period: Vec<(DayPeriod, [u64; 3])>,
-    pub space_per_weekday: Vec<(Weekday, [u64; 3])>,
-    /// Whole-dataset totals (§VIII: 0.49 GB vs 5.37 GB vs 5.32 GB).
-    pub total_space: [u64; 3],
-    pub total_raw_bytes: u64,
+/// Figs. 7–10: ingest the whole configured trace into all three
+/// frameworks — mean ingestion time per snapshot and stored space, by day
+/// period and by weekday — and §VIII's whole-trace space comparison.
+pub fn ingest_experiment(config: &BenchConfig) -> Report {
+    ingest_report("fig7", config)
 }
 
-/// Figs. 7–10: ingest the whole configured trace into all three
-/// frameworks, recording per-snapshot cost and final space.
-pub fn ingest_experiment(config: &BenchConfig) -> IngestReport {
+/// §VIII's total-space comparison alone: the same run as
+/// [`ingest_experiment`], its per-partition tables left out.
+pub fn space_summary_experiment(config: &BenchConfig) -> Report {
+    ingest_report("space-summary", config)
+}
+
+fn ingest_report(name: &'static str, config: &BenchConfig) -> Report {
     let (mut fws, mut generator) = build_frameworks(config);
 
+    #[derive(Default)]
     struct Acc {
         secs: [f64; 3],
         stored: [u64; 3],
         raw: u64,
         n: u64,
     }
-    impl Acc {
-        fn new() -> Self {
-            Acc {
-                secs: [0.0; 3],
-                stored: [0; 3],
-                raw: 0,
-                n: 0,
-            }
-        }
-    }
-    let mut by_period: Vec<(DayPeriod, Acc)> =
-        DayPeriod::ALL.iter().map(|&p| (p, Acc::new())).collect();
-    let mut by_weekday: Vec<(Weekday, Acc)> =
-        Weekday::ALL.iter().map(|&w| (w, Acc::new())).collect();
-    let mut total_raw = 0u64;
+    // Four day periods, seven weekdays, the whole trace.
+    let mut parts: Vec<(&'static str, Acc)> = DayPeriod::ALL
+        .iter()
+        .map(|p| p.label())
+        .chain(Weekday::ALL.iter().map(|w| w.label()))
+        .chain(["total"])
+        .map(|label| (label, Acc::default()))
+        .collect();
+    let total = parts.len() - 1;
 
     while let Some(snapshot) = generator.next_snapshot() {
         let stats = [
@@ -159,17 +207,15 @@ pub fn ingest_experiment(config: &BenchConfig) -> IngestReport {
             fws.shahed.ingest(&snapshot),
             fws.spate.ingest(&snapshot),
         ];
-        total_raw += stats[0].raw_bytes;
-        let period = snapshot.epoch.day_period();
-        let weekday = snapshot.epoch.weekday();
-        for acc in [
-            &mut by_period.iter_mut().find(|(p, _)| *p == period).unwrap().1,
-            &mut by_weekday
-                .iter_mut()
-                .find(|(w, _)| *w == weekday)
-                .unwrap()
-                .1,
-        ] {
+        let period = DayPeriod::ALL
+            .iter()
+            .position(|p| *p == snapshot.epoch.day_period());
+        let weekday = Weekday::ALL
+            .iter()
+            .position(|w| *w == snapshot.epoch.weekday());
+        let weekday = DayPeriod::ALL.len() + weekday.expect("a weekday");
+        for part in [period.expect("a day period"), weekday, total] {
+            let acc = &mut parts[part].1;
             for (i, st) in stats.iter().enumerate() {
                 acc.secs[i] += st.seconds;
                 acc.stored[i] += st.stored_bytes;
@@ -180,201 +226,100 @@ pub fn ingest_experiment(config: &BenchConfig) -> IngestReport {
     }
     fws.shahed.finalize();
 
-    // Index bytes attributed proportionally to a partition's raw share.
-    let spaces: Vec<_> = fws.iter().iter().map(|f| f.space()).collect();
-    let index_bytes: [u64; 3] = [
-        spaces[0].index_bytes,
-        spaces[1].index_bytes,
-        spaces[2].index_bytes,
-    ];
-    let attribute = |acc: &Acc| -> [u64; 3] {
-        let share = if total_raw == 0 {
-            0.0
-        } else {
-            acc.raw as f64 / total_raw as f64
-        };
-        [
-            acc.stored[0] + (index_bytes[0] as f64 * share) as u64,
-            acc.stored[1] + (index_bytes[1] as f64 * share) as u64,
-            acc.stored[2] + (index_bytes[2] as f64 * share) as u64,
-        ]
+    let spaces = fws.iter().map(|f| f.space());
+    let raw_total = parts[total].1.raw;
+    // Stored bytes of a partition plus its raw share of the index.
+    let space_mb = |acc: &Acc| -> [f64; 3] {
+        let share = acc.raw as f64 / raw_total.max(1) as f64;
+        [0, 1, 2]
+            .map(|i| (acc.stored[i] + (spaces[i].index_bytes as f64 * share) as u64) as f64 / 1e6)
     };
-    let mean = |acc: &Acc| -> [f64; 3] {
-        let n = acc.n.max(1) as f64;
-        [acc.secs[0] / n, acc.secs[1] / n, acc.secs[2] / n]
+    let mean_secs = |acc: &Acc| -> [f64; 3] { acc.secs.map(|s| s / acc.n.max(1) as f64) };
+    let rows = |range: std::ops::Range<usize>, digits: usize, f: &dyn Fn(&Acc) -> [f64; 3]| {
+        let rows = parts[range].iter();
+        Value::Lines(rows.map(|(l, a)| framework_row(l, f(a), digits)).collect())
     };
+    let (periods, weekdays) = (0..DayPeriod::ALL.len(), DayPeriod::ALL.len()..total);
 
-    IngestReport {
-        time_per_period: by_period.iter().map(|(p, a)| (*p, mean(a))).collect(),
-        time_per_weekday: by_weekday.iter().map(|(w, a)| (*w, mean(a))).collect(),
-        space_per_period: by_period.iter().map(|(p, a)| (*p, attribute(a))).collect(),
-        space_per_weekday: by_weekday.iter().map(|(w, a)| (*w, attribute(a))).collect(),
-        total_space: [spaces[0].total(), spaces[1].total(), spaces[2].total()],
-        total_raw_bytes: total_raw,
+    let mut r = Report::new(name, None);
+    r.det("epochs", parts[total].1.n);
+    r.det("raw_mb", Value::Float(raw_total as f64 / 1e6, 2));
+    if name == "fig7" {
+        // Paper: SPATE an order of magnitude smaller, stable across
+        // partitions; SHAHED is RAW plus its index.
+        let ordered = parts[..total].iter().all(|(_, acc)| {
+            let [raw, shahed, spate] = space_mb(acc);
+            spate < raw && raw <= shahed
+        });
+        r.det_console("fig8", rows(periods.clone(), 2, &space_mb));
+        r.det_console("fig10", rows(weekdays.clone(), 2, &space_mb));
+        r.det_console("partitions", total)
+            .holds("each store SPATE < RAW <= SHAHED MB", ordered);
+        r.perf("fig7", rows(periods, 4, &mean_secs));
+        r.perf("fig9", rows(weekdays, 4, &mean_secs));
+        // Paper: SPATE the slowest ingester, by at most ~1.25x.
+        let [raw, _, spate] = mean_secs(&parts[total].1);
+        let overhead = r.perf("spate_over_raw_ingest", Value::Float(spate / raw, 2));
+        if config.throttled {
+            overhead.holds("<= 1.35", spate / raw <= 1.35);
+        }
     }
+    // §VIII: 5.32 GB | 5.37 GB | 0.49 GB, RAW/SPATE 10.9x.
+    let [raw, shahed, spate] = [0, 1, 2].map(|i| spaces[i].total() as f64 / 1e6);
+    r.det("raw_total_mb", Value::Float(raw, 2));
+    r.det("shahed_total_mb", Value::Float(shahed, 2));
+    r.det("spate_total_mb", Value::Float(spate, 2)).holds(
+        "< raw_total_mb <= shahed_total_mb",
+        spate < raw && raw <= shahed,
+    );
+    let ratio = r.det("raw_over_spate_space", Value::Float(raw / spate, 1));
+    // The ratio grows with snapshot size (Table I); below the default
+    // scale an epoch is a few KB and it sits under 5.
+    if config.scale >= 1.0 / 128.0 {
+        ratio.at_least(5.0);
+    }
+    r
 }
 
 // ------------------------------------------------------------- Decay run
 
-/// Outcome of the continuous-decay experiment: a SPATE instance ingesting
-/// the whole trace under an aggressive sliding-window policy, so every
-/// eviction path (leaf files, day and month highlights) actually fires.
-#[derive(Debug)]
-pub struct DecayRunReport {
-    pub epochs_ingested: usize,
-    pub leaves_evicted: usize,
-    /// Logical compressed bytes purged from the filesystem.
-    pub bytes_freed: u64,
-    pub day_highlights_dropped: usize,
-    pub month_highlights_dropped: usize,
-    /// Delete operations observed by the DFS metrics (one per evicted
-    /// leaf file).
-    pub dfs_deletes: u64,
-    pub dfs_bytes_deleted: u64,
-    pub present_leaves: usize,
-    pub stored_bytes: u64,
-}
-
-/// Continuous decay: retain one day at full resolution, two days of day
-/// highlights, four days of month highlights. With the default 7-day
-/// trace this guarantees leaf evictions *and* highlight drops.
-pub fn decay_experiment(config: &BenchConfig) -> DecayRunReport {
-    let mut generator = config.generator();
-    let layout = generator.layout().clone();
+/// Continuous decay (the paper's Fig. 5): a SPATE instance ingesting the
+/// whole trace under an aggressive sliding-window policy — one day at
+/// full resolution, two days of day highlights, four of month highlights
+/// — so with the default 7-day trace every eviction path fires.
+pub fn decay_experiment(config: &BenchConfig) -> Report {
     let policy = DecayPolicy {
         full_resolution_days: 1,
         day_highlight_days: 2,
         month_highlight_days: 4,
         year_highlight_days: 1000,
     };
-    let mut spate = SpateFramework::new(config.dfs(), layout).with_decay(policy);
-    let mut epochs = 0usize;
-    while let Some(snapshot) = generator.next_snapshot() {
-        spate.ingest(&snapshot);
-        epochs += 1;
-    }
+    let (spate, _) = warehouse(config.trace_config(), config.dfs(), policy, usize::MAX);
     let log = spate.decay_log();
     let m = spate.store().dfs().metrics();
-    DecayRunReport {
-        epochs_ingested: epochs,
-        leaves_evicted: log.leaves_evicted,
-        bytes_freed: log.bytes_freed,
-        day_highlights_dropped: log.day_highlights_dropped,
-        month_highlights_dropped: log.month_highlights_dropped,
-        dfs_deletes: m.deletes,
-        dfs_bytes_deleted: m.bytes_deleted,
-        present_leaves: spate.index().present_leaves(),
-        stored_bytes: spate.store().stored_bytes(),
-    }
+
+    let mut r = Report::new("decay", None);
+    let epochs = spate.index().last_epoch().map_or(0, |e| e.0 + 1);
+    r.det("epochs_ingested", epochs);
+    r.det("leaves_evicted", log.leaves_evicted).at_least(1);
+    // Logical compressed bytes purged from the filesystem.
+    r.det("bytes_freed", log.bytes_freed).at_least(1);
+    r.det("day_highlights_dropped", log.day_highlights_dropped)
+        .at_least(1);
+    r.det("month_highlights_dropped", log.month_highlights_dropped);
+    // Every evicted leaf is one DFS delete, and the metrics layer must
+    // not drop them.
+    r.det("dfs_deletes", m.deletes).eq_field("leaves_evicted");
+    r.det("dfs_bytes_deleted", m.bytes_deleted)
+        .eq_field("bytes_freed");
+    // The newest day survives.
+    r.det("present_leaves", spate.index().present_leaves())
+        .at_least(1);
+    r.det("stored_bytes", spate.store().stored_bytes());
+    r
 }
 
 // ------------------------------------------------------------- Chaos run
-
-/// Outcome of the seeded chaos experiment. Every field is a pure function
-/// of the seed and the [`BenchConfig`] — two runs with the same inputs
-/// must produce equal reports (the determinism acceptance gate), so
-/// nothing time-derived lives here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChaosReport {
-    pub seed: u64,
-    /// True when the run exercised the content-addressed (CAS) storage
-    /// backend instead of the per-epoch path backend.
-    pub cas: bool,
-    pub epochs_ingested: usize,
-    /// Application-level ingest re-submissions after a storage error
-    /// (write retries exhausted inside the DFS, a crashed datanode, …).
-    /// Crash-consistent ingest guarantees a failed attempt leaves nothing
-    /// behind, so re-submitting is always safe.
-    pub ingest_retries: u64,
-    /// Epochs that never ingested even after re-submission — must be 0.
-    pub ingest_failures: u64,
-    /// Exploration queries issued while faults were active.
-    pub queries_run: usize,
-    pub exact_results: usize,
-    pub partial_results: usize,
-    pub unavailable_results: usize,
-    /// Partial results whose coverage report did not add up (served +
-    /// decayed + unavailable ≠ requested, or served ≠ epochs actually
-    /// read) — must be 0.
-    pub inconsistent_coverage: usize,
-    /// Epochs unreadable while two of four datanodes were down.
-    pub blackout_unavailable: u32,
-    /// The blackout query degraded to a partial (or unavailable) result
-    /// whose coverage was arithmetically consistent.
-    pub blackout_degraded_cleanly: bool,
-    /// All repair passes merged (one per simulated day + final).
-    pub repair: RepairReport,
-    pub faults: FaultStatsSnapshot,
-    /// Whole-trace coverage after the blackout ends and repair completes.
-    pub final_coverage: Coverage,
-    /// `final_coverage.unavailable` — the zero-data-loss gate.
-    pub data_loss_epochs: u32,
-    pub present_leaves: usize,
-}
-
-impl ChaosReport {
-    /// Every field is deterministic. `BENCH_CHAOS.json` records the
-    /// CAS-backend run: the path run passes the same gates and writes no
-    /// file, so one run never overwrites the other's report.
-    pub fn report(&self) -> Report {
-        let (faults, repair, coverage) = (&self.faults, &self.repair, &self.final_coverage);
-        let mut r = Report::new("chaos", self.cas.then_some("BENCH_CHAOS.json"));
-        r.det("seed", self.seed);
-        r.det("backend", if self.cas { "cas" } else { "path" });
-        r.det("epochs_ingested", self.epochs_ingested);
-        r.det("ingest_retries", self.ingest_retries);
-        r.det("ingest_failures", self.ingest_failures).eq(0);
-        // The fault plan did damage …
-        r.det_console("transient_reads_injected", faults.transient_reads_injected)
-            .at_least(1);
-        r.det_console(
-            "transient_writes_injected",
-            faults.transient_writes_injected,
-        );
-        r.det_console(
-            "corrupt_replicas_injected",
-            faults.corrupt_replicas_injected,
-        )
-        .at_least(1);
-        r.det_console("slow_reads_injected", faults.slow_reads_injected);
-        r.det_console("crashes_injected", faults.crashes_injected)
-            .at_least(1);
-        r.det_console("revivals", faults.revivals);
-        r.det_console("checksum_mismatches", faults.checksum_mismatches);
-        r.det_console("read_failovers", faults.read_failovers);
-        r.det_console("retry_attempts", faults.retry_attempts);
-        r.det_console("retry_successes", faults.retry_successes);
-        r.det_console("retries_exhausted", faults.retries_exhausted);
-        // … and repair healed all of it.
-        r.det("data_loss_epochs", self.data_loss_epochs).eq(0);
-        r.det("repair_passes", faults.repair_passes);
-        r.det_console("blocks_scanned", repair.blocks_scanned);
-        r.det_console("under_replicated", repair.under_replicated);
-        r.det("replicas_added", repair.replicas_added).at_least(1);
-        r.det("corrupt_replicas_dropped", repair.corrupt_replicas_dropped);
-        r.det_console("unrecoverable", repair.unrecoverable).eq(0);
-        r.det("queries_run", self.queries_run);
-        r.det_console("exact_results", self.exact_results);
-        r.det_console("partial_results", self.partial_results);
-        r.det_console("unavailable_results", self.unavailable_results);
-        r.det("inconsistent_coverage", self.inconsistent_coverage)
-            .eq(0);
-        r.det_console("blackout_unavailable", self.blackout_unavailable);
-        r.det_console("blackout_degraded_cleanly", self.blackout_degraded_cleanly)
-            .eq(true);
-        // Decay ran, so the final probe exercises both healthy buckets.
-        r.det_console("coverage_requested", coverage.requested)
-            .holds(
-                "== coverage_served + coverage_decayed",
-                coverage.requested == coverage.served + coverage.decayed,
-            );
-        r.det("coverage_served", coverage.served);
-        r.det("coverage_decayed", coverage.decayed).at_least(1);
-        r.det("coverage_unavailable", coverage.unavailable).eq(0);
-        r.det_console("present_leaves", self.present_leaves);
-        r
-    }
-}
 
 /// Check a query result's coverage arithmetic against the leaf count of
 /// its window. Returns false only for genuinely inconsistent reports.
@@ -395,8 +340,11 @@ fn coverage_is_consistent(result: &QueryResult, requested: u32) -> bool {
 ///
 /// `cas = true` runs the identical fault schedule over the
 /// content-addressed store, which is held to the same zero-data-loss bar
-/// as the per-epoch path layout.
-pub fn chaos_experiment(config: &BenchConfig, seed: u64, cas: bool) -> ChaosReport {
+/// as the per-epoch path layout. Every field is a pure function of the
+/// seed and the [`BenchConfig`]; `BENCH_CHAOS.json` records the
+/// CAS-backend run: the path run passes the same gates and writes no
+/// file, so one run never overwrites the other's report.
+pub fn chaos_experiment(config: &BenchConfig, seed: u64, cas: bool) -> Report {
     let mut generator = config.generator();
     let layout = generator.layout().clone();
 
@@ -438,23 +386,10 @@ pub fn chaos_experiment(config: &BenchConfig, seed: u64, cas: bool) -> ChaosRepo
     let mut repair = RepairReport::default();
 
     while let Some(snapshot) = generator.next_snapshot() {
-        let mut attempts = 0u32;
-        loop {
-            match spate.try_ingest(&snapshot) {
-                Ok(_) => {
-                    epochs_ingested += 1;
-                    break;
-                }
-                Err(_) if attempts < 50 => {
-                    attempts += 1;
-                    ingest_retries += 1;
-                }
-                Err(_) => {
-                    ingest_failures += 1;
-                    break;
-                }
-            }
-        }
+        let (ingested, retries) = ingest_resubmitting(&mut spate, &snapshot);
+        epochs_ingested += usize::from(ingested);
+        ingest_failures += u64::from(!ingested);
+        ingest_retries += retries;
 
         // End of each simulated day: a repair pass, the first four paper
         // tasks over the finished day, and one coverage-checked query.
@@ -523,142 +458,72 @@ pub fn chaos_experiment(config: &BenchConfig, seed: u64, cas: bool) -> ChaosRepo
     // served or decayed — nothing unavailable after the cluster healed.
     let final_coverage = spate.probe_coverage(EpochId(0), EpochId(last_epoch));
 
-    ChaosReport {
-        seed,
-        cas,
-        epochs_ingested,
-        ingest_retries,
-        ingest_failures,
-        queries_run,
-        exact_results,
-        partial_results,
-        unavailable_results,
-        inconsistent_coverage,
-        blackout_unavailable,
-        blackout_degraded_cleanly,
-        repair,
-        faults: spate.store().dfs().fault_stats(),
-        final_coverage,
-        data_loss_epochs: final_coverage.unavailable,
-        present_leaves: spate.index().present_leaves(),
-    }
+    let faults = spate.store().dfs().fault_stats();
+    let mut r = Report::new("chaos", cas.then_some("BENCH_CHAOS.json"));
+    r.det("seed", seed);
+    r.det("backend", if cas { "cas" } else { "path" });
+    r.det("epochs_ingested", epochs_ingested);
+    r.det("ingest_retries", ingest_retries);
+    // Epochs that never ingested even after re-submission.
+    r.det("ingest_failures", ingest_failures).eq(0);
+    // The fault plan did damage …
+    r.det_console("transient_reads_injected", faults.transient_reads_injected)
+        .at_least(1);
+    r.det_console(
+        "transient_writes_injected",
+        faults.transient_writes_injected,
+    );
+    r.det_console(
+        "corrupt_replicas_injected",
+        faults.corrupt_replicas_injected,
+    )
+    .at_least(1);
+    r.det_console("slow_reads_injected", faults.slow_reads_injected);
+    r.det_console("crashes_injected", faults.crashes_injected)
+        .at_least(1);
+    r.det_console("revivals", faults.revivals);
+    r.det_console("checksum_mismatches", faults.checksum_mismatches);
+    r.det_console("read_failovers", faults.read_failovers);
+    r.det_console("retry_attempts", faults.retry_attempts);
+    r.det_console("retry_successes", faults.retry_successes);
+    r.det_console("retries_exhausted", faults.retries_exhausted);
+    // … and repair (all passes merged: one per simulated day + final)
+    // healed all of it: the zero-data-loss gate.
+    r.det("data_loss_epochs", final_coverage.unavailable).eq(0);
+    r.det("repair_passes", faults.repair_passes);
+    r.det_console("blocks_scanned", repair.blocks_scanned);
+    r.det_console("under_replicated", repair.under_replicated);
+    r.det("replicas_added", repair.replicas_added).at_least(1);
+    r.det("corrupt_replicas_dropped", repair.corrupt_replicas_dropped);
+    r.det_console("unrecoverable", repair.unrecoverable).eq(0);
+    // Exploration queries issued while faults were active.
+    r.det("queries_run", queries_run);
+    r.det_console("exact_results", exact_results);
+    r.det_console("partial_results", partial_results);
+    r.det_console("unavailable_results", unavailable_results);
+    // Partial results whose coverage report did not add up (served +
+    // decayed + unavailable ≠ requested).
+    r.det("inconsistent_coverage", inconsistent_coverage).eq(0);
+    // Epochs unreadable while two of four datanodes were down.
+    r.det_console("blackout_unavailable", blackout_unavailable);
+    r.det_console("blackout_degraded_cleanly", blackout_degraded_cleanly)
+        .eq(true);
+    // Decay ran, so the final probe exercises both healthy buckets.
+    r.det_console("coverage_requested", final_coverage.requested)
+        .holds(
+            "== coverage_served + coverage_decayed",
+            final_coverage.requested == final_coverage.served + final_coverage.decayed,
+        );
+    r.det("coverage_served", final_coverage.served);
+    r.det("coverage_decayed", final_coverage.decayed)
+        .at_least(1);
+    r.det("coverage_unavailable", final_coverage.unavailable)
+        .eq(0);
+    r.det_console("present_leaves", spate.index().present_leaves());
+    r
 }
 
 // --------------------------------------------------------------- CAS run
-
-/// Outcome of the `repro cas` experiment: the same seeded week ingested
-/// through the per-epoch path backend and the content-addressed backend
-/// side by side. Every field is a pure function of `(seed, scale, days)` —
-/// two runs with the same seed must produce equal reports, so nothing
-/// time-derived lives here (timings go in [`CasPerf`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CasReport {
-    pub seed: u64,
-    pub epochs: usize,
-    /// Raw (uncompressed) trace bytes ingested.
-    pub raw_bytes: u64,
-    /// On-disk bytes of the path backend (one compressed file per epoch).
-    pub path_bytes: u64,
-    /// On-disk bytes of the CAS backend (packs + manifests).
-    pub cas_bytes: u64,
-    /// Compressed piece data (packs) share of `cas_bytes`.
-    pub pack_bytes: u64,
-    /// Compressed chunk metadata (manifests) share of `cas_bytes`.
-    pub manifest_bytes: u64,
-    /// Chunk-level dedup hits across the whole ingest.
-    pub dedup_hits: u64,
-    /// Raw bytes the dedup hits avoided re-storing.
-    pub dedup_bytes_saved: u64,
-    pub unique_chunks: u64,
-    pub packs: u64,
-    /// Merkle root over every retained epoch manifest — must be identical
-    /// across two runs with the same seed (the determinism gate).
-    pub manifest_root: String,
-    /// Query-equivalence check: identical queries against both backends.
-    pub queries_run: usize,
-    pub results_equal: bool,
-    /// Bytes released by evicting every epoch (decay-as-GC).
-    pub decay_freed: u64,
-    /// Deferred garbage reclaimed by the final sweep.
-    pub gc_swept: u64,
-    /// Chunks with zero references still indexed after full decay — must
-    /// be 0.
-    pub unreferenced_chunks: u64,
-    /// On-disk bytes remaining under the CAS root after full decay + GC —
-    /// must be 0, the GC-leak gate.
-    pub leak_bytes: u64,
-}
-
-impl CasReport {
-    /// Storage reduction of the CAS backend vs. the path backend, percent.
-    pub fn reduction_pct(&self) -> f64 {
-        if self.path_bytes == 0 {
-            0.0
-        } else {
-            100.0 * (1.0 - self.cas_bytes as f64 / self.path_bytes as f64)
-        }
-    }
-
-    /// Same reduction as integer permille, so the gate (`>= 200`, the
-    /// 20 % acceptance bar) compares integers.
-    pub fn reduction_permille(&self) -> i64 {
-        if self.path_bytes == 0 {
-            0
-        } else {
-            ((self.path_bytes as i128 - self.cas_bytes as i128) * 1000 / self.path_bytes as i128)
-                as i64
-        }
-    }
-
-    /// `BENCH_CAS.json` ends in three timing fields, so only its
-    /// deterministic fields compare against the committed file.
-    pub fn report(&self, perf: &CasPerf) -> Report {
-        let mut r = Report::new("cas", Some("BENCH_CAS.json"));
-        r.det("seed", self.seed);
-        r.det("epochs", self.epochs);
-        r.det("raw_bytes", self.raw_bytes);
-        r.det("path_bytes", self.path_bytes);
-        r.det("cas_bytes", self.cas_bytes);
-        r.det("pack_bytes", self.pack_bytes);
-        r.det("manifest_bytes", self.manifest_bytes);
-        r.det("reduction_pct", Value::Float(self.reduction_pct(), 2));
-        r.det("reduction_permille", self.reduction_permille())
-            .at_least(200);
-        r.det("dedup_hits", self.dedup_hits).at_least(1);
-        r.det("dedup_bytes_saved", self.dedup_bytes_saved)
-            .at_least(1);
-        r.det_console("unique_chunks", self.unique_chunks);
-        r.det_console("packs", self.packs);
-        // Doubles as a whole-store content fingerprint across runs.
-        r.det("manifest_root", self.manifest_root.as_str());
-        r.det_console("queries_run", self.queries_run).at_least(1);
-        r.det("results_equal", self.results_equal).eq(true);
-        r.det_console("decay_freed", self.decay_freed).at_least(1);
-        r.det_console("gc_swept", self.gc_swept);
-        r.det("gc_reclaimed_bytes", self.decay_freed + self.gc_swept);
-        r.det("leak_bytes", self.leak_bytes).eq(0);
-        r.det("unreferenced_chunks", self.unreferenced_chunks).eq(0);
-        r.perf("path_read_p50_us", perf.path_read_p50_us);
-        r.perf_json("path_read_p95_us", perf.path_read_p95_us);
-        r.perf("cas_read_p50_us", perf.cas_read_p50_us);
-        r.perf_json("cas_read_p95_us", perf.cas_read_p95_us);
-        r.perf_json("wall_secs", Value::Float(perf.wall_secs, 3));
-        r
-    }
-}
-
-/// Wall-clock measurements of the CAS experiment: its report's perf fields.
-#[derive(Debug, Clone, Copy)]
-pub struct CasPerf {
-    /// Per-epoch full-snapshot read latency, path backend (µs).
-    pub path_read_p50_us: u64,
-    pub path_read_p95_us: u64,
-    /// Per-epoch full-snapshot read latency, CAS backend (µs) — pays
-    /// manifest + pack reads plus hash verification.
-    pub cas_read_p50_us: u64,
-    pub cas_read_p95_us: u64,
-    pub wall_secs: f64,
-}
 
 fn percentile_us(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
@@ -671,8 +536,11 @@ fn percentile_us(sorted: &[u64], p: f64) -> u64 {
 /// The `repro cas` experiment: ingest one seeded week into the path
 /// backend and the content-addressed backend on separate clusters, verify
 /// both answer identical queries, measure the dedup'd footprint, then
-/// decay everything and verify the GC reclaims every byte.
-pub fn cas_experiment(config: &BenchConfig, seed: u64) -> (CasReport, CasPerf) {
+/// decay everything and verify the GC reclaims every byte. Everything but
+/// the read latencies and the wall time is a pure function of `(seed,
+/// scale, days)`; `BENCH_CAS.json` ends in three timing fields, so only
+/// its deterministic fields compare against the committed file.
+pub fn cas_experiment(config: &BenchConfig, seed: u64) -> Report {
     let wall = Instant::now();
     let mut trace_config = config.trace_config();
     trace_config.seed = seed;
@@ -751,55 +619,71 @@ pub fn cas_experiment(config: &BenchConfig, seed: u64) -> (CasReport, CasPerf) {
     let unreferenced_chunks = cas_store.unreferenced_chunks();
     let leak_bytes = cas_store.listed_bytes();
 
-    let report = CasReport {
-        seed,
-        epochs: epochs.len(),
-        raw_bytes,
-        path_bytes,
-        cas_bytes,
-        pack_bytes,
-        manifest_bytes,
-        dedup_hits: stats.dedup_hits,
-        dedup_bytes_saved: stats.dedup_bytes_saved,
-        unique_chunks,
-        packs,
-        manifest_root,
-        queries_run,
-        results_equal,
-        decay_freed,
-        gc_swept,
-        unreferenced_chunks,
-        leak_bytes,
-    };
-    let perf = CasPerf {
-        path_read_p50_us: percentile_us(&path_us, 0.50),
-        path_read_p95_us: percentile_us(&path_us, 0.95),
-        cas_read_p50_us: percentile_us(&cas_us, 0.50),
-        cas_read_p95_us: percentile_us(&cas_us, 0.95),
-        wall_secs: wall.elapsed().as_secs_f64(),
-    };
-    (report, perf)
+    // Storage reduction of the CAS backend vs. the path backend; as
+    // integer permille too, so the 20 % acceptance bar compares integers.
+    let reduction_pct = 100.0 * (1.0 - cas_bytes as f64 / path_bytes as f64);
+    let saved = i128::from(path_bytes) - i128::from(cas_bytes);
+    let reduction_permille = (saved * 1000 / i128::from(path_bytes.max(1))) as i64;
+
+    let mut r = Report::new("cas", Some("BENCH_CAS.json"));
+    r.det("seed", seed);
+    r.det("epochs", epochs.len());
+    r.det("raw_bytes", raw_bytes);
+    // One compressed file per epoch …
+    r.det("path_bytes", path_bytes);
+    // … against packs (compressed piece data) + manifests (chunk metadata).
+    r.det("cas_bytes", cas_bytes);
+    r.det("pack_bytes", pack_bytes);
+    r.det("manifest_bytes", manifest_bytes);
+    r.det("reduction_pct", Value::Float(reduction_pct, 2));
+    r.det("reduction_permille", reduction_permille)
+        .at_least(200);
+    r.det("dedup_hits", stats.dedup_hits).at_least(1);
+    // Raw bytes the dedup hits avoided re-storing.
+    r.det("dedup_bytes_saved", stats.dedup_bytes_saved)
+        .at_least(1);
+    r.det_console("unique_chunks", unique_chunks);
+    r.det_console("packs", packs);
+    // Merkle root over every retained epoch manifest: doubles as a
+    // whole-store content fingerprint across runs.
+    r.det("manifest_root", manifest_root.as_str());
+    r.det_console("queries_run", queries_run).at_least(1);
+    r.det("results_equal", results_equal).eq(true);
+    // Bytes released by evicting every epoch (decay-as-GC), then the
+    // deferred garbage the final sweep reclaimed.
+    r.det_console("decay_freed", decay_freed).at_least(1);
+    r.det_console("gc_swept", gc_swept);
+    r.det("gc_reclaimed_bytes", decay_freed + gc_swept);
+    // On-disk bytes under the CAS root after full decay + GC, and chunks
+    // with zero references still indexed: the GC-leak gates.
+    r.det("leak_bytes", leak_bytes).eq(0);
+    r.det("unreferenced_chunks", unreferenced_chunks).eq(0);
+    // Per-epoch full-snapshot read latency (µs); CAS pays manifest + pack
+    // reads plus hash verification.
+    r.perf("path_read_p50_us", percentile_us(&path_us, 0.50));
+    r.perf_json("path_read_p95_us", percentile_us(&path_us, 0.95));
+    r.perf("cas_read_p50_us", percentile_us(&cas_us, 0.50));
+    r.perf_json("cas_read_p95_us", percentile_us(&cas_us, 0.95));
+    r.perf_json("wall_secs", Value::Float(wall.elapsed().as_secs_f64(), 3));
+    r
 }
 
 // ----------------------------------------------------------- Figs. 11-12
 
-/// Response time of every task on every framework.
-#[derive(Debug)]
-pub struct ResponseReport {
-    /// `(task id, [RAW, SHAHED, SPATE] seconds)`, T1..T8 in order.
-    pub tasks: Vec<(&'static str, [f64; 3])>,
-}
-
-/// Figs. 11–12: run T1–T8 on all frameworks over the ingested trace.
+/// Figs. 11–12: T1–T8 on all three frameworks over the ingested trace.
 ///
 /// Windows follow the paper's usage: point lookups and scans over a
 /// mid-trace business day, the quadratic join over a morning window, the
 /// heavy analytics over two days.
-pub fn response_experiment(config: &BenchConfig, fws: &Frameworks) -> ResponseReport {
+pub fn response_experiment(config: &BenchConfig) -> Report {
     assert!(
         config.days >= 5,
         "response windows need at least 5 trace days"
     );
+    let (mut fws, mut generator) = build_frameworks(config);
+    let epochs = (config.days * EPOCHS_PER_DAY) as usize;
+    ingest_all(&mut fws, &mut generator, epochs);
+
     let day4 = 4 * EPOCHS_PER_DAY; // Friday
     let t1_epoch = EpochId(day4 + 24); // Friday 12:00
     let day_window = (EpochId(day4), EpochId(day4 + EPOCHS_PER_DAY - 1));
@@ -809,208 +693,108 @@ pub fn response_experiment(config: &BenchConfig, fws: &Frameworks) -> ResponseRe
         EpochId(day4 + EPOCHS_PER_DAY - 1),
     );
 
-    let mut rows: Vec<(&'static str, [f64; 3])> = Vec::new();
     // Each task behaves like a fresh analytics job: the page cache is
     // dropped before it starts (in-task re-reads still benefit — that is
-    // T4's mechanism). A first untimed pass per task warms the process
-    // allocator so first-touch page faults don't bias whichever framework
-    // happens to run first.
-    let drop_all = |fws: &Frameworks| {
-        fws.raw.store().dfs().drop_caches();
-        fws.shahed.store().dfs().drop_caches();
-        fws.spate.store().dfs().drop_caches();
-    };
-    let run = |f: &mut dyn FnMut(&dyn ExplorationFramework) -> f64, fws: &Frameworks| -> [f64; 3] {
-        let [raw, shahed, spate] = fws.iter();
-        for fw in [raw, shahed, spate] {
-            drop_all(fws);
-            let _ = f(fw); // warm-up, untimed
+    // T4's mechanism). Best of `TIMED_PASSES` rounds over the three
+    // frameworks: the first also warms the process allocator, so
+    // first-touch page faults don't bias whichever framework runs first.
+    let run = |f: &dyn Fn(&dyn ExplorationFramework) -> f64| -> [f64; 3] {
+        let mut best = [f64::INFINITY; 3];
+        for _ in 0..TIMED_PASSES {
+            for (best, fw) in best.iter_mut().zip(fws.iter()) {
+                fws.raw.store().dfs().drop_caches();
+                fws.shahed.store().dfs().drop_caches();
+                fws.spate.store().dfs().drop_caches();
+                *best = best.min(f(fw));
+            }
         }
-        drop_all(fws);
-        let a = f(raw);
-        drop_all(fws);
-        let b = f(shahed);
-        drop_all(fws);
-        let c = f(spate);
-        [a, b, c]
+        best
+    };
+    type Task<'a> = (&'static str, &'a dyn Fn(&dyn ExplorationFramework) -> f64);
+    let tasks: [Task; 8] = [
+        ("T1 equality", &|fw| tasks::t1_equality(fw, t1_epoch).1),
+        ("T2 range", &|fw| {
+            tasks::t2_range(fw, day_window.0, day_window.1).1
+        }),
+        ("T3 aggregate", &|fw| {
+            tasks::t3_aggregate(fw, day_window.0, day_window.1).1
+        }),
+        ("T4 join", &|fw| {
+            tasks::t4_join(fw, join_window.0, join_window.1).1
+        }),
+        ("T5 privacy", &|fw| {
+            tasks::t5_privacy(fw, day_window.0, day_window.1, 5).1
+        }),
+        ("T6 statistics", &|fw| {
+            tasks::t6_statistics(fw, heavy_window.0, heavy_window.1).1
+        }),
+        ("T7 clustering", &|fw| {
+            tasks::t7_clustering(fw, heavy_window.0, heavy_window.1, 8).1
+        }),
+        ("T8 regression", &|fw| {
+            tasks::t8_regression(fw, heavy_window.0, heavy_window.1).1
+        }),
+    ];
+    let secs: Vec<[f64; 3]> = tasks.iter().map(|(_, f)| run(f)).collect();
+    let rows = |range: std::ops::Range<usize>| {
+        let rows = tasks[range.clone()].iter().zip(&secs[range]);
+        Value::Lines(
+            rows.map(|((name, _), t)| framework_row(name, *t, 4))
+                .collect(),
+        )
     };
 
-    rows.push((
-        "T1 equality",
-        run(&mut |fw| tasks::t1_equality(fw, t1_epoch).1, fws),
-    ));
-    rows.push((
-        "T2 range",
-        run(
-            &mut |fw| tasks::t2_range(fw, day_window.0, day_window.1).1,
-            fws,
-        ),
-    ));
-    rows.push((
-        "T3 aggregate",
-        run(
-            &mut |fw| tasks::t3_aggregate(fw, day_window.0, day_window.1).1,
-            fws,
-        ),
-    ));
-    rows.push((
-        "T4 join",
-        run(
-            &mut |fw| tasks::t4_join(fw, join_window.0, join_window.1).1,
-            fws,
-        ),
-    ));
-    rows.push((
-        "T5 privacy",
-        run(
-            &mut |fw| tasks::t5_privacy(fw, day_window.0, day_window.1, 5).1,
-            fws,
-        ),
-    ));
-    rows.push((
-        "T6 statistics",
-        run(
-            &mut |fw| tasks::t6_statistics(fw, heavy_window.0, heavy_window.1).1,
-            fws,
-        ),
-    ));
-    rows.push((
-        "T7 clustering",
-        run(
-            &mut |fw| tasks::t7_clustering(fw, heavy_window.0, heavy_window.1, 8).1,
-            fws,
-        ),
-    ));
-    rows.push((
-        "T8 regression",
-        run(
-            &mut |fw| tasks::t8_regression(fw, heavy_window.0, heavy_window.1).1,
-            fws,
-        ),
-    ));
-    ResponseReport { tasks: rows }
-}
-
-/// Full pipeline for the response experiment: build, ingest, measure.
-pub fn response_experiment_from_scratch(config: &BenchConfig) -> ResponseReport {
-    let (mut fws, mut generator) = build_frameworks(config);
-    ingest_all(
-        &mut fws,
-        &mut generator,
-        (config.days * EPOCHS_PER_DAY) as usize,
-    );
-    response_experiment(config, &fws)
+    let mut r = Report::new("fig11", None);
+    r.det("epochs_ingested", epochs);
+    // Seconds. Paper: on T1–T3 and T5 SPATE within 0.1–3 s of SHAHED …
+    r.perf("fig11", rows(0..5));
+    // … and T6–T8 CPU-bound, all three comparable.
+    r.perf("fig12", rows(5..8));
+    // Paper: SPATE 4–5x faster — the nested loop re-reads its inner
+    // epochs, and only the compressed working set stays page-cached. A
+    // shape of the modelled disks: at memory speed there is no re-read
+    // to save.
+    let [raw, _, spate] = secs[3];
+    let t4 = r.perf("t4_raw_over_spate", Value::Float(raw / spate, 1));
+    if config.throttled {
+        t4.at_least(4.0);
+    }
+    r
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn quick_config() -> BenchConfig {
-        BenchConfig {
-            scale: 1.0 / 1024.0,
-            days: 7,
-            throttled: false,
-        }
-    }
-
-    #[test]
-    fn fig4_shapes_match_the_paper() {
-        let r = fig4_entropy(&quick_config());
-        // CDR: most attributes below 1 bit, several at zero, a few high.
-        assert!(r.cdr.zero_columns() >= 30);
-        assert!(r.cdr.below(1.0) > cdr::WIDTH / 2);
-        assert!(r.cdr.max() > 4.0);
-        // NMS: counters carry a few bits each.
-        assert!(r.nms.max() > 2.0);
-        assert!(r.nms.per_column.len() == nms::WIDTH);
-        // CELL: low-entropy inventory attributes (paper: up to ~3.5).
-        assert!(r.cell.per_column.len() == cell::WIDTH);
-        assert!(r.cell.max() > 1.0);
-    }
-
-    #[test]
-    fn table1_orderings_match_the_paper() {
-        let rows = table1_codecs(&quick_config(), 4);
-        let get = |name: &str| rows.iter().find(|r| r.name == name).unwrap().clone();
-        let (gzip, seven, snappy, zstd) = (
-            get("gzip-lite"),
-            get("7z-lite"),
-            get("snappy-lite"),
-            get("zstd-lite"),
-        );
-        // Ratio ordering: 7z best, snappy roughly half of the rest.
-        assert!(seven.ratio > gzip.ratio);
-        assert!(seven.ratio > snappy.ratio);
-        assert!(zstd.ratio > snappy.ratio);
-        assert!(snappy.ratio < gzip.ratio * 0.75);
-        // Compression always slower than decompression.
-        for r in &rows {
-            assert!(r.tc1_s > r.tc2_s, "{}: {} vs {}", r.name, r.tc1_s, r.tc2_s);
-        }
-        // Snappy compresses fastest.
-        assert!(snappy.tc1_s < gzip.tc1_s);
-        assert!(snappy.tc1_s < seven.tc1_s);
-    }
-
-    #[test]
-    fn decay_experiment_evicts_and_counts_deletes() {
-        let r = decay_experiment(&quick_config());
-        assert!(r.leaves_evicted > 0, "{r:?}");
-        assert!(r.bytes_freed > 0);
-        assert!(r.day_highlights_dropped > 0);
-        // Every evicted leaf is one DFS delete, and the metrics layer must
-        // not drop them (the record_delete fix).
-        assert_eq!(r.dfs_deletes, r.leaves_evicted as u64);
-        assert_eq!(r.dfs_bytes_deleted, r.bytes_freed);
-        assert!(r.present_leaves > 0, "the newest day survives");
-    }
-
-    fn chaos_config() -> BenchConfig {
-        BenchConfig {
-            scale: 1.0 / 2048.0,
-            days: 7,
-            throttled: false,
-        }
-    }
-
     // The gates of both drills, their same-seed determinism and the
     // committed files are `tests/drills.rs`'s; what is left here is what
     // a second seed shows.
     #[test]
     fn another_seed_draws_another_fault_schedule_and_another_merkle_root() {
-        let config = chaos_config();
+        let config = BenchConfig {
+            scale: 1.0 / 2048.0,
+            days: 7,
+            throttled: false,
+        };
         let (a, b) = (
             chaos_experiment(&config, 7, false),
             chaos_experiment(&config, 8, false),
         );
-        assert_ne!(a.faults, b.faults);
-        let day = BenchConfig { days: 1, ..config };
-        let ((a, _), (b, _)) = (cas_experiment(&day, 7), cas_experiment(&day, 8));
-        assert_ne!(a.manifest_root, b.manifest_root);
-    }
-
-    #[test]
-    fn ingest_experiment_shapes() {
-        let config = BenchConfig {
-            scale: 1.0 / 1024.0,
-            days: 7,
-            throttled: false,
+        let faults = |r: &Report| {
+            let keys = [
+                "transient_reads_injected",
+                "transient_writes_injected",
+                "corrupt_replicas_injected",
+                "crashes_injected",
+                "read_failovers",
+                "retry_attempts",
+            ];
+            keys.map(|key| r.get(key).expect(key).clone())
         };
-        let r = ingest_experiment(&config);
-        // Space: SPATE far below RAW and SHAHED, SHAHED ≥ RAW.
-        let [raw, shahed, spate] = r.total_space;
-        assert!(spate * 2 < raw, "spate {spate} raw {raw}");
-        assert!(shahed >= raw);
-        // Every partition shows the same ordering.
-        for (_, s) in &r.space_per_period {
-            assert!(s[2] < s[0], "{s:?}");
-        }
-        for (_, s) in &r.space_per_weekday {
-            assert!(s[2] < s[0], "{s:?}");
-        }
-        // All partitions have data.
-        assert_eq!(r.time_per_period.len(), 4);
-        assert_eq!(r.time_per_weekday.len(), 7);
+        assert_ne!(faults(&a), faults(&b));
+        let day = BenchConfig { days: 1, ..config };
+        let (a, b) = (cas_experiment(&day, 7), cas_experiment(&day, 8));
+        assert!(matches!(a.get("manifest_root"), Some(Value::Str(_))));
+        assert_ne!(a.get("manifest_root"), b.get("manifest_root"));
     }
 }

@@ -1,21 +1,10 @@
-//! Experiment drivers regenerating every table and figure of the SPATE
-//! paper's evaluation, plus the repo-grown drills. Each driver returns
-//! structured rows. The paper artifacts are printed by the `repro` binary
-//! in the paper's layout, and the criterion benches wrap the same code
-//! paths:
-//!
-//! | Driver | Paper artifact |
-//! |---|---|
-//! | [`fig4_entropy`] | Fig. 4 — per-attribute entropy of CDR/NMS/CELL |
-//! | [`table1_codecs`] | Table I — codec ratio / T_c1 / T_c2 per snapshot |
-//! | [`ingest_experiment`] | Figs. 7–10 — ingestion time & disk space by day period and weekday |
-//! | [`response_experiment`] | Figs. 11–12 — response time of tasks T1–T8 on RAW/SHAHED/SPATE |
-//!
-//! The drills (no paper counterpart) are the rows of [`DRILLS`]. Each
-//! builds one [`Report`] — its result fields and their gates, declared
-//! once — and [`report::emit`] prints it, persists `BENCH_<X>.json` and
-//! fails the run on a gate that does not hold; `tests/drills.rs` runs the
-//! same table.
+//! The SPATE paper's evaluation and the repo-grown drills, one table:
+//! every row of [`EXPERIMENTS`] builds one [`Report`] — its result fields
+//! and their gates, declared once — and [`report::emit`] prints it,
+//! persists `BENCH_<X>.json` where the row has one, and fails the run on a
+//! gate that does not hold. The `repro` binary dispatches on the table,
+//! `tests/drills.rs` runs it, and the criterion benches wrap the same code
+//! paths through [`setup`].
 
 pub mod args;
 pub mod chaos_serve;
@@ -28,36 +17,60 @@ pub mod serve_bench;
 pub mod setup;
 
 pub use args::Args;
-pub use chaos_serve::{chaos_serve_experiment, ChaosServeReport};
-pub use cost_bench::cost_experiment;
-pub use experiments::{
-    cas_experiment, chaos_experiment, fig4_entropy, ingest_experiment, response_experiment,
-    table1_codecs, CasPerf, CasReport, ChaosReport, CodecRow, EntropyReport, IngestReport,
-    ResponseReport,
-};
-pub use obs_replay::{obs_replay_experiment, ObsReplayReport};
 pub use report::Report;
-pub use scale_bench::{scale_experiment, ScaleReport};
-pub use serve_bench::{serve_experiment, trace_experiment, ServeReport, TraceReport};
 pub use setup::{build_frameworks, BenchConfig, Frameworks};
 
-/// One seeded drill: its `repro` name, its `--help` text (the first line
-/// is also its heading) and the run that builds its report.
-pub type Drill = (&'static str, &'static str, fn(&Args) -> Report);
+/// One experiment: its `repro` names (`|`-joined where figures share a
+/// run), its `--help` text (the first line is also its heading) and the
+/// run that builds its report.
+pub type Experiment = (&'static str, &'static str, fn(&Args) -> Report);
 
-pub const DRILLS: &[Drill] = &[
+/// `repro all` runs the paper's artifacts: this many rows from the top.
+const PAPER_ARTIFACTS: usize = 5;
+
+pub const EXPERIMENTS: &[Experiment] = &[
+    (
+        "fig4",
+        "Fig. 4 — per-attribute entropy of CDR/NMS/CELL",
+        |a| experiments::fig4_experiment(&a.config),
+    ),
+    (
+        "table1",
+        "Table I — lossless codec ratio and compress/decompress times",
+        |a| experiments::table1_experiment(&a.config),
+    ),
+    (
+        "fig7|fig8|fig9|fig10",
+        "Figs. 7-10 — ingestion time & disk space by day period / weekday",
+        |a| experiments::ingest_experiment(&a.config),
+    ),
+    (
+        "fig11|fig12",
+        "Figs. 11-12 — task response time on RAW/SHAHED/SPATE",
+        |a| experiments::response_experiment(&a.config),
+    ),
+    (
+        "decay",
+        "continuous decay: sliding-window eviction under ingestion",
+        |a| experiments::decay_experiment(&a.config),
+    ),
+    (
+        "space-summary",
+        "total-space comparison of the three frameworks (paper §VIII)",
+        |a| experiments::space_summary_experiment(&a.config),
+    ),
     (
         "chaos",
         "seeded faults, repair, and degraded-coverage queries\n\
          (--cas: over the content-addressed backend)",
-        |a| chaos_experiment(&a.config, a.seed, a.cas).report(),
+        |a| experiments::chaos_experiment(&a.config, a.seed, a.cas),
     ),
     (
         "serve",
         "serving tier: seeded concurrent clients under mid-run decay\n\
          latency percentiles, shed rate, cache hit ratio,\n\
          meta-highlights self-monitoring",
-        |a| serve_experiment(&a.config, a.clients, a.seed).report(a.introspect),
+        |a| serve_bench::serve_experiment(&a.config, a.clients, a.seed, a.introspect),
     ),
     (
         "chaos-serve",
@@ -65,30 +78,27 @@ pub const DRILLS: &[Drill] = &[
          poison queries, deadline storms, cancel races, malformed\n\
          frames, mid-stream disconnects, then serving over a\n\
          chaos-faulted DFS with replica circuit breakers",
-        |a| chaos_serve_experiment(&a.config, a.clients, a.seed).report(),
+        |a| chaos_serve::chaos_serve_experiment(&a.config, a.clients, a.seed),
     ),
     (
         "trace",
         "one seeded request end-to-end, cold vs warm\n\
          prints its span tree: \"why was request R slow\"",
-        |a| trace_experiment(&a.config, a.seed).report(),
+        |a| serve_bench::trace_experiment(&a.config, a.seed),
     ),
     (
         "cas",
         "content-addressed store vs. path store, same seeded week\n\
          dedup ratio, query equality, Merkle root, decay-as-GC\n\
          leak gate",
-        |a| {
-            let (r, perf) = cas_experiment(&a.config, a.seed);
-            r.report(&perf)
-        },
+        |a| experiments::cas_experiment(&a.config, a.seed),
     ),
     (
         "cost",
         "per-query cost accounting\n\
          seeded skewed workload, EXPLAIN ANALYZE rows of T1/T4,\n\
          most-touched epochs, zero-cost-leak gate",
-        |a| cost_experiment(&a.config, a.seed),
+        |a| cost_bench::cost_experiment(&a.config, a.seed),
     ),
     (
         "scale",
@@ -96,7 +106,7 @@ pub const DRILLS: &[Drill] = &[
          million-user trace, parallel per-shard ingest,\n\
          scatter-gather byte-identity, concurrent client storm,\n\
          per-shard decay",
-        |a| scale_experiment(a.shards, a.clients, a.seed).report(),
+        |a| scale_bench::scale_experiment(a.shards, a.clients, a.seed),
     ),
     (
         "obs-replay",
@@ -106,6 +116,17 @@ pub const DRILLS: &[Drill] = &[
          reloaded byte-identically, re-rendered from the file\n\
          alone; balanced phase keeps shard.skew silent, skewed\n\
          phase fires it",
-        |a| obs_replay_experiment(a.shards, a.seed).report(),
+        |a| obs_replay::obs_replay_experiment(a.shards, a.seed),
     ),
 ];
+
+/// The rows `repro <experiment>` runs: the paper's artifacts for `all`,
+/// else the one row carrying the name; empty for a name no row carries.
+pub fn select(experiment: &str) -> &'static [Experiment] {
+    if experiment == "all" {
+        return &EXPERIMENTS[..PAPER_ARTIFACTS];
+    }
+    let named = |row: &Experiment| row.0.split('|').any(|name| name == experiment);
+    let row = EXPERIMENTS.iter().position(named);
+    row.map_or(&[], |i| &EXPERIMENTS[i..=i])
+}

@@ -41,99 +41,6 @@ const PHASE_TICKS: usize = 128;
 /// Recorder samples per window for this drill.
 const WINDOW_SAMPLES: usize = 8;
 
-/// One shard's row re-rendered from the **loaded** recording: the last
-/// recorded value of each `spate.shard.*` series. Everything here is a
-/// pure function of the seed.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReplayShardRow {
-    pub shard: u32,
-    pub bytes: u64,
-    pub leaves: u64,
-    pub queries: u64,
-}
-
-#[derive(Debug, Clone, Default)]
-pub struct ObsReplayReport {
-    pub seed: u64,
-    pub shards: usize,
-    pub epochs: usize,
-    /// Recorder ticks taken (= meta monitor ticks).
-    pub ticks: u64,
-    pub meta_ticks: u64,
-    pub windows_recorded: usize,
-    /// Series in the newest closed window.
-    pub series_recorded: usize,
-    /// Samples across all closed windows, after resolution decay.
-    pub samples_total: usize,
-    /// save → load → save is byte-identical (the restart gate).
-    pub reload_identical: bool,
-    /// Sprintz codec beats raw `u64` samples by ≥ 3×.
-    pub compression_ok: bool,
-    /// Deterministic `shard.skew` anomalies per phase.
-    pub skew_balanced: u64,
-    pub skew_skewed: u64,
-    /// Per-shard rows re-rendered from the loaded image.
-    pub shard_rows: Vec<ReplayShardRow>,
-    /// The persisted recorder image (CI uploads it as an artifact).
-    pub image: Vec<u8>,
-    // ---- timing-dependent below ----
-    pub raw_bytes: usize,
-    pub packed_value_bytes: usize,
-    pub image_bytes: usize,
-    /// Last recorded windowed p95 of `spate.shard.query_us` per shard.
-    pub p95_us: Vec<u64>,
-    pub wall_secs: f64,
-}
-
-impl ObsReplayReport {
-    /// Raw-samples-to-packed ratio of the Sprintz codec.
-    pub fn compression_ratio(&self) -> f64 {
-        self.raw_bytes as f64 / self.packed_value_bytes.max(1) as f64
-    }
-
-    pub fn report(&self) -> Report {
-        let column =
-            |f: fn(&ReplayShardRow) -> u64| -> Vec<u64> { self.shard_rows.iter().map(f).collect() };
-        let queries = column(|s| s.queries);
-        let mut r = Report::new("obs-replay", Some("BENCH_OBS.json"));
-        r.artifact = Some(("OBS_TELEMETRY.bin", self.image.clone()));
-        r.det("seed", self.seed);
-        r.det("shards", self.shards);
-        r.det("epochs", self.epochs);
-        r.det("ticks", self.ticks);
-        r.det("meta_ticks", self.meta_ticks);
-        r.det("windows_recorded", self.windows_recorded)
-            .at_least(30);
-        r.det("series_recorded", self.series_recorded);
-        r.det("samples_total", self.samples_total);
-        r.det("reload_identical", self.reload_identical).eq(true);
-        r.det("compression_ok", self.compression_ok).eq(true);
-        // Balanced phase silent, skewed phase fires.
-        r.det("skew_anomalies_balanced", self.skew_balanced).eq(0);
-        r.det("skew_anomalies_skewed", self.skew_skewed).at_least(1);
-        // Re-rendered from the loaded image, not the live registry — the
-        // replay proof. The skewed phase sent every extra query to shard 0.
-        r.det("shard_queries", queries.clone()).holds(
-            "has one entry per shard, the first above every other",
-            queries.len() == self.shards && queries[1..].iter().all(|&q| q < queries[0]),
-        );
-        r.det("shard_bytes", column(|s| s.bytes));
-        let rows = self.shard_rows.iter();
-        let rows = rows.map(|s| format!("shard={} leaves={}", s.shard, s.leaves));
-        r.det_console("shard_rows", Value::Lines(rows.collect()));
-        r.perf("windowed_p95_us", self.p95_us.clone());
-        r.perf("raw_bytes", self.raw_bytes);
-        r.perf("packed_value_bytes", self.packed_value_bytes);
-        r.perf(
-            "compression_ratio",
-            Value::Float(self.compression_ratio(), 1),
-        );
-        r.perf("image_bytes", self.image_bytes);
-        r.perf("wall_secs", Value::Float(self.wall_secs, 3));
-        r
-    }
-}
-
 /// A 1-meter box around the first site owned by shard 0 — a query shape
 /// whose scatter touches exactly one shard.
 fn shard0_box(shards: &ShardedSpate) -> BoundingBox {
@@ -162,8 +69,8 @@ fn last_recorded(rec: &Recorder, series: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Drive the full drill and collect the report.
-pub fn obs_replay_experiment(shards: usize, seed: u64) -> ObsReplayReport {
+/// Drive the full drill and build the report.
+pub fn obs_replay_experiment(shards: usize, seed: u64) -> Report {
     assert!(shards >= 2, "the skew drill needs at least two shards");
     obs::reset();
     obs::recorder::global().configure(RecorderConfig {
@@ -228,43 +135,67 @@ pub fn obs_replay_experiment(shards: usize, seed: u64) -> ObsReplayReport {
         .map(|v| pack_series(v).len())
         .sum();
 
-    // Re-render the per-shard story from the loaded image alone.
-    let mut shard_rows = Vec::new();
-    let mut p95_us = Vec::new();
-    for i in 0..shards as u32 {
-        let g = |name: &str| last_recorded(&loaded, &format!("{name}{{shard=\"{i}\"}}"));
-        shard_rows.push(ReplayShardRow {
-            shard: i,
-            bytes: g("spate.shard.bytes"),
-            leaves: g("spate.shard.leaves"),
-            queries: g("spate.shard.queries"),
-        });
-        p95_us.push(last_recorded(
-            &loaded,
-            &format!("spate.shard.query_us{{shard=\"{i}\"}}/p95"),
-        ));
-    }
+    // Re-render the per-shard story from the loaded image alone: the
+    // last recorded value of each `spate.shard.*` series.
+    let column = |series: &str| -> Vec<u64> {
+        let of = |i| {
+            last_recorded(
+                &loaded,
+                &series.replacen("{}", &format!("{{shard=\"{i}\"}}"), 1),
+            )
+        };
+        (0..shards).map(of).collect()
+    };
+    let queries = column("spate.shard.queries{}");
+    let leaves = column("spate.shard.leaves{}");
 
     let summary = monitor.summary();
-    ObsReplayReport {
-        seed,
-        shards,
-        epochs: INGEST_EPOCHS,
-        ticks: loaded.tick(),
-        meta_ticks: summary.ticks,
-        windows_recorded: windows.len(),
-        series_recorded: windows.last().map_or(0, |w| w.series.len()),
-        samples_total: windows.iter().map(|w| w.samples()).sum(),
-        reload_identical,
-        compression_ok: raw_bytes as f64 >= 3.0 * packed_value_bytes as f64,
-        skew_balanced,
-        skew_skewed,
-        shard_rows,
-        image_bytes: image.len(),
-        image,
-        raw_bytes,
-        packed_value_bytes,
-        p95_us,
-        wall_secs: started.elapsed().as_secs_f64(),
-    }
+    let mut r = Report::new("obs-replay", Some("BENCH_OBS.json"));
+    r.det("seed", seed);
+    r.det("shards", shards);
+    r.det("epochs", INGEST_EPOCHS);
+    // Recorder ticks taken (= meta monitor ticks).
+    r.det("ticks", loaded.tick());
+    r.det("meta_ticks", summary.ticks);
+    r.det("windows_recorded", windows.len()).at_least(30);
+    // Series in the newest closed window.
+    r.det(
+        "series_recorded",
+        windows.last().map_or(0, |w| w.series.len()),
+    );
+    // Samples across all closed windows, after resolution decay.
+    let samples_total: usize = windows.iter().map(|w| w.samples()).sum();
+    r.det("samples_total", samples_total);
+    // save → load → save is byte-identical (the restart gate).
+    r.det("reload_identical", reload_identical).eq(true);
+    // Sprintz codec beats raw `u64` samples by ≥ 3×.
+    let compression_ok = raw_bytes as f64 >= 3.0 * packed_value_bytes as f64;
+    r.det("compression_ok", compression_ok).eq(true);
+    // Balanced phase silent, skewed phase fires.
+    r.det("skew_anomalies_balanced", skew_balanced).eq(0);
+    r.det("skew_anomalies_skewed", skew_skewed).at_least(1);
+    // Re-rendered from the loaded image, not the live registry — the
+    // replay proof. The skewed phase sent every extra query to shard 0.
+    r.det("shard_queries", queries.clone()).holds(
+        "has one entry per shard, the first above every other",
+        queries.len() == shards && queries[1..].iter().all(|&q| q < queries[0]),
+    );
+    r.det("shard_bytes", column("spate.shard.bytes{}"));
+    let rows = leaves.iter().enumerate();
+    let rows = rows.map(|(shard, leaves)| format!("shard={shard} leaves={leaves}"));
+    r.det_console("shard_rows", Value::Lines(rows.collect()));
+    // Last recorded windowed p95 of `spate.shard.query_us` per shard.
+    r.perf("windowed_p95_us", column("spate.shard.query_us{}/p95"));
+    r.perf("raw_bytes", raw_bytes);
+    r.perf("packed_value_bytes", packed_value_bytes);
+    let compression_ratio = raw_bytes as f64 / packed_value_bytes.max(1) as f64;
+    r.perf("compression_ratio", Value::Float(compression_ratio, 1));
+    r.perf("image_bytes", image.len());
+    r.perf(
+        "wall_secs",
+        Value::Float(started.elapsed().as_secs_f64(), 3),
+    );
+    // The persisted recorder image (CI uploads it as an artifact).
+    r.artifact = Some(("OBS_TELEMETRY.bin", image));
+    r
 }

@@ -1,13 +1,14 @@
-//! One [`Report`] per drill: the ordered list of its result fields, each
-//! declared once with its tag — deterministic or perf, persisted to
-//! `BENCH_<X>.json` or console-only — and, where the drill has an
-//! acceptance bar, its [`Gate`].
+//! One [`Report`] per experiment, paper figure or drill: the ordered list
+//! of its result fields, each declared once with its tag — deterministic
+//! or perf, persisted to `BENCH_<X>.json` or console-only — and, where the
+//! experiment has an acceptance bar or the paper a shape, its [`Gate`].
 //!
 //! [`emit`] is the only renderer. Deterministic fields print as `<drill>:`
-//! lines, a pure function of the drill's arguments (the twice-run test in
-//! `tests/drills.rs` compares them); perf fields print as `<drill>-perf:`
-//! lines and are never compared. The JSON keeps declaration order, so a
-//! file whose report persists no perf field regenerates byte-identically.
+//! lines, a pure function of the experiment's arguments (the twice-run
+//! test in `tests/drills.rs` compares them); perf fields print as
+//! `<drill>-perf:` lines and are never compared. The JSON keeps
+//! declaration order, so a file whose report persists no perf field
+//! regenerates byte-identically.
 
 use std::path::Path;
 
@@ -62,6 +63,8 @@ impl Value {
     fn render(&self, json: bool) -> String {
         match self {
             Value::Int(n) => n.to_string(),
+            // JSON has no literal for NaN or an infinity.
+            Value::Float(x, _) if json && !x.is_finite() => "null".to_string(),
             Value::Float(x, digits) => format!("{x:.digits$}"),
             Value::Bool(b) => b.to_string(),
             Value::Str(s) if json => json_string(s),
@@ -234,11 +237,18 @@ impl Report {
         format!("{{\n{}\n}}\n", fields.join(",\n"))
     }
 
-    /// Every declared gate as `(predicate, holds, the value it saw)`.
-    pub fn gates(&self) -> Vec<(String, bool, String)> {
-        let value_of = |key: &str| self.fields.iter().find(|f| f.key == key).map(|f| &f.value);
+    /// The value declared under `key`.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.fields.iter().find(|f| f.key == key).map(|f| &f.value)
+    }
+
+    /// Every declared gate as `(predicate, holds, the value it saw)`;
+    /// `timing: false` leaves out the gates on perf fields, which a debug
+    /// build on a busy machine cannot be held to.
+    pub fn gates(&self, timing: bool) -> Vec<(String, bool, String)> {
         self.fields
             .iter()
+            .filter(|f| timing || !f.perf)
             .filter_map(|f| {
                 let (bar, ok) = match f.gate.as_ref()? {
                     Gate::Eq(v) => (format!("== {}", v.render(false)), f.value == *v),
@@ -247,17 +257,20 @@ impl Report {
                         f.value.as_f64().is_some_and(|x| x >= *min),
                     ),
                     Gate::EqField(other) => {
-                        (format!("== {other}"), value_of(other) == Some(&f.value))
+                        (format!("== {other}"), self.get(other) == Some(&f.value))
                     }
                     Gate::Holds(relation, ok) => (relation.to_string(), *ok),
                 };
-                Some((format!("{} {bar}", f.key), ok, f.value.render(false)))
+                // A ratio over zero bends every shape: `inf >= min` holds.
+                let finite = !matches!(f.value, Value::Float(x, _) if !x.is_finite());
+                let got = f.value.render(false);
+                Some((format!("{} {bar}", f.key), ok && finite, got))
             })
             .collect()
     }
 
-    pub fn failed_gates(&self) -> Vec<String> {
-        self.gates()
+    pub fn failed_gates(&self, timing: bool) -> Vec<String> {
+        self.gates(timing)
             .into_iter()
             .filter(|(_, ok, _)| !ok)
             .map(|(gate, _, got)| format!("{}: gate failed: {gate} (got {got})", self.drill))
@@ -282,11 +295,11 @@ pub fn emit(report: &Report, dir: &Path) -> Result<(), String> {
         write(name, bytes)?;
         println!("artifact written to {name}");
     }
-    let failed = report.failed_gates();
+    let failed = report.failed_gates(true);
     if !failed.is_empty() {
         return Err(failed.join("\n"));
     }
-    let held: Vec<String> = report.gates().into_iter().map(|gate| gate.0).collect();
+    let held: Vec<String> = report.gates(true).into_iter().map(|gate| gate.0).collect();
     println!("(gates hold: {})", held.join(", "));
     Ok(())
 }
@@ -328,6 +341,21 @@ mod tests {
         assert!(err.contains("poison_isolated == seed (got 8)"), "{err}");
         assert!(err.contains("tracked >= hot + warm (got 5)"), "{err}");
         assert!(err.contains("speedup >= 2 (got 1.50)"), "{err}");
+        assert_eq!(report.failed_gates(false).len(), 2, "speedup is perf");
+
+        // A non-finite measurement fails its gate, prints as text and
+        // persists as `null`.
+        let mut report = synthetic();
+        report.fields[1].value = Value::Int(0);
+        let ratio = report.perf_json("ratio", Value::Float(1.0 / 0.0, 1));
+        ratio.at_least(5.0);
+        report.perf_json("share", Value::Float(f64::NAN, 2));
+        let err = emit(&report, &dir).unwrap_err();
+        assert_eq!(err, "synthetic: gate failed: ratio >= 5 (got inf)");
+        assert!(report
+            .json()
+            .ends_with("  \"ratio\": null,\n  \"share\": null\n}\n"));
+        assert!(report.lines(true)[0].ends_with(" ratio=inf share=NaN"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

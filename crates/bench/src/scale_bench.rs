@@ -23,6 +23,7 @@
 //! holds only them; wall-clock, throughput and latency are perf fields.
 
 use crate::report::{Report, Value};
+use crate::setup::until_served;
 use codecs::Identity;
 use dfs::{Dfs, DfsConfig, IoModel};
 use rand::rngs::StdRng;
@@ -30,7 +31,7 @@ use rand::{Rng, SeedableRng};
 use spate_core::framework::SpateFramework;
 use spate_core::shard::ShardedSpate;
 use spate_core::DecayPolicy;
-use spate_serve::{Reply, ServeConfig, Server};
+use spate_serve::{ClientConn, Reply, ServeConfig, Server};
 use std::sync::{Arc, Barrier};
 use telco_trace::cells::{BoundingBox, CellLayout};
 use telco_trace::time::{EpochId, EPOCHS_PER_DAY};
@@ -61,120 +62,6 @@ fn shard_node_disk() -> IoModel {
         read_mbps: 120.0,
         write_mbps: 6.0,
         seek_us: 8_000,
-    }
-}
-
-#[derive(Debug, Clone)]
-pub struct ScaleReport {
-    pub seed: u64,
-    pub shards: usize,
-    pub clients: usize,
-    pub epochs: usize,
-    /// Total trace rows generated (pure function of the seed).
-    pub cdr_rows: u64,
-    pub nms_rows: u64,
-    /// Equality sweep, pre-decay.
-    pub queries_run: u64,
-    pub answers_identical: bool,
-    pub answer_digest: u64,
-    pub inconsistent_coverage: u64,
-    /// Store versions after ingest (sharded sums per-shard versions).
-    pub single_version: u64,
-    pub sharded_version: u64,
-    /// Decay drill.
-    pub single_leaves_evicted: u64,
-    pub sharded_leaves_evicted: u64,
-    pub post_decay_identical: bool,
-    pub post_decay_digest: u64,
-    pub post_decay_inconsistent: u64,
-    // ---- timing-dependent below ----
-    pub raw_bytes: u64,
-    pub ingest_single_secs: f64,
-    pub ingest_sharded_secs: f64,
-    pub storm_queries: u64,
-    pub storm_p50_us: u64,
-    pub storm_p95_us: u64,
-    pub storm_p99_us: u64,
-    pub storm_wall_secs: f64,
-    pub wall_secs: f64,
-}
-
-impl ScaleReport {
-    /// Ingest wall-clock speedup of N shards over one.
-    pub fn speedup(&self) -> f64 {
-        self.ingest_single_secs / self.ingest_sharded_secs.max(1e-9)
-    }
-
-    pub fn single_mbps(&self) -> f64 {
-        self.raw_bytes as f64 / 1e6 / self.ingest_single_secs.max(1e-9)
-    }
-
-    pub fn sharded_mbps(&self) -> f64 {
-        self.raw_bytes as f64 / 1e6 / self.ingest_sharded_secs.max(1e-9)
-    }
-
-    pub fn storm_qps(&self) -> f64 {
-        self.storm_queries as f64 / self.storm_wall_secs.max(1e-9)
-    }
-
-    pub fn report(&self) -> Report {
-        let shards = self.shards as u64;
-        let mut r = Report::new("scale", Some("BENCH_SCALE.json"));
-        r.det("seed", self.seed);
-        r.det("shards", self.shards);
-        r.det("clients", self.clients);
-        r.det("epochs", self.epochs);
-        r.det("cdr_rows", self.cdr_rows);
-        r.det("nms_rows", self.nms_rows);
-        // Scatter-gather: every reply byte-identical 1-vs-N, before …
-        r.det("queries_run", self.queries_run);
-        r.det("answers_identical", self.answers_identical).eq(true);
-        r.det("answer_digest", Value::Hex(self.answer_digest));
-        r.det("inconsistent_coverage", self.inconsistent_coverage)
-            .eq(0);
-        r.det("single_version", self.single_version).at_least(1);
-        r.det("sharded_version", self.sharded_version).holds(
-            "== shards * single_version",
-            self.sharded_version == shards * self.single_version,
-        );
-        // … and after every shard decayed the same day.
-        r.det("single_leaves_evicted", self.single_leaves_evicted)
-            .at_least(1);
-        r.det("sharded_leaves_evicted", self.sharded_leaves_evicted)
-            .holds(
-                "== shards * single_leaves_evicted",
-                self.sharded_leaves_evicted == shards * self.single_leaves_evicted,
-            );
-        r.det("post_decay_identical", self.post_decay_identical)
-            .eq(true);
-        r.det("post_decay_digest", Value::Hex(self.post_decay_digest));
-        r.det("post_decay_inconsistent", self.post_decay_inconsistent)
-            .eq(0);
-        r.perf("raw_mb", Value::Float(self.raw_bytes as f64 / 1e6, 1));
-        r.perf(
-            "ingest_single_secs",
-            Value::Float(self.ingest_single_secs, 3),
-        );
-        r.perf("single_mbps", Value::Float(self.single_mbps(), 1));
-        r.perf(
-            "ingest_sharded_secs",
-            Value::Float(self.ingest_sharded_secs, 3),
-        );
-        r.perf("sharded_mbps", Value::Float(self.sharded_mbps(), 1));
-        // Per-shard disks overlap their (simulated) writes: four of them
-        // must at least halve the ingest wall-clock.
-        let speedup = r.perf("speedup", Value::Float(self.speedup(), 2));
-        if self.shards >= 4 {
-            speedup.at_least(2.0);
-        }
-        r.perf("storm_queries", self.storm_queries);
-        r.perf("storm_qps", Value::Float(self.storm_qps(), 0));
-        r.perf("storm_p50_us", self.storm_p50_us);
-        r.perf("storm_p95_us", self.storm_p95_us);
-        r.perf("storm_p99_us", self.storm_p99_us);
-        r.perf("storm_wall_secs", Value::Float(self.storm_wall_secs, 3));
-        r.perf("wall_secs", Value::Float(self.wall_secs, 3));
-        r
     }
 }
 
@@ -249,29 +136,9 @@ fn probe_set(layout: &CellLayout, seed: u64) -> Vec<(BoundingBox, (u32, u32))> {
         .collect()
 }
 
-/// Submit until a non-shed reply (every probe is served exactly once).
-fn explore_once(
-    conn: &mut spate_serve::ClientConn,
-    bbox: BoundingBox,
-    window: (u32, u32),
-) -> Reply {
-    loop {
-        let reply = conn
-            .explore(&["upflux", "downflux"], bbox, window)
-            .expect("transport failed");
-        if !reply.is_shed() {
-            return reply;
-        }
-    }
-}
-
-fn sql_once(conn: &mut spate_serve::ClientConn, window: (u32, u32), sql: &str) -> Reply {
-    loop {
-        let reply = conn.sql(window, sql).expect("transport failed");
-        if !reply.is_shed() {
-            return reply;
-        }
-    }
+/// One probe, served exactly once.
+fn explore_once(conn: &mut ClientConn, bbox: BoundingBox, window: (u32, u32)) -> Reply {
+    until_served(|| conn.explore(&["upflux", "downflux"], bbox, window)).0
 }
 
 struct EqualitySweep {
@@ -319,8 +186,8 @@ fn equality_sweep(
         ((day, INGEST_EPOCHS as u32 - 1), "SELECT COUNT(*) FROM CDR"),
         ((day, INGEST_EPOCHS as u32 - 1), "SELECT COUNT(*) FROM NMS"),
     ] {
-        let a = sql_once(&mut c1, window, sql);
-        let b = sql_once(&mut cn, window, sql);
+        let a = until_served(|| c1.sql(window, sql)).0;
+        let b = until_served(|| cn.sql(window, sql)).0;
         sweep.queries += 1;
         sweep.identical &= a == b;
         sweep.digest = digest_reply(sweep.digest, &b);
@@ -330,8 +197,8 @@ fn equality_sweep(
     sweep
 }
 
-/// Drive the full drill and collect the report.
-pub fn scale_experiment(shards: usize, clients: usize, seed: u64) -> ScaleReport {
+/// Drive the full drill and build the report.
+pub fn scale_experiment(shards: usize, clients: usize, seed: u64) -> Report {
     assert!(shards >= 1 && clients >= 1);
     obs::reset();
     let started = std::time::Instant::now();
@@ -430,39 +297,65 @@ pub fn scale_experiment(shards: usize, clients: usize, seed: u64) -> ScaleReport
     let post = equality_sweep(&server1, &servern, &layout, seed.wrapping_add(1));
 
     let storm_queries = (clients * STORM_QUERIES) as u64;
-    let report = ScaleReport {
-        seed,
-        shards,
-        clients,
-        epochs: INGEST_EPOCHS,
-        cdr_rows,
-        nms_rows,
-        queries_run: sweep.queries,
-        answers_identical: sweep.identical,
-        answer_digest: sweep.digest,
-        inconsistent_coverage: sweep.inconsistent,
-        single_version,
-        sharded_version,
-        single_leaves_evicted: d1.leaves_evicted as u64,
-        sharded_leaves_evicted: dn.leaves_evicted as u64,
-        post_decay_identical: post.identical,
-        post_decay_digest: post.digest,
-        post_decay_inconsistent: post.inconsistent,
-        raw_bytes,
-        ingest_single_secs,
-        ingest_sharded_secs,
-        storm_queries,
-        storm_p50_us: p50,
-        storm_p95_us: p95,
-        storm_p99_us: p99,
-        storm_wall_secs,
-        wall_secs: started.elapsed().as_secs_f64(),
-    };
-
+    let wall_secs = started.elapsed().as_secs_f64();
     for server in [server1, servern] {
         Arc::into_inner(server)
             .expect("clients still hold server handles")
             .shutdown();
     }
-    report
+
+    let n = shards as u64;
+    let raw_mb = raw_bytes as f64 / 1e6;
+    let mut r = Report::new("scale", Some("BENCH_SCALE.json"));
+    r.det("seed", seed);
+    r.det("shards", shards);
+    r.det("clients", clients);
+    r.det("epochs", INGEST_EPOCHS);
+    // Total trace rows generated (pure function of the seed).
+    r.det("cdr_rows", cdr_rows);
+    r.det("nms_rows", nms_rows);
+    // Scatter-gather: every reply byte-identical 1-vs-N, before …
+    r.det("queries_run", sweep.queries);
+    r.det("answers_identical", sweep.identical).eq(true);
+    r.det("answer_digest", Value::Hex(sweep.digest));
+    r.det("inconsistent_coverage", sweep.inconsistent).eq(0);
+    // Store versions after ingest (sharded sums per-shard versions).
+    r.det("single_version", single_version).at_least(1);
+    r.det("sharded_version", sharded_version).holds(
+        "== shards * single_version",
+        sharded_version == n * single_version,
+    );
+    // … and after every shard decayed the same day.
+    let (single_evicted, sharded_evicted) = (d1.leaves_evicted as u64, dn.leaves_evicted as u64);
+    r.det("single_leaves_evicted", single_evicted).at_least(1);
+    r.det("sharded_leaves_evicted", sharded_evicted).holds(
+        "== shards * single_leaves_evicted",
+        sharded_evicted == n * single_evicted,
+    );
+    r.det("post_decay_identical", post.identical).eq(true);
+    r.det("post_decay_digest", Value::Hex(post.digest));
+    r.det("post_decay_inconsistent", post.inconsistent).eq(0);
+    r.perf("raw_mb", Value::Float(raw_mb, 1));
+    r.perf("ingest_single_secs", Value::Float(ingest_single_secs, 3));
+    let single_mbps = raw_mb / ingest_single_secs.max(1e-9);
+    r.perf("single_mbps", Value::Float(single_mbps, 1));
+    r.perf("ingest_sharded_secs", Value::Float(ingest_sharded_secs, 3));
+    let sharded_mbps = raw_mb / ingest_sharded_secs.max(1e-9);
+    r.perf("sharded_mbps", Value::Float(sharded_mbps, 1));
+    // Per-shard disks overlap their (simulated) writes: four of them
+    // must at least halve the ingest wall-clock.
+    let speedup = ingest_single_secs / ingest_sharded_secs.max(1e-9);
+    let speedup = r.perf("speedup", Value::Float(speedup, 2));
+    if shards >= 4 {
+        speedup.at_least(2.0);
+    }
+    r.perf("storm_queries", storm_queries);
+    let storm_qps = storm_queries as f64 / storm_wall_secs.max(1e-9);
+    r.perf("storm_qps", Value::Float(storm_qps, 0));
+    r.perf("storm_p50_us", p50);
+    r.perf("storm_p95_us", p95);
+    r.perf("storm_p99_us", p99);
+    r.perf("storm_wall_secs", Value::Float(storm_wall_secs, 3));
+    r.perf("wall_secs", Value::Float(wall_secs, 3));
+    r
 }

@@ -18,165 +18,20 @@
 //!   `BENCH_SERVE.json`'s other seven compare against the committed file.
 
 use crate::report::{Report, Value};
-use crate::BenchConfig;
+use crate::setup::{until_served, warehouse, BenchConfig};
+use dfs::Dfs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spate_core::framework::ExplorationFramework;
-use spate_core::framework::SpateFramework;
 use spate_core::DecayPolicy;
-use spate_serve::{CacheStats, Reply, ServeConfig, Server, StatsFrame, TraceFrame};
+use spate_serve::{ClientConn, Reply, ServeConfig, Server, StatsFrame, TraceFrame};
 use std::sync::{Arc, Barrier};
 use telco_trace::cells::BoundingBox;
 use telco_trace::time::EPOCHS_PER_DAY;
-use telco_trace::{Snapshot, TraceConfig, TraceGenerator};
+use telco_trace::TraceConfig;
 
 /// Per-client workload volume (per phase where applicable).
 const INTERACTIVE_QUERIES: usize = 24;
 const SCAN_QUERIES: usize = 6;
-
-#[derive(Debug, Clone)]
-pub struct ServeReport {
-    pub seed: u64,
-    pub clients: usize,
-    /// Queries actually served (shed submissions retried by clients are
-    /// admitted exactly once each, so this is workload-deterministic).
-    pub queries: u64,
-    pub rows_streamed: u64,
-    /// Sum over clients of phase-1 exact row totals.
-    pub phase1_rows: u64,
-    pub per_client_rows: Vec<u64>,
-    /// The day-0 `SELECT COUNT(*) FROM CDR` every client computed in
-    /// phase 1 — identical across clients or the run is broken.
-    pub day0_count: i64,
-    pub counts_agree: bool,
-    /// Phase-2 replies over the decayed day that still carried rows.
-    pub stale_reads: u64,
-    pub protocol_errors: u64,
-    /// Meta-highlights self-monitoring: the monitor is ticked at fixed
-    /// workload boundaries, so the tick count is a constant of the
-    /// scenario and a fault-free run reports exactly zero deterministic
-    /// anomalies (both gated). `anomalies_total` may also count
-    /// timing-stream advisories (shed storms are expected here) and is
-    /// a perf field.
-    pub meta_ticks: u64,
-    pub anomalies_total: u64,
-    pub anomalies_deterministic: u64,
-    // ---- timing-dependent below ----
-    pub shed_overflow: u64,
-    pub shed_deadline: u64,
-    /// Client-side resubmissions after a shed reply.
-    pub shed_retries: u64,
-    pub cache: CacheStats,
-    pub decay_invalidations: u64,
-    pub prefetches: u64,
-    pub wall_secs: f64,
-    /// `(p50, p95, p99)` of the server's labeled `serve.latency_us`
-    /// histogram, per admission class, microseconds.
-    pub interactive_us: (u64, u64, u64),
-    pub scan_us: (u64, u64, u64),
-    /// Live introspection frames fetched over the wire just before
-    /// shutdown — what `repro serve --introspect` prints.
-    pub introspect_stats: StatsFrame,
-    pub introspect_trace: TraceFrame,
-}
-
-impl ServeReport {
-    pub fn throughput(&self) -> f64 {
-        self.queries as f64 / self.wall_secs.max(1e-9)
-    }
-
-    pub fn shed_rate(&self) -> f64 {
-        let shed = self.shed_overflow + self.shed_deadline;
-        shed as f64 / (self.queries + shed).max(1) as f64
-    }
-
-    /// `introspect` appends the live Stats/Trace frames (`--introspect`).
-    pub fn report(&self, introspect: bool) -> Report {
-        let mut r = Report::new("serve", Some("BENCH_SERVE.json"));
-        r.det("seed", self.seed);
-        r.det("clients", self.clients);
-        r.det("queries", self.queries);
-        r.det("rows_streamed", self.rows_streamed);
-        r.det_console("phase1_rows", self.phase1_rows);
-        r.det_console("per_client_rows", self.per_client_rows.clone());
-        r.det_console("day0_count", self.day0_count);
-        r.det_console("counts_agree", self.counts_agree).eq(true);
-        r.perf_json("throughput_qps", Value::Float(self.throughput(), 1));
-        r.perf_json("wall_secs", Value::Float(self.wall_secs, 3));
-        r.perf_json("interactive_p50_us", self.interactive_us.0);
-        r.perf_json("interactive_p95_us", self.interactive_us.1);
-        r.perf_json("interactive_p99_us", self.interactive_us.2);
-        r.perf_json("scan_p50_us", self.scan_us.0);
-        r.perf_json("scan_p95_us", self.scan_us.1);
-        r.perf_json("scan_p99_us", self.scan_us.2);
-        r.perf("shed_overflow", self.shed_overflow);
-        r.perf("shed_deadline", self.shed_deadline);
-        r.perf_json("shed_rate", Value::Float(self.shed_rate(), 4));
-        r.perf("shed_retries", self.shed_retries);
-        r.perf("prefetches", self.prefetches);
-        r.perf_json("cache_hit_ratio", Value::Float(self.cache.hit_ratio(), 3));
-        r.perf("cache_hits", self.cache.hits);
-        r.perf("cache_misses", self.cache.misses);
-        r.perf("cache_inserts", self.cache.inserts);
-        r.perf("cache_evictions", self.cache.evictions);
-        r.perf("cache_invalidations", self.cache.invalidations);
-        // The mid-run decay evicted epochs the clients had just cached …
-        r.perf("decay_invalidations", self.decay_invalidations)
-            .at_least(1);
-        // … and no phase-2 answer over the decayed day still carried rows.
-        r.det("stale_reads", self.stale_reads).eq(0);
-        r.det("protocol_errors", self.protocol_errors).eq(0);
-        // Ticks happen at the scenario's five barriers and the run injects
-        // no fault, so a calm run reports no deterministic anomaly.
-        r.det_console("meta_ticks", self.meta_ticks).eq(5);
-        r.det_console("anomalies_deterministic", self.anomalies_deterministic)
-            .eq(0);
-        // Timing-stream advisories; shed storms are expected under this load.
-        r.perf("anomalies_total", self.anomalies_total);
-        if introspect {
-            self.introspection(&mut r);
-        }
-        r
-    }
-
-    /// The live Stats and Trace frames fetched over the wire just before
-    /// shutdown, as further perf fields: which request happens to be the
-    /// latest trace and the current counter values depend on timing.
-    fn introspection(&self, r: &mut Report) {
-        let (stats, trace) = (&self.introspect_stats, &self.introspect_trace);
-        r.perf("live_queries", stats.queries);
-        r.perf("live_rows_streamed", stats.rows_streamed);
-        r.perf("live_shed_overflow", stats.shed_overflow);
-        r.perf("live_shed_deadline", stats.shed_deadline);
-        r.perf("live_protocol_errors", stats.protocol_errors);
-        r.perf("live_queue_interactive", stats.queue_interactive);
-        r.perf("live_queue_scan", stats.queue_scan);
-        r.perf("live_cache_hits", stats.cache_hits);
-        r.perf("live_cache_misses", stats.cache_misses);
-        r.perf("live_cache_evictions", stats.cache_evictions);
-        r.perf("live_cache_invalidations", stats.cache_invalidations);
-        r.perf("live_meta_ticks", stats.meta_ticks);
-        r.perf("live_anomalies_total", stats.anomalies_total);
-        r.perf(
-            "live_anomalies_deterministic",
-            stats.anomalies_deterministic,
-        );
-        r.perf("live_registry_counters", stats.counters.len());
-        let anomalies = stats.anomalies.iter().map(|a| {
-            let share = a.share_milli as f64 / 1000.0;
-            format!(
-                "tick={} stream={} category={} share={share:.3} deterministic={}",
-                a.tick, a.stream, a.category, a.deterministic
-            )
-        });
-        r.perf("live_anomaly", Value::Lines(anomalies.collect()));
-        let top = stats.counters.iter().take(4);
-        let top = top.map(|(name, v)| format!("{name}={v}"));
-        r.perf("live_top_counter", Value::Lines(top.collect()));
-        r.perf("live_trace_id", Value::Hex(trace.trace_id));
-        r.perf("live_trace", Value::Lines(trace_lines(trace)));
-    }
-}
 
 /// Latency percentiles in microseconds for one admission class, read
 /// back from the labeled `serve.latency_us{class="..."}` histogram the
@@ -187,30 +42,29 @@ fn latency_us(class: &str) -> (u64, u64, u64) {
     (h.quantile(0.50), h.quantile(0.95), h.quantile(0.99))
 }
 
-/// Drive the full two-phase scenario and collect the report.
-pub fn serve_experiment(config: &BenchConfig, clients: usize, seed: u64) -> ServeReport {
+/// Drive the full two-phase scenario and build the report; `introspect`
+/// appends the live Stats/Trace frames (`--introspect`).
+pub fn serve_experiment(
+    config: &BenchConfig,
+    clients: usize,
+    seed: u64,
+    introspect: bool,
+) -> Report {
     // One experiment = one measurement window. Clearing the registry and
     // flight recorder up front makes every metric-derived report field
     // (prefetch count, latency quantiles, the meta monitor's sampling
     // windows) describe this run only.
     obs::reset();
-    let day = EPOCHS_PER_DAY;
-    let mut trace_config = TraceConfig::scaled(config.scale);
-    trace_config.days = 3;
-    let mut generator = TraceGenerator::new(trace_config);
-    let layout = generator.layout().clone();
-    let snaps: Vec<Snapshot> = (&mut generator).take(2 * day as usize + 1).collect();
-
+    let day = EPOCHS_PER_DAY as usize;
     let policy = DecayPolicy {
         full_resolution_days: 1,
         day_highlight_days: 100,
         month_highlight_days: 100,
         year_highlight_days: 100,
     };
-    let mut fw = SpateFramework::in_memory(layout).with_decay(policy);
-    for s in &snaps[..2 * day as usize] {
-        fw.ingest(s);
-    }
+    let trace = TraceConfig::scaled(config.scale).with_days(3);
+    let (fw, mut generator) = warehouse(trace, Dfs::in_memory(), policy, 2 * day);
+    let day2 = generator.next_snapshot().expect("a third day");
 
     let server = Arc::new(Server::start(fw, ServeConfig::default()));
     let barrier = Arc::new(Barrier::new(clients + 1));
@@ -233,128 +87,138 @@ pub fn serve_experiment(config: &BenchConfig, clients: usize, seed: u64) -> Serv
     server.monitor_tick();
     server.monitor_tick();
     let invalidated_before = server.cache_stats().invalidations;
-    server.ingest(&snaps[2 * day as usize]); // day 2 arrives → day 0 decays
+    server.ingest(&day2); // day 2 arrives → day 0 decays
     let decay_invalidations = server.cache_stats().invalidations - invalidated_before;
     server.monitor_tick();
     barrier.wait(); // release phase 2
 
-    let mut report = ServeReport {
-        seed,
-        clients,
-        queries: 0,
-        rows_streamed: 0,
-        phase1_rows: 0,
-        per_client_rows: Vec::with_capacity(clients),
-        day0_count: -1,
-        counts_agree: true,
-        stale_reads: 0,
-        protocol_errors: 0,
-        meta_ticks: 0,
-        anomalies_total: 0,
-        anomalies_deterministic: 0,
-        shed_overflow: 0,
-        shed_deadline: 0,
-        shed_retries: 0,
-        cache: CacheStats::default(),
-        decay_invalidations,
-        prefetches: 0,
-        wall_secs: 0.0,
-        interactive_us: (0, 0, 0),
-        scan_us: (0, 0, 0),
-        introspect_stats: StatsFrame::default(),
-        introspect_trace: TraceFrame::default(),
-    };
+    let mut per_client_rows = Vec::with_capacity(clients);
+    // The day-0 `SELECT COUNT(*) FROM CDR` every client computed in
+    // phase 1 — identical across clients or the run is broken.
+    let mut day0_count = -1i64;
+    let mut counts_agree = true;
+    let (mut stale_reads, mut shed_retries) = (0u64, 0u64);
     for h in handles {
         let c = h.join().expect("serve client panicked");
-        report.phase1_rows += c.rows;
-        report.per_client_rows.push(c.rows);
-        report.stale_reads += c.stale_reads;
-        report.shed_retries += c.shed_retries;
-        if report.day0_count < 0 {
-            report.day0_count = c.day0_count;
-        } else if report.day0_count != c.day0_count {
-            report.counts_agree = false;
+        per_client_rows.push(c.rows);
+        stale_reads += c.stale_reads;
+        shed_retries += c.shed_retries;
+        if day0_count < 0 {
+            day0_count = c.day0_count;
+        } else if day0_count != c.day0_count {
+            counts_agree = false;
         }
     }
-    report.wall_secs = started.elapsed().as_secs_f64();
-    report.cache = server.cache_stats();
-    report.prefetches = obs::global().counter("serve.prefetch").get();
-    report.interactive_us = latency_us("interactive");
-    report.scan_us = latency_us("scan");
+    let wall_secs = started.elapsed().as_secs_f64();
+    let cache = server.cache_stats();
+    let prefetches = obs::global().counter("serve.prefetch").get();
+    let (interactive_us, scan_us) = (latency_us("interactive"), latency_us("scan"));
 
     server.monitor_tick();
     server.monitor_tick();
     let meta = server.meta_summary();
-    report.meta_ticks = meta.ticks;
-    report.anomalies_total = meta.anomalies_total;
-    report.anomalies_deterministic = meta.anomalies_deterministic;
 
     // Live introspection over the wire — the same control frames any
     // client could send mid-run. Stats and Trace are answered on the
     // connection's intake, so this works even while workers are saturated.
     let mut probe = server.connect();
-    report.introspect_stats = probe.stats().expect("stats frame");
-    report.introspect_trace = probe.trace(0).expect("trace frame");
+    let live_stats = probe.stats().expect("stats frame");
+    let live_trace = probe.trace(0).expect("trace frame");
     probe.close();
 
     let server = Arc::into_inner(server).expect("clients still hold server handles");
     let stats = server.shutdown();
-    report.queries = stats.queries;
-    report.rows_streamed = stats.rows_streamed;
-    report.protocol_errors = stats.protocol_errors;
-    report.shed_overflow = stats.shed_overflow;
-    report.shed_deadline = stats.shed_deadline;
-    report
-}
+    let shed = stats.shed_overflow + stats.shed_deadline;
 
-/// Output of `repro trace`: one fully-traced cold request, its warm
-/// re-read, and the flight-recorder exports that explain them.
-#[derive(Debug, Clone)]
-pub struct TraceReport {
-    pub seed: u64,
-    /// The traced window `(a, b)`.
-    pub window: (u32, u32),
-    /// Cold request: every epoch in the window misses the cache.
-    pub cold: TraceFrame,
-    /// Same window again: every epoch hits.
-    pub warm: TraceFrame,
-    /// Live stats frame captured after both requests.
-    pub stats: StatsFrame,
-    /// Chrome `trace_event` JSON for the cold request (open in
-    /// `chrome://tracing` / Perfetto).
-    pub chrome_json: String,
-    pub wall_secs: f64,
-}
-
-impl TraceReport {
-    /// Span structure, names, args and the cold/warm cache split never
-    /// depend on timing; the durations are not rendered.
-    pub fn report(&self) -> Report {
-        let named =
-            |frame: &TraceFrame, name: &str| frame.spans.iter().filter(|s| s.name == name).count();
-        let epochs = self.window.1 - self.window.0 + 1;
-        let mut r = Report::new("trace", None);
-        r.det("seed", self.seed);
-        r.det("window_start", self.window.0);
-        r.det("window_end", self.window.1);
-        r.det("cold_spans", self.cold.spans.len());
-        r.det("warm_spans", self.warm.spans.len());
-        // Cold misses once per window epoch, warm hits every epoch.
-        r.det("cold_evaluate_spans", named(&self.cold, "serve.evaluate"))
-            .eq(1);
-        r.det("cold_cache_misses", named(&self.cold, "cache.miss"))
-            .eq(epochs);
-        r.det("warm_cache_hits", named(&self.warm, "cache.hit"))
-            .eq(epochs);
-        r.det("warm_cache_misses", named(&self.warm, "cache.miss"))
-            .eq(0);
-        r.det("cold", Value::Lines(trace_lines(&self.cold)));
-        r.det("warm", Value::Lines(trace_lines(&self.warm)));
-        r.perf("wall_secs", Value::Float(self.wall_secs, 3));
-        // Dump the whole recorder with --trace-json.
-        r.perf("chrome_json_bytes", self.chrome_json.len());
-        r
+    let mut r = Report::new("serve", Some("BENCH_SERVE.json"));
+    r.det("seed", seed);
+    r.det("clients", clients);
+    // Queries actually served: shed submissions retried by clients are
+    // admitted exactly once each, so this is workload-deterministic.
+    r.det("queries", stats.queries);
+    r.det("rows_streamed", stats.rows_streamed);
+    // Sum over clients of phase-1 exact row totals.
+    r.det_console("phase1_rows", per_client_rows.iter().sum::<u64>());
+    r.det_console("per_client_rows", per_client_rows);
+    r.det_console("day0_count", day0_count);
+    r.det_console("counts_agree", counts_agree).eq(true);
+    let throughput = stats.queries as f64 / wall_secs.max(1e-9);
+    r.perf_json("throughput_qps", Value::Float(throughput, 1));
+    r.perf_json("wall_secs", Value::Float(wall_secs, 3));
+    r.perf_json("interactive_p50_us", interactive_us.0);
+    r.perf_json("interactive_p95_us", interactive_us.1);
+    r.perf_json("interactive_p99_us", interactive_us.2);
+    r.perf_json("scan_p50_us", scan_us.0);
+    r.perf_json("scan_p95_us", scan_us.1);
+    r.perf_json("scan_p99_us", scan_us.2);
+    r.perf("shed_overflow", stats.shed_overflow);
+    r.perf("shed_deadline", stats.shed_deadline);
+    let shed_rate = shed as f64 / (stats.queries + shed).max(1) as f64;
+    r.perf_json("shed_rate", Value::Float(shed_rate, 4));
+    // Client-side resubmissions after a shed reply.
+    r.perf("shed_retries", shed_retries);
+    r.perf("prefetches", prefetches);
+    r.perf_json("cache_hit_ratio", Value::Float(cache.hit_ratio(), 3));
+    r.perf("cache_hits", cache.hits);
+    r.perf("cache_misses", cache.misses);
+    r.perf("cache_inserts", cache.inserts);
+    r.perf("cache_evictions", cache.evictions);
+    r.perf("cache_invalidations", cache.invalidations);
+    // The mid-run decay evicted epochs the clients had just cached …
+    r.perf("decay_invalidations", decay_invalidations)
+        .at_least(1);
+    // … and no phase-2 answer over the decayed day still carried rows.
+    r.det("stale_reads", stale_reads).eq(0);
+    r.det("protocol_errors", stats.protocol_errors).eq(0);
+    // Meta-highlights self-monitoring: ticks happen at the scenario's
+    // five barriers and the run injects no fault, so a calm run reports
+    // no deterministic anomaly.
+    r.det_console("meta_ticks", meta.ticks).eq(5);
+    r.det_console("anomalies_deterministic", meta.anomalies_deterministic)
+        .eq(0);
+    // Timing-stream advisories; shed storms are expected under this load.
+    r.perf("anomalies_total", meta.anomalies_total);
+    if introspect {
+        introspection(&mut r, &live_stats, &live_trace);
     }
+    r
+}
+
+/// The live Stats and Trace frames fetched over the wire just before
+/// shutdown, as further perf fields: which request happens to be the
+/// latest trace and the current counter values depend on timing.
+fn introspection(r: &mut Report, stats: &StatsFrame, trace: &TraceFrame) {
+    r.perf("live_queries", stats.queries);
+    r.perf("live_rows_streamed", stats.rows_streamed);
+    r.perf("live_shed_overflow", stats.shed_overflow);
+    r.perf("live_shed_deadline", stats.shed_deadline);
+    r.perf("live_protocol_errors", stats.protocol_errors);
+    r.perf("live_queue_interactive", stats.queue_interactive);
+    r.perf("live_queue_scan", stats.queue_scan);
+    r.perf("live_cache_hits", stats.cache_hits);
+    r.perf("live_cache_misses", stats.cache_misses);
+    r.perf("live_cache_evictions", stats.cache_evictions);
+    r.perf("live_cache_invalidations", stats.cache_invalidations);
+    r.perf("live_meta_ticks", stats.meta_ticks);
+    r.perf("live_anomalies_total", stats.anomalies_total);
+    r.perf(
+        "live_anomalies_deterministic",
+        stats.anomalies_deterministic,
+    );
+    r.perf("live_registry_counters", stats.counters.len());
+    let anomalies = stats.anomalies.iter().map(|a| {
+        let share = a.share_milli as f64 / 1000.0;
+        format!(
+            "tick={} stream={} category={} share={share:.3} deterministic={}",
+            a.tick, a.stream, a.category, a.deterministic
+        )
+    });
+    r.perf("live_anomaly", Value::Lines(anomalies.collect()));
+    let top = stats.counters.iter().take(4);
+    let top = top.map(|(name, v)| format!("{name}={v}"));
+    r.perf("live_top_counter", Value::Lines(top.collect()));
+    r.perf("live_trace_id", Value::Hex(trace.trace_id));
+    r.perf("live_trace", Value::Lines(trace_lines(trace)));
 }
 
 /// Render one wire trace as deterministic, diffable lines: span ids are
@@ -385,18 +249,13 @@ pub fn trace_lines(frame: &TraceFrame) -> Vec<String> {
 /// worker, prefetch off, a seeded window explored cold then warm. The
 /// resulting span trees answer "why was request R slow" — the cold
 /// trace shows one `cache.miss` per window epoch with the decompress /
-/// parse / index work under it, the warm trace shows only hits.
-pub fn trace_experiment(config: &BenchConfig, seed: u64) -> TraceReport {
+/// parse / index work under it, the warm trace shows only hits. Span
+/// structure, names, args and the cold/warm cache split never depend on
+/// timing; the durations are not rendered.
+pub fn trace_experiment(config: &BenchConfig, seed: u64) -> Report {
     obs::reset();
-    let mut trace_config = TraceConfig::scaled(config.scale);
-    trace_config.days = 1;
-    let mut generator = TraceGenerator::new(trace_config);
-    let layout = generator.layout().clone();
-    let snaps: Vec<Snapshot> = (&mut generator).take(6).collect();
-    let mut fw = SpateFramework::in_memory(layout);
-    for s in &snaps {
-        fw.ingest(s);
-    }
+    let trace = TraceConfig::scaled(config.scale).with_days(1);
+    let (fw, _) = warehouse(trace, Dfs::in_memory(), DecayPolicy::never(), 6);
 
     let started = std::time::Instant::now();
     let server = Server::start(
@@ -413,7 +272,7 @@ pub fn trace_experiment(config: &BenchConfig, seed: u64) -> TraceReport {
     let start = rng.gen_range(0..3u32);
     let window = (start, start + 3);
 
-    let explore = |conn: &mut spate_serve::ClientConn| match conn
+    let explore = |conn: &mut ClientConn| match conn
         .explore(&["upflux", "downflux"], BoundingBox::everything(), window)
         .expect("transport failed")
     {
@@ -428,20 +287,46 @@ pub fn trace_experiment(config: &BenchConfig, seed: u64) -> TraceReport {
     server.monitor_tick();
     let cold = conn.trace(cold_id).expect("cold trace");
     let warm = conn.trace(warm_id).expect("warm trace");
-    let stats = conn.stats().expect("stats frame");
+    // Chrome `trace_event` JSON for the cold request (open in
+    // `chrome://tracing` / Perfetto).
     let chrome_json = obs::export::chrome_trace(&obs::flight().trace(cold_id));
     conn.close();
     server.shutdown();
 
-    TraceReport {
-        seed,
-        window,
-        cold,
-        warm,
-        stats,
-        chrome_json,
-        wall_secs: started.elapsed().as_secs_f64(),
-    }
+    let named =
+        |frame: &TraceFrame, name: &str| frame.spans.iter().filter(|s| s.name == name).count();
+    let epochs = window.1 - window.0 + 1;
+    let mut r = Report::new("trace", None);
+    r.det("seed", seed);
+    r.det("window_start", window.0);
+    r.det("window_end", window.1);
+    r.det("cold_spans", cold.spans.len());
+    r.det("warm_spans", warm.spans.len());
+    // Cold misses once per window epoch, warm hits every epoch.
+    r.det("cold_evaluate_spans", named(&cold, "serve.evaluate"))
+        .eq(1);
+    r.det("cold_cache_misses", named(&cold, "cache.miss"))
+        .eq(epochs);
+    r.det("warm_cache_hits", named(&warm, "cache.hit"))
+        .eq(epochs);
+    r.det("warm_cache_misses", named(&warm, "cache.miss")).eq(0);
+    // The cold tree answers "why was this slow": the wait for a worker,
+    // the request, and the storage read each miss caused are all in it.
+    r.det("cold_admission_waits", named(&cold, "admission.wait"))
+        .eq(1);
+    r.det("cold_request_spans", named(&cold, "serve.request"))
+        .eq(1);
+    r.det("cold_dfs_reads", named(&cold, "dfs.read"))
+        .at_least(epochs);
+    r.det("cold", Value::Lines(trace_lines(&cold)));
+    r.det("warm", Value::Lines(trace_lines(&warm)));
+    r.perf(
+        "wall_secs",
+        Value::Float(started.elapsed().as_secs_f64(), 3),
+    );
+    // Dump the whole recorder with --trace-json.
+    r.perf("chrome_json_bytes", chrome_json.len());
+    r
 }
 
 struct ClientOutcome {
@@ -477,39 +362,28 @@ fn client_loop(server: &Server, barrier: &Barrier, seed: u64, id: u64) -> Client
         .collect();
     let day0 = (0u32, day - 1);
 
-    // Submit until a non-shed reply; every workload item is served once.
-    fn explore_once(conn: &mut spate_serve::ClientConn, w: (u32, u32), retries: &mut u64) -> Reply {
-        loop {
-            match conn
-                .explore(&["upflux", "downflux"], BoundingBox::everything(), w)
-                .expect("transport failed")
-            {
-                Reply::Shed { .. } => *retries += 1,
-                reply => return reply,
-            }
-        }
-    }
+    let attributes = ["upflux", "downflux"];
+    let everything = BoundingBox::everything();
+    let count_day0 = "SELECT COUNT(*) FROM CDR";
 
     // Phase 1: everything retained; exact rows everywhere.
     let mut rows = 0u64;
     for &w in interactive.iter().chain(&scans) {
-        match explore_once(&mut conn, w, &mut retries) {
+        let (reply, sheds) = until_served(|| conn.explore(&attributes, everything, w));
+        retries += sheds;
+        match reply {
             Reply::Rows { total_rows, .. } => rows += total_rows,
             other => panic!("phase 1 expected rows, got {other:?}"),
         }
     }
-    let day0_count = loop {
-        match conn
-            .sql(day0, "SELECT COUNT(*) FROM CDR")
-            .expect("transport failed")
-        {
-            Reply::Shed { .. } => retries += 1,
-            Reply::Rows { rows, .. } => match rows[0][0][0] {
-                telco_trace::Value::Int(n) => break n,
-                ref v => panic!("unexpected count value {v:?}"),
-            },
-            other => panic!("phase 1 sql expected rows, got {other:?}"),
-        }
+    let (reply, sheds) = until_served(|| conn.sql(day0, count_day0));
+    retries += sheds;
+    let day0_count = match reply {
+        Reply::Rows { rows, .. } => match rows[0][0][0] {
+            telco_trace::Value::Int(n) => n,
+            ref v => panic!("unexpected count value {v:?}"),
+        },
+        other => panic!("phase 1 sql expected rows, got {other:?}"),
     };
 
     barrier.wait(); // phase 1 done
@@ -518,26 +392,21 @@ fn client_loop(server: &Server, barrier: &Barrier, seed: u64, id: u64) -> Client
     // Phase 2: the same day-0 windows must all answer with summaries.
     let mut stale_reads = 0u64;
     for &w in &interactive {
-        match explore_once(&mut conn, w, &mut retries) {
+        let (reply, sheds) = until_served(|| conn.explore(&attributes, everything, w));
+        retries += sheds;
+        match reply {
             Reply::Summary { .. } => {}
             Reply::Rows { .. } => stale_reads += 1,
             other => panic!("phase 2 unexpected reply {other:?}"),
         }
     }
-    loop {
-        match conn
-            .sql(day0, "SELECT COUNT(*) FROM CDR")
-            .expect("transport failed")
-        {
-            Reply::Shed { .. } => retries += 1,
-            Reply::Rows { rows, .. } => {
-                if rows[0][0][0] != telco_trace::Value::Int(0) {
-                    stale_reads += 1;
-                }
-                break;
-            }
-            other => panic!("phase 2 sql unexpected reply {other:?}"),
+    let (reply, sheds) = until_served(|| conn.sql(day0, count_day0));
+    retries += sheds;
+    match reply {
+        Reply::Rows { rows, .. } => {
+            stale_reads += u64::from(rows[0][0][0] != telco_trace::Value::Int(0));
         }
+        other => panic!("phase 2 sql unexpected reply {other:?}"),
     }
 
     conn.close();

@@ -1,8 +1,11 @@
 //! Shared testbed assembly: generated trace + the three frameworks on
-//! their own simulated clusters, mirroring §VII of the paper.
+//! their own simulated clusters, mirroring §VII of the paper, and the
+//! set-up steps the SPATE-only drills have in common.
 
 use dfs::{Dfs, DfsConfig, IoModel};
 use spate_core::framework::{ExplorationFramework, RawFramework, ShahedFramework, SpateFramework};
+use spate_core::DecayPolicy;
+use spate_serve::{Reply, TransportError};
 use telco_trace::{Snapshot, TraceConfig, TraceGenerator};
 
 /// Experiment configuration.
@@ -38,9 +41,7 @@ impl BenchConfig {
     }
 
     pub fn trace_config(&self) -> TraceConfig {
-        let mut c = TraceConfig::scaled(self.scale);
-        c.days = self.days;
-        c
+        TraceConfig::scaled(self.scale).with_days(self.days)
     }
 
     pub(crate) fn dfs(&self) -> Dfs {
@@ -110,4 +111,51 @@ pub fn ingest_all(fws: &mut Frameworks, generator: &mut TraceGenerator, epochs: 
 /// Generate `n` snapshots without any framework (codec microbenches).
 pub fn generate_snapshots(config: &BenchConfig, n: usize) -> Vec<Snapshot> {
     config.generator().take(n).collect()
+}
+
+/// One SPATE warehouse: a generator over `trace`, a framework on `dfs`
+/// decaying under `policy`, the first `epochs` snapshots ingested. The
+/// generator comes back positioned after them, for a drill that ingests
+/// more mid-run.
+pub fn warehouse(
+    trace: TraceConfig,
+    dfs: Dfs,
+    policy: DecayPolicy,
+    epochs: usize,
+) -> (SpateFramework, TraceGenerator) {
+    let mut generator = TraceGenerator::new(trace);
+    let mut fw = SpateFramework::new(dfs, generator.layout().clone()).with_decay(policy);
+    for snapshot in (&mut generator).take(epochs) {
+        fw.ingest(&snapshot);
+    }
+    (fw, generator)
+}
+
+/// Ingest over a faulty DFS, re-submitting after a storage error (write
+/// retries exhausted inside the DFS, a crashed datanode, …) up to 50
+/// times: crash-consistent ingest guarantees a failed attempt leaves
+/// nothing behind, so re-submitting is always safe. Returns whether the
+/// epoch ingested and the re-submissions it took.
+pub fn ingest_resubmitting(fw: &mut SpateFramework, snapshot: &Snapshot) -> (bool, u64) {
+    let mut retries = 0u64;
+    while fw.try_ingest(snapshot).is_err() {
+        if retries == 50 {
+            return (false, retries);
+        }
+        retries += 1;
+    }
+    (true, retries)
+}
+
+/// Submit a request until the reply is not a shed, so every workload item
+/// is served exactly once. Returns the reply and the sheds before it.
+pub fn until_served(mut submit: impl FnMut() -> Result<Reply, TransportError>) -> (Reply, u64) {
+    let mut sheds = 0u64;
+    loop {
+        let reply = submit().expect("transport failed");
+        if !reply.is_shed() {
+            return (reply, sheds);
+        }
+        sheds += 1;
+    }
 }

@@ -1,12 +1,14 @@
-//! Every drill of `spate_bench::DRILLS`, run in-process from the flag
-//! string CI and EXPERIMENTS.md give for it — twice: the deterministic
-//! rendering must repeat, every gate must hold, and where the repository
-//! commits the `BENCH_<X>.json` of that configuration, the regenerated
-//! report must have the file's keys in the file's order and the file's
-//! value in every deterministic field (the whole file, byte for byte,
-//! when it persists no timing).
+//! Every row of `spate_bench::EXPERIMENTS`, run in-process — a drill from
+//! the flag string CI and EXPERIMENTS.md give for it, a paper artifact at
+//! a quick config — twice: the deterministic rendering must repeat, every
+//! gate must hold (of a paper artifact, the deterministic ones: its
+//! wall-clock shapes are CI's `paper` step, on the release build), and
+//! where the repository commits the `BENCH_<X>.json` of that
+//! configuration, the regenerated report must have the file's keys in the
+//! file's order and the file's value in every deterministic field (the
+//! whole file, byte for byte, when it persists no timing).
 
-use spate_bench::{Args, Report, DRILLS};
+use spate_bench::{select, Args, Report, EXPERIMENTS};
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -24,6 +26,17 @@ const COMMANDS: &[&str] = &[
     "trace --seed 42 --scale 1/2048 --unthrottled",
 ];
 const SCALE: &str = "scale --shards 4 --clients 8 --seed 7";
+/// The paper's artifacts at the quick config: an eighth of the default
+/// volume, memory speed.
+const PAPER: &[&str] = &[
+    "fig4 --scale 1/1024 --unthrottled",
+    "table1 --scale 1/1024 --unthrottled",
+    "fig7 --scale 1/1024 --unthrottled",
+    "fig11 --scale 1/1024 --unthrottled",
+    "decay --scale 1/1024 --unthrottled",
+    // The run of `fig7` again, reported in brief.
+    "space-summary --scale 1/2048 --unthrottled",
+];
 
 /// A drill `obs::reset()`s the process-global registry, so one at a time.
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
@@ -31,11 +44,13 @@ static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 fn run(command: &str) -> Report {
     let argv: Vec<&str> = command.split_whitespace().collect();
     let args = Args::parse(&argv).expect(command);
-    let drill = DRILLS.iter().find(|(name, ..)| *name == args.experiment);
-    (drill.expect(command).2)(&args)
+    let [(_, _, experiment)] = select(&args.experiment) else {
+        panic!("`{command}` names one row");
+    };
+    experiment(&args)
 }
 
-fn check(command: &str) {
+fn check(command: &str, timing_gates: bool) {
     let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let (report, again) = (run(command), run(command));
     assert_eq!(
@@ -43,7 +58,8 @@ fn check(command: &str) {
         again.lines(false),
         "`repro {command}` twice"
     );
-    assert_eq!(report.failed_gates(), [""; 0], "`repro {command}`");
+    let failed = report.failed_gates(timing_gates);
+    assert_eq!(failed, [""; 0], "`repro {command}`");
 
     let Some(file) = report.file else { return };
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -72,18 +88,25 @@ fn check(command: &str) {
 
 #[test]
 fn every_drill_repeats_holds_its_gates_and_matches_its_committed_report() {
-    for (name, ..) in DRILLS {
-        let mut rows = COMMANDS.iter().chain([&SCALE]);
-        let covered = rows.any(|c| c.split(' ').next() == Some(name));
-        assert!(covered, "drill `{name}` has no row in this test");
+    for (names, ..) in EXPERIMENTS {
+        let mut rows = COMMANDS.iter().chain([&SCALE]).chain(PAPER);
+        let covered = rows.any(|c| names.split('|').any(|n| c.split(' ').next() == Some(n)));
+        assert!(covered, "experiment `{names}` has no row in this test");
     }
     for command in COMMANDS {
-        check(command);
+        check(command, true);
+    }
+}
+
+#[test]
+fn every_paper_artifact_repeats_and_holds_its_deterministic_shapes() {
+    for command in PAPER {
+        check(command, false);
     }
 }
 
 #[test]
 #[ignore = "two runs of 100 s of simulated disk time; CI runs it on the release build"]
 fn the_scale_drill_repeats_holds_its_gates_and_matches_its_committed_report() {
-    check(SCALE);
+    check(SCALE, true);
 }

@@ -1,6 +1,6 @@
 //! The built `repro` binary's exit codes: 2 with a one-line message for a
-//! command line it cannot parse, 1 naming the gate when a drill's gate
-//! does not hold.
+//! command line it cannot parse, 1 naming the gate when a gate — a drill's
+//! bar or a paper artifact's shape — does not hold.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -80,4 +80,27 @@ fn a_gate_that_does_not_hold_exits_1_naming_it() {
     assert!(stdout.contains("\ncas: seed=7 epochs=48 "), "{stdout}");
     assert!(stdout.contains("bench report written to BENCH_CAS.json"));
     assert!(!stdout.contains("gates hold"), "{stdout}");
+}
+
+#[test]
+fn a_paper_shape_that_does_not_hold_exits_1_naming_it() {
+    // A one-day trace never leaves the one-day full-resolution window:
+    // nothing decays, and the decay run's shapes are bent.
+    let out = repro(&["decay", "--scale", "1/2048", "--days", "1", "--unthrottled"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let failed = stderr(&out);
+    assert!(
+        failed.contains("decay: gate failed: leaves_evicted >= 1 (got 0)"),
+        "{failed}"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("\ndecay: epochs_ingested=48 "), "{stdout}");
+
+    // The same table row with its shapes intact, under one of its names.
+    let out = repro(&["fig8", "--scale", "1/2048", "--unthrottled"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("\nfig7: fig8 Morning RAW="), "{stdout}");
+    assert!(stdout.contains("\nfig7-perf: fig9 Mon RAW="), "{stdout}");
+    assert!(stdout.contains("\n(gates hold: "), "{stdout}");
 }

@@ -50,15 +50,15 @@ impl<T: Send + Sync> Dataset<T> {
         self.partitions.iter().all(Vec::is_empty)
     }
 
-    /// Gather all elements (partition order preserved): k-means seeding
-    /// walks the points in order.
-    pub(crate) fn collect(self) -> Vec<T> {
-        self.partitions.into_iter().flatten().collect()
+    /// Every element, partition order preserved: k-means seeding walks
+    /// the points in order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        self.partitions.iter().flatten()
     }
 
     /// Parallel fold-then-combine (Spark's `aggregate`).
     pub fn aggregate<A: Send + Clone>(
-        self,
+        &self,
         zero: A,
         seq: impl Fn(A, &T) -> A + Sync,
         comb: impl Fn(A, A) -> A,
@@ -93,7 +93,7 @@ mod tests {
         let d = Dataset::from_vec((0..100).collect(), 7);
         assert_eq!(d.len(), 100);
         assert!(d.n_partitions() <= 7);
-        let mut all = d.collect();
+        let mut all: Vec<i32> = d.iter().copied().collect();
         all.sort_unstable();
         assert_eq!(all, (0..100).collect::<Vec<_>>());
     }

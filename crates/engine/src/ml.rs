@@ -206,7 +206,7 @@ fn nearest(centroids: &[Vec<f64>], point: &[f64]) -> (usize, f64) {
 /// centroids.
 pub fn kmeans(points: &Dataset<Vec<f64>>, k: usize, max_iters: u32) -> KMeansModel {
     assert!(k > 0, "k must be positive");
-    let data: Vec<Vec<f64>> = points.clone().collect();
+    let data: Vec<&Vec<f64>> = points.iter().collect();
     if data.is_empty() {
         return KMeansModel {
             centroids: vec![],
@@ -237,7 +237,7 @@ pub fn kmeans(points: &Dataset<Vec<f64>>, k: usize, max_iters: u32) -> KMeansMod
         iterations = it + 1;
         // Assignment + per-cluster sums, in parallel.
         let centroids_ref = &centroids;
-        let (sums, counts, new_inertia) = points.clone().aggregate(
+        let (sums, counts, new_inertia) = points.aggregate(
             (vec![vec![0.0; dims]; k], vec![0u64; k], 0.0),
             |mut acc, p| {
                 let (c, d) = nearest(centroids_ref, p);
@@ -315,7 +315,7 @@ pub fn linreg_ridge(
         return None;
     }
     let d = dims + 1; // intercept column first
-    let (xtx, xty, sum_y, sum_y2, n) = samples.clone().aggregate(
+    let (xtx, xty, sum_y, sum_y2, n) = samples.aggregate(
         (vec![vec![0.0; d]; d], vec![0.0; d], 0.0, 0.0, 0u64),
         |mut acc, (x, y)| {
             debug_assert_eq!(x.len(), dims);
@@ -483,6 +483,42 @@ mod tests {
         let p0 = model.predict(&[0.1, -0.1]);
         let p1 = model.predict(&[9.5, 10.5]);
         assert_ne!(p0, p1);
+    }
+
+    /// Partials fold in partition order, so the floating-point sums — and
+    /// with them every centroid and the inertia — do not depend on how
+    /// `aggregate` borrows the dataset. The expected bits were printed by
+    /// the tree in which `aggregate` still consumed a per-iteration clone.
+    #[test]
+    fn kmeans_is_bit_identical_on_a_seeded_input() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        let points: Vec<Vec<f64>> = (0..500)
+            .map(|i| {
+                let center = f64::from(i % 3) * 4.0;
+                vec![center + rng.gen_range(-1.5..1.5), rng.gen_range(-2.0..2.0)]
+            })
+            .collect();
+        let model = kmeans(&Dataset::from_vec(points, 3), 3, 40);
+        let mut bits: Vec<u64> = model
+            .centroids
+            .iter()
+            .flatten()
+            .map(|x| x.to_bits())
+            .collect();
+        bits.push(model.inertia.to_bits());
+        let expected = [
+            0xbf93f32bba34fe87,
+            0xbfc17dd717c27b1b,
+            0x401ff66657018f8c,
+            0x3fa0ff02b5394477,
+            0x400f8fb581148b0b,
+            0xbfaf59a8e558f8fd,
+            0x408fd14bf36db1d2,
+        ];
+        assert_eq!(bits, expected, "{bits:#x?}");
+        assert_eq!(model.iterations, 5);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Exporters: Prometheus-style text dump, sorted flame table, JSON, and
-//! flight-recorder views (Chrome `trace_event` JSON, per-trace tree).
+//! Exporters: sorted flame table, registry JSON, and the flight
+//! recorder as Chrome `trace_event` JSON.
 
 use crate::flight::{EventKind, SpanEvent};
 use crate::registry::Registry;
@@ -7,134 +7,6 @@ use crate::span::SpanStats;
 use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-/// Sanitize a metric name for the Prometheus exposition format.
-fn prom_name(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
-}
-
-/// Escape a label *value* per the exposition format: backslash, double
-/// quote and line feed. (Label names are sanitized like metric names.)
-fn prom_label_value(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render a label set (plus an optional extra label) as `{k="v",...}`,
-/// or the empty string when there is nothing to render.
-fn prom_labels(labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
-    let mut items: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{}=\"{}\"", prom_name(k), prom_label_value(v)))
-        .collect();
-    if let Some((k, v)) = extra {
-        items.push(format!("{k}=\"{}\"", prom_label_value(v)));
-    }
-    if items.is_empty() {
-        String::new()
-    } else {
-        format!("{{{}}}", items.join(","))
-    }
-}
-
-/// Prometheus-style text exposition of every counter, gauge, histogram
-/// and span in the registry: `# HELP` / `# TYPE` once per family, label
-/// values escaped, histograms in the standard cumulative
-/// `_bucket{le=...}` / `_sum` / `_count` form, so real scrapers parse it.
-pub fn prometheus_text(registry: &Registry) -> String {
-    let mut out = String::new();
-    // Counter and gauge series arrive sorted by (name, labels); emit the
-    // family header exactly once, when the name changes.
-    let mut family: Option<String> = None;
-    for (id, c) in registry.counters_snapshot() {
-        let n = prom_name(id.name());
-        if family.as_deref() != Some(id.name()) {
-            let _ = writeln!(out, "# HELP {n} Workspace counter `{}`.", id.name());
-            let _ = writeln!(out, "# TYPE {n} counter");
-            family = Some(id.name().to_string());
-        }
-        let labels = prom_labels(id.labels(), None);
-        let _ = writeln!(out, "{n}{labels} {}", c.get());
-    }
-    let mut family: Option<String> = None;
-    for (id, g) in registry.gauges_snapshot() {
-        let n = prom_name(id.name());
-        if family.as_deref() != Some(id.name()) {
-            let _ = writeln!(out, "# HELP {n} Workspace gauge `{}`.", id.name());
-            let _ = writeln!(out, "# TYPE {n} gauge");
-            family = Some(id.name().to_string());
-        }
-        let labels = prom_labels(id.labels(), None);
-        let _ = writeln!(out, "{n}{labels} {}", g.get());
-    }
-    let mut family: Option<String> = None;
-    for (id, h) in registry.histograms_snapshot() {
-        let n = prom_name(id.name());
-        if family.as_deref() != Some(id.name()) {
-            let _ = writeln!(out, "# HELP {n} Workspace histogram `{}`.", id.name());
-            let _ = writeln!(out, "# TYPE {n} histogram");
-            family = Some(id.name().to_string());
-        }
-        // Cumulative buckets over the *occupied* log-buckets only (the
-        // fixed bucket array is ~2k wide — a scraper still reconstructs
-        // exact cumulative counts because the counts are cumulative).
-        for (le, cum) in h.cumulative_buckets() {
-            let labels = prom_labels(id.labels(), Some(("le", &le.to_string())));
-            let _ = writeln!(out, "{n}_bucket{labels} {cum}");
-        }
-        let inf = prom_labels(id.labels(), Some(("le", "+Inf")));
-        let _ = writeln!(out, "{n}_bucket{inf} {}", h.count());
-        let bare = prom_labels(id.labels(), None);
-        let _ = writeln!(out, "{n}_sum{bare} {}", h.sum());
-        let _ = writeln!(out, "{n}_count{bare} {}", h.count());
-    }
-    let spans = registry.spans_snapshot();
-    if !spans.is_empty() {
-        let _ = writeln!(
-            out,
-            "# HELP span_seconds Tracing span durations by `;`-joined path."
-        );
-        let _ = writeln!(out, "# TYPE span_seconds summary");
-    }
-    for (path, st) in spans {
-        let d = st.durations.snapshot();
-        let path = prom_label_value(&path);
-        for (q, v) in [(0.5, d.p50), (0.9, d.p90), (0.99, d.p99)] {
-            let _ = writeln!(
-                out,
-                "span_seconds{{path=\"{path}\",quantile=\"{q}\"}} {:.9}",
-                v as f64 / 1e9
-            );
-        }
-        let _ = writeln!(
-            out,
-            "span_seconds_sum{{path=\"{path}\"}} {:.9}",
-            st.total_ns.load(Ordering::Relaxed) as f64 / 1e9
-        );
-        let _ = writeln!(
-            out,
-            "span_seconds_count{{path=\"{path}\"}} {}",
-            st.calls.load(Ordering::Relaxed)
-        );
-    }
-    out
-}
 
 /// One resolved row of the flame table.
 struct SpanRow {
@@ -323,56 +195,6 @@ pub fn chrome_trace(events: &[SpanEvent]) -> String {
     out
 }
 
-/// One trace's events as an indented tree, children ordered by span id
-/// (start order). Events whose parent was already overwritten in the
-/// ring render as roots; instants render with an `@` marker.
-pub fn trace_tree(events: &[SpanEvent]) -> String {
-    let mut events: Vec<&SpanEvent> = events.iter().collect();
-    events.sort_by_key(|e| e.span_id);
-    let known: std::collections::BTreeSet<u64> = events
-        .iter()
-        .filter(|e| e.span_id != 0)
-        .map(|e| e.span_id)
-        .collect();
-    let mut out = String::new();
-    fn emit(
-        out: &mut String,
-        events: &[&SpanEvent],
-        known: &std::collections::BTreeSet<u64>,
-        parent: u64,
-        depth: usize,
-    ) {
-        for ev in events.iter().filter(|e| {
-            if parent == 0 {
-                e.parent_id == 0 || !known.contains(&e.parent_id)
-            } else {
-                e.parent_id == parent
-            }
-        }) {
-            let indent = "  ".repeat(depth);
-            let args: String = ev.args.iter().map(|(k, v)| format!("  {k}={v}")).collect();
-            match ev.kind {
-                EventKind::Span => {
-                    let _ = writeln!(
-                        out,
-                        "{indent}{}  {:.3}ms{args}",
-                        ev.name,
-                        ev.dur_ns as f64 / 1e6
-                    );
-                }
-                EventKind::Instant => {
-                    let _ = writeln!(out, "{indent}@ {}{args}", ev.name);
-                }
-            }
-            if ev.span_id != 0 {
-                emit(out, events, known, ev.span_id, depth + 1);
-            }
-        }
-    }
-    emit(&mut out, &events, &known, 0, 0);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -397,96 +219,6 @@ mod tests {
         c.self_ns.fetch_add(1_500_000, Ordering::Relaxed);
         c.durations.record(750_000);
         r
-    }
-
-    #[test]
-    fn prometheus_text_sanitizes_names() {
-        let text = prometheus_text(&sample_registry());
-        assert!(text.contains("dfs_read_ops 3"));
-        assert!(text.contains("codecs_gzip_lite_compress_bytes_in 1000"));
-        assert!(text.contains("# TYPE cache_bytes gauge"));
-        assert!(text.contains("dfs_write_pipeline_ns_count 3"));
-        assert!(text.contains("span_seconds_count{path=\"spate.ingest\"} 2"));
-    }
-
-    #[test]
-    fn prometheus_emits_help_and_one_type_line_per_family() {
-        let r = sample_registry();
-        r.histogram_labeled("serve.latency_us", &[("class", "interactive")])
-            .record(100);
-        r.histogram_labeled("serve.latency_us", &[("class", "scan")])
-            .record(9000);
-        let text = prometheus_text(&r);
-        assert_eq!(
-            text.matches("# TYPE serve_latency_us histogram").count(),
-            1,
-            "{text}"
-        );
-        assert_eq!(text.matches("# HELP serve_latency_us ").count(), 1);
-        // Two span paths, still one family header.
-        assert_eq!(text.matches("# TYPE span_seconds summary").count(), 1);
-        assert!(text.contains("serve_latency_us_bucket{class=\"interactive\",le=\""));
-        assert!(text.contains("serve_latency_us_bucket{class=\"scan\",le=\"+Inf\"} 1"));
-        assert!(text.contains("serve_latency_us_count{class=\"scan\"} 1"));
-        // Every HELP is immediately followed by its TYPE.
-        let lines: Vec<&str> = text.lines().collect();
-        for (i, l) in lines.iter().enumerate() {
-            if let Some(rest) = l.strip_prefix("# HELP ") {
-                let fam = rest.split_whitespace().next().unwrap();
-                assert!(
-                    lines[i + 1].starts_with(&format!("# TYPE {fam} ")),
-                    "{l} not followed by TYPE"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn prometheus_escapes_label_values() {
-        let r = Registry::new();
-        r.histogram_labeled("h", &[("q", "a\"b\\c\nd")]).record(1);
-        let text = prometheus_text(&r);
-        assert!(text.contains("q=\"a\\\"b\\\\c\\nd\""), "{text}");
-        // The raw newline must not survive into the line.
-        assert!(!text.lines().any(|l| l == "d\""), "{text}");
-    }
-
-    #[test]
-    fn prometheus_escaping_survives_adversarial_label_values() {
-        // Adjacent escape-relevant characters: a raw `\"` sequence must
-        // become `\\\"` (escaped backslash, then escaped quote), and a
-        // trailing backslash must not swallow the closing quote.
-        let r = Registry::new();
-        r.histogram_labeled("lat", &[("path", "a\\\"b")]).record(1);
-        r.histogram_labeled("lat", &[("path", "trailing\\")])
-            .record(2);
-        r.histogram_labeled("lat", &[("path", "\"quoted\"")])
-            .record(3);
-        let text = prometheus_text(&r);
-        assert!(text.contains("path=\"a\\\\\\\"b\""), "{text}");
-        assert!(text.contains("path=\"trailing\\\\\""), "{text}");
-        assert!(text.contains("path=\"\\\"quoted\\\"\""), "{text}");
-        // All three are series of one family: exactly one TYPE header,
-        // and each series keeps its own _bucket/_sum/_count lines.
-        assert_eq!(text.matches("# TYPE lat histogram").count(), 1);
-        assert!(text.contains("lat_count{path=\"a\\\\\\\"b\"} 1"));
-        assert!(text.contains("lat_sum{path=\"trailing\\\\\"} 2"));
-        assert!(text.contains("lat_count{path=\"trailing\\\\\"} 1"));
-        assert!(text.contains("lat_bucket{path=\"trailing\\\\\",le=\"+Inf\"} 1"));
-        // Every emitted line has balanced (even) unescaped quotes, i.e.
-        // a scraper tokenizing on unescaped `"` never runs off the line.
-        for line in text.lines() {
-            let mut quotes = 0;
-            let mut escaped = false;
-            for c in line.chars() {
-                match c {
-                    '\\' if !escaped => escaped = true,
-                    '"' if !escaped => quotes += 1,
-                    _ => escaped = false,
-                }
-            }
-            assert_eq!(quotes % 2, 0, "unbalanced quotes in {line:?}");
-        }
     }
 
     #[test]
@@ -564,26 +296,5 @@ mod tests {
         assert!(doc.contains("\"tid\": 7"));
         assert!(doc.contains("\"hits\": \"2\""));
         assert!(!doc.contains(",]") && !doc.contains(",}"));
-    }
-
-    #[test]
-    fn trace_tree_indents_children_and_marks_instants() {
-        let tree = trace_tree(&sample_events());
-        let lines: Vec<&str> = tree.lines().collect();
-        assert!(lines[0].starts_with("serve.request"), "{tree}");
-        assert!(lines[1].starts_with("  serve.evaluate"), "{tree}");
-        assert!(lines[2].starts_with("    dfs.read"), "{tree}");
-        assert!(lines[3].starts_with("    @ cache  hits=2"), "{tree}");
-    }
-
-    #[test]
-    fn trace_tree_orphans_render_as_roots() {
-        // Parent span 1 was overwritten in the ring; its child must still
-        // appear instead of silently vanishing.
-        let mut events = sample_events();
-        events.remove(0);
-        let tree = trace_tree(&events);
-        assert!(tree.lines().next().unwrap().starts_with("serve.evaluate"));
-        assert_eq!(tree.lines().count(), 3);
     }
 }

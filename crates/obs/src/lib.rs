@@ -7,7 +7,7 @@
 //! registry** (named counters, gauges and log-bucketed histograms), a
 //! lightweight **span API** (RAII guards forming a parent/child tree per
 //! thread, separating self-time from child time), and **exporters** (a
-//! Prometheus-style text dump, a sorted flame table, and JSON).
+//! sorted flame table, JSON, and Chrome `trace_event` JSON).
 //!
 //! Metric names follow the `crate.component.event` convention, e.g.
 //! `dfs.read.bytes` or `codecs.gzip-lite.compress.bytes_in`. Span *names*

@@ -207,29 +207,6 @@ impl Histogram {
         0
     }
 
-    /// Cumulative `(upper_bound, count_at_or_below)` pairs for the
-    /// Prometheus `_bucket{le=...}` exposition: one entry per *occupied*
-    /// bucket (sparse — the full bucket array would be thousands of
-    /// series), upper bound exclusive-start of the next bucket so every
-    /// value counted in bucket `i` is `<= le`. The `+Inf` bucket is the
-    /// caller's to emit from [`Histogram::count`].
-    pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        let mut cum = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            let c = b.load(Ordering::Relaxed);
-            if c > 0 {
-                cum += c;
-                // Bucket `i` holds values in `[low(i), low(i+1))`; the top
-                // bucket's bound saturates, where `le = u64::MAX` is exact.
-                let next = bucket_low(i + 1);
-                let le = if next == u64::MAX { next } else { next - 1 };
-                out.push((le, cum));
-            }
-        }
-        out
-    }
-
     /// A consistent-enough point-in-time view (each field individually
     /// exact; fields may straddle concurrent records).
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -340,27 +317,6 @@ mod tests {
         let p100 = Histogram::quantile_of_counts(&before, 1.0);
         assert!((97..=104).contains(&p100), "{p100}");
         assert_eq!(Histogram::quantile_of_counts(&[], 0.5), 0);
-    }
-
-    #[test]
-    fn cumulative_buckets_are_sparse_monotone_and_complete() {
-        let h = Histogram::new();
-        assert!(h.cumulative_buckets().is_empty());
-        for v in [3, 3, 100, 100_000, u64::MAX] {
-            h.record(v);
-        }
-        let buckets = h.cumulative_buckets();
-        // One entry per occupied bucket, not per bucket.
-        assert_eq!(buckets.len(), 4, "{buckets:?}");
-        // Bounds strictly increase, counts are non-decreasing and end at
-        // the total; every recorded value is <= its bucket's `le`.
-        for w in buckets.windows(2) {
-            assert!(w[0].0 < w[1].0 && w[0].1 <= w[1].1);
-        }
-        assert_eq!(buckets.last().unwrap().1, h.count());
-        assert_eq!(buckets[0], (3, 2), "sub-SUB values bucket exactly");
-        assert!(buckets[1].0 >= 100 && buckets[1].1 == 3);
-        assert_eq!(buckets.last().unwrap().0, u64::MAX);
     }
 
     #[test]

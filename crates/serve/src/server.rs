@@ -57,7 +57,7 @@ use spate_core::{
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -65,6 +65,17 @@ use telco_trace::cells::{BoundingBox, CellLayout};
 use telco_trace::schema::TableKind;
 use telco_trace::snapshot::{Row, Snapshot};
 use telco_trace::time::EpochId;
+
+/// Windows of at most this many epochs classify as interactive.
+const INTERACTIVE_MAX_WINDOW: u32 = 8;
+
+/// Max epochs prefetched ahead of a served window.
+const PREFETCH_LOOKAHEAD: u32 = 4;
+
+/// Finished [`CostProfile`]s retained for the Profile control frame
+/// (bounded FIFO; older requests become unanswerable, like traces
+/// overwritten in the flight-recorder ring).
+const PROFILE_HISTORY: usize = 64;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -75,8 +86,6 @@ pub struct ServeConfig {
     pub interactive_depth: usize,
     /// Admission depth of the scan class.
     pub scan_depth: usize,
-    /// Windows of at most this many epochs classify as interactive.
-    pub interactive_max_window: u32,
     /// Jobs older than this on pop are shed instead of served.
     pub queue_deadline: Duration,
     /// Shared epoch cache shards.
@@ -85,18 +94,8 @@ pub struct ServeConfig {
     pub cache_capacity_per_shard: usize,
     /// Warm the cache ahead of each session's window (see `prefetch`).
     pub prefetch: bool,
-    /// Max epochs prefetched ahead of a served window.
-    pub prefetch_lookahead: u32,
     /// Tune the meta-highlights monitor (θ, arming ticks, history).
     pub meta: MetaConfig,
-    /// When set, a background thread ticks the meta-highlights monitor at
-    /// this interval. When `None` (the default, and what deterministic
-    /// harnesses want) the operator drives it via [`Server::monitor_tick`].
-    pub monitor_interval: Option<Duration>,
-    /// Finished [`CostProfile`]s retained for the Profile control frame
-    /// (bounded FIFO; older requests become unanswerable, like traces
-    /// overwritten in the flight-recorder ring).
-    pub profile_history: usize,
     /// Chaos drills only: honor the reserved [`CHAOS_PANIC_ATTRIBUTE`]
     /// and [`CHAOS_STALL_ATTRIBUTE`] explore attributes (panic inside
     /// evaluation; stall before the first budget checkpoint), exercising
@@ -124,15 +123,11 @@ impl Default for ServeConfig {
             workers: 4,
             interactive_depth: 64,
             scan_depth: 16,
-            interactive_max_window: 8,
             queue_deadline: Duration::from_secs(2),
             cache_shards: 8,
             cache_capacity_per_shard: 16,
             prefetch: true,
-            prefetch_lookahead: 4,
             meta: MetaConfig::default(),
-            monitor_interval: None,
-            profile_history: 64,
             chaos_poison: false,
         }
     }
@@ -277,8 +272,6 @@ struct Shared {
     /// trace id. The intake flips a flag on `Cancel`; entries are
     /// dropped when the request settles (terminal frame sent) or sheds.
     cancels: Mutex<HashMap<u64, CancelFlag>>,
-    /// Set on shutdown to stop the optional monitor thread.
-    stop: AtomicBool,
 }
 
 /// The in-flight trace-id set plus a condvar notified on every removal,
@@ -338,7 +331,6 @@ impl Drop for InflightGuard<'_> {
 pub struct Server {
     shared: Arc<Shared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    monitor_thread: Mutex<Option<JoinHandle<()>>>,
     /// Server-side endpoints, closed on shutdown to hang up on clients.
     conn_endpoints: Mutex<Vec<Endpoint>>,
 }
@@ -380,10 +372,9 @@ impl Server {
             ),
             lat_scan: obs::histogram_labeled("serve.latency_us", &[("class", "scan")]),
             monitor: Mutex::new(MetaMonitor::new(config.meta)),
-            profiles: Mutex::new(ProfileStore::new(config.profile_history)),
+            profiles: Mutex::new(ProfileStore::new(PROFILE_HISTORY)),
             inflight: Inflight::default(),
             cancels: Mutex::new(HashMap::new()),
-            stop: AtomicBool::new(false),
             config: config.clone(),
         });
         let workers = (0..config.workers.max(1))
@@ -405,14 +396,9 @@ impl Server {
                 })
             })
             .collect();
-        let monitor_thread = config.monitor_interval.map(|interval| {
-            let shared = shared.clone();
-            std::thread::spawn(move || monitor_loop(&shared, interval))
-        });
         Self {
             shared,
             workers: Mutex::new(workers),
-            monitor_thread: Mutex::new(monitor_thread),
             conn_endpoints: Mutex::new(Vec::new()),
         }
     }
@@ -488,8 +474,8 @@ impl Server {
 
     /// Advance the meta-highlights monitor one window: sample every
     /// telemetry stream, feed the θ-rarity tables, return what fired.
-    /// Deterministic harnesses call this at barrier points instead of
-    /// configuring [`ServeConfig::monitor_interval`].
+    /// The operator drives the monitor; deterministic harnesses call this
+    /// at barrier points.
     pub fn monitor_tick(&self) -> Vec<AnomalyRecord> {
         lock_sane(&self.shared.monitor).tick(obs::global())
     }
@@ -522,13 +508,9 @@ impl Server {
     /// Graceful shutdown: stop admitting, drain queued work, join the
     /// pool, hang up every connection. Returns the final stats.
     pub fn shutdown(self) -> ServeStats {
-        self.shared.stop.store(true, Ordering::Relaxed);
         self.shared.queue.close();
         for w in lock_sane(&self.workers).drain(..) {
             let _ = w.join();
-        }
-        if let Some(m) = lock_sane(&self.monitor_thread).take() {
-            let _ = m.join();
         }
         for ep in lock_sane(&self.conn_endpoints).drain(..) {
             ep.close_both();
@@ -537,27 +519,10 @@ impl Server {
     }
 }
 
-/// Optional background driver of the meta-highlights monitor.
-fn monitor_loop(shared: &Shared, interval: Duration) {
-    while !shared.stop.load(Ordering::Relaxed) {
-        // Sleep in small slices so shutdown is prompt.
-        let mut slept = Duration::ZERO;
-        while slept < interval && !shared.stop.load(Ordering::Relaxed) {
-            let slice = Duration::from_millis(10).min(interval - slept);
-            std::thread::sleep(slice);
-            slept += slice;
-        }
-        if shared.stop.load(Ordering::Relaxed) {
-            break;
-        }
-        lock_sane(&shared.monitor).tick(obs::global());
-    }
-}
-
 // ------------------------------------------------------------- intake side
 
-fn classify(config: &ServeConfig, body: &RequestBody) -> Class {
-    if body.window_len() > config.interactive_max_window {
+fn classify(body: &RequestBody) -> Class {
+    if body.window_len() > INTERACTIVE_MAX_WINDOW {
         Class::Scan
     } else {
         Class::Interactive
@@ -678,7 +643,7 @@ fn admit(shared: &Shared, conn: u64, ep: &Endpoint, request: Request) {
         let _ = answer_control(shared, ep, &request);
         return;
     }
-    let class = classify(&shared.config, &request.body);
+    let class = classify(&request.body);
     let id = request.id;
     let trace_id = trace_id_for(conn, id);
     obs::trace::instant_for(
@@ -899,7 +864,7 @@ fn answer_control(shared: &Shared, ep: &Endpoint, request: &Request) -> Result<(
                 .map(|(id, c)| (id.to_string(), c.get()))
                 .collect();
             // Per-shard DFS breaker telemetry, aggregated for the frame
-            // and published as gauges so the Prometheus export shows
+            // and published as gauges so the metrics export shows
             // open breakers without a debugger attached.
             let mut breaker = dfs::breaker::BreakerStatsSnapshot::default();
             let mut breaker_nodes: Vec<(u32, u32, u8)> = Vec::new();
@@ -1249,10 +1214,7 @@ fn prefetch(shared: &Shared, conn: u64, window: (u32, u32)) {
     let Some(last) = shared.shards.read(0).index().last_epoch() else {
         return;
     };
-    let ahead = shared
-        .config
-        .prefetch_lookahead
-        .min(window.1.saturating_sub(window.0) + 1);
+    let ahead = PREFETCH_LOOKAHEAD.min(window.1.saturating_sub(window.0) + 1);
     let from = window.1.saturating_add(1);
     let to = window.1.saturating_add(ahead).min(last.0);
     for e in from..=to {
