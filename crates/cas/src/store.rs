@@ -221,18 +221,22 @@ impl CasStore {
     /// leaves at most an orphan pack that [`Self::gc`] / [`Self::recover`]
     /// sweep.
     ///
-    /// The child spans split the cost: `cas.put.split` is the chunker,
-    /// `cas.put.pack` the piece hashes and the compression of the new
-    /// pack's units,
-    /// `cas.put.manifest` the manifest's encoding and compression,
-    /// `cas.put.commit` the filesystem writes and the refcounts.
+    /// The child spans split the cost: `cas.put.split` is the chunker and
+    /// the piece hashes, `cas.put.pack` the dedup lookups and the
+    /// compression of the new pack's units, `cas.put.manifest` the
+    /// manifest's encoding and compression, `cas.put.commit` the
+    /// filesystem writes and the refcounts.
     pub fn put_epoch(&self, epoch: u32, raw: &[u8]) -> Result<PutReceipt, CasError> {
         let _span = obs::span("cas.put");
         // A pure function of `raw`: done before the lock, so that a read
-        // of another epoch does not wait behind it.
-        let (layout, mut pieces) = {
+        // of another epoch does not wait behind it. So are the addresses of
+        // the pieces stored as chunks (an inline piece has none).
+        let (layout, mut pieces, hashes) = {
             let _split = obs::span("cas.put.split");
-            chunker::split(raw, &self.cfg.chunking)
+            let (layout, pieces) = chunker::split(raw, &self.cfg.chunking);
+            let hash = |piece: &Vec<u8>| (piece.len() > INLINE_MAX).then(|| ChunkHash::of(piece));
+            let hashes: Vec<Option<ChunkHash>> = pieces.iter().map(hash).collect();
+            (layout, pieces, hashes)
         };
         let mut st = self.state.lock();
         if st.epochs.contains_key(&epoch) {
@@ -277,7 +281,7 @@ impl CasStore {
         let of_sections = sections.iter().enumerate();
         for (section, at) in of_sections.flat_map(|(i, s)| s.clone().map(move |at| (i, at))) {
             let piece = &pieces[at];
-            if piece.len() <= INLINE_MAX {
+            let Some(h) = hashes[at] else {
                 let fresh = inline_at.len() as u32;
                 let i = *inline_index_of.entry(piece.as_slice()).or_insert(fresh);
                 if i == fresh {
@@ -288,8 +292,7 @@ impl CasStore {
                 }
                 slots.push(Slot::Inline(i));
                 continue;
-            }
-            let h = ChunkHash::of(piece);
+            };
             if let Some(&i) = index_of.get(&h) {
                 slots.push(Slot::Chunk(i));
                 dedup_hits += 1;

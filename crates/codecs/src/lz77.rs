@@ -3,10 +3,17 @@
 //!
 //! The matcher is a classic hash-chain design: a rolling 4-byte hash indexes
 //! chains of previous positions inside a sliding window. Codecs differ only
-//! in their [`Lz77Config`] (window size, chain depth, lazy matching) and in
-//! how they entropy-code the resulting [`Token`] stream.
+//! in their [`Lz77Config`] (window size, chain depth, lazy matching, chain
+//! swap) and in how they entropy-code the resulting [`Token`] stream.
+//!
+//! [`parse`] cuts an input of at least `split_min` bytes in two at
+//! `len / 2` and parses the halves on two threads, the second with up to a
+//! window of the first as a preset dictionary (pigz's construction). Where
+//! the cut falls depends on the input's length alone, so the tokens are the
+//! same on one core as on many.
 
 use std::cell::Cell;
+use std::sync::{Mutex, TryLockError};
 
 /// Minimum match length. Using 4 keeps the hash exact for the first probe.
 pub const MIN_MATCH: usize = 4;
@@ -41,6 +48,15 @@ pub struct Lz77Config {
     pub lazy: bool,
     /// Stop chain traversal early once a match of this length is found.
     pub good_enough: u32,
+    /// LZ4-HC's chain swap: once a walk holds a match of length `L`, go on
+    /// down the chain of whichever 4-gram of the match occurs farthest
+    /// back, since every longer match repeats all of them. The same
+    /// matches for fewer candidates; it pays where chains are deep.
+    pub chain_swap: bool,
+    /// Inputs at least this long are parsed as two halves on two threads
+    /// (see [`parse`]): where half a parse costs more than starting a
+    /// thread.
+    pub split_min: usize,
 }
 
 impl Lz77Config {
@@ -52,21 +68,28 @@ impl Lz77Config {
             max_match: 258,
             lazy: true,
             good_enough: 64,
+            chain_swap: false,
+            split_min: 16 << 10,
         }
     }
 
-    /// LZMA-class parameters: 1 MiB window, deep chains, lazy matching.
+    /// LZMA-class parameters: 1 MiB window, deep swapped chains, lazy
+    /// matching.
     pub fn lzma_class() -> Self {
         Self {
             window_log: 20,
-            max_chain: 512,
+            max_chain: 256,
             max_match: 259,
             lazy: true,
             good_enough: 128,
+            chain_swap: true,
+            split_min: 16 << 10,
         }
     }
 
-    /// Snappy-class parameters: 64 KiB window, single probe, greedy.
+    /// Snappy-class parameters: 64 KiB window, single probe, greedy. A
+    /// parse this cheap is split only where half of it outlasts a thread's
+    /// start.
     pub fn snappy_class() -> Self {
         Self {
             window_log: 16,
@@ -74,10 +97,13 @@ impl Lz77Config {
             max_match: 64,
             lazy: false,
             good_enough: 16,
+            chain_swap: false,
+            split_min: 64 << 10,
         }
     }
 
-    /// Zstd-class parameters: 128 KiB window, moderately deep chains.
+    /// Zstd-class parameters: 128 KiB window, moderately deep swapped
+    /// chains.
     pub fn zstd_class() -> Self {
         Self {
             window_log: 17,
@@ -85,6 +111,8 @@ impl Lz77Config {
             max_match: 1 << 16,
             lazy: true,
             good_enough: 96,
+            chain_swap: true,
+            split_min: 16 << 10,
         }
     }
 
@@ -127,6 +155,17 @@ fn match_len(data: &[u8], a: usize, b: usize, max: usize) -> usize {
     n
 }
 
+/// What every step of a walk reads: the input, the chain table and the
+/// config's stopping rule.
+#[derive(Clone, Copy)]
+struct Chains<'a> {
+    data: &'a [u8],
+    prev: &'a [i32],
+    /// `prev.len() - 1`.
+    mask: usize,
+    good_enough: usize,
+}
+
 /// One walk down a hash chain: the search for the longest match at `pos`.
 ///
 /// A walk only reads the tables, so two of them (the search at `pos` and
@@ -140,6 +179,9 @@ struct Walk {
     max: usize,
     /// The candidate the next step examines.
     cand: usize,
+    /// The chain walked is the one through `cand + off`: 0 until a chain
+    /// swap, then the offset in the match of the 4-gram it swapped to.
+    off: usize,
     /// Candidates left in the budget.
     chain: u32,
     best_len: usize,
@@ -152,23 +194,30 @@ struct Walk {
 
 impl Walk {
     /// Examine one candidate and move to its predecessor in the chain.
+    /// `SWAP` is the config's `chain_swap`, a constant so that a walk
+    /// without it compiles to the loop it was.
     #[inline(always)]
-    fn step(&mut self, data: &[u8], prev: &[i32], mask: usize, good_enough: usize) {
+    fn step<const SWAP: bool>(&mut self, t: Chains) {
         let c = self.cand;
         // A candidate that differs in the four bytes ending at index
         // `best_len` matches no longer than `best_len`: only
         // non-improvements are skipped. `best_len < max` while the walk
         // runs, so both words are inside the input.
-        if word_at(data, c + self.best_len - 3) == self.want {
-            let len = match_len(data, c, self.pos, self.max);
+        if word_at(t.data, c + self.best_len - 3) == self.want {
+            let len = match_len(t.data, c, self.pos, self.max);
             if len > self.best_len {
                 self.best_len = len;
                 self.best_dist = (self.pos - c) as u32;
-                if len >= good_enough || len >= self.max {
+                if len >= t.good_enough || len >= self.max {
                     self.done = true;
                     return;
                 }
-                self.want = word_at(data, self.pos + len - 3);
+                self.want = word_at(t.data, self.pos + len - 3);
+                // Every position of the match is indexed (and none is
+                // the window's edge, whose slot may be `pos`'s own).
+                if SWAP && c + len <= self.pos && c > self.min_pos {
+                    self.swap_chain(t, c, len);
+                }
             }
         }
         self.chain -= 1;
@@ -176,12 +225,16 @@ impl Walk {
         // edge is the last. Its slot of `prev` is not read either: when the
         // table is exactly one window long that slot is `pos`'s own, `pos`
         // is inserted before its walk runs, and what the slot then holds is
-        // the head of this very chain.
+        // the head of this very chain. (With `off > 0` the slot read is
+        // inside the window; the candidate it yields is not.)
         if self.chain == 0 || c == self.min_pos {
             self.done = true;
             return;
         }
-        let next = prev[c & mask];
+        let next = match SWAP {
+            true => t.prev[(c + self.off) & t.mask] - self.off as i32,
+            false => t.prev[c & t.mask],
+        };
         if next < self.min_pos as i32 {
             self.done = true; // end of chain (-1) or out of the window
             return;
@@ -189,11 +242,32 @@ impl Walk {
         self.cand = next as usize;
     }
 
+    /// The chain swap, after a match of `len` at `c`: a longer match
+    /// repeats `data[c + k..c + k + 4]` at offset `k` for every
+    /// `k <= len - 4`, so it starts no later than `prev[c + k] - k` for any
+    /// of them. Walk on from the smallest: the chain of the 4-gram whose
+    /// previous occurrence is farthest back, which the fewest candidates
+    /// share. Ties keep the smaller offset.
+    #[inline(always)]
+    fn swap_chain(&mut self, t: Chains, c: usize, len: usize) {
+        let (mut off, mut next) = (0, t.prev[c & t.mask]);
+        for k in 1..=len - MIN_MATCH {
+            let at = t.prev[(c + k) & t.mask] - k as i32;
+            if at < next {
+                (off, next) = (k, at);
+                if next < self.min_pos as i32 {
+                    break; // nothing in the window matches longer
+                }
+            }
+        }
+        self.off = off;
+    }
+
     /// Step until the walk is over.
     #[inline(always)]
-    fn finish(&mut self, data: &[u8], prev: &[i32], mask: usize, good_enough: usize) {
+    fn finish<const SWAP: bool>(&mut self, t: Chains) {
         while !self.done {
-            self.step(data, prev, mask, good_enough);
+            self.step::<SWAP>(t);
         }
     }
 }
@@ -208,8 +282,17 @@ thread_local! {
     /// the system by the allocator on free and faults in again page by
     /// page, unless something larger freed earlier happens to have raised
     /// its thresholds (the 4 MiB `prev` of every LZMA-class parse used to).
-    static TABLES: Cell<(Vec<i32>, Vec<i32>)> = const { Cell::new((Vec::new(), Vec::new())) };
+    static TABLES: Cell<Tables> = const { Cell::new((Vec::new(), Vec::new())) };
 }
+
+type Tables = (Vec<i32>, Vec<i32>);
+
+/// The tables of the thread that parsed the last second half (see
+/// [`parse`]): that thread is gone, and the next one starts with them.
+/// Holding the lock is also the right to start that thread: a caller that
+/// finds it taken parses both halves itself, so concurrent compressions (a
+/// sharded ingest) start one thread more, not one more each.
+static SPARE: Mutex<Tables> = Mutex::new((Vec::new(), Vec::new()));
 
 /// Hash-chain LZ77 match finder over a single input buffer.
 ///
@@ -267,6 +350,7 @@ impl<'a> MatchFinder<'a> {
             min_pos,
             max: (self.config.max_match as usize).min(self.data.len() - pos),
             cand: first as usize,
+            off: 0,
             chain: self.config.max_chain,
             best_len: MIN_MATCH - 1,
             best_dist: 0,
@@ -276,7 +360,14 @@ impl<'a> MatchFinder<'a> {
     }
 
     /// Parse the payload (everything after `prefix_len`) into tokens.
-    pub fn parse(mut self, prefix_len: usize) -> Vec<Token> {
+    pub fn parse(self, prefix_len: usize) -> Vec<Token> {
+        match self.config.chain_swap {
+            true => self.parse_with::<true>(prefix_len),
+            false => self.parse_with::<false>(prefix_len),
+        }
+    }
+
+    fn parse_with<const SWAP: bool>(mut self, prefix_len: usize) -> Vec<Token> {
         let data = self.data;
         let n = data.len();
         // Positions too close to the end to hold a match are never indexed.
@@ -286,7 +377,6 @@ impl<'a> MatchFinder<'a> {
             self.insert(pos);
         }
         let good_enough = self.config.good_enough as usize;
-        let mask = self.mask;
         // Telco text parses to about one token per twelve bytes.
         let mut tokens = Vec::with_capacity(n.saturating_sub(prefix_len) / 8 + 16);
         let mut pos = prefix_len;
@@ -301,9 +391,14 @@ impl<'a> MatchFinder<'a> {
             // so that the search at `pos + 1` can start beside this one.
             let first = self.insert(pos);
             let mut here = self.walk(pos, first);
-            let prev = &self.prev[..];
+            let t = Chains {
+                data,
+                prev: &self.prev,
+                mask: self.mask,
+                good_enough,
+            };
             while !here.done && here.best_len < MIN_MATCH {
-                here.step(data, prev, mask, good_enough);
+                here.step::<SWAP>(t);
             }
             if here.best_len < MIN_MATCH {
                 tokens.push(Token::Literal(data[pos]));
@@ -319,18 +414,18 @@ impl<'a> MatchFinder<'a> {
             if self.config.lazy && pos + 1 < indexed && here.best_len < good_enough {
                 let mut next = self.walk(pos + 1, self.head[hash4(data, pos + 1)]);
                 while !here.done && !next.done {
-                    here.step(data, prev, mask, good_enough);
-                    next.step(data, prev, mask, good_enough);
+                    here.step::<SWAP>(t);
+                    next.step::<SWAP>(t);
                 }
-                here.finish(data, prev, mask, good_enough);
+                here.finish::<SWAP>(t);
                 if here.best_len < good_enough {
-                    next.finish(data, prev, mask, good_enough);
+                    next.finish::<SWAP>(t);
                     if next.best_len > here.best_len + 1 {
                         deferred = Some(next);
                     }
                 }
             } else {
-                here.finish(data, prev, mask, good_enough);
+                here.finish::<SWAP>(t);
             }
             let taken = match deferred {
                 Some(next) => {
@@ -356,9 +451,46 @@ impl<'a> MatchFinder<'a> {
     }
 }
 
-/// Convenience: parse `input` with `config` and no dictionary prefix.
+/// Parse `input` with `config` and no dictionary prefix.
+///
+/// From `config.split_min` bytes on, the input is cut at `mid = len / 2`:
+/// this thread parses `input[..mid]` while a scoped thread parses
+/// `input[mid..]` with up to one window before `mid` as its preset
+/// dictionary (or this thread does, after the first half, when another
+/// split holds [`SPARE`]), and the two token runs are joined — the tokens
+/// of the same two calls made one after the other, so only matches across
+/// `mid` are lost.
 pub fn parse(input: &[u8], config: Lz77Config) -> Vec<Token> {
-    MatchFinder::new(input, config).parse(0)
+    if input.len() < config.split_min {
+        return MatchFinder::new(input, config).parse(0);
+    }
+    let mid = input.len() / 2;
+    let from = mid.saturating_sub(config.window_size());
+    let tail = || MatchFinder::new(&input[from..], config).parse(mid - from);
+    let mut spare = match SPARE.try_lock() {
+        Ok(spare) => spare,
+        // The tables are plain vectors whatever a panic interrupted.
+        Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+        Err(TryLockError::WouldBlock) => {
+            let mut tokens = MatchFinder::new(&input[..mid], config).parse(0);
+            tokens.extend(tail());
+            return tokens;
+        }
+    };
+    let tables = std::mem::take(&mut *spare);
+    std::thread::scope(|s| {
+        let second = s.spawn(|| {
+            TABLES.set(tables);
+            (tail(), TABLES.take())
+        });
+        let mut tokens = MatchFinder::new(&input[..mid], config).parse(0);
+        let (second, tables) = second
+            .join()
+            .unwrap_or_else(|e| std::panic::resume_unwind(e));
+        *spare = tables;
+        tokens.extend(second);
+        tokens
+    })
 }
 
 /// Parse `payload` with `dict` acting as a preset window prefix.
@@ -435,6 +567,7 @@ pub fn reconstruct(dict: &[u8], tokens: &[Token]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::PoisonError;
 
     fn round_trip(data: &[u8], config: Lz77Config) {
         let tokens = parse(data, config);
@@ -470,6 +603,25 @@ mod tests {
             "token stream should be much shorter than input"
         );
         assert_eq!(reconstruct(&[], &tokens), data);
+    }
+
+    /// A caller that finds another split under way parses the second half
+    /// itself: the same tokens as on two threads.
+    #[test]
+    fn a_split_parse_is_the_same_on_one_thread() {
+        let data: Vec<u8> = (0..4000u32)
+            .flat_map(|i| format!("{},{},0,0\n", i % 977, i % 13).into_bytes())
+            .collect();
+        assert!(data.len() >= 2 * Lz77Config::deflate_class().split_min);
+        for config in [Lz77Config::deflate_class(), Lz77Config::lzma_class()] {
+            let two = parse(&data, config);
+            let one = {
+                let _taken = SPARE.lock().unwrap_or_else(PoisonError::into_inner);
+                parse(&data, config)
+            };
+            assert_eq!(one, two);
+            assert_eq!(reconstruct(&[], &one), data);
+        }
     }
 
     #[test]
@@ -554,6 +706,8 @@ mod tests {
             max_match: 64,
             lazy: false,
             good_enough: 32,
+            chain_swap: false,
+            split_min: 16 << 10,
         };
         let mut data = b"unique-prefix-0123456789".to_vec();
         data.extend(std::iter::repeat_n(b'x', 1000));

@@ -74,6 +74,9 @@ impl Codec for SnappyLite {
         for t in &tokens {
             match *t {
                 Token::Literal(_) => pos += 1,
+                // A copy carries a 16-bit offset and the window is 64 KiB:
+                // a match exactly one window back goes out as literals.
+                Token::Match { len, dist } if dist > u32::from(u16::MAX) => pos += len as usize,
                 Token::Match { len, dist } => {
                     if pos > run_start {
                         emit_literal_run(&mut out, &input[run_start..pos]);
@@ -214,6 +217,27 @@ mod tests {
             gzip.len(),
             snappy.len()
         );
+    }
+
+    /// The window is 64 KiB, so the match finder offers a copy exactly
+    /// 65 536 bytes back, one more than a copy's offset holds.
+    #[test]
+    fn a_match_one_whole_window_back() {
+        let mut state = 9u64;
+        let mut noise = |n: usize| -> Vec<u8> {
+            (0..n)
+                .map(|_| {
+                    state = state.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(1);
+                    (state >> 48) as u8
+                })
+                .collect()
+        };
+        let block = noise(100);
+        let data = [&block[..], &noise((1 << 16) - 100), &block].concat();
+        let tokens = lz77::parse(&data, Lz77Config::snappy_class());
+        let whole_window = |t: &Token| matches!(t, Token::Match { dist, .. } if *dist == 1 << 16);
+        assert!(tokens.iter().any(whole_window));
+        round_trip(&data);
     }
 
     #[test]

@@ -5,13 +5,24 @@
 //! the lazy search at `pos + 1` alternately in one loop, with `pos`
 //! inserted before either runs. The parser it replaced — one table per
 //! window, a one-byte reject, `find_match(pos)` then `find_match(pos + 1)`
-//! — lives on here verbatim as the reference. Every stored byte depends on
-//! the two agreeing token for token, so that is what is required: for all
-//! four codec classes and for small-window configs whose table is exactly
-//! one window long, where the candidate at `pos - window` shares its
-//! `prev` slot with `pos` on almost every walk.
+//! — lives on here verbatim as the reference. Three things are required
+//! of the new one:
+//!
+//! * With `chain_swap` off, one `MatchFinder` equals the reference token
+//!   for token, for all four codec classes and for small-window configs
+//!   whose table is exactly one window long, where the candidate at
+//!   `pos - window` shares its `prev` slot with `pos` on almost every walk.
+//! * `lz77::parse` equals the reference below `split_min`, and above it the
+//!   reference on `input[..mid]` followed by the reference on
+//!   `input[from..]` with `mid - from` bytes of prefix.
+//! * With the swap on, tokens rebuild the input and stay inside the
+//!   window and the length bounds; with an unbounded budget they are the
+//!   reference's own (the swap skips only candidates that cannot improve);
+//!   and with the classes' budgets no snapshot compresses worse than the
+//!   reference parse did at the old LZMA budget of 512.
 
-use codecs::lz77::{self, Lz77Config, Token};
+use codecs::lz77::{self, Lz77Config, MatchFinder, Token, MIN_MATCH};
+use codecs::{Codec, SevenzLite, ZstdLite};
 use proptest::prelude::*;
 use telco_trace::{Snapshot, TraceConfig, TraceGenerator};
 
@@ -183,10 +194,10 @@ mod reference {
     }
 }
 
-/// The four codec classes, then configs the codecs never use but that
-/// reach the edges: a table exactly one window long on any input past 256
-/// (or 16) bytes, lazy and greedy, a one-candidate budget, and a
-/// `good_enough` no match can reach.
+/// The four codec classes with the swap off, then configs the codecs never
+/// use but that reach the edges: a table exactly one window long on any
+/// input past 256 (or 16) bytes, lazy and greedy, a one-candidate budget,
+/// and a `good_enough` no match can reach.
 fn configs() -> Vec<(&'static str, Lz77Config)> {
     let small = Lz77Config {
         window_log: 8,
@@ -194,12 +205,18 @@ fn configs() -> Vec<(&'static str, Lz77Config)> {
         max_match: 64,
         lazy: true,
         good_enough: 32,
+        chain_swap: false,
+        split_min: 16 << 10,
+    };
+    let no_swap = |config: Lz77Config| Lz77Config {
+        chain_swap: false,
+        ..config
     };
     vec![
         ("deflate", Lz77Config::deflate_class()),
-        ("lzma", Lz77Config::lzma_class()),
+        ("lzma", no_swap(Lz77Config::lzma_class())),
         ("snappy", Lz77Config::snappy_class()),
-        ("zstd", Lz77Config::zstd_class()),
+        ("zstd", no_swap(Lz77Config::zstd_class())),
         ("window-256", small),
         (
             "window-256-greedy",
@@ -216,6 +233,8 @@ fn configs() -> Vec<(&'static str, Lz77Config)> {
                 max_match: 9,
                 lazy: true,
                 good_enough: 100,
+                chain_swap: false,
+                split_min: 16 << 10,
             },
         ),
         (
@@ -228,6 +247,20 @@ fn configs() -> Vec<(&'static str, Lz77Config)> {
     ]
 }
 
+/// The same configs with the swap on.
+fn swap_configs() -> Vec<(&'static str, Lz77Config)> {
+    let swap = |(name, config): (&'static str, Lz77Config)| {
+        (
+            name,
+            Lz77Config {
+                chain_swap: true,
+                ..config
+            },
+        )
+    };
+    configs().into_iter().map(swap).collect()
+}
+
 /// Where two token streams first differ, without printing either.
 fn first_difference(got: &[Token], want: &[Token]) -> Option<usize> {
     (got != want).then(|| {
@@ -238,28 +271,56 @@ fn first_difference(got: &[Token], want: &[Token]) -> Option<usize> {
     })
 }
 
+fn assert_equal(got: &[Token], want: &[Token], what: &str) {
+    if let Some(at) = first_difference(got, want) {
+        panic!(
+            "{what}: token {at} is {:?}, the reference has {:?}",
+            got.get(at),
+            want.get(at)
+        );
+    }
+}
+
+/// The reference's tokens for `payload` after a `dict` prefix.
+fn reference_tokens(dict: &[u8], payload: &[u8], config: Lz77Config) -> Vec<Token> {
+    reference::MatchFinder::new(&[dict, payload].concat(), config).parse(dict.len())
+}
+
+/// What `lz77::parse` must make of `input`: the reference on the whole
+/// below `split_min`, else on each half, the second with up to a window of
+/// the first as its prefix.
+fn split_reference(input: &[u8], config: Lz77Config) -> Vec<Token> {
+    if input.len() < config.split_min {
+        return reference_tokens(&[], input, config);
+    }
+    let mid = input.len() / 2;
+    let from = mid.saturating_sub(config.window_size());
+    let mut tokens = reference_tokens(&[], &input[..mid], config);
+    tokens.extend(reference_tokens(&input[from..mid], &input[mid..], config));
+    tokens
+}
+
 fn assert_same_tokens_for(configs: &[(&str, Lz77Config)], dict: &[u8], payload: &[u8], what: &str) {
     let joined = [dict, payload].concat();
     for &(name, config) in configs {
-        let want = reference::MatchFinder::new(&joined, config).parse(dict.len());
-        let got = lz77::parse_with_dict(dict, payload, config);
-        if let Some(at) = first_difference(&got, &want) {
-            panic!(
-                "{what} ({} + {} bytes), {name}: token {at} is {:?}, the reference has {:?}",
-                dict.len(),
-                payload.len(),
-                got.get(at),
-                want.get(at)
-            );
-        }
+        let what = format!("{what} ({} + {} bytes), {name}", dict.len(), payload.len());
+        let want = reference_tokens(dict, payload, config);
+        let got = MatchFinder::new(&joined, config).parse(dict.len());
+        assert_equal(&got, &want, &what);
         assert!(
             lz77::reconstruct(dict, &got) == payload,
-            "{what}, {name}: the tokens do not rebuild the payload"
+            "{what}: the tokens do not rebuild the payload"
+        );
+        assert!(
+            lz77::parse_with_dict(dict, payload, config) == want,
+            "{what}: parse_with_dict"
         );
         if dict.is_empty() {
-            assert!(
-                lz77::parse(payload, config) == want,
-                "{what}, {name}: parse"
+            let split = split_reference(payload, config);
+            assert_equal(
+                &lz77::parse(payload, config),
+                &split,
+                &format!("{what}: parse"),
             );
         }
     }
@@ -267,6 +328,72 @@ fn assert_same_tokens_for(configs: &[(&str, Lz77Config)], dict: &[u8], payload: 
 
 fn assert_same_tokens(data: &[u8], what: &str) {
     assert_same_tokens_for(&configs(), &[], data, what);
+}
+
+/// With the swap on: the tokens rebuild the payload, every distance is
+/// inside the window (and reaches no further back than the dictionary),
+/// every length is inside the config's bounds, and `lz77::parse` is the
+/// one-thread parse of the halves.
+fn assert_well_formed_for(configs: &[(&str, Lz77Config)], dict: &[u8], payload: &[u8], what: &str) {
+    let joined = [dict, payload].concat();
+    for &(name, config) in configs {
+        let what = format!("{what} ({} + {} bytes), {name}", dict.len(), payload.len());
+        let tokens = MatchFinder::new(&joined, config).parse(dict.len());
+        let mut at = dict.len();
+        for (i, t) in tokens.iter().enumerate() {
+            match *t {
+                Token::Literal(_) => at += 1,
+                Token::Match { len, dist } => {
+                    let (len, dist) = (len as usize, dist as usize);
+                    assert!(
+                        (MIN_MATCH..=config.max_match as usize).contains(&len),
+                        "{what}: token {i} has length {len}"
+                    );
+                    assert!(
+                        dist >= 1 && dist <= config.window_size().min(at),
+                        "{what}: token {i} reaches {dist} back from {at}"
+                    );
+                    at += len;
+                }
+            }
+        }
+        assert_eq!(at, joined.len(), "{what}: the tokens cover the payload");
+        assert!(
+            lz77::reconstruct(dict, &tokens) == payload,
+            "{what}: the tokens do not rebuild the payload"
+        );
+        if dict.is_empty() && payload.len() >= config.split_min {
+            let mid = payload.len() / 2;
+            let from = mid.saturating_sub(config.window_size());
+            let mut halves = MatchFinder::new(&payload[..mid], config).parse(0);
+            halves.extend(MatchFinder::new(&payload[from..], config).parse(mid - from));
+            assert_equal(
+                &lz77::parse(payload, config),
+                &halves,
+                &format!("{what}: split"),
+            );
+        }
+    }
+}
+
+/// With no budget to run out of, a swapped walk meets every candidate that
+/// can improve on its match, in the order an unswapped walk does: the same
+/// tokens as the reference's, not merely as good ones.
+fn assert_unbounded_swap_is_exact(dict: &[u8], payload: &[u8], what: &str) {
+    let joined = [dict, payload].concat();
+    for (name, config) in configs() {
+        let config = Lz77Config {
+            max_chain: u32::MAX,
+            ..config
+        };
+        let want = reference_tokens(dict, payload, config);
+        let swapped = Lz77Config {
+            chain_swap: true,
+            ..config
+        };
+        let got = MatchFinder::new(&joined, swapped).parse(dict.len());
+        assert_equal(&got, &want, &format!("{what}, {name} unbounded"));
+    }
 }
 
 /// Two busy-hour snapshots of the trace the benchmark ingests (scale 1/64,
@@ -348,10 +475,29 @@ fn snapshot_text_and_pack_shaped_text() {
     assert_same_tokens(&texts[0][..3072], "a manifest-sized input");
 }
 
+/// The cut itself: just below and at each class's `split_min`, an odd
+/// length, and a run that one match would cover across `mid`.
+#[test]
+fn the_split_at_its_threshold() {
+    let text: Vec<u8> = snapshots().iter().flat_map(Snapshot::to_bytes).collect();
+    let mut lengths: Vec<usize> = configs()
+        .iter()
+        .flat_map(|(_, c)| [c.split_min - 1, c.split_min, c.split_min + 1])
+        .collect();
+    lengths.sort_unstable();
+    lengths.dedup();
+    for len in lengths.into_iter().chain([40_001]) {
+        assert_same_tokens(&text[..len], "snapshot prefix");
+    }
+    let run = vec![b'0'; (64 << 10) + 10];
+    assert_same_tokens(&run, "one run across the cut");
+}
+
 /// Past the LZMA class's 1 MiB window: a block of text, filler that
 /// matches nothing, then the block again and once more, so that walks in
 /// the second copy reach candidates exactly one window back, and walks in
-/// the third meet chains that run out of the window.
+/// the third meet chains that run out of the window. The second half's
+/// prefix is then a whole window that starts after the input does.
 #[test]
 fn an_input_longer_than_a_mebibyte() {
     let block = &snapshots()[0].to_bytes()[..60_000];
@@ -362,6 +508,8 @@ fn an_input_longer_than_a_mebibyte() {
     data.extend(pseudo_random(1000, 2));
     data.extend_from_slice(&block[..30_000]);
     assert_same_tokens(&data, "three blocks a window apart");
+    let swapped = swap_configs();
+    assert_well_formed_for(&swapped[1..2], &[], &data, "three blocks a window apart");
 }
 
 #[test]
@@ -382,6 +530,12 @@ fn dictionaries_shorter_and_longer_than_the_window() {
     for dict_len in [4096, 40_000, 70_000] {
         let payload = [&text[1000..9000], &text[..6000]].concat();
         assert_same_tokens_for(&all[..4], &text[..dict_len], &payload, "large dict");
+        assert_well_formed_for(
+            &swap_configs()[..4],
+            &text[..dict_len],
+            &payload,
+            "large dict",
+        );
     }
     // A dictionary and nothing, or next to nothing, to parse.
     for payload_len in 0..6 {
@@ -405,12 +559,82 @@ fn a_match_that_ends_exactly_at_the_end() {
     }
 }
 
+/// The swap on snapshot text, pack-shaped text and two epochs end to end,
+/// in every config.
+#[test]
+fn swapped_walks_make_well_formed_tokens() {
+    let snapshots = snapshots();
+    let text = snapshots[0].to_bytes();
+    let both = [text.clone(), snapshots[1].to_bytes()].concat();
+    for (data, what) in [
+        (&text, "snapshot text"),
+        (&pack_text(&snapshots[0]), "pack-shaped text"),
+        (&both, "two snapshots"),
+    ] {
+        assert_well_formed_for(&swap_configs(), &[], data, what);
+    }
+    assert_unbounded_swap_is_exact(&[], &text[..4096], "snapshot text");
+    assert_unbounded_swap_is_exact(
+        &text[..1000],
+        &text[1000..3000],
+        "snapshot text after a dict",
+    );
+}
+
+/// The swapped classes at their budgets against the reference parse at
+/// the LZMA class's old budget (512, no swap), through the codecs: over a
+/// day of the benchmark's snapshots, as text and as a CAS pack holds them,
+/// the streams are no longer. (A single small night epoch may come out a
+/// byte or two longer; a day may not.)
+#[test]
+fn the_swap_compresses_no_worse_than_the_old_budget() {
+    let old_lzma = Lz77Config {
+        max_chain: 512,
+        chain_swap: false,
+        ..Lz77Config::lzma_class()
+    };
+    let old_zstd = Lz77Config {
+        chain_swap: false,
+        ..Lz77Config::zstd_class()
+    };
+    let pairs: [(Box<dyn Codec>, Box<dyn Codec>); 2] = [
+        (
+            Box::new(SevenzLite::default()),
+            Box::new(SevenzLite::with_config(old_lzma)),
+        ),
+        (
+            Box::new(ZstdLite::default()),
+            Box::new(ZstdLite::with_config(old_zstd)),
+        ),
+    ];
+    let day: Vec<Snapshot> = TraceGenerator::new(TraceConfig::scaled(1.0 / 64.0).with_seed(1))
+        .step_by(6)
+        .take(8)
+        .collect();
+    let texts: Vec<Vec<u8>> = day.iter().map(Snapshot::to_bytes).collect();
+    let packs: Vec<Vec<u8>> = day.iter().map(pack_text).collect();
+    for (inputs, shape) in [(&texts, "text"), (&packs, "pack")] {
+        for (now, old) in &pairs {
+            let size = |codec: &dyn Codec| -> usize {
+                inputs.iter().map(|d| codec.compress(d).len()).sum()
+            };
+            let (now_len, old_len) = (size(now.as_ref()), size(old.as_ref()));
+            assert!(
+                now_len <= old_len,
+                "{} on a day as {shape}: {now_len} > {old_len} bytes",
+                now.name()
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn random_bytes_parse_identically(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
         assert_same_tokens(&data, "random bytes");
+        assert_well_formed_for(&swap_configs(), &[], &data, "random bytes");
     }
 
     /// Few symbols: long chains, many equal-length candidates, matches
@@ -422,7 +646,10 @@ proptest! {
     ) {
         let data: Vec<u8> = data.iter().map(|b| b"0,\n"[*b as usize]).collect();
         let dict_len = dict_len.min(data.len());
-        assert_same_tokens_for(&configs(), &data[..dict_len], &data[dict_len..], "small alphabet");
+        let (dict, payload) = data.split_at(dict_len);
+        assert_same_tokens_for(&configs(), dict, payload, "small alphabet");
+        assert_well_formed_for(&swap_configs(), dict, payload, "small alphabet");
+        assert_unbounded_swap_is_exact(dict, payload, "small alphabet");
     }
 
     #[test]
@@ -437,5 +664,7 @@ proptest! {
             data[at] = byte;
         }
         assert_same_tokens(&data, "a repeated seed with noise");
+        assert_well_formed_for(&swap_configs(), &[], &data, "a repeated seed with noise");
+        assert_unbounded_swap_is_exact(&[], &data, "a repeated seed with noise");
     }
 }

@@ -294,58 +294,72 @@ impl Recorder {
 
     /// Deserialize a persisted image into a fresh recorder (the open
     /// window starts empty at the recorded tick).
+    ///
+    /// Nothing the image declares is trusted further than its bytes go: a
+    /// count is refused when what it counts cannot fit in the bytes left,
+    /// `pos + len` is checked for overflow, and a resolution must be one
+    /// that decay can produce, so that a forged image is an `Err` and never
+    /// a panic or a huge reservation, now or at the next sample.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
         let mut pos = 0usize;
         if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
             return Err("obs.recorder: bad magic".to_string());
         }
         pos += MAGIC.len();
-        let mut next = |what: &str| -> Result<u64, String> {
-            read_varint(bytes, &mut pos).ok_or_else(|| format!("obs.recorder: truncated {what}"))
+        let next = |pos: &mut usize, what: &str| -> Result<u64, String> {
+            read_varint(bytes, pos).ok_or_else(|| format!("obs.recorder: truncated {what}"))
+        };
+        // `n` things of at least `each` bytes apiece, from `pos` on.
+        let fits = |pos: usize, n: u64, each: u64, what: &str| -> Result<usize, String> {
+            match n.checked_mul(each) {
+                Some(need) if need <= (bytes.len() - pos) as u64 => Ok(n as usize),
+                _ => Err(format!("obs.recorder: {what} count exceeds image")),
+            }
+        };
+        // The `len` bytes at `pos`, advancing past them.
+        let take = |pos: &mut usize, len: u64, what: &str| -> Result<&[u8], String> {
+            let end = usize::try_from(len)
+                .ok()
+                .and_then(|len| pos.checked_add(len))
+                .filter(|&end| end <= bytes.len())
+                .ok_or_else(|| format!("obs.recorder: truncated {what}"))?;
+            let slice = &bytes[*pos..end];
+            *pos = end;
+            Ok(slice)
         };
         let config = RecorderConfig {
-            window_samples: next("window_samples")? as usize,
-            fresh_windows: next("fresh_windows")? as usize,
-            max_windows: next("max_windows")? as usize,
+            window_samples: next(&mut pos, "window_samples")? as usize,
+            fresh_windows: next(&mut pos, "fresh_windows")? as usize,
+            max_windows: next(&mut pos, "max_windows")? as usize,
         };
-        let tick = next("tick")?;
-        let n_windows = next("n_windows")? as usize;
+        let tick = next(&mut pos, "tick")?;
+        // A window is at least three one-byte varints.
+        let declared = next(&mut pos, "n_windows")?;
+        let n_windows = fits(pos, declared, 3, "window")?;
         let mut closed = Vec::with_capacity(n_windows);
         for _ in 0..n_windows {
-            let start_tick = read_varint(bytes, &mut pos)
-                .ok_or_else(|| "obs.recorder: truncated window".to_string())?;
-            let resolution = read_varint(bytes, &mut pos)
-                .ok_or_else(|| "obs.recorder: truncated window".to_string())?
-                as u32;
-            let n_series = read_varint(bytes, &mut pos)
-                .ok_or_else(|| "obs.recorder: truncated window".to_string())?
-                as usize;
+            let start_tick = next(&mut pos, "window")?;
+            let resolution = next(&mut pos, "window")?;
+            if !resolution.is_power_of_two() || resolution > u64::from(MAX_RESOLUTION) {
+                return Err(format!("obs.recorder: resolution {resolution}"));
+            }
+            // A series is at least a name length and a packed length.
+            let declared = next(&mut pos, "window")?;
+            let n_series = fits(pos, declared, 2, "series")?;
             let mut series = BTreeMap::new();
             for _ in 0..n_series {
-                let name_len = read_varint(bytes, &mut pos)
-                    .ok_or_else(|| "obs.recorder: truncated series".to_string())?
-                    as usize;
-                if pos + name_len > bytes.len() {
-                    return Err("obs.recorder: truncated series name".to_string());
-                }
-                let name = std::str::from_utf8(&bytes[pos..pos + name_len])
+                let name_len = next(&mut pos, "series")?;
+                let name = std::str::from_utf8(take(&mut pos, name_len, "series name")?)
                     .map_err(|_| "obs.recorder: series name not utf-8".to_string())?
                     .to_string();
-                pos += name_len;
-                let packed_len = read_varint(bytes, &mut pos)
-                    .ok_or_else(|| "obs.recorder: truncated series".to_string())?
-                    as usize;
-                if pos + packed_len > bytes.len() {
-                    return Err("obs.recorder: truncated series data".to_string());
-                }
-                let values = unpack_series(&bytes[pos..pos + packed_len])
+                let packed_len = next(&mut pos, "series")?;
+                let values = unpack_series(take(&mut pos, packed_len, "series data")?)
                     .ok_or_else(|| format!("obs.recorder: corrupt series `{name}`"))?;
-                pos += packed_len;
                 series.insert(name, values);
             }
             closed.push(Window {
                 start_tick,
-                resolution,
+                resolution: resolution as u32,
                 series,
             });
         }
@@ -458,6 +472,10 @@ pub fn unpack_series(bytes: &[u8]) -> Option<Vec<u64>> {
         return Some(Vec::new());
     }
     let first = read_varint(bytes, &mut pos)?;
+    // Each block of up to 32 deltas takes at least its width byte.
+    if (n - 1).div_ceil(BLOCK) > bytes.len() - pos {
+        return None;
+    }
     let mut values = Vec::with_capacity(n);
     values.push(first);
     let mut remaining = n - 1;
@@ -647,6 +665,52 @@ mod tests {
         };
         good.truncate(good.len() - 3);
         assert!(Recorder::from_bytes(&good).is_err());
+        // Forged counts and lengths, each of which used to panic (a
+        // capacity overflow, an overflowing `pos + len` in debug, an
+        // out-of-range slice in release) or reserve without bound.
+        // A header, one window of one series, then `series` as its bytes.
+        let image = |windows: u64, series: &[u8]| {
+            let mut out = MAGIC.to_vec();
+            for v in [4, 8, 64, 0, windows, 0, 1, 1] {
+                write_varint(&mut out, v);
+            }
+            out.extend_from_slice(series);
+            out
+        };
+        let varint = |v: u64| {
+            let mut out = Vec::new();
+            write_varint(&mut out, v);
+            out
+        };
+        let packed = pack_series(&[5, 6]);
+        let valid = [&[1, b'x'][..], &varint(packed.len() as u64), &packed].concat();
+        assert!(Recorder::from_bytes(&image(1, &valid)).is_ok());
+        let forged = [
+            ("2^62 windows", image(1 << 62, &valid)),
+            (
+                "a name of u64::MAX bytes",
+                image(1, &[&varint(u64::MAX), &valid[1..]].concat()),
+            ),
+            (
+                "a series of u64::MAX - 3 bytes",
+                image(
+                    1,
+                    &[&valid[..2], &varint(u64::MAX - 3), &valid[3..]].concat(),
+                ),
+            ),
+            ("a window of resolution 0", {
+                let mut out = image(1, &valid);
+                out[MAGIC.len() + 6] = 0;
+                out
+            }),
+        ];
+        for (what, bytes) in forged {
+            assert!(Recorder::from_bytes(&bytes).is_err(), "{what}");
+        }
+        let mut series = Vec::new();
+        write_varint(&mut series, u64::MAX >> 1);
+        write_varint(&mut series, 7);
+        assert!(unpack_series(&series).is_none(), "2^63 values in two bytes");
     }
 
     #[test]
