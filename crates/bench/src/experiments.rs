@@ -535,7 +535,7 @@ fn percentile_us(sorted: &[u64], p: f64) -> u64 {
 
 /// The `repro cas` experiment: ingest one seeded week into the path
 /// backend and the content-addressed backend on separate clusters, verify
-/// both answer identical queries, measure the dedup'd footprint, then
+/// both answer identical queries, measure the footprint of each, then
 /// decay everything and verify the GC reclaims every byte. Everything but
 /// the read latencies and the wall time is a pure function of `(seed,
 /// scale, days)`; `BENCH_CAS.json` ends in three timing fields, so only
@@ -606,8 +606,6 @@ pub fn cas_experiment(config: &BenchConfig, seed: u64) -> Report {
     let pack_bytes = cas_store.pack_bytes();
     let manifest_bytes = cas_store.manifest_bytes();
     let manifest_root = cas_store.root_hash();
-    let unique_chunks = cas_store.chunk_count();
-    let packs = cas_store.pack_count();
 
     // Full decay: evict every epoch, newest first, then sweep deferred
     // garbage. Decay is the GC — after this the store must hold zero bytes.
@@ -616,7 +614,6 @@ pub fn cas_experiment(config: &BenchConfig, seed: u64) -> Report {
         decay_freed += cas_fw.store().evict(e).expect("cas evict");
     }
     let gc_swept = cas_store.gc();
-    let unreferenced_chunks = cas_store.unreferenced_chunks();
     let leak_bytes = cas_store.listed_bytes();
 
     // Storage reduction of the CAS backend vs. the path backend; as
@@ -642,8 +639,6 @@ pub fn cas_experiment(config: &BenchConfig, seed: u64) -> Report {
     // Raw bytes the dedup hits avoided re-storing.
     r.det("dedup_bytes_saved", stats.dedup_bytes_saved)
         .at_least(1);
-    r.det_console("unique_chunks", unique_chunks);
-    r.det_console("packs", packs);
     // Merkle root over every retained epoch manifest: doubles as a
     // whole-store content fingerprint across runs.
     r.det("manifest_root", manifest_root.as_str());
@@ -654,10 +649,9 @@ pub fn cas_experiment(config: &BenchConfig, seed: u64) -> Report {
     r.det_console("decay_freed", decay_freed).at_least(1);
     r.det_console("gc_swept", gc_swept);
     r.det("gc_reclaimed_bytes", decay_freed + gc_swept);
-    // On-disk bytes under the CAS root after full decay + GC, and chunks
-    // with zero references still indexed: the GC-leak gates.
+    // On-disk bytes under the CAS root after full decay + GC: the GC-leak
+    // gate.
     r.det("leak_bytes", leak_bytes).eq(0);
-    r.det("unreferenced_chunks", unreferenced_chunks).eq(0);
     // Per-epoch full-snapshot read latency (µs); CAS pays manifest + pack
     // reads plus hash verification.
     r.perf("path_read_p50_us", percentile_us(&path_us, 0.50));

@@ -212,26 +212,14 @@ impl ChunkHash {
         ChunkHash(h)
     }
 
-    /// Lowercase hex form (32 chars), used in pack filenames and Merkle
-    /// manifest lines.
+    /// Lowercase hex form (32 chars), used in Merkle manifest lines and
+    /// error messages.
     pub fn hex(&self) -> String {
         let mut s = String::with_capacity(32);
         for b in self.0 {
             s.push_str(&format!("{b:02x}"));
         }
         s
-    }
-
-    /// Parse the 32-char hex form.
-    pub fn from_hex(s: &str) -> Option<Self> {
-        if s.len() != 32 || !s.is_ascii() {
-            return None;
-        }
-        let mut out = [0u8; 16];
-        for (i, byte) in out.iter_mut().enumerate() {
-            *byte = u8::from_str_radix(&s[2 * i..2 * i + 2], 16).ok()?;
-        }
-        Some(ChunkHash(out))
     }
 }
 
@@ -319,12 +307,11 @@ mod tests {
     }
 
     #[test]
-    fn hex_round_trip() {
-        let h = ChunkHash::of(b"some chunk");
-        assert_eq!(ChunkHash::from_hex(&h.hex()), Some(h));
-        assert_eq!(h.hex().len(), 32);
-        assert_eq!(ChunkHash::from_hex("xyz"), None);
-        assert_eq!(ChunkHash::from_hex(""), None);
+    fn hex_is_the_address_in_lowercase_digits() {
+        let h = ChunkHash::of(b"abc");
+        // The first 16 bytes of the NIST digest of "abc".
+        assert_eq!(h.hex(), "ba7816bf8f01cfea414140de5dae2223");
+        assert_eq!(h.to_string(), h.hex());
     }
 
     #[test]

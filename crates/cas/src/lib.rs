@@ -3,23 +3,22 @@
 //! Sits between `core` storage and the replicated filesystem. An epoch's
 //! payload is split into pieces — per-attribute column slices when the
 //! snapshot wire format parses, fixed-size blobs otherwise — and each
-//! distinct piece is stored exactly once, addressed by its content hash.
-//! The pieces an epoch newly contributes are compressed, one unit per
-//! table, into one *pack* file (itself content-addressed); the epoch is
-//! then represented by a *manifest* listing its chunk references, and a
-//! scan reads back the units of the table it wants, as columns. Manifests roll up into
-//! day and month manifests and a single root hash mirroring the temporal
-//! index tree, so one hash authenticates an entire retained subtree.
+//! piece is named by its content hash. The epoch's pieces are compressed,
+//! one unit per table, into the epoch's own *pack* file; the epoch is then
+//! represented by a *manifest* recording the pack's hash and every chunk's
+//! place in it, and a scan reads back the units of the table it wants, as
+//! columns. Manifests roll up into day and month manifests and a single
+//! root hash mirroring the temporal index tree, so one hash authenticates
+//! an entire retained subtree.
 //!
 //! Consequences the rest of the system gets for free:
 //!
-//! - **Dedup**: slow-moving columns (operator codes, quiet NMS counters)
-//!   hash to identical pieces across epochs and are stored once; a piece
-//!   no longer than its own address (a constant column's single value) is
-//!   carried inline by the manifest instead.
-//! - **Decay is garbage collection**: dropping an epoch deletes one
-//!   manifest and releases refcounts; packs are deleted when their last
-//!   live chunk goes.
+//! - **Constant columns cost a few bytes**: a piece no longer than its own
+//!   address (a constant column's single value) is carried inline by the
+//!   manifest, once however many columns of the epoch repeat it. No chunk
+//!   is shared between epochs: measured, none ever repeated.
+//! - **Decay is garbage collection**: an epoch owns its manifest and its
+//!   pack, and dropping it deletes both.
 //! - **End-to-end verification**: every read re-hashes manifest, pack and
 //!   the piece bytes it lends against their addresses, and a mismatch triggers a
 //!   targeted replica repair + re-fetch before the error surfaces.

@@ -1,10 +1,11 @@
 //! Epoch manifests and the Merkle rollup.
 //!
 //! An epoch's *manifest* is what the rest of the warehouse sees of it: a
-//! compact binary record naming every piece of the snapshot by content
-//! hash, where it lives (pack, unit, offset, length) and how to reassemble
-//! the original bytes. A piece no longer than a content address is not named
-//! but carried: the manifest holds its bytes (see [`INLINE_MAX`]).
+//! compact binary record naming the hash of the epoch's own pack, every
+//! piece of the snapshot by content hash, where it lies in that pack (unit,
+//! offset, length) and how to reassemble the original bytes. A piece no
+//! longer than a content address is not named but carried: the manifest
+//! holds its bytes (see [`INLINE_MAX`]).
 //! Manifests are themselves content-addressed — the stored
 //! manifest's hash is the epoch's Merkle leaf — and roll up the same
 //! temporal hierarchy as the index tree: epoch leaves hash into a **day
@@ -20,28 +21,25 @@ use std::collections::BTreeMap;
 use telco_trace::time::EpochId;
 use telco_trace::Snapshot;
 
-/// Magic prefix of an encoded epoch manifest. `CASMF1` (no inline pieces)
-/// and `CASMF2` (packs of one stream: no unit per chunk; every header
-/// line spelt out) are refused: no image outlives the process that wrote
-/// it.
-pub const MANIFEST_MAGIC: &[u8; 6] = b"CASMF3";
+/// Magic prefix of an encoded epoch manifest. `CASMF1` (no inline pieces),
+/// `CASMF2` (packs of one stream: no unit per chunk; every header line
+/// spelt out) and `CASMF3` (a table of shared packs: a pack index per
+/// chunk) are refused: no image outlives the process that wrote it.
+pub const MANIFEST_MAGIC: &[u8; 6] = b"CASMF4";
 
 /// Longest piece a manifest carries inline instead of addressing: a piece
 /// no longer than its own address. Naming it by hash would spend at least
-/// as many bytes as the piece, and make every epoch that uses the value
-/// `0` read the pack of the first epoch that stored it. An inline piece
-/// has no hash, no chunk entry, no refcount and no pack; the manifest's
+/// as many bytes as the piece. An inline piece has no hash, no chunk
+/// entry and no place in the pack; the manifest's
 /// own hash — the epoch's Merkle leaf, verified before decode —
 /// authenticates it (identity addressing, as IPFS does for tiny blocks).
 pub const INLINE_MAX: usize = ChunkHash::LEN;
 
-/// One unique chunk referenced by a manifest.
+/// One chunk of the epoch's pack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkEntry {
     /// Content address of the (uncompressed) piece bytes.
     pub hash: ChunkHash,
-    /// Index into [`EpochManifest::packs`].
-    pub pack: u32,
     /// Which of the pack's units (see [`crate::pack`]) holds the piece.
     /// The manifest does not know how many units a pack has: a reader
     /// checks the index against the pack it opened.
@@ -59,17 +57,18 @@ pub struct EpochManifest {
     /// Length of the reassembled payload, verified on read.
     pub raw_len: u64,
     pub layout: Layout,
-    /// Packs referenced, first-use order; entries point into this table.
-    pub packs: Vec<ChunkHash>,
-    /// Unique chunks, first-use order.
+    /// Address of the epoch's own pack: there is one exactly when there
+    /// are chunks, and it holds every one of them.
+    pub pack: Option<ChunkHash>,
+    /// The chunks, in piece order.
     pub chunks: Vec<ChunkEntry>,
     /// Unique inline pieces (each at most [`INLINE_MAX`] bytes), first-use
     /// order.
     pub inline: Vec<Vec<u8>>,
     /// One entry per layout piece, over one index space: below
     /// `chunks.len()` an index into [`Self::chunks`], from there on into
-    /// [`Self::inline`] (see [`Self::piece`]). Repeated indices are how
-    /// intra-epoch dedup shows up on disk.
+    /// [`Self::inline`] (see [`Self::piece`]). A repeated index is an
+    /// inline value the epoch uses again.
     pub refs: Vec<u32>,
 }
 
@@ -96,30 +95,19 @@ impl EpochManifest {
         }
     }
 
-    /// The hash of every chunk occurrence, in piece order (inline pieces
-    /// hold no reference): what an epoch pins and its drop releases.
-    pub fn chunk_refs(&self) -> Vec<ChunkHash> {
-        self.refs
-            .iter()
-            .filter_map(|&r| self.chunks.get(r as usize))
-            .map(|chunk| chunk.hash)
-            .collect()
-    }
-
     /// Deterministic binary encoding (varints + raw hashes).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.chunks.len() * 24 + self.refs.len() * 2);
         out.extend_from_slice(MANIFEST_MAGIC);
         varint::write_u32(&mut out, self.epoch);
         varint::write_u64(&mut out, self.raw_len);
-        varint::write_u64(&mut out, self.packs.len() as u64);
-        for p in &self.packs {
-            out.extend_from_slice(&p.0);
-        }
         varint::write_u64(&mut out, self.chunks.len() as u64);
+        if !self.chunks.is_empty() {
+            let pack = self.pack.expect("chunks lie in a pack");
+            out.extend_from_slice(&pack.0);
+        }
         for c in &self.chunks {
             out.extend_from_slice(&c.hash.0);
-            varint::write_u32(&mut out, c.pack);
             varint::write_u32(&mut out, c.unit);
             varint::write_u64(&mut out, c.offset);
             varint::write_u64(&mut out, c.len);
@@ -146,25 +134,19 @@ impl EpochManifest {
         let mut pos = MANIFEST_MAGIC.len();
         let epoch = varint::read_u32(bytes, &mut pos).map_err(|_| corrupt("epoch"))?;
         let raw_len = varint::read_u64(bytes, &mut pos).map_err(|_| corrupt("raw_len"))?;
-        let n_packs = read_count(bytes, &mut pos, "packs")?;
-        let mut packs = Vec::with_capacity(n_packs.min(MAX_PREALLOC));
-        for _ in 0..n_packs {
-            packs.push(read_hash(bytes, &mut pos)?);
-        }
         let n_chunks = read_count(bytes, &mut pos, "chunks")?;
+        let pack = match n_chunks {
+            0 => None,
+            _ => Some(read_hash(bytes, &mut pos)?),
+        };
         let mut chunks = Vec::with_capacity(n_chunks.min(MAX_PREALLOC));
         for _ in 0..n_chunks {
             let hash = read_hash(bytes, &mut pos)?;
-            let pack = varint::read_u32(bytes, &mut pos).map_err(|_| corrupt("chunk pack"))?;
             let unit = varint::read_u32(bytes, &mut pos).map_err(|_| corrupt("chunk unit"))?;
             let offset = varint::read_u64(bytes, &mut pos).map_err(|_| corrupt("chunk offset"))?;
             let len = varint::read_u64(bytes, &mut pos).map_err(|_| corrupt("chunk len"))?;
-            if pack as usize >= packs.len() {
-                return Err(corrupt("chunk pack out of range"));
-            }
             chunks.push(ChunkEntry {
                 hash,
-                pack,
                 unit,
                 offset,
                 len,
@@ -199,7 +181,7 @@ impl EpochManifest {
             epoch,
             raw_len,
             layout,
-            packs,
+            pack,
             chunks,
             inline,
             refs,
@@ -432,7 +414,6 @@ mod tests {
             .scan(0u64, |off, p| {
                 let e = ChunkEntry {
                     hash: ChunkHash::of(p),
-                    pack: 0,
                     unit: 0,
                     offset: *off,
                     len: p.len() as u64,
@@ -446,7 +427,7 @@ mod tests {
             epoch: snap.epoch.0,
             raw_len: raw.len() as u64,
             layout,
-            packs: vec![ChunkHash::of(b"pack")],
+            pack: Some(ChunkHash::of(b"pack")),
             chunks,
             inline: Vec::new(),
             refs,
@@ -548,14 +529,10 @@ mod tests {
         assert!(!m.inline.is_empty(), "constant columns are a few bytes");
         assert!(m.inline.iter().all(|p| p.len() <= INLINE_MAX));
         assert!(m.chunks.iter().all(|c| c.len > INLINE_MAX as u64));
-        assert_eq!(m.chunk_refs().len() + count_inline_refs(&m), m.refs.len());
-    }
-
-    fn count_inline_refs(m: &EpochManifest) -> usize {
-        m.refs
-            .iter()
-            .filter(|&&r| matches!(m.piece(r), Some(Piece::Inline(_))))
-            .count()
+        assert!(m.pack.is_some(), "a tiny epoch still has chunks");
+        // Every chunk is used once: a piece that is not inline is stored.
+        let chunk_refs = m.refs.iter().filter(|&&r| (r as usize) < m.chunks.len());
+        assert_eq!(chunk_refs.count(), m.chunks.len());
     }
 
     /// No prefix of a manifest decodes, and no single changed byte makes
@@ -596,9 +573,9 @@ mod tests {
             Err(CasError::Corrupt(why)) => assert!(why.contains("inline piece longer"), "{why}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
-        // A `CASMF1` or `CASMF2` image (no inline table; no unit per
-        // chunk): refused on its magic, whatever follows.
-        for magic in [b"CASMF1", b"CASMF2"] {
+        // A `CASMF1`, `CASMF2` or `CASMF3` image (no inline table; no unit
+        // per chunk; a pack table): refused on its magic, whatever follows.
+        for magic in [b"CASMF1", b"CASMF2", b"CASMF3"] {
             let mut old = sample_manifest().encode();
             old[..6].copy_from_slice(magic);
             match EpochManifest::decode(&old) {

@@ -7,10 +7,10 @@
 //! A unit is an ordinary [`codecs::Codec`] stream — its own length and
 //! CRC-32 — holding a run of adjacent pieces, so a reader inflates the
 //! units that hold the pieces it wants and no others. The file as a whole
-//! is what the pack's address hashes and what every read verifies; the
-//! directory says nothing about what a unit holds (the manifests'
-//! [`crate::ChunkEntry::unit`] do), so a finer unit policy needs no new
-//! format.
+//! is what the address its manifest records hashes and what every read
+//! verifies; the directory says nothing about what a unit holds (the
+//! manifest's [`crate::ChunkEntry::unit`] do), so a finer unit policy
+//! needs no new format.
 
 use crate::CasError;
 use codecs::varint;

@@ -1,7 +1,7 @@
 //! Reading an epoch back: opened once, inflated section by section.
 //!
 //! [`crate::CasStore::open_epoch`] hands out an [`EpochReader`] holding
-//! the verified manifest and the verified pack files, nothing inflated.
+//! the verified manifest and the epoch's verified pack, nothing inflated.
 //! [`EpochReader::table`] inflates the units one table section's chunks
 //! lie in and returns the table column by column, for a scan that reads a
 //! few columns of one table; [`EpochReader::assemble`] inflates every
@@ -22,16 +22,13 @@ use telco_trace::snapshot::{ColumnTable, ColumnTableBuilder};
 pub struct EpochReader<'s> {
     store: &'s CasStore,
     manifest: EpochManifest,
-    /// The verified pack files, in the order of `manifest.packs`.
-    packs: Vec<StoredPack>,
+    /// The verified pack file (empty when the epoch has none) and where
+    /// each of its units lies in it.
+    pack: Vec<u8>,
+    units: Vec<Range<usize>>,
     /// What owns each ref: the table sections of a columnar layout in
     /// order, or the one section of a blob.
     sections: Vec<Section>,
-}
-
-struct StoredPack {
-    bytes: Vec<u8>,
-    units: Vec<Range<usize>>,
 }
 
 struct Section {
@@ -63,15 +60,13 @@ impl<'s> EpochReader<'s> {
     pub(crate) fn new(
         store: &'s CasStore,
         manifest: EpochManifest,
-        packs: Vec<Vec<u8>>,
+        pack: Option<Vec<u8>>,
     ) -> Result<Self, CasError> {
-        let packs = packs
-            .into_iter()
-            .map(|bytes| {
-                let units = pack::unit_ranges(&bytes)?;
-                Ok(StoredPack { bytes, units })
-            })
-            .collect::<Result<_, CasError>>()?;
+        let units = match &pack {
+            Some(bytes) => pack::unit_ranges(bytes)?,
+            None => Vec::new(),
+        };
+        let pack = pack.unwrap_or_default();
         let inflate_spans: Vec<&'static str> = match &manifest.layout {
             Layout::Columnar { tables, .. } => {
                 let headers = tables.iter().map(|table| &table.header);
@@ -86,7 +81,8 @@ impl<'s> EpochReader<'s> {
         Ok(Self {
             store,
             manifest,
-            packs,
+            pack,
+            units,
             sections,
         })
     }
@@ -113,8 +109,7 @@ impl<'s> EpochReader<'s> {
             if fetched.unit(chunk).is_some() {
                 continue;
             }
-            let pack = &self.packs[chunk.pack as usize];
-            let stream = pack.units.get(chunk.unit as usize).ok_or_else(|| {
+            let stream = self.units.get(chunk.unit as usize).ok_or_else(|| {
                 CasError::Corrupt(format!(
                     "chunk {} names a unit past its pack",
                     chunk.hash.hex()
@@ -123,8 +118,8 @@ impl<'s> EpochReader<'s> {
             let section = self.sections.iter().find(|s| s.refs.contains(&at));
             let _inflate = obs::span(section.map_or("cas.get.inflate", |s| s.inflate_span));
             let codec = &self.store.cfg.codec;
-            let bytes = codec.decompress_metered(&pack.bytes[stream.clone()])?;
-            fetched.units.push(((chunk.pack, chunk.unit), bytes));
+            let bytes = codec.decompress_metered(&self.pack[stream.clone()])?;
+            fetched.units.push((chunk.unit, bytes));
         }
         let _verify = obs::span("cas.get.verify");
         for chunk in chunks
@@ -269,14 +264,13 @@ impl<'s> EpochReader<'s> {
 /// The units one read inflated: the only bytes it lends chunks from.
 struct Fetched<'r> {
     manifest: &'r EpochManifest,
-    /// By `(pack, unit)`; a read touches a handful.
-    units: Vec<((u32, u32), Vec<u8>)>,
+    /// By unit; a read touches one or two.
+    units: Vec<(u32, Vec<u8>)>,
 }
 
 impl Fetched<'_> {
     fn unit(&self, chunk: &ChunkEntry) -> Option<&[u8]> {
-        let key = (chunk.pack, chunk.unit);
-        let found = self.units.iter().find(|(k, _)| *k == key);
+        let found = self.units.iter().find(|(k, _)| *k == chunk.unit);
         found.map(|(_, bytes)| bytes.as_slice())
     }
 

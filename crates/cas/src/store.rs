@@ -4,23 +4,22 @@
 //!
 //! ```text
 //! <root>/<y>/<m>/<d>/<epoch>.mf      epoch manifest (committed via .tmp + rename)
-//! <root>/packs/<hash>.pk             pack: the epoch's *new* pieces, one compressed unit
-//!                                    per table section (see [`crate::pack`]), named by
-//!                                    the hash of the stored file
+//! <root>/<y>/<m>/<d>/<epoch>.pk      the epoch's pack: its chunks, one compressed
+//!                                    unit per table section (see [`crate::pack`]);
+//!                                    the manifest records its hash
 //! <root>/merkle/...                  persisted day/month/root manifests (rebuildable)
 //! ```
 //!
-//! Pieces dedup by content hash: a piece already stored (by any epoch, in
-//! any column) is only *referenced*, never rewritten. A piece no longer
-//! than a content address is neither hashed nor packed: the manifest
-//! carries its bytes ([`crate::manifest::INLINE_MAX`]), so an epoch whose
-//! only shared content is a handful of `0` values reads its own pack and
-//! nobody else's. Refcounts live in
-//! memory and are rebuilt from the on-disk manifests by [`CasStore::recover`],
-//! so the durable state is exactly {manifests, packs}. Dropping an epoch
-//! decrements its references and deletes any pack whose last live chunk
-//! went away — decay *is* garbage collection, and all byte accounting
-//! flows through [`Dfs::delete`] like the path-addressed store.
+//! An epoch is one manifest and at most one pack, and it owns both: no
+//! chunk is shared with another epoch, so two epochs with byte-identical
+//! payloads hold two packs. A piece no longer than a content address is
+//! neither hashed nor packed: the manifest carries its bytes
+//! ([`crate::manifest::INLINE_MAX`]), once however often the epoch uses
+//! it. The durable state is exactly {manifests, packs}; the in-memory
+//! index of retained epochs is rebuilt from the manifests by
+//! [`CasStore::recover`]. Dropping an epoch deletes its manifest, then
+//! its pack — decay *is* garbage collection, and all byte accounting flows
+//! through [`Dfs::delete`] like the path-addressed store.
 
 use crate::chunker::{self, Chunking};
 use crate::hash::ChunkHash;
@@ -80,9 +79,8 @@ pub struct CasStats {
     pub gets: u64,
     /// Tables read column by column ([`EpochReader::table`]).
     pub tables_read: u64,
-    /// Piece occurrences that added no bytes: a chunk the store (or this
-    /// epoch) already holds, or an inline piece this epoch's manifest
-    /// already carries.
+    /// Piece occurrences that added no bytes: an inline piece this
+    /// epoch's manifest already carries.
     pub dedup_hits: u64,
     /// Uncompressed bytes those occurrences would have added.
     pub dedup_bytes_saved: u64,
@@ -99,7 +97,7 @@ pub struct PutReceipt {
     /// Committed manifest path (the epoch's "leaf" on the filesystem).
     pub path: String,
     pub raw_len: u64,
-    /// Marginal bytes this epoch added: new pack + manifest.
+    /// Bytes this epoch added: its pack + manifest.
     pub new_bytes: u64,
     /// Piece occurrences that added no bytes (see [`CasStats::dedup_hits`]).
     pub dedup_hits: u64,
@@ -116,34 +114,28 @@ pub struct CasRecoverReport {
     pub orphan_bytes_reclaimed: u64,
 }
 
-struct ChunkInfo {
-    pack: ChunkHash,
-    unit: u32,
-    offset: u64,
-    len: u64,
-    refs: u64,
-}
-
-struct PackInfo {
-    /// Distinct chunks in this pack with refs > 0; the pack file is
-    /// deleted when this reaches zero.
-    live_chunks: u64,
-    stored_len: u64,
-}
-
 struct EpochRec {
     manifest_hash: ChunkHash,
     manifest_len: u64,
-    /// Per-occurrence chunk references (with multiplicity), for release.
-    chunk_refs: Vec<ChunkHash>,
+    /// Stored length of the epoch's pack; `None` when every piece is
+    /// inline and there is none.
+    pack_len: Option<u64>,
 }
 
 #[derive(Default)]
 struct State {
-    chunks: HashMap<ChunkHash, ChunkInfo>,
-    packs: HashMap<ChunkHash, PackInfo>,
     epochs: BTreeMap<u32, EpochRec>,
     stats: CasStats,
+}
+
+impl State {
+    /// Whether `epoch` is retained with a pack: a pack file of any other
+    /// epoch is garbage.
+    fn owns_pack(&self, epoch: u32) -> bool {
+        self.epochs
+            .get(&epoch)
+            .is_some_and(|r| r.pack_len.is_some())
+    }
 }
 
 /// The content-addressed store. Cheap to clone (shared state).
@@ -194,38 +186,39 @@ impl CasStore {
     /// Manifest path of an epoch, mirroring the temporal hierarchy:
     /// `<root>/<y>/<m>/<d>/<epoch>.mf`.
     pub fn manifest_path(&self, epoch: u32) -> String {
+        self.epoch_path(epoch, "mf")
+    }
+
+    /// Pack path of an epoch, beside its manifest:
+    /// `<root>/<y>/<m>/<d>/<epoch>.pk`.
+    pub fn pack_path(&self, epoch: u32) -> String {
+        self.epoch_path(epoch, "pk")
+    }
+
+    fn epoch_path(&self, epoch: u32, ext: &str) -> String {
         let c = EpochId(epoch).civil();
         format!(
-            "{}/{:04}/{:02}/{:02}/{:010}.mf",
+            "{}/{:04}/{:02}/{:02}/{:010}.{ext}",
             self.cfg.root, c.year, c.month, c.day, epoch
         )
-    }
-
-    fn pack_path(&self, hash: &ChunkHash) -> String {
-        format!("{}/packs/{}.pk", self.cfg.root, hash.hex())
-    }
-
-    fn packs_prefix(&self) -> String {
-        format!("{}/packs/", self.cfg.root)
     }
 
     fn merkle_prefix(&self) -> String {
         format!("{}/merkle/", self.cfg.root)
     }
 
-    /// Chunk, dedup and persist one epoch payload.
+    /// Chunk, pack and persist one epoch payload.
     ///
-    /// Commit order: pack first (content-addressed, so a crash leftover is
-    /// harmless garbage), then the manifest via `.tmp` + atomic rename.
-    /// Nothing is referenced until the manifest commits, so a failed put
+    /// Commit order: any crash leftover at the pack path is cleared, the
+    /// pack is written, then the manifest via `.tmp` + atomic rename.
+    /// Nothing is served until the manifest commits, so a failed put
     /// leaves at most an orphan pack that [`Self::gc`] / [`Self::recover`]
     /// sweep.
     ///
     /// The child spans split the cost: `cas.put.split` is the chunker and
-    /// the piece hashes, `cas.put.pack` the dedup lookups and the
-    /// compression of the new pack's units, `cas.put.manifest` the
-    /// manifest's encoding and compression, `cas.put.commit` the
-    /// filesystem writes and the refcounts.
+    /// the piece hashes, `cas.put.pack` the compression of the pack's
+    /// units, `cas.put.manifest` the manifest's encoding and compression,
+    /// `cas.put.commit` the filesystem writes.
     pub fn put_epoch(&self, epoch: u32, raw: &[u8]) -> Result<PutReceipt, CasError> {
         let _span = obs::span("cas.put");
         // A pure function of `raw`: done before the lock, so that a read
@@ -245,24 +238,11 @@ impl CasStore {
         let pack_span = obs::span("cas.put.pack");
 
         // Resolve every piece: carried inline when it is no longer than an
-        // address, else a chunk — known (in the store or earlier in this
-        // epoch) or new (appended to its section's unit of this epoch's
-        // pack). A repeat inside the epoch, inline or chunk, is a dedup
-        // hit.
-        struct Pending {
-            hash: ChunkHash,
-            existing_pack: Option<ChunkHash>, // None: this epoch's new pack
-            unit: u32,
-            offset: u64,
-            len: u64,
-        }
-        enum Slot {
-            Chunk(u32),
-            Inline(u32),
-        }
-        // One unit per table section of a columnar layout, so that a scan
-        // of one table inflates that table alone; a blob is one unit. A
-        // piece's section is a fact of the layout, not an option.
+        // address (a value the manifest already carries is a dedup hit),
+        // else a chunk appended to its section's unit of the pack: one unit
+        // per table section of a columnar layout, so that a scan of one
+        // table inflates that table alone; a blob is one unit. A piece's
+        // section is a fact of the layout, not an option.
         let sections = layout.sections();
         // Room for every piece of the section: none is copied twice.
         let section_bytes = |s: &Range<usize>| pieces[s.clone()].iter().map(Vec::len).sum();
@@ -270,18 +250,20 @@ impl CasStore {
             .iter()
             .map(|s| Vec::with_capacity(section_bytes(s)));
         let mut units: Vec<Vec<u8>> = units.collect();
-        let mut table: Vec<Pending> = Vec::new();
-        let mut index_of: HashMap<ChunkHash, u32> = HashMap::new();
+        // One index space for the manifest: every piece that is not inline
+        // is a chunk of its own, then come the distinct inline pieces.
+        let n_chunks = hashes.iter().flatten().count();
+        let mut chunks: Vec<ChunkEntry> = Vec::with_capacity(n_chunks);
         // Where in `pieces` each distinct inline piece first occurs.
         let mut inline_at: Vec<usize> = Vec::new();
         let mut inline_index_of: HashMap<&[u8], u32> = HashMap::new();
-        let mut slots: Vec<Slot> = Vec::with_capacity(pieces.len());
+        let mut refs: Vec<u32> = Vec::with_capacity(pieces.len());
         let mut dedup_hits = 0u64;
         let mut dedup_saved = 0u64;
         let of_sections = sections.iter().enumerate();
         for (section, at) in of_sections.flat_map(|(i, s)| s.clone().map(move |at| (i, at))) {
             let piece = &pieces[at];
-            let Some(h) = hashes[at] else {
+            let Some(hash) = hashes[at] else {
                 let fresh = inline_at.len() as u32;
                 let i = *inline_index_of.entry(piece.as_slice()).or_insert(fresh);
                 if i == fresh {
@@ -290,58 +272,27 @@ impl CasStore {
                     dedup_hits += 1;
                     dedup_saved += piece.len() as u64;
                 }
-                slots.push(Slot::Inline(i));
+                refs.push(n_chunks as u32 + i);
                 continue;
             };
-            if let Some(&i) = index_of.get(&h) {
-                slots.push(Slot::Chunk(i));
-                dedup_hits += 1;
-                dedup_saved += piece.len() as u64;
-                continue;
-            }
-            let pending = if let Some(info) = st.chunks.get(&h) {
-                dedup_hits += 1;
-                dedup_saved += piece.len() as u64;
-                Pending {
-                    hash: h,
-                    existing_pack: Some(info.pack),
-                    unit: info.unit,
-                    offset: info.offset,
-                    len: info.len,
-                }
-            } else {
-                let unit = &mut units[section];
-                let offset = unit.len() as u64;
-                unit.extend_from_slice(piece);
-                Pending {
-                    hash: h,
-                    existing_pack: None,
-                    unit: section as u32,
-                    offset,
-                    len: piece.len() as u64,
-                }
-            };
-            index_of.insert(h, table.len() as u32);
-            slots.push(Slot::Chunk(table.len() as u32));
-            table.push(pending);
+            let unit = &mut units[section];
+            refs.push(chunks.len() as u32);
+            chunks.push(ChunkEntry {
+                hash,
+                unit: section as u32,
+                offset: unit.len() as u64,
+                len: piece.len() as u64,
+            });
+            unit.extend_from_slice(piece);
         }
         // The manifest owns its inline pieces: they move, nothing is copied.
         let inline: Vec<Vec<u8>> = inline_at
             .into_iter()
             .map(|at| std::mem::take(&mut pieces[at]))
             .collect();
-        // One index space for the manifest: chunks, then inline pieces.
-        let n_chunks = table.len() as u32;
-        let refs: Vec<u32> = slots
-            .iter()
-            .map(|slot| match *slot {
-                Slot::Chunk(i) => i,
-                Slot::Inline(i) => n_chunks + i,
-            })
-            .collect();
 
-        // A section whose pieces all dedup adds no unit: number the ones
-        // that hold something, compress each on its own, address the file.
+        // A section with no chunk adds no unit: number the ones that hold
+        // something and compress each on its own.
         let mut unit_index = vec![0u32; units.len()];
         let mut streams: Vec<Vec<u8>> = Vec::new();
         for (unit, index) in units.iter().zip(&mut unit_index) {
@@ -350,44 +301,18 @@ impl CasStore {
                 streams.push(self.cfg.codec.compress_metered(unit));
             }
         }
-        for p in table.iter_mut().filter(|p| p.existing_pack.is_none()) {
-            p.unit = unit_index[p.unit as usize];
+        for c in &mut chunks {
+            c.unit = unit_index[c.unit as usize];
         }
-        let new_pack: Option<(ChunkHash, Vec<u8>)> = (!streams.is_empty()).then(|| {
-            let bytes = pack::encode(&streams);
-            (ChunkHash::of(&bytes), bytes)
-        });
+        let pack_bytes = (!streams.is_empty()).then(|| pack::encode(&streams));
         drop(pack_span);
 
         let manifest_span = obs::span("cas.put.manifest");
-        // Materialize the manifest's pack table in first-use order.
-        let mut packs: Vec<ChunkHash> = Vec::new();
-        let mut pack_index: HashMap<ChunkHash, u32> = HashMap::new();
-        let mut resolve = |ph: ChunkHash| -> u32 {
-            *pack_index.entry(ph).or_insert_with(|| {
-                packs.push(ph);
-                packs.len() as u32 - 1
-            })
-        };
-        let chunks: Vec<ChunkEntry> = table
-            .iter()
-            .map(|p| ChunkEntry {
-                hash: p.hash,
-                pack: resolve(
-                    p.existing_pack
-                        .unwrap_or_else(|| new_pack.as_ref().expect("new chunk needs a pack").0),
-                ),
-                unit: p.unit,
-                offset: p.offset,
-                len: p.len,
-            })
-            .collect();
-
         let manifest = EpochManifest {
             epoch,
             raw_len: raw.len() as u64,
             layout,
-            packs,
+            pack: pack_bytes.as_deref().map(ChunkHash::of),
             chunks,
             inline,
             refs,
@@ -400,87 +325,49 @@ impl CasStore {
         drop(manifest_span);
 
         let _commit = obs::span("cas.put.commit");
-        // Durable commit: pack, then manifest (staged + atomic rename).
-        let mut pack_written = 0u64;
-        if let Some((ph, bytes)) = &new_pack {
-            if self.write_if_absent(&self.pack_path(ph), bytes)? {
-                pack_written = bytes.len() as u64;
-            }
+        // Durable commit: pack, then manifest (staged + atomic rename). A
+        // pack file already at the path is a crashed put's: no manifest
+        // was committed with it.
+        let pack_path = self.pack_path(epoch);
+        if self.dfs.exists(&pack_path) {
+            self.dfs.delete(&pack_path)?;
+        }
+        let pack_len = pack_bytes.as_ref().map(|b| b.len() as u64);
+        if let Some(bytes) = &pack_bytes {
+            self.dfs.write(&pack_path, bytes)?;
         }
         if let Err(e) = self.commit_manifest(&path, &mbytes) {
-            if pack_written > 0 {
-                if let Some((ph, _)) = &new_pack {
-                    let _ = self.dfs.delete(&self.pack_path(ph));
-                }
+            if pack_bytes.is_some() {
+                let _ = self.dfs.delete(&pack_path);
             }
             return Err(e);
         }
 
-        // In-memory commit: chunk table, refcounts, pack liveness.
-        let new_chunk_count = table.iter().filter(|p| p.existing_pack.is_none()).count() as u64;
-        if let Some((ph, bytes)) = &new_pack {
-            st.packs.entry(*ph).or_insert(PackInfo {
-                live_chunks: 0,
-                stored_len: bytes.len() as u64,
-            });
-            for p in table.iter().filter(|p| p.existing_pack.is_none()) {
-                st.chunks.entry(p.hash).or_insert(ChunkInfo {
-                    pack: *ph,
-                    unit: p.unit,
-                    offset: p.offset,
-                    len: p.len,
-                    refs: 0,
-                });
-            }
-        }
-        let chunk_refs = manifest.chunk_refs();
-        for h in &chunk_refs {
-            let (pack, first_ref) = {
-                let info = st.chunks.get_mut(h).expect("referenced chunk must exist");
-                let first = info.refs == 0;
-                info.refs += 1;
-                (info.pack, first)
-            };
-            if first_ref {
-                st.packs
-                    .get_mut(&pack)
-                    .expect("chunk's pack must exist")
-                    .live_chunks += 1;
-            }
-        }
         st.epochs.insert(
             epoch,
             EpochRec {
                 manifest_hash,
                 manifest_len: mbytes.len() as u64,
-                chunk_refs,
+                pack_len,
             },
         );
         st.stats.puts += 1;
         st.stats.dedup_hits += dedup_hits;
         st.stats.dedup_bytes_saved += dedup_saved;
-        st.stats.new_chunks += new_chunk_count;
+        st.stats.new_chunks += n_chunks as u64;
         obs::add("cas.dedup.hits", dedup_hits);
         obs::shard::add_sharded("cas.dedup.bytes_saved", dedup_saved);
-        obs::add("cas.put.new_chunks", new_chunk_count);
-        obs::shard::add_sharded("cas.put.bytes_written", pack_written + mbytes.len() as u64);
+        obs::add("cas.put.new_chunks", n_chunks as u64);
+        let new_bytes = pack_len.unwrap_or(0) + mbytes.len() as u64;
+        obs::shard::add_sharded("cas.put.bytes_written", new_bytes);
 
         Ok(PutReceipt {
             path,
             raw_len: raw.len() as u64,
-            new_bytes: pack_written + mbytes.len() as u64,
+            new_bytes,
             dedup_hits,
             manifest_hash,
         })
-    }
-
-    /// Write-once helper: `Ok(true)` if written, `Ok(false)` if content
-    /// with this address already exists (the dedup fast path).
-    fn write_if_absent(&self, path: &str, data: &[u8]) -> Result<bool, CasError> {
-        match self.dfs.write_if_absent(path, data) {
-            Ok(written) => Ok(written),
-            Err(e) => Err(e.into()),
-        }
     }
 
     fn commit_manifest(&self, path: &str, bytes: &[u8]) -> Result<(), CasError> {
@@ -498,8 +385,8 @@ impl CasStore {
     }
 
     /// Open an epoch for reading: its manifest, read and verified against
-    /// the recorded Merkle leaf, and every pack the manifest names, read
-    /// and verified against its address. A verification failure triggers
+    /// the recorded Merkle leaf, and its pack, read and verified against
+    /// the hash the manifest records. A verification failure triggers
     /// one targeted [`Dfs::repair_file`] + re-read before giving up. The
     /// manifest must be the one of `epoch`, and a columnar layout whose
     /// `#SNAPSHOT` header names an epoch must name this one. Nothing is
@@ -515,7 +402,7 @@ impl CasStore {
     pub fn open_epoch(&self, epoch: u32) -> Result<EpochReader<'_>, CasError> {
         let _span = obs::span("cas.get");
         // Per-query cost accounting: the dfs reads below (manifest +
-        // packs) were initiated by the CAS, so they bill to "cas".
+        // pack) were initiated by the CAS, so they bill to "cas".
         let _src = obs::cost::attribute_reads_to("cas");
         let expect = {
             let mut st = self.state.lock();
@@ -545,11 +432,11 @@ impl CasStore {
                 )));
             }
         }
-        let mut packs = Vec::with_capacity(manifest.packs.len());
-        for ph in &manifest.packs {
-            packs.push(self.read_verified(&self.pack_path(ph), ph)?);
-        }
-        EpochReader::new(self, manifest, packs)
+        let pack = match &manifest.pack {
+            Some(hash) => Some(self.read_verified(&self.pack_path(epoch), hash)?),
+            None => None,
+        };
+        EpochReader::new(self, manifest, pack)
     }
 
     /// Reassemble an epoch payload: [`Self::open_epoch`], every unit the
@@ -610,38 +497,28 @@ impl CasStore {
         obs::inc("cas.repair.refetch");
     }
 
-    /// Drop an epoch: delete its manifest, release its chunk references
-    /// and garbage-collect packs whose last live chunk went away. Returns
-    /// freed logical bytes ([`Dfs::delete`] accounting); 0 if the epoch
-    /// was never stored.
+    /// Drop an epoch: delete its manifest, then its pack. A crash in
+    /// between leaves an orphan pack, never a manifest without its pack;
+    /// a delete that fails is left to [`Self::gc`] / [`Self::recover`].
+    /// Returns freed logical bytes ([`Dfs::delete`] accounting); 0 if the
+    /// epoch was never stored.
     pub fn drop_epoch(&self, epoch: u32) -> Result<u64, CasError> {
         let _span = obs::span("cas.drop");
         let mut st = self.state.lock();
         let Some(rec) = st.epochs.remove(&epoch) else {
             return Ok(0);
         };
-        let mut dead_packs: Vec<ChunkHash> = Vec::new();
-        for h in &rec.chunk_refs {
-            let Some(info) = st.chunks.get_mut(h) else {
-                debug_assert!(false, "release of unknown chunk {h}");
-                continue;
-            };
-            debug_assert!(info.refs > 0, "refcount underflow on {h}");
-            info.refs = info.refs.saturating_sub(1);
-            if info.refs == 0 {
-                let pack = info.pack;
-                st.chunks.remove(h);
-                let pi = st.packs.get_mut(&pack).expect("chunk's pack must exist");
-                pi.live_chunks = pi.live_chunks.saturating_sub(1);
-                if pi.live_chunks == 0 {
-                    dead_packs.push(pack);
-                }
+        let mut freed = match self.dfs.delete(&self.manifest_path(epoch)) {
+            Ok(n) => n,
+            Err(DfsError::NotFound(_)) => 0,
+            // The manifest is still there: its pack stays beside it.
+            Err(_) => {
+                obs::inc("cas.gc.deferred");
+                return Ok(0);
             }
-        }
-        let mut freed = 0u64;
-        for ph in dead_packs {
-            st.packs.remove(&ph);
-            match self.dfs.delete(&self.pack_path(&ph)) {
+        };
+        if rec.pack_len.is_some() {
+            match self.dfs.delete(&self.pack_path(epoch)) {
                 Ok(n) => {
                     freed += n;
                     st.stats.gc_packs_deleted += 1;
@@ -649,15 +526,8 @@ impl CasStore {
                     obs::inc("cas.gc.packs_deleted");
                     obs::add("cas.gc.bytes_reclaimed", n);
                 }
-                // Already gone or temporarily unavailable: the sweep in
-                // gc()/recover() picks unreferenced packs up later.
                 Err(_) => obs::inc("cas.gc.deferred"),
             }
-        }
-        match self.dfs.delete(&self.manifest_path(epoch)) {
-            Ok(n) => freed += n,
-            Err(DfsError::NotFound(_)) => {}
-            Err(_) => obs::inc("cas.gc.deferred"),
         }
         Ok(freed)
     }
@@ -679,7 +549,8 @@ impl CasStore {
 
     /// On-disk pack bytes (compressed piece data) the state accounts for.
     pub fn pack_bytes(&self) -> u64 {
-        self.state.lock().packs.values().map(|p| p.stored_len).sum()
+        let st = self.state.lock();
+        st.epochs.values().filter_map(|e| e.pack_len).sum()
     }
 
     /// On-disk manifest bytes (compressed chunk metadata) the state
@@ -707,51 +578,29 @@ impl CasStore {
             .sum()
     }
 
-    /// Chunks tracked with zero references — always 0 by construction
-    /// (entries are removed when released); exposed for the leak gate.
-    pub fn unreferenced_chunks(&self) -> u64 {
-        self.state
-            .lock()
-            .chunks
-            .values()
-            .filter(|c| c.refs == 0)
-            .count() as u64
-    }
-
-    pub fn chunk_count(&self) -> u64 {
-        self.state.lock().chunks.len() as u64
-    }
-
-    pub fn pack_count(&self) -> u64 {
-        self.state.lock().packs.len() as u64
-    }
-
     pub fn stats(&self) -> CasStats {
         self.state.lock().stats
     }
 
-    /// Sweep garbage the eager path could not delete: pack files and
-    /// committed manifests unknown to the state, plus staging temps.
-    /// Returns reclaimed logical bytes.
+    /// Sweep garbage the eager path could not delete: staging temps, and
+    /// manifests and packs of epochs the state does not retain (or a pack
+    /// beside an epoch that has none). Returns reclaimed logical bytes.
     pub fn gc(&self) -> u64 {
         let _span = obs::span("cas.gc");
         let mut st = self.state.lock();
-        let packs_prefix = self.packs_prefix();
         let merkle_prefix = self.merkle_prefix();
         let mut reclaimed = 0u64;
         for path in self.dfs.list(&format!("{}/", self.cfg.root)) {
             if path.starts_with(&merkle_prefix) {
                 continue;
             }
-            let pack_name = path
-                .strip_prefix(&packs_prefix)
-                .and_then(|n| n.strip_suffix(".pk"));
+            let is_pack = path.ends_with(".pk");
             let orphan = if path.ends_with(TMP_SUFFIX) {
                 true
-            } else if let Some(hex) = pack_name {
-                !ChunkHash::from_hex(hex).is_some_and(|h| st.packs.contains_key(&h))
-            } else if path.ends_with(".mf") {
-                !manifest_path_epoch(&path).is_some_and(|e| st.epochs.contains_key(&e))
+            } else if let Some(epoch) = epoch_of(&path, ".mf") {
+                !st.epochs.contains_key(&epoch)
+            } else if let Some(epoch) = epoch_of(&path, ".pk") {
+                !st.owns_pack(epoch)
             } else {
                 false
             };
@@ -760,7 +609,7 @@ impl CasStore {
                     reclaimed += n;
                     // Staging temps and stray manifests are reclaimed
                     // bytes, not packs.
-                    if pack_name.is_some() {
+                    if is_pack {
                         st.stats.gc_packs_deleted += 1;
                     }
                     st.stats.gc_bytes_reclaimed += n;
@@ -771,10 +620,11 @@ impl CasStore {
         reclaimed
     }
 
-    /// Rebuild all in-memory state (chunk table, refcounts, pack liveness)
-    /// from the committed manifests, then sweep staging temps, orphan
-    /// packs and undecodable manifests. The durable truth is on the
-    /// filesystem; this makes the process state match it.
+    /// Rebuild the in-memory index of retained epochs from the committed
+    /// manifests, then sweep staging temps, manifests that do not decode
+    /// or whose pack is gone, and packs no indexed manifest owns. The
+    /// durable truth is on the filesystem; this makes the process state
+    /// match it.
     pub fn recover(&self) -> CasRecoverReport {
         let _span = obs::span("cas.recover");
         let mut report = CasRecoverReport::default();
@@ -783,95 +633,54 @@ impl CasStore {
         *st = State::default();
         st.stats = stats;
 
-        let packs_prefix = self.packs_prefix();
         let merkle_prefix = self.merkle_prefix();
-        let listing = self.dfs.list(&format!("{}/", self.cfg.root));
+        let listing: Vec<String> = self
+            .dfs
+            .list(&format!("{}/", self.cfg.root))
+            .into_iter()
+            .filter(|path| !path.starts_with(&merkle_prefix))
+            .collect();
         for path in &listing {
-            if path.ends_with(TMP_SUFFIX)
-                && !path.starts_with(&merkle_prefix)
-                && self.dfs.delete(path).is_ok()
-            {
+            if path.ends_with(TMP_SUFFIX) && self.dfs.delete(path).is_ok() {
                 report.orphan_tmp_deleted += 1;
             }
         }
         for path in &listing {
-            if !path.ends_with(".mf")
-                || path.starts_with(&packs_prefix)
-                || path.starts_with(&merkle_prefix)
-            {
+            let Some(epoch) = epoch_of(path, ".mf") else {
                 continue;
-            }
-            let replayed = self
-                .dfs
-                .read(path)
-                .ok()
-                .and_then(|bytes| {
-                    let m = self.cfg.codec.decompress_metered(&bytes).ok()?;
-                    let m = EpochManifest::decode(&m).ok()?;
-                    Some((bytes, m))
-                })
-                .filter(|(_, m)| {
-                    manifest_path_epoch(path) == Some(m.epoch)
-                        && m.packs
-                            .iter()
-                            .all(|ph| self.dfs.exists(&self.pack_path(ph)))
-                });
-            let Some((bytes, manifest)) = replayed else {
-                // Unreadable, undecodable or referencing missing packs:
-                // the epoch is lost, don't serve it.
+            };
+            let replayed = self.dfs.read(path).ok().and_then(|bytes| {
+                let m = self.cfg.codec.decompress_metered(&bytes).ok()?;
+                let m = EpochManifest::decode(&m)
+                    .ok()
+                    .filter(|m| m.epoch == epoch)?;
+                let pack_len = match m.pack {
+                    Some(_) => Some(self.dfs.file_len(&self.pack_path(epoch)).ok()?),
+                    None => None,
+                };
+                Some((bytes, pack_len))
+            });
+            let Some((bytes, pack_len)) = replayed else {
+                // Unreadable, undecodable or missing its pack: the epoch
+                // is lost, don't serve it.
                 if self.dfs.delete(path).is_ok() {
                     report.corrupt_manifests_dropped += 1;
                 }
                 continue;
             };
-            for c in &manifest.chunks {
-                let ph = manifest.packs[c.pack as usize];
-                st.packs.entry(ph).or_insert_with(|| PackInfo {
-                    live_chunks: 0,
-                    stored_len: self.dfs.file_len(&self.pack_path(&ph)).unwrap_or(0),
-                });
-                st.chunks.entry(c.hash).or_insert(ChunkInfo {
-                    pack: ph,
-                    unit: c.unit,
-                    offset: c.offset,
-                    len: c.len,
-                    refs: 0,
-                });
-            }
-            let chunk_refs = manifest.chunk_refs();
-            for h in &chunk_refs {
-                let (pack, first_ref) = {
-                    let info = st.chunks.get_mut(h).expect("chunk just inserted");
-                    let first = info.refs == 0;
-                    info.refs += 1;
-                    (info.pack, first)
-                };
-                if first_ref {
-                    st.packs
-                        .get_mut(&pack)
-                        .expect("pack just inserted")
-                        .live_chunks += 1;
-                }
-            }
             st.epochs.insert(
-                manifest.epoch,
+                epoch,
                 EpochRec {
                     manifest_hash: ChunkHash::of(&bytes),
                     manifest_len: bytes.len() as u64,
-                    chunk_refs,
+                    pack_len,
                 },
             );
             report.manifests_indexed += 1;
         }
         for path in &listing {
-            let Some(hex) = path
-                .strip_prefix(&packs_prefix)
-                .and_then(|n| n.strip_suffix(".pk"))
-            else {
-                continue;
-            };
-            let known = ChunkHash::from_hex(hex).is_some_and(|h| st.packs.contains_key(&h));
-            if !known {
+            let orphan = epoch_of(path, ".pk").is_some_and(|epoch| !st.owns_pack(epoch));
+            if orphan {
                 if let Ok(n) = self.dfs.delete(path) {
                     report.orphan_packs_deleted += 1;
                     report.orphan_bytes_reclaimed += n;
@@ -952,11 +761,11 @@ impl CasStore {
     }
 }
 
-/// Epoch encoded in a manifest path `<root>/<y>/<m>/<d>/<epoch>.mf`.
-fn manifest_path_epoch(path: &str) -> Option<u32> {
+/// Epoch encoded in a path `<root>/<y>/<m>/<d>/<epoch><suffix>`.
+fn epoch_of(path: &str, suffix: &str) -> Option<u32> {
     path.rsplit('/')
         .next()?
-        .strip_suffix(".mf")?
+        .strip_suffix(suffix)?
         .parse::<u32>()
         .ok()
 }
@@ -1050,25 +859,35 @@ mod tests {
         assert!(freed > 0);
         assert_eq!(cas.bytes_stored(), 0, "full decay leaves nothing stored");
         assert_eq!(cas.listed_bytes(), 0, "no files left on the dfs");
-        assert_eq!(cas.chunk_count(), 0);
-        assert_eq!(cas.pack_count(), 0);
-        assert_eq!(cas.unreferenced_chunks(), 0);
         assert_eq!(cas.drop_epoch(snaps[0].epoch.0).unwrap(), 0, "idempotent");
     }
 
+    /// Two epochs holding byte-identical payloads hold two packs: each
+    /// epoch owns its files, and dropping one leaves the other readable.
     #[test]
-    fn partial_decay_keeps_shared_chunks_alive() {
+    fn epochs_with_one_payload_each_own_a_pack() {
         let cas = store();
-        let snaps = snapshots(3);
-        for s in &snaps {
-            cas.put_epoch(s.epoch.0, &s.to_bytes()).unwrap();
+        // Its header names no epoch: the store files it under either.
+        let mut raw = b"#SNAPSHOT ts=2016-01-18T00:00\n#TABLE CDR rows=40 cols=2\n".to_vec();
+        for r in 0..40 {
+            raw.extend_from_slice(format!("{},{}\n", 1000 + r * 37, r % 3).as_bytes());
         }
-        cas.drop_epoch(snaps[0].epoch.0).unwrap();
-        // Remaining epochs still read back intact despite shared chunks.
-        for s in &snaps[1..] {
-            assert_eq!(cas.get_epoch(s.epoch.0).unwrap(), s.to_bytes());
+        let blob: Vec<u8> = (0..20_000u32).map(|i| (i * 31 % 251) as u8).collect();
+        for (first, payload) in [(3, &raw), (7, &blob)] {
+            for epoch in [first, first + 1] {
+                cas.put_epoch(epoch, payload).unwrap();
+                assert!(cas.dfs().exists(&cas.pack_path(epoch)), "{epoch}");
+            }
+            let pack = |epoch| cas.dfs().read(&cas.pack_path(epoch)).unwrap();
+            assert_eq!(pack(first), pack(first + 1), "the same bytes, twice");
+            assert_eq!(cas.bytes_stored(), cas.listed_bytes());
+            cas.drop_epoch(first).unwrap();
+            assert!(!cas.dfs().exists(&cas.pack_path(first)));
+            assert_eq!(&cas.get_epoch(first + 1).unwrap(), payload);
+            assert_eq!(cas.bytes_stored(), cas.listed_bytes());
+            cas.drop_epoch(first + 1).unwrap();
         }
-        assert_eq!(cas.unreferenced_chunks(), 0);
+        assert_eq!(cas.listed_bytes(), 0);
     }
 
     #[test]
@@ -1105,8 +924,11 @@ mod tests {
         for path in cas.dfs().list("/cas/") {
             let bytes = cas.dfs().read(&path).unwrap();
             assert_eq!(ChunkHash::of(&bytes), portable(&bytes), "{path}");
-            if let Some(hex) = path.strip_prefix(&cas.packs_prefix()) {
-                assert_eq!(hex, format!("{}.pk", portable(&bytes).hex()));
+            if let Some(epoch) = epoch_of(&path, ".pk") {
+                let stored = cas.dfs().read(&cas.manifest_path(epoch)).unwrap();
+                let manifest = cas.cfg.codec.decompress(&stored).unwrap();
+                let manifest = EpochManifest::decode(&manifest).unwrap();
+                assert_eq!(manifest.pack, Some(portable(&bytes)), "{path}");
             }
         }
         let merkle = cas.merkle();
@@ -1167,9 +989,7 @@ mod tests {
         let snap = &snapshots(1)[0];
         cas.put_epoch(snap.epoch.0, &snap.to_bytes()).unwrap();
         // Simulate a crashed put: an orphan pack and a staging temp.
-        let orphan = ChunkHash::of(b"orphan pack bytes");
-        dfs.write(&cas.pack_path(&orphan), b"orphan pack bytes")
-            .unwrap();
+        dfs.write(&cas.pack_path(99), b"orphan pack bytes").unwrap();
         dfs.write(&format!("{}{}", cas.manifest_path(99), TMP_SUFFIX), b"x")
             .unwrap();
         let (again, report) = CasStore::open(dfs, CasConfig::default());
@@ -1184,14 +1004,10 @@ mod tests {
         let cas = store();
         // Opaque payload (not snapshot wire format): blob chunking path.
         let payload: Vec<u8> = (0..20_000u32).map(|i| (i * 31 % 251) as u8).collect();
-        cas.put_epoch(7, &payload).unwrap();
+        let receipt = cas.put_epoch(7, &payload).unwrap();
         assert_eq!(cas.get_epoch(7).unwrap(), payload);
-        // Identical payload at another epoch dedups every piece.
-        let r = cas.put_epoch(8, &payload).unwrap();
-        let pieces = r.dedup_hits;
-        assert!(pieces > 0);
-        let stats = cas.stats();
-        assert!(stats.dedup_bytes_saved >= payload.len() as u64);
+        assert_eq!(receipt.new_bytes, cas.bytes_stored());
+        assert!(cas.stats().new_chunks > 0);
     }
 
     #[test]
@@ -1200,7 +1016,8 @@ mod tests {
         // Two constant columns: two inline values, no chunk, no pack.
         let raw = b"#SNAPSHOT epoch=3 ts=0\n#TABLE CDR rows=3 cols=2\n0,LTE\n0,LTE\n0,LTE\n";
         let receipt = cas.put_epoch(3, raw).unwrap();
-        assert_eq!((cas.pack_count(), cas.chunk_count()), (0, 0));
+        assert_eq!((cas.pack_bytes(), cas.stats().new_chunks), (0, 0));
+        assert!(!cas.dfs().exists(&cas.pack_path(3)));
         assert_eq!(receipt.new_bytes, cas.manifest_bytes());
         assert_eq!(cas.get_epoch(3).unwrap(), raw);
         // The same value again in a second epoch is carried again, not
@@ -1275,10 +1092,11 @@ mod tests {
         }
     }
 
-    /// Every prefix and every single-bit flip of a stored `CASMF3`
+    /// Every prefix and every single-bit flip of a stored `CASMF4`
     /// manifest and of a stored `CASPK1` pack: refused against its address
-    /// (the Merkle leaf; the pack's name), and — once the damaged file is
-    /// filed under its own hash, so that only the container directory, the
+    /// (the Merkle leaf; the hash the manifest records), and — once the
+    /// damaged file is filed under its own hash (for a pack: recorded by
+    /// the manifest), so that only the container directory, the
     /// codec, `decode` and the chunk checks stand in the way — still never
     /// a panic and never other bytes, from `get_epoch`, `open_epoch` and
     /// `table(i)` alike.
@@ -1320,14 +1138,11 @@ mod tests {
                 assert!(cas.get_epoch(epoch).is_err(), "address check");
                 assert!(cas.open_epoch(epoch).is_err(), "address check");
                 if is_pack {
-                    // The damaged pack under its own name, and a manifest
-                    // that names it.
-                    let own = ChunkHash::of(&damaged);
-                    dfs.write(&cas.pack_path(&own), &damaged).unwrap();
+                    // A manifest that records the damaged pack's hash.
                     let manifest = cas.manifest_path(epoch);
                     let stored = cas.cfg.codec.decompress(&dfs.read(&manifest).unwrap());
                     let mut edited = EpochManifest::decode(&stored.unwrap()).unwrap();
-                    edited.packs[0] = own;
+                    edited.pack = Some(ChunkHash::of(&damaged));
                     dfs.delete(&manifest).unwrap();
                     let stored = cas.cfg.codec.compress(&edited.encode());
                     dfs.write(&manifest, &stored).unwrap();
@@ -1501,9 +1316,7 @@ mod tests {
     fn gc_counts_packs_as_packs_and_bytes_for_every_orphan() {
         let (cas, epoch, raw) = one_daytime_epoch();
         let dfs = cas.dfs();
-        let orphan = ChunkHash::of(b"orphan pack bytes");
-        dfs.write(&cas.pack_path(&orphan), b"orphan pack bytes")
-            .unwrap();
+        dfs.write(&cas.pack_path(97), b"orphan pack bytes").unwrap();
         let staging = format!("{}{}", cas.manifest_path(98), TMP_SUFFIX);
         dfs.write(&staging, b"half a manifest").unwrap();
         dfs.write(&cas.manifest_path(99), b"a stray manifest")
@@ -1545,7 +1358,6 @@ mod tests {
             m.refs[piece as usize] = m.chunks.len() as u32;
             m.chunks.push(ChunkEntry {
                 hash: ChunkHash::of(b""),
-                pack: 0,
                 unit: 0,
                 offset: 0,
                 len: 0,

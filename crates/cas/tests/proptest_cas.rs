@@ -3,8 +3,10 @@
 //! 1. chunk → hash → chunk: splitting any payload and reassembling the
 //!    addressed pieces reproduces the payload byte-for-byte, and piece
 //!    hashes are stable.
-//! 2. refcounts never underflow (and never leak) under arbitrary
-//!    interleavings of ingest and decay.
+//! 2. every epoch owns what it stored under arbitrary interleavings of
+//!    ingest and decay: byte-identical payloads under different epochs
+//!    are two epochs' files, each reads back its own payload, and nothing
+//!    is left behind.
 //! 3. a flipped bit anywhere in a stored pack or manifest is caught by
 //!    content verification before bytes reach the query layer.
 
@@ -12,6 +14,7 @@ use cas::chunker::{assemble, split, Chunking};
 use cas::{CasConfig, CasError, CasStore, ChunkHash};
 use dfs::{Dfs, DfsConfig};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn store() -> (Dfs, CasStore) {
     let dfs = Dfs::new(DfsConfig::default());
@@ -56,44 +59,42 @@ proptest! {
     }
 
     #[test]
-    fn refcounts_survive_interleaved_ingest_and_decay(
-        ops in proptest::collection::vec((0u32..12, any::<bool>(), any::<u8>()), 1..40),
+    fn every_epoch_owns_its_payload_through_interleaved_ingest_and_decay(
+        ops in proptest::collection::vec((0u32..12, any::<bool>(), 0u8..3), 1..40),
     ) {
         let (_dfs, cas) = store();
-        let mut live: Vec<u32> = Vec::new();
+        let mut live: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
         for (epoch, ingest, fill) in ops {
             if ingest {
-                // Repetitive payloads force cross-epoch chunk sharing.
-                let raw = payload(&[fill, fill / 2, 7], 100 + epoch as usize, true);
+                // Three payloads in all: the same bytes land under many
+                // epochs, and each is stored again.
+                let raw = payload(&[fill, fill / 2, 7], 100 + fill as usize, true);
                 match cas.put_epoch(epoch, &raw) {
-                    Ok(_) => live.push(epoch),
-                    Err(CasError::AlreadyStored(_)) => {}
+                    Ok(_) => prop_assert!(live.insert(epoch, raw).is_none()),
+                    Err(CasError::AlreadyStored(_)) => prop_assert!(live.contains_key(&epoch)),
                     Err(e) => panic!("put failed: {e}"),
                 }
             } else {
-                // Decay: dropping a missing epoch is a no-op, never an
-                // underflow (drop_epoch debug_asserts refcounts inside).
+                // Decay: dropping a missing epoch is a no-op.
                 let freed = cas.drop_epoch(epoch).expect("drop must not fail");
-                let was_live = live.iter().position(|&e| e == epoch);
-                if let Some(i) = was_live {
-                    live.swap_remove(i);
-                } else {
+                if live.remove(&epoch).is_none() {
                     prop_assert_eq!(freed, 0);
                 }
             }
-            // Invariants after every step: no zero-ref chunk is retained,
-            // state accounting matches the filesystem listing.
-            prop_assert_eq!(cas.unreferenced_chunks(), 0);
+            // After every step: state accounting matches the filesystem
+            // listing, and every live epoch reads back its own payload.
             prop_assert_eq!(cas.bytes_stored(), cas.listed_bytes());
+            prop_assert_eq!(cas.epochs(), live.keys().copied().collect::<Vec<_>>());
+            for (&e, raw) in &live {
+                prop_assert_eq!(&cas.get_epoch(e).unwrap(), raw);
+            }
         }
         // Full decay always reaches an empty store.
-        for e in live {
+        for &e in live.keys() {
             cas.drop_epoch(e).unwrap();
         }
         prop_assert_eq!(cas.bytes_stored(), 0);
         prop_assert_eq!(cas.listed_bytes(), 0);
-        prop_assert_eq!(cas.chunk_count(), 0);
-        prop_assert_eq!(cas.pack_count(), 0);
     }
 
     #[test]

@@ -42,8 +42,9 @@ impl SpateFramework {
         Self::with_store(SnapshotStore::new(dfs, codec).with_root("/spate"), layout)
     }
 
-    /// SPATE over the content-addressed store: chunk-level dedup, Merkle
-    /// manifests, and decay that garbage-collects shared chunks. Same
+    /// SPATE over the content-addressed store: columnar packs, one per
+    /// epoch, hash-verified reads, Merkle manifests, and decay that
+    /// deletes an epoch's manifest and pack. Same
     /// index/query/decay behavior as [`Self::new`]; only the storage
     /// backend changes.
     pub fn with_cas(dfs: Dfs, layout: CellLayout) -> Self {
@@ -211,8 +212,9 @@ impl SpateFramework {
     }
 
     /// Restore over `store`, whichever backend wrote the warehouse: a
-    /// content-addressed store gets its refcounts rebuilt from the on-disk
-    /// manifests before the index is reconciled (see [`Self::recover`]).
+    /// content-addressed store gets its retained epochs re-read from the
+    /// on-disk manifests before the index is reconciled (see
+    /// [`Self::recover`]).
     pub fn restore_from(
         store: SnapshotStore,
         layout: CellLayout,
@@ -259,9 +261,9 @@ impl SpateFramework {
     pub fn recover(&mut self) -> RecoveryReport {
         let _span = obs::span("spate.recover");
         let mut report = RecoveryReport::default();
-        // Content-addressed backend first: rebuild refcounts and chunk
-        // tables from the committed manifests (a fresh process has none)
-        // and sweep orphan packs/temps; only then is `contains` truthful.
+        // Content-addressed backend first: index the committed manifests
+        // whose pack is there (a fresh process knows none) and sweep
+        // orphan packs and temps; only then is `contains` truthful.
         if let Some(cas_report) = self.store.recover_backend() {
             report.orphans_deleted += cas_report.orphan_tmp_deleted;
         }
@@ -311,8 +313,7 @@ impl SpateFramework {
                 }
             } else if self.store.evict(epoch).is_ok_and(|freed| freed > 0) {
                 // Evict through the store so the content-addressed backend
-                // releases refcounts and GCs shared chunks, not just the
-                // leaf file.
+                // deletes the epoch's pack, not just the leaf file.
                 report.stale_strays_deleted += 1;
                 obs::inc("spate.recover.stale_strays_deleted");
             }
@@ -651,14 +652,14 @@ mod tests {
             format!("{:?}", path_fw.query(&q))
         );
         let cas = cas_fw.store().cas().expect("cas backend");
-        assert!(cas.stats().dedup_hits > 0, "cross-epoch chunk sharing");
+        assert!(cas.stats().dedup_hits > 0, "repeated inline values");
         // Full decay through the store surface leaves zero stored bytes
-        // and no unreferenced chunk behind.
+        // and no file behind.
         for s in &snaps {
             cas_fw.store().evict(s.epoch).unwrap();
         }
         assert_eq!(cas_fw.store().stored_bytes(), 0);
-        assert_eq!(cas.unreferenced_chunks(), 0);
+        assert_eq!(cas.bytes_stored(), 0);
     }
 
     #[test]

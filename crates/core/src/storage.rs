@@ -9,10 +9,10 @@
 //! - **Path-addressed** (the default): one compressed `.snap` file per
 //!   30-minute snapshot.
 //! - **Content-addressed** ([`SnapshotStore::new_cas`]): snapshots are
-//!   chunked into per-attribute column pieces, deduplicated by content
-//!   hash into shared pack files, and each epoch's leaf is a `.mf`
-//!   manifest of chunk references (see the `cas` crate). Eviction
-//!   releases refcounts and garbage-collects dead packs. A scan reads
+//!   chunked into per-attribute column pieces, each named by its content
+//!   hash and packed into the epoch's own `.pk` file, and each epoch's
+//!   leaf is a `.mf` manifest of those chunks (see the `cas` crate).
+//!   Eviction deletes the manifest, then the pack. A scan reads
 //!   such an epoch column by column, one table at a time
 //!   ([`SnapshotStore::read_rows`]); the Path backend, `load` and any
 //!   layout that is not plainly a snapshot's read the serialized text.
@@ -151,7 +151,7 @@ pub const TMP_SUFFIX: &str = ".tmp";
 enum Backend {
     /// One compressed file per epoch at its leaf path.
     Path { codec: Arc<dyn Codec> },
-    /// Chunked, deduplicated, manifest-per-epoch (see the `cas` crate).
+    /// Chunked, one manifest and one pack per epoch (see the `cas` crate).
     Cas(CasStore),
 }
 
@@ -174,7 +174,8 @@ impl SnapshotStore {
         }
     }
 
-    /// Content-addressed store: dedup, Merkle manifests, decay-as-GC.
+    /// Content-addressed store: verified packs, Merkle manifests,
+    /// decay-as-GC.
     pub fn new_cas(dfs: Dfs, cfg: CasConfig) -> Self {
         Self {
             dfs: dfs.clone(),
@@ -220,9 +221,9 @@ impl SnapshotStore {
         }
     }
 
-    /// Rebuild backend state from the filesystem (refcounts, chunk and
-    /// pack tables) and sweep orphans. No-op for the path backend, whose
-    /// only state *is* the filesystem.
+    /// Rebuild backend state from the filesystem (the retained epochs and
+    /// their Merkle leaves) and sweep orphans. No-op for the path backend,
+    /// whose only state *is* the filesystem.
     pub fn recover_backend(&self) -> Option<CasRecoverReport> {
         self.cas().map(|cas| cas.recover())
     }
@@ -292,9 +293,8 @@ impl SnapshotStore {
                 })
             }
             Backend::Cas(cas) => {
-                // Chunk, dedup and commit; `stored_bytes` is the *marginal*
-                // cost of this epoch (new pack + manifest), which is what
-                // dedup makes interesting.
+                // Chunk, pack and commit; `stored_bytes` is this epoch's
+                // pack + manifest.
                 let receipt = match cas.put_epoch(snapshot.epoch.0, &raw) {
                     Ok(r) => r,
                     Err(CasError::AlreadyStored(_)) => {
@@ -440,9 +440,8 @@ impl SnapshotStore {
 
     /// Evict the stored snapshot of an epoch (the decay fungus's file
     /// deletion). Returns freed logical bytes; 0 if it was already gone.
-    /// Under the content-addressed backend this drops the epoch's manifest,
-    /// releases its chunk references and garbage-collects packs whose last
-    /// live chunk went away — decay *is* GC.
+    /// Under the content-addressed backend this deletes the epoch's
+    /// manifest, then its pack — decay *is* GC.
     pub fn evict(&self, epoch: EpochId) -> Result<u64, StorageError> {
         match &self.backend {
             Backend::Path { .. } => match self.dfs.delete(&self.path_for(epoch)) {
@@ -464,8 +463,7 @@ impl SnapshotStore {
     /// Total stored (compressed, pre-replication) bytes under this root.
     /// Uncommitted `.tmp` staging files don't count — they are invisible
     /// to queries and reaped by recovery. The content-addressed backend
-    /// counts packs + manifests (shared chunks once, Merkle metadata
-    /// excluded).
+    /// counts packs + manifests (Merkle metadata excluded).
     pub fn stored_bytes(&self) -> u64 {
         match &self.backend {
             Backend::Path { .. } => self
@@ -485,13 +483,12 @@ impl SnapshotStore {
     /// (packs and Merkle rollups are not leaves).
     pub fn committed_epochs(&self) -> Vec<EpochId> {
         let suffix = self.leaf_suffix();
-        let skip_packs = format!("{}/packs/", self.root);
         let skip_merkle = format!("{}/merkle/", self.root);
         let mut epochs: Vec<EpochId> = self
             .dfs
             .list(&format!("{}/", self.root))
             .iter()
-            .filter(|p| !p.starts_with(&skip_packs) && !p.starts_with(&skip_merkle))
+            .filter(|p| !p.starts_with(&skip_merkle))
             .filter_map(|p| parse_leaf_epoch(p, suffix))
             .collect();
         epochs.sort_unstable();

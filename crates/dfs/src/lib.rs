@@ -383,26 +383,6 @@ impl Dfs {
         }
     }
 
-    /// Write a file unless the path already exists: `Ok(true)` when this
-    /// call wrote it, `Ok(false)` when it was already there (including a
-    /// concurrent writer winning the reservation race). The fast path for
-    /// content-addressed storage, where an existing file at the same path
-    /// is by construction the same content and losing the race is success.
-    pub fn write_if_absent(&self, path: &str, data: &[u8]) -> Result<bool, DfsError> {
-        if self.exists(path) {
-            obs::inc("dfs.write_if_absent.hits");
-            return Ok(false);
-        }
-        match self.write(path, data) {
-            Ok(()) => Ok(true),
-            Err(DfsError::AlreadyExists(_)) => {
-                obs::inc("dfs.write_if_absent.hits");
-                Ok(false)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
     /// Block placement for a path already reserved as pending.
     fn write_blocks(&self, path: &str, data: &[u8]) -> Result<(), DfsError> {
         let inner = &self.inner;
