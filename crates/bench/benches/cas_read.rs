@@ -81,9 +81,9 @@ fn bench_sha256(c: &mut Criterion) {
 
 fn bench_pack_inflate_and_assemble(c: &mut Criterion) {
     let raw = snapshot_bytes().pop().unwrap();
-    let (layout, pieces) = split(&raw, &Chunking::default());
-    // What `put_epoch` packs: the pieces end to end, column by column.
-    let pack = pieces.concat();
+    let (layout, pieces) = split(&raw, &Chunking);
+    // What `put_epoch` packs: the units end to end.
+    let pack = pieces[..layout.unit_count()].concat();
     let codec = SevenzLite::default();
     let stored = codec.compress(&pack);
 

@@ -74,9 +74,9 @@ impl Helper {
 
 fn bench_parse(c: &mut Criterion) {
     let raw = snapshots().pop().unwrap().to_bytes();
-    // What `put_epoch` compresses as one stream: the CDR table's pieces.
-    let (layout, pieces) = split(&raw, &Chunking::default());
-    let unit = pieces[layout.sections()[0].clone()].concat();
+    // What `put_epoch` compresses as one stream: the CDR table's run.
+    let (layout, pieces) = split(&raw, &Chunking);
+    let unit = &pieces[layout.sections()[0].unit.expect("the CDR table has a run")];
     // The smallest input split (`split_min` of every class but snappy's),
     // where a split has the least to gain; and a manifest (~3 KB), where
     // sizing the tables, not the walks, was the cost.
@@ -127,8 +127,7 @@ fn bench_to_bytes_and_split(c: &mut Criterion) {
     let mut group = c.benchmark_group("compress");
     group.throughput(Throughput::Bytes(raw.len() as u64));
     group.bench_function("to_bytes", |b| b.iter(|| snap.to_bytes()));
-    let chunking = Chunking::default();
-    group.bench_function("split", |b| b.iter(|| split(&raw, &chunking)));
+    group.bench_function("split", |b| b.iter(|| split(&raw, &Chunking)));
     group.finish();
 }
 
@@ -138,7 +137,7 @@ fn bench_put_epoch(c: &mut Criterion) {
     let mut group = c.benchmark_group("compress");
     group.sample_size(20);
     group.throughput(Throughput::Bytes(last.len() as u64));
-    // The fourth put of a store: some pieces dedup against the first three.
+    // The fourth put of a store.
     group.bench_function("put_epoch", |b| {
         b.iter_with_setup(
             || {

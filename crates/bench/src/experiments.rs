@@ -617,7 +617,7 @@ pub fn cas_experiment(config: &BenchConfig, seed: u64) -> Report {
     let leak_bytes = cas_store.listed_bytes();
 
     // Storage reduction of the CAS backend vs. the path backend; as
-    // integer permille too, so the 20 % acceptance bar compares integers.
+    // integer permille too, so the 24 % acceptance bar compares integers.
     let reduction_pct = 100.0 * (1.0 - cas_bytes as f64 / path_bytes as f64);
     let saved = i128::from(path_bytes) - i128::from(cas_bytes);
     let reduction_permille = (saved * 1000 / i128::from(path_bytes.max(1))) as i64;
@@ -628,13 +628,14 @@ pub fn cas_experiment(config: &BenchConfig, seed: u64) -> Report {
     r.det("raw_bytes", raw_bytes);
     // One compressed file per epoch …
     r.det("path_bytes", path_bytes);
-    // … against packs (compressed piece data) + manifests (chunk metadata).
+    // … against packs (compressed units) + manifests (layouts, hashes and
+    // constant values).
     r.det("cas_bytes", cas_bytes);
     r.det("pack_bytes", pack_bytes);
     r.det("manifest_bytes", manifest_bytes);
     r.det("reduction_pct", Value::Float(reduction_pct, 2));
     r.det("reduction_permille", reduction_permille)
-        .at_least(200);
+        .at_least(240);
     r.det("dedup_hits", stats.dedup_hits).at_least(1);
     // Raw bytes the dedup hits avoided re-storing.
     r.det("dedup_bytes_saved", stats.dedup_bytes_saved)

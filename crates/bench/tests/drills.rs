@@ -21,7 +21,7 @@ const COMMANDS: &[&str] = &[
     "chaos --seed 7 --scale 1/2048 --days 7 --unthrottled",
     "serve --clients 8 --seed 42",
     // Not a smaller scale: the per-epoch manifest floor is fixed-size, so
-    // the >= 20 % reduction only shows once epochs carry real data.
+    // the >= 24 % reduction only shows once epochs carry real data.
     "cas --seed 7 --scale 1/128 --days 7 --unthrottled",
     "trace --seed 42 --scale 1/2048 --unthrottled",
 ];

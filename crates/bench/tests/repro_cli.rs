@@ -67,12 +67,12 @@ fn a_flag_without_its_value_or_with_an_unparsable_one_exits_2() {
 #[test]
 fn a_gate_that_does_not_hold_exits_1_naming_it() {
     // One day at 1/2048: an epoch compresses to ~1.4 KB, the fixed-size
-    // manifests eat the dedup win, and `cas` misses its 20 % bar.
+    // manifests eat the columnar win, and `cas` misses its 24 % bar.
     let out = repro(&["cas", "--scale", "1/2048", "--days", "1", "--unthrottled"]);
     assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
     let failed = stderr(&out);
     assert!(
-        failed.contains("cas: gate failed: reduction_permille >= 200 (got "),
+        failed.contains("cas: gate failed: reduction_permille >= 240 (got "),
         "{failed}"
     );
     // The evidence is printed and persisted all the same.

@@ -1,11 +1,10 @@
 //! Content addresses: SHA-256 (FIPS 180-4), truncated to 128 bits.
 //!
-//! Chunks, packs and manifests are all addressed by the first 16 bytes of
+//! Units, packs and manifests are all addressed by the first 16 bytes of
 //! their SHA-256 digest. 128 bits keeps manifests half the size of full
-//! digests while leaving the birthday bound (2^64) far beyond the chunk
-//! counts any simulated warehouse reaches, so a hash match still implies
-//! content equality for dedup purposes and a mismatch always means
-//! corruption.
+//! digests while leaving the birthday bound (2^64) far beyond the counts
+//! any simulated warehouse reaches: what is checked is integrity, and a
+//! mismatch always means corruption.
 
 use std::fmt;
 

@@ -1,26 +1,27 @@
 //! Content-addressed block store for SPATE snapshots.
 //!
 //! Sits between `core` storage and the replicated filesystem. An epoch's
-//! payload is split into pieces — per-attribute column slices when the
-//! snapshot wire format parses, fixed-size blobs otherwise — and each
-//! piece is named by its content hash. The epoch's pieces are compressed,
-//! one unit per table, into the epoch's own *pack* file; the epoch is then
-//! represented by a *manifest* recording the pack's hash and every chunk's
-//! place in it, and a scan reads back the units of the table it wants, as
-//! columns. Manifests roll up into day and month manifests and a single
-//! root hash mirroring the temporal index tree, so one hash authenticates
-//! an entire retained subtree.
+//! payload is transposed into columns when the snapshot wire format
+//! parses: each table's varying columns become one run, its *unit*, and
+//! each constant column one value; anything else is one unit as it
+//! stands. The units are compressed, one stream each, into the epoch's own
+//! *pack* file; the epoch is then represented by a *manifest* recording
+//! the layout, the pack's hash, every unit's hash and the constant values,
+//! and a scan reads back the unit of the table it wants, as columns.
+//! Manifests roll up into day and month manifests and a single root hash
+//! mirroring the temporal index tree, so one hash authenticates an entire
+//! retained subtree.
 //!
 //! Consequences the rest of the system gets for free:
 //!
-//! - **Constant columns cost a few bytes**: a piece no longer than its own
-//!   address (a constant column's single value) is carried inline by the
-//!   manifest, once however many columns of the epoch repeat it. No chunk
-//!   is shared between epochs: measured, none ever repeated.
+//! - **Constant columns cost a few bytes**: a constant column's single
+//!   value is carried inline by the manifest, once however many columns of
+//!   the epoch repeat it. Nothing is shared between epochs, and no unit is
+//!   cut finer than a table: measured, no piece ever repeated.
 //! - **Decay is garbage collection**: an epoch owns its manifest and its
 //!   pack, and dropping it deletes both.
 //! - **End-to-end verification**: every read re-hashes manifest, pack and
-//!   the piece bytes it lends against their addresses, and a mismatch triggers a
+//!   the units it lends against their addresses, and a mismatch triggers a
 //!   targeted replica repair + re-fetch before the error surfaces.
 
 pub mod chunker;
@@ -32,7 +33,7 @@ pub mod store;
 
 pub use chunker::{Chunking, Layout};
 pub use hash::{sha256, ChunkHash};
-pub use manifest::{build_merkle, ChunkEntry, EpochManifest, Merkle, Piece, INLINE_MAX};
+pub use manifest::{build_merkle, EpochManifest, Merkle};
 pub use reader::{EpochReader, SnapshotColumns};
 pub use store::{CasConfig, CasRecoverReport, CasStats, CasStore, PutReceipt};
 

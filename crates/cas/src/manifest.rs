@@ -1,11 +1,9 @@
 //! Epoch manifests and the Merkle rollup.
 //!
 //! An epoch's *manifest* is what the rest of the warehouse sees of it: a
-//! compact binary record naming the hash of the epoch's own pack, every
-//! piece of the snapshot by content hash, where it lies in that pack (unit,
-//! offset, length) and how to reassemble the original bytes. A piece no
-//! longer than a content address is not named but carried: the manifest
-//! holds its bytes (see [`INLINE_MAX`]).
+//! compact binary record of how to reassemble the snapshot (its layout),
+//! the hash of the epoch's own pack and of every unit inflated from it,
+//! and the values of the constant columns, which it carries itself.
 //! Manifests are themselves content-addressed — the stored
 //! manifest's hash is the epoch's Merkle leaf — and roll up the same
 //! temporal hierarchy as the index tree: epoch leaves hash into a **day
@@ -23,32 +21,10 @@ use telco_trace::Snapshot;
 
 /// Magic prefix of an encoded epoch manifest. `CASMF1` (no inline pieces),
 /// `CASMF2` (packs of one stream: no unit per chunk; every header line
-/// spelt out) and `CASMF3` (a table of shared packs: a pack index per
-/// chunk) are refused: no image outlives the process that wrote it.
-pub const MANIFEST_MAGIC: &[u8; 6] = b"CASMF4";
-
-/// Longest piece a manifest carries inline instead of addressing: a piece
-/// no longer than its own address. Naming it by hash would spend at least
-/// as many bytes as the piece. An inline piece has no hash, no chunk
-/// entry and no place in the pack; the manifest's
-/// own hash — the epoch's Merkle leaf, verified before decode —
-/// authenticates it (identity addressing, as IPFS does for tiny blocks).
-pub const INLINE_MAX: usize = ChunkHash::LEN;
-
-/// One chunk of the epoch's pack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkEntry {
-    /// Content address of the (uncompressed) piece bytes.
-    pub hash: ChunkHash,
-    /// Which of the pack's units (see [`crate::pack`]) holds the piece.
-    /// The manifest does not know how many units a pack has: a reader
-    /// checks the index against the pack it opened.
-    pub unit: u32,
-    /// Byte offset in that unit's inflated bytes.
-    pub offset: u64,
-    /// Piece length in bytes.
-    pub len: u64,
-}
+/// spelt out), `CASMF3` (a table of shared packs: a pack index per chunk)
+/// and `CASMF4` (an entry per piece: hash, unit, offset and length) are
+/// refused: no image outlives the process that wrote it.
+pub const MANIFEST_MAGIC: &[u8; 6] = b"CASMF5";
 
 /// The content-addressed description of one stored epoch.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,71 +33,55 @@ pub struct EpochManifest {
     /// Length of the reassembled payload, verified on read.
     pub raw_len: u64,
     pub layout: Layout,
-    /// Address of the epoch's own pack: there is one exactly when there
-    /// are chunks, and it holds every one of them.
+    /// Address of the epoch's own pack: there is one exactly when the
+    /// layout has a unit.
     pub pack: Option<ChunkHash>,
-    /// The chunks, in piece order.
-    pub chunks: Vec<ChunkEntry>,
-    /// Unique inline pieces (each at most [`INLINE_MAX`] bytes), first-use
-    /// order.
+    /// Address of each unit's inflated bytes, one per unit of the layout
+    /// in section order ([`chunker::Section::unit`]).
+    pub units: Vec<ChunkHash>,
+    /// The distinct values of the constant columns, first-use order. The
+    /// manifest's own hash — the epoch's Merkle leaf, verified before
+    /// decode — authenticates them.
     pub inline: Vec<Vec<u8>>,
-    /// One entry per layout piece, over one index space: below
-    /// `chunks.len()` an index into [`Self::chunks`], from there on into
-    /// [`Self::inline`] (see [`Self::piece`]). A repeated index is an
-    /// inline value the epoch uses again.
-    pub refs: Vec<u32>,
-}
-
-/// What one entry of [`EpochManifest::refs`] resolves to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Piece<'a> {
-    /// Bytes of a pack, addressed and verified by hash.
-    Chunk(&'a ChunkEntry),
-    /// Bytes the manifest carries itself.
-    Inline(&'a [u8]),
+    /// One index into [`Self::inline`] per constant column of the layout,
+    /// in section and column order ([`chunker::Section::constants`]). A
+    /// repeated index is a value the epoch uses again.
+    pub constants: Vec<u32>,
 }
 
 impl EpochManifest {
-    /// The piece a ref names; `None` past both tables (never for a ref of
-    /// a decoded manifest).
-    pub fn piece(&self, r: u32) -> Option<Piece<'_>> {
-        let r = r as usize;
-        match self.chunks.get(r) {
-            Some(chunk) => Some(Piece::Chunk(chunk)),
-            None => self
-                .inline
-                .get(r - self.chunks.len())
-                .map(|bytes| Piece::Inline(bytes)),
-        }
+    /// The value of constant column `k` (in [`Self::constants`] order).
+    /// Never out of range for a decoded manifest.
+    pub(crate) fn constant(&self, k: usize) -> &[u8] {
+        &self.inline[self.constants[k] as usize]
     }
 
-    /// Deterministic binary encoding (varints + raw hashes).
+    /// Deterministic binary encoding (varints + raw hashes). How many unit
+    /// addresses and constant refs there are follows from the layout,
+    /// which comes first.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.chunks.len() * 24 + self.refs.len() * 2);
+        debug_assert_eq!(self.units.len(), self.layout.unit_count());
+        debug_assert_eq!(self.constants.len(), self.layout.constant_count());
+        let mut out = Vec::with_capacity(64 + self.units.len() * 16 + self.constants.len() * 2);
         out.extend_from_slice(MANIFEST_MAGIC);
         varint::write_u32(&mut out, self.epoch);
         varint::write_u64(&mut out, self.raw_len);
-        varint::write_u64(&mut out, self.chunks.len() as u64);
-        if !self.chunks.is_empty() {
-            let pack = self.pack.expect("chunks lie in a pack");
+        encode_layout(&mut out, &self.layout, self.epoch);
+        if !self.units.is_empty() {
+            let pack = self.pack.expect("units lie in a pack");
             out.extend_from_slice(&pack.0);
         }
-        for c in &self.chunks {
-            out.extend_from_slice(&c.hash.0);
-            varint::write_u32(&mut out, c.unit);
-            varint::write_u64(&mut out, c.offset);
-            varint::write_u64(&mut out, c.len);
+        for unit in &self.units {
+            out.extend_from_slice(&unit.0);
         }
         varint::write_u64(&mut out, self.inline.len() as u64);
         for bytes in &self.inline {
             varint::write_u64(&mut out, bytes.len() as u64);
             out.extend_from_slice(bytes);
         }
-        varint::write_u64(&mut out, self.refs.len() as u64);
-        for &r in &self.refs {
+        for &r in &self.constants {
             varint::write_u32(&mut out, r);
         }
-        encode_layout(&mut out, &self.layout, self.epoch);
         out
     }
 
@@ -134,57 +94,40 @@ impl EpochManifest {
         let mut pos = MANIFEST_MAGIC.len();
         let epoch = varint::read_u32(bytes, &mut pos).map_err(|_| corrupt("epoch"))?;
         let raw_len = varint::read_u64(bytes, &mut pos).map_err(|_| corrupt("raw_len"))?;
-        let n_chunks = read_count(bytes, &mut pos, "chunks")?;
-        let pack = match n_chunks {
+        let layout = decode_layout(bytes, &mut pos, epoch)?;
+        let n_units = layout.unit_count();
+        let pack = match n_units {
             0 => None,
             _ => Some(read_hash(bytes, &mut pos)?),
         };
-        let mut chunks = Vec::with_capacity(n_chunks.min(MAX_PREALLOC));
-        for _ in 0..n_chunks {
-            let hash = read_hash(bytes, &mut pos)?;
-            let unit = varint::read_u32(bytes, &mut pos).map_err(|_| corrupt("chunk unit"))?;
-            let offset = varint::read_u64(bytes, &mut pos).map_err(|_| corrupt("chunk offset"))?;
-            let len = varint::read_u64(bytes, &mut pos).map_err(|_| corrupt("chunk len"))?;
-            chunks.push(ChunkEntry {
-                hash,
-                unit,
-                offset,
-                len,
-            });
-        }
-        let n_inline = read_count(bytes, &mut pos, "inline pieces")?;
+        // Each address takes its 16 bytes: bounded by the bytes present.
+        let units = (0..n_units).map(|_| read_hash(bytes, &mut pos));
+        let units = units.collect::<Result<Vec<_>, _>>()?;
+        let n_inline = read_count(bytes, &mut pos, "inline values")?;
         let mut inline = Vec::with_capacity(n_inline.min(MAX_PREALLOC));
         for _ in 0..n_inline {
-            let piece = read_bytes(bytes, &mut pos, "inline piece")?;
-            if piece.len() > INLINE_MAX {
-                return Err(corrupt("inline piece longer than an address"));
-            }
-            inline.push(piece);
+            inline.push(read_bytes(bytes, &mut pos, "inline value")?);
         }
-        let n_refs = read_count(bytes, &mut pos, "refs")?;
-        let mut refs = Vec::with_capacity(n_refs.min(MAX_PREALLOC));
-        for _ in 0..n_refs {
-            let r = varint::read_u32(bytes, &mut pos).map_err(|_| corrupt("ref"))?;
-            if r as usize >= chunks.len() + inline.len() {
-                return Err(corrupt("ref out of range"));
+        let n_constants = layout.constant_count();
+        let mut constants = Vec::with_capacity(n_constants.min(MAX_PREALLOC));
+        for _ in 0..n_constants {
+            let r = varint::read_u32(bytes, &mut pos).map_err(|_| corrupt("constant ref"))?;
+            if r as usize >= inline.len() {
+                return Err(corrupt("constant ref past the inline values"));
             }
-            refs.push(r);
+            constants.push(r);
         }
-        let layout = decode_layout(bytes, &mut pos, epoch)?;
         if pos != bytes.len() {
             return Err(corrupt("trailing bytes"));
-        }
-        if layout.piece_count() != refs.len() {
-            return Err(corrupt("layout/ref count mismatch"));
         }
         Ok(Self {
             epoch,
             raw_len,
             layout,
             pack,
-            chunks,
+            units,
             inline,
-            refs,
+            constants,
         })
     }
 }
@@ -260,10 +203,7 @@ fn decode_header(
 
 fn encode_layout(out: &mut Vec<u8>, layout: &Layout, epoch: u32) {
     match layout {
-        Layout::Blob { n_pieces } => {
-            out.push(0);
-            varint::write_u32(out, *n_pieces);
-        }
+        Layout::Blob => out.push(0),
         Layout::Columnar { header, tables } => {
             out.push(1);
             let as_written = Snapshot::header_line(EpochId(epoch));
@@ -271,21 +211,10 @@ fn encode_layout(out: &mut Vec<u8>, layout: &Layout, epoch: u32) {
             varint::write_u64(out, tables.len() as u64);
             for (section, t) in tables.iter().enumerate() {
                 varint::write_u32(out, t.rows);
-                varint::write_u32(out, t.cols);
+                varint::write_u64(out, t.cols() as u64);
                 encode_header(out, &t.header, t.is_as_written(section));
-                // LSB-tagged piece counts: a normal count n encodes as
-                // n << 1; the CONSTANT_COL sentinel encodes as 1. Tables
-                // hold dozens of constant columns per epoch, so spending
-                // one byte instead of a five-byte u32::MAX varint on each
-                // is a measurable share of total manifest weight.
-                for &n in &t.pieces_per_col {
-                    let tagged = if n == chunker::CONSTANT_COL {
-                        1
-                    } else {
-                        (n as u64) << 1
-                    };
-                    varint::write_u64(out, tagged);
-                }
+                // One byte a column: 1 constant, 0 varying.
+                out.extend(t.constant.iter().map(|&c| u8::from(c)));
             }
         }
     }
@@ -296,42 +225,32 @@ fn decode_layout(bytes: &[u8], pos: &mut usize, epoch: u32) -> Result<Layout, Ca
     let tag = *bytes.get(*pos).ok_or_else(|| corrupt("missing tag"))?;
     *pos += 1;
     match tag {
-        0 => {
-            let n = varint::read_u32(bytes, pos).map_err(|_| corrupt("blob pieces"))?;
-            Ok(Layout::Blob { n_pieces: n })
-        }
+        0 => Ok(Layout::Blob),
         1 => {
             let header = decode_header(bytes, pos, || Some(Snapshot::header_line(EpochId(epoch))))?;
             let n_tables = read_count(bytes, pos, "tables")?;
             let mut tables = Vec::with_capacity(n_tables.min(MAX_PREALLOC));
             for section in 0..n_tables {
                 let rows = varint::read_u32(bytes, pos).map_err(|_| corrupt("rows"))?;
-                let cols = varint::read_u32(bytes, pos).map_err(|_| corrupt("cols"))?;
-                if cols as usize > MAX_ITEMS {
-                    return Err(corrupt("cols too big"));
-                }
+                let cols = read_count(bytes, pos, "cols")?;
                 let theader = decode_header(bytes, pos, || {
                     let kind = *chunker::SNAPSHOT_SECTIONS.get(section)?;
                     Some(Snapshot::table_header_line(kind, rows as usize))
                 })?;
-                let mut pieces_per_col = Vec::with_capacity((cols as usize).min(MAX_PREALLOC));
-                for _ in 0..cols {
-                    let tagged =
-                        varint::read_u64(bytes, pos).map_err(|_| corrupt("piece count"))?;
-                    let n = if tagged == 1 {
-                        chunker::CONSTANT_COL
-                    } else if tagged & 1 == 0 && (tagged >> 1) < u64::from(u32::MAX) {
-                        (tagged >> 1) as u32
-                    } else {
-                        return Err(corrupt("piece count tag"));
-                    };
-                    pieces_per_col.push(n);
-                }
+                let flags = pos
+                    .checked_add(cols)
+                    .and_then(|end| bytes.get(*pos..end))
+                    .ok_or_else(|| corrupt("truncated column flags"))?;
+                let constant = flags.iter().map(|&flag| match flag {
+                    0 | 1 => Ok(flag == 1),
+                    _ => Err(corrupt("column flag")),
+                });
+                let constant = constant.collect::<Result<Vec<bool>, _>>()?;
+                *pos += cols;
                 tables.push(TableLayout {
                     header: theader,
                     rows,
-                    cols,
-                    pieces_per_col,
+                    constant,
                 });
             }
             Ok(Layout::Columnar { header, tables })
@@ -402,51 +321,40 @@ pub fn build_merkle(leaves: &BTreeMap<u32, ChunkHash>) -> Merkle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunker::{split, Chunking};
     use telco_trace::{TraceConfig, TraceGenerator};
 
-    fn sample_manifest() -> EpochManifest {
+    /// The encoded manifest of a stored snapshot: units, inline values and
+    /// a columnar layout, as `put_epoch` lays them out.
+    fn real_manifest_bytes() -> Vec<u8> {
+        use crate::store::{CasConfig, CasStore};
+        use codecs::Codec;
+        let cas = CasStore::new(
+            dfs::Dfs::new(dfs::DfsConfig::default()),
+            CasConfig::default(),
+        );
         let snap = TraceGenerator::new(TraceConfig::tiny()).next().unwrap();
-        let raw = snap.to_bytes();
-        let (layout, pieces) = split(&raw, &Chunking::default());
-        let chunks: Vec<ChunkEntry> = pieces
-            .iter()
-            .scan(0u64, |off, p| {
-                let e = ChunkEntry {
-                    hash: ChunkHash::of(p),
-                    unit: 0,
-                    offset: *off,
-                    len: p.len() as u64,
-                };
-                *off += p.len() as u64;
-                Some(e)
-            })
-            .collect();
-        let refs = (0..chunks.len() as u32).collect();
-        EpochManifest {
-            epoch: snap.epoch.0,
-            raw_len: raw.len() as u64,
-            layout,
-            pack: Some(ChunkHash::of(b"pack")),
-            chunks,
-            inline: Vec::new(),
-            refs,
-        }
+        cas.put_epoch(snap.epoch.0, &snap.to_bytes()).unwrap();
+        let stored = cas.dfs().read(&cas.manifest_path(snap.epoch.0)).unwrap();
+        codecs::SevenzLite::default().decompress(&stored).unwrap()
+    }
+
+    fn sample_manifest() -> EpochManifest {
+        EpochManifest::decode(&real_manifest_bytes()).unwrap()
     }
 
     #[test]
     fn encode_decode_round_trip() {
-        let m = sample_manifest();
-        let bytes = m.encode();
-        assert_eq!(EpochManifest::decode(&bytes).unwrap(), m);
-        // Determinism: two encodes agree byte for byte.
-        assert_eq!(bytes, m.encode());
+        let bytes = real_manifest_bytes();
+        let m = EpochManifest::decode(&bytes).unwrap();
+        // Determinism: the encode of the decode is the stored image.
+        assert_eq!(m.encode(), bytes);
+        assert_eq!(EpochManifest::decode(&m.encode()).unwrap(), m);
     }
 
     fn layout_mut(m: &mut EpochManifest) -> (&mut Vec<u8>, &mut Vec<TableLayout>) {
         match &mut m.layout {
             Layout::Columnar { header, tables } => (header, tables),
-            Layout::Blob { .. } => panic!("a snapshot chunks columnar"),
+            Layout::Blob => panic!("a snapshot chunks columnar"),
         }
     }
 
@@ -470,13 +378,13 @@ mod tests {
         layout_mut(&mut third).1.push(TableLayout {
             header: line.to_vec(),
             rows: 0,
-            cols: 1,
-            pieces_per_col: vec![0],
+            constant: vec![false],
         });
         let mut bytes = third.encode();
         assert_eq!(EpochManifest::decode(&bytes).unwrap(), third);
-        // ... tag, length, line, one piece count.
-        let tag = bytes.len() - 1 - line.len() - 1 - 1;
+        // ... tag, length, line.
+        let at = bytes.windows(line.len()).position(|w| w == line).unwrap();
+        let tag = at - 2;
         assert_eq!(bytes[tag], 1);
         bytes[tag] = 0;
         assert!(EpochManifest::decode(&bytes).is_err());
@@ -498,47 +406,39 @@ mod tests {
     #[test]
     fn out_of_range_refs_are_rejected() {
         let mut m = sample_manifest();
-        m.refs[0] = m.chunks.len() as u32;
-        assert!(EpochManifest::decode(&m.encode()).is_err());
-        // One inline piece moves the limit by one.
-        m.inline.push(b"0\n".to_vec());
+        m.constants[0] = m.inline.len() as u32;
+        match EpochManifest::decode(&m.encode()) {
+            Err(CasError::Corrupt(why)) => assert!(why.contains("past the inline"), "{why}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        // One inline value moves the limit by one, whatever its length.
+        m.inline
+            .push(b"a constant longer than a content address\n".to_vec());
         assert_eq!(EpochManifest::decode(&m.encode()).unwrap(), m);
-        assert_eq!(m.piece(m.refs[0]), Some(Piece::Inline(b"0\n")));
-        m.refs[0] += 1;
+        assert_eq!(m.constant(0), m.inline.last().unwrap().as_slice());
+        m.constants[0] += 1;
         assert!(EpochManifest::decode(&m.encode()).is_err());
-    }
-
-    /// The encoded manifest of a stored snapshot: chunks, inline pieces
-    /// and a columnar layout, as `put_epoch` lays them out.
-    fn real_manifest_bytes() -> Vec<u8> {
-        use crate::store::{CasConfig, CasStore};
-        use codecs::Codec;
-        let cas = CasStore::new(
-            dfs::Dfs::new(dfs::DfsConfig::default()),
-            CasConfig::default(),
-        );
-        let snap = TraceGenerator::new(TraceConfig::tiny()).next().unwrap();
-        cas.put_epoch(snap.epoch.0, &snap.to_bytes()).unwrap();
-        let stored = cas.dfs().read(&cas.manifest_path(snap.epoch.0)).unwrap();
-        codecs::SevenzLite::default().decompress(&stored).unwrap()
     }
 
     #[test]
-    fn a_real_manifest_carries_its_small_pieces_inline() {
-        let m = EpochManifest::decode(&real_manifest_bytes()).unwrap();
-        assert!(!m.inline.is_empty(), "constant columns are a few bytes");
-        assert!(m.inline.iter().all(|p| p.len() <= INLINE_MAX));
-        assert!(m.chunks.iter().all(|c| c.len > INLINE_MAX as u64));
-        assert!(m.pack.is_some(), "a tiny epoch still has chunks");
-        // Every chunk is used once: a piece that is not inline is stored.
-        let chunk_refs = m.refs.iter().filter(|&&r| (r as usize) < m.chunks.len());
-        assert_eq!(chunk_refs.count(), m.chunks.len());
+    fn a_real_manifest_carries_its_constants_inline_once_each() {
+        let m = sample_manifest();
+        assert!(m.pack.is_some(), "a tiny epoch still has a unit");
+        assert_eq!(m.units.len(), m.layout.unit_count());
+        assert!(
+            m.constants.len() > m.inline.len(),
+            "repeated constants share a value"
+        );
+        let mut distinct = m.inline.clone();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(distinct.len(), m.inline.len());
     }
 
     /// No prefix of a manifest decodes, and no single changed byte makes
     /// `decode` panic (overflow checks on in debug, wrapping in release):
-    /// it is refused, or — a hash byte, an inline byte, an offset — it is
-    /// another well-formed manifest whose every ref resolves.
+    /// it is refused, or — a hash byte, an inline byte, a row count — it
+    /// is another well-formed manifest whose every ref resolves.
     #[test]
     fn every_prefix_and_every_byte_flip_of_a_real_manifest_is_handled() {
         let bytes = real_manifest_bytes();
@@ -554,8 +454,10 @@ mod tests {
                     Err(CasError::Corrupt(_)) => refused += 1,
                     Err(e) => panic!("at {at}: unexpected error class {e}"),
                     Ok(m) => {
-                        assert!(m.refs.iter().all(|&r| m.piece(r).is_some()), "at {at}");
-                        assert_eq!(m.layout.piece_count(), m.refs.len(), "at {at}");
+                        let resolve = |&r: &u32| (r as usize) < m.inline.len();
+                        assert!(m.constants.iter().all(resolve), "at {at}");
+                        assert_eq!(m.layout.unit_count(), m.units.len(), "at {at}");
+                        assert_eq!(m.layout.constant_count(), m.constants.len(), "at {at}");
                     }
                 }
             }
@@ -564,18 +466,11 @@ mod tests {
     }
 
     #[test]
-    fn an_overlong_inline_piece_and_the_old_magics_are_corrupt() {
-        let mut m = sample_manifest();
-        m.inline.push(vec![b'7'; INLINE_MAX]);
-        assert_eq!(EpochManifest::decode(&m.encode()).unwrap(), m);
-        m.inline[0].push(b'7');
-        match EpochManifest::decode(&m.encode()) {
-            Err(CasError::Corrupt(why)) => assert!(why.contains("inline piece longer"), "{why}"),
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-        // A `CASMF1`, `CASMF2` or `CASMF3` image (no inline table; no unit
-        // per chunk; a pack table): refused on its magic, whatever follows.
-        for magic in [b"CASMF1", b"CASMF2", b"CASMF3"] {
+    fn the_old_magics_are_corrupt() {
+        // A `CASMF1` … `CASMF4` image (no inline table; no unit per chunk;
+        // a pack table; an entry per piece): refused on its magic,
+        // whatever follows.
+        for magic in [b"CASMF1", b"CASMF2", b"CASMF3", b"CASMF4"] {
             let mut old = sample_manifest().encode();
             old[..6].copy_from_slice(magic);
             match EpochManifest::decode(&old) {

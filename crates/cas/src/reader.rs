@@ -2,21 +2,20 @@
 //!
 //! [`crate::CasStore::open_epoch`] hands out an [`EpochReader`] holding
 //! the verified manifest and the epoch's verified pack, nothing inflated.
-//! [`EpochReader::table`] inflates the units one table section's chunks
-//! lie in and returns the table column by column, for a scan that reads a
-//! few columns of one table; [`EpochReader::assemble`] inflates every
-//! unit and rebuilds the payload. Both go through one private `fetch`:
-//! a unit is inflated because a chunk about to be lent lies in it, and a
-//! chunk is lent only after its bytes matched its hash.
+//! [`EpochReader::table`] inflates the one unit of a table section and
+//! returns the table column by column, for a scan that reads a few
+//! columns of one table; [`EpochReader::assemble`] inflates every unit
+//! and rebuilds the payload. Both go through one private `inflate`: a
+//! unit is lent only after its inflated bytes matched its hash.
 
-use crate::chunker::{self, Layout, CONSTANT_COL, SNAPSHOT_SECTIONS};
+use crate::chunker::{self, Layout, SNAPSHOT_SECTIONS};
 use crate::hash::ChunkHash;
-use crate::manifest::{ChunkEntry, EpochManifest, Piece};
+use crate::manifest::EpochManifest;
 use crate::store::CasStore;
 use crate::{pack, CasError};
 use std::ops::Range;
 use telco_trace::schema::TableKind;
-use telco_trace::snapshot::{ColumnTable, ColumnTableBuilder};
+use telco_trace::snapshot::ColumnTable;
 
 /// One epoch, open for reading (see the module docs).
 pub struct EpochReader<'s> {
@@ -26,16 +25,9 @@ pub struct EpochReader<'s> {
     /// each of its units lies in it.
     pack: Vec<u8>,
     units: Vec<Range<usize>>,
-    /// What owns each ref: the table sections of a columnar layout in
+    /// What each section owns: the table sections of a columnar layout in
     /// order, or the one section of a blob.
-    sections: Vec<Section>,
-}
-
-struct Section {
-    refs: Range<usize>,
-    /// Span name of the inflate of a unit first needed by this section:
-    /// which table a read inflated is in the name.
-    inflate_span: &'static str,
+    sections: Vec<chunker::Section>,
 }
 
 /// The tables a scan asked for of a stored snapshot, each whole and
@@ -57,6 +49,7 @@ fn inflate_span_of(table_header: &[u8]) -> &'static str {
 }
 
 impl<'s> EpochReader<'s> {
+    /// The pack must hold exactly the units the layout has.
     pub(crate) fn new(
         store: &'s CasStore,
         manifest: EpochManifest,
@@ -66,24 +59,19 @@ impl<'s> EpochReader<'s> {
             Some(bytes) => pack::unit_ranges(bytes)?,
             None => Vec::new(),
         };
-        let pack = pack.unwrap_or_default();
-        let inflate_spans: Vec<&'static str> = match &manifest.layout {
-            Layout::Columnar { tables, .. } => {
-                let headers = tables.iter().map(|table| &table.header);
-                headers.map(|header| inflate_span_of(header)).collect()
-            }
-            Layout::Blob { .. } => vec!["cas.get.inflate.blob"],
-        };
-        let sections = manifest.layout.sections().into_iter().zip(inflate_spans);
-        let sections = sections
-            .map(|(refs, inflate_span)| Section { refs, inflate_span })
-            .collect();
+        if units.len() != manifest.units.len() {
+            return Err(CasError::Corrupt(format!(
+                "the pack holds {} units, the layout needs {}",
+                units.len(),
+                manifest.units.len()
+            )));
+        }
         Ok(Self {
             store,
+            sections: manifest.layout.sections(),
             manifest,
-            pack,
+            pack: pack.unwrap_or_default(),
             units,
-            sections,
         })
     }
 
@@ -91,61 +79,40 @@ impl<'s> EpochReader<'s> {
         &self.manifest.layout
     }
 
-    /// Inflate the units that hold the chunks `refs` name — each once,
-    /// no other — and verify every one of those chunks against its hash.
-    fn fetch(&self, refs: Range<usize>) -> Result<Fetched<'_>, CasError> {
-        let mut fetched = Fetched {
-            manifest: &self.manifest,
-            units: Vec::new(),
+    /// The inflated bytes of section `i`'s unit, verified against its
+    /// hash; `None` for a section without one. Which table a read inflated
+    /// is in the name of the inflate's span.
+    fn inflate(&self, i: usize) -> Result<Option<Vec<u8>>, CasError> {
+        let Some(unit) = self.sections[i].unit else {
+            return Ok(None);
         };
-        let chunks = &self.manifest.chunks;
-        let mut wanted = vec![false; chunks.len()];
-        let of_refs = self.manifest.refs.iter().enumerate();
-        for (at, &r) in of_refs.take(refs.end).skip(refs.start) {
-            let Some(chunk) = chunks.get(r as usize) else {
-                continue; // an inline piece
-            };
-            wanted[r as usize] = true;
-            if fetched.unit(chunk).is_some() {
-                continue;
-            }
-            let stream = self.units.get(chunk.unit as usize).ok_or_else(|| {
-                CasError::Corrupt(format!(
-                    "chunk {} names a unit past its pack",
-                    chunk.hash.hex()
-                ))
-            })?;
-            let section = self.sections.iter().find(|s| s.refs.contains(&at));
-            let _inflate = obs::span(section.map_or("cas.get.inflate", |s| s.inflate_span));
-            let codec = &self.store.cfg.codec;
-            let bytes = codec.decompress_metered(&self.pack[stream.clone()])?;
-            fetched.units.push((chunk.unit, bytes));
-        }
+        let span = match &self.manifest.layout {
+            Layout::Columnar { tables, .. } => inflate_span_of(&tables[i].header),
+            Layout::Blob => "cas.get.inflate.blob",
+        };
+        let bytes = {
+            let _inflate = obs::span(span);
+            let stream = &self.pack[self.units[unit].clone()];
+            self.store.cfg.codec.decompress_metered(stream)?
+        };
         let _verify = obs::span("cas.get.verify");
-        for chunk in chunks
-            .iter()
-            .zip(&wanted)
-            .filter_map(|(c, &w)| w.then_some(c))
-        {
-            if ChunkHash::of(fetched.chunk_bytes(chunk)?) != chunk.hash {
-                self.store.note_mismatch();
-                return Err(CasError::Corrupt(format!(
-                    "chunk {} failed content verification",
-                    chunk.hash.hex()
-                )));
-            }
+        if ChunkHash::of(&bytes) != self.manifest.units[unit] {
+            self.store.note_mismatch();
+            return Err(CasError::Corrupt(format!(
+                "unit {unit} failed content verification"
+            )));
         }
-        Ok(fetched)
+        Ok(Some(bytes))
     }
 
-    /// Table section `i` of a columnar layout, column by column: the
-    /// units its chunks lie in inflated, every chunk verified, every
-    /// piece run checked to hold exactly one value a row for each column
-    /// that shares it (a constant piece: one value), no value holding a
-    /// field separator, everything UTF-8 — what [`Self::assemble`] and
-    /// the snapshot parser would check of the same table, made before a
-    /// byte is lent. The other sections are not inflated, and not
-    /// vouched for.
+    /// Table section `i` of a columnar layout, column by column: its unit
+    /// inflated and verified, the run checked to hold exactly one value a
+    /// row for each varying column and each constant to be one value, no
+    /// value holding a field separator, everything UTF-8 — what
+    /// [`Self::assemble`] and the snapshot parser would check of the same
+    /// table, made before a byte is lent. The inflated run becomes the
+    /// table's text as it stands. The other sections are not inflated,
+    /// and not vouched for.
     pub fn table(&self, i: usize) -> Result<ColumnTable, CasError> {
         let Layout::Columnar { tables, .. } = &self.manifest.layout else {
             return Err(CasError::Corrupt("a blob has no tables".into()));
@@ -155,44 +122,24 @@ impl<'s> EpochReader<'s> {
             .zip(self.sections.get(i))
             .ok_or_else(|| CasError::Corrupt(format!("the layout has no table {i}")))?;
         let _span = obs::span("cas.get");
-        let fetched = self.fetch(section.refs.clone())?;
+        let run = self.inflate(i)?;
 
         let _index = obs::span("cas.get.index");
         let corrupt = |e| CasError::Corrupt(format!("table {i}: {e}"));
-        let rows = table.rows as usize;
-        let mut columns = ColumnTable::builder(rows);
-        // The open piece run and how many columns share it so far: a
-        // column with pieces opens one, a column with none continues it,
-        // a constant column stands beside it.
-        let mut run: Option<(Range<usize>, usize)> = None;
-        let close = |run: Option<(Range<usize>, usize)>, columns: &mut ColumnTableBuilder| {
-            let Some((pieces, cols)) = run else {
-                return Ok(());
-            };
-            let pieces = pieces.map(|at| fetched.piece(at));
-            let pieces = pieces.collect::<Result<Vec<&[u8]>, _>>()?;
-            columns.run(pieces, cols).map_err(corrupt)
-        };
-        let mut next = section.refs.start;
-        for &n in &table.pieces_per_col {
-            if n == CONSTANT_COL {
-                columns.constant(fetched.piece(next)?).map_err(corrupt)?;
-                next += 1;
+        let mut columns = ColumnTable::builder(table.rows as usize);
+        let mut constants = section.constants.clone();
+        for &constant in &table.constant {
+            let Some(k) = constant.then(|| constants.next()).flatten() else {
+                columns.varying();
                 continue;
-            }
-            if n > 0 {
-                close(run.take(), &mut columns)?;
-                run = Some((next..next + n as usize, 0));
-                next += n as usize;
-            }
-            match &mut run {
-                Some((_, cols)) => *cols += 1,
-                None if rows == 0 => {}
-                None => return Err(CasError::Corrupt("column stream ran out of rows".into())),
-            }
-            columns.varying();
+            };
+            columns
+                .constant(self.manifest.constant(k))
+                .map_err(corrupt)?;
         }
-        close(run, &mut columns)?;
+        if let Some(run) = run {
+            columns.run(run).map_err(corrupt)?;
+        }
         let table = columns.finish().map_err(corrupt)?;
         self.store.note_table_read();
         Ok(table)
@@ -242,61 +189,21 @@ impl<'s> EpochReader<'s> {
         Ok(Some(SnapshotColumns { tables, rows }))
     }
 
-    /// The stored payload, rebuilt: every unit the manifest's chunks lie
-    /// in inflated, every chunk verified, the pieces put back together as
-    /// the layout says and the length checked.
+    /// The stored payload, rebuilt: every unit inflated and verified, put
+    /// back together with the constant values as the layout says, and the
+    /// length checked.
     pub fn assemble(&self) -> Result<Vec<u8>, CasError> {
         let _span = obs::span("cas.get");
-        let n_refs = self.manifest.refs.len();
-        let fetched = self.fetch(0..n_refs)?;
+        let units = (0..self.sections.len()).filter_map(|i| self.inflate(i).transpose());
+        let units = units.collect::<Result<Vec<Vec<u8>>, _>>()?;
         let _assemble = obs::span("cas.get.assemble");
-        let pieces = (0..n_refs).map(|at| fetched.piece(at));
-        let pieces = pieces.collect::<Result<Vec<&[u8]>, _>>()?;
+        let constants = (0..self.manifest.constants.len()).map(|k| self.manifest.constant(k));
+        let pieces: Vec<&[u8]> = units.iter().map(Vec::as_slice).chain(constants).collect();
         let raw = chunker::assemble(&self.manifest.layout, &pieces)
             .map_err(|e| CasError::Corrupt(format!("assemble: {e}")))?;
         if raw.len() as u64 != self.manifest.raw_len {
             return Err(CasError::Corrupt("reassembled length mismatch".into()));
         }
         Ok(raw)
-    }
-}
-
-/// The units one read inflated: the only bytes it lends chunks from.
-struct Fetched<'r> {
-    manifest: &'r EpochManifest,
-    /// By unit; a read touches one or two.
-    units: Vec<(u32, Vec<u8>)>,
-}
-
-impl Fetched<'_> {
-    fn unit(&self, chunk: &ChunkEntry) -> Option<&[u8]> {
-        let found = self.units.iter().find(|(k, _)| *k == chunk.unit);
-        found.map(|(_, bytes)| bytes.as_slice())
-    }
-
-    /// The bytes `chunk` names. `unit`, `offset` and `len` come off the
-    /// disk, and a manifest is trusted by its own hash only: the span may
-    /// not fit the unit, nor even a `u64`.
-    fn chunk_bytes(&self, chunk: &ChunkEntry) -> Result<&[u8], CasError> {
-        let unit = self
-            .unit(chunk)
-            .ok_or_else(|| CasError::Corrupt("chunk in a unit that was not inflated".into()))?;
-        let start = usize::try_from(chunk.offset).ok();
-        let end = start.and_then(|s| s.checked_add(usize::try_from(chunk.len).ok()?));
-        start
-            .zip(end)
-            .and_then(|(start, end)| unit.get(start..end))
-            .ok_or_else(|| CasError::Corrupt("chunk beyond unit bounds".into()))
-    }
-
-    /// The piece ref `at` names: verified chunk bytes, or bytes the
-    /// verified manifest carries.
-    fn piece(&self, at: usize) -> Result<&[u8], CasError> {
-        let r = self.manifest.refs.get(at).copied();
-        match r.and_then(|r| self.manifest.piece(r)) {
-            Some(Piece::Chunk(chunk)) => self.chunk_bytes(chunk),
-            Some(Piece::Inline(bytes)) => Ok(bytes),
-            None => Err(CasError::Corrupt("piece beyond its table".into())),
-        }
     }
 }

@@ -4,33 +4,31 @@
 //!
 //! ```text
 //! <root>/<y>/<m>/<d>/<epoch>.mf      epoch manifest (committed via .tmp + rename)
-//! <root>/<y>/<m>/<d>/<epoch>.pk      the epoch's pack: its chunks, one compressed
-//!                                    unit per table section (see [`crate::pack`]);
-//!                                    the manifest records its hash
+//! <root>/<y>/<m>/<d>/<epoch>.pk      the epoch's pack: one compressed unit per
+//!                                    table with a run, or the blob's one (see
+//!                                    [`crate::pack`]); the manifest records its hash
 //! <root>/merkle/...                  persisted day/month/root manifests (rebuildable)
 //! ```
 //!
-//! An epoch is one manifest and at most one pack, and it owns both: no
-//! chunk is shared with another epoch, so two epochs with byte-identical
-//! payloads hold two packs. A piece no longer than a content address is
-//! neither hashed nor packed: the manifest carries its bytes
-//! ([`crate::manifest::INLINE_MAX`]), once however often the epoch uses
-//! it. The durable state is exactly {manifests, packs}; the in-memory
-//! index of retained epochs is rebuilt from the manifests by
+//! An epoch is one manifest and at most one pack, and it owns both:
+//! nothing is shared with another epoch, so two epochs with byte-identical
+//! payloads hold two packs. A constant column's value is neither hashed
+//! nor packed: the manifest carries its bytes, once however often the
+//! epoch uses it. The durable state is exactly {manifests, packs}; the
+//! in-memory index of retained epochs is rebuilt from the manifests by
 //! [`CasStore::recover`]. Dropping an epoch deletes its manifest, then
 //! its pack — decay *is* garbage collection, and all byte accounting flows
 //! through [`Dfs::delete`] like the path-addressed store.
 
 use crate::chunker::{self, Chunking};
 use crate::hash::ChunkHash;
-use crate::manifest::{build_merkle, ChunkEntry, EpochManifest, Merkle, INLINE_MAX};
+use crate::manifest::{build_merkle, EpochManifest, Merkle};
 use crate::reader::EpochReader;
 use crate::{pack, CasError};
 use codecs::{Codec, SevenzLite};
 use dfs::{Dfs, DfsError};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
-use std::ops::Range;
 use std::sync::Arc;
 use telco_trace::time::EpochId;
 
@@ -43,15 +41,13 @@ pub struct CasConfig {
     /// Namespace root on the filesystem.
     pub root: String,
     /// Pack and manifest compression codec. A pack is written once per
-    /// epoch, one stream per table section, and a read inflates the
+    /// epoch, one stream per table with a run, and a read inflates the
     /// streams of the tables it scans, so the default is the strongest
     /// Table-I codec (`7z-lite`) rather than the path store's `gzip-lite`:
     /// it buys the smallest warehouse, and pays for it on every read — its
     /// range decoder is about seven times slower per output byte than
     /// `gzip-lite`'s inflate.
     pub codec: Arc<dyn Codec>,
-    /// Piece-cutting parameters.
-    pub chunking: Chunking,
 }
 
 impl Default for CasConfig {
@@ -59,7 +55,6 @@ impl Default for CasConfig {
         Self {
             root: "/cas".to_string(),
             codec: Arc::new(SevenzLite::default()),
-            chunking: Chunking::default(),
         }
     }
 }
@@ -79,11 +74,12 @@ pub struct CasStats {
     pub gets: u64,
     /// Tables read column by column ([`EpochReader::table`]).
     pub tables_read: u64,
-    /// Piece occurrences that added no bytes: an inline piece this
-    /// epoch's manifest already carries.
+    /// Constant columns that added no bytes: a value this epoch's
+    /// manifest already carries.
     pub dedup_hits: u64,
-    /// Uncompressed bytes those occurrences would have added.
+    /// Uncompressed bytes those columns would have added.
     pub dedup_bytes_saved: u64,
+    /// Units stored: one per table with a run, or a blob's one.
     pub new_chunks: u64,
     pub gc_packs_deleted: u64,
     pub gc_bytes_reclaimed: u64,
@@ -99,7 +95,7 @@ pub struct PutReceipt {
     pub raw_len: u64,
     /// Bytes this epoch added: its pack + manifest.
     pub new_bytes: u64,
-    /// Piece occurrences that added no bytes (see [`CasStats::dedup_hits`]).
+    /// Constant columns that added no bytes (see [`CasStats::dedup_hits`]).
     pub dedup_hits: u64,
     pub manifest_hash: ChunkHash,
 }
@@ -117,8 +113,8 @@ pub struct CasRecoverReport {
 struct EpochRec {
     manifest_hash: ChunkHash,
     manifest_len: u64,
-    /// Stored length of the epoch's pack; `None` when every piece is
-    /// inline and there is none.
+    /// Stored length of the epoch's pack; `None` when the layout has no
+    /// unit and there is none.
     pack_len: Option<u64>,
 }
 
@@ -216,106 +212,70 @@ impl CasStore {
     /// sweep.
     ///
     /// The child spans split the cost: `cas.put.split` is the chunker and
-    /// the piece hashes, `cas.put.pack` the compression of the pack's
+    /// the unit hashes, `cas.put.pack` the compression of the pack's
     /// units, `cas.put.manifest` the manifest's encoding and compression,
-    /// `cas.put.commit` the filesystem writes.
+    /// `cas.put.commit` the filesystem writes. All but the commit are a
+    /// pure function of `(epoch, raw)` and run before the store's lock is
+    /// taken, so that a read of another epoch does not wait behind them.
     pub fn put_epoch(&self, epoch: u32, raw: &[u8]) -> Result<PutReceipt, CasError> {
         let _span = obs::span("cas.put");
-        // A pure function of `raw`: done before the lock, so that a read
-        // of another epoch does not wait behind it. So are the addresses of
-        // the pieces stored as chunks (an inline piece has none).
-        let (layout, mut pieces, hashes) = {
+        let (layout, mut pieces, units) = {
             let _split = obs::span("cas.put.split");
-            let (layout, pieces) = chunker::split(raw, &self.cfg.chunking);
-            let hash = |piece: &Vec<u8>| (piece.len() > INLINE_MAX).then(|| ChunkHash::of(piece));
-            let hashes: Vec<Option<ChunkHash>> = pieces.iter().map(hash).collect();
-            (layout, pieces, hashes)
+            let (layout, pieces) = chunker::split(raw, &Chunking);
+            let units: Vec<ChunkHash> = pieces[..layout.unit_count()]
+                .iter()
+                .map(|unit| ChunkHash::of(unit))
+                .collect();
+            (layout, pieces, units)
         };
-        let mut st = self.state.lock();
-        if st.epochs.contains_key(&epoch) {
-            return Err(CasError::AlreadyStored(epoch));
-        }
-        let pack_span = obs::span("cas.put.pack");
 
-        // Resolve every piece: carried inline when it is no longer than an
-        // address (a value the manifest already carries is a dedup hit),
-        // else a chunk appended to its section's unit of the pack: one unit
-        // per table section of a columnar layout, so that a scan of one
-        // table inflates that table alone; a blob is one unit. A piece's
-        // section is a fact of the layout, not an option.
-        let sections = layout.sections();
-        // Room for every piece of the section: none is copied twice.
-        let section_bytes = |s: &Range<usize>| pieces[s.clone()].iter().map(Vec::len).sum();
-        let units = sections
-            .iter()
-            .map(|s| Vec::with_capacity(section_bytes(s)));
-        let mut units: Vec<Vec<u8>> = units.collect();
-        // One index space for the manifest: every piece that is not inline
-        // is a chunk of its own, then come the distinct inline pieces.
-        let n_chunks = hashes.iter().flatten().count();
-        let mut chunks: Vec<ChunkEntry> = Vec::with_capacity(n_chunks);
-        // Where in `pieces` each distinct inline piece first occurs.
+        // Every unit compressed on its own: a scan of one table inflates
+        // that table alone.
+        let pack_bytes = {
+            let _pack = obs::span("cas.put.pack");
+            let streams: Vec<Vec<u8>> = pieces[..units.len()]
+                .iter()
+                .map(|unit| self.cfg.codec.compress_metered(unit))
+                .collect();
+            (!streams.is_empty()).then(|| pack::encode(&streams))
+        };
+
+        let manifest_span = obs::span("cas.put.manifest");
+        // The constant values, each carried once: a value the manifest
+        // already carries is a dedup hit.
+        let values = units.len()..pieces.len();
+        // Where in `pieces` each distinct value first occurs.
         let mut inline_at: Vec<usize> = Vec::new();
         let mut inline_index_of: HashMap<&[u8], u32> = HashMap::new();
-        let mut refs: Vec<u32> = Vec::with_capacity(pieces.len());
+        let mut constants: Vec<u32> = Vec::with_capacity(values.len());
         let mut dedup_hits = 0u64;
         let mut dedup_saved = 0u64;
-        let of_sections = sections.iter().enumerate();
-        for (section, at) in of_sections.flat_map(|(i, s)| s.clone().map(move |at| (i, at))) {
-            let piece = &pieces[at];
-            let Some(hash) = hashes[at] else {
-                let fresh = inline_at.len() as u32;
-                let i = *inline_index_of.entry(piece.as_slice()).or_insert(fresh);
-                if i == fresh {
-                    inline_at.push(at);
-                } else {
-                    dedup_hits += 1;
-                    dedup_saved += piece.len() as u64;
-                }
-                refs.push(n_chunks as u32 + i);
-                continue;
-            };
-            let unit = &mut units[section];
-            refs.push(chunks.len() as u32);
-            chunks.push(ChunkEntry {
-                hash,
-                unit: section as u32,
-                offset: unit.len() as u64,
-                len: piece.len() as u64,
-            });
-            unit.extend_from_slice(piece);
+        for at in values {
+            let value = pieces[at].as_slice();
+            let fresh = inline_at.len() as u32;
+            let i = *inline_index_of.entry(value).or_insert(fresh);
+            if i == fresh {
+                inline_at.push(at);
+            } else {
+                dedup_hits += 1;
+                dedup_saved += value.len() as u64;
+            }
+            constants.push(i);
         }
-        // The manifest owns its inline pieces: they move, nothing is copied.
+        // The manifest owns its inline values: they move, nothing is copied.
         let inline: Vec<Vec<u8>> = inline_at
             .into_iter()
             .map(|at| std::mem::take(&mut pieces[at]))
             .collect();
-
-        // A section with no chunk adds no unit: number the ones that hold
-        // something and compress each on its own.
-        let mut unit_index = vec![0u32; units.len()];
-        let mut streams: Vec<Vec<u8>> = Vec::new();
-        for (unit, index) in units.iter().zip(&mut unit_index) {
-            *index = streams.len() as u32;
-            if !unit.is_empty() {
-                streams.push(self.cfg.codec.compress_metered(unit));
-            }
-        }
-        for c in &mut chunks {
-            c.unit = unit_index[c.unit as usize];
-        }
-        let pack_bytes = (!streams.is_empty()).then(|| pack::encode(&streams));
-        drop(pack_span);
-
-        let manifest_span = obs::span("cas.put.manifest");
+        let n_units = units.len() as u64;
         let manifest = EpochManifest {
             epoch,
             raw_len: raw.len() as u64,
             layout,
             pack: pack_bytes.as_deref().map(ChunkHash::of),
-            chunks,
+            units,
             inline,
-            refs,
+            constants,
         };
         // Manifests are compressed on disk like packs; their content
         // address (and the Merkle leaf) is the hash of the stored bytes.
@@ -324,6 +284,10 @@ impl CasStore {
         let path = self.manifest_path(epoch);
         drop(manifest_span);
 
+        let mut st = self.state.lock();
+        if st.epochs.contains_key(&epoch) {
+            return Err(CasError::AlreadyStored(epoch));
+        }
         let _commit = obs::span("cas.put.commit");
         // Durable commit: pack, then manifest (staged + atomic rename). A
         // pack file already at the path is a crashed put's: no manifest
@@ -354,10 +318,10 @@ impl CasStore {
         st.stats.puts += 1;
         st.stats.dedup_hits += dedup_hits;
         st.stats.dedup_bytes_saved += dedup_saved;
-        st.stats.new_chunks += n_chunks as u64;
+        st.stats.new_chunks += n_units;
         obs::add("cas.dedup.hits", dedup_hits);
         obs::shard::add_sharded("cas.dedup.bytes_saved", dedup_saved);
-        obs::add("cas.put.new_chunks", n_chunks as u64);
+        obs::add("cas.put.new_chunks", n_units);
         let new_bytes = pack_len.unwrap_or(0) + mbytes.len() as u64;
         obs::shard::add_sharded("cas.put.bytes_written", new_bytes);
 
@@ -389,10 +353,10 @@ impl CasStore {
     /// the hash the manifest records. A verification failure triggers
     /// one targeted [`Dfs::repair_file`] + re-read before giving up. The
     /// manifest must be the one of `epoch`, and a columnar layout whose
-    /// `#SNAPSHOT` header names an epoch must name this one. Nothing is
-    /// inflated but the manifest: the reader's [`EpochReader::table`]
-    /// inflates the units of one table section,
-    /// [`EpochReader::assemble`] all of them.
+    /// `#SNAPSHOT` header names an epoch must name this one, and the pack
+    /// must hold as many units as the layout has. Nothing is inflated but
+    /// the manifest: the reader's [`EpochReader::table`] inflates the unit
+    /// of one table section, [`EpochReader::assemble`] all of them.
     ///
     /// The child spans of `cas.get` split the cost of a read: `.verify` is
     /// every SHA-256, `.inflate.<section>` the codec on one unit,
@@ -439,10 +403,10 @@ impl CasStore {
         EpochReader::new(self, manifest, pack)
     }
 
-    /// Reassemble an epoch payload: [`Self::open_epoch`], every unit the
-    /// manifest's chunks lie in inflated, every chunk verified against
-    /// its hash (an inline piece is part of the verified manifest), the
-    /// pieces put back together and the total length checked.
+    /// Reassemble an epoch payload: [`Self::open_epoch`], every unit
+    /// inflated and verified against its hash (an inline value is part of
+    /// the verified manifest), the pieces put back together and the total
+    /// length checked.
     pub fn get_epoch(&self, epoch: u32) -> Result<Vec<u8>, CasError> {
         self.open_epoch(epoch)?.assemble()
     }
@@ -547,14 +511,14 @@ impl CasStore {
         self.pack_bytes() + self.manifest_bytes()
     }
 
-    /// On-disk pack bytes (compressed piece data) the state accounts for.
+    /// On-disk pack bytes (compressed units) the state accounts for.
     pub fn pack_bytes(&self) -> u64 {
         let st = self.state.lock();
         st.epochs.values().filter_map(|e| e.pack_len).sum()
     }
 
-    /// On-disk manifest bytes (compressed chunk metadata) the state
-    /// accounts for.
+    /// On-disk manifest bytes (compressed layouts, hashes and constant
+    /// values) the state accounts for.
     pub fn manifest_bytes(&self) -> u64 {
         self.state
             .lock()
@@ -775,6 +739,7 @@ mod tests {
     use super::*;
     use crate::chunker::Layout;
     use dfs::DfsConfig;
+    use std::sync::mpsc;
     use telco_trace::generator::{TraceConfig, TraceGenerator};
     use telco_trace::schema::TableKind;
     use telco_trace::snapshot::Snapshot;
@@ -1007,13 +972,13 @@ mod tests {
         let receipt = cas.put_epoch(7, &payload).unwrap();
         assert_eq!(cas.get_epoch(7).unwrap(), payload);
         assert_eq!(receipt.new_bytes, cas.bytes_stored());
-        assert!(cas.stats().new_chunks > 0);
+        assert_eq!(cas.stats().new_chunks, 1, "a blob is one unit");
     }
 
     #[test]
-    fn a_payload_of_small_pieces_is_its_manifest_alone() {
+    fn a_payload_of_constant_columns_is_its_manifest_alone() {
         let cas = store();
-        // Two constant columns: two inline values, no chunk, no pack.
+        // Two constant columns: two inline values, no unit, no pack.
         let raw = b"#SNAPSHOT epoch=3 ts=0\n#TABLE CDR rows=3 cols=2\n0,LTE\n0,LTE\n0,LTE\n";
         let receipt = cas.put_epoch(3, raw).unwrap();
         assert_eq!((cas.pack_bytes(), cas.stats().new_chunks), (0, 0));
@@ -1092,12 +1057,12 @@ mod tests {
         }
     }
 
-    /// Every prefix and every single-bit flip of a stored `CASMF4`
+    /// Every prefix and every single-bit flip of a stored `CASMF5`
     /// manifest and of a stored `CASPK1` pack: refused against its address
     /// (the Merkle leaf; the hash the manifest records), and — once the
     /// damaged file is filed under its own hash (for a pack: recorded by
     /// the manifest), so that only the container directory, the
-    /// codec, `decode` and the chunk checks stand in the way — still never
+    /// codec, `decode` and the unit checks stand in the way — still never
     /// a panic and never other bytes, from `get_epoch`, `open_epoch` and
     /// `table(i)` alike.
     #[test]
@@ -1184,63 +1149,71 @@ mod tests {
         }
     }
 
-    /// The ref index of the first piece of column `col` of `table`.
-    fn piece_of_column(table: &chunker::TableLayout, col: usize) -> usize {
-        let before = &table.pieces_per_col[..col];
-        let pieces = before.iter().map(|&n| match n {
-            chunker::CONSTANT_COL => 1,
-            n => n as usize,
-        });
-        pieces.sum()
-    }
-
     fn tables_of(m: &mut EpochManifest) -> &mut Vec<chunker::TableLayout> {
         match &mut m.layout {
             Layout::Columnar { tables, .. } => tables,
-            Layout::Blob { .. } => panic!("a snapshot chunks columnar"),
+            Layout::Blob => panic!("a snapshot chunks columnar"),
         }
     }
 
     #[test]
-    fn a_chunk_span_past_u64_is_corrupt_not_a_panic() {
-        let (cas, epoch, _) = one_daytime_epoch();
-        // offset + len wraps to 0: "inside" every unit unless checked.
+    fn swapped_unit_hashes_are_corrupt() {
+        let (cas, epoch, raw) = one_daytime_epoch();
         tamper_manifest(&cas, epoch, |m| {
-            m.chunks[0].offset = u64::MAX;
-            m.chunks[0].len = 1;
+            assert_eq!(m.units.len(), 2, "a CDR and an NMS unit");
+            m.units.swap(0, 1);
         });
-        assert_corrupt(&cas, epoch, &[0]);
-        // A span that fits a u64 and no unit.
-        tamper_manifest(&cas, epoch, |m| m.chunks[0].offset = u64::MAX - 1);
-        assert_corrupt(&cas, epoch, &[0]);
+        assert_corrupt(&cas, epoch, &[0, 1]);
+        tamper_manifest(&cas, epoch, |m| m.units.swap(0, 1));
+        assert_eq!(cas.get_epoch(epoch).unwrap(), raw);
+    }
+
+    /// A layout that needs another number of units than the pack holds is
+    /// refused when the epoch is opened, before anything is inflated.
+    #[test]
+    fn a_layout_and_a_pack_of_different_unit_counts_are_corrupt() {
+        let refused = |cas: &CasStore, epoch| {
+            let opened = cas.open_epoch(epoch).map(|_| ());
+            assert!(matches!(opened, Err(CasError::Corrupt(why)) if why.contains("units")));
+            assert!(matches!(cas.get_epoch(epoch), Err(CasError::Corrupt(_))));
+        };
+        // Two units against a pack of one: the NMS table of an epoch whose
+        // NMS has no rows is given rows, and a unit.
+        let cas = store();
+        let mut snap = TraceGenerator::new(TraceConfig::scaled(1.0 / 256.0))
+            .nth(20)
+            .unwrap();
+        snap.nms.clear();
+        cas.put_epoch(snap.epoch.0, &snap.to_bytes()).unwrap();
+        tamper_manifest(&cas, snap.epoch.0, |m| {
+            assert_eq!(m.units.len(), 1);
+            tables_of(m)[1].rows = 3;
+            m.units.push(m.units[0]);
+        });
+        refused(&cas, snap.epoch.0);
+        // One unit against a pack of two: the NMS table loses its rows.
+        let (cas, epoch, _) = one_daytime_epoch();
+        tamper_manifest(&cas, epoch, |m| {
+            tables_of(m)[1].rows = 0;
+            m.units.pop();
+        });
+        refused(&cas, epoch);
     }
 
     #[test]
-    fn a_chunk_in_a_unit_the_pack_lacks_or_in_the_other_tables_is_corrupt() {
-        let (cas, epoch, raw) = one_daytime_epoch();
-        let first_of_nms = |m: &EpochManifest| {
-            let Layout::Columnar { tables, .. } = &m.layout else {
-                panic!("a snapshot chunks columnar");
-            };
-            let refs = &m.refs[tables[0].piece_count()..];
-            let chunk = refs.iter().find(|&&r| (r as usize) < m.chunks.len());
-            *chunk.expect("NMS has a chunk") as usize
-        };
-        tamper_manifest(&cas, epoch, |m| {
-            assert_eq!((m.chunks[0].unit, m.chunks[first_of_nms(m)].unit), (0, 1));
-            m.chunks[0].unit = 2;
-        });
-        assert_corrupt(&cas, epoch, &[0]);
-        // The first CDR chunk re-pointed into the NMS unit: that unit is
-        // inflated for it, and what lies there is not what the hash names.
-        tamper_manifest(&cas, epoch, |m| m.chunks[0].unit = 1);
-        assert_corrupt(&cas, epoch, &[0]);
-        // The NMS table names no chunk of the CDR unit and reads on.
-        let nms = cas.open_epoch(epoch).unwrap().table(1).unwrap();
-        assert_eq!(nms.rows(), fields_of(&raw)[1].len());
-        tamper_manifest(&cas, epoch, |m| m.chunks[0].unit = 0);
-        assert_refused_or_right(&cas, epoch, &raw);
-        assert_eq!(cas.get_epoch(epoch).unwrap(), raw);
+    fn a_constant_ref_past_the_inline_values_is_dropped_at_recovery() {
+        let (cas, epoch, _) = one_daytime_epoch();
+        let path = cas.manifest_path(epoch);
+        let stored = cas.dfs().read(&path).unwrap();
+        let mut manifest =
+            EpochManifest::decode(&cas.cfg.codec.decompress(&stored).unwrap()).unwrap();
+        manifest.constants[0] = manifest.inline.len() as u32;
+        cas.dfs().delete(&path).unwrap();
+        let stored = cas.cfg.codec.compress(&manifest.encode());
+        cas.dfs().write(&path, &stored).unwrap();
+        let report = cas.recover();
+        assert_eq!(report.corrupt_manifests_dropped, 1);
+        assert!(matches!(cas.get_epoch(epoch), Err(CasError::Missing(_))));
     }
 
     #[test]
@@ -1253,63 +1226,12 @@ mod tests {
         }
         tamper_manifest(&cas, epoch, |m| {
             tables_of(m)[1].rows = rows;
-            // The first constant CDR column, re-pointed at two values.
-            let cdr = &tables_of(m)[0];
-            let columns = cdr.pieces_per_col.iter();
-            let constant = columns
-                .clone()
-                .position(|&n| n == chunker::CONSTANT_COL)
-                .expect("CDR has constant columns");
-            let piece = piece_of_column(cdr, constant);
-            m.refs[piece] = (m.chunks.len() + m.inline.len()) as u32;
+            // The first constant column, CDR's, re-pointed at two values.
+            assert!(tables_of(m)[0].constant.contains(&true));
+            m.constants[0] = m.inline.len() as u32;
             m.inline.push(b"0\n0\n".to_vec());
         });
         assert_corrupt(&cas, epoch, &[0]);
-    }
-
-    /// Nothing `put_epoch` writes has a value that runs on from one piece
-    /// into the next, and the layout allows it: the first piece of the
-    /// first CDR run, cut in two inside a value, reads as before.
-    #[test]
-    fn a_value_spanning_a_piece_boundary_reads_whole() {
-        let (cas, epoch, raw) = one_daytime_epoch();
-        let (_, pieces) = chunker::split(&raw, &cas.cfg.chunking);
-        tamper_manifest(&cas, epoch, |m| {
-            let cdr = &mut tables_of(m)[0];
-            let col = cdr.pieces_per_col.iter().position(|&n| n == 1).unwrap();
-            let at = piece_of_column(cdr, col);
-            cdr.pieces_per_col[col] = 2;
-            let piece = &pieces[at];
-            let cut = (piece.len() / 2..piece.len())
-                .find(|&cut| piece[cut - 1] != b'\n' && piece[cut] != b'\n')
-                .expect("a value of two bytes");
-            let r = m.refs[at] as usize;
-            assert_eq!(m.refs.iter().filter(|&&x| x as usize == r).count(), 1);
-            let whole = m.chunks[r];
-            assert_eq!(whole.hash, ChunkHash::of(piece));
-            m.chunks[r] = ChunkEntry {
-                hash: ChunkHash::of(&piece[..cut]),
-                len: cut as u64,
-                ..whole
-            };
-            // A new chunk goes last: the inline pieces' indices move up.
-            let n_chunks = m.chunks.len() as u32;
-            m.refs
-                .iter_mut()
-                .filter(|x| **x >= n_chunks)
-                .for_each(|x| *x += 1);
-            m.refs.insert(at + 1, n_chunks);
-            m.chunks.push(ChunkEntry {
-                hash: ChunkHash::of(&piece[cut..]),
-                offset: whole.offset + cut as u64,
-                len: whole.len - cut as u64,
-                ..whole
-            });
-        });
-        assert_eq!(cas.get_epoch(epoch).unwrap(), raw);
-        let reader = cas.open_epoch(epoch).unwrap();
-        assert!(reader.table(0).is_ok() && reader.table(1).is_ok());
-        assert_refused_or_right(&cas, epoch, &raw);
     }
 
     #[test]
@@ -1340,32 +1262,74 @@ mod tests {
         let cas = store();
         let snap = &snapshots(1)[0];
         cas.put_epoch(snap.epoch.0, &snap.to_bytes()).unwrap();
+        // The first constant column, re-pointed at an empty value.
         tamper_manifest(&cas, snap.epoch.0, |m| {
-            // The piece of the first constant column, re-pointed at a
-            // zero-length chunk that verifies: its hash is sha256("").
-            let chunker::Layout::Columnar { tables, .. } = &m.layout else {
-                panic!("a snapshot chunks columnar");
-            };
-            let columns = &tables[0].pieces_per_col;
-            let constant = columns
-                .iter()
-                .position(|&n| n == chunker::CONSTANT_COL)
-                .expect("CDR has constant columns");
-            let piece: u32 = columns[..constant]
-                .iter()
-                .map(|&n| if n == chunker::CONSTANT_COL { 1 } else { n })
-                .sum();
-            m.refs[piece as usize] = m.chunks.len() as u32;
-            m.chunks.push(ChunkEntry {
-                hash: ChunkHash::of(b""),
-                unit: 0,
-                offset: 0,
-                len: 0,
-            });
+            m.constants[0] = m.inline.len() as u32;
+            m.inline.push(Vec::new());
         });
         match cas.get_epoch(snap.epoch.0) {
             Err(CasError::Corrupt(why)) => assert!(why.contains("constant piece"), "{why}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
+        assert_corrupt(&cas, snap.epoch.0, &[0]);
+    }
+
+    /// A codec whose first `compress` once armed says so, then waits for
+    /// the go.
+    struct Gated {
+        inner: SevenzLite,
+        armed: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+    }
+
+    impl Codec for Gated {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn compress(&self, input: &[u8]) -> Vec<u8> {
+            let armed = self.armed.lock().take();
+            if let Some((entered, go)) = armed {
+                entered.send(()).unwrap();
+                go.recv().unwrap();
+            }
+            self.inner.compress(input)
+        }
+
+        fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, codecs::CodecError> {
+            self.inner.decompress(input)
+        }
+    }
+
+    /// A put compresses before it takes the store's lock: a read of
+    /// another epoch finishes while the put is inside its codec.
+    #[test]
+    fn a_read_of_another_epoch_does_not_wait_behind_a_put() {
+        let gated = Arc::new(Gated {
+            inner: SevenzLite::default(),
+            armed: Mutex::new(None),
+        });
+        let config = CasConfig {
+            codec: gated.clone(),
+            ..CasConfig::default()
+        };
+        let cas = CasStore::new(Dfs::in_memory(), config);
+        let snaps = snapshots(2);
+        let (read, put) = (&snaps[0], &snaps[1]);
+        cas.put_epoch(read.epoch.0, &read.to_bytes()).unwrap();
+        let (entered, inside) = mpsc::channel();
+        let (go, wait) = mpsc::channel();
+        *gated.armed.lock() = Some((entered, wait));
+        std::thread::scope(|scope| {
+            let putting = scope.spawn(|| cas.put_epoch(put.epoch.0, &put.to_bytes()));
+            inside.recv().unwrap();
+            let (done, got) = mpsc::channel();
+            let cas = &cas;
+            scope.spawn(move || done.send(cas.get_epoch(read.epoch.0)).unwrap());
+            let got = got.recv_timeout(std::time::Duration::from_secs(5));
+            go.send(()).unwrap();
+            assert_eq!(got.expect("the read waited").unwrap(), read.to_bytes());
+            putting.join().unwrap().unwrap();
+        });
+        assert_eq!(cas.get_epoch(put.epoch.0).unwrap(), put.to_bytes());
     }
 }

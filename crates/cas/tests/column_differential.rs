@@ -90,12 +90,8 @@ fn check(cas: &CasStore, raw: &[u8]) -> Arm {
     arm
 }
 
-fn store(chunking: Chunking) -> CasStore {
-    let config = CasConfig {
-        chunking,
-        ..CasConfig::default()
-    };
-    CasStore::new(Dfs::in_memory(), config)
+fn store() -> CasStore {
+    CasStore::new(Dfs::in_memory(), CasConfig::default())
 }
 
 /// Epoch `nth` of the trace at `scale`, relabelled as `EPOCH`.
@@ -109,7 +105,7 @@ fn generated(scale: f64, nth: usize) -> Vec<u8> {
 
 #[test]
 fn generated_snapshots_read_alike_at_three_scales() {
-    let cas = store(Chunking::default());
+    let cas = store();
     for (scale, epochs) in [
         (1.0 / 512.0, vec![0, 9, 18, 27, 36]),
         (1.0 / 64.0, vec![3, 24]),
@@ -120,19 +116,28 @@ fn generated_snapshots_read_alike_at_three_scales() {
             assert_eq!(check(&cas, &raw), Arm::Columns, "1/{} #{nth}", 1.0 / scale);
         }
     }
-    // At 1/8 a column is large enough to cut a run of several pieces.
-    let (layout, _) = cas::chunker::split(&generated(1.0 / 8.0, 24), &Chunking::default());
-    let Layout::Columnar { tables, .. } = layout else {
-        panic!("a snapshot chunks columnar");
-    };
-    let longest = tables.iter().flat_map(|t| &t.pieces_per_col);
-    let longest = longest.filter(|&&n| n != cas::chunker::CONSTANT_COL).max();
-    assert!(longest.is_some_and(|&n| n > 1), "{longest:?}");
+    // Each stored table with a varying column is exactly one unit, at
+    // every scale: the unit holds all of the table's varying values.
+    for scale in [1.0 / 512.0, 1.0 / 8.0] {
+        let raw = generated(scale, 24);
+        let (layout, pieces) = cas::chunker::split(&raw, &Chunking);
+        let Layout::Columnar { tables, .. } = &layout else {
+            panic!("a snapshot chunks columnar");
+        };
+        let sections = layout.sections();
+        assert_eq!(layout.unit_count(), 2);
+        for (table, section) in tables.iter().zip(&sections) {
+            assert!(table.has_run());
+            let run = &pieces[section.unit.unwrap()];
+            let varying = table.constant.iter().filter(|&&c| !c).count();
+            let values = run.iter().filter(|&&b| b == b'\n').count();
+            assert_eq!(values, varying * table.rows as usize);
+        }
+    }
 }
 
 /// A snapshot of `rows` CDR and NMS rows whose columns are, by turns,
-/// constant, empty here and there, short, and wide enough to cut pieces of
-/// their own under [`small_pieces`].
+/// constant, empty here and there, short, and wide.
 fn table_text(rng: &mut StdRng, rows: [usize; 2]) -> String {
     let mut text = format!("#SNAPSHOT epoch={EPOCH} ts=201601180330\n");
     for ((kind, width), rows) in [(TableKind::Cdr, cdr::WIDTH), (TableKind::Nms, nms::WIDTH)]
@@ -164,16 +169,6 @@ fn table_text(rng: &mut StdRng, rows: [usize; 2]) -> String {
     text
 }
 
-/// Pieces small enough that a few dozen rows group, cut and span.
-fn small_pieces() -> Chunking {
-    Chunking {
-        row_quantum: 4,
-        target_piece_bytes: 256,
-        blob_piece_bytes: 64,
-        min_piece_bytes: 64,
-    }
-}
-
 const ROWS: [usize; 6] = [0, 1, 2, 63, 64, 65];
 
 proptest! {
@@ -184,12 +179,10 @@ proptest! {
         seed in any::<u64>(),
         cdr_rows in 0..ROWS.len(),
         nms_rows in 0..ROWS.len(),
-        small in any::<bool>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let text = table_text(&mut rng, [ROWS[cdr_rows], ROWS[nms_rows]]);
-        let chunking = if small { small_pieces() } else { Chunking::default() };
-        prop_assert_eq!(check(&store(chunking), text.as_bytes()), Arm::Columns);
+        prop_assert_eq!(check(&store(), text.as_bytes()), Arm::Columns);
     }
 
     /// One byte of a well-formed snapshot replaced by anything: whatever
@@ -206,7 +199,7 @@ proptest! {
         let mut raw = table_text(&mut rng, [3, 5]).into_bytes();
         let at = at as usize % raw.len();
         raw[at] = byte;
-        check(&store(small_pieces()), &raw);
+        check(&store(), &raw);
     }
 }
 
@@ -218,7 +211,7 @@ fn what_is_not_plainly_a_snapshot_is_read_as_text_or_refused() {
     let (head, nms_section) = text.split_at(nms_at);
     let cdr_at = head.find("#TABLE CDR").unwrap();
     let (header, cdr_section) = head.split_at(cdr_at);
-    let cas = store(small_pieces());
+    let cas = store();
     assert_eq!(check(&cas, text.as_bytes()), Arm::Columns);
 
     // `\r\n` lines parse, and a column would hold the `\r`.

@@ -1,8 +1,8 @@
 //! Property tests for the content-addressed store invariants:
 //!
-//! 1. chunk → hash → chunk: splitting any payload and reassembling the
-//!    addressed pieces reproduces the payload byte-for-byte, and piece
-//!    hashes are stable.
+//! 1. split → hash → assemble: splitting any payload and reassembling
+//!    its pieces reproduces the payload byte-for-byte, and piece hashes
+//!    are stable.
 //! 2. every epoch owns what it stored under arbitrary interleavings of
 //!    ingest and decay: byte-identical payloads under different epochs
 //!    are two epochs' files, each reads back its own payload, and nothing
@@ -48,8 +48,7 @@ proptest! {
         snapshotish in any::<bool>(),
     ) {
         let raw = payload(&data, rows, snapshotish);
-        let cfg = Chunking::default();
-        let (layout, pieces) = split(&raw, &cfg);
+        let (layout, pieces) = split(&raw, &Chunking);
         // Hashes are stable and identify content.
         for p in &pieces {
             prop_assert_eq!(ChunkHash::of(p), ChunkHash::of(p));

@@ -2,40 +2,31 @@
 //!
 //! `src/chunker.rs` walks the text once: no vector of lines, fields
 //! appended straight to pre-sized column streams, a constant column
-//! noticed while it is transposed, a stream that fits one piece moved
-//! instead of copied. The splitter it replaced — a `Vec` of lines, 200
-//! growing column `Vec`s, a second scan per column for constants, pieces
-//! buffered per column — lives on here verbatim as the reference. Pieces
-//! are what the store hashes, so the two must agree on the layout and on
-//! every piece byte, for snapshots and for everything that is not quite
-//! one (each falls back to a blob, or not, in both).
+//! noticed while it is transposed. The splitter it replaced — a `Vec` of
+//! lines, 200 growing column `Vec`s, a second scan per column for
+//! constants — lives on here as the reference, its parse kept verbatim
+//! and its piece cutting reduced to the one rule: the varying columns of
+//! a table are one run. Pieces are what the store hashes and packs, so
+//! the two must agree on the layout and on every piece byte, for
+//! snapshots and for everything that is not quite one (each falls back to
+//! a blob, or not, in both).
 
 use cas::chunker::{assemble, split, Chunking};
 use proptest::prelude::*;
 use telco_trace::{TraceConfig, TraceGenerator};
 
-/// The splitter the repo shipped before the one-pass one, kept verbatim.
+/// The splitter the repo shipped before the one-pass one.
 mod reference {
-    use cas::chunker::{Chunking, Layout, TableLayout, CONSTANT_COL};
+    use cas::chunker::{Layout, TableLayout};
 
     /// Split `raw` into pieces plus the layout that reassembles them.
     /// Columnar when the bytes parse as the snapshot wire format, blob
     /// otherwise. `assemble(split(raw)) == raw` for any input.
-    pub fn split(raw: &[u8], cfg: &Chunking) -> (Layout, Vec<Vec<u8>>) {
-        if let Some(columnar) = try_split_columnar(raw, cfg) {
-            return columnar;
-        }
-        let piece = cfg.blob_piece_bytes.max(1);
-        let pieces: Vec<Vec<u8>> = raw.chunks(piece).map(<[u8]>::to_vec).collect();
-        (
-            Layout::Blob {
-                n_pieces: pieces.len() as u32,
-            },
-            pieces,
-        )
+    pub fn split(raw: &[u8]) -> (Layout, Vec<Vec<u8>>) {
+        try_split_columnar(raw).unwrap_or_else(|| (Layout::Blob, vec![raw.to_vec()]))
     }
 
-    fn try_split_columnar(raw: &[u8], cfg: &Chunking) -> Option<(Layout, Vec<Vec<u8>>)> {
+    fn try_split_columnar(raw: &[u8]) -> Option<(Layout, Vec<Vec<u8>>)> {
         if raw.is_empty() || *raw.last().unwrap() != b'\n' {
             return None;
         }
@@ -49,7 +40,8 @@ mod reference {
         header.push(b'\n');
 
         let mut tables = Vec::new();
-        let mut pieces = Vec::new();
+        let mut runs = Vec::new();
+        let mut values = Vec::new();
         let mut i = 1;
         while i < lines.len() {
             let table_line = lines[i];
@@ -86,62 +78,37 @@ mod reference {
             let mut table_header = table_line.to_vec();
             table_header.push(b'\n');
             // Constant columns (Fig. 4: ≥ 30 all-zero CDR columns) store one
-            // piece holding the single value, replayed `rows` times on
-            // assembly, so an all-zero column is two bytes. Other large columns cut
-            // their own row-aligned pieces; small varying columns coalesce with
-            // their neighbors into group pieces near the byte target, keeping
-            // the per-chunk manifest overhead amortized. Pieces are buffered
-            // per column so a group run may span constant columns without
-            // fragmenting; each group piece is owned by its first column.
-            let mut pieces_per_col = vec![0u32; cols as usize];
-            let mut col_pieces: Vec<Vec<Vec<u8>>> = vec![Vec::new(); cols as usize];
-            let mut group: Vec<u8> = Vec::new();
-            let mut group_col = 0usize;
+            // value, replayed `rows` times on assembly; every other column
+            // joins the table's run.
+            let mut constant = vec![false; cols as usize];
+            let mut run: Vec<u8> = Vec::new();
             for (c, stream) in streams.into_iter().enumerate() {
                 if let Some(value) = constant_value(&stream, rows) {
-                    pieces_per_col[c] = CONSTANT_COL;
-                    col_pieces[c].push(value);
-                } else if cfg.min_piece_bytes == 0 || stream.len() >= cfg.min_piece_bytes {
-                    if !group.is_empty() {
-                        pieces_per_col[group_col] += 1;
-                        col_pieces[group_col].push(std::mem::take(&mut group));
-                    }
-                    let cuts = cut_row_aligned(&stream, rows, cfg);
-                    pieces_per_col[c] = cuts.len() as u32;
-                    col_pieces[c] = cuts;
-                } else if !stream.is_empty() {
-                    if group.is_empty() {
-                        group_col = c;
-                    } else if group.len() + stream.len() > cfg.target_piece_bytes.max(1) {
-                        pieces_per_col[group_col] += 1;
-                        col_pieces[group_col].push(std::mem::take(&mut group));
-                        group_col = c;
-                    }
-                    group.extend_from_slice(&stream);
+                    constant[c] = true;
+                    values.push(value);
+                } else {
+                    run.extend_from_slice(&stream);
                 }
             }
-            if !group.is_empty() {
-                pieces_per_col[group_col] += 1;
-                col_pieces[group_col].push(group);
+            if !run.is_empty() {
+                runs.push(run);
             }
-            pieces.extend(col_pieces.into_iter().flatten());
             tables.push(TableLayout {
                 header: table_header,
                 rows,
-                cols,
-                pieces_per_col,
+                constant,
             });
         }
         if tables.is_empty() {
             return None;
         }
-        Some((Layout::Columnar { header, tables }, pieces))
+        runs.extend(values);
+        Some((Layout::Columnar { header, tables }, runs))
     }
 
     /// If every row of `stream` holds the same value, return one copy of it
     /// (newline included). Requires at least two rows — a one-row column gains
-    /// nothing from the constant encoding and groups better with its
-    /// neighbors.
+    /// nothing from the constant encoding.
     fn constant_value(stream: &[u8], rows: u32) -> Option<Vec<u8>> {
         if rows < 2 {
             return None;
@@ -156,41 +123,6 @@ mod reference {
         }
     }
 
-    /// Cut one column stream at row boundaries, every `rows_per_piece` rows —
-    /// a multiple of the row quantum chosen from the stream's mean value width
-    /// so pieces land near the byte target. The per-piece row count depends
-    /// only on row count and stream length, so identical column content yields
-    /// identical pieces across epochs.
-    fn cut_row_aligned(stream: &[u8], rows: u32, cfg: &Chunking) -> Vec<Vec<u8>> {
-        if rows == 0 {
-            debug_assert!(stream.is_empty());
-            return Vec::new();
-        }
-        let q = cfg.row_quantum.max(1);
-        let avg = stream.len().div_ceil(rows as usize).max(1);
-        let mut rows_per_piece = cfg.target_piece_bytes / avg / q * q;
-        if rows_per_piece == 0 {
-            rows_per_piece = q;
-        }
-        let mut out = Vec::new();
-        let mut start = 0usize;
-        let mut in_piece = 0usize;
-        for (pos, &b) in stream.iter().enumerate() {
-            if b == b'\n' {
-                in_piece += 1;
-                if in_piece == rows_per_piece {
-                    out.push(stream[start..=pos].to_vec());
-                    start = pos + 1;
-                    in_piece = 0;
-                }
-            }
-        }
-        if start < stream.len() {
-            out.push(stream[start..].to_vec());
-        }
-        out
-    }
-
     fn parse_kv<T: std::str::FromStr>(line: &str, key: &str) -> Option<T> {
         for part in line.split_whitespace() {
             if let Some(v) = part.strip_prefix(key).and_then(|r| r.strip_prefix('=')) {
@@ -201,46 +133,18 @@ mod reference {
     }
 }
 
-/// The default cut and ones that make small inputs cut, group and not
-/// group.
-fn chunkings() -> Vec<Chunking> {
-    vec![
-        Chunking::default(),
-        Chunking {
-            row_quantum: 4,
-            target_piece_bytes: 64,
-            blob_piece_bytes: 8,
-            min_piece_bytes: 24,
-        },
-        Chunking {
-            row_quantum: 1,
-            target_piece_bytes: 8,
-            blob_piece_bytes: 1,
-            min_piece_bytes: 0,
-        },
-        Chunking {
-            row_quantum: 0,
-            target_piece_bytes: 0,
-            blob_piece_bytes: 0,
-            min_piece_bytes: 1,
-        },
-    ]
-}
-
 fn assert_same(raw: &[u8]) {
-    for cfg in chunkings() {
-        let want = reference::split(raw, &cfg);
-        let got = split(raw, &cfg);
-        assert!(
-            got == want,
-            "split differs from the reference under {cfg:?} on {:?}",
-            String::from_utf8_lossy(&raw[..raw.len().min(300)])
-        );
-        assert!(
-            assemble(&got.0, &got.1).as_deref() == Ok(raw),
-            "not lossless"
-        );
-    }
+    let want = reference::split(raw);
+    let got = split(raw, &Chunking);
+    assert!(
+        got == want,
+        "split differs from the reference on {:?}",
+        String::from_utf8_lossy(&raw[..raw.len().min(300)])
+    );
+    assert!(
+        assemble(&got.0, &got.1).as_deref() == Ok(raw),
+        "not lossless"
+    );
 }
 
 /// A snapshot-shaped text: `tables` of (declared rows, declared cols,

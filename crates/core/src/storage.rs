@@ -9,9 +9,10 @@
 //! - **Path-addressed** (the default): one compressed `.snap` file per
 //!   30-minute snapshot.
 //! - **Content-addressed** ([`SnapshotStore::new_cas`]): snapshots are
-//!   chunked into per-attribute column pieces, each named by its content
-//!   hash and packed into the epoch's own `.pk` file, and each epoch's
-//!   leaf is a `.mf` manifest of those chunks (see the `cas` crate).
+//!   transposed into columns, each table's varying columns one unit
+//!   named by its content hash and packed into the epoch's own `.pk`
+//!   file, and each epoch's leaf is a `.mf` manifest of those units and
+//!   of the constant columns' values (see the `cas` crate).
 //!   Eviction deletes the manifest, then the pack. A scan reads
 //!   such an epoch column by column, one table at a time
 //!   ([`SnapshotStore::read_rows`]); the Path backend, `load` and any

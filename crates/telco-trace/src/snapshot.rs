@@ -292,8 +292,7 @@ impl ColumnTable {
 
 /// Builds a [`ColumnTable`]. Columns are declared left to right with
 /// [`Self::constant`] and [`Self::varying`]; the values of the varying
-/// columns arrive, in the same order, as [`Self::run`]s that each serve
-/// one or more of them.
+/// columns then arrive, in the same order, as one [`Self::run`].
 pub struct ColumnTableBuilder {
     rows: usize,
     /// As in [`ColumnTable`], not yet known to be UTF-8.
@@ -335,41 +334,35 @@ impl ColumnTableBuilder {
         self.varying += 1;
     }
 
-    /// The values of `cols` varying columns, one column after the other
-    /// and each value ended by a newline: `pieces` end to end (a value may
-    /// run on from one piece into the next). Refused unless that is
-    /// exactly `rows × cols` values.
-    pub fn run<'p>(
-        &mut self,
-        pieces: impl IntoIterator<Item = &'p [u8]>,
-        cols: usize,
-    ) -> Result<(), ColumnError> {
-        let from = self.text.len();
-        for piece in pieces {
-            self.text.extend_from_slice(piece);
+    /// The values of every varying column declared so far, one column
+    /// after the other and each value ended by a newline: the table's one
+    /// run, which becomes its text as it stands. Refused unless that is
+    /// exactly `rows` values a varying column, and refused a second time.
+    pub fn run(&mut self, run: Vec<u8>) -> Result<(), ColumnError> {
+        if self.starts.len() > 1 {
+            return Err(ColumnError::ValueCount);
         }
-        if u32::try_from(self.text.len()).is_err() {
+        if u32::try_from(run.len()).is_err() {
             return Err(ColumnError::TooLarge);
         }
-        let run = &self.text[from..];
         let starts = &mut self.starts;
-        let values_before = starts.len();
         // A value takes a byte at least: its newline.
-        starts.reserve(run.len().min(self.rows.saturating_mul(cols)));
+        starts.reserve(run.len().min(self.rows.saturating_mul(self.varying)));
         let mut separator = false;
         for (at, &b) in run.iter().enumerate() {
             separator |= b == b',';
             if b == b'\n' {
-                starts.push((from + at + 1) as u32);
+                starts.push((at + 1) as u32);
             }
         }
         if separator {
             return Err(ColumnError::Separator);
         }
         let whole = run.last().is_none_or(|&b| b == b'\n');
-        if !whole || Some(starts.len() - values_before) != self.rows.checked_mul(cols) {
+        if !whole || Some(starts.len() - 1) != self.rows.checked_mul(self.varying) {
             return Err(ColumnError::ValueCount);
         }
+        self.text = run;
         Ok(())
     }
 

@@ -57,11 +57,10 @@ fn nms_snapshot(rows: &[Vec<String>]) -> Vec<u8> {
 }
 
 /// The rows as a column table: a column whose rows all agree is a
-/// constant, and the others share runs of `per_run` columns.
-fn column_table(rows: &[Vec<String>], per_run: usize) -> ColumnTable {
+/// constant, and the others are the table's run.
+fn column_table(rows: &[Vec<String>]) -> ColumnTable {
     let mut table = ColumnTable::builder(rows.len());
     let mut run: Vec<u8> = Vec::new();
-    let mut in_run = 0;
     for col in 0..nms::WIDTH {
         let mut values = rows.iter().map(|row| &row[col]);
         let first = values.next().expect("a row");
@@ -74,18 +73,8 @@ fn column_table(rows: &[Vec<String>], per_run: usize) -> ColumnTable {
             run.extend_from_slice(row[col].as_bytes());
             run.push(b'\n');
         }
-        in_run += 1;
-        if in_run == per_run {
-            // Cut mid-value: a value may run on into the next piece.
-            let (head, tail) = run.split_at(run.len() / 2);
-            table.run([head, tail], in_run).unwrap();
-            run.clear();
-            in_run = 0;
-        }
     }
-    if in_run > 0 {
-        table.run([run.as_slice()], in_run).unwrap();
-    }
+    table.run(run).unwrap();
     table.finish().unwrap()
 }
 
@@ -96,7 +85,6 @@ proptest! {
     fn text_rows_column_rows_and_records_read_alike(
         rows in proptest::collection::vec(proptest::collection::vec(field(), nms::WIDTH), 1..6),
         wanted in proptest::collection::vec(any::<bool>(), nms::WIDTH),
-        per_run in 1..4usize,
     ) {
         let bytes = nms_snapshot(&rows);
         let decoded = Snapshot::from_bytes(&bytes).expect("generated rows parse");
@@ -107,7 +95,7 @@ proptest! {
         })
         .expect("scan accepts what from_bytes accepts");
         prop_assert_eq!(lent.len(), rows.len());
-        let columns = column_table(&rows, per_run);
+        let columns = column_table(&rows);
         prop_assert_eq!((columns.rows(), columns.width()), (rows.len(), nms::WIDTH));
 
         let cols: Vec<usize> = (0..nms::WIDTH).filter(|&c| wanted[c]).collect();
@@ -160,32 +148,39 @@ fn a_decoded_number_reads_as_its_text_would() {
 /// value, a separator inside a value, bytes that are not UTF-8.
 #[test]
 fn the_builder_refuses_what_the_parser_would() {
-    let two_rows = || {
+    let two_rows = |varying| {
         let mut table = ColumnTable::builder(2);
-        table.varying();
+        for _ in 0..varying {
+            table.varying();
+        }
         table
     };
-    let refused = |run: &[u8], cols| two_rows().run([run], cols).unwrap_err();
+    let refused = |run: &[u8], varying| two_rows(varying).run(run.to_vec()).unwrap_err();
     assert_eq!(refused(b"a\n", 1), ColumnError::ValueCount);
     assert_eq!(refused(b"a\nb\nc\n", 1), ColumnError::ValueCount);
     assert_eq!(refused(b"a\nb", 1), ColumnError::ValueCount);
     assert_eq!(refused(b"a\nb\n", 2), ColumnError::ValueCount);
     assert_eq!(refused(b"a,b\nc\n", 1), ColumnError::Separator);
 
-    let mut table = two_rows();
-    table.run([&b"a\n"[..], b"\n"], 1).unwrap();
+    let mut table = two_rows(1);
+    table.run(b"a\n\n".to_vec()).unwrap();
+    // One run a table.
+    assert_eq!(
+        table.run(b"a\n\n".to_vec()).unwrap_err(),
+        ColumnError::ValueCount
+    );
     let table = table.finish().unwrap();
     assert_eq!(
         (table.row(0).text(0), table.row(1).text(0)),
         ("a".into(), "".into())
     );
-    // A second varying column that no run serves.
-    let mut table = two_rows();
-    table.run([&b"a\nb\n"[..]], 1).unwrap();
+    // A second varying column, declared after the run.
+    let mut table = two_rows(1);
+    table.run(b"a\nb\n".to_vec()).unwrap();
     table.varying();
     assert_eq!(table.finish().unwrap_err(), ColumnError::ValueCount);
-    let mut table = two_rows();
-    table.run([&b"\xff\nb\n"[..]], 1).unwrap();
+    let mut table = two_rows(1);
+    table.run(b"\xff\nb\n".to_vec()).unwrap();
     assert_eq!(table.finish().unwrap_err(), ColumnError::NotUtf8);
 
     for (constant, error) in [
@@ -195,7 +190,7 @@ fn the_builder_refuses_what_the_parser_would() {
         (b"0,1\n", ColumnError::Separator),
     ] {
         assert_eq!(
-            two_rows().constant(constant).unwrap_err(),
+            two_rows(1).constant(constant).unwrap_err(),
             error,
             "{constant:?}"
         );
@@ -207,10 +202,10 @@ fn the_builder_refuses_what_the_parser_would() {
     // No rows: columns, and nothing in them.
     let mut empty = ColumnTable::builder(0);
     empty.varying();
-    empty.run([&b""[..]], 1).unwrap();
+    empty.run(Vec::new()).unwrap();
     assert_eq!(empty.finish().unwrap().rows(), 0);
     assert_eq!(
-        ColumnTable::builder(0).run([&b"a\n"[..]], 1).unwrap_err(),
+        ColumnTable::builder(0).run(b"a\n".to_vec()).unwrap_err(),
         ColumnError::ValueCount
     );
 }
