@@ -92,7 +92,9 @@ pub trait ExplorationFramework {
     /// This default decodes each epoch ([`Self::load_epoch`]) and lends
     /// its [`Record`]s. RAW, SHAHED and SPATE lend the rows of the stored
     /// text instead ([`SnapshotStore::scan_rows`]) and build no `Value`;
-    /// a visitor cannot tell the two apart.
+    /// a visitor cannot tell the two apart. There a long window's epochs
+    /// may be read ahead on a second thread, but `visit` is only ever
+    /// called on the caller's thread, in epoch order.
     ///
     /// [`SnapshotStore::scan_rows`]: crate::storage::SnapshotStore::scan_rows
     fn scan_rows(

@@ -451,16 +451,27 @@ impl ExplorationFramework for SpateFramework {
         self.version
     }
 
+    /// `Q(a, b, w)` over this warehouse. The exact branch is
+    /// [`crate::query::run_exact`] over the store's reads of the window
+    /// ([`SnapshotStore::read_ahead`]): a long window's epochs may be read
+    /// ahead on a second thread, but each is scanned in epoch order, on
+    /// this thread, straight over what the store holds of it — serialized
+    /// text, or the columns of a CAS epoch.
     fn query(&self, q: &Query) -> QueryResult {
         let _span = obs::span("spate.query");
         let plan = self.plan(q);
         let _s = matches!(plan, Plan::Exact(_)).then(|| obs::span("scan"));
-        // One epoch at a time, straight over what the store holds of it —
-        // serialized text, or the columns of a CAS epoch: no epoch of the
-        // window is ever held decoded.
         let rows = RowPlan::new(q, &self.layout);
-        let result = plan.evaluate(&rows, |epoch, out| {
-            rows.scan_stored(&self.store, epoch, out).is_ok()
+        let window = match &plan {
+            Plan::Exact(epochs) => epochs.clone(),
+            _ => Vec::new(),
+        };
+        let result = self.store.read_ahead(&window, rows.tables(), |reads| {
+            plan.evaluate(&rows, |epoch, out| {
+                let (read_epoch, read) = reads.next().expect("a read for every epoch of the plan");
+                debug_assert_eq!(read_epoch, epoch);
+                rows.scan_read(epoch, read, out).is_ok()
+            })
         });
         if let QueryResult::Partial { coverage, .. } = &result {
             obs::inc("spate.query.partial");

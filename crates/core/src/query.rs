@@ -7,7 +7,7 @@
 
 use crate::index::highlights::{Highlights, Resolution};
 use crate::index::Covering;
-use crate::storage::{self, EpochRows, SnapshotStore, StorageError};
+use crate::storage::{self, EpochRead, EpochRows, StorageError};
 use std::collections::HashSet;
 use std::fmt;
 use telco_trace::cells::{BoundingBox, CellLayout};
@@ -523,18 +523,24 @@ impl RowPlan {
         obs::cost::add_rows(columns.rows, returned as u64);
     }
 
-    /// Evaluate over `epoch` as `store` holds it, under the `parse`
-    /// stage: its text, or — a CAS store — the columns of the tables `a`
-    /// selects from, so that `b` is tested on the cell-id column and only
-    /// the columns `a` names become values. On an error `out` is left as
-    /// it was.
-    pub fn scan_stored(
+    /// The tables `a` selects a column of: all a scan has to read.
+    pub(crate) fn tables(&self) -> &[TableKind] {
+        &self.tables
+    }
+
+    /// Evaluate over what a scan of [`Self::tables`] read of `epoch`
+    /// ([`storage::SnapshotStore::read_ahead`]), under the `parse` stage: its text,
+    /// or — a CAS store — the columns of the tables `a` selects from, so
+    /// that `b` is tested on the cell-id column and only the columns `a`
+    /// names become values. On an error, the read's or the scan's, `out`
+    /// is left as it was.
+    pub(crate) fn scan_read(
         &self,
-        store: &SnapshotStore,
         epoch: EpochId,
+        read: EpochRead,
         out: &mut ExactResult,
     ) -> Result<(), StorageError> {
-        match store.read_rows(epoch, &self.tables)? {
+        match read? {
             EpochRows::Text(text) => storage::parse_stage(|| self.scan_epoch(epoch, &text, out)),
             EpochRows::Columns(columns) => {
                 storage::parse_stage(|| self.scan_columns(&columns, out));

@@ -15,17 +15,23 @@
 //!   of the constant columns' values (see the `cas` crate).
 //!   Eviction deletes the manifest, then the pack. A scan reads
 //!   such an epoch column by column, one table at a time
-//!   ([`SnapshotStore::read_rows`]); the Path backend, `load` and any
+//!   ([`SnapshotStore::decode`]); the Path backend, `load` and any
 //!   layout that is not plainly a snapshot's read the serialized text.
 //!
 //! Either way the index, decay and query layers above see the same
 //! store/load/evict surface.
+//!
+//! A scan of a window — `Q(a, b, w)`'s exact branch, T1–T8 and SPATE-SQL —
+//! reads its epochs through [`read_ahead`]: from four epochs on, a helper
+//! thread reads, inflates and verifies epochs ahead while the caller scans
+//! them, one at a time and in epoch order.
 
 use cas::{CasConfig, CasError, CasRecoverReport, CasStore, SnapshotColumns};
 use codecs::{Codec, CodecError};
 use dfs::{Dfs, DfsError};
 use std::fmt;
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use telco_trace::schema::TableKind;
 use telco_trace::snapshot::{Row, Snapshot, SnapshotParseError};
 use telco_trace::time::EpochId;
@@ -115,13 +121,38 @@ pub(crate) fn parse_stage<T>(parse: impl FnOnce() -> T) -> T {
     parsed
 }
 
-/// One stored epoch as a scan reads it ([`SnapshotStore::read_rows`]).
+/// What a scan's read of one epoch takes from the filesystem
+/// ([`SnapshotStore::fetch`]): every dfs operation of the read is done,
+/// what is left is CPU work ([`SnapshotStore::decode`]).
+pub(crate) enum Fetched<'s> {
+    /// A Path leaf, as stored.
+    Packed {
+        codec: &'s dyn Codec,
+        bytes: Vec<u8>,
+    },
+    /// A CAS epoch, opened: manifest and pack read and verified.
+    Open(cas::EpochReader<'s>),
+}
+
+/// One stored epoch as a scan reads it ([`SnapshotStore::read_ahead`]).
 pub(crate) enum EpochRows {
     /// The serialized snapshot ([`Snapshot::to_bytes`] text): a Path
     /// leaf, or a CAS epoch the column arm does not read.
     Text(Vec<u8>),
     /// A CAS epoch, the tables the scan asked for held as columns.
     Columns(SnapshotColumns),
+}
+
+/// A scan's read of one epoch: its rows, or why it cannot be served.
+pub(crate) type EpochRead = Result<EpochRows, StorageError>;
+
+/// Inflate a Path leaf under the `decompress` span and cost stage.
+fn inflate(codec: &dyn Codec, stored: &[u8]) -> Result<Vec<u8>, StorageError> {
+    let _s = obs::span("decompress");
+    let start = std::time::Instant::now();
+    let text = codec.decompress_metered(stored);
+    obs::cost::add_stage_ns("decompress", start.elapsed().as_nanos() as u64);
+    Ok(text?)
 }
 
 /// Outcome of storing one snapshot.
@@ -352,54 +383,83 @@ impl SnapshotStore {
     pub fn load_text(&self, epoch: EpochId) -> Result<Vec<u8>, StorageError> {
         let stored = self.read_stored(epoch)?;
         match &self.backend {
-            Backend::Path { codec } => {
-                let _s = obs::span("decompress");
-                let start = std::time::Instant::now();
-                let text = codec.decompress_metered(&stored);
-                obs::cost::add_stage_ns("decompress", start.elapsed().as_nanos() as u64);
-                Ok(text?)
-            }
+            Backend::Path { codec } => inflate(codec.as_ref(), &stored),
             // The cas backend verified and decompressed on read.
             Backend::Cas(_) => Ok(stored),
         }
     }
 
-    /// What a scan of `tables` reads of an epoch. The Path backend hands
-    /// out the text ([`Self::load_text`]). The CAS backend opens the
-    /// epoch and inflates, verifies and indexes the sections of `tables`
-    /// and no other, under the `read` stage
-    /// ([`cas::EpochReader::snapshot_columns`]: checked as the parser
-    /// checks the same tables of the text, nothing lent before every table
-    /// asked for has passed); what that does not read as columns it
-    /// reassembles and hands out as text.
-    pub(crate) fn read_rows(
-        &self,
-        epoch: EpochId,
+    /// The first half of a scan's read of an epoch, every filesystem
+    /// operation of it: the Path leaf's bytes, or the CAS epoch opened
+    /// (manifest and pack read and hash-verified), under the `read` stage.
+    pub(crate) fn fetch(&self, epoch: EpochId) -> Result<Fetched<'_>, StorageError> {
+        match &self.backend {
+            Backend::Path { codec } => Ok(Fetched::Packed {
+                codec: codec.as_ref(),
+                bytes: self.read_stored(epoch)?,
+            }),
+            Backend::Cas(cas) => {
+                let start = std::time::Instant::now();
+                obs::cost::touch_epoch(u64::from(epoch.0));
+                let open = cas.open_epoch(epoch.0);
+                obs::cost::add_stage_ns("read", start.elapsed().as_nanos() as u64);
+                Ok(Fetched::Open(open?))
+            }
+        }
+    }
+
+    /// The second half: what a scan of `tables` reads of the fetched
+    /// epoch. A Path leaf is inflated into its text. A CAS epoch has the
+    /// sections of `tables` and no other inflated, verified and indexed,
+    /// under the `read` stage ([`cas::EpochReader::snapshot_columns`]:
+    /// checked as the parser checks the same tables of the text, nothing
+    /// lent before every table asked for has passed); what that does not
+    /// read as columns is reassembled and handed out as text.
+    pub(crate) fn decode(
+        fetched: Fetched<'_>,
         tables: &[TableKind],
     ) -> Result<EpochRows, StorageError> {
-        let Backend::Cas(cas) = &self.backend else {
-            return self.load_text(epoch).map(EpochRows::Text);
+        let reader = match fetched {
+            Fetched::Packed { codec, bytes } => return inflate(codec, &bytes).map(EpochRows::Text),
+            Fetched::Open(reader) => reader,
         };
         let start = std::time::Instant::now();
-        obs::cost::touch_epoch(u64::from(epoch.0));
-        let read = cas.open_epoch(epoch.0).and_then(|reader| {
-            Ok(match reader.snapshot_columns(tables)? {
-                Some(columns) => EpochRows::Columns(columns),
-                None => EpochRows::Text(reader.assemble()?),
-            })
-        });
+        let read = reader
+            .snapshot_columns(tables)
+            .and_then(|columns| match columns {
+                Some(columns) => Ok(EpochRows::Columns(columns)),
+                None => reader.assemble().map(EpochRows::Text),
+            });
         obs::cost::add_stage_ns("read", start.elapsed().as_nanos() as u64);
         Ok(read?)
     }
 
+    /// Read `epochs` for a scan of `tables` and lend `scan` each epoch's
+    /// read, in order, on this thread ([`read_ahead`] of [`Self::fetch`]
+    /// and [`Self::decode`]): a long window is read ahead on a second
+    /// thread while the caller scans.
+    pub(crate) fn read_ahead<R>(
+        &self,
+        epochs: &[EpochId],
+        tables: &[TableKind],
+        scan: impl FnOnce(&mut dyn Iterator<Item = (EpochId, EpochRead)>) -> R,
+    ) -> R {
+        let fetch = |epoch| self.fetch(epoch);
+        let decode = |_, fetched: Result<Fetched<'_>, _>| Self::decode(fetched?, tables);
+        read_ahead(epochs, fetch, decode, scan)
+    }
+
     /// `ExplorationFramework::scan_rows` over this store, for RAW, SHAHED
-    /// and SPATE alike: each of `epochs` is read ([`Self::read_rows`]) and
-    /// its `table` rows lent to `visit`. Text is walked once
+    /// and SPATE alike: each of `epochs` is read ([`Self::read_ahead`]:
+    /// possibly ahead, on a second thread) and its `table` rows lent to
+    /// `visit`, in epoch order on the caller's thread. Text is walked once
     /// ([`Snapshot::scan`], under the `parse` stage) and the rows lent as
     /// they lie in it, held back until the walk has accepted the whole
     /// snapshot and its header names `epoch`; a CAS epoch lends the rows
     /// of the one table it inflated. Either way an epoch that fails a
-    /// check is skipped with none of its rows seen.
+    /// check is skipped with none of its rows seen. Before each epoch an
+    /// [`obs::budget`] checkpoint: once the request is cancelled or past
+    /// its deadline, the rest of the window is not visited.
     pub fn scan_rows(
         &self,
         epochs: impl Iterator<Item = EpochId>,
@@ -410,33 +470,39 @@ impl SnapshotStore {
             obs::cost::add_rows(rows.len() as u64, 0);
             visit(epoch, rows);
         };
-        for epoch in epochs {
-            match self.read_rows(epoch, &[table]) {
-                Ok(EpochRows::Text(text)) => {
-                    let walked = parse_stage(|| {
-                        let mut rows = Vec::new();
-                        let found = Snapshot::scan(&text, |kind, row| {
-                            if kind == table {
-                                rows.push(Row::Text(row));
-                            }
-                        })?;
-                        check_epoch(epoch, found).map(|()| rows)
-                    });
-                    if let Ok(rows) = walked {
+        let epochs: Vec<EpochId> = epochs.collect();
+        self.read_ahead(&epochs, &[table], |reads| {
+            while obs::budget::interrupted().is_none() {
+                let Some((epoch, read)) = reads.next() else {
+                    break;
+                };
+                match read {
+                    Ok(EpochRows::Text(text)) => {
+                        let walked = parse_stage(|| {
+                            let mut rows = Vec::new();
+                            let found = Snapshot::scan(&text, |kind, row| {
+                                if kind == table {
+                                    rows.push(Row::Text(row));
+                                }
+                            })?;
+                            check_epoch(epoch, found).map(|()| rows)
+                        });
+                        if let Ok(rows) = walked {
+                            lend(epoch, &rows);
+                        }
+                    }
+                    Ok(EpochRows::Columns(columns)) => {
+                        let rows: Vec<Row<'_>> = parse_stage(|| {
+                            let tables = columns.tables.iter();
+                            let rows = tables.flat_map(|(_, t)| (0..t.rows()).map(|r| t.row(r)));
+                            rows.collect()
+                        });
                         lend(epoch, &rows);
                     }
+                    Err(_) => {}
                 }
-                Ok(EpochRows::Columns(columns)) => {
-                    let rows: Vec<Row<'_>> = parse_stage(|| {
-                        let tables = columns.tables.iter();
-                        let rows = tables.flat_map(|(_, t)| (0..t.rows()).map(|r| t.row(r)));
-                        rows.collect()
-                    });
-                    lend(epoch, &rows);
-                }
-                Err(_) => {}
             }
-        }
+        });
     }
 
     /// Evict the stored snapshot of an epoch (the decay fungus's file
@@ -511,6 +577,289 @@ fn parse_leaf_epoch(path: &str, suffix: &str) -> Option<EpochId> {
     let name = path.rsplit('/').next()?;
     let digits = name.strip_suffix(suffix)?;
     digits.parse::<u32>().ok().map(EpochId)
+}
+
+// ------------------------------------------------------------- read-ahead
+
+/// Windows of fewer epochs are read on the caller's thread alone: a
+/// helper costs more to start than it could save on them.
+pub const READ_AHEAD_MIN: usize = 4;
+
+/// The most epochs a read-ahead holds, read or being read, the one the
+/// scan holds included: what bounds the decoded bytes a long window keeps
+/// in memory.
+pub const READ_AHEAD_SLOTS: usize = 4;
+
+/// Read each of `epochs` and lend it to `scan`, in epoch order, on this
+/// thread. Reading an epoch is two steps: `fetch`, which does every
+/// filesystem operation of the read, then `decode` of what it fetched
+/// (inflate, verify, index).
+///
+/// A window of [`READ_AHEAD_MIN`] epochs or more is read by this thread
+/// and one scoped helper thread, each claiming the next unread epoch from
+/// one shared cursor:
+///
+/// - **Order.** `scan` gets every epoch once, in window order, on this
+///   thread. The fetches run in window order too, whichever thread runs
+///   them, so the filesystem sees the operations a one-thread scan
+///   issues, in the same order.
+/// - **No waiting on a late helper.** When the epoch `scan` asks for next
+///   is unclaimed, this thread reads it itself. While the helper is
+///   reading it, this thread reads the next unclaimed epoch ahead into
+///   its slot, as the helper would; it waits only when the slots are
+///   full.
+/// - **Bounded.** The helper claims an epoch only while fewer than
+///   [`READ_AHEAD_SLOTS`] epochs from the one the scan holds on are read
+///   or being read.
+/// - **Budget.** The helper runs in the caller's [`obs::context`] and
+///   claims nothing once [`obs::budget::interrupted`] says stop; the
+///   caller's checkpoint is its own loop's, before it asks for the next
+///   epoch. When `scan` returns, the helper finishes at most the epoch it
+///   is reading and is joined, and its cost profile joins the caller's.
+/// - **Panics.** A read that panics on the helper panics on this thread
+///   when `scan` reaches its epoch, as if it had been read here.
+/// - **Nothing persistent.** The helper lives for one call; when it
+///   cannot be spawned, this thread reads the whole window alone.
+pub fn read_ahead<F, T: Send, R>(
+    epochs: &[EpochId],
+    fetch: impl Fn(EpochId) -> F + Sync,
+    decode: impl Fn(EpochId, F) -> T + Sync,
+    scan: impl FnOnce(&mut dyn Iterator<Item = (EpochId, T)>) -> R,
+) -> R {
+    if epochs.len() < READ_AHEAD_MIN {
+        return scan(&mut epochs.iter().map(|&e| (e, decode(e, fetch(e)))));
+    }
+    let ahead = Ahead {
+        epochs,
+        fetch: &fetch,
+        decode: &decode,
+        state: Mutex::new(Claims {
+            claimed: 0,
+            fetched: 0,
+            held: 0,
+            slots: epochs.iter().map(|_| None).collect(),
+            ended: false,
+            sleepers: 0,
+        }),
+        changed: Condvar::new(),
+    };
+    let context = obs::context::capture();
+    std::thread::scope(|s| {
+        let helper = std::thread::Builder::new()
+            .name("read-ahead".into())
+            .spawn_scoped(s, || {
+                let entered = context.enter();
+                ahead.help();
+                entered.leave()
+            });
+        let mut lender = Lender {
+            ahead: &ahead,
+            next: 0,
+        };
+        let scanned = scan(&mut lender);
+        drop(lender);
+        if let Ok(helper) = helper {
+            match helper.join() {
+                Ok(Some(profile)) => obs::cost::absorb(&profile),
+                Ok(None) => {}
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        scanned
+    })
+}
+
+/// The state a [`read_ahead`]'s two threads share.
+struct Ahead<'a, FF, DF, T> {
+    epochs: &'a [EpochId],
+    fetch: &'a FF,
+    decode: &'a DF,
+    state: Mutex<Claims<T>>,
+    /// Signalled when `state` changes while a thread waits on it: each
+    /// thread waits only for the other.
+    changed: Condvar,
+}
+
+/// Who has read what, by index into the window.
+struct Claims<T> {
+    /// Epochs claimed: the next unclaimed index.
+    claimed: usize,
+    /// Epochs fetched: the index whose fetch may start.
+    fetched: usize,
+    /// The epoch the scan holds, or asked for last: it is done with every
+    /// one before.
+    held: usize,
+    /// What the helper read, until it is lent: the decoded epoch, or the
+    /// panic its read raised.
+    slots: Vec<Option<std::thread::Result<T>>>,
+    /// The scan is over: nothing more is claimed or waited for.
+    ended: bool,
+    /// Threads waiting on `changed`.
+    sleepers: u8,
+}
+
+impl<FF, DF, T> Ahead<'_, FF, DF, T> {
+    /// Every update of the claims is one field assigned, so they are
+    /// whole even after a panic elsewhere poisoned the lock.
+    fn claims(&self) -> MutexGuard<'_, Claims<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'g>(&self, mut claims: MutexGuard<'g, Claims<T>>) -> MutexGuard<'g, Claims<T>> {
+        claims.sleepers += 1;
+        let mut claims = self
+            .changed
+            .wait(claims)
+            .unwrap_or_else(PoisonError::into_inner);
+        claims.sleepers -= 1;
+        claims
+    }
+
+    /// Wake the other thread, if it waits, after `claims` changed.
+    fn wake(&self, claims: &Claims<T>) {
+        if claims.sleepers > 0 {
+            self.changed.notify_all();
+        }
+    }
+}
+
+impl<F, T, FF, DF> Ahead<'_, FF, DF, T>
+where
+    FF: Fn(EpochId) -> F,
+    DF: Fn(EpochId, F) -> T,
+{
+    /// Read epoch `i`, which this thread claimed: its fetch once every
+    /// earlier epoch's fetch is done, then its decode, each catching a
+    /// panic. `None` when the scan ended before the fetch's turn came.
+    fn read(&self, i: usize) -> Option<std::thread::Result<T>> {
+        let mut claims = self.claims();
+        while claims.fetched < i {
+            if claims.ended {
+                return None;
+            }
+            claims = self.wait(claims);
+        }
+        drop(claims);
+        let epoch = self.epochs[i];
+        let fetched = catch_unwind(AssertUnwindSafe(|| (self.fetch)(epoch)));
+        let mut claims = self.claims();
+        claims.fetched = i + 1;
+        self.wake(&claims);
+        drop(claims);
+        Some(fetched.and_then(|f| catch_unwind(AssertUnwindSafe(|| (self.decode)(epoch, f)))))
+    }
+
+    /// Claim the next unclaimed epoch to read ahead of the scan, if the
+    /// slots and the budget allow.
+    fn claim_ahead(&self, claims: &mut Claims<T>) -> Option<usize> {
+        let allowed = claims.claimed < self.epochs.len()
+            && claims.claimed < claims.held + READ_AHEAD_SLOTS
+            && obs::budget::interrupted().is_none();
+        allowed.then(|| {
+            claims.claimed += 1;
+            claims.claimed - 1
+        })
+    }
+
+    /// Read epoch `j`, claimed ahead, into its slot. `false` when the scan
+    /// ended first.
+    fn read_into_slot(&self, j: usize) -> bool {
+        let Some(read) = self.read(j) else {
+            return false;
+        };
+        let mut claims = self.claims();
+        claims.slots[j] = Some(read);
+        // The scan waits for no other slot than the one of the epoch it
+        // holds.
+        if j == claims.held {
+            self.wake(&claims);
+        }
+        true
+    }
+
+    /// The helper: read ahead while the slots and the budget allow, until
+    /// the window is claimed or the scan is over. Every claim is filled
+    /// (the read catches its panic) unless the scan is over.
+    fn help(&self) {
+        loop {
+            let j = {
+                let mut claims = self.claims();
+                loop {
+                    if claims.ended || claims.claimed == self.epochs.len() {
+                        return;
+                    }
+                    if let Some(j) = self.claim_ahead(&mut claims) {
+                        break j;
+                    }
+                    if obs::budget::interrupted().is_some() {
+                        return;
+                    }
+                    claims = self.wait(claims);
+                }
+            };
+            if !self.read_into_slot(j) {
+                return;
+            }
+        }
+    }
+}
+
+/// The scan's side of a [`read_ahead`]: the window's reads, in order.
+/// Dropping it ends the read-ahead.
+struct Lender<'l, 'a, FF, DF, T> {
+    ahead: &'l Ahead<'a, FF, DF, T>,
+    next: usize,
+}
+
+impl<F, T, FF, DF> Iterator for Lender<'_, '_, FF, DF, T>
+where
+    FF: Fn(EpochId) -> F,
+    DF: Fn(EpochId, F) -> T,
+{
+    type Item = (EpochId, T);
+
+    /// Epoch `i`: from its slot; read here if it is unclaimed; while the
+    /// helper is reading it, this thread reads a later epoch ahead rather
+    /// than wait, when it may.
+    fn next(&mut self) -> Option<(EpochId, T)> {
+        const OWN_TURN: &str =
+            "the scan's own fetch has its turn: only the scan ends the read-ahead";
+        let i = self.next;
+        let epoch = *self.ahead.epochs.get(i)?;
+        self.next += 1;
+        let mut claims = self.ahead.claims();
+        claims.held = i;
+        self.ahead.wake(&claims);
+        let read = loop {
+            if let Some(read) = claims.slots[i].take() {
+                break read;
+            }
+            if claims.claimed == i {
+                claims.claimed += 1;
+                drop(claims);
+                break self.ahead.read(i).expect(OWN_TURN);
+            }
+            if let Some(j) = self.ahead.claim_ahead(&mut claims) {
+                drop(claims);
+                assert!(self.ahead.read_into_slot(j), "{OWN_TURN}");
+                claims = self.ahead.claims();
+                continue;
+            }
+            claims = self.ahead.wait(claims);
+        };
+        match read {
+            Ok(read) => Some((epoch, read)),
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    }
+}
+
+impl<FF, DF, T> Drop for Lender<'_, '_, FF, DF, T> {
+    fn drop(&mut self) {
+        let mut claims = self.ahead.claims();
+        claims.ended = true;
+        self.ahead.wake(&claims);
+    }
 }
 
 #[cfg(test)]

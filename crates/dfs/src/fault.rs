@@ -208,7 +208,8 @@ impl FaultPlan {
 
     /// One filesystem operation elapsed: emit due crash/revive actions.
     /// Deterministic for a fixed seed and operation sequence (the chaos
-    /// harness drives the cluster single-threaded).
+    /// harness issues its operations in one order: a scan that reads
+    /// ahead on a second thread still fetches its epochs in epoch order).
     pub(crate) fn tick(&self, n_datanodes: usize) -> Vec<CrashAction> {
         let op = self.ops.fetch_add(1, Ordering::Relaxed) + 1;
         if self.config.crash_period_ops == 0 || n_datanodes < 2 {

@@ -56,7 +56,8 @@ impl CancelFlag {
     }
 }
 
-struct ActiveBudget {
+#[derive(Clone)]
+pub(crate) struct ActiveBudget {
     deadline: Option<Instant>,
     cancel: CancelFlag,
 }
@@ -76,7 +77,18 @@ pub struct BudgetGuard {
 /// the shared flag the serve intake flips on a client `Cancel`.
 #[must_use = "dropping the guard immediately uninstalls the budget"]
 pub fn begin(deadline: Option<Instant>, cancel: CancelFlag) -> BudgetGuard {
-    let prev = ACTIVE.replace(Some(ActiveBudget { deadline, cancel }));
+    enter(ActiveBudget { deadline, cancel })
+}
+
+/// This thread's budget, to [`enter`] on another thread: the same
+/// deadline, and the same flag.
+pub(crate) fn capture() -> Option<ActiveBudget> {
+    ACTIVE.with_borrow(Clone::clone)
+}
+
+/// Install a captured budget on this thread.
+pub(crate) fn enter(budget: ActiveBudget) -> BudgetGuard {
+    let prev = ACTIVE.replace(Some(budget));
     BudgetGuard { prev }
 }
 

@@ -14,6 +14,12 @@
 //! profile is active they are no-ops, so instrumentation never needs to
 //! be threaded through call signatures.
 //!
+//! A helper thread working for the query collects into a profile of its
+//! own ([`crate::context`]), which is [`absorb`]ed into the query's when
+//! the helper is joined. Counts and bytes then read as if one thread had
+//! done all the work; `stage_ns` is summed over the threads, so with a
+//! helper the stages may add up to more than `total_ns`.
+//!
 //! # Reconciliation
 //!
 //! Every byte mutator updates both a per-key breakdown *and* an
@@ -58,8 +64,9 @@ pub struct CostProfile {
     pub cache_hits: u64,
     /// Epoch-cache misses observed while serving this query.
     pub cache_misses: u64,
-    /// Wall time per pipeline stage (`"read"`, `"decompress"`,
-    /// `"parse"`, `"index_probe"`, ...), nanoseconds.
+    /// Time per pipeline stage (`"read"`, `"decompress"`, `"parse"`,
+    /// `"index_probe"`, ...), nanoseconds, summed over the threads that
+    /// worked for the query.
     pub stage_ns: BTreeMap<String, u64>,
     /// Wall time from [`begin`] to [`CostGuard::finish`], nanoseconds.
     pub total_ns: u64,
@@ -85,6 +92,28 @@ impl CostProfile {
     /// Does every per-key byte breakdown sum exactly to its total?
     pub fn reconciles(&self) -> bool {
         self.unattributed_bytes() == 0
+    }
+
+    /// Add what `other` collected for the same query: every map and both
+    /// byte totals summed, `epochs_touched` the union. `trace_id` and
+    /// `total_ns` stay this profile's.
+    pub fn merge(&mut self, other: &CostProfile) {
+        fn add<K: Ord + Clone>(into: &mut BTreeMap<K, u64>, from: &BTreeMap<K, u64>) {
+            for (k, n) in from {
+                *into.entry(k.clone()).or_insert(0) += n;
+            }
+        }
+        self.epochs_touched.extend(&other.epochs_touched);
+        add(&mut self.bytes_read, &other.bytes_read);
+        self.bytes_read_total += other.bytes_read_total;
+        add(&mut self.bytes_decompressed, &other.bytes_decompressed);
+        self.bytes_decompressed_total += other.bytes_decompressed_total;
+        self.rows_scanned += other.rows_scanned;
+        self.rows_returned += other.rows_returned;
+        add(&mut self.rows_by_shard, &other.rows_by_shard);
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+        add(&mut self.stage_ns, &other.stage_ns);
     }
 
     /// The profile as ordered `(metric, value)` rows — the body of an
@@ -185,6 +214,19 @@ pub fn begin(trace_id: u64) -> CostGuard {
 /// work (clock reads, formatting) when nobody is accounting.
 pub fn is_active() -> bool {
     ACTIVE.with_borrow(|a| a.is_some())
+}
+
+/// The trace id of the profile collecting on this thread, if one is: a
+/// helper thread [`begin`]s its own under the same id.
+pub(crate) fn capture() -> Option<u64> {
+    ACTIVE.with_borrow(|a| a.as_ref().map(|a| a.profile.trace_id))
+}
+
+/// Merge `other` — what a helper thread collected for this thread's query
+/// — into the active profile ([`CostProfile::merge`]); a no-op without
+/// one.
+pub fn absorb(other: &CostProfile) {
+    with_active(|p| p.merge(other));
 }
 
 fn with_active(f: impl FnOnce(&mut CostProfile)) {

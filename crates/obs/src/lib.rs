@@ -29,6 +29,7 @@
 //! ```
 
 pub mod budget;
+pub mod context;
 pub mod cost;
 pub mod export;
 pub mod flight;

@@ -61,6 +61,46 @@ pub(crate) fn current_trace_span() -> Option<(u64, u64)> {
     })
 }
 
+/// Where a span opened now would hang: the innermost open span's path
+/// and the innermost traced span. See [`crate::context`].
+#[derive(Clone)]
+pub(crate) struct Parent {
+    path: String,
+    trace: Option<TraceSpan>,
+}
+
+/// This thread's [`Parent`], `None` outside every span.
+pub(crate) fn capture() -> Option<Parent> {
+    STACK.with_borrow(|stack| {
+        let path = stack.last()?.path.clone();
+        let trace = stack.iter().rev().find_map(|f| f.trace);
+        Some(Parent { path, trace })
+    })
+}
+
+/// Open a frame standing for `parent` on this thread, so that spans
+/// opened until the guard drops nest under it. The frame itself is never
+/// recorded: its span belongs to the thread that captured it.
+pub(crate) fn enter(parent: Parent) -> ParentGuard {
+    STACK.with_borrow_mut(|stack| {
+        stack.push(Frame {
+            path: parent.path,
+            child_ns: 0,
+            trace: parent.trace,
+        })
+    });
+    ParentGuard
+}
+
+/// Guard of an entered [`Parent`]; see [`enter`].
+pub(crate) struct ParentGuard;
+
+impl Drop for ParentGuard {
+    fn drop(&mut self) {
+        STACK.with_borrow_mut(|stack| stack.pop());
+    }
+}
+
 /// Open a span named `name` nested under this thread's innermost open
 /// span. Closes (and records) when the guard drops.
 pub fn span(name: &str) -> SpanGuard {

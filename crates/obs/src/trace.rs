@@ -10,47 +10,64 @@
 //! `core`/`dfs` stays unconditionally instrumented while non-request work
 //! (ingest, benchmarks) pays nothing.
 //!
-//! Span ids are allocated sequentially per trace starting at 1. Request
-//! execution is single-threaded (one worker drives one request), so
-//! allocation order equals start order and the reconstructed tree shape
-//! is deterministic for a deterministic workload.
+//! Span ids are allocated sequentially per trace starting at 1. A request
+//! runs on one worker thread, so allocation order equals start order and
+//! the reconstructed tree shape is deterministic for a deterministic
+//! workload. A helper thread that enters the request's context
+//! ([`crate::context`]) draws from the same allocator: ids stay unique
+//! within the trace, while their order between the two threads follows
+//! the interleaving.
 
 use crate::flight::{EventKind, SpanEvent};
-use std::cell::Cell;
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-#[derive(Clone, Copy)]
-struct ActiveTrace {
+/// A trace context: the id, and the span-id allocator every thread
+/// working for the request shares.
+#[derive(Clone)]
+pub(crate) struct ActiveTrace {
     trace_id: u64,
-    next_span_id: u64,
+    next_span_id: Arc<AtomicU64>,
 }
 
 thread_local! {
-    static ACTIVE: Cell<Option<ActiveTrace>> = const { Cell::new(None) };
+    static ACTIVE: RefCell<Option<ActiveTrace>> = const { RefCell::new(None) };
 }
 
 /// Install `trace_id` as this thread's active trace context. The returned
 /// guard restores the previous context (usually none) when dropped; spans
 /// and [`event`]s in between are recorded into the flight recorder.
 pub fn begin(trace_id: u64) -> TraceGuard {
-    let prev = ACTIVE.replace(Some(ActiveTrace {
+    enter(ActiveTrace {
         trace_id,
-        next_span_id: 1,
-    }));
+        next_span_id: Arc::new(AtomicU64::new(1)),
+    })
+}
+
+/// This thread's trace context, to [`enter`] on another thread.
+pub(crate) fn capture() -> Option<ActiveTrace> {
+    ACTIVE.with_borrow(Clone::clone)
+}
+
+/// Install a captured trace context on this thread.
+pub(crate) fn enter(trace: ActiveTrace) -> TraceGuard {
+    let prev = ACTIVE.replace(Some(trace));
     TraceGuard { prev }
 }
 
 /// The active trace id on this thread, if any.
 pub fn current() -> Option<u64> {
-    ACTIVE.get().map(|a| a.trace_id)
+    ACTIVE.with_borrow(|a| a.as_ref().map(|a| a.trace_id))
 }
 
 /// Allocate the next span id of the active trace; `None` without one.
+/// The counter publishes nothing else, hence `Relaxed`.
 pub(crate) fn alloc_span_id() -> Option<(u64, u64)> {
-    let mut active = ACTIVE.get()?;
-    let id = active.next_span_id;
-    active.next_span_id += 1;
-    ACTIVE.set(Some(active));
-    Some((active.trace_id, id))
+    ACTIVE.with_borrow(|a| {
+        let a = a.as_ref()?;
+        Some((a.trace_id, a.next_span_id.fetch_add(1, Ordering::Relaxed)))
+    })
 }
 
 fn owned_args(args: &[(&str, &str)]) -> Vec<(String, String)> {
@@ -120,7 +137,7 @@ pub struct TraceGuard {
 
 impl Drop for TraceGuard {
     fn drop(&mut self) {
-        ACTIVE.set(self.prev);
+        ACTIVE.set(self.prev.take());
     }
 }
 
