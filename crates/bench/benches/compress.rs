@@ -132,8 +132,11 @@ fn bench_to_bytes_and_split(c: &mut Criterion) {
 }
 
 fn bench_put_epoch(c: &mut Criterion) {
-    let raws: Vec<Vec<u8>> = snapshots().iter().map(Snapshot::to_bytes).collect();
-    let (last, earlier) = raws.split_last().unwrap();
+    let raws: Vec<(u32, Vec<u8>)> = snapshots()
+        .iter()
+        .map(|s| (s.epoch.0, s.to_bytes()))
+        .collect();
+    let ((epoch, last), earlier) = raws.split_last().unwrap();
     let mut group = c.benchmark_group("compress");
     group.sample_size(20);
     group.throughput(Throughput::Bytes(last.len() as u64));
@@ -142,12 +145,12 @@ fn bench_put_epoch(c: &mut Criterion) {
         b.iter_with_setup(
             || {
                 let cas = CasStore::new(Dfs::in_memory(), CasConfig::default());
-                for (epoch, raw) in earlier.iter().enumerate() {
-                    cas.put_epoch(epoch as u32, raw).unwrap();
+                for (epoch, raw) in earlier {
+                    cas.put_epoch(*epoch, raw).unwrap();
                 }
                 cas
             },
-            |cas| cas.put_epoch(earlier.len() as u32, last).unwrap(),
+            |cas| cas.put_epoch(*epoch, last).unwrap(),
         )
     });
     group.finish();

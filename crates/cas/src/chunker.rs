@@ -17,7 +17,9 @@
 //!   codec compresses far tighter than row-major text.
 //!
 //! Anything that does not parse (arbitrary bytes, foreign blobs) is one
-//! unit as it stands.
+//! unit as it stands: `assemble(split(raw)) == raw` for any input. The
+//! store takes less: only a snapshot as `Snapshot::to_bytes` writes it
+//! (see [`crate::CasStore::put_epoch`]).
 //!
 //! A run is never cut into smaller pieces. Cuts existed so that equal
 //! pieces could be stored once, and over whole warehouses no piece ever
@@ -67,8 +69,8 @@ impl TableLayout {
 
     /// Is this section `section` of a snapshot, as wide as its table and
     /// under the very line `Snapshot::to_bytes` writes for its row count?
-    /// Then the line need not be stored ([`crate::manifest`]), and the
-    /// section reads as columns ([`crate::reader`]).
+    /// The store takes no other section, so the line is never stored
+    /// ([`crate::manifest`]).
     pub(crate) fn is_as_written(&self, section: usize) -> bool {
         SNAPSHOT_SECTIONS.get(section).is_some_and(|&kind| {
             self.cols() == Schema::shared(kind).width()
@@ -82,7 +84,7 @@ impl TableLayout {
         self.rows > 0 && self.constant.contains(&false)
     }
 
-    fn constants(&self) -> usize {
+    pub(crate) fn constants(&self) -> usize {
         self.constant.iter().filter(|&&c| c).count()
     }
 }
@@ -98,6 +100,22 @@ pub struct Section {
     pub unit: Option<usize>,
     /// Its constant columns, as a range of the constant values.
     pub constants: Range<usize>,
+}
+
+/// What each of `tables` owns, in order (see [`Section`]).
+pub(crate) fn table_sections(tables: &[TableLayout]) -> Vec<Section> {
+    let (mut units, mut constants) = (0, 0);
+    let section = |table: &TableLayout| {
+        let unit = table.has_run().then_some(units);
+        units += usize::from(unit.is_some());
+        let start = constants;
+        constants += table.constants();
+        Section {
+            unit,
+            constants: start..constants,
+        }
+    };
+    tables.iter().map(section).collect()
 }
 
 impl Layout {
@@ -124,35 +142,13 @@ impl Layout {
 
     /// What each section owns, in section order (see [`Section`]).
     pub fn sections(&self) -> Vec<Section> {
-        let Layout::Columnar { tables, .. } = self else {
-            return vec![Section {
+        match self {
+            Layout::Columnar { tables, .. } => table_sections(tables),
+            Layout::Blob => vec![Section {
                 unit: Some(0),
                 constants: 0..0,
-            }];
-        };
-        let (mut units, mut constants) = (0, 0);
-        let section = |table: &TableLayout| {
-            let unit = table.has_run().then_some(units);
-            units += usize::from(unit.is_some());
-            let start = constants;
-            constants += table.constants();
-            Section {
-                unit,
-                constants: start..constants,
-            }
-        };
-        tables.iter().map(section).collect()
-    }
-
-    /// The epoch a columnar layout's `#SNAPSHOT` header names, read as
-    /// the snapshot parser reads it; `None` for a blob and for a header
-    /// that names none.
-    pub fn snapshot_epoch(&self) -> Option<u32> {
-        let Layout::Columnar { header, .. } = self else {
-            return None;
-        };
-        let line = std::str::from_utf8(header).ok()?;
-        Snapshot::header_epoch(line).map(|epoch| epoch.0)
+            }],
+        }
     }
 }
 

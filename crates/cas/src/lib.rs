@@ -1,16 +1,17 @@
 //! Content-addressed block store for SPATE snapshots.
 //!
-//! Sits between `core` storage and the replicated filesystem. An epoch's
-//! payload is transposed into columns when the snapshot wire format
-//! parses: each table's varying columns become one run, its *unit*, and
-//! each constant column one value; anything else is one unit as it
-//! stands. The units are compressed, one stream each, into the epoch's own
-//! *pack* file; the epoch is then represented by a *manifest* recording
-//! the layout, the pack's hash, every unit's hash and the constant values,
-//! and a scan reads back the unit of the table it wants, as columns.
-//! Manifests roll up into day and month manifests and a single root hash
-//! mirroring the temporal index tree, so one hash authenticates an entire
-//! retained subtree.
+//! Sits between `core` storage and the replicated filesystem. What an
+//! epoch stores is its snapshot as `Snapshot::to_bytes` writes it, and
+//! nothing else: [`CasStore::put_epoch`] refuses any other payload. The
+//! snapshot is transposed into columns: each table's varying columns
+//! become one run, its *unit*, and each constant column one value. The
+//! units are compressed, one stream each, into the epoch's own *pack*
+//! file; the epoch is then represented by a *manifest* recording each
+//! table's rows and constant columns, the pack's hash, every unit's hash
+//! and the constant values, and every scan reads back the unit of the
+//! table it wants, as columns. Manifests roll up into day and month
+//! manifests and a single root hash mirroring the temporal index tree, so
+//! one hash authenticates an entire retained subtree.
 //!
 //! Consequences the rest of the system gets for free:
 //!
@@ -52,7 +53,8 @@ pub enum CasError {
     Missing(u32),
     /// The epoch is already in the store (manifests are write-once).
     AlreadyStored(u32),
-    /// Content failed hash verification or structural validation.
+    /// Content failed hash verification or structural validation, or a
+    /// put was not a snapshot as `Snapshot::to_bytes` writes it.
     Corrupt(String),
 }
 

@@ -1,9 +1,14 @@
 //! Epoch manifests and the Merkle rollup.
 //!
 //! An epoch's *manifest* is what the rest of the warehouse sees of it: a
-//! compact binary record of how to reassemble the snapshot (its layout),
-//! the hash of the epoch's own pack and of every unit inflated from it,
-//! and the values of the constant columns, which it carries itself.
+//! compact binary record of how to reassemble the snapshot (its tables'
+//! rows and which of their columns are constant), the hash of the epoch's
+//! own pack and of every unit inflated from it, and the values of the
+//! constant columns, which it carries itself. The store takes nothing but
+//! a snapshot as `Snapshot::to_bytes` writes it, so the rest of the layout
+//! — the header lines, the two tables and their widths — follows from the
+//! epoch and the rows and is not stored.
+//!
 //! Manifests are themselves content-addressed — the stored
 //! manifest's hash is the epoch's Merkle leaf — and roll up the same
 //! temporal hierarchy as the index tree: epoch leaves hash into a **day
@@ -11,20 +16,22 @@
 //! One root hash therefore authenticates every byte of every retained
 //! epoch, and any two runs that ingested the same data agree on it.
 
-use crate::chunker::{self, Layout, TableLayout};
+use crate::chunker::{self, Layout, Section, TableLayout, SNAPSHOT_SECTIONS};
 use crate::hash::ChunkHash;
 use crate::CasError;
 use codecs::varint;
 use std::collections::BTreeMap;
+use telco_trace::schema::{Schema, TableKind};
 use telco_trace::time::EpochId;
 use telco_trace::Snapshot;
 
 /// Magic prefix of an encoded epoch manifest. `CASMF1` (no inline pieces),
 /// `CASMF2` (packs of one stream: no unit per chunk; every header line
-/// spelt out), `CASMF3` (a table of shared packs: a pack index per chunk)
-/// and `CASMF4` (an entry per piece: hash, unit, offset and length) are
-/// refused: no image outlives the process that wrote it.
-pub const MANIFEST_MAGIC: &[u8; 6] = b"CASMF5";
+/// spelt out), `CASMF3` (a table of shared packs: a pack index per chunk),
+/// `CASMF4` (an entry per piece: hash, unit, offset and length) and
+/// `CASMF5` (any layout: a layout tag, header-line tags, a table count and
+/// widths) are refused: no image outlives the process that wrote it.
+pub const MANIFEST_MAGIC: &[u8; 6] = b"CASMF6";
 
 /// The content-addressed description of one stored epoch.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,41 +39,82 @@ pub struct EpochManifest {
     pub epoch: u32,
     /// Length of the reassembled payload, verified on read.
     pub raw_len: u64,
-    pub layout: Layout,
-    /// Address of the epoch's own pack: there is one exactly when the
-    /// layout has a unit.
+    /// The snapshot's CDR and NMS table, in stored order, each under the
+    /// header line `Snapshot::to_bytes` writes for its rows.
+    pub tables: [TableLayout; 2],
+    /// Address of the epoch's own pack: there is one exactly when a table
+    /// has a unit.
     pub pack: Option<ChunkHash>,
-    /// Address of each unit's inflated bytes, one per unit of the layout
-    /// in section order ([`chunker::Section::unit`]).
+    /// Address of each unit's inflated bytes, one per table with a run, in
+    /// table order ([`chunker::Section::unit`]).
     pub units: Vec<ChunkHash>,
     /// The distinct values of the constant columns, first-use order. The
     /// manifest's own hash — the epoch's Merkle leaf, verified before
     /// decode — authenticates them.
     pub inline: Vec<Vec<u8>>,
-    /// One index into [`Self::inline`] per constant column of the layout,
-    /// in section and column order ([`chunker::Section::constants`]). A
-    /// repeated index is a value the epoch uses again.
+    /// One index into [`Self::inline`] per constant column, in table and
+    /// column order ([`chunker::Section::constants`]). A repeated index is
+    /// a value the epoch uses again.
     pub constants: Vec<u32>,
 }
 
 impl EpochManifest {
+    /// The tables of `layout` when it is the snapshot of `epoch` as
+    /// `Snapshot::to_bytes` writes it: that epoch's `#SNAPSHOT` line, then
+    /// the CDR and the NMS section, as wide as their schemas and under the
+    /// lines written for their rows, and nothing else. `None` for any
+    /// other layout: no manifest describes it.
+    pub(crate) fn snapshot_tables(epoch: u32, layout: Layout) -> Option<[TableLayout; 2]> {
+        let Layout::Columnar { header, tables } = layout else {
+            return None;
+        };
+        let tables: [TableLayout; 2] = tables.try_into().ok()?;
+        let as_written = header == Snapshot::header_line(EpochId(epoch)).as_bytes()
+            && tables.iter().enumerate().all(|(i, t)| t.is_as_written(i));
+        as_written.then_some(tables)
+    }
+
+    /// The layout [`chunker::assemble`] rebuilds the snapshot from.
+    pub(crate) fn layout(&self) -> Layout {
+        Layout::Columnar {
+            header: Snapshot::header_line(EpochId(self.epoch)).into_bytes(),
+            tables: self.tables.to_vec(),
+        }
+    }
+
+    /// What each table owns, in table order.
+    pub(crate) fn sections(&self) -> Vec<Section> {
+        chunker::table_sections(&self.tables)
+    }
+
+    pub(crate) fn unit_count(&self) -> usize {
+        self.tables.iter().filter(|t| t.has_run()).count()
+    }
+
+    pub(crate) fn constant_count(&self) -> usize {
+        self.tables.iter().map(TableLayout::constants).sum()
+    }
+
     /// The value of constant column `k` (in [`Self::constants`] order).
     /// Never out of range for a decoded manifest.
     pub(crate) fn constant(&self, k: usize) -> &[u8] {
         &self.inline[self.constants[k] as usize]
     }
 
-    /// Deterministic binary encoding (varints + raw hashes). How many unit
-    /// addresses and constant refs there are follows from the layout,
-    /// which comes first.
+    /// Deterministic binary encoding (varints + raw hashes): each table's
+    /// rows and a byte a column (1 constant, 0 varying), then the
+    /// addresses, whose number follows from the tables, and the constants.
     pub fn encode(&self) -> Vec<u8> {
-        debug_assert_eq!(self.units.len(), self.layout.unit_count());
-        debug_assert_eq!(self.constants.len(), self.layout.constant_count());
-        let mut out = Vec::with_capacity(64 + self.units.len() * 16 + self.constants.len() * 2);
+        debug_assert_eq!(self.units.len(), self.unit_count());
+        debug_assert_eq!(self.constants.len(), self.constant_count());
+        let mut out = Vec::with_capacity(256 + self.units.len() * 16 + self.constants.len() * 2);
         out.extend_from_slice(MANIFEST_MAGIC);
         varint::write_u32(&mut out, self.epoch);
         varint::write_u64(&mut out, self.raw_len);
-        encode_layout(&mut out, &self.layout, self.epoch);
+        for table in &self.tables {
+            varint::write_u32(&mut out, table.rows);
+            out.extend(table.constant.iter().map(|&c| u8::from(c)));
+        }
         if !self.units.is_empty() {
             let pack = self.pack.expect("units lie in a pack");
             out.extend_from_slice(&pack.0);
@@ -94,42 +142,64 @@ impl EpochManifest {
         let mut pos = MANIFEST_MAGIC.len();
         let epoch = varint::read_u32(bytes, &mut pos).map_err(|_| corrupt("epoch"))?;
         let raw_len = varint::read_u64(bytes, &mut pos).map_err(|_| corrupt("raw_len"))?;
-        let layout = decode_layout(bytes, &mut pos, epoch)?;
-        let n_units = layout.unit_count();
-        let pack = match n_units {
-            0 => None,
-            _ => Some(read_hash(bytes, &mut pos)?),
+        let [cdr, nms] = SNAPSHOT_SECTIONS.map(|kind| decode_table(bytes, &mut pos, kind));
+        let mut manifest = Self {
+            epoch,
+            raw_len,
+            tables: [cdr?, nms?],
+            pack: None,
+            units: Vec::new(),
+            inline: Vec::new(),
+            constants: Vec::new(),
         };
+        let n_units = manifest.unit_count();
+        if n_units > 0 {
+            manifest.pack = Some(read_hash(bytes, &mut pos)?);
+        }
         // Each address takes its 16 bytes: bounded by the bytes present.
         let units = (0..n_units).map(|_| read_hash(bytes, &mut pos));
-        let units = units.collect::<Result<Vec<_>, _>>()?;
+        manifest.units = units.collect::<Result<Vec<_>, _>>()?;
         let n_inline = read_count(bytes, &mut pos, "inline values")?;
-        let mut inline = Vec::with_capacity(n_inline.min(MAX_PREALLOC));
+        let inline = &mut manifest.inline;
+        inline.reserve(n_inline.min(MAX_PREALLOC));
         for _ in 0..n_inline {
             inline.push(read_bytes(bytes, &mut pos, "inline value")?);
         }
-        let n_constants = layout.constant_count();
-        let mut constants = Vec::with_capacity(n_constants.min(MAX_PREALLOC));
+        let n_constants = manifest.constant_count();
+        manifest.constants.reserve(n_constants.min(MAX_PREALLOC));
         for _ in 0..n_constants {
             let r = varint::read_u32(bytes, &mut pos).map_err(|_| corrupt("constant ref"))?;
-            if r as usize >= inline.len() {
+            if r as usize >= manifest.inline.len() {
                 return Err(corrupt("constant ref past the inline values"));
             }
-            constants.push(r);
+            manifest.constants.push(r);
         }
         if pos != bytes.len() {
             return Err(corrupt("trailing bytes"));
         }
-        Ok(Self {
-            epoch,
-            raw_len,
-            layout,
-            pack,
-            units,
-            inline,
-            constants,
-        })
+        Ok(manifest)
     }
+}
+
+/// One table of a snapshot: its rows, then a flag a column of its schema.
+/// Its header line is the one `Snapshot::to_bytes` writes for the rows.
+fn decode_table(bytes: &[u8], pos: &mut usize, kind: TableKind) -> Result<TableLayout, CasError> {
+    let corrupt = |what: &str| CasError::Corrupt(format!("manifest {}: {what}", kind.name()));
+    let rows = varint::read_u32(bytes, pos).map_err(|_| corrupt("rows"))?;
+    let flags = bytes
+        .get(*pos..*pos + Schema::shared(kind).width())
+        .ok_or_else(|| corrupt("truncated column flags"))?;
+    let constant = flags.iter().map(|&flag| match flag {
+        0 | 1 => Ok(flag == 1),
+        _ => Err(corrupt("column flag")),
+    });
+    let constant = constant.collect::<Result<Vec<bool>, _>>()?;
+    *pos += constant.len();
+    Ok(TableLayout {
+        header: Snapshot::table_header_line(kind, rows as usize).into_bytes(),
+        rows,
+        constant,
+    })
 }
 
 /// Cap decoded collection sizes so a corrupt length prefix cannot commit
@@ -168,95 +238,6 @@ fn read_bytes(bytes: &[u8], pos: &mut usize, what: &str) -> Result<Vec<u8>, CasE
     let out = bytes[*pos..end].to_vec();
     *pos = end;
     Ok(out)
-}
-
-/// A header line of a columnar layout. The three lines of a snapshot are
-/// a function of numbers the manifest holds anyway (its epoch, a table's
-/// rows) and were a fifth of its stored bytes: the line `as_written` is
-/// one tag byte, any other line is spelt out.
-fn encode_header(out: &mut Vec<u8>, header: &[u8], as_written: bool) {
-    out.push(u8::from(!as_written));
-    if !as_written {
-        varint::write_u64(out, header.len() as u64);
-        out.extend_from_slice(header);
-    }
-}
-
-fn decode_header(
-    bytes: &[u8],
-    pos: &mut usize,
-    as_written: impl FnOnce() -> Option<String>,
-) -> Result<Vec<u8>, CasError> {
-    let corrupt = |what: &str| CasError::Corrupt(format!("manifest layout: {what}"));
-    let tag = *bytes
-        .get(*pos)
-        .ok_or_else(|| corrupt("missing header tag"))?;
-    *pos += 1;
-    match tag {
-        0 => as_written()
-            .map(String::into_bytes)
-            .ok_or_else(|| corrupt("no header line to write")),
-        1 => read_bytes(bytes, pos, "header"),
-        _ => Err(corrupt("unknown header tag")),
-    }
-}
-
-fn encode_layout(out: &mut Vec<u8>, layout: &Layout, epoch: u32) {
-    match layout {
-        Layout::Blob => out.push(0),
-        Layout::Columnar { header, tables } => {
-            out.push(1);
-            let as_written = Snapshot::header_line(EpochId(epoch));
-            encode_header(out, header, header == as_written.as_bytes());
-            varint::write_u64(out, tables.len() as u64);
-            for (section, t) in tables.iter().enumerate() {
-                varint::write_u32(out, t.rows);
-                varint::write_u64(out, t.cols() as u64);
-                encode_header(out, &t.header, t.is_as_written(section));
-                // One byte a column: 1 constant, 0 varying.
-                out.extend(t.constant.iter().map(|&c| u8::from(c)));
-            }
-        }
-    }
-}
-
-fn decode_layout(bytes: &[u8], pos: &mut usize, epoch: u32) -> Result<Layout, CasError> {
-    let corrupt = |what: &str| CasError::Corrupt(format!("manifest layout: {what}"));
-    let tag = *bytes.get(*pos).ok_or_else(|| corrupt("missing tag"))?;
-    *pos += 1;
-    match tag {
-        0 => Ok(Layout::Blob),
-        1 => {
-            let header = decode_header(bytes, pos, || Some(Snapshot::header_line(EpochId(epoch))))?;
-            let n_tables = read_count(bytes, pos, "tables")?;
-            let mut tables = Vec::with_capacity(n_tables.min(MAX_PREALLOC));
-            for section in 0..n_tables {
-                let rows = varint::read_u32(bytes, pos).map_err(|_| corrupt("rows"))?;
-                let cols = read_count(bytes, pos, "cols")?;
-                let theader = decode_header(bytes, pos, || {
-                    let kind = *chunker::SNAPSHOT_SECTIONS.get(section)?;
-                    Some(Snapshot::table_header_line(kind, rows as usize))
-                })?;
-                let flags = pos
-                    .checked_add(cols)
-                    .and_then(|end| bytes.get(*pos..end))
-                    .ok_or_else(|| corrupt("truncated column flags"))?;
-                let constant = flags.iter().map(|&flag| match flag {
-                    0 | 1 => Ok(flag == 1),
-                    _ => Err(corrupt("column flag")),
-                });
-                let constant = constant.collect::<Result<Vec<bool>, _>>()?;
-                *pos += cols;
-                tables.push(TableLayout {
-                    header: theader,
-                    rows,
-                    constant,
-                });
-            }
-            Ok(Layout::Columnar { header, tables })
-        }
-        _ => Err(corrupt("unknown tag")),
-    }
 }
 
 /// The Merkle rollup over every retained epoch manifest: day and month
@@ -323,9 +304,9 @@ mod tests {
     use super::*;
     use telco_trace::{TraceConfig, TraceGenerator};
 
-    /// The encoded manifest of a stored snapshot: units, inline values and
-    /// a columnar layout, as `put_epoch` lays them out.
-    fn real_manifest_bytes() -> Vec<u8> {
+    /// A stored snapshot and its encoded manifest: units, inline values
+    /// and both tables, as `put_epoch` lays them out.
+    fn stored_snapshot() -> (Vec<u8>, Vec<u8>) {
         use crate::store::{CasConfig, CasStore};
         use codecs::Codec;
         let cas = CasStore::new(
@@ -333,9 +314,17 @@ mod tests {
             CasConfig::default(),
         );
         let snap = TraceGenerator::new(TraceConfig::tiny()).next().unwrap();
-        cas.put_epoch(snap.epoch.0, &snap.to_bytes()).unwrap();
+        let raw = snap.to_bytes();
+        cas.put_epoch(snap.epoch.0, &raw).unwrap();
         let stored = cas.dfs().read(&cas.manifest_path(snap.epoch.0)).unwrap();
-        codecs::SevenzLite::default().decompress(&stored).unwrap()
+        (
+            raw,
+            codecs::SevenzLite::default().decompress(&stored).unwrap(),
+        )
+    }
+
+    fn real_manifest_bytes() -> Vec<u8> {
+        stored_snapshot().1
     }
 
     fn sample_manifest() -> EpochManifest {
@@ -351,45 +340,25 @@ mod tests {
         assert_eq!(EpochManifest::decode(&m.encode()).unwrap(), m);
     }
 
-    fn layout_mut(m: &mut EpochManifest) -> (&mut Vec<u8>, &mut Vec<TableLayout>) {
-        match &mut m.layout {
-            Layout::Columnar { header, tables } => (header, tables),
-            Layout::Blob => panic!("a snapshot chunks columnar"),
-        }
-    }
-
-    /// The header lines `to_bytes` writes are a tag byte each; any other
-    /// line is spelt out, and both come back as they were.
+    /// No header line, table count or width is stored: the layout comes
+    /// back from the epoch and the rows, the one the chunker split.
     #[test]
-    fn header_lines_round_trip_written_or_spelt_out() {
-        let written = sample_manifest();
-        let mut spelt = written.clone();
-        let (header, tables) = layout_mut(&mut spelt);
-        header.splice(9..9, *b" ");
-        tables[1].header.splice(6..6, *b" ");
-        // Each spelt-out line costs itself and a length byte.
-        let cost = header.len() + 1 + tables[1].header.len() + 1;
-        assert_eq!(EpochManifest::decode(&spelt.encode()).unwrap(), spelt);
-        assert_eq!(spelt.encode().len(), written.encode().len() + cost);
-
-        // A third section has no line to write: its tag must say so.
-        let mut third = written.clone();
-        let line = b"#TABLE CELL rows=0 cols=1\n";
-        layout_mut(&mut third).1.push(TableLayout {
-            header: line.to_vec(),
-            rows: 0,
-            constant: vec![false],
-        });
-        let mut bytes = third.encode();
-        assert_eq!(EpochManifest::decode(&bytes).unwrap(), third);
-        // ... tag, length, line.
-        let at = bytes.windows(line.len()).position(|w| w == line).unwrap();
-        let tag = at - 2;
-        assert_eq!(bytes[tag], 1);
-        bytes[tag] = 0;
-        assert!(EpochManifest::decode(&bytes).is_err());
+    fn the_layout_is_rebuilt_from_the_epoch_and_the_rows() {
+        let (raw, bytes) = stored_snapshot();
+        let m = EpochManifest::decode(&bytes).unwrap();
+        assert_eq!(m.layout(), chunker::split(&raw, &chunker::Chunking).0);
+        // Epoch and length, then rows and a flag a column per table, then
+        // the pack's address.
+        let mut head = MANIFEST_MAGIC.to_vec();
+        varint::write_u32(&mut head, m.epoch);
+        varint::write_u64(&mut head, m.raw_len);
+        for t in &m.tables {
+            varint::write_u32(&mut head, t.rows);
+            head.extend(t.constant.iter().map(|&c| u8::from(c)));
+        }
+        head.extend_from_slice(&m.pack.unwrap().0);
+        assert!(bytes.starts_with(&head));
     }
-
     #[test]
     fn truncations_and_garbage_are_rejected() {
         let bytes = sample_manifest().encode();
@@ -424,7 +393,7 @@ mod tests {
     fn a_real_manifest_carries_its_constants_inline_once_each() {
         let m = sample_manifest();
         assert!(m.pack.is_some(), "a tiny epoch still has a unit");
-        assert_eq!(m.units.len(), m.layout.unit_count());
+        assert_eq!(m.units.len(), m.unit_count());
         assert!(
             m.constants.len() > m.inline.len(),
             "repeated constants share a value"
@@ -456,8 +425,8 @@ mod tests {
                     Ok(m) => {
                         let resolve = |&r: &u32| (r as usize) < m.inline.len();
                         assert!(m.constants.iter().all(resolve), "at {at}");
-                        assert_eq!(m.layout.unit_count(), m.units.len(), "at {at}");
-                        assert_eq!(m.layout.constant_count(), m.constants.len(), "at {at}");
+                        assert_eq!(m.unit_count(), m.units.len(), "at {at}");
+                        assert_eq!(m.constant_count(), m.constants.len(), "at {at}");
                     }
                 }
             }
@@ -467,10 +436,10 @@ mod tests {
 
     #[test]
     fn the_old_magics_are_corrupt() {
-        // A `CASMF1` … `CASMF4` image (no inline table; no unit per chunk;
-        // a pack table; an entry per piece): refused on its magic,
-        // whatever follows.
-        for magic in [b"CASMF1", b"CASMF2", b"CASMF3", b"CASMF4"] {
+        // A `CASMF1` … `CASMF5` image (no inline table; no unit per chunk;
+        // a pack table; an entry per piece; any layout): refused on its
+        // magic, whatever follows.
+        for magic in [b"CASMF1", b"CASMF2", b"CASMF3", b"CASMF4", b"CASMF5"] {
             let mut old = sample_manifest().encode();
             old[..6].copy_from_slice(magic);
             match EpochManifest::decode(&old) {

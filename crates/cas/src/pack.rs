@@ -5,12 +5,11 @@
 //! ```
 //!
 //! A unit is an ordinary [`codecs::Codec`] stream — its own length and
-//! CRC-32 — holding one table's run (or a blob's bytes), so a reader
-//! inflates the unit of the table it wants and no other. The file as a
-//! whole is what the address its manifest records hashes and what every
-//! read verifies. Unit `u` is the `u`-th section of the layout that has
-//! one, and the manifest addresses its inflated bytes by hash: a unit
-//! smaller than a table needs a new manifest format.
+//! CRC-32 — holding one table's run, so a reader inflates the unit of the
+//! table it wants and no other. The file as a whole is what the address
+//! its manifest records hashes and what every read verifies. Unit `u` is
+//! the `u`-th table that has one, and the manifest addresses its inflated
+//! bytes by hash: a unit smaller than a table needs a new manifest format.
 
 use crate::CasError;
 use codecs::varint;

@@ -1,14 +1,15 @@
-//! Reading an epoch back: opened once, inflated section by section.
+//! Reading an epoch back: opened once, inflated table by table.
 //!
 //! [`crate::CasStore::open_epoch`] hands out an [`EpochReader`] holding
 //! the verified manifest and the epoch's verified pack, nothing inflated.
-//! [`EpochReader::table`] inflates the one unit of a table section and
-//! returns the table column by column, for a scan that reads a few
-//! columns of one table; [`EpochReader::assemble`] inflates every unit
-//! and rebuilds the payload. Both go through one private `inflate`: a
-//! unit is lent only after its inflated bytes matched its hash.
+//! [`EpochReader::table`] inflates the one unit of a table and returns the
+//! table column by column, and [`EpochReader::snapshot_columns`] the tables
+//! a scan asked for: every scan of a stored epoch reads columns.
+//! [`EpochReader::assemble`] inflates every unit and rebuilds the
+//! snapshot's text. Both go through one private `inflate`: a unit is lent
+//! only after its inflated bytes matched its hash.
 
-use crate::chunker::{self, Layout, SNAPSHOT_SECTIONS};
+use crate::chunker::{self, SNAPSHOT_SECTIONS};
 use crate::hash::ChunkHash;
 use crate::manifest::EpochManifest;
 use crate::store::CasStore;
@@ -25,8 +26,7 @@ pub struct EpochReader<'s> {
     /// each of its units lies in it.
     pack: Vec<u8>,
     units: Vec<Range<usize>>,
-    /// What each section owns: the table sections of a columnar layout in
-    /// order, or the one section of a blob.
+    /// What each table owns, CDR then NMS.
     sections: Vec<chunker::Section>,
 }
 
@@ -39,17 +39,11 @@ pub struct SnapshotColumns {
     pub rows: u64,
 }
 
-/// The inflate span of the section under a `#TABLE <name> ...` header.
-fn inflate_span_of(table_header: &[u8]) -> &'static str {
-    match table_header.strip_prefix(b"#TABLE ") {
-        Some(rest) if rest.starts_with(b"CDR ") => "cas.get.inflate.cdr",
-        Some(rest) if rest.starts_with(b"NMS ") => "cas.get.inflate.nms",
-        _ => "cas.get.inflate.table",
-    }
-}
+/// The inflate span of each table, in stored order.
+const INFLATE_SPANS: [&str; 2] = ["cas.get.inflate.cdr", "cas.get.inflate.nms"];
 
 impl<'s> EpochReader<'s> {
-    /// The pack must hold exactly the units the layout has.
+    /// The pack must hold exactly the units the tables have.
     pub(crate) fn new(
         store: &'s CasStore,
         manifest: EpochManifest,
@@ -61,37 +55,29 @@ impl<'s> EpochReader<'s> {
         };
         if units.len() != manifest.units.len() {
             return Err(CasError::Corrupt(format!(
-                "the pack holds {} units, the layout needs {}",
+                "the pack holds {} units, the tables need {}",
                 units.len(),
                 manifest.units.len()
             )));
         }
         Ok(Self {
             store,
-            sections: manifest.layout.sections(),
+            sections: manifest.sections(),
             manifest,
             pack: pack.unwrap_or_default(),
             units,
         })
     }
 
-    pub fn layout(&self) -> &Layout {
-        &self.manifest.layout
-    }
-
-    /// The inflated bytes of section `i`'s unit, verified against its
-    /// hash; `None` for a section without one. Which table a read inflated
-    /// is in the name of the inflate's span.
+    /// The inflated bytes of table `i`'s unit, verified against its hash;
+    /// `None` for a table without one. Which table a read inflated is in
+    /// the name of the inflate's span.
     fn inflate(&self, i: usize) -> Result<Option<Vec<u8>>, CasError> {
         let Some(unit) = self.sections[i].unit else {
             return Ok(None);
         };
-        let span = match &self.manifest.layout {
-            Layout::Columnar { tables, .. } => inflate_span_of(&tables[i].header),
-            Layout::Blob => "cas.get.inflate.blob",
-        };
         let bytes = {
-            let _inflate = obs::span(span);
+            let _inflate = obs::span(INFLATE_SPANS[i]);
             let stream = &self.pack[self.units[unit].clone()];
             self.store.cfg.codec.decompress_metered(stream)?
         };
@@ -105,22 +91,20 @@ impl<'s> EpochReader<'s> {
         Ok(Some(bytes))
     }
 
-    /// Table section `i` of a columnar layout, column by column: its unit
-    /// inflated and verified, the run checked to hold exactly one value a
-    /// row for each varying column and each constant to be one value, no
-    /// value holding a field separator, everything UTF-8 — what
-    /// [`Self::assemble`] and the snapshot parser would check of the same
-    /// table, made before a byte is lent. The inflated run becomes the
-    /// table's text as it stands. The other sections are not inflated,
-    /// and not vouched for.
+    /// Table `i` (0 CDR, 1 NMS), column by column: its unit inflated and
+    /// verified, the run checked to hold exactly one value a row for each
+    /// varying column and each constant to be one value, no value holding
+    /// a field separator, everything UTF-8 — what [`Self::assemble`] and
+    /// the snapshot parser would check of the same table, made before a
+    /// byte is lent. The inflated run becomes the table's text as it
+    /// stands. The other table is not inflated, and not vouched for.
     pub fn table(&self, i: usize) -> Result<ColumnTable, CasError> {
-        let Layout::Columnar { tables, .. } = &self.manifest.layout else {
-            return Err(CasError::Corrupt("a blob has no tables".into()));
-        };
-        let (table, section) = tables
+        let (table, section) = self
+            .manifest
+            .tables
             .get(i)
             .zip(self.sections.get(i))
-            .ok_or_else(|| CasError::Corrupt(format!("the layout has no table {i}")))?;
+            .ok_or_else(|| CasError::Corrupt(format!("a snapshot has no table {i}")))?;
         let _span = obs::span("cas.get");
         let run = self.inflate(i)?;
 
@@ -145,53 +129,27 @@ impl<'s> EpochReader<'s> {
         Ok(table)
     }
 
-    /// The rows of both tables if the layout is plainly a snapshot's: a
-    /// header the parser reads an epoch from (`open_epoch` has checked
-    /// which), then the CDR and the NMS section under the header lines
-    /// `Snapshot::to_bytes` writes, nothing after them.
-    fn snapshot_rows(&self) -> Option<u64> {
-        let Layout::Columnar { tables, .. } = &self.manifest.layout else {
-            return None;
-        };
-        self.manifest.layout.snapshot_epoch()?;
-        let mut sections = tables.iter().enumerate();
-        (tables.len() == SNAPSHOT_SECTIONS.len() && sections.all(|(i, t)| t.is_as_written(i)))
-            .then(|| tables.iter().map(|t| u64::from(t.rows)).sum())
-    }
-
-    /// The tables `wanted` of a stored snapshot as columns ([`Self::table`]
-    /// of their sections, no other section inflated), for a scan that
-    /// would otherwise walk [`Self::assemble`]'s text with
-    /// `Snapshot::scan`: whatever that walk refuses of these tables is
-    /// refused here, and every field reads the same. `None` — read the
-    /// text, which is always right — for a layout that is not plainly a
-    /// snapshot's and for lines that end in `\r\n` (the parser drops that
-    /// `\r` from the last field; a column holds it).
-    pub fn snapshot_columns(
-        &self,
-        wanted: &[TableKind],
-    ) -> Result<Option<SnapshotColumns>, CasError> {
-        let Some(rows) = self.snapshot_rows() else {
-            return Ok(None);
-        };
+    /// The tables `wanted` of the snapshot as columns ([`Self::table`] of
+    /// each, no other table inflated), for a scan that would otherwise walk
+    /// [`Self::assemble`]'s text with `Snapshot::scan`: whatever that walk
+    /// refuses of these tables is refused here, and every field reads the
+    /// same. The store took the text only as `Snapshot::to_bytes` writes
+    /// it — no `\r` anywhere, which the walk would drop from a last field —
+    /// so there is no text left to fall back to.
+    pub fn snapshot_columns(&self, wanted: &[TableKind]) -> Result<SnapshotColumns, CasError> {
         let mut tables = Vec::with_capacity(wanted.len());
-        for (section, kind) in SNAPSHOT_SECTIONS.into_iter().enumerate() {
-            if !wanted.contains(&kind) {
-                continue;
+        for (i, kind) in SNAPSHOT_SECTIONS.into_iter().enumerate() {
+            if wanted.contains(&kind) {
+                tables.push((kind, self.table(i)?));
             }
-            let table = self.table(section)?;
-            let last = table.width() - 1;
-            if (0..table.rows()).any(|r| table.row(r).text(last).ends_with('\r')) {
-                return Ok(None);
-            }
-            tables.push((kind, table));
         }
-        Ok(Some(SnapshotColumns { tables, rows }))
+        let rows = self.manifest.tables.iter().map(|t| u64::from(t.rows)).sum();
+        Ok(SnapshotColumns { tables, rows })
     }
 
-    /// The stored payload, rebuilt: every unit inflated and verified, put
-    /// back together with the constant values as the layout says, and the
-    /// length checked.
+    /// The stored snapshot's text, rebuilt: every unit inflated and
+    /// verified, put back together with the constant values under the
+    /// header lines the epoch and the rows give, and the length checked.
     pub fn assemble(&self) -> Result<Vec<u8>, CasError> {
         let _span = obs::span("cas.get");
         let units = (0..self.sections.len()).filter_map(|i| self.inflate(i).transpose());
@@ -199,7 +157,7 @@ impl<'s> EpochReader<'s> {
         let _assemble = obs::span("cas.get.assemble");
         let constants = (0..self.manifest.constants.len()).map(|k| self.manifest.constant(k));
         let pieces: Vec<&[u8]> = units.iter().map(Vec::as_slice).chain(constants).collect();
-        let raw = chunker::assemble(&self.manifest.layout, &pieces)
+        let raw = chunker::assemble(&self.manifest.layout(), &pieces)
             .map_err(|e| CasError::Corrupt(format!("assemble: {e}")))?;
         if raw.len() as u64 != self.manifest.raw_len {
             return Err(CasError::Corrupt("reassembled length mismatch".into()));

@@ -5,14 +5,18 @@
 //! ```text
 //! <root>/<y>/<m>/<d>/<epoch>.mf      epoch manifest (committed via .tmp + rename)
 //! <root>/<y>/<m>/<d>/<epoch>.pk      the epoch's pack: one compressed unit per
-//!                                    table with a run, or the blob's one (see
-//!                                    [`crate::pack`]); the manifest records its hash
-//! <root>/merkle/...                  persisted day/month/root manifests (rebuildable)
+//!                                    table with a run (see [`crate::pack`]);
+//!                                    the manifest records its hash
 //! ```
+//!
+//! What an epoch holds is its snapshot as `Snapshot::to_bytes` writes it:
+//! [`CasStore::put_epoch`] refuses any other payload, once, so no read
+//! decides it again. The Merkle rollup over the retained manifests is
+//! computed in memory ([`CasStore::merkle`]), never stored.
 //!
 //! An epoch is one manifest and at most one pack, and it owns both:
 //! nothing is shared with another epoch, so two epochs with byte-identical
-//! payloads hold two packs. A constant column's value is neither hashed
+//! tables hold two packs. A constant column's value is neither hashed
 //! nor packed: the manifest carries its bytes, once however often the
 //! epoch uses it. The durable state is exactly {manifests, packs}; the
 //! in-memory index of retained epochs is rebuilt from the manifests by
@@ -79,7 +83,7 @@ pub struct CasStats {
     pub dedup_hits: u64,
     /// Uncompressed bytes those columns would have added.
     pub dedup_bytes_saved: u64,
-    /// Units stored: one per table with a run, or a blob's one.
+    /// Units stored: one per table with a run.
     pub new_chunks: u64,
     pub gc_packs_deleted: u64,
     pub gc_bytes_reclaimed: u64,
@@ -199,11 +203,15 @@ impl CasStore {
         )
     }
 
-    fn merkle_prefix(&self) -> String {
-        format!("{}/merkle/", self.cfg.root)
-    }
-
-    /// Chunk, pack and persist one epoch payload.
+    /// Chunk, pack and persist the snapshot of one epoch.
+    ///
+    /// `raw` must be the snapshot of `epoch` as `Snapshot::to_bytes` writes
+    /// it: that epoch's `#SNAPSHOT` line, then the CDR (200 columns) and
+    /// the NMS table (8 columns) under the lines written for their rows,
+    /// and no `\r` anywhere. Anything else — bytes the chunker keeps as a
+    /// blob, another header line, other tables — is refused as
+    /// [`CasError::Corrupt`] before anything is written: what is stored
+    /// always reads back as columns.
     ///
     /// Commit order: any crash leftover at the pack path is cleared, the
     /// pack is written, then the manifest via `.tmp` + atomic rename.
@@ -211,22 +219,29 @@ impl CasStore {
     /// leaves at most an orphan pack that [`Self::gc`] / [`Self::recover`]
     /// sweep.
     ///
-    /// The child spans split the cost: `cas.put.split` is the chunker and
-    /// the unit hashes, `cas.put.pack` the compression of the pack's
-    /// units, `cas.put.manifest` the manifest's encoding and compression,
-    /// `cas.put.commit` the filesystem writes. All but the commit are a
-    /// pure function of `(epoch, raw)` and run before the store's lock is
-    /// taken, so that a read of another epoch does not wait behind them.
+    /// The child spans split the cost: `cas.put.split` is the chunker, the
+    /// check above and the unit hashes, `cas.put.pack` the compression of
+    /// the pack's units, `cas.put.manifest` the manifest's encoding and
+    /// compression, `cas.put.commit` the filesystem writes. All but the
+    /// commit are a pure function of `(epoch, raw)` and run before the
+    /// store's lock is taken, so that a read of another epoch does not wait
+    /// behind them.
     pub fn put_epoch(&self, epoch: u32, raw: &[u8]) -> Result<PutReceipt, CasError> {
         let _span = obs::span("cas.put");
-        let (layout, mut pieces, units) = {
+        let (tables, mut pieces, units) = {
             let _split = obs::span("cas.put.split");
             let (layout, pieces) = chunker::split(raw, &Chunking);
-            let units: Vec<ChunkHash> = pieces[..layout.unit_count()]
-                .iter()
-                .map(|unit| ChunkHash::of(unit))
-                .collect();
-            (layout, pieces, units)
+            let n_units = layout.unit_count();
+            let tables = EpochManifest::snapshot_tables(epoch, layout)
+                .filter(|_| !raw.contains(&b'\r'))
+                .ok_or_else(|| {
+                    CasError::Corrupt(format!(
+                        "put: not the snapshot of epoch {epoch} as `Snapshot::to_bytes` writes it"
+                    ))
+                })?;
+            let units = pieces[..n_units].iter().map(|unit| ChunkHash::of(unit));
+            let units: Vec<ChunkHash> = units.collect();
+            (tables, pieces, units)
         };
 
         // Every unit compressed on its own: a scan of one table inflates
@@ -271,7 +286,7 @@ impl CasStore {
         let manifest = EpochManifest {
             epoch,
             raw_len: raw.len() as u64,
-            layout,
+            tables,
             pack: pack_bytes.as_deref().map(ChunkHash::of),
             units,
             inline,
@@ -352,14 +367,14 @@ impl CasStore {
     /// the recorded Merkle leaf, and its pack, read and verified against
     /// the hash the manifest records. A verification failure triggers
     /// one targeted [`Dfs::repair_file`] + re-read before giving up. The
-    /// manifest must be the one of `epoch`, and a columnar layout whose
-    /// `#SNAPSHOT` header names an epoch must name this one, and the pack
-    /// must hold as many units as the layout has. Nothing is inflated but
-    /// the manifest: the reader's [`EpochReader::table`] inflates the unit
-    /// of one table section, [`EpochReader::assemble`] all of them.
+    /// manifest must be the one of `epoch` (the snapshot's header line is
+    /// rebuilt from it), and the pack must hold as many units as the tables
+    /// have. Nothing is inflated but the manifest: the reader's
+    /// [`EpochReader::table`] inflates the unit of one table,
+    /// [`EpochReader::assemble`] all of them.
     ///
     /// The child spans of `cas.get` split the cost of a read: `.verify` is
-    /// every SHA-256, `.inflate.<section>` the codec on one unit,
+    /// every SHA-256, `.inflate.<table>` the codec on one unit,
     /// `.index` a table's newline index, `.assemble` the chunker — there
     /// only where row text is rebuilt; the dfs reads and the manifest
     /// decode stay in `cas.get`'s self time.
@@ -389,13 +404,6 @@ impl CasStore {
                 manifest.epoch
             )));
         }
-        if let Some(found) = manifest.layout.snapshot_epoch() {
-            if found != epoch {
-                return Err(CasError::Corrupt(format!(
-                    "the snapshot stored for epoch {epoch} is the one of epoch {found}"
-                )));
-            }
-        }
         let pack = match &manifest.pack {
             Some(hash) => Some(self.read_verified(&self.pack_path(epoch), hash)?),
             None => None,
@@ -403,7 +411,7 @@ impl CasStore {
         EpochReader::new(self, manifest, pack)
     }
 
-    /// Reassemble an epoch payload: [`Self::open_epoch`], every unit
+    /// Reassemble an epoch's snapshot text: [`Self::open_epoch`], every unit
     /// inflated and verified against its hash (an inline value is part of
     /// the verified manifest), the pieces put back together and the total
     /// length checked.
@@ -505,8 +513,7 @@ impl CasStore {
         self.state.lock().epochs.keys().copied().collect()
     }
 
-    /// Stored bytes the state accounts for: packs + manifests (Merkle
-    /// files are rebuildable metadata and excluded).
+    /// Stored bytes the state accounts for: packs + manifests.
     pub fn bytes_stored(&self) -> u64 {
         self.pack_bytes() + self.manifest_bytes()
     }
@@ -529,15 +536,14 @@ impl CasStore {
     }
 
     /// Stored bytes by filesystem listing (packs + manifests actually on
-    /// the dfs; Merkle files, staging temps and unrelated files sharing
-    /// the root are excluded). Equal to [`Self::bytes_stored`] whenever no
-    /// garbage is pending.
+    /// the dfs; staging temps and unrelated files sharing the root are
+    /// excluded). Equal to [`Self::bytes_stored`] whenever no garbage is
+    /// pending.
     pub fn listed_bytes(&self) -> u64 {
-        let merkle = self.merkle_prefix();
         self.dfs
             .list(&format!("{}/", self.cfg.root))
             .iter()
-            .filter(|p| !p.starts_with(&merkle) && (p.ends_with(".pk") || p.ends_with(".mf")))
+            .filter(|p| p.ends_with(".pk") || p.ends_with(".mf"))
             .filter_map(|p| self.dfs.file_len(p).ok())
             .sum()
     }
@@ -552,12 +558,8 @@ impl CasStore {
     pub fn gc(&self) -> u64 {
         let _span = obs::span("cas.gc");
         let mut st = self.state.lock();
-        let merkle_prefix = self.merkle_prefix();
         let mut reclaimed = 0u64;
         for path in self.dfs.list(&format!("{}/", self.cfg.root)) {
-            if path.starts_with(&merkle_prefix) {
-                continue;
-            }
             let is_pack = path.ends_with(".pk");
             let orphan = if path.ends_with(TMP_SUFFIX) {
                 true
@@ -597,13 +599,7 @@ impl CasStore {
         *st = State::default();
         st.stats = stats;
 
-        let merkle_prefix = self.merkle_prefix();
-        let listing: Vec<String> = self
-            .dfs
-            .list(&format!("{}/", self.cfg.root))
-            .into_iter()
-            .filter(|path| !path.starts_with(&merkle_prefix))
-            .collect();
+        let listing = self.dfs.list(&format!("{}/", self.cfg.root));
         for path in &listing {
             if path.ends_with(TMP_SUFFIX) && self.dfs.delete(path).is_ok() {
                 report.orphan_tmp_deleted += 1;
@@ -673,56 +669,6 @@ impl CasStore {
     pub fn root_hash(&self) -> String {
         self.merkle().root_hash.hex()
     }
-
-    /// Persist the Merkle rollup under `<root>/merkle/`, replacing any
-    /// previous files. Returns bytes written.
-    pub fn persist_merkle(&self) -> Result<u64, CasError> {
-        let merkle = self.merkle();
-        let prefix = self.merkle_prefix();
-        for stale in self.dfs.list(&prefix) {
-            let _ = self.dfs.delete(&stale);
-        }
-        let mut written = 0u64;
-        let mut write = |path: String, bytes: &[u8]| -> Result<(), CasError> {
-            self.dfs.write(&path, bytes)?;
-            written += bytes.len() as u64;
-            Ok(())
-        };
-        for ((y, m, d), bytes) in &merkle.days {
-            write(format!("{prefix}{y:04}-{m:02}-{d:02}.day"), bytes)?;
-        }
-        for ((y, m), bytes) in &merkle.months {
-            write(format!("{prefix}{y:04}-{m:02}.month"), bytes)?;
-        }
-        write(format!("{prefix}root.mf"), &merkle.root)?;
-        Ok(written)
-    }
-
-    /// Verify the persisted rollup against the live state: recompute every
-    /// day/month manifest and the root, compare to what's on the
-    /// filesystem. `Ok(true)` when everything matches.
-    pub fn verify_merkle(&self) -> Result<bool, CasError> {
-        let merkle = self.merkle();
-        let prefix = self.merkle_prefix();
-        let check = |path: String, expect: &[u8]| -> Result<bool, CasError> {
-            match self.dfs.read(&path) {
-                Ok(bytes) => Ok(bytes == expect),
-                Err(DfsError::NotFound(_)) => Ok(false),
-                Err(e) => Err(e.into()),
-            }
-        };
-        for ((y, m, d), bytes) in &merkle.days {
-            if !check(format!("{prefix}{y:04}-{m:02}-{d:02}.day"), bytes)? {
-                return Ok(false);
-            }
-        }
-        for ((y, m), bytes) in &merkle.months {
-            if !check(format!("{prefix}{y:04}-{m:02}.month"), bytes)? {
-                return Ok(false);
-            }
-        }
-        check(format!("{prefix}root.mf"), &merkle.root)
-    }
 }
 
 /// Epoch encoded in a path `<root>/<y>/<m>/<d>/<epoch><suffix>`.
@@ -737,7 +683,6 @@ fn epoch_of(path: &str, suffix: &str) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunker::Layout;
     use dfs::DfsConfig;
     use std::sync::mpsc;
     use telco_trace::generator::{TraceConfig, TraceGenerator};
@@ -772,7 +717,7 @@ mod tests {
         }
         assert!(matches!(cas.get_epoch(999_999), Err(CasError::Missing(_))));
         assert!(matches!(
-            cas.put_epoch(snaps[0].epoch.0, b"again"),
+            cas.put_epoch(snaps[0].epoch.0, &snaps[0].to_bytes()),
             Err(CasError::AlreadyStored(_))
         ));
     }
@@ -827,31 +772,29 @@ mod tests {
         assert_eq!(cas.drop_epoch(snaps[0].epoch.0).unwrap(), 0, "idempotent");
     }
 
-    /// Two epochs holding byte-identical payloads hold two packs: each
-    /// epoch owns its files, and dropping one leaves the other readable.
+    /// Two epochs holding byte-identical tables hold two packs: each epoch
+    /// owns its files, and dropping one leaves the other readable.
     #[test]
-    fn epochs_with_one_payload_each_own_a_pack() {
+    fn epochs_with_the_same_tables_each_own_a_pack() {
         let cas = store();
-        // Its header names no epoch: the store files it under either.
-        let mut raw = b"#SNAPSHOT ts=2016-01-18T00:00\n#TABLE CDR rows=40 cols=2\n".to_vec();
-        for r in 0..40 {
-            raw.extend_from_slice(format!("{},{}\n", 1000 + r * 37, r % 3).as_bytes());
+        let snap = &snapshots(1)[0];
+        let twin = Snapshot::new(
+            EpochId(snap.epoch.0 + 1),
+            snap.cdr.clone(),
+            snap.nms.clone(),
+        );
+        for s in [snap, &twin] {
+            cas.put_epoch(s.epoch.0, &s.to_bytes()).unwrap();
+            assert!(cas.dfs().exists(&cas.pack_path(s.epoch.0)));
         }
-        let blob: Vec<u8> = (0..20_000u32).map(|i| (i * 31 % 251) as u8).collect();
-        for (first, payload) in [(3, &raw), (7, &blob)] {
-            for epoch in [first, first + 1] {
-                cas.put_epoch(epoch, payload).unwrap();
-                assert!(cas.dfs().exists(&cas.pack_path(epoch)), "{epoch}");
-            }
-            let pack = |epoch| cas.dfs().read(&cas.pack_path(epoch)).unwrap();
-            assert_eq!(pack(first), pack(first + 1), "the same bytes, twice");
-            assert_eq!(cas.bytes_stored(), cas.listed_bytes());
-            cas.drop_epoch(first).unwrap();
-            assert!(!cas.dfs().exists(&cas.pack_path(first)));
-            assert_eq!(&cas.get_epoch(first + 1).unwrap(), payload);
-            assert_eq!(cas.bytes_stored(), cas.listed_bytes());
-            cas.drop_epoch(first + 1).unwrap();
-        }
+        let pack = |s: &Snapshot| cas.dfs().read(&cas.pack_path(s.epoch.0)).unwrap();
+        assert_eq!(pack(snap), pack(&twin), "the same bytes, twice");
+        assert_eq!(cas.bytes_stored(), cas.listed_bytes());
+        cas.drop_epoch(snap.epoch.0).unwrap();
+        assert!(!cas.dfs().exists(&cas.pack_path(snap.epoch.0)));
+        assert_eq!(cas.get_epoch(twin.epoch.0).unwrap(), twin.to_bytes());
+        assert_eq!(cas.bytes_stored(), cas.listed_bytes());
+        cas.drop_epoch(twin.epoch.0).unwrap();
         assert_eq!(cas.listed_bytes(), 0);
     }
 
@@ -904,24 +847,6 @@ mod tests {
     }
 
     #[test]
-    fn persisted_merkle_verifies_and_detects_staleness() {
-        let cas = store();
-        let snaps = snapshots(2);
-        for s in &snaps {
-            cas.put_epoch(s.epoch.0, &s.to_bytes()).unwrap();
-        }
-        cas.persist_merkle().unwrap();
-        assert!(cas.verify_merkle().unwrap());
-        cas.drop_epoch(snaps[0].epoch.0).unwrap();
-        assert!(
-            !cas.verify_merkle().unwrap(),
-            "stale rollup must not verify"
-        );
-        cas.persist_merkle().unwrap();
-        assert!(cas.verify_merkle().unwrap());
-    }
-
-    #[test]
     fn recover_rebuilds_state_from_manifests() {
         let dfs = Dfs::new(DfsConfig::default());
         let cas = CasStore::new(dfs.clone(), CasConfig::default());
@@ -964,32 +889,84 @@ mod tests {
         assert_eq!(again.get_epoch(snap.epoch.0).unwrap(), snap.to_bytes());
     }
 
+    /// `put_epoch` takes a snapshot as `Snapshot::to_bytes` writes it and
+    /// nothing else, and refuses before it writes a byte.
     #[test]
-    fn blob_payloads_roundtrip_too() {
+    fn a_put_refuses_anything_but_a_snapshot_as_to_bytes_writes_it() {
         let cas = store();
-        // Opaque payload (not snapshot wire format): blob chunking path.
-        let payload: Vec<u8> = (0..20_000u32).map(|i| (i * 31 % 251) as u8).collect();
-        let receipt = cas.put_epoch(7, &payload).unwrap();
-        assert_eq!(cas.get_epoch(7).unwrap(), payload);
-        assert_eq!(receipt.new_bytes, cas.bytes_stored());
-        assert_eq!(cas.stats().new_chunks, 1, "a blob is one unit");
+        let snaps = snapshots(2);
+        let epoch = snaps[0].epoch.0;
+        let text = String::from_utf8(snaps[0].to_bytes()).unwrap();
+        let (cdr_at, nms_at) = (
+            text.find("#TABLE CDR").unwrap(),
+            text.find("#TABLE NMS").unwrap(),
+        );
+        let (header, cdr, nms) = (&text[..cdr_at], &text[cdr_at..nms_at], &text[nms_at..]);
+        let mut cr_in_a_value = text.clone();
+        cr_in_a_value.insert(nms_at + nms.find(',').unwrap() + 1, '\r');
+        let refused: [(&str, Vec<u8>); 11] = [
+            ("nothing", Vec::new()),
+            ("a blob", b"\x00\x01 opaque".to_vec()),
+            ("another epoch's snapshot", snaps[1].to_bytes()),
+            (
+                "a header spelt otherwise",
+                text.replacen("#SNAPSHOT ", "#SNAPSHOT  ", 1).into(),
+            ),
+            ("no NMS table", format!("{header}{cdr}").into()),
+            ("NMS before CDR", format!("{header}{nms}{cdr}").into()),
+            (
+                "a third table",
+                format!("{text}#TABLE CELL rows=1 cols=2\na,b\n").into(),
+            ),
+            (
+                "a table line spelt otherwise",
+                text.replacen("NMS rows", "NMS  rows", 1).into(),
+            ),
+            (
+                "a CDR of 8 columns",
+                format!("{header}{}{nms}", nms.replacen("NMS", "CDR", 1)).into(),
+            ),
+            ("\\r\\n lines", text.replace('\n', "\r\n").into()),
+            ("a \\r in a value", cr_in_a_value.into()),
+        ];
+        for (what, raw) in refused {
+            match cas.put_epoch(epoch, &raw) {
+                Err(CasError::Corrupt(why)) => assert!(why.contains("not the snapshot"), "{what}"),
+                other => panic!("{what}: {other:?}"),
+            }
+            assert!(cas.dfs().list("/cas/").is_empty(), "{what}");
+        }
+        cas.put_epoch(epoch, text.as_bytes()).unwrap();
+        assert_eq!(cas.get_epoch(epoch).unwrap(), text.as_bytes());
+    }
+
+    /// A snapshot of `epoch` whose every column is constant: three copies
+    /// of one CDR and one NMS record.
+    fn constant_snapshot(epoch: u32) -> Snapshot {
+        let s = &snapshots(1)[0];
+        Snapshot::new(
+            EpochId(epoch),
+            vec![s.cdr[0].clone(); 3],
+            vec![s.nms[0].clone(); 3],
+        )
     }
 
     #[test]
-    fn a_payload_of_constant_columns_is_its_manifest_alone() {
+    fn a_snapshot_of_constant_columns_is_its_manifest_alone() {
         let cas = store();
-        // Two constant columns: two inline values, no unit, no pack.
-        let raw = b"#SNAPSHOT epoch=3 ts=0\n#TABLE CDR rows=3 cols=2\n0,LTE\n0,LTE\n0,LTE\n";
-        let receipt = cas.put_epoch(3, raw).unwrap();
+        // Constant columns only: inline values, no unit, no pack.
+        let raw = constant_snapshot(3).to_bytes();
+        let receipt = cas.put_epoch(3, &raw).unwrap();
         assert_eq!((cas.pack_bytes(), cas.stats().new_chunks), (0, 0));
         assert!(!cas.dfs().exists(&cas.pack_path(3)));
         assert_eq!(receipt.new_bytes, cas.manifest_bytes());
         assert_eq!(cas.get_epoch(3).unwrap(), raw);
-        // The same value again in a second epoch is carried again, not
-        // shared: nothing ties the two epochs together.
-        let next = b"#SNAPSHOT epoch=4 ts=0\n#TABLE CDR rows=3 cols=2\n0,LTE\n0,LTE\n0,LTE\n";
-        cas.put_epoch(4, next).unwrap();
-        assert_eq!(cas.stats().dedup_hits, 0);
+        // The same values again in a second epoch are carried again, not
+        // shared: each epoch counts the repeats within itself alone.
+        let hits = cas.stats().dedup_hits;
+        let next = constant_snapshot(4).to_bytes();
+        cas.put_epoch(4, &next).unwrap();
+        assert_eq!(cas.stats().dedup_hits, 2 * hits);
         cas.drop_epoch(3).unwrap();
         assert_eq!(cas.get_epoch(4).unwrap(), next);
         assert_eq!(cas.bytes_stored(), cas.listed_bytes());
@@ -1057,7 +1034,7 @@ mod tests {
         }
     }
 
-    /// Every prefix and every single-bit flip of a stored `CASMF5`
+    /// Every prefix and every single-bit flip of a stored `CASMF6`
     /// manifest and of a stored `CASPK1` pack: refused against its address
     /// (the Merkle leaf; the hash the manifest records), and — once the
     /// damaged file is filed under its own hash (for a pack: recorded by
@@ -1149,13 +1126,6 @@ mod tests {
         }
     }
 
-    fn tables_of(m: &mut EpochManifest) -> &mut Vec<chunker::TableLayout> {
-        match &mut m.layout {
-            Layout::Columnar { tables, .. } => tables,
-            Layout::Blob => panic!("a snapshot chunks columnar"),
-        }
-    }
-
     #[test]
     fn swapped_unit_hashes_are_corrupt() {
         let (cas, epoch, raw) = one_daytime_epoch();
@@ -1187,14 +1157,14 @@ mod tests {
         cas.put_epoch(snap.epoch.0, &snap.to_bytes()).unwrap();
         tamper_manifest(&cas, snap.epoch.0, |m| {
             assert_eq!(m.units.len(), 1);
-            tables_of(m)[1].rows = 3;
+            m.tables[1].rows = 3;
             m.units.push(m.units[0]);
         });
         refused(&cas, snap.epoch.0);
         // One unit against a pack of two: the NMS table loses its rows.
         let (cas, epoch, _) = one_daytime_epoch();
         tamper_manifest(&cas, epoch, |m| {
-            tables_of(m)[1].rows = 0;
+            m.tables[1].rows = 0;
             m.units.pop();
         });
         refused(&cas, epoch);
@@ -1221,13 +1191,13 @@ mod tests {
         let (cas, epoch, raw) = one_daytime_epoch();
         let rows = fields_of(&raw)[1].len() as u32;
         for claimed in [rows - 1, rows + 1] {
-            tamper_manifest(&cas, epoch, |m| tables_of(m)[1].rows = claimed);
+            tamper_manifest(&cas, epoch, |m| m.tables[1].rows = claimed);
             assert_corrupt(&cas, epoch, &[1]);
         }
         tamper_manifest(&cas, epoch, |m| {
-            tables_of(m)[1].rows = rows;
+            m.tables[1].rows = rows;
             // The first constant column, CDR's, re-pointed at two values.
-            assert!(tables_of(m)[0].constant.contains(&true));
+            assert!(m.tables[0].constant.contains(&true));
             m.constants[0] = m.inline.len() as u32;
             m.inline.push(b"0\n0\n".to_vec());
         });

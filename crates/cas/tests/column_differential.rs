@@ -1,12 +1,12 @@
 //! Column arm ≡ text arm. The reference reading of a stored epoch is
-//! `get_epoch` + `Snapshot::scan`: the payload reassembled and walked as
+//! `get_epoch` + `Snapshot::scan`: the snapshot reassembled and walked as
 //! text. `open_epoch().snapshot_columns(tables)` must lend, for every
-//! column of every row of every table it reads, the same field text — or
-//! decline (`None`: the caller reads the text), or refuse what the
-//! reference refuses too. It reads one table without inflating the other,
-//! so a payload the reference refuses for one table's sake may still lend
-//! the other; asked for both tables it never lends what the reference
-//! refuses.
+//! column of every row of every table it reads, the same field text, or
+//! refuse what the reference refuses too. It reads one table without
+//! inflating the other, so a snapshot the reference refuses for one
+//! table's sake may still lend the other; asked for both tables it never
+//! lends what the reference refuses. What is not a snapshot as
+//! `Snapshot::to_bytes` writes it is not put, and so never read.
 
 use cas::{CasConfig, CasError, CasStore, Chunking, Layout};
 use dfs::Dfs;
@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use telco_trace::schema::{cdr, nms, TableKind};
-use telco_trace::{Snapshot, TraceConfig, TraceGenerator};
+use telco_trace::{EpochId, Snapshot, TraceConfig, TraceGenerator};
 
 const EPOCH: u32 = 7;
 
@@ -29,35 +29,31 @@ fn reference(raw: &[u8]) -> Option<[Vec<Vec<String>>; 2]> {
     (epoch.ok()?.0 == EPOCH).then_some(tables)
 }
 
-/// What the column arm made of a payload, asked for both tables.
+/// What became of a payload: read as columns, a read of its columns
+/// refused, or the put refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Arm {
     Columns,
-    Text,
     Refused,
+    NotPut,
 }
 
 /// Store `raw` and hold every way of asking for its columns against the
 /// reference.
 fn check(cas: &CasStore, raw: &[u8]) -> Arm {
-    cas.put_epoch(EPOCH, raw).expect("put");
+    match cas.put_epoch(EPOCH, raw) {
+        Ok(_) => {}
+        Err(CasError::Corrupt(why)) if why.contains("not the snapshot") => return Arm::NotPut,
+        Err(e) => panic!("unexpected put error: {e}"),
+    }
     let want = reference(raw);
-    let reader = match cas.open_epoch(EPOCH) {
-        Ok(reader) => reader,
-        Err(CasError::Corrupt(_)) => {
-            assert!(want.is_none(), "refused what the text walk accepts");
-            cas.drop_epoch(EPOCH).unwrap();
-            return Arm::Refused;
-        }
-        Err(e) => panic!("unexpected error class: {e}"),
-    };
+    let reader = cas.open_epoch(EPOCH).expect("a stored epoch opens");
     assert_eq!(reader.assemble().unwrap(), raw);
     let both = [TableKind::Cdr, TableKind::Nms];
-    let mut arm = Arm::Text;
+    let mut arm = Arm::Columns;
     for wanted in [&both[..1], &both[1..], &both[..]] {
         let columns = match reader.snapshot_columns(wanted) {
-            Ok(Some(columns)) => columns,
-            Ok(None) => continue,
+            Ok(columns) => columns,
             Err(CasError::Corrupt(_)) => {
                 assert!(want.is_none(), "refused what the text walk accepts");
                 arm = Arm::Refused;
@@ -81,9 +77,6 @@ fn check(cas: &CasStore, raw: &[u8]) -> Arm {
                     assert_eq!(table.row(r).text(c), field.as_str(), "{kind:?} {r} {c}");
                 }
             }
-        }
-        if wanted.len() == 2 {
-            arm = Arm::Columns;
         }
     }
     cas.drop_epoch(EPOCH).unwrap();
@@ -139,15 +132,12 @@ fn generated_snapshots_read_alike_at_three_scales() {
 /// A snapshot of `rows` CDR and NMS rows whose columns are, by turns,
 /// constant, empty here and there, short, and wide.
 fn table_text(rng: &mut StdRng, rows: [usize; 2]) -> String {
-    let mut text = format!("#SNAPSHOT epoch={EPOCH} ts=201601180330\n");
+    let mut text = Snapshot::header_line(EpochId(EPOCH));
     for ((kind, width), rows) in [(TableKind::Cdr, cdr::WIDTH), (TableKind::Nms, nms::WIDTH)]
         .into_iter()
         .zip(rows)
     {
-        text.push_str(&format!(
-            "#TABLE {} rows={rows} cols={width}\n",
-            kind.name()
-        ));
+        text.push_str(&Snapshot::table_header_line(kind, rows));
         let kinds: Vec<u32> = (0..width).map(|_| rng.gen_range(0..8)).collect();
         for _ in 0..rows {
             let fields: Vec<String> = kinds
@@ -204,7 +194,7 @@ proptest! {
 }
 
 #[test]
-fn what_is_not_plainly_a_snapshot_is_read_as_text_or_refused() {
+fn what_is_not_a_snapshot_as_to_bytes_writes_it_is_not_put() {
     let mut rng = StdRng::seed_from_u64(22);
     let text = table_text(&mut rng, [5, 9]);
     let nms_at = text.find("#TABLE NMS").unwrap();
@@ -214,39 +204,42 @@ fn what_is_not_plainly_a_snapshot_is_read_as_text_or_refused() {
     let cas = store();
     assert_eq!(check(&cas, text.as_bytes()), Arm::Columns);
 
-    // `\r\n` lines parse, and a column would hold the `\r`.
+    // `\r\n` lines parse, and a column would hold the `\r`; so do lines
+    // spelt otherwise than `to_bytes` spells them, and a third table after
+    // the NMS one, which the parser ignores. None is put.
     let crlf = text.replace('\n', "\r\n");
-    assert!(reference(crlf.as_bytes()).is_some());
-    assert_eq!(check(&cas, crlf.as_bytes()), Arm::Text);
-    // ... in the rows of one table only.
     let nms_crlf = format!("{head}{}", nms_section.replace('\n', "\r\n"));
-    assert_eq!(check(&cas, nms_crlf.as_bytes()), Arm::Text);
-
-    // Tables the other way round; a third table; a CDR of 199 columns;
-    // an opaque payload: none parses as a snapshot, all are stored.
-    let swapped = format!("{header}{nms_section}{cdr_section}");
+    let spaced = text.replace("#TABLE NMS rows", "#TABLE NMS  rows");
     let third = format!("{text}#TABLE CELL rows=1 cols=2\na,b\n");
+    for raw in [&crlf, &nms_crlf, &spaced, &third] {
+        assert!(reference(raw.as_bytes()).is_some());
+        assert_eq!(check(&cas, raw.as_bytes()), Arm::NotPut);
+    }
+
+    // Tables the other way round; a CDR of 199 columns; an opaque
+    // payload; another epoch's snapshot under this one's name: none parses
+    // as this epoch's snapshot, and none is put.
+    let swapped = format!("{header}{nms_section}{cdr_section}");
     let narrow_rows = cdr_section.lines().skip(1).map(|row| {
         let (row, _last) = row.rsplit_once(',').unwrap();
         format!("{row}\n")
     });
     let narrow_rows: String = narrow_rows.collect();
     let narrow = format!("{header}#TABLE CDR rows=5 cols=199\n{narrow_rows}{nms_section}");
-    for raw in [swapped.as_bytes(), narrow.as_bytes(), b"\x00\x01 opaque"] {
+    let misfiled = text.replace(&format!("epoch={EPOCH} "), "epoch=8 ");
+    for raw in [
+        swapped.as_bytes(),
+        narrow.as_bytes(),
+        b"\x00\x01 opaque",
+        misfiled.as_bytes(),
+    ] {
         assert!(reference(raw).is_none());
-        assert_eq!(check(&cas, raw), Arm::Text);
+        assert_eq!(check(&cas, raw), Arm::NotPut);
     }
-    // The parser ignores what follows the NMS table; the columns do not
-    // try to.
-    assert!(reference(third.as_bytes()).is_some());
-    assert_eq!(check(&cas, third.as_bytes()), Arm::Text);
-    // Spelt otherwise than `to_bytes` spells it.
-    let spaced = text.replace("#TABLE NMS rows", "#TABLE NMS  rows");
-    assert!(reference(spaced.as_bytes()).is_some());
-    assert_eq!(check(&cas, spaced.as_bytes()), Arm::Text);
 
-    // Bytes that are not UTF-8: in a CDR value, in an NMS value, in the
-    // header. Neither arm lends the table that holds them.
+    // Bytes that are not UTF-8: in a CDR value and in an NMS value, put
+    // and then refused by both arms for the table that holds them; in the
+    // header, not put.
     let not_utf8_from = |from: usize| {
         let mut raw = text.clone().into_bytes();
         let value = raw[from..].iter().position(u8::is_ascii_alphanumeric);
@@ -262,9 +255,5 @@ fn what_is_not_plainly_a_snapshot_is_read_as_text_or_refused() {
         assert_eq!(check(&cas, &raw), Arm::Refused);
     }
     assert!(reference(&in_header).is_none());
-    assert_eq!(check(&cas, &in_header), Arm::Text);
-
-    // Another epoch's snapshot under this one's name is not opened.
-    let misfiled = text.replace(&format!("epoch={EPOCH} "), "epoch=8 ");
-    assert_eq!(check(&cas, misfiled.as_bytes()), Arm::Refused);
+    assert_eq!(check(&cas, &in_header), Arm::NotPut);
 }

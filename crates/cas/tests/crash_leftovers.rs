@@ -10,7 +10,7 @@
 use cas::store::TMP_SUFFIX;
 use cas::{CasConfig, CasError, CasRecoverReport, CasStore};
 use dfs::Dfs;
-use telco_trace::{TraceConfig, TraceGenerator};
+use telco_trace::{EpochId, Snapshot, TraceConfig, TraceGenerator};
 
 /// The operation a crash cut short, retried after recovery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,7 +170,11 @@ fn a_crash_inside_drop_epoch_leaves_an_orphan_pack_never_a_lone_manifest() {
 #[test]
 fn an_epoch_without_a_pack_is_whole_or_absent_too() {
     let (_, others) = snapshots();
-    let raw = b"#SNAPSHOT epoch=3 ts=0\n#TABLE CDR rows=3 cols=2\n0,LTE\n0,LTE\n0,LTE\n";
+    // Three copies of one CDR and one NMS record: every column constant.
+    let s = TraceGenerator::new(TraceConfig::tiny()).next().unwrap();
+    let (cdr, nms) = (s.cdr[0].clone(), s.nms[0].clone());
+    let raw = Snapshot::new(EpochId(3), vec![cdr; 3], vec![nms; 3]).to_bytes();
+    let raw = raw.as_slice();
     let victim = Epoch {
         epoch: 3,
         raw: raw.to_vec(),

@@ -178,19 +178,22 @@ impl SpateFramework {
         report
     }
 
-    /// DFS path of the persisted index image.
-    const INDEX_PATH: &'static str = "/spate/_index.img";
+    /// DFS path of the persisted index image of the warehouse in `store`:
+    /// `<store root>/_index.img`, beside the leaves and not one of them.
+    fn index_path(store: &SnapshotStore) -> String {
+        format!("{}/_index.img", store.root())
+    }
 
     /// Persist the temporal index (compressed) to the filesystem so the
     /// warehouse survives restarts. Returns the stored image size.
     pub fn persist_index(&self) -> Result<u64, crate::storage::StorageError> {
         let image = persist::to_bytes(&self.index);
         let packed = GzipLite::default().compress(&image);
-        let dfs = self.store.dfs();
-        if dfs.exists(Self::INDEX_PATH) {
-            dfs.delete(Self::INDEX_PATH)?;
+        let (dfs, path) = (self.store.dfs(), Self::index_path(&self.store));
+        if dfs.exists(&path) {
+            dfs.delete(&path)?;
         }
-        dfs.write(Self::INDEX_PATH, &packed)?;
+        dfs.write(&path, &packed)?;
         Ok(packed.len() as u64)
     }
 
@@ -221,7 +224,7 @@ impl SpateFramework {
     ) -> Result<(Self, RecoveryReport), RestoreError> {
         let packed = store
             .dfs()
-            .read(Self::INDEX_PATH)
+            .read(&Self::index_path(&store))
             .map_err(RestoreError::Dfs)?;
         let image = GzipLite::default()
             .decompress(&packed)
@@ -698,6 +701,54 @@ mod tests {
         assert_eq!(cas.root_hash(), root_before, "merkle root survives restart");
         let q = Query::new(&["upflux"], BoundingBox::everything()).with_epoch_range(0, 5);
         assert!(restored.query(&q).is_exact());
+    }
+
+    /// The index image is not snapshot data: persisting it moves neither
+    /// backend's `data_bytes`.
+    #[test]
+    fn persisting_the_index_leaves_space_as_it_was() {
+        let (layout, snaps) = tiny_trace(4);
+        let path = SpateFramework::new(dfs::Dfs::in_memory(), layout.clone());
+        let cas = SpateFramework::with_cas(dfs::Dfs::in_memory(), layout);
+        for mut fw in [path, cas] {
+            for s in &snaps {
+                fw.ingest(s);
+            }
+            let before = fw.space();
+            assert!(fw.persist_index().unwrap() > 0);
+            assert_eq!(fw.space(), before);
+        }
+    }
+
+    /// Two warehouses on one filesystem, each under its own root, each
+    /// restore their own index.
+    #[test]
+    fn warehouses_under_two_roots_restore_their_own_index() {
+        let (layout, snaps) = tiny_trace(6);
+        let fs = dfs::Dfs::in_memory();
+        let store =
+            |root| SnapshotStore::new(fs.clone(), Arc::new(GzipLite::default())).with_root(root);
+        let mut a = SpateFramework::with_store(store("/a"), layout.clone());
+        let mut b = SpateFramework::with_store(store("/b"), layout.clone());
+        for s in &snaps[..2] {
+            a.ingest(s);
+        }
+        for s in &snaps {
+            b.ingest(s);
+        }
+        a.persist_index().unwrap();
+        b.persist_index().unwrap();
+        for (root, fw) in [("/a", &a), ("/b", &b)] {
+            assert!(fs.exists(&format!("{root}/_index.img")));
+            let (restored, report) =
+                SpateFramework::restore_from(store(root), layout.clone()).unwrap();
+            assert!(report.is_clean(), "{root}: {report:?}");
+            assert_eq!(
+                restored.index().last_epoch(),
+                fw.index().last_epoch(),
+                "{root}"
+            );
+        }
     }
 
     #[test]

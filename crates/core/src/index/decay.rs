@@ -89,17 +89,12 @@ impl DecayReport {
 /// The decay fungus: which individuals go first once the full-resolution
 /// horizon is reached. Kersten's data-fungus catalog [16] names several;
 /// the paper picks "Evict Oldest Individuals" as the pragmatic choice for
-/// telco signals.
+/// telco signals, and it is the one implemented.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fungus {
     /// The paper's fungus: every leaf older than the horizon is evicted,
     /// strictly by age.
     EvictOldestIndividuals,
-    /// A traffic-aware variant: past the horizon, *sparse* snapshots (below
-    /// their day's mean raw volume — quiet night epochs) decay immediately,
-    /// while busy snapshots are retained for `grace_days` longer. Operators
-    /// keep full resolution where the operational value concentrates.
-    EvictSparseIndividuals { grace_days: u32 },
 }
 
 /// Run one decay pass with the paper's fungus ("Evict Oldest Individuals").
@@ -137,6 +132,8 @@ pub fn decay_with_fungus_traced(
     store: &SnapshotStore,
 ) -> Result<(DecayReport, Vec<EpochId>), StorageError> {
     policy.validate();
+    // The one fungus: a day past the horizon loses every leaf it has left.
+    let Fungus::EvictOldestIndividuals = fungus;
     let _span = obs::span("decay.pass");
     let today = now.day_index();
     let mut report = DecayReport::default();
@@ -147,37 +144,11 @@ pub fn decay_with_fungus_traced(
             for day in &mut month.days {
                 let age_days = today.saturating_sub(day.day_index);
                 if age_days > policy.full_resolution_days {
-                    // Which of the day's leaves decay now?
-                    let mean_raw = {
-                        let present: Vec<u64> = day
-                            .leaves
-                            .iter()
-                            .filter(|l| l.present)
-                            .map(|l| l.raw_bytes)
-                            .collect();
-                        if present.is_empty() {
-                            0
-                        } else {
-                            present.iter().sum::<u64>() / present.len() as u64
-                        }
-                    };
-                    for leaf in &mut day.leaves {
-                        if !leaf.present {
-                            continue;
-                        }
-                        let evict = match fungus {
-                            Fungus::EvictOldestIndividuals => true,
-                            Fungus::EvictSparseIndividuals { grace_days } => {
-                                age_days > policy.full_resolution_days + grace_days
-                                    || leaf.raw_bytes < mean_raw
-                            }
-                        };
-                        if evict {
-                            report.bytes_freed += store.evict(leaf.epoch)?;
-                            leaf.present = false;
-                            report.leaves_evicted += 1;
-                            evicted_epochs.push(leaf.epoch);
-                        }
+                    for leaf in day.leaves.iter_mut().filter(|l| l.present) {
+                        report.bytes_freed += store.evict(leaf.epoch)?;
+                        leaf.present = false;
+                        report.leaves_evicted += 1;
+                        evicted_epochs.push(leaf.epoch);
                     }
                 }
                 if age_days > policy.day_highlight_days && !day.decayed {
@@ -369,40 +340,6 @@ mod tests {
             decay(&mut index, EpochId(0), &bad, &store)
         }));
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn sparse_fungus_keeps_busy_snapshots_longer() {
-        let (mut index, store) = build(5);
-        let now = index.last_epoch().unwrap();
-        let policy = DecayPolicy {
-            full_resolution_days: 1,
-            day_highlight_days: 100,
-            month_highlight_days: 100,
-            year_highlight_days: 100,
-        };
-        let report = decay_with_fungus(
-            &mut index,
-            now,
-            &policy,
-            Fungus::EvictSparseIndividuals { grace_days: 2 },
-            &store,
-        )
-        .unwrap();
-        // Days 0..3 are past the horizon (ages 4..2); only day 0 and 1
-        // (ages 4, 3 > 1+2) decay fully; days 2 and 3 lose only their
-        // sparse (below-mean) epochs.
-        assert!(report.leaves_evicted > 0);
-        let kept = index.present_leaves();
-        assert!(
-            kept > EPOCHS_PER_DAY as usize, // the fresh day plus busy survivors
-            "busy snapshots should survive the grace band: kept {kept}"
-        );
-        // Whatever survived in aged days has at least day-mean volume:
-        // verified indirectly — a second pass with the strict fungus
-        // removes strictly more.
-        let report2 = decay(&mut index, now, &policy, &store).unwrap();
-        assert!(report2.leaves_evicted > 0, "strict fungus evicts the rest");
     }
 
     #[test]

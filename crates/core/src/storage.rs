@@ -13,10 +13,10 @@
 //!   named by its content hash and packed into the epoch's own `.pk`
 //!   file, and each epoch's leaf is a `.mf` manifest of those units and
 //!   of the constant columns' values (see the `cas` crate).
-//!   Eviction deletes the manifest, then the pack. A scan reads
+//!   Eviction deletes the manifest, then the pack. Every scan reads
 //!   such an epoch column by column, one table at a time
-//!   ([`SnapshotStore::decode`]); the Path backend, `load` and any
-//!   layout that is not plainly a snapshot's read the serialized text.
+//!   ([`SnapshotStore::decode`]); the Path backend and `load` read the
+//!   serialized text.
 //!
 //! Either way the index, decay and query layers above see the same
 //! store/load/evict surface.
@@ -131,15 +131,14 @@ pub(crate) enum Fetched<'s> {
         bytes: Vec<u8>,
     },
     /// A CAS epoch, opened: manifest and pack read and verified.
-    Open(cas::EpochReader<'s>),
+    Open(Box<cas::EpochReader<'s>>),
 }
 
 /// One stored epoch as a scan reads it ([`SnapshotStore::read_ahead`]).
 pub(crate) enum EpochRows {
-    /// The serialized snapshot ([`Snapshot::to_bytes`] text): a Path
-    /// leaf, or a CAS epoch the column arm does not read.
+    /// A Path leaf: the serialized snapshot ([`Snapshot::to_bytes`] text).
     Text(Vec<u8>),
-    /// A CAS epoch, the tables the scan asked for held as columns.
+    /// A CAS epoch: the tables the scan asked for, held as columns.
     Columns(SnapshotColumns),
 }
 
@@ -207,7 +206,8 @@ impl SnapshotStore {
     }
 
     /// Content-addressed store: verified packs, Merkle manifests,
-    /// decay-as-GC.
+    /// decay-as-GC. It stores snapshots only, each as
+    /// [`Snapshot::to_bytes`] writes it.
     pub fn new_cas(dfs: Dfs, cfg: CasConfig) -> Self {
         Self {
             dfs: dfs.clone(),
@@ -235,6 +235,11 @@ impl SnapshotStore {
 
     pub fn dfs(&self) -> &Dfs {
         &self.dfs
+    }
+
+    /// The namespace root every file of this store lies under.
+    pub(crate) fn root(&self) -> &str {
+        &self.root
     }
 
     /// The content-addressed backend, when this store uses one.
@@ -403,18 +408,17 @@ impl SnapshotStore {
                 obs::cost::touch_epoch(u64::from(epoch.0));
                 let open = cas.open_epoch(epoch.0);
                 obs::cost::add_stage_ns("read", start.elapsed().as_nanos() as u64);
-                Ok(Fetched::Open(open?))
+                Ok(Fetched::Open(Box::new(open?)))
             }
         }
     }
 
     /// The second half: what a scan of `tables` reads of the fetched
     /// epoch. A Path leaf is inflated into its text. A CAS epoch has the
-    /// sections of `tables` and no other inflated, verified and indexed,
+    /// tables of `tables` and no other inflated, verified and indexed,
     /// under the `read` stage ([`cas::EpochReader::snapshot_columns`]:
     /// checked as the parser checks the same tables of the text, nothing
-    /// lent before every table asked for has passed); what that does not
-    /// read as columns is reassembled and handed out as text.
+    /// lent before every table asked for has passed).
     pub(crate) fn decode(
         fetched: Fetched<'_>,
         tables: &[TableKind],
@@ -424,14 +428,9 @@ impl SnapshotStore {
             Fetched::Open(reader) => reader,
         };
         let start = std::time::Instant::now();
-        let read = reader
-            .snapshot_columns(tables)
-            .and_then(|columns| match columns {
-                Some(columns) => Ok(EpochRows::Columns(columns)),
-                None => reader.assemble().map(EpochRows::Text),
-            });
+        let columns = reader.snapshot_columns(tables);
         obs::cost::add_stage_ns("read", start.elapsed().as_nanos() as u64);
-        Ok(read?)
+        Ok(EpochRows::Columns(columns?))
     }
 
     /// Read `epochs` for a scan of `tables` and lend `scan` each epoch's
@@ -527,17 +526,18 @@ impl SnapshotStore {
         }
     }
 
-    /// Total stored (compressed, pre-replication) bytes under this root.
-    /// Uncommitted `.tmp` staging files don't count — they are invisible
-    /// to queries and reaped by recovery. The content-addressed backend
-    /// counts packs + manifests (Merkle metadata excluded).
+    /// Total stored (compressed, pre-replication) snapshot bytes under
+    /// this root: the `.snap` leaves, or the packs and manifests of the
+    /// content-addressed backend. Uncommitted `.tmp` staging files and
+    /// anything else under the root, such as the framework's index image,
+    /// don't count.
     pub fn stored_bytes(&self) -> u64 {
         match &self.backend {
             Backend::Path { .. } => self
                 .dfs
                 .list(&format!("{}/", self.root))
                 .iter()
-                .filter(|p| !p.ends_with(TMP_SUFFIX))
+                .filter(|p| p.ends_with(self.leaf_suffix()))
                 .filter_map(|p| self.dfs.file_len(p).ok())
                 .sum(),
             Backend::Cas(cas) => cas.listed_bytes(),
@@ -547,15 +547,13 @@ impl SnapshotStore {
     /// The epochs with a committed leaf under this root, ascending: the
     /// inverse of [`Self::path_for`] over what the filesystem lists. For
     /// the content-addressed backend the leaves are the epoch manifests
-    /// (packs and Merkle rollups are not leaves).
+    /// (packs are not leaves).
     pub fn committed_epochs(&self) -> Vec<EpochId> {
         let suffix = self.leaf_suffix();
-        let skip_merkle = format!("{}/merkle/", self.root);
         let mut epochs: Vec<EpochId> = self
             .dfs
             .list(&format!("{}/", self.root))
             .iter()
-            .filter(|p| !p.starts_with(&skip_merkle))
             .filter_map(|p| parse_leaf_epoch(p, suffix))
             .collect();
         epochs.sort_unstable();

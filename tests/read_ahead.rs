@@ -4,8 +4,11 @@
 //! caller's thread; the answers must be the ones a scan of one epoch at a
 //! time gives, whichever thread read which epoch — also when a leaf is
 //! missing or damaged, when the budget runs out mid-window, or when a read
-//! panics. Every warehouse case runs on the Path and the CAS backend.
+//! panics. Every warehouse case runs on the Path and the CAS backend; a
+//! CAS store refuses to put damaged text, so its epochs are damaged at
+//! rest.
 
+use cas::CasStore;
 use spate::core::framework::{ExplorationFramework, IngestStats, SpaceReport, SpateFramework};
 use spate::core::query::{profile_query, run_exact, Coverage, ExactResult, Query, QueryResult};
 use spate::core::storage::{read_ahead, SnapshotStore, READ_AHEAD_MIN, READ_AHEAD_SLOTS};
@@ -197,9 +200,32 @@ fn replace_leaf(store: &SnapshotStore, epoch: EpochId, text: Option<&[u8]>) {
     }
 }
 
+/// Damage the committed files of CAS epoch `epoch` at rest: its pack cut
+/// to half (`from: None`), or the manifest and pack of epoch `from`
+/// copied over its own.
+fn damage_at_rest(cas: &CasStore, epoch: EpochId, from: Option<EpochId>) {
+    let dfs = cas.dfs();
+    let overwrite = |path: &str, bytes: &[u8]| {
+        dfs.delete(path).expect("delete the file");
+        dfs.write(path, bytes).expect("write the damaged file");
+    };
+    let Some(from) = from else {
+        let pack = dfs.read(&cas.pack_path(epoch.0)).expect("a pack");
+        return overwrite(&cas.pack_path(epoch.0), &pack[..pack.len() / 2]);
+    };
+    for path in [CasStore::manifest_path, CasStore::pack_path] {
+        let theirs = dfs
+            .read(&path(cas, from.0))
+            .expect("the other epoch's file");
+        overwrite(&path(cas, epoch.0), &theirs);
+    }
+}
+
 /// A missing, truncated or misfiled leaf at every position of windows of
 /// 3 to 8 epochs: wherever it falls — first, last, read by the caller or
 /// by the helper — every answer equals the one-epoch-at-a-time answer.
+/// On CAS a truncated leaf is a truncated pack, and a misfiled one holds
+/// the neighbour's manifest and pack.
 fn damage_every_position(backend: &str) {
     assert_eq!((READ_AHEAD_MIN, READ_AHEAD_SLOTS), (4, 4));
     let (layout, snaps) = trace();
@@ -226,14 +252,22 @@ fn damage_every_position(backend: &str) {
             // Cut inside the last CDR row; a whole snapshot, of a
             // neighbour.
             let truncated = &text[..nms - 10];
-            let misfiled = snaps[(at + 1) % snaps.len()].to_bytes();
-            let damages: [(&str, Option<&[u8]>); 3] = [
-                ("missing", None),
-                ("truncated", Some(truncated)),
-                ("misfiled", Some(&misfiled)),
+            let neighbour = &snaps[(at + 1) % snaps.len()];
+            let misfiled = neighbour.to_bytes();
+            // The leaf's text, and whose files a CAS epoch takes instead.
+            let damages = [
+                ("missing", None, None),
+                ("truncated", Some(truncated), None),
+                ("misfiled", Some(misfiled.as_slice()), Some(neighbour.epoch)),
             ];
-            for (damage, leaf) in damages {
-                replace_leaf(fw.store(), snap.epoch, leaf);
+            for (damage, leaf, from) in damages {
+                match (fw.store().cas(), leaf) {
+                    (Some(cas), Some(leaf)) => {
+                        assert!(cas.put_epoch(snap.epoch.0, leaf).is_err(), "{damage}");
+                        damage_at_rest(cas, snap.epoch, from);
+                    }
+                    _ => replace_leaf(fw.store(), snap.epoch, leaf),
+                }
                 let what = format!("{backend}, {len} epochs, epoch {at} {damage}");
                 let got = answers(fw, FIRST, end);
                 assert_same(&what, &got, &answers(&OneEpochAtATime(fw), FIRST, end));

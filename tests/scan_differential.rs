@@ -6,8 +6,11 @@
 //! task and statement must give the same answer through each, on every
 //! framework — also when a leaf in the middle of the window is missing or
 //! damaged, where the epoch must contribute nothing: not even the rows
-//! that precede the damage.
+//! that precede the damage. A CAS store refuses to put damaged text, so
+//! its epoch is damaged at rest: a truncated pack, or the next epoch's
+//! files copied over its own.
 
+use cas::CasStore;
 use spate::core::framework::{
     ExplorationFramework, IngestStats, RawFramework, ShahedFramework, SpaceReport, SpateFramework,
 };
@@ -160,24 +163,56 @@ impl Warehouses {
     }
 }
 
-/// Put `text` where the leaf of `epoch` was (`None`: leave it missing),
-/// behind the back of the framework that owns the store.
-fn replace_leaf(store: &SnapshotStore, epoch: EpochId, text: Option<&[u8]>) {
-    store.evict(epoch).expect("evict the leaf");
-    let Some(text) = text else { return };
-    match store.cas() {
-        Some(cas) => {
-            cas.put_epoch(epoch.0, text).expect("put the damaged epoch");
+/// What happens to the leaf of one epoch.
+#[derive(Clone, Copy)]
+enum Damage<'a> {
+    Missing,
+    /// A Path leaf holds this text instead; a CAS put refuses it.
+    Text(&'a [u8]),
+    /// The CAS epoch's pack loses its second half.
+    TruncatedPack,
+    /// The CAS epoch's manifest and pack are the next epoch's.
+    NextEpochsFiles,
+}
+
+/// Damage the leaf of `epoch` behind the back of the framework that owns
+/// the store. Whether the damage applies to this backend.
+fn damage_leaf(store: &SnapshotStore, epoch: EpochId, damage: Damage) -> bool {
+    let dfs = store.dfs();
+    let overwrite = |path: &str, bytes: &[u8]| {
+        dfs.delete(path).expect("delete the file");
+        dfs.write(path, bytes).expect("write the damaged file");
+    };
+    match (damage, store.cas()) {
+        (Damage::Missing, _) => {
+            store.evict(epoch).expect("evict the leaf");
         }
-        None => {
+        (Damage::Text(text), Some(cas)) => {
+            assert!(
+                cas.put_epoch(epoch.0, text).is_err(),
+                "a CAS put of damaged text"
+            );
+            return false;
+        }
+        (Damage::Text(text), None) => {
             let codec = spate::codecs::by_name(store.codec_name()).expect("a known codec");
-            let stored = codec.compress(text);
-            store
-                .dfs()
-                .write(&store.path_for(epoch), &stored)
-                .expect("write the damaged leaf");
+            overwrite(&store.path_for(epoch), &codec.compress(text));
         }
+        (Damage::TruncatedPack, Some(cas)) => {
+            let pack = dfs.read(&cas.pack_path(epoch.0)).expect("a pack");
+            overwrite(&cas.pack_path(epoch.0), &pack[..pack.len() / 2]);
+        }
+        (Damage::NextEpochsFiles, Some(cas)) => {
+            for path in [CasStore::manifest_path, CasStore::pack_path] {
+                let next = dfs
+                    .read(&path(cas, epoch.0 + 1))
+                    .expect("the next epoch's file");
+                overwrite(&path(cas, epoch.0), &next);
+            }
+        }
+        (Damage::TruncatedPack | Damage::NextEpochsFiles, None) => return false,
     }
+    true
 }
 
 #[test]
@@ -235,16 +270,20 @@ fn a_damaged_leaf_contributes_nothing_on_either_driver() {
     let without = Warehouses::ingest(&layout, &others);
     let want = answers(&Decoded(&without.raw));
 
-    let damages: [(&str, Option<&[u8]>); 4] = [
-        ("missing", None),
-        ("truncated mid-row", Some(truncated)),
-        ("one short row", Some(&short_row)),
-        ("another epoch's header", Some(&misfiled)),
+    let damages: [(&str, Damage); 6] = [
+        ("missing", Damage::Missing),
+        ("truncated mid-row", Damage::Text(truncated)),
+        ("one short row", Damage::Text(&short_row)),
+        ("another epoch's header", Damage::Text(&misfiled)),
+        ("truncated pack", Damage::TruncatedPack),
+        ("the next epoch's files", Damage::NextEpochsFiles),
     ];
     for (damage, leaf) in damages {
         let warehouses = Warehouses::ingest(&layout, &snaps);
         for (name, fw, store) in warehouses.each() {
-            replace_leaf(store, damaged.epoch, leaf);
+            if !damage_leaf(store, damaged.epoch, leaf) {
+                continue;
+            }
             assert!(fw.load_epoch(damaged.epoch).is_none(), "{name}, {damage}");
             assert_same(&format!("{name}, {damage}, scanner"), &answers(fw), &want);
             assert_same(
