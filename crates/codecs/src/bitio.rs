@@ -157,11 +157,6 @@ impl<'a> BitReader<'a> {
         self.pos >= self.input.len() && self.nbits == 0
     }
 
-    /// Bits still available including buffered ones.
-    pub fn remaining_bits(&self) -> usize {
-        (self.input.len() - self.pos) * 8 + self.nbits as usize
-    }
-
     /// Error helper for callers that detect truncation.
     pub fn truncated() -> CodecError {
         CodecError::Truncated

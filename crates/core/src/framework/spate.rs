@@ -78,16 +78,6 @@ impl SpateFramework {
         self
     }
 
-    pub fn with_highlight_config(mut self, config: HighlightConfig) -> Self {
-        assert_eq!(
-            self.index.last_epoch(),
-            None,
-            "highlight config must be set before ingestion"
-        );
-        self.index = TemporalIndex::new(config);
-        self
-    }
-
     pub fn store(&self) -> &SnapshotStore {
         &self.store
     }

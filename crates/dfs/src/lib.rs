@@ -225,11 +225,6 @@ impl DfsConfig {
         self
     }
 
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {
         self.breaker = breaker;
         self

@@ -7,10 +7,10 @@
 //! should be able to ask *"should I keep going?"* without every caller
 //! threading a token through.
 //!
-//! The mechanism mirrors [`crate::cost`]: a thread-local slot holding
-//! the active budget, installed by [`begin`] on the worker thread that
-//! evaluates the request and restored by the returned [`BudgetGuard`].
-//! Library crates call [`interrupted`] at natural checkpoint boundaries
+//! The budget is a field of the thread's request context
+//! ([`crate::context`]), installed by [`begin`] on the worker thread that
+//! evaluates the request and restored by the returned guard, panic or
+//! not. Library crates call [`interrupted`] at natural checkpoint boundaries
 //! (between epochs, before a retry sleep); when no budget is installed
 //! the check is `None` — a no-op — so batch pipelines, ingest and tests
 //! pay nothing.
@@ -21,7 +21,7 @@
 //! (stop scanning, mark remaining epochs unavailable, return
 //! `Partial`) without re-checking semantics.
 
-use std::cell::RefCell;
+use crate::context::{self, Field, Guard};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -62,45 +62,12 @@ pub(crate) struct ActiveBudget {
     cancel: CancelFlag,
 }
 
-thread_local! {
-    static ACTIVE: RefCell<Option<ActiveBudget>> = const { RefCell::new(None) };
-}
-
-/// RAII guard for an installed budget; restores the previously active
-/// budget (usually none) when dropped, panic or not.
-pub struct BudgetGuard {
-    prev: Option<ActiveBudget>,
-}
-
-/// Install a request budget on this thread. `deadline` is the absolute
+/// Install a request budget on this thread until the guard drops, which
+/// restores the previous one (usually none). `deadline` is the absolute
 /// instant the request expires (`None` = no time budget); `cancel` is
 /// the shared flag the serve intake flips on a client `Cancel`.
-#[must_use = "dropping the guard immediately uninstalls the budget"]
-pub fn begin(deadline: Option<Instant>, cancel: CancelFlag) -> BudgetGuard {
-    enter(ActiveBudget { deadline, cancel })
-}
-
-/// This thread's budget, to [`enter`] on another thread: the same
-/// deadline, and the same flag.
-pub(crate) fn capture() -> Option<ActiveBudget> {
-    ACTIVE.with_borrow(Clone::clone)
-}
-
-/// Install a captured budget on this thread.
-pub(crate) fn enter(budget: ActiveBudget) -> BudgetGuard {
-    let prev = ACTIVE.replace(Some(budget));
-    BudgetGuard { prev }
-}
-
-impl Drop for BudgetGuard {
-    fn drop(&mut self) {
-        ACTIVE.set(self.prev.take());
-    }
-}
-
-/// Is a budget installed on this thread?
-pub fn is_active() -> bool {
-    ACTIVE.with_borrow(|a| a.is_some())
+pub fn begin(deadline: Option<Instant>, cancel: CancelFlag) -> Guard {
+    context::set(Field::Budget(Some(ActiveBudget { deadline, cancel })))
 }
 
 /// Checkpoint: should the work in progress stop? `None` means carry on
@@ -109,8 +76,8 @@ pub fn is_active() -> bool {
 /// expiry so a cancelled request is reported as cancelled even when
 /// its deadline has also passed.
 pub fn interrupted() -> Option<Interrupt> {
-    ACTIVE.with_borrow(|a| {
-        let b = a.as_ref()?;
+    context::with(|r| {
+        let b = r.budget.as_ref()?;
         if b.cancel.is_cancelled() {
             return Some(Interrupt::Cancelled);
         }
@@ -128,19 +95,18 @@ mod tests {
 
     #[test]
     fn no_budget_means_no_interrupt() {
-        assert!(!is_active());
         assert_eq!(interrupted(), None);
     }
 
     #[test]
     fn guard_installs_and_restores() {
-        assert!(!is_active());
+        let cancelled = CancelFlag::new();
+        cancelled.cancel();
         {
-            let _g = begin(None, CancelFlag::new());
-            assert!(is_active());
-            assert_eq!(interrupted(), None);
+            let _g = begin(None, cancelled);
+            assert_eq!(interrupted(), Some(Interrupt::Cancelled));
         }
-        assert!(!is_active());
+        assert_eq!(interrupted(), None);
     }
 
     #[test]
@@ -194,10 +160,12 @@ mod tests {
     #[test]
     fn guard_restores_on_panic() {
         let res = std::panic::catch_unwind(|| {
-            let _g = begin(None, CancelFlag::new());
+            let cancelled = CancelFlag::new();
+            cancelled.cancel();
+            let _g = begin(None, cancelled);
             panic!("boom");
         });
         assert!(res.is_err());
-        assert!(!is_active());
+        assert_eq!(interrupted(), None);
     }
 }

@@ -1,13 +1,17 @@
-//! Carrying a request's context to a helper thread.
+//! A thread's request context, and carrying it to a helper thread.
 //!
-//! Five thread-local slots describe whom a thread is working for: the
-//! trace context ([`crate::trace`]), the innermost open span
-//! ([`crate::span`]: its folded path and the traced span new ones hang
-//! under), the shard scope ([`crate::shard`]), the budget
-//! ([`crate::budget`]) and the cost profile ([`crate::cost`]). A thread
-//! spawned to do part of the request's work starts with all five empty.
-//! [`capture`] them on the request's thread, [`Context::enter`] them on
-//! the helper, and hand what the helper collected back with
+//! One thread-local request struct describes whom a thread is working for:
+//! the trace context ([`crate::trace`]), the open spans ([`crate::span`]:
+//! their folded paths and the traced span new ones hang under), the shard
+//! ([`crate::shard`]), the budget ([`crate::budget`]), the cost profile
+//! ([`crate::cost`]) and the source reads are filed under
+//! ([`crate::cost::attribute_reads_to`]). Those modules read and set its
+//! fields; each installer returns a [`Guard`] that puts back the one field
+//! it set, except [`crate::cost::begin`], whose guard returns the profile.
+//!
+//! A thread spawned to do part of the request's work starts with an empty
+//! request. [`capture`] it on the request's thread, [`Context::enter`] it
+//! on the helper, and hand what the helper collected back with
 //! [`Entered::leave`] and [`crate::cost::absorb`]:
 //!
 //! ```
@@ -32,20 +36,93 @@
 //! On the helper, spans nest under the captured path with the captured
 //! traced span as their parent and the same shard label; the budget is
 //! the same deadline and cancel flag; the cost profile is the helper's
-//! own, under the same trace id, until it is absorbed.
+//! own, under the same trace id, until it is absorbed. The read source is
+//! not carried: it belongs to the store call that set it.
 
-use crate::budget::{self, ActiveBudget, BudgetGuard};
-use crate::cost::{self, CostGuard};
-use crate::shard::{self, ShardScope};
-use crate::span::{self, Parent, ParentGuard};
-use crate::trace::{self, ActiveTrace, TraceGuard};
+use crate::budget::ActiveBudget;
+use crate::cost::Collecting;
+use crate::span::Frame;
+use crate::trace::ActiveTrace;
 use crate::CostProfile;
+use std::cell::RefCell;
+use std::mem;
+
+/// What a thread knows about the request it is working for.
+pub(crate) struct Request {
+    pub(crate) trace: Option<ActiveTrace>,
+    /// The open spans, innermost last.
+    pub(crate) spans: Vec<Frame>,
+    pub(crate) shard: Option<u32>,
+    pub(crate) budget: Option<ActiveBudget>,
+    pub(crate) cost: Option<Collecting>,
+    /// The source [`crate::cost::add_bytes_read`] files reads under,
+    /// whatever source its caller names.
+    pub(crate) source: Option<String>,
+}
+
+thread_local! {
+    static REQUEST: RefCell<Request> = const {
+        RefCell::new(Request {
+            trace: None,
+            spans: Vec::new(),
+            shard: None,
+            budget: None,
+            cost: None,
+            source: None,
+        })
+    };
+}
+
+/// Run `f` on this thread's request, which stays borrowed until it
+/// returns.
+pub(crate) fn with<R>(f: impl FnOnce(&mut Request) -> R) -> R {
+    REQUEST.with_borrow_mut(f)
+}
+
+/// One field of a [`Request`]: the value to set, and once set, the value
+/// it replaced.
+pub(crate) enum Field {
+    Trace(Option<ActiveTrace>),
+    Shard(Option<u32>),
+    Budget(Option<ActiveBudget>),
+    Source(Option<String>),
+}
+
+impl Field {
+    fn swap(&mut self, request: &mut Request) {
+        match self {
+            Field::Trace(v) => mem::swap(v, &mut request.trace),
+            Field::Shard(v) => mem::swap(v, &mut request.shard),
+            Field::Budget(v) => mem::swap(v, &mut request.budget),
+            Field::Source(v) => mem::swap(v, &mut request.source),
+        }
+    }
+}
+
+/// Set one field of this thread's request until the guard drops.
+pub(crate) fn set(mut field: Field) -> Guard {
+    with(|r| field.swap(r));
+    Guard(field)
+}
+
+/// Puts back, when dropped, panic or not, the one field of this thread's
+/// request that [`crate::trace::begin`], [`crate::shard::enter`],
+/// [`crate::budget::begin`] or [`crate::cost::attribute_reads_to`] set,
+/// so they nest.
+#[must_use = "dropping the guard immediately restores what it set"]
+pub struct Guard(Field);
+
+impl Drop for Guard {
+    fn drop(&mut self) {
+        with(|r| self.0.swap(r));
+    }
+}
 
 /// The request context of the thread that [`capture`]d it.
 #[derive(Clone)]
 pub struct Context {
     trace: Option<ActiveTrace>,
-    parent: Option<Parent>,
+    parent: Option<Frame>,
     shard: Option<u32>,
     budget: Option<ActiveBudget>,
     /// The trace id of the active cost profile, when one is collecting.
@@ -54,13 +131,13 @@ pub struct Context {
 
 /// This thread's request context.
 pub fn capture() -> Context {
-    Context {
-        trace: trace::capture(),
-        parent: span::capture(),
-        shard: shard::current(),
-        budget: budget::capture(),
-        profile: cost::capture(),
-    }
+    with(|r| Context {
+        trace: r.trace.clone(),
+        parent: crate::span::parent_frame(&r.spans),
+        shard: r.shard,
+        budget: r.budget.clone(),
+        profile: r.cost.as_ref().map(Collecting::trace_id),
+    })
 }
 
 impl Context {
@@ -68,32 +145,50 @@ impl Context {
     /// drop, which discards the collected profile). Spans opened in
     /// between must close before it.
     pub fn enter(&self) -> Entered {
-        Entered {
-            _trace: self.trace.clone().map(trace::enter),
-            _parent: self.parent.clone().map(span::enter),
-            _shard: self.shard.map(shard::enter),
-            _budget: self.budget.clone().map(budget::enter),
-            profile: self.profile.map(cost::begin),
-        }
+        let mut request = Request {
+            trace: self.trace.clone(),
+            spans: self.parent.iter().cloned().collect(),
+            shard: self.shard,
+            budget: self.budget.clone(),
+            cost: self.profile.map(Collecting::new),
+            source: None,
+        };
+        swap_carried(&mut request);
+        Entered(Some(request))
     }
 }
 
-/// An entered [`Context`]; dropping it restores what the thread had.
-pub struct Entered {
-    // Restored in declaration order, the reverse of `enter`'s.
-    profile: Option<CostGuard>,
-    _budget: Option<BudgetGuard>,
-    _shard: Option<ShardScope>,
-    _parent: Option<ParentGuard>,
-    _trace: Option<TraceGuard>,
+/// Trade every field of this thread's request but the read source with
+/// `other`'s.
+fn swap_carried(other: &mut Request) {
+    with(|r| {
+        mem::swap(&mut r.source, &mut other.source);
+        mem::swap(r, other);
+    });
 }
 
+/// An entered [`Context`]; dropping it restores what the thread had.
+pub struct Entered(Option<Request>);
+
 impl Entered {
+    /// Put the thread's own request back, returning the entered one.
+    fn restore(&mut self) -> Option<Request> {
+        let mut entered = self.0.take()?;
+        swap_carried(&mut entered);
+        Some(entered)
+    }
+
     /// Leave the context, returning the cost profile collected on this
     /// thread for [`crate::cost::absorb`] on the capturing one (`None`
     /// when the request collects none).
     pub fn leave(mut self) -> Option<CostProfile> {
-        self.profile.take().map(CostGuard::finish)
+        self.restore()?.cost.map(Collecting::finish)
+    }
+}
+
+impl Drop for Entered {
+    fn drop(&mut self) {
+        self.restore();
     }
 }
 
@@ -207,8 +302,10 @@ mod tests {
 
     #[test]
     fn the_helper_sees_the_budget_and_restores_an_empty_thread() {
+        let _no_reset = crate::globals_stay();
         let cancel = CancelFlag::new();
         let _budget = crate::budget::begin(None, cancel.clone());
+        let _outer = crate::span("test.context.outer");
         let context = capture();
         std::thread::scope(|s| {
             s.spawn(|| {
@@ -217,10 +314,13 @@ mod tests {
                 cancel.cancel();
                 assert!(crate::budget::interrupted().is_some());
                 assert!(entered.leave().is_none(), "no profile was collecting");
-                assert!(!crate::budget::is_active());
-                assert!(crate::span::capture().is_none());
+                assert_eq!(crate::budget::interrupted(), None);
                 assert_eq!(crate::trace::current(), None);
+                // Outside every span again: a new one is a root.
+                drop(crate::span("test.context.after"));
             });
         });
+        let after = crate::global().span_stats("test.context.after");
+        assert_eq!(after.calls.load(std::sync::atomic::Ordering::Relaxed), 1);
     }
 }

@@ -7,9 +7,9 @@
 //! stage. It is the only record of where queries go: every profile,
 //! `EXPLAIN ANALYZE`, the Profile frame and the zero-leak gate read it.
 //!
-//! The collection mechanism mirrors [`crate::trace`]: a thread-local
-//! slot holding the active profile, installed by [`begin`] and restored
-//! by the returned [`CostGuard`]. Library crates (codecs, dfs, cas, core
+//! The active profile is a field of the thread's request context
+//! ([`crate::context`]), installed by [`begin`] and restored by the
+//! returned [`CostGuard`]. Library crates (codecs, dfs, cas, core
 //! storage) call the free mutator functions unconditionally; when no
 //! profile is active they are no-ops, so instrumentation never needs to
 //! be threaded through call signatures.
@@ -30,8 +30,8 @@
 //! instrumentation bug (a call site that bumps one but not the other)
 //! is *detectable* instead of silently self-consistent.
 
+use crate::context::{self, Field, Guard};
 use crate::flight::now_ns;
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Resource accounting for one query, assembled while a [`CostGuard`] is
@@ -156,70 +156,67 @@ impl CostProfile {
     }
 }
 
-struct Active {
+/// A profile collecting on a thread, and when it began.
+pub(crate) struct Collecting {
     profile: CostProfile,
     start_ns: u64,
 }
 
-thread_local! {
-    static ACTIVE: RefCell<Option<Active>> = const { RefCell::new(None) };
-    static SOURCE_OVERRIDE: RefCell<Option<String>> = const { RefCell::new(None) };
+impl Collecting {
+    pub(crate) fn new(trace_id: u64) -> Self {
+        Self {
+            profile: CostProfile::new(trace_id),
+            start_ns: now_ns(),
+        }
+    }
+
+    pub(crate) fn trace_id(&self) -> u64 {
+        self.profile.trace_id
+    }
+
+    /// The profile, its `total_ns` stamped.
+    pub(crate) fn finish(self) -> CostProfile {
+        let mut p = self.profile;
+        p.total_ns = now_ns().saturating_sub(self.start_ns);
+        p
+    }
 }
 
 /// RAII guard for an installed cost profile. Dropping it without
 /// [`CostGuard::finish`] discards the profile; either way the previously
 /// installed profile (if any) is restored, so profiled sections nest.
 pub struct CostGuard {
-    prev: Option<Active>,
-    done: bool,
+    /// The profile to put back; `None` once put back.
+    prev: Option<Option<Collecting>>,
 }
 
 impl CostGuard {
+    /// Put the previous profile back, returning this guard's.
+    fn restore(&mut self) -> Option<Collecting> {
+        let prev = self.prev.take()?;
+        context::with(|r| std::mem::replace(&mut r.cost, prev))
+    }
+
     /// Detach the collected profile, stamping `total_ns`, and restore the
     /// previous context.
     pub fn finish(mut self) -> CostProfile {
-        self.done = true;
-        let active = ACTIVE.replace(self.prev.take());
-        match active {
-            Some(a) => {
-                let mut p = a.profile;
-                p.total_ns = now_ns().saturating_sub(a.start_ns);
-                p
-            }
-            // Unreachable in practice: only `finish`/`drop` remove it.
-            None => CostProfile::default(),
-        }
+        // `None` is unreachable in practice: only `finish`/`drop` remove it.
+        self.restore()
+            .map_or_else(CostProfile::default, Collecting::finish)
     }
 }
 
 impl Drop for CostGuard {
     fn drop(&mut self) {
-        if !self.done {
-            ACTIVE.set(self.prev.take());
-        }
+        self.restore();
     }
 }
 
 /// Install a fresh profile for `trace_id` on this thread. The profile
 /// collects until the guard is finished or dropped.
 pub fn begin(trace_id: u64) -> CostGuard {
-    let prev = ACTIVE.replace(Some(Active {
-        profile: CostProfile::new(trace_id),
-        start_ns: now_ns(),
-    }));
-    CostGuard { prev, done: false }
-}
-
-/// Is a profile currently collecting on this thread? Lets hot paths skip
-/// work (clock reads, formatting) when nobody is accounting.
-pub fn is_active() -> bool {
-    ACTIVE.with_borrow(|a| a.is_some())
-}
-
-/// The trace id of the profile collecting on this thread, if one is: a
-/// helper thread [`begin`]s its own under the same id.
-pub(crate) fn capture() -> Option<u64> {
-    ACTIVE.with_borrow(|a| a.as_ref().map(|a| a.profile.trace_id))
+    let prev = context::with(|r| r.cost.replace(Collecting::new(trace_id)));
+    CostGuard { prev: Some(prev) }
 }
 
 /// Merge `other` — what a helper thread collected for this thread's query
@@ -230,46 +227,35 @@ pub fn absorb(other: &CostProfile) {
 }
 
 fn with_active(f: impl FnOnce(&mut CostProfile)) {
-    ACTIVE.with_borrow_mut(|a| {
-        if let Some(active) = a.as_mut() {
+    context::with(|r| {
+        if let Some(active) = r.cost.as_mut() {
             f(&mut active.profile);
         }
     });
 }
 
-/// Attribute `n` bytes read from `source` (`"dfs"`, `"cas"`). When a
-/// [`SourceGuard`] is installed, its source wins: a store built *on top*
-/// of dfs (the CAS) claims the physical reads it initiates, so every
-/// byte is attributed exactly once, to the store that asked for it.
+/// Attribute `n` bytes read from `source` (`"dfs"`, `"cas"`). Under
+/// [`attribute_reads_to`] its source wins: a store built *on top* of dfs
+/// (the CAS) claims the physical reads it initiates, so every byte is
+/// attributed exactly once, to the store that asked for it.
 pub fn add_bytes_read(source: &str, n: u64) {
-    with_active(|p| {
-        let key = SOURCE_OVERRIDE
-            .with_borrow(|o| o.clone())
-            .unwrap_or_else(|| source.to_string());
-        *p.bytes_read.entry(key).or_insert(0) += n;
+    context::with(|r| {
+        let Some(active) = r.cost.as_mut() else {
+            return;
+        };
+        let key = r.source.as_deref().unwrap_or(source);
+        let p = &mut active.profile;
+        *p.bytes_read.entry(key.to_string()).or_insert(0) += n;
         p.bytes_read_total += n;
     });
-}
-
-/// RAII guard re-attributing nested [`add_bytes_read`] calls; see
-/// [`attribute_reads_to`].
-pub struct SourceGuard {
-    prev: Option<String>,
-}
-
-impl Drop for SourceGuard {
-    fn drop(&mut self) {
-        SOURCE_OVERRIDE.set(self.prev.take());
-    }
 }
 
 /// Attribute all [`add_bytes_read`] calls on this thread to `source`
 /// until the returned guard drops. Used by layered stores (CAS over dfs)
 /// so the underlying reads count toward the initiating store instead of
 /// being double-attributed.
-pub fn attribute_reads_to(source: &str) -> SourceGuard {
-    let prev = SOURCE_OVERRIDE.replace(Some(source.to_string()));
-    SourceGuard { prev }
+pub fn attribute_reads_to(source: &str) -> Guard {
+    context::set(Field::Source(Some(source.to_string())))
 }
 
 /// Attribute `n` decompressed output bytes to `codec`.
@@ -283,11 +269,15 @@ pub fn add_decompressed(codec: &str, n: u64) {
 /// Record rows iterated and rows produced. When a [`crate::shard`] scope
 /// is active the scanned rows are also attributed to that shard.
 pub fn add_rows(scanned: u64, returned: u64) {
-    with_active(|p| {
+    context::with(|r| {
+        let Some(active) = r.cost.as_mut() else {
+            return;
+        };
+        let p = &mut active.profile;
         p.rows_scanned += scanned;
         p.rows_returned += returned;
         if scanned > 0 {
-            if let Some(shard) = crate::shard::current() {
+            if let Some(shard) = r.shard {
                 *p.rows_by_shard.entry(shard).or_insert(0) += scanned;
             }
         }
@@ -324,7 +314,6 @@ mod tests {
 
     #[test]
     fn mutators_are_noops_without_an_active_profile() {
-        assert!(!is_active());
         add_bytes_read("dfs", 100);
         add_rows(5, 1);
         touch_epoch(7);
@@ -339,7 +328,6 @@ mod tests {
     #[test]
     fn profile_collects_and_reconciles() {
         let g = begin(42);
-        assert!(is_active());
         add_bytes_read("dfs", 100);
         add_bytes_read("dfs", 50);
         add_bytes_read("cas", 30);
@@ -353,7 +341,6 @@ mod tests {
         add_stage_ns("read", 1_000);
         add_stage_ns("read", 500);
         let p = g.finish();
-        assert!(!is_active());
         assert_eq!(p.trace_id, 42);
         assert_eq!(p.bytes_read_total, 180);
         assert_eq!(p.bytes_read["dfs"], 150);

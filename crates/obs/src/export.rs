@@ -73,14 +73,16 @@ pub fn flame_table(registry: &Registry) -> String {
     out
 }
 
-/// Escape a string for a JSON literal.
-fn json_escape(s: &str) -> String {
+/// Escape a string for the inside of a JSON string literal: quotes,
+/// backslashes and control characters (`\n` as `\n`, the rest as `\u`).
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
+            '\n' => out.push_str("\\n"),
+            c if c.is_control() => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
@@ -231,6 +233,12 @@ mod tests {
         let doc = json(&r);
         assert!(doc.contains("\"h{q=\\\"a\\\"b\\\\c\\\"}\""), "{doc}");
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());
+    }
+
+    #[test]
+    fn json_escape_escapes_every_control_character() {
+        assert_eq!(json_escape("a\nb\tc"), "a\\nb\\u0009c");
+        assert_eq!(json_escape("\u{7f}\u{85}é"), "\\u007f\\u0085é");
     }
 
     #[test]

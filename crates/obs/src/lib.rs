@@ -9,6 +9,10 @@
 //! thread, separating self-time from child time), and **exporters** (a
 //! sorted flame table, JSON, and Chrome `trace_event` JSON).
 //!
+//! What a thread knows about the request it works for — its trace, open
+//! spans, shard, budget and cost profile — is one thread-local owned by
+//! [`context`], which also carries it to a helper thread.
+//!
 //! Metric names follow the `crate.component.event` convention, e.g.
 //! `dfs.read.bytes` or `codecs.gzip-lite.compress.bytes_in`. Span *names*
 //! are stage labels (`"compress"`, `"dfs.write"`); span *paths* are the
@@ -47,7 +51,6 @@ pub use flight::{EventKind, FlightRecorder, SpanEvent};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use recorder::{Recorder, RecorderConfig};
 pub use registry::{MetricId, Registry};
-pub use shard::ShardScope;
 pub use slo::SloTracker;
 pub use span::{span, SpanGuard, SpanStats};
 

@@ -1,11 +1,12 @@
-//! Shard scope: a thread-local "which shard is this thread working for"
-//! dimension threaded through spans, metrics and cost profiles.
+//! Shard scope: a "which shard is this thread working for" field of the
+//! thread's request context ([`crate::context`]), threaded through spans,
+//! metrics and cost profiles.
 //!
 //! The shard-per-core scale-out (`ShardedSpate`) runs N complete
 //! frameworks; without a shard dimension a hot shard is invisible — every
-//! counter, span and flight event lands in one process-global pile. A
-//! [`ShardScope`] guard marks the current thread as working on behalf of
-//! shard `i`; instrumentation that calls [`current`] (spans, cost
+//! counter, span and flight event lands in one process-global pile. The
+//! guard [`enter`] returns marks the current thread as working on behalf
+//! of shard `i`; instrumentation that calls [`current`] (spans, cost
 //! profiles) or the [`add_sharded`] / [`observe_sharded`] helpers then
 //! attributes the work to that shard as a `shard="i"` labeled series
 //! *in addition to* the unlabeled total, so existing dashboards and
@@ -15,14 +16,10 @@
 //! on drop) and are per-thread, matching how the scatter-gather router
 //! fans work out to per-shard worker threads.
 
+use crate::context::{self, Field, Guard};
 use parking_lot::RwLock;
-use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
-
-thread_local! {
-    static CURRENT: Cell<Option<u32>> = const { Cell::new(None) };
-}
 
 /// Shards ever entered since the last [`reset`] — lets exporters and the
 /// skew monitor enumerate shards without plumbing the layout everywhere.
@@ -32,31 +29,19 @@ fn known() -> &'static RwLock<BTreeSet<u32>> {
     KNOWN.get_or_init(|| RwLock::new(BTreeSet::new()))
 }
 
-/// RAII guard: the current thread attributes work to one shard until drop.
-pub struct ShardScope {
-    prev: Option<u32>,
-}
-
-/// Enter a shard scope on this thread. Nested scopes restore the previous
-/// shard on drop.
-pub fn enter(shard: u32) -> ShardScope {
-    let prev = CURRENT.with(|c| c.replace(Some(shard)));
+/// Attribute this thread's work to `shard` until the guard drops. Nested
+/// scopes restore the previous shard on drop.
+pub fn enter(shard: u32) -> Guard {
     // Fast path: almost always already known after the first tick.
     if !known().read().contains(&shard) {
         known().write().insert(shard);
     }
-    ShardScope { prev }
-}
-
-impl Drop for ShardScope {
-    fn drop(&mut self) {
-        CURRENT.with(|c| c.set(self.prev));
-    }
+    context::set(Field::Shard(Some(shard)))
 }
 
 /// The shard the current thread is working for, if any.
 pub fn current() -> Option<u32> {
-    CURRENT.with(|c| c.get())
+    context::with(|r| r.shard)
 }
 
 /// Every shard entered since the last [`reset`], in order.

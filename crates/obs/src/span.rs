@@ -9,10 +9,10 @@
 //! callees".
 //!
 //! Guards must close in LIFO order on their thread (the natural order of
-//! nested scopes); interleaved lifetimes would swap attribution.
+//! nested scopes); interleaved lifetimes would swap attribution. The open
+//! spans are part of the thread's request context ([`crate::context`]).
 
 use crate::metrics::Histogram;
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -28,7 +28,9 @@ pub struct SpanStats {
     pub durations: Histogram,
 }
 
-struct Frame {
+/// An open span.
+#[derive(Clone)]
+pub(crate) struct Frame {
     path: String,
     child_ns: u64,
     /// Flight-recorder identity, present while a trace context is active
@@ -45,85 +47,49 @@ struct TraceSpan {
     start_ns: u64,
 }
 
-thread_local! {
-    static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
+/// The span id a span or instant event opened over `stack` now hangs
+/// under: the innermost traced frame's (frames opened before the trace
+/// context began stay outside the trace), 0 for none.
+pub(crate) fn parent_id(stack: &[Frame]) -> u64 {
+    traced(stack).map_or(0, |t| t.span_id)
 }
 
-/// The innermost open span that belongs to a trace, as
-/// `(trace_id, span_id)` — the parent for instant events.
-pub(crate) fn current_trace_span() -> Option<(u64, u64)> {
-    STACK.with(|stack| {
-        stack
-            .borrow()
-            .iter()
-            .rev()
-            .find_map(|f| f.trace.map(|t| (t.trace_id, t.span_id)))
+fn traced(stack: &[Frame]) -> Option<TraceSpan> {
+    stack.iter().rev().find_map(|f| f.trace)
+}
+
+/// A frame standing for where a span opened over `stack` now would hang,
+/// `None` outside every span: spans a helper thread opens over it nest
+/// under the same path and traced span ([`crate::context`]). It is never
+/// closed, so never recorded: its span belongs to the capturing thread.
+pub(crate) fn parent_frame(stack: &[Frame]) -> Option<Frame> {
+    Some(Frame {
+        path: stack.last()?.path.clone(),
+        child_ns: 0,
+        trace: traced(stack),
     })
-}
-
-/// Where a span opened now would hang: the innermost open span's path
-/// and the innermost traced span. See [`crate::context`].
-#[derive(Clone)]
-pub(crate) struct Parent {
-    path: String,
-    trace: Option<TraceSpan>,
-}
-
-/// This thread's [`Parent`], `None` outside every span.
-pub(crate) fn capture() -> Option<Parent> {
-    STACK.with_borrow(|stack| {
-        let path = stack.last()?.path.clone();
-        let trace = stack.iter().rev().find_map(|f| f.trace);
-        Some(Parent { path, trace })
-    })
-}
-
-/// Open a frame standing for `parent` on this thread, so that spans
-/// opened until the guard drops nest under it. The frame itself is never
-/// recorded: its span belongs to the thread that captured it.
-pub(crate) fn enter(parent: Parent) -> ParentGuard {
-    STACK.with_borrow_mut(|stack| {
-        stack.push(Frame {
-            path: parent.path,
-            child_ns: 0,
-            trace: parent.trace,
-        })
-    });
-    ParentGuard
-}
-
-/// Guard of an entered [`Parent`]; see [`enter`].
-pub(crate) struct ParentGuard;
-
-impl Drop for ParentGuard {
-    fn drop(&mut self) {
-        STACK.with_borrow_mut(|stack| stack.pop());
-    }
 }
 
 /// Open a span named `name` nested under this thread's innermost open
 /// span. Closes (and records) when the guard drops.
 pub fn span(name: &str) -> SpanGuard {
-    STACK.with(|stack| {
-        let mut stack = stack.borrow_mut();
-        let path = match stack.last() {
+    crate::context::with(|r| {
+        let path = match r.spans.last() {
             Some(parent) => format!("{};{}", parent.path, name),
             None => name.to_string(),
         };
         // Under an active trace context the span also gets a flight
-        // recorder identity, parented under the innermost traced frame
-        // (frames opened before the context began stay outside the trace).
-        let trace = crate::trace::alloc_span_id().map(|(trace_id, span_id)| TraceSpan {
-            trace_id,
-            span_id,
-            parent_id: stack
-                .iter()
-                .rev()
-                .find_map(|f| f.trace.map(|t| t.span_id))
-                .unwrap_or(0),
-            start_ns: crate::flight::now_ns(),
+        // recorder identity.
+        let trace = r.trace.as_ref().map(|t| {
+            let (trace_id, span_id) = t.alloc_span_id();
+            TraceSpan {
+                trace_id,
+                span_id,
+                parent_id: parent_id(&r.spans),
+                start_ns: crate::flight::now_ns(),
+            }
         });
-        stack.push(Frame {
+        r.spans.push(Frame {
             path,
             child_ns: 0,
             trace,
@@ -150,13 +116,12 @@ impl SpanGuard {
         let elapsed = self.start.elapsed();
         self.open = false;
         let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        let frame = STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let frame = stack.pop().expect("span stack underflow");
-            if let Some(parent) = stack.last_mut() {
+        let (frame, shard) = crate::context::with(|r| {
+            let frame = r.spans.pop().expect("span stack underflow");
+            if let Some(parent) = r.spans.last_mut() {
                 parent.child_ns += ns;
             }
-            frame
+            (frame, r.shard)
         });
         let stats = crate::global().span_stats(&frame.path);
         stats.calls.fetch_add(1, Ordering::Relaxed);
@@ -170,7 +135,7 @@ impl SpanGuard {
             // A span closed inside a shard scope carries the shard as an
             // event arg, so per-shard child trees are reconstructible from
             // the flight recorder alone.
-            let args = match crate::shard::current() {
+            let args = match shard {
                 Some(i) => vec![("shard".to_string(), i.to_string())],
                 None => Vec::new(),
             };

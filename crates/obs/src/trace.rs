@@ -1,11 +1,12 @@
 //! Per-request trace propagation.
 //!
 //! A **trace context** is a trace id plus a per-trace span-id allocator,
-//! installed on the current thread for the duration of one request by
-//! [`begin`]. While a context is active, every [`crate::span`] opened on
-//! the thread additionally records a [`crate::flight::SpanEvent`] into the
-//! global flight recorder when it closes — parented under the enclosing
-//! span — and [`event`] drops instant annotations into the same trace.
+//! installed in the current thread's request context ([`crate::context`])
+//! for the duration of one request by [`begin`]. While a context is
+//! active, every [`crate::span`] opened on the thread additionally records
+//! a [`crate::flight::SpanEvent`] into the global flight recorder when it
+//! closes — parented under the enclosing span — and [`event`] drops
+//! instant annotations into the same trace.
 //! With no context installed all of this is a no-op, so library code in
 //! `core`/`dfs` stays unconditionally instrumented while non-request work
 //! (ingest, benchmarks) pays nothing.
@@ -18,8 +19,8 @@
 //! within the trace, while their order between the two threads follows
 //! the interleaving.
 
+use crate::context::{self, Field, Guard};
 use crate::flight::{EventKind, SpanEvent};
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -31,43 +32,28 @@ pub(crate) struct ActiveTrace {
     next_span_id: Arc<AtomicU64>,
 }
 
-thread_local! {
-    static ACTIVE: RefCell<Option<ActiveTrace>> = const { RefCell::new(None) };
+impl ActiveTrace {
+    /// `(trace_id, span_id)` of a new span of this trace. The counter
+    /// publishes nothing else, hence `Relaxed`.
+    pub(crate) fn alloc_span_id(&self) -> (u64, u64) {
+        let span_id = self.next_span_id.fetch_add(1, Ordering::Relaxed);
+        (self.trace_id, span_id)
+    }
 }
 
 /// Install `trace_id` as this thread's active trace context. The returned
 /// guard restores the previous context (usually none) when dropped; spans
 /// and [`event`]s in between are recorded into the flight recorder.
-pub fn begin(trace_id: u64) -> TraceGuard {
-    enter(ActiveTrace {
+pub fn begin(trace_id: u64) -> Guard {
+    context::set(Field::Trace(Some(ActiveTrace {
         trace_id,
         next_span_id: Arc::new(AtomicU64::new(1)),
-    })
-}
-
-/// This thread's trace context, to [`enter`] on another thread.
-pub(crate) fn capture() -> Option<ActiveTrace> {
-    ACTIVE.with_borrow(Clone::clone)
-}
-
-/// Install a captured trace context on this thread.
-pub(crate) fn enter(trace: ActiveTrace) -> TraceGuard {
-    let prev = ACTIVE.replace(Some(trace));
-    TraceGuard { prev }
+    })))
 }
 
 /// The active trace id on this thread, if any.
 pub fn current() -> Option<u64> {
-    ACTIVE.with_borrow(|a| a.as_ref().map(|a| a.trace_id))
-}
-
-/// Allocate the next span id of the active trace; `None` without one.
-/// The counter publishes nothing else, hence `Relaxed`.
-pub(crate) fn alloc_span_id() -> Option<(u64, u64)> {
-    ACTIVE.with_borrow(|a| {
-        let a = a.as_ref()?;
-        Some((a.trace_id, a.next_span_id.fetch_add(1, Ordering::Relaxed)))
-    })
+    context::with(|r| r.trace.as_ref().map(|t| t.trace_id))
 }
 
 fn owned_args(args: &[(&str, &str)]) -> Vec<(String, String)> {
@@ -79,10 +65,13 @@ fn owned_args(args: &[(&str, &str)]) -> Vec<(String, String)> {
 /// Record an instant annotation into the active trace, parented under the
 /// innermost open span. No-op without an active context.
 pub fn event(name: &str, args: &[(&str, &str)]) {
-    let Some((trace_id, span_id)) = alloc_span_id() else {
+    let ids = context::with(|r| {
+        let (trace_id, span_id) = r.trace.as_ref()?.alloc_span_id();
+        Some((trace_id, span_id, crate::span::parent_id(&r.spans)))
+    });
+    let Some((trace_id, span_id, parent_id)) = ids else {
         return;
     };
-    let parent_id = crate::span::current_trace_span().map_or(0, |(_, id)| id);
     crate::flight().record(SpanEvent {
         trace_id,
         span_id,
@@ -98,7 +87,8 @@ pub fn event(name: &str, args: &[(&str, &str)]) {
 /// Record an already-measured timed region (e.g. queue wait measured by
 /// timestamps, not a guard) into the active trace as a root-level span.
 pub fn span_event(name: &str, start_ns: u64, dur_ns: u64, args: &[(&str, &str)]) {
-    let Some((trace_id, span_id)) = alloc_span_id() else {
+    let ids = context::with(|r| r.trace.as_ref().map(ActiveTrace::alloc_span_id));
+    let Some((trace_id, span_id)) = ids else {
         return;
     };
     crate::flight().record(SpanEvent {
@@ -128,17 +118,6 @@ pub fn instant_for(trace_id: u64, name: &str, args: &[(&str, &str)]) {
         kind: EventKind::Instant,
         args: owned_args(args),
     });
-}
-
-/// Guard restoring the previous trace context; see [`begin`].
-pub struct TraceGuard {
-    prev: Option<ActiveTrace>,
-}
-
-impl Drop for TraceGuard {
-    fn drop(&mut self) {
-        ACTIVE.set(self.prev.take());
-    }
 }
 
 #[cfg(test)]

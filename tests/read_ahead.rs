@@ -9,6 +9,7 @@
 //! rest.
 
 use cas::CasStore;
+use obs::{EventKind, SpanEvent};
 use spate::core::framework::{ExplorationFramework, IngestStats, SpaceReport, SpateFramework};
 use spate::core::query::{profile_query, run_exact, Coverage, ExactResult, Query, QueryResult};
 use spate::core::storage::{read_ahead, SnapshotStore, READ_AHEAD_MIN, READ_AHEAD_SLOTS};
@@ -541,6 +542,89 @@ fn no_more_than_the_slots_are_read_and_not_yet_lent() {
         assert!(most <= READ_AHEAD_SLOTS, "{most} read and not yet lent");
         if patient {
             assert_eq!(most, READ_AHEAD_SLOTS);
+        }
+    }
+}
+
+/// How many events of `events` are named `name`.
+fn named(events: &[SpanEvent], name: &str) -> usize {
+    events.iter().filter(|e| e.name == name).count()
+}
+
+/// The whole request context reaches the helper: a query over a day of
+/// epochs, run under a trace, a shard scope and a cost profile, records
+/// every span and event in the caller's trace, hanging under the caller's
+/// span through parents inside the trace, every span labelled with the
+/// caller's shard (an instant under a labelled span) and filed in the
+/// flame table under the caller's path; and it records as many `dfs.read`
+/// and `decompress` spans as the day queried one epoch at a time, which
+/// no helper reads.
+#[test]
+fn a_read_ahead_query_is_traced_as_one_epoch_at_a_time_is() {
+    let mut generator = TraceGenerator::new(TraceConfig::scaled(1.0 / 2048.0));
+    let layout = generator.layout().clone();
+    let snaps: Vec<Snapshot> = generator.by_ref().take(24).collect();
+    let last = snaps.len() as u32 - 1;
+    let q = Query::new(&["upflux", "call_drops"], BoundingBox::everything());
+    for (trace_id, (backend, fw)) in (0x5EAD_0000u64..)
+        .step_by(2)
+        .zip(warehouses(&layout, &snaps))
+    {
+        let caller = format!("test.read_ahead.caller.{backend}");
+        let traced = |trace_id: u64, windows: &[(u32, u32)]| {
+            let _trace = obs::trace::begin(trace_id);
+            let _shard = obs::shard::enter(3);
+            let _cost = obs::cost::begin(trace_id);
+            let _caller = obs::span(&caller);
+            for &(start, end) in windows {
+                let window = q.clone().with_window(EpochId(start), EpochId(end));
+                assert!(fw.query(&window).is_exact(), "{backend}");
+            }
+        };
+        traced(trace_id, &[(0, last)]);
+        let whole = obs::flight().trace(trace_id);
+        let one_at_a_time: Vec<(u32, u32)> = (0..=last).map(|e| (e, e)).collect();
+        traced(trace_id + 1, &one_at_a_time);
+        let pieced = obs::flight().trace(trace_id + 1);
+
+        let by_id: BTreeMap<u64, &SpanEvent> = whole.iter().map(|e| (e.span_id, e)).collect();
+        let root = whole
+            .iter()
+            .find(|e| e.name == caller)
+            .expect("the caller's span");
+        let shard = ("shard".to_string(), "3".to_string());
+        for event in &whole {
+            let mut up = event;
+            while up.span_id != root.span_id {
+                up = by_id
+                    .get(&up.parent_id)
+                    .unwrap_or_else(|| panic!("{backend}: {} hangs outside the trace", event.name));
+            }
+            let span = match event.kind {
+                EventKind::Span => event,
+                EventKind::Instant => by_id[&event.parent_id],
+            };
+            assert!(span.args.contains(&shard), "{backend}: {}", event.name);
+        }
+        let filed: u64 = obs::global()
+            .spans_snapshot()
+            .iter()
+            .filter(|(path, _)| path.starts_with(&format!("{caller};")))
+            .filter(|(path, _)| path.ends_with(";dfs.read"))
+            .map(|(_, stats)| stats.calls.load(Ordering::Relaxed))
+            .sum();
+        assert_eq!(
+            filed as usize,
+            named(&whole, "dfs.read") + named(&pieced, "dfs.read")
+        );
+
+        assert!(named(&whole, "dfs.read") > last as usize, "{backend}");
+        for name in ["dfs.read", "decompress"] {
+            assert_eq!(
+                named(&whole, name),
+                named(&pieced, name),
+                "{backend}: {name}"
+            );
         }
     }
 }
