@@ -207,8 +207,9 @@ impl TemporalIndex {
     pub fn find_covering(&self, start: EpochId, end: EpochId) -> Covering<'_> {
         assert!(start <= end);
         let leaves = self.leaves_in(start, end);
-        let expected = (end.0 - start.0 + 1) as usize;
-        if leaves.len() == expected && leaves.iter().all(|l| l.present) {
+        // In u64: the window of every epoch holds 2^32 of them.
+        let expected = u64::from(end.0 - start.0) + 1;
+        if leaves.len() as u64 == expected && leaves.iter().all(|l| l.present) {
             return Covering::Exact(leaves);
         }
 
@@ -450,5 +451,23 @@ mod tests {
         ));
         assert_eq!(index.present_leaves(), 0);
         assert_eq!(index.last_epoch(), None);
+    }
+
+    /// The window of every epoch holds 2^32 of them, one more than a
+    /// `u32` counts: an empty index answers `Unavailable` for it, not an
+    /// exact answer over no leaves, and a retained day is summarised.
+    #[test]
+    fn the_window_of_every_epoch_is_counted_without_wrapping() {
+        let all = (EpochId(0), EpochId(u32::MAX));
+        let empty = TemporalIndex::new(HighlightConfig::default());
+        assert!(matches!(
+            empty.find_covering(all.0, all.1),
+            Covering::Unavailable
+        ));
+        let (index, _) = build_index(6);
+        match index.find_covering(all.0, all.1) {
+            Covering::Summary { resolution, .. } => assert_eq!(resolution, Resolution::Root),
+            other => panic!("expected the root summary, got {other:?}"),
+        }
     }
 }

@@ -11,7 +11,7 @@ use crate::storage::{self, EpochRead, EpochRows, StorageError};
 use std::collections::HashSet;
 use std::fmt;
 use telco_trace::cells::{BoundingBox, CellLayout};
-use telco_trace::record::Value;
+use telco_trace::record::{Record, Value};
 use telco_trace::schema::{cdr, nms, Schema, TableKind};
 use telco_trace::snapshot::{Row, Snapshot};
 use telco_trace::time::EpochId;
@@ -48,9 +48,10 @@ impl Query {
         self
     }
 
-    /// The requested window length in epochs.
-    pub fn window_len(&self) -> u32 {
-        self.window.1 .0 - self.window.0 .0 + 1
+    /// The requested window length in epochs: `2^32` for the window of
+    /// every epoch, so it is counted in `u64`.
+    pub fn window_len(&self) -> u64 {
+        u64::from(self.window.1 .0 - self.window.0 .0) + 1
     }
 }
 
@@ -309,19 +310,23 @@ pub struct ExactRun {
 /// of the plan, in order: a cooperative [`obs::budget`] checkpoint — on
 /// cancellation or deadline expiry the scan stops and the rest of the
 /// window is reported unavailable, a `Partial` instead of an overrun —
-/// then `reach` appends the epoch's selected rows to `out` or answers
-/// `false` with `out` as it was, then `emit` disposes of what `out`
-/// holds (stream it and clear, or keep it).
+/// then `reach` leaves the epoch in `out` or answers `false` with `out`
+/// as it was, then `emit` disposes of what `out` holds.
+///
+/// What `out` holds is the evaluator's: the buffered evaluators reach
+/// into an [`ExactResult`] (selected rows appended, kept by `emit`); the
+/// serving tier reaches the epoch's cached snapshot and `emit` streams
+/// its selected rows out of it ([`RowPlan::lend`]).
 ///
 /// The degraded-coverage contract: an epoch whose leaf cannot be read
 /// right now (lost or corrupt replicas) is dropped from the answer and
 /// *accounted*, never silently skipped and never fatal to the rest of
 /// the window. Only `emit` can fail the run.
-pub fn run_exact<E>(
+pub fn run_exact<T, E>(
     epochs: &[EpochId],
-    out: &mut ExactResult,
-    mut reach: impl FnMut(EpochId, &mut ExactResult) -> bool,
-    mut emit: impl FnMut(&mut ExactResult) -> Result<(), E>,
+    out: &mut T,
+    mut reach: impl FnMut(EpochId, &mut T) -> bool,
+    mut emit: impl FnMut(&mut T) -> Result<(), E>,
 ) -> Result<ExactRun, E> {
     let requested = epochs.len() as u32;
     let (mut unavailable, mut cut_off) = (0, 0);
@@ -380,11 +385,14 @@ impl Projection {
 
 /// `Q(a, b, ·)` resolved once against the schemas and the cell layout:
 /// which columns of which table to emit, and which cells lie in `b`.
-/// [`Self::select`] is the one place a row is tested against `b` and
-/// projected onto `a`; the drivers — [`Self::project`] over a decoded
-/// snapshot, [`Self::scan_epoch`] over serialized text,
-/// [`Self::scan_columns`] over the columns of a CAS epoch — only feed it
-/// rows.
+/// [`Self::keeps`] is the one place a row is tested against `b`, and
+/// [`Self::columns`] the one list of what it carries of `a`. Two ways of
+/// answering share them: [`Self::select`] materialises a kept row as
+/// values — fed rows by [`Self::project`] over a decoded snapshot,
+/// [`Self::scan_epoch`] over serialized text and [`Self::scan_columns`]
+/// over the columns of a CAS epoch — while [`Self::lend`] hands a
+/// decoded snapshot's kept records to a caller that encodes them where
+/// they lie (the serving tier's frames).
 pub struct RowPlan {
     projection: Projection,
     /// Bit `c` is set when cell `c` lies in `b`; `layout.len()` bits.
@@ -425,35 +433,92 @@ impl RowPlan {
         word.is_some_and(|word| word >> (cell % 64) & 1 == 1)
     }
 
-    /// Append `row` of `table`, projected onto `a`, to `out` if its cell
-    /// lies in `b` (and `a` selects anything of `table` at all): the
-    /// filter reads the cell-id column alone, and only the selected
-    /// columns of a row that passes become [`Value`]s.
-    pub(crate) fn select(&self, table: TableKind, row: Row<'_>, out: &mut ExactResult) {
-        let (cell_col, cols, slice) = match table {
-            TableKind::Cdr => (cdr::CELL_ID, &self.projection.cdr_cols, &mut out.cdr),
-            _ => (nms::CELL_ID, &self.projection.nms_cols, &mut out.nms),
+    /// The columns of `table` that `a` selects, in answer order: a row of
+    /// the answer is the row's values at these columns. Empty when `a`
+    /// selects nothing of `table`.
+    pub fn columns(&self, table: TableKind) -> &[usize] {
+        match table {
+            TableKind::Cdr => &self.projection.cdr_cols,
+            _ => &self.projection.nms_cols,
+        }
+    }
+
+    /// The names of [`Self::columns`].
+    pub fn column_names(&self, table: TableKind) -> &[String] {
+        match table {
+            TableKind::Cdr => &self.projection.cdr_names,
+            _ => &self.projection.nms_names,
+        }
+    }
+
+    /// The one row test: does `row` of `table` reach the answer? It does
+    /// when `a` selects a column of `table` and the row's cell lies in
+    /// `b`; the test reads the cell-id column alone.
+    pub fn keeps(&self, table: TableKind, row: Row<'_>) -> bool {
+        let cell_col = match table {
+            TableKind::Cdr => cdr::CELL_ID,
+            _ => nms::CELL_ID,
         };
-        if !cols.is_empty() && self.selects(row.i64(cell_col)) {
-            slice
-                .rows
-                .push(cols.iter().map(|&c| row.value(c)).collect());
+        !self.columns(table).is_empty() && self.selects(row.i64(cell_col))
+    }
+
+    /// Append `row` of `table`, projected onto `a`, to `out` if the plan
+    /// [keeps](Self::keeps) it: only the selected columns of a row that
+    /// passes become [`Value`]s.
+    pub(crate) fn select(&self, table: TableKind, row: Row<'_>, out: &mut ExactResult) {
+        if self.keeps(table, row) {
+            let slice = match table {
+                TableKind::Cdr => &mut out.cdr,
+                _ => &mut out.nms,
+            };
+            let values = self.columns(table).iter().map(|&c| row.value(c));
+            slice.rows.push(values.collect());
         }
     }
 
     /// The answer over no epochs: the selected column names per table (a
     /// table with no selected column has none), no rows.
     pub fn empty_result(&self) -> ExactResult {
-        let slice = |kind, names: &[String]| TableSlice {
+        let slice = |kind| TableSlice {
             kind,
-            column_names: names.to_vec(),
+            column_names: self.column_names(kind).to_vec(),
             rows: vec![],
         };
         ExactResult {
-            cdr: slice(TableKind::Cdr, &self.projection.cdr_names),
-            nms: slice(TableKind::Nms, &self.projection.nms_names),
+            cdr: slice(TableKind::Cdr),
+            nms: slice(TableKind::Nms),
             epochs_read: 0,
         }
+    }
+
+    /// Lend `snap`'s selected rows to `take` instead of building them:
+    /// per table `a` selects from, CDR before NMS, a [`Lent`] iterator
+    /// over the records [`Self::project`] would append, in record order.
+    /// A record is seen through [`Self::columns`]; nothing is cloned. The
+    /// epoch is accounted as `project` accounts it: every record scanned,
+    /// every record `take` drew returned.
+    pub fn lend<'s, E>(
+        &'s self,
+        snap: &'s Snapshot,
+        mut take: impl FnMut(TableKind, &mut Lent<'s>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut returned = 0;
+        let mut taken = Ok(());
+        for &table in &self.tables {
+            let mut lent = Lent {
+                plan: self,
+                table,
+                records: snap.table(table).iter(),
+                drawn: 0,
+            };
+            taken = take(table, &mut lent);
+            returned += lent.drawn;
+            if taken.is_err() {
+                break;
+            }
+        }
+        obs::cost::add_rows(snap.total_records() as u64, returned);
+        taken
     }
 
     /// Evaluate over one decoded snapshot, appending to `out`.
@@ -550,6 +615,29 @@ impl RowPlan {
     }
 }
 
+/// The selected records of one table of a snapshot, lent by
+/// [`RowPlan::lend`]: each is tested with [`RowPlan::keeps`] as it is
+/// drawn, and counted.
+pub struct Lent<'s> {
+    plan: &'s RowPlan,
+    table: TableKind,
+    records: std::slice::Iter<'s, Record>,
+    drawn: u64,
+}
+
+impl<'s> Iterator for Lent<'s> {
+    type Item = &'s Record;
+
+    fn next(&mut self) -> Option<&'s Record> {
+        let (plan, table) = (self.plan, self.table);
+        let record = self
+            .records
+            .find(|record| plan.keeps(table, Row::Record(record)))?;
+        self.drawn += 1;
+        Some(record)
+    }
+}
+
 /// Evaluate the exact branch: project + spatially filter loaded snapshots.
 pub fn project_snapshots(snapshots: &[Snapshot], q: &Query, layout: &CellLayout) -> ExactResult {
     project_snapshot_refs(snapshots.iter(), q, layout)
@@ -593,6 +681,8 @@ mod tests {
             Query::new(&["upflux", "downflux"], BoundingBox::everything()).with_epoch_range(3, 9);
         assert_eq!(q.window_len(), 7);
         assert_eq!(q.attributes.len(), 2);
+        let all = Query::new(&[], BoundingBox::everything()).with_epoch_range(0, u32::MAX);
+        assert_eq!(all.window_len(), 1 << 32);
     }
 
     #[test]

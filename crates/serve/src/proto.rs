@@ -24,7 +24,7 @@
 //! after a well-formed payload are an error (no smuggling).
 
 use std::fmt;
-use telco_trace::record::Value;
+use telco_trace::record::{Record, Value};
 
 /// Protocol magic: "SV" (SPATE serVe).
 pub const MAGIC: [u8; 2] = [0x53, 0x56];
@@ -170,9 +170,11 @@ impl RequestBody {
         }
     }
 
-    /// Window length in epochs (0 for introspection frames).
-    pub fn window_len(&self) -> u32 {
-        self.window().map_or(0, |(a, b)| b.saturating_sub(a) + 1)
+    /// Window length in epochs (0 for introspection frames): `2^32` for
+    /// the window of every epoch, so it is counted in `u64`.
+    pub fn window_len(&self) -> u64 {
+        self.window()
+            .map_or(0, |(a, b)| u64::from(b.saturating_sub(a)) + 1)
     }
 
     /// Control-plane frames bypass admission and the worker pool.
@@ -450,21 +452,85 @@ impl<'a> Writer<'a> {
     }
 }
 
-/// Append a [`ResponseBody::RowChunk`] frame over borrowed rows: the
-/// bytes [`Response::encode`] gives for an owned chunk, without cloning
-/// the rows into one first.
-pub fn encode_row_chunk_into(out: &mut Vec<u8>, id: u64, table: u8, rows: &[Vec<Value>]) {
+/// How a row of a [`ResponseBody::RowChunk`] yields its values to
+/// [`encode_row_chunk_into`]: an owned `Vec<Value>` (a SQL result row),
+/// or a cached record seen through a column list ([`Projected`]).
+pub trait WireRow {
+    /// How many values the row carries.
+    fn width(&self) -> usize;
+    /// Value `i` of the row, for `i < self.width()`.
+    fn value(&self, i: usize) -> &Value;
+}
+
+impl WireRow for Vec<Value> {
+    fn width(&self) -> usize {
+        self.len()
+    }
+
+    fn value(&self, i: usize) -> &Value {
+        &self[i]
+    }
+}
+
+impl<R: WireRow + ?Sized> WireRow for &R {
+    fn width(&self) -> usize {
+        (**self).width()
+    }
+
+    fn value(&self, i: usize) -> &Value {
+        (**self).value(i)
+    }
+}
+
+/// A record seen through a column list: value `i` is the record's
+/// column `columns[i]`. This is how a cached epoch's selected rows reach
+/// the wire without a value being cloned.
+#[derive(Debug, Clone, Copy)]
+pub struct Projected<'a> {
+    pub record: &'a Record,
+    pub columns: &'a [usize],
+}
+
+impl WireRow for Projected<'_> {
+    fn width(&self) -> usize {
+        self.columns.len()
+    }
+
+    fn value(&self, i: usize) -> &Value {
+        self.record.get(self.columns[i])
+    }
+}
+
+/// Append one [`ResponseBody::RowChunk`] frame holding `rows` and return
+/// how many it holds: the bytes [`Response::encode`] gives for the owned
+/// chunk of the same values, with no row copied into one. The row count
+/// leads the rows, so it is written last, over a placeholder.
+///
+/// # Panics
+/// If `rows` yields more than `u16::MAX` rows.
+pub fn encode_row_chunk_into<R: WireRow>(
+    out: &mut Vec<u8>,
+    id: u64,
+    table: u8,
+    rows: impl IntoIterator<Item = R>,
+) -> usize {
     let mut w = Writer::new(out);
     w.u64(id);
     w.u8(table);
-    w.u16(rows.len() as u16);
+    let count_at = w.buf.len();
+    w.u16(0);
+    let mut count = 0;
     for row in rows {
-        w.u16(row.len() as u16);
-        for v in row {
-            w.value(v);
+        w.u16(row.width() as u16);
+        for i in 0..row.width() {
+            w.value(row.value(i));
         }
+        count += 1;
     }
+    let count16 = u16::try_from(count).expect("a row chunk holds at most u16::MAX rows");
+    w.buf[count_at..count_at + 2].copy_from_slice(&count16.to_le_bytes());
     w.finish(kind::ROW_CHUNK);
+    count
 }
 
 impl Request {
@@ -575,7 +641,8 @@ impl Response {
     /// Append this response to `out` as one complete frame.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         if let ResponseBody::RowChunk { table, rows } = &self.body {
-            return encode_row_chunk_into(out, self.id, *table, rows);
+            encode_row_chunk_into(out, self.id, *table, rows);
+            return;
         }
         let mut w = Writer::new(out);
         w.u64(self.id);
@@ -1148,6 +1215,20 @@ mod tests {
     }
 
     #[test]
+    fn the_window_of_every_epoch_is_counted_without_wrapping() {
+        let sql = |window| RequestBody::Sql {
+            window,
+            sql: String::new(),
+            deadline_ms: 0,
+        };
+        assert_eq!(sql((0, u32::MAX)).window_len(), 1 << 32);
+        assert_eq!(sql((u32::MAX, u32::MAX)).window_len(), 1);
+        assert_eq!(sql((3, 9)).window_len(), 7);
+        // An inverted window is refused by the worker; it counts as one.
+        assert_eq!(sql((9, 3)).window_len(), 1);
+    }
+
+    #[test]
     fn stats_reply_round_trips() {
         let full = Response {
             id: 9,
@@ -1403,6 +1484,30 @@ mod tests {
         ]
         .concat();
         assert_eq!(buf, expected);
+        // Records seen through a column list encode as the owned rows of
+        // the values at those columns.
+        let records = [
+            Record::new(vec![Value::Str("a".into()), Value::Null, Value::Int(1)]),
+            Record::new(vec![Value::Int(9), Value::Null, Value::Str("a".into())]),
+        ];
+        let columns = [2, 1];
+        let lent = records.iter().map(|record| Projected {
+            record,
+            columns: &columns,
+        });
+        let mut buf = Vec::new();
+        assert_eq!(encode_row_chunk_into(&mut buf, 5, 1, lent), 2);
+        let owned = Response {
+            id: 5,
+            body: ResponseBody::RowChunk {
+                table: 1,
+                rows: vec![
+                    vec![Value::Int(1), Value::Null],
+                    vec![Value::Str("a".into()), Value::Null],
+                ],
+            },
+        };
+        assert_eq!(buf, owned.encode());
         // A chunk that claims 65535 rows of 65535 values but carries
         // none is a truncation, found without reserving room for them.
         let mut payload = 5u64.to_le_bytes().to_vec();

@@ -41,8 +41,8 @@
 use crate::admission::{AdmissionConfig, AdmissionQueue, Class};
 use crate::cache::{CacheConfig, CacheInvalidator, CacheStats, EpochCache};
 use crate::proto::{
-    errcode, parse_frame, AnomalyWire, ProfileFrame, ProtoError, Request, RequestBody, Response,
-    ResponseBody, SpanWire, StatsFrame, TableHeader, TraceFrame,
+    errcode, parse_frame, AnomalyWire, ProfileFrame, Projected, ProtoError, Request, RequestBody,
+    Response, ResponseBody, SpanWire, StatsFrame, TableHeader, TraceFrame,
 };
 use crate::transport::{duplex, ByteSink, Endpoint, FrameBatch, TransportError};
 use dfs::breaker::BreakerState;
@@ -50,7 +50,7 @@ use obs::CostProfile;
 use obs::{CancelFlag, EventKind, Histogram, Interrupt};
 use spate_core::framework::{lend_records, ExplorationFramework, IngestStats, SpaceReport};
 use spate_core::index::highlights::Resolution;
-use spate_core::query::{run_exact, Coverage, ExactResult, Plan, Query, QueryResult, RowPlan};
+use spate_core::query::{run_exact, Coverage, Plan, Query, QueryResult, RowPlan};
 use spate_core::shard::{merge_snapshots, ShardedSpate};
 use spate_core::{
     AnomalyRecord, DecayReport, Highlights, MetaConfig, MetaMonitor, MetaSummary, SpateFramework,
@@ -67,7 +67,7 @@ use telco_trace::snapshot::{Row, Snapshot};
 use telco_trace::time::EpochId;
 
 /// Windows of at most this many epochs classify as interactive.
-const INTERACTIVE_MAX_WINDOW: u32 = 8;
+const INTERACTIVE_MAX_WINDOW: u64 = 8;
 
 /// Max epochs prefetched ahead of a served window.
 const PREFETCH_LOOKAHEAD: u32 = 4;
@@ -1014,8 +1014,11 @@ fn serve_explore(
     // its own load — a slow client never blocks ingest/decay, and a
     // scan never pins a shard it isn't reading this instant.
     let _eval_span = obs::span("serve.evaluate");
+    let traced = obs::trace::current().is_some();
     let sent = match shared.shards.plan(&q) {
-        Plan::Exact(epochs) => stream_epochs(shared, ep, id, &q, &epochs),
+        Plan::Exact(epochs) => stream_epochs(shared, ep, id, &q, &epochs, |epoch| {
+            resolve_epoch(shared, epoch, traced)
+        }),
         Plan::Summary {
             resolution,
             highlights,
@@ -1082,8 +1085,7 @@ fn serve_sql(
                     }],
                 },
             })?;
-            let total = rs.rows.len() as u64;
-            out.push_rows(id, 0, &rs.rows)?;
+            let total = out.push_rows(id, 0, &rs.rows)?;
             shared
                 .stats
                 .rows_streamed
@@ -1111,46 +1113,49 @@ fn send_error(ep: &Endpoint, id: u64, code: u8, message: &str) -> Result<(), Tra
 }
 
 /// Stream an exact window Volcano-style: header first, then the shared
-/// exact-branch loop ([`run_exact`]) one epoch at a time — reach it
-/// ([`reach_cached`]), push its row chunks, clear them — so the serve
-/// tier never buffers more than one epoch of the answer plus a
-/// [`FrameBatch`] of encoded frames. Ends with an optional coverage
-/// report (only when degraded) and the terminal `Done`.
+/// exact-branch loop ([`run_exact`]) one epoch at a time. Reaching an
+/// epoch is resolving its snapshot (`resolve`: [`resolve_epoch`], the
+/// shared cache); emitting it is lending the snapshot's selected rows
+/// ([`RowPlan::lend`]), CDR then NMS in record order, straight into row
+/// chunk frames: no row is built, cloned or freed, and the serve tier
+/// never holds more than one resolved epoch plus a [`FrameBatch`] of
+/// encoded frames. Ends with an optional coverage report (only when
+/// degraded) and the terminal `Done`.
 fn stream_epochs(
     shared: &Shared,
     ep: &Endpoint,
     id: u64,
     q: &Query,
     epochs: &[EpochId],
+    mut resolve: impl FnMut(EpochId) -> Option<Arc<Snapshot>>,
 ) -> Result<(), TransportError> {
     // Resolved once per request: the column names (known before any
-    // epoch is read) and the row filter every epoch goes through.
+    // epoch is read) and the row test every epoch goes through.
     let rows = RowPlan::new(q, shared.shards.layout());
-    let mut part = rows.empty_result();
     let mut out = FrameBatch::new(ep);
+    let header = |table| TableHeader {
+        name: TableKind::name(table).into(),
+        columns: rows.column_names(table).to_vec(),
+    };
     out.push(&Response {
         id,
         body: ResponseBody::Header {
-            tables: vec![
-                TableHeader {
-                    name: "CDR".into(),
-                    columns: std::mem::take(&mut part.cdr.column_names),
-                },
-                TableHeader {
-                    name: "NMS".into(),
-                    columns: std::mem::take(&mut part.nms.column_names),
-                },
-            ],
+            tables: vec![header(TableKind::Cdr), header(TableKind::Nms)],
         },
     })?;
     let mut total = 0u64;
-    let run = run_exact(epochs, &mut part, reach_cached(shared, &rows), |part| {
-        total += part.row_count() as u64;
-        for (table, slice) in [(0u8, &mut part.cdr), (1u8, &mut part.nms)] {
-            out.push_rows(id, table, &slice.rows)?;
-            slice.rows.clear();
-        }
-        Ok::<(), TransportError>(())
+    let reach = |epoch, cached: &mut Option<Arc<Snapshot>>| {
+        *cached = resolve(epoch);
+        cached.is_some()
+    };
+    let run = run_exact(epochs, &mut None, reach, |cached| {
+        let snapshot = cached.take().expect("reach leaves the epoch it resolved");
+        rows.lend(&snapshot, |table, lent| {
+            let columns = rows.columns(table);
+            let lent = lent.map(|record| Projected { record, columns });
+            total += out.push_rows(id, wire_table(table), lent)?;
+            Ok::<(), TransportError>(())
+        })
     })?;
     if run.cut_off > 0 {
         obs::inc("serve.scan.interrupted");
@@ -1214,7 +1219,8 @@ fn prefetch(shared: &Shared, conn: u64, window: (u32, u32)) {
     let Some(last) = shared.shards.read(0).index().last_epoch() else {
         return;
     };
-    let ahead = PREFETCH_LOOKAHEAD.min(window.1.saturating_sub(window.0) + 1);
+    let len = u64::from(window.1.saturating_sub(window.0)) + 1;
+    let ahead = u64::from(PREFETCH_LOOKAHEAD).min(len) as u32;
     let from = window.1.saturating_add(1);
     let to = window.1.saturating_add(ahead).min(last.0);
     for e in from..=to {
@@ -1265,18 +1271,11 @@ fn resolve_epoch(shared: &Shared, epoch: EpochId, traced: bool) -> Option<Arc<Sn
     load_merged_into_cache(shared, epoch)
 }
 
-/// The serving tier's *reach* step of [`run_exact`]: one epoch through
-/// the shared cache ([`resolve_epoch`]), its selected rows appended.
-fn reach_cached<'a>(
-    shared: &'a Shared,
-    rows: &'a RowPlan,
-) -> impl FnMut(EpochId, &mut ExactResult) -> bool + 'a {
-    let traced = obs::trace::current().is_some();
-    move |epoch, out| {
-        let snapshot = resolve_epoch(shared, epoch, traced);
-        snapshot
-            .map(|snapshot| rows.project(&snapshot, out))
-            .is_some()
+/// A table's index in an explore answer's header: CDR 0, NMS 1.
+fn wire_table(table: TableKind) -> u8 {
+    match table {
+        TableKind::Cdr => 0,
+        _ => 1,
     }
 }
 
@@ -1339,11 +1338,19 @@ impl ExplorationFramework for CachedView<'_> {
         }
     }
 
+    /// The materialising evaluation: a [`QueryResult`] holds its rows,
+    /// so each cached epoch's selected rows are projected into it.
     fn query(&self, q: &Query) -> QueryResult {
         let _span = obs::span("serve.evaluate");
         let rows = RowPlan::new(q, self.layout());
         let plan = self.shared.shards.plan(q);
-        plan.evaluate(&rows, reach_cached(self.shared, &rows))
+        let traced = obs::trace::current().is_some();
+        plan.evaluate(&rows, |epoch, out| {
+            let snapshot = resolve_epoch(self.shared, epoch, traced);
+            snapshot
+                .map(|snapshot| rows.project(&snapshot, out))
+                .is_some()
+        })
     }
 
     fn version(&self) -> u64 {
@@ -1630,6 +1637,11 @@ fn unexpected_reply(reply: &Reply) -> TransportError {
 }
 
 #[cfg(test)]
+mod frame_cuts;
+#[cfg(test)]
+mod frame_identity;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::mpsc;
@@ -1685,6 +1697,43 @@ mod tests {
         clean.send_raw(&stats_request(1)).unwrap();
         clean.close();
         assert_eq!(server.shutdown().protocol_errors, 1);
+    }
+
+    /// The window of every epoch holds 2^32 of them: it is filed as a
+    /// scan, an empty warehouse has nothing to answer it with, a filled
+    /// one answers it, and the connection serves its next request as
+    /// usual.
+    #[test]
+    fn the_window_of_every_epoch_is_a_scan_and_the_connection_goes_on() {
+        let all = (0, u32::MAX);
+        let everything = BoundingBox::everything();
+        let explore = RequestBody::Explore {
+            attributes: vec!["upflux".into()],
+            bbox: (f64::MIN, f64::MIN, f64::MAX, f64::MAX),
+            window: all,
+            deadline_ms: 0,
+        };
+        assert_eq!(classify(&explore), Class::Scan);
+
+        let empty = server_over(1.0 / 2048.0, 0, ServeConfig::default());
+        let mut client = empty.connect();
+        let reply = client.explore(&["upflux"], everything, all).unwrap();
+        assert_eq!(reply, Reply::Unavailable);
+        client.close();
+        empty.shutdown();
+
+        let server = server_over(1.0 / 2048.0, 4, ServeConfig::default());
+        let mut client = server.connect();
+        let reply = client.explore(&["upflux"], everything, all).unwrap();
+        assert!(matches!(reply, Reply::Summary { .. }), "{reply:?}");
+        let next = client.explore(&["upflux"], everything, (0, 3)).unwrap();
+        let Reply::Rows { coverage, .. } = &next else {
+            panic!("expected rows, got {next:?}");
+        };
+        assert_eq!(*coverage, None);
+        assert!(next.total_rows() > 0);
+        client.close();
+        assert_eq!(server.shutdown().protocol_errors, 0);
     }
 
     /// The intake runs on the sending client's thread, so it must never

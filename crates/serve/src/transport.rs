@@ -24,12 +24,12 @@
 //!   worker) on its way in, not two.
 
 use crate::proto::{
-    encode_row_chunk_into, FrameHeader, ProtoError, Request, Response, CHUNK_ROWS, HEADER_LEN,
+    encode_row_chunk_into, FrameHeader, ProtoError, Request, Response, WireRow, CHUNK_ROWS,
+    HEADER_LEN,
 };
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use telco_trace::record::Value;
 
 /// Per-direction buffer bound in bytes.
 pub const PIPE_CAPACITY: usize = 1 << 20;
@@ -309,18 +309,22 @@ impl<'a> FrameBatch<'a> {
     }
 
     /// Push `rows` as `RowChunk` frames of at most [`CHUNK_ROWS`] rows,
-    /// encoded where they lie.
-    pub fn push_rows(
+    /// each row encoded where it lies (owned, or lent out of a cached
+    /// epoch: [`WireRow`]); returns how many rows were pushed.
+    pub fn push_rows<R: WireRow>(
         &mut self,
         id: u64,
         table: u8,
-        rows: &[Vec<Value>],
-    ) -> Result<(), TransportError> {
-        for chunk in rows.chunks(CHUNK_ROWS) {
-            encode_row_chunk_into(&mut self.buf, id, table, chunk);
+        rows: impl IntoIterator<Item = R>,
+    ) -> Result<u64, TransportError> {
+        let mut rows = rows.into_iter().peekable();
+        let mut pushed = 0;
+        while rows.peek().is_some() {
+            let chunk = rows.by_ref().take(CHUNK_ROWS);
+            pushed += encode_row_chunk_into(&mut self.buf, id, table, chunk) as u64;
             self.flush_if_full()?;
         }
-        Ok(())
+        Ok(pushed)
     }
 
     fn flush_if_full(&mut self) -> Result<(), TransportError> {
@@ -346,6 +350,7 @@ impl<'a> FrameBatch<'a> {
 mod tests {
     use super::*;
     use crate::proto::{RequestBody, ResponseBody};
+    use telco_trace::record::Value;
 
     #[test]
     fn frames_cross_the_duplex_channel() {
