@@ -1,12 +1,14 @@
 //! The cost of one cold CAS epoch read, whole and by part, on a night-time
-//! and a busy-hour epoch: `get_epoch` (inflate every unit, verify,
-//! `assemble`), `open_epoch` alone (manifest and pack files read and
-//! verified, nothing inflated), one table read as columns, the one-epoch
-//! scans a T2 (CDR only), a T3 (NMS only) and a light `Q(a,b,w)` (both
-//! tables, two columns each) make of it — the `cas.get.verify` /
-//! `.inflate.<table>` / `.index` / `.assemble` spans carry the same split
-//! at run time — then SHA-256 on the portable and the accelerated path,
-//! `7z-lite` decode of a pack-shaped stream and `chunker::assemble`.
+//! and a busy-hour epoch: `SnapshotStore::load` on the CAS and, beside it,
+//! on the Path backend (both tables read, records built), `get_epoch` (the
+//! reference: inflate every unit, verify, `assemble`), `open_epoch` alone
+//! (manifest and pack files read and verified, nothing inflated), one table
+//! read as columns, the one-epoch scans a T2 (CDR only), a T3 (NMS only)
+//! and a light `Q(a,b,w)` (both tables, two columns each) make of it — the
+//! `cas.get.verify` / `.inflate.<table>` / `.index` / `.assemble` spans
+//! carry the same split at run time — then SHA-256 on the portable and the
+//! accelerated path, `7z-lite` decode of a pack-shaped stream and
+//! `chunker::assemble`.
 
 use cas::chunker::{assemble, split, Chunking};
 use codecs::{Codec, SevenzLite};
@@ -37,9 +39,11 @@ fn snapshot_bytes() -> Vec<Vec<u8>> {
 fn bench_epoch_reads(c: &mut Criterion) {
     let day = generate_snapshots(&config(), 28);
     let layout = config().generator().layout().clone();
-    let mut fw = SpateFramework::with_cas(Dfs::in_memory(), layout);
+    let mut fw = SpateFramework::with_cas(Dfs::in_memory(), layout.clone());
+    let mut path = SpateFramework::new(Dfs::in_memory(), layout);
     for snap in &day {
         fw.ingest(snap);
+        path.ingest(snap);
     }
     let cas = fw.store().cas().expect("the CAS backend").clone();
     let half = BoundingBox::new(0.0, 0.0, 38_000.0, 38_000.0);
@@ -48,6 +52,9 @@ fn bench_epoch_reads(c: &mut Criterion) {
         group.throughput(Throughput::Bytes(
             day[epoch as usize].to_bytes().len() as u64
         ));
+        let at = EpochId(epoch);
+        group.bench_function("load_cas", |b| b.iter(|| fw.store().load(at).unwrap()));
+        group.bench_function("load_path", |b| b.iter(|| path.store().load(at).unwrap()));
         group.bench_function("get_epoch", |b| b.iter(|| cas.get_epoch(epoch).unwrap()));
         group.bench_function("open_epoch", |b| b.iter(|| cas.open_epoch(epoch).is_ok()));
         for (name, table) in [("table_cdr", 0), ("table_nms", 1)] {
@@ -55,7 +62,6 @@ fn bench_epoch_reads(c: &mut Criterion) {
                 b.iter(|| cas.open_epoch(epoch).unwrap().table(table).unwrap())
             });
         }
-        let at = EpochId(epoch);
         group.bench_function("t2_epoch", |b| b.iter(|| tasks::t2_range(&fw, at, at)));
         group.bench_function("t3_epoch", |b| b.iter(|| tasks::t3_aggregate(&fw, at, at)));
         let light = Query::new(&["upflux", "call_drops"], half).with_window(at, at);

@@ -37,7 +37,8 @@ pub const MANIFEST_MAGIC: &[u8; 6] = b"CASMF6";
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochManifest {
     pub epoch: u32,
-    /// Length of the reassembled payload, verified on read.
+    /// Length of the stored snapshot's text: checked by the reference
+    /// reassembly ([`crate::EpochReader::assemble`]), not by a column read.
     pub raw_len: u64,
     /// The snapshot's CDR and NMS table, in stored order, each under the
     /// header line `Snapshot::to_bytes` writes for its rows.

@@ -4,10 +4,10 @@
 //! the verified manifest and the epoch's verified pack, nothing inflated.
 //! [`EpochReader::table`] inflates the one unit of a table and returns the
 //! table column by column, and [`EpochReader::snapshot_columns`] the tables
-//! a scan asked for: every scan of a stored epoch reads columns.
-//! [`EpochReader::assemble`] inflates every unit and rebuilds the
-//! snapshot's text. Both go through one private `inflate`: a unit is lent
-//! only after its inflated bytes matched its hash.
+//! a read asked for: every read of a stored epoch reads columns.
+//! [`EpochReader::assemble`], the reference the tests hold them against,
+//! rebuilds the text. Both go through one private `inflate`: a unit is
+//! lent only after its inflated bytes matched its hash.
 
 use crate::chunker::{self, SNAPSHOT_SECTIONS};
 use crate::hash::ChunkHash;
@@ -130,12 +130,10 @@ impl<'s> EpochReader<'s> {
     }
 
     /// The tables `wanted` of the snapshot as columns ([`Self::table`] of
-    /// each, no other table inflated), for a scan that would otherwise walk
-    /// [`Self::assemble`]'s text with `Snapshot::scan`: whatever that walk
-    /// refuses of these tables is refused here, and every field reads the
-    /// same. The store took the text only as `Snapshot::to_bytes` writes
-    /// it — no `\r` anywhere, which the walk would drop from a last field —
-    /// so there is no text left to fall back to.
+    /// each, no other table inflated): what `Snapshot::scan` refuses of
+    /// these tables in [`Self::assemble`]'s text is refused here, and every
+    /// field reads the same. The store took only text as `to_bytes` writes
+    /// it (no `\r`), so there is no text left to fall back to.
     pub fn snapshot_columns(&self, wanted: &[TableKind]) -> Result<SnapshotColumns, CasError> {
         let mut tables = Vec::with_capacity(wanted.len());
         for (i, kind) in SNAPSHOT_SECTIONS.into_iter().enumerate() {
@@ -149,7 +147,8 @@ impl<'s> EpochReader<'s> {
 
     /// The stored snapshot's text, rebuilt: every unit inflated and
     /// verified, put back together with the constant values under the
-    /// header lines the epoch and the rows give, and the length checked.
+    /// header lines the epoch and the rows give, and the length checked
+    /// against the manifest's `raw_len` (which only this reference reads).
     pub fn assemble(&self) -> Result<Vec<u8>, CasError> {
         let _span = obs::span("cas.get");
         let units = (0..self.sections.len()).filter_map(|i| self.inflate(i).transpose());

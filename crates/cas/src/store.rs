@@ -369,15 +369,12 @@ impl CasStore {
     /// one targeted [`Dfs::repair_file`] + re-read before giving up. The
     /// manifest must be the one of `epoch` (the snapshot's header line is
     /// rebuilt from it), and the pack must hold as many units as the tables
-    /// have. Nothing is inflated but the manifest: the reader's
-    /// [`EpochReader::table`] inflates the unit of one table,
-    /// [`EpochReader::assemble`] all of them.
+    /// have. Nothing is inflated but the manifest.
     ///
     /// The child spans of `cas.get` split the cost of a read: `.verify` is
-    /// every SHA-256, `.inflate.<table>` the codec on one unit,
-    /// `.index` a table's newline index, `.assemble` the chunker — there
-    /// only where row text is rebuilt; the dfs reads and the manifest
-    /// decode stay in `cas.get`'s self time.
+    /// every SHA-256, `.inflate.<table>` the codec on one unit, `.index` a
+    /// table's newline index (`.assemble` the reference's chunker); the dfs
+    /// reads and the manifest decode stay in `cas.get`'s self time.
     pub fn open_epoch(&self, epoch: u32) -> Result<EpochReader<'_>, CasError> {
         let _span = obs::span("cas.get");
         // Per-query cost accounting: the dfs reads below (manifest +
@@ -411,10 +408,10 @@ impl CasStore {
         EpochReader::new(self, manifest, pack)
     }
 
-    /// Reassemble an epoch's snapshot text: [`Self::open_epoch`], every unit
-    /// inflated and verified against its hash (an inline value is part of
-    /// the verified manifest), the pieces put back together and the total
-    /// length checked.
+    /// Reassemble an epoch's snapshot text: [`Self::open_epoch`], then
+    /// [`EpochReader::assemble`]. The reference reading the tests and
+    /// benches compare the column reads against; the warehouse itself
+    /// reads columns.
     pub fn get_epoch(&self, epoch: u32) -> Result<Vec<u8>, CasError> {
         self.open_epoch(epoch)?.assemble()
     }

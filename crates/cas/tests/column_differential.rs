@@ -7,6 +7,12 @@
 //! table's sake may still lend the other; asked for both tables it never
 //! lends what the reference refuses. What is not a snapshot as
 //! `Snapshot::to_bytes` writes it is not put, and so never read.
+//!
+//! `SnapshotStore::load` of a CAS epoch is that read of both tables, each
+//! table's columns then built into records (`ColumnTable::records`): the
+//! snapshot it builds must equal `Snapshot::from_bytes` of `get_epoch`'s
+//! text, as records and as `to_bytes`, and it refuses exactly what
+//! `snapshot_columns(&[Cdr, Nms])` refuses.
 
 use cas::{CasConfig, CasError, CasStore, Chunking, Layout};
 use dfs::Dfs;
@@ -79,6 +85,19 @@ fn check(cas: &CasStore, raw: &[u8]) -> Arm {
             }
         }
     }
+    // What `SnapshotStore::load` builds of the epoch, against the text
+    // parse of the reference.
+    let loaded = reader.snapshot_columns(&both).ok().map(|columns| {
+        let records = |i: usize| columns.tables[i].1.records();
+        Snapshot::new(EpochId(EPOCH), records(0), records(1))
+    });
+    let parsed = Snapshot::from_bytes(&cas.get_epoch(EPOCH).unwrap()).ok();
+    let parsed = parsed.filter(|snapshot| snapshot.epoch == EpochId(EPOCH));
+    assert_eq!(
+        loaded.as_ref().map(Snapshot::to_bytes),
+        parsed.as_ref().map(Snapshot::to_bytes)
+    );
+    assert_eq!(loaded, parsed);
     cas.drop_epoch(EPOCH).unwrap();
     arm
 }
@@ -160,6 +179,28 @@ fn table_text(rng: &mut StdRng, rows: [usize; 2]) -> String {
 }
 
 const ROWS: [usize; 6] = [0, 1, 2, 63, 64, 65];
+
+/// Tables of no rows, and tables whose every column holds one value:
+/// an epoch with no unit, or one table without one.
+#[test]
+fn empty_and_all_constant_tables_read_alike() {
+    let cas = store();
+    for rows in [[0, 0], [0, 3], [4, 0], [2, 7], [1, 1]] {
+        let mut text = Snapshot::header_line(EpochId(EPOCH));
+        for ((kind, width), rows) in [(TableKind::Cdr, cdr::WIDTH), (TableKind::Nms, nms::WIDTH)]
+            .into_iter()
+            .zip(rows)
+        {
+            text.push_str(&Snapshot::table_header_line(kind, rows));
+            let row: Vec<&str> = (0..width).map(|c| ["0", "", "LTE"][c % 3]).collect();
+            for _ in 0..rows {
+                text.push_str(&row.join(","));
+                text.push('\n');
+            }
+        }
+        assert_eq!(check(&cas, text.as_bytes()), Arm::Columns, "{rows:?}");
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]

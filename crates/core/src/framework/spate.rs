@@ -285,12 +285,11 @@ impl SpateFramework {
             if self.index.last_epoch().is_none_or(|last| epoch > last) {
                 match self.store.load(epoch) {
                     Ok(snap) => {
-                        let path = self.store.path_for(epoch);
                         let stored = StoredSnapshot {
                             epoch,
-                            stored_bytes: self.store.dfs().file_len(&path).unwrap_or(0),
-                            path,
+                            path: self.store.path_for(epoch),
                             raw_bytes: snap.to_bytes().len() as u64,
+                            stored_bytes: self.store.stored_len(epoch),
                         };
                         self.index.incremence(&snap, &stored);
                         report.strays_reindexed += 1;
@@ -666,31 +665,50 @@ mod tests {
         assert_eq!(cas.bytes_stored(), 0);
     }
 
-    #[test]
-    fn cas_backend_persists_and_restores() {
+    /// Four epochs persisted in the index, two strays past its frontier
+    /// as after a crash: the restored warehouse re-indexes the strays and
+    /// holds, leaf for leaf, the index an uninterrupted ingest built.
+    fn persists_and_restores(store: impl Fn(dfs::Dfs) -> SnapshotStore) {
         let (layout, snaps) = tiny_trace(6);
         let fs = dfs::Dfs::in_memory();
-        let mut spate = SpateFramework::with_cas(fs.clone(), layout.clone());
+        let mut spate = SpateFramework::with_store(store(fs.clone()), layout.clone());
         for s in &snaps[..4] {
             spate.ingest(s);
         }
         spate.persist_index().unwrap();
-        // Two strays past the persisted frontier, as after a crash.
         for s in &snaps[4..] {
             spate.ingest(s);
         }
-        let root_before = spate.store().cas().unwrap().root_hash();
-        let (restored, report) = SpateFramework::restore_from(
-            SnapshotStore::new_cas(fs, cas::CasConfig::default()),
-            layout,
-        )
-        .unwrap();
+        let (restored, report) = SpateFramework::restore_from(store(fs), layout).unwrap();
         assert_eq!(report.strays_reindexed, 2);
         assert_eq!(restored.index().last_epoch(), Some(snaps[5].epoch));
-        let cas = restored.store().cas().unwrap();
-        assert_eq!(cas.root_hash(), root_before, "merkle root survives restart");
+        let leaves = |fw: &SpateFramework| -> Vec<(EpochId, String, u64, u64)> {
+            let leaves = fw.index().all_leaves();
+            leaves
+                .map(|l| (l.epoch, l.path.clone(), l.raw_bytes, l.stored_bytes))
+                .collect()
+        };
+        assert_eq!(leaves(&restored), leaves(&spate));
         let q = Query::new(&["upflux"], BoundingBox::everything()).with_epoch_range(0, 5);
         assert!(restored.query(&q).is_exact());
+        let root = |fw: &SpateFramework| fw.store().cas().map(|cas| cas.root_hash());
+        assert_eq!(
+            root(&restored),
+            root(&spate),
+            "merkle root survives restart"
+        );
+    }
+
+    #[test]
+    fn cas_backend_persists_and_restores() {
+        persists_and_restores(|fs| SnapshotStore::new_cas(fs, cas::CasConfig::default()));
+    }
+
+    #[test]
+    fn path_backend_persists_and_restores() {
+        persists_and_restores(|fs| {
+            SnapshotStore::new(fs, Arc::new(GzipLite::default())).with_root("/spate")
+        });
     }
 
     /// The index image is not snapshot data: persisting it moves neither

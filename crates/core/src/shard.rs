@@ -394,22 +394,28 @@ impl ShardedSpate {
         total
     }
 
-    /// Load one epoch across **all** shards under simultaneously-held
-    /// read guards (ascending order) and reassemble it canonically.
-    /// Pessimistic: if any shard no longer retains the epoch, the whole
-    /// load reports `None` — shards share the decay schedule, so a
-    /// half-present epoch is a transient, and a cache layer must never
-    /// capture it. Holding every guard for the duration is what lets
-    /// callers insert the result into a shared cache without racing a
-    /// per-shard eviction.
+    /// [`Self::load_epoch_merged_with`] publishing nothing.
     pub fn load_epoch_merged(&self, epoch: EpochId) -> Option<Snapshot> {
+        self.load_epoch_merged_with(epoch, |snapshot| snapshot)
+    }
+
+    /// Load one epoch across **all** shards under simultaneously-held read
+    /// guards (ascending order), merge it canonically and hand it to
+    /// `publish` before any guard drops: a cache insert there cannot race
+    /// a per-shard eviction. `None`, and nothing published, when a shard no
+    /// longer retains the epoch (a transient a cache must never capture).
+    pub fn load_epoch_merged_with<T>(
+        &self,
+        epoch: EpochId,
+        publish: impl FnOnce(Snapshot) -> T,
+    ) -> Option<T> {
         let guards: Vec<RwLockReadGuard<'_, SpateFramework>> =
             (0..self.shards.len()).map(|i| self.read(i)).collect();
         let mut parts = Vec::with_capacity(guards.len());
         for g in &guards {
             parts.push(g.load_epoch(epoch)?);
         }
-        Some(merge_snapshots(epoch, parts))
+        Some(publish(merge_snapshots(epoch, parts)))
     }
 
     /// Decide how `q` is answered across the shards: route the bounding
@@ -587,6 +593,34 @@ mod tests {
         let seven = merge_snapshots(snaps[0].epoch, split_snapshot(&snaps[0], 7));
         assert_eq!(one.to_bytes(), four.to_bytes());
         assert_eq!(one.to_bytes(), seven.to_bytes());
+    }
+
+    #[test]
+    fn a_merged_load_publishes_under_every_guard_or_not_at_all() {
+        let (layout, snaps) = trace(2);
+        let sharded = ShardedSpate::in_memory(layout, 3);
+        for s in &snaps {
+            sharded.ingest(s);
+        }
+        let epoch = snaps[1].epoch;
+        let published = sharded.load_epoch_merged_with(epoch, |snapshot| {
+            let writable = sharded.shards.iter().filter(|s| s.try_write().is_ok());
+            (snapshot, writable.count())
+        });
+        let (snapshot, writable) = published.expect("every shard retains the epoch");
+        assert_eq!(writable, 0, "every guard is held while publishing");
+        // As stored: every field reads back as text.
+        let stored = Snapshot::from_bytes(&snaps[1].to_bytes()).unwrap();
+        assert_eq!(snapshot, merge_snapshots(epoch, vec![stored]));
+        assert_eq!(sharded.load_epoch_merged(epoch), Some(snapshot));
+
+        // One shard lost the epoch: nothing is published.
+        assert!(sharded.read(1).store().evict(epoch).unwrap() > 0);
+        let mut called = false;
+        assert!(sharded
+            .load_epoch_merged_with(epoch, |_| called = true)
+            .is_none());
+        assert!(!called);
     }
 
     #[test]

@@ -13,13 +13,13 @@
 //!   named by its content hash and packed into the epoch's own `.pk`
 //!   file, and each epoch's leaf is a `.mf` manifest of those units and
 //!   of the constant columns' values (see the `cas` crate).
-//!   Eviction deletes the manifest, then the pack. Every scan reads
-//!   such an epoch column by column, one table at a time
-//!   ([`SnapshotStore::decode`]); the Path backend and `load` read the
-//!   serialized text.
+//!   Eviction deletes the manifest, then the pack.
 //!
 //! Either way the index, decay and query layers above see the same
-//! store/load/evict surface.
+//! store/load/evict surface, and a scan and [`SnapshotStore::load`] read
+//! an epoch alike: [`SnapshotStore::fetch`] (every dfs read), then
+//! [`SnapshotStore::decode`] (a Path leaf inflated into its text, a CAS
+//! epoch's tables read as columns).
 //!
 //! A scan of a window — `Q(a, b, w)`'s exact branch, T1–T8 and SPATE-SQL —
 //! reads its epochs through [`read_ahead`]: from four epochs on, a helper
@@ -121,20 +121,18 @@ pub(crate) fn parse_stage<T>(parse: impl FnOnce() -> T) -> T {
     parsed
 }
 
-/// What a scan's read of one epoch takes from the filesystem
+/// What a read of one epoch takes from the filesystem
 /// ([`SnapshotStore::fetch`]): every dfs operation of the read is done,
 /// what is left is CPU work ([`SnapshotStore::decode`]).
 pub(crate) enum Fetched<'s> {
-    /// A Path leaf, as stored.
-    Packed {
-        codec: &'s dyn Codec,
-        bytes: Vec<u8>,
-    },
+    /// A Path leaf as stored, and the codec that inflates it.
+    Packed(&'s dyn Codec, Vec<u8>),
     /// A CAS epoch, opened: manifest and pack read and verified.
     Open(Box<cas::EpochReader<'s>>),
 }
 
-/// One stored epoch as a scan reads it ([`SnapshotStore::read_ahead`]).
+/// One stored epoch as a scan ([`SnapshotStore::read_ahead`]) or
+/// [`SnapshotStore::load`] reads it.
 pub(crate) enum EpochRows {
     /// A Path leaf: the serialized snapshot ([`Snapshot::to_bytes`] text).
     Text(Vec<u8>),
@@ -144,15 +142,6 @@ pub(crate) enum EpochRows {
 
 /// A scan's read of one epoch: its rows, or why it cannot be served.
 pub(crate) type EpochRead = Result<EpochRows, StorageError>;
-
-/// Inflate a Path leaf under the `decompress` span and cost stage.
-fn inflate(codec: &dyn Codec, stored: &[u8]) -> Result<Vec<u8>, StorageError> {
-    let _s = obs::span("decompress");
-    let start = std::time::Instant::now();
-    let text = codec.decompress_metered(stored);
-    obs::cost::add_stage_ns("decompress", start.elapsed().as_nanos() as u64);
-    Ok(text?)
-}
 
 /// Outcome of storing one snapshot.
 #[derive(Debug, Clone)]
@@ -351,80 +340,65 @@ impl SnapshotStore {
         }
     }
 
-    /// Load and decode the snapshot of an epoch.
+    /// Load and decode the snapshot of an epoch: the read a scan of both
+    /// tables makes, then, under the `parse` stage, a Path leaf's text
+    /// parsed (its header must name `epoch`) or a CAS epoch's records built
+    /// from its verified columns — refused exactly when a scan of both its
+    /// tables is.
     pub fn load(&self, epoch: EpochId) -> Result<Snapshot, StorageError> {
-        let text = self.load_text(epoch)?;
-        let snap = parse_stage(|| Snapshot::from_bytes(&text))?;
-        check_epoch(epoch, snap.epoch)?;
-        Ok(snap)
+        let read = Self::decode(self.fetch(epoch)?, &[TableKind::Cdr, TableKind::Nms])?;
+        parse_stage(|| match read {
+            EpochRows::Text(text) => {
+                let snap = Snapshot::from_bytes(&text)?;
+                check_epoch(epoch, snap.epoch).map(|()| snap)
+            }
+            EpochRows::Columns(columns) => {
+                let records = |i: usize| columns.tables[i].1.records();
+                Ok(Snapshot::new(epoch, records(0), records(1)))
+            }
+        })
     }
 
-    /// Read the stored bytes of an epoch as they lie. For the path
-    /// backend these are the compressed leaf bytes; the content-addressed
-    /// backend reassembles and hash-verifies the raw payload, so what it
-    /// returns is already decompressed.
-    fn read_stored(&self, epoch: EpochId) -> Result<Vec<u8>, StorageError> {
+    /// The first half of a read of an epoch, every filesystem operation
+    /// of it: the Path leaf's bytes, or the CAS epoch opened (manifest and
+    /// pack read and hash-verified), under the `read` stage.
+    pub(crate) fn fetch(&self, epoch: EpochId) -> Result<Fetched<'_>, StorageError> {
         let start = std::time::Instant::now();
         obs::cost::touch_epoch(u64::from(epoch.0));
-        let result = match &self.backend {
-            Backend::Path { .. } => {
-                let path = self.path_for(epoch);
-                match self.dfs.read(&path) {
-                    Ok(p) => Ok(p),
-                    Err(DfsError::NotFound(_)) => Err(StorageError::Missing(epoch)),
-                    Err(e) => Err(e.into()),
-                }
-            }
-            Backend::Cas(cas) => Ok(cas.get_epoch(epoch.0)?),
+        let fetched = match &self.backend {
+            Backend::Path { codec } => match self.dfs.read(&self.path_for(epoch)) {
+                Ok(bytes) => Ok(Fetched::Packed(codec.as_ref(), bytes)),
+                Err(DfsError::NotFound(_)) => Err(StorageError::Missing(epoch)),
+                Err(e) => Err(e.into()),
+            },
+            Backend::Cas(cas) => match cas.open_epoch(epoch.0) {
+                Ok(reader) => Ok(Fetched::Open(Box::new(reader))),
+                Err(e) => Err(e.into()),
+            },
         };
         obs::cost::add_stage_ns("read", start.elapsed().as_nanos() as u64);
-        result
+        fetched
     }
 
-    /// The serialized snapshot of an epoch ([`Snapshot::to_bytes`] text):
-    /// read and decompressed, not parsed — [`Self::load`] parses all of
-    /// it, an exploration query scans it for the rows and columns it
-    /// selects (`RowPlan::scan_epoch`).
-    pub fn load_text(&self, epoch: EpochId) -> Result<Vec<u8>, StorageError> {
-        let stored = self.read_stored(epoch)?;
-        match &self.backend {
-            Backend::Path { codec } => inflate(codec.as_ref(), &stored),
-            // The cas backend verified and decompressed on read.
-            Backend::Cas(_) => Ok(stored),
-        }
-    }
-
-    /// The first half of a scan's read of an epoch, every filesystem
-    /// operation of it: the Path leaf's bytes, or the CAS epoch opened
-    /// (manifest and pack read and hash-verified), under the `read` stage.
-    pub(crate) fn fetch(&self, epoch: EpochId) -> Result<Fetched<'_>, StorageError> {
-        match &self.backend {
-            Backend::Path { codec } => Ok(Fetched::Packed {
-                codec: codec.as_ref(),
-                bytes: self.read_stored(epoch)?,
-            }),
-            Backend::Cas(cas) => {
-                let start = std::time::Instant::now();
-                obs::cost::touch_epoch(u64::from(epoch.0));
-                let open = cas.open_epoch(epoch.0);
-                obs::cost::add_stage_ns("read", start.elapsed().as_nanos() as u64);
-                Ok(Fetched::Open(Box::new(open?)))
-            }
-        }
-    }
-
-    /// The second half: what a scan of `tables` reads of the fetched
-    /// epoch. A Path leaf is inflated into its text. A CAS epoch has the
-    /// tables of `tables` and no other inflated, verified and indexed,
-    /// under the `read` stage ([`cas::EpochReader::snapshot_columns`]:
-    /// checked as the parser checks the same tables of the text, nothing
-    /// lent before every table asked for has passed).
+    /// The second half: what a read of `tables` takes of the fetched
+    /// epoch. A Path leaf is inflated into its text, under the `decompress`
+    /// span and cost stage. A CAS epoch has the tables of `tables` and no
+    /// other inflated, verified and indexed, under the `read` stage
+    /// ([`cas::EpochReader::snapshot_columns`]: checked as the parser
+    /// checks the same tables of the text, nothing lent before every table
+    /// asked for has passed).
     pub(crate) fn decode(
         fetched: Fetched<'_>,
         tables: &[TableKind],
     ) -> Result<EpochRows, StorageError> {
         let reader = match fetched {
-            Fetched::Packed { codec, bytes } => return inflate(codec, &bytes).map(EpochRows::Text),
+            Fetched::Packed(codec, bytes) => {
+                let _s = obs::span("decompress");
+                let start = std::time::Instant::now();
+                let text = codec.decompress_metered(&bytes);
+                obs::cost::add_stage_ns("decompress", start.elapsed().as_nanos() as u64);
+                return Ok(EpochRows::Text(text?));
+            }
             Fetched::Open(reader) => reader,
         };
         let start = std::time::Instant::now();
@@ -517,6 +491,14 @@ impl SnapshotStore {
             },
             Backend::Cas(cas) => Ok(cas.drop_epoch(epoch.0)?),
         }
+    }
+
+    /// The `stored_bytes` [`Self::store`] reported for a committed epoch,
+    /// read back from the filesystem: its leaf, and a CAS epoch's pack.
+    pub(crate) fn stored_len(&self, epoch: EpochId) -> u64 {
+        let len = |path: &str| self.dfs.file_len(path).unwrap_or(0);
+        let pack = self.cas().map_or(0, |cas| len(&cas.pack_path(epoch.0)));
+        len(&self.path_for(epoch)) + pack
     }
 
     pub fn contains(&self, epoch: EpochId) -> bool {
@@ -967,17 +949,47 @@ mod tests {
         assert_eq!(store.committed_epochs(), [snap.epoch]);
     }
 
+    /// `load` on Path equals `load` on CAS equals the ingested snapshot
+    /// (as its text reads back: every field `Str` or `Null`), night and
+    /// busy epochs alike.
     #[test]
-    fn load_text_is_the_serialized_snapshot_on_both_backends() {
-        let mut generator = TraceGenerator::new(TraceConfig::tiny());
-        let snap = generator.next_snapshot().unwrap();
-        for store in [
-            store_with(Arc::new(GzipLite::default())),
-            SnapshotStore::new_cas(Dfs::in_memory(), CasConfig::default()),
-        ] {
-            store.store(&snap).unwrap();
-            assert_eq!(store.load_text(snap.epoch).unwrap(), snap.to_bytes());
+    fn load_reads_the_ingested_snapshot_on_both_backends() {
+        let path = store_with(Arc::new(GzipLite::default()));
+        let cas = SnapshotStore::new_cas(Dfs::in_memory(), CasConfig::default());
+        for snap in TraceGenerator::new(TraceConfig::tiny()).step_by(11).take(5) {
+            let ingested = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
+            path.store(&snap).unwrap();
+            cas.store(&snap).unwrap();
+            let from_path = path.load(snap.epoch).unwrap();
+            assert_eq!(from_path, ingested, "epoch {}", snap.epoch.0);
+            assert_eq!(cas.load(snap.epoch).unwrap(), from_path);
         }
+    }
+
+    /// A CAS epoch `load` refuses is one a scan of both its tables
+    /// refuses: here an NMS value that is not UTF-8.
+    #[test]
+    fn load_refuses_a_cas_epoch_a_scan_of_both_tables_refuses() {
+        let store = SnapshotStore::new_cas(Dfs::in_memory(), CasConfig::default());
+        let snap = TraceGenerator::new(TraceConfig::tiny()).next().unwrap();
+        let mut raw = snap.to_bytes();
+        let nms = raw.windows(10).position(|w| w == b"#TABLE NMS").unwrap();
+        let line = nms + raw[nms..].iter().position(|&b| b == b'\n').unwrap() + 1;
+        let value = line + raw[line..].iter().position(u8::is_ascii_digit).unwrap();
+        raw[value] = 0xFF;
+        store.cas().unwrap().put_epoch(snap.epoch.0, &raw).unwrap();
+        let both = [TableKind::Cdr, TableKind::Nms];
+        let scanned = SnapshotStore::decode(store.fetch(snap.epoch).unwrap(), &both);
+        assert!(matches!(
+            scanned,
+            Err(StorageError::Cas(CasError::Corrupt(_)))
+        ));
+        assert!(matches!(
+            store.load(snap.epoch),
+            Err(StorageError::Cas(CasError::Corrupt(_)))
+        ));
+        let cdr = SnapshotStore::decode(store.fetch(snap.epoch).unwrap(), &both[..1]);
+        assert!(cdr.is_ok(), "the CDR table alone reads");
     }
 
     #[test]

@@ -51,7 +51,7 @@ use obs::{CancelFlag, EventKind, Histogram, Interrupt};
 use spate_core::framework::{lend_records, ExplorationFramework, IngestStats, SpaceReport};
 use spate_core::index::highlights::Resolution;
 use spate_core::query::{run_exact, Coverage, Plan, Query, QueryResult, RowPlan};
-use spate_core::shard::{merge_snapshots, ShardedSpate};
+use spate_core::shard::ShardedSpate;
 use spate_core::{
     AnomalyRecord, DecayReport, Highlights, MetaConfig, MetaMonitor, MetaSummary, SpateFramework,
 };
@@ -1225,7 +1225,7 @@ fn prefetch(shared: &Shared, conn: u64, window: (u32, u32)) {
     let to = window.1.saturating_add(ahead).min(last.0);
     for e in from..=to {
         let epoch = EpochId(e);
-        if shared.cache.get(epoch).is_none() && load_merged_into_cache(shared, epoch).is_some() {
+        if shared.cache.get(epoch).is_none() && load_into_cache(shared, epoch).is_some() {
             obs::inc("serve.prefetch");
         }
     }
@@ -1233,24 +1233,16 @@ fn prefetch(shared: &Shared, conn: u64, window: (u32, u32)) {
 
 // -------------------------------------------------------------- evaluation
 
-/// Load one epoch from **all** shards under simultaneously-held read
-/// guards (ascending order — deadlock-free against the single-lock
-/// writers), merge the parts into canonical row order and publish the
-/// result to the shared cache. Holding every guard across the insert is
-/// what keeps the zero-stale-reads contract: no decay pass can evict
-/// the epoch between one shard's load and the cache publish. Pessimistic
-/// on gaps: if any shard no longer retains the epoch, the whole epoch
-/// reports missing rather than caching a torn half.
-fn load_merged_into_cache(shared: &Shared, epoch: EpochId) -> Option<Arc<Snapshot>> {
-    let shards = &shared.shards;
-    let guards: Vec<_> = (0..shards.n_shards()).map(|i| shards.read(i)).collect();
-    let mut parts = Vec::with_capacity(guards.len());
-    for g in &guards {
-        parts.push(g.load_epoch(epoch)?);
-    }
-    let arc = Arc::new(merge_snapshots(epoch, parts));
-    shared.cache.insert(epoch, arc.clone());
-    Some(arc)
+/// Load one epoch from every shard and cache it before any shard's guard
+/// drops ([`ShardedSpate::load_epoch_merged_with`]): no decay pass evicts
+/// it in between, the zero-stale-reads contract. `None`, and nothing
+/// cached, when a shard no longer retains it.
+fn load_into_cache(shared: &Shared, epoch: EpochId) -> Option<Arc<Snapshot>> {
+    shared.shards.load_epoch_merged_with(epoch, |snapshot| {
+        let arc = Arc::new(snapshot);
+        shared.cache.insert(epoch, arc.clone());
+        arc
+    })
 }
 
 /// Resolve one epoch for serving: shared cache first, guard-all shard
@@ -1268,7 +1260,7 @@ fn resolve_epoch(shared: &Shared, epoch: EpochId, traced: bool) -> Option<Arc<Sn
     if traced {
         obs::trace::event("cache.miss", &[("epoch", &epoch.0.to_string())]);
     }
-    load_merged_into_cache(shared, epoch)
+    load_into_cache(shared, epoch)
 }
 
 /// A table's index in an explore answer's header: CDR 0, NMS 1.
@@ -1437,7 +1429,7 @@ impl ClientConn {
     pub fn stats(&mut self) -> Result<StatsFrame, TransportError> {
         match self.roundtrip(RequestBody::Stats)? {
             Reply::Stats(frame) => Ok(frame),
-            other => Err(unexpected_reply(&other)),
+            _ => Err(UNEXPECTED),
         }
     }
 
@@ -1446,7 +1438,7 @@ impl ClientConn {
     pub fn trace(&mut self, trace_id: u64) -> Result<TraceFrame, TransportError> {
         match self.roundtrip(RequestBody::Trace { trace_id })? {
             Reply::Trace(frame) => Ok(frame),
-            other => Err(unexpected_reply(&other)),
+            _ => Err(UNEXPECTED),
         }
     }
 
@@ -1456,7 +1448,7 @@ impl ClientConn {
     pub fn profile(&mut self, trace_id: u64) -> Result<ProfileFrame, TransportError> {
         match self.roundtrip(RequestBody::Profile { trace_id })? {
             Reply::Profile(frame) => Ok(frame),
-            other => Err(unexpected_reply(&other)),
+            _ => Err(UNEXPECTED),
         }
     }
 
@@ -1551,14 +1543,12 @@ impl ClientConn {
         let mut rows: Vec<Vec<Vec<telco_trace::record::Value>>> = Vec::new();
         let mut coverage: Option<Coverage> = None;
         loop {
-            let Some(resp) = self.ep.recv_response()? else {
-                return Err(TransportError::Closed);
-            };
+            let resp = self.ep.recv_response()?.ok_or(TransportError::Closed)?;
             if resp.id != id {
                 // Not ours (stale frame from an aborted request); the
                 // synchronous wrapper never has two in flight, so this
                 // is a protocol violation.
-                return Err(TransportError::Proto(crate::proto::ProtoError::BadTag(0)));
+                return Err(UNEXPECTED);
             }
             match resp.body {
                 ResponseBody::Header { tables: t } => {
@@ -1589,15 +1579,13 @@ impl ClientConn {
                     nms_records,
                     cells,
                 } => {
-                    // Terminal Done follows; keep reading.
-                    let done = self.ep.recv_response()?;
-                    debug_assert!(matches!(
-                        done,
-                        Some(Response {
-                            body: ResponseBody::Done { .. },
-                            ..
-                        })
-                    ));
+                    // This request's `Done` must follow: a close before it
+                    // leaves the answer unfinished, any other frame breaks
+                    // the protocol.
+                    let done = self.ep.recv_response()?.ok_or(TransportError::Closed)?;
+                    if done.id != id || !matches!(done.body, ResponseBody::Done { .. }) {
+                        return Err(UNEXPECTED);
+                    }
                     return Ok(Reply::Summary {
                         resolution,
                         cdr_records,
@@ -1631,10 +1619,8 @@ impl ClientConn {
     }
 }
 
-fn unexpected_reply(reply: &Reply) -> TransportError {
-    let _ = reply;
-    TransportError::Proto(crate::proto::ProtoError::BadTag(0))
-}
+/// A frame the protocol does not allow where the client received it.
+const UNEXPECTED: TransportError = TransportError::Proto(ProtoError::BadTag(0));
 
 #[cfg(test)]
 mod frame_cuts;

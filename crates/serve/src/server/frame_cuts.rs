@@ -1,7 +1,8 @@
-//! A served explore answer cut at every byte offset and read back
-//! through a client endpoint: the reader gets exactly the whole frames
-//! before the cut, then `Truncated` — or a clean close when the cut falls
-//! on a frame boundary — and never panics.
+//! A served explore answer, and a summary answer, cut at every byte
+//! offset and read back through a client endpoint: the reader gets
+//! exactly the whole frames before the cut, then `Truncated` — or a clean
+//! close when the cut falls on a frame boundary — and never panics; the
+//! client's reply is the whole answer or that error.
 
 use super::frame_identity::{frames_in, Tap};
 use super::*;
@@ -50,6 +51,20 @@ fn served_answer() -> Vec<u8> {
     bytes
 }
 
+/// `bytes` read back as the reply to request 1, the server gone after
+/// them.
+fn reply_to(bytes: &[u8]) -> Result<Reply, TransportError> {
+    let (server, client) = duplex();
+    server.send_bytes(bytes).unwrap();
+    server.close();
+    let mut conn = ClientConn {
+        ep: client,
+        conn_id: 0,
+        next_id: 1,
+    };
+    conn.await_reply(1)
+}
+
 #[test]
 fn an_answer_cut_anywhere_yields_its_whole_frames_then_truncated() {
     let bytes = served_answer();
@@ -66,17 +81,7 @@ fn an_answer_cut_anywhere_yields_its_whole_frames_then_truncated() {
         ends.push(at);
     }
     let whole = |cut: usize| ends.iter().take_while(|&&end| end <= cut).count();
-    let reply = {
-        let (server, client) = duplex();
-        server.send_bytes(&bytes).unwrap();
-        server.close();
-        let mut conn = ClientConn {
-            ep: client,
-            conn_id: 0,
-            next_id: 1,
-        };
-        conn.await_reply(1).unwrap()
-    };
+    let reply = reply_to(&bytes).unwrap();
     assert!(matches!(
         reply,
         Reply::Rows {
@@ -110,15 +115,7 @@ fn an_answer_cut_anywhere_yields_its_whole_frames_then_truncated() {
         }
 
         // And as the client's reply: whole, or the error the cut gives.
-        let (server, client) = duplex();
-        server.send_bytes(&bytes[..cut]).unwrap();
-        server.close();
-        let mut conn = ClientConn {
-            ep: client,
-            conn_id: 0,
-            next_id: 1,
-        };
-        let got = conn.await_reply(1);
+        let got = reply_to(&bytes[..cut]);
         if cut == bytes.len() {
             assert_eq!(got, Ok(reply.clone()));
         } else if on_boundary {
@@ -127,5 +124,51 @@ fn an_answer_cut_anywhere_yields_its_whole_frames_then_truncated() {
             let truncated = Err(TransportError::Proto(ProtoError::Truncated));
             assert_eq!(got, truncated, "cut at {cut}");
         }
+    }
+}
+
+/// A summary answer is its `Summary` frame and then its `Done`. Cut at
+/// every byte, it reads back whole only when nothing is cut: `Closed` when
+/// the cut falls on a frame boundary, the `Done` one included, else
+/// `Truncated`. Any frame but this request's `Done` after the summary is a
+/// protocol error.
+#[test]
+fn a_summary_answer_cut_anywhere_is_whole_or_an_error() {
+    let body = ResponseBody::Summary {
+        resolution: "day".into(),
+        cdr_records: 4_096,
+        nms_records: 51_200,
+        cells: 64,
+    };
+    let summary = Response { id: 1, body }.encode();
+    let done = |id| {
+        let body = ResponseBody::Done { rows: 0 };
+        Response { id, body }.encode()
+    };
+    let bytes = [summary.clone(), done(1)].concat();
+    let whole = Reply::Summary {
+        resolution: "day".into(),
+        cdr_records: 4_096,
+        nms_records: 51_200,
+        cells: 64,
+    };
+    for cut in 0..=bytes.len() {
+        let got = reply_to(&bytes[..cut]);
+        if cut == bytes.len() {
+            assert_eq!(got, Ok(whole.clone()));
+        } else if cut == 0 || cut == summary.len() {
+            assert_eq!(got, Err(TransportError::Closed), "cut at {cut}");
+        } else {
+            let truncated = Err(TransportError::Proto(ProtoError::Truncated));
+            assert_eq!(got, truncated, "cut at {cut}");
+        }
+    }
+    let unavailable = Response {
+        id: 1,
+        body: ResponseBody::Unavailable,
+    };
+    for after in [done(2), unavailable.encode(), summary.clone()] {
+        let got = reply_to(&[summary.clone(), after].concat());
+        assert_eq!(got, Err(TransportError::Proto(ProtoError::BadTag(0))));
     }
 }

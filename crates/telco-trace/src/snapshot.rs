@@ -277,6 +277,29 @@ impl ColumnTable {
         Row::Column(RowColumns { table: self, row })
     }
 
+    /// Every row as the [`Record`] [`Snapshot::from_bytes`] builds of the
+    /// same row of text: each field [`Row::value`].
+    pub fn records(&self) -> Vec<Record> {
+        let mut rows: Vec<Vec<Value>> = (0..self.rows)
+            .map(|_| Vec::with_capacity(self.width()))
+            .collect();
+        // Column by column; a constant's value is built once.
+        for (col, column) in self.columns.iter().enumerate() {
+            let Column::Varying { first } = *column else {
+                let value = Value::from_field(self.field(0, col));
+                rows.iter_mut()
+                    .for_each(|values| values.push(value.clone()));
+                continue;
+            };
+            let starts = self.starts[first..=first + self.rows].windows(2);
+            for (values, at) in rows.iter_mut().zip(starts) {
+                let field = &self.text[at[0] as usize..at[1] as usize - 1];
+                values.push(Value::from_field(field));
+            }
+        }
+        rows.into_iter().map(Record::new).collect()
+    }
+
     /// The text of column `col` in row `row` (the builder has checked
     /// every index and boundary this takes).
     fn field(&self, row: usize, col: usize) -> &str {

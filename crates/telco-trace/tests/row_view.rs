@@ -2,7 +2,8 @@
 //! serialized row (`Snapshot::scan`), from a `ColumnTable` holding the
 //! same fields column by column, and from the `Record` that
 //! `Snapshot::from_bytes` builds of the same bytes. All must equal
-//! `Value::from_field(field)` read through `text` / `as_i64` / `as_f64`.
+//! `Value::from_field(field)` read through `text` / `as_i64` / `as_f64`,
+//! and a column table's `records` must be the records `from_bytes` builds.
 
 use proptest::prelude::*;
 use telco_trace::schema::{cdr, nms, TableKind};
@@ -97,6 +98,7 @@ proptest! {
         prop_assert_eq!(lent.len(), rows.len());
         let columns = column_table(&rows);
         prop_assert_eq!((columns.rows(), columns.width()), (rows.len(), nms::WIDTH));
+        prop_assert_eq!(&columns.records(), &decoded.nms);
 
         let cols: Vec<usize> = (0..nms::WIDTH).filter(|&c| wanted[c]).collect();
         for (r, ((fields, record), text_row)) in rows.iter().zip(&decoded.nms).zip(&lent).enumerate() {
