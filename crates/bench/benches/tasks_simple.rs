@@ -1,4 +1,5 @@
-//! Fig. 11 bench: the simple tasks T1–T5 on RAW, SHAHED and SPATE.
+//! Fig. 11 bench: the simple tasks T1–T5 on RAW, SHAHED and SPATE, and
+//! T5's anonymizer alone.
 //!
 //! Uses the throttled cluster-disk + page-cache I/O model, which is where
 //! T4's nested loop shows SPATE's compressed re-read advantage.
@@ -8,6 +9,7 @@ use spate_bench::setup::ingest_all;
 use spate_bench::{build_frameworks, BenchConfig, Frameworks};
 use spate_core::framework::ExplorationFramework;
 use spate_core::tasks;
+use telco_trace::schema::{cdr, TableKind};
 use telco_trace::time::EpochId;
 
 fn config() -> BenchConfig {
@@ -63,6 +65,20 @@ fn bench_tasks(c: &mut Criterion) {
     for_each_framework(c, "fig11/t5_privacy", &fws, |fw| {
         tasks::t5_privacy(fw, w0, w1, 5);
     });
+
+    // T5's kernel without its read: the anonymizer alone over the records
+    // of the same window.
+    let mut records = Vec::new();
+    fws.spate.scan_rows(w0, w1, TableKind::Cdr, &mut |_, rows| {
+        records.extend(rows.iter().map(|r| r.record(cdr::WIDTH)));
+    });
+    let anonymizer = tasks::t5_anonymizer(5);
+    let mut group = c.benchmark_group("privacy/anonymize");
+    group.sample_size(10);
+    group.bench_function(format!("{}_records", records.len()), |b| {
+        b.iter(|| anonymizer.anonymize(&records))
+    });
+    group.finish();
 }
 
 criterion_group!(benches, bench_tasks);

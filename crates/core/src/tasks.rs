@@ -191,8 +191,9 @@ pub fn t4_join(
 /// (widening ranges) and cell id (masking).
 ///
 /// The one task that hands whole records on (the anonymized table keeps
-/// every column), so it decodes — one epoch at a time, keeping the CDR
-/// records and dropping the rest.
+/// every column): it scans the window's CDR rows, builds each row's
+/// record in one pass ([`Row::record`]) and hands the records to the
+/// anonymizer, which generalizes the kept ones in place.
 pub fn t5_privacy(
     fw: &dyn ExplorationFramework,
     start: EpochId,
@@ -201,12 +202,17 @@ pub fn t5_privacy(
 ) -> (Option<privacy::AnonymizedTable>, Seconds) {
     let span = obs::span("core.task.t5_privacy");
     let mut records = Vec::new();
-    for epoch in (start.0..=end.0).map(EpochId) {
-        if let Some(snap) = fw.load_epoch(epoch) {
-            records.extend(snap.cdr);
-        }
-    }
-    let anonymizer = Anonymizer::new(
+    fw.scan_rows(start, end, TableKind::Cdr, &mut |_, cdr_rows| {
+        records.extend(cdr_rows.iter().map(|r| r.record(cdr::WIDTH)));
+    });
+    let result = t5_anonymizer(k).anonymize_owned(records);
+    (result, span.finish_secs())
+}
+
+/// T5's anonymizer over CDR records: its three quasi-identifiers, `k`,
+/// and up to 5 % of the records suppressed.
+pub fn t5_anonymizer(k: usize) -> Anonymizer {
+    Anonymizer::new(
         vec![
             (cdr::CALLER_ID, Hierarchy::MaskSuffix { levels: 10 }),
             (
@@ -220,9 +226,7 @@ pub fn t5_privacy(
         ],
         k,
     )
-    .with_suppression_limit(0.05);
-    let result = anonymizer.anonymize(&records);
-    (result, span.finish_secs())
+    .with_suppression_limit(0.05)
 }
 
 /// Numeric CDR columns analyzed by T6/T8.

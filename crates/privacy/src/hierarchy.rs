@@ -45,22 +45,34 @@ impl Hierarchy {
         }
         match self {
             Hierarchy::MaskSuffix { .. } => {
-                let chars: Vec<char> = value.chars().collect();
-                let keep = chars.len().saturating_sub(level as usize);
+                let masked = level as usize;
+                let keep = value.chars().count().saturating_sub(masked);
                 if keep == 0 {
                     return SUPPRESSED.to_string();
                 }
-                let mut out: String = chars[..keep].iter().collect();
-                out.extend(std::iter::repeat_n('*', chars.len() - keep));
+                let cut = value
+                    .char_indices()
+                    .nth(keep)
+                    .map_or(value.len(), |(at, _)| at);
+                let mut out = String::with_capacity(cut + masked);
+                out.push_str(&value[..cut]);
+                out.extend(std::iter::repeat_n('*', masked));
                 out
             }
             Hierarchy::NumericRange { base_width, .. } => {
                 let Ok(v) = value.parse::<f64>() else {
                     return SUPPRESSED.to_string();
                 };
-                let width = base_width * f64::from(1u32 << (level - 1));
+                // In `f64`: a `u32` shift would overflow past level 32.
+                let width = base_width * 2f64.powi(level as i32 - 1);
                 let lo = (v / width).floor() * width;
-                format!("[{lo:.0},{:.0})", lo + width)
+                let mut out = String::with_capacity(24);
+                out.push('[');
+                push_rounded(&mut out, lo);
+                out.push(',');
+                push_rounded(&mut out, lo + width);
+                out.push(')');
+                out
             }
             Hierarchy::Taxonomy { maps } => {
                 let mut cur = value.to_string();
@@ -77,6 +89,20 @@ impl Hierarchy {
             }
         }
     }
+}
+
+/// Append `format!("{x:.0}")`, writing a whole number below 2^53 as the
+/// integer it is, without the float formatter.
+fn push_rounded(out: &mut String, x: f64) {
+    use std::fmt::Write;
+    let exact = x.fract() == 0.0 && x.abs() < 2f64.powi(53);
+    // `-0.0` rounds to "-0", the integer 0 to "0".
+    if exact && !(x == 0.0 && x.is_sign_negative()) {
+        write!(out, "{}", x as i64)
+    } else {
+        write!(out, "{x:.0}")
+    }
+    .expect("a String takes every write");
 }
 
 #[cfg(test)]
@@ -106,6 +132,73 @@ mod tests {
         assert_eq!(h.generalize("37", 2), "[20,40)");
         assert_eq!(h.generalize("17", 3), "*");
         assert_eq!(h.generalize("not-a-number", 1), "*");
+    }
+
+    #[test]
+    fn rounding_writes_what_the_float_formatter_writes() {
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.5,
+            2.5,
+            -2.5,
+            59.999,
+            1e15,
+            -1e15,
+            2f64.powi(53) - 1.0,
+            2f64.powi(53),
+            -(2f64.powi(53)),
+            1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        cases.extend((-300..300).map(|i| f64::from(i) * 7.25));
+        for x in cases {
+            let mut out = String::new();
+            push_rounded(&mut out, x);
+            assert_eq!(out, format!("{x:.0}"), "{x:?}");
+        }
+    }
+
+    #[test]
+    fn masking_counts_characters() {
+        let h = Hierarchy::MaskSuffix { levels: 3 };
+        assert_eq!(h.generalize("čaj42", 2), "čaj**");
+        assert_eq!(h.generalize("čaj", 2), "č**");
+        assert_eq!(h.generalize("čaj", 3), "*");
+    }
+
+    #[test]
+    fn numeric_ranges_nest_past_level_32() {
+        let h = Hierarchy::NumericRange {
+            base_width: 1.0,
+            levels: 41,
+        };
+        let range = |value: &str, level| -> (f64, f64) {
+            let text = h.generalize(value, level);
+            let (lo, hi) = text
+                .strip_prefix('[')
+                .and_then(|t| t.strip_suffix(')'))
+                .and_then(|t| t.split_once(','))
+                .unwrap_or_else(|| panic!("level {level}: {text}"));
+            (lo.parse().unwrap(), hi.parse().unwrap())
+        };
+        assert_eq!(h.generalize("5000000000", 32), "[4294967296,6442450944)");
+        for value in ["0", "17", "5000000000", "123456789012345"] {
+            for level in 30..40 {
+                let (lo, hi) = range(value, level);
+                let (up_lo, up_hi) = range(value, level + 1);
+                let v: f64 = value.parse().unwrap();
+                assert!(lo <= v && v < hi, "{value} at {level}: [{lo},{hi})");
+                assert!(
+                    up_lo <= lo && hi <= up_hi,
+                    "{value}: [{lo},{hi}) at {level} not inside [{up_lo},{up_hi})"
+                );
+            }
+        }
     }
 
     #[test]

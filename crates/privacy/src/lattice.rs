@@ -63,103 +63,126 @@ impl Anonymizer {
         self
     }
 
-    /// Does this node satisfy k-anonymity within the suppression budget?
-    /// Returns the number of suppressed records on success.
-    fn check(&self, table: &mut QiTable<'_>, levels: &[u32]) -> Option<usize> {
-        let (_, sizes) = table.classes(levels);
-        let to_suppress: usize = sizes.iter().filter(|&&n| n < self.k).sum();
-        let budget = (table.n_records as f64 * self.suppression_limit) as usize;
-        (to_suppress <= budget).then_some(to_suppress)
-    }
-
     /// Find the minimal generalization satisfying k-anonymity and apply it.
     ///
     /// Returns `None` if even the lattice top (everything suppressed to
     /// `*`) fails — only possible when the table is smaller than `k`.
     pub fn anonymize(&self, records: &[Record]) -> Option<AnonymizedTable> {
-        if records.is_empty() {
-            return Some(AnonymizedTable {
-                records: vec![],
-                levels: vec![0; self.quasi_identifiers.len()],
-                suppressed: 0,
-                loss: 0.0,
-            });
-        }
+        let node = self.search(records)?;
+        Some(self.apply(node, records, Record::clone))
+    }
+
+    /// [`Self::anonymize`] of records handed over: each kept record is
+    /// generalized where it stands instead of copied.
+    pub fn anonymize_owned(&self, records: Vec<Record>) -> Option<AnonymizedTable> {
+        let node = self.search(&records)?;
+        Some(self.apply(node, records, |record| record))
+    }
+
+    /// The first node, breadth-first by total generalization (minimality)
+    /// over the level lattice, whose records to suppress — those in
+    /// classes smaller than `k` — fit the suppression budget.
+    fn search(&self, records: &[Record]) -> Option<Node> {
         let maxima: Vec<u32> = self
             .quasi_identifiers
             .iter()
             .map(|(_, h)| h.max_level())
             .collect();
-        let mut table = QiTable::new(&self.quasi_identifiers, records);
-
-        // Breadth-first by total generalization (minimality), enumerating
-        // the level lattice.
+        let mut search = Search::new(&self.quasi_identifiers, records, self.k);
+        let budget = (records.len() as f64 * self.suppression_limit) as usize;
         let total_max: u32 = maxima.iter().sum();
-        for budget in 0..=total_max {
+        for total in 0..=total_max {
             let mut found: Option<Vec<u32>> = None;
-            enumerate_levels(&maxima, budget, &mut |levels| {
-                if found.is_none() && self.check(&mut table, levels).is_some() {
+            enumerate_levels(&maxima, total, &mut |levels| {
+                if found.is_none() && search.fits(levels, budget) {
                     found = Some(levels.to_vec());
                 }
             });
             if let Some(levels) = found {
-                return Some(self.apply(records, &mut table, &levels, &maxima));
+                let loss = levels
+                    .iter()
+                    .zip(&maxima)
+                    .map(|(&l, &m)| {
+                        if m == 0 {
+                            0.0
+                        } else {
+                            f64::from(l) / f64::from(m)
+                        }
+                    })
+                    .sum::<f64>()
+                    / levels.len().max(1) as f64;
+                return Some(search.into_node(levels, loss));
             }
         }
         None
     }
 
-    fn apply(
+    /// The table `node` makes of `records`, each kept one taken by `take`.
+    fn apply<R>(
         &self,
-        records: &[Record],
-        table: &mut QiTable<'_>,
-        levels: &[u32],
-        maxima: &[u32],
+        node: Node,
+        records: impl IntoIterator<Item = R>,
+        take: impl Fn(R) -> Record,
     ) -> AnonymizedTable {
-        let (classes, sizes) = table.classes(levels);
-        let mut out = Vec::with_capacity(records.len());
+        let mut out = Vec::with_capacity(node.kept.len());
         let mut suppressed = 0usize;
-        for (i, (r, &class)) in records.iter().zip(&classes).enumerate() {
-            if sizes[class as usize] < self.k {
+        for (i, (r, &keep)) in records.into_iter().zip(&node.kept).enumerate() {
+            if !keep {
                 suppressed += 1;
                 continue;
             }
-            let mut rec = r.clone();
-            for (q, ((col, _), &lvl)) in self.quasi_identifiers.iter().zip(levels).enumerate() {
-                rec.values[*col] = Value::Str(table.generalized(q, lvl, i).into());
+            let mut rec = take(r);
+            for ((col, _), level) in self.quasi_identifiers.iter().zip(&node.columns) {
+                let form = level.forms[level.form_of[i] as usize].as_str();
+                rec.values[*col] = Value::Str(form.into());
             }
             out.push(rec);
         }
-        let loss = levels
-            .iter()
-            .zip(maxima)
-            .map(|(&l, &m)| {
-                if m == 0 {
-                    0.0
-                } else {
-                    f64::from(l) / f64::from(m)
-                }
-            })
-            .sum::<f64>()
-            / levels.len().max(1) as f64;
         AnonymizedTable {
             records: out,
-            levels: levels.to_vec(),
+            levels: node.levels,
             suppressed,
-            loss,
+            loss: node.loss,
         }
     }
 }
 
-/// The quasi-identifier columns of a table as small integers. The search
-/// visits hundreds of lattice nodes over the same records, and a node only
-/// asks which records generalize alike: each distinct value of a column is
-/// generalized once per level and given the id of its generalized form, so
-/// a node's equivalence classes are counted over id tuples and no string
-/// is built per record.
-struct QiTable<'a> {
+/// The node the search chose, as applying it needs it.
+struct Node {
+    levels: Vec<u32>,
+    /// Per record, whether the node keeps it.
+    kept: Vec<bool>,
+    /// Per quasi-identifier, the column at the node's level.
+    columns: Vec<Level>,
+    loss: f64,
+}
+
+/// The lattice search over one table, with the quasi-identifier columns
+/// as small integers: each distinct value of a column is generalized
+/// once per level and given the id of its generalized form, so no string
+/// is built per record or per node.
+///
+/// A node's classes refine those of its prefix — the same levels for the
+/// first `n − 1` quasi-identifiers — so the search keeps the partition of
+/// the records by every prefix it has met, keyed by the prefix's levels.
+/// A node then costs one pass over its prefix's classes, counting the last
+/// column's forms per class in a dense slot array. A partition keeps only
+/// classes of at least `k` records: a class refined from a smaller one is
+/// smaller still, so its records are suppressed at every node below, and
+/// the partition counts them instead of holding them.
+///
+/// Memory: one partition of at most `n_records` `u32`s per prefix met —
+/// at most the product of (max level + 1) over the first `n − 1`
+/// quasi-identifiers for the longest prefixes (77 for T5), plus the
+/// shorter prefixes (11 for T5).
+struct Search<'a> {
     columns: Vec<QiColumn<'a>>,
+    k: usize,
     n_records: usize,
+    /// The partition by each prefix met, the empty prefix (the whole
+    /// table) included.
+    prefixes: HashMap<Vec<u32>, Partition>,
+    slots: Slots,
 }
 
 struct QiColumn<'a> {
@@ -168,14 +191,46 @@ struct QiColumn<'a> {
     distinct: Vec<Cow<'a, str>>,
     /// Per record, the index of its value in `distinct`.
     value_of: Vec<u32>,
-    /// Per level, once a node has asked for it: the generalized forms at
-    /// that level and, per distinct value, the index of its form.
-    levels: Vec<Option<(Vec<String>, Vec<u32>)>>,
+    /// Per level, once the search has asked for it.
+    levels: Vec<Option<Level>>,
 }
 
-impl<'a> QiTable<'a> {
-    fn new(quasi_identifiers: &'a [(usize, Hierarchy)], records: &'a [Record]) -> Self {
-        let columns = quasi_identifiers
+/// A column at one level of its hierarchy.
+struct Level {
+    /// The distinct generalized forms.
+    forms: Vec<String>,
+    /// Per record, the index of its form.
+    form_of: Vec<u32>,
+}
+
+/// The records grouped by their classes under a prefix of the
+/// quasi-identifiers, classes smaller than `k` left out.
+struct Partition {
+    /// Record indices, class after class.
+    order: Vec<u32>,
+    /// Where each class ends in `order`.
+    ends: Vec<u32>,
+    /// Records in the classes left out.
+    dropped: usize,
+}
+
+/// Scratch slots indexed by form id, shared by every refinement and zero
+/// between them.
+struct Slots {
+    count: Vec<u32>,
+    /// Where the next record of each form goes in a refined partition.
+    next: Vec<u32>,
+    /// The forms met in the class being refined, in order of first
+    /// appearance.
+    seen: Vec<u32>,
+}
+
+/// `next` of a form whose class is left out.
+const LEFT_OUT: u32 = u32::MAX;
+
+impl<'a> Search<'a> {
+    fn new(quasi_identifiers: &'a [(usize, Hierarchy)], records: &'a [Record], k: usize) -> Self {
+        let columns: Vec<QiColumn<'a>> = quasi_identifiers
             .iter()
             .map(|(col, hierarchy)| {
                 let mut ids: HashMap<Cow<'a, str>, u32> = HashMap::new();
@@ -194,56 +249,203 @@ impl<'a> QiTable<'a> {
                     hierarchy,
                     distinct,
                     value_of,
-                    levels: vec![None; hierarchy.max_level() as usize + 1],
+                    levels: (0..=hierarchy.max_level()).map(|_| None).collect(),
                 }
             })
             .collect();
+        // A level has no more forms than its column has values.
+        let width = columns.iter().map(|c| c.distinct.len()).max().unwrap_or(0);
+        let whole = Partition::whole(records.len(), k);
         Self {
             columns,
+            k,
             n_records: records.len(),
+            prefixes: HashMap::from([(Vec::new(), whole)]),
+            slots: Slots {
+                count: vec![0; width],
+                next: vec![0; width],
+                seen: Vec::new(),
+            },
         }
     }
 
-    /// The equivalence classes at a lattice node: each record's class and
-    /// each class's size. Two records share a class when every column
-    /// generalizes them to the same form.
-    fn classes(&mut self, levels: &[u32]) -> (Vec<u32>, Vec<usize>) {
-        let mut class_of = vec![0u32; self.n_records];
-        let mut n_classes = 1;
-        for (column, &level) in self.columns.iter_mut().zip(levels) {
-            let QiColumn {
-                hierarchy,
-                distinct,
-                value_of,
-                levels,
-            } = column;
-            let (_, form_of) = levels[level as usize]
-                .get_or_insert_with(|| generalize_all(hierarchy, distinct, level));
-            // Refine the classes so far by this column's forms.
-            let mut refined: HashMap<(u32, u32), u32> = HashMap::new();
-            for (class, &value) in class_of.iter_mut().zip(value_of.iter()) {
-                let next = refined.len() as u32;
-                *class = *refined
-                    .entry((*class, form_of[value as usize]))
-                    .or_insert(next);
+    /// Whether the records the node `levels` suppresses — those in
+    /// classes smaller than `k` — are at most `budget`.
+    fn fits(&mut self, levels: &[u32], budget: usize) -> bool {
+        let Some((&last, prefix)) = levels.split_last() else {
+            return self.partition(&[]).dropped <= budget;
+        };
+        let q = prefix.len();
+        self.columns[q].level(last);
+        self.partition(prefix);
+        let form_of = &self.columns[q].computed(last).form_of;
+        self.prefixes[prefix].leaves_out_at_most(form_of, self.k, budget, &mut self.slots)
+    }
+
+    /// The node `levels`, its records and columns resolved.
+    fn into_node(mut self, levels: Vec<u32>, loss: f64) -> Node {
+        let mut kept = vec![false; self.n_records];
+        for &r in &self.partition(&levels).order {
+            kept[r as usize] = true;
+        }
+        let columns = (self.columns.iter_mut().zip(&levels))
+            .map(|(column, &level)| {
+                column.levels[level as usize]
+                    .take()
+                    .expect("the search generalized the column to this level")
+            })
+            .collect();
+        Node {
+            levels,
+            kept,
+            columns,
+            loss,
+        }
+    }
+
+    /// The partition by `prefix`, built from its own prefix's on first
+    /// use.
+    fn partition(&mut self, prefix: &[u32]) -> &Partition {
+        for depth in 1..=prefix.len() {
+            if self.prefixes.contains_key(&prefix[..depth]) {
+                continue;
             }
-            n_classes = refined.len();
+            let (q, level) = (depth - 1, prefix[depth - 1]);
+            self.columns[q].level(level);
+            let form_of = &self.columns[q].computed(level).form_of;
+            let parent = &self.prefixes[&prefix[..q]];
+            let child = parent.refine(form_of, self.k, &mut self.slots);
+            self.prefixes.insert(prefix[..depth].to_vec(), child);
         }
-        let mut sizes = vec![0usize; n_classes];
-        for &class in &class_of {
-            sizes[class as usize] += 1;
-        }
-        (class_of, sizes)
+        &self.prefixes[prefix]
+    }
+}
+
+impl QiColumn<'_> {
+    /// The column at `level`, generalized on first use.
+    fn level(&mut self, level: u32) {
+        let QiColumn {
+            hierarchy,
+            distinct,
+            value_of,
+            levels,
+        } = self;
+        levels[level as usize].get_or_insert_with(|| {
+            let (forms, form_of_value) = generalize_all(hierarchy, distinct, level);
+            let form_of = value_of
+                .iter()
+                .map(|&v| form_of_value[v as usize])
+                .collect();
+            Level { forms, form_of }
+        });
     }
 
-    /// The generalized form of `record`'s value in column `q`, at a level
-    /// [`Self::classes`] has been asked about.
-    fn generalized(&self, q: usize, level: u32, record: usize) -> &str {
-        let column = &self.columns[q];
-        let (forms, form_of) = column.levels[level as usize]
+    /// The column at a level [`Self::level`] has generalized it to.
+    fn computed(&self, level: u32) -> &Level {
+        self.levels[level as usize]
             .as_ref()
-            .expect("classes() ran at this level");
-        &forms[form_of[column.value_of[record] as usize] as usize]
+            .expect("the column was generalized to this level")
+    }
+}
+
+impl Partition {
+    /// The whole table as one class.
+    fn whole(n_records: usize, k: usize) -> Self {
+        let kept = if n_records < k { 0 } else { n_records };
+        Partition {
+            order: (0..kept as u32).collect(),
+            ends: vec![kept as u32],
+            dropped: n_records - kept,
+        }
+    }
+
+    fn classes(&self) -> impl Iterator<Item = &[u32]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.order[start as usize..end as usize])
+    }
+
+    /// This partition with every class split by the records' forms
+    /// `form_of`.
+    fn refine(&self, form_of: &[u32], k: usize, slots: &mut Slots) -> Partition {
+        let mut order = vec![0; self.order.len()];
+        let mut ends = Vec::with_capacity(self.ends.len());
+        let mut dropped = self.dropped;
+        let mut end = 0u32;
+        for class in self.classes() {
+            slots.count(class, form_of);
+            for &form in &slots.seen {
+                let n = std::mem::take(&mut slots.count[form as usize]);
+                if (n as usize) < k {
+                    dropped += n as usize;
+                    slots.next[form as usize] = LEFT_OUT;
+                } else {
+                    slots.next[form as usize] = end;
+                    end += n;
+                    ends.push(end);
+                }
+            }
+            slots.seen.clear();
+            for &r in class {
+                let next = &mut slots.next[form_of[r as usize] as usize];
+                if *next != LEFT_OUT {
+                    order[*next as usize] = r;
+                    *next += 1;
+                }
+            }
+        }
+        order.truncate(end as usize);
+        Partition {
+            order,
+            ends,
+            dropped,
+        }
+    }
+
+    /// Whether [`Self::refine`] by `form_of` would leave out at most
+    /// `budget` records: counted class by class, not built, and given up
+    /// once past the budget.
+    fn leaves_out_at_most(
+        &self,
+        form_of: &[u32],
+        k: usize,
+        budget: usize,
+        slots: &mut Slots,
+    ) -> bool {
+        let mut left_out = self.dropped;
+        if left_out > budget {
+            return false;
+        }
+        for class in self.classes() {
+            slots.count(class, form_of);
+            for &form in &slots.seen {
+                let n = std::mem::take(&mut slots.count[form as usize]) as usize;
+                if n < k {
+                    left_out += n;
+                }
+            }
+            slots.seen.clear();
+            if left_out > budget {
+                return false;
+            }
+        }
+        true
+    }
+}
+
+impl Slots {
+    /// Count the forms of `class`'s records into `count`, noting each
+    /// form met in `seen`.
+    fn count(&mut self, class: &[u32], form_of: &[u32]) {
+        for &r in class {
+            let form = form_of[r as usize];
+            let n = &mut self.count[form as usize];
+            if *n == 0 {
+                self.seen.push(form);
+            }
+            *n += 1;
+        }
     }
 }
 

@@ -1,9 +1,10 @@
 //! The anonymizer against the implementation it replaced. `Anonymizer`
-//! counts equivalence classes over interned ids; the oracle below is the
-//! earlier search kept word for word — it generalizes every record's
+//! refines cached partitions of the records by a prefix of the
+//! quasi-identifiers, counting over interned ids; the oracle below is the
+//! earliest search kept word for word — it generalizes every record's
 //! quasi-identifiers into strings at every lattice node — and the two
 //! must produce the same table: records, order, levels, suppression count
-//! and loss.
+//! and loss, whether the records are lent or handed over.
 
 use privacy::{AnonymizedTable, Anonymizer, Hierarchy};
 use proptest::prelude::*;
@@ -136,15 +137,20 @@ fn oracle_apply(
 }
 
 fn assert_same(a: &Anonymizer, records: &[Record]) {
-    match (a.anonymize(records), oracle_anonymize(a, records)) {
-        (None, None) => {}
-        (Some(got), Some(want)) => {
-            assert_eq!(got.levels, want.levels);
-            assert_eq!(got.suppressed, want.suppressed);
-            assert_eq!(got.loss, want.loss);
-            assert_eq!(got.records, want.records);
+    let want = oracle_anonymize(a, records);
+    let lent = a.anonymize(records);
+    let owned = a.anonymize_owned(records.to_vec());
+    for got in [lent, owned] {
+        match (got, &want) {
+            (None, None) => {}
+            (Some(got), Some(want)) => {
+                assert_eq!(got.levels, want.levels);
+                assert_eq!(got.suppressed, want.suppressed);
+                assert_eq!(got.loss, want.loss);
+                assert_eq!(got.records, want.records);
+            }
+            (got, want) => panic!("anonymize {got:?}, oracle {want:?}"),
         }
-        (got, want) => panic!("anonymize {got:?}, oracle {want:?}"),
     }
 }
 
@@ -189,6 +195,15 @@ prop_compose! {
     }
 }
 
+prop_compose! {
+    /// [`arb_record`] and a fourth column, the radio technology.
+    fn arb_record4()(record in arb_record(), tech in 0u8..4) -> Record {
+        let mut values = record.values;
+        values.push(Value::from_field(["", "2G", "3G", "4G"][tech as usize]));
+        Record::new(values)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -209,33 +224,96 @@ proptest! {
         .with_suppression_limit(suppression as f64 * 0.05);
         assert_same(&a, &records);
     }
-}
 
-#[test]
-fn the_t5_anonymizer_over_a_generated_trace_anonymizes_as_before() {
-    let records: Vec<Record> = TraceGenerator::new(TraceConfig::scaled(1.0 / 256.0))
-        .skip(14)
-        .take(6)
-        .flat_map(|s| s.cdr)
-        .collect();
-    assert!(records.len() > 50, "{} records", records.len());
-    for k in [2, 5, 25] {
+    /// Four quasi-identifiers: a node refines a three-column prefix, one of
+    /// whose columns has no level above its values.
+    #[test]
+    fn four_quasi_identifiers_anonymize_as_before(
+        records in proptest::collection::vec(arb_record4(), 0..70),
+        k in 1usize..6,
+        suppression in 0usize..4,
+    ) {
         let a = Anonymizer::new(
             vec![
-                (cdr::CALLER_ID, Hierarchy::MaskSuffix { levels: 10 }),
-                (
-                    cdr::DURATION_S,
-                    Hierarchy::NumericRange {
-                        base_width: 60.0,
-                        levels: 6,
-                    },
-                ),
-                (cdr::CELL_ID, Hierarchy::MaskSuffix { levels: 4 }),
+                (0, Hierarchy::MaskSuffix { levels: 4 }),
+                (3, Hierarchy::MaskSuffix { levels: 0 }),
+                (1, Hierarchy::NumericRange { base_width: 30.0, levels: 3 }),
+                (2, taxonomy()),
             ],
             k,
         )
-        .with_suppression_limit(0.05);
+        .with_suppression_limit(suppression as f64 * 0.05);
         assert_same(&a, &records);
+    }
+}
+
+/// T5's anonymizer: caller, duration and cell.
+fn t5(k: usize) -> Anonymizer {
+    Anonymizer::new(
+        vec![
+            (cdr::CALLER_ID, Hierarchy::MaskSuffix { levels: 10 }),
+            (
+                cdr::DURATION_S,
+                Hierarchy::NumericRange {
+                    base_width: 60.0,
+                    levels: 6,
+                },
+            ),
+            (cdr::CELL_ID, Hierarchy::MaskSuffix { levels: 4 }),
+        ],
+        k,
+    )
+    .with_suppression_limit(0.05)
+}
+
+/// Six morning epochs at scale 1/256, and T5's window as the benchmark
+/// reads it: twelve busy morning epochs at 1/64, over a thousand records.
+#[test]
+fn the_t5_anonymizer_over_a_generated_trace_anonymizes_as_before() {
+    for (scale, epochs, at_least) in [(256.0, 6, 50), (64.0, 12, 1000)] {
+        let records: Vec<Record> = TraceGenerator::new(TraceConfig::scaled(1.0 / scale))
+            .skip(14)
+            .take(epochs)
+            .flat_map(|s| s.cdr)
+            .collect();
+        assert!(records.len() > at_least, "{} records", records.len());
+        for k in [2, 5, 25] {
+            assert_same(&t5(k), &records);
+        }
+    }
+}
+
+#[test]
+fn a_table_smaller_than_k_anonymizes_as_before() {
+    let records: Vec<Record> = (0..4)
+        .map(|i| {
+            Record::new(vec![
+                Value::Str(format!("55501{i}").into()),
+                Value::Int(i * 45),
+                Value::Str(format!("c{i}").into()),
+            ])
+        })
+        .collect();
+    for suppression in [0.0, 0.5, 1.0] {
+        for k in [5, 40] {
+            let a = Anonymizer::new(
+                vec![
+                    (0, Hierarchy::MaskSuffix { levels: 6 }),
+                    (
+                        1,
+                        Hierarchy::NumericRange {
+                            base_width: 30.0,
+                            levels: 5,
+                        },
+                    ),
+                    (2, taxonomy()),
+                ],
+                k,
+            )
+            .with_suppression_limit(suppression);
+            assert_same(&a, &records);
+            assert_eq!(a.anonymize(&records).is_some(), suppression == 1.0);
+        }
     }
 }
 

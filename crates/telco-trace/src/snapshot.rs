@@ -474,6 +474,22 @@ impl<'a> Row<'a> {
         }
     }
 
+    /// This row of a `width`-column table as the [`Record`]
+    /// [`Snapshot::from_bytes`] builds of it: over text, one pass over the
+    /// line, where a [`Self::value`] per column would walk it from the
+    /// start each time.
+    pub fn record(&self, width: usize) -> Record {
+        let mut values = Vec::with_capacity(width);
+        match *self {
+            Row::Text(row) => values.extend(row.fields().map(Value::from_field)),
+            Row::Column(row) => {
+                values.extend((0..width).map(|col| Value::from_field(row.field(col))));
+            }
+            Row::Record(record) => return record.clone(),
+        }
+        Record::new(values)
+    }
+
     /// A `width`-column row of values holding this row's columns `cols`
     /// (ascending) and `Null` everywhere else: over text, one pass that
     /// ends at the last column asked for.

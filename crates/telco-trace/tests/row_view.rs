@@ -3,7 +3,8 @@
 //! same fields column by column, and from the `Record` that
 //! `Snapshot::from_bytes` builds of the same bytes. All must equal
 //! `Value::from_field(field)` read through `text` / `as_i64` / `as_f64`,
-//! and a column table's `records` must be the records `from_bytes` builds.
+//! and a column table's `records`, like each row's `record`, must be the
+//! records `from_bytes` builds.
 
 use proptest::prelude::*;
 use telco_trace::schema::{cdr, nms, TableKind};
@@ -118,6 +119,9 @@ proptest! {
                     );
                 }
             }
+            for row in [text_row, &column_row, &record_row] {
+                prop_assert_eq!(&row.record(nms::WIDTH), record);
+            }
             let sparse = text_row.sparse_values(&cols, nms::WIDTH);
             prop_assert_eq!(&sparse, &record_row.sparse_values(&cols, nms::WIDTH));
             prop_assert_eq!(&sparse, &column_row.sparse_values(&cols, nms::WIDTH));
@@ -125,6 +129,38 @@ proptest! {
                 let expected = if wanted[col] { record.get(col).clone() } else { Value::Null };
                 prop_assert_eq!(value, &expected);
             }
+        }
+    }
+}
+
+/// `record` builds what `from_bytes` builds of the row, from each side:
+/// blank fields first, inside and last, and a row ended by `\r\n`.
+#[test]
+fn a_row_builds_the_record_from_bytes_builds() {
+    let row = |blank: &[usize]| -> Vec<String> {
+        (0..nms::WIDTH)
+            .map(|c| {
+                if blank.contains(&c) {
+                    String::new()
+                } else {
+                    (c * 7).to_string()
+                }
+            })
+            .collect()
+    };
+    let rows = vec![row(&[0]), row(&[3, 4]), row(&[nms::WIDTH - 1]), row(&[])];
+    let mut bytes = nms_snapshot(&rows);
+    // The last row ends `\r\n`: the `\r` is no part of its last field.
+    bytes.insert(bytes.len() - 1, b'\r');
+    let decoded = Snapshot::from_bytes(&bytes).expect("the rows parse");
+    assert_eq!(decoded.nms[2].get(nms::WIDTH - 1), &Value::Null);
+    assert_eq!(decoded.nms[3].get(nms::WIDTH - 1), &Value::from_field("49"));
+    let mut text_rows = Vec::new();
+    Snapshot::scan(&bytes, |_, row| text_rows.push(Row::Text(row))).expect("the rows scan");
+    let columns = column_table(&rows);
+    for (r, record) in decoded.nms.iter().enumerate() {
+        for row in [text_rows[r], columns.row(r), Row::Record(record)] {
+            assert_eq!(&row.record(nms::WIDTH), record, "row {r}: {row:?}");
         }
     }
 }

@@ -241,6 +241,26 @@ fn every_scanner_answers_as_the_decoded_driver_does() {
     );
 }
 
+/// T5 reads its window through the scanner and builds each row's record:
+/// on a healthy window its table is the one the CDR records `load_epoch`
+/// decodes give, on every warehouse.
+#[test]
+fn t5_anonymizes_what_load_epoch_decodes() {
+    let (layout, snaps) = trace();
+    let warehouses = Warehouses::ingest(&layout, &snaps);
+    for (name, fw, _) in warehouses.each() {
+        let decoded: Vec<_> = (FIRST..=LAST)
+            .map(|e| fw.load_epoch(EpochId(e)).expect("a healthy epoch"))
+            .flat_map(|snap| snap.cdr)
+            .collect();
+        for k in [2, 5, 25] {
+            let want = tasks::t5_anonymizer(k).anonymize(&decoded);
+            let got = tasks::t5_privacy(fw, EpochId(FIRST), EpochId(LAST), k).0;
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{name}, k = {k}");
+        }
+    }
+}
+
 #[test]
 fn a_damaged_leaf_contributes_nothing_on_either_driver() {
     let (layout, snaps) = trace();
