@@ -6,13 +6,15 @@
 //! read as columns, the one-epoch scans a T2 (CDR only), a T3 (NMS only)
 //! and a light `Q(a,b,w)` (both tables, two columns each) make of it — the
 //! `cas.get.verify` / `.inflate.<table>` / `.index` / `.assemble` spans
-//! carry the same split at run time — then SHA-256 on the portable and the
-//! accelerated path, `7z-lite` decode of a pack-shaped stream and
-//! `chunker::assemble`.
+//! carry the same split at run time — and, for the Path backend, the same
+//! light query and `Snapshot::scan` of the epoch's text with a visitor that
+//! does nothing (the row framing a Path read pays per epoch); then SHA-256
+//! on the portable and the accelerated path, `7z-lite` decode of a
+//! pack-shaped stream and `chunker::assemble`.
 
 use cas::chunker::{assemble, split, Chunking};
 use codecs::{Codec, SevenzLite};
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use dfs::Dfs;
 use spate_bench::{setup::generate_snapshots, BenchConfig};
 use spate_core::framework::{ExplorationFramework, SpateFramework};
@@ -20,6 +22,7 @@ use spate_core::query::Query;
 use spate_core::tasks;
 use telco_trace::cells::BoundingBox;
 use telco_trace::time::EpochId;
+use telco_trace::Snapshot;
 
 /// The trace the repo's benchmark reads: scale 1/64, a mid-day snapshot
 /// is ~72 KB of text.
@@ -66,6 +69,15 @@ fn bench_epoch_reads(c: &mut Criterion) {
         group.bench_function("t3_epoch", |b| b.iter(|| tasks::t3_aggregate(&fw, at, at)));
         let light = Query::new(&["upflux", "call_drops"], half).with_window(at, at);
         group.bench_function("light_query", |b| b.iter(|| fw.query(&light)));
+        group.bench_function("light_query_path", |b| b.iter(|| path.query(&light)));
+        let text = day[epoch as usize].to_bytes();
+        group.bench_function("scan_path", |b| {
+            b.iter(|| {
+                Snapshot::scan(black_box(&text), |_, row| {
+                    black_box(row);
+                })
+            })
+        });
         group.finish();
     }
 }

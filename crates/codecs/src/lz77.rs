@@ -457,7 +457,7 @@ impl<'a> MatchFinder<'a> {
 /// this thread parses `input[..mid]` while a scoped thread parses
 /// `input[mid..]` with up to one window before `mid` as its preset
 /// dictionary (or this thread does, after the first half, when another
-/// split holds [`SPARE`]), and the two token runs are joined — the tokens
+/// split holds `SPARE`), and the two token runs are joined — the tokens
 /// of the same two calls made one after the other, so only matches across
 /// `mid` are lost.
 pub fn parse(input: &[u8], config: Lz77Config) -> Vec<Token> {
@@ -516,7 +516,7 @@ pub const COPY_SLACK: usize = 32;
 /// past what the chunks before it wrote, and the bytes written past `len`
 /// are never kept, so spare capacity ([`COPY_SLACK`]) only saves a
 /// reallocation. A match whose source is closer than that repeats the
-/// last `dist` bytes (see [`copy_overlapping`]).
+/// last `dist` bytes (see `copy_overlapping`).
 #[inline(always)]
 pub fn copy_match(out: &mut Vec<u8>, dist: usize, len: usize) {
     debug_assert!(dist >= 1 && dist <= out.len());

@@ -335,29 +335,28 @@ impl SpateFramework {
     /// evicted by decay (decayed), or stored-but-unreadable / never
     /// ingested (unavailable). Actually attempts each load, so the answer
     /// reflects real replica health, not just metadata.
+    ///
+    /// Only the index's leaves in the window are visited, in ascending
+    /// epoch order; every other epoch is unavailable. The window of every
+    /// epoch, `(0, u32::MAX)`, holds 2^32 of them: `requested` (and so
+    /// `unavailable`) saturates at `u32::MAX`.
     pub fn probe_coverage(&self, start: EpochId, end: EpochId) -> Coverage {
         assert!(start <= end);
+        let requested = u32::try_from(u64::from(end.0 - start.0) + 1).unwrap_or(u32::MAX);
         let mut cov = Coverage {
-            requested: end.0 - start.0 + 1,
+            requested,
             ..Coverage::default()
         };
-        let mut by_epoch: std::collections::HashMap<u32, bool> = std::collections::HashMap::new();
+        // Incremence takes epochs in strictly increasing order, so these
+        // are distinct and ascending.
         for leaf in self.index.leaves_in(start, end) {
-            by_epoch.insert(leaf.epoch.0, leaf.present);
-        }
-        for e in start.0..=end.0 {
-            match by_epoch.get(&e) {
-                Some(true) => {
-                    if self.store.load(EpochId(e)).is_ok() {
-                        cov.served += 1;
-                    } else {
-                        cov.unavailable += 1;
-                    }
-                }
-                Some(false) => cov.decayed += 1,
-                None => cov.unavailable += 1,
+            if !leaf.present {
+                cov.decayed += 1;
+            } else if self.store.load(leaf.epoch).is_ok() {
+                cov.served += 1;
             }
         }
+        cov.unavailable = requested - cov.served - cov.decayed;
         cov
     }
 }
@@ -445,7 +444,7 @@ impl ExplorationFramework for SpateFramework {
 
     /// `Q(a, b, w)` over this warehouse. The exact branch is
     /// [`crate::query::run_exact`] over the store's reads of the window
-    /// ([`SnapshotStore::read_ahead`]): a long window's epochs may be read
+    /// (`SnapshotStore::read_ahead`): a long window's epochs may be read
     /// ahead on a second thread, but each is scanned in epoch order, on
     /// this thread, straight over what the store holds of it — serialized
     /// text, or the columns of a CAS epoch.
@@ -916,6 +915,16 @@ mod tests {
         assert!(cov.served > 0, "{cov:?}");
         assert_eq!(cov.unavailable, 0);
         assert_eq!(cov.served + cov.decayed, cov.requested);
+        assert_eq!(cov.decayed, 48, "one day decayed: {cov:?}");
+        // The window of every epoch: the leaves are probed, not 2^32
+        // epochs, and `requested` saturates.
+        let all = spate.probe_coverage(EpochId(0), EpochId(u32::MAX));
+        assert_eq!((all.served, all.decayed), (cov.served, cov.decayed));
+        assert_eq!(all.requested, u32::MAX);
+        assert_eq!(all.unavailable, all.requested - all.served - all.decayed);
+        // A window past the last epoch is all unavailable.
+        let after = spate.probe_coverage(EpochId(last.0 + 1), EpochId(last.0 + 10));
+        assert_eq!((after.requested, after.unavailable), (10, 10));
     }
 
     #[test]

@@ -87,7 +87,7 @@ impl DecayReport {
 }
 
 /// The decay fungus: which individuals go first once the full-resolution
-/// horizon is reached. Kersten's data-fungus catalog [16] names several;
+/// horizon is reached. Kersten's data-fungus catalog \[16\] names several;
 /// the paper picks "Evict Oldest Individuals" as the pragmatic choice for
 /// telco signals, and it is the one implemented.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -387,9 +387,9 @@ impl Projection {
 /// which columns of which table to emit, and which cells lie in `b`.
 /// [`Self::keeps`] is the one place a row is tested against `b`, and
 /// [`Self::columns`] the one list of what it carries of `a`. Two ways of
-/// answering share them: [`Self::select`] materialises a kept row as
+/// answering share them: `Self::select` materialises a kept row as
 /// values — fed rows by [`Self::project`] over a decoded snapshot,
-/// [`Self::scan_epoch`] over serialized text and [`Self::scan_columns`]
+/// [`Self::scan_epoch`] over serialized text and `Self::scan_columns`
 /// over the columns of a CAS epoch — while [`Self::lend`] hands a
 /// decoded snapshot's kept records to a caller that encodes them where
 /// they lie (the serving tier's frames).

@@ -17,8 +17,8 @@
 //!
 //! Either way the index, decay and query layers above see the same
 //! store/load/evict surface, and a scan and [`SnapshotStore::load`] read
-//! an epoch alike: [`SnapshotStore::fetch`] (every dfs read), then
-//! [`SnapshotStore::decode`] (a Path leaf inflated into its text, a CAS
+//! an epoch alike: `SnapshotStore::fetch` (every dfs read), then
+//! `SnapshotStore::decode` (a Path leaf inflated into its text, a CAS
 //! epoch's tables read as columns).
 //!
 //! A scan of a window — `Q(a, b, w)`'s exact branch, T1–T8 and SPATE-SQL —
@@ -423,7 +423,7 @@ impl SnapshotStore {
     }
 
     /// `ExplorationFramework::scan_rows` over this store, for RAW, SHAHED
-    /// and SPATE alike: each of `epochs` is read ([`Self::read_ahead`]:
+    /// and SPATE alike: each of `epochs` is read (`Self::read_ahead`:
     /// possibly ahead, on a second thread) and its `table` rows lent to
     /// `visit`, in epoch order on the caller's thread. Text is walked once
     /// ([`Snapshot::scan`], under the `parse` stage) and the rows lent as

@@ -17,7 +17,7 @@
 //!                  └─────────▶ Open (fresh cooldown)
 //! ```
 //!
-//! While a node's breaker is open, [`Breaker::admits`] steers reads to
+//! While a node's breaker is open, `Breaker::admits` steers reads to
 //! the remaining replicas without touching the sick node. When *every*
 //! replica of a block is open the read reports the block unavailable —
 //! upstream that degrades to a `Partial` answer with honest coverage,

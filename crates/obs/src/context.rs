@@ -1,7 +1,7 @@
 //! A thread's request context, and carrying it to a helper thread.
 //!
 //! One thread-local request struct describes whom a thread is working for:
-//! the trace context ([`crate::trace`]), the open spans ([`crate::span`]:
+//! the trace context ([`crate::trace`]), the open spans ([`crate::span`](mod@crate::span):
 //! their folded paths and the traced span new ones hang under), the shard
 //! ([`crate::shard`]), the budget ([`crate::budget`]), the cost profile
 //! ([`crate::cost`]) and the source reads are filed under

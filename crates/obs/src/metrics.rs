@@ -3,7 +3,7 @@
 //! All three are lock-free on the record path (plain atomics) so that a
 //! single metric value can be hammered from every worker thread of the
 //! engine without serializing them. Histograms use HDR-style buckets:
-//! power-of-two ranges refined by [`SUB`] linear sub-buckets, which bounds
+//! power-of-two ranges refined by `SUB` linear sub-buckets, which bounds
 //! the relative quantile error to `1 / SUB` while keeping the whole
 //! structure a fixed-size array of atomics.
 
@@ -95,7 +95,7 @@ fn bucket_mid(i: usize) -> u64 {
 /// A fixed-size log-bucketed histogram of `u64` observations
 /// (nanoseconds, bytes, row counts...).
 ///
-/// Power-of-two buckets with [`SUB`] linear sub-buckets each bound the
+/// Power-of-two buckets with `SUB` linear sub-buckets each bound the
 /// relative error of any reported quantile to `1/SUB` (~3%); `count`,
 /// `sum`, `min` and `max` are exact.
 pub struct Histogram {

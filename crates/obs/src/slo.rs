@@ -2,7 +2,7 @@
 //! burn rate the telemetry recorder samples per window.
 //!
 //! An SLO here is "at most `budget` of requests may exceed `target_us`".
-//! [`SloTracker::burn_rate`] is the classic multiplicative form: the
+//! [`SloTracker::burn_rate_milli`] is the classic multiplicative form: the
 //! observed violation share divided by the allowed share, scaled by 1000
 //! to stay in integers (1000 = burning exactly the budget; 2000 = twice
 //! as fast; 0 = clean). The recorder samples it as the `slo.burn_rate`

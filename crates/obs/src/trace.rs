@@ -3,7 +3,7 @@
 //! A **trace context** is a trace id plus a per-trace span-id allocator,
 //! installed in the current thread's request context ([`crate::context`])
 //! for the duration of one request by [`begin`]. While a context is
-//! active, every [`crate::span`] opened on the thread additionally records
+//! active, every [`crate::span()`] opened on the thread additionally records
 //! a [`crate::flight::SpanEvent`] into the global flight recorder when it
 //! closes — parented under the enclosing span — and [`event`] drops
 //! instant annotations into the same trace.

@@ -10,7 +10,7 @@
 //! any shard count. Operator mutations — [`Server::ingest`] and
 //! [`Server::run_decay`] — fan out per shard in parallel, each holding
 //! only its own write lock. Cache coherence falls out of the lock
-//! order: every shard's [`StoreObserver`] hooks invalidate the shared
+//! order: every shard's [`StoreObserver`](spate_core::StoreObserver) hooks invalidate the shared
 //! [`EpochCache`] *synchronously inside the mutation* (exclusive
 //! access), and workers only insert cache entries while holding read
 //! guards on every shard, so a reader can never re-populate an entry
@@ -26,7 +26,7 @@
 //!                  Shed frame            worker pool ──frames──▶ client
 //! ```
 //!
-//! A per-connection [`Intake`] reassembles request frames, on the thread
+//! A per-connection `Intake` reassembles request frames, on the thread
 //! of the client that wrote them (loopback delivery, see
 //! [`crate::transport`]), answers cancels and control frames in place
 //! and classifies the rest by window length (short = interactive, long
@@ -404,7 +404,7 @@ impl Server {
     }
 
     /// Accept a new client connection; returns the client's endpoint
-    /// wrapper. The connection's [`Intake`] takes its request bytes by
+    /// wrapper. The connection's `Intake` takes its request bytes by
     /// loopback delivery: no thread per connection.
     pub fn connect(&self) -> ClientConn {
         let (client_ep, server_ep) = duplex();

@@ -514,3 +514,47 @@ fn truncation_at_every_97th_byte() {
         }
     }
 }
+
+/// Rows read eight bytes a step from where they start: for both tables,
+/// rows whose newline and whose last comma fall on each byte of a word,
+/// with `¬` and `Ŋ` (UTF-8 `C2 AC` and `C5 8A`: `,` and `\n` with the high
+/// bit set) beside them, in the middle of a table and as the input's last
+/// line, with and without its terminator and with CRLF.
+#[test]
+fn row_ends_and_last_commas_on_every_byte_of_a_word() {
+    let row = |width: usize, lead: usize, last: usize| {
+        let mut fields = vec!["Ŋ".to_string(); width];
+        fields[0] = "¬".repeat(lead / 2) + &"x".repeat(lead % 2);
+        fields[width - 1] = "y".repeat(last);
+        fields.join(",")
+    };
+    let mut checked = 0;
+    for lead in 0..8 {
+        for last in 0..8 {
+            let (cdr_row, nms_row) = (row(cdr::WIDTH, lead, last), row(nms::WIDTH, lead, last));
+            let middle = [
+                tiny(&format!("{cdr_row}\n{cdr_row}\n"), ""),
+                tiny("", &format!("{nms_row}\n{nms_row}\n")),
+            ];
+            // The input ends in the row: after the CDR table's only row
+            // (no NMS header follows), or after the NMS table's last.
+            let cdr_last = tiny(&format!("{cdr_row}\n"), "");
+            let cdr_last = cdr_last[..cdr_last.len() - "#TABLE NMS rows=0 cols=8\n".len()].to_vec();
+            let nms_last = tiny("", &format!("{nms_row}\n"));
+            for bytes in middle.into_iter().chain([cdr_last, nms_last]) {
+                let crlf = mutate(&bytes, 6, 0, 0);
+                for bytes in [
+                    &bytes[..],
+                    &bytes[..bytes.len() - 1],
+                    &crlf,
+                    &crlf[..crlf.len() - 1],
+                ] {
+                    assert_same(bytes);
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 8 * 8 * 4 * 4);
+    assert!(Snapshot::from_bytes(&tiny("", &format!("{}\n", row(nms::WIDTH, 7, 7)))).is_ok());
+}
