@@ -176,11 +176,7 @@ impl Histogram {
         self.max.load(Ordering::Relaxed)
     }
 
-    /// Raw bucket occupancy counts. Two snapshots taken over time give a
-    /// *windowed* view: subtract element-wise and feed the deltas to
-    /// [`Histogram::quantile_of_counts`] for the quantile of just that
-    /// window — how the meta-highlights monitor watches p99 drift without
-    /// resetting the histogram.
+    /// Raw bucket occupancy counts; [`counts_since`] windows them.
     pub fn bucket_counts(&self) -> Vec<u64> {
         self.buckets
             .iter()
@@ -225,6 +221,19 @@ impl Histogram {
             p99: self.quantile(0.99),
         }
     }
+}
+
+/// Counts since a previous read: `now` minus `prev` element by element,
+/// saturating at zero, after which `prev` holds `now`. An empty `prev` (a
+/// first read) gives `now` itself. Fed a histogram's
+/// [`Histogram::bucket_counts`], it returns the histogram of one window,
+/// ready for [`Histogram::quantile_of_counts`].
+pub fn counts_since(now: Vec<u64>, prev: &mut Vec<u64>) -> Vec<u64> {
+    let zeros = std::iter::repeat(&0);
+    let window = now.iter().zip(prev.iter().chain(zeros));
+    let window = window.map(|(n, p)| n.saturating_sub(*p)).collect();
+    *prev = now;
+    window
 }
 
 /// Point-in-time summary of a [`Histogram`].

@@ -27,6 +27,7 @@
 //! it, reloads it after a "restart" and re-renders per-shard latency and
 //! load from the file alone.
 
+use crate::metrics::counts_since;
 use crate::registry::Registry;
 use crate::Histogram;
 use parking_lot::Mutex;
@@ -160,18 +161,13 @@ impl Recorder {
             // wrapping deltas make sign irrelevant.
             push(&mut st.current, id.to_string(), g.get() as u64);
         }
-        let mut hist_now: BTreeMap<String, Vec<u64>> = BTreeMap::new();
+        // Only series present in this sample carry over: one that is absent
+        // from a sample starts from zero when it comes back.
+        let mut hist_now = BTreeMap::new();
         for (id, h) in reg.histograms_snapshot() {
             let key = id.to_string();
-            let counts = h.bucket_counts();
-            let delta: Vec<u64> = match st.hist_prev.get(&key) {
-                Some(prev) => counts
-                    .iter()
-                    .zip(prev.iter())
-                    .map(|(now, was)| now.saturating_sub(*was))
-                    .collect(),
-                None => counts.clone(),
-            };
+            let mut prev = st.hist_prev.remove(&key).unwrap_or_default();
+            let delta = counts_since(h.bucket_counts(), &mut prev);
             for (suffix, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
                 push(
                     &mut st.current,
@@ -179,7 +175,7 @@ impl Recorder {
                     Histogram::quantile_of_counts(&delta, q),
                 );
             }
-            hist_now.insert(key, counts);
+            hist_now.insert(key, prev);
         }
         push(
             &mut st.current,

@@ -213,15 +213,11 @@ impl ProfileStore {
         self.latest = id;
     }
 
-    /// Resolve a request: 0 means "the most recently profiled request".
-    fn lookup(&self, trace_id: u64) -> (u64, Vec<(String, String)>) {
+    /// The retained profile of a request: 0 means "the most recently
+    /// profiled request".
+    fn get(&self, trace_id: u64) -> Option<&CostProfile> {
         let resolved = if trace_id == 0 { self.latest } else { trace_id };
-        let metrics = self
-            .profiles
-            .get(&resolved)
-            .map(CostProfile::rows)
-            .unwrap_or_default();
-        (resolved, metrics)
+        self.profiles.get(&resolved)
     }
 }
 
@@ -496,13 +492,7 @@ impl Server {
         if trace_id != 0 {
             await_settled(&self.shared, trace_id);
         }
-        let store = lock_sane(&self.shared.profiles);
-        let resolved = if trace_id == 0 {
-            store.latest
-        } else {
-            trace_id
-        };
-        store.profiles.get(&resolved).cloned()
+        lock_sane(&self.shared.profiles).get(trace_id).cloned()
     }
 
     /// Graceful shutdown: stop admitting, drain queued work, join the
@@ -890,9 +880,6 @@ fn answer_control(shared: &Shared, ep: &Endpoint, request: &Request) -> Result<(
                     breaker_nodes.push((shard as u32, dn as u32, state));
                 }
             }
-            obs::gauge_set("dfs.breaker.trips", breaker.trips as i64);
-            obs::gauge_set("dfs.breaker.recoveries", breaker.recoveries as i64);
-            obs::gauge_set("dfs.breaker.reopens", breaker.reopens as i64);
             obs::gauge_set("dfs.breaker.open_nodes", i64::from(open_nodes));
             // Per-shard breakdown: `shard_stats` also refreshes the
             // `spate.shard.*` gauges the skew monitor and the recorder
@@ -967,10 +954,13 @@ fn answer_control(shared: &Shared, ep: &Endpoint, request: &Request) -> Result<(
             if *trace_id != 0 {
                 await_settled(shared, *trace_id);
             }
-            let (resolved, metrics) = lock_sane(&shared.profiles).lookup(*trace_id);
+            let store = lock_sane(&shared.profiles);
+            let profile = store.get(*trace_id);
             ResponseBody::Profile(ProfileFrame {
-                trace_id: resolved,
-                metrics,
+                // A request not (or no longer) retained answers with its
+                // own id; nothing recorded yet answers 0.
+                trace_id: profile.map_or(*trace_id, |p| p.trace_id),
+                metrics: profile.map(CostProfile::rows).unwrap_or_default(),
             })
         }
         _ => unreachable!("answer_control is only called for control frames"),

@@ -253,7 +253,19 @@ fn stats_frame_snapshots_live_server_state() {
             .unwrap();
     }
     server.monitor_tick();
+    // A breaker that ever tripped has counted under these names: the Stats
+    // answer must not publish gauges of the same names beside them.
+    for name in ["trips", "recoveries", "reopens"] {
+        obs::global().counter(&format!("dfs.breaker.{name}"));
+    }
     let after = client.stats().unwrap();
+    let counters = obs::global().counters_snapshot();
+    let twins: Vec<_> = obs::global()
+        .gauges_snapshot()
+        .into_iter()
+        .filter(|(id, _)| counters.iter().any(|(c, _)| c.name() == id.name()))
+        .collect();
+    assert!(twins.is_empty(), "counter and gauge of one name: {twins:?}");
 
     assert_eq!(after.queries - before.queries, 3);
     assert!(after.cache_hits + after.cache_misses > before.cache_hits + before.cache_misses);
