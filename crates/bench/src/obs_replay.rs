@@ -26,7 +26,7 @@ use crate::report::{Report, Value};
 use obs::recorder::{pack_series, Recorder, RecorderConfig};
 use spate_core::query::Query;
 use spate_core::shard::{shard_of_cell, ShardedSpate};
-use spate_core::{MetaConfig, MetaMonitor, StreamKind};
+use spate_core::{MetaMonitor, StreamKind};
 use telco_trace::cells::BoundingBox;
 use telco_trace::{Snapshot, TraceConfig, TraceGenerator};
 
@@ -89,7 +89,7 @@ pub fn obs_replay_experiment(shards: usize, seed: u64) -> Report {
         facade.ingest(s);
     }
 
-    let mut monitor = MetaMonitor::new(MetaConfig::default());
+    let mut monitor = MetaMonitor::default();
     let everything = BoundingBox::everything();
     let hot_box = shard0_box(&facade);
     let mut skew_balanced = 0u64;

@@ -2,7 +2,7 @@
 
 use crate::framework::{ExplorationFramework, IngestStats, SpaceReport};
 use crate::query::{project_snapshots, Query, QueryResult};
-use crate::storage::SnapshotStore;
+use crate::storage::{SnapshotStore, StoredSnapshot};
 use codecs::Identity;
 use dfs::Dfs;
 use std::collections::BTreeSet;
@@ -23,8 +23,13 @@ pub struct RawFramework {
 
 impl RawFramework {
     pub fn new(dfs: Dfs, layout: CellLayout) -> Self {
+        Self::rooted(dfs, layout, "/raw")
+    }
+
+    /// Plain files under `root`: SHAHED's data files are RAW's.
+    pub(crate) fn rooted(dfs: Dfs, layout: CellLayout, root: &str) -> Self {
         Self {
-            store: SnapshotStore::new(dfs, Arc::new(Identity)).with_root("/raw"),
+            store: SnapshotStore::new(dfs, Arc::new(Identity)).with_root(root),
             layout,
             ingested: BTreeSet::new(),
             version: 0,
@@ -37,6 +42,15 @@ impl RawFramework {
 
     pub fn store(&self) -> &SnapshotStore {
         &self.store
+    }
+
+    /// Store one snapshot as a plain file and count it as ingested: the
+    /// part of an ingest that RAW and SHAHED share.
+    pub(crate) fn put(&mut self, snapshot: &Snapshot) -> StoredSnapshot {
+        let stored = self.store.store(snapshot).expect("raw store");
+        self.ingested.insert(snapshot.epoch.0);
+        self.version += 1;
+        stored
     }
 }
 
@@ -51,9 +65,7 @@ impl ExplorationFramework for RawFramework {
 
     fn ingest(&mut self, snapshot: &Snapshot) -> IngestStats {
         let span = obs::span("raw.ingest");
-        let stored = self.store.store(snapshot).expect("raw store");
-        self.ingested.insert(snapshot.epoch.0);
-        self.version += 1;
+        let stored = self.put(snapshot);
         let seconds = span.finish_secs();
         IngestStats {
             epoch: snapshot.epoch,

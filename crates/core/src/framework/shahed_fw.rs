@@ -1,14 +1,11 @@
 //! The SHAHED baseline framework: raw storage + the isolated
 //! spatio-temporal aggregate index.
 
-use crate::framework::{ExplorationFramework, IngestStats, SpaceReport};
-use crate::query::{project_snapshots, Query, QueryResult};
+use crate::framework::{ExplorationFramework, IngestStats, RawFramework, SpaceReport};
+use crate::query::{Query, QueryResult};
 use crate::storage::SnapshotStore;
-use codecs::Identity;
 use dfs::Dfs;
 use shahed::{AggStats, Point, ShahedIndex};
-use std::collections::BTreeSet;
-use std::sync::Arc;
 use telco_trace::cells::{BoundingBox, CellLayout};
 use telco_trace::schema::{cdr, TableKind};
 use telco_trace::snapshot::{Row, Snapshot};
@@ -17,25 +14,19 @@ use telco_trace::time::EpochId;
 /// Measures tracked by the aggregate index, in order.
 pub const SHAHED_MEASURES: [&str; 4] = ["records", "drops", "upflux", "downflux"];
 
-/// Raw snapshot files plus SHAHED's aggregate quad-tree hierarchy: fast
-/// spatio-temporal aggregates, full storage cost, no decay.
+/// RAW's snapshot files (under `/shahed`) plus SHAHED's aggregate
+/// quad-tree hierarchy: fast spatio-temporal aggregates, full storage
+/// cost, no decay. Reads are RAW's.
 pub struct ShahedFramework {
-    store: SnapshotStore,
-    layout: CellLayout,
+    raw: RawFramework,
     index: ShahedIndex,
-    ingested: BTreeSet<u32>,
-    version: u64,
 }
 
 impl ShahedFramework {
     pub fn new(dfs: Dfs, layout: CellLayout) -> Self {
-        let index = ShahedIndex::new(BoundingBox::everything(), SHAHED_MEASURES.len());
         Self {
-            store: SnapshotStore::new(dfs, Arc::new(Identity)).with_root("/shahed"),
-            layout,
-            index,
-            ingested: BTreeSet::new(),
-            version: 0,
+            raw: RawFramework::rooted(dfs, layout, "/shahed"),
+            index: ShahedIndex::new(BoundingBox::everything(), SHAHED_MEASURES.len()),
         }
     }
 
@@ -44,20 +35,21 @@ impl ShahedFramework {
     }
 
     pub fn store(&self) -> &SnapshotStore {
-        &self.store
+        self.raw.store()
     }
 
     /// One index point per CDR record, at the record's cell site.
     fn points_of(&self, snapshot: &Snapshot) -> Vec<Point> {
+        let layout = self.raw.layout();
         snapshot
             .cdr
             .iter()
             .filter_map(|r| {
                 let cell_id = r.get(cdr::CELL_ID).as_i64()?;
-                if cell_id < 0 || cell_id as usize >= self.layout.len() {
+                if cell_id < 0 || cell_id as usize >= layout.len() {
                     return None;
                 }
-                let cell = self.layout.get(cell_id as u32);
+                let cell = layout.get(cell_id as u32);
                 let drop = f64::from(r.get(cdr::CALL_RESULT).text() == "DROP");
                 Some(Point {
                     x: cell.x_m,
@@ -90,12 +82,12 @@ impl ExplorationFramework for ShahedFramework {
     }
 
     fn layout(&self) -> &CellLayout {
-        &self.layout
+        self.raw.layout()
     }
 
     fn ingest(&mut self, snapshot: &Snapshot) -> IngestStats {
         let span = obs::span("shahed.ingest");
-        let stored = self.store.store(snapshot).expect("shahed store");
+        let stored = self.raw.put(snapshot);
         let points = {
             let _s = obs::span("index_points");
             self.points_of(snapshot)
@@ -104,8 +96,6 @@ impl ExplorationFramework for ShahedFramework {
             let _s = obs::span("index_insert");
             self.index.insert_epoch(snapshot.epoch, points);
         }
-        self.ingested.insert(snapshot.epoch.0);
-        self.version += 1;
         let seconds = span.finish_secs();
         IngestStats {
             epoch: snapshot.epoch,
@@ -117,16 +107,13 @@ impl ExplorationFramework for ShahedFramework {
 
     fn space(&self) -> SpaceReport {
         SpaceReport {
-            data_bytes: self.store.stored_bytes(),
             index_bytes: self.index.memory_bytes() as u64,
+            ..self.raw.space()
         }
     }
 
     fn load_epoch(&self, epoch: EpochId) -> Option<Snapshot> {
-        if !self.ingested.contains(&epoch.0) {
-            return None;
-        }
-        self.store.load(epoch).ok()
+        self.raw.load_epoch(epoch)
     }
 
     fn scan_rows(
@@ -136,20 +123,15 @@ impl ExplorationFramework for ShahedFramework {
         table: TableKind,
         visit: &mut dyn FnMut(EpochId, &[Row<'_>]),
     ) {
-        let ingested = (start.0..=end.0).filter(|e| self.ingested.contains(e));
-        self.store.scan_rows(ingested.map(EpochId), table, visit);
+        self.raw.scan_rows(start, end, table, visit);
     }
 
     fn version(&self) -> u64 {
-        self.version
+        self.raw.version()
     }
 
     fn query(&self, q: &Query) -> QueryResult {
-        let snaps = self.scan(q.window.0, q.window.1);
-        if snaps.is_empty() {
-            return QueryResult::Unavailable;
-        }
-        QueryResult::Exact(project_snapshots(&snaps, q, &self.layout))
+        self.raw.query(q)
     }
 }
 

@@ -321,11 +321,8 @@ impl SpateFramework {
     /// index for a covering of `w`.
     pub fn plan(&self, q: &Query) -> Plan {
         let covering = {
-            let _s = obs::span("index_probe");
-            let start = std::time::Instant::now();
-            let covering = self.index.find_covering(q.window.0, q.window.1);
-            obs::cost::add_stage_ns("index_probe", start.elapsed().as_nanos() as u64);
-            covering
+            let _s = obs::stage("index_probe");
+            self.index.find_covering(q.window.0, q.window.1)
         };
         Plan::of(covering, &self.layout, &q.bbox)
     }

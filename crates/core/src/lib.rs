@@ -62,7 +62,7 @@ pub use framework::{
 pub use index::decay::{DecayPolicy, DecayReport};
 pub use index::highlights::{HighlightConfig, Highlights};
 pub use index::TemporalIndex;
-pub use meta::{AnomalyRecord, MetaConfig, MetaMonitor, MetaSummary, StreamKind};
+pub use meta::{AnomalyRecord, MetaMonitor, MetaSummary, StreamKind};
 pub use query::{profile_query, Coverage, Query, QueryResult};
 pub use shard::{
     merge_results, merge_snapshots, shard_of_cell, split_snapshot, ShardStat, ShardedSpate,

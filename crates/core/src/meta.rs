@@ -34,29 +34,17 @@ use std::collections::{HashMap, VecDeque};
 use Grade::{CacheBand, Count, P99Regime, ShardSkew, ShedShare};
 use StreamKind::{Deterministic, Timing};
 
-/// Tuning of the meta-highlights monitor.
-#[derive(Debug, Clone, Copy)]
-pub struct MetaConfig {
-    /// Rarity threshold θ applied to every stream's category table.
-    /// System streams have a handful of ticks, not millions of records,
-    /// so θ here is much larger than the index layer's per-day θ.
-    pub theta: f64,
-    /// Ticks of history required before detection arms (a one-tick
-    /// "history" would make every first observation rare).
-    pub min_ticks: u64,
-    /// Bound on retained [`AnomalyRecord`]s (oldest dropped first).
-    pub history: usize,
-}
+/// Rarity threshold θ applied to every stream's category table. System
+/// streams have a handful of ticks, not millions of records, so θ here is
+/// much larger than the index layer's per-day θ.
+const THETA: f64 = 0.3;
 
-impl Default for MetaConfig {
-    fn default() -> Self {
-        Self {
-            theta: 0.3,
-            min_ticks: 4,
-            history: 64,
-        }
-    }
-}
+/// Ticks of history required before detection arms (a one-tick "history"
+/// would make every first observation rare).
+const MIN_TICKS: u64 = 4;
+
+/// Bound on retained [`AnomalyRecord`]s (oldest dropped first).
+const HISTORY: usize = 64;
 
 /// Whether a stream's category is a pure function of the workload or
 /// depends on thread timing.
@@ -211,7 +199,6 @@ pub struct MetaSummary {
 /// manually at workload boundaries (deterministic benchmarks) or from an
 /// interval thread (a live server).
 pub struct MetaMonitor {
-    config: MetaConfig,
     ticks: u64,
     /// Per row of [`STREAMS`]: category counts and each one's severity.
     freqs: Vec<(FreqTable, HashMap<String, u32>)>,
@@ -225,14 +212,7 @@ pub struct MetaMonitor {
 
 impl Default for MetaMonitor {
     fn default() -> Self {
-        Self::new(MetaConfig::default())
-    }
-}
-
-impl MetaMonitor {
-    pub fn new(config: MetaConfig) -> Self {
         Self {
-            config,
             ticks: 0,
             freqs: STREAMS.iter().map(|_| Default::default()).collect(),
             prev: HashMap::new(),
@@ -241,11 +221,9 @@ impl MetaMonitor {
             deterministic: 0,
         }
     }
+}
 
-    pub fn config(&self) -> MetaConfig {
-        self.config
-    }
-
+impl MetaMonitor {
     /// The windowing step: `now` minus what `key` read at the previous
     /// tick, element by element and saturating at zero.
     fn since(&mut self, key: String, now: Vec<u64>) -> Vec<u64> {
@@ -313,7 +291,7 @@ impl MetaMonitor {
             let (freq, severities) = &mut self.freqs[i];
             severities.insert(category.clone(), severity);
             freq.add(&category);
-            if self.ticks < self.config.min_ticks {
+            if self.ticks < MIN_TICKS {
                 continue;
             }
             let Some(modal) = freq.modal().map(|(modal, _)| modal.to_string()) else {
@@ -321,7 +299,7 @@ impl MetaMonitor {
             };
             let modal_severity = severities.get(&modal).copied().unwrap_or(0);
             let share = freq.share(&category);
-            if share < self.config.theta && severity > modal_severity {
+            if share < THETA && severity > modal_severity {
                 reg.counter("meta.anomalies").inc();
                 self.total += 1;
                 if kind == Deterministic {
@@ -339,7 +317,7 @@ impl MetaMonitor {
             }
         }
         self.anomalies.extend(fired.iter().cloned());
-        let excess = self.anomalies.len().saturating_sub(self.config.history);
+        let excess = self.anomalies.len().saturating_sub(HISTORY);
         self.anomalies.drain(..excess);
         fired
     }
@@ -352,8 +330,7 @@ impl MetaMonitor {
         }
     }
 
-    /// Retained anomaly records, oldest first (bounded by
-    /// [`MetaConfig::history`]).
+    /// Retained anomaly records, oldest first: at most the 64 most recent.
     pub fn recent(&self) -> Vec<AnomalyRecord> {
         self.anomalies.iter().cloned().collect()
     }
@@ -510,10 +487,7 @@ mod tests {
     #[test]
     fn detection_is_armed_only_after_min_ticks() {
         let reg = Registry::new();
-        let mut m = MetaMonitor::new(MetaConfig {
-            min_ticks: 4,
-            ..MetaConfig::default()
-        });
+        let mut m = MetaMonitor::default();
         // A burst on the very first tick is "normal" — no history says
         // otherwise yet.
         reg.counter("dfs.retry.attempts").add(100);
@@ -524,20 +498,20 @@ mod tests {
     #[test]
     fn history_is_bounded() {
         let reg = Registry::new();
-        let mut m = MetaMonitor::new(MetaConfig {
-            history: 3,
-            ..MetaConfig::default()
-        });
-        calm_ticks(&mut m, &reg, 8);
-        for _ in 0..6 {
-            // Alternate bursts so the category stays rare-ish... simply
-            // drive distinct deterministic streams repeatedly.
+        let mut m = MetaMonitor::default();
+        // Four calm ticks, then a burst on three deterministic streams: a
+        // burst stays rare (a fifth of the ticks), so every one fires.
+        for _ in 0..40 {
+            calm_ticks(&mut m, &reg, 4);
             reg.counter("dfs.fault.checksum_mismatches").add(1);
             reg.counter("serve.request_errors").add(1);
             reg.counter("dfs.retry.attempts").add(20);
             m.tick(&reg);
         }
-        assert!(m.recent().len() <= 3);
+        assert!(m.summary().anomalies_total > HISTORY as u64);
+        let recent = m.recent();
+        assert_eq!(recent.len(), HISTORY);
+        assert_eq!(recent.last().map(|a| a.tick), Some(200));
     }
 
     /// This tick's anomalies, each as `tick stream category share modal

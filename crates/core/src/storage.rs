@@ -112,13 +112,10 @@ pub(crate) fn check_epoch(asked: EpochId, found: EpochId) -> Result<(), StorageE
     }
 }
 
-/// Run `parse` under the `parse` span and cost stage.
+/// Run `parse` under the `parse` stage.
 pub(crate) fn parse_stage<T>(parse: impl FnOnce() -> T) -> T {
-    let _s = obs::span("parse");
-    let start = std::time::Instant::now();
-    let parsed = parse();
-    obs::cost::add_stage_ns("parse", start.elapsed().as_nanos() as u64);
-    parsed
+    let _s = obs::stage("parse");
+    parse()
 }
 
 /// What a read of one epoch takes from the filesystem
@@ -363,9 +360,9 @@ impl SnapshotStore {
     /// of it: the Path leaf's bytes, or the CAS epoch opened (manifest and
     /// pack read and hash-verified), under the `read` stage.
     pub(crate) fn fetch(&self, epoch: EpochId) -> Result<Fetched<'_>, StorageError> {
-        let start = std::time::Instant::now();
+        let _s = obs::stage("read");
         obs::cost::touch_epoch(u64::from(epoch.0));
-        let fetched = match &self.backend {
+        match &self.backend {
             Backend::Path { codec } => match self.dfs.read(&self.path_for(epoch)) {
                 Ok(bytes) => Ok(Fetched::Packed(codec.as_ref(), bytes)),
                 Err(DfsError::NotFound(_)) => Err(StorageError::Missing(epoch)),
@@ -375,14 +372,12 @@ impl SnapshotStore {
                 Ok(reader) => Ok(Fetched::Open(Box::new(reader))),
                 Err(e) => Err(e.into()),
             },
-        };
-        obs::cost::add_stage_ns("read", start.elapsed().as_nanos() as u64);
-        fetched
+        }
     }
 
     /// The second half: what a read of `tables` takes of the fetched
     /// epoch. A Path leaf is inflated into its text, under the `decompress`
-    /// span and cost stage. A CAS epoch has the tables of `tables` and no
+    /// stage. A CAS epoch has the tables of `tables` and no
     /// other inflated, verified and indexed, under the `read` stage
     /// ([`cas::EpochReader::snapshot_columns`]: checked as the parser
     /// checks the same tables of the text, nothing lent before every table
@@ -393,18 +388,13 @@ impl SnapshotStore {
     ) -> Result<EpochRows, StorageError> {
         let reader = match fetched {
             Fetched::Packed(codec, bytes) => {
-                let _s = obs::span("decompress");
-                let start = std::time::Instant::now();
-                let text = codec.decompress_metered(&bytes);
-                obs::cost::add_stage_ns("decompress", start.elapsed().as_nanos() as u64);
-                return Ok(EpochRows::Text(text?));
+                let _s = obs::stage("decompress");
+                return Ok(EpochRows::Text(codec.decompress_metered(&bytes)?));
             }
             Fetched::Open(reader) => reader,
         };
-        let start = std::time::Instant::now();
-        let columns = reader.snapshot_columns(tables);
-        obs::cost::add_stage_ns("read", start.elapsed().as_nanos() as u64);
-        Ok(EpochRows::Columns(columns?))
+        let _s = obs::stage("read");
+        Ok(EpochRows::Columns(reader.snapshot_columns(tables)?))
     }
 
     /// Read `epochs` for a scan of `tables` and lend `scan` each epoch's

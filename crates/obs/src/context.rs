@@ -203,12 +203,11 @@ mod tests {
     /// the second half runs on a helper that entered the context.
     fn request(trace_id: u64, helper: bool) -> (CostProfile, Vec<SpanEvent>) {
         let read = |epoch: u64| {
-            let _read = crate::span("test.context.read");
+            let _read = crate::stage("test.context.read");
             crate::cost::touch_epoch(epoch);
             crate::cost::add_bytes_read("dfs", 100 + epoch);
             crate::cost::add_decompressed("gzip-lite", 1000 + epoch);
             crate::cost::add_rows(epoch, 1);
-            crate::cost::add_stage_ns("read", 5);
             let _inflate = crate::span("inflate");
             crate::trace::event("test.context.mark", &[]);
         };
@@ -268,8 +267,18 @@ mod tests {
     #[test]
     fn a_helper_collects_what_the_request_thread_would() {
         let _no_reset = crate::globals_stay();
+        // Only this test opens the read path, and a stage adds the same
+        // time to its span's total and to the profile, so each request's
+        // stage time is exactly what its reads added to that total.
+        let read_ns = || {
+            let stats = crate::global().span_stats("test.context.request;scan;test.context.read");
+            stats.total_ns.load(std::sync::atomic::Ordering::Relaxed)
+        };
+        let before = read_ns();
         let (one, one_events) = request(0xC0_0001, false);
+        let between = read_ns();
         let (two, two_events) = request(0xC0_0002, true);
+        let after = read_ns();
         // Every field but the clock ones.
         let untimed = |p: &CostProfile| {
             let mut p = p.clone();
@@ -279,7 +288,13 @@ mod tests {
             p
         };
         assert_eq!(untimed(&two), untimed(&one));
-        assert_eq!(two.stage_ns["read"], one.stage_ns["read"]);
+        // The same stages, timed on whichever thread did the work: the
+        // helper's half reaches the request's profile.
+        let stages = |p: &CostProfile| p.stage_ns.keys().cloned().collect::<Vec<_>>();
+        assert_eq!(stages(&two), ["test.context.read"]);
+        assert_eq!(stages(&one), stages(&two));
+        assert_eq!(one.stage_ns["test.context.read"], between - before);
+        assert_eq!(two.stage_ns["test.context.read"], after - between);
         assert!(two.reconciles() && one.reconciles());
         assert_eq!(two.rows_by_shard[&3], 6);
 

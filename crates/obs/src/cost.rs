@@ -66,7 +66,7 @@ pub struct CostProfile {
     pub cache_misses: u64,
     /// Time per pipeline stage (`"read"`, `"decompress"`, `"parse"`,
     /// `"index_probe"`, ...), nanoseconds, summed over the threads that
-    /// worked for the query.
+    /// worked for the query: the [`crate::stage`] spans of that name.
     pub stage_ns: BTreeMap<String, u64>,
     /// Wall time from [`begin`] to [`CostGuard::finish`], nanoseconds.
     pub total_ns: u64,
@@ -172,6 +172,12 @@ impl Collecting {
 
     pub(crate) fn trace_id(&self) -> u64 {
         self.profile.trace_id
+    }
+
+    /// Attribute `ns` nanoseconds of wall time to `stage` (a closing
+    /// [`crate::stage`] span).
+    pub(crate) fn add_stage(&mut self, stage: &str, ns: u64) {
+        *self.profile.stage_ns.entry(stage.to_string()).or_insert(0) += ns;
     }
 
     /// The profile, its `total_ns` stamped.
@@ -301,13 +307,6 @@ pub fn cache_miss() {
     with_active(|p| p.cache_misses += 1);
 }
 
-/// Attribute `ns` nanoseconds of wall time to `stage`.
-pub fn add_stage_ns(stage: &str, ns: u64) {
-    with_active(|p| {
-        *p.stage_ns.entry(stage.to_string()).or_insert(0) += ns;
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,8 +337,6 @@ mod tests {
         touch_epoch(5);
         cache_hit();
         cache_miss();
-        add_stage_ns("read", 1_000);
-        add_stage_ns("read", 500);
         let p = g.finish();
         assert_eq!(p.trace_id, 42);
         assert_eq!(p.bytes_read_total, 180);
@@ -354,7 +351,6 @@ mod tests {
         );
         assert_eq!(p.cache_hits, 1);
         assert_eq!(p.cache_misses, 1);
-        assert_eq!(p.stage_ns["read"], 1_500);
         assert!(p.reconciles());
         assert_eq!(p.unattributed_bytes(), 0);
     }

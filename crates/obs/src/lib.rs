@@ -52,7 +52,7 @@ pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use recorder::{Recorder, RecorderConfig};
 pub use registry::{MetricId, Registry};
 pub use slo::SloTracker;
-pub use span::{span, SpanGuard, SpanStats};
+pub use span::{span, stage, SpanGuard, SpanStats};
 
 use std::sync::{Arc, OnceLock};
 
@@ -137,8 +137,8 @@ pub fn observe_labeled(name: &str, labels: &[(&str, &str)], value: u64) {
 }
 
 /// Clear the global registry, the flight recorder, the telemetry
-/// recorder, the SLO tracker, and the shard-scope shard set (measurement
-/// boundary between experiments).
+/// recorder and the SLO tracker (measurement boundary between
+/// experiments).
 ///
 /// # Concurrency semantics
 ///
@@ -163,10 +163,9 @@ pub fn reset() {
     flight().clear();
     recorder::global().reset();
     slo::global().reset();
-    shard::reset();
 }
 
-/// The process-global registry, flight recorder and shard set are shared
+/// The process-global registry and flight recorder are shared
 /// by every unit test of this crate, and one of them — the reset race
 /// below — clears them 200 times. It holds this lock for writing; a test
 /// that asserts what the globals *contain* holds it for reading, so the
@@ -247,7 +246,6 @@ mod tests {
         super::reset();
         assert_eq!(super::slo::global().total(), 0);
         assert_eq!(super::recorder::global().window_count(), 0);
-        assert!(super::shard::known_shards().is_empty());
     }
 
     #[test]

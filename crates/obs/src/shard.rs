@@ -7,46 +7,26 @@
 //! counter, span and flight event lands in one process-global pile. The
 //! guard [`enter`] returns marks the current thread as working on behalf
 //! of shard `i`; instrumentation that calls [`current`] (spans, cost
-//! profiles) or the [`add_sharded`] / [`observe_sharded`] helpers then
-//! attributes the work to that shard as a `shard="i"` labeled series
-//! *in addition to* the unlabeled total, so existing dashboards and
-//! deterministic bench lines keep their meaning.
+//! profiles) or the [`add_sharded`] helper then attributes the work to
+//! that shard as a `shard="i"` labeled series *in addition to* the
+//! unlabeled total, so existing dashboards and deterministic bench lines
+//! keep their meaning.
 //!
 //! Scopes nest (a shard-2 scope inside a shard-0 scope restores shard 0
 //! on drop) and are per-thread, matching how the scatter-gather router
 //! fans work out to per-shard worker threads.
 
 use crate::context::{self, Field, Guard};
-use parking_lot::RwLock;
-use std::collections::BTreeSet;
-use std::sync::OnceLock;
-
-/// Shards ever entered since the last [`reset`] — lets exporters and the
-/// skew monitor enumerate shards without plumbing the layout everywhere.
-static KNOWN: OnceLock<RwLock<BTreeSet<u32>>> = OnceLock::new();
-
-fn known() -> &'static RwLock<BTreeSet<u32>> {
-    KNOWN.get_or_init(|| RwLock::new(BTreeSet::new()))
-}
 
 /// Attribute this thread's work to `shard` until the guard drops. Nested
 /// scopes restore the previous shard on drop.
 pub fn enter(shard: u32) -> Guard {
-    // Fast path: almost always already known after the first tick.
-    if !known().read().contains(&shard) {
-        known().write().insert(shard);
-    }
     context::set(Field::Shard(Some(shard)))
 }
 
 /// The shard the current thread is working for, if any.
 pub fn current() -> Option<u32> {
     context::with(|r| r.shard)
-}
-
-/// Every shard entered since the last [`reset`], in order.
-pub fn known_shards() -> Vec<u32> {
-    known().read().iter().copied().collect()
 }
 
 /// Render a shard id as its label value. Small ids come from a static
@@ -72,23 +52,6 @@ pub fn add_sharded(name: &str, delta: u64) {
     }
 }
 
-/// Record into the unlabeled histogram and, when a shard scope is active,
-/// into its `shard="i"` series as well.
-pub fn observe_sharded(name: &str, value: u64) {
-    crate::global().histogram(name).record(value);
-    if let Some(i) = current() {
-        crate::global()
-            .histogram_labeled(name, &[("shard", &label(i))])
-            .record(value);
-    }
-}
-
-/// Forget every known shard (part of [`crate::reset`]). Active scopes on
-/// other threads re-register their shard on the next [`enter`].
-pub fn reset() {
-    known().write().clear();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,8 +70,6 @@ mod tests {
             assert_eq!(current(), Some(1));
         }
         assert_eq!(current(), None);
-        assert!(known_shards().contains(&1));
-        assert!(known_shards().contains(&3));
     }
 
     #[test]
@@ -116,19 +77,12 @@ mod tests {
         let _no_reset = crate::globals_stay();
         let _s = enter(2);
         add_sharded("test.shard.bytes", 10);
-        observe_sharded("test.shard.lat", 100);
         assert!(crate::global().counter("test.shard.bytes").get() >= 10);
         assert!(
             crate::global()
                 .counter_labeled("test.shard.bytes", &[("shard", "2")])
                 .get()
                 >= 10
-        );
-        assert!(
-            crate::global()
-                .histogram_labeled("test.shard.lat", &[("shard", "2")])
-                .count()
-                >= 1
         );
     }
 

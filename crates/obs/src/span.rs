@@ -37,6 +37,16 @@ pub(crate) struct Frame {
     /// (see [`crate::trace`]); closing the span then also records a
     /// [`crate::flight::SpanEvent`].
     trace: Option<TraceSpan>,
+    /// Opened by [`stage`]: closing the span also adds its time to the
+    /// active cost profile's stage of the span's name.
+    stage: bool,
+}
+
+impl Frame {
+    /// The span's own name: the last element of its path.
+    fn name(&self) -> &str {
+        self.path.rsplit(';').next().unwrap_or(&self.path)
+    }
 }
 
 #[derive(Clone, Copy)]
@@ -67,12 +77,25 @@ pub(crate) fn parent_frame(stack: &[Frame]) -> Option<Frame> {
         path: stack.last()?.path.clone(),
         child_ns: 0,
         trace: traced(stack),
+        stage: false,
     })
 }
 
 /// Open a span named `name` nested under this thread's innermost open
 /// span. Closes (and records) when the guard drops.
 pub fn span(name: &str) -> SpanGuard {
+    open(name, false)
+}
+
+/// Open a span named after a pipeline stage (`"read"`, `"decompress"`,
+/// `"parse"`, `"index_probe"`): when it closes, its elapsed time is also
+/// added to the active [`crate::CostProfile`]'s `stage_ns[name]`, so the
+/// flame table and the cost profile time a stage by one clock.
+pub fn stage(name: &str) -> SpanGuard {
+    open(name, true)
+}
+
+fn open(name: &str, stage: bool) -> SpanGuard {
     crate::context::with(|r| {
         let path = match r.spans.last() {
             Some(parent) => format!("{};{}", parent.path, name),
@@ -93,6 +116,7 @@ pub fn span(name: &str) -> SpanGuard {
             path,
             child_ns: 0,
             trace,
+            stage,
         });
     });
     SpanGuard {
@@ -121,6 +145,9 @@ impl SpanGuard {
             if let Some(parent) = r.spans.last_mut() {
                 parent.child_ns += ns;
             }
+            if let (true, Some(cost)) = (frame.stage, r.cost.as_mut()) {
+                cost.add_stage(frame.name(), ns);
+            }
             (frame, r.shard)
         });
         let stats = crate::global().span_stats(&frame.path);
@@ -131,7 +158,7 @@ impl SpanGuard {
             .fetch_add(ns.saturating_sub(frame.child_ns), Ordering::Relaxed);
         stats.durations.record(ns);
         if let Some(t) = frame.trace {
-            let name = frame.path.rsplit(';').next().unwrap_or(&frame.path);
+            let name = frame.name();
             // A span closed inside a shard scope carries the shard as an
             // event arg, so per-shard child trees are reconstructible from
             // the flight recorder alone.
@@ -207,5 +234,25 @@ mod tests {
         let stats = crate::global().span_stats("test.span.finish");
         let total = stats.total_ns.load(Ordering::Relaxed) as f64 / 1e9;
         assert!((total - secs).abs() < 1e-6);
+    }
+
+    #[test]
+    fn a_stage_adds_its_span_time_to_the_active_profile() {
+        let _no_reset = crate::globals_stay();
+        drop(stage("test.span.stage"));
+        let cost = crate::cost::begin(1);
+        for _ in 0..2 {
+            let _outer = span("test.span.staged");
+            let _read = stage("read");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let profile = cost.finish();
+        let read = crate::global().span_stats("test.span.staged;read");
+        assert_eq!(read.calls.load(Ordering::Relaxed), 2);
+        assert_eq!(
+            profile.stage_ns["read"],
+            read.total_ns.load(Ordering::Relaxed)
+        );
+        assert_eq!(profile.stage_ns.len(), 1, "a plain span is no stage");
     }
 }

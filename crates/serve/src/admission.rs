@@ -49,22 +49,6 @@ pub struct Shed {
     pub queue_depth: u32,
 }
 
-/// Per-class depth bounds.
-#[derive(Debug, Clone, Copy)]
-pub struct AdmissionConfig {
-    pub interactive_depth: usize,
-    pub scan_depth: usize,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        Self {
-            interactive_depth: 64,
-            scan_depth: 16,
-        }
-    }
-}
-
 struct Lane<T> {
     // Client id → that client's FIFO. BTreeMap gives a deterministic
     // round-robin order.
@@ -137,11 +121,13 @@ struct State<T> {
 }
 
 impl<T> AdmissionQueue<T> {
-    pub fn new(config: AdmissionConfig) -> Self {
+    /// A queue holding at most `interactive_depth` interactive and
+    /// `scan_depth` scan items.
+    pub fn new(interactive_depth: usize, scan_depth: usize) -> Self {
         Self {
             state: Mutex::new(State {
-                interactive: Lane::new(config.interactive_depth.max(1)),
-                scan: Lane::new(config.scan_depth.max(1)),
+                interactive: Lane::new(interactive_depth.max(1)),
+                scan: Lane::new(scan_depth.max(1)),
                 closed: false,
             }),
             available: Condvar::new(),
@@ -238,7 +224,7 @@ mod tests {
 
     #[test]
     fn interactive_preempts_scan() {
-        let q = AdmissionQueue::new(AdmissionConfig::default());
+        let q = AdmissionQueue::new(64, 16);
         q.push(1, Class::Scan, "s1").unwrap();
         q.push(1, Class::Scan, "s2").unwrap();
         q.push(2, Class::Interactive, "i1").unwrap();
@@ -250,7 +236,7 @@ mod tests {
 
     #[test]
     fn round_robin_across_clients_within_a_class() {
-        let q = AdmissionQueue::new(AdmissionConfig::default());
+        let q = AdmissionQueue::new(64, 16);
         // Client 1 floods; client 2 submits one item.
         for i in 0..5 {
             q.push(1, Class::Interactive, format!("c1-{i}")).unwrap();
@@ -263,10 +249,7 @@ mod tests {
 
     #[test]
     fn overflow_sheds_immediately_with_depth() {
-        let q = AdmissionQueue::new(AdmissionConfig {
-            interactive_depth: 2,
-            scan_depth: 1,
-        });
+        let q = AdmissionQueue::new(2, 1);
         q.push(1, Class::Interactive, 0).unwrap();
         q.push(1, Class::Interactive, 1).unwrap();
         assert_eq!(
@@ -281,7 +264,7 @@ mod tests {
 
     #[test]
     fn close_drains_then_ends() {
-        let q = AdmissionQueue::new(AdmissionConfig::default());
+        let q = AdmissionQueue::new(64, 16);
         q.push(1, Class::Scan, "tail").unwrap();
         q.close();
         assert!(q.push(1, Class::Scan, "late").is_err());
@@ -291,7 +274,7 @@ mod tests {
 
     #[test]
     fn blocked_poppers_wake_on_push_and_close() {
-        let q = std::sync::Arc::new(AdmissionQueue::new(AdmissionConfig::default()));
+        let q = std::sync::Arc::new(AdmissionQueue::new(64, 16));
         let popper = {
             let q = q.clone();
             std::thread::spawn(move || {

@@ -30,23 +30,6 @@ use std::sync::{Arc, Mutex};
 use telco_trace::snapshot::Snapshot;
 use telco_trace::time::EpochId;
 
-/// Cache sizing.
-#[derive(Debug, Clone, Copy)]
-pub struct CacheConfig {
-    pub shards: usize,
-    /// Max entries (epochs) per shard.
-    pub capacity_per_shard: usize,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        Self {
-            shards: 8,
-            capacity_per_shard: 16,
-        }
-    }
-}
-
 struct Entry {
     snap: Arc<Snapshot>,
     last_used: u64,
@@ -91,8 +74,11 @@ impl CacheStats {
 }
 
 impl EpochCache {
-    pub fn new(config: CacheConfig) -> Self {
-        let shards = config.shards.max(1);
+    /// A cache of at most `epochs` decoded epochs. It has one shard per 16
+    /// epochs, from 1 to 8, and an equal share of the epochs per shard:
+    /// 8 shards of 16 for 128 epochs, 1 shard of 2 for 2.
+    pub fn new(epochs: usize) -> Self {
+        let shards = (epochs / 16).clamp(1, 8);
         Self {
             shards: (0..shards)
                 .map(|_| {
@@ -102,7 +88,7 @@ impl EpochCache {
                     })
                 })
                 .collect(),
-            capacity_per_shard: config.capacity_per_shard.max(1),
+            capacity_per_shard: (epochs / shards).max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
@@ -237,10 +223,7 @@ mod tests {
 
     #[test]
     fn hit_miss_and_lru_eviction() {
-        let cache = EpochCache::new(CacheConfig {
-            shards: 1,
-            capacity_per_shard: 2,
-        });
+        let cache = EpochCache::new(2);
         let s = snaps(3);
         cache.insert(EpochId(0), s[0].clone());
         cache.insert(EpochId(1), s[1].clone());
@@ -258,7 +241,7 @@ mod tests {
 
     #[test]
     fn invalidation_drops_exactly_the_named_epochs() {
-        let cache = EpochCache::new(CacheConfig::default());
+        let cache = EpochCache::new(128);
         let s = snaps(4);
         for (i, snap) in s.iter().enumerate() {
             cache.insert(EpochId(i as u32), snap.clone());
@@ -273,7 +256,7 @@ mod tests {
 
     #[test]
     fn concurrent_access_is_consistent() {
-        let cache = Arc::new(EpochCache::new(CacheConfig::default()));
+        let cache = Arc::new(EpochCache::new(128));
         let s = snaps(8);
         std::thread::scope(|scope| {
             for t in 0..4 {

@@ -65,8 +65,8 @@ pub mod proto;
 pub mod server;
 pub mod transport;
 
-pub use admission::{AdmissionConfig, AdmissionQueue, Class};
-pub use cache::{CacheConfig, CacheInvalidator, CacheStats, EpochCache};
+pub use admission::{AdmissionQueue, Class};
+pub use cache::{CacheInvalidator, CacheStats, EpochCache};
 pub use proto::{
     AnomalyWire, ProfileFrame, ProtoError, Request, RequestBody, Response, ResponseBody,
     ShardStatWire, SpanWire, StatsFrame, TableHeader, TraceFrame,

@@ -38,8 +38,8 @@
 //! and back: each one is a wake-up of a sleeping thread, and how long
 //! that takes is the one cost of a request the program does not control.
 
-use crate::admission::{AdmissionConfig, AdmissionQueue, Class};
-use crate::cache::{CacheConfig, CacheInvalidator, CacheStats, EpochCache};
+use crate::admission::{AdmissionQueue, Class};
+use crate::cache::{CacheInvalidator, CacheStats, EpochCache};
 use crate::proto::{
     errcode, parse_frame, AnomalyWire, ProfileFrame, Projected, ProtoError, Request, RequestBody,
     Response, ResponseBody, SpanWire, StatsFrame, TableHeader, TraceFrame,
@@ -48,26 +48,34 @@ use crate::transport::{duplex, ByteSink, Endpoint, FrameBatch, TransportError};
 use dfs::breaker::BreakerState;
 use obs::CostProfile;
 use obs::{CancelFlag, EventKind, Histogram, Interrupt};
-use spate_core::framework::{lend_records, ExplorationFramework, IngestStats, SpaceReport};
+use spate_core::framework::{lend_records, IngestStats};
 use spate_core::index::highlights::Resolution;
-use spate_core::query::{run_exact, Coverage, Plan, Query, QueryResult, RowPlan};
+use spate_core::query::{run_exact, Coverage, Plan, Query, RowPlan};
 use spate_core::shard::ShardedSpate;
 use spate_core::{
-    AnomalyRecord, DecayReport, Highlights, MetaConfig, MetaMonitor, MetaSummary, SpateFramework,
+    AnomalyRecord, DecayReport, Highlights, MetaMonitor, MetaSummary, SpateFramework,
 };
+use spate_sql::SqlContext;
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use telco_trace::cells::{BoundingBox, CellLayout};
+use telco_trace::cells::BoundingBox;
 use telco_trace::schema::TableKind;
-use telco_trace::snapshot::{Row, Snapshot};
+use telco_trace::snapshot::Snapshot;
 use telco_trace::time::EpochId;
 
 /// Windows of at most this many epochs classify as interactive.
 const INTERACTIVE_MAX_WINDOW: u64 = 8;
+
+/// Admission depth of the interactive class.
+const INTERACTIVE_DEPTH: usize = 64;
+
+/// Admission depth of the scan class.
+const SCAN_DEPTH: usize = 16;
 
 /// Max epochs prefetched ahead of a served window.
 const PREFETCH_LOOKAHEAD: u32 = 4;
@@ -82,20 +90,13 @@ const PROFILE_HISTORY: usize = 64;
 pub struct ServeConfig {
     /// Worker pool size.
     pub workers: usize,
-    /// Admission depth of the interactive class.
-    pub interactive_depth: usize,
-    /// Admission depth of the scan class.
-    pub scan_depth: usize,
     /// Jobs older than this on pop are shed instead of served.
     pub queue_deadline: Duration,
-    /// Shared epoch cache shards.
-    pub cache_shards: usize,
-    /// Epochs cached per shard.
-    pub cache_capacity_per_shard: usize,
+    /// Decoded epochs the shared cache holds at most: its memory budget
+    /// ([`EpochCache::new`]).
+    pub cache_epochs: usize,
     /// Warm the cache ahead of each session's window (see `prefetch`).
     pub prefetch: bool,
-    /// Tune the meta-highlights monitor (θ, arming ticks, history).
-    pub meta: MetaConfig,
     /// Chaos drills only: honor the reserved [`CHAOS_PANIC_ATTRIBUTE`]
     /// and [`CHAOS_STALL_ATTRIBUTE`] explore attributes (panic inside
     /// evaluation; stall before the first budget checkpoint), exercising
@@ -121,13 +122,9 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             workers: 4,
-            interactive_depth: 64,
-            scan_depth: 16,
             queue_deadline: Duration::from_secs(2),
-            cache_shards: 8,
-            cache_capacity_per_shard: 16,
+            cache_epochs: 128,
             prefetch: true,
-            meta: MetaConfig::default(),
             chaos_poison: false,
         }
     }
@@ -348,18 +345,12 @@ impl Server {
     /// cache invalidator is registered on every shard before the facade
     /// becomes shared, so no mutation can ever slip past the cache.
     pub fn start_sharded(mut shards: ShardedSpate, config: ServeConfig) -> Self {
-        let cache = Arc::new(EpochCache::new(CacheConfig {
-            shards: config.cache_shards,
-            capacity_per_shard: config.cache_capacity_per_shard,
-        }));
+        let cache = Arc::new(EpochCache::new(config.cache_epochs));
         shards.add_observer(Arc::new(CacheInvalidator(cache.clone())));
         let shared = Arc::new(Shared {
             shards,
             cache,
-            queue: AdmissionQueue::new(AdmissionConfig {
-                interactive_depth: config.interactive_depth,
-                scan_depth: config.scan_depth,
-            }),
+            queue: AdmissionQueue::new(INTERACTIVE_DEPTH, SCAN_DEPTH),
             stats: StatsCells::default(),
             sessions: Mutex::new(HashMap::new()),
             lat_interactive: obs::histogram_labeled(
@@ -367,7 +358,7 @@ impl Server {
                 &[("class", "interactive")],
             ),
             lat_scan: obs::histogram_labeled("serve.latency_us", &[("class", "scan")]),
-            monitor: Mutex::new(MetaMonitor::new(config.meta)),
+            monitor: Mutex::new(MetaMonitor::default()),
             profiles: Mutex::new(ProfileStore::new(PROFILE_HISTORY)),
             inflight: Inflight::default(),
             cancels: Mutex::new(HashMap::new()),
@@ -1059,10 +1050,33 @@ fn serve_sql(
     if window.0 > window.1 {
         return send_error(ep, id, errcode::BAD_REQUEST, "inverted window");
     }
-    let outcome = {
-        let view = CachedView { shared };
-        spate_sql::execute_over(&view, EpochId(window.0), EpochId(window.1), sql)
-    };
+    // The statement reads the shared cache directly: each epoch of a scan
+    // is resolved behind the budget checkpoint, and its rows are lent from
+    // the cached `Arc<Snapshot>`. An interrupted request sees the epochs
+    // left as unavailable, the same degraded (never wrong, only narrower)
+    // answer the explore path gives, and is counted once.
+    let cut_off = Cell::new(false);
+    let (start, end) = (EpochId(window.0), EpochId(window.1));
+    let context = SqlContext::over(
+        shared.shards.layout(),
+        start,
+        end,
+        |start, end, table, visit| {
+            for epoch in (start.0..=end.0).map(EpochId) {
+                if obs::budget::interrupted().is_some() {
+                    cut_off.set(true);
+                    return;
+                }
+                if let Some(snapshot) = resolve_epoch(shared, epoch, false) {
+                    lend_records(epoch, snapshot.table(table), visit);
+                }
+            }
+        },
+    );
+    let outcome = context.query(sql);
+    if cut_off.get() {
+        obs::inc("serve.scan.interrupted");
+    }
     match outcome {
         Ok(rs) => {
             let mut out = FrameBatch::new(ep);
@@ -1258,85 +1272,6 @@ fn wire_table(table: TableKind) -> u8 {
     match table {
         TableKind::Cdr => 0,
         _ => 1,
-    }
-}
-
-/// Read-only [`ExplorationFramework`] view routing `load_epoch` and
-/// `scan_rows` through the shared cache — how the SQL executor (which
-/// materializes tables via `scan_rows`) shares cached, shard-merged
-/// decompressions with the explore path.
-struct CachedView<'a> {
-    shared: &'a Shared,
-}
-
-impl CachedView<'_> {
-    /// One epoch through the shared cache, behind the budget checkpoint of
-    /// the SQL scan path: an interrupted request sees the remaining epochs
-    /// as unavailable, the same degraded (never wrong, only narrower)
-    /// answer the explore path gives.
-    fn resolve(&self, epoch: EpochId) -> Option<Arc<Snapshot>> {
-        if obs::budget::interrupted().is_some() {
-            obs::inc("serve.scan.interrupted");
-            return None;
-        }
-        resolve_epoch(self.shared, epoch, false)
-    }
-}
-
-impl ExplorationFramework for CachedView<'_> {
-    fn name(&self) -> &'static str {
-        "SPATE-serve"
-    }
-
-    fn layout(&self) -> &CellLayout {
-        self.shared.shards.layout()
-    }
-
-    fn ingest(&mut self, _snapshot: &Snapshot) -> IngestStats {
-        unreachable!("the serving view is read-only; ingest goes through Server::ingest")
-    }
-
-    fn space(&self) -> SpaceReport {
-        self.shared.shards.space()
-    }
-
-    fn load_epoch(&self, epoch: EpochId) -> Option<Snapshot> {
-        self.resolve(epoch).map(|arc| (*arc).clone())
-    }
-
-    /// The SQL scan path: rows are lent straight from the cached
-    /// `Arc<Snapshot>`s; no snapshot is cloned out of the cache.
-    fn scan_rows(
-        &self,
-        start: EpochId,
-        end: EpochId,
-        table: TableKind,
-        visit: &mut dyn FnMut(EpochId, &[Row<'_>]),
-    ) {
-        for epoch in (start.0..=end.0).map(EpochId) {
-            if let Some(snapshot) = self.resolve(epoch) {
-                lend_records(epoch, snapshot.table(table), visit);
-            }
-        }
-    }
-
-    /// The materialising evaluation: a [`QueryResult`] holds its rows,
-    /// so each cached epoch's selected rows are projected into it.
-    fn query(&self, q: &Query) -> QueryResult {
-        let _span = obs::span("serve.evaluate");
-        let rows = RowPlan::new(q, self.layout());
-        let plan = self.shared.shards.plan(q);
-        let traced = obs::trace::current().is_some();
-        plan.evaluate(&rows, |epoch, out| {
-            let snapshot = resolve_epoch(self.shared, epoch, traced);
-            snapshot
-                .map(|snapshot| rows.project(&snapshot, out))
-                .is_some()
-        })
-    }
-
-    fn version(&self) -> u64 {
-        self.shared.shards.version()
     }
 }
 
@@ -1620,6 +1555,7 @@ mod frame_identity;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spate_core::framework::ExplorationFramework;
     use std::sync::mpsc;
     use telco_trace::schema::{Schema, TableKind};
     use telco_trace::{TraceConfig, TraceGenerator};

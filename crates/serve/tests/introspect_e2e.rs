@@ -307,8 +307,7 @@ fn meta_highlights_flag_fault_bursts_and_stay_silent_when_calm() {
     let server = Server::start(
         fw,
         ServeConfig {
-            cache_shards: 1,
-            cache_capacity_per_shard: 2,
+            cache_epochs: 2,
             ..ServeConfig::default()
         },
     );

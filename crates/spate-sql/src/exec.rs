@@ -1,10 +1,10 @@
-//! SQL execution over an exploration framework.
+//! SQL execution over a window of stored rows.
 //!
 //! The pipeline is the textbook one: FROM (hash join where an equi-join
 //! conjunct exists, nested-loop product otherwise) → WHERE → GROUP BY /
-//! aggregate → ORDER BY → LIMIT → projection. Tables materialize from the
-//! bound framework's storage: `CDR`/`NMS` from the context window's
-//! snapshots, `CELL` from the static layout.
+//! aggregate → ORDER BY → LIMIT → projection. Tables materialize from
+//! what the context reads: `CDR`/`NMS` from its row scan over the
+//! window's snapshots, `CELL` from the static layout.
 
 use crate::ast::*;
 use spate_core::framework::ExplorationFramework;
@@ -12,8 +12,10 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use telco_trace::cells::CellLayout;
 use telco_trace::record::Value;
 use telco_trace::schema::{Schema, TableKind};
+use telco_trace::snapshot::Row;
 use telco_trace::time::EpochId;
 
 /// Errors from parsing or executing SQL.
@@ -90,18 +92,40 @@ impl ResultSet {
     }
 }
 
-/// Execution context: a framework plus the temporal window queries run
+/// A row scan as [`ExplorationFramework::scan_rows`] makes one: lend
+/// `visit` the rows of `table` of every readable epoch of the inclusive
+/// window `start..=end`, one epoch per call, in epoch order.
+type ScanRows<'a> = dyn Fn(EpochId, EpochId, TableKind, &mut dyn FnMut(EpochId, &[Row<'_>])) + 'a;
+
+/// Execution context: what a statement reads — the cell layout (`CELL`)
+/// and a row scan (`CDR`, `NMS`) — plus the temporal window queries run
 /// over (SPATE-SQL sessions are always scoped to an exploration window).
 pub struct SqlContext<'a> {
-    fw: &'a dyn ExplorationFramework,
+    layout: &'a CellLayout,
+    scan: Box<ScanRows<'a>>,
     window: (EpochId, EpochId),
 }
 
 impl<'a> SqlContext<'a> {
+    /// A framework's layout and row scan over `start..=end`.
     pub fn new(fw: &'a dyn ExplorationFramework, start: EpochId, end: EpochId) -> Self {
+        Self::over(fw.layout(), start, end, move |start, end, table, visit| {
+            fw.scan_rows(start, end, table, visit)
+        })
+    }
+
+    /// Any layout and row scan over `start..=end`: what a reader that is
+    /// not a framework (the serving tier's epoch cache) hands the executor.
+    pub fn over(
+        layout: &'a CellLayout,
+        start: EpochId,
+        end: EpochId,
+        scan: impl Fn(EpochId, EpochId, TableKind, &mut dyn FnMut(EpochId, &[Row<'_>])) + 'a,
+    ) -> Self {
         assert!(start <= end);
         Self {
-            fw,
+            layout,
+            scan: Box::new(scan),
             window: (start, end),
         }
     }
@@ -113,11 +137,11 @@ impl<'a> SqlContext<'a> {
 
     /// Materialize one FROM table: every row as wide as the schema, with
     /// only the columns `used` (ascending) filled in. CDR and NMS rows are
-    /// lent by the framework's row scan, so a column the statement never
+    /// lent by the context's row scan, so a column the statement never
     /// names is never built; it stays `Null` and is never read.
     fn table(&self, schema: &Schema, used: &[usize]) -> Vec<Vec<Value>> {
         if schema.kind == TableKind::Cell {
-            let rows = self.fw.layout().to_records();
+            let rows = self.layout.to_records();
             // Every materialized base-table row is a scanned row in the
             // active cost profile (no-op outside EXPLAIN ANALYZE / serve);
             // the row scan accounts for the rows it lends.
@@ -126,7 +150,7 @@ impl<'a> SqlContext<'a> {
         }
         let mut rows = Vec::new();
         let (start, end) = self.window;
-        self.fw.scan_rows(start, end, schema.kind, &mut |_, lent| {
+        (self.scan)(start, end, schema.kind, &mut |_, lent| {
             rows.extend(lent.iter().map(|r| r.sparse_values(used, schema.width())));
         });
         rows

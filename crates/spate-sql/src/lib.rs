@@ -22,7 +22,9 @@
 //! Queries execute against an [`SqlContext`] bound to any
 //! [`spate_core::framework::ExplorationFramework`], so the same statement
 //! runs over RAW, SHAHED or SPATE storage — which is exactly how the
-//! paper's task queries T1–T4 are phrased.
+//! paper's task queries T1–T4 are phrased — or to a bare layout and row
+//! scan ([`SqlContext::over`]), which is how the serving tier runs it over
+//! its epoch cache.
 
 pub mod ast;
 pub mod exec;
