@@ -36,7 +36,7 @@ use crate::index::decay::DecayReport;
 use crate::index::highlights::{Highlights, Resolution};
 use crate::query::{Coverage, ExactResult, Plan, Query, QueryResult};
 use std::cmp::Ordering as CmpOrdering;
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 use std::time::Instant;
 use telco_trace::cells::{BoundingBox, CellLayout};
 use telco_trace::record::{Record, Value};
@@ -283,6 +283,19 @@ impl ShardedSpate {
     /// Poison-tolerant read guard on shard `i`.
     pub fn read(&self, i: usize) -> RwLockReadGuard<'_, SpateFramework> {
         read_sane(&self.shards[i])
+    }
+
+    /// Poison-tolerant read guard on shard `i` if it can be had without
+    /// waiting: `None` while a writer holds the shard.
+    pub fn try_read(&self, i: usize) -> Option<RwLockReadGuard<'_, SpateFramework>> {
+        match self.shards[i].try_read() {
+            Ok(guard) => Some(guard),
+            Err(TryLockError::Poisoned(e)) => {
+                obs::inc("shard.lock.poison_recovered");
+                Some(e.into_inner())
+            }
+            Err(TryLockError::WouldBlock) => None,
+        }
     }
 
     /// Poison-tolerant write guard on shard `i`.

@@ -118,8 +118,10 @@ impl Drop for Guard {
     }
 }
 
-/// The request context of the thread that [`capture`]d it.
-#[derive(Clone)]
+/// The request context of the thread that [`capture`]d it. The default
+/// is the empty one, a thread's before any request: entering it runs work
+/// apart from whatever request the thread is serving meanwhile.
+#[derive(Clone, Default)]
 pub struct Context {
     trace: Option<ActiveTrace>,
     parent: Option<Frame>,

@@ -163,6 +163,23 @@ impl<T> AdmissionQueue<T> {
         }
     }
 
+    /// Admit an item the caller serves at once itself instead of queueing
+    /// it: only while no item of `class` waits, so it overtakes no one,
+    /// and never once the queue is closed. Counted with the admitted
+    /// items of [`AdmissionQueue::totals`].
+    pub fn admit_inline(&self, class: Class) -> bool {
+        let st = self.state.lock().unwrap();
+        let waiting = match class {
+            Class::Interactive => st.interactive.len,
+            Class::Scan => st.scan.len,
+        };
+        if st.closed || waiting > 0 {
+            return false;
+        }
+        self.admitted.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+
     /// Blocking pop: interactive first, then scan, round-robin over
     /// clients within the class. `None` once the queue is closed *and*
     /// drained (graceful shutdown finishes admitted work).
@@ -260,6 +277,24 @@ mod tests {
         q.push(1, Class::Scan, 3).unwrap();
         assert_eq!(q.push(1, Class::Scan, 4), Err(Shed { queue_depth: 1 }));
         assert_eq!(q.totals(), (3, 2));
+    }
+
+    #[test]
+    fn an_inline_admission_overtakes_no_one_and_is_counted() {
+        let q = AdmissionQueue::new(64, 16);
+        assert!(q.admit_inline(Class::Interactive));
+        q.push(1, Class::Scan, "s").unwrap();
+        // A waiting scan does not hold up an interactive request.
+        assert!(q.admit_inline(Class::Interactive));
+        assert!(!q.admit_inline(Class::Scan));
+        q.push(2, Class::Interactive, "i").unwrap();
+        assert!(!q.admit_inline(Class::Interactive));
+        assert_eq!(q.totals(), (4, 0));
+        assert_eq!(q.depth(), 2, "nothing inline is queued");
+        q.close();
+        while q.pop().is_some() {}
+        assert!(!q.admit_inline(Class::Interactive), "closed");
+        assert_eq!(q.totals(), (4, 0));
     }
 
     #[test]

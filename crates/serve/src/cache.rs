@@ -125,6 +125,13 @@ impl EpochCache {
         }
     }
 
+    /// Whether an epoch is cached, without counting a lookup or touching
+    /// its recency: asking leaves the statistics and the eviction order
+    /// what the reads alone make them.
+    pub fn contains(&self, epoch: EpochId) -> bool {
+        self.shard(epoch).lock().unwrap().map.contains_key(&epoch.0)
+    }
+
     /// Insert (or refresh) an epoch, evicting the shard's LRU entry on
     /// overflow. Callers must hold the framework read lock — see the
     /// coherence contract in the module docs.
@@ -237,6 +244,27 @@ mod tests {
         assert_eq!(st.evictions, 1);
         assert_eq!(st.hits, 3);
         assert_eq!(st.misses, 1);
+    }
+
+    #[test]
+    fn asking_whether_an_epoch_is_cached_counts_nothing_and_keeps_the_lru_order() {
+        let cache = EpochCache::new(2);
+        let s = snaps(3);
+        cache.insert(EpochId(0), s[0].clone());
+        cache.insert(EpochId(1), s[1].clone());
+        assert!(cache.contains(EpochId(0)));
+        assert!(!cache.contains(EpochId(2)));
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                inserts: 2,
+                ..CacheStats::default()
+            }
+        );
+        // Epoch 0 is still the LRU entry: asking did not touch it.
+        cache.insert(EpochId(2), s[2].clone());
+        assert!(!cache.contains(EpochId(0)));
+        assert!(cache.contains(EpochId(1)));
     }
 
     #[test]

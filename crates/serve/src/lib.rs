@@ -23,9 +23,10 @@
 //!   synchronous [`ClientConn`] wrapper.
 //!
 //! Every request is traced end-to-end: admission mints a trace id
-//! (`(conn << 32) | request_id`), the worker installs it as an
-//! `obs::trace` context, and every span down through the framework and
-//! `dfs` files into the process-global flight recorder. Two control
+//! (`(conn << 32) | request_id`), the worker (or the intake, for a warm
+//! explore it answers itself) installs it as an `obs::trace` context,
+//! and every span down through the framework and `dfs` files into the
+//! process-global flight recorder. Two control
 //! frames expose it live — [`RequestBody::Stats`] (counters, queue
 //! depths, cache ratios, meta-highlights anomalies) and
 //! [`RequestBody::Trace`] (one request's span tree) — both answered on

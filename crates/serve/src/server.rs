@@ -21,9 +21,10 @@
 //!
 //! ```text
 //! client ──frame──▶ intake ──classify──▶ admission queue
-//!                      │ (overflow)            │ pop
-//!                      ▼                       ▼
-//!                  Shed frame            worker pool ──frames──▶ client
+//!                    │  │                      │ pop
+//!         (overflow) │  │ (warm explore)       ▼
+//!                    ▼  └─────────────▶ serve_one ──frames──▶ client
+//!                Shed frame          on the intake or a worker
 //! ```
 //!
 //! A per-connection `Intake` reassembles request frames, on the thread
@@ -34,9 +35,12 @@
 //! keeps clients fair; workers pop, shed anything that out-waited its
 //! deadline, evaluate through the cache and stream the answer back in
 //! bounded chunks, written to the connection a [`FrameBatch`] at a time.
-//! A request therefore crosses two thread boundaries, client to worker
-//! and back: each one is a wake-up of a sleeping thread, and how long
-//! that takes is the one cost of a request the program does not control.
+//! A queued request therefore crosses two thread boundaries, client to
+//! worker and back, and each one is a wake-up of a sleeping thread. A
+//! warm interactive explore crosses none: when its window is cached (see
+//! `warm`) the intake evaluates it itself, through the worker's own
+//! `serve_one`, and the answer is in the reply pipe when the client's
+//! send returns.
 
 use crate::admission::{AdmissionQueue, Class};
 use crate::cache::{CacheInvalidator, CacheStats, EpochCache};
@@ -58,6 +62,7 @@ use spate_core::{
 use spate_sql::SqlContext;
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::ops::RangeInclusive;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -245,8 +250,8 @@ struct Shared {
     queue: AdmissionQueue<Job>,
     config: ServeConfig,
     stats: StatsCells,
-    /// Last served window per connection, for prefetch containment.
-    sessions: Mutex<HashMap<u64, (u32, u32)>>,
+    /// Every open connection, from `connect` until its intake ends.
+    sessions: Mutex<HashMap<u64, Session>>,
     /// Pre-resolved labeled latency series — workers record without
     /// re-interning (`serve.latency_us{class="..."}`).
     lat_interactive: Arc<Histogram>,
@@ -265,6 +270,30 @@ struct Shared {
     /// trace id. The intake flips a flag on `Cancel`; entries are
     /// dropped when the request settles (terminal frame sent) or sheds.
     cancels: Mutex<HashMap<u64, CancelFlag>>,
+}
+
+/// What the server keeps of one open connection.
+struct Session {
+    /// The server's end, closed on shutdown to hang up on the client.
+    endpoint: Endpoint,
+    /// The last window served, for prefetch containment.
+    window: Option<(u32, u32)>,
+}
+
+impl Shared {
+    /// The last window connection `conn` was served, if any.
+    fn session_window(&self, conn: u64) -> Option<(u32, u32)> {
+        lock_sane(&self.sessions).get(&conn)?.window
+    }
+
+    /// Make `window` connection `conn`'s last served window and return
+    /// the one before. A connection that has ended keeps no session.
+    fn swap_session_window(&self, conn: u64, window: (u32, u32)) -> Option<(u32, u32)> {
+        lock_sane(&self.sessions)
+            .get_mut(&conn)?
+            .window
+            .replace(window)
+    }
 }
 
 /// The in-flight trace-id set plus a condvar notified on every removal,
@@ -324,8 +353,6 @@ impl Drop for InflightGuard<'_> {
 pub struct Server {
     shared: Arc<Shared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    /// Server-side endpoints, closed on shutdown to hang up on clients.
-    conn_endpoints: Mutex<Vec<Endpoint>>,
 }
 
 /// Connection ids are allocated process-wide, not per server: the flight
@@ -386,7 +413,6 @@ impl Server {
         Self {
             shared,
             workers: Mutex::new(workers),
-            conn_endpoints: Mutex::new(Vec::new()),
         }
     }
 
@@ -396,7 +422,13 @@ impl Server {
     pub fn connect(&self) -> ClientConn {
         let (client_ep, server_ep) = duplex();
         let conn = NEXT_CONN.fetch_add(1, Ordering::Relaxed) + 1;
-        lock_sane(&self.conn_endpoints).push(server_ep.clone());
+        lock_sane(&self.shared.sessions).insert(
+            conn,
+            Session {
+                endpoint: server_ep.clone(),
+                window: None,
+            },
+        );
         server_ep.deliver_to(Box::new(Intake {
             conn,
             state: Mutex::new(IntakeState {
@@ -459,6 +491,12 @@ impl Server {
         self.shared.queue.depth()
     }
 
+    /// Requests admitted so far (queued or answered on the intake) and
+    /// requests shed at admission: [`AdmissionQueue::totals`].
+    pub fn admission_totals(&self) -> (u64, u64) {
+        self.shared.queue.totals()
+    }
+
     /// Advance the meta-highlights monitor one window: sample every
     /// telemetry stream, feed the θ-rarity tables, return what fired.
     /// The operator drives the monitor; deterministic harnesses call this
@@ -493,8 +531,14 @@ impl Server {
         for w in lock_sane(&self.workers).drain(..) {
             let _ = w.join();
         }
-        for ep in lock_sane(&self.conn_endpoints).drain(..) {
-            ep.close_both();
+        // Closing ends each intake, which forgets its session: the lock
+        // is not held meanwhile.
+        let open: Vec<Session> = lock_sane(&self.shared.sessions)
+            .drain()
+            .map(|(_, session)| session)
+            .collect();
+        for session in open {
+            session.endpoint.close_both();
         }
         self.stats()
     }
@@ -514,11 +558,15 @@ fn classify(body: &RequestBody) -> Class {
 /// frames from the bytes the client writes and admits each request.
 ///
 /// It runs by loopback delivery ([`ByteSink`]), on the thread of the
-/// client that wrote the bytes, so a request reaches its worker across
-/// one thread boundary. It never waits on a worker or on room in a pipe
-/// (its own answers use [`Endpoint::send_response_now`]), which is what
-/// keeps control frames and cancels working while the pool is saturated
-/// and lets it run on a thread that is not the server's.
+/// client that wrote the bytes, so a queued request reaches its worker
+/// across one thread boundary and a warm one it answers itself crosses
+/// none. It never waits on a worker or on room in a pipe (its own
+/// answers are written with [`Endpoint::send_response_now`] or through
+/// [`Endpoint::never_waiting`]), which is what keeps control frames and
+/// cancels working while the pool is saturated and lets it run on a
+/// thread that is not the server's. A warm explore holds the intake for
+/// as long as it evaluates, a bounded time (see `warm`): a frame another
+/// thread sends on the same connection meanwhile waits that long.
 struct Intake {
     conn: u64,
     state: Mutex<IntakeState>,
@@ -531,6 +579,16 @@ struct IntakeState {
     /// or a malformed frame); dropping them then also undoes the cycle
     /// pipe -> intake -> endpoint -> pipe.
     live: Option<(Arc<Shared>, Endpoint)>,
+}
+
+impl IntakeState {
+    /// End the stream: the server forgets the connection's session, and
+    /// the intake its handles. Returns them for a last word.
+    fn end(&mut self, conn: u64) -> Option<(Arc<Shared>, Endpoint)> {
+        let live = self.live.take()?;
+        lock_sane(&live.0.sessions).remove(&conn);
+        Some(live)
+    }
 }
 
 impl ByteSink for Intake {
@@ -567,14 +625,14 @@ impl ByteSink for Intake {
             Ok(()) => drop(pending.drain(..used)),
             Err(e) => {
                 reject_stream(shared, ep, &e);
-                *live = None;
+                st.end(self.conn);
             }
         }
     }
 
     fn on_close(&self) {
         let mut st = lock_sane(&self.state);
-        if let Some((shared, ep)) = st.live.take() {
+        if let Some((shared, ep)) = st.end(self.conn) {
             // A hang-up inside a frame is a truncation; at a frame
             // boundary it is a clean goodbye.
             if !st.pending.is_empty() {
@@ -600,8 +658,9 @@ fn reject_stream(shared: &Shared, ep: &Endpoint, e: &ProtoError) {
     ep.close();
 }
 
-/// Route one decoded request: cancels and control frames are answered in
-/// place, everything else queues for a worker.
+/// Route one decoded request: cancels, control frames and warm
+/// interactive explores are answered in place, everything else queues
+/// for a worker.
 fn admit(shared: &Shared, conn: u64, ep: &Endpoint, request: Request) {
     // Cancellation is fire-and-forget: flip the target's flag if it is
     // still pending on this connection and move on — no reply frame, and
@@ -627,6 +686,8 @@ fn admit(shared: &Shared, conn: u64, ep: &Endpoint, request: Request) {
     let class = classify(&request.body);
     let id = request.id;
     let trace_id = trace_id_for(conn, id);
+    // Filed for a request answered in place too, as is its (empty)
+    // `admission.wait`: a trace has one shape whichever thread served it.
     obs::trace::instant_for(
         trace_id,
         "admission.enqueue",
@@ -635,6 +696,24 @@ fn admit(shared: &Shared, conn: u64, ep: &Endpoint, request: Request) {
             ("queue_depth", &shared.queue.depth().to_string()),
         ],
     );
+    let queued_at = Instant::now();
+    if class == Class::Interactive
+        && warm(shared, conn, ep, &request.body)
+        && shared.queue.admit_inline(class)
+    {
+        // No Cancel can reach it: the intake is busy with it until the
+        // answer is written, so its flag is not registered.
+        let job = Job {
+            conn,
+            endpoint: ep.never_waiting(),
+            request,
+            queued_at,
+            trace_id,
+            cancel: CancelFlag::new(),
+        };
+        serve_inline(shared, class, job);
+        return;
+    }
     // Register the cancellation flag before the job can be popped, so a
     // Cancel racing the worker still lands.
     let cancel = CancelFlag::new();
@@ -643,7 +722,7 @@ fn admit(shared: &Shared, conn: u64, ep: &Endpoint, request: Request) {
         conn,
         endpoint: ep.clone(),
         request,
-        queued_at: Instant::now(),
+        queued_at,
         trace_id,
         cancel,
     };
@@ -662,6 +741,65 @@ fn admit(shared: &Shared, conn: u64, ep: &Endpoint, request: Request) {
             },
         });
     }
+}
+
+/// Whether the intake may answer an interactive request itself, now:
+/// the request is an explore, its window and the epochs [`prefetch`]
+/// would load after it ([`lookahead`]) are all cached, and no answer on
+/// this connection waits to be read. The caller then also needs the
+/// interactive class's queue to be empty
+/// ([`AdmissionQueue::admit_inline`]), so the request overtakes no one.
+///
+/// Such a request costs what a worker's evaluation of it costs: at most
+/// [`INTERACTIVE_MAX_WINDOW`] cached epochs filtered and framed, with no
+/// read. Everything else queues: SQL (a join's cost is not bounded by
+/// its window's rows), scans, and cold or decayed windows. A chaos stall
+/// stands for slow storage, so it is never warm, and the chaos drills'
+/// cancels need it in flight. The empty reply pipe bounds what an answer
+/// written without waiting for room can add to it: one interactive
+/// answer. An epoch an ingest invalidates after this check is loaded in
+/// place, as a worker would; the answer stays exact.
+fn warm(shared: &Shared, conn: u64, ep: &Endpoint, body: &RequestBody) -> bool {
+    let RequestBody::Explore {
+        attributes, window, ..
+    } = body
+    else {
+        return false;
+    };
+    if shared.config.chaos_poison && attributes.iter().any(|a| a == CHAOS_STALL_ATTRIBUTE) {
+        return false;
+    }
+    if window.0 > window.1 || ep.unread_sent() > 0 {
+        return false;
+    }
+    let cached = |e| shared.cache.contains(EpochId(e));
+    if !(window.0..=window.1).all(cached) {
+        return false;
+    }
+    if !shared.config.prefetch || zoom_in(shared.session_window(conn), *window) {
+        return true;
+    }
+    // While an ingest holds shard 0, the request queues rather than wait
+    // for it here: on a worker, only its prefetch would wait.
+    match shared
+        .shards
+        .try_read(0)
+        .map(|shard| shard.index().last_epoch())
+    {
+        Some(Some(last)) => lookahead(*window, last).all(cached),
+        Some(None) => true,
+        None => false,
+    }
+}
+
+/// Serve a warm request on the intake's thread (see [`warm`]). It is the
+/// worker's [`serve_one`], run inside an empty request context: the
+/// sending thread's spans, trace, budget and cost profile neither wrap
+/// the request nor absorb it, and are back when it returns, panic or not.
+fn serve_inline(shared: &Shared, class: Class, job: Job) {
+    obs::inc("serve.inline");
+    let _apart = obs::context::Context::default().enter();
+    serve_one(shared, class, job);
 }
 
 // ------------------------------------------------------------- worker side
@@ -990,6 +1128,13 @@ fn serve_explore(
     let attrs: Vec<&str> = attributes.iter().map(String::as_str).collect();
     let q = Query::new(&attrs, BoundingBox::new(bbox.0, bbox.1, bbox.2, bbox.3))
         .with_epoch_range(window.0, window.1);
+    // Recorded before the answer leaves: the client's next request, sent
+    // as soon as this answer is read, must find it (see `warm`).
+    let previous = if shared.config.prefetch {
+        shared.swap_session_window(conn, window)
+    } else {
+        None
+    };
     // Plan under the primary shard's read guard only; the guard drops
     // before any row leaves, and each epoch re-acquires guards for just
     // its own load — a slow client never blocks ingest/decay, and a
@@ -1010,7 +1155,7 @@ fn serve_explore(
         }),
     };
     if shared.config.prefetch {
-        prefetch(shared, conn, window);
+        prefetch(shared, previous, window);
     }
     sent
 }
@@ -1196,11 +1341,11 @@ fn stream_epochs(
 /// Warm the cache ahead of this session's window. The shared cache
 /// already gives *containment* (a zoom-in re-uses the epochs its wider
 /// window loaded); this adds *look-ahead*: after serving `[a, b]`, the
-/// epochs just past `b` are decompressed into the shared cache, betting
-/// on the pan-forward exploration pattern. Skipped when the window is
-/// contained in the session's previous one (zoom-in — the cache is
-/// already warm there).
-fn prefetch(shared: &Shared, conn: u64, window: (u32, u32)) {
+/// epochs just past `b` ([`lookahead`]) are decompressed into the shared
+/// cache, betting on the pan-forward exploration pattern. Skipped when
+/// the window is contained in the session's `previous` one ([`zoom_in`]:
+/// the cache is already warm there).
+fn prefetch(shared: &Shared, previous: Option<(u32, u32)>, window: (u32, u32)) {
     // Speculation never spends a request's remaining budget: a request
     // that was cancelled or ran out of deadline skips the warm-up.
     if obs::budget::interrupted().is_some() {
@@ -1210,12 +1355,7 @@ fn prefetch(shared: &Shared, conn: u64, window: (u32, u32)) {
     // Speculative work: collect its cost into a throwaway profile so the
     // triggering request's EXPLAIN ANALYZE shows only its own bytes.
     let _cost = obs::cost::begin(0);
-    let contained = {
-        let mut sessions = lock_sane(&shared.sessions);
-        let prev = sessions.insert(conn, window);
-        prev.is_some_and(|(a, b)| a <= window.0 && window.1 <= b)
-    };
-    if contained {
+    if zoom_in(previous, window) {
         return;
     }
     // Every shard ingests every epoch, so shard 0's last epoch is the
@@ -1223,16 +1363,27 @@ fn prefetch(shared: &Shared, conn: u64, window: (u32, u32)) {
     let Some(last) = shared.shards.read(0).index().last_epoch() else {
         return;
     };
-    let len = u64::from(window.1.saturating_sub(window.0)) + 1;
-    let ahead = u64::from(PREFETCH_LOOKAHEAD).min(len) as u32;
-    let from = window.1.saturating_add(1);
-    let to = window.1.saturating_add(ahead).min(last.0);
-    for e in from..=to {
+    for e in lookahead(window, last) {
         let epoch = EpochId(e);
         if shared.cache.get(epoch).is_none() && load_into_cache(shared, epoch).is_some() {
             obs::inc("serve.prefetch");
         }
     }
+}
+
+/// Whether `window` lies inside the session's `previous` one.
+fn zoom_in(previous: Option<(u32, u32)>, window: (u32, u32)) -> bool {
+    previous.is_some_and(|(a, b)| a <= window.0 && window.1 <= b)
+}
+
+/// The epochs [`prefetch`] visits after serving `window`, `last` being
+/// the last ingested epoch: up to [`PREFETCH_LOOKAHEAD`] past the
+/// window's end, no more than it holds, none past `last`. [`warm`] asks
+/// for the same epochs.
+fn lookahead(window: (u32, u32), last: EpochId) -> RangeInclusive<u32> {
+    let len = u64::from(window.1.saturating_sub(window.0)) + 1;
+    let ahead = u64::from(PREFETCH_LOOKAHEAD).min(len) as u32;
+    window.1.saturating_add(1)..=window.1.saturating_add(ahead).min(last.0)
 }
 
 // -------------------------------------------------------------- evaluation
@@ -1430,7 +1581,9 @@ impl ClientConn {
     /// Send a request without waiting for its answer; returns the
     /// request id to pass to [`ClientConn::await_reply`]. This is how a
     /// caller gets a request in flight so that a [`ClientConn::cancel`]
-    /// has something to interrupt.
+    /// has something to interrupt. A warm interactive explore may already
+    /// be answered when `send` returns: the server evaluated it on this
+    /// thread, and a cancel then finds nothing left to interrupt.
     pub fn send(&mut self, body: RequestBody) -> Result<u64, TransportError> {
         self.next_id += 1;
         let id = self.next_id;
@@ -1460,6 +1613,13 @@ impl ClientConn {
     fn roundtrip(&mut self, body: RequestBody) -> Result<Reply, TransportError> {
         let id = self.send(body)?;
         self.await_reply(id)
+    }
+
+    /// The next response frame, of whichever request it answers, for a
+    /// caller with several requests in flight. `Ok(None)` once the server
+    /// hung up.
+    pub fn recv_response(&self) -> Result<Option<Response>, TransportError> {
+        self.ep.recv_response()
     }
 
     /// Collect frames until request `id`'s terminal frame arrives.
@@ -1773,5 +1933,88 @@ mod tests {
         assert_eq!(server.cache_stats().misses, misses, "fully cached");
         client.close();
         server.shutdown();
+    }
+
+    /// A warm explore that is not a zoom-in needs shard 0's last epoch
+    /// for its look-ahead. While an ingest holds shard 0 the intake does
+    /// not wait for it: the request queues, and a worker answers it from
+    /// shard 1 and the cache before its own prefetch waits.
+    #[test]
+    fn a_warm_explore_queues_rather_than_wait_for_a_written_shard() {
+        let mut generator = TraceGenerator::new(TraceConfig::scaled(1.0 / 1024.0).with_days(1));
+        let layout = generator.layout().clone();
+        let server = Server::start_sharded(
+            ShardedSpate::in_memory(layout.clone(), 2),
+            ServeConfig::default(),
+        );
+        for snapshot in generator.by_ref().take(8) {
+            server.ingest(&snapshot);
+        }
+        let cell = layout
+            .cells_in(&BoundingBox::everything())
+            .into_iter()
+            .find(|&c| spate_core::shard_of_cell(c, 2) == 1)
+            .expect("a cell on shard 1");
+        let site = layout.get(cell);
+        let tight = BoundingBox::new(
+            site.x_m - 1.0,
+            site.y_m - 1.0,
+            site.x_m + 1.0,
+            site.y_m + 1.0,
+        );
+
+        // The first window is cold; its prefetch caches the next one.
+        let mut client = server.connect();
+        client.explore(&["upflux"], tight, (0, 3)).unwrap();
+        let cache = &server.shared.cache;
+        while !(4..=7).all(|e| cache.contains(EpochId(e))) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let ingesting = server.shared.shards.write(0);
+            let client = &mut client;
+            scope.spawn(move || {
+                let _ = done_tx.send(client.explore(&["upflux"], tight, (4, 7)));
+            });
+            let answered = done_rx.recv_timeout(Duration::from_secs(10));
+            drop(ingesting);
+            let reply = answered
+                .expect("the intake waited on shard 0's write lock")
+                .unwrap();
+            assert!(
+                matches!(reply, Reply::Rows { coverage: None, .. }),
+                "{reply:?}"
+            );
+        });
+        client.close();
+        server.shutdown();
+    }
+
+    /// A connection's session and reply endpoint live exactly as long as
+    /// the connection: closing it drops both, and with them the intake's
+    /// hold on the server.
+    #[test]
+    fn closed_connections_leave_no_session_and_no_endpoint_behind() {
+        let server = server_over(1.0 / 2048.0, 4, ServeConfig::default());
+        let everything = BoundingBox::everything();
+        for round in 0..200u32 {
+            let mut client = server.connect();
+            let reply = client
+                .explore(&["upflux"], everything, (round % 3, 3))
+                .unwrap();
+            assert!(matches!(reply, Reply::Rows { .. }), "{reply:?}");
+            client.close();
+        }
+        assert_eq!(lock_sane(&server.shared.sessions).len(), 0);
+        // The workers hold the server, and nothing else but this handle.
+        let workers = lock_sane(&server.workers).len();
+        assert_eq!(Arc::strong_count(&server.shared), 1 + workers);
+
+        // Shutdown hangs up on a connection that is still open.
+        let open = server.connect();
+        assert_eq!(lock_sane(&server.shared.sessions).len(), 1);
+        server.shutdown();
+        assert!(open.recv_response().unwrap().is_none());
     }
 }

@@ -10,9 +10,12 @@ use crate::proto::CHUNK_ROWS;
 use spate_core::query::ExactResult;
 use telco_trace::{TraceConfig, TraceGenerator};
 
+/// One write: the thread that made it, and its bytes.
+type Write = (std::thread::ThreadId, Vec<u8>);
+
 /// An endpoint's inbound bytes as they were written, one entry a write.
 #[derive(Clone, Default)]
-pub(super) struct Tap(Arc<Mutex<Vec<Vec<u8>>>>);
+pub(super) struct Tap(Arc<Mutex<Vec<Write>>>);
 
 impl Tap {
     /// Take `ep`'s inbound bytes from now on; call before the peer writes.
@@ -23,13 +26,19 @@ impl Tap {
     }
 
     pub(super) fn writes(&self) -> Vec<Vec<u8>> {
-        lock_sane(&self.0).clone()
+        lock_sane(&self.0).iter().map(|(_, w)| w.clone()).collect()
+    }
+
+    /// Whether every write so far came from the calling thread.
+    fn written_here(&self) -> bool {
+        let here = std::thread::current().id();
+        lock_sane(&self.0).iter().all(|(writer, _)| *writer == here)
     }
 }
 
 impl ByteSink for Tap {
     fn on_bytes(&self, bytes: &[u8]) {
-        lock_sane(&self.0).push(bytes.to_vec());
+        lock_sane(&self.0).push((std::thread::current().id(), bytes.to_vec()));
     }
 
     fn on_close(&self) {}
@@ -248,5 +257,97 @@ fn a_lent_stream_writes_what_the_materialising_stream_wrote() {
     // in one epoch, so an epoch's table spans several frames.
     let busy = resolve_epoch(shared, EpochId(16), false).expect("cached");
     assert!(busy.table(TableKind::Nms).len() > CHUNK_ROWS);
+    server.shutdown();
+}
+
+/// Send `request` on `client`, straight to a worker when `queue` (past
+/// the intake and its warm check), and wait until it has settled.
+/// Returns what it wrote and cost, and whether the answer was written on
+/// the sending thread: by the intake.
+fn settled(
+    server: &Server,
+    client: &ClientConn,
+    tap: &Tap,
+    request: &Request,
+    queue: bool,
+) -> (Answer, bool) {
+    let shared = &server.shared;
+    let trace_id = trace_id_for(client.conn_id, request.id);
+    let before = shared.stats.rows_streamed.load(Ordering::Relaxed);
+    lock_sane(&tap.0).clear();
+    let done = || {
+        let frames = frames_in(&tap.writes().concat());
+        matches!(frames.last(), Some(f) if f.body.is_terminal())
+    };
+    if queue {
+        let job = Job {
+            conn: client.conn_id,
+            endpoint: lock_sane(&shared.sessions)[&client.conn_id]
+                .endpoint
+                .clone(),
+            request: request.clone(),
+            queued_at: Instant::now(),
+            trace_id,
+            cancel: CancelFlag::new(),
+        };
+        assert!(shared
+            .queue
+            .push(client.conn_id, Class::Interactive, job)
+            .is_ok());
+    } else {
+        client.ep.send_request(request).unwrap();
+    }
+    let waited = Instant::now();
+    while !done() {
+        assert!(waited.elapsed() < Duration::from_secs(10), "no answer");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    shared
+        .inflight
+        .await_settled(trace_id, Duration::from_secs(10));
+    let mut cost = lock_sane(&shared.profiles)
+        .get(trace_id)
+        .cloned()
+        .expect("a served request leaves its profile");
+    cost.total_ns = 0;
+    cost.stage_ns.clear();
+    let answer = Answer {
+        writes: tap.writes(),
+        rows_streamed: shared.stats.rows_streamed.load(Ordering::Relaxed) - before,
+        cost,
+    };
+    (answer, tap.written_here())
+}
+
+/// A warm explore answered on the intake is the answer a worker gives
+/// it: the same bytes in the same writes, the same rows, the same cost.
+#[test]
+fn an_inline_answer_is_the_queued_answer() {
+    let server = fixture();
+    let client = server.connect();
+    let tap = Tap::on(&client.ep);
+    let request = Request {
+        id: 7,
+        body: RequestBody::Explore {
+            attributes: vec!["upflux".into(), "call_drops".into(), "cell_id".into()],
+            bbox: (f64::MIN, f64::MIN, f64::MAX, f64::MAX),
+            window: (16, 19),
+            deadline_ms: 0,
+        },
+    };
+    // Cold: queued, and its prefetch warms the epochs after the window.
+    let (cold, inline) = settled(&server, &client, &tap, &request, false);
+    assert!(!inline, "a cold window queues");
+    assert_eq!(cold.cost.cache_misses, 4);
+
+    let (on_intake, inline) = settled(&server, &client, &tap, &request, false);
+    assert!(inline, "a warm window is answered by the intake");
+    let (on_worker, inline) = settled(&server, &client, &tap, &request, true);
+    assert!(!inline);
+    assert_eq!(on_intake, on_worker);
+    assert_eq!(on_intake.cost.rows(), on_worker.cost.rows());
+    assert_eq!(on_intake.cost.cache_hits, 4);
+    assert!(on_intake.rows_streamed > 0);
+    client.close();
     server.shutdown();
 }

@@ -20,8 +20,10 @@
 //!   [`ByteSink`] has no blocked reader to wake: the bytes are handed to
 //!   the sink on the writer's own thread, the way a loopback socket runs
 //!   its receive path in the sender's context. The server takes request
-//!   bytes this way, so a request crosses one thread boundary (client to
-//!   worker) on its way in, not two.
+//!   bytes this way, so a request crosses at most one thread boundary
+//!   (client to worker) on its way in, not two; a warm interactive one,
+//!   answered by the sink itself with writes that never wait for room
+//!   ([`Endpoint::never_waiting`]), crosses none at all.
 
 use crate::proto::{
     encode_row_chunk_into, FrameHeader, ProtoError, Request, Response, WireRow, CHUNK_ROWS,
@@ -180,6 +182,8 @@ impl Pipe {
 pub struct Endpoint {
     tx: Arc<Pipe>,
     rx: Arc<Pipe>,
+    /// Whether a send waits while the outbound pipe is over capacity.
+    wait_for_room: bool,
 }
 
 /// Create a connected pair of endpoints.
@@ -190,10 +194,12 @@ pub fn duplex() -> (Endpoint, Endpoint) {
         Endpoint {
             tx: a_to_b.clone(),
             rx: b_to_a.clone(),
+            wait_for_room: true,
         },
         Endpoint {
             tx: b_to_a,
             rx: a_to_b,
+            wait_for_room: true,
         },
     )
 }
@@ -201,7 +207,23 @@ pub fn duplex() -> (Endpoint, Endpoint) {
 impl Endpoint {
     /// Send one already-encoded frame.
     pub fn send_bytes(&self, frame: &[u8]) -> Result<(), TransportError> {
-        self.tx.write_all(frame, true)
+        self.tx.write_all(frame, self.wait_for_room)
+    }
+
+    /// This end, with every send made as [`Endpoint::send_response_now`]
+    /// makes its one: for a whole answer written on the thread that will
+    /// read it, which would wait for itself.
+    pub fn never_waiting(&self) -> Endpoint {
+        Endpoint {
+            wait_for_room: false,
+            ..self.clone()
+        }
+    }
+
+    /// Bytes this end has sent that the peer has not read yet (always 0
+    /// towards a peer that takes them by loopback delivery).
+    pub fn unread_sent(&self) -> usize {
+        self.tx.state.lock().unwrap().buf.len()
     }
 
     /// Send a response without waiting for room in the pipe. For the
@@ -457,6 +479,30 @@ mod tests {
         }
         assert_eq!(n, 20);
         writer.join().unwrap();
+    }
+
+    #[test]
+    fn a_never_waiting_end_writes_past_the_capacity_and_counts_what_is_unread() {
+        let (client, server) = duplex();
+        let frame = Response {
+            id: 3,
+            body: ResponseBody::Error {
+                code: 0,
+                message: "x".repeat(PIPE_CAPACITY / 3),
+            },
+        }
+        .encode();
+        let now = server.never_waiting();
+        // Four writes past a full pipe, on the thread that reads it.
+        for _ in 0..4 {
+            now.send_bytes(&frame).unwrap();
+        }
+        assert_eq!(server.unread_sent(), 4 * frame.len());
+        assert_eq!(client.unread_sent(), 0);
+        for _ in 0..4 {
+            assert_eq!(client.recv_response().unwrap().unwrap().id, 3);
+        }
+        assert_eq!(server.unread_sent(), 0);
     }
 
     /// Records every delivery: the bytes of each write and the thread it
