@@ -70,25 +70,29 @@ impl CasConfig {
     }
 }
 
-/// Lifetime counters (monotonic; see also the `cas.*` obs metrics).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CasStats {
-    pub puts: u64,
-    /// Epochs opened for reading.
-    pub gets: u64,
-    /// Tables read column by column ([`EpochReader::table`]).
-    pub tables_read: u64,
-    /// Constant columns that added no bytes: a value this epoch's
-    /// manifest already carries.
-    pub dedup_hits: u64,
-    /// Uncompressed bytes those columns would have added.
-    pub dedup_bytes_saved: u64,
-    /// Units stored: one per table with a run.
-    pub new_chunks: u64,
-    pub gc_packs_deleted: u64,
-    pub gc_bytes_reclaimed: u64,
-    pub verify_mismatches: u64,
-    pub repair_refetches: u64,
+obs::tallies! {
+    /// What one store counts over its lifetime. A count with a registry
+    /// name is an [`obs::Tally`]: one add counts it here and there.
+    struct CasCounts {
+        puts: Counter,
+        /// Epochs opened for reading.
+        gets: Counter,
+        /// Tables read column by column ([`EpochReader::table`]).
+        tables_read: Counter,
+        /// Constant columns that added no bytes: a value this epoch's
+        /// manifest already carries.
+        dedup_hits: Tally("cas.dedup.hits"),
+        /// Uncompressed bytes those columns would have added.
+        dedup_bytes_saved: Counter,
+        /// Units stored: one per table with a run.
+        new_chunks: Tally("cas.put.new_chunks"),
+        gc_packs_deleted: Tally("cas.gc.packs_deleted"),
+        gc_bytes_reclaimed: Tally("cas.gc.bytes_reclaimed"),
+        verify_mismatches: Tally("cas.verify.mismatch"),
+        repair_refetches: Tally("cas.repair.refetch"),
+    }
+    /// Lifetime counters (monotonic), as [`CasStore::stats`] reads them.
+    pub struct CasStats;
 }
 
 /// What [`CasStore::put_epoch`] did.
@@ -125,7 +129,6 @@ struct EpochRec {
 #[derive(Default)]
 struct State {
     epochs: BTreeMap<u32, EpochRec>,
-    stats: CasStats,
 }
 
 impl State {
@@ -144,6 +147,7 @@ pub struct CasStore {
     dfs: Dfs,
     pub(crate) cfg: Arc<CasConfig>,
     state: Arc<Mutex<State>>,
+    counts: Arc<CasCounts>,
 }
 
 impl CasStore {
@@ -152,6 +156,7 @@ impl CasStore {
             dfs,
             cfg: Arc::new(cfg),
             state: Arc::new(Mutex::new(State::default())),
+            counts: Arc::default(),
         }
     }
 
@@ -330,13 +335,12 @@ impl CasStore {
                 pack_len,
             },
         );
-        st.stats.puts += 1;
-        st.stats.dedup_hits += dedup_hits;
-        st.stats.dedup_bytes_saved += dedup_saved;
-        st.stats.new_chunks += n_units;
-        obs::add("cas.dedup.hits", dedup_hits);
+        let counts = &self.counts;
+        counts.puts.inc();
+        counts.dedup_hits.add(dedup_hits);
+        counts.dedup_bytes_saved.add(dedup_saved);
+        counts.new_chunks.add(n_units);
         obs::shard::add_sharded("cas.dedup.bytes_saved", dedup_saved);
-        obs::add("cas.put.new_chunks", n_units);
         let new_bytes = pack_len.unwrap_or(0) + mbytes.len() as u64;
         obs::shard::add_sharded("cas.put.bytes_written", new_bytes);
 
@@ -380,9 +384,9 @@ impl CasStore {
         // Per-query cost accounting: the dfs reads below (manifest +
         // pack) were initiated by the CAS, so they bill to "cas".
         let _src = obs::cost::attribute_reads_to("cas");
+        self.counts.gets.inc();
         let expect = {
-            let mut st = self.state.lock();
-            st.stats.gets += 1;
+            let st = self.state.lock();
             st.epochs
                 .get(&epoch)
                 .map(|r| r.manifest_hash)
@@ -453,17 +457,15 @@ impl CasStore {
     }
 
     pub(crate) fn note_table_read(&self) {
-        self.state.lock().stats.tables_read += 1;
+        self.counts.tables_read.inc();
     }
 
     pub(crate) fn note_mismatch(&self) {
-        self.state.lock().stats.verify_mismatches += 1;
-        obs::inc("cas.verify.mismatch");
+        self.counts.verify_mismatches.inc();
     }
 
     fn note_refetch(&self) {
-        self.state.lock().stats.repair_refetches += 1;
-        obs::inc("cas.repair.refetch");
+        self.counts.repair_refetches.inc();
     }
 
     /// Drop an epoch: delete its manifest, then its pack. A crash in
@@ -490,10 +492,8 @@ impl CasStore {
             match self.dfs.delete(&self.pack_path(epoch)) {
                 Ok(n) => {
                     freed += n;
-                    st.stats.gc_packs_deleted += 1;
-                    st.stats.gc_bytes_reclaimed += n;
-                    obs::inc("cas.gc.packs_deleted");
-                    obs::add("cas.gc.bytes_reclaimed", n);
+                    self.counts.gc_packs_deleted.inc();
+                    self.counts.gc_bytes_reclaimed.add(n);
                 }
                 Err(_) => obs::inc("cas.gc.deferred"),
             }
@@ -546,7 +546,7 @@ impl CasStore {
     }
 
     pub fn stats(&self) -> CasStats {
-        self.state.lock().stats
+        self.counts.snapshot()
     }
 
     /// Sweep garbage the eager path could not delete: staging temps, and
@@ -554,7 +554,7 @@ impl CasStore {
     /// beside an epoch that has none). Returns reclaimed logical bytes.
     pub fn gc(&self) -> u64 {
         let _span = obs::span("cas.gc");
-        let mut st = self.state.lock();
+        let st = self.state.lock();
         let mut reclaimed = 0u64;
         for path in self.dfs.list(&format!("{}/", self.cfg.root)) {
             let is_pack = path.ends_with(".pk");
@@ -573,10 +573,9 @@ impl CasStore {
                     // Staging temps and stray manifests are reclaimed
                     // bytes, not packs.
                     if is_pack {
-                        st.stats.gc_packs_deleted += 1;
+                        self.counts.gc_packs_deleted.inc();
                     }
-                    st.stats.gc_bytes_reclaimed += n;
-                    obs::add("cas.gc.bytes_reclaimed", n);
+                    self.counts.gc_bytes_reclaimed.add(n);
                 }
             }
         }
@@ -592,9 +591,7 @@ impl CasStore {
         let _span = obs::span("cas.recover");
         let mut report = CasRecoverReport::default();
         let mut st = self.state.lock();
-        let stats = st.stats;
         *st = State::default();
-        st.stats = stats;
 
         let listing = self.dfs.list(&format!("{}/", self.cfg.root));
         for path in &listing {

@@ -28,6 +28,10 @@
 //! **operation counts**, never wall clock: the cooldown is "`open_ops`
 //! subsequent read operations", so a seeded single-threaded drill
 //! observes identical transitions on every run.
+//!
+//! Each transition and skip is counted once, as an [`obs::Tally`] of
+//! [`BreakerStats`]: on the bank and under its `dfs.breaker.*` registry
+//! name.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -97,43 +101,23 @@ struct NodeState {
     consecutive_failures: u32,
 }
 
-/// Transition and steering counters, mirrored into `dfs.breaker.*` obs
-/// counters as they happen.
-#[derive(Debug, Default)]
-pub struct BreakerStats {
-    /// Closed → Open transitions.
-    pub trips: AtomicU64,
-    /// Open → HalfOpen probe admissions.
-    pub probes: AtomicU64,
-    /// HalfOpen → Closed transitions (probe succeeded).
-    pub recoveries: AtomicU64,
-    /// HalfOpen → Open transitions (probe failed).
-    pub reopens: AtomicU64,
-    /// Replica consultations skipped because the node's breaker was open.
-    pub skipped: AtomicU64,
-}
-
-/// Point-in-time copy of [`BreakerStats`], comparable across runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BreakerStatsSnapshot {
-    pub trips: u64,
-    pub probes: u64,
-    pub recoveries: u64,
-    pub reopens: u64,
-    pub skipped: u64,
-}
-
-impl BreakerStats {
-    pub fn snapshot(&self) -> BreakerStatsSnapshot {
-        let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        BreakerStatsSnapshot {
-            trips: g(&self.trips),
-            probes: g(&self.probes),
-            recoveries: g(&self.recoveries),
-            reopens: g(&self.reopens),
-            skipped: g(&self.skipped),
-        }
+obs::tallies! {
+    /// Transition and steering counts, each also counted under its
+    /// `dfs.breaker.*` registry name as it happens.
+    pub struct BreakerStats {
+        /// Closed → Open transitions.
+        trips: Tally("dfs.breaker.trips"),
+        /// Open → HalfOpen probe admissions.
+        probes: Tally("dfs.breaker.probes"),
+        /// HalfOpen → Closed transitions (probe succeeded).
+        recoveries: Tally("dfs.breaker.recoveries"),
+        /// HalfOpen → Open transitions (probe failed).
+        reopens: Tally("dfs.breaker.reopens"),
+        /// Replica consultations skipped because the node's breaker was open.
+        skipped: Tally("dfs.breaker.skipped"),
     }
+    /// Point-in-time copy of [`BreakerStats`], comparable across runs.
+    pub struct BreakerStatsSnapshot;
 }
 
 /// The per-cluster breaker bank: one state machine per datanode, layered
@@ -212,12 +196,10 @@ impl Breaker {
             State::Open { probe_at } => {
                 if self.ops.load(Ordering::Relaxed) >= probe_at {
                     nodes[dn].state = State::HalfOpen;
-                    self.stats.probes.fetch_add(1, Ordering::Relaxed);
-                    obs::inc("dfs.breaker.probes");
+                    self.stats.probes.inc();
                     true
                 } else {
-                    self.stats.skipped.fetch_add(1, Ordering::Relaxed);
-                    obs::inc("dfs.breaker.skipped");
+                    self.stats.skipped.inc();
                     false
                 }
             }
@@ -232,8 +214,7 @@ impl Breaker {
         }
         let mut nodes = self.nodes.lock().unwrap_or_else(|e| e.into_inner());
         if matches!(nodes[dn].state, State::HalfOpen) {
-            self.stats.recoveries.fetch_add(1, Ordering::Relaxed);
-            obs::inc("dfs.breaker.recoveries");
+            self.stats.recoveries.inc();
         }
         nodes[dn].state = State::Closed;
         nodes[dn].consecutive_failures = 0;
@@ -253,8 +234,7 @@ impl Breaker {
                 node.state = State::Open {
                     probe_at: now + self.config.open_ops,
                 };
-                self.stats.reopens.fetch_add(1, Ordering::Relaxed);
-                obs::inc("dfs.breaker.reopens");
+                self.stats.reopens.inc();
             }
             State::Closed => {
                 node.consecutive_failures += 1;
@@ -263,8 +243,7 @@ impl Breaker {
                         probe_at: now + self.config.open_ops,
                     };
                     node.consecutive_failures = 0;
-                    self.stats.trips.fetch_add(1, Ordering::Relaxed);
-                    obs::inc("dfs.breaker.trips");
+                    self.stats.trips.inc();
                 }
             }
             State::Open { .. } => {}

@@ -14,8 +14,6 @@ struct CacheInner {
     map: HashMap<String, (Arc<Vec<u8>>, u64)>,
     bytes: usize,
     clock: u64,
-    hits: u64,
-    misses: u64,
 }
 
 /// LRU cache over whole files, bounded by total bytes.
@@ -33,8 +31,6 @@ impl PageCache {
                 map: HashMap::new(),
                 bytes: 0,
                 clock: 0,
-                hits: 0,
-                misses: 0,
             }),
         }
     }
@@ -43,7 +39,8 @@ impl PageCache {
         self.capacity
     }
 
-    /// Look a file up, refreshing its recency.
+    /// Look a file up, refreshing its recency. The caller counts the hit
+    /// or miss.
     pub fn get(&self, path: &str) -> Option<Arc<Vec<u8>>> {
         if self.capacity == 0 {
             return None;
@@ -51,18 +48,9 @@ impl PageCache {
         let mut inner = self.inner.lock();
         inner.clock += 1;
         let clock = inner.clock;
-        match inner.map.get_mut(path) {
-            Some((data, used)) => {
-                *used = clock;
-                let data = Arc::clone(data);
-                inner.hits += 1;
-                Some(data)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
+        let (data, used) = inner.map.get_mut(path)?;
+        *used = clock;
+        Some(Arc::clone(data))
     }
 
     /// Insert a file read from disk, evicting least-recently-used entries
@@ -104,18 +92,11 @@ impl PageCache {
         }
     }
 
-    /// Empty the cache (like `echo 3 > /proc/sys/vm/drop_caches`); hit/miss
-    /// counters are preserved.
+    /// Empty the cache (like `echo 3 > /proc/sys/vm/drop_caches`).
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
         inner.map.clear();
         inner.bytes = 0;
-    }
-
-    /// `(hits, misses)` counters.
-    pub fn stats(&self) -> (u64, u64) {
-        let inner = self.inner.lock();
-        (inner.hits, inner.misses)
     }
 
     pub fn resident_bytes(&self) -> usize {
@@ -137,7 +118,6 @@ mod tests {
         assert!(c.get("/a").is_none());
         c.put("/a", data(10));
         assert_eq!(c.get("/a").unwrap().len(), 10);
-        assert_eq!(c.stats(), (1, 1));
     }
 
     #[test]
@@ -169,7 +149,7 @@ mod tests {
         let c = PageCache::new(0);
         c.put("/a", data(1));
         assert!(c.get("/a").is_none());
-        assert_eq!(c.stats(), (0, 0));
+        assert_eq!(c.resident_bytes(), 0);
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! a fixed seed injects *exactly* the same faults on every execution —
 //! the property the `repro chaos` harness and its CI job rely on.
 //!
-//! The plan also owns a [`FaultStats`] block of counters covering both
-//! the faults it injects and the defenses the filesystem mounts against
-//! them (checksum mismatches detected, replica failovers, retries,
-//! repairs). The same counts are mirrored into the global `obs` registry
-//! under `dfs.fault.*` / `dfs.retry.*` so they show up in `--metrics-json`
-//! dumps next to the PR-2 observability metrics.
+//! The plan also owns a [`FaultStats`] block of counts covering both the
+//! faults it injects and the defenses the filesystem mounts against them
+//! (checksum mismatches detected, replica failovers, retries, repairs).
+//! Each is an [`obs::Tally`]: one add counts the event on the plan and in
+//! the global registry under `dfs.fault.*` / `dfs.retry.*`, so it shows up
+//! in `--metrics-json` dumps next to the other metrics.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -103,66 +103,32 @@ fn decide(seed: u64, tag: u64, a: u64, b: u64, c: u64, p: f64) -> bool {
     u < p
 }
 
-/// Counters for injected faults and the recovery machinery's reactions.
-/// Lives on the [`FaultPlan`] so chaos runs can snapshot per-run numbers
-/// without resetting the process-global `obs` registry.
-#[derive(Debug, Default)]
-pub struct FaultStats {
-    pub transient_reads_injected: AtomicU64,
-    pub transient_writes_injected: AtomicU64,
-    pub corrupt_replicas_injected: AtomicU64,
-    pub slow_reads_injected: AtomicU64,
-    pub crashes_injected: AtomicU64,
-    pub revivals: AtomicU64,
-    /// Block reads whose CRC-32 did not match the namenode checksum.
-    pub checksum_mismatches: AtomicU64,
-    /// Reads served by a non-primary replica after an earlier one failed.
-    pub read_failovers: AtomicU64,
-    /// Backoff-then-retry rounds taken (read + write paths).
-    pub retry_attempts: AtomicU64,
-    /// Operations that succeeded only after at least one retry round.
-    pub retry_successes: AtomicU64,
-    /// Operations that ran out of retry budget.
-    pub retries_exhausted: AtomicU64,
-    /// Completed [`crate::Dfs::repair`] passes.
-    pub repair_passes: AtomicU64,
-}
-
-/// Point-in-time copy of [`FaultStats`], comparable across runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStatsSnapshot {
-    pub transient_reads_injected: u64,
-    pub transient_writes_injected: u64,
-    pub corrupt_replicas_injected: u64,
-    pub slow_reads_injected: u64,
-    pub crashes_injected: u64,
-    pub revivals: u64,
-    pub checksum_mismatches: u64,
-    pub read_failovers: u64,
-    pub retry_attempts: u64,
-    pub retry_successes: u64,
-    pub retries_exhausted: u64,
-    pub repair_passes: u64,
-}
-
-impl FaultStats {
-    pub fn snapshot(&self) -> FaultStatsSnapshot {
-        let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        FaultStatsSnapshot {
-            transient_reads_injected: g(&self.transient_reads_injected),
-            transient_writes_injected: g(&self.transient_writes_injected),
-            corrupt_replicas_injected: g(&self.corrupt_replicas_injected),
-            slow_reads_injected: g(&self.slow_reads_injected),
-            crashes_injected: g(&self.crashes_injected),
-            revivals: g(&self.revivals),
-            checksum_mismatches: g(&self.checksum_mismatches),
-            read_failovers: g(&self.read_failovers),
-            retry_attempts: g(&self.retry_attempts),
-            retry_successes: g(&self.retry_successes),
-            retries_exhausted: g(&self.retries_exhausted),
-            repair_passes: g(&self.repair_passes),
-        }
+obs::tallies! {
+    /// Counts of injected faults and the recovery machinery's reactions.
+    /// Lives on the [`FaultPlan`] so chaos runs can snapshot per-run
+    /// numbers without resetting the process-global `obs` registry.
+    pub struct FaultStats {
+        transient_reads_injected: Tally("dfs.fault.transient_reads"),
+        transient_writes_injected: Tally("dfs.fault.transient_writes"),
+        corrupt_replicas_injected: Tally("dfs.fault.corrupt_replicas_injected"),
+        slow_reads_injected: Tally("dfs.fault.slow_reads"),
+        crashes_injected: Tally("dfs.fault.crashes"),
+        revivals: Tally("dfs.fault.revivals"),
+        /// Block reads whose CRC-32 did not match the namenode checksum.
+        checksum_mismatches: Tally("dfs.fault.checksum_mismatches"),
+        /// Reads served by a non-primary replica after an earlier one failed.
+        read_failovers: Tally("dfs.fault.read_failovers"),
+        /// Backoff-then-retry rounds taken (read + write paths).
+        retry_attempts: Tally("dfs.retry.attempts"),
+        /// Operations that succeeded only after at least one retry round.
+        retry_successes: Tally("dfs.retry.successes"),
+        /// Operations that ran out of retry budget.
+        retries_exhausted: Tally("dfs.retry.exhausted"),
+        /// Completed [`crate::Dfs::repair`] passes.
+        repair_passes: Tally("dfs.repair.passes"),
     }
+    /// Point-in-time copy of [`FaultStats`], comparable across runs.
+    pub struct FaultStatsSnapshot;
 }
 
 /// A crash currently in effect: (datanode, op count at which it revives).
@@ -220,16 +186,14 @@ impl FaultPlan {
         if let Some(crash) = *active {
             if op >= crash.revive_at {
                 actions.push(CrashAction::Revive(crash.node));
-                self.stats.revivals.fetch_add(1, Ordering::Relaxed);
-                obs::inc("dfs.fault.revivals");
+                self.stats.revivals.inc();
                 *active = None;
             }
         }
         if active.is_none() && op.is_multiple_of(self.config.crash_period_ops) {
             let node = (hash(self.config.seed, TAG_CRASH, op, 0, 0) % n_datanodes as u64) as usize;
             actions.push(CrashAction::Kill(node));
-            self.stats.crashes_injected.fetch_add(1, Ordering::Relaxed);
-            obs::inc("dfs.fault.crashes");
+            self.stats.crashes_injected.inc();
             *active = Some(ActiveCrash {
                 node,
                 revive_at: op + self.config.crash_down_ops.max(1),
@@ -249,10 +213,7 @@ impl FaultPlan {
             self.config.transient_read,
         );
         if hit {
-            self.stats
-                .transient_reads_injected
-                .fetch_add(1, Ordering::Relaxed);
-            obs::inc("dfs.fault.transient_reads");
+            self.stats.transient_reads_injected.inc();
         }
         hit
     }
@@ -268,10 +229,7 @@ impl FaultPlan {
             self.config.transient_write,
         );
         if hit {
-            self.stats
-                .transient_writes_injected
-                .fetch_add(1, Ordering::Relaxed);
-            obs::inc("dfs.fault.transient_writes");
+            self.stats.transient_writes_injected.inc();
         }
         hit
     }
@@ -296,10 +254,7 @@ impl FaultPlan {
     }
 
     pub(crate) fn note_corruption_injected(&self) {
-        self.stats
-            .corrupt_replicas_injected
-            .fetch_add(1, Ordering::Relaxed);
-        obs::inc("dfs.fault.corrupt_replicas_injected");
+        self.stats.corrupt_replicas_injected.inc();
     }
 
     /// Is this replica read served by a straggler? Returns the stall.
@@ -312,10 +267,7 @@ impl FaultPlan {
             0,
             self.config.slow_replica,
         ) {
-            self.stats
-                .slow_reads_injected
-                .fetch_add(1, Ordering::Relaxed);
-            obs::inc("dfs.fault.slow_reads");
+            self.stats.slow_reads_injected.inc();
             Some(std::time::Duration::from_micros(self.config.slow_us))
         } else {
             None

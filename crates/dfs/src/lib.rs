@@ -425,30 +425,15 @@ impl Dfs {
                     if !inner.fault.transient_write(block_id, dn, attempt) {
                         inner.datanodes[dn].put_block(block_id, chunk.to_vec());
                         if attempt > 0 {
-                            inner
-                                .fault
-                                .stats
-                                .retry_successes
-                                .fetch_add(1, Ordering::Relaxed);
-                            obs::inc("dfs.retry.successes");
+                            inner.fault.stats.retry_successes.inc();
                         }
                         break true;
                     }
                     if !retry.allows(attempt + 1, start.elapsed()) {
-                        inner
-                            .fault
-                            .stats
-                            .retries_exhausted
-                            .fetch_add(1, Ordering::Relaxed);
-                        obs::inc("dfs.retry.exhausted");
+                        inner.fault.stats.retries_exhausted.inc();
                         break false;
                     }
-                    inner
-                        .fault
-                        .stats
-                        .retry_attempts
-                        .fetch_add(1, Ordering::Relaxed);
-                    obs::inc("dfs.retry.attempts");
+                    inner.fault.stats.retry_attempts.inc();
                     spin_sleep(retry.backoff(attempt));
                     attempt += 1;
                 };
@@ -494,9 +479,7 @@ impl Dfs {
             meta.blocks = blocks;
             meta.pending = false;
         }
-        inner
-            .metrics
-            .record_write(data.len() as u64, replication as u64);
+        inner.metrics.record_write(data.len() as u64);
         obs::shard::add_sharded("dfs.write.bytes", data.len() as u64);
         Ok(())
     }
@@ -542,14 +525,14 @@ impl Dfs {
         self.tick_faults();
         let inner = &self.inner;
         if let Some(cached) = inner.cache.get(path) {
-            obs::inc("dfs.cache.hits");
+            inner.metrics.cache_hits.inc();
             obs::trace::event("dfs.cache.hit", &[("path", path)]);
             obs::shard::add_sharded("dfs.read.bytes", cached.len() as u64);
             obs::cost::add_bytes_read("dfs", cached.len() as u64);
             inner.metrics.record_read(cached.len() as u64);
             return Ok(cached.as_ref().clone());
         }
-        obs::inc("dfs.cache.misses");
+        inner.metrics.cache_misses.inc();
         obs::trace::event("dfs.cache.miss", &[("path", path)]);
         let (len, blocks) = {
             let ns = inner.namespace.read();
@@ -576,8 +559,6 @@ impl Dfs {
                 Err(e) => {
                     // Truthful accounting for the partial transfer.
                     inner.metrics.record_partial_read(out.len() as u64);
-                    obs::inc("dfs.read.partial");
-                    obs::add("dfs.read.partial_bytes", out.len() as u64);
                     return Err(e);
                 }
             }
@@ -637,12 +618,7 @@ impl Dfs {
                 };
                 if crc32(&bytes) != crc {
                     inner.breaker.record_failure(dn);
-                    inner
-                        .fault
-                        .stats
-                        .checksum_mismatches
-                        .fetch_add(1, Ordering::Relaxed);
-                    obs::inc("dfs.fault.checksum_mismatches");
+                    inner.fault.stats.checksum_mismatches.inc();
                     if obs::trace::current().is_some() {
                         obs::trace::event(
                             "dfs.checksum_mismatch",
@@ -657,12 +633,7 @@ impl Dfs {
                     continue;
                 }
                 if slot > 0 || attempt > 0 {
-                    inner
-                        .fault
-                        .stats
-                        .read_failovers
-                        .fetch_add(1, Ordering::Relaxed);
-                    obs::inc("dfs.fault.read_failovers");
+                    inner.fault.stats.read_failovers.inc();
                     if obs::trace::current().is_some() {
                         obs::trace::event(
                             "dfs.read_failover",
@@ -674,12 +645,7 @@ impl Dfs {
                     }
                 }
                 if attempt > 0 {
-                    inner
-                        .fault
-                        .stats
-                        .retry_successes
-                        .fetch_add(1, Ordering::Relaxed);
-                    obs::inc("dfs.retry.successes");
+                    inner.fault.stats.retry_successes.inc();
                 }
                 inner.breaker.record_success(dn);
                 return Ok(bytes);
@@ -696,12 +662,7 @@ impl Dfs {
                 wants_retry = false;
             }
             if wants_retry {
-                inner
-                    .fault
-                    .stats
-                    .retry_attempts
-                    .fetch_add(1, Ordering::Relaxed);
-                obs::inc("dfs.retry.attempts");
+                inner.fault.stats.retry_attempts.inc();
                 if obs::trace::current().is_some() {
                     obs::trace::event(
                         "dfs.retry",
@@ -716,12 +677,7 @@ impl Dfs {
                 continue;
             }
             if saw_transient {
-                inner
-                    .fault
-                    .stats
-                    .retries_exhausted
-                    .fetch_add(1, Ordering::Relaxed);
-                obs::inc("dfs.retry.exhausted");
+                inner.fault.stats.retries_exhausted.inc();
                 return Err(DfsError::RetriesExhausted {
                     path: path.to_string(),
                     op: "read",
@@ -795,8 +751,6 @@ impl Dfs {
             }
         }
         inner.metrics.record_delete(meta.len, replicas_freed);
-        obs::inc("dfs.delete.ops");
-        obs::add("dfs.delete.bytes", meta.len);
         Ok(meta.len)
     }
 
@@ -860,9 +814,11 @@ impl Dfs {
         self.inner.datanodes[dn].corrupt_block(block)
     }
 
-    /// Page-cache hit/miss counters.
+    /// Page-cache `(hits, misses)`: every read is one or the other, so a
+    /// cluster without a cache counts each read a miss.
     pub fn cache_stats(&self) -> (u64, u64) {
-        self.inner.cache.stats()
+        let m = &self.inner.metrics;
+        (m.cache_hits.get(), m.cache_misses.get())
     }
 
     /// Drop all cached file contents (cold-cache measurement boundary).
@@ -875,7 +831,7 @@ impl Dfs {
         let inner = &self.inner;
         let ns = inner.namespace.read();
         let physical: u64 = inner.datanodes.iter().map(|d| d.bytes_stored()).sum();
-        inner.metrics.snapshot(
+        inner.metrics.snapshot().with_sizes(
             ns.files.values().filter(|f| !f.pending).count() as u64,
             ns.blocks.len() as u64,
             ns.files
@@ -1098,6 +1054,16 @@ mod tests {
         let (hits, misses) = fs.cache_stats();
         assert_eq!(hits, 0, "LRU cycling over an oversized set never hits");
         assert_eq!(misses, 20);
+    }
+
+    #[test]
+    fn a_cluster_without_a_cache_counts_every_read_a_miss() {
+        let fs = Dfs::in_memory();
+        fs.write("/uncached", b"payload").unwrap();
+        for _ in 0..3 {
+            fs.read("/uncached").unwrap();
+        }
+        assert_eq!(fs.cache_stats(), (0, 3));
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Usage and traffic counters for the simulated filesystem.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 /// Point-in-time filesystem statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DfsMetrics {
@@ -33,45 +31,56 @@ pub struct DfsMetrics {
     pub bytes_read_partial: u64,
 }
 
-/// Internal atomic counters.
-#[derive(Debug, Default)]
-pub(crate) struct MetricsInner {
-    reads: AtomicU64,
-    writes: AtomicU64,
-    bytes_read: AtomicU64,
-    bytes_written: AtomicU64,
-    deletes: AtomicU64,
-    bytes_deleted: AtomicU64,
-    replicas_freed: AtomicU64,
-    partial_reads: AtomicU64,
-    bytes_read_partial: AtomicU64,
+obs::tallies! {
+    /// The traffic counts of one cluster instance.
+    pub(crate) struct MetricsInner {
+        reads: Counter,
+        writes: Counter,
+        bytes_read: Counter,
+        bytes_written: Counter,
+        deletes: Tally("dfs.delete.ops"),
+        bytes_deleted: Tally("dfs.delete.bytes"),
+        replicas_freed: Counter,
+        partial_reads: Tally("dfs.read.partial"),
+        bytes_read_partial: Tally("dfs.read.partial_bytes"),
+        /// Reads answered from the page cache.
+        cache_hits: Tally("dfs.cache.hits"),
+        /// Reads that went to the datanodes, counted with or without a
+        /// page cache.
+        cache_misses: Tally("dfs.cache.misses"),
+    }
+    /// Point-in-time copy of [`MetricsInner`].
+    pub(crate) struct Traffic;
 }
 
 impl MetricsInner {
     pub(crate) fn record_read(&self, bytes: u64) {
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        self.bytes_read.fetch_add(bytes, Ordering::Relaxed);
+        self.reads.inc();
+        self.bytes_read.add(bytes);
     }
 
     /// A read failed mid-file after moving `bytes` of block data.
     pub(crate) fn record_partial_read(&self, bytes: u64) {
-        self.partial_reads.fetch_add(1, Ordering::Relaxed);
-        self.bytes_read_partial.fetch_add(bytes, Ordering::Relaxed);
+        self.partial_reads.inc();
+        self.bytes_read_partial.add(bytes);
     }
 
-    pub(crate) fn record_write(&self, bytes: u64, _replication: u64) {
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        self.bytes_written.fetch_add(bytes, Ordering::Relaxed);
+    pub(crate) fn record_write(&self, bytes: u64) {
+        self.writes.inc();
+        self.bytes_written.add(bytes);
     }
 
     pub(crate) fn record_delete(&self, logical: u64, replicas: u64) {
-        self.deletes.fetch_add(1, Ordering::Relaxed);
-        self.bytes_deleted.fetch_add(logical, Ordering::Relaxed);
-        self.replicas_freed.fetch_add(replicas, Ordering::Relaxed);
+        self.deletes.inc();
+        self.bytes_deleted.add(logical);
+        self.replicas_freed.add(replicas);
     }
+}
 
-    pub(crate) fn snapshot(
-        &self,
+impl Traffic {
+    /// The counts with the namespace's sizes.
+    pub(crate) fn with_sizes(
+        self,
         n_files: u64,
         n_blocks: u64,
         logical_bytes: u64,
@@ -82,15 +91,15 @@ impl MetricsInner {
             n_blocks,
             logical_bytes,
             physical_bytes,
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            deletes: self.deletes.load(Ordering::Relaxed),
-            bytes_deleted: self.bytes_deleted.load(Ordering::Relaxed),
-            replicas_freed: self.replicas_freed.load(Ordering::Relaxed),
-            partial_reads: self.partial_reads.load(Ordering::Relaxed),
-            bytes_read_partial: self.bytes_read_partial.load(Ordering::Relaxed),
+            reads: self.reads,
+            writes: self.writes,
+            bytes_read: self.bytes_read,
+            bytes_written: self.bytes_written,
+            deletes: self.deletes,
+            bytes_deleted: self.bytes_deleted,
+            replicas_freed: self.replicas_freed,
+            partial_reads: self.partial_reads,
+            bytes_read_partial: self.bytes_read_partial,
         }
     }
 }
@@ -104,8 +113,8 @@ mod tests {
         let m = MetricsInner::default();
         m.record_read(10);
         m.record_read(20);
-        m.record_write(5, 3);
-        let s = m.snapshot(1, 2, 5, 15);
+        m.record_write(5);
+        let s = m.snapshot().with_sizes(1, 2, 5, 15);
         assert_eq!(s.reads, 2);
         assert_eq!(s.writes, 1);
         assert_eq!(s.bytes_read, 30);
@@ -119,7 +128,7 @@ mod tests {
         let m = MetricsInner::default();
         m.record_read(100);
         m.record_partial_read(40);
-        let s = m.snapshot(0, 0, 0, 0);
+        let s = m.snapshot().with_sizes(0, 0, 0, 0);
         assert_eq!(s.reads, 1);
         assert_eq!(s.bytes_read, 100);
         assert_eq!(s.partial_reads, 1);
@@ -131,7 +140,7 @@ mod tests {
         let m = MetricsInner::default();
         m.record_delete(1000, 3);
         m.record_delete(500, 2);
-        let s = m.snapshot(0, 0, 0, 0);
+        let s = m.snapshot().with_sizes(0, 0, 0, 0);
         assert_eq!(s.deletes, 2);
         assert_eq!(s.bytes_deleted, 1500);
         assert_eq!(s.replicas_freed, 5);

@@ -24,7 +24,6 @@
 use crate::node::DataNode;
 use crate::{Dfs, Namespace};
 use codecs::crc32::crc32;
-use std::sync::atomic::Ordering;
 
 /// Outcome of one [`Dfs::repair`] pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -58,12 +57,7 @@ impl Dfs {
         let _span = obs::span("dfs.repair");
         let block_ids: Vec<u64> = self.inner.namespace.read().blocks.keys().copied().collect();
         let report = self.repair_blocks(&block_ids);
-        self.inner
-            .fault
-            .stats
-            .repair_passes
-            .fetch_add(1, Ordering::Relaxed);
-        obs::inc("dfs.repair.passes");
+        self.inner.fault.stats.repair_passes.inc();
         report
     }
 

@@ -43,6 +43,7 @@ pub mod registry;
 pub mod shard;
 pub mod slo;
 pub mod span;
+pub mod tally;
 pub mod trace;
 
 pub use budget::{CancelFlag, Interrupt};
@@ -53,6 +54,7 @@ pub use recorder::{Recorder, RecorderConfig};
 pub use registry::{MetricId, Registry};
 pub use slo::SloTracker;
 pub use span::{span, stage, SpanGuard, SpanStats};
+pub use tally::Tally;
 
 use std::sync::{Arc, OnceLock};
 

@@ -16,6 +16,12 @@ pub struct Counter {
 }
 
 impl Counter {
+    pub const fn new() -> Self {
+        Self {
+            value: AtomicU64::new(0),
+        }
+    }
+
     pub fn add(&self, delta: u64) {
         self.value.fetch_add(delta, Ordering::Relaxed);
     }

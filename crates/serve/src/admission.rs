@@ -9,8 +9,8 @@
 //!   starve a zooming explorer.
 //! * **Bounded depth, shed on overflow** — each class has its own depth
 //!   bound; a push over the bound is rejected *immediately* with the
-//!   current depth, which the server turns into a `Shed` frame the
-//!   client can retry on. Queueing unboundedly would just convert
+//!   current depth, which the server counts and turns into a `Shed`
+//!   frame the client can retry on. Queueing unboundedly would just convert
 //!   overload into latency.
 //! * **Per-client round-robin** — within a class, each client has its
 //!   own FIFO lane and lanes are drained round-robin, so one client
@@ -111,7 +111,6 @@ pub struct AdmissionQueue<T> {
     state: Mutex<State<T>>,
     available: Condvar,
     admitted: AtomicU64,
-    shed: AtomicU64,
 }
 
 struct State<T> {
@@ -132,12 +131,12 @@ impl<T> AdmissionQueue<T> {
             }),
             available: Condvar::new(),
             admitted: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
         }
     }
 
     /// Try to admit an item. Rejects immediately (never blocks) when the
-    /// class is at depth or the queue is shut down.
+    /// class is at depth or the queue is shut down; the caller counts the
+    /// refusal.
     pub fn push(&self, client: u64, class: Class, item: T) -> Result<(), Shed> {
         let mut st = self.state.lock().unwrap();
         if st.closed {
@@ -147,26 +146,18 @@ impl<T> AdmissionQueue<T> {
             Class::Interactive => &mut st.interactive,
             Class::Scan => &mut st.scan,
         };
-        match lane.push(client, item) {
-            Ok(()) => {
-                self.admitted.fetch_add(1, Ordering::Relaxed);
-                let depth = (st.interactive.len + st.scan.len) as i64;
-                obs::gauge_set("serve.queue.depth", depth);
-                self.available.notify_one();
-                Ok(())
-            }
-            Err(shed) => {
-                self.shed.fetch_add(1, Ordering::Relaxed);
-                obs::inc("serve.queue.shed");
-                Err(shed)
-            }
-        }
+        lane.push(client, item)?;
+        self.admitted.fetch_add(1, Ordering::Relaxed);
+        let depth = (st.interactive.len + st.scan.len) as i64;
+        obs::gauge_set("serve.queue.depth", depth);
+        self.available.notify_one();
+        Ok(())
     }
 
     /// Admit an item the caller serves at once itself instead of queueing
     /// it: only while no item of `class` waits, so it overtakes no one,
     /// and never once the queue is closed. Counted with the admitted
-    /// items of [`AdmissionQueue::totals`].
+    /// items of [`AdmissionQueue::admitted`].
     pub fn admit_inline(&self, class: Class) -> bool {
         let st = self.state.lock().unwrap();
         let waiting = match class {
@@ -226,12 +217,9 @@ impl<T> AdmissionQueue<T> {
         self.available.notify_all();
     }
 
-    /// (admitted, shed) totals so far.
-    pub fn totals(&self) -> (u64, u64) {
-        (
-            self.admitted.load(Ordering::Relaxed),
-            self.shed.load(Ordering::Relaxed),
-        )
+    /// Items admitted so far, queued or served inline.
+    pub fn admitted(&self) -> u64 {
+        self.admitted.load(Ordering::Relaxed)
     }
 }
 
@@ -276,7 +264,7 @@ mod tests {
         // Scan class has its own independent bound.
         q.push(1, Class::Scan, 3).unwrap();
         assert_eq!(q.push(1, Class::Scan, 4), Err(Shed { queue_depth: 1 }));
-        assert_eq!(q.totals(), (3, 2));
+        assert_eq!(q.admitted(), 3);
     }
 
     #[test]
@@ -289,12 +277,12 @@ mod tests {
         assert!(!q.admit_inline(Class::Scan));
         q.push(2, Class::Interactive, "i").unwrap();
         assert!(!q.admit_inline(Class::Interactive));
-        assert_eq!(q.totals(), (4, 0));
+        assert_eq!(q.admitted(), 4);
         assert_eq!(q.depth(), 2, "nothing inline is queued");
         q.close();
         while q.pop().is_some() {}
         assert!(!q.admit_inline(Class::Interactive), "closed");
-        assert_eq!(q.totals(), (4, 0));
+        assert_eq!(q.admitted(), 4);
     }
 
     #[test]

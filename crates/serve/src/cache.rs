@@ -25,7 +25,6 @@
 
 use spate_core::StoreObserver;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use telco_trace::snapshot::Snapshot;
 use telco_trace::time::EpochId;
@@ -44,21 +43,20 @@ struct Shard {
 pub struct EpochCache {
     shards: Vec<Mutex<Shard>>,
     capacity_per_shard: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
+    counts: CacheCounts,
 }
 
-/// Counter snapshot of cache behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub inserts: u64,
-    pub evictions: u64,
-    pub invalidations: u64,
+obs::tallies! {
+    /// Lifetime totals of one cache.
+    struct CacheCounts {
+        hits: Tally("serve.cache.hit"),
+        misses: Tally("serve.cache.miss"),
+        inserts: Counter,
+        evictions: Tally("serve.cache.evict"),
+        invalidations: Tally("serve.cache.invalidate"),
+    }
+    /// Counter snapshot of cache behaviour.
+    pub struct CacheStats;
 }
 
 impl CacheStats {
@@ -89,11 +87,7 @@ impl EpochCache {
                 })
                 .collect(),
             capacity_per_shard: (epochs / shards).max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
+            counts: CacheCounts::default(),
         }
     }
 
@@ -111,14 +105,12 @@ impl EpochCache {
         match sh.map.get_mut(&epoch.0) {
             Some(e) => {
                 e.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                obs::inc("serve.cache.hit");
+                self.counts.hits.inc();
                 obs::cost::cache_hit();
                 Some(e.snap.clone())
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                obs::inc("serve.cache.miss");
+                self.counts.misses.inc();
                 obs::cost::cache_miss();
                 None
             }
@@ -147,8 +139,7 @@ impl EpochCache {
                 .map(|(k, _)| k)
             {
                 sh.map.remove(&lru);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                obs::inc("serve.cache.evict");
+                self.counts.evictions.inc();
             }
         }
         sh.map.insert(
@@ -158,15 +149,14 @@ impl EpochCache {
                 last_used: tick,
             },
         );
-        self.inserts.fetch_add(1, Ordering::Relaxed);
+        self.counts.inserts.inc();
     }
 
     /// Drop one epoch (mutation hook).
     pub fn invalidate(&self, epoch: EpochId) {
         let mut sh = self.shard(epoch).lock().unwrap();
         if sh.map.remove(&epoch.0).is_some() {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-            obs::inc("serve.cache.invalidate");
+            self.counts.invalidations.inc();
         }
     }
 
@@ -190,13 +180,7 @@ impl EpochCache {
     }
 
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-        }
+        self.counts.snapshot()
     }
 }
 

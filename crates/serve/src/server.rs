@@ -147,40 +147,30 @@ fn lock_sane<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     })
 }
 
-/// Counter snapshot of server behaviour.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServeStats {
-    /// Requests answered (any terminal frame except shed).
-    pub queries: u64,
-    /// Exact/SQL rows streamed in row chunks.
-    pub rows_streamed: u64,
-    /// Requests rejected at admission (queue overflow).
-    pub shed_overflow: u64,
-    /// Requests shed by workers after out-waiting the deadline.
-    pub shed_deadline: u64,
-    /// Malformed frames received from clients.
-    pub protocol_errors: u64,
-    /// Requests interrupted by a client `Cancel` frame.
-    pub cancelled: u64,
-    /// Requests whose end-to-end deadline expired mid-evaluation.
-    pub deadline_expired: u64,
-    /// Worker panics isolated into `Error` terminal frames.
-    pub panics: u64,
-    /// Worker loops restarted after a panic escaped request isolation.
-    pub worker_respawns: u64,
-}
-
-#[derive(Default)]
-struct StatsCells {
-    queries: AtomicU64,
-    rows_streamed: AtomicU64,
-    shed_overflow: AtomicU64,
-    shed_deadline: AtomicU64,
-    protocol_errors: AtomicU64,
-    cancelled: AtomicU64,
-    deadline_expired: AtomicU64,
-    panics: AtomicU64,
-    worker_respawns: AtomicU64,
+obs::tallies! {
+    /// What the server counts, each under its registry name too.
+    struct ServeCounts {
+        /// Requests answered (any terminal frame except shed).
+        queries: Tally("serve.queries"),
+        /// Exact/SQL rows streamed in row chunks.
+        rows_streamed: Tally("serve.rows_streamed"),
+        /// Requests refused at admission (a full class, or a closed queue).
+        shed_overflow: Tally("serve.queue.shed"),
+        /// Requests shed by workers after out-waiting the deadline.
+        shed_deadline: Tally("serve.shed.deadline"),
+        /// Malformed frames received from clients.
+        protocol_errors: Tally("serve.protocol_errors"),
+        /// Requests interrupted by a client `Cancel` frame.
+        cancelled: Tally("serve.cancelled"),
+        /// Requests whose end-to-end deadline expired mid-evaluation.
+        deadline_expired: Tally("serve.deadline.expired"),
+        /// Worker panics isolated into `Error` terminal frames.
+        panics: Tally("serve.panics"),
+        /// Worker loops restarted after a panic escaped request isolation.
+        worker_respawns: Tally("serve.worker.respawns"),
+    }
+    /// Counter snapshot of server behaviour.
+    pub struct ServeStats;
 }
 
 /// Bounded FIFO of the most recently finished per-request cost
@@ -249,7 +239,7 @@ struct Shared {
     cache: Arc<EpochCache>,
     queue: AdmissionQueue<Job>,
     config: ServeConfig,
-    stats: StatsCells,
+    stats: ServeCounts,
     /// Every open connection, from `connect` until its intake ends.
     sessions: Mutex<HashMap<u64, Session>>,
     /// Pre-resolved labeled latency series — workers record without
@@ -378,7 +368,7 @@ impl Server {
             shards,
             cache,
             queue: AdmissionQueue::new(INTERACTIVE_DEPTH, SCAN_DEPTH),
-            stats: StatsCells::default(),
+            stats: ServeCounts::default(),
             sessions: Mutex::new(HashMap::new()),
             lat_interactive: obs::histogram_labeled(
                 "serve.latency_us",
@@ -403,8 +393,7 @@ impl Server {
                     match catch_unwind(AssertUnwindSafe(|| worker_loop(&shared))) {
                         Ok(()) => break, // queue closed: clean shutdown
                         Err(_) => {
-                            shared.stats.worker_respawns.fetch_add(1, Ordering::Relaxed);
-                            obs::inc("serve.worker.respawns");
+                            shared.stats.worker_respawns.inc();
                         }
                     }
                 })
@@ -473,28 +462,21 @@ impl Server {
     }
 
     pub fn stats(&self) -> ServeStats {
-        let s = &self.shared.stats;
-        ServeStats {
-            queries: s.queries.load(Ordering::Relaxed),
-            rows_streamed: s.rows_streamed.load(Ordering::Relaxed),
-            shed_overflow: s.shed_overflow.load(Ordering::Relaxed),
-            shed_deadline: s.shed_deadline.load(Ordering::Relaxed),
-            protocol_errors: s.protocol_errors.load(Ordering::Relaxed),
-            cancelled: s.cancelled.load(Ordering::Relaxed),
-            deadline_expired: s.deadline_expired.load(Ordering::Relaxed),
-            panics: s.panics.load(Ordering::Relaxed),
-            worker_respawns: s.worker_respawns.load(Ordering::Relaxed),
-        }
+        self.shared.stats.snapshot()
     }
 
     pub fn queue_depth(&self) -> usize {
         self.shared.queue.depth()
     }
 
-    /// Requests admitted so far (queued or answered on the intake) and
-    /// requests shed at admission: [`AdmissionQueue::totals`].
+    /// Requests admitted so far (queued or answered on the intake,
+    /// [`AdmissionQueue::admitted`]) and requests refused at admission
+    /// ([`ServeStats::shed_overflow`]).
     pub fn admission_totals(&self) -> (u64, u64) {
-        self.shared.queue.totals()
+        (
+            self.shared.queue.admitted(),
+            self.shared.stats.shed_overflow.get(),
+        )
     }
 
     /// Advance the meta-highlights monitor one window: sample every
@@ -646,8 +628,7 @@ impl ByteSink for Intake {
 /// can no longer be found): report it and drop the connection rather
 /// than guessing.
 fn reject_stream(shared: &Shared, ep: &Endpoint, e: &ProtoError) {
-    shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-    obs::inc("serve.protocol_errors");
+    shared.stats.protocol_errors.inc();
     let _ = ep.send_response_now(&Response {
         id: 0,
         body: ResponseBody::Error {
@@ -728,7 +709,7 @@ fn admit(shared: &Shared, conn: u64, ep: &Endpoint, request: Request) {
     };
     if let Err(shed) = shared.queue.push(conn, class, job) {
         lock_sane(&shared.cancels).remove(&trace_id);
-        shared.stats.shed_overflow.fetch_add(1, Ordering::Relaxed);
+        shared.stats.shed_overflow.inc();
         obs::trace::instant_for(
             trace_id,
             "admission.shed_overflow",
@@ -808,8 +789,7 @@ fn worker_loop(shared: &Shared) {
     while let Some((_client, class, job)) = shared.queue.pop() {
         if job.queued_at.elapsed() > shared.config.queue_deadline {
             lock_sane(&shared.cancels).remove(&job.trace_id);
-            shared.stats.shed_deadline.fetch_add(1, Ordering::Relaxed);
-            obs::inc("serve.shed.deadline");
+            shared.stats.shed_deadline.inc();
             obs::trace::instant_for(job.trace_id, "admission.shed_deadline", &[]);
             let _ = job.endpoint.send_response(&Response {
                 id: job.request.id,
@@ -853,8 +833,7 @@ fn serve_one(shared: &Shared, class: Class, job: Job) {
         // Counted before the answer streams so a client that saw its
         // reply and immediately asks for Stats reads its own request in
         // the count.
-        shared.stats.queries.fetch_add(1, Ordering::Relaxed);
-        obs::inc("serve.queries");
+        shared.stats.queries.inc();
         // The end-to-end budget runs from *admission*, not from pop:
         // queue wait spends a request's deadline exactly like evaluation
         // does. `deadline_ms == 0` means no deadline.
@@ -903,8 +882,7 @@ fn serve_one(shared: &Shared, class: Class, job: Job) {
             let _ = sent;
         }));
         if outcome.is_err() {
-            shared.stats.panics.fetch_add(1, Ordering::Relaxed);
-            obs::inc("serve.panics");
+            shared.stats.panics.inc();
             obs::trace::instant_for(trace_id, "serve.panic_isolated", &[]);
             let _ = job.endpoint.send_response(&Response {
                 id,
@@ -916,17 +894,8 @@ fn serve_one(shared: &Shared, class: Class, job: Job) {
         }
         // File how the budget ended while the guard is still installed.
         match obs::budget::interrupted() {
-            Some(Interrupt::Cancelled) => {
-                shared.stats.cancelled.fetch_add(1, Ordering::Relaxed);
-                obs::inc("serve.cancelled");
-            }
-            Some(Interrupt::DeadlineExceeded) => {
-                shared
-                    .stats
-                    .deadline_expired
-                    .fetch_add(1, Ordering::Relaxed);
-                obs::inc("serve.deadline.expired");
-            }
+            Some(Interrupt::Cancelled) => shared.stats.cancelled.inc(),
+            Some(Interrupt::DeadlineExceeded) => shared.stats.deadline_expired.inc(),
             None => {}
         }
         // `_span` and `_trace` drop here: the request's span tree is
@@ -1025,13 +994,13 @@ fn answer_control(shared: &Shared, ep: &Endpoint, request: &Request) -> Result<(
                     version: st.version,
                 })
                 .collect();
-            let s = &shared.stats;
+            let s = shared.stats.snapshot();
             ResponseBody::Stats(StatsFrame {
-                queries: s.queries.load(Ordering::Relaxed),
-                rows_streamed: s.rows_streamed.load(Ordering::Relaxed),
-                shed_overflow: s.shed_overflow.load(Ordering::Relaxed),
-                shed_deadline: s.shed_deadline.load(Ordering::Relaxed),
-                protocol_errors: s.protocol_errors.load(Ordering::Relaxed),
+                queries: s.queries,
+                rows_streamed: s.rows_streamed,
+                shed_overflow: s.shed_overflow,
+                shed_deadline: s.shed_deadline,
+                protocol_errors: s.protocol_errors,
                 queue_interactive: qi as u32,
                 queue_scan: qs as u32,
                 cache_hits: cache.hits,
@@ -1235,11 +1204,7 @@ fn serve_sql(
                 },
             })?;
             let total = out.push_rows(id, 0, &rs.rows)?;
-            shared
-                .stats
-                .rows_streamed
-                .fetch_add(total, Ordering::Relaxed);
-            obs::add("serve.rows_streamed", total);
+            shared.stats.rows_streamed.add(total);
             out.push(&Response {
                 id,
                 body: ResponseBody::Done { rows: total },
@@ -1326,11 +1291,7 @@ fn stream_epochs(
             },
         })?;
     }
-    shared
-        .stats
-        .rows_streamed
-        .fetch_add(total, Ordering::Relaxed);
-    obs::add("serve.rows_streamed", total);
+    shared.stats.rows_streamed.add(total);
     out.push(&Response {
         id,
         body: ResponseBody::Done { rows: total },

@@ -107,10 +107,7 @@ fn stream_materialised(
             },
         })?;
     }
-    shared
-        .stats
-        .rows_streamed
-        .fetch_add(total, Ordering::Relaxed);
+    shared.stats.rows_streamed.add(total);
     out.push(&Response {
         id,
         body: ResponseBody::Done { rows: total },
@@ -142,7 +139,7 @@ fn answer(
     let cancel = CancelFlag::new();
     let _budget = obs::budget::begin(None, cancel.clone());
     let cost = obs::cost::begin(0);
-    let before = shared.stats.rows_streamed.load(Ordering::Relaxed);
+    let before = shared.stats.rows_streamed.get();
     let mut reached = 0;
     let resolve = |epoch| {
         reached += 1;
@@ -162,7 +159,7 @@ fn answer(
     cost.stage_ns.clear();
     Answer {
         writes: tap.writes(),
-        rows_streamed: shared.stats.rows_streamed.load(Ordering::Relaxed) - before,
+        rows_streamed: shared.stats.rows_streamed.get() - before,
         cost,
     }
 }
@@ -273,7 +270,7 @@ fn settled(
 ) -> (Answer, bool) {
     let shared = &server.shared;
     let trace_id = trace_id_for(client.conn_id, request.id);
-    let before = shared.stats.rows_streamed.load(Ordering::Relaxed);
+    let before = shared.stats.rows_streamed.get();
     lock_sane(&tap.0).clear();
     let done = || {
         let frames = frames_in(&tap.writes().concat());
@@ -313,7 +310,7 @@ fn settled(
     cost.stage_ns.clear();
     let answer = Answer {
         writes: tap.writes(),
-        rows_streamed: shared.stats.rows_streamed.load(Ordering::Relaxed) - before,
+        rows_streamed: shared.stats.rows_streamed.get() - before,
         cost,
     };
     (answer, tap.written_here())
