@@ -64,7 +64,5 @@ pub use index::highlights::{HighlightConfig, Highlights};
 pub use index::TemporalIndex;
 pub use meta::{AnomalyRecord, MetaMonitor, MetaSummary, StreamKind};
 pub use query::{profile_query, Coverage, Query, QueryResult};
-pub use shard::{
-    merge_results, merge_snapshots, shard_of_cell, split_snapshot, ShardStat, ShardedSpate,
-};
+pub use shard::{merge_snapshots, shard_of_cell, split_snapshot, ShardStat, ShardedSpate};
 pub use storage::SnapshotStore;

@@ -123,30 +123,6 @@ impl Coverage {
             f64::from(self.served) / f64::from(self.requested)
         }
     }
-
-    /// Combine two coverage reports of the *same* requested window served
-    /// by different shards into the pessimistic envelope the gathered
-    /// answer may honestly claim: an epoch counts as served only if every
-    /// shard served it, while decay on any shard marks it decayed.
-    ///
-    /// Component-wise: `requested` and `decayed` take the max, `served`
-    /// the min, and `unavailable` is recomputed as the remainder — each a
-    /// commutative, associative fold, so scatter-gather may merge partial
-    /// reports in any order and grouping. Because `served` only ever
-    /// shrinks while `requested` only ever grows, merging can never turn
-    /// a partial report into a complete one.
-    #[must_use]
-    pub fn merge(self, other: Coverage) -> Coverage {
-        let requested = self.requested.max(other.requested);
-        let served = self.served.min(other.served);
-        let decayed = self.decayed.max(other.decayed);
-        Coverage {
-            requested,
-            served,
-            decayed,
-            unavailable: requested.saturating_sub(served).saturating_sub(decayed),
-        }
-    }
 }
 
 impl fmt::Display for Coverage {

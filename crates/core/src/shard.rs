@@ -1,5 +1,5 @@
 //! Shard-per-core scale-out: N independent [`SpateFramework`]s behind one
-//! scatter-gather facade.
+//! facade.
 //!
 //! The paper's workload is a full telco province; a single framework
 //! instance serializes every ingest and decay pass behind one lock. This
@@ -18,6 +18,18 @@
 //! box matching no cells routes to every shard, so the degenerate case
 //! behaves exactly like the unsharded framework.
 //!
+//! # One read
+//!
+//! A sharded read is [`ShardedSpate::plan`], then each epoch of an exact
+//! plan loaded from its shards and merged by
+//! [`ShardedSpate::load_epoch_merged_with`] — the serving tier's cache
+//! fill over every shard, [`ShardedSpate::query`] over the shards `b`
+//! routes to. An epoch one of them cannot load is unavailable as a whole:
+//! no shard's part of it reaches the answer. The per-shard telemetry
+//! lives on this one path: `plan` counts `spate.shard.queries{shard}`,
+//! the merged load times each shard's part into
+//! `spate.shard.query_us{shard}`.
+//!
 //! # Canonical merge (shard-count invariance)
 //!
 //! Rows gathered from different shards arrive in shard order, which
@@ -26,15 +38,13 @@
 //! so the bytes a client sees are identical for any shard count. This
 //! is sound because stored snapshots round-trip through the line format,
 //! which types every field as `Str`/`Null`: content order is type-stable
-//! and total. `Coverage` reports merge through [`Coverage::merge`]
-//! (pessimistic envelope), summaries through `Highlights::merge`.
+//! and total. Summaries merge through `Highlights::merge`.
 
 use crate::framework::{
     ExplorationFramework, IngestStats, SpaceReport, SpateFramework, StoreObserver,
 };
 use crate::index::decay::DecayReport;
-use crate::index::highlights::{Highlights, Resolution};
-use crate::query::{Coverage, ExactResult, Plan, Query, QueryResult};
+use crate::query::{Plan, Query, QueryResult, RowPlan};
 use std::cmp::Ordering as CmpOrdering;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 use std::time::Instant;
@@ -128,96 +138,6 @@ pub fn merge_snapshots(epoch: EpochId, parts: Vec<Snapshot>) -> Snapshot {
     Snapshot::new(epoch, cdr, nms)
 }
 
-/// Gather per-shard exact results into one, in canonical row order.
-/// Shards resolve the same projection, so column names agree; the epoch
-/// count is the max (every shard read the same window).
-fn merge_exact(parts: Vec<ExactResult>) -> ExactResult {
-    let mut it = parts.into_iter();
-    let mut out = it.next().expect("merge_exact needs at least one part");
-    for p in it {
-        out.cdr.rows.extend(p.cdr.rows);
-        out.nms.rows.extend(p.nms.rows);
-        out.epochs_read = out.epochs_read.max(p.epochs_read);
-    }
-    canonical_sort(&mut out.cdr.rows);
-    canonical_sort(&mut out.nms.rows);
-    out
-}
-
-/// Fold the summaries shards hold of one window into one: each shard's
-/// highlights summarize only its own cells, so their merge is the digest
-/// of the union; the resolution is the first shard's. `None` of none.
-fn fold_summaries(
-    parts: impl Iterator<Item = (Resolution, Highlights)>,
-) -> Option<(Resolution, Highlights)> {
-    parts.reduce(|(resolution, mut acc), (_, highlights)| {
-        acc.merge(&highlights);
-        (resolution, acc)
-    })
-}
-
-/// Gather the per-shard answers to one query. Precedence when shards
-/// disagree (transient only — shards share the ingest stream and decay
-/// schedule, so steady-state coverings agree):
-///
-/// * all `Exact` → `Exact`, rows in canonical order;
-/// * any `Partial` → `Partial` with the [`Coverage::merge`] envelope
-///   (an `Unavailable` shard folds in as a fully-unavailable report);
-/// * any `Summary` → `Summary`, highlights `merge`d across the summary
-///   shards (row-level answers from other shards are dropped: the
-///   window has decayed somewhere, and a summary never lies about
-///   resolution);
-/// * all `Unavailable` → `Unavailable`.
-pub fn merge_results(parts: Vec<QueryResult>) -> QueryResult {
-    if parts.is_empty() {
-        return QueryResult::Unavailable;
-    }
-    if parts.iter().any(QueryResult::is_summary) {
-        let summaries = parts.into_iter().filter_map(|p| match p {
-            QueryResult::Summary {
-                resolution,
-                highlights,
-            } => Some((resolution, highlights)),
-            _ => None,
-        });
-        let (resolution, highlights) = fold_summaries(summaries).expect("a summary part exists");
-        return QueryResult::Summary {
-            resolution,
-            highlights,
-        };
-    }
-    let mut exacts: Vec<ExactResult> = Vec::new();
-    let mut coverage: Option<Coverage> = None;
-    let mut unavailable_parts = 0usize;
-    for p in parts {
-        let c = p.coverage();
-        match p {
-            QueryResult::Exact(e) | QueryResult::Partial { result: e, .. } => exacts.push(e),
-            QueryResult::Unavailable => unavailable_parts += 1,
-            QueryResult::Summary { .. } => unreachable!("summaries handled above"),
-        }
-        if let Some(c) = c {
-            coverage = Some(coverage.map_or(c, |acc| acc.merge(c)));
-        }
-    }
-    if exacts.is_empty() {
-        return QueryResult::Unavailable;
-    }
-    let mut coverage = coverage.unwrap_or_default();
-    if unavailable_parts > 0 {
-        // A shard with nothing retained serves none of the window.
-        coverage = coverage.merge(Coverage {
-            requested: coverage.requested,
-            served: 0,
-            decayed: 0,
-            unavailable: coverage.requested,
-        });
-    }
-    // A partial part's report is incomplete and merging only shrinks
-    // `served`, so the envelope alone says whether the answer is whole.
-    QueryResult::from_run(merge_exact(exacts), coverage)
-}
-
 fn read_sane<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     l.read().unwrap_or_else(|e| {
         obs::inc("shard.lock.poison_recovered");
@@ -239,6 +159,9 @@ fn write_sane<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 /// deadlock-free against single-shard writers.
 pub struct ShardedSpate {
     shards: Vec<RwLock<SpateFramework>>,
+    /// Queries routed to each shard ([`Self::plan`]), by this facade and
+    /// as `spate.shard.queries{shard}`.
+    queries: Vec<obs::Tally>,
     layout: CellLayout,
 }
 
@@ -248,6 +171,9 @@ impl ShardedSpate {
         assert!(!frameworks.is_empty(), "at least one shard");
         let layout = frameworks[0].layout().clone();
         Self {
+            queries: (0..frameworks.len() as u32)
+                .map(|i| obs::Tally::labeled("spate.shard.queries", "shard", obs::shard::label(i)))
+                .collect(),
             shards: frameworks.into_iter().map(RwLock::new).collect(),
             layout,
         }
@@ -407,40 +333,55 @@ impl ShardedSpate {
         total
     }
 
-    /// [`Self::load_epoch_merged_with`] publishing nothing.
+    /// [`Self::load_epoch_merged_with`] over every shard, publishing
+    /// nothing.
     pub fn load_epoch_merged(&self, epoch: EpochId) -> Option<Snapshot> {
-        self.load_epoch_merged_with(epoch, |snapshot| snapshot)
+        self.load_epoch_merged_with(0..self.shards.len(), epoch, |snapshot| snapshot)
     }
 
-    /// Load one epoch across **all** shards under simultaneously-held read
-    /// guards (ascending order), merge it canonically and hand it to
-    /// `publish` before any guard drops: a cache insert there cannot race
-    /// a per-shard eviction. `None`, and nothing published, when a shard no
-    /// longer retains the epoch (a transient a cache must never capture).
+    /// The one merged load. Take the read guards of `shards` (ascending)
+    /// together, load each one's part of `epoch` inside its
+    /// [`obs::shard`] scope and a `shard.load` span, timed into
+    /// `spate.shard.query_us{shard}`, merge the parts canonically and hand
+    /// the epoch to `publish` before any guard drops: a cache insert there
+    /// cannot race a per-shard eviction. `None`, and nothing published,
+    /// when a shard cannot load its part (a transient a cache must never
+    /// capture, and an epoch no answer may take part of).
     pub fn load_epoch_merged_with<T>(
         &self,
+        shards: impl IntoIterator<Item = usize>,
         epoch: EpochId,
         publish: impl FnOnce(Snapshot) -> T,
     ) -> Option<T> {
-        let guards: Vec<RwLockReadGuard<'_, SpateFramework>> =
-            (0..self.shards.len()).map(|i| self.read(i)).collect();
+        let guards: Vec<(usize, RwLockReadGuard<'_, SpateFramework>)> =
+            shards.into_iter().map(|i| (i, self.read(i))).collect();
         let mut parts = Vec::with_capacity(guards.len());
-        for g in &guards {
-            parts.push(g.load_epoch(epoch)?);
+        for (i, guard) in &guards {
+            let _scope = obs::shard::enter(*i as u32);
+            let span = obs::span("shard.load");
+            let part = guard.load_epoch(epoch);
+            let us = (span.finish_secs() * 1e6) as u64;
+            let label = obs::shard::label(*i as u32);
+            obs::observe_labeled("spate.shard.query_us", &[("shard", &label)], us);
+            parts.push(part?);
         }
         Some(publish(merge_snapshots(epoch, parts)))
     }
 
     /// Decide how `q` is answered across the shards: route the bounding
-    /// box to its shards and let the *primary* (lowest touched) shard
-    /// classify the window; when it has decayed there, the touched
-    /// shards' highlights are gathered and merged. Shards are read one
-    /// guard at a time, ascending, and none is held on return: running
-    /// the plan re-acquires guards per epoch, so a slow client never
-    /// blocks ingest/decay.
+    /// box to its shards, counting one query on each, and let the
+    /// *primary* (lowest touched) shard classify the window; when it has
+    /// decayed there, the touched shards' highlights are gathered and
+    /// merged. Shards are read one guard at a time, ascending, and none
+    /// is held on return: running the plan re-acquires guards per epoch,
+    /// so a slow client never blocks ingest/decay.
     pub fn plan(&self, q: &Query) -> Plan {
+        let routed = self.shards_for(&q.bbox);
+        for &i in &routed {
+            self.queries[i].inc();
+        }
         let mut summaries = Vec::new();
-        for (nth, i) in self.shards_for(&q.bbox).into_iter().enumerate() {
+        for (nth, i) in routed.into_iter().enumerate() {
             let g = self.read(i);
             let covering = g.index().find_covering(q.window.0, q.window.1);
             match Plan::of(covering, &self.layout, &q.bbox) {
@@ -454,46 +395,40 @@ impl ShardedSpate {
                 _ => {}
             }
         }
-        let (resolution, highlights) =
-            fold_summaries(summaries.into_iter()).expect("the primary shard's summary");
+        // Each shard's highlights summarize only its own cells, so their
+        // merge is the digest of the union; the resolution is the primary's.
+        let (resolution, highlights) = summaries
+            .into_iter()
+            .reduce(|(resolution, mut acc), (_, highlights)| {
+                acc.merge(&highlights);
+                (resolution, acc)
+            })
+            .expect("the primary shard's summary");
         Plan::Summary {
             resolution,
             highlights,
         }
     }
 
-    /// Scatter-gather a query: evaluate on every shard the box touches
-    /// (sequentially on the calling thread, so the caller's trace and
-    /// cost profile cover the whole fan-out, and an installed
-    /// [`obs::budget`] stops every shard's scan at its next epoch
-    /// boundary — the rest of the window merges as unavailable), then
-    /// merge per [`merge_results`].
-    ///
-    /// The fan-out is a parent `shard.scatter` span with one
-    /// `shard.query` child per touched shard; each child closes inside
-    /// that shard's [`obs::shard`] scope, so the flight recorder can
-    /// reconstruct which shard made a slow request slow. Per-shard query
-    /// counts (`spate.shard.queries`) feed the skew monitor; per-shard
-    /// latency (`spate.shard.query_us`) feeds the telemetry recorder's
-    /// windowed quantiles.
+    /// `Q(a, b, w)` as the serving tier answers it, without the cache:
+    /// [`Self::plan`], then each epoch of an exact plan loaded across the
+    /// shards `b` routes to ([`Self::load_epoch_merged_with`]) and
+    /// projected, then each table's rows put in canonical order. An epoch
+    /// one of those shards cannot load adds no rows and is counted
+    /// unavailable, and an installed [`obs::budget`] stops the scan at its
+    /// next epoch boundary, the rest of the window unavailable.
     pub fn query(&self, q: &Query) -> QueryResult {
-        let touched = self.shards_for(&q.bbox);
-        let _scatter = obs::span("shard.scatter");
-        let parts = touched
-            .iter()
-            .map(|&i| {
-                let _scope = obs::shard::enter(i as u32);
-                let span = obs::span("shard.query");
-                let r = self.read(i).query(q);
-                let secs = span.finish_secs();
-                let label = obs::shard::label(i as u32);
-                let labels = [("shard", label.as_ref())];
-                obs::add_labeled("spate.shard.queries", &labels, 1);
-                obs::observe_labeled("spate.shard.query_us", &labels, (secs * 1e6) as u64);
-                r
-            })
-            .collect();
-        merge_results(parts)
+        let routed = self.shards_for(&q.bbox);
+        let rows = RowPlan::new(q, &self.layout);
+        let mut answer = self.plan(q).evaluate(&rows, |epoch, out| {
+            let snapshot = self.load_epoch_merged_with(routed.iter().copied(), epoch, |s| s);
+            snapshot.map(|s| rows.project(&s, out)).is_some()
+        });
+        if let QueryResult::Exact(result) | QueryResult::Partial { result, .. } = &mut answer {
+            canonical_sort(&mut result.cdr.rows);
+            canonical_sort(&mut result.nms.rows);
+        }
+        answer
     }
 
     /// The per-shard Stats breakdown — the serve tier's Stats frame
@@ -507,7 +442,6 @@ impl ShardedSpate {
             .map(|i| {
                 let label = obs::shard::label(i);
                 let labels = [("shard", label.as_ref())];
-                let queries = obs::counter_labeled("spate.shard.queries", &labels).get();
                 let stat = {
                     let s = self.read(i as usize);
                     let space = s.space();
@@ -515,7 +449,7 @@ impl ShardedSpate {
                         shard: i,
                         bytes: space.data_bytes + space.index_bytes,
                         leaves: s.index().all_leaves().filter(|l| l.present).count() as u32,
-                        queries,
+                        queries: self.queries[i as usize].get(),
                         version: s.version(),
                     }
                 };
@@ -616,7 +550,7 @@ mod tests {
             sharded.ingest(s);
         }
         let epoch = snaps[1].epoch;
-        let published = sharded.load_epoch_merged_with(epoch, |snapshot| {
+        let published = sharded.load_epoch_merged_with(0..3, epoch, |snapshot| {
             let writable = sharded.shards.iter().filter(|s| s.try_write().is_ok());
             (snapshot, writable.count())
         });
@@ -631,7 +565,7 @@ mod tests {
         assert!(sharded.read(1).store().evict(epoch).unwrap() > 0);
         let mut called = false;
         assert!(sharded
-            .load_epoch_merged_with(epoch, |_| called = true)
+            .load_epoch_merged_with(0..3, epoch, |_| called = true)
             .is_none());
         assert!(!called);
     }
@@ -800,7 +734,7 @@ mod tests {
             assert!(st.bytes > 0, "shard {i} stores bytes");
             assert!(st.leaves > 0, "shard {i} has leaves");
             // The everything-box touches every shard on both queries.
-            assert!(st.queries >= 2, "shard {i} counted {}", st.queries);
+            assert_eq!(st.queries, 2, "shard {i}");
             assert!(st.version > 0);
         }
         // The rows are this facade's own shards, whatever another facade
@@ -811,12 +745,63 @@ mod tests {
         // The same values are in the global registry, where the skew
         // monitor reads them.
         assert!(obs::gauge_labeled("spate.shard.bytes", &[("shard", "0")]).get() > 0);
-        // And per-shard latency histograms recorded one sample per query.
+        // And per-shard load-time histograms recorded one sample per
+        // epoch read.
         assert!(
             obs::global()
                 .histogram_labeled("spate.shard.query_us", &[("shard", "1")])
                 .count()
-                >= 2
+                >= 6
+        );
+    }
+
+    #[test]
+    fn a_facade_counts_only_its_own_queries() {
+        let (layout, snaps) = trace(2);
+        let (a, b) = (
+            ShardedSpate::in_memory(layout.clone(), 2),
+            ShardedSpate::in_memory(layout, 2),
+        );
+        for s in &snaps {
+            a.ingest(s);
+            b.ingest(s);
+        }
+        let q = Query::new(&["upflux"], BoundingBox::everything()).with_epoch_range(0, 1);
+        b.query(&q);
+        let queries = |f: &ShardedSpate| f.shard_stats().iter().map(|st| st.queries).collect();
+        let before: Vec<u64> = queries(&b);
+        a.query(&q);
+        a.query(&q);
+        assert_eq!(queries(&b), before);
+        assert_eq!(queries(&a), vec![2, 2]);
+    }
+
+    #[test]
+    fn an_epoch_a_shard_lost_is_unavailable_on_every_shard() {
+        let (layout, snaps) = trace(4);
+        let mut oracle = crate::framework::RawFramework::in_memory(layout.clone());
+        let sharded = ShardedSpate::in_memory(layout, 2);
+        for s in &snaps {
+            sharded.ingest(s);
+            if s.epoch != snaps[2].epoch {
+                oracle.ingest(s);
+            }
+        }
+        assert!(sharded.read(1).store().evict(snaps[2].epoch).unwrap() > 0);
+        let q = Query::new(&["record_id", "call_drops"], BoundingBox::everything())
+            .with_epoch_range(0, 3);
+        let QueryResult::Partial { result, coverage } = sharded.query(&q) else {
+            panic!("expected a partial answer");
+        };
+        assert_eq!((coverage.served, coverage.unavailable), (3, 1));
+        let QueryResult::Exact(mut want) = oracle.query(&q) else {
+            panic!("the oracle answers every retained epoch");
+        };
+        canonical_sort(&mut want.cdr.rows);
+        canonical_sort(&mut want.nms.rows);
+        assert_eq!(
+            (result.cdr.rows, result.nms.rows),
+            (want.cdr.rows, want.nms.rows)
         );
     }
 }

@@ -1,79 +1,11 @@
-//! Scatter-gather correctness: the algebra the shard router leans on.
-//!
-//! `Coverage::merge` folds per-shard coverage reports into the answer the
-//! client sees; if the fold depended on shard order or count, degraded
-//! answers would lie. These properties are what make the fan-out safe to
-//! reorder and re-partition.
+//! Shard-count invariance through the public facade: the same trace
+//! partitioned any number of ways answers every query alike, and
+//! partitioning loses no row.
 
-use proptest::prelude::*;
-use spate_core::query::Coverage;
 use spate_core::query::{Query, QueryResult};
-use spate_core::shard::{merge_results, split_snapshot, ShardedSpate};
+use spate_core::shard::{split_snapshot, ShardedSpate};
 use telco_trace::cells::BoundingBox;
 use telco_trace::{TraceConfig, TraceGenerator};
-
-fn cov(requested: u32, served: u32, decayed: u32) -> Coverage {
-    let served = served.min(requested);
-    let decayed = decayed.min(requested - served);
-    Coverage {
-        requested,
-        served,
-        decayed,
-        unavailable: requested - served - decayed,
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn coverage_merge_is_commutative(
-        ra in 0u32..64, sa in 0u32..64, da in 0u32..64,
-        rb in 0u32..64, sb in 0u32..64, db in 0u32..64,
-    ) {
-        let (a, b) = (cov(ra, sa, da), cov(rb, sb, db));
-        prop_assert_eq!(a.merge(b), b.merge(a));
-    }
-
-    #[test]
-    fn coverage_merge_is_associative(
-        ra in 0u32..64, sa in 0u32..64, da in 0u32..64,
-        rb in 0u32..64, sb in 0u32..64, db in 0u32..64,
-        rc in 0u32..64, sc in 0u32..64, dc in 0u32..64,
-    ) {
-        let (a, b, c) = (cov(ra, sa, da), cov(rb, sb, db), cov(rc, sc, dc));
-        prop_assert_eq!(a.merge(b).merge(c), a.merge(b.merge(c)));
-    }
-
-    #[test]
-    fn coverage_merge_never_upgrades_partial_to_full(
-        ra in 1u32..64, sa in 0u32..64, da in 0u32..64,
-        rb in 1u32..64, sb in 0u32..64, db in 0u32..64,
-    ) {
-        let (a, b) = (cov(ra, sa, da), cov(rb, sb, db));
-        let merged = a.merge(b);
-        // A merge may only report complete coverage if every input did:
-        // one shard's gap can never be papered over by another's rows.
-        if !a.is_complete() || !b.is_complete() {
-            prop_assert!(!merged.is_complete(),
-                "partial {a:?} + {b:?} upgraded to full {merged:?}");
-        }
-        // Served never exceeds any input's served; requested never shrinks.
-        prop_assert!(merged.served <= a.served.max(b.served));
-        prop_assert!(merged.requested >= a.requested.max(b.requested).min(merged.requested));
-        // The report stays internally consistent.
-        prop_assert_eq!(
-            merged.served + merged.decayed + merged.unavailable,
-            merged.requested
-        );
-    }
-
-    #[test]
-    fn coverage_merge_is_idempotent(r in 0u32..64, s in 0u32..64, d in 0u32..64) {
-        let a = cov(r, s, d);
-        prop_assert_eq!(a.merge(a), a);
-    }
-}
 
 /// End-to-end shard-count invariance through the public facade: the same
 /// trace partitioned 1, 2 and 5 ways answers every probe identically.
@@ -125,7 +57,7 @@ fn query_answers_invariant_across_shard_counts() {
     }
 }
 
-/// Splitting an epoch and merging per-shard query parts loses no rows.
+/// Splitting an epoch loses no rows.
 #[test]
 fn split_row_conservation() {
     let mut generator = TraceGenerator::new(TraceConfig::tiny());
@@ -138,14 +70,4 @@ fn split_row_conservation() {
         assert_eq!(cdr, snap.cdr.len());
         assert_eq!(nms, snap.nms.len());
     }
-}
-
-/// merge_results corner cases the router depends on.
-#[test]
-fn merge_results_edge_cases() {
-    assert!(matches!(merge_results(vec![]), QueryResult::Unavailable));
-    assert!(matches!(
-        merge_results(vec![QueryResult::Unavailable, QueryResult::Unavailable]),
-        QueryResult::Unavailable
-    ));
 }

@@ -55,11 +55,6 @@ pub struct CostProfile {
     pub rows_scanned: u64,
     /// Rows actually produced to the caller.
     pub rows_returned: u64,
-    /// Rows scanned per shard, for work done inside a
-    /// [`crate::shard`] scope — how a scatter-gather query's scan cost
-    /// distributes over the fan-out. Unsharded work has no entry here,
-    /// so the map may sum to less than `rows_scanned`.
-    pub rows_by_shard: BTreeMap<u32, u64>,
     /// Epoch-cache hits observed while serving this query.
     pub cache_hits: u64,
     /// Epoch-cache misses observed while serving this query.
@@ -110,7 +105,6 @@ impl CostProfile {
         self.bytes_decompressed_total += other.bytes_decompressed_total;
         self.rows_scanned += other.rows_scanned;
         self.rows_returned += other.rows_returned;
-        add(&mut self.rows_by_shard, &other.rows_by_shard);
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         add(&mut self.stage_ns, &other.stage_ns);
@@ -138,9 +132,6 @@ impl CostProfile {
             self.bytes_decompressed_total.to_string(),
         ));
         out.push(("rows_scanned".into(), self.rows_scanned.to_string()));
-        for (shard, n) in &self.rows_by_shard {
-            out.push((format!("rows_scanned.shard.{shard}"), n.to_string()));
-        }
         out.push(("rows_returned".into(), self.rows_returned.to_string()));
         out.push(("cache_hits".into(), self.cache_hits.to_string()));
         out.push(("cache_misses".into(), self.cache_misses.to_string()));
@@ -272,21 +263,11 @@ pub fn add_decompressed(codec: &str, n: u64) {
     });
 }
 
-/// Record rows iterated and rows produced. When a [`crate::shard`] scope
-/// is active the scanned rows are also attributed to that shard.
+/// Record rows iterated and rows produced.
 pub fn add_rows(scanned: u64, returned: u64) {
-    context::with(|r| {
-        let Some(active) = r.cost.as_mut() else {
-            return;
-        };
-        let p = &mut active.profile;
+    with_active(|p| {
         p.rows_scanned += scanned;
         p.rows_returned += returned;
-        if scanned > 0 {
-            if let Some(shard) = r.shard {
-                *p.rows_by_shard.entry(shard).or_insert(0) += scanned;
-            }
-        }
     });
 }
 
@@ -410,29 +391,6 @@ mod tests {
         add_rows(1, 1);
         let p = outer.finish();
         assert_eq!(p.rows_scanned, 1);
-    }
-
-    #[test]
-    fn rows_scanned_attribute_to_the_active_shard_scope() {
-        let g = begin(11);
-        add_rows(10, 1); // unsharded work: total only
-        {
-            let _s0 = crate::shard::enter(0);
-            add_rows(30, 3);
-        }
-        {
-            let _s2 = crate::shard::enter(2);
-            add_rows(60, 6);
-        }
-        let p = g.finish();
-        assert_eq!(p.rows_scanned, 100);
-        assert_eq!(p.rows_by_shard[&0], 30);
-        assert_eq!(p.rows_by_shard[&2], 60);
-        assert_eq!(p.rows_by_shard.len(), 2);
-        let rows = p.rows();
-        assert!(rows
-            .iter()
-            .any(|(m, v)| m == "rows_scanned.shard.2" && v == "60"));
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //! keep their meaning.
 //!
 //! Scopes nest (a shard-2 scope inside a shard-0 scope restores shard 0
-//! on drop) and are per-thread, matching how the scatter-gather router
-//! fans work out to per-shard worker threads.
+//! on drop) and are per-thread: a sharded ingest enters one per worker
+//! thread, and a sharded read one around each shard's part of a merged
+//! epoch load, so the dfs and codec work of that part is labeled while
+//! the scan of the merged epoch is not.
 
 use crate::context::{self, Field, Guard};
 

@@ -9,6 +9,7 @@
 //! one table.
 
 use crate::metrics::Counter;
+use std::borrow::Cow;
 
 /// A count its owner keeps in its own [`Counter`] and the global registry
 /// keeps under a name: [`Tally::add`] adds to both.
@@ -22,6 +23,8 @@ use crate::metrics::Counter;
 #[derive(Debug)]
 pub struct Tally {
     name: &'static str,
+    /// The one label of a labeled series, as `(key, value)`.
+    label: Option<(&'static str, Cow<'static, str>)>,
     count: Counter,
 }
 
@@ -29,13 +32,25 @@ impl Tally {
     pub fn new(name: &'static str) -> Self {
         Self {
             name,
+            label: None,
             count: Counter::default(),
+        }
+    }
+
+    /// A count the registry keeps as the `name{key="value"}` series.
+    pub fn labeled(name: &'static str, key: &'static str, value: Cow<'static, str>) -> Self {
+        Self {
+            label: Some((key, value)),
+            ..Self::new(name)
         }
     }
 
     pub fn add(&self, n: u64) {
         self.count.add(n);
-        crate::add(self.name, n);
+        match &self.label {
+            None => crate::add(self.name, n),
+            Some((key, value)) => crate::add_labeled(self.name, &[(key, value)], n),
+        }
     }
 
     pub fn inc(&self) {
@@ -145,6 +160,23 @@ mod tests {
         t.inc();
         assert_eq!(named("test.tally.reset"), Some(1), "a fresh series");
         assert_eq!(t.get(), 6, "the owner's count runs on");
+    }
+
+    #[test]
+    fn a_labeled_tally_counts_into_its_own_series() {
+        let _no_reset = crate::globals_stay();
+        let series = |shard| {
+            crate::global()
+                .counter_labeled("test.tally.labeled", &[("shard", shard)])
+                .get()
+        };
+        let before = (series("0"), series("1"));
+        let zero = Tally::labeled("test.tally.labeled", "shard", "0".into());
+        let one = Tally::labeled("test.tally.labeled", "shard", "1".into());
+        zero.add(2);
+        one.inc();
+        assert_eq!((zero.get(), one.get()), (2, 1));
+        assert_eq!((series("0"), series("1")), (before.0 + 2, before.1 + 1));
     }
 
     #[test]

@@ -377,6 +377,13 @@ pub mod errcode {
 
 // ---------------------------------------------------------------- writing
 
+/// [`Writer::len`]'s panic, kept out of the line of every string written.
+#[cold]
+#[inline(never)]
+fn too_long(field: &str, n: usize, width: usize) -> ! {
+    panic!("{field}: length {n} does not fit the wire's {width}-byte field");
+}
+
 /// Writes one frame at the end of a caller-owned buffer: the header goes
 /// in first with its kind and length still open, the payload is written
 /// straight behind it, and [`Writer::finish`] closes the header — no
@@ -428,8 +435,24 @@ impl<'a> Writer<'a> {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Write `n`, the length of `field`, as the `T` the wire gives it.
+    ///
+    /// # Panics
+    /// If `n` does not fit in `T`, naming `field`: a wrapped length would
+    /// frame the bytes behind it as something else.
+    #[inline]
+    fn len<T: TryFrom<usize> + Into<u64>>(&mut self, field: &str, n: usize) {
+        let width = std::mem::size_of::<T>();
+        match T::try_from(n) {
+            Ok(fits) => self
+                .buf
+                .extend_from_slice(&fits.into().to_le_bytes()[..width]),
+            Err(_) => too_long(field, n, width),
+        }
+    }
+
     fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
+        self.len::<u32>("string", s.len());
         self.buf.extend_from_slice(s.as_bytes());
     }
 
@@ -507,7 +530,8 @@ impl WireRow for Projected<'_> {
 /// leads the rows, so it is written last, over a placeholder.
 ///
 /// # Panics
-/// If `rows` yields more than `u16::MAX` rows.
+/// If `rows` yields more than `u16::MAX` rows, a row wider than
+/// `u16::MAX` values, or a frame over [`MAX_PAYLOAD`].
 pub fn encode_row_chunk_into<R: WireRow>(
     out: &mut Vec<u8>,
     id: u64,
@@ -521,7 +545,7 @@ pub fn encode_row_chunk_into<R: WireRow>(
     w.u16(0);
     let mut count = 0;
     for row in rows {
-        w.u16(row.width() as u16);
+        w.len::<u16>("row width", row.width());
         for i in 0..row.width() {
             w.value(row.value(i));
         }
@@ -535,6 +559,12 @@ pub fn encode_row_chunk_into<R: WireRow>(
 
 impl Request {
     /// Encode as one complete frame.
+    ///
+    /// # Panics
+    /// If a list or string is longer than its length field holds (more
+    /// than `u16::MAX` attributes, a string over `u32::MAX` bytes), naming
+    /// the field, or if the frame is over [`MAX_PAYLOAD`]: a request the
+    /// wire cannot carry is never sent as another one.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         let mut w = Writer::new(&mut out);
@@ -546,7 +576,7 @@ impl Request {
                 window,
                 deadline_ms,
             } => {
-                w.u16(attributes.len() as u16);
+                w.len::<u16>("explore attributes", attributes.len());
                 for a in attributes {
                     w.str(a);
                 }
@@ -632,6 +662,12 @@ impl Request {
 
 impl Response {
     /// Encode as one complete frame.
+    ///
+    /// # Panics
+    /// If a list or string is longer than its length field holds (more
+    /// than `u8::MAX` header tables, `u16::MAX` columns, rows, row values
+    /// or Stats rows), naming the field, or if the frame is over
+    /// [`MAX_PAYLOAD`].
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.encode_into(&mut out);
@@ -639,6 +675,9 @@ impl Response {
     }
 
     /// Append this response to `out` as one complete frame.
+    ///
+    /// # Panics
+    /// As [`Self::encode`].
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         if let ResponseBody::RowChunk { table, rows } = &self.body {
             encode_row_chunk_into(out, self.id, *table, rows);
@@ -648,10 +687,10 @@ impl Response {
         w.u64(self.id);
         let kind = match &self.body {
             ResponseBody::Header { tables } => {
-                w.u8(tables.len() as u8);
+                w.len::<u8>("header tables", tables.len());
                 for t in tables {
                     w.str(&t.name);
-                    w.u16(t.columns.len() as u16);
+                    w.len::<u16>("header columns", t.columns.len());
                     for c in &t.columns {
                         w.str(c);
                     }
@@ -712,7 +751,7 @@ impl Response {
                 w.u64(s.meta_ticks);
                 w.u64(s.anomalies_total);
                 w.u64(s.anomalies_deterministic);
-                w.u16(s.anomalies.len() as u16);
+                w.len::<u16>("stats anomalies", s.anomalies.len());
                 for a in &s.anomalies {
                     w.u64(a.tick);
                     w.str(&a.stream);
@@ -720,7 +759,7 @@ impl Response {
                     w.u32(a.share_milli);
                     w.u8(a.deterministic as u8);
                 }
-                w.u32(s.counters.len() as u32);
+                w.len::<u32>("stats counters", s.counters.len());
                 for (name, value) in &s.counters {
                     w.str(name);
                     w.u64(*value);
@@ -730,13 +769,13 @@ impl Response {
                 w.u64(s.breaker_recoveries);
                 w.u64(s.breaker_reopens);
                 w.u64(s.breaker_skipped);
-                w.u16(s.breaker_nodes.len() as u16);
+                w.len::<u16>("stats breaker nodes", s.breaker_nodes.len());
                 for (shard, dn, state) in &s.breaker_nodes {
                     w.u32(*shard);
                     w.u32(*dn);
                     w.u8(*state);
                 }
-                w.u16(s.shard_stats.len() as u16);
+                w.len::<u16>("stats shard rows", s.shard_stats.len());
                 for st in &s.shard_stats {
                     w.u32(st.shard);
                     w.u64(st.bytes);
@@ -748,7 +787,7 @@ impl Response {
             }
             ResponseBody::Trace(t) => {
                 w.u64(t.trace_id);
-                w.u32(t.spans.len() as u32);
+                w.len::<u32>("trace spans", t.spans.len());
                 for s in &t.spans {
                     w.u64(s.span_id);
                     w.u64(s.parent_id);
@@ -756,7 +795,7 @@ impl Response {
                     w.u64(s.start_us);
                     w.u64(s.dur_us);
                     w.u8(s.instant as u8);
-                    w.u16(s.args.len() as u16);
+                    w.len::<u16>("span args", s.args.len());
                     for (k, v) in &s.args {
                         w.str(k);
                         w.str(v);
@@ -766,7 +805,7 @@ impl Response {
             }
             ResponseBody::Profile(p) => {
                 w.u64(p.trace_id);
-                w.u32(p.metrics.len() as u32);
+                w.len::<u32>("profile metrics", p.metrics.len());
                 for (metric, value) in &p.metrics {
                     w.str(metric);
                     w.str(value);
@@ -1128,6 +1167,60 @@ mod tests {
                 deadline_ms: 0,
             },
         });
+    }
+
+    #[test]
+    fn the_longest_lists_the_wire_holds_round_trip() {
+        roundtrip_request(Request {
+            id: 1,
+            body: RequestBody::Explore {
+                attributes: vec![String::new(); usize::from(u16::MAX)],
+                bbox: (0.0, 0.0, 1.0, 1.0),
+                window: (0, 0),
+                deadline_ms: 0,
+            },
+        });
+        let table = TableHeader {
+            name: "t".into(),
+            columns: vec![],
+        };
+        roundtrip_response(Response {
+            id: 2,
+            body: ResponseBody::Header {
+                tables: vec![table; usize::from(u8::MAX)],
+            },
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "explore attributes: length 65536")]
+    fn an_explore_with_more_attributes_than_the_wire_holds_is_not_sent() {
+        Request {
+            id: 1,
+            body: RequestBody::Explore {
+                attributes: vec![String::new(); 1 << 16],
+                bbox: (0.0, 0.0, 1.0, 1.0),
+                window: (0, 0),
+                deadline_ms: 0,
+            },
+        }
+        .encode();
+    }
+
+    #[test]
+    #[should_panic(expected = "header tables: length 256")]
+    fn a_header_with_more_tables_than_the_wire_holds_is_not_sent() {
+        let table = TableHeader {
+            name: "t".into(),
+            columns: vec![],
+        };
+        Response {
+            id: 2,
+            body: ResponseBody::Header {
+                tables: vec![table; 256],
+            },
+        }
+        .encode();
     }
 
     #[test]

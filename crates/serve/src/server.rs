@@ -1354,11 +1354,14 @@ fn lookahead(window: (u32, u32), last: EpochId) -> RangeInclusive<u32> {
 /// it in between, the zero-stale-reads contract. `None`, and nothing
 /// cached, when a shard no longer retains it.
 fn load_into_cache(shared: &Shared, epoch: EpochId) -> Option<Arc<Snapshot>> {
-    shared.shards.load_epoch_merged_with(epoch, |snapshot| {
-        let arc = Arc::new(snapshot);
-        shared.cache.insert(epoch, arc.clone());
-        arc
-    })
+    let every_shard = 0..shared.shards.n_shards();
+    shared
+        .shards
+        .load_epoch_merged_with(every_shard, epoch, |snapshot| {
+            let arc = Arc::new(snapshot);
+            shared.cache.insert(epoch, arc.clone());
+            arc
+        })
 }
 
 /// Resolve one epoch for serving: shared cache first, guard-all shard
