@@ -35,7 +35,7 @@ pub mod store;
 pub use chunker::{Chunking, Layout};
 pub use hash::{sha256, ChunkHash};
 pub use manifest::{build_merkle, EpochManifest, Merkle};
-pub use reader::{EpochReader, SnapshotColumns};
+pub use reader::{stored_tables, EpochReader, SnapshotColumns};
 pub use store::{CasConfig, CasRecoverReport, CasStats, CasStore, PutReceipt};
 
 use codecs::CodecError;

@@ -3,8 +3,13 @@
 //! [`crate::CasStore::open_epoch`] hands out an [`EpochReader`] holding
 //! the verified manifest and the epoch's verified pack, nothing inflated.
 //! [`EpochReader::table`] inflates the one unit of a table and returns the
-//! table column by column, and [`EpochReader::snapshot_columns`] the tables
-//! a read asked for: every read of a stored epoch reads columns.
+//! table column by column: every read of a stored epoch reads columns.
+//! The tables are independent, and `table` takes `&self`, so the reader
+//! is shared by reference and a read of both tables may inflate them on
+//! two threads at once: [`stored_tables`] names a read's tables, one piece
+//! of work each, and [`EpochReader::columns`] puts what they returned
+//! together. The reader itself starts no thread.
+//! [`EpochReader::snapshot_columns`] is the same read on one thread, and
 //! [`EpochReader::assemble`], the reference the tests hold them against,
 //! rebuilds the text. Both go through one private `inflate`: a unit is
 //! lent only after its inflated bytes matched its hash.
@@ -37,6 +42,13 @@ pub struct SnapshotColumns {
     pub tables: Vec<(TableKind, ColumnTable)>,
     /// Rows of the snapshot, both tables: what a walk of its text counts.
     pub rows: u64,
+}
+
+/// The tables a read of `wanted` inflates, in stored order (CDR before
+/// NMS), each with its index for [`EpochReader::table`].
+pub fn stored_tables(wanted: &[TableKind]) -> impl Iterator<Item = (usize, TableKind)> + '_ {
+    let stored = SNAPSHOT_SECTIONS.into_iter().enumerate();
+    stored.filter(|(_, kind)| wanted.contains(kind))
 }
 
 /// The inflate span of each table, in stored order.
@@ -135,14 +147,16 @@ impl<'s> EpochReader<'s> {
     /// field reads the same. The store took only text as `to_bytes` writes
     /// it (no `\r`), so there is no text left to fall back to.
     pub fn snapshot_columns(&self, wanted: &[TableKind]) -> Result<SnapshotColumns, CasError> {
-        let mut tables = Vec::with_capacity(wanted.len());
-        for (i, kind) in SNAPSHOT_SECTIONS.into_iter().enumerate() {
-            if wanted.contains(&kind) {
-                tables.push((kind, self.table(i)?));
-            }
-        }
+        let tables = stored_tables(wanted).map(|(i, kind)| Ok((kind, self.table(i)?)));
+        Ok(self.columns(tables.collect::<Result<_, CasError>>()?))
+    }
+
+    /// The snapshot's columns from `tables`, each one [`Self::table`]
+    /// returned, in stored order: what [`Self::snapshot_columns`] lends of
+    /// the tables read.
+    pub fn columns(&self, tables: Vec<(TableKind, ColumnTable)>) -> SnapshotColumns {
         let rows = self.manifest.tables.iter().map(|t| u64::from(t.rows)).sum();
-        Ok(SnapshotColumns { tables, rows })
+        SnapshotColumns { tables, rows }
     }
 
     /// The stored snapshot's text, rebuilt: every unit inflated and

@@ -29,7 +29,7 @@ use crate::hash::ChunkHash;
 use crate::manifest::{build_merkle, EpochManifest, Merkle};
 use crate::reader::EpochReader;
 use crate::{pack, CasError};
-use codecs::{Codec, SevenzLite};
+use codecs::{varint, Codec, SevenzLite};
 use dfs::{Dfs, DfsError};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
@@ -272,7 +272,7 @@ impl CasStore {
         let mut dedup_saved = 0u64;
         for at in values {
             let value = pieces[at].as_slice();
-            let fresh = inline_at.len() as u32;
+            let fresh = varint::len_u32("cas constant index", inline_at.len());
             let i = *inline_index_of.entry(value).or_insert(fresh);
             if i == fresh {
                 inline_at.push(at);

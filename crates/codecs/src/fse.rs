@@ -224,7 +224,7 @@ impl FseDecoder {
 
 /// Serialize normalized frequencies (nonzero count, then varint pairs).
 pub fn write_norm(out: &mut Vec<u8>, norm: &[u32]) {
-    crate::varint::write_u32(out, norm.len() as u32);
+    crate::varint::write_len(out, "fse alphabet", norm.len());
     let present = norm.iter().filter(|&&f| f > 0).count();
     crate::varint::write_u32(out, present as u32);
     for (sym, &freq) in norm.iter().enumerate() {

@@ -71,7 +71,7 @@ fn encode_block(out: &mut Vec<u8>, tokens: &[Token]) {
 
     write_lengths(out, litlen_enc.lengths());
     write_lengths(out, dist_enc.lengths());
-    varint::write_u32(out, tokens.len() as u32);
+    varint::write_len(out, "gzip block tokens", tokens.len());
 
     let mut w = BitWriter::with_capacity(tokens.len());
     for t in tokens {
@@ -93,7 +93,7 @@ fn encode_block(out: &mut Vec<u8>, tokens: &[Token]) {
         }
     }
     let bits = w.finish();
-    varint::write_u32(out, bits.len() as u32);
+    varint::write_len(out, "gzip block bits", bits.len());
     out.extend_from_slice(&bits);
 }
 
@@ -267,7 +267,7 @@ impl Codec for GzipLite {
         varint::write_u64(&mut out, input.len() as u64);
         out.extend_from_slice(&crc32(input).to_le_bytes());
         let blocks: Vec<&[Token]> = tokens.chunks(BLOCK_TOKENS).collect();
-        varint::write_u32(&mut out, blocks.len() as u32);
+        varint::write_len(&mut out, "gzip blocks", blocks.len());
         for block in blocks {
             encode_block(&mut out, block);
         }

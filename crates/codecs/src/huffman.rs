@@ -398,7 +398,7 @@ impl HuffmanDecoder {
 
 /// Serialize a length array as 4-bit nibbles (lengths ≤ 15).
 pub fn write_lengths(out: &mut Vec<u8>, lengths: &[u8]) {
-    crate::varint::write_u32(out, lengths.len() as u32);
+    crate::varint::write_len(out, "huffman code lengths", lengths.len());
     let mut nibble_hi = false;
     let mut cur = 0u8;
     for &l in lengths {

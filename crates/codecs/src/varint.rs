@@ -23,6 +23,35 @@ pub fn write_u32(out: &mut Vec<u8>, value: u32) {
     write_u64(out, u64::from(value));
 }
 
+/// Append `n`, the length of `field`, as a `u32` varint.
+///
+/// # Panics
+/// If `n` does not fit in a `u32`, naming `field`: a truncated length
+/// would frame the bytes behind it as something else.
+#[inline]
+pub fn write_len(out: &mut Vec<u8>, field: &str, n: usize) {
+    write_u32(out, len_u32(field, n));
+}
+
+/// `n`, the length of `field`, as the `u32` a container stores it as.
+///
+/// # Panics
+/// As [`write_len`].
+#[inline]
+pub fn len_u32(field: &str, n: usize) -> u32 {
+    match u32::try_from(n) {
+        Ok(fits) => fits,
+        Err(_) => too_long(field, n),
+    }
+}
+
+/// [`len_u32`]'s panic, kept out of the line of every length written.
+#[cold]
+#[inline(never)]
+fn too_long(field: &str, n: usize) -> ! {
+    panic!("{field}: length {n} does not fit a u32 varint");
+}
+
 /// Decode a varint starting at `input[*pos]`, advancing `*pos`.
 #[inline]
 pub fn read_u64(input: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
@@ -90,6 +119,26 @@ mod tests {
         assert_eq!(len(16_383), 2);
         assert_eq!(len(16_384), 3);
         assert_eq!(len(u64::MAX), 10);
+    }
+
+    #[test]
+    fn a_length_that_fits_is_written_as_its_u32() {
+        let (mut checked, mut plain) = (Vec::new(), Vec::new());
+        write_len(&mut checked, "field", u32::MAX as usize);
+        write_u32(&mut plain, u32::MAX);
+        assert_eq!(checked, plain);
+    }
+
+    #[test]
+    #[should_panic(expected = "gzip block bits: length 4294967296 does not fit a u32 varint")]
+    fn a_length_past_u32_is_not_written() {
+        write_len(&mut Vec::new(), "gzip block bits", 1 << 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "cas constant index: length 4294967297")]
+    fn a_length_past_u32_is_not_truncated() {
+        len_u32("cas constant index", (1 << 32) + 1);
     }
 
     #[test]

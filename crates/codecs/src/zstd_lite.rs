@@ -115,7 +115,7 @@ fn write_stream(out: &mut Vec<u8>, symbols: &[u16], alphabet: usize, table_log: 
     if distinct == 1 {
         out.push(MODE_RLE);
         varint::write_u32(out, u32::from(symbols[0]));
-        varint::write_u32(out, symbols.len() as u32);
+        varint::write_len(out, "zstd rle symbols", symbols.len());
         return;
     }
     let norm = normalize(&counts, table_log).expect("nonempty stream");
@@ -123,9 +123,9 @@ fn write_stream(out: &mut Vec<u8>, symbols: &[u16], alphabet: usize, table_log: 
     let (bits, state) = enc.encode_all(symbols);
     out.push(MODE_FSE);
     write_norm(out, &norm);
-    varint::write_u32(out, symbols.len() as u32);
+    varint::write_len(out, "zstd fse symbols", symbols.len());
     varint::write_u32(out, state);
-    varint::write_u32(out, bits.len() as u32);
+    varint::write_len(out, "zstd fse bits", bits.len());
     out.extend_from_slice(&bits);
 }
 
@@ -228,7 +228,7 @@ impl Codec for ZstdLite {
         write_stream(&mut out, &dd, SLOT_ALPHABET, SLOT_TABLE_LOG);
         varint::write_u32(&mut out, s.trailing);
         let extra_bytes = extras.finish();
-        varint::write_u32(&mut out, extra_bytes.len() as u32);
+        varint::write_len(&mut out, "zstd extra bits", extra_bytes.len());
         out.extend_from_slice(&extra_bytes);
         out
     }

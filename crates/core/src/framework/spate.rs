@@ -441,9 +441,9 @@ impl ExplorationFramework for SpateFramework {
 
     /// `Q(a, b, w)` over this warehouse. The exact branch is
     /// [`crate::query::run_exact`] over the store's reads of the window
-    /// (`SnapshotStore::read_ahead`): a long window's epochs may be read
-    /// ahead on a second thread, but each is scanned in epoch order, on
-    /// this thread, straight over what the store holds of it — serialized
+    /// (`SnapshotStore::read_ahead`): a window's pieces — its Path leaves,
+    /// the tables of its CAS epochs — may be decoded on a second thread,
+    /// but each epoch is scanned whole and in epoch order, on this thread, straight over what the store holds of it — serialized
     /// text, or the columns of a CAS epoch.
     fn query(&self, q: &Query) -> QueryResult {
         let _span = obs::span("spate.query");

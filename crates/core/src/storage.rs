@@ -18,13 +18,15 @@
 //! Either way the index, decay and query layers above see the same
 //! store/load/evict surface, and a scan and [`SnapshotStore::load`] read
 //! an epoch alike: `SnapshotStore::fetch` (every dfs read), then
-//! `SnapshotStore::decode` (a Path leaf inflated into its text, a CAS
-//! epoch's tables read as columns).
+//! `SnapshotStore::decode` of each of its pieces (a Path leaf inflated
+//! into its text; each table a CAS epoch is asked for, read as columns).
 //!
-//! A scan of a window — `Q(a, b, w)`'s exact branch, T1–T8 and SPATE-SQL —
-//! reads its epochs through [`read_ahead`]: from four epochs on, a helper
-//! thread reads, inflates and verifies epochs ahead while the caller scans
-//! them, one at a time and in epoch order.
+//! Every read of stored epochs — `Q(a, b, w)`'s exact branch, T1–T8,
+//! SPATE-SQL and [`SnapshotStore::load`] — goes through [`read_ahead`]:
+//! from two pieces on, a helper thread fetches, inflates and verifies
+//! pieces beside the caller, so a one-epoch CAS read inflates its CDR and
+//! NMS units at once, while the caller scans whole epochs, one at a time
+//! and in epoch order.
 
 use cas::{CasConfig, CasError, CasRecoverReport, CasStore, SnapshotColumns};
 use codecs::{Codec, CodecError};
@@ -33,7 +35,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use telco_trace::schema::TableKind;
-use telco_trace::snapshot::{Row, Snapshot, SnapshotParseError};
+use telco_trace::snapshot::{ColumnTable, Row, Snapshot, SnapshotParseError};
 use telco_trace::time::EpochId;
 
 /// Errors from the storage layer.
@@ -120,8 +122,8 @@ pub(crate) fn parse_stage<T>(parse: impl FnOnce() -> T) -> T {
 
 /// What a read of one epoch takes from the filesystem
 /// ([`SnapshotStore::fetch`]): every dfs operation of the read is done,
-/// what is left is CPU work ([`SnapshotStore::decode`]).
-pub(crate) enum Fetched<'s> {
+/// what is left is CPU work, piece by piece ([`SnapshotStore::decode`]).
+enum Fetched<'s> {
     /// A Path leaf as stored, and the codec that inflates it.
     Packed(&'s dyn Codec, Vec<u8>),
     /// A CAS epoch, opened: manifest and pack read and verified.
@@ -139,6 +141,14 @@ pub(crate) enum EpochRows {
 
 /// A scan's read of one epoch: its rows, or why it cannot be served.
 pub(crate) type EpochRead = Result<EpochRows, StorageError>;
+
+/// One piece of an epoch's read ([`SnapshotStore::decode`]).
+enum Piece {
+    /// A Path leaf inflated: the epoch's whole text.
+    Text(Vec<u8>),
+    /// One table of a CAS epoch, as columns.
+    Table(TableKind, ColumnTable),
+}
 
 /// Outcome of storing one snapshot.
 #[derive(Debug, Clone)]
@@ -338,12 +348,15 @@ impl SnapshotStore {
     }
 
     /// Load and decode the snapshot of an epoch: the read a scan of both
-    /// tables makes, then, under the `parse` stage, a Path leaf's text
-    /// parsed (its header must name `epoch`) or a CAS epoch's records built
-    /// from its verified columns — refused exactly when a scan of both its
-    /// tables is.
+    /// tables makes ([`read_ahead`] of the one epoch), then, under
+    /// the `parse` stage, a Path leaf's text parsed (its header must name
+    /// `epoch`) or a CAS epoch's records built from its verified columns —
+    /// refused exactly when a scan of both its tables is.
     pub fn load(&self, epoch: EpochId) -> Result<Snapshot, StorageError> {
-        let read = Self::decode(self.fetch(epoch)?, &[TableKind::Cdr, TableKind::Nms])?;
+        let both = [TableKind::Cdr, TableKind::Nms];
+        let read = self.read_ahead(&[epoch], &both, |reads| {
+            reads.next().expect("a read of the one epoch").1
+        })?;
         parse_stage(|| match read {
             EpochRows::Text(text) => {
                 let snap = Snapshot::from_bytes(&text)?;
@@ -359,7 +372,7 @@ impl SnapshotStore {
     /// The first half of a read of an epoch, every filesystem operation
     /// of it: the Path leaf's bytes, or the CAS epoch opened (manifest and
     /// pack read and hash-verified), under the `read` stage.
-    pub(crate) fn fetch(&self, epoch: EpochId) -> Result<Fetched<'_>, StorageError> {
+    fn fetch(&self, epoch: EpochId) -> Result<Fetched<'_>, StorageError> {
         let _s = obs::stage("read");
         obs::cost::touch_epoch(u64::from(epoch.0));
         match &self.backend {
@@ -375,32 +388,67 @@ impl SnapshotStore {
         }
     }
 
-    /// The second half: what a read of `tables` takes of the fetched
-    /// epoch. A Path leaf is inflated into its text, under the `decompress`
-    /// stage. A CAS epoch has the tables of `tables` and no
-    /// other inflated, verified and indexed, under the `read` stage
-    /// ([`cas::EpochReader::snapshot_columns`]: checked as the parser
-    /// checks the same tables of the text, nothing lent before every table
-    /// asked for has passed).
-    pub(crate) fn decode(
-        fetched: Fetched<'_>,
+    /// How many pieces a read of `tables` decodes of an epoch: a Path
+    /// leaf is one, a CAS epoch one per table asked for.
+    fn pieces(&self, tables: &[TableKind]) -> usize {
+        match &self.backend {
+            Backend::Path { .. } => 1,
+            Backend::Cas(_) => cas::stored_tables(tables).count(),
+        }
+    }
+
+    /// The second half, one piece at a time: piece `piece` of what a read
+    /// of `tables` takes of the fetched epoch. A Path leaf's one piece is
+    /// the leaf inflated into its text, under the `decompress` stage. A
+    /// CAS epoch's piece `i` is the `i`-th table of `tables` in stored
+    /// order inflated, verified and indexed, under the `read` stage
+    /// ([`cas::EpochReader::table`]: checked as the parser checks the same
+    /// table of the text).
+    fn decode(
+        fetched: &Fetched<'_>,
         tables: &[TableKind],
-    ) -> Result<EpochRows, StorageError> {
-        let reader = match fetched {
+        piece: usize,
+    ) -> Result<Piece, StorageError> {
+        match fetched {
             Fetched::Packed(codec, bytes) => {
                 let _s = obs::stage("decompress");
-                return Ok(EpochRows::Text(codec.decompress_metered(&bytes)?));
+                Ok(Piece::Text(codec.decompress_metered(bytes)?))
             }
-            Fetched::Open(reader) => reader,
+            Fetched::Open(reader) => {
+                let _s = obs::stage("read");
+                let (at, kind) = cas::stored_tables(tables)
+                    .nth(piece)
+                    .expect("a piece per table asked for");
+                Ok(Piece::Table(kind, reader.table(at)?))
+            }
+        }
+    }
+
+    /// An epoch's read from its pieces, in order: the text, or the columns
+    /// of every table asked for. The first piece that failed refuses the
+    /// whole epoch, as [`cas::EpochReader::snapshot_columns`] refuses it:
+    /// nothing of an epoch is lent before every piece of it has passed.
+    fn join(
+        fetched: Fetched<'_>,
+        pieces: impl Iterator<Item = Result<Piece, StorageError>>,
+    ) -> EpochRead {
+        let mut tables = Vec::new();
+        for piece in pieces {
+            match piece? {
+                Piece::Text(text) => return Ok(EpochRows::Text(text)),
+                Piece::Table(kind, table) => tables.push((kind, table)),
+            }
+        }
+        let Fetched::Open(reader) = fetched else {
+            unreachable!("a Path leaf's one piece is its text")
         };
-        let _s = obs::stage("read");
-        Ok(EpochRows::Columns(reader.snapshot_columns(tables)?))
+        Ok(EpochRows::Columns(reader.columns(tables)))
     }
 
     /// Read `epochs` for a scan of `tables` and lend `scan` each epoch's
     /// read, in order, on this thread ([`read_ahead`] of [`Self::fetch`]
-    /// and [`Self::decode`]): a long window is read ahead on a second
-    /// thread while the caller scans.
+    /// and the pieces of [`Self::decode`]): a window of two pieces or more
+    /// is read on two threads while the caller scans.
     pub(crate) fn read_ahead<R>(
         &self,
         epochs: &[EpochId],
@@ -408,8 +456,16 @@ impl SnapshotStore {
         scan: impl FnOnce(&mut dyn Iterator<Item = (EpochId, EpochRead)>) -> R,
     ) -> R {
         let fetch = |epoch| self.fetch(epoch);
-        let decode = |_, fetched: Result<Fetched<'_>, _>| Self::decode(fetched?, tables);
-        read_ahead(epochs, fetch, decode, scan)
+        let decode = |fetched: &Result<Fetched<'_>, StorageError>, piece| {
+            let fetched = fetched.as_ref().ok()?;
+            Some(Self::decode(fetched, tables, piece))
+        };
+        read_ahead(epochs, self.pieces(tables), fetch, decode, |reads| {
+            scan(&mut reads.map(|(epoch, fetched, pieces)| {
+                let read = fetched.and_then(|f| Self::join(f, pieces.into_iter().flatten()));
+                (epoch, read)
+            }))
+        })
     }
 
     /// `ExplorationFramework::scan_rows` over this store, for RAW, SHAHED
@@ -551,84 +607,93 @@ fn parse_leaf_epoch(path: &str, suffix: &str) -> Option<EpochId> {
 
 // ------------------------------------------------------------- read-ahead
 
-/// Windows of fewer epochs are read on the caller's thread alone: a
-/// helper costs more to start than it could save on them.
-pub const READ_AHEAD_MIN: usize = 4;
-
 /// The most epochs a read-ahead holds, read or being read, the one the
 /// scan holds included: what bounds the decoded bytes a long window keeps
 /// in memory.
 pub const READ_AHEAD_SLOTS: usize = 4;
 
 /// Read each of `epochs` and lend it to `scan`, in epoch order, on this
-/// thread. Reading an epoch is two steps: `fetch`, which does every
-/// filesystem operation of the read, then `decode` of what it fetched
-/// (inflate, verify, index).
+/// thread, as `(epoch, what fetch returned, every piece decoded)`. Reading
+/// an epoch is `fetch`, which does every filesystem operation of the read,
+/// then `pieces` pieces of CPU work on what it fetched, `decode(&fetched,
+/// p)` for each `p` in `0..pieces`: one table of a CAS epoch, or a whole
+/// Path leaf (inflate, verify, index). The unit of work is a piece, and an
+/// epoch's first piece does its fetch before it decodes.
 ///
-/// A window of [`READ_AHEAD_MIN`] epochs or more is read by this thread
-/// and one scoped helper thread, each claiming the next unread epoch from
-/// one shared cursor:
+/// A window of two pieces or more is read by this thread and one scoped
+/// helper thread, each claiming the next unclaimed piece from one shared
+/// cursor, in window order:
 ///
-/// - **Order.** `scan` gets every epoch once, in window order, on this
-///   thread. The fetches run in window order too, whichever thread runs
-///   them, so the filesystem sees the operations a one-thread scan
-///   issues, in the same order.
+/// - **Order.** `scan` gets every epoch once, whole, in window order, on
+///   this thread. The fetches run once per epoch and in window order,
+///   whichever thread runs them, so the filesystem sees the operations a
+///   one-thread scan issues, in the same order; both threads decode the
+///   pieces of a fetched epoch from the one fetched value, by reference.
 /// - **No waiting on a late helper.** When the epoch `scan` asks for next
-///   is unclaimed, this thread reads it itself. While the helper is
-///   reading it, this thread reads the next unclaimed epoch ahead into
-///   its slot, as the helper would; it waits only when the slots are
-///   full.
-/// - **Bounded.** The helper claims an epoch only while fewer than
-///   [`READ_AHEAD_SLOTS`] epochs from the one the scan holds on are read
-///   or being read.
+///   has an unclaimed piece, this thread decodes it itself. While the
+///   helper decodes one, this thread decodes the next unclaimed piece
+///   ahead, as the helper would; it waits only when the slots are full.
+/// - **Bounded.** A piece is claimed only while its epoch is one of the
+///   [`READ_AHEAD_SLOTS`] from the one the scan holds on.
 /// - **Budget.** The helper runs in the caller's [`obs::context`] and
-///   claims nothing once [`obs::budget::interrupted`] says stop; the
-///   caller's checkpoint is its own loop's, before it asks for the next
-///   epoch. When `scan` returns, the helper finishes at most the epoch it
-///   is reading and is joined, and its cost profile joins the caller's.
-/// - **Panics.** A read that panics on the helper panics on this thread
-///   when `scan` reaches its epoch, as if it had been read here.
+///   claims nothing once [`obs::budget::interrupted`] says stop; this
+///   thread's checkpoint is `scan`'s own, before it asks for the next
+///   epoch, and once it has asked, the epoch is read whole. When `scan`
+///   returns, the helper finishes at most the piece it is decoding and is
+///   joined, and its cost profile joins the caller's.
+/// - **Panics.** A fetch or a piece that panics, on either thread, panics
+///   on this thread when `scan` reaches its epoch, as if it had been read
+///   here.
+/// - **No nesting.** `fetch` and `decode` start no thread: the pieces are
+///   the only parallelism of a read, which takes two threads at most.
 /// - **Nothing persistent.** The helper lives for one call; when it
 ///   cannot be spawned, this thread reads the whole window alone.
-pub fn read_ahead<F, T: Send, R>(
+pub fn read_ahead<F: Send + Sync, P: Send, R>(
     epochs: &[EpochId],
+    pieces: usize,
     fetch: impl Fn(EpochId) -> F + Sync,
-    decode: impl Fn(EpochId, F) -> T + Sync,
-    scan: impl FnOnce(&mut dyn Iterator<Item = (EpochId, T)>) -> R,
+    decode: impl Fn(&F, usize) -> P + Sync,
+    scan: impl FnOnce(&mut dyn Iterator<Item = (EpochId, F, Vec<P>)>) -> R,
 ) -> R {
-    if epochs.len() < READ_AHEAD_MIN {
-        return scan(&mut epochs.iter().map(|&e| (e, decode(e, fetch(e)))));
-    }
     let ahead = Ahead {
         epochs,
+        pieces,
+        per_epoch: pieces.max(1),
         fetch: &fetch,
         decode: &decode,
         state: Mutex::new(Claims {
             claimed: 0,
             fetched: 0,
             held: 0,
-            slots: epochs.iter().map(|_| None).collect(),
+            slots: epochs
+                .iter()
+                .map(|_| Slot {
+                    fetched: None,
+                    pieces: (0..pieces).map(|_| None).collect(),
+                })
+                .collect(),
             ended: false,
             sleepers: 0,
         }),
         changed: Condvar::new(),
     };
-    let context = obs::context::capture();
+    let ahead = &ahead;
     std::thread::scope(|s| {
-        let helper = std::thread::Builder::new()
-            .name("read-ahead".into())
-            .spawn_scoped(s, || {
-                let entered = context.enter();
-                ahead.help();
-                entered.leave()
-            });
-        let mut lender = Lender {
-            ahead: &ahead,
-            next: 0,
-        };
+        let helper = (epochs.len() * pieces >= 2).then(|| {
+            let context = obs::context::capture();
+            std::thread::Builder::new()
+                .name("read-ahead".into())
+                .spawn_scoped(s, move || {
+                    let entered = context.enter();
+                    obs::trace::event("read-ahead", &[]);
+                    ahead.help();
+                    entered.leave()
+                })
+        });
+        let mut lender = Lender { ahead, next: 0 };
         let scanned = scan(&mut lender);
         drop(lender);
-        if let Ok(helper) = helper {
+        if let Some(Ok(helper)) = helper {
             match helper.join() {
                 Ok(Some(profile)) => obs::cost::absorb(&profile),
                 Ok(None) => {}
@@ -640,42 +705,76 @@ pub fn read_ahead<F, T: Send, R>(
 }
 
 /// The state a [`read_ahead`]'s two threads share.
-struct Ahead<'a, FF, DF, T> {
+struct Ahead<'a, FF, DF, F, P> {
     epochs: &'a [EpochId],
+    /// Pieces of each epoch's decode.
+    pieces: usize,
+    /// Work items of each epoch: its pieces, or its fetch alone.
+    per_epoch: usize,
     fetch: &'a FF,
     decode: &'a DF,
-    state: Mutex<Claims<T>>,
+    state: Mutex<Claims<F, P>>,
     /// Signalled when `state` changes while a thread waits on it: each
     /// thread waits only for the other.
     changed: Condvar,
 }
 
-/// Who has read what, by index into the window.
-struct Claims<T> {
-    /// Epochs claimed: the next unclaimed index.
+/// Who has read what. Work item `k` is piece `k % per_epoch` of epoch
+/// `k / per_epoch`, and epochs are indices into the window.
+struct Claims<F, P> {
+    /// Work items claimed: the next unclaimed one.
     claimed: usize,
     /// Epochs fetched: the index whose fetch may start.
     fetched: usize,
     /// The epoch the scan holds, or asked for last: it is done with every
     /// one before.
     held: usize,
-    /// What the helper read, until it is lent: the decoded epoch, or the
-    /// panic its read raised.
-    slots: Vec<Option<std::thread::Result<T>>>,
+    /// What each epoch's work left, until it is lent.
+    slots: Vec<Slot<F, P>>,
     /// The scan is over: nothing more is claimed or waited for.
     ended: bool,
     /// Threads waiting on `changed`.
     sleepers: u8,
 }
 
-impl<FF, DF, T> Ahead<'_, FF, DF, T> {
+/// One epoch's read, as far as it has come.
+struct Slot<F, P> {
+    /// What its fetch returned, shared with the pieces decoding it, or the
+    /// panic the fetch raised.
+    fetched: Option<std::thread::Result<Arc<F>>>,
+    /// Each piece decoded, or the panic it raised.
+    pieces: Vec<Option<std::thread::Result<P>>>,
+}
+
+impl<F, P> Slot<F, P> {
+    /// The whole read, once it is done: what was fetched and every piece
+    /// decoded, or the first panic of the fetch and the pieces.
+    fn take(&mut self) -> Option<std::thread::Result<(F, Vec<P>)>> {
+        let done = match self.fetched.as_ref()? {
+            Ok(_) => self.pieces.iter().all(Option::is_some),
+            Err(_) => true,
+        };
+        if !done {
+            return None;
+        }
+        let read = self.fetched.take()?.and_then(|fetched| {
+            let pieces = self.pieces.drain(..).flatten();
+            let pieces = pieces.collect::<std::thread::Result<Vec<P>>>()?;
+            let fetched = Arc::into_inner(fetched);
+            Ok((fetched.expect("every piece let go of its fetch"), pieces))
+        });
+        Some(read)
+    }
+}
+
+impl<FF, DF, F, P> Ahead<'_, FF, DF, F, P> {
     /// Every update of the claims is one field assigned, so they are
     /// whole even after a panic elsewhere poisoned the lock.
-    fn claims(&self) -> MutexGuard<'_, Claims<T>> {
+    fn claims(&self) -> MutexGuard<'_, Claims<F, P>> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn wait<'g>(&self, mut claims: MutexGuard<'g, Claims<T>>) -> MutexGuard<'g, Claims<T>> {
+    fn wait<'g>(&self, mut claims: MutexGuard<'g, Claims<F, P>>) -> MutexGuard<'g, Claims<F, P>> {
         claims.sleepers += 1;
         let mut claims = self
             .changed
@@ -686,80 +785,89 @@ impl<FF, DF, T> Ahead<'_, FF, DF, T> {
     }
 
     /// Wake the other thread, if it waits, after `claims` changed.
-    fn wake(&self, claims: &Claims<T>) {
+    fn wake(&self, claims: &Claims<F, P>) {
         if claims.sleepers > 0 {
             self.changed.notify_all();
         }
     }
-}
 
-impl<F, T, FF, DF> Ahead<'_, FF, DF, T>
-where
-    FF: Fn(EpochId) -> F,
-    DF: Fn(EpochId, F) -> T,
-{
-    /// Read epoch `i`, which this thread claimed: its fetch once every
-    /// earlier epoch's fetch is done, then its decode, each catching a
-    /// panic. `None` when the scan ended before the fetch's turn came.
-    fn read(&self, i: usize) -> Option<std::thread::Result<T>> {
-        let mut claims = self.claims();
-        while claims.fetched < i {
-            if claims.ended {
-                return None;
-            }
-            claims = self.wait(claims);
-        }
-        drop(claims);
-        let epoch = self.epochs[i];
-        let fetched = catch_unwind(AssertUnwindSafe(|| (self.fetch)(epoch)));
-        let mut claims = self.claims();
-        claims.fetched = i + 1;
-        self.wake(&claims);
-        drop(claims);
-        Some(fetched.and_then(|f| catch_unwind(AssertUnwindSafe(|| (self.decode)(epoch, f)))))
-    }
-
-    /// Claim the next unclaimed epoch to read ahead of the scan, if the
+    /// Claim the next unclaimed work item to do ahead of the scan, if the
     /// slots and the budget allow.
-    fn claim_ahead(&self, claims: &mut Claims<T>) -> Option<usize> {
-        let allowed = claims.claimed < self.epochs.len()
-            && claims.claimed < claims.held + READ_AHEAD_SLOTS
+    fn claim_ahead(&self, claims: &mut Claims<F, P>) -> Option<usize> {
+        let allowed = claims.claimed < self.epochs.len() * self.per_epoch
+            && claims.claimed / self.per_epoch < claims.held + READ_AHEAD_SLOTS
             && obs::budget::interrupted().is_none();
         allowed.then(|| {
             claims.claimed += 1;
             claims.claimed - 1
         })
     }
+}
 
-    /// Read epoch `j`, claimed ahead, into its slot. `false` when the scan
-    /// ended first.
-    fn read_into_slot(&self, j: usize) -> bool {
-        let Some(read) = self.read(j) else {
-            return false;
-        };
+impl<FF, DF, F, P> Ahead<'_, FF, DF, F, P>
+where
+    FF: Fn(EpochId) -> F,
+    DF: Fn(&F, usize) -> P,
+{
+    /// Do work item `k`, which this thread claimed, into its epoch's slot:
+    /// the epoch's fetch first if `k` is its first item, once every earlier
+    /// epoch's fetch is done, then piece `p` of what was fetched, each
+    /// catching a panic. `false` when the scan ended before the item could
+    /// start.
+    fn work(&self, k: usize) -> bool {
+        let (i, p) = (k / self.per_epoch, k % self.per_epoch);
         let mut claims = self.claims();
-        claims.slots[j] = Some(read);
-        // The scan waits for no other slot than the one of the epoch it
-        // holds.
-        if j == claims.held {
+        if p == 0 {
+            while claims.fetched < i {
+                if claims.ended {
+                    return false;
+                }
+                claims = self.wait(claims);
+            }
+            drop(claims);
+            let fetched = catch_unwind(AssertUnwindSafe(|| (self.fetch)(self.epochs[i])));
+            claims = self.claims();
+            claims.slots[i].fetched = Some(fetched.map(Arc::new));
+            claims.fetched = i + 1;
+            self.wake(&claims);
+            if self.pieces == 0 {
+                return true;
+            }
+        }
+        let fetched = loop {
+            match &claims.slots[i].fetched {
+                Some(Ok(fetched)) => break Arc::clone(fetched),
+                // The fetch panicked: there is nothing to decode.
+                Some(Err(_)) => return true,
+                None if claims.ended => return false,
+                None => claims = self.wait(claims),
+            }
+        };
+        drop(claims);
+        let decoded = catch_unwind(AssertUnwindSafe(|| (self.decode)(&fetched, p)));
+        drop(fetched);
+        let mut claims = self.claims();
+        claims.slots[i].pieces[p] = Some(decoded);
+        // The scan waits for no other epoch than the one it holds.
+        if i == claims.held {
             self.wake(&claims);
         }
         true
     }
 
-    /// The helper: read ahead while the slots and the budget allow, until
-    /// the window is claimed or the scan is over. Every claim is filled
-    /// (the read catches its panic) unless the scan is over.
+    /// The helper: work ahead while the slots and the budget allow, until
+    /// the window is claimed or the scan is over. Every claim is done
+    /// (the work catches its panics) unless the scan is over.
     fn help(&self) {
         loop {
-            let j = {
+            let k = {
                 let mut claims = self.claims();
                 loop {
-                    if claims.ended || claims.claimed == self.epochs.len() {
+                    if claims.ended || claims.claimed == self.epochs.len() * self.per_epoch {
                         return;
                     }
-                    if let Some(j) = self.claim_ahead(&mut claims) {
-                        break j;
+                    if let Some(k) = self.claim_ahead(&mut claims) {
+                        break k;
                     }
                     if obs::budget::interrupted().is_some() {
                         return;
@@ -767,7 +875,7 @@ where
                     claims = self.wait(claims);
                 }
             };
-            if !self.read_into_slot(j) {
+            if !self.work(k) {
                 return;
             }
         }
@@ -776,27 +884,28 @@ where
 
 /// The scan's side of a [`read_ahead`]: the window's reads, in order.
 /// Dropping it ends the read-ahead.
-struct Lender<'l, 'a, FF, DF, T> {
-    ahead: &'l Ahead<'a, FF, DF, T>,
+struct Lender<'l, 'a, FF, DF, F, P> {
+    ahead: &'l Ahead<'a, FF, DF, F, P>,
     next: usize,
 }
 
-impl<F, T, FF, DF> Iterator for Lender<'_, '_, FF, DF, T>
+impl<FF, DF, F, P> Iterator for Lender<'_, '_, FF, DF, F, P>
 where
     FF: Fn(EpochId) -> F,
-    DF: Fn(EpochId, F) -> T,
+    DF: Fn(&F, usize) -> P,
 {
-    type Item = (EpochId, T);
+    type Item = (EpochId, F, Vec<P>);
 
-    /// Epoch `i`: from its slot; read here if it is unclaimed; while the
-    /// helper is reading it, this thread reads a later epoch ahead rather
-    /// than wait, when it may.
-    fn next(&mut self) -> Option<(EpochId, T)> {
+    /// Epoch `i`, once its slot holds the whole read: this thread does
+    /// each of its unclaimed items itself, and while the helper does one,
+    /// it works ahead rather than wait, when it may.
+    fn next(&mut self) -> Option<(EpochId, F, Vec<P>)> {
         const OWN_TURN: &str =
             "the scan's own fetch has its turn: only the scan ends the read-ahead";
         let i = self.next;
         let epoch = *self.ahead.epochs.get(i)?;
         self.next += 1;
+        let own_items = (i + 1) * self.ahead.per_epoch;
         let mut claims = self.ahead.claims();
         claims.held = i;
         self.ahead.wake(&claims);
@@ -804,27 +913,27 @@ where
             if let Some(read) = claims.slots[i].take() {
                 break read;
             }
-            if claims.claimed == i {
+            let k = if claims.claimed < own_items {
                 claims.claimed += 1;
-                drop(claims);
-                break self.ahead.read(i).expect(OWN_TURN);
-            }
-            if let Some(j) = self.ahead.claim_ahead(&mut claims) {
-                drop(claims);
-                assert!(self.ahead.read_into_slot(j), "{OWN_TURN}");
-                claims = self.ahead.claims();
+                claims.claimed - 1
+            } else if let Some(k) = self.ahead.claim_ahead(&mut claims) {
+                k
+            } else {
+                claims = self.ahead.wait(claims);
                 continue;
-            }
-            claims = self.ahead.wait(claims);
+            };
+            drop(claims);
+            assert!(self.ahead.work(k), "{OWN_TURN}");
+            claims = self.ahead.claims();
         };
         match read {
-            Ok(read) => Some((epoch, read)),
+            Ok((fetched, pieces)) => Some((epoch, fetched, pieces)),
             Err(panic) => std::panic::resume_unwind(panic),
         }
     }
 }
 
-impl<FF, DF, T> Drop for Lender<'_, '_, FF, DF, T> {
+impl<FF, DF, F, P> Drop for Lender<'_, '_, FF, DF, F, P> {
     fn drop(&mut self) {
         let mut claims = self.ahead.claims();
         claims.ended = true;
@@ -969,17 +1078,18 @@ mod tests {
         raw[value] = 0xFF;
         store.cas().unwrap().put_epoch(snap.epoch.0, &raw).unwrap();
         let both = [TableKind::Cdr, TableKind::Nms];
-        let scanned = SnapshotStore::decode(store.fetch(snap.epoch).unwrap(), &both);
+        let scan = |tables: &[TableKind]| {
+            store.read_ahead(&[snap.epoch], tables, |reads| reads.next().unwrap().1)
+        };
         assert!(matches!(
-            scanned,
+            scan(&both),
             Err(StorageError::Cas(CasError::Corrupt(_)))
         ));
         assert!(matches!(
             store.load(snap.epoch),
             Err(StorageError::Cas(CasError::Corrupt(_)))
         ));
-        let cdr = SnapshotStore::decode(store.fetch(snap.epoch).unwrap(), &both[..1]);
-        assert!(cdr.is_ok(), "the CDR table alone reads");
+        assert!(scan(&both[..1]).is_ok(), "the CDR table alone reads");
     }
 
     #[test]

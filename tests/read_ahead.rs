@@ -1,18 +1,20 @@
-//! The read-ahead contract (`core::storage::read_ahead`). A window of
-//! `READ_AHEAD_MIN` epochs or more is read by the caller and a helper
-//! thread claiming from one cursor, and scanned in epoch order on the
-//! caller's thread; the answers must be the ones a scan of one epoch at a
-//! time gives, whichever thread read which epoch — also when a leaf is
-//! missing or damaged, when the budget runs out mid-window, or when a read
-//! panics. Every warehouse case runs on the Path and the CAS backend; a
-//! CAS store refuses to put damaged text, so its epochs are damaged at
-//! rest.
+//! The read-ahead contract (`core::storage::read_ahead`). Its unit of
+//! work is a piece: a Path epoch is one, a CAS epoch one per table read.
+//! A window of two pieces or more is read by the caller and a helper
+//! thread claiming pieces from one cursor, and scanned whole epoch by
+//! whole epoch, in epoch order, on the caller's thread; the answers must
+//! be the ones a scan of one epoch at a time gives, whichever thread read
+//! which piece — also when a leaf or one table's unit is missing or
+//! damaged, when the budget runs out mid-window or between an epoch's
+//! pieces, or when a piece panics. Every warehouse case runs on the Path
+//! and the CAS backend; a CAS store refuses to put damaged text, so its
+//! epochs are damaged at rest.
 
-use cas::CasStore;
+use cas::{CasStore, ChunkHash, EpochManifest};
 use obs::{EventKind, SpanEvent};
 use spate::core::framework::{ExplorationFramework, IngestStats, SpaceReport, SpateFramework};
 use spate::core::query::{profile_query, run_exact, Coverage, ExactResult, Query, QueryResult};
-use spate::core::storage::{read_ahead, SnapshotStore, READ_AHEAD_MIN, READ_AHEAD_SLOTS};
+use spate::core::storage::{read_ahead, SnapshotStore, READ_AHEAD_SLOTS};
 use spate::core::tasks;
 use spate::dfs::Dfs;
 use spate::serve::{Reply, ServeConfig, Server, CHAOS_PANIC_ATTRIBUTE};
@@ -22,8 +24,8 @@ use spate::trace::schema::TableKind;
 use spate::trace::time::EpochId;
 use spate::trace::{CellLayout, Snapshot, TraceConfig, TraceGenerator};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::Duration;
 
@@ -55,8 +57,9 @@ fn warehouses(layout: &CellLayout, snaps: &[Snapshot]) -> [(&'static str, SpateF
     [("Path", path), ("CAS", cas)]
 }
 
-/// `fw` scanning one epoch at a time: no window it reads is long enough
-/// for a helper, so every read happens on the calling thread.
+/// `fw` scanning one epoch at a time: no piece of another epoch is read
+/// beside the one it scans, and a one-table scan has one piece an epoch,
+/// read on the calling thread.
 struct OneEpochAtATime<'a>(&'a SpateFramework);
 
 impl ExplorationFramework for OneEpochAtATime<'_> {
@@ -201,6 +204,29 @@ fn replace_leaf(store: &SnapshotStore, epoch: EpochId, text: Option<&[u8]>) {
     }
 }
 
+/// Damage one table of CAS epoch `epoch` at rest: the address its
+/// manifest gives the unit of table `unit` (0 CDR, 1 NMS) is not its
+/// bytes' any more. The pack and the other table stay whole, and the
+/// store, recovered, serves the edited manifest.
+fn damage_unit(cas: &CasStore, epoch: EpochId, unit: usize) {
+    let dfs = cas.dfs();
+    let codec = spate::codecs::by_name(cas.codec_name()).expect("a known codec");
+    let path = cas.manifest_path(epoch.0);
+    let stored = dfs.read(&path).expect("a manifest");
+    let mut manifest = EpochManifest::decode(&codec.decompress(&stored).expect("inflates"))
+        .expect("a manifest decodes");
+    assert_eq!(
+        manifest.units.len(),
+        2,
+        "a daytime epoch has a unit a table"
+    );
+    manifest.units[unit] = ChunkHash::of(b"not the unit");
+    dfs.delete(&path).expect("delete the manifest");
+    dfs.write(&path, &codec.compress(&manifest.encode()))
+        .expect("write the manifest");
+    assert_eq!(cas.recover().corrupt_manifests_dropped, 0);
+}
+
 /// Damage the committed files of CAS epoch `epoch` at rest: its pack cut
 /// to half (`from: None`), or the manifest and pack of epoch `from`
 /// copied over its own.
@@ -222,21 +248,24 @@ fn damage_at_rest(cas: &CasStore, epoch: EpochId, from: Option<EpochId>) {
     }
 }
 
-/// A missing, truncated or misfiled leaf at every position of windows of
-/// 3 to 8 epochs: wherever it falls — first, last, read by the caller or
-/// by the helper — every answer equals the one-epoch-at-a-time answer.
-/// On CAS a truncated leaf is a truncated pack, and a misfiled one holds
-/// the neighbour's manifest and pack.
+/// A missing, truncated or misfiled leaf, or one bad table, at every
+/// position of windows of 1 to 8 epochs: wherever it falls — first, last,
+/// read by the caller or by the helper — every answer equals the
+/// one-epoch-at-a-time answer. On CAS a truncated leaf is a truncated
+/// pack, a misfiled one holds the neighbour's manifest and pack, and a bad
+/// table is one unit whose bytes are not its address, beside a sound one:
+/// the epoch is lost to a read of that table and served to a read of the
+/// other alone (T2 reads CDR alone, `Q(a, b, w)` both). On Path a bad
+/// table is a row with a field too many, and the whole leaf is lost.
 fn damage_every_position(backend: &str) {
-    assert_eq!((READ_AHEAD_MIN, READ_AHEAD_SLOTS), (4, 4));
+    assert_eq!(READ_AHEAD_SLOTS, 4);
     let (layout, snaps) = trace();
     let warehouses = warehouses(&layout, &snaps);
     let (_, fw) = warehouses
         .iter()
         .find(|(name, _)| *name == backend)
         .unwrap();
-    // Windows from one short of the read-ahead to the whole warehouse.
-    for len in 3..=snaps.len() {
+    for len in 1..=snaps.len() {
         let end = FIRST + len as u32 - 1;
         let healthy = answers(fw, FIRST, end);
         assert_same(
@@ -251,20 +280,37 @@ fn damage_every_position(backend: &str) {
                 .find("#TABLE NMS")
                 .unwrap();
             // Cut inside the last CDR row; a whole snapshot, of a
-            // neighbour.
+            // neighbour; the last NMS row given a field too many.
             let truncated = &text[..nms - 10];
             let neighbour = &snaps[(at + 1) % snaps.len()];
             let misfiled = neighbour.to_bytes();
-            // The leaf's text, and whose files a CAS epoch takes instead.
+            let mut bad_nms = text.clone();
+            bad_nms.truncate(text.len() - 1);
+            bad_nms.extend_from_slice(b",1\n");
+            // The leaf's text; whose files a CAS epoch takes instead, or
+            // which of its units is bad.
             let damages = [
-                ("missing", None, None),
-                ("truncated", Some(truncated), None),
-                ("misfiled", Some(misfiled.as_slice()), Some(neighbour.epoch)),
+                ("missing", None, Damage::Cut),
+                ("truncated", Some(truncated), Damage::Cut),
+                (
+                    "misfiled",
+                    Some(misfiled.as_slice()),
+                    Damage::From(neighbour.epoch),
+                ),
+                ("bad CDR table", Some(text.as_slice()), Damage::Unit(0)),
+                ("bad NMS table", Some(bad_nms.as_slice()), Damage::Unit(1)),
             ];
-            for (damage, leaf, from) in damages {
-                match (fw.store().cas(), leaf) {
-                    (Some(cas), Some(leaf)) => {
+            for (damage, leaf, at_rest) in damages {
+                match (fw.store().cas(), leaf, at_rest) {
+                    (Some(cas), _, Damage::Unit(unit)) => damage_unit(cas, snap.epoch, unit),
+                    // A bad CDR table of a Path leaf is the truncated one.
+                    (None, _, Damage::Unit(0)) => continue,
+                    (Some(cas), Some(leaf), _) => {
                         assert!(cas.put_epoch(snap.epoch.0, leaf).is_err(), "{damage}");
+                        let from = match at_rest {
+                            Damage::From(from) => Some(from),
+                            _ => None,
+                        };
                         damage_at_rest(cas, snap.epoch, from);
                     }
                     _ => replace_leaf(fw.store(), snap.epoch, leaf),
@@ -282,6 +328,17 @@ fn damage_every_position(backend: &str) {
             &healthy,
         );
     }
+}
+
+/// How a CAS epoch is damaged at rest, beside the text it is refused.
+#[derive(Clone, Copy)]
+enum Damage {
+    /// Its pack cut in half; with no leaf text, nothing left.
+    Cut,
+    /// The manifest and pack of another epoch.
+    From(EpochId),
+    /// One table's unit ([`damage_unit`]).
+    Unit(usize),
 }
 
 #[test]
@@ -353,44 +410,106 @@ fn a_cancel_before_epoch_k_serves_exactly_the_first_k() {
         assert_eq!(fw.store().dfs().metrics().reads, reads, "{backend}");
     }
 
-    // The exact branch's loop over read-ahead reads: a cancel armed
-    // before epoch `k` cuts the window off there, whatever the helper
-    // had read ahead.
+    // The exact branch's loop over read-ahead reads of one and of two
+    // pieces an epoch: a cancel armed before epoch `k` cuts the window off
+    // there, whatever the helper had read ahead.
     let epochs: Vec<EpochId> = (0..8).map(EpochId).collect();
-    for k in 0..=epochs.len() {
+    for pieces in [1, 2] {
+        for k in 0..=epochs.len() {
+            let cancel = obs::CancelFlag::new();
+            let _budget = obs::budget::begin(None, cancel.clone());
+            if k == 0 {
+                cancel.cancel();
+            }
+            let mut out = empty_result();
+            let run = read_ahead(
+                &epochs,
+                pieces,
+                |epoch| epoch.0,
+                |&n, p| n * 10 + p as u32,
+                |reads| {
+                    let mut served = 0;
+                    let reach = |epoch: EpochId, out: &mut ExactResult| {
+                        let (read_epoch, n, decoded) = reads.next().expect("a read per epoch");
+                        assert_eq!((read_epoch, n), (epoch, epoch.0));
+                        let want: Vec<u32> = (0..pieces as u32).map(|p| n * 10 + p).collect();
+                        assert_eq!(decoded, want);
+                        out.epochs_read += 1;
+                        served += 1;
+                        if served == k {
+                            cancel.cancel();
+                        }
+                        true
+                    };
+                    run_exact(&epochs, &mut out, reach, |_| Ok::<(), ()>(())).unwrap()
+                },
+            );
+            let c = run.coverage;
+            let what = format!("{pieces} pieces, cancel before {k}");
+            assert_eq!((c.served, out.epochs_read), (k as u32, k), "{what}");
+            assert_eq!(c.served + c.unavailable, c.requested);
+            assert_eq!(run.cut_off, (epochs.len() - k) as u32);
+        }
+    }
+}
+
+/// A cancel between an epoch's two pieces: the helper decodes the first
+/// piece of epoch `k` and, while it does, the scan — done with the `k`
+/// epochs before — cancels and stops at its checkpoint. The scan serves
+/// exactly those `k`, and the helper claims nothing more, so the second
+/// piece of epoch `k` is never decoded on it.
+#[test]
+fn a_cancel_between_an_epochs_pieces_serves_exactly_the_earlier_epochs() {
+    let epochs: Vec<EpochId> = (0..8).map(EpochId).collect();
+    for k in 0..epochs.len() as u32 {
         let cancel = obs::CancelFlag::new();
         let _budget = obs::budget::begin(None, cancel.clone());
-        if k == 0 {
-            cancel.cancel();
-        }
-        let mut out = empty_result();
-        let run = read_ahead(
+        let caller = std::thread::current().id();
+        let on_helper = Mutex::new(Vec::new());
+        let served = read_ahead(
             &epochs,
+            2,
             |epoch| epoch.0,
-            |_, n| n,
-            |reads| {
-                let mut served = 0;
-                let reach = |epoch: EpochId, out: &mut ExactResult| {
-                    let (read_epoch, n) = reads.next().expect("a read per epoch");
-                    assert_eq!((read_epoch, n), (epoch, epoch.0));
-                    out.epochs_read += 1;
-                    served += 1;
-                    if served == k {
-                        cancel.cancel();
+            |&n, p| {
+                if std::thread::current().id() != caller {
+                    on_helper.lock().unwrap().push((n, p));
+                    if (n, p) == (k, 0) {
+                        wait_until(|| cancel.is_cancelled(), "the scan cancels");
                     }
-                    true
-                };
-                run_exact(&epochs, &mut out, reach, |_| Ok::<(), ()>(())).unwrap()
+                }
+                n
+            },
+            |reads| {
+                let mut served = Vec::new();
+                while served.len() < k as usize {
+                    let (epoch, ..) = reads.next().expect("an epoch before the cancel");
+                    served.push(epoch.0);
+                }
+                cancel.cancel();
+                assert!(obs::budget::interrupted().is_some());
+                // Time for the helper to finish the piece it holds and,
+                // were it not to check the budget, to claim the next.
+                std::thread::sleep(Duration::from_millis(10));
+                served
             },
         );
-        let c = run.coverage;
-        assert_eq!(
-            (c.served, out.epochs_read),
-            (k as u32, k),
-            "cancel before {k}"
-        );
-        assert_eq!(c.served + c.unavailable, c.requested);
-        assert_eq!(run.cut_off, (epochs.len() - k) as u32);
+        assert_eq!(served, (0..k).collect::<Vec<_>>(), "cancel before {k}");
+        let on_helper = on_helper.into_inner().unwrap();
+        if on_helper.contains(&(k, 0)) {
+            assert!(
+                !on_helper.contains(&(k, 1)),
+                "cancel before {k}: {on_helper:?}"
+            );
+        }
+    }
+}
+
+/// Poll `done` until it holds, or panic naming `what` after [`HANG`].
+fn wait_until(done: impl Fn() -> bool, what: &str) {
+    let start = std::time::Instant::now();
+    while !done() {
+        assert!(start.elapsed() < HANG, "{what}: not within the hang bound");
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -420,9 +539,10 @@ fn helper_first(panic_at: Option<u32>) -> std::thread::Result<Vec<(EpochId, u32)
         let epochs: Vec<EpochId> = (0..8).map(EpochId).collect();
         let caller = std::thread::current().id();
         let (helped, fetched) = mpsc::channel::<u32>();
-        let helped = std::sync::Mutex::new(helped);
+        let helped = Mutex::new(helped);
         read_ahead(
             &epochs,
+            1,
             |epoch| {
                 if std::thread::current().id() != caller {
                     helped.lock().unwrap().send(epoch.0).unwrap();
@@ -430,12 +550,14 @@ fn helper_first(panic_at: Option<u32>) -> std::thread::Result<Vec<(EpochId, u32)
                 }
                 epoch.0
             },
-            |_, n| n * 10,
+            |&n, _| n * 10,
             |reads| {
                 for _ in 0..READ_AHEAD_SLOTS {
                     fetched.recv_timeout(HANG).expect("the helper reads ahead");
                 }
-                reads.collect()
+                reads
+                    .map(|(epoch, _, decoded)| (epoch, decoded[0]))
+                    .collect()
             },
         )
     })
@@ -455,22 +577,113 @@ fn what_the_helper_read_is_lent_in_order_and_its_panic_reaches_the_caller() {
 
     // A decode that panics, on whichever thread reads its epoch: the
     // scan has every epoch before it, then the panic.
-    let scanned = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let scanned = Arc::new(Mutex::new(Vec::new()));
     let seen = scanned.clone();
     let panic = within_hang_bound(move || {
         let epochs: Vec<EpochId> = (0..8).map(EpochId).collect();
         read_ahead(
             &epochs,
+            1,
             |epoch| epoch.0,
-            |epoch, n| {
-                assert_ne!(epoch.0, 5, "a decode panics");
+            |&n, _| {
+                assert_ne!(n, 5, "a decode panics");
                 n
             },
-            |reads| reads.for_each(|(epoch, _)| seen.lock().unwrap().push(epoch.0)),
+            |reads| reads.for_each(|(epoch, ..)| seen.lock().unwrap().push(epoch.0)),
         )
     });
     assert!(panic.is_err());
     assert_eq!(*scanned.lock().unwrap(), [0, 1, 2, 3, 4]);
+}
+
+/// The thread a schedule forces a piece onto.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum On {
+    /// The scan takes nothing until the helper has decoded the piece.
+    Helper,
+    /// The helper's first piece, one of the window's first two, waits
+    /// until this thread has decoded it, and this thread decodes nothing
+    /// before the helper holds that first piece.
+    Caller,
+}
+
+/// Read a window of eight epochs of two pieces each whose piece `piece`
+/// of epoch `at` panics, decoded where `on` forces it: the epochs the
+/// scan was lent, and the panic it met.
+fn piece_panics(at: u32, piece: usize, on: On) -> (Vec<u32>, String) {
+    let scanned = Arc::new(Mutex::new(Vec::new()));
+    let seen = scanned.clone();
+    let outcome = within_hang_bound(move || {
+        let epochs: Vec<EpochId> = (0..8).map(EpochId).collect();
+        let caller = std::thread::current().id();
+        let (started, reached) = (AtomicBool::new(false), AtomicBool::new(false));
+        read_ahead(
+            &epochs,
+            2,
+            |epoch| epoch.0,
+            |&n, p| {
+                let on_helper = std::thread::current().id() != caller;
+                started.fetch_or(on_helper, Ordering::SeqCst);
+                if (n, p) == (at, piece) {
+                    assert_eq!(
+                        on_helper,
+                        on == On::Helper,
+                        "the piece is decoded where forced"
+                    );
+                    reached.store(true, Ordering::SeqCst);
+                    panic!("piece {p} of epoch {n} panics");
+                }
+                if on == On::Caller && on_helper {
+                    wait_until(|| reached.load(Ordering::SeqCst), "the caller's piece");
+                } else if on == On::Caller {
+                    wait_until(
+                        || started.load(Ordering::SeqCst),
+                        "the helper's first piece",
+                    );
+                }
+                n * 10 + p as u32
+            },
+            |reads| {
+                if on == On::Helper {
+                    wait_until(|| reached.load(Ordering::SeqCst), "the helper's piece");
+                }
+                for (epoch, n, decoded) in reads {
+                    assert_eq!(decoded, [n * 10, n * 10 + 1]);
+                    seen.lock().unwrap().push(epoch.0);
+                }
+            },
+        )
+    });
+    let panic = outcome.expect_err("the piece's panic reaches the scan");
+    let message = panic.downcast_ref::<String>().expect("a formatted panic");
+    let seen = scanned.lock().unwrap().clone();
+    (seen, message.clone())
+}
+
+/// A panic in either table's piece, forced onto either thread, reaches
+/// the scan at its epoch, on the scan's thread: every epoch before it is
+/// lent whole, none after. The helper reads ahead of a scan that waits
+/// from the window's first piece; the caller, while the helper's first
+/// piece is held back, decodes ahead through the slots' last epoch.
+#[test]
+fn a_panic_in_either_piece_on_either_thread_reaches_the_scan_at_its_epoch() {
+    let last = READ_AHEAD_SLOTS as u32 - 1;
+    let schedules = [
+        (0, On::Helper),
+        (1, On::Helper),
+        (last, On::Helper),
+        (1, On::Caller),
+        (last, On::Caller),
+    ];
+    for piece in 0..2 {
+        for (at, on) in schedules {
+            let (seen, message) = piece_panics(at, piece, on);
+            let what = format!("piece {piece} of epoch {at} on the {on:?}");
+            assert_eq!(seen, (0..at).collect::<Vec<_>>(), "{what}");
+            let want = format!("piece {piece} of epoch {at} panics");
+            assert!(message.contains(&want), "{what}: {message}");
+        }
+    }
 }
 
 #[test]
@@ -501,47 +714,141 @@ fn a_served_request_that_panics_is_still_isolated() {
 fn no_more_than_the_slots_are_read_and_not_yet_lent() {
     let epochs: Vec<EpochId> = (0..40).map(EpochId).collect();
     // A patient scan lets the helper read as far ahead as it may first.
-    for patient in [false, true] {
+    // Epochs of no piece (a CAS scan of no table) are fetched alone.
+    for (pieces, patient) in [(0, false), (1, false), (1, true), (2, false), (2, true)] {
         let (started, lent, most) = (
             AtomicUsize::new(0),
             AtomicUsize::new(0),
             AtomicUsize::new(0),
         );
         let caller: ThreadId = std::thread::current().id();
-        let (helped, fetched) = mpsc::channel::<()>();
-        let helped = std::sync::Mutex::new(helped);
+        let (helped, decoded) = mpsc::channel::<()>();
+        let helped = Mutex::new(helped);
         let scanned = read_ahead(
             &epochs,
+            pieces,
             |epoch| {
                 let started = started.fetch_add(1, Ordering::SeqCst) + 1;
                 most.fetch_max(started - lent.load(Ordering::SeqCst), Ordering::SeqCst);
-                if std::thread::current().id() != caller {
-                    let _ = helped.lock().unwrap().send(());
-                }
                 epoch
             },
-            |_, epoch| epoch,
+            |&epoch, p| {
+                if std::thread::current().id() != caller && p + 1 == pieces {
+                    let _ = helped.lock().unwrap().send(());
+                }
+                (epoch, p)
+            },
             |reads| {
                 if patient {
                     for _ in 0..READ_AHEAD_SLOTS {
-                        fetched.recv_timeout(HANG).expect("the helper reads ahead");
+                        decoded.recv_timeout(HANG).expect("the helper reads ahead");
                     }
                 }
                 let mut scanned = Vec::new();
-                for (epoch, read) in reads {
-                    assert_eq!(epoch, read);
+                for (epoch, fetched, read) in reads {
+                    assert_eq!(epoch, fetched);
+                    assert_eq!(read, (0..pieces).map(|p| (epoch, p)).collect::<Vec<_>>());
                     lent.fetch_add(1, Ordering::SeqCst);
                     scanned.push(epoch);
                 }
                 scanned
             },
         );
-        assert_eq!(scanned, epochs);
-        assert_eq!(started.into_inner(), epochs.len(), "every epoch read once");
+        let what = format!("{pieces} pieces, patient: {patient}");
+        assert_eq!(scanned, epochs, "{what}");
+        assert_eq!(
+            started.into_inner(),
+            epochs.len(),
+            "{what}: every epoch fetched once"
+        );
         let most = most.into_inner();
-        assert!(most <= READ_AHEAD_SLOTS, "{most} read and not yet lent");
+        assert!(
+            most <= READ_AHEAD_SLOTS,
+            "{what}: {most} read and not yet lent"
+        );
         if patient {
-            assert_eq!(most, READ_AHEAD_SLOTS);
+            assert_eq!(most, READ_AHEAD_SLOTS, "{what}");
+        }
+    }
+}
+
+/// Fetches run once an epoch, in window order, whichever thread claims
+/// them: over every window of 1 to 8 epochs, a query over both tables and
+/// T2 over CDR alone issue the dfs reads the window read one epoch at a
+/// time issues.
+#[test]
+fn a_window_reads_the_dfs_as_one_epoch_at_a_time_does() {
+    let (layout, snaps) = trace();
+    let q = Query::new(&["upflux", "call_drops"], BoundingBox::everything());
+    for (backend, fw) in warehouses(&layout, &snaps) {
+        let one_at_a_time = OneEpochAtATime(&fw);
+        let reads = |read: &dyn Fn()| {
+            let before = fw.store().dfs().metrics().reads;
+            read();
+            fw.store().dfs().metrics().reads - before
+        };
+        for len in 1..=snaps.len() as u32 {
+            let (start, end) = (EpochId(FIRST), EpochId(FIRST + len - 1));
+            let q = q.clone().with_window(start, end);
+            let what = format!("{backend}, {len} epochs");
+            let whole = reads(&|| assert!(fw.query(&q).is_exact()));
+            assert!(whole >= u64::from(len), "{what}");
+            assert_eq!(whole, reads(&|| drop(one_at_a_time.query(&q))), "{what}");
+            let whole = reads(&|| drop(tasks::t2_range(&fw, start, end)));
+            let pieced = reads(&|| drop(tasks::t2_range(&one_at_a_time, start, end)));
+            assert_eq!(whole, pieced, "{what}, T2");
+        }
+    }
+}
+
+/// The helper joins a read from its second piece on, once: a one-epoch
+/// Path window is one piece and spawns none, a one-epoch CAS query over
+/// both tables is two and spawns exactly one. Each spawn is the helper's
+/// `read-ahead` event in the caller's trace.
+#[test]
+fn a_read_spawns_its_helper_from_the_second_piece_on() {
+    let (layout, snaps) = trace();
+    let both = Query::new(&["upflux", "call_drops"], BoundingBox::everything());
+    let cdr = Query::new(&["upflux"], BoundingBox::everything());
+    let mut trace_id = 0x0E90_C400u64;
+    for (backend, fw) in warehouses(&layout, &snaps) {
+        let cas = fw.store().cas().is_some();
+        let fw = &fw;
+        let mut helpers = |read: &dyn Fn()| {
+            trace_id += 1;
+            let guard = obs::trace::begin(trace_id);
+            read();
+            drop(guard);
+            named(&obs::flight().trace(trace_id), "read-ahead")
+        };
+        let query = |q: &Query, len: u32| {
+            let window = q
+                .clone()
+                .with_window(EpochId(FIRST), EpochId(FIRST + len - 1));
+            move || assert!(fw.query(&window).is_exact())
+        };
+        // (what, the read, helpers on Path, helpers on CAS)
+        let cases: [(&str, &dyn Fn(), usize, usize); 6] = [
+            ("one epoch, both tables", &query(&both, 1), 0, 1),
+            ("one epoch, CDR", &query(&cdr, 1), 0, 0),
+            ("two epochs, CDR", &query(&cdr, 2), 1, 1),
+            ("eight epochs, both tables", &query(&both, 8), 1, 1),
+            (
+                "load",
+                &|| assert!(fw.load_epoch(EpochId(FIRST)).is_some()),
+                0,
+                1,
+            ),
+            (
+                "T2 of one epoch",
+                &|| drop(tasks::t2_range(fw, EpochId(FIRST), EpochId(FIRST))),
+                0,
+                0,
+            ),
+        ];
+        for (what, read, path, on_cas) in cases {
+            let want = if cas { on_cas } else { path };
+            assert_eq!(helpers(read), want, "{backend}: {what}");
         }
     }
 }
