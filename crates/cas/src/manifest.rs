@@ -15,11 +15,15 @@
 //! manifest**, days into a **month manifest**, months into the **root**.
 //! One root hash therefore authenticates every byte of every retained
 //! epoch, and any two runs that ingested the same data agree on it.
+//!
+//! A manifest is written and read through [`obs::bytes`]: a manifest that
+//! is cut, padded or declares more than its bytes hold is
+//! [`CasError::Corrupt`] naming the field, never a panic or a reservation.
 
 use crate::chunker::{self, Layout, Section, TableLayout, SNAPSHOT_SECTIONS};
 use crate::hash::ChunkHash;
 use crate::CasError;
-use codecs::varint;
+use obs::bytes::{ByteError, Reader, Writer};
 use std::collections::BTreeMap;
 use telco_trace::schema::{Schema, TableKind};
 use telco_trace::time::EpochId;
@@ -109,41 +113,45 @@ impl EpochManifest {
         debug_assert_eq!(self.units.len(), self.unit_count());
         debug_assert_eq!(self.constants.len(), self.constant_count());
         let mut out = Vec::with_capacity(256 + self.units.len() * 16 + self.constants.len() * 2);
-        out.extend_from_slice(MANIFEST_MAGIC);
-        varint::write_u32(&mut out, self.epoch);
-        varint::write_u64(&mut out, self.raw_len);
+        let mut w = Writer::new(&mut out);
+        w.bytes(MANIFEST_MAGIC);
+        w.varint(self.epoch.into());
+        w.varint(self.raw_len);
         for table in &self.tables {
-            varint::write_u32(&mut out, table.rows);
-            out.extend(table.constant.iter().map(|&c| u8::from(c)));
+            w.varint(table.rows.into());
+            for &c in &table.constant {
+                w.u8(u8::from(c));
+            }
         }
         if !self.units.is_empty() {
             let pack = self.pack.expect("units lie in a pack");
-            out.extend_from_slice(&pack.0);
+            w.bytes(&pack.0);
         }
         for unit in &self.units {
-            out.extend_from_slice(&unit.0);
+            w.bytes(&unit.0);
         }
-        varint::write_u64(&mut out, self.inline.len() as u64);
+        w.varint(self.inline.len() as u64);
         for bytes in &self.inline {
-            varint::write_u64(&mut out, bytes.len() as u64);
-            out.extend_from_slice(bytes);
+            w.varint(bytes.len() as u64);
+            w.bytes(bytes);
         }
         for &r in &self.constants {
-            varint::write_u32(&mut out, r);
+            w.varint(r.into());
         }
         out
     }
 
     /// Decode [`Self::encode`] output, rejecting anything malformed.
     pub fn decode(bytes: &[u8]) -> Result<Self, CasError> {
-        let corrupt = |what: &str| CasError::Corrupt(format!("manifest: {what}"));
-        if bytes.len() < MANIFEST_MAGIC.len() || &bytes[..MANIFEST_MAGIC.len()] != MANIFEST_MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        let mut pos = MANIFEST_MAGIC.len();
-        let epoch = varint::read_u32(bytes, &mut pos).map_err(|_| corrupt("epoch"))?;
-        let raw_len = varint::read_u64(bytes, &mut pos).map_err(|_| corrupt("raw_len"))?;
-        let [cdr, nms] = SNAPSHOT_SECTIONS.map(|kind| decode_table(bytes, &mut pos, kind));
+        Self::read(bytes).map_err(|e| CasError::Corrupt(format!("manifest: {e}")))
+    }
+
+    fn read(bytes: &[u8]) -> Result<Self, ByteError> {
+        let mut r = Reader::new(bytes);
+        r.magic(MANIFEST_MAGIC)?;
+        let epoch = r.varint_u32()?;
+        let raw_len = r.varint()?;
+        let [cdr, nms] = SNAPSHOT_SECTIONS.map(|kind| read_table(&mut r, kind));
         let mut manifest = Self {
             epoch,
             raw_len,
@@ -155,90 +163,47 @@ impl EpochManifest {
         };
         let n_units = manifest.unit_count();
         if n_units > 0 {
-            manifest.pack = Some(read_hash(bytes, &mut pos)?);
+            manifest.pack = Some(ChunkHash(r.array()?));
         }
         // Each address takes its 16 bytes: bounded by the bytes present.
-        let units = (0..n_units).map(|_| read_hash(bytes, &mut pos));
+        let units = (0..n_units).map(|_| r.array().map(ChunkHash));
         manifest.units = units.collect::<Result<Vec<_>, _>>()?;
-        let n_inline = read_count(bytes, &mut pos, "inline values")?;
-        let inline = &mut manifest.inline;
-        inline.reserve(n_inline.min(MAX_PREALLOC));
-        for _ in 0..n_inline {
-            inline.push(read_bytes(bytes, &mut pos, "inline value")?);
-        }
+        // An inline value takes its length byte at least.
+        let n_inline = r.count(1, "inline values")?;
+        let inline = (0..n_inline).map(|_| {
+            let len = r.count(1, "inline value length")?;
+            r.take(len).map(<[u8]>::to_vec)
+        });
+        manifest.inline = inline.collect::<Result<Vec<_>, _>>()?;
         let n_constants = manifest.constant_count();
-        manifest.constants.reserve(n_constants.min(MAX_PREALLOC));
-        for _ in 0..n_constants {
-            let r = varint::read_u32(bytes, &mut pos).map_err(|_| corrupt("constant ref"))?;
-            if r as usize >= manifest.inline.len() {
-                return Err(corrupt("constant ref past the inline values"));
-            }
-            manifest.constants.push(r);
-        }
-        if pos != bytes.len() {
-            return Err(corrupt("trailing bytes"));
-        }
+        let constants = (0..n_constants).map(|_| match r.varint_u32()? {
+            at if (at as usize) < manifest.inline.len() => Ok(at),
+            _ => Err(ByteError::OutOfRange {
+                field: "constant ref",
+            }),
+        });
+        manifest.constants = constants.collect::<Result<Vec<_>, _>>()?;
+        r.finish()?;
         Ok(manifest)
     }
 }
 
 /// One table of a snapshot: its rows, then a flag a column of its schema.
 /// Its header line is the one `Snapshot::to_bytes` writes for the rows.
-fn decode_table(bytes: &[u8], pos: &mut usize, kind: TableKind) -> Result<TableLayout, CasError> {
-    let corrupt = |what: &str| CasError::Corrupt(format!("manifest {}: {what}", kind.name()));
-    let rows = varint::read_u32(bytes, pos).map_err(|_| corrupt("rows"))?;
-    let flags = bytes
-        .get(*pos..*pos + Schema::shared(kind).width())
-        .ok_or_else(|| corrupt("truncated column flags"))?;
+fn read_table(r: &mut Reader, kind: TableKind) -> Result<TableLayout, ByteError> {
+    let rows = r.varint_u32()?;
+    let flags = r.take(Schema::shared(kind).width())?;
     let constant = flags.iter().map(|&flag| match flag {
         0 | 1 => Ok(flag == 1),
-        _ => Err(corrupt("column flag")),
+        _ => Err(ByteError::OutOfRange {
+            field: "column flag",
+        }),
     });
-    let constant = constant.collect::<Result<Vec<bool>, _>>()?;
-    *pos += constant.len();
     Ok(TableLayout {
         header: Snapshot::table_header_line(kind, rows as usize).into_bytes(),
         rows,
-        constant,
+        constant: constant.collect::<Result<Vec<bool>, _>>()?,
     })
-}
-
-/// Cap decoded collection sizes so a corrupt length prefix cannot commit
-/// unbounded memory before validation catches it.
-const MAX_ITEMS: usize = 1 << 24;
-/// Never pre-reserve more than this many entries from an untrusted count;
-/// vectors still grow on demand past it once real data validates.
-const MAX_PREALLOC: usize = 1 << 14;
-
-fn read_count(bytes: &[u8], pos: &mut usize, what: &str) -> Result<usize, CasError> {
-    let n = varint::read_u64(bytes, pos)
-        .map_err(|_| CasError::Corrupt(format!("manifest: {what} count")))?;
-    if n as usize > MAX_ITEMS {
-        return Err(CasError::Corrupt(format!("manifest: {what} count too big")));
-    }
-    Ok(n as usize)
-}
-
-fn read_hash(bytes: &[u8], pos: &mut usize) -> Result<ChunkHash, CasError> {
-    let end = *pos + ChunkHash::LEN;
-    if end > bytes.len() {
-        return Err(CasError::Corrupt("manifest: truncated hash".into()));
-    }
-    let mut h = [0u8; 16];
-    h.copy_from_slice(&bytes[*pos..end]);
-    *pos = end;
-    Ok(ChunkHash(h))
-}
-
-fn read_bytes(bytes: &[u8], pos: &mut usize, what: &str) -> Result<Vec<u8>, CasError> {
-    let len = read_count(bytes, pos, what)?;
-    let end = *pos + len;
-    if end > bytes.len() {
-        return Err(CasError::Corrupt(format!("manifest: truncated {what}")));
-    }
-    let out = bytes[*pos..end].to_vec();
-    *pos = end;
-    Ok(out)
 }
 
 /// The Merkle rollup over every retained epoch manifest: day and month
@@ -303,6 +268,7 @@ pub fn build_merkle(leaves: &BTreeMap<u32, ChunkHash>) -> Merkle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::bytes::{sweep, varint, Damage};
     use telco_trace::{TraceConfig, TraceGenerator};
 
     /// A stored snapshot and its encoded manifest: units, inline values
@@ -351,10 +317,10 @@ mod tests {
         // Epoch and length, then rows and a flag a column per table, then
         // the pack's address.
         let mut head = MANIFEST_MAGIC.to_vec();
-        varint::write_u32(&mut head, m.epoch);
+        varint::write_u64(&mut head, m.epoch.into());
         varint::write_u64(&mut head, m.raw_len);
         for t in &m.tables {
-            varint::write_u32(&mut head, t.rows);
+            varint::write_u64(&mut head, t.rows.into());
             head.extend(t.constant.iter().map(|&c| u8::from(c)));
         }
         head.extend_from_slice(&m.pack.unwrap().0);
@@ -378,7 +344,7 @@ mod tests {
         let mut m = sample_manifest();
         m.constants[0] = m.inline.len() as u32;
         match EpochManifest::decode(&m.encode()) {
-            Err(CasError::Corrupt(why)) => assert!(why.contains("past the inline"), "{why}"),
+            Err(CasError::Corrupt(why)) => assert_eq!(why, "manifest: constant ref out of range"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
         // One inline value moves the limit by one, whatever its length.
@@ -405,33 +371,56 @@ mod tests {
         assert_eq!(distinct.len(), m.inline.len());
     }
 
-    /// No prefix of a manifest decodes, and no single changed byte makes
-    /// `decode` panic (overflow checks on in debug, wrapping in release):
-    /// it is refused, or — a hash byte, an inline byte, a row count — it
-    /// is another well-formed manifest whose every ref resolves.
+    /// An inline-value count past what the bytes after it can hold is
+    /// refused by the count, before the read loop runs off the end.
     #[test]
-    fn every_prefix_and_every_byte_flip_of_a_real_manifest_is_handled() {
-        let bytes = real_manifest_bytes();
-        for cut in 0..bytes.len() {
-            assert!(EpochManifest::decode(&bytes[..cut]).is_err(), "cut={cut}");
+    fn an_inline_count_past_the_bytes_left_is_refused() {
+        let m = sample_manifest();
+        let bytes = m.encode();
+        // What follows the count: the inline values, then the refs.
+        let mut values = Vec::new();
+        let mut w = Writer::new(&mut values);
+        for value in &m.inline {
+            w.varint(value.len() as u64);
+            w.bytes(value);
         }
+        for &r in &m.constants {
+            w.varint(r.into());
+        }
+        let mut forged = Vec::new();
+        varint::write_u64(&mut forged, m.inline.len() as u64);
+        let at = bytes.len() - values.len() - forged.len();
+        assert_eq!(bytes[at..], [&forged[..], &values].concat());
+        forged = bytes[..at].to_vec();
+        varint::write_u64(&mut forged, 1 << 20);
+        forged.extend_from_slice(&values);
+        match EpochManifest::decode(&forged) {
+            Err(CasError::Corrupt(why)) => assert_eq!(why, "manifest: inline values out of range"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    /// No prefix of a manifest decodes, and no single flipped bit makes
+    /// `decode` panic (overflow checks on in debug, wrapping in release):
+    /// it is refused, or — a hash bit, an inline bit, a row count — it is
+    /// another well-formed manifest whose every ref resolves.
+    #[test]
+    fn every_prefix_and_every_bit_flip_of_a_real_manifest_is_handled() {
+        let bytes = real_manifest_bytes();
         let mut refused = 0usize;
-        for at in 0..bytes.len() {
-            for xor in [0x01u8, 0x10, 0x80, 0xFF] {
-                let mut flipped = bytes.clone();
-                flipped[at] ^= xor;
-                match EpochManifest::decode(&flipped) {
-                    Err(CasError::Corrupt(_)) => refused += 1,
-                    Err(e) => panic!("at {at}: unexpected error class {e}"),
-                    Ok(m) => {
-                        let resolve = |&r: &u32| (r as usize) < m.inline.len();
-                        assert!(m.constants.iter().all(resolve), "at {at}");
-                        assert_eq!(m.unit_count(), m.units.len(), "at {at}");
-                        assert_eq!(m.constant_count(), m.constants.len(), "at {at}");
-                    }
+        sweep(&bytes, |damage, damaged| {
+            match (damage, EpochManifest::decode(damaged)) {
+                (Damage::Cut(_), decoded) => assert!(decoded.is_err(), "{damage:?}"),
+                (_, Err(CasError::Corrupt(_))) => refused += 1,
+                (_, Err(e)) => panic!("{damage:?}: unexpected error class {e}"),
+                (_, Ok(m)) => {
+                    let resolve = |&r: &u32| (r as usize) < m.inline.len();
+                    assert!(m.constants.iter().all(resolve), "{damage:?}");
+                    assert_eq!(m.unit_count(), m.units.len(), "{damage:?}");
+                    assert_eq!(m.constant_count(), m.constants.len(), "{damage:?}");
                 }
             }
-        }
+        });
         assert!(refused > bytes.len(), "structure bytes must be checked");
     }
 

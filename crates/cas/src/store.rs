@@ -29,7 +29,7 @@ use crate::hash::ChunkHash;
 use crate::manifest::{build_merkle, EpochManifest, Merkle};
 use crate::reader::EpochReader;
 use crate::{pack, CasError};
-use codecs::{varint, Codec, SevenzLite};
+use codecs::{Codec, SevenzLite};
 use dfs::{Dfs, DfsError};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
@@ -272,7 +272,7 @@ impl CasStore {
         let mut dedup_saved = 0u64;
         for at in values {
             let value = pieces[at].as_slice();
-            let fresh = varint::len_u32("cas constant index", inline_at.len());
+            let fresh = obs::bytes::fit::<u32>("cas constant index", inline_at.len());
             let i = *inline_index_of.entry(value).or_insert(fresh);
             if i == fresh {
                 inline_at.push(at);
@@ -1062,15 +1062,9 @@ mod tests {
         let (mut cases, mut still_right) = (0, 0);
         for (path, stored) in &files {
             let is_pack = path.ends_with(".pk");
-            let prefixes = (0..stored.len()).map(|cut| stored[..cut].to_vec());
-            let flips = (0..stored.len() * 8).map(|bit| {
-                let mut flipped = stored.clone();
-                flipped[bit / 8] ^= 1 << (bit % 8);
-                flipped
-            });
-            for damaged in prefixes.chain(flips) {
+            obs::bytes::sweep(stored, |_, damaged| {
                 dfs.delete(path).unwrap();
-                dfs.write(path, &damaged).unwrap();
+                dfs.write(path, damaged).unwrap();
                 assert!(cas.get_epoch(epoch).is_err(), "address check");
                 assert!(cas.open_epoch(epoch).is_err(), "address check");
                 if is_pack {
@@ -1078,7 +1072,7 @@ mod tests {
                     let manifest = cas.manifest_path(epoch);
                     let stored = cas.cfg.codec.decompress(&dfs.read(&manifest).unwrap());
                     let mut edited = EpochManifest::decode(&stored.unwrap()).unwrap();
-                    edited.pack = Some(ChunkHash::of(&damaged));
+                    edited.pack = Some(ChunkHash::of(damaged));
                     dfs.delete(&manifest).unwrap();
                     let stored = cas.cfg.codec.compress(&edited.encode());
                     dfs.write(&manifest, &stored).unwrap();
@@ -1088,7 +1082,7 @@ mod tests {
                 cases += 1;
                 still_right += usize::from(reopened.get_epoch(epoch).is_ok());
                 restore();
-            }
+            });
         }
         // What still reads, reads right: a `7z-lite` stream carries a
         // header byte and a range-coder flush tail its decoder does not

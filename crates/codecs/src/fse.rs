@@ -8,6 +8,7 @@
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::CodecError;
+use obs::bytes::varint;
 
 /// Maximum supported table log (keeps all intermediate math in `u32`).
 pub const MAX_TABLE_LOG: u32 = 12;
@@ -224,31 +225,31 @@ impl FseDecoder {
 
 /// Serialize normalized frequencies (nonzero count, then varint pairs).
 pub fn write_norm(out: &mut Vec<u8>, norm: &[u32]) {
-    crate::varint::write_len(out, "fse alphabet", norm.len());
+    varint::write_len(out, "fse alphabet", norm.len());
     let present = norm.iter().filter(|&&f| f > 0).count();
-    crate::varint::write_u32(out, present as u32);
+    varint::write_u64(out, present as u64);
     for (sym, &freq) in norm.iter().enumerate() {
         if freq > 0 {
-            crate::varint::write_u32(out, sym as u32);
-            crate::varint::write_u32(out, freq);
+            varint::write_u64(out, sym as u64);
+            varint::write_u64(out, freq.into());
         }
     }
 }
 
 /// Inverse of [`write_norm`].
 pub fn read_norm(input: &[u8], pos: &mut usize) -> Result<Vec<u32>, CodecError> {
-    let len = crate::varint::read_u32(input, pos)? as usize;
+    let len = varint::read_u32(input, pos)? as usize;
     if len > 1 << 20 {
         return Err(CodecError::Corrupt("fse alphabet too large"));
     }
-    let present = crate::varint::read_u32(input, pos)? as usize;
+    let present = varint::read_u32(input, pos)? as usize;
     if present > len {
         return Err(CodecError::Corrupt("fse present count exceeds alphabet"));
     }
     let mut norm = vec![0u32; len];
     for _ in 0..present {
-        let sym = crate::varint::read_u32(input, pos)? as usize;
-        let freq = crate::varint::read_u32(input, pos)?;
+        let sym = varint::read_u32(input, pos)? as usize;
+        let freq = varint::read_u32(input, pos)?;
         if sym >= len {
             return Err(CodecError::Corrupt("fse symbol out of range"));
         }

@@ -14,8 +14,8 @@ use crate::huffman::{
 };
 use crate::lz77::{self, Lz77Config, Token, MIN_MATCH};
 use crate::slots::{base_of, slot_of};
-use crate::varint;
 use crate::{Codec, CodecError};
+use obs::bytes::varint;
 
 const MAGIC: &[u8; 4] = b"SPZ1";
 /// Literals 0–255 plus length slots starting at 256.

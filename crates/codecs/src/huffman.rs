@@ -9,6 +9,7 @@
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::CodecError;
+use obs::bytes::varint;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -398,7 +399,7 @@ impl HuffmanDecoder {
 
 /// Serialize a length array as 4-bit nibbles (lengths ≤ 15).
 pub fn write_lengths(out: &mut Vec<u8>, lengths: &[u8]) {
-    crate::varint::write_len(out, "huffman code lengths", lengths.len());
+    varint::write_len(out, "huffman code lengths", lengths.len());
     let mut nibble_hi = false;
     let mut cur = 0u8;
     for &l in lengths {
@@ -417,7 +418,7 @@ pub fn write_lengths(out: &mut Vec<u8>, lengths: &[u8]) {
 
 /// Inverse of [`write_lengths`].
 pub fn read_lengths(input: &[u8], pos: &mut usize) -> Result<Vec<u8>, CodecError> {
-    let n = crate::varint::read_u32(input, pos)? as usize;
+    let n = varint::read_u32(input, pos)? as usize;
     if n > 1 << 20 {
         return Err(CodecError::Corrupt("huffman alphabet too large"));
     }

@@ -42,7 +42,6 @@ pub mod range_coder;
 pub mod sevenz_lite;
 pub mod slots;
 pub mod snappy_lite;
-pub mod varint;
 pub mod zstd_lite;
 
 pub use dict::Dictionary;
@@ -81,6 +80,20 @@ impl fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
+
+impl From<obs::bytes::ByteError> for CodecError {
+    #[inline]
+    fn from(e: obs::bytes::ByteError) -> Self {
+        use obs::bytes::ByteError;
+        match e {
+            ByteError::Truncated => CodecError::Truncated,
+            ByteError::BadMagic => CodecError::BadMagic,
+            ByteError::OutOfRange { field } => CodecError::Corrupt(field),
+            ByteError::Trailing(_) => CodecError::Corrupt("trailing bytes"),
+            ByteError::BadUtf8 => CodecError::Corrupt("invalid utf-8"),
+        }
+    }
+}
 
 /// Largest buffer a decoder pre-allocates from an untrusted declared length.
 ///

@@ -8,8 +8,8 @@ use crate::crc32::crc32;
 use crate::lz77::{self, Lz77Config, Token, MIN_MATCH};
 use crate::range_coder::{BitModel, BitTree, RangeDecoder, RangeEncoder};
 use crate::slots::{base_of, slot_of};
-use crate::varint;
 use crate::{Codec, CodecError};
+use obs::bytes::varint;
 
 const MAGIC: &[u8; 4] = b"SP7Z";
 /// Literal coding context: top 3 bits of the previous byte.

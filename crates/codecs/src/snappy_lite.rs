@@ -7,8 +7,8 @@
 
 use crate::crc32::crc32;
 use crate::lz77::{self, Lz77Config, Token, MIN_MATCH};
-use crate::varint;
 use crate::{Codec, CodecError};
+use obs::bytes::varint;
 
 const MAGIC: &[u8; 4] = b"SPSN";
 const TAG_LITERAL: u8 = 0b00;

@@ -13,8 +13,8 @@ use crate::dict::Dictionary;
 use crate::fse::{normalize, read_norm, write_norm, FseDecoder, FseEncoder};
 use crate::lz77::{self, Lz77Config, Token, MIN_MATCH};
 use crate::slots::{base_of, slot_of};
-use crate::varint;
 use crate::{Codec, CodecError};
+use obs::bytes::varint;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"SPZS";
@@ -114,7 +114,7 @@ fn write_stream(out: &mut Vec<u8>, symbols: &[u16], alphabet: usize, table_log: 
     let distinct = counts.iter().filter(|&&c| c > 0).count();
     if distinct == 1 {
         out.push(MODE_RLE);
-        varint::write_u32(out, u32::from(symbols[0]));
+        varint::write_u64(out, symbols[0].into());
         varint::write_len(out, "zstd rle symbols", symbols.len());
         return;
     }
@@ -124,7 +124,7 @@ fn write_stream(out: &mut Vec<u8>, symbols: &[u16], alphabet: usize, table_log: 
     out.push(MODE_FSE);
     write_norm(out, &norm);
     varint::write_len(out, "zstd fse symbols", symbols.len());
-    varint::write_u32(out, state);
+    varint::write_u64(out, state.into());
     varint::write_len(out, "zstd fse bits", bits.len());
     out.extend_from_slice(&bits);
 }
@@ -226,7 +226,7 @@ impl Codec for ZstdLite {
         write_stream(&mut out, &ll, SLOT_ALPHABET, SLOT_TABLE_LOG);
         write_stream(&mut out, &ml, SLOT_ALPHABET, SLOT_TABLE_LOG);
         write_stream(&mut out, &dd, SLOT_ALPHABET, SLOT_TABLE_LOG);
-        varint::write_u32(&mut out, s.trailing);
+        varint::write_u64(&mut out, s.trailing.into());
         let extra_bytes = extras.finish();
         varint::write_len(&mut out, "zstd extra bits", extra_bytes.len());
         out.extend_from_slice(&extra_bytes);

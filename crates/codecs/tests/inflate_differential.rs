@@ -19,7 +19,8 @@ use codecs::crc32::crc32;
 use codecs::huffman::{write_lengths, HuffmanEncoder};
 use codecs::lz77::{Token, MIN_MATCH};
 use codecs::slots::{base_of, slot_of};
-use codecs::{varint, Codec, CodecError, GzipLite};
+use codecs::{Codec, CodecError, GzipLite};
+use obs::bytes::varint;
 use proptest::prelude::*;
 
 const LEN_SLOT_BASE: usize = 256;
@@ -37,7 +38,8 @@ mod reference {
     use codecs::huffman::read_lengths;
     use codecs::lz77::MIN_MATCH;
     use codecs::slots::base_of;
-    use codecs::{varint, CodecError};
+    use codecs::CodecError;
+    use obs::bytes::varint;
 
     struct FlatDecoder {
         table: Vec<(u16, u8)>,
@@ -281,12 +283,12 @@ fn container(declared_len: usize, crc: u32, blocks: &[Block]) -> Vec<u8> {
     let mut out = b"SPZ1".to_vec();
     varint::write_u64(&mut out, declared_len as u64);
     out.extend_from_slice(&crc.to_le_bytes());
-    varint::write_u32(&mut out, blocks.len() as u32);
+    varint::write_u64(&mut out, blocks.len() as u64);
     for b in blocks {
         write_lengths(&mut out, &b.litlen_lengths);
         write_lengths(&mut out, &b.dist_lengths);
-        varint::write_u32(&mut out, b.n_tokens);
-        varint::write_u32(&mut out, b.bit_bytes);
+        varint::write_u64(&mut out, b.n_tokens.into());
+        varint::write_u64(&mut out, b.bit_bytes.into());
         out.extend_from_slice(&b.bits);
     }
     out

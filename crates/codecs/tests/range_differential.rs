@@ -18,7 +18,8 @@ use codecs::crc32::crc32;
 use codecs::lz77::{Token, MIN_MATCH};
 use codecs::range_coder::{BitModel, BitTree, RangeDecoder, RangeEncoder};
 use codecs::slots::slot_of;
-use codecs::{varint, Codec, CodecError, SevenzLite};
+use codecs::{Codec, CodecError, SevenzLite};
+use obs::bytes::varint;
 use proptest::prelude::*;
 
 /// The range decoder and the `7z-lite` decode loop the repo shipped before
@@ -27,7 +28,8 @@ mod reference {
     use codecs::crc32::crc32;
     use codecs::lz77::{self, MIN_MATCH};
     use codecs::slots::base_of;
-    use codecs::{varint, CodecError};
+    use codecs::CodecError;
+    use obs::bytes::varint;
 
     const PROB_BITS: u32 = 11;
     const PROB_INIT: u16 = (1 << PROB_BITS) / 2;

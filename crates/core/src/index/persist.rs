@@ -8,8 +8,8 @@
 
 use crate::index::highlights::{CellSummary, FreqTable, HighlightConfig, Highlights};
 use crate::index::{DayNode, EpochLeaf, MonthNode, TemporalIndex, YearNode};
-use codecs::varint;
 use codecs::CodecError;
+use obs::bytes::{ByteError, Reader, Writer};
 use shahed::AggStats;
 use std::fmt;
 use telco_trace::time::EpochId;
@@ -40,121 +40,119 @@ impl fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-impl From<CodecError> for PersistError {
-    fn from(e: CodecError) -> Self {
-        PersistError::Corrupt(e)
+impl From<ByteError> for PersistError {
+    #[inline]
+    fn from(e: ByteError) -> Self {
+        match e {
+            ByteError::BadMagic => PersistError::BadMagic,
+            other => PersistError::Corrupt(other.into()),
+        }
     }
 }
 
 // ------------------------------------------------------------- writers
 
-fn write_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
+fn write_agg(w: &mut Writer, a: &AggStats) {
+    w.varint(a.count);
+    w.f64(a.sum);
+    w.f64(a.min);
+    w.f64(a.max);
 }
 
-fn write_string(out: &mut Vec<u8>, s: &str) {
-    varint::write_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
+fn write_cell_summary(w: &mut Writer, c: &CellSummary) {
+    w.varint(c.cdr_records);
+    w.varint(c.cdr_drops);
+    write_agg(w, &c.upflux);
+    write_agg(w, &c.downflux);
+    write_agg(w, &c.duration_s);
+    w.varint(c.nms_reports);
+    write_agg(w, &c.attempts);
+    write_agg(w, &c.drops);
+    write_agg(w, &c.throughput);
 }
 
-fn write_agg(out: &mut Vec<u8>, a: &AggStats) {
-    varint::write_u64(out, a.count);
-    write_f64(out, a.sum);
-    write_f64(out, a.min);
-    write_f64(out, a.max);
-}
-
-fn write_cell_summary(out: &mut Vec<u8>, c: &CellSummary) {
-    varint::write_u64(out, c.cdr_records);
-    varint::write_u64(out, c.cdr_drops);
-    write_agg(out, &c.upflux);
-    write_agg(out, &c.downflux);
-    write_agg(out, &c.duration_s);
-    varint::write_u64(out, c.nms_reports);
-    write_agg(out, &c.attempts);
-    write_agg(out, &c.drops);
-    write_agg(out, &c.throughput);
-}
-
-fn write_highlights(out: &mut Vec<u8>, h: &Highlights) {
-    varint::write_u64(out, u64::from(h.first_epoch.0));
-    varint::write_u64(out, u64::from(h.last_epoch.0));
-    varint::write_u64(out, h.cdr_records);
-    varint::write_u64(out, h.nms_records);
+fn write_highlights(w: &mut Writer, h: &Highlights) {
+    w.varint(u64::from(h.first_epoch.0));
+    w.varint(u64::from(h.last_epoch.0));
+    w.varint(h.cdr_records);
+    w.varint(h.nms_records);
     // Cells sorted for deterministic images.
     let mut cells: Vec<(&u32, &CellSummary)> = h.per_cell.iter().collect();
     cells.sort_by_key(|(id, _)| **id);
-    varint::write_u64(out, cells.len() as u64);
+    w.varint(cells.len() as u64);
     for (id, summary) in cells {
-        varint::write_u64(out, u64::from(*id));
-        write_cell_summary(out, summary);
+        w.varint(u64::from(*id));
+        write_cell_summary(w, summary);
     }
-    varint::write_u64(out, h.attr_freqs.len() as u64);
+    w.varint(h.attr_freqs.len() as u64);
     for table in &h.attr_freqs {
-        varint::write_u64(out, table.total);
+        w.varint(table.total);
         let mut entries: Vec<(&String, &u64)> = table.counts.iter().collect();
         entries.sort();
-        varint::write_u64(out, entries.len() as u64);
+        w.varint(entries.len() as u64);
         for (value, count) in entries {
-            write_string(out, value);
-            varint::write_u64(out, *count);
+            w.varint(value.len() as u64);
+            w.bytes(value.as_bytes());
+            w.varint(*count);
         }
     }
 }
 
-fn write_leaf(out: &mut Vec<u8>, l: &EpochLeaf) {
-    varint::write_u64(out, u64::from(l.epoch.0));
-    write_string(out, &l.path);
-    varint::write_u64(out, l.raw_bytes);
-    varint::write_u64(out, l.stored_bytes);
-    out.push(u8::from(l.present));
+fn write_leaf(w: &mut Writer, l: &EpochLeaf) {
+    w.varint(u64::from(l.epoch.0));
+    w.varint(l.path.len() as u64);
+    w.bytes(l.path.as_bytes());
+    w.varint(l.raw_bytes);
+    w.varint(l.stored_bytes);
+    w.u8(u8::from(l.present));
 }
 
 /// Serialize the whole index.
 pub fn to_bytes(index: &TemporalIndex) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 << 10);
-    out.extend_from_slice(MAGIC);
-    out.push(VERSION);
+    let w = &mut Writer::new(&mut out);
+    w.bytes(MAGIC);
+    w.u8(VERSION);
 
     // Config.
     let config = &index.config;
-    varint::write_u64(&mut out, config.categorical_attrs.len() as u64);
+    w.varint(config.categorical_attrs.len() as u64);
     for &a in &config.categorical_attrs {
-        varint::write_u64(&mut out, a as u64);
+        w.varint(a as u64);
     }
-    write_f64(&mut out, config.theta_day);
-    write_f64(&mut out, config.theta_month);
-    write_f64(&mut out, config.theta_year);
+    w.f64(config.theta_day);
+    w.f64(config.theta_month);
+    w.f64(config.theta_year);
 
     // Last epoch.
     match index.last_epoch {
         Some(e) => {
-            out.push(1);
-            varint::write_u64(&mut out, u64::from(e.0));
+            w.u8(1);
+            w.varint(u64::from(e.0));
         }
-        None => out.push(0),
+        None => w.u8(0),
     }
 
-    write_highlights(&mut out, &index.root_highlights);
+    write_highlights(w, &index.root_highlights);
 
-    varint::write_u64(&mut out, index.years.len() as u64);
+    w.varint(index.years.len() as u64);
     for y in &index.years {
-        varint::write_u64(&mut out, u64::from(y.year));
-        out.push(u8::from(y.decayed));
-        write_highlights(&mut out, &y.highlights);
-        varint::write_u64(&mut out, y.months.len() as u64);
+        w.varint(u64::from(y.year));
+        w.u8(u8::from(y.decayed));
+        write_highlights(w, &y.highlights);
+        w.varint(y.months.len() as u64);
         for m in &y.months {
-            varint::write_u64(&mut out, u64::from(m.month));
-            out.push(u8::from(m.decayed));
-            write_highlights(&mut out, &m.highlights);
-            varint::write_u64(&mut out, m.days.len() as u64);
+            w.varint(u64::from(m.month));
+            w.u8(u8::from(m.decayed));
+            write_highlights(w, &m.highlights);
+            w.varint(m.days.len() as u64);
             for d in &m.days {
-                varint::write_u64(&mut out, u64::from(d.day_index));
-                out.push(u8::from(d.decayed));
-                write_highlights(&mut out, &d.highlights);
-                varint::write_u64(&mut out, d.leaves.len() as u64);
+                w.varint(u64::from(d.day_index));
+                w.u8(u8::from(d.decayed));
+                write_highlights(w, &d.highlights);
+                w.varint(d.leaves.len() as u64);
                 for l in &d.leaves {
-                    write_leaf(&mut out, l);
+                    write_leaf(w, l);
                 }
             }
         }
@@ -163,11 +161,6 @@ pub fn to_bytes(index: &TemporalIndex) -> Vec<u8> {
 }
 
 // ------------------------------------------------------------- readers
-
-struct Reader<'a> {
-    input: &'a [u8],
-    pos: usize,
-}
 
 // The fewest bytes one entry of each counted list can take (a varint is at
 // least one byte, an `f64` eight): what `Reader::count` divides by.
@@ -178,155 +171,102 @@ const MIN_TABLE_LEN: usize = 1 + 1;
 /// Year, decayed flag, empty highlights (six varints), month count.
 const MIN_YEAR_LEN: usize = 1 + 1 + 6 + 1;
 
-impl<'a> Reader<'a> {
-    /// A declared entry count, refused *before* anything is reserved for
-    /// it when the bytes left could not hold that many entries of at
-    /// least `min_entry_len` each — the rule `codecs::bounded_capacity`
-    /// applies to declared lengths. Without it a few forged bytes reserve
-    /// gigabytes ahead of the read loop that would report `Truncated`.
-    fn count(
-        &mut self,
-        min_entry_len: usize,
-        exceeds: &'static str,
-    ) -> Result<usize, PersistError> {
-        let n = self.u64()?;
-        let fits = (self.input.len() - self.pos) / min_entry_len;
-        if n > fits as u64 {
-            return Err(PersistError::Corrupt(CodecError::Corrupt(exceeds)));
-        }
-        Ok(n as usize)
-    }
+fn read_string(r: &mut Reader) -> Result<String, PersistError> {
+    let len = r.count(1, "string length exceeds image")?;
+    Ok(r.str(len)?.to_string())
+}
 
-    fn u64(&mut self) -> Result<u64, PersistError> {
-        Ok(varint::read_u64(self.input, &mut self.pos)?)
-    }
+fn read_agg(r: &mut Reader) -> Result<AggStats, PersistError> {
+    Ok(AggStats {
+        count: r.varint()?,
+        sum: r.f64()?,
+        min: r.f64()?,
+        max: r.f64()?,
+    })
+}
 
-    fn u32(&mut self) -> Result<u32, PersistError> {
-        Ok(varint::read_u32(self.input, &mut self.pos)?)
-    }
+fn read_cell_summary(r: &mut Reader) -> Result<CellSummary, PersistError> {
+    Ok(CellSummary {
+        cdr_records: r.varint()?,
+        cdr_drops: r.varint()?,
+        upflux: read_agg(r)?,
+        downflux: read_agg(r)?,
+        duration_s: read_agg(r)?,
+        nms_reports: r.varint()?,
+        attempts: read_agg(r)?,
+        drops: read_agg(r)?,
+        throughput: read_agg(r)?,
+    })
+}
 
-    fn byte(&mut self) -> Result<u8, PersistError> {
-        let b = *self
-            .input
-            .get(self.pos)
-            .ok_or(PersistError::Corrupt(CodecError::Truncated))?;
-        self.pos += 1;
-        Ok(b)
+fn read_highlights(r: &mut Reader) -> Result<Highlights, PersistError> {
+    let first_epoch = EpochId(r.varint_u32()?);
+    let last_epoch = EpochId(r.varint_u32()?);
+    let cdr_records = r.varint()?;
+    let nms_records = r.varint()?;
+    let n_cells = r.count(MIN_CELL_LEN, "cell count exceeds image")?;
+    if n_cells > 1 << 24 {
+        return Err(PersistError::Corrupt(CodecError::Corrupt(
+            "implausible cell count",
+        )));
     }
-
-    fn f64(&mut self) -> Result<f64, PersistError> {
-        if self.pos + 8 > self.input.len() {
-            return Err(PersistError::Corrupt(CodecError::Truncated));
-        }
-        let v = f64::from_le_bytes(self.input[self.pos..self.pos + 8].try_into().unwrap());
-        self.pos += 8;
-        Ok(v)
+    let mut per_cell = std::collections::HashMap::with_capacity(n_cells);
+    for _ in 0..n_cells {
+        let id = r.varint_u32()?;
+        per_cell.insert(id, read_cell_summary(r)?);
     }
-
-    fn string(&mut self) -> Result<String, PersistError> {
-        let len = self.u64()? as usize;
-        if len > 1 << 20 || self.pos + len > self.input.len() {
-            return Err(PersistError::Corrupt(CodecError::Truncated));
-        }
-        let s = std::str::from_utf8(&self.input[self.pos..self.pos + len])
-            .map_err(|_| PersistError::Corrupt(CodecError::Corrupt("bad utf-8 in image")))?
-            .to_string();
-        self.pos += len;
-        Ok(s)
+    let n_tables = r.count(MIN_TABLE_LEN, "table count exceeds image")?;
+    if n_tables > 1 << 16 {
+        return Err(PersistError::Corrupt(CodecError::Corrupt(
+            "implausible table count",
+        )));
     }
-
-    fn agg(&mut self) -> Result<AggStats, PersistError> {
-        Ok(AggStats {
-            count: self.u64()?,
-            sum: self.f64()?,
-            min: self.f64()?,
-            max: self.f64()?,
-        })
-    }
-
-    fn cell_summary(&mut self) -> Result<CellSummary, PersistError> {
-        Ok(CellSummary {
-            cdr_records: self.u64()?,
-            cdr_drops: self.u64()?,
-            upflux: self.agg()?,
-            downflux: self.agg()?,
-            duration_s: self.agg()?,
-            nms_reports: self.u64()?,
-            attempts: self.agg()?,
-            drops: self.agg()?,
-            throughput: self.agg()?,
-        })
-    }
-
-    fn highlights(&mut self) -> Result<Highlights, PersistError> {
-        let first_epoch = EpochId(self.u32()?);
-        let last_epoch = EpochId(self.u32()?);
-        let cdr_records = self.u64()?;
-        let nms_records = self.u64()?;
-        let n_cells = self.count(MIN_CELL_LEN, "cell count exceeds image")?;
-        if n_cells > 1 << 24 {
+    let mut attr_freqs = Vec::with_capacity(n_tables);
+    for _ in 0..n_tables {
+        let total = r.varint()?;
+        let n = r.count(MIN_VALUE_LEN, "value count exceeds image")?;
+        if n > 1 << 24 {
             return Err(PersistError::Corrupt(CodecError::Corrupt(
-                "implausible cell count",
+                "implausible value count",
             )));
         }
-        let mut per_cell = std::collections::HashMap::with_capacity(n_cells);
-        for _ in 0..n_cells {
-            let id = self.u32()?;
-            per_cell.insert(id, self.cell_summary()?);
+        let mut counts = std::collections::HashMap::with_capacity(n);
+        for _ in 0..n {
+            let value = read_string(r)?;
+            let count = r.varint()?;
+            counts.insert(value, count);
         }
-        let n_tables = self.count(MIN_TABLE_LEN, "table count exceeds image")?;
-        if n_tables > 1 << 16 {
-            return Err(PersistError::Corrupt(CodecError::Corrupt(
-                "implausible table count",
-            )));
-        }
-        let mut attr_freqs = Vec::with_capacity(n_tables);
-        for _ in 0..n_tables {
-            let total = self.u64()?;
-            let n = self.count(MIN_VALUE_LEN, "value count exceeds image")?;
-            if n > 1 << 24 {
-                return Err(PersistError::Corrupt(CodecError::Corrupt(
-                    "implausible value count",
-                )));
-            }
-            let mut counts = std::collections::HashMap::with_capacity(n);
-            for _ in 0..n {
-                let value = self.string()?;
-                let count = self.u64()?;
-                counts.insert(value, count);
-            }
-            attr_freqs.push(FreqTable { counts, total });
-        }
-        Ok(Highlights {
-            first_epoch,
-            last_epoch,
-            cdr_records,
-            nms_records,
-            per_cell,
-            attr_freqs,
-        })
+        attr_freqs.push(FreqTable { counts, total });
     }
+    Ok(Highlights {
+        first_epoch,
+        last_epoch,
+        cdr_records,
+        nms_records,
+        per_cell,
+        attr_freqs,
+    })
+}
 
-    fn leaf(&mut self) -> Result<EpochLeaf, PersistError> {
-        Ok(EpochLeaf {
-            epoch: EpochId(self.u32()?),
-            path: self.string()?,
-            raw_bytes: self.u64()?,
-            stored_bytes: self.u64()?,
-            present: self.byte()? != 0,
-        })
-    }
+fn read_leaf(r: &mut Reader) -> Result<EpochLeaf, PersistError> {
+    Ok(EpochLeaf {
+        epoch: EpochId(r.varint_u32()?),
+        path: read_string(r)?,
+        raw_bytes: r.varint()?,
+        stored_bytes: r.varint()?,
+        present: r.u8()? != 0,
+    })
 }
 
 /// Restore an index from a serialized image.
 pub fn from_bytes(input: &[u8]) -> Result<TemporalIndex, PersistError> {
-    if input.len() < 5 || &input[..4] != MAGIC {
-        return Err(PersistError::BadMagic);
+    let r = &mut Reader::new(input);
+    r.magic(MAGIC)?;
+    match r.u8() {
+        Ok(VERSION) => {}
+        Ok(other) => return Err(PersistError::BadVersion(other)),
+        Err(_) => return Err(PersistError::BadMagic),
     }
-    if input[4] != VERSION {
-        return Err(PersistError::BadVersion(input[4]));
-    }
-    let mut r = Reader { input, pos: 5 };
 
     let n_attrs = r.count(1, "attr count exceeds image")?;
     if n_attrs > 1 << 10 {
@@ -336,7 +276,7 @@ pub fn from_bytes(input: &[u8]) -> Result<TemporalIndex, PersistError> {
     }
     let mut categorical_attrs = Vec::with_capacity(n_attrs);
     for _ in 0..n_attrs {
-        categorical_attrs.push(r.u64()? as usize);
+        categorical_attrs.push(r.varint()? as usize);
     }
     let config = HighlightConfig {
         categorical_attrs,
@@ -345,12 +285,12 @@ pub fn from_bytes(input: &[u8]) -> Result<TemporalIndex, PersistError> {
         theta_year: r.f64()?,
     };
 
-    let last_epoch = if r.byte()? != 0 {
-        Some(EpochId(r.u32()?))
+    let last_epoch = if r.u8()? != 0 {
+        Some(EpochId(r.varint_u32()?))
     } else {
         None
     };
-    let root_highlights = r.highlights()?;
+    let root_highlights = read_highlights(r)?;
 
     let n_years = r.count(MIN_YEAR_LEN, "year count exceeds image")?;
     if n_years > 1 << 12 {
@@ -360,10 +300,10 @@ pub fn from_bytes(input: &[u8]) -> Result<TemporalIndex, PersistError> {
     }
     let mut years = Vec::with_capacity(n_years);
     for _ in 0..n_years {
-        let year = r.u32()?;
-        let decayed = r.byte()? != 0;
-        let highlights = r.highlights()?;
-        let n_months = r.u64()? as usize;
+        let year = r.varint_u32()?;
+        let decayed = r.u8()? != 0;
+        let highlights = read_highlights(r)?;
+        let n_months = r.varint()? as usize;
         if n_months > 12 {
             return Err(PersistError::Corrupt(CodecError::Corrupt(
                 "more than 12 months in a year",
@@ -371,10 +311,10 @@ pub fn from_bytes(input: &[u8]) -> Result<TemporalIndex, PersistError> {
         }
         let mut months = Vec::with_capacity(n_months);
         for _ in 0..n_months {
-            let month = r.u32()?;
-            let m_decayed = r.byte()? != 0;
-            let m_highlights = r.highlights()?;
-            let n_days = r.u64()? as usize;
+            let month = r.varint_u32()?;
+            let m_decayed = r.u8()? != 0;
+            let m_highlights = read_highlights(r)?;
+            let n_days = r.varint()? as usize;
             if n_days > 31 {
                 return Err(PersistError::Corrupt(CodecError::Corrupt(
                     "more than 31 days in a month",
@@ -382,10 +322,10 @@ pub fn from_bytes(input: &[u8]) -> Result<TemporalIndex, PersistError> {
             }
             let mut days = Vec::with_capacity(n_days);
             for _ in 0..n_days {
-                let day_index = r.u32()?;
-                let d_decayed = r.byte()? != 0;
-                let d_highlights = r.highlights()?;
-                let n_leaves = r.u64()? as usize;
+                let day_index = r.varint_u32()?;
+                let d_decayed = r.u8()? != 0;
+                let d_highlights = read_highlights(r)?;
+                let n_leaves = r.varint()? as usize;
                 if n_leaves > 48 {
                     return Err(PersistError::Corrupt(CodecError::Corrupt(
                         "more than 48 epochs in a day",
@@ -393,7 +333,7 @@ pub fn from_bytes(input: &[u8]) -> Result<TemporalIndex, PersistError> {
                 }
                 let mut leaves = Vec::with_capacity(n_leaves);
                 for _ in 0..n_leaves {
-                    leaves.push(r.leaf()?);
+                    leaves.push(read_leaf(r)?);
                 }
                 days.push(DayNode {
                     day_index,
@@ -417,6 +357,7 @@ pub fn from_bytes(input: &[u8]) -> Result<TemporalIndex, PersistError> {
             decayed,
         });
     }
+    r.finish()?;
 
     Ok(TemporalIndex {
         config,
@@ -432,6 +373,7 @@ mod tests {
     use crate::storage::SnapshotStore;
     use codecs::GzipLite;
     use dfs::Dfs;
+    use obs::bytes::{sweep, varint, Damage};
     use std::sync::Arc;
     use telco_trace::{TraceConfig, TraceGenerator};
 
@@ -513,18 +455,21 @@ mod tests {
     #[test]
     fn truncated_and_flipped_images_never_panic() {
         let image = to_bytes(&build_index(3));
-        for cut in 0..image.len() {
-            assert!(from_bytes(&image[..cut]).is_err(), "cut {cut}");
-        }
-        let mut flipped = image.clone();
-        for at in 0..image.len() {
-            for mask in [0x01, 0x80, 0xff] {
-                flipped[at] = image[at] ^ mask;
-                // Ok or Err, either is fine: it must return.
-                let _ = from_bytes(&flipped);
-            }
-            flipped[at] = image[at];
-        }
+        sweep(&image, |damage, bytes| match damage {
+            Damage::Cut(_) => assert!(from_bytes(bytes).is_err(), "{damage:?}"),
+            // Ok or Err, either is fine: it must return.
+            Damage::Flip(_) => drop(from_bytes(bytes)),
+        });
+    }
+
+    #[test]
+    fn an_image_with_a_byte_appended_is_refused() {
+        let mut image = to_bytes(&build_index(3));
+        image.push(0);
+        assert!(matches!(
+            from_bytes(&image),
+            Err(PersistError::Corrupt(CodecError::Corrupt("trailing bytes")))
+        ));
     }
 
     fn assert_exceeds_image(forged: &[u8], site: &str) {
@@ -544,35 +489,32 @@ mod tests {
         // read loop running off the end (`Truncated`).
         let image = to_bytes(&build_index(3));
         // Walk the valid image to where each count sits.
-        let mut r = Reader {
-            input: &image,
-            pos: 5,
-        };
-        for _ in 0..r.u64().unwrap() {
-            r.u64().unwrap();
+        let mut r = Reader::new(&image[5..]);
+        for _ in 0..r.varint().unwrap() {
+            r.varint().unwrap();
         }
-        r.pos += 3 * 8;
-        if r.byte().unwrap() != 0 {
-            r.u32().unwrap();
+        r.take(3 * 8).unwrap();
+        if r.u8().unwrap() != 0 {
+            r.varint_u32().unwrap();
         }
         for _ in 0..4 {
-            r.u64().unwrap();
+            r.varint().unwrap();
         }
-        let cells_at = r.pos;
-        for _ in 0..r.u64().unwrap() {
-            r.u32().unwrap();
-            r.cell_summary().unwrap();
+        let cells_at = 5 + r.pos();
+        for _ in 0..r.varint().unwrap() {
+            r.varint_u32().unwrap();
+            read_cell_summary(&mut r).unwrap();
         }
-        assert!(r.u64().unwrap() > 0, "the root has frequency tables");
-        r.u64().unwrap();
-        let values_at = r.pos;
+        assert!(r.varint().unwrap() > 0, "the root has frequency tables");
+        r.varint().unwrap();
+        let values_at = 5 + r.pos();
 
         for (site, at) in [("cells", cells_at), ("values", values_at)] {
-            r.pos = at;
-            assert!(r.u64().unwrap() < 1 << 24);
+            let mut r = Reader::new(&image[at..]);
+            assert!(r.varint().unwrap() < 1 << 24);
             let mut forged = image[..at].to_vec();
             varint::write_u64(&mut forged, 1 << 24);
-            forged.extend_from_slice(&image[r.pos..]);
+            forged.extend_from_slice(&image[at + r.pos()..]);
             assert_exceeds_image(&forged, site);
         }
 

@@ -13,6 +13,11 @@
 //! spans, shard, budget and cost profile — is one thread-local owned by
 //! [`context`], which also carries it to a helper thread.
 //!
+//! [`bytes`] is the one checked byte layer: every format the workspace
+//! reads back (index image, CAS manifest and pack, recorder image, serve
+//! frames, codec headers) writes and reads through it. It lives here
+//! because every crate that owns such a format already depends on `obs`.
+//!
 //! Metric names follow the `crate.component.event` convention, e.g.
 //! `dfs.read.bytes` or `codecs.gzip-lite.compress.bytes_in`. Span *names*
 //! are stage labels (`"compress"`, `"dfs.write"`); span *paths* are the
@@ -33,6 +38,7 @@
 //! ```
 
 pub mod budget;
+pub mod bytes;
 pub mod context;
 pub mod cost;
 pub mod export;

@@ -27,6 +27,7 @@
 //! it, reloads it after a "restart" and re-renders per-shard latency and
 //! load from the file alone.
 
+use crate::bytes::{varint, ByteError, Reader, Writer};
 use crate::metrics::counts_since;
 use crate::registry::Registry;
 use crate::Histogram;
@@ -267,22 +268,23 @@ impl Recorder {
     pub fn to_bytes(&self) -> Vec<u8> {
         let st = self.state.lock();
         let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        write_varint(&mut out, st.config.window_samples as u64);
-        write_varint(&mut out, st.config.fresh_windows as u64);
-        write_varint(&mut out, st.config.max_windows as u64);
-        write_varint(&mut out, st.tick);
-        write_varint(&mut out, st.closed.len() as u64);
-        for w in &st.closed {
-            write_varint(&mut out, w.start_tick);
-            write_varint(&mut out, w.resolution as u64);
-            write_varint(&mut out, w.series.len() as u64);
-            for (name, values) in &w.series {
-                write_varint(&mut out, name.len() as u64);
-                out.extend_from_slice(name.as_bytes());
+        let mut w = Writer::new(&mut out);
+        w.bytes(MAGIC);
+        w.varint(st.config.window_samples as u64);
+        w.varint(st.config.fresh_windows as u64);
+        w.varint(st.config.max_windows as u64);
+        w.varint(st.tick);
+        w.varint(st.closed.len() as u64);
+        for window in &st.closed {
+            w.varint(window.start_tick);
+            w.varint(window.resolution.into());
+            w.varint(window.series.len() as u64);
+            for (name, values) in &window.series {
+                w.varint(name.len() as u64);
+                w.bytes(name.as_bytes());
                 let packed = pack_series(values);
-                write_varint(&mut out, packed.len() as u64);
-                out.extend_from_slice(&packed);
+                w.varint(packed.len() as u64);
+                w.bytes(&packed);
             }
         }
         out
@@ -291,67 +293,42 @@ impl Recorder {
     /// Deserialize a persisted image into a fresh recorder (the open
     /// window starts empty at the recorded tick).
     ///
-    /// Nothing the image declares is trusted further than its bytes go: a
-    /// count is refused when what it counts cannot fit in the bytes left,
-    /// `pos + len` is checked for overflow, and a resolution must be one
-    /// that decay can produce, so that a forged image is an `Err` and never
-    /// a panic or a huge reservation, now or at the next sample.
+    /// Nothing the image declares is trusted further than its bytes go
+    /// ([`crate::bytes`]), and a resolution must be one that decay can
+    /// produce, so that a forged image is an `Err` and never a panic or a
+    /// huge reservation, now or at the next sample.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let mut pos = 0usize;
-        if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-            return Err("obs.recorder: bad magic".to_string());
-        }
-        pos += MAGIC.len();
-        let next = |pos: &mut usize, what: &str| -> Result<u64, String> {
-            read_varint(bytes, pos).ok_or_else(|| format!("obs.recorder: truncated {what}"))
-        };
-        // `n` things of at least `each` bytes apiece, from `pos` on.
-        let fits = |pos: usize, n: u64, each: u64, what: &str| -> Result<usize, String> {
-            match n.checked_mul(each) {
-                Some(need) if need <= (bytes.len() - pos) as u64 => Ok(n as usize),
-                _ => Err(format!("obs.recorder: {what} count exceeds image")),
-            }
-        };
-        // The `len` bytes at `pos`, advancing past them.
-        let take = |pos: &mut usize, len: u64, what: &str| -> Result<&[u8], String> {
-            let end = usize::try_from(len)
-                .ok()
-                .and_then(|len| pos.checked_add(len))
-                .filter(|&end| end <= bytes.len())
-                .ok_or_else(|| format!("obs.recorder: truncated {what}"))?;
-            let slice = &bytes[*pos..end];
-            *pos = end;
-            Ok(slice)
-        };
+        Self::read(bytes).map_err(|e| format!("obs.recorder: {e}"))
+    }
+
+    fn read(bytes: &[u8]) -> Result<Self, ByteError> {
+        let mut r = Reader::new(bytes);
+        r.magic(MAGIC)?;
         let config = RecorderConfig {
-            window_samples: next(&mut pos, "window_samples")? as usize,
-            fresh_windows: next(&mut pos, "fresh_windows")? as usize,
-            max_windows: next(&mut pos, "max_windows")? as usize,
+            window_samples: r.varint()? as usize,
+            fresh_windows: r.varint()? as usize,
+            max_windows: r.varint()? as usize,
         };
-        let tick = next(&mut pos, "tick")?;
+        let tick = r.varint()?;
         // A window is at least three one-byte varints.
-        let declared = next(&mut pos, "n_windows")?;
-        let n_windows = fits(pos, declared, 3, "window")?;
+        let n_windows = r.count(3, "window count")?;
         let mut closed = Vec::with_capacity(n_windows);
         for _ in 0..n_windows {
-            let start_tick = next(&mut pos, "window")?;
-            let resolution = next(&mut pos, "window")?;
+            let start_tick = r.varint()?;
+            let resolution = r.varint()?;
             if !resolution.is_power_of_two() || resolution > u64::from(MAX_RESOLUTION) {
-                return Err(format!("obs.recorder: resolution {resolution}"));
+                return Err(ByteError::OutOfRange {
+                    field: "window resolution",
+                });
             }
             // A series is at least a name length and a packed length.
-            let declared = next(&mut pos, "window")?;
-            let n_series = fits(pos, declared, 2, "series")?;
+            let n_series = r.count(2, "series count")?;
             let mut series = BTreeMap::new();
             for _ in 0..n_series {
-                let name_len = next(&mut pos, "series")?;
-                let name = std::str::from_utf8(take(&mut pos, name_len, "series name")?)
-                    .map_err(|_| "obs.recorder: series name not utf-8".to_string())?
-                    .to_string();
-                let packed_len = next(&mut pos, "series")?;
-                let values = unpack_series(take(&mut pos, packed_len, "series data")?)
-                    .ok_or_else(|| format!("obs.recorder: corrupt series `{name}`"))?;
-                series.insert(name, values);
+                let name_len = r.count(1, "series name length")?;
+                let name = r.str(name_len)?.to_string();
+                let packed_len = r.count(1, "series data length")?;
+                series.insert(name, unpack_series(r.take(packed_len)?)?);
             }
             closed.push(Window {
                 start_tick,
@@ -359,6 +336,7 @@ impl Recorder {
                 series,
             });
         }
+        r.finish()?;
         let mut st = RecorderState::new(config);
         st.tick = tick;
         st.current = Window::new(tick);
@@ -383,35 +361,6 @@ impl Recorder {
 
 const BLOCK: usize = 32;
 
-fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            return;
-        }
-        out.push(b | 0x80);
-    }
-}
-
-fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = *bytes.get(*pos)?;
-        *pos += 1;
-        if shift >= 64 {
-            return None;
-        }
-        v |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-    }
-}
-
 fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
@@ -430,11 +379,11 @@ fn bits_needed(v: u64) -> u32 {
 /// series pack to a width of 0-2 bits per value.
 pub fn pack_series(values: &[u64]) -> Vec<u8> {
     let mut out = Vec::new();
-    write_varint(&mut out, values.len() as u64);
+    varint::write_u64(&mut out, values.len() as u64);
     if values.is_empty() {
         return out;
     }
-    write_varint(&mut out, values[0]);
+    varint::write_u64(&mut out, values[0]);
     let deltas: Vec<u64> = values
         .windows(2)
         .map(|w| zigzag(w[1].wrapping_sub(w[0]) as i64))
@@ -460,51 +409,55 @@ pub fn pack_series(values: &[u64]) -> Vec<u8> {
     out
 }
 
-/// Inverse of [`pack_series`]. `None` on truncated or malformed input.
-pub fn unpack_series(bytes: &[u8]) -> Option<Vec<u64>> {
-    let mut pos = 0usize;
-    let n = read_varint(bytes, &mut pos)? as usize;
-    if n == 0 {
-        return Some(Vec::new());
-    }
-    let first = read_varint(bytes, &mut pos)?;
-    // Each block of up to 32 deltas takes at least its width byte.
-    if (n - 1).div_ceil(BLOCK) > bytes.len() - pos {
-        return None;
-    }
-    let mut values = Vec::with_capacity(n);
-    values.push(first);
-    let mut remaining = n - 1;
-    let mut prev = first;
-    while remaining > 0 {
-        let len = remaining.min(BLOCK);
-        let width = u32::from(*bytes.get(pos)?);
-        pos += 1;
-        if width > 64 {
-            return None;
+/// Inverse of [`pack_series`], refusing truncated or malformed input and
+/// bytes after the last block.
+pub fn unpack_series(bytes: &[u8]) -> Result<Vec<u64>, ByteError> {
+    let mut r = Reader::new(bytes);
+    let n = r.varint()?;
+    let mut values = Vec::new();
+    if n > 0 {
+        let first = r.varint()?;
+        // Each block of up to 32 deltas takes at least its width byte.
+        if (n - 1).div_ceil(BLOCK as u64) > r.remaining() as u64 {
+            return Err(ByteError::OutOfRange {
+                field: "series length",
+            });
         }
-        let mut bitbuf: u128 = 0;
-        let mut bits: u32 = 0;
-        let mask: u128 = if width == 64 {
-            u128::from(u64::MAX)
-        } else {
-            (1u128 << width) - 1
-        };
-        for _ in 0..len {
-            while bits < width {
-                bitbuf |= u128::from(*bytes.get(pos)?) << bits;
-                pos += 1;
-                bits += 8;
+        values.reserve(n as usize);
+        values.push(first);
+        let mut remaining = n as usize - 1;
+        let mut prev = first;
+        while remaining > 0 {
+            let len = remaining.min(BLOCK);
+            let width = u32::from(r.u8()?);
+            if width > 64 {
+                return Err(ByteError::OutOfRange {
+                    field: "series block width",
+                });
             }
-            let d = (bitbuf & mask) as u64;
-            bitbuf >>= width;
-            bits -= width;
-            prev = prev.wrapping_add(unzigzag(d) as u64);
-            values.push(prev);
+            let mut bitbuf: u128 = 0;
+            let mut bits: u32 = 0;
+            let mask: u128 = if width == 64 {
+                u128::from(u64::MAX)
+            } else {
+                (1u128 << width) - 1
+            };
+            for _ in 0..len {
+                while bits < width {
+                    bitbuf |= u128::from(r.u8()?) << bits;
+                    bits += 8;
+                }
+                let d = (bitbuf & mask) as u64;
+                bitbuf >>= width;
+                bits -= width;
+                prev = prev.wrapping_add(unzigzag(d) as u64);
+                values.push(prev);
+            }
+            remaining -= len;
         }
-        remaining -= len;
     }
-    Some(values)
+    r.finish()?;
+    Ok(values)
 }
 
 static GLOBAL: OnceLock<Recorder> = OnceLock::new();
@@ -558,7 +511,7 @@ mod tests {
         let v: Vec<u64> = (0..64u64).map(|i| i * 7).collect();
         let packed = pack_series(&v);
         for cut in [0, 1, packed.len() / 2, packed.len() - 1] {
-            assert!(unpack_series(&packed[..cut]).is_none(), "cut={cut}");
+            assert!(unpack_series(&packed[..cut]).is_err(), "cut={cut}");
         }
     }
 
@@ -668,24 +621,38 @@ mod tests {
         let image = |windows: u64, series: &[u8]| {
             let mut out = MAGIC.to_vec();
             for v in [4, 8, 64, 0, windows, 0, 1, 1] {
-                write_varint(&mut out, v);
+                varint::write_u64(&mut out, v);
             }
             out.extend_from_slice(series);
             out
         };
         let varint = |v: u64| {
             let mut out = Vec::new();
-            write_varint(&mut out, v);
+            varint::write_u64(&mut out, v);
             out
         };
         let packed = pack_series(&[5, 6]);
         let valid = [&[1, b'x'][..], &varint(packed.len() as u64), &packed].concat();
         assert!(Recorder::from_bytes(&image(1, &valid)).is_ok());
+        // The three one-byte varints of a window and `valid` follow the
+        // window count.
+        let one_window_too_many = ((3 + valid.len()) / 3 + 1) as u64;
+        let header = MAGIC.len() + 3;
         let forged = [
-            ("2^62 windows", image(1 << 62, &valid)),
+            (
+                "2^62 windows",
+                image(1 << 62, &valid),
+                "window count out of range",
+            ),
+            (
+                "one window more than the bytes left hold",
+                image(one_window_too_many, &valid),
+                "window count out of range",
+            ),
             (
                 "a name of u64::MAX bytes",
                 image(1, &[&varint(u64::MAX), &valid[1..]].concat()),
+                "series name length out of range",
             ),
             (
                 "a series of u64::MAX - 3 bytes",
@@ -693,20 +660,42 @@ mod tests {
                     1,
                     &[&valid[..2], &varint(u64::MAX - 3), &valid[3..]].concat(),
                 ),
+                "series data length out of range",
             ),
-            ("a window of resolution 0", {
-                let mut out = image(1, &valid);
-                out[MAGIC.len() + 6] = 0;
-                out
-            }),
+            (
+                "a window of resolution 0",
+                {
+                    let mut out = image(1, &valid);
+                    out[MAGIC.len() + 6] = 0;
+                    out
+                },
+                "window resolution out of range",
+            ),
+            (
+                "a tick whose tenth byte carries more than the 64th bit",
+                {
+                    let image = image(1, &valid);
+                    let tick = [&[0xFF; 9][..], &[0x7F]].concat();
+                    [&image[..header], &tick, &image[header + 1..]].concat()
+                },
+                "varint out of range",
+            ),
+            (
+                "a byte after the last window",
+                [image(1, &valid), vec![0]].concat(),
+                "1 trailing bytes",
+            ),
         ];
-        for (what, bytes) in forged {
-            assert!(Recorder::from_bytes(&bytes).is_err(), "{what}");
+        for (what, bytes, why) in forged {
+            let refused = Recorder::from_bytes(&bytes).err().expect(what);
+            assert_eq!(refused, format!("obs.recorder: {why}"), "{what}");
         }
-        let mut series = Vec::new();
-        write_varint(&mut series, u64::MAX >> 1);
-        write_varint(&mut series, 7);
-        assert!(unpack_series(&series).is_none(), "2^63 values in two bytes");
+        let series = [varint(u64::MAX >> 1), varint(7)].concat();
+        assert!(unpack_series(&series).is_err(), "2^63 values in two bytes");
+        for trailing in [pack_series(&[]), packed] {
+            let series = [trailing, vec![0]].concat();
+            assert!(unpack_series(&series).is_err(), "a byte after the series");
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! a sample value loads as another, equally valid history. Never a panic,
 //! in debug (overflow checks on) or in release (CI's storage step).
 
+use obs::bytes::{sweep, Damage};
 use obs::recorder::MAX_RESOLUTION;
 use obs::{Recorder, RecorderConfig, Registry};
 
@@ -60,24 +61,15 @@ fn the_image_has_decayed_windows() {
 }
 
 #[test]
-fn every_prefix_is_refused() {
-    let image = real_image();
-    for cut in 0..image.len() {
-        assert!(Recorder::from_bytes(&image[..cut]).is_err(), "cut {cut}");
-    }
-}
-
-#[test]
-fn every_bit_flip_is_refused_or_well_formed() {
+fn every_prefix_is_refused_and_every_bit_flip_is_refused_or_well_formed() {
     let image = real_image();
     let mut refused = 0;
-    for bit in 0..image.len() * 8 {
-        let mut flipped = image.clone();
-        flipped[bit / 8] ^= 1 << (bit % 8);
-        match Recorder::from_bytes(&flipped) {
-            Err(_) => refused += 1,
-            Ok(rec) => assert_well_formed(&rec, &format!("bit {bit}")),
+    sweep(&image, |damage, bytes| {
+        match (damage, Recorder::from_bytes(bytes)) {
+            (Damage::Cut(_), loaded) => assert!(loaded.is_err(), "{damage:?}"),
+            (Damage::Flip(_), Err(_)) => refused += 1,
+            (Damage::Flip(_), Ok(rec)) => assert_well_formed(&rec, &format!("{damage:?}")),
         }
-    }
+    });
     assert!(refused > image.len(), "structure bits must be checked");
 }

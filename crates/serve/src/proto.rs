@@ -17,12 +17,14 @@
 //! Every payload leads with the request id it answers, so a client can
 //! pipeline requests over one connection.
 //!
-//! Decoding is adversarial-input-hardened in the same spirit as the
-//! codec containers: a forged length field beyond [`MAX_PAYLOAD`] is
-//! rejected *before* any allocation, truncated frames report
-//! [`ProtoError::Truncated`] rather than panicking, and trailing bytes
-//! after a well-formed payload are an error (no smuggling).
+//! A payload is written and read through [`obs::bytes`]; this module
+//! keeps the frame header and the [`Value`] tags. A forged length field
+//! beyond [`MAX_PAYLOAD`] is rejected *before* any allocation, a truncated
+//! frame or a count its payload cannot hold reports
+//! [`ProtoError::Truncated`] rather than panicking or reserving, and
+//! trailing bytes after a well-formed payload are an error (no smuggling).
 
+use obs::bytes::{ByteError, Reader, Writer};
 use std::fmt;
 use telco_trace::record::{Record, Value};
 
@@ -97,6 +99,21 @@ impl fmt::Display for ProtoError {
 }
 
 impl std::error::Error for ProtoError {}
+
+impl From<ByteError> for ProtoError {
+    #[inline]
+    fn from(e: ByteError) -> Self {
+        match e {
+            ByteError::Trailing(n) => ProtoError::Trailing(n),
+            ByteError::BadUtf8 => ProtoError::BadUtf8,
+            // A count the payload cannot hold is cut short, as the read
+            // loop would find (a frame's magic is its header's to check).
+            ByteError::Truncated | ByteError::OutOfRange { .. } | ByteError::BadMagic => {
+                ProtoError::Truncated
+            }
+        }
+    }
+}
 
 /// A request frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -377,100 +394,47 @@ pub mod errcode {
 
 // ---------------------------------------------------------------- writing
 
-/// [`Writer::len`]'s panic, kept out of the line of every string written.
-#[cold]
-#[inline(never)]
-fn too_long(field: &str, n: usize, width: usize) -> ! {
-    panic!("{field}: length {n} does not fit the wire's {width}-byte field");
+/// Open a frame at the end of `buf`: its header goes in first with its
+/// kind and length still open, and the payload is written straight behind
+/// it — no payload buffer of its own, no copy into a frame afterwards.
+/// Returns where the frame starts, for [`close`].
+fn open(buf: &mut Vec<u8>) -> usize {
+    let start = buf.len();
+    buf.extend_from_slice(&MAGIC);
+    buf.extend_from_slice(&[VERSION, 0, 0, 0, 0, 0]);
+    start
 }
 
-/// Writes one frame at the end of a caller-owned buffer: the header goes
-/// in first with its kind and length still open, the payload is written
-/// straight behind it, and [`Writer::finish`] closes the header — no
-/// payload buffer of its own, no copy into a frame afterwards.
-struct Writer<'a> {
-    buf: &'a mut Vec<u8>,
-    /// Where this frame's header starts in `buf`.
-    start: usize,
+/// Close the frame opened at `start`: fill in the kind byte and the
+/// payload length.
+fn close(buf: &mut [u8], start: usize, kind: u8) {
+    let payload_len = buf.len() - start - HEADER_LEN;
+    assert!(payload_len <= MAX_PAYLOAD, "frame payload over bound");
+    buf[start + 3] = kind;
+    buf[start + 4..start + HEADER_LEN].copy_from_slice(&(payload_len as u32).to_le_bytes());
 }
 
-impl<'a> Writer<'a> {
-    fn new(buf: &'a mut Vec<u8>) -> Self {
-        let start = buf.len();
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&[VERSION, 0, 0, 0, 0, 0]);
-        Self { buf, start }
-    }
+#[inline]
+fn write_str(w: &mut Writer, s: &str) {
+    w.len::<u32>("string", s.len());
+    w.bytes(s.as_bytes());
+}
 
-    /// Close the frame: fill in the kind byte and the payload length.
-    fn finish(self, kind: u8) {
-        let payload_len = self.buf.len() - self.start - HEADER_LEN;
-        assert!(payload_len <= MAX_PAYLOAD, "frame payload over bound");
-        self.buf[self.start + 3] = kind;
-        self.buf[self.start + 4..self.start + HEADER_LEN]
-            .copy_from_slice(&(payload_len as u32).to_le_bytes());
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Write `n`, the length of `field`, as the `T` the wire gives it.
-    ///
-    /// # Panics
-    /// If `n` does not fit in `T`, naming `field`: a wrapped length would
-    /// frame the bytes behind it as something else.
-    #[inline]
-    fn len<T: TryFrom<usize> + Into<u64>>(&mut self, field: &str, n: usize) {
-        let width = std::mem::size_of::<T>();
-        match T::try_from(n) {
-            Ok(fits) => self
-                .buf
-                .extend_from_slice(&fits.into().to_le_bytes()[..width]),
-            Err(_) => too_long(field, n, width),
+#[inline]
+fn write_value(w: &mut Writer, v: &Value) {
+    match v {
+        Value::Null => w.u8(0),
+        Value::Str(s) => {
+            w.u8(1);
+            write_str(w, s);
         }
-    }
-
-    fn str(&mut self, s: &str) {
-        self.len::<u32>("string", s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    fn value(&mut self, v: &Value) {
-        match v {
-            Value::Null => self.u8(0),
-            Value::Str(s) => {
-                self.u8(1);
-                self.str(s);
-            }
-            Value::Int(i) => {
-                self.u8(2);
-                self.i64(*i);
-            }
-            Value::Float(f) => {
-                self.u8(3);
-                self.f64(*f);
-            }
+        Value::Int(i) => {
+            w.u8(2);
+            w.i64(*i);
+        }
+        Value::Float(f) => {
+            w.u8(3);
+            w.f64(*f);
         }
     }
 }
@@ -538,22 +502,24 @@ pub fn encode_row_chunk_into<R: WireRow>(
     table: u8,
     rows: impl IntoIterator<Item = R>,
 ) -> usize {
+    let start = open(out);
     let mut w = Writer::new(out);
     w.u64(id);
     w.u8(table);
-    let count_at = w.buf.len();
     w.u16(0);
     let mut count = 0;
     for row in rows {
         w.len::<u16>("row width", row.width());
         for i in 0..row.width() {
-            w.value(row.value(i));
+            write_value(&mut w, row.value(i));
         }
         count += 1;
     }
     let count16 = u16::try_from(count).expect("a row chunk holds at most u16::MAX rows");
-    w.buf[count_at..count_at + 2].copy_from_slice(&count16.to_le_bytes());
-    w.finish(kind::ROW_CHUNK);
+    // The row count follows the id and the table byte.
+    let count_at = start + HEADER_LEN + 8 + 1;
+    out[count_at..count_at + 2].copy_from_slice(&count16.to_le_bytes());
+    close(out, start, kind::ROW_CHUNK);
     count
 }
 
@@ -567,7 +533,8 @@ impl Request {
     /// wire cannot carry is never sent as another one.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        let mut w = Writer::new(&mut out);
+        let start = open(&mut out);
+        let w = &mut Writer::new(&mut out);
         w.u64(self.id);
         let kind = match &self.body {
             RequestBody::Explore {
@@ -578,7 +545,7 @@ impl Request {
             } => {
                 w.len::<u16>("explore attributes", attributes.len());
                 for a in attributes {
-                    w.str(a);
+                    write_str(w, a);
                 }
                 w.f64(bbox.0);
                 w.f64(bbox.1);
@@ -596,7 +563,7 @@ impl Request {
             } => {
                 w.u32(window.0);
                 w.u32(window.1);
-                w.str(sql);
+                write_str(w, sql);
                 w.u64(*deadline_ms);
                 kind::SQL
             }
@@ -614,41 +581,26 @@ impl Request {
                 kind::CANCEL
             }
         };
-        w.finish(kind);
+        close(&mut out, start, kind);
         out
     }
 
     /// Decode a payload of the given kind.
     pub fn decode(kind_byte: u8, payload: &[u8]) -> Result<Self, ProtoError> {
-        let mut r = Reader::new(payload);
+        let r = &mut Reader::new(payload);
         let id = r.u64()?;
         let body = match kind_byte {
-            kind::EXPLORE => {
-                let n = r.u16()? as usize;
-                let mut attributes = Vec::new();
-                for _ in 0..n {
-                    attributes.push(r.str()?);
-                }
-                let bbox = (r.f64()?, r.f64()?, r.f64()?, r.f64()?);
-                let window = (r.u32()?, r.u32()?);
-                let deadline_ms = r.u64()?;
-                RequestBody::Explore {
-                    attributes,
-                    bbox,
-                    window,
-                    deadline_ms,
-                }
-            }
-            kind::SQL => {
-                let window = (r.u32()?, r.u32()?);
-                let sql = r.str()?;
-                let deadline_ms = r.u64()?;
-                RequestBody::Sql {
-                    window,
-                    sql,
-                    deadline_ms,
-                }
-            }
+            kind::EXPLORE => RequestBody::Explore {
+                attributes: list::<u16, _>(r, 4, "explore attributes", read_string)?,
+                bbox: (r.f64()?, r.f64()?, r.f64()?, r.f64()?),
+                window: (r.u32()?, r.u32()?),
+                deadline_ms: r.u64()?,
+            },
+            kind::SQL => RequestBody::Sql {
+                window: (r.u32()?, r.u32()?),
+                sql: read_string(r)?,
+                deadline_ms: r.u64()?,
+            },
             kind::STATS => RequestBody::Stats,
             kind::TRACE => RequestBody::Trace { trace_id: r.u64()? },
             kind::PROFILE => RequestBody::Profile { trace_id: r.u64()? },
@@ -683,16 +635,17 @@ impl Response {
             encode_row_chunk_into(out, self.id, *table, rows);
             return;
         }
-        let mut w = Writer::new(out);
+        let start = open(out);
+        let w = &mut Writer::new(out);
         w.u64(self.id);
         let kind = match &self.body {
             ResponseBody::Header { tables } => {
                 w.len::<u8>("header tables", tables.len());
                 for t in tables {
-                    w.str(&t.name);
+                    write_str(w, &t.name);
                     w.len::<u16>("header columns", t.columns.len());
                     for c in &t.columns {
-                        w.str(c);
+                        write_str(w, c);
                     }
                 }
                 kind::HEADER
@@ -704,7 +657,7 @@ impl Response {
                 nms_records,
                 cells,
             } => {
-                w.str(resolution);
+                write_str(w, resolution);
                 w.u64(*cdr_records);
                 w.u64(*nms_records);
                 w.u32(*cells);
@@ -732,7 +685,7 @@ impl Response {
             }
             ResponseBody::Error { code, message } => {
                 w.u8(*code);
-                w.str(message);
+                write_str(w, message);
                 kind::ERROR
             }
             ResponseBody::Unavailable => kind::UNAVAILABLE,
@@ -754,14 +707,14 @@ impl Response {
                 w.len::<u16>("stats anomalies", s.anomalies.len());
                 for a in &s.anomalies {
                     w.u64(a.tick);
-                    w.str(&a.stream);
-                    w.str(&a.category);
+                    write_str(w, &a.stream);
+                    write_str(w, &a.category);
                     w.u32(a.share_milli);
                     w.u8(a.deterministic as u8);
                 }
                 w.len::<u32>("stats counters", s.counters.len());
                 for (name, value) in &s.counters {
-                    w.str(name);
+                    write_str(w, name);
                     w.u64(*value);
                 }
                 w.u64(s.breaker_trips);
@@ -791,14 +744,14 @@ impl Response {
                 for s in &t.spans {
                     w.u64(s.span_id);
                     w.u64(s.parent_id);
-                    w.str(&s.name);
+                    write_str(w, &s.name);
                     w.u64(s.start_us);
                     w.u64(s.dur_us);
                     w.u8(s.instant as u8);
                     w.len::<u16>("span args", s.args.len());
                     for (k, v) in &s.args {
-                        w.str(k);
-                        w.str(v);
+                        write_str(w, k);
+                        write_str(w, v);
                     }
                 }
                 kind::TRACE_REPLY
@@ -807,54 +760,38 @@ impl Response {
                 w.u64(p.trace_id);
                 w.len::<u32>("profile metrics", p.metrics.len());
                 for (metric, value) in &p.metrics {
-                    w.str(metric);
-                    w.str(value);
+                    write_str(w, metric);
+                    write_str(w, value);
                 }
                 kind::PROFILE_REPLY
             }
         };
-        w.finish(kind);
+        close(out, start, kind);
     }
 
     /// Decode a payload of the given kind.
     pub fn decode(kind_byte: u8, payload: &[u8]) -> Result<Self, ProtoError> {
-        let mut r = Reader::new(payload);
+        let r = &mut Reader::new(payload);
         let id = r.u64()?;
         let body = match kind_byte {
-            kind::HEADER => {
-                let n = r.u8()? as usize;
-                let mut tables = Vec::new();
-                for _ in 0..n {
-                    let name = r.str()?;
-                    let ncols = r.u16()? as usize;
-                    let mut columns = Vec::new();
-                    for _ in 0..ncols {
-                        columns.push(r.str()?);
-                    }
-                    tables.push(TableHeader { name, columns });
-                }
-                ResponseBody::Header { tables }
-            }
-            kind::ROW_CHUNK => {
-                let table = r.u8()?;
-                let nrows = r.u16()? as usize;
-                // One allocation per row and one for the chunk, sized by
-                // the counts in the frame; a forged count reserves no
-                // more than the payload behind it could fill (a row
-                // takes two bytes at least, a value one).
-                let mut rows = Vec::with_capacity(nrows.min(r.remaining() / 2));
-                for _ in 0..nrows {
-                    let ncols = r.u16()? as usize;
-                    let mut row = Vec::with_capacity(ncols.min(r.remaining()));
-                    for _ in 0..ncols {
-                        row.push(r.value()?);
-                    }
-                    rows.push(row);
-                }
-                ResponseBody::RowChunk { table, rows }
-            }
+            kind::HEADER => ResponseBody::Header {
+                // A table is a name and a column count at least.
+                tables: list::<u8, _>(r, 4 + 2, "header tables", |r| {
+                    Ok(TableHeader {
+                        name: read_string(r)?,
+                        columns: list::<u16, _>(r, 4, "header columns", read_string)?,
+                    })
+                })?,
+            },
+            // A row takes two bytes at least, a value one.
+            kind::ROW_CHUNK => ResponseBody::RowChunk {
+                table: r.u8()?,
+                rows: list::<u16, _>(r, 2, "chunk rows", |r| {
+                    list::<u16, _>(r, 1, "row width", read_value)
+                })?,
+            },
             kind::SUMMARY => ResponseBody::Summary {
-                resolution: r.str()?,
+                resolution: read_string(r)?,
                 cdr_records: r.u64()?,
                 nms_records: r.u64()?,
                 cells: r.u32()?,
@@ -871,133 +808,72 @@ impl Response {
             },
             kind::ERROR => ResponseBody::Error {
                 code: r.u8()?,
-                message: r.str()?,
+                message: read_string(r)?,
             },
             kind::UNAVAILABLE => ResponseBody::Unavailable,
-            kind::STATS_REPLY => {
-                let queries = r.u64()?;
-                let rows_streamed = r.u64()?;
-                let shed_overflow = r.u64()?;
-                let shed_deadline = r.u64()?;
-                let protocol_errors = r.u64()?;
-                let queue_interactive = r.u32()?;
-                let queue_scan = r.u32()?;
-                let cache_hits = r.u64()?;
-                let cache_misses = r.u64()?;
-                let cache_evictions = r.u64()?;
-                let cache_invalidations = r.u64()?;
-                let meta_ticks = r.u64()?;
-                let anomalies_total = r.u64()?;
-                let anomalies_deterministic = r.u64()?;
-                let n_anoms = r.u16()? as usize;
-                let mut anomalies = Vec::new();
-                for _ in 0..n_anoms {
-                    anomalies.push(AnomalyWire {
+            kind::STATS_REPLY => ResponseBody::Stats(StatsFrame {
+                queries: r.u64()?,
+                rows_streamed: r.u64()?,
+                shed_overflow: r.u64()?,
+                shed_deadline: r.u64()?,
+                protocol_errors: r.u64()?,
+                queue_interactive: r.u32()?,
+                queue_scan: r.u32()?,
+                cache_hits: r.u64()?,
+                cache_misses: r.u64()?,
+                cache_evictions: r.u64()?,
+                cache_invalidations: r.u64()?,
+                meta_ticks: r.u64()?,
+                anomalies_total: r.u64()?,
+                anomalies_deterministic: r.u64()?,
+                anomalies: list::<u16, _>(r, 8 + 4 + 4 + 4 + 1, "stats anomalies", |r| {
+                    Ok(AnomalyWire {
                         tick: r.u64()?,
-                        stream: r.str()?,
-                        category: r.str()?,
+                        stream: read_string(r)?,
+                        category: read_string(r)?,
                         share_milli: r.u32()?,
                         deterministic: r.u8()? != 0,
-                    });
-                }
-                let n_counters = r.u32()? as usize;
-                let mut counters = Vec::new();
-                for _ in 0..n_counters {
-                    let name = r.str()?;
-                    let value = r.u64()?;
-                    counters.push((name, value));
-                }
-                let breaker_trips = r.u64()?;
-                let breaker_probes = r.u64()?;
-                let breaker_recoveries = r.u64()?;
-                let breaker_reopens = r.u64()?;
-                let breaker_skipped = r.u64()?;
-                let n_breaker_nodes = r.u16()? as usize;
-                let mut breaker_nodes = Vec::new();
-                for _ in 0..n_breaker_nodes {
-                    let shard = r.u32()?;
-                    let dn = r.u32()?;
-                    let state = r.u8()?;
-                    breaker_nodes.push((shard, dn, state));
-                }
-                let n_shard_stats = r.u16()? as usize;
-                let mut shard_stats = Vec::new();
-                for _ in 0..n_shard_stats {
-                    shard_stats.push(ShardStatWire {
+                    })
+                })?,
+                counters: list::<u32, _>(r, 4 + 8, "stats counters", |r| {
+                    Ok((read_string(r)?, r.u64()?))
+                })?,
+                breaker_trips: r.u64()?,
+                breaker_probes: r.u64()?,
+                breaker_recoveries: r.u64()?,
+                breaker_reopens: r.u64()?,
+                breaker_skipped: r.u64()?,
+                breaker_nodes: list::<u16, _>(r, 4 + 4 + 1, "stats breaker nodes", |r| {
+                    Ok((r.u32()?, r.u32()?, r.u8()?))
+                })?,
+                shard_stats: list::<u16, _>(r, 4 + 8 + 4 + 8 + 8, "stats shard rows", |r| {
+                    Ok(ShardStatWire {
                         shard: r.u32()?,
                         bytes: r.u64()?,
                         leaves: r.u32()?,
                         queries: r.u64()?,
                         version: r.u64()?,
-                    });
-                }
-                ResponseBody::Stats(StatsFrame {
-                    queries,
-                    rows_streamed,
-                    shed_overflow,
-                    shed_deadline,
-                    protocol_errors,
-                    queue_interactive,
-                    queue_scan,
-                    cache_hits,
-                    cache_misses,
-                    cache_evictions,
-                    cache_invalidations,
-                    meta_ticks,
-                    anomalies_total,
-                    anomalies_deterministic,
-                    anomalies,
-                    counters,
-                    breaker_trips,
-                    breaker_probes,
-                    breaker_recoveries,
-                    breaker_reopens,
-                    breaker_skipped,
-                    breaker_nodes,
-                    shard_stats,
-                })
-            }
-            kind::TRACE_REPLY => {
-                let trace_id = r.u64()?;
-                let nspans = r.u32()? as usize;
-                let mut spans = Vec::new();
-                for _ in 0..nspans {
-                    let span_id = r.u64()?;
-                    let parent_id = r.u64()?;
-                    let name = r.str()?;
-                    let start_us = r.u64()?;
-                    let dur_us = r.u64()?;
-                    let instant = r.u8()? != 0;
-                    let nargs = r.u16()? as usize;
-                    let mut args = Vec::new();
-                    for _ in 0..nargs {
-                        let k = r.str()?;
-                        let v = r.str()?;
-                        args.push((k, v));
-                    }
-                    spans.push(SpanWire {
-                        span_id,
-                        parent_id,
-                        name,
-                        start_us,
-                        dur_us,
-                        instant,
-                        args,
-                    });
-                }
-                ResponseBody::Trace(TraceFrame { trace_id, spans })
-            }
-            kind::PROFILE_REPLY => {
-                let trace_id = r.u64()?;
-                let n = r.u32()? as usize;
-                let mut metrics = Vec::new();
-                for _ in 0..n {
-                    let metric = r.str()?;
-                    let value = r.str()?;
-                    metrics.push((metric, value));
-                }
-                ResponseBody::Profile(ProfileFrame { trace_id, metrics })
-            }
+                    })
+                })?,
+            }),
+            kind::TRACE_REPLY => ResponseBody::Trace(TraceFrame {
+                trace_id: r.u64()?,
+                spans: list::<u32, _>(r, 8 + 8 + 4 + 8 + 8 + 1 + 2, "trace spans", |r| {
+                    Ok(SpanWire {
+                        span_id: r.u64()?,
+                        parent_id: r.u64()?,
+                        name: read_string(r)?,
+                        start_us: r.u64()?,
+                        dur_us: r.u64()?,
+                        instant: r.u8()? != 0,
+                        args: list::<u16, _>(r, 4 + 4, "span args", read_pair)?,
+                    })
+                })?,
+            }),
+            kind::PROFILE_REPLY => ResponseBody::Profile(ProfileFrame {
+                trace_id: r.u64()?,
+                metrics: list::<u32, _>(r, 4 + 4, "profile metrics", read_pair)?,
+            }),
             other => return Err(ProtoError::BadKind(other)),
         };
         r.finish()?;
@@ -1052,87 +928,51 @@ pub fn parse_frame(buf: &[u8]) -> Result<(u8, &[u8], usize), ProtoError> {
     Ok((h.kind, &buf[HEADER_LEN..total], total))
 }
 
-/// Cursor over a payload with bounds-checked reads.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+#[inline]
+fn read_str<'a>(r: &mut Reader<'a>) -> Result<&'a str, ProtoError> {
+    let len = r.len::<u32>(1, "string")?;
+    Ok(r.str(len)?)
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
+fn read_string(r: &mut Reader) -> Result<String, ProtoError> {
+    read_str(r).map(str::to_string)
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        if self.buf.len() - self.pos < n {
-            return Err(ProtoError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
+fn read_pair(r: &mut Reader) -> Result<(String, String), ProtoError> {
+    Ok((read_string(r)?, read_string(r)?))
+}
 
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+/// A list behind a little-endian `W` count, each entry read by `entry`:
+/// reserved for once the count passes [`Reader::len`]'s rule.
+fn list<'a, W: Into<u64>, T>(
+    r: &mut Reader<'a>,
+    min_entry_len: usize,
+    field: &'static str,
+    mut entry: impl FnMut(&mut Reader<'a>) -> Result<T, ProtoError>,
+) -> Result<Vec<T>, ProtoError> {
+    let n = r.len::<W>(min_entry_len, field)?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(entry(r)?);
     }
+    Ok(out)
+}
 
-    fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, ProtoError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtoError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64, ProtoError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, ProtoError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str_ref(&mut self) -> Result<&'a str, ProtoError> {
-        let len = self.u32()? as usize;
-        // A forged string length can't reach past the (already bounded)
-        // payload, so `take` is the only guard needed — no prealloc.
-        let bytes = self.take(len)?;
-        std::str::from_utf8(bytes).map_err(|_| ProtoError::BadUtf8)
-    }
-
-    fn str(&mut self) -> Result<String, ProtoError> {
-        self.str_ref().map(str::to_string)
-    }
-
-    fn value(&mut self) -> Result<Value, ProtoError> {
-        match self.u8()? {
-            0 => Ok(Value::Null),
-            1 => Ok(Value::Str(self.str_ref()?.into())),
-            2 => Ok(Value::Int(self.i64()?)),
-            3 => Ok(Value::Float(self.f64()?)),
-            t => Err(ProtoError::BadTag(t)),
-        }
-    }
-
-    fn finish(self) -> Result<(), ProtoError> {
-        if self.pos != self.buf.len() {
-            return Err(ProtoError::Trailing(self.buf.len() - self.pos));
-        }
-        Ok(())
+#[inline]
+fn read_value(r: &mut Reader) -> Result<Value, ProtoError> {
+    match r.u8()? {
+        0 => Ok(Value::Null),
+        1 => Ok(Value::Str(read_str(r)?.into())),
+        2 => Ok(Value::Int(r.i64()?)),
+        3 => Ok(Value::Float(r.f64()?)),
+        t => Err(ProtoError::BadTag(t)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::bytes::{sweep, Damage};
 
     fn roundtrip_request(req: Request) {
         let bytes = req.encode();
@@ -1190,37 +1030,6 @@ mod tests {
                 tables: vec![table; usize::from(u8::MAX)],
             },
         });
-    }
-
-    #[test]
-    #[should_panic(expected = "explore attributes: length 65536")]
-    fn an_explore_with_more_attributes_than_the_wire_holds_is_not_sent() {
-        Request {
-            id: 1,
-            body: RequestBody::Explore {
-                attributes: vec![String::new(); 1 << 16],
-                bbox: (0.0, 0.0, 1.0, 1.0),
-                window: (0, 0),
-                deadline_ms: 0,
-            },
-        }
-        .encode();
-    }
-
-    #[test]
-    #[should_panic(expected = "header tables: length 256")]
-    fn a_header_with_more_tables_than_the_wire_holds_is_not_sent() {
-        let table = TableHeader {
-            name: "t".into(),
-            columns: vec![],
-        };
-        Response {
-            id: 2,
-            body: ResponseBody::Header {
-                tables: vec![table; 256],
-            },
-        }
-        .encode();
     }
 
     #[test]
@@ -1537,9 +1346,15 @@ mod tests {
             body: ResponseBody::Done { rows: 1 },
         }
         .encode();
-        for cut in 0..bytes.len() {
-            assert_eq!(parse_frame(&bytes[..cut]), Err(ProtoError::Truncated));
-        }
+        sweep(&bytes, |damage, frame| match damage {
+            Damage::Cut(_) => assert_eq!(parse_frame(frame), Err(ProtoError::Truncated)),
+            // Refused or read back: it must return.
+            Damage::Flip(_) => {
+                if let Ok((k, payload, _)) = parse_frame(frame) {
+                    let _ = Response::decode(k, payload);
+                }
+            }
+        });
         // Payload longer than the body decodes to Trailing.
         let (k, payload, _) = parse_frame(&bytes).unwrap();
         let mut padded = payload.to_vec();
