@@ -653,8 +653,8 @@ pub fn cas_experiment(config: &BenchConfig, seed: u64) -> Report {
     // On-disk bytes under the CAS root after full decay + GC: the GC-leak
     // gate.
     r.det("leak_bytes", leak_bytes).eq(0);
-    // Per-epoch full-snapshot read latency (µs); CAS pays manifest + pack
-    // reads plus hash verification.
+    // Per-epoch full-snapshot read latency (µs); CAS pays the pack read
+    // plus hash verification.
     r.perf("path_read_p50_us", percentile_us(&path_us, 0.50));
     r.perf_json("path_read_p95_us", percentile_us(&path_us, 0.95));
     r.perf("cas_read_p50_us", percentile_us(&cas_us, 0.50));

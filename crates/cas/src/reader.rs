@@ -1,7 +1,9 @@
 //! Reading an epoch back: opened once, inflated table by table.
 //!
 //! [`crate::CasStore::open_epoch`] hands out an [`EpochReader`] holding
-//! the verified manifest and the epoch's verified pack, nothing inflated.
+//! the epoch's verified pack, the one file a read fetches, and sharing the
+//! manifest the store holds from the put or the recovery that decoded it
+//! (with what each table owns in it, computed then): nothing inflated.
 //! [`EpochReader::table`] inflates the one unit of a table and returns the
 //! table column by column: every read of a stored epoch reads columns.
 //! The tables are independent, and `table` takes `&self`, so the reader
@@ -16,23 +18,22 @@
 
 use crate::chunker::{self, SNAPSHOT_SECTIONS};
 use crate::hash::ChunkHash;
-use crate::manifest::EpochManifest;
-use crate::store::CasStore;
+use crate::store::{CasStore, HeldManifest};
 use crate::{pack, CasError};
 use std::ops::Range;
+use std::sync::Arc;
 use telco_trace::schema::TableKind;
 use telco_trace::snapshot::ColumnTable;
 
 /// One epoch, open for reading (see the module docs).
 pub struct EpochReader<'s> {
     store: &'s CasStore,
-    manifest: EpochManifest,
+    /// The manifest and what each table owns, CDR then NMS.
+    held: Arc<HeldManifest>,
     /// The verified pack file (empty when the epoch has none) and where
     /// each of its units lies in it.
     pack: Vec<u8>,
     units: Vec<Range<usize>>,
-    /// What each table owns, CDR then NMS.
-    sections: Vec<chunker::Section>,
 }
 
 /// The tables a scan asked for of a stored snapshot, each whole and
@@ -58,24 +59,23 @@ impl<'s> EpochReader<'s> {
     /// The pack must hold exactly the units the tables have.
     pub(crate) fn new(
         store: &'s CasStore,
-        manifest: EpochManifest,
+        held: Arc<HeldManifest>,
         pack: Option<Vec<u8>>,
     ) -> Result<Self, CasError> {
         let units = match &pack {
             Some(bytes) => pack::unit_ranges(bytes)?,
             None => Vec::new(),
         };
-        if units.len() != manifest.units.len() {
+        if units.len() != held.manifest.units.len() {
             return Err(CasError::Corrupt(format!(
                 "the pack holds {} units, the tables need {}",
                 units.len(),
-                manifest.units.len()
+                held.manifest.units.len()
             )));
         }
         Ok(Self {
             store,
-            sections: manifest.sections(),
-            manifest,
+            held,
             pack: pack.unwrap_or_default(),
             units,
         })
@@ -85,7 +85,7 @@ impl<'s> EpochReader<'s> {
     /// `None` for a table without one. Which table a read inflated is in
     /// the name of the inflate's span.
     fn inflate(&self, i: usize) -> Result<Option<Vec<u8>>, CasError> {
-        let Some(unit) = self.sections[i].unit else {
+        let Some(unit) = self.held.sections[i].unit else {
             return Ok(None);
         };
         let bytes = {
@@ -94,7 +94,7 @@ impl<'s> EpochReader<'s> {
             self.store.cfg.codec.decompress_metered(stream)?
         };
         let _verify = obs::span("cas.get.verify");
-        if ChunkHash::of(&bytes) != self.manifest.units[unit] {
+        if ChunkHash::of(&bytes) != self.held.manifest.units[unit] {
             self.store.note_mismatch();
             return Err(CasError::Corrupt(format!(
                 "unit {unit} failed content verification"
@@ -112,10 +112,11 @@ impl<'s> EpochReader<'s> {
     /// stands. The other table is not inflated, and not vouched for.
     pub fn table(&self, i: usize) -> Result<ColumnTable, CasError> {
         let (table, section) = self
+            .held
             .manifest
             .tables
             .get(i)
-            .zip(self.sections.get(i))
+            .zip(self.held.sections.get(i))
             .ok_or_else(|| CasError::Corrupt(format!("a snapshot has no table {i}")))?;
         let _span = obs::span("cas.get");
         let run = self.inflate(i)?;
@@ -130,7 +131,7 @@ impl<'s> EpochReader<'s> {
                 continue;
             };
             columns
-                .constant(self.manifest.constant(k))
+                .constant(self.held.manifest.constant(k))
                 .map_err(corrupt)?;
         }
         if let Some(run) = run {
@@ -155,7 +156,13 @@ impl<'s> EpochReader<'s> {
     /// returned, in stored order: what [`Self::snapshot_columns`] lends of
     /// the tables read.
     pub fn columns(&self, tables: Vec<(TableKind, ColumnTable)>) -> SnapshotColumns {
-        let rows = self.manifest.tables.iter().map(|t| u64::from(t.rows)).sum();
+        let rows = self
+            .held
+            .manifest
+            .tables
+            .iter()
+            .map(|t| u64::from(t.rows))
+            .sum();
         SnapshotColumns { tables, rows }
     }
 
@@ -165,14 +172,15 @@ impl<'s> EpochReader<'s> {
     /// against the manifest's `raw_len` (which only this reference reads).
     pub fn assemble(&self) -> Result<Vec<u8>, CasError> {
         let _span = obs::span("cas.get");
-        let units = (0..self.sections.len()).filter_map(|i| self.inflate(i).transpose());
+        let units = (0..self.held.sections.len()).filter_map(|i| self.inflate(i).transpose());
         let units = units.collect::<Result<Vec<Vec<u8>>, _>>()?;
         let _assemble = obs::span("cas.get.assemble");
-        let constants = (0..self.manifest.constants.len()).map(|k| self.manifest.constant(k));
+        let constants =
+            (0..self.held.manifest.constants.len()).map(|k| self.held.manifest.constant(k));
         let pieces: Vec<&[u8]> = units.iter().map(Vec::as_slice).chain(constants).collect();
-        let raw = chunker::assemble(&self.manifest.layout(), &pieces)
+        let raw = chunker::assemble(&self.held.manifest.layout(), &pieces)
             .map_err(|e| CasError::Corrupt(format!("assemble: {e}")))?;
-        if raw.len() as u64 != self.manifest.raw_len {
+        if raw.len() as u64 != self.held.manifest.raw_len {
             return Err(CasError::Corrupt("reassembled length mismatch".into()));
         }
         Ok(raw)

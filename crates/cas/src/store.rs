@@ -19,12 +19,14 @@
 //! tables hold two packs. A constant column's value is neither hashed
 //! nor packed: the manifest carries its bytes, once however often the
 //! epoch uses it. The durable state is exactly {manifests, packs}; the
-//! in-memory index of retained epochs is rebuilt from the manifests by
-//! [`CasStore::recover`]. Dropping an epoch deletes its manifest, then
-//! its pack — decay *is* garbage collection, and all byte accounting flows
-//! through [`Dfs::delete`] like the path-addressed store.
+//! in-memory index of retained epochs — each one's Merkle leaf, byte
+//! counts and decoded manifest — is rebuilt from the manifests by
+//! [`CasStore::recover`], and a read fetches the pack alone. Dropping an
+//! epoch deletes its manifest, then its pack — decay *is* garbage
+//! collection, and all byte accounting flows through [`Dfs::delete`] like
+//! the path-addressed store.
 
-use crate::chunker::{self, Chunking};
+use crate::chunker::{self, Chunking, Section};
 use crate::hash::ChunkHash;
 use crate::manifest::{build_merkle, EpochManifest, Merkle};
 use crate::reader::EpochReader;
@@ -124,6 +126,24 @@ struct EpochRec {
     /// Stored length of the epoch's pack; `None` when the layout has no
     /// unit and there is none.
     pack_len: Option<u64>,
+    /// The manifest whose stored bytes hash to `manifest_hash`, decoded
+    /// once by the put that wrote it or the recovery that read it: a read
+    /// lends it and fetches the pack alone.
+    manifest: Arc<HeldManifest>,
+}
+
+/// A retained epoch's decoded manifest, as the store holds it, and what
+/// each of its tables owns.
+pub(crate) struct HeldManifest {
+    pub(crate) manifest: EpochManifest,
+    pub(crate) sections: Vec<Section>,
+}
+
+impl HeldManifest {
+    fn new(manifest: EpochManifest) -> Arc<Self> {
+        let sections = manifest.sections();
+        Arc::new(Self { manifest, sections })
+    }
 }
 
 #[derive(Default)]
@@ -301,6 +321,7 @@ impl CasStore {
         // address (and the Merkle leaf) is the hash of the stored bytes.
         let mbytes = self.cfg.codec.compress_metered(&manifest.encode());
         let manifest_hash = ChunkHash::of(&mbytes);
+        let manifest = HeldManifest::new(manifest);
         let path = self.manifest_path(epoch);
         drop(manifest_span);
 
@@ -333,6 +354,7 @@ impl CasStore {
                 manifest_hash,
                 manifest_len: mbytes.len() as u64,
                 pack_len,
+                manifest,
             },
         );
         let counts = &self.counts;
@@ -367,49 +389,36 @@ impl CasStore {
         Ok(())
     }
 
-    /// Open an epoch for reading: its manifest, read and verified against
-    /// the recorded Merkle leaf, and its pack, read and verified against
-    /// the hash the manifest records. A verification failure triggers
-    /// one targeted [`Dfs::repair_file`] + re-read before giving up. The
-    /// manifest must be the one of `epoch` (the snapshot's header line is
-    /// rebuilt from it), and the pack must hold as many units as the tables
-    /// have. Nothing is inflated but the manifest.
+    /// Open an epoch for reading: one dfs read, its pack, verified
+    /// against the hash the held manifest records (a verification failure
+    /// triggers one targeted [`Dfs::repair_file`] + re-read before giving
+    /// up), and checked to hold as many units as the tables have. The
+    /// manifest is not read: the store holds it from [`Self::put_epoch`]
+    /// or [`Self::recover`], the one whose stored bytes hash to the
+    /// epoch's Merkle leaf. Nothing is inflated.
     ///
     /// The child spans of `cas.get` split the cost of a read: `.verify` is
     /// every SHA-256, `.inflate.<table>` the codec on one unit, `.index` a
     /// table's newline index (`.assemble` the reference's chunker); the dfs
-    /// reads and the manifest decode stay in `cas.get`'s self time.
+    /// read and the pack directory stay in `cas.get`'s self time.
     pub fn open_epoch(&self, epoch: u32) -> Result<EpochReader<'_>, CasError> {
         let _span = obs::span("cas.get");
-        // Per-query cost accounting: the dfs reads below (manifest +
-        // pack) were initiated by the CAS, so they bill to "cas".
+        // Per-query cost accounting: the pack read below was initiated by
+        // the CAS, so it bills to "cas".
         let _src = obs::cost::attribute_reads_to("cas");
         self.counts.gets.inc();
-        let expect = {
+        let held = {
             let st = self.state.lock();
             st.epochs
                 .get(&epoch)
-                .map(|r| r.manifest_hash)
+                .map(|r| Arc::clone(&r.manifest))
                 .ok_or(CasError::Missing(epoch))?
         };
-        let path = self.manifest_path(epoch);
-        let stored = self.read_verified(&path, &expect)?;
-        let encoded = {
-            let _inflate = obs::span("cas.get.inflate.manifest");
-            self.cfg.codec.decompress_metered(&stored)?
-        };
-        let manifest = EpochManifest::decode(&encoded)?;
-        if manifest.epoch != epoch {
-            return Err(CasError::Corrupt(format!(
-                "manifest at {path} claims epoch {}",
-                manifest.epoch
-            )));
-        }
-        let pack = match &manifest.pack {
+        let pack = match &held.manifest.pack {
             Some(hash) => Some(self.read_verified(&self.pack_path(epoch), hash)?),
             None => None,
         };
-        EpochReader::new(self, manifest, pack)
+        EpochReader::new(self, held, pack)
     }
 
     /// Reassemble an epoch's snapshot text: [`Self::open_epoch`], then
@@ -583,10 +592,10 @@ impl CasStore {
     }
 
     /// Rebuild the in-memory index of retained epochs from the committed
-    /// manifests, then sweep staging temps, manifests that do not decode
-    /// or whose pack is gone, and packs no indexed manifest owns. The
-    /// durable truth is on the filesystem; this makes the process state
-    /// match it.
+    /// manifests, each held decoded for the reads to come, then sweep
+    /// staging temps, manifests that do not decode or whose pack is gone,
+    /// and packs no indexed manifest owns. The durable truth is on the
+    /// filesystem; this makes the process state match it.
     pub fn recover(&self) -> CasRecoverReport {
         let _span = obs::span("cas.recover");
         let mut report = CasRecoverReport::default();
@@ -604,7 +613,10 @@ impl CasStore {
                 continue;
             };
             let replayed = self.dfs.read(path).ok().and_then(|bytes| {
-                let m = self.cfg.codec.decompress_metered(&bytes).ok()?;
+                let m = {
+                    let _inflate = obs::span("cas.get.inflate.manifest");
+                    self.cfg.codec.decompress_metered(&bytes).ok()?
+                };
                 let m = EpochManifest::decode(&m)
                     .ok()
                     .filter(|m| m.epoch == epoch)?;
@@ -612,9 +624,9 @@ impl CasStore {
                     Some(_) => Some(self.dfs.file_len(&self.pack_path(epoch)).ok()?),
                     None => None,
                 };
-                Some((bytes, pack_len))
+                Some((bytes, m, pack_len))
             });
-            let Some((bytes, pack_len)) = replayed else {
+            let Some((bytes, manifest, pack_len)) = replayed else {
                 // Unreadable, undecodable or missing its pack: the epoch
                 // is lost, don't serve it.
                 if self.dfs.delete(path).is_ok() {
@@ -628,6 +640,7 @@ impl CasStore {
                     manifest_hash: ChunkHash::of(&bytes),
                     manifest_len: bytes.len() as u64,
                     pack_len,
+                    manifest: HeldManifest::new(manifest),
                 },
             );
             report.manifests_indexed += 1;
@@ -945,6 +958,59 @@ mod tests {
         )
     }
 
+    /// What `open_epoch(epoch)` takes from the filesystem: the files it
+    /// reads, and the bytes it bills to `"cas"`.
+    fn disk_access_of_an_open(cas: &CasStore, epoch: u32) -> (u64, u64) {
+        let reads = cas.dfs().metrics().reads;
+        let profile = obs::cost::begin(0);
+        cas.open_epoch(epoch).unwrap();
+        let billed = profile.finish().bytes_read.get("cas").copied();
+        (cas.dfs().metrics().reads - reads, billed.unwrap_or(0))
+    }
+
+    /// A read of an epoch is one disk access, its pack, whether the
+    /// manifest was decoded by the put or by a recovery.
+    #[test]
+    fn an_epoch_read_fetches_its_pack_alone() {
+        let (cas, epoch, _) = one_daytime_epoch();
+        let pack = cas.dfs().file_len(&cas.pack_path(epoch)).unwrap();
+        assert_eq!(disk_access_of_an_open(&cas, epoch), (1, pack));
+        cas.recover();
+        assert_eq!(disk_access_of_an_open(&cas, epoch), (1, pack));
+    }
+
+    /// For every epoch, after the put and again after a recovery, the
+    /// manifest a read lends is the one the stored `.mf` decodes to, and
+    /// the stored bytes hash to the epoch's Merkle leaf: a restart serves
+    /// the manifest the running store served.
+    #[test]
+    fn the_held_manifest_is_the_stored_one() {
+        let cas = store();
+        for s in snapshots(3).into_iter().chain([constant_snapshot(9)]) {
+            cas.put_epoch(s.epoch.0, &s.to_bytes()).unwrap();
+        }
+        let held_is_stored = |cas: &CasStore| {
+            let merkle = cas.merkle();
+            let st = cas.state.lock();
+            assert_eq!(st.epochs.len(), 4);
+            for (&epoch, rec) in &st.epochs {
+                let stored = cas.dfs().read(&cas.manifest_path(epoch)).unwrap();
+                let encoded = cas.cfg.codec.decompress(&stored).unwrap();
+                let decoded = EpochManifest::decode(&encoded).unwrap();
+                assert_eq!(rec.manifest.sections, decoded.sections(), "{epoch}");
+                assert_eq!(rec.manifest.manifest, decoded, "{epoch}");
+                let leaf = format!("epoch {epoch} {}\n", ChunkHash::of(&stored).hex());
+                let days = merkle.days.values().map(|day| String::from_utf8_lossy(day));
+                assert_eq!(days.filter(|day| day.contains(&leaf)).count(), 1, "{epoch}");
+            }
+        };
+        held_is_stored(&cas);
+        cas.recover();
+        held_is_stored(&cas);
+        let (reopened, _) = CasStore::open(cas.dfs().clone(), CasConfig::default());
+        held_is_stored(&reopened);
+    }
+
     #[test]
     fn a_snapshot_of_constant_columns_is_its_manifest_alone() {
         let cas = store();
@@ -954,6 +1020,7 @@ mod tests {
         assert_eq!((cas.pack_bytes(), cas.stats().new_chunks), (0, 0));
         assert!(!cas.dfs().exists(&cas.pack_path(3)));
         assert_eq!(receipt.new_bytes, cas.manifest_bytes());
+        assert_eq!(disk_access_of_an_open(&cas, 3), (0, 0));
         assert_eq!(cas.get_epoch(3).unwrap(), raw);
         // The same values again in a second epoch are carried again, not
         // shared: each epoch counts the repeats within itself alone.
@@ -1029,12 +1096,14 @@ mod tests {
     }
 
     /// Every prefix and every single-bit flip of a stored `CASMF6`
-    /// manifest and of a stored `CASPK1` pack: refused against its address
-    /// (the Merkle leaf; the hash the manifest records), and — once the
-    /// damaged file is filed under its own hash (for a pack: recorded by
-    /// the manifest), so that only the container directory, the
-    /// codec, `decode` and the unit checks stand in the way — still never
-    /// a panic and never other bytes, from `get_epoch`, `open_epoch` and
+    /// manifest and of a stored `CASPK1` pack. The running store reads its
+    /// manifest never again: it serves the right bytes past a damaged
+    /// `.mf`, and refuses a damaged pack against the hash the manifest
+    /// records. A store reopened over the damage — which files a manifest
+    /// under its own hash, and for a damaged pack finds a manifest that
+    /// records it, so that only the container directory, the codec,
+    /// `decode` and the unit checks stand in the way — still never panics
+    /// and never lends other bytes, from `get_epoch`, `open_epoch` and
     /// `table(i)` alike.
     #[test]
     fn every_prefix_and_bit_flip_of_a_stored_manifest_and_pack_is_refused() {
@@ -1065,9 +1134,9 @@ mod tests {
             obs::bytes::sweep(stored, |_, damaged| {
                 dfs.delete(path).unwrap();
                 dfs.write(path, damaged).unwrap();
-                assert!(cas.get_epoch(epoch).is_err(), "address check");
-                assert!(cas.open_epoch(epoch).is_err(), "address check");
                 if is_pack {
+                    assert!(cas.get_epoch(epoch).is_err(), "address check");
+                    assert!(cas.open_epoch(epoch).is_err(), "address check");
                     // A manifest that records the damaged pack's hash.
                     let manifest = cas.manifest_path(epoch);
                     let stored = cas.cfg.codec.decompress(&dfs.read(&manifest).unwrap());
@@ -1076,6 +1145,8 @@ mod tests {
                     dfs.delete(&manifest).unwrap();
                     let stored = cas.cfg.codec.compress(&edited.encode());
                     dfs.write(&manifest, &stored).unwrap();
+                } else {
+                    assert_eq!(cas.get_epoch(epoch).unwrap(), raw, "the held manifest");
                 }
                 let (reopened, _) = CasStore::open(dfs.clone(), CasConfig::default());
                 assert_refused_or_right(&reopened, epoch, &raw);

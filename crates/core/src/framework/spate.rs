@@ -661,6 +661,32 @@ mod tests {
         assert_eq!(cas.bytes_stored(), 0);
     }
 
+    /// A window reads one file an epoch on either backend: the CAS store
+    /// holds each epoch's manifest, so a read fetches the pack alone, as a
+    /// Path read fetches the leaf.
+    #[test]
+    fn a_window_reads_as_many_files_on_cas_as_on_path() {
+        let (layout, snaps) = tiny_trace(8);
+        let mut path_fw = SpateFramework::in_memory(layout.clone());
+        let mut cas_fw = SpateFramework::with_cas(dfs::Dfs::in_memory(), layout);
+        for s in &snaps {
+            path_fw.ingest(s);
+            cas_fw.ingest(s);
+        }
+        let reads = |fw: &SpateFramework, q: &Query| {
+            let before = fw.store().dfs().metrics().reads;
+            assert!(fw.query(q).is_exact());
+            fw.store().dfs().metrics().reads - before
+        };
+        for w in 1..=snaps.len() as u32 {
+            let q = Query::new(&["upflux", "call_drops"], BoundingBox::everything())
+                .with_epoch_range(0, w - 1);
+            let on_path = reads(&path_fw, &q);
+            assert_eq!(on_path, u64::from(w), "{w} epochs");
+            assert_eq!(reads(&cas_fw, &q), on_path, "{w} epochs");
+        }
+    }
+
     /// Four epochs persisted in the index, two strays past its frontier
     /// as after a crash: the restored warehouse re-indexes the strays and
     /// holds, leaf for leaf, the index an uninterrupted ingest built.

@@ -205,31 +205,16 @@ fn read_highlights(r: &mut Reader) -> Result<Highlights, PersistError> {
     let cdr_records = r.varint()?;
     let nms_records = r.varint()?;
     let n_cells = r.count(MIN_CELL_LEN, "cell count exceeds image")?;
-    if n_cells > 1 << 24 {
-        return Err(PersistError::Corrupt(CodecError::Corrupt(
-            "implausible cell count",
-        )));
-    }
     let mut per_cell = std::collections::HashMap::with_capacity(n_cells);
     for _ in 0..n_cells {
         let id = r.varint_u32()?;
         per_cell.insert(id, read_cell_summary(r)?);
     }
     let n_tables = r.count(MIN_TABLE_LEN, "table count exceeds image")?;
-    if n_tables > 1 << 16 {
-        return Err(PersistError::Corrupt(CodecError::Corrupt(
-            "implausible table count",
-        )));
-    }
     let mut attr_freqs = Vec::with_capacity(n_tables);
     for _ in 0..n_tables {
         let total = r.varint()?;
         let n = r.count(MIN_VALUE_LEN, "value count exceeds image")?;
-        if n > 1 << 24 {
-            return Err(PersistError::Corrupt(CodecError::Corrupt(
-                "implausible value count",
-            )));
-        }
         let mut counts = std::collections::HashMap::with_capacity(n);
         for _ in 0..n {
             let value = read_string(r)?;
@@ -269,11 +254,6 @@ pub fn from_bytes(input: &[u8]) -> Result<TemporalIndex, PersistError> {
     }
 
     let n_attrs = r.count(1, "attr count exceeds image")?;
-    if n_attrs > 1 << 10 {
-        return Err(PersistError::Corrupt(CodecError::Corrupt(
-            "implausible attr count",
-        )));
-    }
     let mut categorical_attrs = Vec::with_capacity(n_attrs);
     for _ in 0..n_attrs {
         categorical_attrs.push(r.varint()? as usize);
@@ -293,11 +273,6 @@ pub fn from_bytes(input: &[u8]) -> Result<TemporalIndex, PersistError> {
     let root_highlights = read_highlights(r)?;
 
     let n_years = r.count(MIN_YEAR_LEN, "year count exceeds image")?;
-    if n_years > 1 << 12 {
-        return Err(PersistError::Corrupt(CodecError::Corrupt(
-            "implausible year count",
-        )));
-    }
     let mut years = Vec::with_capacity(n_years);
     for _ in 0..n_years {
         let year = r.varint_u32()?;

@@ -126,7 +126,8 @@ pub(crate) fn parse_stage<T>(parse: impl FnOnce() -> T) -> T {
 enum Fetched<'s> {
     /// A Path leaf as stored, and the codec that inflates it.
     Packed(&'s dyn Codec, Vec<u8>),
-    /// A CAS epoch, opened: manifest and pack read and verified.
+    /// A CAS epoch, opened: its pack read and verified against the
+    /// manifest the store holds.
     Open(Box<cas::EpochReader<'s>>),
 }
 
@@ -370,8 +371,8 @@ impl SnapshotStore {
     }
 
     /// The first half of a read of an epoch, every filesystem operation
-    /// of it: the Path leaf's bytes, or the CAS epoch opened (manifest and
-    /// pack read and hash-verified), under the `read` stage.
+    /// of it: the Path leaf's bytes, or the CAS epoch opened (its pack
+    /// read and hash-verified), under the `read` stage.
     fn fetch(&self, epoch: EpochId) -> Result<Fetched<'_>, StorageError> {
         let _s = obs::stage("read");
         obs::cost::touch_epoch(u64::from(epoch.0));
