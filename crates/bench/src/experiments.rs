@@ -335,8 +335,9 @@ fn coverage_is_consistent(result: &QueryResult, requested: u32) -> bool {
 /// seeded [`FaultConfig::chaos`] plan — transient read/write faults,
 /// silent replica corruption, stragglers and a rolling datanode
 /// crash/restart cycle — while running T1–T4 and a data-exploration query
-/// every simulated day, repairing daily, then staging a two-node blackout
-/// drill and verifying zero data loss once the cluster heals.
+/// every simulated day, repairing daily, then staging a blackout of the
+/// datanodes that hold one drill-day block (two, at replication 2) and
+/// verifying zero data loss once the cluster heals.
 ///
 /// `cas = true` runs the identical fault schedule over the
 /// content-addressed store, which is held to the same zero-data-loss bar
@@ -422,28 +423,34 @@ pub fn chaos_experiment(config: &BenchConfig, seed: u64, cas: bool) -> Report {
     let last_epoch = config.days * EPOCHS_PER_DAY - 1;
     let dfs = spate.store().dfs().clone();
 
-    // Blackout drill: take down half the cluster. With replication 2 over
-    // 4 nodes some blocks lose every live replica, so recent (full
-    // resolution) epochs become unreadable and queries must degrade to
-    // partial results instead of erroring.
-    dfs.kill_datanode(0);
-    dfs.kill_datanode(1);
+    // Blackout drill: take down every datanode holding one block the drill
+    // day's reads fetch (of a Path leaf or a CAS pack), the first of those
+    // with the fewest replicas, so at least its epoch becomes unreadable
+    // and queries must degrade to partial results instead of erroring.
     let drill_day = config.days - 2; // well inside the full-resolution window
     let drill_start = EpochId(drill_day * EPOCHS_PER_DAY);
     let drill_end = EpochId(drill_day * EPOCHS_PER_DAY + EPOCHS_PER_DAY - 1);
+    let store = spate.store();
+    let read_file = |e| match store.cas() {
+        Some(cas) => cas.pack_path(e),
+        None => store.path_for(EpochId(e)),
+    };
+    let blocks = (drill_start.0..=drill_end.0).flat_map(|e| dfs.block_replicas(&read_file(e)));
+    for dn in blocks.min_by_key(Vec::len).unwrap_or_default() {
+        dfs.kill_datanode(dn);
+    }
     let probe = spate.probe_coverage(drill_start, drill_end);
     let blackout_unavailable = probe.unavailable;
     let q = Query::new(&["upflux"], BoundingBox::everything())
         .with_epoch_range(drill_start.0, drill_end.0);
     let drill_result = spate.query(&q);
+    // A block with no live replica surfaces as degradation, never as a
+    // clean answer.
     let blackout_degraded_cleanly = match &drill_result {
-        // Losing half the cluster should surface as degradation, not a
-        // clean exact answer — unless this seed's replica placement left
-        // the whole drill day on the surviving nodes.
         QueryResult::Partial { .. } | QueryResult::Unavailable => {
             coverage_is_consistent(&drill_result, EPOCHS_PER_DAY)
         }
-        QueryResult::Exact(_) | QueryResult::Summary { .. } => probe.unavailable == 0,
+        QueryResult::Exact(_) | QueryResult::Summary { .. } => false,
     };
 
     // Heal: bring the nodes back (a crash is a restart — the disks
@@ -504,8 +511,9 @@ pub fn chaos_experiment(config: &BenchConfig, seed: u64, cas: bool) -> Report {
     // Partial results whose coverage report did not add up (served +
     // decayed + unavailable ≠ requested).
     r.det("inconsistent_coverage", inconsistent_coverage).eq(0);
-    // Epochs unreadable while two of four datanodes were down.
-    r.det_console("blackout_unavailable", blackout_unavailable);
+    // Epochs unreadable while the holders of a drill-day block were down.
+    r.det_console("blackout_unavailable", blackout_unavailable)
+        .at_least(1);
     r.det_console("blackout_degraded_cleanly", blackout_degraded_cleanly)
         .eq(true);
     // Decay ran, so the final probe exercises both healthy buckets.

@@ -3,7 +3,7 @@
 //! Layout under the configured root:
 //!
 //! ```text
-//! <root>/<y>/<m>/<d>/<epoch>.mf      epoch manifest (committed via .tmp + rename)
+//! <root>/<y>/<m>/<d>/<epoch>.mf      epoch manifest (committed by Dfs::write_staged)
 //! <root>/<y>/<m>/<d>/<epoch>.pk      the epoch's pack: one compressed unit per
 //!                                    table with a run (see [`crate::pack`]);
 //!                                    the manifest records its hash
@@ -38,9 +38,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use telco_trace::time::EpochId;
 
-/// Staging suffix for manifest commits (matches the storage layer's).
-pub const TMP_SUFFIX: &str = ".tmp";
-
 /// Store configuration.
 #[derive(Clone)]
 pub struct CasConfig {
@@ -62,13 +59,6 @@ impl Default for CasConfig {
             root: "/cas".to_string(),
             codec: Arc::new(SevenzLite::default()),
         }
-    }
-}
-
-impl CasConfig {
-    pub fn with_root(mut self, root: &str) -> Self {
-        self.root = root.trim_end_matches('/').to_string();
-        self
     }
 }
 
@@ -187,15 +177,6 @@ impl CasStore {
         (store, report)
     }
 
-    /// Rebuild this store under a different namespace root with *fresh*
-    /// state (for side-by-side stores on one filesystem; call before any
-    /// writes, or follow with [`Self::recover`]).
-    pub fn with_root(self, root: &str) -> Self {
-        let mut cfg = (*self.cfg).clone();
-        cfg.root = root.trim_end_matches('/').to_string();
-        Self::new(self.dfs, cfg)
-    }
-
     pub fn dfs(&self) -> &Dfs {
         &self.dfs
     }
@@ -208,24 +189,16 @@ impl CasStore {
         self.cfg.codec.name()
     }
 
-    /// Manifest path of an epoch, mirroring the temporal hierarchy:
-    /// `<root>/<y>/<m>/<d>/<epoch>.mf`.
+    /// Manifest path of an epoch, mirroring the temporal hierarchy
+    /// ([`EpochId::leaf_path`]): `<root>/<y>/<m>/<d>/<epoch>.mf`.
     pub fn manifest_path(&self, epoch: u32) -> String {
-        self.epoch_path(epoch, "mf")
+        EpochId(epoch).leaf_path(&self.cfg.root, ".mf")
     }
 
     /// Pack path of an epoch, beside its manifest:
     /// `<root>/<y>/<m>/<d>/<epoch>.pk`.
     pub fn pack_path(&self, epoch: u32) -> String {
-        self.epoch_path(epoch, "pk")
-    }
-
-    fn epoch_path(&self, epoch: u32, ext: &str) -> String {
-        let c = EpochId(epoch).civil();
-        format!(
-            "{}/{:04}/{:02}/{:02}/{:010}.{ext}",
-            self.cfg.root, c.year, c.month, c.day, epoch
-        )
+        EpochId(epoch).leaf_path(&self.cfg.root, ".pk")
     }
 
     /// Chunk, pack and persist the snapshot of one epoch.
@@ -239,7 +212,7 @@ impl CasStore {
     /// always reads back as columns.
     ///
     /// Commit order: any crash leftover at the pack path is cleared, the
-    /// pack is written, then the manifest via `.tmp` + atomic rename.
+    /// pack is written, then the manifest by [`Dfs::write_staged`].
     /// Nothing is served until the manifest commits, so a failed put
     /// leaves at most an orphan pack that [`Self::gc`] / [`Self::recover`]
     /// sweep.
@@ -341,11 +314,11 @@ impl CasStore {
         if let Some(bytes) = &pack_bytes {
             self.dfs.write(&pack_path, bytes)?;
         }
-        if let Err(e) = self.commit_manifest(&path, &mbytes) {
+        if let Err(e) = self.dfs.write_staged(&path, &mbytes) {
             if pack_bytes.is_some() {
                 let _ = self.dfs.delete(&pack_path);
             }
-            return Err(e);
+            return Err(e.into());
         }
 
         st.epochs.insert(
@@ -373,20 +346,6 @@ impl CasStore {
             dedup_hits,
             manifest_hash,
         })
-    }
-
-    fn commit_manifest(&self, path: &str, bytes: &[u8]) -> Result<(), CasError> {
-        let tmp = format!("{path}{TMP_SUFFIX}");
-        match self.dfs.delete(&tmp) {
-            Ok(_) | Err(DfsError::NotFound(_)) => {}
-            Err(e) => return Err(e.into()),
-        }
-        self.dfs.write(&tmp, bytes)?;
-        if let Err(e) = self.dfs.rename(&tmp, path) {
-            let _ = self.dfs.delete(&tmp);
-            return Err(e.into());
-        }
-        Ok(())
     }
 
     /// Open an epoch for reading: one dfs read, its pack, verified
@@ -567,7 +526,7 @@ impl CasStore {
         let mut reclaimed = 0u64;
         for path in self.dfs.list(&format!("{}/", self.cfg.root)) {
             let is_pack = path.ends_with(".pk");
-            let orphan = if path.ends_with(TMP_SUFFIX) {
+            let orphan = if path.ends_with(dfs::STAGING_SUFFIX) {
                 true
             } else if let Some(epoch) = epoch_of(&path, ".mf") {
                 !st.epochs.contains_key(&epoch)
@@ -602,12 +561,9 @@ impl CasStore {
         let mut st = self.state.lock();
         *st = State::default();
 
-        let listing = self.dfs.list(&format!("{}/", self.cfg.root));
-        for path in &listing {
-            if path.ends_with(TMP_SUFFIX) && self.dfs.delete(path).is_ok() {
-                report.orphan_tmp_deleted += 1;
-            }
-        }
+        let prefix = format!("{}/", self.cfg.root);
+        report.orphan_tmp_deleted = self.dfs.sweep_staging(&prefix);
+        let listing = self.dfs.list(&prefix);
         for path in &listing {
             let Some(epoch) = epoch_of(path, ".mf") else {
                 continue;
@@ -678,13 +634,9 @@ impl CasStore {
     }
 }
 
-/// Epoch encoded in a path `<root>/<y>/<m>/<d>/<epoch><suffix>`.
+/// The epoch whose `suffix` file `path` is ([`EpochId::of_leaf_path`]).
 fn epoch_of(path: &str, suffix: &str) -> Option<u32> {
-    path.rsplit('/')
-        .next()?
-        .strip_suffix(suffix)?
-        .parse::<u32>()
-        .ok()
+    EpochId::of_leaf_path(path, suffix).map(|e| e.0)
 }
 
 #[cfg(test)]
@@ -887,7 +839,7 @@ mod tests {
         cas.put_epoch(snap.epoch.0, &snap.to_bytes()).unwrap();
         // Simulate a crashed put: an orphan pack and a staging temp.
         dfs.write(&cas.pack_path(99), b"orphan pack bytes").unwrap();
-        dfs.write(&format!("{}{}", cas.manifest_path(99), TMP_SUFFIX), b"x")
+        dfs.write(&dfs::staging_path(&cas.manifest_path(99)), b"x")
             .unwrap();
         let (again, report) = CasStore::open(dfs, CasConfig::default());
         assert_eq!(report.orphan_packs_deleted, 1);
@@ -1268,7 +1220,7 @@ mod tests {
         let (cas, epoch, raw) = one_daytime_epoch();
         let dfs = cas.dfs();
         dfs.write(&cas.pack_path(97), b"orphan pack bytes").unwrap();
-        let staging = format!("{}{}", cas.manifest_path(98), TMP_SUFFIX);
+        let staging = dfs::staging_path(&cas.manifest_path(98));
         dfs.write(&staging, b"half a manifest").unwrap();
         dfs.write(&cas.manifest_path(99), b"a stray manifest")
             .unwrap();

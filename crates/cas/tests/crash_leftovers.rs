@@ -1,5 +1,5 @@
 //! Crash leftovers of the write and decay order. `put_epoch` writes the
-//! epoch's pack, then its manifest as `.tmp` + rename; `drop_epoch`
+//! epoch's pack, then its manifest by `Dfs::write_staged`; `drop_epoch`
 //! deletes the manifest, then the pack. For every state a crash between
 //! two of those filesystem calls can leave, built here by hand beside
 //! other epochs, a fresh process's `recover()` must find the epoch whole
@@ -7,7 +7,6 @@
 //! retried, and agree on the Merkle root with a store where the operation
 //! never ran or finished.
 
-use cas::store::TMP_SUFFIX;
 use cas::{CasConfig, CasError, CasRecoverReport, CasStore};
 use dfs::Dfs;
 use telco_trace::{EpochId, Snapshot, TraceConfig, TraceGenerator};
@@ -67,10 +66,10 @@ fn crash_leftover(victim: &Epoch, others: &[Epoch], left: &[File], op: Op) -> bo
     for file in left {
         let (path, from) = match file {
             File::Pack => (paths.pack_path(e), paths.pack_path(e)),
-            File::ManifestTmp => {
-                let tmp = format!("{}{TMP_SUFFIX}", paths.manifest_path(e));
-                (tmp, paths.manifest_path(e))
-            }
+            File::ManifestTmp => (
+                dfs::staging_path(&paths.manifest_path(e)),
+                paths.manifest_path(e),
+            ),
             File::Manifest => (paths.manifest_path(e), paths.manifest_path(e)),
         };
         dfs.write(&path, &done.read(&from).unwrap()).unwrap();

@@ -175,15 +175,13 @@ impl SpateFramework {
     }
 
     /// Persist the temporal index (compressed) to the filesystem so the
-    /// warehouse survives restarts. Returns the stored image size.
-    pub fn persist_index(&self) -> Result<u64, crate::storage::StorageError> {
-        let image = persist::to_bytes(&self.index);
-        let packed = GzipLite::default().compress(&image);
-        let (dfs, path) = (self.store.dfs(), Self::index_path(&self.store));
-        if dfs.exists(&path) {
-            dfs.delete(&path)?;
-        }
-        dfs.write(&path, &packed)?;
+    /// warehouse survives restarts, by [`Dfs::replace_staged`]: the
+    /// previous image stays until the new one is whole, so a persist that
+    /// fails leaves the warehouse restorable. Returns the stored image size.
+    pub fn persist_index(&self) -> Result<u64, StorageError> {
+        let packed = GzipLite::default().compress(&persist::to_bytes(&self.index));
+        let path = Self::index_path(&self.store);
+        self.store.dfs().replace_staged(&path, &packed)?;
         Ok(packed.len() as u64)
     }
 
@@ -241,8 +239,9 @@ impl SpateFramework {
     /// Startup recovery scan: reconcile the persisted index against the
     /// files actually committed on the filesystem.
     ///
-    /// 1. **Orphans** — `.tmp` staging files from crashed ingests are
-    ///    deleted (their epoch either committed on retry or never will).
+    /// 1. **Orphans** — staging files of crashed writes under the store's
+    ///    root are deleted ([`Dfs::sweep_staging`]): their epoch either
+    ///    committed on retry or never will.
     /// 2. **Missing leaves** — index leaves claiming presence whose file
     ///    is gone are marked absent, so queries degrade to summaries or
     ///    partial coverage instead of erroring epoch by epoch.
@@ -254,18 +253,15 @@ impl SpateFramework {
     pub fn recover(&mut self) -> RecoveryReport {
         let _span = obs::span("spate.recover");
         let mut report = RecoveryReport::default();
-        // Content-addressed backend first: index the committed manifests
-        // whose pack is there (a fresh process knows none) and sweep
-        // orphan packs and temps; only then is `contains` truthful.
-        if let Some(cas_report) = self.store.recover_backend() {
-            report.orphans_deleted += cas_report.orphan_tmp_deleted;
-        }
-        for tmp in self.store.orphan_tmp_paths() {
-            if self.store.dfs().delete(&tmp).is_ok() {
-                report.orphans_deleted += 1;
-                obs::inc("spate.recover.orphans_deleted");
-            }
-        }
+        // Content-addressed backend first: sweep staging files, index the
+        // committed manifests whose pack is there (a fresh process knows
+        // none) and sweep orphan packs; only then is `contains` truthful.
+        let root = format!("{}/", self.store.root());
+        report.orphans_deleted = match self.store.recover_backend() {
+            Some(cas_report) => cas_report.orphan_tmp_deleted,
+            None => self.store.dfs().sweep_staging(&root),
+        };
+        obs::add("spate.recover.orphans_deleted", report.orphans_deleted);
         let missing: Vec<EpochId> = self
             .index
             .all_leaves()
@@ -361,7 +357,7 @@ impl SpateFramework {
 /// What the startup recovery scan found and fixed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Orphaned `.tmp` staging files deleted.
+    /// Orphaned staging files deleted.
     pub orphans_deleted: u64,
     /// Present-claiming index leaves whose file is gone, marked absent.
     pub leaves_marked_absent: u64,
@@ -631,6 +627,36 @@ mod tests {
         assert_eq!(restored.query(&q).row_count(), spate.query(&q).row_count());
         // Re-persisting overwrites cleanly.
         spate.persist_index().unwrap();
+    }
+
+    /// A persist that cannot write its image keeps the one before: the
+    /// warehouse restores, clean, to the leaves that image holds.
+    #[test]
+    fn a_failed_persist_keeps_the_previous_image() {
+        let (layout, snaps) = tiny_trace(3);
+        let fs = dfs::Dfs::in_memory();
+        let mut spate = SpateFramework::new(fs.clone(), layout.clone());
+        for s in &snaps {
+            spate.ingest(s);
+        }
+        spate.persist_index().unwrap();
+        let leaves = |fw: &SpateFramework| -> Vec<(EpochId, String)> {
+            fw.index()
+                .all_leaves()
+                .map(|l| (l.epoch, l.path.clone()))
+                .collect()
+        };
+        let nodes = fs.config().n_datanodes;
+        (0..nodes).for_each(|dn| fs.kill_datanode(dn));
+        assert!(matches!(
+            spate.persist_index(),
+            Err(StorageError::Dfs(dfs::DfsError::NoLiveDatanodes))
+        ));
+        (0..nodes).for_each(|dn| fs.revive_datanode(dn));
+        let (restored, report) = SpateFramework::restore_with_recovery(fs, layout).unwrap();
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(leaves(&restored).len(), 3);
+        assert_eq!(leaves(&restored), leaves(&spate));
     }
 
     #[test]

@@ -97,30 +97,9 @@ pub enum Fungus {
     EvictOldestIndividuals,
 }
 
-/// Run one decay pass with the paper's fungus ("Evict Oldest Individuals").
-pub fn decay(
-    index: &mut TemporalIndex,
-    now: EpochId,
-    policy: &DecayPolicy,
-    store: &SnapshotStore,
-) -> Result<DecayReport, StorageError> {
-    decay_with_fungus(index, now, policy, Fungus::EvictOldestIndividuals, store)
-}
-
 /// Run one decay pass: evict everything whose age (relative to `now`)
 /// exceeds its resolution's horizon, with leaf selection delegated to the
-/// chosen fungus.
-pub fn decay_with_fungus(
-    index: &mut TemporalIndex,
-    now: EpochId,
-    policy: &DecayPolicy,
-    fungus: Fungus,
-    store: &SnapshotStore,
-) -> Result<DecayReport, StorageError> {
-    decay_with_fungus_traced(index, now, policy, fungus, store).map(|(report, _)| report)
-}
-
-/// [`decay_with_fungus`] that also returns exactly which epochs lost
+/// chosen fungus. Returns what the pass did and exactly which epochs lost
 /// their full-resolution leaf. Cache layers (the serving tier's shared
 /// decompressed-epoch cache, session caches) subscribe to this list so
 /// cached entries are dropped precisely when the tree changes.
@@ -229,7 +208,15 @@ mod tests {
     fn never_policy_is_a_no_op() {
         let (mut index, store) = build(3);
         let now = index.last_epoch().unwrap();
-        let report = decay(&mut index, now, &DecayPolicy::never(), &store).unwrap();
+        let report = decay_with_fungus_traced(
+            &mut index,
+            now,
+            &DecayPolicy::never(),
+            Fungus::EvictOldestIndividuals,
+            &store,
+        )
+        .unwrap()
+        .0;
         assert!(!report.did_anything());
         assert_eq!(index.present_leaves(), 3 * EPOCHS_PER_DAY as usize);
     }
@@ -245,7 +232,15 @@ mod tests {
             year_highlight_days: 100,
         };
         let before_bytes = store.stored_bytes();
-        let report = decay(&mut index, now, &policy, &store).unwrap();
+        let report = decay_with_fungus_traced(
+            &mut index,
+            now,
+            &policy,
+            Fungus::EvictOldestIndividuals,
+            &store,
+        )
+        .unwrap()
+        .0;
         // Days 0 and 1 have age 4 and 3 > 2; days 2,3,4 survive.
         assert_eq!(report.leaves_evicted, 2 * EPOCHS_PER_DAY as usize);
         assert!(report.bytes_freed > 0);
@@ -275,7 +270,15 @@ mod tests {
             month_highlight_days: 100,
             year_highlight_days: 100,
         };
-        let report = decay(&mut index, now, &policy, &store).unwrap();
+        let report = decay_with_fungus_traced(
+            &mut index,
+            now,
+            &policy,
+            Fungus::EvictOldestIndividuals,
+            &store,
+        )
+        .unwrap()
+        .0;
         assert!(report.leaves_evicted > 0);
         assert_eq!(report.day_highlights_dropped, 2); // days 0,1 (ages 5,4)
         assert_eq!(report.month_highlights_dropped, 0);
@@ -300,7 +303,15 @@ mod tests {
             month_highlight_days: 30,
             year_highlight_days: 40,
         };
-        let report = decay(&mut index, now, &policy, &store).unwrap();
+        let report = decay_with_fungus_traced(
+            &mut index,
+            now,
+            &policy,
+            Fungus::EvictOldestIndividuals,
+            &store,
+        )
+        .unwrap()
+        .0;
         assert_eq!(report.years_pruned, 1);
         assert!(index.years().is_empty());
         assert!(matches!(
@@ -321,9 +332,25 @@ mod tests {
             month_highlight_days: 50,
             year_highlight_days: 50,
         };
-        let first = decay(&mut index, now, &policy, &store).unwrap();
+        let first = decay_with_fungus_traced(
+            &mut index,
+            now,
+            &policy,
+            Fungus::EvictOldestIndividuals,
+            &store,
+        )
+        .unwrap()
+        .0;
         assert!(first.did_anything());
-        let second = decay(&mut index, now, &policy, &store).unwrap();
+        let second = decay_with_fungus_traced(
+            &mut index,
+            now,
+            &policy,
+            Fungus::EvictOldestIndividuals,
+            &store,
+        )
+        .unwrap()
+        .0;
         assert!(!second.did_anything(), "{second:?}");
     }
 
@@ -337,7 +364,13 @@ mod tests {
             year_highlight_days: 300,
         };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            decay(&mut index, EpochId(0), &bad, &store)
+            decay_with_fungus_traced(
+                &mut index,
+                EpochId(0),
+                &bad,
+                Fungus::EvictOldestIndividuals,
+                &store,
+            )
         }));
         assert!(result.is_err());
     }

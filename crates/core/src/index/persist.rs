@@ -458,8 +458,9 @@ mod tests {
 
     #[test]
     fn a_forged_count_is_refused_before_anything_is_reserved() {
-        // Each count below passes its 1 << 24 ceiling, and an entry is
-        // hundreds of bytes in memory: reserving for it would take
+        // Each count below, 1 << 24, is one `Reader::count` must refuse:
+        // the bytes left cannot hold that many entries, and an entry is
+        // hundreds of bytes in memory, so reserving for it would take
         // gigabytes. The error must come from the count, not from the
         // read loop running off the end (`Truncated`).
         let image = to_bytes(&build_index(3));

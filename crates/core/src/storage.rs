@@ -171,9 +171,6 @@ impl StoredSnapshot {
     }
 }
 
-/// Staging suffix for crash-consistent writes: `<leaf>.snap.tmp`.
-pub const TMP_SUFFIX: &str = ".tmp";
-
 /// How snapshot bytes land on the filesystem.
 #[derive(Clone)]
 enum Backend {
@@ -202,24 +199,23 @@ impl SnapshotStore {
         }
     }
 
-    /// Content-addressed store: verified packs, Merkle manifests,
-    /// decay-as-GC. It stores snapshots only, each as
+    /// Content-addressed store under `/spate`: verified packs, Merkle
+    /// manifests, decay-as-GC. It stores snapshots only, each as
     /// [`Snapshot::to_bytes`] writes it.
-    pub fn new_cas(dfs: Dfs, cfg: CasConfig) -> Self {
+    pub fn new_cas(dfs: Dfs, mut cfg: CasConfig) -> Self {
+        cfg.root = "/spate".to_string();
         Self {
             dfs: dfs.clone(),
-            backend: Backend::Cas(CasStore::new(dfs, cfg.with_root("/spate"))),
+            backend: Backend::Cas(CasStore::new(dfs, cfg)),
             root: "/spate".to_string(),
         }
     }
 
-    /// Namespace the store under a different root (for side-by-side
+    /// Namespace a Path store under a different root (for side-by-side
     /// frameworks on one filesystem).
     pub fn with_root(mut self, root: &str) -> Self {
+        assert!(self.cas().is_none(), "a CAS store's root is set by new_cas");
         self.root = root.trim_end_matches('/').to_string();
-        if let Backend::Cas(cas) = self.backend {
-            self.backend = Backend::Cas(cas.with_root(&self.root));
-        }
         self
     }
 
@@ -262,33 +258,24 @@ impl SnapshotStore {
         self.cas().map(|cas| cas.recover())
     }
 
-    /// The leaf path of an epoch: `/spate/<y>/<m>/<d>/<epoch>.snap` (or
-    /// `.mf` for the content-addressed backend).
+    /// The leaf path of an epoch, [`EpochId::leaf_path`] under this root:
+    /// `/spate/<y>/<m>/<d>/<epoch>.snap` (`.mf` on the CAS backend).
     pub fn path_for(&self, epoch: EpochId) -> String {
-        let c = epoch.civil();
-        format!(
-            "{}/{:04}/{:02}/{:02}/{:010}{}",
-            self.root,
-            c.year,
-            c.month,
-            c.day,
-            epoch.0,
-            self.leaf_suffix()
-        )
+        epoch.leaf_path(&self.root, self.leaf_suffix())
     }
 
     /// The staging path a snapshot is written to before commit.
     pub fn tmp_path_for(&self, epoch: EpochId) -> String {
-        format!("{}{}", self.path_for(epoch), TMP_SUFFIX)
+        dfs::staging_path(&self.path_for(epoch))
     }
 
     /// Serialize, compress and persist one snapshot.
     ///
-    /// Crash-consistent: bytes land at `<leaf>.snap.tmp` first, then an
-    /// atomic [`Dfs::rename`] commits them to the final leaf path. A crash
-    /// mid-write leaves either nothing or an orphaned `.tmp` that the
-    /// recovery scan ([`crate::framework::SpateFramework::restore`])
-    /// deletes — readers can never observe a torn leaf.
+    /// Crash-consistent: a Path leaf is committed by [`Dfs::write_staged`]
+    /// (a CAS epoch's manifest likewise). A crash mid-write leaves either
+    /// nothing or an orphaned staging file that the recovery scan
+    /// ([`crate::framework::SpateFramework::restore`]) deletes — readers
+    /// can never observe a torn leaf.
     ///
     /// Each stage opens a tracing span ("segment" → "compress" →
     /// "dfs.write", the last inside the dfs crate) so the flame table
@@ -305,20 +292,7 @@ impl SnapshotStore {
                     codec.compress_metered(&raw)
                 };
                 let path = self.path_for(snapshot.epoch);
-                let tmp = self.tmp_path_for(snapshot.epoch);
-                // A stale orphan from a crashed earlier attempt would block
-                // the staging write; clear it first (write-once files).
-                match self.dfs.delete(&tmp) {
-                    Ok(_) | Err(DfsError::NotFound(_)) => {}
-                    Err(e) => return Err(e.into()),
-                }
-                self.dfs.write(&tmp, &packed)?;
-                if let Err(e) = self.dfs.rename(&tmp, &path) {
-                    // Commit failed (e.g. the leaf already exists): don't
-                    // leave the staging file behind.
-                    let _ = self.dfs.delete(&tmp);
-                    return Err(e.into());
-                }
+                self.dfs.write_staged(&path, &packed)?;
                 Ok(StoredSnapshot {
                     epoch: snapshot.epoch,
                     path,
@@ -583,27 +557,11 @@ impl SnapshotStore {
             .dfs
             .list(&format!("{}/", self.root))
             .iter()
-            .filter_map(|p| parse_leaf_epoch(p, suffix))
+            .filter_map(|p| EpochId::of_leaf_path(p, suffix))
             .collect();
         epochs.sort_unstable();
         epochs
     }
-
-    /// Orphaned staging files under this root (crashed ingests).
-    pub fn orphan_tmp_paths(&self) -> Vec<String> {
-        self.dfs
-            .list(&format!("{}/", self.root))
-            .into_iter()
-            .filter(|p| p.ends_with(TMP_SUFFIX))
-            .collect()
-    }
-}
-
-/// Epoch encoded in a leaf path `<root>/<y>/<m>/<d>/<epoch:010><suffix>`.
-fn parse_leaf_epoch(path: &str, suffix: &str) -> Option<EpochId> {
-    let name = path.rsplit('/').next()?;
-    let digits = name.strip_suffix(suffix)?;
-    digits.parse::<u32>().ok().map(EpochId)
 }
 
 // ------------------------------------------------------------- read-ahead
@@ -1045,7 +1003,7 @@ mod tests {
         assert!(!store.dfs().exists(&tmp), "staging file must not survive");
         assert!(store.contains(snap.epoch));
         assert_eq!(store.load(snap.epoch).unwrap().to_bytes(), snap.to_bytes());
-        assert!(store.orphan_tmp_paths().is_empty());
+        assert_eq!(store.dfs().sweep_staging("/spate/"), 0);
         assert_eq!(store.committed_epochs(), [snap.epoch]);
     }
 

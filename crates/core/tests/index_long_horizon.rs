@@ -4,6 +4,7 @@
 //! Snapshots here are empty (structure is what's under test), so driving
 //! hundreds of days stays fast.
 
+use spate_core::index::decay::{decay_with_fungus_traced, Fungus};
 use spate_core::index::highlights::HighlightConfig;
 use spate_core::index::{Covering, TemporalIndex};
 use spate_core::storage::{SnapshotStore, StoredSnapshot};
@@ -79,7 +80,15 @@ fn window_covering_escalates_day_month_year() {
         month_highlight_days: 200,
         year_highlight_days: 2000,
     };
-    let report = spate_core::index::decay::decay(&mut index, last, &policy, &store).unwrap();
+    let report = decay_with_fungus_traced(
+        &mut index,
+        last,
+        &policy,
+        Fungus::EvictOldestIndividuals,
+        &store,
+    )
+    .unwrap()
+    .0;
     assert!(report.leaves_evicted > 300 * EPOCHS_PER_DAY as usize);
     assert!(report.day_highlights_dropped > 250);
     assert!(report.month_highlights_dropped >= 5);
@@ -125,7 +134,15 @@ fn multi_year_decay_prunes_whole_years() {
         year_highlight_days: 400,
     };
     let last = index.last_epoch().unwrap();
-    let report = spate_core::index::decay::decay(&mut index, last, &policy, &store).unwrap();
+    let report = decay_with_fungus_traced(
+        &mut index,
+        last,
+        &policy,
+        Fungus::EvictOldestIndividuals,
+        &store,
+    )
+    .unwrap()
+    .0;
     // 800 days in: everything of 2016 is older than 400 days → pruned.
     assert_eq!(report.years_pruned, 1);
     assert_eq!(

@@ -31,8 +31,8 @@
 //!   after crashes and drops (then replaces) corrupt replicas ([`repair`]).
 //! * **Atomic visibility** — paths are reserved in the namespace under a
 //!   single write lock before any block lands, partially-written files
-//!   are rolled back, and [`Dfs::rename`] gives upper layers an atomic
-//!   commit step for crash-consistent ingest.
+//!   are rolled back, and [`Dfs::write_staged`] (a staging file, then an
+//!   atomic [`Dfs::rename`]) is every store's one crash-consistent commit.
 
 pub mod breaker;
 pub mod cache;
@@ -256,6 +256,15 @@ pub(crate) struct Namespace {
     /// when a read detects a checksum mismatch so later reads skip the bad
     /// copy and the repair pass drops and replaces it.
     pub(crate) corrupt: HashSet<(u64, usize)>,
+}
+
+/// Suffix of a staging file: `<path>.tmp` holds a file's bytes until
+/// [`Dfs::write_staged`] commits them to `<path>`.
+pub const STAGING_SUFFIX: &str = ".tmp";
+
+/// The staging path of `path`.
+pub fn staging_path(path: &str) -> String {
+    format!("{path}{STAGING_SUFFIX}")
 }
 
 /// The simulated cluster. Cheap to clone (shared state).
@@ -721,6 +730,44 @@ impl Dfs {
         Ok(())
     }
 
+    /// Write a new file at `path` through its staging file: clear a stale
+    /// [`staging_path`] a crashed attempt left, write it, then rename it
+    /// onto `path`, deleting it if the rename fails (`path` exists). A
+    /// crash leaves at most a staging file, never a torn file at `path`.
+    pub fn write_staged(&self, path: &str, data: &[u8]) -> Result<(), DfsError> {
+        self.staged(path, data, false)
+    }
+
+    /// [`Self::write_staged`] over a file that may exist: the old file is
+    /// deleted only once the new one is whole at its staging path, so a
+    /// write that fails keeps it.
+    pub fn replace_staged(&self, path: &str, data: &[u8]) -> Result<(), DfsError> {
+        self.staged(path, data, true)
+    }
+
+    fn staged(&self, path: &str, data: &[u8], replace: bool) -> Result<(), DfsError> {
+        let tmp = staging_path(path);
+        match self.delete(&tmp) {
+            Ok(_) | Err(DfsError::NotFound(_)) => {}
+            Err(e) => return Err(e),
+        }
+        self.write(&tmp, data)?;
+        if replace && self.exists(path) {
+            self.delete(path)?;
+        }
+        self.rename(&tmp, path).inspect_err(|_| {
+            let _ = self.delete(&tmp);
+        })
+    }
+
+    /// Delete every staging file under `prefix`, each a crashed write's.
+    /// Returns how many were deleted.
+    pub fn sweep_staging(&self, prefix: &str) -> u64 {
+        let mut staged = self.list(prefix);
+        staged.retain(|p| p.ends_with(STAGING_SUFFIX) && self.delete(p).is_ok());
+        staged.len() as u64
+    }
+
     /// Delete a file, freeing its blocks. Returns the logical bytes freed.
     pub fn delete(&self, path: &str) -> Result<u64, DfsError> {
         let _span = obs::span("dfs.delete");
@@ -812,6 +859,18 @@ impl Dfs {
         };
         self.inner.cache.invalidate(path);
         self.inner.datanodes[dn].corrupt_block(block)
+    }
+
+    /// Test/chaos probe, read-only: the datanodes holding a replica of
+    /// each block of `path`, in block order; empty for no such file.
+    pub fn block_replicas(&self, path: &str) -> Vec<Vec<usize>> {
+        let ns = self.inner.namespace.read();
+        let file = ns.files.get(path).filter(|m| !m.pending);
+        let blocks = file.map_or(&[][..], |m| &m.blocks);
+        blocks
+            .iter()
+            .map(|b| ns.blocks[b].replicas.clone())
+            .collect()
     }
 
     /// Page-cache `(hits, misses)`: every read is one or the other, so a
@@ -1205,6 +1264,72 @@ mod tests {
             fs.rename("/other", "/final/a"),
             Err(DfsError::AlreadyExists("/final/a".into()))
         );
+    }
+
+    #[test]
+    fn a_staged_write_clears_a_stale_staging_file_and_never_overwrites() {
+        let fs = Dfs::in_memory();
+        fs.write(&staging_path("/w/a"), b"torn").unwrap();
+        fs.write_staged("/w/a", b"whole").unwrap();
+        assert_eq!(fs.list("/w/"), ["/w/a"]);
+        assert_eq!(fs.read("/w/a").unwrap(), b"whole");
+        assert_eq!(
+            fs.write_staged("/w/a", b"again"),
+            Err(DfsError::AlreadyExists("/w/a".into()))
+        );
+        assert_eq!(
+            fs.list("/w/"),
+            ["/w/a"],
+            "the failed commit's staging file is gone"
+        );
+        assert_eq!(fs.read("/w/a").unwrap(), b"whole");
+    }
+
+    #[test]
+    fn a_staged_replace_keeps_the_old_file_until_the_new_one_is_whole() {
+        let fs = Dfs::in_memory();
+        fs.replace_staged("/r/img", b"first").unwrap();
+        fs.replace_staged("/r/img", b"second").unwrap();
+        assert_eq!(fs.read("/r/img").unwrap(), b"second");
+        let nodes = fs.config().n_datanodes;
+        (0..nodes).for_each(|dn| fs.kill_datanode(dn));
+        assert_eq!(
+            fs.replace_staged("/r/img", b"third"),
+            Err(DfsError::NoLiveDatanodes)
+        );
+        (0..nodes).for_each(|dn| fs.revive_datanode(dn));
+        assert_eq!(fs.list("/r/"), ["/r/img"]);
+        assert_eq!(fs.read("/r/img").unwrap(), b"second");
+    }
+
+    #[test]
+    fn the_sweep_deletes_staging_files_under_its_prefix_alone() {
+        let fs = Dfs::in_memory();
+        for path in ["/s/a.tmp", "/s/x/b.snap.tmp", "/s/c", "/t/d.tmp", "/s/tmp"] {
+            fs.write(path, b"x").unwrap();
+        }
+        assert_eq!(fs.sweep_staging("/s/"), 2);
+        assert_eq!(fs.list("/"), ["/s/c", "/s/tmp", "/t/d.tmp"]);
+        assert_eq!(fs.sweep_staging("/s/"), 0);
+    }
+
+    #[test]
+    fn block_replicas_names_each_blocks_holders() {
+        let fs = Dfs::new(DfsConfig {
+            block_size: 100,
+            replication: 2,
+            n_datanodes: 4,
+            ..DfsConfig::default()
+        });
+        fs.write("/f", &[1; 250]).unwrap();
+        let replicas = fs.block_replicas("/f");
+        assert_eq!(replicas.len(), 3);
+        assert!(replicas.iter().all(|r| r.len() == 2));
+        assert!(fs.block_replicas("/none").is_empty());
+        for &dn in &replicas[1] {
+            fs.kill_datanode(dn);
+        }
+        assert!(fs.read("/f").is_err(), "every holder of block 1 is down");
     }
 
     /// End-to-end determinism: the same seed must produce identical fault

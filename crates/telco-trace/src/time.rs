@@ -235,6 +235,25 @@ impl EpochId {
     pub fn from_minutes(minutes: u64) -> Self {
         EpochId((minutes / u64::from(EPOCH_MINUTES)) as u32)
     }
+
+    /// The file of this epoch in a warehouse's temporal hierarchy (§IV):
+    /// `<root>/<yyyy>/<mm>/<dd>/<epoch:010><suffix>`. Every file a store
+    /// keeps per epoch is filed by this one rule.
+    pub fn leaf_path(self, root: &str, suffix: &str) -> String {
+        let c = self.civil();
+        let (y, m, d, e) = (c.year, c.month, c.day, self.0);
+        format!("{root}/{y:04}/{m:02}/{d:02}/{e:010}{suffix}")
+    }
+
+    /// The inverse of [`Self::leaf_path`] under any root: the epoch whose
+    /// `suffix` file `path` is, or `None`.
+    pub fn of_leaf_path(path: &str, suffix: &str) -> Option<EpochId> {
+        let name = path.rsplit('/').next()?.strip_suffix(suffix)?;
+        let digits = name.len() == 10 && name.bytes().all(|b| b.is_ascii_digit());
+        let epoch = EpochId(name.parse().ok().filter(|_| digits)?);
+        path.ends_with(&epoch.leaf_path("", suffix))
+            .then_some(epoch)
+    }
 }
 
 #[cfg(test)]
@@ -319,6 +338,37 @@ mod tests {
             assert_eq!(EpochId::from_minutes(id.start_minutes()), id);
             assert_eq!(EpochId::from_minutes(id.start_minutes() + 29), id);
             assert_ne!(EpochId::from_minutes(id.start_minutes() + 30), id);
+        }
+    }
+
+    #[test]
+    fn leaf_paths_follow_the_temporal_hierarchy_and_read_back() {
+        // Epoch 31 on day 0 → 2016-01-18; day 14 → 2016-02-01.
+        assert_eq!(
+            EpochId(31).leaf_path("/spate", ".snap"),
+            "/spate/2016/01/18/0000000031.snap"
+        );
+        assert_eq!(
+            EpochId(14 * EPOCHS_PER_DAY).leaf_path("/cas", ".pk"),
+            "/cas/2016/02/01/0000000672.pk"
+        );
+        for e in [0u32, 31, 48, 672, 366 * EPOCHS_PER_DAY + 5] {
+            for suffix in [".snap", ".mf", ".pk"] {
+                let path = EpochId(e).leaf_path("/a/b", suffix);
+                assert_eq!(EpochId::of_leaf_path(&path, suffix), Some(EpochId(e)));
+            }
+        }
+        let not_a_leaf = [
+            "/spate/2016/01/18/0000000031.snap.tmp",
+            "/spate/2016/01/18/0000000031.mf",
+            "/spate/2016/01/19/0000000031.snap",
+            "/spate/2016/01/18/31.snap",
+            "/spate/2016/01/18/+000000031.snap",
+            "/spate/_index.img",
+            "0000000031.snap",
+        ];
+        for path in not_a_leaf {
+            assert_eq!(EpochId::of_leaf_path(path, ".snap"), None, "{path}");
         }
     }
 
