@@ -361,6 +361,7 @@ pub fn chaos_experiment(config: &BenchConfig, seed: u64, cas: bool) -> Report {
         cache_bytes: 0,
         ..DfsConfig::default()
     };
+    let replication = dfs_config.replication;
     let dfs = Dfs::with_faults(dfs_config, FaultConfig::chaos(seed));
     // Decay the two oldest days of a week so the coverage report's
     // `decayed` bucket is exercised alongside `unavailable`.
@@ -460,6 +461,14 @@ pub fn chaos_experiment(config: &BenchConfig, seed: u64, cas: bool) -> Report {
     }
     repair.merge(&dfs.repair());
     repair.merge(&dfs.repair());
+    // Blocks still holding more copies than the replication factor once
+    // every node is back: a revived node's copies must have been trimmed.
+    let over_replicated_blocks = dfs
+        .list("/")
+        .iter()
+        .flat_map(|path| dfs.block_replicas(path))
+        .filter(|holders| holders.len() > replication)
+        .count();
 
     // Zero-data-loss verification: every epoch of the whole trace must be
     // served or decayed — nothing unavailable after the cluster healed.
@@ -502,6 +511,9 @@ pub fn chaos_experiment(config: &BenchConfig, seed: u64, cas: bool) -> Report {
     r.det_console("under_replicated", repair.under_replicated);
     r.det("replicas_added", repair.replicas_added).at_least(1);
     r.det("corrupt_replicas_dropped", repair.corrupt_replicas_dropped);
+    r.det_console("replicas_trimmed", repair.replicas_trimmed);
+    r.det("over_replicated_blocks", over_replicated_blocks)
+        .eq(0);
     r.det_console("unrecoverable", repair.unrecoverable).eq(0);
     // Exploration queries issued while faults were active.
     r.det("queries_run", queries_run);

@@ -7,7 +7,7 @@
 
 use crate::index::highlights::{Highlights, Resolution};
 use crate::index::Covering;
-use crate::storage::{self, EpochRead, EpochRows, StorageError};
+use crate::storage::{StorageError, StoredRows};
 use std::collections::HashSet;
 use std::fmt;
 use telco_trace::cells::{BoundingBox, CellLayout};
@@ -362,13 +362,12 @@ impl Projection {
 /// `Q(a, b, ·)` resolved once against the schemas and the cell layout:
 /// which columns of which table to emit, and which cells lie in `b`.
 /// [`Self::keeps`] is the one place a row is tested against `b`, and
-/// [`Self::columns`] the one list of what it carries of `a`. Two ways of
-/// answering share them: `Self::select` materialises a kept row as
-/// values — fed rows by [`Self::project`] over a decoded snapshot,
-/// [`Self::scan_epoch`] over serialized text and `Self::scan_columns`
-/// over the columns of a CAS epoch — while [`Self::lend`] hands a
-/// decoded snapshot's kept records to a caller that encodes them where
-/// they lie (the serving tier's frames).
+/// [`Self::columns`] the one list of what it carries of `a`. Two row
+/// sources feed them, each through one loop: `Self::scan_read` over what
+/// the store read of an epoch (the rows `StoredRows::walk` lends, text or
+/// columns alike), and [`Self::lend`] over a decoded snapshot's records,
+/// which the serving tier encodes where they lie and [`Self::project`]
+/// materialises as values.
 pub struct RowPlan {
     projection: Projection,
     /// Bit `c` is set when cell `c` lies in `b`; `layout.len()` bits.
@@ -441,15 +440,20 @@ impl RowPlan {
     /// Append `row` of `table`, projected onto `a`, to `out` if the plan
     /// [keeps](Self::keeps) it: only the selected columns of a row that
     /// passes become [`Value`]s.
-    pub(crate) fn select(&self, table: TableKind, row: Row<'_>, out: &mut ExactResult) {
+    fn select(&self, table: TableKind, row: Row<'_>, out: &mut ExactResult) {
         if self.keeps(table, row) {
-            let slice = match table {
-                TableKind::Cdr => &mut out.cdr,
-                _ => &mut out.nms,
-            };
-            let values = self.columns(table).iter().map(|&c| row.value(c));
-            slice.rows.push(values.collect());
+            self.push(table, row, out);
         }
+    }
+
+    /// Append `row` of `table`, projected onto `a`, to `out`.
+    fn push(&self, table: TableKind, row: Row<'_>, out: &mut ExactResult) {
+        let slice = match table {
+            TableKind::Cdr => &mut out.cdr,
+            _ => &mut out.nms,
+        };
+        let values = self.columns(table).iter().map(|&c| row.value(c));
+        slice.rows.push(values.collect());
     }
 
     /// The answer over no epochs: the selected column names per table (a
@@ -497,71 +501,15 @@ impl RowPlan {
         taken
     }
 
-    /// Evaluate over one decoded snapshot, appending to `out`.
+    /// Evaluate over one decoded snapshot, appending to `out` the records
+    /// [`Self::lend`] lends, accounted as it accounts them.
     pub fn project(&self, snap: &Snapshot, out: &mut ExactResult) {
-        let kept = out.row_count();
-        for table in [TableKind::Cdr, TableKind::Nms] {
-            for record in snap.table(table) {
-                self.select(table, Row::Record(record), out);
-            }
-        }
+        let lent = self.lend(snap, |table, records| {
+            records.for_each(|record| self.push(table, Row::Record(record), out));
+            Ok::<(), std::convert::Infallible>(())
+        });
+        lent.unwrap_or_else(|never| match never {});
         out.epochs_read += 1;
-        let returned = out.row_count() - kept;
-        obs::cost::add_rows(snap.total_records() as u64, returned as u64);
-    }
-
-    /// Evaluate over the serialized text of `epoch` ([`Snapshot::scan`]),
-    /// appending to `out` the same rows, in the same order, as
-    /// [`Self::project`] does over `Snapshot::from_bytes(text)`.
-    /// Every row is still checked as `from_bytes` checks it, and every
-    /// row walked counts as scanned.
-    ///
-    /// On an error — `text` does not parse, or is another epoch's — `out`
-    /// is left as it was and nothing is accounted.
-    pub fn scan_epoch(
-        &self,
-        epoch: EpochId,
-        text: &[u8],
-        out: &mut ExactResult,
-    ) -> Result<(), StorageError> {
-        let kept = (out.cdr.rows.len(), out.nms.rows.len());
-        let mut rows_walked = 0;
-        let scanned = Snapshot::scan(text, |table, row| {
-            rows_walked += 1;
-            self.select(table, Row::Text(row), out);
-        })
-        .map_err(StorageError::from)
-        .and_then(|found| storage::check_epoch(epoch, found));
-        match scanned {
-            Ok(()) => {
-                out.epochs_read += 1;
-                let returned = out.row_count() - kept.0 - kept.1;
-                obs::cost::add_rows(rows_walked, returned as u64);
-                Ok(())
-            }
-            Err(e) => {
-                out.cdr.rows.truncate(kept.0);
-                out.nms.rows.truncate(kept.1);
-                Err(e)
-            }
-        }
-    }
-
-    /// Evaluate over the columns of one CAS epoch, appending to `out`
-    /// what [`Self::scan_epoch`] appends over the same epoch's text: the
-    /// tables `a` selects nothing of were not read and could add nothing,
-    /// and every row of the epoch counts as scanned. `columns` is whole
-    /// and checked, so this cannot fail.
-    pub(crate) fn scan_columns(&self, columns: &cas::SnapshotColumns, out: &mut ExactResult) {
-        let kept = out.row_count();
-        for (kind, table) in &columns.tables {
-            for r in 0..table.rows() {
-                self.select(*kind, table.row(r), out);
-            }
-        }
-        out.epochs_read += 1;
-        let returned = out.row_count() - kept;
-        obs::cost::add_rows(columns.rows, returned as u64);
     }
 
     /// The tables `a` selects a column of: all a scan has to read.
@@ -570,22 +518,33 @@ impl RowPlan {
     }
 
     /// Evaluate over what a scan of [`Self::tables`] read of `epoch`
-    /// ([`storage::SnapshotStore::read_ahead`]), under the `parse` stage: its text,
-    /// or — a CAS store — the columns of the tables `a` selects from, so
-    /// that `b` is tested on the cell-id column and only the columns `a`
-    /// names become values. On an error, the read's or the scan's, `out`
-    /// is left as it was.
+    /// (`SnapshotStore::read_ahead`), appending to `out` the rows, in the
+    /// order, that [`Self::project`] appends over the decoded snapshot:
+    /// every row [`StoredRows::walk`] lends is tested on its cell-id
+    /// column, and only the columns `a` names become values. Every row of
+    /// the epoch counts as scanned. On an error — the read's, or text that
+    /// does not parse or is another epoch's — `out` is left as it was and
+    /// nothing is accounted.
     pub(crate) fn scan_read(
         &self,
         epoch: EpochId,
-        read: EpochRead,
+        read: Result<StoredRows, StorageError>,
         out: &mut ExactResult,
     ) -> Result<(), StorageError> {
-        match read? {
-            EpochRows::Text(text) => storage::parse_stage(|| self.scan_epoch(epoch, &text, out)),
-            EpochRows::Columns(columns) => {
-                storage::parse_stage(|| self.scan_columns(&columns, out));
+        let kept = (out.cdr.rows.len(), out.nms.rows.len());
+        let walked =
+            read.and_then(|rows| rows.walk(epoch, |table, row| self.select(table, row, out)));
+        match walked {
+            Ok(scanned) => {
+                out.epochs_read += 1;
+                let returned = out.row_count() - kept.0 - kept.1;
+                obs::cost::add_rows(scanned, returned as u64);
                 Ok(())
+            }
+            Err(e) => {
+                out.cdr.rows.truncate(kept.0);
+                out.nms.rows.truncate(kept.1);
+                Err(e)
             }
         }
     }
@@ -773,6 +732,11 @@ mod tests {
 
     type Texts = std::collections::HashMap<EpochId, Vec<u8>>;
 
+    /// A Path leaf's read of `text`, as the store lends it.
+    fn read(text: &[u8]) -> Result<StoredRows, StorageError> {
+        Ok(StoredRows::text(text.to_vec()))
+    }
+
     /// Three epochs, their serialized text by epoch, and a plan selecting
     /// from both tables everywhere.
     fn three_epochs() -> (RowPlan, Vec<EpochId>, Texts) {
@@ -790,7 +754,7 @@ mod tests {
         plan: &'a RowPlan,
         texts: &'a Texts,
     ) -> impl FnMut(EpochId, &mut ExactResult) -> bool + 'a {
-        move |epoch, out| plan.scan_epoch(epoch, &texts[&epoch], out).is_ok()
+        move |epoch, out| plan.scan_read(epoch, read(&texts[&epoch]), out).is_ok()
     }
 
     #[test]
@@ -809,7 +773,7 @@ mod tests {
         bad.remove(comma);
         let mut others = plan.empty_result();
         for e in [epochs[0], epochs[2]] {
-            plan.scan_epoch(e, &texts[&e], &mut others).unwrap();
+            plan.scan_read(e, read(&texts[&e]), &mut others).unwrap();
         }
         let mut emitted = 0;
         let mut out = plan.empty_result();
@@ -896,7 +860,7 @@ mod tests {
             let cost = obs::cost::begin(0);
             let mut scanned = plan.empty_result();
             for snap in &snaps {
-                plan.scan_epoch(snap.epoch, &snap.to_bytes(), &mut scanned)
+                plan.scan_read(snap.epoch, read(&snap.to_bytes()), &mut scanned)
                     .unwrap();
             }
             let scan_cost = cost.finish();
@@ -923,7 +887,7 @@ mod tests {
         let q = Query::new(&["upflux", "call_drops"], BoundingBox::everything());
         let plan = RowPlan::new(&q, &layout);
         let mut out = plan.empty_result();
-        plan.scan_epoch(snaps[0].epoch, &snaps[0].to_bytes(), &mut out)
+        plan.scan_read(snaps[0].epoch, read(&snaps[0].to_bytes()), &mut out)
             .unwrap();
         assert!(!out.cdr.rows.is_empty() && !out.nms.rows.is_empty());
         let before = out.clone();
@@ -934,13 +898,13 @@ mod tests {
         let comma = text.iter().rposition(|&b| b == b',').unwrap();
         text.remove(comma);
         assert!(matches!(
-            plan.scan_epoch(snaps[1].epoch, &text, &mut out),
+            plan.scan_read(snaps[1].epoch, read(&text), &mut out),
             Err(StorageError::Parse(_))
         ));
         assert_eq!(out, before);
         // Another epoch's text, whole and valid.
         assert!(matches!(
-            plan.scan_epoch(EpochId(99), &snaps[1].to_bytes(), &mut out),
+            plan.scan_read(EpochId(99), read(&snaps[1].to_bytes()), &mut out),
             Err(StorageError::WrongEpoch { .. })
         ));
         assert_eq!(out, before);

@@ -138,19 +138,9 @@ pub fn merge_snapshots(epoch: EpochId, parts: Vec<Snapshot>) -> Snapshot {
     Snapshot::new(epoch, cdr, nms)
 }
 
-fn read_sane<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(|e| {
-        obs::inc("shard.lock.poison_recovered");
-        e.into_inner()
-    })
-}
-
-fn write_sane<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(|e| {
-        obs::inc("shard.lock.poison_recovered");
-        e.into_inner()
-    })
-}
+/// Where a shard lock's poison recoveries are counted
+/// ([`obs::unpoisoned`]).
+const POISONED: &str = "shard.lock.poison_recovered";
 
 /// N independent `SpateFramework` shards plus the router over them.
 /// Each shard sits behind its own `RwLock`, so ingest/decay on one
@@ -208,7 +198,7 @@ impl ShardedSpate {
 
     /// Poison-tolerant read guard on shard `i`.
     pub fn read(&self, i: usize) -> RwLockReadGuard<'_, SpateFramework> {
-        read_sane(&self.shards[i])
+        obs::unpoisoned(self.shards[i].read(), POISONED)
     }
 
     /// Poison-tolerant read guard on shard `i` if it can be had without
@@ -216,17 +206,14 @@ impl ShardedSpate {
     pub fn try_read(&self, i: usize) -> Option<RwLockReadGuard<'_, SpateFramework>> {
         match self.shards[i].try_read() {
             Ok(guard) => Some(guard),
-            Err(TryLockError::Poisoned(e)) => {
-                obs::inc("shard.lock.poison_recovered");
-                Some(e.into_inner())
-            }
+            Err(TryLockError::Poisoned(e)) => Some(obs::unpoisoned(Err(e), POISONED)),
             Err(TryLockError::WouldBlock) => None,
         }
     }
 
     /// Poison-tolerant write guard on shard `i`.
     pub fn write(&self, i: usize) -> RwLockWriteGuard<'_, SpateFramework> {
-        write_sane(&self.shards[i])
+        obs::unpoisoned(self.shards[i].write(), POISONED)
     }
 
     /// The distinct shards owning cells inside `bbox`, ascending. A box
@@ -275,7 +262,7 @@ impl ShardedSpate {
                         // ingest its own tree on the worker thread.
                         let _scope = obs::shard::enter(i as u32);
                         let _span = obs::span("shard.ingest");
-                        let stats = write_sane(lock).ingest(part);
+                        let stats = obs::unpoisoned(lock.write(), POISONED).ingest(part);
                         obs::shard::add_sharded("spate.shard.ingest.bytes", stats.stored_bytes);
                         stats
                     })
@@ -304,7 +291,9 @@ impl ShardedSpate {
             let handles: Vec<_> = self
                 .shards
                 .iter()
-                .map(|lock| scope.spawn(move || write_sane(lock).run_decay(now)))
+                .map(|lock| {
+                    scope.spawn(move || obs::unpoisoned(lock.write(), POISONED).run_decay(now))
+                })
                 .collect();
             for h in handles {
                 merged.merge(&h.join().expect("shard decay panicked"));

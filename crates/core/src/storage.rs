@@ -106,7 +106,7 @@ impl From<CasError> for StorageError {
 /// A leaf is trusted only as far as its own header: text whose
 /// `#SNAPSHOT epoch=` is not the epoch it was filed under (a misplaced or
 /// overwritten leaf) must not be served as that epoch.
-pub(crate) fn check_epoch(asked: EpochId, found: EpochId) -> Result<(), StorageError> {
+fn check_epoch(asked: EpochId, found: EpochId) -> Result<(), StorageError> {
     if found == asked {
         Ok(())
     } else {
@@ -115,7 +115,7 @@ pub(crate) fn check_epoch(asked: EpochId, found: EpochId) -> Result<(), StorageE
 }
 
 /// Run `parse` under the `parse` stage.
-pub(crate) fn parse_stage<T>(parse: impl FnOnce() -> T) -> T {
+fn parse_stage<T>(parse: impl FnOnce() -> T) -> T {
     let _s = obs::stage("parse");
     parse()
 }
@@ -133,7 +133,7 @@ enum Fetched<'s> {
 
 /// One stored epoch as a scan ([`SnapshotStore::read_ahead`]) or
 /// [`SnapshotStore::load`] reads it.
-pub(crate) enum EpochRows {
+enum EpochRows {
     /// A Path leaf: the serialized snapshot ([`Snapshot::to_bytes`] text).
     Text(Vec<u8>),
     /// A CAS epoch: the tables the scan asked for, held as columns.
@@ -141,7 +141,50 @@ pub(crate) enum EpochRows {
 }
 
 /// A scan's read of one epoch: its rows, or why it cannot be served.
-pub(crate) type EpochRead = Result<EpochRows, StorageError>;
+type EpochRead = Result<StoredRows, StorageError>;
+
+/// What a scan read of one stored epoch ([`SnapshotStore::read_ahead`]),
+/// whichever way it is stored: its rows are reached through
+/// [`Self::walk`] alone.
+pub(crate) struct StoredRows(EpochRows);
+
+impl StoredRows {
+    /// Lend `visit` every row of the tables read, CDR before NMS and in
+    /// stored order, under the `parse` stage, and return the epoch's row
+    /// count: every row of both its tables, whichever were read. Text is
+    /// walked whole ([`Snapshot::scan`]) and its header must name `epoch`;
+    /// a CAS epoch's columns are whole and checked, and lend the tables
+    /// the scan asked for. On an `Err` the rows lent belong to text that
+    /// is refused, and the caller discards them.
+    pub(crate) fn walk<'s>(
+        &'s self,
+        epoch: EpochId,
+        mut visit: impl FnMut(TableKind, Row<'s>),
+    ) -> Result<u64, StorageError> {
+        parse_stage(|| match &self.0 {
+            EpochRows::Text(text) => {
+                let mut rows = 0;
+                let found = Snapshot::scan(text, |table, row| {
+                    rows += 1;
+                    visit(table, Row::Text(row));
+                })?;
+                check_epoch(epoch, found).map(|()| rows)
+            }
+            EpochRows::Columns(columns) => {
+                for (table, rows) in &columns.tables {
+                    (0..rows.rows()).for_each(|r| visit(*table, rows.row(r)));
+                }
+                Ok(columns.rows)
+            }
+        })
+    }
+
+    /// A Path leaf's read: its inflated text.
+    #[cfg(test)]
+    pub(crate) fn text(text: Vec<u8>) -> Self {
+        StoredRows(EpochRows::Text(text))
+    }
+}
 
 /// One piece of an epoch's read ([`SnapshotStore::decode`]).
 enum Piece {
@@ -332,7 +375,7 @@ impl SnapshotStore {
         let read = self.read_ahead(&[epoch], &both, |reads| {
             reads.next().expect("a read of the one epoch").1
         })?;
-        parse_stage(|| match read {
+        parse_stage(|| match read.0 {
             EpochRows::Text(text) => {
                 let snap = Snapshot::from_bytes(&text)?;
                 check_epoch(epoch, snap.epoch).map(|()| snap)
@@ -410,14 +453,14 @@ impl SnapshotStore {
         let mut tables = Vec::new();
         for piece in pieces {
             match piece? {
-                Piece::Text(text) => return Ok(EpochRows::Text(text)),
+                Piece::Text(text) => return Ok(StoredRows(EpochRows::Text(text))),
                 Piece::Table(kind, table) => tables.push((kind, table)),
             }
         }
         let Fetched::Open(reader) = fetched else {
             unreachable!("a Path leaf's one piece is its text")
         };
-        Ok(EpochRows::Columns(reader.columns(tables)))
+        Ok(StoredRows(EpochRows::Columns(reader.columns(tables))))
     }
 
     /// Read `epochs` for a scan of `tables` and lend `scan` each epoch's
@@ -446,54 +489,35 @@ impl SnapshotStore {
     /// `ExplorationFramework::scan_rows` over this store, for RAW, SHAHED
     /// and SPATE alike: each of `epochs` is read (`Self::read_ahead`:
     /// possibly ahead, on a second thread) and its `table` rows lent to
-    /// `visit`, in epoch order on the caller's thread. Text is walked once
-    /// ([`Snapshot::scan`], under the `parse` stage) and the rows lent as
-    /// they lie in it, held back until the walk has accepted the whole
-    /// snapshot and its header names `epoch`; a CAS epoch lends the rows
-    /// of the one table it inflated. Either way an epoch that fails a
-    /// check is skipped with none of its rows seen. Before each epoch an
-    /// [`obs::budget`] checkpoint: once the request is cancelled or past
-    /// its deadline, the rest of the window is not visited.
+    /// `visit`, in epoch order on the caller's thread. The rows are those
+    /// `StoredRows::walk` lends, as they lie in the text or the columns,
+    /// held back until the walk has accepted the whole epoch: an epoch
+    /// that fails a check is skipped with none of its rows seen. Before
+    /// each epoch an [`obs::budget`] checkpoint: once the request is
+    /// cancelled or past its deadline, the rest of the window is not
+    /// visited.
     pub fn scan_rows(
         &self,
         epochs: impl Iterator<Item = EpochId>,
         table: TableKind,
         visit: &mut dyn FnMut(EpochId, &[Row<'_>]),
     ) {
-        let mut lend = |epoch, rows: &[Row<'_>]| {
-            obs::cost::add_rows(rows.len() as u64, 0);
-            visit(epoch, rows);
-        };
         let epochs: Vec<EpochId> = epochs.collect();
         self.read_ahead(&epochs, &[table], |reads| {
             while obs::budget::interrupted().is_none() {
                 let Some((epoch, read)) = reads.next() else {
                     break;
                 };
-                match read {
-                    Ok(EpochRows::Text(text)) => {
-                        let walked = parse_stage(|| {
-                            let mut rows = Vec::new();
-                            let found = Snapshot::scan(&text, |kind, row| {
-                                if kind == table {
-                                    rows.push(Row::Text(row));
-                                }
-                            })?;
-                            check_epoch(epoch, found).map(|()| rows)
-                        });
-                        if let Ok(rows) = walked {
-                            lend(epoch, &rows);
-                        }
+                let Ok(stored) = read else { continue };
+                let mut rows = Vec::new();
+                let walked = stored.walk(epoch, |kind, row| {
+                    if kind == table {
+                        rows.push(row);
                     }
-                    Ok(EpochRows::Columns(columns)) => {
-                        let rows: Vec<Row<'_>> = parse_stage(|| {
-                            let tables = columns.tables.iter();
-                            let rows = tables.flat_map(|(_, t)| (0..t.rows()).map(|r| t.row(r)));
-                            rows.collect()
-                        });
-                        lend(epoch, &rows);
-                    }
-                    Err(_) => {}
+                });
+                if walked.is_ok() {
+                    obs::cost::add_rows(rows.len() as u64, 0);
+                    visit(epoch, &rows);
                 }
             }
         });

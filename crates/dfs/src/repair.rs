@@ -17,6 +17,10 @@
 //! 3. If fewer verified copies exist on live nodes than
 //!    `min(replication, live_nodes)`, the block is re-replicated from a
 //!    verified source to live nodes that lack a copy (`replicas_added`).
+//!    If more exist — a revived node's copies came back beside the ones
+//!    written while it was down — the first `target` verified live copies
+//!    in replica-list order are kept and the others deleted, as HDFS
+//!    deletes excess replicas (`replicas_trimmed`).
 //! 4. A block with no verified live copy and no copy held by a dead node
 //!    is `unrecoverable` — actual data loss, which the chaos acceptance
 //!    gate requires to be zero.
@@ -36,6 +40,8 @@ pub struct RepairReport {
     pub replicas_added: u64,
     /// Checksum-failing copies removed from datanodes.
     pub corrupt_replicas_dropped: u64,
+    /// Verified live copies deleted past the target.
+    pub replicas_trimmed: u64,
     /// Blocks with no intact copy anywhere (live or crashed): data loss.
     pub unrecoverable: u64,
 }
@@ -46,6 +52,7 @@ impl RepairReport {
         self.under_replicated += other.under_replicated;
         self.replicas_added += other.replicas_added;
         self.corrupt_replicas_dropped += other.corrupt_replicas_dropped;
+        self.replicas_trimmed += other.replicas_trimmed;
         self.unrecoverable += other.unrecoverable;
     }
 }
@@ -175,6 +182,15 @@ impl Dfs {
                 }
             }
 
+            // Excess copies: keep the first `target` verified live ones.
+            for &dn in verified_live.iter().skip(target) {
+                inner.datanodes[dn].remove_block(block_id);
+                forget_corrupt(&mut inner.namespace.write(), block_id, dn);
+                kept.retain(|&k| k != dn);
+                report.replicas_trimmed += 1;
+                obs::inc("dfs.repair.replicas_trimmed");
+            }
+
             if let Some(meta) = inner.namespace.write().blocks.get_mut(&block_id) {
                 meta.replicas = kept;
             }
@@ -191,6 +207,7 @@ fn forget_corrupt(ns: &mut Namespace, block_id: u64, dn: usize) {
 
 #[cfg(test)]
 mod tests {
+    use super::RepairReport;
     use crate::{Dfs, DfsConfig};
 
     fn small_cluster() -> Dfs {
@@ -232,6 +249,31 @@ mod tests {
         let r2 = fs.repair();
         assert_eq!(r2.replicas_added, 0);
         assert_eq!(r2.under_replicated, 0);
+    }
+
+    #[test]
+    fn a_revived_nodes_copies_are_trimmed_to_the_replication_factor() {
+        let fs = small_cluster();
+        fs.write("/a", &[4u8; 2048]).unwrap(); // 8 blocks × 3 replicas
+        let before = fs.metrics().physical_bytes;
+        fs.kill_datanode(1);
+        let added = fs.repair().replicas_added;
+        assert!(added > 0);
+        fs.revive_datanode(1);
+        let r = fs.repair();
+        assert_eq!((r.replicas_trimmed, r.replicas_added), (added, 0), "{r:?}");
+        for (block, holders) in fs.block_replicas("/a").iter().enumerate() {
+            assert_eq!(holders.len(), 3, "block {block}: {holders:?}");
+        }
+        assert_eq!(fs.metrics().physical_bytes, before);
+        assert_eq!(fs.read("/a").unwrap(), vec![4u8; 2048]);
+        assert_eq!(
+            fs.repair(),
+            RepairReport {
+                blocks_scanned: 8,
+                ..RepairReport::default()
+            }
+        );
     }
 
     #[test]

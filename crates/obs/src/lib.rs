@@ -103,6 +103,18 @@ pub fn inc(name: &str) {
     add(name, 1);
 }
 
+/// The guard `locked` holds, recovered if a holder of the lock panicked,
+/// each recovery counted under the global counter `counter`. For state
+/// that is updated in single small steps, so that it is still coherent
+/// under a poisoned lock: a panic in one user must not take every later
+/// user of the lock down with it.
+pub fn unpoisoned<G>(locked: std::sync::LockResult<G>, counter: &str) -> G {
+    locked.unwrap_or_else(|poisoned| {
+        inc(counter);
+        poisoned.into_inner()
+    })
+}
+
 /// Get-or-create a named gauge in the global registry.
 pub fn gauge(name: &str) -> Arc<Gauge> {
     global().gauge(name)

@@ -65,7 +65,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::RangeInclusive;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use telco_trace::cells::BoundingBox;
@@ -135,16 +135,18 @@ impl Default for ServeConfig {
     }
 }
 
-/// Poison-tolerant `Mutex` lock: a worker that panicked while holding a
-/// server lock must never take the whole server down with it. Every
-/// shared structure here is updated in single small steps (insert/remove
-/// a key, push a profile, bump a counter), so the state under a poisoned
-/// lock is still coherent — recover it and count the event.
-fn lock_sane<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| {
-        obs::inc("serve.lock.poison_recovered");
-        e.into_inner()
-    })
+/// Where a server lock's poison recoveries are counted
+/// ([`obs::unpoisoned`]): a worker that panicked while holding a server
+/// lock must never take the whole server down with it. Every shared
+/// structure here is updated in single small steps (insert/remove a key,
+/// push a profile, bump a counter), so the state under a poisoned lock is
+/// still coherent.
+const POISONED: &str = "serve.lock.poison_recovered";
+
+/// [`obs::unpoisoned`] of a server `Mutex`, for the frame-identity tests.
+#[cfg(test)]
+fn lock_sane<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    obs::unpoisoned(m.lock(), POISONED)
 }
 
 obs::tallies! {
@@ -273,13 +275,15 @@ struct Session {
 impl Shared {
     /// The last window connection `conn` was served, if any.
     fn session_window(&self, conn: u64) -> Option<(u32, u32)> {
-        lock_sane(&self.sessions).get(&conn)?.window
+        obs::unpoisoned(self.sessions.lock(), POISONED)
+            .get(&conn)?
+            .window
     }
 
     /// Make `window` connection `conn`'s last served window and return
     /// the one before. A connection that has ended keeps no session.
     fn swap_session_window(&self, conn: u64, window: (u32, u32)) -> Option<(u32, u32)> {
-        lock_sane(&self.sessions)
+        obs::unpoisoned(self.sessions.lock(), POISONED)
             .get_mut(&conn)?
             .window
             .replace(window)
@@ -298,7 +302,7 @@ impl Inflight {
     /// Block (bounded) until `trace_id` is no longer in flight.
     fn await_settled(&self, trace_id: u64, bound: Duration) {
         let deadline = Instant::now() + bound;
-        let mut set = lock_sane(&self.set);
+        let mut set = obs::unpoisoned(self.set.lock(), POISONED);
         while set.contains(&trace_id) {
             let now = Instant::now();
             if now >= deadline {
@@ -325,15 +329,15 @@ struct InflightGuard<'a> {
 
 impl<'a> InflightGuard<'a> {
     fn new(shared: &'a Shared, trace_id: u64) -> Self {
-        lock_sane(&shared.inflight.set).insert(trace_id);
+        obs::unpoisoned(shared.inflight.set.lock(), POISONED).insert(trace_id);
         Self { shared, trace_id }
     }
 }
 
 impl Drop for InflightGuard<'_> {
     fn drop(&mut self) {
-        lock_sane(&self.shared.cancels).remove(&self.trace_id);
-        lock_sane(&self.shared.inflight.set).remove(&self.trace_id);
+        obs::unpoisoned(self.shared.cancels.lock(), POISONED).remove(&self.trace_id);
+        obs::unpoisoned(self.shared.inflight.set.lock(), POISONED).remove(&self.trace_id);
         self.shared.inflight.settled.notify_all();
     }
 }
@@ -411,7 +415,7 @@ impl Server {
     pub fn connect(&self) -> ClientConn {
         let (client_ep, server_ep) = duplex();
         let conn = NEXT_CONN.fetch_add(1, Ordering::Relaxed) + 1;
-        lock_sane(&self.shared.sessions).insert(
+        obs::unpoisoned(self.shared.sessions.lock(), POISONED).insert(
             conn,
             Session {
                 endpoint: server_ep.clone(),
@@ -484,17 +488,17 @@ impl Server {
     /// The operator drives the monitor; deterministic harnesses call this
     /// at barrier points.
     pub fn monitor_tick(&self) -> Vec<AnomalyRecord> {
-        lock_sane(&self.shared.monitor).tick(obs::global())
+        obs::unpoisoned(self.shared.monitor.lock(), POISONED).tick(obs::global())
     }
 
     /// Monitor counters so far (ticks, anomalies, deterministic subset).
     pub fn meta_summary(&self) -> MetaSummary {
-        lock_sane(&self.shared.monitor).summary()
+        obs::unpoisoned(self.shared.monitor.lock(), POISONED).summary()
     }
 
     /// Recent anomaly records, oldest first (bounded history).
     pub fn anomalies(&self) -> Vec<AnomalyRecord> {
-        lock_sane(&self.shared.monitor).recent()
+        obs::unpoisoned(self.shared.monitor.lock(), POISONED).recent()
     }
 
     /// The finished [`CostProfile`] of a served request, if still
@@ -503,19 +507,21 @@ impl Server {
         if trace_id != 0 {
             await_settled(&self.shared, trace_id);
         }
-        lock_sane(&self.shared.profiles).get(trace_id).cloned()
+        obs::unpoisoned(self.shared.profiles.lock(), POISONED)
+            .get(trace_id)
+            .cloned()
     }
 
     /// Graceful shutdown: stop admitting, drain queued work, join the
     /// pool, hang up every connection. Returns the final stats.
     pub fn shutdown(self) -> ServeStats {
         self.shared.queue.close();
-        for w in lock_sane(&self.workers).drain(..) {
+        for w in obs::unpoisoned(self.workers.lock(), POISONED).drain(..) {
             let _ = w.join();
         }
         // Closing ends each intake, which forgets its session: the lock
         // is not held meanwhile.
-        let open: Vec<Session> = lock_sane(&self.shared.sessions)
+        let open: Vec<Session> = obs::unpoisoned(self.shared.sessions.lock(), POISONED)
             .drain()
             .map(|(_, session)| session)
             .collect();
@@ -568,14 +574,14 @@ impl IntakeState {
     /// the intake its handles. Returns them for a last word.
     fn end(&mut self, conn: u64) -> Option<(Arc<Shared>, Endpoint)> {
         let live = self.live.take()?;
-        lock_sane(&live.0.sessions).remove(&conn);
+        obs::unpoisoned(live.0.sessions.lock(), POISONED).remove(&conn);
         Some(live)
     }
 }
 
 impl ByteSink for Intake {
     fn on_bytes(&self, bytes: &[u8]) {
-        let mut st = lock_sane(&self.state);
+        let mut st = obs::unpoisoned(self.state.lock(), POISONED);
         let IntakeState { pending, live } = &mut *st;
         let Some((shared, ep)) = live.as_ref() else {
             return;
@@ -613,7 +619,7 @@ impl ByteSink for Intake {
     }
 
     fn on_close(&self) {
-        let mut st = lock_sane(&self.state);
+        let mut st = obs::unpoisoned(self.state.lock(), POISONED);
         if let Some((shared, ep)) = st.end(self.conn) {
             // A hang-up inside a frame is a truncation; at a frame
             // boundary it is a clean goodbye.
@@ -649,7 +655,7 @@ fn admit(shared: &Shared, conn: u64, ep: &Endpoint, request: Request) {
     // with a Partial answer).
     if let RequestBody::Cancel { target } = &request.body {
         let target_trace = trace_id_for(conn, *target);
-        match lock_sane(&shared.cancels).get(&target_trace) {
+        match obs::unpoisoned(shared.cancels.lock(), POISONED).get(&target_trace) {
             Some(flag) => {
                 flag.cancel();
                 obs::inc("serve.cancel.delivered");
@@ -698,7 +704,7 @@ fn admit(shared: &Shared, conn: u64, ep: &Endpoint, request: Request) {
     // Register the cancellation flag before the job can be popped, so a
     // Cancel racing the worker still lands.
     let cancel = CancelFlag::new();
-    lock_sane(&shared.cancels).insert(trace_id, cancel.clone());
+    obs::unpoisoned(shared.cancels.lock(), POISONED).insert(trace_id, cancel.clone());
     let job = Job {
         conn,
         endpoint: ep.clone(),
@@ -708,7 +714,7 @@ fn admit(shared: &Shared, conn: u64, ep: &Endpoint, request: Request) {
         cancel,
     };
     if let Err(shed) = shared.queue.push(conn, class, job) {
-        lock_sane(&shared.cancels).remove(&trace_id);
+        obs::unpoisoned(shared.cancels.lock(), POISONED).remove(&trace_id);
         shared.stats.shed_overflow.inc();
         obs::trace::instant_for(
             trace_id,
@@ -788,7 +794,7 @@ fn serve_inline(shared: &Shared, class: Class, job: Job) {
 fn worker_loop(shared: &Shared) {
     while let Some((_client, class, job)) = shared.queue.pop() {
         if job.queued_at.elapsed() > shared.config.queue_deadline {
-            lock_sane(&shared.cancels).remove(&job.trace_id);
+            obs::unpoisoned(shared.cancels.lock(), POISONED).remove(&job.trace_id);
             shared.stats.shed_deadline.inc();
             obs::trace::instant_for(job.trace_id, "admission.shed_deadline", &[]);
             let _ = job.endpoint.send_response(&Response {
@@ -876,7 +882,7 @@ fn serve_one(shared: &Shared, class: Class, job: Job) {
                     unreachable!("control frames are answered on the intake")
                 }
             };
-            lock_sane(&shared.profiles).record(cost.finish());
+            obs::unpoisoned(shared.profiles.lock(), POISONED).record(cost.finish());
             // A send error means the client vanished mid-answer; nothing
             // to do.
             let _ = sent;
@@ -933,7 +939,7 @@ fn answer_control(shared: &Shared, ep: &Endpoint, request: &Request) -> Result<(
             let (qi, qs) = shared.queue.depths();
             let cache = shared.cache.stats();
             let (summary, recent) = {
-                let m = lock_sane(&shared.monitor);
+                let m = obs::unpoisoned(shared.monitor.lock(), POISONED);
                 (m.summary(), m.recent())
             };
             let anomalies = recent
@@ -1052,7 +1058,7 @@ fn answer_control(shared: &Shared, ep: &Endpoint, request: &Request) -> Result<(
             if *trace_id != 0 {
                 await_settled(shared, *trace_id);
             }
-            let store = lock_sane(&shared.profiles);
+            let store = obs::unpoisoned(shared.profiles.lock(), POISONED);
             let profile = store.get(*trace_id);
             ResponseBody::Profile(ProfileFrame {
                 // A request not (or no longer) retained answers with its
@@ -1970,14 +1976,20 @@ mod tests {
             assert!(matches!(reply, Reply::Rows { .. }), "{reply:?}");
             client.close();
         }
-        assert_eq!(lock_sane(&server.shared.sessions).len(), 0);
+        assert_eq!(
+            obs::unpoisoned(server.shared.sessions.lock(), POISONED).len(),
+            0
+        );
         // The workers hold the server, and nothing else but this handle.
-        let workers = lock_sane(&server.workers).len();
+        let workers = obs::unpoisoned(server.workers.lock(), POISONED).len();
         assert_eq!(Arc::strong_count(&server.shared), 1 + workers);
 
         // Shutdown hangs up on a connection that is still open.
         let open = server.connect();
-        assert_eq!(lock_sane(&server.shared.sessions).len(), 1);
+        assert_eq!(
+            obs::unpoisoned(server.shared.sessions.lock(), POISONED).len(),
+            1
+        );
         server.shutdown();
         assert!(open.recv_response().unwrap().is_none());
     }

@@ -5,6 +5,7 @@
 //! discrete numerical values" (paper §II-B). Records are serialized as
 //! comma-separated lines, the format the paper's snapshots arrive in.
 
+use crate::snapshot::{row_at, Row};
 use crate::text::Text;
 use std::borrow::Cow;
 use std::fmt;
@@ -148,44 +149,11 @@ impl Record {
 
     /// Parse a CSV line, with or without its line terminator (`\n` or
     /// `\r\n`); anything after the terminator is an error. Every field
-    /// comes back as [`Value::from_field`] reads it.
+    /// comes back as [`Value::from_field`] reads it: the row framing and
+    /// [`Row::record`] of [`crate::Snapshot::from_bytes`].
     pub fn parse_line(line: &str, n_cols: usize) -> Option<Self> {
-        let (record, end) = Self::parse_row(line, 0, n_cols)?;
-        (end == line.len()).then_some(record)
-    }
-
-    /// Parse the row starting at byte `start` of `text`, in one pass over
-    /// its bytes: split on `,`, stop at `\n` (dropping a `\r` before it)
-    /// or at the end of `text`. Returns the record and the offset of the
-    /// next line, or `None` unless the row has exactly `n_cols` fields.
-    ///
-    /// The delimiters are ASCII, so every field of a valid `&str` is valid
-    /// UTF-8 and is sliced out without being validated again.
-    pub(crate) fn parse_row(text: &str, start: usize, n_cols: usize) -> Option<(Self, usize)> {
-        let bytes = text.as_bytes();
-        let mut values = Vec::with_capacity(n_cols);
-        let mut field_start = start;
-        let mut i = start;
-        loop {
-            while i < bytes.len() && bytes[i] != b',' && bytes[i] != b'\n' {
-                i += 1;
-            }
-            let at_comma = i < bytes.len() && bytes[i] == b',';
-            let mut field_end = i;
-            if !at_comma && i < bytes.len() && i > field_start && bytes[i - 1] == b'\r' {
-                field_end -= 1;
-            }
-            if values.len() == n_cols {
-                return None;
-            }
-            values.push(Value::from_field(&text[field_start..field_end]));
-            if !at_comma {
-                let next = (i + 1).min(bytes.len());
-                return (values.len() == n_cols).then_some((Self { values }, next));
-            }
-            i += 1;
-            field_start = i;
-        }
+        let (row, end) = row_at(line, 0, n_cols)?;
+        (end == line.len()).then(|| Row::Text(row).record(n_cols))
     }
 }
 

@@ -111,16 +111,16 @@ impl Snapshot {
         format!("#TABLE {} rows={rows} cols={width}\n", table.name())
     }
 
-    /// Parse the wire format back into a snapshot: one UTF-8 validation
-    /// of the buffer, then one pass over its bytes. Lines end at `\n` or
-    /// `\r\n`; anything after the NMS table is ignored.
+    /// Parse the wire format back into a snapshot: [`Self::scan`], each
+    /// row lent made its [`Row::record`]. Lines end at `\n` or `\r\n`;
+    /// anything after the NMS table is ignored.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotParseError> {
-        let mut rows = BuildRecords {
-            cdr: Vec::new(),
-            nms: Vec::new(),
-        };
-        let epoch = walk(bytes, &mut rows)?;
-        Ok(Snapshot::new(epoch, rows.cdr, rows.nms))
+        let (mut cdr, mut nms) = (Vec::new(), Vec::new());
+        let epoch = Self::scan(bytes, |table, row| match table {
+            TableKind::Cdr => cdr.push(Row::Text(row).record(cdr::WIDTH)),
+            _ => nms.push(Row::Text(row).record(nms::WIDTH)),
+        })?;
+        Ok(Snapshot::new(epoch, cdr, nms))
     }
 
     /// The epoch a `#SNAPSHOT epoch=<n> ...` header line names, as
@@ -134,16 +134,27 @@ impl Snapshot {
     /// every row of the CDR table, then every row of the NMS table, in
     /// stored order, as a [`RowText`]. Nothing is allocated.
     ///
-    /// Accepts and rejects exactly what [`Self::from_bytes`] does, with
-    /// the same error: both run the same framing walk, and a row is
-    /// checked for arity before it is lent. Rows visited before an `Err`
-    /// belong to a snapshot that does not parse; the caller discards
-    /// them. Returns the epoch of the `#SNAPSHOT` header.
+    /// One UTF-8 validation of the buffer, then one pass over its bytes;
+    /// a row is checked for arity before it is lent. Rows visited before
+    /// an `Err` belong to a snapshot that does not parse; the caller
+    /// discards them. Returns the epoch of the `#SNAPSHOT` header.
     pub fn scan<'a>(
         bytes: &'a [u8],
-        visit: impl FnMut(TableKind, RowText<'a>),
+        mut visit: impl FnMut(TableKind, RowText<'a>),
     ) -> Result<EpochId, SnapshotParseError> {
-        walk(bytes, &mut LendRows(visit))
+        let text = std::str::from_utf8(bytes)
+            .map_err(|_| SnapshotParseError::BadHeader("not utf-8".into()))?;
+        let mut lines = Lines {
+            text,
+            pos: 0,
+            line_no: 0,
+        };
+        let header = lines.next_line().ok_or(SnapshotParseError::MissingHeader)?;
+        let epoch = Snapshot::header_epoch(header)
+            .ok_or_else(|| SnapshotParseError::BadHeader(header.to_string()))?;
+        lines.read_table(TableKind::Cdr, cdr::WIDTH, &mut visit)?;
+        lines.read_table(TableKind::Nms, nms::WIDTH, &mut visit)?;
+        Ok(epoch)
     }
 }
 
@@ -481,7 +492,18 @@ impl<'a> Row<'a> {
     pub fn record(&self, width: usize) -> Record {
         let mut values = Vec::with_capacity(width);
         match *self {
-            Row::Text(row) => values.extend(row.fields().map(Value::from_field)),
+            Row::Text(row) => {
+                // A byte loop: `split(',')` (a `memchr` call per ~2-byte
+                // field) left `from_bytes` ~30 % slower.
+                let mut start = 0;
+                for (at, &b) in row.line.as_bytes().iter().enumerate() {
+                    if b == b',' {
+                        values.push(Value::from_field(&row.line[start..at]));
+                        start = at + 1;
+                    }
+                }
+                values.push(Value::from_field(&row.line[start..]));
+            }
             Row::Column(row) => {
                 values.extend((0..width).map(|col| Value::from_field(row.field(col))));
             }
@@ -534,69 +556,21 @@ fn line_at(text: &str, start: usize) -> (&str, usize) {
     }
 }
 
-/// What the framing walk ([`walk`]) does with the rows it finds.
-trait RowHandler<'a> {
-    /// A table of at most `rows` rows begins.
-    fn begin_table(&mut self, _table: TableKind, _rows: usize) {}
-
-    /// Take the row starting at byte `start` of `text`; return the offset
-    /// of the next line, or `None` unless the row has `width` fields.
-    fn row(&mut self, table: TableKind, text: &'a str, start: usize, width: usize)
-        -> Option<usize>;
-}
-
-/// [`Snapshot::from_bytes`]: every row becomes a [`Record`].
-struct BuildRecords {
-    cdr: Vec<Record>,
-    nms: Vec<Record>,
-}
-
-impl BuildRecords {
-    fn table(&mut self, table: TableKind) -> &mut Vec<Record> {
-        match table {
-            TableKind::Cdr => &mut self.cdr,
-            _ => &mut self.nms,
-        }
+/// The row starting at byte `start` of `text` if it holds `width`
+/// fields, and the offset of the next line.
+pub(crate) fn row_at(text: &str, start: usize, width: usize) -> Option<(RowText<'_>, usize)> {
+    let (end, commas) = frame_row(text.as_bytes(), start);
+    if commas + 1 != width {
+        return None;
     }
-}
-
-impl RowHandler<'_> for BuildRecords {
-    fn begin_table(&mut self, table: TableKind, rows: usize) {
-        self.table(table).reserve_exact(rows);
-    }
-
-    fn row(&mut self, table: TableKind, text: &str, start: usize, width: usize) -> Option<usize> {
-        let (record, next) = Record::parse_row(text, start, width)?;
-        self.table(table).push(record);
-        Some(next)
-    }
-}
-
-/// [`Snapshot::scan`]: every row is lent to the closure as it lies.
-struct LendRows<F>(F);
-
-impl<'a, F: FnMut(TableKind, RowText<'a>)> RowHandler<'a> for LendRows<F> {
-    fn row(
-        &mut self,
-        table: TableKind,
-        text: &'a str,
-        start: usize,
-        width: usize,
-    ) -> Option<usize> {
-        let (end, commas) = frame_row(text.as_bytes(), start);
-        if commas + 1 != width {
-            return None;
-        }
-        // As in `line_at`: a `\r` is dropped only before a `\n`.
-        let (line, next) = if end < text.len() {
-            let line = &text[start..end];
-            (line.strip_suffix('\r').unwrap_or(line), end + 1)
-        } else {
-            (&text[start..], end)
-        };
-        (self.0)(table, RowText { line });
-        Some(next)
-    }
+    // As in `line_at`: a `\r` is dropped only before a `\n`.
+    let (line, next) = if end < text.len() {
+        let line = &text[start..end];
+        (line.strip_suffix('\r').unwrap_or(line), end + 1)
+    } else {
+        (&text[start..], end)
+    };
+    Some((RowText { line }, next))
 }
 
 /// `0x01` in every byte.
@@ -651,31 +625,6 @@ fn frame_row(bytes: &[u8], start: usize) -> (usize, usize) {
     (bytes.len(), commas)
 }
 
-/// The framing of a serialized snapshot — UTF-8, `#SNAPSHOT` header, the
-/// CDR then the NMS table, each a `#TABLE` line and as many rows as it
-/// declares — with the rows themselves left to `handler`. Returns the
-/// header's epoch.
-fn walk<'a>(
-    bytes: &'a [u8],
-    handler: &mut impl RowHandler<'a>,
-) -> Result<EpochId, SnapshotParseError> {
-    let text = std::str::from_utf8(bytes)
-        .map_err(|_| SnapshotParseError::BadHeader("not utf-8".into()))?;
-    let mut lines = Lines {
-        text,
-        pos: 0,
-        line_no: 0,
-    };
-
-    let header = lines.next_line().ok_or(SnapshotParseError::MissingHeader)?;
-    let epoch = Snapshot::header_epoch(header)
-        .ok_or_else(|| SnapshotParseError::BadHeader(header.to_string()))?;
-
-    lines.read_table(TableKind::Cdr, cdr::WIDTH, handler)?;
-    lines.read_table(TableKind::Nms, nms::WIDTH, handler)?;
-    Ok(epoch)
-}
-
 /// Cursor over the lines of a serialized snapshot.
 struct Lines<'a> {
     text: &'a str,
@@ -687,7 +636,7 @@ struct Lines<'a> {
 
 impl<'a> Lines<'a> {
     /// The next line, without its terminator (used for the header lines;
-    /// rows go to the [`RowHandler`]).
+    /// rows are framed by [`row_at`]).
     fn next_line(&mut self) -> Option<&'a str> {
         if self.pos == self.text.len() {
             return None;
@@ -698,12 +647,13 @@ impl<'a> Lines<'a> {
         Some(line)
     }
 
-    /// A `#TABLE <name> rows=<n> cols=<width>` line and its `n` rows.
+    /// A `#TABLE <name> rows=<n> cols=<width>` line and its `n` rows, each
+    /// lent to `visit`.
     fn read_table(
         &mut self,
         table: TableKind,
         width: usize,
-        handler: &mut impl RowHandler<'a>,
+        visit: &mut impl FnMut(TableKind, RowText<'a>),
     ) -> Result<(), SnapshotParseError> {
         let name = table.name();
         let th = self
@@ -718,23 +668,18 @@ impl<'a> Lines<'a> {
             return Err(bad_header());
         }
         let rows: u32 = header_value(th, "rows").ok_or_else(bad_header)?;
-
-        // `rows` is untrusted: announce no more than the rest of the input
-        // can hold (a row is at least `width` bytes, terminator included,
-        // except that the last line may lack its `\n`).
-        let fits = (self.text.len() - self.pos) / width + 1;
-        handler.begin_table(table, (rows as usize).min(fits));
         for _ in 0..rows {
             if self.pos == self.text.len() {
                 return Err(SnapshotParseError::RowCountMismatch { table: name });
             }
             self.line_no += 1;
-            self.pos = handler.row(table, self.text, self.pos, width).ok_or(
-                SnapshotParseError::BadRow {
-                    table: name,
-                    line: self.line_no,
-                },
-            )?;
+            let bad_row = SnapshotParseError::BadRow {
+                table: name,
+                line: self.line_no,
+            };
+            let (row, next) = row_at(self.text, self.pos, width).ok_or(bad_row)?;
+            visit(table, row);
+            self.pos = next;
         }
         Ok(())
     }

@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spate::core::framework::{ExplorationFramework, RawFramework, SpateFramework};
-use spate::core::query::{project_snapshots, ExactResult, Query, QueryResult};
+use spate::core::query::{profile_query, project_snapshots, ExactResult, Query, QueryResult};
 use spate::core::shard::{canonical_sort, ShardedSpate};
 use spate::core::DecayPolicy;
 use spate::serve::{Reply, ServeConfig, Server};
@@ -129,6 +129,12 @@ fn scan_projection_and_oracle_agree_on_random_queries() {
                 .collect();
             assert_eq!(project_snapshots(&loaded, q, &layout), want, "{q:?}");
         }
+        // Both backends account a query alike: every row of each epoch
+        // read counts as scanned, whichever tables `a` selects from.
+        let (on_path, on_cas) = (profile_query(&path, q).1, profile_query(&cas, q).1);
+        let counts =
+            |p: &obs::CostProfile| (p.rows_scanned, p.rows_returned, p.epochs_touched.clone());
+        assert_eq!(counts(&on_cas), counts(&on_path), "{q:?}");
         let want = sorted(want);
         for fw in &sharded {
             assert_eq!(exact(fw.query(q)), want, "{} shards, {q:?}", fw.n_shards());
