@@ -61,11 +61,11 @@ use spate_core::{
 };
 use spate_sql::SqlContext;
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::ops::RangeInclusive;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use telco_trace::cells::BoundingBox;
@@ -85,10 +85,14 @@ const SCAN_DEPTH: usize = 16;
 /// Max epochs prefetched ahead of a served window.
 const PREFETCH_LOOKAHEAD: u32 = 4;
 
-/// Finished [`CostProfile`]s retained for the Profile control frame
-/// (bounded FIFO; older requests become unanswerable, like traces
-/// overwritten in the flight-recorder ring).
+/// Settled requests the request table keeps, oldest evicted first: their
+/// cost profiles answer the Profile control frame, and an older request's
+/// is unanswerable, like a trace overwritten in the flight-recorder ring.
 const PROFILE_HISTORY: usize = 64;
+
+/// How long a `Trace` or `Profile` frame waits for the request it names
+/// to settle (see [`Requests::fence`]).
+const FENCE: Duration = Duration::from_millis(50);
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -175,43 +179,123 @@ obs::tallies! {
     pub struct ServeStats;
 }
 
-/// Bounded FIFO of the most recently finished per-request cost
-/// profiles, keyed by trace id — what the Profile control frame reads.
-struct ProfileStore {
-    profiles: HashMap<u64, CostProfile>,
-    order: VecDeque<u64>,
-    latest: u64,
-    capacity: usize,
+/// The request table: every request the server is answering, and the
+/// last [`PROFILE_HISTORY`] it answered, by trace id. It serves `Cancel`
+/// (the flag of a request not yet settled), the `Trace`/`Profile` fence
+/// and `Profile` (a settled request's cost).
+#[derive(Default)]
+struct Requests {
+    table: Mutex<RequestTable>,
+    /// Woken whenever an entry settles.
+    settled: Condvar,
 }
 
-impl ProfileStore {
-    fn new(capacity: usize) -> Self {
-        Self {
-            profiles: HashMap::new(),
-            order: VecDeque::new(),
-            latest: 0,
-            capacity: capacity.max(1),
+#[derive(Default)]
+struct RequestTable {
+    entries: HashMap<u64, Entry>,
+    /// The ids of the settled entries, oldest first.
+    history: VecDeque<u64>,
+    /// The request settled last with a profile: what `Profile{0}` reads.
+    latest: u64,
+}
+
+/// What the table holds of one request.
+enum Entry {
+    /// Admitted, not yet popped by a worker.
+    Queued(CancelFlag),
+    /// In `serve_one`, on a worker or on the intake.
+    Serving(CancelFlag),
+    /// Answered: its cost profile, or none if its evaluation panicked.
+    Settled(Option<CostProfile>),
+}
+
+impl Requests {
+    fn lock(&self) -> MutexGuard<'_, RequestTable> {
+        obs::unpoisoned(self.table.lock(), POISONED)
+    }
+
+    /// Cancel a request that has not settled; whether there was one.
+    fn cancel(&self, trace_id: u64) -> bool {
+        match self.lock().entries.get(&trace_id) {
+            Some(Entry::Queued(flag) | Entry::Serving(flag)) => {
+                flag.cancel();
+                true
+            }
+            _ => false,
         }
     }
 
-    fn record(&mut self, profile: CostProfile) {
-        let id = profile.trace_id;
-        if self.profiles.insert(id, profile).is_none() {
-            self.order.push_back(id);
-            while self.order.len() > self.capacity {
-                if let Some(evicted) = self.order.pop_front() {
-                    self.profiles.remove(&evicted);
-                }
+    /// Mark a request as being served until the returned guard drops.
+    fn serve(&self, trace_id: u64, cancel: CancelFlag) -> Serving<'_> {
+        self.lock().entries.insert(trace_id, Entry::Serving(cancel));
+        Serving {
+            requests: self,
+            trace_id,
+            profile: None,
+        }
+    }
+
+    /// The table once `trace_id` is not being served, so that a
+    /// `Trace`/`Profile` reply holds the request's whole span tree and its
+    /// profile. A client that has read the terminal frame waits
+    /// microseconds; `bound` keeps a worker stalled on a slow client from
+    /// wedging the intake (and with it the client's sending thread).
+    fn fence(&self, trace_id: u64, bound: Duration) -> MutexGuard<'_, RequestTable> {
+        let deadline = Instant::now() + bound;
+        let mut table = self.lock();
+        while let Some(Entry::Serving(_)) = table.entries.get(&trace_id) {
+            let now = Instant::now();
+            if now >= deadline {
+                break;
+            }
+            table = obs::unpoisoned(self.settled.wait_timeout(table, deadline - now), POISONED).0;
+        }
+        table
+    }
+}
+
+impl RequestTable {
+    fn settle(&mut self, trace_id: u64, profile: Option<CostProfile>) {
+        if profile.is_some() {
+            self.latest = trace_id;
+        }
+        self.entries.insert(trace_id, Entry::Settled(profile));
+        self.history.push_back(trace_id);
+        if self.history.len() > PROFILE_HISTORY {
+            // A live entry under the oldest id is a reused request id.
+            let oldest = self.history.pop_front().expect("a full history");
+            if let Some(Entry::Settled(_)) = self.entries.get(&oldest) {
+                self.entries.remove(&oldest);
             }
         }
-        self.latest = id;
     }
 
-    /// The retained profile of a request: 0 means "the most recently
-    /// profiled request".
-    fn get(&self, trace_id: u64) -> Option<&CostProfile> {
+    /// A settled request's profile; 0 means "the latest profiled request".
+    fn profile(&self, trace_id: u64) -> Option<&CostProfile> {
         let resolved = if trace_id == 0 { self.latest } else { trace_id };
-        self.profiles.get(&resolved)
+        match self.entries.get(&resolved)? {
+            Entry::Settled(profile) => profile.as_ref(),
+            _ => None,
+        }
+    }
+}
+
+/// A request in `serve_one`: entered before any answer frame leaves, and
+/// settled with `profile` when the guard drops, after the request's span
+/// tree and latency sample — **including** when the evaluation panics, so
+/// a poison query never leaves a stuck fence or a live cancel flag.
+struct Serving<'a> {
+    requests: &'a Requests,
+    trace_id: u64,
+    profile: Option<CostProfile>,
+}
+
+impl Drop for Serving<'_> {
+    fn drop(&mut self) {
+        self.requests
+            .lock()
+            .settle(self.trace_id, self.profile.take());
+        self.requests.settled.notify_all();
     }
 }
 
@@ -250,18 +334,8 @@ struct Shared {
     lat_scan: Arc<Histogram>,
     /// θ-rarity self-monitoring over the metric registry.
     monitor: Mutex<MetaMonitor>,
-    /// Finished per-request cost profiles (Profile control frame).
-    profiles: Mutex<ProfileStore>,
-    /// Trace ids currently being served by a worker. `Trace`/`Profile`
-    /// control frames fence on this set so that once a client has seen a
-    /// request's terminal frame, the request's closed spans and recorded
-    /// profile are guaranteed visible — the span guard drops and the
-    /// profile lands between the terminal send and the removal.
-    inflight: Inflight,
-    /// Cancellation flags of admitted-but-unfinished requests, keyed by
-    /// trace id. The intake flips a flag on `Cancel`; entries are
-    /// dropped when the request settles (terminal frame sent) or sheds.
-    cancels: Mutex<HashMap<u64, CancelFlag>>,
+    /// Every request queued or being served, and the last ones settled.
+    requests: Requests,
 }
 
 /// What the server keeps of one open connection.
@@ -287,58 +361,6 @@ impl Shared {
             .get_mut(&conn)?
             .window
             .replace(window)
-    }
-}
-
-/// The in-flight trace-id set plus a condvar notified on every removal,
-/// so [`await_settled`] parks instead of spinning.
-#[derive(Default)]
-struct Inflight {
-    set: Mutex<HashSet<u64>>,
-    settled: Condvar,
-}
-
-impl Inflight {
-    /// Block (bounded) until `trace_id` is no longer in flight.
-    fn await_settled(&self, trace_id: u64, bound: Duration) {
-        let deadline = Instant::now() + bound;
-        let mut set = obs::unpoisoned(self.set.lock(), POISONED);
-        while set.contains(&trace_id) {
-            let now = Instant::now();
-            if now >= deadline {
-                return;
-            }
-            set = self
-                .settled
-                .wait_timeout(set, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
-    }
-}
-
-/// RAII registration of a request being served: inserted before any
-/// answer frame leaves, removed (with a condvar wake for settle-fences)
-/// when the worker is done with the request — **including** when the
-/// evaluation panics, so a poison query can never leave a stuck
-/// in-flight mark or a leaked cancellation flag behind.
-struct InflightGuard<'a> {
-    shared: &'a Shared,
-    trace_id: u64,
-}
-
-impl<'a> InflightGuard<'a> {
-    fn new(shared: &'a Shared, trace_id: u64) -> Self {
-        obs::unpoisoned(shared.inflight.set.lock(), POISONED).insert(trace_id);
-        Self { shared, trace_id }
-    }
-}
-
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        obs::unpoisoned(self.shared.cancels.lock(), POISONED).remove(&self.trace_id);
-        obs::unpoisoned(self.shared.inflight.set.lock(), POISONED).remove(&self.trace_id);
-        self.shared.inflight.settled.notify_all();
     }
 }
 
@@ -380,9 +402,7 @@ impl Server {
             ),
             lat_scan: obs::histogram_labeled("serve.latency_us", &[("class", "scan")]),
             monitor: Mutex::new(MetaMonitor::default()),
-            profiles: Mutex::new(ProfileStore::new(PROFILE_HISTORY)),
-            inflight: Inflight::default(),
-            cancels: Mutex::new(HashMap::new()),
+            requests: Requests::default(),
             config: config.clone(),
         });
         let workers = (0..config.workers.max(1))
@@ -499,17 +519,6 @@ impl Server {
     /// Recent anomaly records, oldest first (bounded history).
     pub fn anomalies(&self) -> Vec<AnomalyRecord> {
         obs::unpoisoned(self.shared.monitor.lock(), POISONED).recent()
-    }
-
-    /// The finished [`CostProfile`] of a served request, if still
-    /// retained; `trace_id == 0` means "the most recent request".
-    pub fn profile(&self, trace_id: u64) -> Option<CostProfile> {
-        if trace_id != 0 {
-            await_settled(&self.shared, trace_id);
-        }
-        obs::unpoisoned(self.shared.profiles.lock(), POISONED)
-            .get(trace_id)
-            .cloned()
     }
 
     /// Graceful shutdown: stop admitting, drain queued work, join the
@@ -654,13 +663,10 @@ fn admit(shared: &Shared, conn: u64, ep: &Endpoint, request: Request) {
     // the cancelled request itself still terminates normally (typically
     // with a Partial answer).
     if let RequestBody::Cancel { target } = &request.body {
-        let target_trace = trace_id_for(conn, *target);
-        match obs::unpoisoned(shared.cancels.lock(), POISONED).get(&target_trace) {
-            Some(flag) => {
-                flag.cancel();
-                obs::inc("serve.cancel.delivered");
-            }
-            None => obs::inc("serve.cancel.unknown"),
+        if shared.requests.cancel(trace_id_for(conn, *target)) {
+            obs::inc("serve.cancel.delivered");
+        } else {
+            obs::inc("serve.cancel.unknown");
         }
         return;
     }
@@ -689,7 +695,7 @@ fn admit(shared: &Shared, conn: u64, ep: &Endpoint, request: Request) {
         && shared.queue.admit_inline(class)
     {
         // No Cancel can reach it: the intake is busy with it until the
-        // answer is written, so its flag is not registered.
+        // answer is written. `serve_one` enters it in the table.
         let job = Job {
             conn,
             endpoint: ep.never_waiting(),
@@ -701,10 +707,11 @@ fn admit(shared: &Shared, conn: u64, ep: &Endpoint, request: Request) {
         serve_inline(shared, class, job);
         return;
     }
-    // Register the cancellation flag before the job can be popped, so a
-    // Cancel racing the worker still lands.
+    // Entered before the job can be popped, so a Cancel racing the
+    // worker still lands.
     let cancel = CancelFlag::new();
-    obs::unpoisoned(shared.cancels.lock(), POISONED).insert(trace_id, cancel.clone());
+    let queued = Entry::Queued(cancel.clone());
+    shared.requests.lock().entries.insert(trace_id, queued);
     let job = Job {
         conn,
         endpoint: ep.clone(),
@@ -714,7 +721,7 @@ fn admit(shared: &Shared, conn: u64, ep: &Endpoint, request: Request) {
         cancel,
     };
     if let Err(shed) = shared.queue.push(conn, class, job) {
-        obs::unpoisoned(shared.cancels.lock(), POISONED).remove(&trace_id);
+        shared.requests.lock().entries.remove(&trace_id);
         shared.stats.shed_overflow.inc();
         obs::trace::instant_for(
             trace_id,
@@ -794,7 +801,7 @@ fn serve_inline(shared: &Shared, class: Class, job: Job) {
 fn worker_loop(shared: &Shared) {
     while let Some((_client, class, job)) = shared.queue.pop() {
         if job.queued_at.elapsed() > shared.config.queue_deadline {
-            obs::unpoisoned(shared.cancels.lock(), POISONED).remove(&job.trace_id);
+            shared.requests.lock().entries.remove(&job.trace_id);
             shared.stats.shed_deadline.inc();
             obs::trace::instant_for(job.trace_id, "admission.shed_deadline", &[]);
             let _ = job.endpoint.send_response(&Response {
@@ -810,13 +817,13 @@ fn worker_loop(shared: &Shared) {
 }
 
 fn serve_one(shared: &Shared, class: Class, job: Job) {
-    // Mark the request in flight before any frame leaves. The terminal
-    // frame is sent inside dispatch, *before* the span guard drops and
-    // the profile is recorded; the guard's removal happens after both,
-    // so the intake's `Trace`/`Profile` fence (`await_settled`)
-    // gives clients a real guarantee instead of a race.
+    // Mark the request as being served before any frame leaves. The
+    // terminal frame is sent inside dispatch, *before* the span guard
+    // drops; the entry settles after it, so the intake's `Trace`/`Profile`
+    // fence (`Requests::fence`) gives clients a real guarantee instead of
+    // a race.
     let trace_id = job.trace_id;
-    let _inflight = InflightGuard::new(shared, trace_id);
+    let mut serving = shared.requests.serve(trace_id, job.cancel.clone());
     let t0 = Instant::now();
     {
         // Install the trace context minted at admission: every span/event
@@ -855,7 +862,7 @@ fn serve_one(shared: &Shared, class: Class, job: Job) {
         // locks and every other request keep going.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             // Account every byte/row/epoch this request costs; the
-            // finished profile is retained for the Profile control frame.
+            // finished profile settles in the table for the Profile frame.
             let cost = obs::cost::begin(trace_id);
             let sent = match &job.request.body {
                 RequestBody::Explore {
@@ -882,12 +889,14 @@ fn serve_one(shared: &Shared, class: Class, job: Job) {
                     unreachable!("control frames are answered on the intake")
                 }
             };
-            obs::unpoisoned(shared.profiles.lock(), POISONED).record(cost.finish());
             // A send error means the client vanished mid-answer; nothing
             // to do.
             let _ = sent;
+            cost.finish()
         }));
-        if outcome.is_err() {
+        if let Ok(profile) = outcome {
+            serving.profile = Some(profile);
+        } else {
             shared.stats.panics.inc();
             obs::trace::instant_for(trace_id, "serve.panic_isolated", &[]);
             let _ = job.endpoint.send_response(&Response {
@@ -905,7 +914,7 @@ fn serve_one(shared: &Shared, class: Class, job: Job) {
             None => {}
         }
         // `_span` and `_trace` drop here: the request's span tree is
-        // fully filed before the in-flight mark clears.
+        // fully filed before its entry settles.
     }
     let micros = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
     match class {
@@ -915,21 +924,8 @@ fn serve_one(shared: &Shared, class: Class, job: Job) {
     // Every served request counts against the latency SLO budget; the
     // telemetry recorder samples the resulting burn rate per window.
     obs::slo::global().record(micros);
-    // `_inflight` drops last: settle-fences release only after the span
-    // tree, the profile and the latency sample have all landed.
-}
-
-/// Wait (bounded) until `trace_id` is no longer being served, so a
-/// `Trace`/`Profile` reply reflects the request's complete span tree and
-/// recorded profile. In the synchronous client pattern the awaited
-/// request has already sent its terminal frame, so this settles in
-/// microseconds; the worker's in-flight guard wakes the condvar on every
-/// removal, and the bound keeps a worker stalled on a slow client from
-/// ever wedging the intake (and with it the client's sending thread).
-fn await_settled(shared: &Shared, trace_id: u64) {
-    shared
-        .inflight
-        .await_settled(trace_id, Duration::from_millis(50));
+    // `serving` drops last: the fence releases only after the span tree,
+    // the profile and the latency sample have all landed.
 }
 
 /// Answer an introspection frame in place (on the intake, no admission).
@@ -1033,7 +1029,7 @@ fn answer_control(shared: &Shared, ep: &Endpoint, request: &Request) -> Result<(
             } else {
                 *trace_id
             };
-            await_settled(shared, resolved);
+            drop(shared.requests.fence(resolved, FENCE));
             let spans = obs::flight()
                 .trace(resolved)
                 .into_iter()
@@ -1053,13 +1049,11 @@ fn answer_control(shared: &Shared, ep: &Endpoint, request: &Request) -> Result<(
             })
         }
         RequestBody::Profile { trace_id } => {
-            // id 0 resolves to the latest *recorded* profile, which is
-            // consistent by definition; a specific id fences first.
-            if *trace_id != 0 {
-                await_settled(shared, *trace_id);
-            }
-            let store = obs::unpoisoned(shared.profiles.lock(), POISONED);
-            let profile = store.get(*trace_id);
+            // id 0 resolves to the latest *settled* profile, which is
+            // consistent by definition (and no request has trace id 0, so
+            // the fence does not wait for it); a specific id fences first.
+            let table = shared.requests.fence(*trace_id, FENCE);
+            let profile = table.profile(*trace_id);
             ResponseBody::Profile(ProfileFrame {
                 // A request not (or no longer) retained answers with its
                 // own id; nothing recorded yet answers 0.
@@ -1686,6 +1680,7 @@ mod frame_identity;
 mod tests {
     use super::*;
     use spate_core::framework::ExplorationFramework;
+    use std::collections::HashSet;
     use std::sync::mpsc;
     use telco_trace::schema::{Schema, TableKind};
     use telco_trace::{TraceConfig, TraceGenerator};

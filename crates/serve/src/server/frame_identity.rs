@@ -299,11 +299,10 @@ fn settled(
         assert!(waited.elapsed() < Duration::from_secs(10), "no answer");
         std::thread::sleep(Duration::from_millis(1));
     }
-    shared
-        .inflight
-        .await_settled(trace_id, Duration::from_secs(10));
-    let mut cost = lock_sane(&shared.profiles)
-        .get(trace_id)
+    let mut cost = shared
+        .requests
+        .fence(trace_id, Duration::from_secs(10))
+        .profile(trace_id)
         .cloned()
         .expect("a served request leaves its profile");
     cost.total_ns = 0;

@@ -234,6 +234,52 @@ fn profile_frame_reports_request_cost() {
     server.shutdown();
 }
 
+/// The server keeps the profiles of the last 64 settled requests: after
+/// 65 on one worker, the first one's Profile answers its own id with no
+/// metrics, and the second one's still has them. SQL always queues (an
+/// explore may be answered on the intake while the worker is still
+/// settling the one before), so the one worker settles them in order.
+#[test]
+fn profiles_of_the_last_64_settled_requests_are_kept() {
+    let (layout, snaps) = trace_snaps(2);
+    let mut fw = SpateFramework::in_memory(layout);
+    for s in &snaps {
+        fw.ingest(s);
+    }
+    let server = Server::start(
+        fw,
+        ServeConfig {
+            workers: 1,
+            prefetch: false,
+            ..ServeConfig::default()
+        },
+    );
+    let mut client = server.connect();
+    let ids: Vec<u64> = (0..65)
+        .map(|_| {
+            let reply = client.sql((1, 1), "SELECT cell_id FROM NMS").unwrap();
+            assert!(matches!(reply, Reply::Rows { .. }), "{reply:?}");
+            client.last_trace_id().unwrap()
+        })
+        .collect();
+
+    // Once the last one's profile is in, all 65 have settled (the fence
+    // waits 50 ms at most, so ask until it is).
+    let waited = std::time::Instant::now();
+    while client.profile(ids[64]).unwrap().metrics.is_empty() {
+        assert!(waited.elapsed() < std::time::Duration::from_secs(10));
+    }
+    let first = client.profile(ids[0]).unwrap();
+    assert_eq!(first.trace_id, ids[0]);
+    assert!(first.metrics.is_empty(), "{:?}", first.metrics);
+    let second = client.profile(ids[1]).unwrap();
+    assert_eq!(second.trace_id, ids[1]);
+    assert!(!second.metrics.is_empty());
+
+    client.close();
+    server.shutdown();
+}
+
 /// The stats frame reflects server state live, including mid-run values
 /// a shutdown-time report can't give you.
 #[test]

@@ -59,6 +59,7 @@ fn a_panicking_query_is_isolated_and_the_server_answers_the_next_request() {
         }
         other => panic!("expected an internal error terminal frame, got {other:?}"),
     }
+    let poison_id = client.last_trace_id().unwrap();
 
     // Same connection, same (sole) worker: a normal query still answers.
     let reply = client
@@ -66,10 +67,25 @@ fn a_panicking_query_is_isolated_and_the_server_answers_the_next_request() {
         .unwrap();
     assert!(matches!(reply, Reply::Rows { .. }), "{reply:?}");
 
-    // Introspection still works too (Stats crosses the inflight fence
-    // and the monitor lock the panicking request might have poisoned).
+    // Introspection still works too (Stats crosses the monitor lock the
+    // panicking request might have poisoned).
     let stats = client.stats().unwrap();
     assert_eq!(stats.queries, 2);
+
+    // The poison query settled without a profile: its trace holds the
+    // isolation instant, and its Profile answers its own id, empty.
+    let trace = client.trace(poison_id).unwrap();
+    assert!(
+        trace
+            .spans
+            .iter()
+            .any(|s| s.instant && s.name == "serve.panic_isolated"),
+        "{:?}",
+        trace.spans
+    );
+    let profile = client.profile(poison_id).unwrap();
+    assert_eq!(profile.trace_id, poison_id);
+    assert!(profile.metrics.is_empty(), "{:?}", profile.metrics);
 
     let final_stats = server.shutdown();
     assert_eq!(final_stats.panics, 1);
@@ -185,6 +201,15 @@ fn cancel_frames_interrupt_inflight_requests_and_ignore_unknown_targets() {
         .explore(&["upflux"], BoundingBox::everything(), (0, 2))
         .unwrap();
     assert!(matches!(reply, Reply::Rows { .. }), "{reply:?}");
+
+    // The one worker served that explore after the cancelled request
+    // settled: a Cancel of the answered request finds nothing to cancel.
+    let unknown = obs::counter("serve.cancel.unknown");
+    let delivered = obs::counter("serve.cancel.delivered");
+    let (unknown_before, delivered_before) = (unknown.get(), delivered.get());
+    client.cancel(id).unwrap();
+    assert_eq!(unknown.get(), unknown_before + 1);
+    assert_eq!(delivered.get(), delivered_before);
     let stats = server.shutdown();
     assert_eq!(stats.cancelled, 1);
 }

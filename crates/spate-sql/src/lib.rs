@@ -51,8 +51,10 @@ pub fn query(ctx: &SqlContext<'_>, sql: &str) -> Result<ResultSet, SqlError> {
 
 /// Execute a parsed SELECT under cost accounting, returning both the
 /// result and its [`obs::CostProfile`]. This is what `EXPLAIN ANALYZE`
-/// uses; the serving tier calls it directly so it can return the rows to
-/// the client *and* retain the profile for the Profile control frame.
+/// uses, and what a caller that wants the rows *and* the profile calls
+/// (the cost drill's T1/T4). The serving tier does not: a served
+/// statement runs under the request's own cost accounting, which the
+/// Profile control frame reads.
 pub fn query_profiled(
     ctx: &SqlContext<'_>,
     stmt: &SelectStatement,
@@ -63,8 +65,9 @@ pub fn query_profiled(
     result.map(|rs| (rs, profile))
 }
 
-/// One-call entry point for embedders (the serving tier, notebooks):
-/// bind a framework and a window, parse, execute. Equivalent to building
+/// One-call entry point for embedders (notebooks, and the row-store
+/// oracles of the serve tests and the benchmark): bind a framework and a
+/// window, parse, execute. Equivalent to building
 /// an [`SqlContext`] by hand, without the borrow gymnastics at call
 /// sites that only run a single statement.
 pub fn execute_over(

@@ -5,7 +5,6 @@
 //! discrete numerical values" (paper §II-B). Records are serialized as
 //! comma-separated lines, the format the paper's snapshots arrive in.
 
-use crate::snapshot::{row_at, Row};
 use crate::text::Text;
 use std::borrow::Cow;
 use std::fmt;
@@ -146,20 +145,12 @@ impl Record {
         }
         out.push('\n');
     }
-
-    /// Parse a CSV line, with or without its line terminator (`\n` or
-    /// `\r\n`); anything after the terminator is an error. Every field
-    /// comes back as [`Value::from_field`] reads it: the row framing and
-    /// [`Row::record`] of [`crate::Snapshot::from_bytes`].
-    pub fn parse_line(line: &str, n_cols: usize) -> Option<Self> {
-        let (row, end) = row_at(line, 0, n_cols)?;
-        (end == line.len()).then(|| Row::Text(row).record(n_cols))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::{row_at, Row};
     use proptest::prelude::*;
 
     /// The hand-written integer form is `{i}`'s, digit for digit.
@@ -217,7 +208,8 @@ mod tests {
         rec.to_line(&mut line);
         assert_eq!(line, "821000017,,1500,2.50\n");
 
-        let parsed = Record::parse_line(line.trim_end(), 4).unwrap();
+        let (row, _) = row_at(line.trim_end(), 0, 4).unwrap();
+        let parsed = Row::Text(row).record(4);
         assert_eq!(parsed.values[0], Value::Str("821000017".into()));
         assert_eq!(parsed.values[1], Value::Null);
         assert_eq!(parsed.values[2].as_i64(), Some(1500));
@@ -226,14 +218,15 @@ mod tests {
 
     #[test]
     fn parse_rejects_wrong_arity() {
-        assert!(Record::parse_line("a,b,c", 4).is_none());
-        assert!(Record::parse_line("a,b,c,d,e", 4).is_none());
-        assert!(Record::parse_line("a,b,c,d", 4).is_some());
+        assert!(row_at("a,b,c", 0, 4).is_none());
+        assert!(row_at("a,b,c,d,e", 0, 4).is_none());
+        assert!(row_at("a,b,c,d", 0, 4).is_some());
     }
 
     #[test]
     fn empty_fields_become_null() {
-        let rec = Record::parse_line(",,", 3).unwrap();
+        let (row, _) = row_at(",,", 0, 3).unwrap();
+        let rec = Row::Text(row).record(3);
         assert!(rec.values.iter().all(Value::is_null));
     }
 }

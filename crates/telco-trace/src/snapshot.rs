@@ -915,4 +915,20 @@ mod tests {
         assert!(e.to_string().contains("NMS"));
         assert!(e.to_string().contains('3'));
     }
+
+    proptest::proptest! {
+        /// One line framed by `row_at` and read by `Row::record` holds the
+        /// fields `split(',')` finds, or is refused for the wrong arity.
+        #[test]
+        fn row_at_and_record_agree_with_split(line in "[a-z0-9,\r]{0,40}", arity_off in 0usize..3) {
+            let want: Vec<&str> = line.split(',').collect();
+            let n_cols = want.len() + arity_off - 1; // arity - 1, exact, + 1
+            let got = row_at(&line, 0, n_cols).map(|(row, _)| Row::Text(row).record(n_cols));
+            proptest::prop_assert_eq!(got.is_some(), want.len() == n_cols);
+            if let Some(rec) = got {
+                let fields: Vec<String> = rec.values.iter().map(Value::as_text).collect();
+                proptest::prop_assert_eq!(fields, want);
+            }
+        }
+    }
 }

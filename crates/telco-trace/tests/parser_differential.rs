@@ -264,18 +264,6 @@ proptest! {
     fn junk_parses_identically(junk in proptest::collection::vec(any::<u8>(), 0..400)) {
         assert_same(&junk);
     }
-
-    #[test]
-    fn parse_line_agrees_with_split(line in "[a-z0-9,\r]{0,40}", arity_off in 0usize..3) {
-        let want: Vec<&str> = line.split(',').collect();
-        let n_cols = want.len() + arity_off - 1; // arity - 1, exact, + 1
-        let got = Record::parse_line(&line, n_cols);
-        prop_assert_eq!(got.is_some(), want.len() == n_cols);
-        if let Some(rec) = got {
-            let fields: Vec<String> = rec.values.iter().map(Value::as_text).collect();
-            prop_assert_eq!(fields, want);
-        }
-    }
 }
 
 #[test]
