@@ -3,6 +3,7 @@
 //! with exact counts, and the three frameworks must agree with each other.
 
 use spate_core::framework::{ExplorationFramework, RawFramework, SpateFramework};
+use spate_core::index::highlights::Resolution;
 use spate_core::query::{Query, QueryResult};
 use telco_trace::cells::BoundingBox;
 use telco_trace::time::EpochId;
@@ -69,7 +70,7 @@ fn summary_counters_match_exact_row_counts() {
     // Before decay, a day node's highlight counters must equal what a full
     // scan of that day returns — the OLAP cube is consistent with its base.
     let (_, spate, snaps) = fixtures(12);
-    let day = &spate.index().years()[0].months[0].days[0];
+    let day = &spate.index().nodes(Resolution::Day)[&0];
     let direct_cdr: u64 = snaps.iter().map(|s| s.cdr.len() as u64).sum();
     let direct_nms: u64 = snaps.iter().map(|s| s.nms.len() as u64).sum();
     assert_eq!(day.highlights.cdr_records, direct_cdr);

@@ -124,6 +124,22 @@ pub fn days_in_month(year: u32, month: u32) -> u32 {
     }
 }
 
+/// The day index of the first of `month` (1–12) in `year`, negative
+/// before the trace start: the inverse of [`EpochId::civil`] at month
+/// resolution.
+pub fn month_start_day(year: u32, month: u32) -> i64 {
+    // Days from 1 January of the proleptic Gregorian year 0.
+    let from_origin = |year: u32, month: u32| {
+        let y = i64::from(year);
+        let leap_years_before = (y + 3) / 4 - (y + 99) / 100 + (y + 399) / 400;
+        let months: i64 = (1..month).map(|m| i64::from(days_in_month(year, m))).sum();
+        365 * y + leap_years_before + months
+    };
+    from_origin(year, month)
+        - from_origin(TRACE_START_YEAR, TRACE_START_MONTH)
+        - i64::from(TRACE_START_DAY - 1)
+}
+
 /// A broken-down civil timestamp within the trace calendar.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CivilTime {
@@ -369,6 +385,17 @@ mod tests {
         ];
         for path in not_a_leaf {
             assert_eq!(EpochId::of_leaf_path(path, ".snap"), None, "{path}");
+        }
+    }
+
+    #[test]
+    fn month_start_day_inverts_civil() {
+        assert_eq!(month_start_day(2016, 1), -17);
+        assert_eq!(month_start_day(2016, 2), 14);
+        for day in 0..1500 {
+            let c = EpochId(day * EPOCHS_PER_DAY).civil();
+            let back = month_start_day(c.year, c.month) + i64::from(c.day) - 1;
+            assert_eq!(back, i64::from(day), "{c:?}");
         }
     }
 

@@ -30,7 +30,7 @@ fn main() {
 
     // (i) Drop-rate heatmap: the day node's per-cell summaries, bucketed on
     // a coarse spatial grid — what the coverage-overlay view renders.
-    let day = &spate.index().years()[0].months[0].days[0];
+    let day = &spate.index().nodes(Resolution::Day)[&0];
     let mut grid = vec![vec![(0.0f64, 0.0f64); GRID]; GRID]; // (drops, attempts)
     for (cell_id, summary) in &day.highlights.per_cell {
         let cell = layout.get(*cell_id);
