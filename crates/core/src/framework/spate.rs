@@ -640,11 +640,8 @@ mod tests {
             spate.ingest(s);
         }
         spate.persist_index().unwrap();
-        let leaves = |fw: &SpateFramework| -> Vec<(EpochId, String)> {
-            fw.index()
-                .all_leaves()
-                .map(|l| (l.epoch, l.path.clone()))
-                .collect()
+        let leaves = |fw: &SpateFramework| -> Vec<EpochId> {
+            fw.index().all_leaves().map(|l| l.epoch).collect()
         };
         let nodes = fs.config().n_datanodes;
         (0..nodes).for_each(|dn| fs.kill_datanode(dn));
@@ -730,10 +727,10 @@ mod tests {
         let (restored, report) = SpateFramework::restore_from(store(fs), layout).unwrap();
         assert_eq!(report.strays_reindexed, 2);
         assert_eq!(restored.index().last_epoch(), Some(snaps[5].epoch));
-        let leaves = |fw: &SpateFramework| -> Vec<(EpochId, String, u64, u64)> {
+        let leaves = |fw: &SpateFramework| -> Vec<(EpochId, u64, u64)> {
             let leaves = fw.index().all_leaves();
             leaves
-                .map(|l| (l.epoch, l.path.clone(), l.raw_bytes, l.stored_bytes))
+                .map(|l| (l.epoch, l.raw_bytes, l.stored_bytes))
                 .collect()
         };
         assert_eq!(leaves(&restored), leaves(&spate));
