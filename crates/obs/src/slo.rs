@@ -1,7 +1,8 @@
 //! Serve-tier SLO tracking: an error budget over request latency and the
 //! burn rate the telemetry recorder samples per window.
 //!
-//! An SLO here is "at most `budget` of requests may exceed `target_us`".
+//! An SLO here is "at most [`BUDGET_MILLI`] of requests may exceed
+//! [`TARGET_US`]".
 //! [`SloTracker::burn_rate_milli`] is the classic multiplicative form: the
 //! observed violation share divided by the allowed share, scaled by 1000
 //! to stay in integers (1000 = burning exactly the budget; 2000 = twice
@@ -12,31 +13,18 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
+/// The objective: at most 5 % of requests may take longer than 50 ms,
+/// the interactive deadline class in `crates/serve`.
+pub const TARGET_US: u64 = 50_000;
+/// The allowed violation share in milli-units (50 = 5 %).
+pub const BUDGET_MILLI: u64 = 50;
+
 /// Lock-free latency-SLO tracker; all methods are safe under concurrent
 /// recording from serve workers.
+#[derive(Default)]
 pub struct SloTracker {
-    /// Latency threshold in microseconds.
-    target_us: AtomicU64,
-    /// Allowed violation share in milli-units (5 = 0.5%).
-    budget_milli: AtomicU64,
     total: AtomicU64,
     violations: AtomicU64,
-}
-
-/// Default: 50ms target, 5% violation budget — matches the interactive
-/// deadline class in `crates/serve`.
-pub const DEFAULT_TARGET_US: u64 = 50_000;
-pub const DEFAULT_BUDGET_MILLI: u64 = 50;
-
-impl Default for SloTracker {
-    fn default() -> Self {
-        Self {
-            target_us: AtomicU64::new(DEFAULT_TARGET_US),
-            budget_milli: AtomicU64::new(DEFAULT_BUDGET_MILLI),
-            total: AtomicU64::new(0),
-            violations: AtomicU64::new(0),
-        }
-    }
 }
 
 impl SloTracker {
@@ -44,22 +32,10 @@ impl SloTracker {
         Self::default()
     }
 
-    /// Reconfigure the objective (also used by benches to make violation
-    /// patterns deterministic). Does not clear observed counts.
-    pub fn configure(&self, target_us: u64, budget_milli: u64) {
-        self.target_us.store(target_us, Ordering::Relaxed);
-        self.budget_milli
-            .store(budget_milli.max(1), Ordering::Relaxed);
-    }
-
-    pub fn target_us(&self) -> u64 {
-        self.target_us.load(Ordering::Relaxed)
-    }
-
     /// Record one request latency against the objective.
     pub fn record(&self, latency_us: u64) {
         self.total.fetch_add(1, Ordering::Relaxed);
-        if latency_us > self.target_us.load(Ordering::Relaxed) {
+        if latency_us > TARGET_US {
             self.violations.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -72,8 +48,8 @@ impl SloTracker {
         self.violations.load(Ordering::Relaxed)
     }
 
-    /// Burn rate ×1000: `(violations/total) / (budget_milli/1000) × 1000`,
-    /// i.e. `violations × 1_000_000 / (total × budget_milli)`. Zero when
+    /// Burn rate ×1000: `(violations/total) / (BUDGET_MILLI/1000) × 1000`,
+    /// i.e. `violations × 1_000_000 / (total × BUDGET_MILLI)`. Zero when
     /// nothing was recorded.
     pub fn burn_rate_milli(&self) -> u64 {
         let total = self.total.load(Ordering::Relaxed);
@@ -81,11 +57,10 @@ impl SloTracker {
             return 0;
         }
         let violations = self.violations.load(Ordering::Relaxed);
-        let budget = self.budget_milli.load(Ordering::Relaxed).max(1);
-        violations.saturating_mul(1_000_000) / total.saturating_mul(budget).max(1)
+        violations.saturating_mul(1_000_000) / total.saturating_mul(BUDGET_MILLI)
     }
 
-    /// Clear observed counts, keeping the configured objective.
+    /// Clear observed counts.
     pub fn reset(&self) {
         self.total.store(0, Ordering::Relaxed);
         self.violations.store(0, Ordering::Relaxed);
@@ -106,33 +81,34 @@ mod tests {
     #[test]
     fn burn_rate_is_zero_when_clean_and_scales_with_violations() {
         let s = SloTracker::new();
-        s.configure(1_000, 50); // 1ms target, 5% budget
         assert_eq!(s.burn_rate_milli(), 0);
         for _ in 0..95 {
-            s.record(500);
+            s.record(TARGET_US);
         }
         for _ in 0..5 {
-            s.record(2_000);
+            s.record(TARGET_US + 1);
         }
         // 5% violations against a 5% budget: burning at exactly 1×.
         assert_eq!(s.total(), 100);
         assert_eq!(s.violations(), 5);
         assert_eq!(s.burn_rate_milli(), 1_000);
         for _ in 0..5 {
-            s.record(2_000);
+            s.record(2 * TARGET_US);
         }
         // ~9.5% violations: just under 2×.
         assert!(s.burn_rate_milli() > 1_800, "{}", s.burn_rate_milli());
     }
 
     #[test]
-    fn reset_clears_counts_but_keeps_objective() {
+    fn reset_clears_counts() {
         let s = SloTracker::new();
-        s.configure(7, 3);
-        s.record(100);
+        s.record(TARGET_US + 1);
         s.reset();
         assert_eq!(s.total(), 0);
         assert_eq!(s.violations(), 0);
-        assert_eq!(s.target_us(), 7);
+        assert_eq!(s.burn_rate_milli(), 0);
+        // One violation in one request against a 5% budget: 20×.
+        s.record(TARGET_US + 1);
+        assert_eq!(s.burn_rate_milli(), 20_000);
     }
 }

@@ -31,6 +31,7 @@ use crate::proto::{
 };
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Per-direction buffer bound in bytes.
@@ -184,7 +185,13 @@ pub struct Endpoint {
     rx: Arc<Pipe>,
     /// Whether a send waits while the outbound pipe is over capacity.
     wait_for_room: bool,
+    /// Where this end notes its answers' places ([`Endpoint::stamping`]).
+    answered: Option<Arc<AtomicU64>>,
 }
+
+/// The answer order every stamping endpoint shares: a terminal frame's
+/// place in it is taken before the frame is written.
+static ANSWERS: AtomicU64 = AtomicU64::new(1);
 
 /// Create a connected pair of endpoints.
 pub fn duplex() -> (Endpoint, Endpoint) {
@@ -195,11 +202,13 @@ pub fn duplex() -> (Endpoint, Endpoint) {
             tx: a_to_b.clone(),
             rx: b_to_a.clone(),
             wait_for_room: true,
+            answered: None,
         },
         Endpoint {
             tx: b_to_a,
             rx: a_to_b,
             wait_for_room: true,
+            answered: None,
         },
     )
 }
@@ -220,6 +229,31 @@ impl Endpoint {
         }
     }
 
+    /// This end, noting the place in answer order of each terminal frame
+    /// it writes ([`Endpoint::answered`]). The place is taken before the
+    /// frame leaves, so an answer written after the peer read another is
+    /// placed after it, whichever thread wrote either.
+    pub fn stamping(&self) -> Endpoint {
+        Endpoint {
+            answered: Some(Arc::default()),
+            ..self.clone()
+        }
+    }
+
+    /// The place of the last terminal frame this stamping end wrote; 0
+    /// if none.
+    pub fn answered(&self) -> u64 {
+        self.answered
+            .as_ref()
+            .map_or(0, |a| a.load(Ordering::Relaxed))
+    }
+
+    fn note(&self, resp: &Response) {
+        if let (Some(answered), true) = (&self.answered, resp.body.is_terminal()) {
+            answered.store(ANSWERS.fetch_add(1, Ordering::SeqCst), Ordering::Relaxed);
+        }
+    }
+
     /// Bytes this end has sent that the peer has not read yet (always 0
     /// towards a peer that takes them by loopback delivery).
     pub fn unread_sent(&self) -> usize {
@@ -232,6 +266,7 @@ impl Endpoint {
     /// of the peer that would have to drain the pipe, so waiting for
     /// room there could wait forever.
     pub fn send_response_now(&self, resp: &Response) -> Result<(), TransportError> {
+        self.note(resp);
         self.tx.write_all(&resp.encode(), false)
     }
 
@@ -249,6 +284,7 @@ impl Endpoint {
     }
 
     pub fn send_response(&self, resp: &Response) -> Result<(), TransportError> {
+        self.note(resp);
         self.send_bytes(&resp.encode())
     }
 
@@ -326,6 +362,7 @@ impl<'a> FrameBatch<'a> {
     }
 
     pub fn push(&mut self, resp: &Response) -> Result<(), TransportError> {
+        self.ep.note(resp);
         resp.encode_into(&mut self.buf);
         self.flush_if_full()
     }

@@ -280,6 +280,48 @@ fn profiles_of_the_last_64_settled_requests_are_kept() {
     server.shutdown();
 }
 
+/// `Profile{0}` names the request the client read last, not the one
+/// settled last. The intake answers a warm explore and settles it at once,
+/// while the worker that answered the request before it is still
+/// prefetching past its window, each epoch read paying a modelled disk
+/// access, so that request settles after the warm one.
+#[test]
+fn profile_0_names_the_request_answered_last() {
+    let (layout, snaps) = trace_snaps(10);
+    let dfs = dfs::Dfs::new(dfs::DfsConfig {
+        io: dfs::IoModel::cluster_disks(),
+        ..dfs::DfsConfig::default()
+    });
+    let mut fw = SpateFramework::new(dfs, layout);
+    for s in &snaps {
+        fw.ingest(s);
+    }
+    let config = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(fw, config);
+    let mut client = server.connect();
+    let mut explore = || {
+        let reply = client.explore(&["upflux"], BoundingBox::everything(), (1, 4));
+        assert!(matches!(reply.unwrap(), Reply::Rows { .. }));
+        client.last_trace_id().unwrap()
+    };
+    let on_worker = explore();
+    let on_intake = explore();
+
+    // Once the worker's request has settled too (the fence waits 50 ms at
+    // most, so ask until it has), both profiles are in.
+    let waited = std::time::Instant::now();
+    while client.profile(on_worker).unwrap().metrics.is_empty() {
+        assert!(waited.elapsed() < std::time::Duration::from_secs(10));
+    }
+    assert_eq!(client.profile(0).unwrap().trace_id, on_intake);
+
+    client.close();
+    server.shutdown();
+}
+
 /// The stats frame reflects server state live, including mid-run values
 /// a shutdown-time report can't give you.
 #[test]
