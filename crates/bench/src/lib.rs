@@ -6,6 +6,8 @@
 //! `tests/drills.rs` runs it, and the criterion benches wrap the same code
 //! paths through [`setup`].
 
+#![deny(unsafe_code)]
+
 pub mod args;
 pub mod chaos_serve;
 pub mod cost_bench;

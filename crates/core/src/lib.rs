@@ -47,6 +47,8 @@
 //! assert!(result.is_exact());
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod framework;
 pub mod index;
 pub mod meta;

@@ -34,6 +34,8 @@
 //!   are rolled back, and [`Dfs::write_staged`] (a staging file, then an
 //!   atomic [`Dfs::rename`]) is every store's one crash-consistent commit.
 
+#![deny(unsafe_code)]
+
 pub mod breaker;
 pub mod cache;
 pub mod fault;

@@ -13,6 +13,8 @@
 //! algorithms reproduces that, which is why an in-process engine is a
 //! faithful substitute.
 
+#![deny(unsafe_code)]
+
 pub mod dataset;
 pub mod linalg;
 pub mod ml;

@@ -37,6 +37,8 @@
 //! assert!(table.contains("spate.ingest"));
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod budget;
 pub mod bytes;
 pub mod context;

@@ -12,6 +12,8 @@
 //! generalization ([`Anonymizer::anonymize`], OLA/Flash-style with
 //! monotonicity pruning), and bounded record suppression.
 
+#![deny(unsafe_code)]
+
 pub mod hierarchy;
 pub mod lattice;
 

@@ -60,6 +60,8 @@
 //! server.shutdown();
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod admission;
 pub mod cache;
 pub mod proto;

@@ -12,6 +12,8 @@
 //! No compression, no decay — exactly the baseline's trade-off: fast
 //! aggregate queries at full storage cost.
 
+#![deny(unsafe_code)]
+
 pub mod quadtree;
 pub mod temporal;
 

@@ -26,6 +26,8 @@
 //! scan ([`SqlContext::over`]), which is how the serving tier runs it over
 //! its epoch cache.
 
+#![deny(unsafe_code)]
+
 pub mod ast;
 pub mod exec;
 pub mod lexer;

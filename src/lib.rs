@@ -40,6 +40,8 @@
 //! See `examples/` for runnable scenarios and `crates/bench` for the
 //! harness that regenerates every table and figure of the paper.
 
+#![deny(unsafe_code)]
+
 pub use codecs;
 pub use dfs;
 pub use engine;
