@@ -1,10 +1,11 @@
 //! Content-addressed block store for SPATE snapshots.
 //!
 //! Sits between `core` storage and the replicated filesystem. What an
-//! epoch stores is its snapshot as `Snapshot::to_bytes` writes it, and
-//! nothing else: [`CasStore::put_epoch`] refuses any other payload. The
-//! snapshot is transposed into columns: each table's varying columns
-//! become one run, its *unit*, and each constant column one value. The
+//! epoch stores is its snapshot's column image, written straight from its
+//! records ([`CasStore::put_snapshot`]; [`CasStore::put_epoch`] takes
+//! the snapshot's text, exactly as `Snapshot::to_bytes` writes it, and
+//! nothing else): each table's varying columns become one run, its
+//! *unit*, and each constant column one value. The
 //! units are compressed, one stream each, into the epoch's own *pack*
 //! file; the epoch is then represented by a *manifest* recording each
 //! table's rows and constant columns, the pack's hash, every unit's hash
@@ -54,7 +55,7 @@ pub enum CasError {
     /// The epoch is already in the store (manifests are write-once).
     AlreadyStored(u32),
     /// Content failed hash verification or structural validation, or a
-    /// put was not a snapshot as `Snapshot::to_bytes` writes it.
+    /// put was not a snapshot that `Snapshot::to_bytes` text carries.
     Corrupt(String),
 }
 

@@ -20,14 +20,13 @@
 //! is cut, padded or declares more than its bytes hold is
 //! [`CasError::Corrupt`] naming the field, never a panic or a reservation.
 
-use crate::chunker::{self, Layout, Section, TableLayout, SNAPSHOT_SECTIONS};
+use crate::chunker::{self, Section, TableLayout, SNAPSHOT_SECTIONS};
 use crate::hash::ChunkHash;
 use crate::CasError;
 use obs::bytes::{ByteError, Reader, Writer};
 use std::collections::BTreeMap;
 use telco_trace::schema::{Schema, TableKind};
 use telco_trace::time::EpochId;
-use telco_trace::Snapshot;
 
 /// Magic prefix of an encoded epoch manifest. `CASMF1` (no inline pieces),
 /// `CASMF2` (packs of one stream: no unit per chunk; every header line
@@ -44,8 +43,7 @@ pub struct EpochManifest {
     /// Length of the stored snapshot's text: checked by the reference
     /// reassembly ([`crate::EpochReader::assemble`]), not by a column read.
     pub raw_len: u64,
-    /// The snapshot's CDR and NMS table, in stored order, each under the
-    /// header line `Snapshot::to_bytes` writes for its rows.
+    /// The snapshot's CDR and NMS table, in stored order.
     pub tables: [TableLayout; 2],
     /// Address of the epoch's own pack: there is one exactly when a table
     /// has a unit.
@@ -64,29 +62,6 @@ pub struct EpochManifest {
 }
 
 impl EpochManifest {
-    /// The tables of `layout` when it is the snapshot of `epoch` as
-    /// `Snapshot::to_bytes` writes it: that epoch's `#SNAPSHOT` line, then
-    /// the CDR and the NMS section, as wide as their schemas and under the
-    /// lines written for their rows, and nothing else. `None` for any
-    /// other layout: no manifest describes it.
-    pub(crate) fn snapshot_tables(epoch: u32, layout: Layout) -> Option<[TableLayout; 2]> {
-        let Layout::Columnar { header, tables } = layout else {
-            return None;
-        };
-        let tables: [TableLayout; 2] = tables.try_into().ok()?;
-        let as_written = header == Snapshot::header_line(EpochId(epoch)).as_bytes()
-            && tables.iter().enumerate().all(|(i, t)| t.is_as_written(i));
-        as_written.then_some(tables)
-    }
-
-    /// The layout [`chunker::assemble`] rebuilds the snapshot from.
-    pub(crate) fn layout(&self) -> Layout {
-        Layout::Columnar {
-            header: Snapshot::header_line(EpochId(self.epoch)).into_bytes(),
-            tables: self.tables.to_vec(),
-        }
-    }
-
     /// What each table owns, in table order.
     pub(crate) fn sections(&self) -> Vec<Section> {
         chunker::table_sections(&self.tables)
@@ -189,7 +164,6 @@ impl EpochManifest {
 }
 
 /// One table of a snapshot: its rows, then a flag a column of its schema.
-/// Its header line is the one `Snapshot::to_bytes` writes for the rows.
 fn read_table(r: &mut Reader, kind: TableKind) -> Result<TableLayout, ByteError> {
     let rows = r.varint_u32()?;
     let flags = r.take(Schema::shared(kind).width())?;
@@ -200,7 +174,6 @@ fn read_table(r: &mut Reader, kind: TableKind) -> Result<TableLayout, ByteError>
         }),
     });
     Ok(TableLayout {
-        header: Snapshot::table_header_line(kind, rows as usize).into_bytes(),
         rows,
         constant: constant.collect::<Result<Vec<bool>, _>>()?,
     })
@@ -313,7 +286,11 @@ mod tests {
     fn the_layout_is_rebuilt_from_the_epoch_and_the_rows() {
         let (raw, bytes) = stored_snapshot();
         let m = EpochManifest::decode(&bytes).unwrap();
-        assert_eq!(m.layout(), chunker::split(&raw, &chunker::Chunking).0);
+        let layout = chunker::Layout::Columnar {
+            epoch: m.epoch,
+            tables: m.tables.clone(),
+        };
+        assert_eq!(layout, chunker::split(&raw, &chunker::Chunking).0);
         // Epoch and length, then rows and a flag a column per table, then
         // the pack's address.
         let mut head = MANIFEST_MAGIC.to_vec();

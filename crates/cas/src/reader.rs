@@ -13,8 +13,9 @@
 //! together. The reader itself starts no thread.
 //! [`EpochReader::snapshot_columns`] is the same read on one thread, and
 //! [`EpochReader::assemble`], the reference the tests hold them against,
-//! rebuilds the text. Both go through one private `inflate`: a unit is
-//! lent only after its inflated bytes matched its hash.
+//! writes the text of the same tables. All of them go through one private
+//! `inflate`, a unit lent only after its inflated bytes matched its hash,
+//! and `ColumnTable::builder`, the one checked reader of the image.
 
 use crate::chunker::{self, SNAPSHOT_SECTIONS};
 use crate::hash::ChunkHash;
@@ -104,13 +105,19 @@ impl<'s> EpochReader<'s> {
     }
 
     /// Table `i` (0 CDR, 1 NMS), column by column: its unit inflated and
-    /// verified, the run checked to hold exactly one value a row for each
-    /// varying column and each constant to be one value, no value holding
-    /// a field separator, everything UTF-8 — what [`Self::assemble`] and
-    /// the snapshot parser would check of the same table, made before a
-    /// byte is lent. The inflated run becomes the table's text as it
-    /// stands. The other table is not inflated, and not vouched for.
+    /// verified, then read through `ColumnTable::builder`, which checks
+    /// the run to hold exactly one value a row for each varying column,
+    /// each constant to be one value, no value to hold a field separator
+    /// and everything to be UTF-8 — what the snapshot parser would check of
+    /// the same table's text, made before a byte is lent. The inflated run
+    /// becomes the table's text as it stands. The other table is not
+    /// inflated, and not vouched for.
     pub fn table(&self, i: usize) -> Result<ColumnTable, CasError> {
+        let _span = obs::span("cas.get");
+        self.read_table(i)
+    }
+
+    fn read_table(&self, i: usize) -> Result<ColumnTable, CasError> {
         let (table, section) = self
             .held
             .manifest
@@ -118,26 +125,16 @@ impl<'s> EpochReader<'s> {
             .get(i)
             .zip(self.held.sections.get(i))
             .ok_or_else(|| CasError::Corrupt(format!("a snapshot has no table {i}")))?;
-        let _span = obs::span("cas.get");
         let run = self.inflate(i)?;
 
         let _index = obs::span("cas.get.index");
-        let corrupt = |e| CasError::Corrupt(format!("table {i}: {e}"));
-        let mut columns = ColumnTable::builder(table.rows as usize);
-        let mut constants = section.constants.clone();
-        for &constant in &table.constant {
-            let Some(k) = constant.then(|| constants.next()).flatten() else {
-                columns.varying();
-                continue;
-            };
-            columns
-                .constant(self.held.manifest.constant(k))
-                .map_err(corrupt)?;
-        }
-        if let Some(run) = run {
-            columns.run(run).map_err(corrupt)?;
-        }
-        let table = columns.finish().map_err(corrupt)?;
+        let constants = section
+            .constants
+            .clone()
+            .map(|k| self.held.manifest.constant(k));
+        let table = table
+            .read(run, constants)
+            .map_err(|e| CasError::Corrupt(format!("table {i}: {e}")))?;
         self.store.note_table_read();
         Ok(table)
     }
@@ -145,8 +142,9 @@ impl<'s> EpochReader<'s> {
     /// The tables `wanted` of the snapshot as columns ([`Self::table`] of
     /// each, no other table inflated): what `Snapshot::scan` refuses of
     /// these tables in [`Self::assemble`]'s text is refused here, and every
-    /// field reads the same. The store took only text as `to_bytes` writes
-    /// it (no `\r`), so there is no text left to fall back to.
+    /// field reads the same. The store took only a snapshot whose text
+    /// reads back as it (no `\r`), so there is no text left to fall back
+    /// to.
     pub fn snapshot_columns(&self, wanted: &[TableKind]) -> Result<SnapshotColumns, CasError> {
         let tables = stored_tables(wanted).map(|(i, kind)| Ok((kind, self.table(i)?)));
         Ok(self.columns(tables.collect::<Result<_, CasError>>()?))
@@ -166,20 +164,16 @@ impl<'s> EpochReader<'s> {
         SnapshotColumns { tables, rows }
     }
 
-    /// The stored snapshot's text, rebuilt: every unit inflated and
-    /// verified, put back together with the constant values under the
-    /// header lines the epoch and the rows give, and the length checked
-    /// against the manifest's `raw_len` (which only this reference reads).
+    /// The stored snapshot's text, rebuilt: both tables read as
+    /// [`Self::table`] reads them, written under the header lines the
+    /// epoch and the rows give, and the length checked against the
+    /// manifest's `raw_len` (which only this reference reads).
     pub fn assemble(&self) -> Result<Vec<u8>, CasError> {
         let _span = obs::span("cas.get");
-        let units = (0..self.held.sections.len()).filter_map(|i| self.inflate(i).transpose());
-        let units = units.collect::<Result<Vec<Vec<u8>>, _>>()?;
+        let tables = (0..SNAPSHOT_SECTIONS.len()).map(|i| self.read_table(i));
+        let tables = tables.collect::<Result<Vec<_>, _>>()?;
         let _assemble = obs::span("cas.get.assemble");
-        let constants =
-            (0..self.held.manifest.constants.len()).map(|k| self.held.manifest.constant(k));
-        let pieces: Vec<&[u8]> = units.iter().map(Vec::as_slice).chain(constants).collect();
-        let raw = chunker::assemble(&self.held.manifest.layout(), &pieces)
-            .map_err(|e| CasError::Corrupt(format!("assemble: {e}")))?;
+        let raw = chunker::text(self.held.manifest.epoch, &tables);
         if raw.len() as u64 != self.held.manifest.raw_len {
             return Err(CasError::Corrupt("reassembled length mismatch".into()));
         }

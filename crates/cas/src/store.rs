@@ -9,10 +9,10 @@
 //!                                    the manifest records its hash
 //! ```
 //!
-//! What an epoch holds is its snapshot as `Snapshot::to_bytes` writes it:
-//! [`CasStore::put_epoch`] refuses any other payload, once, so no read
-//! decides it again. The Merkle rollup over the retained manifests is
-//! computed in memory ([`CasStore::merkle`]), never stored.
+//! What an epoch holds is a snapshot whose text reads back as it: a put
+//! refuses any other, once, so no read decides it again. The Merkle
+//! rollup over the retained manifests is computed in memory
+//! ([`CasStore::merkle`]), never stored.
 //!
 //! An epoch is one manifest and at most one pack, and it owns both:
 //! nothing is shared with another epoch, so two epochs with byte-identical
@@ -26,7 +26,7 @@
 //! collection, and all byte accounting flows through [`Dfs::delete`] like
 //! the path-addressed store.
 
-use crate::chunker::{self, Chunking, Section};
+use crate::chunker::{self, Image, Section};
 use crate::hash::ChunkHash;
 use crate::manifest::{build_merkle, EpochManifest, Merkle};
 use crate::reader::EpochReader;
@@ -37,6 +37,7 @@ use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use telco_trace::time::EpochId;
+use telco_trace::Snapshot;
 
 /// Store configuration.
 #[derive(Clone)]
@@ -201,15 +202,14 @@ impl CasStore {
         EpochId(epoch).leaf_path(&self.cfg.root, ".pk")
     }
 
-    /// Chunk, pack and persist the snapshot of one epoch.
+    /// Chunk, pack and persist `snapshot`: its column image, written
+    /// straight from its records.
     ///
-    /// `raw` must be the snapshot of `epoch` as `Snapshot::to_bytes` writes
-    /// it: that epoch's `#SNAPSHOT` line, then the CDR (200 columns) and
-    /// the NMS table (8 columns) under the lines written for their rows,
-    /// and no `\r` anywhere. Anything else — bytes the chunker keeps as a
-    /// blob, another header line, other tables — is refused as
+    /// A snapshot no text could carry — a record not as wide as its table,
+    /// a value holding a `,`, `\n` or `\r` — is refused as
     /// [`CasError::Corrupt`] before anything is written: what is stored
-    /// always reads back as columns.
+    /// always reads back as columns, and as the text `Snapshot::to_bytes`
+    /// writes.
     ///
     /// Commit order: any crash leftover at the pack path is cleared, the
     /// pack is written, then the manifest by [`Dfs::write_staged`].
@@ -217,36 +217,49 @@ impl CasStore {
     /// leaves at most an orphan pack that [`Self::gc`] / [`Self::recover`]
     /// sweep.
     ///
-    /// The child spans split the cost: `cas.put.split` is the chunker, the
-    /// check above and the unit hashes, `cas.put.pack` the compression of
-    /// the pack's units, `cas.put.manifest` the manifest's encoding and
+    /// The child spans split the cost: `cas.put.split` is the column
+    /// image and the unit hashes, `cas.put.pack` the compression of the
+    /// pack's units, `cas.put.manifest` the manifest's encoding and
     /// compression, `cas.put.commit` the filesystem writes. All but the
-    /// commit are a pure function of `(epoch, raw)` and run before the
+    /// commit are a pure function of the snapshot and run before the
     /// store's lock is taken, so that a read of another epoch does not wait
     /// behind them.
+    pub fn put_snapshot(&self, snapshot: &Snapshot) -> Result<PutReceipt, CasError> {
+        let _span = obs::span("cas.put");
+        self.put(snapshot)
+    }
+
+    /// [`Self::put_snapshot`] of the snapshot `raw` holds. `raw` must be the
+    /// snapshot of `epoch` exactly as `Snapshot::to_bytes` writes it:
+    /// parsed, then written again to the very same bytes. Anything else —
+    /// another header line, other tables, `\r\n` lines, bytes after the
+    /// NMS table, a field that is not UTF-8 — is refused as
+    /// [`CasError::Corrupt`] before anything is written.
     pub fn put_epoch(&self, epoch: u32, raw: &[u8]) -> Result<PutReceipt, CasError> {
         let _span = obs::span("cas.put");
-        let (tables, mut pieces, units) = {
+        let snapshot = {
+            let _parse = obs::span("cas.put.parse");
+            chunker::canonical(raw).filter(|s| s.epoch.0 == epoch)
+        };
+        self.put(&snapshot.ok_or_else(|| not_a_snapshot(epoch, "the bytes are not its text"))?)
+    }
+
+    fn put(&self, snapshot: &Snapshot) -> Result<PutReceipt, CasError> {
+        let epoch = snapshot.epoch.0;
+        let (image, units) = {
             let _split = obs::span("cas.put.split");
-            let (layout, pieces) = chunker::split(raw, &Chunking);
-            let n_units = layout.unit_count();
-            let tables = EpochManifest::snapshot_tables(epoch, layout)
-                .filter(|_| !raw.contains(&b'\r'))
-                .ok_or_else(|| {
-                    CasError::Corrupt(format!(
-                        "put: not the snapshot of epoch {epoch} as `Snapshot::to_bytes` writes it"
-                    ))
-                })?;
-            let units = pieces[..n_units].iter().map(|unit| ChunkHash::of(unit));
+            let image = Image::of(snapshot).map_err(|e| not_a_snapshot(epoch, e.reason()))?;
+            let units = image.units.iter().map(|unit| ChunkHash::of(unit));
             let units: Vec<ChunkHash> = units.collect();
-            (tables, pieces, units)
+            (image, units)
         };
 
         // Every unit compressed on its own: a scan of one table inflates
         // that table alone.
         let pack_bytes = {
             let _pack = obs::span("cas.put.pack");
-            let streams: Vec<Vec<u8>> = pieces[..units.len()]
+            let streams: Vec<Vec<u8>> = image
+                .units
                 .iter()
                 .map(|unit| self.cfg.codec.compress_metered(unit))
                 .collect();
@@ -256,35 +269,28 @@ impl CasStore {
         let manifest_span = obs::span("cas.put.manifest");
         // The constant values, each carried once: a value the manifest
         // already carries is a dedup hit.
-        let values = units.len()..pieces.len();
-        // Where in `pieces` each distinct value first occurs.
-        let mut inline_at: Vec<usize> = Vec::new();
+        let mut inline: Vec<Vec<u8>> = Vec::new();
         let mut inline_index_of: HashMap<&[u8], u32> = HashMap::new();
-        let mut constants: Vec<u32> = Vec::with_capacity(values.len());
+        let mut constants: Vec<u32> = Vec::new();
         let mut dedup_hits = 0u64;
         let mut dedup_saved = 0u64;
-        for at in values {
-            let value = pieces[at].as_slice();
-            let fresh = obs::bytes::fit::<u32>("cas constant index", inline_at.len());
+        for value in image.constant_values() {
+            let fresh = obs::bytes::fit::<u32>("cas constant index", inline.len());
             let i = *inline_index_of.entry(value).or_insert(fresh);
             if i == fresh {
-                inline_at.push(at);
+                inline.push(value.to_vec());
             } else {
                 dedup_hits += 1;
                 dedup_saved += value.len() as u64;
             }
             constants.push(i);
         }
-        // The manifest owns its inline values: they move, nothing is copied.
-        let inline: Vec<Vec<u8>> = inline_at
-            .into_iter()
-            .map(|at| std::mem::take(&mut pieces[at]))
-            .collect();
         let n_units = units.len() as u64;
+        let raw_len = image.raw_len;
         let manifest = EpochManifest {
             epoch,
-            raw_len: raw.len() as u64,
-            tables,
+            raw_len,
+            tables: image.tables,
             pack: pack_bytes.as_deref().map(ChunkHash::of),
             units,
             inline,
@@ -341,7 +347,7 @@ impl CasStore {
 
         Ok(PutReceipt {
             path,
-            raw_len: raw.len() as u64,
+            raw_len,
             new_bytes,
             dedup_hits,
             manifest_hash,
@@ -352,13 +358,13 @@ impl CasStore {
     /// against the hash the held manifest records (a verification failure
     /// triggers one targeted [`Dfs::repair_file`] + re-read before giving
     /// up), and checked to hold as many units as the tables have. The
-    /// manifest is not read: the store holds it from [`Self::put_epoch`]
-    /// or [`Self::recover`], the one whose stored bytes hash to the
+    /// manifest is not read: the store holds it from the put or
+    /// [`Self::recover`], the one whose stored bytes hash to the
     /// epoch's Merkle leaf. Nothing is inflated.
     ///
     /// The child spans of `cas.get` split the cost of a read: `.verify` is
     /// every SHA-256, `.inflate.<table>` the codec on one unit, `.index` a
-    /// table's newline index (`.assemble` the reference's chunker); the dfs
+    /// table's newline index (`.assemble` the reference's text); the dfs
     /// read and the pack directory stay in `cas.get`'s self time.
     pub fn open_epoch(&self, epoch: u32) -> Result<EpochReader<'_>, CasError> {
         let _span = obs::span("cas.get");
@@ -632,6 +638,13 @@ impl CasStore {
     pub fn root_hash(&self) -> String {
         self.merkle().root_hash.hex()
     }
+}
+
+/// A put refused, and `why`.
+fn not_a_snapshot(epoch: u32, why: &str) -> CasError {
+    CasError::Corrupt(format!(
+        "put: not the snapshot of epoch {epoch} as `Snapshot::to_bytes` writes it: {why}"
+    ))
 }
 
 /// The epoch whose `suffix` file `path` is ([`EpochId::of_leaf_path`]).
@@ -1249,7 +1262,7 @@ mod tests {
             m.inline.push(Vec::new());
         });
         match cas.get_epoch(snap.epoch.0) {
-            Err(CasError::Corrupt(why)) => assert!(why.contains("constant piece"), "{why}"),
+            Err(CasError::Corrupt(why)) => assert!(why.contains("one value a row"), "{why}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
         assert_corrupt(&cas, snap.epoch.0, &[0]);

@@ -216,7 +216,9 @@ fn read_cell_summary(r: &mut Reader) -> Result<CellSummary, PersistError> {
     })
 }
 
-fn read_highlights(r: &mut Reader) -> Result<Highlights, PersistError> {
+/// Highlights of an index whose config names `n_attrs` categorical
+/// attributes: a frequency table each, no more and no fewer.
+fn read_highlights(r: &mut Reader, n_attrs: usize) -> Result<Highlights, PersistError> {
     let first_epoch = EpochId(r.varint_u32()?);
     let last_epoch = EpochId(r.varint_u32()?);
     let cdr_records = r.varint()?;
@@ -228,6 +230,11 @@ fn read_highlights(r: &mut Reader) -> Result<Highlights, PersistError> {
         per_cell.insert(id, read_cell_summary(r)?);
     }
     let n_tables = r.count(MIN_TABLE_LEN, "table count exceeds image")?;
+    if n_tables != n_attrs {
+        return Err(PersistError::Corrupt(CodecError::Corrupt(
+            "frequency tables other than the configured attributes",
+        )));
+    }
     let mut attr_freqs = Vec::with_capacity(n_tables);
     for _ in 0..n_tables {
         let total = r.varint()?;
@@ -286,7 +293,7 @@ pub fn from_bytes(input: &[u8]) -> Result<TemporalIndex, PersistError> {
     } else {
         None
     };
-    let root_highlights = read_highlights(r)?;
+    let root_highlights = read_highlights(r, config.categorical_attrs.len())?;
 
     let mut index = TemporalIndex {
         config,
@@ -328,7 +335,7 @@ fn read_nodes(
         .ok_or(PersistError::Corrupt(CodecError::Corrupt(misplaced)))?;
         let node = Node {
             decayed: r.u8()? != 0,
-            highlights: read_highlights(r)?,
+            highlights: read_highlights(r, index.config.categorical_attrs.len())?,
         };
         index.levels[level as usize].insert(key, node);
         match level {
@@ -375,8 +382,12 @@ mod tests {
     use telco_trace::{TraceConfig, TraceGenerator};
 
     fn build_index(n: usize) -> TemporalIndex {
+        build_index_with(HighlightConfig::default(), n)
+    }
+
+    fn build_index_with(config: HighlightConfig, n: usize) -> TemporalIndex {
         let store = SnapshotStore::new(Dfs::in_memory(), Arc::new(GzipLite::default()));
-        let mut index = TemporalIndex::new(HighlightConfig::default());
+        let mut index = TemporalIndex::new(config);
         let mut config = TraceConfig::scaled(1.0 / 1024.0);
         config.days = (n as u32 / 48) + 1;
         for snap in TraceGenerator::new(config).take(n) {
@@ -519,6 +530,33 @@ mod tests {
         varint::write_u64(&mut tiny, 1 << 24);
         assert_eq!(tiny.len(), 39);
         assert_exceeds_image(&tiny, "39-byte image");
+    }
+
+    /// Highlights hold one frequency table per configured attribute, and
+    /// `incremence` counts into each by position: an image whose tables
+    /// are fewer (or more) than its config's attributes is refused. Here
+    /// the image of a zero-attribute index, its header patched to one
+    /// attribute.
+    #[test]
+    fn highlights_of_another_attribute_count_are_refused() {
+        let config = HighlightConfig {
+            categorical_attrs: Vec::new(),
+            ..HighlightConfig::default()
+        };
+        let image = to_bytes(&build_index_with(config, 3));
+        assert!(from_bytes(&image).is_ok());
+        assert_eq!(image[..6], *b"SPIX\x04\x00", "no attributes");
+        let mut patched = b"SPIX\x04\x01\x00".to_vec();
+        patched.extend_from_slice(&image[6..]);
+        match from_bytes(&patched) {
+            Err(PersistError::Corrupt(CodecError::Corrupt(why))) => {
+                assert!(why.contains("configured attributes"), "{why}")
+            }
+            other => panic!(
+                "loaded: {:?}",
+                other.map(|index| index.config.categorical_attrs)
+            ),
+        }
     }
 
     #[test]

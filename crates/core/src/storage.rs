@@ -312,7 +312,9 @@ impl SnapshotStore {
         dfs::staging_path(&self.path_for(epoch))
     }
 
-    /// Serialize, compress and persist one snapshot.
+    /// Serialize, compress and persist one snapshot: a Path leaf is its
+    /// [`Snapshot::to_bytes`] text compressed, a CAS epoch its column
+    /// image ([`CasStore::put_snapshot`]), written with no text at all.
     ///
     /// Crash-consistent: a Path leaf is committed by [`Dfs::write_staged`]
     /// (a CAS epoch's manifest likewise). A crash mid-write leaves either
@@ -321,15 +323,16 @@ impl SnapshotStore {
     /// can never observe a torn leaf.
     ///
     /// Each stage opens a tracing span ("segment" → "compress" →
-    /// "dfs.write", the last inside the dfs crate) so the flame table
-    /// attributes ingestion wall time per stage.
+    /// "dfs.write", the last inside the dfs crate; `cas.put` and its
+    /// stages on the CAS backend) so the flame table attributes ingestion
+    /// wall time per stage.
     pub fn store(&self, snapshot: &Snapshot) -> Result<StoredSnapshot, StorageError> {
-        let raw = {
-            let _s = obs::span("segment");
-            snapshot.to_bytes()
-        };
         match &self.backend {
             Backend::Path { codec } => {
+                let raw = {
+                    let _s = obs::span("segment");
+                    snapshot.to_bytes()
+                };
                 let packed = {
                     let _s = obs::span("compress");
                     codec.compress_metered(&raw)
@@ -344,9 +347,10 @@ impl SnapshotStore {
                 })
             }
             Backend::Cas(cas) => {
-                // Chunk, pack and commit; `stored_bytes` is this epoch's
+                // The column image, written from the records (no text),
+                // packed and committed; `stored_bytes` is this epoch's
                 // pack + manifest.
-                let receipt = match cas.put_epoch(snapshot.epoch.0, &raw) {
+                let receipt = match cas.put_snapshot(snapshot) {
                     Ok(r) => r,
                     Err(CasError::AlreadyStored(_)) => {
                         return Err(StorageError::Dfs(DfsError::AlreadyExists(
@@ -358,7 +362,7 @@ impl SnapshotStore {
                 Ok(StoredSnapshot {
                     epoch: snapshot.epoch,
                     path: receipt.path,
-                    raw_bytes: raw.len() as u64,
+                    raw_bytes: receipt.raw_len,
                     stored_bytes: receipt.new_bytes,
                 })
             }
@@ -1049,17 +1053,27 @@ mod tests {
     }
 
     /// A CAS epoch `load` refuses is one a scan of both its tables
-    /// refuses: here an NMS value that is not UTF-8.
+    /// refuses: here one whose stored manifest gives the NMS table a row
+    /// more than its run holds (the manifest is trusted by its own hash on
+    /// recovery).
     #[test]
     fn load_refuses_a_cas_epoch_a_scan_of_both_tables_refuses() {
         let store = SnapshotStore::new_cas(Dfs::in_memory(), CasConfig::default());
         let snap = TraceGenerator::new(TraceConfig::tiny()).next().unwrap();
-        let mut raw = snap.to_bytes();
-        let nms = raw.windows(10).position(|w| w == b"#TABLE NMS").unwrap();
-        let line = nms + raw[nms..].iter().position(|&b| b == b'\n').unwrap() + 1;
-        let value = line + raw[line..].iter().position(u8::is_ascii_digit).unwrap();
-        raw[value] = 0xFF;
-        store.cas().unwrap().put_epoch(snap.epoch.0, &raw).unwrap();
+        store.store(&snap).unwrap();
+        let cas = store.cas().unwrap();
+        let path = cas.manifest_path(snap.epoch.0);
+        let codec = codecs::by_name(cas.codec_name()).unwrap();
+        let stored = codec.decompress(&store.dfs().read(&path).unwrap()).unwrap();
+        let mut manifest = cas::EpochManifest::decode(&stored).unwrap();
+        assert!(manifest.tables[1].has_run());
+        manifest.tables[1].rows += 1;
+        store.dfs().delete(&path).unwrap();
+        store
+            .dfs()
+            .write(&path, &codec.compress(&manifest.encode()))
+            .unwrap();
+        assert_eq!(cas.recover().manifests_indexed, 1);
         let both = [TableKind::Cdr, TableKind::Nms];
         let scan = |tables: &[TableKind]| {
             store.read_ahead(&[snap.epoch], tables, |reads| reads.next().unwrap().1)

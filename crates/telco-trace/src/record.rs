@@ -74,7 +74,7 @@ impl Value {
     }
 
     /// Write the canonical text form straight into `out`.
-    fn write_text(&self, out: &mut impl fmt::Write) -> fmt::Result {
+    pub(crate) fn write_text(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match self {
             Value::Null => Ok(()),
             Value::Str(s) => out.write_str(s),

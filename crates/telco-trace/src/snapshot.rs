@@ -1,5 +1,7 @@
 //! Snapshots: the 30-minute batches of CDR + NMS records that stream into
-//! SPATE, and their text wire format (what the storage layer compresses).
+//! SPATE, their text wire format (what the storage layer compresses), and
+//! their column image (what a columnar store keeps): one writer,
+//! [`ColumnImage::of`], and one checked reader, [`ColumnTableBuilder`].
 
 use crate::record::{Record, Value};
 use crate::schema::{cdr, nms, TableKind};
@@ -103,12 +105,11 @@ impl Snapshot {
     /// # Panics
     /// For [`TableKind::Cell`]: the cell inventory is not snapshot data.
     pub fn table_header_line(table: TableKind, rows: usize) -> String {
-        let width = match table {
-            TableKind::Cdr => cdr::WIDTH,
-            TableKind::Nms => nms::WIDTH,
-            TableKind::Cell => panic!("a snapshot has no CELL table"),
-        };
-        format!("#TABLE {} rows={rows} cols={width}\n", table.name())
+        format!(
+            "#TABLE {} rows={rows} cols={}\n",
+            table.name(),
+            table_width(table)
+        )
     }
 
     /// Parse the wire format back into a snapshot: [`Self::scan`], each
@@ -155,6 +156,18 @@ impl Snapshot {
         lines.read_table(TableKind::Cdr, cdr::WIDTH, &mut visit)?;
         lines.read_table(TableKind::Nms, nms::WIDTH, &mut visit)?;
         Ok(epoch)
+    }
+}
+
+/// The columns of a snapshot table.
+///
+/// # Panics
+/// For [`TableKind::Cell`]: the cell inventory is not snapshot data.
+fn table_width(table: TableKind) -> usize {
+    match table {
+        TableKind::Cdr => cdr::WIDTH,
+        TableKind::Nms => nms::WIDTH,
+        TableKind::Cell => panic!("a snapshot has no CELL table"),
     }
 }
 
@@ -235,26 +248,147 @@ pub enum ColumnError {
     /// A run of values does not hold one value a row for each of its
     /// columns, or a constant is not exactly one value.
     ValueCount,
-    /// A value holds a field separator: as text, its row would have a
-    /// field too many.
+    /// A value holds a field separator (or, in a record, a `\n` or `\r`):
+    /// as text, its row would not read back as it was written.
     Separator,
     NotUtf8,
     /// More than `u32::MAX` bytes of values.
     TooLarge,
 }
 
-impl fmt::Display for ColumnError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl ColumnError {
+    /// What went wrong, in words.
+    pub fn reason(self) -> &'static str {
+        match self {
             ColumnError::ValueCount => "a column does not hold one value a row",
             ColumnError::Separator => "a value holds a field separator",
             ColumnError::NotUtf8 => "column values are not utf-8",
             ColumnError::TooLarge => "more than 4 GiB of column values",
-        })
+        }
+    }
+}
+
+impl fmt::Display for ColumnError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.reason())
     }
 }
 
 impl std::error::Error for ColumnError {}
+
+/// One table of a snapshot as a column image: what a columnar store keeps
+/// of it, written straight from its records by [`Self::of`] and read back
+/// through [`ColumnTable::builder`]. A column of two rows or more that
+/// holds one text in every row is *constant* and kept as that one value
+/// (a one-row column gains nothing from it); the values of every other
+/// column, column after column, are the table's one *run*. Every value is
+/// ended by a newline.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ColumnImage {
+    pub rows: usize,
+    /// Per column, whether it is constant.
+    pub constant: Vec<bool>,
+    /// The values of the varying columns.
+    pub run: String,
+    /// The value of each constant column, in column order.
+    pub constants: String,
+    /// Bytes [`Snapshot::to_bytes`] writes for the table, its header line
+    /// included.
+    pub text_len: usize,
+}
+
+impl ColumnImage {
+    /// The image of `records`, the rows of `table`, each field written as
+    /// [`Record::to_line`] writes it. Refused, as no text could carry it,
+    /// when a record is not as wide as the table or a value holds a `,`,
+    /// `\n` or `\r`.
+    ///
+    /// # Panics
+    /// For [`TableKind::Cell`]: the cell inventory is not snapshot data.
+    pub fn of(table: TableKind, records: &[Record]) -> Result<Self, ColumnError> {
+        let width = table_width(table);
+        if records.iter().any(|r| r.values.len() != width) {
+            return Err(ColumnError::ValueCount);
+        }
+        let rows = records.len();
+        // Row by row, each field onto its column's stream: the records are
+        // read in the order they lie in memory, not a column at a time
+        // over rows kilobytes apart. Fields average two bytes: four a row
+        // is most columns' size.
+        let mut columns: Vec<String> = (0..width)
+            .map(|_| String::with_capacity(rows * 4))
+            .collect();
+        for record in records {
+            for (value, column) in record.values.iter().zip(&mut columns) {
+                value
+                    .write_text(column)
+                    .expect("writing to a String cannot fail");
+                column.push('\n');
+            }
+        }
+        // A value holding a separator shows as a column of another number
+        // of newlines, or one holding a `,` or `\r`: counted in one pass a
+        // column, not field by field.
+        for column in &columns {
+            if separators(column.as_bytes()) != (rows, false) {
+                return Err(ColumnError::Separator);
+            }
+        }
+        let constant: Vec<bool> = columns
+            .iter()
+            .map(|c| rows >= 2 && is_constant(c))
+            .collect();
+        let varying = columns.iter().zip(&constant).filter(|(_, &k)| !k);
+        let mut image = ColumnImage {
+            rows,
+            run: String::with_capacity(varying.map(|(c, _)| c.len()).sum()),
+            constants: String::new(),
+            // Each value and its newline are as long as the value and the
+            // separator after it in the text.
+            text_len: Snapshot::table_header_line(table, rows).len()
+                + columns.iter().map(String::len).sum::<usize>(),
+            constant,
+        };
+        for (column, &constant) in columns.iter().zip(&image.constant) {
+            match constant {
+                true => image
+                    .constants
+                    .push_str(&column[..=column.find('\n').expect("a value")]),
+                false => image.run.push_str(column),
+            }
+        }
+        Ok(image)
+    }
+}
+
+/// How many newlines `bytes` holds, and whether it holds a `,` or `\r`:
+/// eight bytes a step, as [`frame_row`] reads a row (a byte loop measured
+/// three times slower).
+fn separators(bytes: &[u8]) -> (usize, bool) {
+    let (mut newlines, mut others) = (0, 0);
+    let mut scan = |word: u64| {
+        newlines += flagged(byte_mask(word, b'\n'));
+        others |= byte_mask(word, b',') | byte_mask(word, b'\r');
+    };
+    let mut words = bytes.chunks_exact(8);
+    for eight in &mut words {
+        scan(u64::from_le_bytes(eight.try_into().expect("eight bytes")));
+    }
+    // The last bytes, padded with zeros: no separator.
+    let mut last = [0; 8];
+    last[..words.remainder().len()].copy_from_slice(words.remainder());
+    scan(u64::from_le_bytes(last));
+    (newlines, others != 0)
+}
+
+/// Whether every newline-ended value of `column` is its first.
+fn is_constant(column: &str) -> bool {
+    let column = column.as_bytes();
+    let first = column.iter().position(|&b| b == b'\n').map_or(0, |n| n + 1);
+    first > 0
+        && column.len().is_multiple_of(first)
+        && column.chunks_exact(first).all(|v| v == &column[..first])
+}
 
 impl ColumnTable {
     /// Start a table of `rows` rows; its columns are declared left to
@@ -309,6 +443,20 @@ impl ColumnTable {
             }
         }
         rows.into_iter().map(Record::new).collect()
+    }
+
+    /// Append every row as [`Snapshot::to_bytes`] writes it: the fields
+    /// separated by `,`, the row ended by a newline.
+    pub fn write_rows(&self, out: &mut Vec<u8>) {
+        for row in 0..self.rows {
+            for col in 0..self.width() {
+                if col > 0 {
+                    out.push(b',');
+                }
+                out.extend_from_slice(self.field(row, col).as_bytes());
+            }
+            out.push(b'\n');
+        }
     }
 
     /// The text of column `col` in row `row` (the builder has checked
@@ -863,6 +1011,52 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Each table's image, read back through the builder, writes the rows
+    /// `to_bytes` writes, and `text_len` counts them with their header
+    /// line. A table no text could carry is refused.
+    #[test]
+    fn a_column_image_reads_back_as_its_text() {
+        let snap = tiny_snapshot();
+        let text = snap.to_bytes();
+        let nms_at = text.windows(10).position(|w| w == b"#TABLE NMS").unwrap();
+        let header = Snapshot::header_line(snap.epoch).len();
+        let sections = [&text[header..nms_at], &text[nms_at..]];
+        for (kind, section) in [TableKind::Cdr, TableKind::Nms].into_iter().zip(sections) {
+            let image = ColumnImage::of(kind, snap.table(kind)).unwrap();
+            assert_eq!(image.text_len, section.len());
+            // One CDR row: nothing constant; two equal NMS rows: all of it.
+            assert!(image
+                .constant
+                .iter()
+                .all(|&c| c == (kind == TableKind::Nms)));
+            let mut table = ColumnTable::builder(image.rows);
+            let mut constants = image.constants.split_inclusive('\n');
+            for &constant in &image.constant {
+                match constant {
+                    true => table
+                        .constant(constants.next().unwrap().as_bytes())
+                        .unwrap(),
+                    false => table.varying(),
+                }
+            }
+            table.run(image.run.into_bytes()).unwrap();
+            let mut rows = Snapshot::table_header_line(kind, image.rows).into_bytes();
+            table.finish().unwrap().write_rows(&mut rows);
+            assert_eq!(rows, section);
+        }
+        let refused = |value: Value| {
+            let mut row = snap.nms[0].clone();
+            row.values[3] = value;
+            ColumnImage::of(TableKind::Nms, &[row]).unwrap_err()
+        };
+        for bad in ["a,b", "a\nb", "a\r"] {
+            assert_eq!(refused(Value::Str(bad.into())), ColumnError::Separator);
+        }
+        let short = Record::new(vec![Value::Null; nms::WIDTH - 1]);
+        let short = ColumnImage::of(TableKind::Nms, &[short]);
+        assert_eq!(short, Err(ColumnError::ValueCount));
     }
 
     #[test]

@@ -128,16 +128,18 @@ pub fn days_in_month(year: u32, month: u32) -> u32 {
 /// before the trace start: the inverse of [`EpochId::civil`] at month
 /// resolution.
 pub fn month_start_day(year: u32, month: u32) -> i64 {
-    // Days from 1 January of the proleptic Gregorian year 0.
-    let from_origin = |year: u32, month: u32| {
-        let y = i64::from(year);
-        let leap_years_before = (y + 3) / 4 - (y + 99) / 100 + (y + 399) / 400;
-        let months: i64 = (1..month).map(|m| i64::from(days_in_month(year, m))).sum();
-        365 * y + leap_years_before + months
-    };
-    from_origin(year, month)
-        - from_origin(TRACE_START_YEAR, TRACE_START_MONTH)
+    days_from_origin(year, month)
+        - days_from_origin(TRACE_START_YEAR, TRACE_START_MONTH)
         - i64::from(TRACE_START_DAY - 1)
+}
+
+/// Days from 1 January of the proleptic Gregorian year 0 to the first of
+/// `month` (1–12) in `year`.
+fn days_from_origin(year: u32, month: u32) -> i64 {
+    let y = i64::from(year);
+    let leap_years_before = (y + 3) / 4 - (y + 99) / 100 + (y + 399) / 400;
+    let months: i64 = (1..month).map(|m| i64::from(days_in_month(year, m))).sum();
+    365 * y + leap_years_before + months
 }
 
 /// A broken-down civil timestamp within the trace calendar.
@@ -212,31 +214,34 @@ impl EpochId {
         Weekday::from_index(self.day_index())
     }
 
-    /// Civil timestamp of the epoch's start.
+    /// Civil timestamp of the epoch's start: the day's date in closed
+    /// form, from the same proleptic-Gregorian day count as
+    /// [`month_start_day`], counted in years that start on 1 March so that
+    /// the leap day ends each one.
     pub fn civil(self) -> CivilTime {
-        let mut year = TRACE_START_YEAR;
-        let mut month = TRACE_START_MONTH;
-        let mut day = TRACE_START_DAY;
-        let mut remaining = self.day_index();
-        while remaining > 0 {
-            let dim = days_in_month(year, month);
-            if day < dim {
-                day += 1;
-            } else {
-                day = 1;
-                if month == 12 {
-                    month = 1;
-                    year += 1;
-                } else {
-                    month += 1;
-                }
-            }
-            remaining -= 1;
-        }
+        // 0000-03-01 is day 60 of year 0, a leap year.
+        let start =
+            days_from_origin(TRACE_START_YEAR, TRACE_START_MONTH) + i64::from(TRACE_START_DAY - 1);
+        let days = start - 60 + i64::from(self.day_index());
+        // 146 097 days to 400 years; 36 524 to a century but the fourth;
+        // 1 460 to four years.
+        let (era, day_of_era) = (days / 146_097, days % 146_097);
+        let year_of_era =
+            (day_of_era - day_of_era / 1460 + day_of_era / 36_524 - day_of_era / 146_096) / 365;
+        let day_of_year = day_of_era - (365 * year_of_era + year_of_era / 4 - year_of_era / 100);
+        // Months from March: 31, 30, 31, 30, 31 days, and again.
+        let march_month = (5 * day_of_year + 2) / 153;
+        let day = day_of_year - (153 * march_month + 2) / 5 + 1;
+        let month = if march_month < 10 {
+            march_month + 3
+        } else {
+            march_month - 9
+        };
+        let year = era * 400 + year_of_era + i64::from(month <= 2);
         CivilTime {
-            year,
-            month,
-            day,
+            year: year as u32,
+            month: month as u32,
+            day: day as u32,
             hour: self.hour(),
             minute: self.minute(),
         }
@@ -386,6 +391,50 @@ mod tests {
         for path in not_a_leaf {
             assert_eq!(EpochId::of_leaf_path(path, ".snap"), None, "{path}");
         }
+    }
+
+    /// The calendar walked one day at a time from the trace start: what
+    /// `civil` computed before it was closed-form.
+    fn next_day((year, month, day): (u32, u32, u32)) -> (u32, u32, u32) {
+        if day < days_in_month(year, month) {
+            (year, month, day + 1)
+        } else if month == 12 {
+            (year + 1, 1, 1)
+        } else {
+            (year, month + 1, 1)
+        }
+    }
+
+    fn civil_by_walk(day_index: u32) -> (u32, u32, u32) {
+        let start = (TRACE_START_YEAR, TRACE_START_MONTH, TRACE_START_DAY);
+        (0..day_index).fold(start, |date, _| next_day(date))
+    }
+
+    /// Every day of the first 40 001, and both sides of every month
+    /// boundary among them, against the walk.
+    #[test]
+    fn closed_form_civil_equals_the_walk() {
+        let date = |day: u32| {
+            let c = EpochId(day * EPOCHS_PER_DAY + 47).civil();
+            assert_eq!((c.hour, c.minute), (23, 30));
+            (c.year, c.month, c.day)
+        };
+        let mut walked = civil_by_walk(0);
+        let mut boundaries = 0;
+        for day in 0..=40_000 {
+            assert_eq!(date(day), walked, "day {day}");
+            let next = next_day(walked);
+            if next.2 == 1 {
+                assert_eq!((date(day), date(day + 1)), (walked, next), "day {day}");
+                boundaries += 1;
+            }
+            walked = next;
+        }
+        assert_eq!(boundaries, 1314, "months in 40 001 days");
+        for day in [0, 13, 14, 365, 3_650, 36_500] {
+            assert_eq!(date(day), civil_by_walk(day), "day {day}");
+        }
+        assert_eq!(date(40_000), (2125, 7, 25));
     }
 
     #[test]
