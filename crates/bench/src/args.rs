@@ -48,6 +48,11 @@ fn number<T: FromStr>(flag: &str, text: &str) -> Result<T, String> {
     text.parse().map_err(|_| bad(flag, text))
 }
 
+/// A count of threads or shards: zero of them runs nothing.
+fn at_least_one(flag: &str, text: &str) -> Result<usize, String> {
+    number(flag, text).and_then(|n| if n >= 1 { Ok(n) } else { Err(bad(flag, text)) })
+}
+
 impl Args {
     /// Parse everything after the program name. `Err` is the one-line
     /// message `repro` prints before exiting 2.
@@ -70,16 +75,46 @@ impl Args {
                         Some(denominator) => denominator.parse().map(|d: f64| 1.0 / d),
                         None => v.parse(),
                     };
-                    args.config.scale = scale.map_err(|_| bad(arg, v))?;
+                    // A fraction of the paper's volume: no more, and some.
+                    let scale = scale.ok().filter(|s| *s > 0.0 && *s <= 1.0);
+                    args.config.scale = scale.ok_or_else(|| bad(arg, v))?;
                 }
                 "--days" => args.config.days = number(arg, value_of()?)?,
                 "--seed" => args.seed = number(arg, value_of()?)?,
-                "--clients" => args.clients = number(arg, value_of()?)?,
-                "--shards" => args.shards = number(arg, value_of()?)?,
+                "--clients" => args.clients = at_least_one(arg, value_of()?)?,
+                "--shards" => args.shards = at_least_one(arg, value_of()?)?,
                 flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
                 experiment => args.experiment = experiment.to_string(),
             }
         }
         Ok(args)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn values_no_run_can_use_are_refused_by_the_parser() {
+        for (flag, text) in [
+            ("--scale", "0"),
+            ("--scale", "1/0"),
+            ("--scale", "2"),
+            ("--scale", "-1"),
+            ("--scale", "1/-4"),
+            ("--scale", "nan"),
+            ("--scale", "inf"),
+            ("--shards", "0"),
+            ("--clients", "0"),
+        ] {
+            let err = Args::parse(&["chaos", flag, text]).expect_err(text);
+            assert_eq!(err, bad(flag, text));
+        }
+        for (flag, text) in [("--scale", "1"), ("--scale", "1/2048"), ("--scale", "0.5")] {
+            assert!(Args::parse(&[flag, text]).is_ok(), "{flag} {text}");
+        }
+        let args = Args::parse(&["scale", "--shards", "1", "--clients", "1"]).unwrap();
+        assert_eq!((args.shards, args.clients), (1, 1));
     }
 }

@@ -1,5 +1,6 @@
-//! The paper's artifacts (Fig. 4, Table I, Figs. 7–12, the decay run) and
-//! the two storage drills (`chaos`, `cas`), each building its [`Report`].
+//! The paper's artifacts (Fig. 4, Table I, Figs. 7–12, the decay run), the
+//! ablations of its design choices and the two storage drills (`chaos`,
+//! `cas`), each building its [`Report`].
 //!
 //! A paper artifact's tables are [`Value::Lines`] rows and the paper's
 //! shapes are its gates: deterministic ones (entropy column counts, ratio
@@ -9,18 +10,20 @@
 
 use crate::report::{Report, Value};
 use crate::setup::{build_frameworks, ingest_all, ingest_resubmitting, warehouse, BenchConfig};
-use codecs::table1_codecs as codec_list;
+use codecs::{table1_codecs as codec_list, Codec, Dictionary, ZstdLite};
 use dfs::{Dfs, DfsConfig, FaultConfig, IoModel, RepairReport};
 use spate_core::framework::{ExplorationFramework, SpateFramework};
 use spate_core::index::decay::DecayPolicy;
+use spate_core::index::highlights::{HighlightConfig, Highlights, Resolution};
 use spate_core::query::{Query, QueryResult};
 use spate_core::tasks;
+use std::sync::Arc;
 use std::time::Instant;
 use telco_trace::cells::BoundingBox;
 use telco_trace::entropy::EntropyProfile;
 use telco_trace::schema::{cdr, cell, nms};
 use telco_trace::time::{DayPeriod, EpochId, Weekday, EPOCHS_PER_DAY};
-use telco_trace::TraceGenerator;
+use telco_trace::{Snapshot, TraceGenerator};
 
 /// Names of the compared frameworks, in paper order.
 pub const FRAMEWORK_NAMES: [&str; 3] = ["RAW", "SHAHED", "SPATE"];
@@ -316,6 +319,153 @@ pub fn decay_experiment(config: &BenchConfig) -> Report {
     r.det("present_leaves", spate.index().present_leaves())
         .at_least(1);
     r.det("stored_bytes", spate.store().stored_bytes());
+    r
+}
+
+// ------------------------------------------------------------- Ablations
+
+/// The fastest of [`TIMED_PASSES`] runs of `f`, in ms, with the last
+/// run's result.
+fn best_ms<T>(mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut best = f64::INFINITY;
+    let mut last = None;
+    for _ in 0..TIMED_PASSES {
+        let t0 = Instant::now();
+        last = Some(f());
+        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
+    }
+    (best, last.expect("at least one pass"))
+}
+
+/// Four design choices DESIGN.md §5 names, each against its alternative:
+/// the codec inside SPATE's storage layer (Table I through the whole
+/// ingest), a trained zstd-lite dictionary on single-snapshot payloads,
+/// the day-level highlight threshold θ, and a decayed window answered
+/// from its day summary against the full-resolution one. Bytes, event
+/// counts and answer kinds are deterministic; the times are perf fields.
+pub fn ablations_experiment(config: &BenchConfig) -> Report {
+    // Skip the first quiet night, as Table I does.
+    let mut generator = config.generator();
+    let layout = generator.layout().clone();
+    let snaps: Vec<Snapshot> = (&mut generator).skip(16).take(8).collect();
+    // A trace too short for eight leaves fewer (and its gates fail).
+    let (first, second) = snaps.split_at(snaps.len().min(4));
+    let mut r = Report::new("ablations", None);
+
+    // Codec inside SPATE: four snapshots ingested through each codec.
+    let mut stored = Vec::new();
+    let mut ingest_ms = Vec::new();
+    for codec in codec_list() {
+        let codec: Arc<dyn Codec> = Arc::from(codec);
+        let (ms, fw) = best_ms(|| {
+            let mut fw = SpateFramework::with_codec(config.dfs(), layout.clone(), codec.clone());
+            for s in first {
+                fw.ingest(s);
+            }
+            fw
+        });
+        stored.push((codec.name(), fw.space().data_bytes));
+        ingest_ms.push(format!("{} {ms:.2}", codec.name()));
+    }
+    let of = |name: &str| {
+        stored
+            .iter()
+            .find(|c| c.0 == name)
+            .expect("a Table I codec")
+            .1
+    };
+    // Table I's order: 7z-lite stores the least, snappy-lite the most.
+    let ordered = of("7z-lite") <= of("gzip-lite") && of("gzip-lite") < of("snappy-lite");
+    let rows = stored.iter().map(|(name, bytes)| format!("{name} {bytes}"));
+    r.det_console("codec_data_bytes", Value::Lines(rows.collect()))
+        .holds("7z-lite <= gzip-lite < snappy-lite", ordered);
+    r.perf("codec_ingest_ms", Value::Lines(ingest_ms));
+
+    // A zstd-lite dictionary trained on the first four snapshots, used on
+    // each of the next four alone: the regime where training pays.
+    let corpus: Vec<Vec<u8>> = first.iter().map(Snapshot::to_bytes).collect();
+    let refs: Vec<&[u8]> = corpus.iter().map(Vec::as_slice).collect();
+    let dict = Arc::new(Dictionary::train(&refs, 16 << 10));
+    let payloads: Vec<Vec<u8>> = second.iter().map(Snapshot::to_bytes).collect();
+    let (plain, trained) = (
+        ZstdLite::default(),
+        ZstdLite::default().with_dictionary(dict),
+    );
+    let compress_all =
+        |codec: &ZstdLite| -> Vec<Vec<u8>> { payloads.iter().map(|p| codec.compress(p)).collect() };
+    let (plain_ms, plain_streams) = best_ms(|| compress_all(&plain));
+    let (trained_ms, trained_streams) = best_ms(|| compress_all(&trained));
+    let total = |streams: &[Vec<u8>]| streams.iter().map(Vec::len).sum::<usize>();
+    let (untrained, trained_bytes) = (total(&plain_streams), total(&trained_streams));
+    let round_trips = trained_streams
+        .iter()
+        .zip(&payloads)
+        .all(|(packed, raw)| trained.decompress(packed).is_ok_and(|d| &d == raw));
+    r.det("dict_raw_bytes", total(&payloads));
+    r.det("dict_untrained_bytes", untrained);
+    r.det("dict_trained_bytes", trained_bytes)
+        .holds("< dict_untrained_bytes", trained_bytes < untrained);
+    r.det("dict_round_trips", round_trips).eq(true);
+    r.perf("dict_untrained_compress_ms", Value::Float(plain_ms, 3));
+    r.perf("dict_trained_compress_ms", Value::Float(trained_ms, 3));
+
+    // θ: day-level highlight events of the eight snapshots merged, the
+    // default 0.02 among the settings.
+    let base = HighlightConfig::default();
+    let start = snaps.first().map_or(EpochId(0), |s| s.epoch);
+    let mut merged = Highlights::empty(start, base.categorical_attrs.len());
+    for s in &snaps {
+        merged.merge(&Highlights::from_snapshot(s, &base));
+    }
+    let (mut counts, mut events_us) = (Vec::new(), Vec::new());
+    for theta in [0.001, 0.01, base.theta_day, 0.05] {
+        let cfg = HighlightConfig {
+            theta_day: theta,
+            ..base.clone()
+        };
+        let (ms, events) = best_ms(|| merged.events(&cfg, Resolution::Day));
+        counts.push((theta, events.len()));
+        events_us.push(format!("theta={theta} {:.1}", ms * 1e3));
+    }
+    // `rare_values` keeps the shares below θ: a larger θ keeps more.
+    let monotone = counts.windows(2).all(|w| w[0].1 <= w[1].1);
+    let rows = counts.iter().map(|(theta, n)| format!("theta={theta} {n}"));
+    r.det_console("theta_day_events", Value::Lines(rows.collect()))
+        .holds("non-decreasing in theta", monotone);
+    r.perf("theta_events_us", Value::Lines(events_us));
+
+    // Decay: two days ingested into a full-resolution warehouse and into
+    // one that keeps day highlights only; the first day queried on both.
+    let mut generator = config.generator();
+    let mut full = SpateFramework::new(config.dfs(), layout.clone());
+    let mut decayed = SpateFramework::new(config.dfs(), layout).with_decay(DecayPolicy {
+        full_resolution_days: 0,
+        day_highlight_days: 1000,
+        month_highlight_days: 1000,
+        year_highlight_days: 1000,
+    });
+    for s in (&mut generator).take(2 * EPOCHS_PER_DAY as usize) {
+        full.ingest(&s);
+        decayed.ingest(&s);
+    }
+    let q = Query::new(&["upflux", "downflux"], BoundingBox::everything())
+        .with_epoch_range(0, EPOCHS_PER_DAY - 1);
+    let (full_ms, full_answer) = best_ms(|| full.query(&q));
+    let (decayed_ms, decayed_answer) = best_ms(|| decayed.query(&q));
+    let kind = |answer: &QueryResult| match answer {
+        QueryResult::Exact(_) => "exact".to_string(),
+        QueryResult::Summary { resolution, .. } => format!("{resolution:?}_summary").to_lowercase(),
+        QueryResult::Partial { .. } => "partial".to_string(),
+        QueryResult::Unavailable => "unavailable".to_string(),
+    };
+    r.det("full_data_bytes", full.space().data_bytes);
+    r.det("decayed_data_bytes", decayed.space().data_bytes);
+    r.det("full_answer", kind(&full_answer).as_str())
+        .eq("exact");
+    r.det("decayed_answer", kind(&decayed_answer).as_str())
+        .eq("day_summary");
+    r.perf("full_query_ms", Value::Float(full_ms, 3));
+    r.perf("decayed_query_ms", Value::Float(decayed_ms, 3));
     r
 }
 

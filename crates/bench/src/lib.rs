@@ -2,9 +2,8 @@
 //! every row of [`EXPERIMENTS`] builds one [`Report`] — its result fields
 //! and their gates, declared once — and [`report::emit`] prints it,
 //! persists `BENCH_<X>.json` where the row has one, and fails the run on a
-//! gate that does not hold. The `repro` binary dispatches on the table,
-//! `tests/drills.rs` runs it, and the criterion benches wrap the same code
-//! paths through [`setup`].
+//! gate that does not hold. The `repro` binary dispatches on the table and
+//! `tests/drills.rs` runs it: this table is the harness's only entry point.
 
 #![deny(unsafe_code)]
 
@@ -60,6 +59,13 @@ pub const EXPERIMENTS: &[Experiment] = &[
         "space-summary",
         "total-space comparison of the three frameworks (paper §VIII)",
         |a| experiments::space_summary_experiment(&a.config),
+    ),
+    (
+        "ablations",
+        "ablations of the design choices (DESIGN §5)\n\
+         codec inside SPATE, trained dictionary, highlight\n\
+         threshold, decayed vs full-resolution answers",
+        |a| experiments::ablations_experiment(&a.config),
     ),
     (
         "chaos",

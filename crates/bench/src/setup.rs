@@ -108,11 +108,6 @@ pub fn ingest_all(fws: &mut Frameworks, generator: &mut TraceGenerator, epochs: 
     fws.shahed.finalize();
 }
 
-/// Generate `n` snapshots without any framework (codec microbenches).
-pub fn generate_snapshots(config: &BenchConfig, n: usize) -> Vec<Snapshot> {
-    config.generator().take(n).collect()
-}
-
 /// One SPATE warehouse: a generator over `trace`, a framework on `dfs`
 /// decaying under `policy`, the first `epochs` snapshots ingested. The
 /// generator comes back positioned after them, for a drill that ingests

@@ -36,6 +36,9 @@ const PAPER: &[&str] = &[
     "decay --scale 1/1024 --unthrottled",
     // The run of `fig7` again, reported in brief.
     "space-summary --scale 1/2048 --unthrottled",
+    // Four or eight snapshots after the first sixteen, and two days for
+    // the decayed warehouse: a quick config already.
+    "ablations --scale 1/256 --days 2 --unthrottled",
 ];
 
 /// A drill `obs::reset()`s the process-global registry, so one at a time.

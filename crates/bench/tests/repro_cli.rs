@@ -42,6 +42,11 @@ fn a_flag_without_its_value_or_with_an_unparsable_one_exits_2() {
         ("--seed", "seven"),
         ("--scale", "1/x"),
         ("--scale", "tiny"),
+        ("--scale", "0"),
+        ("--scale", "1/0"),
+        ("--scale", "2"),
+        ("--scale", "-1"),
+        ("--scale", "nan"),
         ("--days", "-1"),
         ("--clients", "1.5"),
         ("--shards", ""),
