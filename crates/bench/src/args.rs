@@ -58,6 +58,7 @@ impl Args {
     /// message `repro` prints before exiting 2.
     pub fn parse<S: AsRef<str>>(argv: &[S]) -> Result<Args, String> {
         let mut args = Args::default();
+        let mut days_text = None;
         let mut rest = argv.iter().map(AsRef::as_ref);
         while let Some(arg) = rest.next() {
             let mut value_of = || rest.next().ok_or(format!("{arg} needs a value"));
@@ -79,7 +80,11 @@ impl Args {
                     let scale = scale.ok().filter(|s| *s > 0.0 && *s <= 1.0);
                     args.config.scale = scale.ok_or_else(|| bad(arg, v))?;
                 }
-                "--days" => args.config.days = number(arg, value_of()?)?,
+                "--days" => {
+                    let v = value_of()?;
+                    args.config.days = number(arg, v)?;
+                    days_text = Some(v);
+                }
                 "--seed" => args.seed = number(arg, value_of()?)?,
                 "--clients" => args.clients = at_least_one(arg, value_of()?)?,
                 "--shards" => args.shards = at_least_one(arg, value_of()?)?,
@@ -87,7 +92,23 @@ impl Args {
                 experiment => args.experiment = experiment.to_string(),
             }
         }
+        if let Some(v) = days_text {
+            if args.config.days < min_days(&args.experiment) {
+                return Err(bad("--days", v));
+            }
+        }
         Ok(args)
+    }
+}
+
+/// The shortest trace an experiment runs on: Figs. 11-12 (and `all`,
+/// which runs them) query a window on day 4, the chaos drill blacks out
+/// the day before the last, the cost drill compares two days.
+fn min_days(experiment: &str) -> u32 {
+    match experiment {
+        "all" | "fig11" | "fig12" => 5,
+        "chaos" | "cost" => 2,
+        _ => 0,
     }
 }
 
@@ -116,5 +137,38 @@ mod tests {
         }
         let args = Args::parse(&["scale", "--shards", "1", "--clients", "1"]).unwrap();
         assert_eq!((args.shards, args.clients), (1, 1));
+    }
+
+    #[test]
+    fn a_trace_too_short_for_its_experiment_is_refused_by_the_parser() {
+        for (experiment, days) in [
+            ("fig11", "4"),
+            ("fig12", "2"),
+            ("all", "0"),
+            ("chaos", "1"),
+            ("chaos", "0"),
+            ("cost", "1"),
+        ] {
+            let err = Args::parse(&[experiment, "--days", days]).expect_err(experiment);
+            assert_eq!(err, bad("--days", days));
+            // The flag may come before the experiment's name.
+            let err = Args::parse(&["--days", days, experiment]).expect_err(experiment);
+            assert_eq!(err, bad("--days", days));
+        }
+        for (experiment, days) in [
+            ("fig11", "5"),
+            ("chaos", "2"),
+            ("cost", "2"),
+            ("decay", "1"),
+        ] {
+            let args = Args::parse(&[experiment, "--days", days]).unwrap();
+            assert_eq!(args.config.days.to_string(), days);
+        }
+        // Without --days, the default trace runs every experiment.
+        for (names, ..) in crate::EXPERIMENTS {
+            for name in names.split('|') {
+                assert!(Args::parse(&[name]).is_ok(), "{name}");
+            }
+        }
     }
 }

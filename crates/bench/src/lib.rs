@@ -12,6 +12,7 @@ pub mod chaos_serve;
 pub mod cost_bench;
 pub mod experiments;
 pub mod obs_replay;
+pub mod pairs;
 pub mod report;
 pub mod scale_bench;
 pub mod serve_bench;

@@ -48,6 +48,8 @@ fn a_flag_without_its_value_or_with_an_unparsable_one_exits_2() {
         ("--scale", "-1"),
         ("--scale", "nan"),
         ("--days", "-1"),
+        ("--days", "1"),
+        ("--days", "0"),
         ("--clients", "1.5"),
         ("--shards", ""),
     ] {
@@ -63,6 +65,16 @@ fn a_flag_without_its_value_or_with_an_unparsable_one_exits_2() {
             "{}",
             stderr(&out)
         );
+    }
+    // A trace too short for the experiment it names.
+    for (experiment, days) in [("fig11", "2"), ("fig12", "4"), ("all", "3"), ("cost", "1")] {
+        let out = repro(&[experiment, "--days", days, "--scale", "1/2048"]);
+        assert_eq!(out.status.code(), Some(2), "{experiment}: {}", stderr(&out));
+        assert_eq!(
+            stderr(&out),
+            format!("--days: `{days}` is not a number it accepts\n")
+        );
+        assert!(out.stdout.is_empty(), "{experiment}: nothing ran");
     }
     let out = repro(&["chaos", "--check"]);
     assert_eq!(out.status.code(), Some(2));

@@ -32,17 +32,26 @@ use crate::proto::{
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 /// Per-direction buffer bound in bytes.
 pub const PIPE_CAPACITY: usize = 1 << 20;
-/// Pending bytes at which a [`FrameBatch`] writes itself out. An
-/// interactive answer (tens of KB) always leaves in one write; a 1 MB
-/// scan streams in four. Smaller batches overlap a scan's encoding with
-/// the client's decoding better (on 2 vCPUs a 24-epoch scan took 4.5 ms
-/// at 64 KiB against 6.5 ms) but wake the client four times as often,
-/// and the wake-ups are the part of a request's cost that differs from
-/// one run to the next.
+/// Pending bytes at which a [`FrameBatch`] makes an answer's first
+/// write. An interactive answer still leaves in one write and one
+/// wake-up (the benchmark's `serve_mixed` light answers carry a median
+/// of 23 KB of rows and a 95th percentile of 45 KB); a scan's first
+/// frames leave after 64 KiB instead of [`BATCH_BYTES`], so the client
+/// decodes them while the worker encodes the rest.
+pub const FIRST_BATCH_BYTES: usize = 64 << 10;
+/// The most pending bytes a [`FrameBatch`] waits for: each write's
+/// threshold is twice the write before, from [`FIRST_BATCH_BYTES`] up to
+/// this. A 1 MB scan streams in writes of 64, 128, then 256 KiB.
+/// This schedule supersedes a fixed threshold, which had to trade a
+/// scan's overlap of encoding with decoding (on 2 vCPUs a 24-epoch scan
+/// took 4.5 ms at 64 KiB against 6.5 ms at 256 KiB) against the
+/// wake-ups, the part of a request's cost that differs most from one
+/// run to the next: the schedule starts early and wakes a long answer's
+/// client a few times only.
 pub const BATCH_BYTES: usize = 256 << 10;
 
 /// Transport failures.
@@ -88,6 +97,21 @@ pub trait ByteSink: Send + Sync {
 struct PipeState {
     buf: VecDeque<u8>,
     closed: bool,
+}
+
+impl PipeState {
+    /// Hand up to `want` bytes from the front of the buffer to `put`, a
+    /// slice at a time (the ring holds them in one or two), and drop
+    /// them; returns how many.
+    fn take(&mut self, want: usize, mut put: impl FnMut(&[u8])) -> usize {
+        let k = want.min(self.buf.len());
+        let (front, back) = self.buf.as_slices();
+        let from_front = k.min(front.len());
+        put(&front[..from_front]);
+        put(&back[..k - from_front]);
+        self.buf.drain(..k);
+        k
+    }
 }
 
 /// One direction of the duplex channel.
@@ -139,28 +163,56 @@ impl Pipe {
         Ok(())
     }
 
-    /// Read exactly `n` bytes, blocking until available. `Ok(None)` means
-    /// the pipe closed cleanly before the first byte; a close mid-read is
-    /// a truncation error.
-    fn read_exact(&self, n: usize) -> Result<Option<Vec<u8>>, TransportError> {
-        let mut out = Vec::with_capacity(n);
-        let mut st = self.state.lock().unwrap();
-        while out.len() < n {
+    /// Hand the next `n` bytes to `put`, a slice at a time, waiting, the
+    /// lock let go, while none are buffered. Returns the lock and how
+    /// many bytes came: fewer than `n` means the pipe closed first.
+    fn read_exact<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, PipeState>,
+        n: usize,
+        mut put: impl FnMut(&[u8]),
+    ) -> (MutexGuard<'a, PipeState>, usize) {
+        let mut read = 0;
+        while read < n {
             while st.buf.is_empty() && !st.closed {
                 st = self.readable.wait(st).unwrap();
             }
             if st.buf.is_empty() {
-                // Closed and drained.
-                if out.is_empty() {
-                    return Ok(None);
-                }
-                return Err(TransportError::Proto(ProtoError::Truncated));
+                break;
             }
-            let k = (n - out.len()).min(st.buf.len());
-            out.extend(st.buf.drain(..k));
+            read += st.take(n - read, &mut put);
             self.writable.notify_all();
         }
-        Ok(Some(out))
+        (st, read)
+    }
+
+    /// Read one frame under one lock: its header (validated, bounding the
+    /// payload length before allocation), then its payload into one
+    /// allocation. `Ok(None)` means the pipe closed cleanly at a frame
+    /// boundary; a close inside a frame is a truncation.
+    fn read_frame(&self) -> Result<Option<(u8, Vec<u8>)>, TransportError> {
+        let truncated = TransportError::Proto(ProtoError::Truncated);
+        let mut header = [0; HEADER_LEN];
+        let mut at = 0;
+        let (st, read) = self.read_exact(self.state.lock().unwrap(), HEADER_LEN, |bytes| {
+            header[at..at + bytes.len()].copy_from_slice(bytes);
+            at += bytes.len();
+        });
+        match read {
+            0 => return Ok(None),
+            HEADER_LEN => {}
+            _ => return Err(truncated),
+        }
+        let h = FrameHeader::parse(&header)?;
+        let mut payload = Vec::with_capacity(h.payload_len);
+        let (st, read) = self.read_exact(st, h.payload_len, |bytes| {
+            payload.extend_from_slice(bytes);
+        });
+        drop(st);
+        if read < h.payload_len {
+            return Err(truncated);
+        }
+        Ok(Some((h.kind, payload)))
     }
 
     fn close(&self) {
@@ -292,18 +344,7 @@ impl Endpoint {
     /// payload length before allocation), then the payload. `Ok(None)`
     /// on clean close.
     pub fn recv_frame(&self) -> Result<Option<(u8, Vec<u8>)>, TransportError> {
-        let Some(head) = self.rx.read_exact(HEADER_LEN)? else {
-            return Ok(None);
-        };
-        let header: [u8; HEADER_LEN] = head.try_into().expect("read_exact length");
-        let h = FrameHeader::parse(&header)?;
-        if h.payload_len == 0 {
-            return Ok(Some((h.kind, Vec::new())));
-        }
-        match self.rx.read_exact(h.payload_len)? {
-            Some(payload) => Ok(Some((h.kind, payload))),
-            None => Err(TransportError::Proto(ProtoError::Truncated)),
-        }
+        self.rx.read_frame()
     }
 
     /// Receive and decode one request frame; `Ok(None)` on clean close.
@@ -343,14 +384,23 @@ impl Endpoint {
 /// than the next one is produced, so it sleeps and is woken once per
 /// frame, and every one of those wake-ups costs whatever the scheduler
 /// (under a hypervisor: the host) takes to run a halted CPU again. Frames
-/// therefore collect here until [`BATCH_BYTES`] are pending or the
-/// answer ends: a small answer reaches its client in one write and one
-/// wake-up, a large one still streams, [`BATCH_BYTES`] at a time, against
-/// the pipe's backpressure. Whole frames only, so the pipe's frame
-/// atomicity holds. Dropping a batch discards what it has not flushed.
+/// therefore collect here until the batch's threshold is pending or the
+/// answer ends. The first threshold is [`FIRST_BATCH_BYTES`], each later
+/// one twice the write before, up to [`BATCH_BYTES`]: a small answer
+/// reaches its client in one write and one wake-up, a large one starts
+/// early, then streams in ever larger writes against the pipe's
+/// backpressure. A write holds at most twice the bytes of the one before
+/// (where the frame that reaches the threshold would pass that, the
+/// frames before it leave without it), unless it is one frame alone.
+/// Whole frames only, so the pipe's frame atomicity holds. Dropping a
+/// batch discards what it has not written.
 pub struct FrameBatch<'a> {
     ep: &'a Endpoint,
     buf: Vec<u8>,
+    /// Pending bytes at which the next write leaves.
+    threshold: usize,
+    /// Bytes of the last write; 0 before the first.
+    last: usize,
 }
 
 impl<'a> FrameBatch<'a> {
@@ -358,13 +408,16 @@ impl<'a> FrameBatch<'a> {
         Self {
             ep,
             buf: Vec::new(),
+            threshold: FIRST_BATCH_BYTES,
+            last: 0,
         }
     }
 
     pub fn push(&mut self, resp: &Response) -> Result<(), TransportError> {
         self.ep.note(resp);
+        let start = self.buf.len();
         resp.encode_into(&mut self.buf);
-        self.flush_if_full()
+        self.frame_added(start)
     }
 
     /// Push `rows` as `RowChunk` frames of at most [`CHUNK_ROWS`] rows,
@@ -380,18 +433,27 @@ impl<'a> FrameBatch<'a> {
         let mut pushed = 0;
         while rows.peek().is_some() {
             let chunk = rows.by_ref().take(CHUNK_ROWS);
+            let start = self.buf.len();
             pushed += encode_row_chunk_into(&mut self.buf, id, table, chunk) as u64;
-            self.flush_if_full()?;
+            self.frame_added(start)?;
         }
         Ok(pushed)
     }
 
-    fn flush_if_full(&mut self) -> Result<(), TransportError> {
-        if self.buf.len() >= BATCH_BYTES {
-            self.flush()
-        } else {
-            Ok(())
+    /// A frame was pushed at `start`: write once the threshold is
+    /// pending. Where that frame would take the write past twice the
+    /// last one, the frames before it are written first, without it.
+    fn frame_added(&mut self, start: usize) -> Result<(), TransportError> {
+        if self.buf.len() < self.threshold {
+            return Ok(());
         }
+        if start > 0 && self.last > 0 && self.buf.len() > 2 * self.last {
+            self.write(start)?;
+            if self.buf.len() < self.threshold {
+                return Ok(());
+            }
+        }
+        self.write(self.buf.len())
     }
 
     /// Write out what is pending; the answer's last frame needs this.
@@ -399,8 +461,16 @@ impl<'a> FrameBatch<'a> {
         if self.buf.is_empty() {
             return Ok(());
         }
-        let sent = self.ep.send_bytes(&self.buf);
-        self.buf.clear();
+        self.write(self.buf.len())
+    }
+
+    /// Write the first `n` pending bytes, which end a frame, and double
+    /// the threshold from them.
+    fn write(&mut self, n: usize) -> Result<(), TransportError> {
+        let sent = self.ep.send_bytes(&self.buf[..n]);
+        self.buf.drain(..n);
+        self.last = n;
+        self.threshold = (2 * n).min(BATCH_BYTES);
         sent
     }
 }
@@ -408,7 +478,7 @@ impl<'a> FrameBatch<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{RequestBody, ResponseBody};
+    use crate::proto::{RequestBody, ResponseBody, TableHeader};
     use telco_trace::record::Value;
 
     #[test]
@@ -658,5 +728,100 @@ mod tests {
             }
         }
         assert_eq!(rows_seen, n_rows);
+    }
+
+    /// The write sizes of one answer pushed through a batch, and its rows
+    /// as they arrive, in order; each write must hold whole frames.
+    fn batched(push: impl FnOnce(&mut FrameBatch)) -> (Vec<usize>, Vec<Vec<Value>>) {
+        let (client, server) = duplex();
+        let recorder = Arc::new(Recorder::default());
+        client.deliver_to(Box::new(recorder.clone()));
+        let mut batch = FrameBatch::new(&server);
+        push(&mut batch);
+        batch.flush().unwrap();
+        let writes = recorder.writes.lock().unwrap();
+        let mut rows = Vec::new();
+        for (_, bytes) in writes.iter() {
+            for frame in frames_in(bytes) {
+                if let ResponseBody::RowChunk { rows: chunk, .. } = frame.body {
+                    rows.extend(chunk);
+                }
+            }
+        }
+        (writes.iter().map(|(_, bytes)| bytes.len()).collect(), rows)
+    }
+
+    #[test]
+    fn a_batch_writes_64_kib_first_then_at_most_twice_the_write_before() {
+        let header = Response {
+            id: 4,
+            body: ResponseBody::Header {
+                tables: vec![TableHeader {
+                    name: "CDR".into(),
+                    columns: vec!["a".into(), "b".into(), "c".into()],
+                }],
+            },
+        };
+        // Rows of uneven widths, pushed an epoch at a time as a scan
+        // pushes them: chunks of every size, about 1.3 MB in all.
+        let row = |i: usize| {
+            let text = "x".repeat(i % 23);
+            vec![Value::Int(i as i64), Value::Str(text.into()), Value::Null]
+        };
+        let epochs: Vec<Vec<Vec<Value>>> = (0..40)
+            .map(|e| (0..700 + 37 * e).map(|i| row(e * 10_000 + i)).collect())
+            .collect();
+        let (writes, rows) = batched(|batch| {
+            batch.push(&header).unwrap();
+            for epoch in &epochs {
+                batch.push_rows(4, 0, epoch).unwrap();
+            }
+            batch
+                .push(&Response {
+                    id: 4,
+                    body: ResponseBody::Done { rows: 0 },
+                })
+                .unwrap();
+        });
+        assert_eq!(rows, epochs.concat(), "the rows in order");
+        let first = FIRST_BATCH_BYTES..2 * FIRST_BATCH_BYTES;
+        assert!(first.contains(&writes[0]), "{writes:?}");
+        for pair in writes.windows(2) {
+            assert!(pair[1] <= 2 * pair[0], "{writes:?}");
+            assert!(pair[1] < 2 * BATCH_BYTES, "{writes:?}");
+        }
+        assert!(writes.iter().any(|&w| w >= BATCH_BYTES), "{writes:?}");
+        assert!(writes.len() <= 9, "{writes:?}");
+
+        // An answer that ends before 64 KiB leaves in one write.
+        let short: Vec<Vec<Value>> = (0..2_000).map(row).collect();
+        let (writes, rows) = batched(|batch| {
+            batch.push_rows(5, 1, &short).unwrap();
+        });
+        assert_eq!(rows, short);
+        assert_eq!(writes.len(), 1);
+        assert!(writes[0] < FIRST_BATCH_BYTES, "{writes:?}");
+    }
+
+    #[test]
+    fn a_read_copies_both_slices_of_a_wrapped_buffer() {
+        let (client, server) = duplex();
+        let bytes: Vec<u8> = (0..=255).cycle().take(1 << 16).collect();
+        server.send_bytes(&bytes[..100]).unwrap();
+        let pipe = &client.rx;
+        let mut out = Vec::new();
+        let mut read = |n| {
+            let put = |bytes: &[u8]| out.extend_from_slice(bytes);
+            pipe.read_exact(pipe.state.lock().unwrap(), n, put).1
+        };
+        assert_eq!(read(60), 60);
+        // The next write fits behind the 40 unread bytes only by wrapping
+        // round the ring's end.
+        let room = pipe.state.lock().unwrap().buf.capacity() - 40;
+        server.send_bytes(&bytes[100..100 + room]).unwrap();
+        assert!(!pipe.state.lock().unwrap().buf.as_slices().1.is_empty());
+        assert_eq!(read(40 + room), 40 + room);
+        assert!(pipe.state.lock().unwrap().buf.is_empty());
+        assert_eq!(out, bytes[..100 + room]);
     }
 }
