@@ -10,25 +10,26 @@
 //!
 //! ```text
 //! pairs --base BIN --change BIN [--base-dir DIR] [--change-dir DIR]
-//!       [--workloads W,W] [--pairs N] [--seed S] [--seconds S]
-//!       [--trace 0|1] [--one-cpu] [--label TEXT]
-//!       [--benchmark-json PATH] [--out PATH]
+//!       [--workloads W,W] [--pairs N] [--seed S] [--trace 0|1]
+//!       [--one-cpu] [--label TEXT] [--benchmark-json PATH] [--out PATH]
 //! ```
 //!
-//! Defaults: `serve_mixed`, 10 pairs, seed 1, 10 seconds, trace 0, each
-//! side run in its binary's directory, `BENCHMARK.json` and
-//! `BENCH_PERF.json` in the current directory. `--one-cpu` runs every
-//! benchmark process under `taskset -c 0`; nothing else is pinned.
+//! Defaults: `serve_mixed`, 10 pairs, seed 1, trace 0, each side run in
+//! its binary's directory, `BENCHMARK.json` and `BENCH_PERF.json` in the
+//! current directory. Every run lasts `BENCHMARK.json`'s `run_seconds`,
+//! the length a change is judged at. `--one-cpu` runs every benchmark
+//! process under `taskset -c 0`; nothing else is pinned.
 
 use spate_bench::pairs::{
-    append_row, directions, parse_run, row_json, summarise, table, RowHead, Run, Summary,
+    append_row, directions, parse_run, row_json, run_seconds, summarise, table, RowHead, Run,
+    Summary,
 };
 use std::path::{Path, PathBuf};
 use std::process::{exit, Command};
 
 const USAGE: &str = "usage: pairs --base BIN --change BIN [--base-dir DIR] [--change-dir DIR] \
-[--workloads W,W] [--pairs N] [--seed S] [--seconds S] [--trace 0|1] [--one-cpu] \
-[--label TEXT] [--benchmark-json PATH] [--out PATH]";
+[--workloads W,W] [--pairs N] [--seed S] [--trace 0|1] [--one-cpu] [--label TEXT] \
+[--benchmark-json PATH] [--out PATH]";
 
 /// One build of the benchmark and where it runs.
 struct Side {
@@ -43,7 +44,6 @@ struct Opts {
     workloads: Vec<String>,
     pairs: usize,
     seed: u64,
-    seconds: String,
     trace: String,
     one_cpu: bool,
     label: String,
@@ -59,7 +59,7 @@ fn parse(argv: &[String]) -> Result<Opts, String> {
         match flag.as_str() {
             "--one-cpu" => one_cpu = true,
             "--base" | "--change" | "--base-dir" | "--change-dir" | "--workloads" | "--pairs"
-            | "--seed" | "--seconds" | "--trace" | "--label" | "--benchmark-json" | "--out" => {
+            | "--seed" | "--trace" | "--label" | "--benchmark-json" | "--out" => {
                 let value = it.next().ok_or(format!("{flag} needs a value"))?;
                 flags.insert(flag.as_str(), value.as_str());
             }
@@ -94,13 +94,6 @@ fn parse(argv: &[String]) -> Result<Opts, String> {
         return Err("--pairs: quartiles need at least 2 pairs".into());
     }
     let text = |flag: &str, default: &str| flags.get(flag).unwrap_or(&default).to_string();
-    let seconds = text("--seconds", "10");
-    if !seconds
-        .parse::<f64>()
-        .is_ok_and(|s| s.is_finite() && s >= 0.0)
-    {
-        return Err(format!("--seconds: `{seconds}` is not a number of seconds"));
-    }
     let trace = text("--trace", "0");
     if trace != "0" && trace != "1" {
         return Err(format!("--trace: `{trace}` is not 0 or 1"));
@@ -114,7 +107,6 @@ fn parse(argv: &[String]) -> Result<Opts, String> {
             .collect(),
         pairs,
         seed: number("--seed", 1)?,
-        seconds,
         trace,
         one_cpu,
         label: text("--label", ""),
@@ -125,7 +117,7 @@ fn parse(argv: &[String]) -> Result<Opts, String> {
 
 /// One run of `side` on `workload`, refused unless it is correct with no
 /// failed op.
-fn run_once(opts: &Opts, side: &Side, workload: &str) -> Result<Run, String> {
+fn run_once(opts: &Opts, seconds: &str, side: &Side, workload: &str) -> Result<Run, String> {
     let mut command = if opts.one_cpu {
         let mut taskset = Command::new("taskset");
         taskset.args(["-c", "0"]).arg(&side.bin);
@@ -136,7 +128,7 @@ fn run_once(opts: &Opts, side: &Side, workload: &str) -> Result<Run, String> {
     let seed = opts.seed.to_string();
     let out = command
         .args(["--workload", workload, "--seed", &seed])
-        .args(["--seconds", &opts.seconds, "--trace", &opts.trace])
+        .args(["--seconds", seconds, "--trace", &opts.trace])
         .current_dir(&side.dir)
         .output()
         .map_err(|e| format!("{}: {e}", side.bin.display()))?;
@@ -184,6 +176,8 @@ fn run(opts: &Opts) -> Result<(), String> {
     let declared = std::fs::read_to_string(&opts.benchmark_json)
         .map_err(|e| format!("{}: {e}", opts.benchmark_json.display()))?;
     let lower_better = directions(&declared);
+    let seconds =
+        run_seconds(&declared).map_err(|e| format!("{}: {e}", opts.benchmark_json.display()))?;
     let cpus = if opts.one_cpu {
         1
     } else {
@@ -202,8 +196,8 @@ fn run(opts: &Opts) -> Result<(), String> {
                 first.name
             );
             let (a, b) = (
-                run_once(opts, first, workload)?,
-                run_once(opts, second, workload)?,
+                run_once(opts, &seconds, first, workload)?,
+                run_once(opts, &seconds, second, workload)?,
             );
             let (to_base, to_change) = if base_first { (a, b) } else { (b, a) };
             base.push(to_base);
@@ -212,7 +206,7 @@ fn run(opts: &Opts) -> Result<(), String> {
         let summaries = summaries(&base, &change, &lower_better);
         let heading = format!(
             "{workload}: {} pairs, {cpus} CPU(s), seed {}, --seconds {} --trace {}",
-            opts.pairs, opts.seed, opts.seconds, opts.trace
+            opts.pairs, opts.seed, seconds, opts.trace
         );
         println!("{}", table(&heading, &summaries));
         let head = RowHead {
@@ -220,12 +214,16 @@ fn run(opts: &Opts) -> Result<(), String> {
             workload,
             cpus,
             seed: opts.seed,
-            seconds: &opts.seconds,
+            seconds: &seconds,
             trace: &opts.trace,
         };
-        let held = std::fs::read_to_string(&opts.out).unwrap_or_default();
-        std::fs::write(&opts.out, append_row(&held, &row_json(&head, &summaries)))
-            .map_err(|e| format!("{}: {e}", opts.out.display()))?;
+        let out = |e: String| format!("{}: {e}", opts.out.display());
+        let held = match std::fs::read_to_string(&opts.out) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+            held => held.map_err(|e| out(e.to_string()))?,
+        };
+        let file = append_row(&held, &row_json(&head, &summaries)).map_err(out)?;
+        std::fs::write(&opts.out, file).map_err(|e| out(e.to_string()))?;
     }
     Ok(())
 }

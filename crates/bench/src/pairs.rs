@@ -78,6 +78,16 @@ pub fn directions(benchmark_json: &str) -> Vec<(String, bool)> {
         .collect()
 }
 
+/// `BENCHMARK.json`'s `run_seconds`: how long each run's measured rounds
+/// last, as the benchmark is run to judge a change.
+pub fn run_seconds(benchmark_json: &str) -> Result<String, String> {
+    let value = field(benchmark_json, "run_seconds").ok_or("no `run_seconds` declared")?;
+    match value.parse::<f64>() {
+        Ok(s) if s.is_finite() && s >= 0.0 => Ok(value.to_string()),
+        _ => Err(format!("`run_seconds` {value} is not a number of seconds")),
+    }
+}
+
 fn sorted(values: &[f64]) -> Vec<f64> {
     let mut v = values.to_vec();
     v.sort_by(f64::total_cmp);
@@ -231,15 +241,22 @@ pub fn row_json(head: &RowHead, summaries: &[Summary]) -> String {
 }
 
 /// `file` (a JSON array, one row a line, or nothing yet) with `row`
-/// appended.
-pub fn append_row(file: &str, row: &str) -> String {
-    let held = file.trim_end();
-    match held.strip_suffix(']') {
-        Some(rows) if !rows.trim_end().ends_with('[') => {
-            format!("{},\n{row}\n]\n", rows.trim_end())
-        }
-        _ => format!("[\n{row}\n]\n"),
+/// appended. A file that holds anything but an array is refused, not
+/// replaced: it is the record of every earlier row.
+pub fn append_row(file: &str, row: &str) -> Result<String, String> {
+    let held = file.trim();
+    if held.is_empty() {
+        return Ok(format!("[\n{row}\n]\n"));
     }
+    let rows = held
+        .strip_prefix('[')
+        .and_then(|h| h.strip_suffix(']'))
+        .ok_or("not a JSON array `[...]`")?
+        .trim();
+    Ok(match rows {
+        "" => format!("[\n{row}\n]\n"),
+        rows => format!("[\n{rows},\n{row}\n]\n"),
+    })
 }
 
 #[cfg(test)]
@@ -329,9 +346,26 @@ mod tests {
              {\"heavy_p50_ms\": {\"base\": [4.7500, 5.5000, 6.2500], \
              \"change\": [3.8750, 4.2500, 4.6250], \"ratio\": 0.7833, \"won\": 2}}}"
         );
-        let one = append_row("", &row);
+        let one = append_row("", &row).unwrap();
         assert_eq!(one, format!("[\n{row}\n]\n"));
-        assert_eq!(append_row("[\n]\n", &row), one);
-        assert_eq!(append_row(&one, "{}"), format!("[\n{row},\n{{}}\n]\n"));
+        assert_eq!(append_row("[\n]\n", &row).unwrap(), one);
+        assert_eq!(
+            append_row(&one, "{}").unwrap(),
+            format!("[\n{row},\n{{}}\n]\n")
+        );
+        // A hand-edited or truncated file is refused, never overwritten.
+        let truncated = &one[..one.len() - 3];
+        for malformed in [truncated, "{}", "[\n{\"a\": 1}", "x]"] {
+            assert!(append_row(malformed, "{}").is_err(), "{malformed:?}");
+        }
+    }
+
+    #[test]
+    fn the_run_length_is_the_benchmarks_own() {
+        let declared = r#"{"command": ["cargo"], "paths": ["benchmark"], "run_seconds": 10,
+            "workloads": []}"#;
+        assert_eq!(run_seconds(declared), Ok("10".into()));
+        assert!(run_seconds(r#"{"run_seconds": "ten"}"#).is_err());
+        assert!(run_seconds(r#"{"workloads": []}"#).is_err());
     }
 }

@@ -783,14 +783,13 @@ impl Response {
                     })
                 })?,
             },
-            kind::ROW_CHUNK => {
-                let mut rows = Vec::new();
-                let (_, table) = decode_row_chunk_into(payload, |_, _| Some(&mut rows))?;
-                return Ok(Response {
-                    id,
-                    body: ResponseBody::RowChunk { table, rows },
-                });
-            }
+            // A row takes two bytes at least, a value one.
+            kind::ROW_CHUNK => ResponseBody::RowChunk {
+                table: r.u8()?,
+                rows: list::<u16, _>(r, 2, "chunk rows", |r| {
+                    list::<u16, _>(r, 1, "row width", read_value)
+                })?,
+            },
             kind::SUMMARY => ResponseBody::Summary {
                 resolution: read_string(r)?,
                 cdr_records: r.u64()?,
@@ -957,40 +956,6 @@ fn list<'a, W: Into<u64>, T>(
         out.push(entry(r)?);
     }
     Ok(out)
-}
-
-/// Decode a [`ResponseBody::RowChunk`] payload straight into a caller's
-/// rows. `into` is shown the chunk's request id and table and gives the
-/// rows to append to, or `None` for a chunk nobody keeps, which is still
-/// decoded and checked whole, then dropped. Room for the chunk's rows is
-/// reserved once its count passes [`Reader::len`]'s rule. This is the one
-/// row-chunk decoder: [`Response::decode`] decodes a chunk through it
-/// too. Returns the chunk's id and table; on `Err`, `into`'s rows may
-/// hold a part of the chunk.
-pub fn decode_row_chunk_into<'a>(
-    payload: &[u8],
-    into: impl FnOnce(u64, u8) -> Option<&'a mut Vec<Vec<Value>>>,
-) -> Result<(u64, u8), ProtoError> {
-    let r = &mut Reader::new(payload);
-    let id = r.u64()?;
-    let table = r.u8()?;
-    match into(id, table) {
-        Some(rows) => read_rows(r, rows)?,
-        None => read_rows(r, &mut Vec::new())?,
-    }
-    r.finish()?;
-    Ok((id, table))
-}
-
-/// A chunk's rows, appended to `rows`. A row takes two bytes at least, a
-/// value one.
-fn read_rows(r: &mut Reader, rows: &mut Vec<Vec<Value>>) -> Result<(), ProtoError> {
-    let n = r.len::<u16>(2, "chunk rows")?;
-    rows.reserve(n);
-    for _ in 0..n {
-        rows.push(list::<u16, _>(r, 1, "row width", read_value)?);
-    }
-    Ok(())
 }
 
 #[inline]
@@ -1485,45 +1450,6 @@ mod tests {
         assert!(matches!(parse_frame(&bad), Err(ProtoError::BadKind(0x40))));
     }
 
-    /// A decoded chunk as bytes, so that a NaN read back equals itself.
-    type Chunk = Result<Vec<u8>, ProtoError>;
-
-    fn encoded(id: u64, table: u8, rows: &[Vec<Value>]) -> Vec<u8> {
-        let mut out = Vec::new();
-        encode_row_chunk_into(&mut out, id, table, rows);
-        out
-    }
-
-    /// The reference row-chunk decoder of the differential: the rows as
-    /// a list of lists, each read by `list`'s rules.
-    fn reference_chunk(payload: &[u8]) -> Chunk {
-        let r = &mut Reader::new(payload);
-        let id = r.u64()?;
-        let table = r.u8()?;
-        let rows = list::<u16, _>(r, 2, "chunk rows", |r| {
-            list::<u16, _>(r, 1, "row width", read_value)
-        })?;
-        r.finish()?;
-        Ok(encoded(id, table, &rows))
-    }
-
-    /// `payload` through [`decode_row_chunk_into`], appended behind a row
-    /// already held. Dropping the chunk instead must come to the same
-    /// verdict, and [`Response::decode`] to the same rows.
-    fn in_place(payload: &[u8]) -> Chunk {
-        let held = vec![vec![Value::Str("held".into())]];
-        let mut rows = held.clone();
-        let kept = decode_row_chunk_into(payload, |_, _| Some(&mut rows));
-        assert_eq!(decode_row_chunk_into(payload, |_, _| None), kept);
-        let kept = kept.map(|(id, table)| {
-            assert_eq!(rows[..1], held[..]);
-            encoded(id, table, &rows[1..])
-        });
-        let as_response = Response::decode(kind::ROW_CHUNK, payload).map(|r| r.encode());
-        assert_eq!(as_response, kept);
-        kept
-    }
-
     fn generated_chunk(rng: &mut rand::rngs::StdRng) -> Response {
         use rand::Rng;
         let rows = (0..rng.gen_range(0..30))
@@ -1548,7 +1474,7 @@ mod tests {
     }
 
     #[test]
-    fn the_in_place_chunk_decoder_reads_what_the_list_decoder_read() {
+    fn a_row_chunk_reads_back_whole_and_refuses_every_cut() {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(52);
         for _ in 0..24 {
@@ -1556,10 +1482,14 @@ mod tests {
             let bytes = chunk.encode();
             let (k, payload, _) = parse_frame(&bytes).unwrap();
             assert_eq!(k, kind::ROW_CHUNK);
-            assert_eq!(in_place(payload), Ok(bytes.clone()));
-            // Damaged: the same rows, or the same refusal.
-            sweep(payload, |damage, damaged| {
-                assert_eq!(in_place(damaged), reference_chunk(damaged), "{damage:?}");
+            let back = Response::decode(k, payload).unwrap();
+            assert_eq!(back.encode(), bytes);
+            sweep(payload, |damage, damaged| match damage {
+                Damage::Cut(_) => assert!(Response::decode(k, damaged).is_err(), "{damage:?}"),
+                // Refused or read back: it must return.
+                Damage::Flip(_) => {
+                    let _ = Response::decode(k, damaged);
+                }
             });
         }
     }

@@ -45,9 +45,8 @@
 use crate::admission::{AdmissionQueue, Class};
 use crate::cache::{CacheInvalidator, CacheStats, EpochCache};
 use crate::proto::{
-    decode_row_chunk_into, errcode, kind, parse_frame, AnomalyWire, ProfileFrame, Projected,
-    ProtoError, Request, RequestBody, Response, ResponseBody, SpanWire, StatsFrame, TableHeader,
-    TraceFrame,
+    errcode, parse_frame, AnomalyWire, ProfileFrame, Projected, ProtoError, Request, RequestBody,
+    Response, ResponseBody, SpanWire, StatsFrame, TableHeader, TraceFrame,
 };
 use crate::transport::{duplex, ByteSink, Endpoint, FrameBatch, TransportError};
 use dfs::breaker::BreakerState;
@@ -1588,26 +1587,13 @@ impl ClientConn {
         self.ep.recv_response()
     }
 
-    /// Collect frames until request `id`'s terminal frame arrives. A row
-    /// chunk is decoded straight into the reply's rows of its table; one
-    /// that comes before the header, or names no table of it, is decoded
-    /// and checked all the same, then dropped.
+    /// Collect frames until request `id`'s terminal frame arrives.
     pub fn await_reply(&mut self, id: u64) -> Result<Reply, TransportError> {
         let mut tables: Vec<TableHeader> = Vec::new();
         let mut rows: Vec<Vec<Vec<telco_trace::record::Value>>> = Vec::new();
         let mut coverage: Option<Coverage> = None;
         loop {
-            let (frame_kind, payload) = self.ep.recv_frame()?.ok_or(TransportError::Closed)?;
-            if frame_kind == kind::ROW_CHUNK {
-                let (chunk, _) = decode_row_chunk_into(&payload, |chunk, table| {
-                    (chunk == id).then(|| rows.get_mut(table as usize))?
-                })?;
-                if chunk != id {
-                    return Err(UNEXPECTED);
-                }
-                continue;
-            }
-            let resp = Response::decode(frame_kind, &payload)?;
+            let resp = self.ep.recv_response()?.ok_or(TransportError::Closed)?;
             if resp.id != id {
                 // Not ours (stale frame from an aborted request); the
                 // synchronous wrapper never has two in flight, so this
@@ -1619,7 +1605,11 @@ impl ClientConn {
                     rows = t.iter().map(|_| Vec::new()).collect();
                     tables = t;
                 }
-                ResponseBody::RowChunk { .. } => unreachable!("decoded in place above"),
+                ResponseBody::RowChunk { table, rows: chunk } => {
+                    if let Some(bucket) = rows.get_mut(table as usize) {
+                        bucket.extend(chunk);
+                    }
+                }
                 ResponseBody::Coverage {
                     requested,
                     served,

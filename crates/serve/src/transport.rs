@@ -37,11 +37,12 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 /// Per-direction buffer bound in bytes.
 pub const PIPE_CAPACITY: usize = 1 << 20;
 /// Pending bytes at which a [`FrameBatch`] makes an answer's first
-/// write. An interactive answer still leaves in one write and one
-/// wake-up (the benchmark's `serve_mixed` light answers carry a median
-/// of 23 KB of rows and a 95th percentile of 45 KB); a scan's first
-/// frames leave after 64 KiB instead of [`BATCH_BYTES`], so the client
-/// decodes them while the worker encodes the rest.
+/// write. Nearly every interactive answer still leaves in one write and
+/// one wake-up: the benchmark's `serve_mixed` light answers carry a
+/// median of 22 KB of frames and a 95th percentile of 44 KB, and 8 in
+/// 2 800 (its largest, 66 KB) pass 64 KiB and leave in two. A scan's
+/// first frames leave after 64 KiB instead of [`BATCH_BYTES`], so the
+/// client decodes them while the worker encodes the rest.
 pub const FIRST_BATCH_BYTES: usize = 64 << 10;
 /// The most pending bytes a [`FrameBatch`] waits for: each write's
 /// threshold is twice the write before, from [`FIRST_BATCH_BYTES`] up to
