@@ -6,7 +6,9 @@
 //! failed ops or exits non-zero stops the tool (exit 1) before it records
 //! anything. Per workload it prints, per metric, each side's median
 //! [q1-q3], the median pair ratio (change / base) and the pairs the
-//! change won, and appends one row to `BENCH_PERF.json`.
+//! change won, and appends one row to `BENCH_PERF.json`, naming the
+//! commit each side's directory is checked out at (`"unknown"` outside a
+//! checkout).
 //!
 //! ```text
 //! pairs --base BIN --change BIN [--base-dir DIR] [--change-dir DIR]
@@ -21,8 +23,8 @@
 //! process under `taskset -c 0`; nothing else is pinned.
 
 use spate_bench::pairs::{
-    append_row, directions, parse_run, row_json, run_seconds, summarise, table, RowHead, Run,
-    Summary,
+    append_row, commit_of, directions, parse_run, row_json, run_seconds, summarise, table, RowHead,
+    Run, Summary,
 };
 use std::path::{Path, PathBuf};
 use std::process::{exit, Command};
@@ -178,6 +180,7 @@ fn run(opts: &Opts) -> Result<(), String> {
     let lower_better = directions(&declared);
     let seconds =
         run_seconds(&declared).map_err(|e| format!("{}: {e}", opts.benchmark_json.display()))?;
+    let (base_commit, change_commit) = (commit_of(&opts.base.dir), commit_of(&opts.change.dir));
     let cpus = if opts.one_cpu {
         1
     } else {
@@ -211,6 +214,8 @@ fn run(opts: &Opts) -> Result<(), String> {
         println!("{}", table(&heading, &summaries));
         let head = RowHead {
             label: &opts.label,
+            base_commit: &base_commit,
+            change_commit: &change_commit,
             workload,
             cpus,
             seed: opts.seed,

@@ -195,10 +195,28 @@ pub fn table(heading: &str, summaries: &[Summary]) -> String {
     out
 }
 
+/// The short commit id of the checkout `dir` lies in, `"unknown"`
+/// outside a checkout (or without `git`).
+pub fn commit_of(dir: &std::path::Path) -> String {
+    let out = std::process::Command::new("git")
+        .arg("-C")
+        .arg(dir)
+        .args(["rev-parse", "--short", "HEAD"])
+        .output();
+    match out {
+        Ok(out) if out.status.success() => String::from_utf8_lossy(&out.stdout).trim().into(),
+        _ => "unknown".into(),
+    }
+}
+
 /// What one row of `BENCH_PERF.json` records besides its metrics.
 #[derive(Debug, Clone)]
 pub struct RowHead<'a> {
     pub label: &'a str,
+    /// The commits the two sides were built from ([`commit_of`] their
+    /// directories).
+    pub base_commit: &'a str,
+    pub change_commit: &'a str,
     pub workload: &'a str,
     pub cpus: usize,
     pub seed: u64,
@@ -228,9 +246,12 @@ pub fn row_json(head: &RowHead, summaries: &[Summary]) -> String {
         .collect();
     let pairs = summaries.first().map_or(0, |s| s.pairs);
     format!(
-        "{{\"label\": {}, \"workload\": {}, \"cpus\": {}, \"seed\": {}, \"seconds\": {}, \
-         \"trace\": {}, \"pairs\": {pairs}, \"metrics\": {{{}}}}}",
+        "{{\"label\": {}, \"base_commit\": {}, \"change_commit\": {}, \"workload\": {}, \
+         \"cpus\": {}, \"seed\": {}, \"seconds\": {}, \"trace\": {}, \"pairs\": {pairs}, \
+         \"metrics\": {{{}}}}}",
         quoted(head.label),
+        quoted(head.base_commit),
+        quoted(head.change_commit),
         quoted(head.workload),
         head.cpus,
         head.seed,
@@ -332,6 +353,8 @@ mod tests {
         let s = summarise("heavy_p50_ms", &[6.0, 5.0], &[4.0, 4.5], Some(true));
         let head = RowHead {
             label: "a \"b\"",
+            base_commit: "3f891f7",
+            change_commit: "unknown",
             workload: "serve_mixed",
             cpus: 2,
             seed: 1,
@@ -341,7 +364,8 @@ mod tests {
         let row = row_json(&head, &[s]);
         assert_eq!(
             row,
-            "{\"label\": \"a \\\"b\\\"\", \"workload\": \"serve_mixed\", \"cpus\": 2, \
+            "{\"label\": \"a \\\"b\\\"\", \"base_commit\": \"3f891f7\", \
+             \"change_commit\": \"unknown\", \"workload\": \"serve_mixed\", \"cpus\": 2, \
              \"seed\": 1, \"seconds\": 10, \"trace\": 0, \"pairs\": 2, \"metrics\": \
              {\"heavy_p50_ms\": {\"base\": [4.7500, 5.5000, 6.2500], \
              \"change\": [3.8750, 4.2500, 4.6250], \"ratio\": 0.7833, \"won\": 2}}}"
@@ -358,6 +382,12 @@ mod tests {
         for malformed in [truncated, "{}", "[\n{\"a\": 1}", "x]"] {
             assert!(append_row(malformed, "{}").is_err(), "{malformed:?}");
         }
+    }
+
+    #[test]
+    fn a_directory_outside_a_checkout_is_unknown() {
+        let nowhere = std::env::temp_dir().join("pairs-test-no-such-directory");
+        assert_eq!(commit_of(&nowhere), "unknown");
     }
 
     #[test]

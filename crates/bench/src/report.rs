@@ -138,6 +138,9 @@ pub struct Report {
     pub file: Option<&'static str>,
     /// A binary side output written next to the JSON (`OBS_TELEMETRY.bin`).
     pub artifact: Option<(&'static str, Vec<u8>)>,
+    /// The traces of the requests the experiment's server still held when
+    /// it shut down ([`spate_serve::Server::traces`]), for `--trace-json`.
+    pub traces: Vec<obs::SpanEvent>,
     fields: Vec<Field>,
 }
 
@@ -147,6 +150,7 @@ impl Report {
             drill,
             file,
             artifact: None,
+            traces: Vec::new(),
             fields: Vec::new(),
         }
     }

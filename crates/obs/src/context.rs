@@ -7,7 +7,8 @@
 //! ([`crate::cost`]) and the source reads are filed under
 //! ([`crate::cost::attribute_reads_to`]). Those modules read and set its
 //! fields; each installer returns a [`Guard`] that puts back the one field
-//! it set, except [`crate::cost::begin`], whose guard returns the profile.
+//! it set, except [`crate::cost::begin`], whose guard returns the profile,
+//! and [`crate::trace::begin`], whose guard returns the trace's events.
 //!
 //! A thread spawned to do part of the request's work starts with an empty
 //! request. [`capture`] it on the request's thread, [`Context::enter`] it
@@ -34,7 +35,8 @@
 //! ```
 //!
 //! On the helper, spans nest under the captured path with the captured
-//! traced span as their parent and the same shard label; the budget is
+//! traced span as their parent and the same shard label, and file into
+//! the request's own trace (one log for every thread); the budget is
 //! the same deadline and cancel flag; the cost profile is the helper's
 //! own, under the same trace id, until it is absorbed. The read source is
 //! not carried: it belongs to the store call that set it.
@@ -197,8 +199,8 @@ impl Drop for Entered {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flight::SpanEvent;
     use crate::CancelFlag;
+    use crate::SpanEvent;
 
     /// One request's work: a `scan` span whose `read`s each add a row
     /// and bytes, touch an epoch and open a child span. On two threads
@@ -213,8 +215,8 @@ mod tests {
             let _inflate = crate::span("inflate");
             crate::trace::event("test.context.mark", &[]);
         };
+        let trace = crate::trace::begin(trace_id);
         let profile = {
-            let _trace = crate::trace::begin(trace_id);
             let _budget = crate::budget::begin(None, CancelFlag::new());
             let _shard = crate::shard::enter(3);
             let cost = crate::cost::begin(trace_id);
@@ -240,7 +242,7 @@ mod tests {
             drop(_request);
             cost.finish()
         };
-        (profile, crate::flight().trace(trace_id))
+        (profile, trace.finish())
     }
 
     /// Every event as `(names from the root down to it, shard label)`,

@@ -1,6 +1,6 @@
 //! Per-query resource accounting: the [`CostProfile`].
 //!
-//! Spans and the flight recorder answer *"where did the time go"*; the
+//! Spans and traces answer *"where did the time go"*; the
 //! cost profile answers *"what did this query cost"* — epochs touched,
 //! bytes read from each storage source, bytes decompressed per codec,
 //! rows scanned vs rows returned, cache hits/misses, and time split by
@@ -31,7 +31,7 @@
 //! is *detectable* instead of silently self-consistent.
 
 use crate::context::{self, Field, Guard};
-use crate::flight::now_ns;
+use crate::trace::now_ns;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Resource accounting for one query, assembled while a [`CostGuard`] is

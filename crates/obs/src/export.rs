@@ -1,9 +1,9 @@
-//! Exporters: sorted flame table, registry JSON, and the flight
-//! recorder as Chrome `trace_event` JSON.
+//! Exporters: sorted flame table, registry JSON, and traces as Chrome
+//! `trace_event` JSON.
 
-use crate::flight::{EventKind, SpanEvent};
 use crate::registry::Registry;
 use crate::span::SpanStats;
+use crate::trace::{EventKind, SpanEvent};
 use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -164,7 +164,7 @@ fn json_args(ev: &SpanEvent) -> String {
     out
 }
 
-/// Flight-recorder events as Chrome `trace_event` JSON (the object form:
+/// Trace events as Chrome `trace_event` JSON (the object form:
 /// `{"traceEvents": [...]}`), loadable in `chrome://tracing` / Perfetto.
 /// Spans become complete (`"ph": "X"`) events, instants become
 /// thread-scoped instant (`"ph": "i"`) events; the trace id is mapped to

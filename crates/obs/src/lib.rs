@@ -44,7 +44,6 @@ pub mod bytes;
 pub mod context;
 pub mod cost;
 pub mod export;
-pub mod flight;
 pub mod metrics;
 pub mod recorder;
 pub mod registry;
@@ -56,28 +55,21 @@ pub mod trace;
 
 pub use budget::{CancelFlag, Interrupt};
 pub use cost::CostProfile;
-pub use flight::{EventKind, FlightRecorder, SpanEvent};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use recorder::{Recorder, RecorderConfig};
 pub use registry::{MetricId, Registry};
 pub use slo::SloTracker;
 pub use span::{span, stage, SpanGuard, SpanStats};
 pub use tally::Tally;
+pub use trace::{EventKind, SpanEvent, TraceGuard};
 
 use std::sync::{Arc, OnceLock};
 
 static GLOBAL: OnceLock<Registry> = OnceLock::new();
-static FLIGHT: OnceLock<FlightRecorder> = OnceLock::new();
 
 /// The process-global registry every instrumented crate records into.
 pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
-}
-
-/// The process-global flight recorder; spans and events recorded under an
-/// active [`trace`] context land here.
-pub fn flight() -> &'static FlightRecorder {
-    FLIGHT.get_or_init(|| FlightRecorder::new(flight::DEFAULT_CAPACITY))
 }
 
 /// Get-or-create a named counter in the global registry.
@@ -158,9 +150,10 @@ pub fn observe_labeled(name: &str, labels: &[(&str, &str)], value: u64) {
     global().histogram_labeled(name, labels).record(value);
 }
 
-/// Clear the global registry, the flight recorder, the telemetry
-/// recorder and the SLO tracker (measurement boundary between
-/// experiments).
+/// Clear the global registry, the telemetry recorder and the SLO tracker
+/// (measurement boundary between experiments). A request's trace is no
+/// global: it belongs to whoever began it ([`trace::TraceGuard::finish`]),
+/// so a reset leaves every trace, finished or not, as it is.
 ///
 /// # Concurrency semantics
 ///
@@ -182,16 +175,15 @@ pub fn observe_labeled(name: &str, labels: &[(&str, &str)], value: u64) {
 /// which is what `repro` does between experiments.
 pub fn reset() {
     global().reset();
-    flight().clear();
     recorder::global().reset();
     slo::global().reset();
 }
 
-/// The process-global registry and flight recorder are shared
-/// by every unit test of this crate, and one of them — the reset race
-/// below — clears them 200 times. It holds this lock for writing; a test
-/// that asserts what the globals *contain* holds it for reading, so the
-/// two never overlap and the race keeps its full strength.
+/// The process-global registry is shared by every unit test of this
+/// crate, and one of them — the reset race below — clears it 200 times.
+/// It holds this lock for writing; a test that asserts what the globals
+/// *contain* holds it for reading, so the two never overlap and the race
+/// keeps its full strength.
 #[cfg(test)]
 static GLOBALS: std::sync::RwLock<()> = std::sync::RwLock::new(());
 

@@ -4,7 +4,7 @@
 //!
 //! The shard-per-core scale-out (`ShardedSpate`) runs N complete
 //! frameworks; without a shard dimension a hot shard is invisible — every
-//! counter, span and flight event lands in one process-global pile. The
+//! counter and span lands in one process-global pile. The
 //! guard [`enter`] returns marks the current thread as working on behalf
 //! of shard `i`; instrumentation that calls [`current`] (spans, cost
 //! profiles) or the [`add_sharded`] helper then attributes the work to

@@ -25,11 +25,12 @@
 //! Every request is traced end-to-end: admission mints a trace id
 //! (`(conn << 32) | request_id`), the worker (or the intake, for a warm
 //! explore it answers itself) installs it as an `obs::trace` context,
-//! and every span down through the framework and `dfs` files into the
-//! process-global flight recorder. Two control
+//! and every span down through the framework and `dfs` files into that
+//! request's trace, which settles in the server's request table beside
+//! its cost profile. Two control
 //! frames expose it live — [`RequestBody::Stats`] (counters, queue
 //! depths, cache ratios, meta-highlights anomalies) and
-//! [`RequestBody::Trace`] (one request's span tree) — both answered on
+//! [`RequestBody::Trace`] (one settled request's trace) — both answered on
 //! the connection's intake so they work even mid-shed-storm. A third,
 //! [`RequestBody::Profile`], returns a served request's [`obs::cost`]
 //! profile (epochs touched, bytes per source/codec, rows, cache

@@ -283,8 +283,12 @@ fn settled(
                 .endpoint
                 .clone(),
             request: request.clone(),
-            queued_at: Instant::now(),
-            trace_id,
+            admitted: Admitted {
+                trace_id,
+                class: Class::Interactive,
+                at: Instant::now(),
+                queue_depth: 0,
+            },
             cancel: CancelFlag::new(),
         };
         assert!(shared
@@ -302,8 +306,8 @@ fn settled(
     let mut cost = shared
         .requests
         .fence(trace_id, Duration::from_secs(10))
-        .profile(trace_id)
-        .cloned()
+        .settled(trace_id)
+        .and_then(|(_, settled)| settled.profile.clone())
         .expect("a served request leaves its profile");
     cost.total_ns = 0;
     cost.stage_ns.clear();

@@ -816,10 +816,9 @@ fn a_read_spawns_its_helper_from_the_second_piece_on() {
         let fw = &fw;
         let mut helpers = |read: &dyn Fn()| {
             trace_id += 1;
-            let guard = obs::trace::begin(trace_id);
+            let trace = obs::trace::begin(trace_id);
             read();
-            drop(guard);
-            named(&obs::flight().trace(trace_id), "read-ahead")
+            named(&trace.finish(), "read-ahead")
         };
         let query = |q: &Query, len: u32| {
             let window = q
@@ -879,20 +878,20 @@ fn a_read_ahead_query_is_traced_as_one_epoch_at_a_time_is() {
     {
         let caller = format!("test.read_ahead.caller.{backend}");
         let traced = |trace_id: u64, windows: &[(u32, u32)]| {
-            let _trace = obs::trace::begin(trace_id);
+            let trace = obs::trace::begin(trace_id);
             let _shard = obs::shard::enter(3);
             let _cost = obs::cost::begin(trace_id);
-            let _caller = obs::span(&caller);
+            let span = obs::span(&caller);
             for &(start, end) in windows {
                 let window = q.clone().with_window(EpochId(start), EpochId(end));
                 assert!(fw.query(&window).is_exact(), "{backend}");
             }
+            drop(span);
+            trace.finish()
         };
-        traced(trace_id, &[(0, last)]);
-        let whole = obs::flight().trace(trace_id);
+        let whole = traced(trace_id, &[(0, last)]);
         let one_at_a_time: Vec<(u32, u32)> = (0..=last).map(|e| (e, e)).collect();
-        traced(trace_id + 1, &one_at_a_time);
-        let pieced = obs::flight().trace(trace_id + 1);
+        let pieced = traced(trace_id + 1, &one_at_a_time);
 
         let by_id: BTreeMap<u64, &SpanEvent> = whole.iter().map(|e| (e.span_id, e)).collect();
         let root = whole

@@ -81,6 +81,18 @@ const RULES: &[Rule] = &[
         cut: Some("mod frame_cuts;"),
         planted: "    cancels: Mutex<HashMap<u64, CancelFlag>>,",
     },
+    // … and a request's trace settles in that entry beside its cost
+    // profile, kept by whoever began it (DESIGN §6.2): `obs` keeps no
+    // process-wide ring of trace events, and nothing files an event by
+    // trace id from outside the request's own trace.
+    Rule {
+        name: "One request record",
+        pattern: r"struct FlightRecorder|fn flight\(|instant_for",
+        paths: &["crates/obs/src", "crates/serve/src"],
+        except: &[],
+        cut: None,
+        planted: "pub fn flight() -> &'static FlightRecorder {",
+    },
     // The temporal index is one rule at every level (DESIGN §9.4): a
     // `Node` per period of each resolution, keyed by `Resolution::periods`,
     // and one list of leaves; `core::index` declares no node type per
