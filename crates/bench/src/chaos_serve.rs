@@ -396,6 +396,7 @@ pub fn chaos_serve_experiment(config: &BenchConfig, clients: usize, seed: u64) -
     let meta = server.meta_summary();
 
     let server = Arc::into_inner(server).expect("storm clients still hold server handles");
+    let mut traces = server.traces();
     let stats = server.shutdown();
 
     // ------------- phase 2: dfs-backed serving under chaos -------------
@@ -480,6 +481,7 @@ pub fn chaos_serve_experiment(config: &BenchConfig, clients: usize, seed: u64) -
         }
     }
     conn.close();
+    traces.extend(dfs_server.traces());
     dfs_server.shutdown();
     let faults = fs.fault_stats();
     let dfs_breaker = fs.breaker_stats();
@@ -488,6 +490,7 @@ pub fn chaos_serve_experiment(config: &BenchConfig, clients: usize, seed: u64) -
     let drill = breaker_drill();
 
     let mut r = Report::new("chaos-serve", Some("BENCH_CHAOS_SERVE.json"));
+    r.traces = traces;
     r.det("seed", seed);
     r.det("clients", clients);
     // Nobody hung, nobody died, the server answered afterwards: every

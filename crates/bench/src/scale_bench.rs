@@ -298,15 +298,17 @@ pub fn scale_experiment(shards: usize, clients: usize, seed: u64) -> Report {
 
     let storm_queries = (clients * STORM_QUERIES) as u64;
     let wall_secs = started.elapsed().as_secs_f64();
+    let mut traces = Vec::new();
     for server in [server1, servern] {
-        Arc::into_inner(server)
-            .expect("clients still hold server handles")
-            .shutdown();
+        let server = Arc::into_inner(server).expect("clients still hold server handles");
+        traces.extend(server.traces());
+        server.shutdown();
     }
 
     let n = shards as u64;
     let raw_mb = raw_bytes as f64 / 1e6;
     let mut r = Report::new("scale", Some("BENCH_SCALE.json"));
+    r.traces = traces;
     r.det("seed", seed);
     r.det("shards", shards);
     r.det("clients", clients);
