@@ -4,7 +4,9 @@
 //! in N alternating pairs per workload, the side that goes first
 //! alternating from pair to pair. Any run that is not `correct`, counts
 //! failed ops or exits non-zero stops the tool (exit 1) before it records
-//! anything. Per workload it prints, per metric, each side's median
+//! anything. Before each run it times a fixed calibration kernel in its
+//! own process (`spate_bench::pairs::calibrate`) and prints the times
+//! beside the pair. Per workload it prints, per metric, each side's median
 //! [q1-q3], the median pair ratio (change / base) and the pairs the
 //! change won, and appends one row to `BENCH_PERF.json`, naming the
 //! commit each side's directory is checked out at (`"unknown"` outside a
@@ -23,8 +25,8 @@
 //! process under `taskset -c 0`; nothing else is pinned.
 
 use spate_bench::pairs::{
-    append_row, commit_of, directions, parse_run, row_json, run_seconds, summarise, table, RowHead,
-    Run, Summary,
+    append_row, calibrate, commit_of, directions, parse_run, row_json, run_seconds, summarise,
+    table, RowHead, Run, Summary,
 };
 use std::path::{Path, PathBuf};
 use std::process::{exit, Command};
@@ -187,22 +189,25 @@ fn run(opts: &Opts) -> Result<(), String> {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     };
     for workload in &opts.workloads {
-        let (mut base, mut change) = (Vec::new(), Vec::new());
+        let (mut base, mut change, mut calibration_us) = (Vec::new(), Vec::new(), Vec::new());
         for pair in 0..opts.pairs {
             let base_first = pair % 2 == 0;
             let first = if base_first { &opts.base } else { &opts.change };
             let second = if base_first { &opts.change } else { &opts.base };
+            let (cal_a, a) = (calibrate(), run_once(opts, &seconds, first, workload)?);
+            let (cal_b, b) = (calibrate(), run_once(opts, &seconds, second, workload)?);
             eprintln!(
-                "{workload}: pair {}/{}, {} first",
+                "{workload}: pair {}/{}, {} first, calibration {cal_a:.1} µs then {cal_b:.1} µs",
                 pair + 1,
                 opts.pairs,
                 first.name
             );
-            let (a, b) = (
-                run_once(opts, &seconds, first, workload)?,
-                run_once(opts, &seconds, second, workload)?,
-            );
             let (to_base, to_change) = if base_first { (a, b) } else { (b, a) };
+            calibration_us.push(if base_first {
+                [cal_a, cal_b]
+            } else {
+                [cal_b, cal_a]
+            });
             base.push(to_base);
             change.push(to_change);
         }
@@ -221,6 +226,7 @@ fn run(opts: &Opts) -> Result<(), String> {
             seed: opts.seed,
             seconds: &seconds,
             trace: &opts.trace,
+            calibration_us: &calibration_us,
         };
         let out = |e: String| format!("{}: {e}", opts.out.display());
         let held = match std::fs::read_to_string(&opts.out) {

@@ -8,7 +8,9 @@
 //! method, as the benchmark's own `quartiles`), the median over pairs of
 //! change / base, and how many pairs the change won (ties count for
 //! neither side). One row per workload and CPU count is appended to
-//! `BENCH_PERF.json`, a JSON array with one row a line.
+//! `BENCH_PERF.json`, a JSON array with one row a line. Before each run
+//! the tool times a fixed kernel in its own process ([`calibrate`]), and
+//! the row keeps those times pair by pair: what host speed a pair ran at.
 
 /// The last line a benchmark run prints:
 /// `{"correct": …, "attempted": …, "failed": …, "metrics": {…}}`.
@@ -209,6 +211,35 @@ pub fn commit_of(dir: &std::path::Path) -> String {
     }
 }
 
+/// Inflates [`calibrate`] takes the best of.
+const CALIBRATION_ROUNDS: usize = 20;
+
+/// The host's speed now, in microseconds: the best of
+/// [`CALIBRATION_ROUNDS`] gzip-lite inflates of one fixed stream, the
+/// text of a busy generated epoch at the benchmark's 1/64 scale (~90 KB)
+/// compressed once per process. The same work on every commit, so a
+/// slower reading means a slower host, not a slower change.
+pub fn calibrate() -> f64 {
+    use codecs::{Codec, GzipLite};
+    use telco_trace::{TraceConfig, TraceGenerator};
+    static STREAM: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+    let codec = GzipLite::default();
+    let stream = STREAM.get_or_init(|| {
+        let busy = TraceGenerator::new(TraceConfig::scaled(1.0 / 64.0)).nth(20);
+        codec.compress(&busy.expect("a generated epoch").to_bytes())
+    });
+    let best = (0..CALIBRATION_ROUNDS)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            let text = codec.decompress(std::hint::black_box(stream));
+            std::hint::black_box(text.expect("the fixed stream inflates"));
+            start.elapsed()
+        })
+        .min()
+        .expect("at least one round");
+    best.as_secs_f64() * 1e6
+}
+
 /// What one row of `BENCH_PERF.json` records besides its metrics.
 #[derive(Debug, Clone)]
 pub struct RowHead<'a> {
@@ -222,6 +253,8 @@ pub struct RowHead<'a> {
     pub seed: u64,
     pub seconds: &'a str,
     pub trace: &'a str,
+    /// [`calibrate`] before each pair's base run and change run, in µs.
+    pub calibration_us: &'a [[f64; 2]],
 }
 
 fn quoted(text: &str) -> String {
@@ -245,10 +278,15 @@ pub fn row_json(head: &RowHead, summaries: &[Summary]) -> String {
         })
         .collect();
     let pairs = summaries.first().map_or(0, |s| s.pairs);
+    let calibration: Vec<String> = head
+        .calibration_us
+        .iter()
+        .map(|[base, change]| format!("[{}, {}]", num(*base), num(*change)))
+        .collect();
     format!(
         "{{\"label\": {}, \"base_commit\": {}, \"change_commit\": {}, \"workload\": {}, \
          \"cpus\": {}, \"seed\": {}, \"seconds\": {}, \"trace\": {}, \"pairs\": {pairs}, \
-         \"metrics\": {{{}}}}}",
+         \"calibration_us\": [{}], \"metrics\": {{{}}}}}",
         quoted(head.label),
         quoted(head.base_commit),
         quoted(head.change_commit),
@@ -257,6 +295,7 @@ pub fn row_json(head: &RowHead, summaries: &[Summary]) -> String {
         head.seed,
         head.seconds,
         head.trace,
+        calibration.join(", "),
         metrics.join(", ")
     )
 }
@@ -360,13 +399,15 @@ mod tests {
             seed: 1,
             seconds: "10",
             trace: "0",
+            calibration_us: &[[84.25, 85.5], [91.0, 90.125]],
         };
         let row = row_json(&head, &[s]);
         assert_eq!(
             row,
             "{\"label\": \"a \\\"b\\\"\", \"base_commit\": \"3f891f7\", \
              \"change_commit\": \"unknown\", \"workload\": \"serve_mixed\", \"cpus\": 2, \
-             \"seed\": 1, \"seconds\": 10, \"trace\": 0, \"pairs\": 2, \"metrics\": \
+             \"seed\": 1, \"seconds\": 10, \"trace\": 0, \"pairs\": 2, \
+             \"calibration_us\": [[84.2500, 85.5000], [91.0000, 90.1250]], \"metrics\": \
              {\"heavy_p50_ms\": {\"base\": [4.7500, 5.5000, 6.2500], \
              \"change\": [3.8750, 4.2500, 4.6250], \"ratio\": 0.7833, \"won\": 2}}}"
         );
@@ -382,6 +423,15 @@ mod tests {
         for malformed in [truncated, "{}", "[\n{\"a\": 1}", "x]"] {
             assert!(append_row(malformed, "{}").is_err(), "{malformed:?}");
         }
+    }
+
+    #[test]
+    fn the_calibration_kernel_times_a_fixed_inflate() {
+        let (a, b) = (calibrate(), calibrate());
+        assert!(
+            a > 0.0 && a.is_finite() && b > 0.0 && b.is_finite(),
+            "{a} {b}"
+        );
     }
 
     #[test]

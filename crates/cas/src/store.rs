@@ -261,7 +261,7 @@ impl CasStore {
             let streams: Vec<Vec<u8>> = image
                 .units
                 .iter()
-                .map(|unit| self.cfg.codec.compress_metered(unit))
+                .map(|unit| self.cfg.codec.compress_metered(&[unit]))
                 .collect();
             (!streams.is_empty()).then(|| pack::encode(&streams))
         };
@@ -298,7 +298,7 @@ impl CasStore {
         };
         // Manifests are compressed on disk like packs; their content
         // address (and the Merkle leaf) is the hash of the stored bytes.
-        let mbytes = self.cfg.codec.compress_metered(&manifest.encode());
+        let mbytes = self.cfg.codec.compress_metered(&[&manifest.encode()]);
         let manifest_hash = ChunkHash::of(&mbytes);
         let manifest = HeldManifest::new(manifest);
         let path = self.manifest_path(epoch);

@@ -255,6 +255,78 @@ fn decode_block(
     Ok(())
 }
 
+/// Append one member holding `input`, parsed as `tokens`: the header
+/// (magic, length, CRC-32) and its blocks.
+fn encode_member(out: &mut Vec<u8>, input: &[u8], tokens: &[Token]) {
+    out.extend_from_slice(MAGIC);
+    varint::write_u64(out, input.len() as u64);
+    out.extend_from_slice(&crc32(input).to_le_bytes());
+    let blocks: Vec<&[Token]> = tokens.chunks(BLOCK_TOKENS).collect();
+    varint::write_len(out, "gzip blocks", blocks.len());
+    for block in blocks {
+        encode_block(out, block);
+    }
+}
+
+/// Decode the member at `*pos` and append its output to `out`, verified
+/// against its own length and CRC-32; `*pos` moves past it.
+fn decode_member(input: &[u8], pos: &mut usize, out: &mut Vec<u8>) -> Result<(), CodecError> {
+    let member = &input[*pos..];
+    if member.len() < 4 || &member[..4] != MAGIC {
+        return Err(CodecError::BadMagic);
+    }
+    *pos += 4;
+    let declared_len = varint::read_u64(input, pos)? as usize;
+    if *pos + 4 > input.len() {
+        return Err(CodecError::Truncated);
+    }
+    let stored_crc = u32::from_le_bytes(input[*pos..*pos + 4].try_into().unwrap());
+    *pos += 4;
+    let n_blocks = varint::read_u32(input, pos)? as usize;
+    let start = out.len();
+    out.reserve(crate::bounded_capacity(declared_len) + lz77::COPY_SLACK);
+    let end = start.saturating_add(declared_len);
+    for _ in 0..n_blocks {
+        decode_block(input, pos, out, end)?;
+    }
+    if out.len() != end {
+        return Err(CodecError::Corrupt("decoded length mismatch"));
+    }
+    let actual = crc32(&out[start..]);
+    if actual != stored_crc {
+        return Err(CodecError::ChecksumMismatch {
+            expected: stored_crc,
+            actual,
+        });
+    }
+    Ok(())
+}
+
+/// The length of the member `input` opens with, read from its header and
+/// its blocks' headers alone; `None` where they do not hold together.
+fn member_len(input: &[u8]) -> Option<usize> {
+    let walk = || -> Result<usize, CodecError> {
+        if input.get(..4) != Some(MAGIC.as_slice()) {
+            return Err(CodecError::BadMagic);
+        }
+        let mut pos = 4;
+        varint::read_u64(input, &mut pos)?;
+        pos += 4;
+        let n_blocks = varint::read_u32(input, &mut pos)?;
+        for _ in 0..n_blocks {
+            read_lengths(input, &mut pos)?;
+            read_lengths(input, &mut pos)?;
+            varint::read_u32(input, &mut pos)?;
+            pos += varint::read_u32(input, &mut pos)? as usize;
+            if pos > input.len() {
+                return Err(CodecError::Truncated);
+            }
+        }
+        Ok(pos)
+    };
+    walk().ok()
+}
+
 impl Codec for GzipLite {
     fn name(&self) -> &'static str {
         "gzip-lite"
@@ -263,44 +335,57 @@ impl Codec for GzipLite {
     fn compress(&self, input: &[u8]) -> Vec<u8> {
         let tokens = lz77::parse(input, self.config);
         let mut out = Vec::with_capacity(input.len() / 4 + 64);
-        out.extend_from_slice(MAGIC);
-        varint::write_u64(&mut out, input.len() as u64);
-        out.extend_from_slice(&crc32(input).to_le_bytes());
-        let blocks: Vec<&[Token]> = tokens.chunks(BLOCK_TOKENS).collect();
-        varint::write_len(&mut out, "gzip blocks", blocks.len());
-        for block in blocks {
-            encode_block(&mut out, block);
-        }
+        encode_member(&mut out, input, &tokens);
         out
     }
 
+    /// One member a part, concatenated as RFC 1952 §2.2 concatenates gzip
+    /// members. Each part is parsed whole and encoded on its own, two
+    /// threads between them ([`lz77::parse_each`]). Below the
+    /// configuration's `split_min` bytes in all, or for one part, the
+    /// container is one member, [`Codec::compress`] of the concatenation:
+    /// a member's header and code tables take ~170 bytes, and so short an
+    /// inflate is not worth a second thread.
+    fn compress_members(&self, parts: &[&[u8]]) -> Vec<u8> {
+        let total: usize = parts.iter().map(|part| part.len()).sum();
+        match parts {
+            [one] => return self.compress(one),
+            _ if total < self.config.split_min => return self.compress(&parts.concat()),
+            _ => {}
+        }
+        let members = lz77::parse_each(parts, self.config, |part, tokens| {
+            let mut out = Vec::with_capacity(part.len() / 4 + 64);
+            encode_member(&mut out, part, &tokens);
+            out
+        });
+        members.concat()
+    }
+
+    /// A span that does not walk as a member ends the list with the rest
+    /// of `input`, which [`Codec::decompress`] then refuses.
+    fn members<'a>(&self, input: &'a [u8]) -> Vec<&'a [u8]> {
+        let mut members = Vec::new();
+        let mut rest = input;
+        while let Some(len) = member_len(rest).filter(|&len| len < rest.len()) {
+            let (member, after) = rest.split_at(len);
+            members.push(member);
+            rest = after;
+        }
+        members.push(rest);
+        members
+    }
+
+    /// Every member in turn, their outputs concatenated: bytes after the
+    /// last block of a member must open another whole member.
     fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        if input.len() < 4 || &input[..4] != MAGIC {
-            return Err(CodecError::BadMagic);
+        let mut out = Vec::new();
+        let mut pos = 0;
+        loop {
+            decode_member(input, &mut pos, &mut out)?;
+            if pos == input.len() {
+                return Ok(out);
+            }
         }
-        let mut pos = 4;
-        let declared_len = varint::read_u64(input, &mut pos)? as usize;
-        if pos + 4 > input.len() {
-            return Err(CodecError::Truncated);
-        }
-        let stored_crc = u32::from_le_bytes(input[pos..pos + 4].try_into().unwrap());
-        pos += 4;
-        let n_blocks = varint::read_u32(input, &mut pos)? as usize;
-        let mut out = Vec::with_capacity(crate::bounded_capacity(declared_len) + lz77::COPY_SLACK);
-        for _ in 0..n_blocks {
-            decode_block(input, &mut pos, &mut out, declared_len)?;
-        }
-        if out.len() != declared_len {
-            return Err(CodecError::Corrupt("decoded length mismatch"));
-        }
-        let actual = crc32(&out);
-        if actual != stored_crc {
-            return Err(CodecError::ChecksumMismatch {
-                expected: stored_crc,
-                actual,
-            });
-        }
-        Ok(out)
     }
 }
 
@@ -417,5 +502,99 @@ mod tests {
     fn all_byte_values() {
         let data: Vec<u8> = (0..=255u8).cycle().take(10_000).collect();
         round_trip(&data);
+    }
+
+    /// A CDR-like and an NMS-like part, long enough together to be
+    /// compressed on two threads.
+    fn two_parts() -> (Vec<u8>, Vec<u8>) {
+        let cdr = b"#SNAPSHOT epoch=7\n#TABLE CDR\n8210000017,LTE,42,0,1500\n".repeat(400);
+        let nms = b"#TABLE NMS\n17,2016-01-22T15:30:00,0,3,0\n".repeat(300);
+        assert!(cdr.len() + nms.len() >= Lz77Config::deflate_class().split_min);
+        (cdr, nms)
+    }
+
+    #[test]
+    fn members_decompress_to_their_concatenation_and_each_alone() {
+        let codec = GzipLite::default();
+        let (cdr, nms) = two_parts();
+        let packed = codec.compress_members(&[&cdr, &nms]);
+        assert_eq!(
+            codec.decompress(&packed).unwrap(),
+            [cdr.clone(), nms.clone()].concat()
+        );
+        let members = codec.members(&packed);
+        assert_eq!(members.len(), 2);
+        assert_eq!(members.concat(), packed);
+        assert_eq!(codec.decompress(members[0]).unwrap(), cdr);
+        assert_eq!(codec.decompress(members[1]).unwrap(), nms);
+        // One part is `compress` of it, split parse and all; so are parts
+        // too short to be worth a member each.
+        let whole = [cdr, nms].concat();
+        assert_eq!(codec.compress_members(&[&whole]), codec.compress(&whole));
+        let short = [&whole[..100], &whole[100..200]];
+        assert_eq!(
+            codec.compress_members(&short),
+            codec.compress(&whole[..200])
+        );
+    }
+
+    #[test]
+    fn members_of_a_one_member_stream_is_the_stream() {
+        let codec = GzipLite::default();
+        let packed = codec.compress(&b"one member, one span".repeat(40));
+        assert_eq!(codec.members(&packed), [packed.as_slice()]);
+        assert_eq!(codec.members(b""), [b"".as_slice()]);
+        assert_eq!(codec.members(b"junk"), [b"junk".as_slice()]);
+    }
+
+    #[test]
+    fn bytes_after_a_member_must_be_whole_members() {
+        let codec = GzipLite::default();
+        let packed = codec.compress(b"payload payload payload");
+        for trailing in [&b"x"[..], b"SPZ1", &packed[..packed.len() - 1]] {
+            let stream = [packed.as_slice(), trailing].concat();
+            assert!(codec.decompress(&stream).is_err(), "{trailing:?}");
+        }
+        let twice = [packed.clone(), packed].concat();
+        assert_eq!(
+            codec.decompress(&twice).unwrap(),
+            b"payload payload payload".repeat(2)
+        );
+    }
+
+    /// Every cut and every bit flip of a two-member stream, read whole
+    /// and member by member: refused, or the text — or, cut where a
+    /// member ends, the members before the cut, which are a whole stream.
+    #[test]
+    fn every_cut_and_flip_of_two_members_is_refused_or_reads_back() {
+        // Members however short, so that the sweep stays small.
+        let codec = GzipLite::with_config(Lz77Config {
+            split_min: 0,
+            ..Lz77Config::deflate_class()
+        });
+        let (cdr, nms) = (
+            b"#TABLE CDR\n1,2,3\n4,5,6\n".repeat(3),
+            b"#TABLE NMS\n7,8\n".repeat(3),
+        );
+        let packed = codec.compress_members(&[&cdr, &nms]);
+        let text = [cdr.clone(), nms].concat();
+        let first = codec.members(&packed)[0].len();
+        assert!(first < packed.len());
+        obs::bytes::sweep(&packed, |damage, bytes| {
+            let read_back = |out: &[u8]| match damage {
+                obs::bytes::Damage::Cut(n) if n == first => out == cdr.as_slice(),
+                _ => out == text.as_slice(),
+            };
+            if let Ok(out) = codec.decompress(bytes) {
+                assert!(read_back(&out), "{damage:?}");
+            }
+            let members = codec.members(bytes);
+            assert_eq!(members.concat(), bytes, "{damage:?}");
+            let each: Result<Vec<Vec<u8>>, _> =
+                members.iter().map(|m| codec.decompress(m)).collect();
+            if let Ok(each) = each {
+                assert!(read_back(&each.concat()), "{damage:?}");
+            }
+        });
     }
 }

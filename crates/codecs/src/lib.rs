@@ -128,20 +128,40 @@ pub trait Codec: Send + Sync {
     /// codec, verifying the embedded checksum.
     fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, CodecError>;
 
-    /// [`Codec::compress`] plus metering: records
+    /// Compress `parts` into one container that decompresses to their
+    /// concatenation, each part a member of its own where the codec has
+    /// members ([`Codec::members`]), so that a reader can inflate one part
+    /// alone. By default the container is one member:
+    /// [`Codec::compress`] of the concatenation (of the one part itself,
+    /// uncopied, when there is one).
+    fn compress_members(&self, parts: &[&[u8]]) -> Vec<u8> {
+        match parts {
+            [one] => self.compress(one),
+            _ => self.compress(&parts.concat()),
+        }
+    }
+
+    /// The members of `input`, in order and end to end, as their own
+    /// headers delimit them, found without inflating any: each one
+    /// decompresses alone, and [`Codec::decompress`] of the container is
+    /// their outputs concatenated. Never empty. By default a container is
+    /// one member.
+    fn members<'a>(&self, input: &'a [u8]) -> Vec<&'a [u8]> {
+        vec![input]
+    }
+
+    /// [`Codec::compress_members`] plus metering: records
     /// `codecs.<name>.compress.bytes_in` / `.bytes_out` counters and a
     /// `codecs.<name>.compress_ns` latency histogram in the global
     /// registry. Deliberately *not* a tracing span, so storage-level
     /// stage spans keep the codec work in their own self-time.
-    fn compress_metered(&self, input: &[u8]) -> Vec<u8> {
+    fn compress_metered(&self, parts: &[&[u8]]) -> Vec<u8> {
         let start = std::time::Instant::now();
-        let out = self.compress(input);
+        let out = self.compress_members(parts);
         let ns = start.elapsed().as_nanos() as u64;
         let name = self.name();
-        obs::add(
-            &format!("codecs.{name}.compress.bytes_in"),
-            input.len() as u64,
-        );
+        let bytes_in: usize = parts.iter().map(|part| part.len()).sum();
+        obs::add(&format!("codecs.{name}.compress.bytes_in"), bytes_in as u64);
         obs::add(
             &format!("codecs.{name}.compress.bytes_out"),
             out.len() as u64,
@@ -241,7 +261,7 @@ mod tests {
         let data = vec![7u8; 2048];
         let before_in = obs::counter("codecs.identity.compress.bytes_in").get();
         let before_rt = obs::histogram("codecs.identity.decompress_ns").count();
-        let packed = c.compress_metered(&data);
+        let packed = c.compress_metered(&[&data]);
         let out = c.decompress_metered(&packed).unwrap();
         assert_eq!(out, data);
         assert_eq!(

@@ -10,7 +10,8 @@
 //! `len / 2` and parses the halves on two threads, the second with up to a
 //! window of the first as a preset dictionary (pigz's construction). Where
 //! the cut falls depends on the input's length alone, so the tokens are the
-//! same on one core as on many.
+//! same on one core as on many. [`parse_each`] parses parts that must
+//! decode alone (the members of a stream) whole, cut where they meet.
 
 use std::cell::Cell;
 use std::sync::{Mutex, TryLockError};
@@ -288,7 +289,8 @@ thread_local! {
 type Tables = (Vec<i32>, Vec<i32>);
 
 /// The tables of the thread that parsed the last second half (see
-/// [`parse`]): that thread is gone, and the next one starts with them.
+/// [`on_two_threads`]): that thread is gone, and the next one starts with
+/// them.
 /// Holding the lock is also the right to start that thread: a caller that
 /// finds it taken parses both halves itself, so concurrent compressions (a
 /// sharded ingest) start one thread more, not one more each.
@@ -456,40 +458,76 @@ impl<'a> MatchFinder<'a> {
 /// From `config.split_min` bytes on, the input is cut at `mid = len / 2`:
 /// this thread parses `input[..mid]` while a scoped thread parses
 /// `input[mid..]` with up to one window before `mid` as its preset
-/// dictionary (or this thread does, after the first half, when another
-/// split holds `SPARE`), and the two token runs are joined — the tokens
-/// of the same two calls made one after the other, so only matches across
-/// `mid` are lost.
+/// dictionary ([`on_two_threads`]), and the two token runs are joined —
+/// the tokens of the same two calls made one after the other, so only
+/// matches across `mid` are lost.
 pub fn parse(input: &[u8], config: Lz77Config) -> Vec<Token> {
     if input.len() < config.split_min {
         return MatchFinder::new(input, config).parse(0);
     }
     let mid = input.len() / 2;
     let from = mid.saturating_sub(config.window_size());
-    let tail = || MatchFinder::new(&input[from..], config).parse(mid - from);
+    let (mut tokens, second) = on_two_threads(
+        || MatchFinder::new(&input[..mid], config).parse(0),
+        || MatchFinder::new(&input[from..], config).parse(mid - from),
+    );
+    tokens.extend(second);
+    tokens
+}
+
+/// Parse each of `parts` whole and on its own, with no dictionary, so
+/// that each one's tokens decode alone, and hand `finish` each part with
+/// its tokens; the results come back in order. From `config.split_min`
+/// bytes in all, the first part is parsed and finished on this thread
+/// while a scoped thread does the others ([`on_two_threads`]): the part
+/// boundaries take the place of [`parse`]'s cut at `mid`.
+pub fn parse_each<T: Send>(
+    parts: &[&[u8]],
+    config: Lz77Config,
+    finish: impl Fn(&[u8], Vec<Token>) -> T + Sync,
+) -> Vec<T> {
+    let one = |part: &[u8]| finish(part, MatchFinder::new(part, config).parse(0));
+    let total: usize = parts.iter().map(|part| part.len()).sum();
+    match parts {
+        [first, rest @ ..] if !rest.is_empty() && total >= config.split_min => {
+            let (first, rest) = on_two_threads(
+                || one(first),
+                || rest.iter().map(|part| one(part)).collect::<Vec<T>>(),
+            );
+            std::iter::once(first).chain(rest).collect()
+        }
+        _ => parts.iter().map(|part| one(part)).collect(),
+    }
+}
+
+/// `(first(), second())`, with `first` on this thread while a scoped
+/// thread runs `second` on the tables `SPARE` holds, or both here, one
+/// after the other, when another caller holds `SPARE`.
+fn on_two_threads<A, B: Send>(
+    first: impl FnOnce() -> A,
+    second: impl FnOnce() -> B + Send,
+) -> (A, B) {
     let mut spare = match SPARE.try_lock() {
         Ok(spare) => spare,
         // The tables are plain vectors whatever a panic interrupted.
         Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
         Err(TryLockError::WouldBlock) => {
-            let mut tokens = MatchFinder::new(&input[..mid], config).parse(0);
-            tokens.extend(tail());
-            return tokens;
+            let first = first();
+            return (first, second());
         }
     };
     let tables = std::mem::take(&mut *spare);
     std::thread::scope(|s| {
-        let second = s.spawn(|| {
+        let helper = s.spawn(|| {
             TABLES.set(tables);
-            (tail(), TABLES.take())
+            (second(), TABLES.take())
         });
-        let mut tokens = MatchFinder::new(&input[..mid], config).parse(0);
-        let (second, tables) = second
+        let first = first();
+        let (second, tables) = helper
             .join()
             .unwrap_or_else(|e| std::panic::resume_unwind(e));
         *spare = tables;
-        tokens.extend(second);
-        tokens
+        (first, second)
     })
 }
 

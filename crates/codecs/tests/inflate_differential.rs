@@ -182,21 +182,33 @@ mod reference {
         Ok(())
     }
 
+    /// Every member of `input` in turn, their outputs concatenated: the
+    /// bytes after a member's last block must open another member.
     pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        if input.len() < 4 || &input[..4] != b"SPZ1" {
+        let (mut out, mut pos) = (Vec::new(), 0);
+        loop {
+            out.extend(member(input, &mut pos)?);
+            if pos == input.len() {
+                return Ok(out);
+            }
+        }
+    }
+
+    fn member(input: &[u8], pos: &mut usize) -> Result<Vec<u8>, CodecError> {
+        if input.len() < *pos + 4 || &input[*pos..*pos + 4] != b"SPZ1" {
             return Err(CodecError::BadMagic);
         }
-        let mut pos = 4;
-        let declared_len = varint::read_u64(input, &mut pos)? as usize;
-        if pos + 4 > input.len() {
+        *pos += 4;
+        let declared_len = varint::read_u64(input, pos)? as usize;
+        if *pos + 4 > input.len() {
             return Err(CodecError::Truncated);
         }
-        let stored_crc = u32::from_le_bytes(input[pos..pos + 4].try_into().unwrap());
-        pos += 4;
-        let n_blocks = varint::read_u32(input, &mut pos)? as usize;
+        let stored_crc = u32::from_le_bytes(input[*pos..*pos + 4].try_into().unwrap());
+        *pos += 4;
+        let n_blocks = varint::read_u32(input, pos)? as usize;
         let mut out = Vec::with_capacity(declared_len.min(16 << 20));
         for _ in 0..n_blocks {
-            decode_block(input, &mut pos, &mut out, declared_len)?;
+            decode_block(input, pos, &mut out, declared_len)?;
         }
         if out.len() != declared_len {
             return Err(CodecError::Corrupt("decoded length mismatch"));

@@ -475,8 +475,8 @@ impl RowPlan {
     /// per table `a` selects from, CDR before NMS, a [`Lent`] iterator
     /// over the records [`Self::project`] would append, in record order.
     /// A record is seen through [`Self::columns`]; nothing is cloned. The
-    /// epoch is accounted as `project` accounts it: every record scanned,
-    /// every record `take` drew returned.
+    /// epoch is accounted as `project` accounts it: every record of the
+    /// tables `a` selects from scanned, every record `take` drew returned.
     pub fn lend<'s, E>(
         &'s self,
         snap: &'s Snapshot,
@@ -497,7 +497,8 @@ impl RowPlan {
                 break;
             }
         }
-        obs::cost::add_rows(snap.total_records() as u64, returned);
+        let scanned = self.tables.iter().map(|&t| snap.table(t).len() as u64);
+        obs::cost::add_rows(scanned.sum(), returned);
         taken
     }
 
@@ -522,7 +523,7 @@ impl RowPlan {
     /// order, that [`Self::project`] appends over the decoded snapshot:
     /// every row [`StoredRows::walk`] lends is tested on its cell-id
     /// column, and only the columns `a` names become values. Every row of
-    /// the epoch counts as scanned. On an error — the read's, or text that
+    /// the tables read counts as scanned. On an error — the read's, or text that
     /// does not parse or is another epoch's — `out` is left as it was and
     /// nothing is accounted.
     pub(crate) fn scan_read(
@@ -732,9 +733,10 @@ mod tests {
 
     type Texts = std::collections::HashMap<EpochId, Vec<u8>>;
 
-    /// A Path leaf's read of `text`, as the store lends it.
-    fn read(text: &[u8]) -> Result<StoredRows, StorageError> {
-        Ok(StoredRows::text(text.to_vec()))
+    /// A one-member Path leaf's read of `text` for `plan`, as the store
+    /// lends it.
+    fn read(plan: &RowPlan, text: &[u8]) -> Result<StoredRows, StorageError> {
+        StoredRows::text(text.to_vec(), plan.tables())
     }
 
     /// Three epochs, their serialized text by epoch, and a plan selecting
@@ -754,7 +756,10 @@ mod tests {
         plan: &'a RowPlan,
         texts: &'a Texts,
     ) -> impl FnMut(EpochId, &mut ExactResult) -> bool + 'a {
-        move |epoch, out| plan.scan_read(epoch, read(&texts[&epoch]), out).is_ok()
+        move |epoch, out| {
+            plan.scan_read(epoch, read(plan, &texts[&epoch]), out)
+                .is_ok()
+        }
     }
 
     #[test]
@@ -773,7 +778,8 @@ mod tests {
         bad.remove(comma);
         let mut others = plan.empty_result();
         for e in [epochs[0], epochs[2]] {
-            plan.scan_read(e, read(&texts[&e]), &mut others).unwrap();
+            plan.scan_read(e, read(&plan, &texts[&e]), &mut others)
+                .unwrap();
         }
         let mut emitted = 0;
         let mut out = plan.empty_result();
@@ -860,7 +866,7 @@ mod tests {
             let cost = obs::cost::begin(0);
             let mut scanned = plan.empty_result();
             for snap in &snaps {
-                plan.scan_read(snap.epoch, read(&snap.to_bytes()), &mut scanned)
+                plan.scan_read(snap.epoch, read(&plan, &snap.to_bytes()), &mut scanned)
                     .unwrap();
             }
             let scan_cost = cost.finish();
@@ -874,7 +880,10 @@ mod tests {
             let project_cost = cost.finish();
             assert_eq!(scan_cost.rows_scanned, project_cost.rows_scanned);
             assert_eq!(scan_cost.rows_returned, project_cost.rows_returned);
-            let walked: usize = parsed.iter().map(Snapshot::total_records).sum();
+            let walked: usize = parsed
+                .iter()
+                .flat_map(|s| plan.tables().iter().map(|&t| s.table(t).len()))
+                .sum();
             assert_eq!(scan_cost.rows_scanned, walked as u64);
         }
     }
@@ -887,24 +896,24 @@ mod tests {
         let q = Query::new(&["upflux", "call_drops"], BoundingBox::everything());
         let plan = RowPlan::new(&q, &layout);
         let mut out = plan.empty_result();
-        plan.scan_read(snaps[0].epoch, read(&snaps[0].to_bytes()), &mut out)
+        plan.scan_read(snaps[0].epoch, read(&plan, &snaps[0].to_bytes()), &mut out)
             .unwrap();
         assert!(!out.cdr.rows.is_empty() && !out.nms.rows.is_empty());
         let before = out.clone();
 
-        // The last row of the second epoch lost a field: every row before
-        // it was selected and must go again.
+        // The last row of the second epoch lost a field: its framing
+        // refuses the epoch, and no row of it is selected.
         let mut text = snaps[1].to_bytes();
         let comma = text.iter().rposition(|&b| b == b',').unwrap();
         text.remove(comma);
         assert!(matches!(
-            plan.scan_read(snaps[1].epoch, read(&text), &mut out),
+            plan.scan_read(snaps[1].epoch, read(&plan, &text), &mut out),
             Err(StorageError::Parse(_))
         ));
         assert_eq!(out, before);
         // Another epoch's text, whole and valid.
         assert!(matches!(
-            plan.scan_read(EpochId(99), read(&snaps[1].to_bytes()), &mut out),
+            plan.scan_read(EpochId(99), read(&plan, &snaps[1].to_bytes()), &mut out),
             Err(StorageError::WrongEpoch { .. })
         ));
         assert_eq!(out, before);

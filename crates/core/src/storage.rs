@@ -7,7 +7,9 @@
 //! directory hierarchy, through one of two backends:
 //!
 //! - **Path-addressed** (the default): one compressed `.snap` file per
-//!   30-minute snapshot.
+//!   30-minute snapshot, its text in two members of the codec
+//!   ([`Codec::compress_members`]): the header line and the CDR table,
+//!   then the NMS table. The leaf still decompresses whole to the text.
 //! - **Content-addressed** ([`SnapshotStore::new_cas`]): snapshots are
 //!   transposed into columns, each table's varying columns one unit
 //!   named by its content hash and packed into the epoch's own `.pk`
@@ -18,15 +20,17 @@
 //! Either way the index, decay and query layers above see the same
 //! store/load/evict surface, and a scan and [`SnapshotStore::load`] read
 //! an epoch alike: `SnapshotStore::fetch` (every dfs read), then
-//! `SnapshotStore::decode` of each of its pieces (a Path leaf inflated
-//! into its text; each table a CAS epoch is asked for, read as columns).
+//! `SnapshotStore::decode` of each of its pieces, one a table asked for:
+//! a Path leaf's member inflated and its rows framed (the first member,
+//! which holds the header that names the epoch, always), or a CAS table
+//! read as columns.
 //!
 //! Every read of stored epochs — `Q(a, b, w)`'s exact branch, T1–T8,
 //! SPATE-SQL and [`SnapshotStore::load`] — goes through [`read_ahead`]:
-//! from two pieces on, a helper thread fetches, inflates and verifies
-//! pieces beside the caller, so a one-epoch CAS read inflates its CDR and
-//! NMS units at once, while the caller scans whole epochs, one at a time
-//! and in epoch order.
+//! from two pieces on, and where a second core exists, a helper thread
+//! fetches, inflates and frames or verifies pieces beside the caller, so a
+//! one-epoch read of both tables inflates its CDR and NMS at once, while
+//! the caller scans whole epochs, one at a time and in epoch order.
 
 use cas::{CasConfig, CasError, CasRecoverReport, CasStore, SnapshotColumns};
 use codecs::{Codec, CodecError};
@@ -34,8 +38,8 @@ use dfs::{Dfs, DfsError};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use telco_trace::schema::TableKind;
-use telco_trace::snapshot::{ColumnTable, Row, Snapshot, SnapshotParseError};
+use telco_trace::schema::{cdr, nms, TableKind};
+use telco_trace::snapshot::{ColumnTable, Row, Snapshot, SnapshotParseError, TextPart};
 use telco_trace::time::EpochId;
 
 /// Errors from the storage layer.
@@ -134,8 +138,9 @@ enum Fetched<'s> {
 /// One stored epoch as a scan ([`SnapshotStore::read_ahead`]) or
 /// [`SnapshotStore::load`] reads it.
 enum EpochRows {
-    /// A Path leaf: the serialized snapshot ([`Snapshot::to_bytes`] text).
-    Text(Vec<u8>),
+    /// A Path leaf: the members read, framed, the first (which holds the
+    /// header) first.
+    Text(Vec<TextPart>),
     /// A CAS epoch: the tables the scan asked for, held as columns.
     Columns(SnapshotColumns),
 }
@@ -150,46 +155,60 @@ pub(crate) struct StoredRows(EpochRows);
 
 impl StoredRows {
     /// Lend `visit` every row of the tables read, CDR before NMS and in
-    /// stored order, under the `parse` stage, and return the epoch's row
-    /// count: every row of both its tables, whichever were read. Text is
-    /// walked whole ([`Snapshot::scan`]) and its header must name `epoch`;
-    /// a CAS epoch's columns are whole and checked, and lend the tables
-    /// the scan asked for. On an `Err` the rows lent belong to text that
-    /// is refused, and the caller discards them.
+    /// stored order, under the `parse` stage, and return how many: the
+    /// rows of the tables read, whichever way the epoch is stored. Text
+    /// is lent as its pieces framed it, once its header names `epoch`; a
+    /// CAS epoch's columns are whole and checked. On an `Err` nothing is
+    /// lent.
     pub(crate) fn walk<'s>(
         &'s self,
         epoch: EpochId,
         mut visit: impl FnMut(TableKind, Row<'s>),
     ) -> Result<u64, StorageError> {
         parse_stage(|| match &self.0 {
-            EpochRows::Text(text) => {
+            EpochRows::Text(parts) => {
+                check_epoch(epoch, Self::named(parts))?;
                 let mut rows = 0;
-                let found = Snapshot::scan(text, |table, row| {
+                for (table, row) in parts.iter().flat_map(TextPart::rows) {
                     rows += 1;
                     visit(table, Row::Text(row));
-                })?;
-                check_epoch(epoch, found).map(|()| rows)
+                }
+                Ok(rows)
             }
             EpochRows::Columns(columns) => {
+                let mut lent = 0;
                 for (table, rows) in &columns.tables {
                     (0..rows.rows()).for_each(|r| visit(*table, rows.row(r)));
+                    lent += rows.rows() as u64;
                 }
-                Ok(columns.rows)
+                Ok(lent)
             }
         })
     }
 
-    /// A Path leaf's read: its inflated text.
+    /// The epoch a Path leaf's header names: its first member's.
+    fn named(parts: &[TextPart]) -> EpochId {
+        parts[0]
+            .epoch()
+            .expect("a leaf's first member holds its header")
+    }
+
+    /// A Path leaf's read of `tables` when its one member is `text`.
     #[cfg(test)]
-    pub(crate) fn text(text: Vec<u8>) -> Self {
-        StoredRows(EpochRows::Text(text))
+    pub(crate) fn text(text: Vec<u8>, tables: &[TableKind]) -> EpochRead {
+        let part = TextPart::frame(text, true, &SECTIONS, tables)?;
+        Ok(StoredRows(EpochRows::Text(vec![part])))
     }
 }
 
+/// The table sections of a snapshot's text, in order.
+const SECTIONS: [TableKind; 2] = [TableKind::Cdr, TableKind::Nms];
+
 /// One piece of an epoch's read ([`SnapshotStore::decode`]).
 enum Piece {
-    /// A Path leaf inflated: the epoch's whole text.
-    Text(Vec<u8>),
+    /// A member of a Path leaf inflated and framed; `None` for the second
+    /// piece of a leaf of one member, whose first holds both tables.
+    Text(Option<TextPart>),
     /// One table of a CAS epoch, as columns.
     Table(TableKind, ColumnTable),
 }
@@ -313,8 +332,10 @@ impl SnapshotStore {
     }
 
     /// Serialize, compress and persist one snapshot: a Path leaf is its
-    /// [`Snapshot::to_bytes`] text compressed, a CAS epoch its column
-    /// image ([`CasStore::put_snapshot`]), written with no text at all.
+    /// [`Snapshot::to_bytes`] text compressed as two members, the header
+    /// and CDR table, then the NMS table ([`Snapshot::to_sections`]); a
+    /// CAS epoch its column image ([`CasStore::put_snapshot`]), written
+    /// with no text at all.
     ///
     /// Crash-consistent: a Path leaf is committed by [`Dfs::write_staged`]
     /// (a CAS epoch's manifest likewise). A crash mid-write leaves either
@@ -329,13 +350,14 @@ impl SnapshotStore {
     pub fn store(&self, snapshot: &Snapshot) -> Result<StoredSnapshot, StorageError> {
         match &self.backend {
             Backend::Path { codec } => {
-                let raw = {
+                let (raw, nms_at) = {
                     let _s = obs::span("segment");
-                    snapshot.to_bytes()
+                    snapshot.to_sections()
                 };
                 let packed = {
                     let _s = obs::span("compress");
-                    codec.compress_metered(&raw)
+                    let (head, nms) = raw.split_at(nms_at);
+                    codec.compress_metered(&[head, nms])
                 };
                 let path = self.path_for(snapshot.epoch);
                 self.dfs.write_staged(&path, &packed)?;
@@ -370,19 +392,25 @@ impl SnapshotStore {
     }
 
     /// Load and decode the snapshot of an epoch: the read a scan of both
-    /// tables makes ([`read_ahead`] of the one epoch), then, under
-    /// the `parse` stage, a Path leaf's text parsed (its header must name
-    /// `epoch`) or a CAS epoch's records built from its verified columns —
-    /// refused exactly when a scan of both its tables is.
+    /// tables makes ([`read_ahead`] of the one epoch), then, under the
+    /// `parse` stage, a Path leaf's framed rows made records (its header
+    /// must name `epoch`) or a CAS epoch's records built from its verified
+    /// columns — refused exactly when a scan of both its tables is.
     pub fn load(&self, epoch: EpochId) -> Result<Snapshot, StorageError> {
-        let both = [TableKind::Cdr, TableKind::Nms];
-        let read = self.read_ahead(&[epoch], &both, |reads| {
+        let read = self.read_ahead(&[epoch], &SECTIONS, |reads| {
             reads.next().expect("a read of the one epoch").1
         })?;
         parse_stage(|| match read.0 {
-            EpochRows::Text(text) => {
-                let snap = Snapshot::from_bytes(&text)?;
-                check_epoch(epoch, snap.epoch).map(|()| snap)
+            EpochRows::Text(parts) => {
+                check_epoch(epoch, StoredRows::named(&parts))?;
+                let (mut cdr, mut nms) = (Vec::new(), Vec::new());
+                for (table, row) in parts.iter().flat_map(TextPart::rows) {
+                    match table {
+                        TableKind::Cdr => cdr.push(Row::Text(row).record(cdr::WIDTH)),
+                        _ => nms.push(Row::Text(row).record(nms::WIDTH)),
+                    }
+                }
+                Ok(Snapshot::new(epoch, cdr, nms))
             }
             EpochRows::Columns(columns) => {
                 let records = |i: usize| columns.tables[i].1.records();
@@ -410,22 +438,26 @@ impl SnapshotStore {
         }
     }
 
-    /// How many pieces a read of `tables` decodes of an epoch: a Path
-    /// leaf is one, a CAS epoch one per table asked for.
+    /// How many pieces a read of `tables` decodes of an epoch: a CAS
+    /// epoch one per table asked for; a Path leaf its first member, which
+    /// holds the header, and its second when NMS is asked for.
     fn pieces(&self, tables: &[TableKind]) -> usize {
         match &self.backend {
-            Backend::Path { .. } => 1,
+            Backend::Path { .. } => 1 + usize::from(tables.contains(&TableKind::Nms)),
             Backend::Cas(_) => cas::stored_tables(tables).count(),
         }
     }
 
     /// The second half, one piece at a time: piece `piece` of what a read
-    /// of `tables` takes of the fetched epoch. A Path leaf's one piece is
-    /// the leaf inflated into its text, under the `decompress` stage. A
-    /// CAS epoch's piece `i` is the `i`-th table of `tables` in stored
-    /// order inflated, verified and indexed, under the `read` stage
-    /// ([`cas::EpochReader::table`]: checked as the parser checks the same
-    /// table of the text).
+    /// of `tables` takes of the fetched epoch. A Path leaf's piece 0 is its
+    /// first member, piece 1 the members after it ([`Codec::members`]),
+    /// each inflated under the `decompress` stage and framed under the
+    /// `parse` stage ([`TextPart::frame`]: every table it holds checked,
+    /// the rows of `tables` kept); a leaf of one member is read whole by
+    /// piece 0. A CAS epoch's piece `i` is the
+    /// `i`-th table of `tables` in stored order inflated, verified and
+    /// indexed, under the `read` stage ([`cas::EpochReader::table`]:
+    /// checked as the parser checks the same table of the text).
     fn decode(
         fetched: &Fetched<'_>,
         tables: &[TableKind],
@@ -433,8 +465,19 @@ impl SnapshotStore {
     ) -> Result<Piece, StorageError> {
         match fetched {
             Fetched::Packed(codec, bytes) => {
-                let _s = obs::stage("decompress");
-                Ok(Piece::Text(codec.decompress_metered(bytes)?))
+                let (first, rest) = bytes.split_at(codec.members(bytes)[0].len());
+                let (member, head, sections) = match piece {
+                    0 if rest.is_empty() => (first, true, &SECTIONS[..]),
+                    0 => (first, true, &SECTIONS[..1]),
+                    _ if rest.is_empty() => return Ok(Piece::Text(None)),
+                    _ => (rest, false, &SECTIONS[1..]),
+                };
+                let text = {
+                    let _s = obs::stage("decompress");
+                    codec.decompress_metered(member)?
+                };
+                let part = parse_stage(|| TextPart::frame(text, head, sections, tables))?;
+                Ok(Piece::Text(Some(part)))
             }
             Fetched::Open(reader) => {
                 let _s = obs::stage("read");
@@ -446,31 +489,33 @@ impl SnapshotStore {
         }
     }
 
-    /// An epoch's read from its pieces, in order: the text, or the columns
-    /// of every table asked for. The first piece that failed refuses the
-    /// whole epoch, as [`cas::EpochReader::snapshot_columns`] refuses it:
-    /// nothing of an epoch is lent before every piece of it has passed.
+    /// An epoch's read from its pieces, in order: the members framed, or
+    /// the columns of every table asked for. The first piece that failed
+    /// refuses the whole epoch, as [`cas::EpochReader::snapshot_columns`]
+    /// refuses it: nothing of an epoch is lent before every piece of it
+    /// has passed.
     fn join(
         fetched: Fetched<'_>,
         pieces: impl Iterator<Item = Result<Piece, StorageError>>,
     ) -> EpochRead {
-        let mut tables = Vec::new();
+        let (mut parts, mut tables) = (Vec::new(), Vec::new());
         for piece in pieces {
             match piece? {
-                Piece::Text(text) => return Ok(StoredRows(EpochRows::Text(text))),
+                Piece::Text(part) => parts.extend(part),
                 Piece::Table(kind, table) => tables.push((kind, table)),
             }
         }
-        let Fetched::Open(reader) = fetched else {
-            unreachable!("a Path leaf's one piece is its text")
-        };
-        Ok(StoredRows(EpochRows::Columns(reader.columns(tables))))
+        Ok(StoredRows(match fetched {
+            Fetched::Packed(..) => EpochRows::Text(parts),
+            Fetched::Open(reader) => EpochRows::Columns(reader.columns(tables)),
+        }))
     }
 
     /// Read `epochs` for a scan of `tables` and lend `scan` each epoch's
     /// read, in order, on this thread ([`read_ahead`] of [`Self::fetch`]
     /// and the pieces of [`Self::decode`]): a window of two pieces or more
-    /// is read on two threads while the caller scans.
+    /// is read on two threads while the caller scans, except one Path
+    /// epoch, whose pieces are too short to pay for a thread start.
     pub(crate) fn read_ahead<R>(
         &self,
         epochs: &[EpochId],
@@ -482,12 +527,23 @@ impl SnapshotStore {
             let fetched = fetched.as_ref().ok()?;
             Some(Self::decode(fetched, tables, piece))
         };
-        read_ahead(epochs, self.pieces(tables), fetch, decode, |reads| {
-            scan(&mut reads.map(|(epoch, fetched, pieces)| {
-                let read = fetched.and_then(|f| Self::join(f, pieces.into_iter().flatten()));
-                (epoch, read)
-            }))
-        })
+        // A Path leaf's members inflate in 50-100 µs each, about what a
+        // helper takes to start on the other core: the pieces of one Path
+        // epoch are read on this thread.
+        let helped = second_core() && (self.cas().is_some() || epochs.len() > 1);
+        read_ahead_on(
+            helped,
+            epochs,
+            self.pieces(tables),
+            fetch,
+            decode,
+            |reads| {
+                scan(&mut reads.map(|(epoch, fetched, pieces)| {
+                    let read = fetched.and_then(|f| Self::join(f, pieces.into_iter().flatten()));
+                    (epoch, read)
+                }))
+            },
+        )
     }
 
     /// `ExplorationFramework::scan_rows` over this store, for RAW, SHAHED
@@ -603,13 +659,15 @@ pub const READ_AHEAD_SLOTS: usize = 4;
 /// thread, as `(epoch, what fetch returned, every piece decoded)`. Reading
 /// an epoch is `fetch`, which does every filesystem operation of the read,
 /// then `pieces` pieces of CPU work on what it fetched, `decode(&fetched,
-/// p)` for each `p` in `0..pieces`: one table of a CAS epoch, or a whole
-/// Path leaf (inflate, verify, index). The unit of work is a piece, and an
-/// epoch's first piece does its fetch before it decodes.
+/// p)` for each `p` in `0..pieces`: one table of a CAS epoch (inflate,
+/// verify, index) or one member of a Path leaf (inflate, frame). The unit
+/// of work is a piece, and an epoch's first piece does its fetch before it
+/// decodes.
 ///
-/// A window of two pieces or more is read by this thread and one scoped
-/// helper thread, each claiming the next unclaimed piece from one shared
-/// cursor, in window order:
+/// Where the process has a second core (`second_core`), a window of two
+/// pieces or more is read by this thread and one scoped helper thread,
+/// each claiming the next unclaimed piece from one shared cursor, in
+/// window order:
 ///
 /// - **Order.** `scan` gets every epoch once, whole, in window order, on
 ///   this thread. The fetches run once per epoch and in window order,
@@ -634,8 +692,31 @@ pub const READ_AHEAD_SLOTS: usize = 4;
 /// - **No nesting.** `fetch` and `decode` start no thread: the pieces are
 ///   the only parallelism of a read, which takes two threads at most.
 /// - **Nothing persistent.** The helper lives for one call; when it
-///   cannot be spawned, this thread reads the whole window alone.
+///   cannot be spawned, or there is no second core for it, this thread
+///   reads the whole window alone, in the same order.
 pub fn read_ahead<F: Send + Sync, P: Send, R>(
+    epochs: &[EpochId],
+    pieces: usize,
+    fetch: impl Fn(EpochId) -> F + Sync,
+    decode: impl Fn(&F, usize) -> P + Sync,
+    scan: impl FnOnce(&mut dyn Iterator<Item = (EpochId, F, Vec<P>)>) -> R,
+) -> R {
+    read_ahead_on(second_core(), epochs, pieces, fetch, decode, scan)
+}
+
+/// Whether this process has a second core for a read-ahead helper to run
+/// on: [`std::thread::available_parallelism`], which honours the affinity
+/// mask (`taskset -c 0` reads 1), read once per process. On one core the
+/// helper would only add a thread start to the read.
+fn second_core() -> bool {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    let cores = CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    *cores >= 2
+}
+
+/// [`read_ahead`], starting a helper only when `helped`.
+fn read_ahead_on<F: Send + Sync, P: Send, R>(
+    helped: bool,
     epochs: &[EpochId],
     pieces: usize,
     fetch: impl Fn(EpochId) -> F + Sync,
@@ -666,7 +747,7 @@ pub fn read_ahead<F: Send + Sync, P: Send, R>(
     };
     let ahead = &ahead;
     std::thread::scope(|s| {
-        let helper = (epochs.len() * pieces >= 2).then(|| {
+        let helper = (helped && epochs.len() * pieces >= 2).then(|| {
             let context = obs::context::capture();
             std::thread::Builder::new()
                 .name("read-ahead".into())
@@ -1107,5 +1188,99 @@ mod tests {
             other => panic!("served a misfiled leaf: {other:?}"),
         }
         assert!(store.load(snap.epoch).is_ok());
+    }
+
+    /// A busy epoch's leaf is two members: the header and CDR table, then
+    /// the NMS table. It decompresses whole to the text; a read of CDR
+    /// inflates the first member alone, a read of NMS both, and `load`
+    /// reads back the ingested snapshot.
+    #[test]
+    fn a_busy_leaf_is_read_member_by_member() {
+        let store = store_with(Arc::new(GzipLite::default()));
+        let snap = TraceGenerator::new(TraceConfig::scaled(1.0 / 64.0))
+            .nth(20)
+            .unwrap();
+        store.store(&snap).unwrap();
+        let codec = GzipLite::default();
+        let leaf = store.dfs().read(&store.path_for(snap.epoch)).unwrap();
+        let members = codec.members(&leaf);
+        assert_eq!(members.len(), 2);
+        assert_eq!(codec.decompress(&leaf).unwrap(), snap.to_bytes());
+        let (text, nms_at) = snap.to_sections();
+        let inflated = |tables: &[TableKind]| {
+            let cost = obs::cost::begin(1);
+            let rows = store.read_ahead(&[snap.epoch], tables, |reads| {
+                let (epoch, read) = reads.next().unwrap();
+                read.unwrap().walk(epoch, |_, _| {}).unwrap()
+            });
+            (rows, cost.finish().bytes_decompressed["gzip-lite"])
+        };
+        let (cdr_rows, cdr_bytes) = inflated(&SECTIONS[..1]);
+        assert_eq!(
+            (cdr_rows, cdr_bytes),
+            (snap.cdr.len() as u64, nms_at as u64)
+        );
+        let (nms_rows, nms_bytes) = inflated(&SECTIONS[1..]);
+        assert_eq!(
+            (nms_rows, nms_bytes),
+            (snap.nms.len() as u64, text.len() as u64)
+        );
+        let ingested = Snapshot::from_bytes(&text).unwrap();
+        let trace = obs::trace::begin(0x0B05_0001);
+        assert_eq!(store.load(snap.epoch).unwrap(), ingested);
+        let helpers = trace
+            .finish()
+            .iter()
+            .filter(|e| e.name == "read-ahead")
+            .count();
+        assert_eq!(helpers, 0, "one Path epoch is read on the calling thread");
+    }
+
+    /// With no second core, a read of many pieces starts no helper: every
+    /// fetch and piece runs on the calling thread, in the order the helper
+    /// would have taken them, and the scan sees what it sees on two.
+    #[test]
+    fn one_core_reads_every_piece_on_the_calling_thread() {
+        let epochs: Vec<EpochId> = (0..6).map(EpochId).collect();
+        let caller = std::thread::current().id();
+        let read = |second_core: bool| {
+            let trace = obs::trace::begin(0x0C0E_0001 + u64::from(second_core));
+            let work = Mutex::new(Vec::new());
+            let lent = read_ahead_on(
+                second_core,
+                &epochs,
+                2,
+                |epoch: EpochId| {
+                    work.lock()
+                        .unwrap()
+                        .push((epoch.0, None, std::thread::current().id()));
+                    epoch.0
+                },
+                |&n, p| {
+                    work.lock()
+                        .unwrap()
+                        .push((n, Some(p), std::thread::current().id()));
+                    (n, p)
+                },
+                |reads| reads.collect::<Vec<_>>(),
+            );
+            let helpers = trace
+                .finish()
+                .iter()
+                .filter(|e| e.name == "read-ahead")
+                .count();
+            (lent, work.into_inner().unwrap(), helpers)
+        };
+        let (lent, work, helpers) = read(false);
+        assert_eq!(helpers, 0);
+        assert!(work.iter().all(|&(.., thread)| thread == caller));
+        let order: Vec<(u32, Option<usize>)> = work.iter().map(|&(n, p, _)| (n, p)).collect();
+        let want: Vec<(u32, Option<usize>)> = (0..6)
+            .flat_map(|n| [(n, None), (n, Some(0)), (n, Some(1))])
+            .collect();
+        assert_eq!(order, want);
+        let (on_two, _, helpers) = read(true);
+        assert_eq!(helpers, 1);
+        assert_eq!(lent, on_two);
     }
 }

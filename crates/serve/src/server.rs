@@ -1252,6 +1252,7 @@ fn serve_sql(
     // answer the explore path gives, and is counted once.
     let cut_off = Cell::new(false);
     let (start, end) = (EpochId(window.0), EpochId(window.1));
+    let traced = obs::trace::current().is_some();
     let context = SqlContext::over(
         shared.shards.layout(),
         start,
@@ -1262,13 +1263,16 @@ fn serve_sql(
                     cut_off.set(true);
                     return;
                 }
-                if let Some(snapshot) = resolve_epoch(shared, epoch, false) {
+                if let Some(snapshot) = resolve_epoch(shared, epoch, traced) {
                     lend_records(epoch, snapshot.table(table), visit);
                 }
             }
         },
     );
-    let outcome = context.query(sql);
+    let outcome = {
+        let _eval_span = obs::span("serve.evaluate");
+        context.query(sql)
+    };
     if cut_off.get() {
         obs::inc("serve.scan.interrupted");
     }

@@ -149,6 +149,53 @@ fn trace_frame_answers_why_was_request_r_slow() {
     server.shutdown();
 }
 
+/// An SQL request's trace says which epochs of its window came from the
+/// cache: one `cache.miss` instant per epoch cold, one `cache.hit` warm,
+/// each under the request's `serve.evaluate` span.
+#[test]
+fn an_sql_trace_names_each_epochs_cache_outcome() {
+    let (layout, snaps) = trace_snaps(6);
+    let mut fw = SpateFramework::in_memory(layout);
+    for s in &snaps {
+        fw.ingest(s);
+    }
+    let server = Server::start(
+        fw,
+        ServeConfig {
+            workers: 1,
+            prefetch: false,
+            ..ServeConfig::default()
+        },
+    );
+    let mut client = server.connect();
+    let statement = "SELECT cell_id, call_drops FROM NMS";
+    for want in ["cache.miss", "cache.hit"] {
+        assert!(matches!(
+            client.sql((1, 4), statement).unwrap(),
+            Reply::Rows { .. }
+        ));
+        let trace = client.trace(client.last_trace_id().unwrap()).unwrap();
+        let evaluate = trace
+            .spans
+            .iter()
+            .find(|s| s.name == "serve.evaluate")
+            .expect("an evaluate span");
+        let outcomes: Vec<_> = trace
+            .spans
+            .iter()
+            .filter(|s| s.name == "cache.hit" || s.name == "cache.miss")
+            .collect();
+        assert_eq!(outcomes.len(), 4, "{want}: {outcomes:?}");
+        for (outcome, epoch) in outcomes.iter().zip(1..=4) {
+            assert_eq!(outcome.name, want);
+            assert!(outcome.instant && outcome.parent_id == evaluate.span_id);
+            assert_eq!(outcome.args, [("epoch".to_string(), epoch.to_string())]);
+        }
+    }
+    client.close();
+    server.shutdown();
+}
+
 /// The Profile frame answers "what did request R cost" over the wire:
 /// a cold explore pays storage reads and cache misses, the warm repeat
 /// pays neither, and both reconcile byte-exactly.

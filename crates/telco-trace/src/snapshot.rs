@@ -76,17 +76,28 @@ impl Snapshot {
     /// <csv rows>
     /// ```
     pub fn to_bytes(&self) -> Vec<u8> {
+        self.to_sections().0
+    }
+
+    /// [`Self::to_bytes`], and the offset its NMS section starts at: the
+    /// header line and the CDR table before it, the NMS table from it on
+    /// (the two parts a Path store compresses as members of their own).
+    pub fn to_sections(&self) -> (Vec<u8>, usize) {
         // Generated CDR rows (200 columns) take ~490 bytes, NMS rows ~38.
         let mut out = String::with_capacity(self.cdr.len() * 512 + self.nms.len() * 48 + 128);
         out.push_str(&Self::header_line(self.epoch));
+        let mut nms_at = 0;
         for table in [TableKind::Cdr, TableKind::Nms] {
             let records = self.table(table);
+            if table == TableKind::Nms {
+                nms_at = out.len();
+            }
             out.push_str(&Self::table_header_line(table, records.len()));
             for r in records {
                 r.to_line(&mut out);
             }
         }
-        out.into_bytes()
+        (out.into_bytes(), nms_at)
     }
 
     /// The line [`Self::to_bytes`] opens the snapshot of `epoch` with,
@@ -209,6 +220,86 @@ impl<'a> RowText<'a> {
     /// Every column's text, in column order.
     pub fn fields(&self) -> impl Iterator<Item = &'a str> {
         self.line.split(',')
+    }
+}
+
+/// A part of a serialized snapshot, framed: the text one member of a
+/// stored leaf inflates to — the `#SNAPSHOT` header line and the CDR
+/// table, the NMS table, or the whole snapshot — with the rows of the
+/// tables a scan reads found and checked for arity once
+/// ([`Snapshot::scan`]'s framing), so that they are lent without reading
+/// the text again.
+#[derive(Debug)]
+pub struct TextPart {
+    text: String,
+    epoch: Option<EpochId>,
+    /// Per table framed, in text order: where each row's line lies in
+    /// `text`, terminator excluded.
+    tables: Vec<(TableKind, Vec<[u32; 2]>)>,
+}
+
+impl TextPart {
+    /// Frame `bytes`: its header line first when `head`, then the table
+    /// sections `sections` names, in order, each a `#TABLE` line and its
+    /// rows, checked as [`Snapshot::scan`] checks them; anything after the
+    /// last is ignored. Every section is checked, and the rows of those
+    /// `want` names are kept: a part is refused or served whole.
+    pub fn frame(
+        bytes: Vec<u8>,
+        head: bool,
+        sections: &[TableKind],
+        want: &[TableKind],
+    ) -> Result<Self, SnapshotParseError> {
+        let text = String::from_utf8(bytes)
+            .map_err(|_| SnapshotParseError::BadHeader("not utf-8".into()))?;
+        if u32::try_from(text.len()).is_err() {
+            return Err(SnapshotParseError::BadHeader("over 4 GiB of text".into()));
+        }
+        let mut lines = Lines {
+            text: &text,
+            pos: 0,
+            line_no: 0,
+        };
+        let epoch = if head {
+            let header = lines.next_line().ok_or(SnapshotParseError::MissingHeader)?;
+            let epoch = Snapshot::header_epoch(header)
+                .ok_or_else(|| SnapshotParseError::BadHeader(header.to_string()))?;
+            Some(epoch)
+        } else {
+            None
+        };
+        let base = text.as_ptr() as usize;
+        let mut tables = Vec::new();
+        for &table in sections {
+            let mut rows = Vec::new();
+            lines.read_table(table, table_width(table), &mut |_, row: RowText<'_>| {
+                let start = row.line.as_ptr() as usize - base;
+                rows.push([start as u32, (start + row.line.len()) as u32]);
+            })?;
+            if want.contains(&table) {
+                tables.push((table, rows));
+            }
+        }
+        Ok(TextPart {
+            text,
+            epoch,
+            tables,
+        })
+    }
+
+    /// The epoch the header line names, for a part framed with its head.
+    pub fn epoch(&self) -> Option<EpochId> {
+        self.epoch
+    }
+
+    /// Every row kept, table by table in text order, rows in stored order.
+    pub fn rows(&self) -> impl Iterator<Item = (TableKind, RowText<'_>)> {
+        self.tables.iter().flat_map(move |(table, rows)| {
+            rows.iter().map(move |&[start, end]| {
+                let line = &self.text[start as usize..end as usize];
+                (*table, RowText { line })
+            })
+        })
     }
 }
 
@@ -919,6 +1010,52 @@ mod tests {
                 (TableKind::Nms, "2", "", ""),
             ]
         );
+    }
+
+    /// The two parts of a snapshot's text, framed one by one, lend the
+    /// rows [`Snapshot::scan`] lends of the whole; the whole framed as one
+    /// part lends them too; a table not wanted is checked, not lent.
+    #[test]
+    fn framed_parts_lend_what_scan_lends() {
+        let (cdr, nms) = (TableKind::Cdr, TableKind::Nms);
+        let snap = crate::TraceGenerator::new(crate::TraceConfig::tiny())
+            .nth(20)
+            .unwrap();
+        let (text, nms_at) = snap.to_sections();
+        assert_eq!(text, snap.to_bytes());
+        assert!(text[nms_at..].starts_with(b"#TABLE NMS"));
+        let mut scanned = Vec::new();
+        Snapshot::scan(&text, |table, row| {
+            scanned.push((table, row.line.to_string()))
+        })
+        .unwrap();
+        let lent = |part: &TextPart| -> Vec<(TableKind, String)> {
+            part.rows()
+                .map(|(t, row)| (t, row.line.to_string()))
+                .collect()
+        };
+        let head = TextPart::frame(text[..nms_at].to_vec(), true, &[cdr], &[cdr, nms]).unwrap();
+        let tail = TextPart::frame(text[nms_at..].to_vec(), false, &[nms], &[cdr, nms]).unwrap();
+        assert_eq!((head.epoch(), tail.epoch()), (Some(snap.epoch), None));
+        assert_eq!([lent(&head), lent(&tail)].concat(), scanned);
+        let whole = TextPart::frame(text.clone(), true, &[cdr, nms], &[cdr, nms]).unwrap();
+        assert_eq!(lent(&whole), scanned);
+        let nms_only = TextPart::frame(text.clone(), true, &[cdr, nms], &[nms]).unwrap();
+        assert!(lent(&nms_only).iter().all(|(t, _)| *t == nms));
+        assert_eq!(lent(&nms_only).len(), snap.nms.len());
+        // A bad row of a table not wanted refuses the part all the same.
+        let mut short = text[..nms_at - 1].to_vec();
+        short.truncate(short.iter().rposition(|&b| b == b',').unwrap());
+        short.push(b'\n');
+        assert!(TextPart::frame(short.clone(), true, &[cdr], &[nms]).is_err());
+        assert!(TextPart::frame(short, true, &[cdr], &[cdr]).is_err());
+        let header = TextPart::frame(text[..nms_at].to_vec(), true, &[cdr], &[nms]).unwrap();
+        assert_eq!(
+            (header.epoch(), header.rows().count()),
+            (Some(snap.epoch), 0)
+        );
+        assert!(TextPart::frame(text[nms_at..].to_vec(), true, &[nms], &[nms]).is_err());
+        assert!(TextPart::frame(vec![0xFF], false, &[nms], &[nms]).is_err());
     }
 
     #[test]

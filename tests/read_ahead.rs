@@ -255,8 +255,11 @@ fn damage_at_rest(cas: &CasStore, epoch: EpochId, from: Option<EpochId>) {
 /// pack, a misfiled one holds the neighbour's manifest and pack, and a bad
 /// table is one unit whose bytes are not its address, beside a sound one:
 /// the epoch is lost to a read of that table and served to a read of the
-/// other alone (T2 reads CDR alone, `Q(a, b, w)` both). On Path a bad
-/// table is a row with a field too many, and the whole leaf is lost.
+/// other alone (T2 reads CDR alone, `Q(a, b, w)` both). On Path these
+/// leaves are one member (this trace's epochs are too small for two), and
+/// a bad table is a row with a field too many: the member is refused, so
+/// every read loses the epoch. Path leaves of two members are damaged by
+/// [`damage_two_members`].
 fn damage_every_position(backend: &str) {
     assert_eq!(READ_AHEAD_SLOTS, 4);
     let (layout, snaps) = trace();
@@ -322,11 +325,91 @@ fn damage_every_position(backend: &str) {
                 replace_leaf(fw.store(), snap.epoch, Some(&text));
             }
         }
+        if fw.store().cas().is_none() {
+            damage_two_members(fw, &snaps, len, &healthy);
+        }
         assert_same(
             &format!("{backend}, {len} epochs, restored"),
             &answers(fw, FIRST, end),
             &healthy,
         );
+    }
+}
+
+/// The leaf of `snap` as two members, the header and CDR table, then the
+/// NMS table, as a Path store writes a leaf large enough for two.
+fn two_members(store: &SnapshotStore, snap: &Snapshot) -> Vec<u8> {
+    let codec = spate::codecs::by_name(store.codec_name()).expect("a known codec");
+    let (text, nms_at) = snap.to_sections();
+    let (head, nms) = text.split_at(nms_at);
+    [codec.compress(head), codec.compress(nms)].concat()
+}
+
+/// Damage the two-member leaf of each epoch of the window of `len`
+/// epochs, one at a time: its NMS member corrupted at rest, or cut
+/// inside it, costs the epoch to every read of NMS and to none of CDR
+/// alone (the CAS "bad table" contract); its first member corrupted, or
+/// a neighbour's two-member leaf in its place, costs it to every read,
+/// reads of NMS alone included, as a missing leaf does. Every answer
+/// equals the one-epoch-at-a-time answer, and a sound two-member leaf
+/// answers as its one-member form, `healthy`.
+fn damage_two_members(
+    fw: &SpateFramework,
+    snaps: &[Snapshot],
+    len: usize,
+    healthy: &[(&str, String)],
+) {
+    let end = FIRST + len as u32 - 1;
+    let store = fw.store();
+    let codec = spate::codecs::by_name(store.codec_name()).expect("a known codec");
+    let write = |epoch: EpochId, leaf: Option<&[u8]>| {
+        store.evict(epoch).expect("evict the leaf");
+        if let Some(leaf) = leaf {
+            let path = store.path_for(epoch);
+            store.dfs().write(&path, leaf).expect("write the leaf");
+        }
+    };
+    for (at, snap) in snaps[..len].iter().enumerate() {
+        let two = two_members(store, snap);
+        assert_eq!(codec.members(&two).len(), 2);
+        write(snap.epoch, Some(&two));
+        let what = format!("Path, {len} epochs, epoch {at} in two members");
+        assert_same(&what, &answers(fw, FIRST, end), healthy);
+        write(snap.epoch, None);
+        let lost = answers(fw, FIRST, end);
+        let first = codec.members(&two)[0].len();
+        // A byte well inside a member's bit stream: every bit of it is
+        // read, so its inflate must fail.
+        let flipped = |at: usize| {
+            let mut leaf = two.clone();
+            leaf[at] ^= 0x10;
+            leaf
+        };
+        let neighbour = two_members(store, &snaps[(at + 1) % snaps.len()]);
+        // (damage, the leaf, whether a read of CDR alone still serves it)
+        let damages = [
+            ("NMS member corrupted", flipped(two.len() - 8), true),
+            (
+                "cut inside the NMS member",
+                two[..(first + two.len()) / 2].to_vec(),
+                true,
+            ),
+            ("first member corrupted", flipped(first - 8), false),
+            ("a neighbour's two members", neighbour, false),
+        ];
+        for (damage, leaf, cdr_served) in damages {
+            write(snap.epoch, Some(&leaf));
+            let what = format!("Path, {len} epochs, epoch {at} {damage}");
+            let got = answers(fw, FIRST, end);
+            assert_same(&what, &got, &answers(&OneEpochAtATime(fw), FIRST, end));
+            assert!(got[0].1.contains("served: "), "{what}: {}", got[0].1);
+            if cdr_served {
+                assert_eq!(got[2], healthy[2], "{what}: T2 reads CDR alone");
+            } else {
+                assert_same(&what, &got, &lost);
+            }
+        }
+        write(snap.epoch, Some(&codec.compress(&snap.to_bytes())));
     }
 }
 
@@ -801,15 +884,19 @@ fn a_window_reads_the_dfs_as_one_epoch_at_a_time_does() {
     }
 }
 
-/// The helper joins a read from its second piece on, once: a one-epoch
-/// Path window is one piece and spawns none, a one-epoch CAS query over
-/// both tables is two and spawns exactly one. Each spawn is the helper's
-/// `read-ahead` event in the caller's trace.
+/// The helper joins a read from its second piece on, once, where the
+/// process has a second core: a one-epoch read of CDR is one piece and
+/// spawns none; a one-epoch CAS read of both tables is two and spawns
+/// exactly one. A one-epoch Path read of both tables is two pieces too,
+/// its leaf's members, but they are too short to pay for a thread start,
+/// so it spawns none. Each spawn is the helper's `read-ahead` event in the
+/// caller's trace. On one core (`taskset -c 0`) no read spawns one.
 #[test]
 fn a_read_spawns_its_helper_from_the_second_piece_on() {
     let (layout, snaps) = trace();
     let both = Query::new(&["upflux", "call_drops"], BoundingBox::everything());
     let cdr = Query::new(&["upflux"], BoundingBox::everything());
+    let second_core = std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2;
     let mut trace_id = 0x0E90_C400u64;
     for (backend, fw) in warehouses(&layout, &snaps) {
         let cas = fw.store().cas().is_some();
@@ -846,7 +933,11 @@ fn a_read_spawns_its_helper_from_the_second_piece_on() {
             ),
         ];
         for (what, read, path, on_cas) in cases {
-            let want = if cas { on_cas } else { path };
+            let want = match (second_core, cas) {
+                (false, _) => 0,
+                (true, true) => on_cas,
+                (true, false) => path,
+            };
             assert_eq!(helpers(read), want, "{backend}: {what}");
         }
     }
