@@ -901,8 +901,8 @@ mod tests {
         assert!(!out.cdr.rows.is_empty() && !out.nms.rows.is_empty());
         let before = out.clone();
 
-        // The last row of the second epoch lost a field: its framing
-        // refuses the epoch, and no row of it is selected.
+        // The last row of the second epoch lost a field: every row before
+        // it was selected and must go again.
         let mut text = snaps[1].to_bytes();
         let comma = text.iter().rposition(|&b| b == b',').unwrap();
         text.remove(comma);

@@ -28,9 +28,10 @@
 //! Every read of stored epochs — `Q(a, b, w)`'s exact branch, T1–T8,
 //! SPATE-SQL and [`SnapshotStore::load`] — goes through [`read_ahead`]:
 //! from two pieces on, and where a second core exists, a helper thread
-//! fetches, inflates and frames or verifies pieces beside the caller, so a
-//! one-epoch read of both tables inflates its CDR and NMS at once, while
-//! the caller scans whole epochs, one at a time and in epoch order.
+//! fetches, inflates and frames or verifies pieces beside the caller (a
+//! window of two epochs or more, or one CAS epoch, whose tables inflate
+//! at once), while the caller scans whole epochs, one at a time and in
+//! epoch order.
 
 use cas::{CasConfig, CasError, CasRecoverReport, CasStore, SnapshotColumns};
 use codecs::{Codec, CodecError};
@@ -157,9 +158,10 @@ impl StoredRows {
     /// Lend `visit` every row of the tables read, CDR before NMS and in
     /// stored order, under the `parse` stage, and return how many: the
     /// rows of the tables read, whichever way the epoch is stored. Text
-    /// is lent as its pieces framed it, once its header names `epoch`; a
-    /// CAS epoch's columns are whole and checked. On an `Err` nothing is
-    /// lent.
+    /// is scanned member by member ([`TextPart::scan`]) once its header
+    /// names `epoch`; a CAS epoch's columns are whole and checked. On an
+    /// `Err` the rows lent belong to text that is refused, and the caller
+    /// discards them.
     pub(crate) fn walk<'s>(
         &'s self,
         epoch: EpochId,
@@ -169,9 +171,8 @@ impl StoredRows {
             EpochRows::Text(parts) => {
                 check_epoch(epoch, Self::named(parts))?;
                 let mut rows = 0;
-                for (table, row) in parts.iter().flat_map(TextPart::rows) {
-                    rows += 1;
-                    visit(table, Row::Text(row));
+                for part in parts {
+                    rows += part.scan(|table, row| visit(table, Row::Text(row)))?;
                 }
                 Ok(rows)
             }
@@ -196,18 +197,18 @@ impl StoredRows {
     /// A Path leaf's read of `tables` when its one member is `text`.
     #[cfg(test)]
     pub(crate) fn text(text: Vec<u8>, tables: &[TableKind]) -> EpochRead {
-        let part = TextPart::frame(text, true, &SECTIONS, tables)?;
+        let part = TextPart::new(text, true, &SECTIONS, tables)?;
         Ok(StoredRows(EpochRows::Text(vec![part])))
     }
 }
 
 /// The table sections of a snapshot's text, in order.
-const SECTIONS: [TableKind; 2] = [TableKind::Cdr, TableKind::Nms];
+static SECTIONS: [TableKind; 2] = [TableKind::Cdr, TableKind::Nms];
 
 /// One piece of an epoch's read ([`SnapshotStore::decode`]).
 enum Piece {
-    /// A member of a Path leaf inflated and framed; `None` for the second
-    /// piece of a leaf of one member, whose first holds both tables.
+    /// A member of a Path leaf inflated; `None` for the second piece of a
+    /// leaf of one member, whose first holds both tables.
     Text(Option<TextPart>),
     /// One table of a CAS epoch, as columns.
     Table(TableKind, ColumnTable),
@@ -393,8 +394,8 @@ impl SnapshotStore {
 
     /// Load and decode the snapshot of an epoch: the read a scan of both
     /// tables makes ([`read_ahead`] of the one epoch), then, under the
-    /// `parse` stage, a Path leaf's framed rows made records (its header
-    /// must name `epoch`) or a CAS epoch's records built from its verified
+    /// `parse` stage, a Path leaf's rows made records (its header must
+    /// name `epoch`) or a CAS epoch's records built from its verified
     /// columns — refused exactly when a scan of both its tables is.
     pub fn load(&self, epoch: EpochId) -> Result<Snapshot, StorageError> {
         let read = self.read_ahead(&[epoch], &SECTIONS, |reads| {
@@ -404,11 +405,11 @@ impl SnapshotStore {
             EpochRows::Text(parts) => {
                 check_epoch(epoch, StoredRows::named(&parts))?;
                 let (mut cdr, mut nms) = (Vec::new(), Vec::new());
-                for (table, row) in parts.iter().flat_map(TextPart::rows) {
-                    match table {
+                for part in &parts {
+                    part.scan(|table, row| match table {
                         TableKind::Cdr => cdr.push(Row::Text(row).record(cdr::WIDTH)),
                         _ => nms.push(Row::Text(row).record(nms::WIDTH)),
-                    }
+                    })?;
                 }
                 Ok(Snapshot::new(epoch, cdr, nms))
             }
@@ -451,10 +452,10 @@ impl SnapshotStore {
     /// The second half, one piece at a time: piece `piece` of what a read
     /// of `tables` takes of the fetched epoch. A Path leaf's piece 0 is its
     /// first member, piece 1 the members after it ([`Codec::members`]),
-    /// each inflated under the `decompress` stage and framed under the
-    /// `parse` stage ([`TextPart::frame`]: every table it holds checked,
-    /// the rows of `tables` kept); a leaf of one member is read whole by
-    /// piece 0. A CAS epoch's piece `i` is the
+    /// each inflated under the `decompress` stage and taken as a
+    /// [`TextPart`] (UTF-8 and header checked) under the `parse` stage,
+    /// to be scanned by [`StoredRows::walk`]; a leaf of one member is read
+    /// whole by piece 0. A CAS epoch's piece `i` is the
     /// `i`-th table of `tables` in stored order inflated, verified and
     /// indexed, under the `read` stage ([`cas::EpochReader::table`]:
     /// checked as the parser checks the same table of the text).
@@ -476,7 +477,7 @@ impl SnapshotStore {
                     let _s = obs::stage("decompress");
                     codec.decompress_metered(member)?
                 };
-                let part = parse_stage(|| TextPart::frame(text, head, sections, tables))?;
+                let part = parse_stage(|| TextPart::new(text, head, sections, tables))?;
                 Ok(Piece::Text(Some(part)))
             }
             Fetched::Open(reader) => {

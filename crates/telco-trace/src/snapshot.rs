@@ -223,38 +223,35 @@ impl<'a> RowText<'a> {
     }
 }
 
-/// A part of a serialized snapshot, framed: the text one member of a
-/// stored leaf inflates to — the `#SNAPSHOT` header line and the CDR
-/// table, the NMS table, or the whole snapshot — with the rows of the
-/// tables a scan reads found and checked for arity once
-/// ([`Snapshot::scan`]'s framing), so that they are lent without reading
-/// the text again.
+/// A part of a serialized snapshot: the text one member of a stored leaf
+/// inflates to — the `#SNAPSHOT` header line and the CDR table, the NMS
+/// table, or the whole snapshot — checked as UTF-8, its header read, and
+/// scanned ([`Self::scan`]) in one pass, as [`Snapshot::scan`] scans a
+/// whole snapshot.
 #[derive(Debug)]
 pub struct TextPart {
     text: String,
     epoch: Option<EpochId>,
-    /// Per table framed, in text order: where each row's line lies in
-    /// `text`, terminator excluded.
-    tables: Vec<(TableKind, Vec<[u32; 2]>)>,
+    /// Where the table sections start: after the header line, if any.
+    body: usize,
+    /// The table sections the text holds, in order.
+    sections: &'static [TableKind],
+    /// The sections whose rows a scan lends.
+    want: Vec<TableKind>,
 }
 
 impl TextPart {
-    /// Frame `bytes`: its header line first when `head`, then the table
-    /// sections `sections` names, in order, each a `#TABLE` line and its
-    /// rows, checked as [`Snapshot::scan`] checks them; anything after the
-    /// last is ignored. Every section is checked, and the rows of those
-    /// `want` names are kept: a part is refused or served whole.
-    pub fn frame(
+    /// Take `bytes`: its header line first when `head`, then the table
+    /// sections `sections` names, in order, of which `want` names those
+    /// whose rows [`Self::scan`] lends.
+    pub fn new(
         bytes: Vec<u8>,
         head: bool,
-        sections: &[TableKind],
+        sections: &'static [TableKind],
         want: &[TableKind],
     ) -> Result<Self, SnapshotParseError> {
         let text = String::from_utf8(bytes)
             .map_err(|_| SnapshotParseError::BadHeader("not utf-8".into()))?;
-        if u32::try_from(text.len()).is_err() {
-            return Err(SnapshotParseError::BadHeader("over 4 GiB of text".into()));
-        }
         let mut lines = Lines {
             text: &text,
             pos: 0,
@@ -268,38 +265,46 @@ impl TextPart {
         } else {
             None
         };
-        let base = text.as_ptr() as usize;
-        let mut tables = Vec::new();
-        for &table in sections {
-            let mut rows = Vec::new();
-            lines.read_table(table, table_width(table), &mut |_, row: RowText<'_>| {
-                let start = row.line.as_ptr() as usize - base;
-                rows.push([start as u32, (start + row.line.len()) as u32]);
-            })?;
-            if want.contains(&table) {
-                tables.push((table, rows));
-            }
-        }
+        let body = lines.pos;
         Ok(TextPart {
             text,
             epoch,
-            tables,
+            body,
+            sections,
+            want: want.to_vec(),
         })
     }
 
-    /// The epoch the header line names, for a part framed with its head.
+    /// The epoch the header line names, for a part taken with its head.
     pub fn epoch(&self) -> Option<EpochId> {
         self.epoch
     }
 
-    /// Every row kept, table by table in text order, rows in stored order.
-    pub fn rows(&self) -> impl Iterator<Item = (TableKind, RowText<'_>)> {
-        self.tables.iter().flat_map(move |(table, rows)| {
-            rows.iter().map(move |&[start, end]| {
-                let line = &self.text[start as usize..end as usize];
-                (*table, RowText { line })
-            })
-        })
+    /// Walk every table section, each a `#TABLE` line and its rows,
+    /// checked as [`Snapshot::scan`] checks them (anything after the last
+    /// is ignored), and lend `visit` the rows of the wanted ones; returns
+    /// how many were lent. Rows lent before an `Err` belong to a part that
+    /// is refused whole; the caller discards them.
+    pub fn scan<'a>(
+        &'a self,
+        mut visit: impl FnMut(TableKind, RowText<'a>),
+    ) -> Result<u64, SnapshotParseError> {
+        let mut lines = Lines {
+            text: &self.text,
+            pos: self.body,
+            line_no: usize::from(self.epoch.is_some()),
+        };
+        let mut lent = 0;
+        for &table in self.sections {
+            let wanted = self.want.contains(&table);
+            lines.read_table(table, table_width(table), &mut |table, row| {
+                if wanted {
+                    lent += 1;
+                    visit(table, row);
+                }
+            })?;
+        }
+        Ok(lent)
     }
 }
 
@@ -1012,12 +1017,13 @@ mod tests {
         );
     }
 
-    /// The two parts of a snapshot's text, framed one by one, lend the
-    /// rows [`Snapshot::scan`] lends of the whole; the whole framed as one
+    /// The two parts of a snapshot's text, scanned one by one, lend the
+    /// rows [`Snapshot::scan`] lends of the whole; the whole taken as one
     /// part lends them too; a table not wanted is checked, not lent.
     #[test]
-    fn framed_parts_lend_what_scan_lends() {
-        let (cdr, nms) = (TableKind::Cdr, TableKind::Nms);
+    fn text_parts_lend_what_scan_lends() {
+        const BOTH: [TableKind; 2] = [TableKind::Cdr, TableKind::Nms];
+        static SECTIONS: [TableKind; 2] = BOTH;
         let snap = crate::TraceGenerator::new(crate::TraceConfig::tiny())
             .nth(20)
             .unwrap();
@@ -1029,33 +1035,32 @@ mod tests {
             scanned.push((table, row.line.to_string()))
         })
         .unwrap();
-        let lent = |part: &TextPart| -> Vec<(TableKind, String)> {
-            part.rows()
-                .map(|(t, row)| (t, row.line.to_string()))
-                .collect()
+        let lent = |part: &TextPart| -> Result<Vec<(TableKind, String)>, SnapshotParseError> {
+            let mut rows = Vec::new();
+            let n = part.scan(|t, row| rows.push((t, row.line.to_string())))?;
+            assert_eq!(n as usize, rows.len());
+            Ok(rows)
         };
-        let head = TextPart::frame(text[..nms_at].to_vec(), true, &[cdr], &[cdr, nms]).unwrap();
-        let tail = TextPart::frame(text[nms_at..].to_vec(), false, &[nms], &[cdr, nms]).unwrap();
+        let part = |bytes: &[u8], head, sections, want: &[TableKind]| {
+            TextPart::new(bytes.to_vec(), head, sections, want).unwrap()
+        };
+        let head = part(&text[..nms_at], true, &SECTIONS[..1], &BOTH);
+        let tail = part(&text[nms_at..], false, &SECTIONS[1..], &BOTH);
         assert_eq!((head.epoch(), tail.epoch()), (Some(snap.epoch), None));
-        assert_eq!([lent(&head), lent(&tail)].concat(), scanned);
-        let whole = TextPart::frame(text.clone(), true, &[cdr, nms], &[cdr, nms]).unwrap();
-        assert_eq!(lent(&whole), scanned);
-        let nms_only = TextPart::frame(text.clone(), true, &[cdr, nms], &[nms]).unwrap();
-        assert!(lent(&nms_only).iter().all(|(t, _)| *t == nms));
-        assert_eq!(lent(&nms_only).len(), snap.nms.len());
+        let both = [lent(&head).unwrap(), lent(&tail).unwrap()].concat();
+        assert_eq!(both, scanned);
+        assert_eq!(lent(&part(&text, true, &SECTIONS, &BOTH)).unwrap(), scanned);
+        let nms_only = lent(&part(&text, true, &SECTIONS, &BOTH[1..])).unwrap();
+        assert!(nms_only.iter().all(|(t, _)| *t == TableKind::Nms));
+        assert_eq!(nms_only.len(), snap.nms.len());
         // A bad row of a table not wanted refuses the part all the same.
         let mut short = text[..nms_at - 1].to_vec();
         short.truncate(short.iter().rposition(|&b| b == b',').unwrap());
         short.push(b'\n');
-        assert!(TextPart::frame(short.clone(), true, &[cdr], &[nms]).is_err());
-        assert!(TextPart::frame(short, true, &[cdr], &[cdr]).is_err());
-        let header = TextPart::frame(text[..nms_at].to_vec(), true, &[cdr], &[nms]).unwrap();
-        assert_eq!(
-            (header.epoch(), header.rows().count()),
-            (Some(snap.epoch), 0)
-        );
-        assert!(TextPart::frame(text[nms_at..].to_vec(), true, &[nms], &[nms]).is_err());
-        assert!(TextPart::frame(vec![0xFF], false, &[nms], &[nms]).is_err());
+        assert!(lent(&part(&short, true, &SECTIONS[..1], &BOTH[1..])).is_err());
+        assert!(lent(&part(&short, true, &SECTIONS[..1], &BOTH)).is_err());
+        assert!(TextPart::new(text[nms_at..].to_vec(), true, &SECTIONS[1..], &BOTH).is_err());
+        assert!(TextPart::new(vec![0xFF], false, &SECTIONS[1..], &BOTH).is_err());
     }
 
     #[test]
