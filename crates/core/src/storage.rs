@@ -21,17 +21,15 @@
 //! store/load/evict surface, and a scan and [`SnapshotStore::load`] read
 //! an epoch alike: `SnapshotStore::fetch` (every dfs read), then
 //! `SnapshotStore::decode` of each of its pieces, one a table asked for:
-//! a Path leaf's member inflated and its rows framed (the first member,
-//! which holds the header that names the epoch, always), or a CAS table
-//! read as columns.
+//! a Path leaf's member inflated (the first member, which holds the
+//! header that names the epoch, always), or a CAS table read as columns.
 //!
 //! Every read of stored epochs — `Q(a, b, w)`'s exact branch, T1–T8,
 //! SPATE-SQL and [`SnapshotStore::load`] — goes through [`read_ahead`]:
 //! from two pieces on, and where a second core exists, a helper thread
-//! fetches, inflates and frames or verifies pieces beside the caller (a
-//! window of two epochs or more, or one CAS epoch, whose tables inflate
-//! at once), while the caller scans whole epochs, one at a time and in
-//! epoch order.
+//! fetches, inflates and verifies pieces beside the caller (a window of
+//! two epochs or more, or one epoch's two tables), while the caller scans
+//! whole epochs, one at a time and in epoch order.
 
 use cas::{CasConfig, CasError, CasRecoverReport, CasStore, SnapshotColumns};
 use codecs::{Codec, CodecError};
@@ -42,6 +40,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use telco_trace::schema::{cdr, nms, TableKind};
 use telco_trace::snapshot::{ColumnTable, Row, Snapshot, SnapshotParseError, TextPart};
 use telco_trace::time::EpochId;
+
+mod parked;
 
 /// Errors from the storage layer.
 #[derive(Debug)]
@@ -139,8 +139,8 @@ enum Fetched<'s> {
 /// One stored epoch as a scan ([`SnapshotStore::read_ahead`]) or
 /// [`SnapshotStore::load`] reads it.
 enum EpochRows {
-    /// A Path leaf: the members read, framed, the first (which holds the
-    /// header) first.
+    /// A Path leaf: the members read, the first (which holds the header)
+    /// first.
     Text(Vec<TextPart>),
     /// A CAS epoch: the tables the scan asked for, held as columns.
     Columns(SnapshotColumns),
@@ -397,8 +397,14 @@ impl SnapshotStore {
     /// `parse` stage, a Path leaf's rows made records (its header must
     /// name `epoch`) or a CAS epoch's records built from its verified
     /// columns — refused exactly when a scan of both its tables is.
+    ///
+    /// A Path leaf is loaded on the calling thread alone. `load` is how
+    /// serve's workers fill their epoch cache, and the two of them already
+    /// keep both cores busy; reading on one thread also keeps the order of
+    /// a traced request's spans the same from run to run.
     pub fn load(&self, epoch: EpochId) -> Result<Snapshot, StorageError> {
-        let read = self.read_ahead(&[epoch], &SECTIONS, |reads| {
+        let helped = second_core() && self.cas().is_some();
+        let read = self.read_on(helped, &[epoch], &SECTIONS, |reads| {
             reads.next().expect("a read of the one epoch").1
         })?;
         parse_stage(|| match read.0 {
@@ -490,7 +496,7 @@ impl SnapshotStore {
         }
     }
 
-    /// An epoch's read from its pieces, in order: the members framed, or
+    /// An epoch's read from its pieces, in order: the members, or
     /// the columns of every table asked for. The first piece that failed
     /// refuses the whole epoch, as [`cas::EpochReader::snapshot_columns`]
     /// refuses it: nothing of an epoch is lent before every piece of it
@@ -515,10 +521,21 @@ impl SnapshotStore {
     /// Read `epochs` for a scan of `tables` and lend `scan` each epoch's
     /// read, in order, on this thread ([`read_ahead`] of [`Self::fetch`]
     /// and the pieces of [`Self::decode`]): a window of two pieces or more
-    /// is read on two threads while the caller scans, except one Path
-    /// epoch, whose pieces are too short to pay for a thread start.
+    /// — two epochs, or one epoch's two tables — is read on two threads
+    /// while the caller scans.
     pub(crate) fn read_ahead<R>(
         &self,
+        epochs: &[EpochId],
+        tables: &[TableKind],
+        scan: impl FnOnce(&mut dyn Iterator<Item = (EpochId, EpochRead)>) -> R,
+    ) -> R {
+        self.read_on(second_core(), epochs, tables, scan)
+    }
+
+    /// [`Self::read_ahead`], with a helper only when `helped`.
+    fn read_on<R>(
+        &self,
+        helped: bool,
         epochs: &[EpochId],
         tables: &[TableKind],
         scan: impl FnOnce(&mut dyn Iterator<Item = (EpochId, EpochRead)>) -> R,
@@ -528,10 +545,6 @@ impl SnapshotStore {
             let fetched = fetched.as_ref().ok()?;
             Some(Self::decode(fetched, tables, piece))
         };
-        // A Path leaf's members inflate in 50-100 µs each, about what a
-        // helper takes to start on the other core: the pieces of one Path
-        // epoch are read on this thread.
-        let helped = second_core() && (self.cas().is_some() || epochs.len() > 1);
         read_ahead_on(
             helped,
             epochs,
@@ -661,12 +674,12 @@ pub const READ_AHEAD_SLOTS: usize = 4;
 /// an epoch is `fetch`, which does every filesystem operation of the read,
 /// then `pieces` pieces of CPU work on what it fetched, `decode(&fetched,
 /// p)` for each `p` in `0..pieces`: one table of a CAS epoch (inflate,
-/// verify, index) or one member of a Path leaf (inflate, frame). The unit
+/// verify, index) or one member of a Path leaf (inflate, check). The unit
 /// of work is a piece, and an epoch's first piece does its fetch before it
 /// decodes.
 ///
 /// Where the process has a second core (`second_core`), a window of two
-/// pieces or more is read by this thread and one scoped helper thread,
+/// pieces or more is read by this thread and one helper thread,
 /// each claiming the next unclaimed piece from one shared cursor, in
 /// window order:
 ///
@@ -685,16 +698,18 @@ pub const READ_AHEAD_SLOTS: usize = 4;
 ///   claims nothing once [`obs::budget::interrupted`] says stop; this
 ///   thread's checkpoint is `scan`'s own, before it asks for the next
 ///   epoch, and once it has asked, the epoch is read whole. When `scan`
-///   returns, the helper finishes at most the piece it is decoding and is
-///   joined, and its cost profile joins the caller's.
+///   returns, the helper finishes at most the piece it is decoding and
+///   this thread waits for it, and its cost profile joins the caller's.
 /// - **Panics.** A fetch or a piece that panics, on either thread, panics
 ///   on this thread when `scan` reaches its epoch, as if it had been read
 ///   here.
 /// - **No nesting.** `fetch` and `decode` start no thread: the pieces are
 ///   the only parallelism of a read, which takes two threads at most.
-/// - **Nothing persistent.** The helper lives for one call; when it
-///   cannot be spawned, or there is no second core for it, this thread
-///   reads the whole window alone, in the same order.
+/// - **One parked helper.** The helper is the process's parked thread,
+///   which takes one read at a time, or, while another read holds it, a
+///   scoped thread of this call's own; when neither can be spawned, or
+///   there is no second core for it, this thread reads the whole window
+///   alone, in the same order.
 pub fn read_ahead<F: Send + Sync, P: Send, R>(
     epochs: &[EpochId],
     pieces: usize,
@@ -747,30 +762,42 @@ fn read_ahead_on<F: Send + Sync, P: Send, R>(
         changed: Condvar::new(),
     };
     let ahead = &ahead;
-    std::thread::scope(|s| {
-        let helper = (helped && epochs.len() * pieces >= 2).then(|| {
-            let context = obs::context::capture();
-            std::thread::Builder::new()
-                .name("read-ahead".into())
-                .spawn_scoped(s, move || {
-                    let entered = context.enter();
-                    obs::trace::event("read-ahead", &[]);
-                    ahead.help();
-                    entered.leave()
-                })
-        });
-        let mut lender = Lender { ahead, next: 0 };
-        let scanned = scan(&mut lender);
-        drop(lender);
-        if let Some(Ok(helper)) = helper {
-            match helper.join() {
-                Ok(Some(profile)) => obs::cost::absorb(&profile),
-                Ok(None) => {}
-                Err(panic) => std::panic::resume_unwind(panic),
+    let wanted = helped && epochs.len() * pieces >= 2;
+    let context = obs::context::capture();
+    // What the helper left: its cost profile, or the panic it raised.
+    let helped_out = Mutex::new(None);
+    let help: &parked::Job = &|| {
+        let out = catch_unwind(AssertUnwindSafe(|| {
+            let entered = context.enter();
+            obs::trace::event("read-ahead", &[]);
+            ahead.help();
+            entered.leave()
+        }));
+        *helped_out.lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
+    };
+    let scanned = parked::beside(wanted, help, |parked| {
+        std::thread::scope(|s| {
+            if wanted && !parked {
+                // The parked helper is busy with another read: start one.
+                let _ = std::thread::Builder::new()
+                    .name("read-ahead".into())
+                    .spawn_scoped(s, help);
             }
-        }
-        scanned
-    })
+            let mut lender = Lender { ahead, next: 0 };
+            let scanned = scan(&mut lender);
+            drop(lender);
+            scanned
+        })
+    });
+    match helped_out
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+    {
+        Some(Ok(Some(profile))) => obs::cost::absorb(&profile),
+        Some(Ok(None)) | None => {}
+        Some(Err(panic)) => std::panic::resume_unwind(panic),
+    }
+    scanned
 }
 
 /// The state a [`read_ahead`]'s two threads share.
@@ -1194,7 +1221,7 @@ mod tests {
     /// A busy epoch's leaf is two members: the header and CDR table, then
     /// the NMS table. It decompresses whole to the text; a read of CDR
     /// inflates the first member alone, a read of NMS both, and `load`
-    /// reads back the ingested snapshot.
+    /// reads back the ingested snapshot, on the calling thread alone.
     #[test]
     fn a_busy_leaf_is_read_member_by_member() {
         let store = store_with(Arc::new(GzipLite::default()));
@@ -1234,7 +1261,7 @@ mod tests {
             .iter()
             .filter(|e| e.name == "read-ahead")
             .count();
-        assert_eq!(helpers, 0, "one Path epoch is read on the calling thread");
+        assert_eq!(helpers, 0, "a Path epoch is loaded on the calling thread");
     }
 
     /// With no second core, a read of many pieces starts no helper: every
