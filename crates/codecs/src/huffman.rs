@@ -134,6 +134,29 @@ fn reverse_bits(code: u32, len: u8) -> u32 {
     code.reverse_bits() >> (32 - u32::from(len))
 }
 
+/// Call `f(symbol, length)` for every nonzero length of `lengths`, in
+/// symbol order, passing over eight zero lengths at a time.
+#[inline(always)]
+fn for_coded(lengths: &[u8], mut f: impl FnMut(usize, u8)) {
+    let mut chunks = lengths.chunks_exact(8);
+    let mut base = 0;
+    for chunk in &mut chunks {
+        if u64::from_le_bytes(chunk.try_into().expect("8 lengths")) != 0 {
+            for (i, &l) in chunk.iter().enumerate() {
+                if l != 0 {
+                    f(base + i, l);
+                }
+            }
+        }
+        base += 8;
+    }
+    for (i, &l) in chunks.remainder().iter().enumerate() {
+        if l != 0 {
+            f(base + i, l);
+        }
+    }
+}
+
 /// Canonical Huffman encoder.
 #[derive(Debug, Clone)]
 pub struct HuffmanEncoder {
@@ -263,19 +286,24 @@ impl HuffmanDecoder {
     /// symbol. Fails on an empty code, a length above 15 or lengths that
     /// violate the Kraft inequality; a Kraft-deficient code is accepted
     /// and its unassigned bit patterns decode to "no code".
+    ///
+    /// Most of a block's literal alphabet is uncoded (a snapshot's text
+    /// uses a few dozen byte values), so both passes over `lengths` skip
+    /// eight zero lengths at a time ([`for_coded`]), and the long codes
+    /// are kept aside in the first pass for the sub-tables. A member
+    /// builds two tables before it inflates a byte, so their cost is paid
+    /// once per member.
     pub fn build(
         lengths: &[u8],
         primary_bits: u32,
         meta: impl Fn(usize) -> Entry,
     ) -> Result<Self, CodecError> {
-        let mut count = [0u32; MAX_DECODE_LEN as usize + 1];
-        for &l in lengths {
-            if u32::from(l) > MAX_DECODE_LEN {
-                return Err(CodecError::Corrupt("huffman code length > 15"));
-            }
-            count[usize::from(l)] += 1;
+        // Index 16 counts the lengths above 15.
+        let mut count = [0u32; MAX_DECODE_LEN as usize + 2];
+        for_coded(lengths, |_, l| count[usize::from(l).min(16)] += 1);
+        if count[16] > 0 {
+            return Err(CodecError::Corrupt("huffman code length > 15"));
         }
-        count[0] = 0;
         let max_len = (1..=MAX_DECODE_LEN)
             .rev()
             .find(|&l| count[l as usize] > 0)
@@ -310,12 +338,12 @@ impl HuffmanDecoder {
 
         // Short codes fill the primary table. A long code leaves, in the
         // extra-bits field of its prefix's primary slot (code length still
-        // 0), the index width its sub-table needs.
+        // 0), the index width its sub-table needs, and is kept aside as
+        // (symbol, length, bit-reversed code).
+        let long_codes = count[primary_bits as usize + 1..=max_len as usize].iter();
+        let mut long = Vec::with_capacity(long_codes.sum::<u32>() as usize);
         let mut next = first;
-        for (sym, &len) in lengths.iter().enumerate() {
-            if len == 0 {
-                continue;
-            }
+        for_coded(lengths, |sym, len| {
             let len = u32::from(len);
             let rev = reverse_bits(next[len as usize], len as u8) as usize;
             next[len as usize] += 1;
@@ -327,42 +355,33 @@ impl HuffmanDecoder {
             } else {
                 let slot = &mut table[rev & primary_mask];
                 slot.0 = slot.0.max((len - primary_bits) << 4);
+                long.push((sym, len, rev));
+            }
+        });
+
+        // Turn the recorded widths into pointers and append the
+        // sub-tables, one a prefix, when its first long code is met. At
+        // most `1 << primary_bits` of them with `1 << (15 - primary_bits)`
+        // entries each, so an offset always fits the 16-bit payload.
+        for &(_, _, rev) in &long {
+            let slot = table[rev & primary_mask];
+            if slot.0 & ENTRY_SUBTABLE == 0 {
+                let offset = table.len() as u32;
+                debug_assert!(offset < 1 << 16);
+                table[rev & primary_mask] = Entry(ENTRY_SUBTABLE | slot.0 | offset << 16);
+                table.resize(table.len() + (1 << slot.extra_bits()), Entry::NO_CODE);
             }
         }
-
-        if max_len > primary_bits {
-            // Turn the recorded widths into pointers and append the
-            // sub-tables. At most `1 << primary_bits` of them with
-            // `1 << (15 - primary_bits)` entries each, so an offset always
-            // fits the 16-bit payload.
-            for prefix in 0..primary_size {
-                let slot = table[prefix];
-                if slot.code_len() == 0 && slot.extra_bits() != 0 {
-                    let offset = table.len() as u32;
-                    debug_assert!(offset < 1 << 16);
-                    table[prefix] = Entry(ENTRY_SUBTABLE | slot.0 | offset << 16);
-                    table.resize(table.len() + (1 << slot.extra_bits()), Entry::NO_CODE);
-                }
-            }
-            let mut next = first;
-            for (sym, &len) in lengths.iter().enumerate() {
-                let len = u32::from(len);
-                if len <= primary_bits {
-                    next[len as usize] += 1;
-                    continue;
-                }
-                let rev = reverse_bits(next[len as usize], len as u8) as usize;
-                next[len as usize] += 1;
-                let pointer = table[rev & primary_mask];
-                let start = pointer.payload() as usize;
-                let end = start + (1 << pointer.extra_bits());
-                let entry = coded(sym, len);
-                for slot in table[start + (rev >> primary_bits)..end]
-                    .iter_mut()
-                    .step_by(1 << (len - primary_bits))
-                {
-                    *slot = entry;
-                }
+        for (sym, len, rev) in long {
+            let pointer = table[rev & primary_mask];
+            let start = pointer.payload() as usize;
+            let end = start + (1 << pointer.extra_bits());
+            let entry = coded(sym, len);
+            for slot in table[start + (rev >> primary_bits)..end]
+                .iter_mut()
+                .step_by(1 << (len - primary_bits))
+            {
+                *slot = entry;
             }
         }
         Ok(Self {
@@ -423,14 +442,12 @@ pub fn read_lengths(input: &[u8], pos: &mut usize) -> Result<Vec<u8>, CodecError
         return Err(CodecError::Corrupt("huffman alphabet too large"));
     }
     let bytes = n.div_ceil(2);
-    if *pos + bytes > input.len() {
-        return Err(CodecError::Truncated);
+    let packed = input.get(*pos..*pos + bytes).ok_or(CodecError::Truncated)?;
+    let mut lengths = Vec::with_capacity(2 * bytes);
+    for &byte in packed {
+        lengths.extend_from_slice(&[byte & 0x0F, byte >> 4]);
     }
-    let mut lengths = Vec::with_capacity(n);
-    for i in 0..n {
-        let byte = input[*pos + i / 2];
-        lengths.push(if i % 2 == 0 { byte & 0x0F } else { byte >> 4 });
-    }
+    lengths.truncate(n);
     *pos += bytes;
     Ok(lengths)
 }
@@ -552,6 +569,26 @@ mod tests {
         write_lengths(&mut buf, &even);
         let mut pos = 0;
         assert_eq!(read_lengths(&buf, &mut pos).unwrap(), even);
+    }
+
+    /// A sparse alphabet, as a text's literals are: whole runs of eight
+    /// uncoded symbols, coded ones in the last partial run, and codes
+    /// long enough to need sub-tables.
+    #[test]
+    fn sparse_alphabet_round_trip() {
+        let mut freqs = vec![0u64; 300];
+        for (i, sym) in [3, 17, 64, 65, 66, 70, 71, 200, 290, 299]
+            .into_iter()
+            .enumerate()
+        {
+            freqs[sym] = 1 << (2 * i);
+        }
+        let stream: Vec<usize> = [299, 3, 64, 17, 290, 71, 66, 200, 65, 70, 3, 299].to_vec();
+        round_trip_symbols(&freqs, &stream, 13);
+        let lengths = build_lengths(&freqs, 13);
+        let mut too_long = lengths.clone();
+        too_long[299] = 16;
+        assert!(symbol_decoder(&too_long, 9).is_err());
     }
 
     #[test]

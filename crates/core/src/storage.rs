@@ -129,8 +129,9 @@ fn parse_stage<T>(parse: impl FnOnce() -> T) -> T {
 /// ([`SnapshotStore::fetch`]): every dfs operation of the read is done,
 /// what is left is CPU work, piece by piece ([`SnapshotStore::decode`]).
 enum Fetched<'s> {
-    /// A Path leaf as stored, and the codec that inflates it.
-    Packed(&'s dyn Codec, Vec<u8>),
+    /// A Path leaf as stored, the codec that inflates it and the length
+    /// of its first member ([`Codec::members`]).
+    Packed(&'s dyn Codec, Vec<u8>, usize),
     /// A CAS epoch, opened: its pack read and verified against the
     /// manifest the store holds.
     Open(Box<cas::EpochReader<'s>>),
@@ -434,7 +435,10 @@ impl SnapshotStore {
         obs::cost::touch_epoch(u64::from(epoch.0));
         match &self.backend {
             Backend::Path { codec } => match self.dfs.read(&self.path_for(epoch)) {
-                Ok(bytes) => Ok(Fetched::Packed(codec.as_ref(), bytes)),
+                Ok(bytes) => {
+                    let first = codec.members(&bytes)[0].len();
+                    Ok(Fetched::Packed(codec.as_ref(), bytes, first))
+                }
                 Err(DfsError::NotFound(_)) => Err(StorageError::Missing(epoch)),
                 Err(e) => Err(e.into()),
             },
@@ -471,8 +475,8 @@ impl SnapshotStore {
         piece: usize,
     ) -> Result<Piece, StorageError> {
         match fetched {
-            Fetched::Packed(codec, bytes) => {
-                let (first, rest) = bytes.split_at(codec.members(bytes)[0].len());
+            Fetched::Packed(codec, bytes, first) => {
+                let (first, rest) = bytes.split_at(*first);
                 let (member, head, sections) = match piece {
                     0 if rest.is_empty() => (first, true, &SECTIONS[..]),
                     0 => (first, true, &SECTIONS[..1]),
@@ -763,7 +767,7 @@ fn read_ahead_on<F: Send + Sync, P: Send, R>(
     };
     let ahead = &ahead;
     let wanted = helped && epochs.len() * pieces >= 2;
-    let context = obs::context::capture();
+    let context = wanted.then(obs::context::capture).unwrap_or_default();
     // What the helper left: its cost profile, or the panic it raised.
     let helped_out = Mutex::new(None);
     let help: &parked::Job = &|| {
