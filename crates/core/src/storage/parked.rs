@@ -104,13 +104,19 @@ pub(super) fn beside<R>(wanted: bool, job: &Job<'_>, body: impl FnOnce(bool) -> 
             drop(state);
             return body(false);
         }
-        state.job = Some(erase(job));
+        // SAFETY: the two types differ in their lifetimes alone. The
+        // helper uses the job only until it counts it finished, and
+        // `Finished` below keeps this function from returning or
+        // unwinding before then, so no use of `job` outlives its borrow.
+        #[allow(unsafe_code)]
+        let job = unsafe { std::mem::transmute::<&Job<'_>, &'static Job<'static>>(job) };
+        state.job = Some(job);
         state.handed += 1;
         parked.changed.notify_all();
         state.handed
     };
     /// Waits, on return and on unwind alike, until the helper has
-    /// finished the job: what makes [`erase`] sound.
+    /// finished the job: what makes the lifetime cast above sound.
     struct Finished(&'static Parked, u64);
     impl Drop for Finished {
         fn drop(&mut self) {
@@ -124,14 +130,53 @@ pub(super) fn beside<R>(wanted: bool, job: &Job<'_>, body: impl FnOnce(bool) -> 
     body(true)
 }
 
-/// `job` as the helper holds it, across threads and past the borrow.
-///
-/// Sound only because [`beside`], the one caller, does not return or
-/// unwind before the helper has finished the job (its `Finished` guard),
-/// and the helper drops its copy of the reference when it finishes: no
-/// use of `job` outlives the frame that lent it.
-#[allow(unsafe_code)]
-fn erase<'a>(job: &'a Job<'a>) -> &'static Job<'static> {
-    // SAFETY: see above; the types differ in their lifetimes alone.
-    unsafe { std::mem::transmute::<&'a Job<'a>, &'static Job<'static>>(job) }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
+
+    /// Hand `job` to the helper beside `body`, retrying while another
+    /// test's read holds it; `body` runs once the helper took the job.
+    fn handed(job: &Job<'_>, body: impl Fn()) {
+        while !beside(true, job, |parked| {
+            if parked {
+                body();
+            }
+            parked
+        }) {
+            std::thread::yield_now();
+        }
+    }
+
+    /// While a read holds the helper, another is told to read alone, and
+    /// `beside` returns only once the helper has finished the job, even
+    /// when its body returned first. A job that panics leaves the helper
+    /// serving the next.
+    #[test]
+    fn the_helper_takes_one_job_at_a_time_and_finishes_it_before_beside_returns() {
+        let (release, done) = (AtomicBool::new(false), AtomicBool::new(false));
+        let job = || {
+            while !release.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_millis(20));
+            done.store(true, Ordering::SeqCst);
+        };
+        handed(&job, || {
+            let second = std::thread::scope(|s| {
+                let read = s.spawn(|| beside(true, &|| {}, |parked| parked));
+                read.join().expect("the second read returns")
+            });
+            assert!(!second, "a second read while the helper is held");
+            release.store(true, Ordering::SeqCst);
+        });
+        assert!(done.load(Ordering::SeqCst), "the job finished first");
+
+        handed(&|| panic!("a job panics on the helper"), || {});
+        let ran = AtomicBool::new(false);
+        handed(&|| ran.store(true, Ordering::SeqCst), || {});
+        assert!(ran.load(Ordering::SeqCst), "the helper outlived the panic");
+        assert!(!beside(false, &|| {}, |parked| parked), "not wanted");
+    }
 }
