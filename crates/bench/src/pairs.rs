@@ -215,7 +215,7 @@ pub fn commit_of(dir: &std::path::Path) -> String {
 const CALIBRATION_ROUNDS: usize = 20;
 
 /// The host's speed now, in microseconds: the best of
-/// [`CALIBRATION_ROUNDS`] gzip-lite inflates of one fixed stream, the
+/// `CALIBRATION_ROUNDS` gzip-lite inflates of one fixed stream, the
 /// text of a busy generated epoch at the benchmark's 1/64 scale (~90 KB)
 /// compressed once per process. The same work on every commit, so a
 /// slower reading means a slower host, not a slower change.

@@ -289,7 +289,7 @@ impl HuffmanDecoder {
     ///
     /// Most of a block's literal alphabet is uncoded (a snapshot's text
     /// uses a few dozen byte values), so both passes over `lengths` skip
-    /// eight zero lengths at a time ([`for_coded`]), and the long codes
+    /// eight zero lengths at a time (`for_coded`), and the long codes
     /// are kept aside in the first pass for the sub-tables. A member
     /// builds two tables before it inflates a byte, so their cost is paid
     /// once per member.

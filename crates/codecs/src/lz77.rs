@@ -458,7 +458,7 @@ impl<'a> MatchFinder<'a> {
 /// From `config.split_min` bytes on, the input is cut at `mid = len / 2`:
 /// this thread parses `input[..mid]` while a scoped thread parses
 /// `input[mid..]` with up to one window before `mid` as its preset
-/// dictionary ([`on_two_threads`]), and the two token runs are joined —
+/// dictionary (`on_two_threads`), and the two token runs are joined —
 /// the tokens of the same two calls made one after the other, so only
 /// matches across `mid` are lost.
 pub fn parse(input: &[u8], config: Lz77Config) -> Vec<Token> {
@@ -479,7 +479,7 @@ pub fn parse(input: &[u8], config: Lz77Config) -> Vec<Token> {
 /// that each one's tokens decode alone, and hand `finish` each part with
 /// its tokens; the results come back in order. From `config.split_min`
 /// bytes in all, the first part is parsed and finished on this thread
-/// while a scoped thread does the others ([`on_two_threads`]): the part
+/// while a scoped thread does the others (`on_two_threads`): the part
 /// boundaries take the place of [`parse`]'s cut at `mid`.
 pub fn parse_each<T: Send>(
     parts: &[&[u8]],
