@@ -11,7 +11,7 @@
 //!
 //! The helper runs one read's work at a time. A read that finds it busy
 //! (another thread's read, or a read nested in a scan) starts a scoped
-//! thread of its own, as every read did before.
+//! thread of its own.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
