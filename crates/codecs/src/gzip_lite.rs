@@ -341,17 +341,11 @@ impl Codec for GzipLite {
 
     /// One member a part, concatenated as RFC 1952 §2.2 concatenates gzip
     /// members. Each part is parsed whole and encoded on its own, two
-    /// threads between them ([`lz77::parse_each`]). Below the
-    /// configuration's `split_min` bytes in all, or for one part, the
-    /// container is one member, [`Codec::compress`] of the concatenation:
-    /// a member's header and code tables take ~170 bytes, and so short an
-    /// inflate is not worth a second thread.
+    /// threads between them ([`lz77::parse_each`]). One part is
+    /// [`Codec::compress`] of it.
     fn compress_members(&self, parts: &[&[u8]]) -> Vec<u8> {
-        let total: usize = parts.iter().map(|part| part.len()).sum();
-        match parts {
-            [one] => return self.compress(one),
-            _ if total < self.config.split_min => return self.compress(&parts.concat()),
-            _ => {}
+        if let [one] = parts {
+            return self.compress(one);
         }
         let members = lz77::parse_each(parts, self.config, |part, tokens| {
             let mut out = Vec::with_capacity(part.len() / 4 + 64);
@@ -513,6 +507,8 @@ mod tests {
         (cdr, nms)
     }
 
+    /// Two parts are two members however short they are; one part is
+    /// `compress` of it, split parse and all.
     #[test]
     fn members_decompress_to_their_concatenation_and_each_alone() {
         let codec = GzipLite::default();
@@ -527,15 +523,11 @@ mod tests {
         assert_eq!(members.concat(), packed);
         assert_eq!(codec.decompress(members[0]).unwrap(), cdr);
         assert_eq!(codec.decompress(members[1]).unwrap(), nms);
-        // One part is `compress` of it, split parse and all; so are parts
-        // too short to be worth a member each.
         let whole = [cdr, nms].concat();
         assert_eq!(codec.compress_members(&[&whole]), codec.compress(&whole));
-        let short = [&whole[..100], &whole[100..200]];
-        assert_eq!(
-            codec.compress_members(&short),
-            codec.compress(&whole[..200])
-        );
+        let short = codec.compress_members(&[&whole[..100], &whole[100..200]]);
+        assert_eq!(codec.members(&short).len(), 2);
+        assert_eq!(codec.decompress(&short).unwrap(), &whole[..200]);
     }
 
     #[test]
@@ -567,11 +559,7 @@ mod tests {
     /// member ends, the members before the cut, which are a whole stream.
     #[test]
     fn every_cut_and_flip_of_two_members_is_refused_or_reads_back() {
-        // Members however short, so that the sweep stays small.
-        let codec = GzipLite::with_config(Lz77Config {
-            split_min: 0,
-            ..Lz77Config::deflate_class()
-        });
+        let codec = GzipLite::default();
         let (cdr, nms) = (
             b"#TABLE CDR\n1,2,3\n4,5,6\n".repeat(3),
             b"#TABLE NMS\n7,8\n".repeat(3),

@@ -238,8 +238,13 @@ impl StoredSnapshot {
 /// How snapshot bytes land on the filesystem.
 #[derive(Clone)]
 enum Backend {
-    /// One compressed file per epoch at its leaf path.
-    Path { codec: Arc<dyn Codec> },
+    /// One compressed file per epoch at its leaf path, written one member
+    /// a table where the codec has a per-table form, `tables` its name
+    /// ([`codecs::by_name`]).
+    Path {
+        codec: Arc<dyn Codec>,
+        tables: Option<&'static str>,
+    },
     /// Chunked, one manifest and one pack per epoch (see the `cas` crate).
     Cas(CasStore),
 }
@@ -256,9 +261,10 @@ pub struct SnapshotStore {
 impl SnapshotStore {
     /// Path-addressed store (the paper's storage layer).
     pub fn new(dfs: Dfs, codec: Arc<dyn Codec>) -> Self {
+        let tables = codecs::by_name(&format!("{}/tables", codec.name())).map(|c| c.name());
         Self {
             dfs,
-            backend: Backend::Path { codec },
+            backend: Backend::Path { codec, tables },
             root: "/spate".to_string(),
         }
     }
@@ -283,9 +289,12 @@ impl SnapshotStore {
         self
     }
 
+    /// The name [`codecs::by_name`] knows the codec under that writes
+    /// this store's leaves: its `compress` of [`Snapshot::to_bytes`] is a
+    /// Path leaf (`gzip-lite/tables` for gzip-lite).
     pub fn codec_name(&self) -> &'static str {
         match &self.backend {
-            Backend::Path { codec } => codec.name(),
+            Backend::Path { codec, tables } => tables.unwrap_or(codec.name()),
             Backend::Cas(cas) => cas.codec_name(),
         }
     }
@@ -334,10 +343,11 @@ impl SnapshotStore {
     }
 
     /// Serialize, compress and persist one snapshot: a Path leaf is its
-    /// [`Snapshot::to_bytes`] text compressed as two members, the header
-    /// and CDR table, then the NMS table ([`Snapshot::to_sections`]); a
-    /// CAS epoch its column image ([`CasStore::put_snapshot`]), written
-    /// with no text at all.
+    /// [`Snapshot::to_bytes`] text compressed, from
+    /// [`codecs::TABLE_MEMBERS_FROM`] bytes on as two members where the
+    /// codec has members: the header and CDR table, then the NMS table
+    /// ([`codecs::table_parts`]); a CAS epoch its column image
+    /// ([`CasStore::put_snapshot`]), written with no text at all.
     ///
     /// Crash-consistent: a Path leaf is committed by [`Dfs::write_staged`]
     /// (a CAS epoch's manifest likewise). A crash mid-write leaves either
@@ -351,15 +361,17 @@ impl SnapshotStore {
     /// wall time per stage.
     pub fn store(&self, snapshot: &Snapshot) -> Result<StoredSnapshot, StorageError> {
         match &self.backend {
-            Backend::Path { codec } => {
-                let (raw, nms_at) = {
+            Backend::Path { codec, tables } => {
+                let raw = {
                     let _s = obs::span("segment");
-                    snapshot.to_sections()
+                    snapshot.to_bytes()
                 };
                 let packed = {
                     let _s = obs::span("compress");
-                    let (head, nms) = raw.split_at(nms_at);
-                    codec.compress_metered(&[head, nms])
+                    match tables {
+                        Some(_) => codec.compress_metered(&codecs::table_parts(&raw)),
+                        None => codec.compress_metered(&[&raw]),
+                    }
                 };
                 let path = self.path_for(snapshot.epoch);
                 self.dfs.write_staged(&path, &packed)?;
@@ -399,10 +411,9 @@ impl SnapshotStore {
     /// name `epoch`) or a CAS epoch's records built from its verified
     /// columns — refused exactly when a scan of both its tables is.
     ///
-    /// A Path leaf is loaded on the calling thread alone. `load` is how
-    /// serve's workers fill their epoch cache, and the two of them already
-    /// keep both cores busy; reading on one thread also keeps the order of
-    /// a traced request's spans the same from run to run.
+    /// A Path leaf is loaded on the calling thread alone, so that a traced
+    /// request's spans come in the same order from run to run (with a
+    /// helper, `repro trace`'s twice-run span order differed).
     pub fn load(&self, epoch: EpochId) -> Result<Snapshot, StorageError> {
         let helped = second_core() && self.cas().is_some();
         let read = self.read_on(helped, &[epoch], &SECTIONS, |reads| {
@@ -434,7 +445,7 @@ impl SnapshotStore {
         let _s = obs::stage("read");
         obs::cost::touch_epoch(u64::from(epoch.0));
         match &self.backend {
-            Backend::Path { codec } => match self.dfs.read(&self.path_for(epoch)) {
+            Backend::Path { codec, .. } => match self.dfs.read(&self.path_for(epoch)) {
                 Ok(bytes) => {
                     let first = codec.members(&bytes)[0].len();
                     Ok(Fetched::Packed(codec.as_ref(), bytes, first))
@@ -451,10 +462,14 @@ impl SnapshotStore {
 
     /// How many pieces a read of `tables` decodes of an epoch: a CAS
     /// epoch one per table asked for; a Path leaf its first member, which
-    /// holds the header, and its second when NMS is asked for.
+    /// holds the header, and its second when NMS is asked for and the
+    /// codec writes members (a leaf of one member is read whole by the
+    /// first piece, and the second finds nothing to read).
     fn pieces(&self, tables: &[TableKind]) -> usize {
         match &self.backend {
-            Backend::Path { .. } => 1 + usize::from(tables.contains(&TableKind::Nms)),
+            Backend::Path {
+                tables: per_table, ..
+            } => 1 + usize::from(per_table.is_some() && tables.contains(&TableKind::Nms)),
             Backend::Cas(_) => cas::stored_tables(tables).count(),
         }
     }
@@ -710,10 +725,9 @@ pub const READ_AHEAD_SLOTS: usize = 4;
 /// - **No nesting.** `fetch` and `decode` start no thread: the pieces are
 ///   the only parallelism of a read, which takes two threads at most.
 /// - **One parked helper.** The helper is the process's parked thread,
-///   which takes one read at a time, or, while another read holds it, a
-///   scoped thread of this call's own; when neither can be spawned, or
-///   there is no second core for it, this thread reads the whole window
-///   alone, in the same order.
+///   which takes one read at a time; while another read holds it, when it
+///   cannot be spawned, or when there is no second core for it, this
+///   thread reads the whole window alone, in the same order.
 pub fn read_ahead<F: Send + Sync, P: Send, R>(
     epochs: &[EpochId],
     pieces: usize,
@@ -779,19 +793,11 @@ fn read_ahead_on<F: Send + Sync, P: Send, R>(
         }));
         *helped_out.lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
     };
-    let scanned = parked::beside(wanted, help, |parked| {
-        std::thread::scope(|s| {
-            if wanted && !parked {
-                // The parked helper is busy with another read: start one.
-                let _ = std::thread::Builder::new()
-                    .name("read-ahead".into())
-                    .spawn_scoped(s, help);
-            }
-            let mut lender = Lender { ahead, next: 0 };
-            let scanned = scan(&mut lender);
-            drop(lender);
-            scanned
-        })
+    let scanned = parked::beside(wanted, help, |_| {
+        let mut lender = Lender { ahead, next: 0 };
+        let scanned = scan(&mut lender);
+        drop(lender);
+        scanned
     });
     match helped_out
         .into_inner()
@@ -1238,7 +1244,9 @@ mod tests {
         let members = codec.members(&leaf);
         assert_eq!(members.len(), 2);
         assert_eq!(codec.decompress(&leaf).unwrap(), snap.to_bytes());
-        let (text, nms_at) = snap.to_sections();
+        let text = snap.to_bytes();
+        let nms_at = members[0].len();
+        let nms_at = codec.decompress(&leaf[..nms_at]).unwrap().len();
         let inflated = |tables: &[TableKind]| {
             let cost = obs::cost::begin(1);
             let rows = store.read_ahead(&[snap.epoch], tables, |reads| {
@@ -1266,6 +1274,39 @@ mod tests {
             .filter(|e| e.name == "read-ahead")
             .count();
         assert_eq!(helpers, 0, "a Path epoch is loaded on the calling thread");
+    }
+
+    /// `codecs::by_name(codec_name())` names the codec whose `compress`
+    /// of a snapshot's text is its Path leaf, byte for byte: gzip-lite's
+    /// per-table form, one member below `TABLE_MEMBERS_FROM` bytes of text
+    /// and two from there on, and any other codec itself.
+    #[test]
+    fn the_named_codec_rebuilds_every_leaf() {
+        let snaps: Vec<Snapshot> = TraceGenerator::new(TraceConfig::scaled(1.0 / 64.0))
+            .take(24)
+            .collect();
+        let sizes = snaps.iter().map(|s| s.to_bytes().len());
+        assert!(sizes.clone().any(|n| n < codecs::TABLE_MEMBERS_FROM));
+        assert!(sizes.clone().any(|n| n >= codecs::TABLE_MEMBERS_FROM));
+        let codecs: [Arc<dyn Codec>; 3] = [
+            Arc::new(GzipLite::default()),
+            Arc::new(codecs::Identity),
+            Arc::new(codecs::ZstdLite::default()),
+        ];
+        for codec in codecs {
+            let store = store_with(codec);
+            let named = codecs::by_name(store.codec_name()).unwrap();
+            for snap in &snaps[..] {
+                store.store(snap).unwrap();
+                let leaf = store.dfs().read(&store.path_for(snap.epoch)).unwrap();
+                let text = snap.to_bytes();
+                assert_eq!(named.compress(&text), leaf, "{}", store.codec_name());
+                let members = named.members(&leaf).len();
+                let two = store.codec_name() == "gzip-lite/tables"
+                    && text.len() >= codecs::TABLE_MEMBERS_FROM;
+                assert_eq!(members, 1 + usize::from(two), "{}", store.codec_name());
+            }
+        }
     }
 
     /// With no second core, a read of many pieces starts no helper: every
@@ -1311,8 +1352,16 @@ mod tests {
             .flat_map(|n| [(n, None), (n, Some(0)), (n, Some(1))])
             .collect();
         assert_eq!(order, want);
-        let (on_two, _, helpers) = read(true);
-        assert_eq!(helpers, 1);
-        assert_eq!(lent, on_two);
+        // Another test's read may hold the parked helper: then this one
+        // reads alone, as on one core.
+        loop {
+            let (on_two, _, helpers) = read(true);
+            assert_eq!(lent, on_two);
+            if helpers == 1 {
+                break;
+            }
+            assert_eq!(helpers, 0);
+            std::thread::yield_now();
+        }
     }
 }

@@ -76,28 +76,17 @@ impl Snapshot {
     /// <csv rows>
     /// ```
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_sections().0
-    }
-
-    /// [`Self::to_bytes`], and the offset its NMS section starts at: the
-    /// header line and the CDR table before it, the NMS table from it on
-    /// (the two parts a Path store compresses as members of their own).
-    pub fn to_sections(&self) -> (Vec<u8>, usize) {
         // Generated CDR rows (200 columns) take ~490 bytes, NMS rows ~38.
         let mut out = String::with_capacity(self.cdr.len() * 512 + self.nms.len() * 48 + 128);
         out.push_str(&Self::header_line(self.epoch));
-        let mut nms_at = 0;
         for table in [TableKind::Cdr, TableKind::Nms] {
             let records = self.table(table);
-            if table == TableKind::Nms {
-                nms_at = out.len();
-            }
             out.push_str(&Self::table_header_line(table, records.len()));
             for r in records {
                 r.to_line(&mut out);
             }
         }
-        (out.into_bytes(), nms_at)
+        out.into_bytes()
     }
 
     /// The line [`Self::to_bytes`] opens the snapshot of `epoch` with,
@@ -1027,9 +1016,8 @@ mod tests {
         let snap = crate::TraceGenerator::new(crate::TraceConfig::tiny())
             .nth(20)
             .unwrap();
-        let (text, nms_at) = snap.to_sections();
-        assert_eq!(text, snap.to_bytes());
-        assert!(text[nms_at..].starts_with(b"#TABLE NMS"));
+        let text = snap.to_bytes();
+        let nms_at = text.windows(11).position(|w| w == b"\n#TABLE NMS").unwrap() + 1;
         let mut scanned = Vec::new();
         Snapshot::scan(&text, |table, row| {
             scanned.push((table, row.line.to_string()))
