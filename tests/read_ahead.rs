@@ -914,9 +914,9 @@ fn a_window_reads_the_dfs_as_one_epoch_at_a_time_does() {
 
 /// The helper joins a read from its second piece on, once, where the
 /// process has a second core: a one-epoch read of CDR is one piece and
-/// takes none; a one-epoch read of both tables is two, a CAS epoch's two
-/// tables or a Path leaf's two members, and takes exactly one. A Path
-/// `load` takes none. Each helper is its `read-ahead` event in the
+/// takes none; a one-epoch read of both tables is a CAS epoch's two
+/// tables and takes exactly one, and a Path leaf this small is one member,
+/// one piece, and takes none. A Path `load` takes none. Each helper is its `read-ahead` event in the
 /// caller's trace. On one core (`taskset -c 0`) no read takes one.
 #[test]
 fn a_read_spawns_its_helper_from_the_second_piece_on() {
@@ -943,7 +943,7 @@ fn a_read_spawns_its_helper_from_the_second_piece_on() {
         };
         // (what, the read, helpers on Path, helpers on CAS)
         let cases: [(&str, &dyn Fn(), usize, usize); 6] = [
-            ("one epoch, both tables", &query(&both, 1), 1, 1),
+            ("one epoch, both tables", &query(&both, 1), 0, 1),
             ("one epoch, CDR", &query(&cdr, 1), 0, 0),
             ("two epochs, CDR", &query(&cdr, 2), 1, 1),
             ("eight epochs, both tables", &query(&both, 8), 1, 1),
