@@ -7,9 +7,10 @@
 //! directory hierarchy, through one of two backends:
 //!
 //! - **Path-addressed** (the default): one compressed `.snap` file per
-//!   30-minute snapshot, its text in two members of the codec
-//!   ([`Codec::compress_members`]): the header line and the CDR table,
-//!   then the NMS table. The leaf still decompresses whole to the text.
+//!   30-minute snapshot, a text of 72 KiB or more in two members of a
+//!   codec that has members ([`codecs::table_parts`]): the header line
+//!   and the CDR table, then the NMS table. The leaf still decompresses
+//!   whole to the text.
 //! - **Content-addressed** ([`SnapshotStore::new_cas`]): snapshots are
 //!   transposed into columns, each table's varying columns one unit
 //!   named by its content hash and packed into the epoch's own `.pk`
@@ -734,9 +735,10 @@ pub const READ_AHEAD_SLOTS: usize = 4;
 /// - **No nesting.** `fetch` and `decode` start no thread: the pieces are
 ///   the only parallelism of a read, which takes two threads at most.
 /// - **One parked helper.** The helper is the process's parked thread,
-///   which takes one read at a time; while another read holds it, when it
-///   cannot be spawned, or when there is no second core for it, this
-///   thread reads the whole window alone, in the same order.
+///   which takes one read at a time, or, while another read holds it, a
+///   scoped thread of this call's own; when neither can be spawned, or
+///   there is no second core for it, this thread reads the whole window
+///   alone, in the same order.
 pub fn read_ahead<F: Send + Sync, P: Send, R>(
     epochs: &[EpochId],
     pieces: usize,
@@ -802,11 +804,20 @@ fn read_ahead_on<F: Send + Sync, P: Send, R>(
         }));
         *helped_out.lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
     };
-    let scanned = parked::beside(wanted, help, |_| {
-        let mut lender = Lender { ahead, next: 0 };
-        let scanned = scan(&mut lender);
-        drop(lender);
-        scanned
+    let scanned = parked::beside(wanted, help, |parked| {
+        std::thread::scope(|s| {
+            if wanted && !parked {
+                // The parked helper is busy with another read, or with the
+                // read this one is nested in (T4's join): start one.
+                let _ = std::thread::Builder::new()
+                    .name("read-ahead".into())
+                    .spawn_scoped(s, help);
+            }
+            let mut lender = Lender { ahead, next: 0 };
+            let scanned = scan(&mut lender);
+            drop(lender);
+            scanned
+        })
     });
     match helped_out
         .into_inner()
@@ -1297,11 +1308,7 @@ mod tests {
         assert!(quiet.to_bytes().len() < codecs::TABLE_MEMBERS_FROM);
         store.store(&quiet).unwrap();
         assert_eq!(helpers(&both(quiet.epoch)), 0, "a one-member leaf");
-        // Another test's read may hold the parked helper: then this one
-        // reads alone.
-        while helpers(&both(snap.epoch)) == 0 {
-            std::thread::yield_now();
-        }
+        assert_eq!(helpers(&both(snap.epoch)), 1, "a two-member leaf");
         let ingested = Snapshot::from_bytes(&text).unwrap();
         assert_eq!(
             helpers(&|| assert_eq!(store.load(snap.epoch).unwrap(), ingested)),
@@ -1386,16 +1393,8 @@ mod tests {
             .flat_map(|n| [(n, None), (n, Some(0)), (n, Some(1))])
             .collect();
         assert_eq!(order, want);
-        // Another test's read may hold the parked helper: then this one
-        // reads alone, as on one core.
-        loop {
-            let (on_two, _, helpers) = read(true);
-            assert_eq!(lent, on_two);
-            if helpers == 1 {
-                break;
-            }
-            assert_eq!(helpers, 0);
-            std::thread::yield_now();
-        }
+        let (on_two, _, helpers) = read(true);
+        assert_eq!(helpers, 1);
+        assert_eq!(lent, on_two);
     }
 }

@@ -10,7 +10,8 @@
 //! the parked hand-over makes one epoch's read shorter on two cores.
 //!
 //! The helper runs one read's work at a time. A read that finds it busy
-//! (another thread's read, or a read nested in a scan) reads alone.
+//! (another thread's read, or a read nested in a scan) starts a scoped
+//! thread of its own.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};

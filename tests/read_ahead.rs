@@ -25,7 +25,7 @@ use spate::trace::time::EpochId;
 use spate::trace::{CellLayout, Snapshot, TraceConfig, TraceGenerator};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::Duration;
 
@@ -35,19 +35,6 @@ const LAST: u32 = 23;
 
 /// How long a scan that must end may take before the test calls it hung.
 const HANG: Duration = Duration::from_secs(5);
-
-/// The process has one parked read-ahead helper, and a read that finds
-/// it busy reads alone: a test that needs the helper holds `HELPER`
-/// alone ([`helper_alone`]), and every other test that reads shares it.
-static HELPER: RwLock<()> = RwLock::new(());
-
-fn helper_alone() -> RwLockWriteGuard<'static, ()> {
-    HELPER.write().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn helper_shared() -> RwLockReadGuard<'static, ()> {
-    HELPER.read().unwrap_or_else(PoisonError::into_inner)
-}
 
 fn trace() -> (CellLayout, Vec<Snapshot>) {
     let mut generator = TraceGenerator::new(TraceConfig::scaled(1.0 / 2048.0));
@@ -444,19 +431,16 @@ enum Damage {
 
 #[test]
 fn a_damaged_path_leaf_anywhere_costs_what_it_costs_one_epoch_at_a_time() {
-    let _helper = helper_shared();
     damage_every_position("Path");
 }
 
 #[test]
 fn a_damaged_cas_epoch_anywhere_costs_what_it_costs_one_epoch_at_a_time() {
-    let _helper = helper_shared();
     damage_every_position("CAS");
 }
 
 #[test]
 fn visits_come_in_epoch_order_on_the_calling_thread() {
-    let _helper = helper_shared();
     let (layout, snaps) = trace();
     for (backend, fw) in warehouses(&layout, &snaps) {
         let caller = std::thread::current().id();
@@ -476,7 +460,6 @@ fn visits_come_in_epoch_order_on_the_calling_thread() {
 
 #[test]
 fn a_cancel_before_epoch_k_serves_exactly_the_first_k() {
-    let _helper = helper_shared();
     let (layout, snaps) = trace();
     let n = snaps.len();
     for (backend, fw) in warehouses(&layout, &snaps) {
@@ -565,7 +548,6 @@ fn a_cancel_before_epoch_k_serves_exactly_the_first_k() {
 /// piece of epoch `k` is never decoded on it.
 #[test]
 fn a_cancel_between_an_epochs_pieces_serves_exactly_the_earlier_epochs() {
-    let _helper = helper_alone();
     let epochs: Vec<EpochId> = (0..8).map(EpochId).collect();
     for k in 0..epochs.len() as u32 {
         let cancel = obs::CancelFlag::new();
@@ -671,7 +653,6 @@ fn helper_first(panic_at: Option<u32>) -> std::thread::Result<Vec<(EpochId, u32)
 
 #[test]
 fn what_the_helper_read_is_lent_in_order_and_its_panic_reaches_the_caller() {
-    let _helper = helper_alone();
     let lent = helper_first(None).expect("no read panics");
     let want: Vec<(EpochId, u32)> = (0..8).map(|e| (EpochId(e), e * 10)).collect();
     assert_eq!(lent, want);
@@ -774,7 +755,6 @@ fn piece_panics(at: u32, piece: usize, on: On) -> (Vec<u32>, String) {
 /// piece is held back, decodes ahead through the slots' last epoch.
 #[test]
 fn a_panic_in_either_piece_on_either_thread_reaches_the_scan_at_its_epoch() {
-    let _helper = helper_alone();
     let last = READ_AHEAD_SLOTS as u32 - 1;
     let schedules = [
         (0, On::Helper),
@@ -796,7 +776,6 @@ fn a_panic_in_either_piece_on_either_thread_reaches_the_scan_at_its_epoch() {
 
 #[test]
 fn a_served_request_that_panics_is_still_isolated() {
-    let _helper = helper_shared();
     let (layout, snaps) = trace();
     let mut fw = SpateFramework::in_memory(layout);
     for s in &snaps {
@@ -821,7 +800,6 @@ fn a_served_request_that_panics_is_still_isolated() {
 
 #[test]
 fn no_more_than_the_slots_are_read_and_not_yet_lent() {
-    let _helper = helper_alone();
     let epochs: Vec<EpochId> = (0..40).map(EpochId).collect();
     // A patient scan lets the helper read as far ahead as it may first.
     // Epochs of no piece (a CAS scan of no table) are fetched alone.
@@ -888,7 +866,6 @@ fn no_more_than_the_slots_are_read_and_not_yet_lent() {
 /// time issues.
 #[test]
 fn a_window_reads_the_dfs_as_one_epoch_at_a_time_does() {
-    let _helper = helper_shared();
     let (layout, snaps) = trace();
     let q = Query::new(&["upflux", "call_drops"], BoundingBox::everything());
     for (backend, fw) in warehouses(&layout, &snaps) {
@@ -915,12 +892,12 @@ fn a_window_reads_the_dfs_as_one_epoch_at_a_time_does() {
 /// The helper joins a read from its second piece on, once, where the
 /// process has a second core: a one-epoch read of CDR is one piece and
 /// takes none; a one-epoch read of both tables is a CAS epoch's two
-/// tables and takes exactly one, and a Path leaf this small is one member,
-/// one piece, and takes none. A Path `load` takes none. Each helper is its `read-ahead` event in the
-/// caller's trace. On one core (`taskset -c 0`) no read takes one.
+/// tables and takes exactly one, and a Path leaf this small is one
+/// member, one piece, and takes none. A Path `load` takes none. Each
+/// helper is its `read-ahead` event in the caller's trace. On one core
+/// (`taskset -c 0`) no read takes one.
 #[test]
 fn a_read_spawns_its_helper_from_the_second_piece_on() {
-    let _helper = helper_alone();
     let (layout, snaps) = trace();
     let both = Query::new(&["upflux", "call_drops"], BoundingBox::everything());
     let cdr = Query::new(&["upflux"], BoundingBox::everything());
@@ -986,7 +963,6 @@ fn named(events: &[SpanEvent], name: &str) -> usize {
 /// no helper reads.
 #[test]
 fn a_read_ahead_query_is_traced_as_one_epoch_at_a_time_is() {
-    let _helper = helper_shared();
     let mut generator = TraceGenerator::new(TraceConfig::scaled(1.0 / 2048.0));
     let layout = generator.layout().clone();
     let snaps: Vec<Snapshot> = generator.by_ref().take(24).collect();
@@ -1057,7 +1033,6 @@ fn a_read_ahead_query_is_traced_as_one_epoch_at_a_time_is() {
 
 #[test]
 fn a_profiled_query_costs_what_it_costs_one_epoch_at_a_time() {
-    let _helper = helper_shared();
     let (layout, snaps) = trace();
     for (backend, fw) in warehouses(&layout, &snaps) {
         let q = Query::new(&["upflux", "call_drops"], BoundingBox::everything())
