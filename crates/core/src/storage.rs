@@ -553,8 +553,8 @@ impl SnapshotStore {
     }
 
     /// [`Self::read_ahead`], with a helper only when `helped`. A window of
-    /// one Path epoch fetches its leaf first: a leaf of one member is then
-    /// one piece, which takes no helper.
+    /// one Path epoch fetches its leaf first: a leaf of one member, or a
+    /// missing one, is then one piece, which takes no helper.
     fn read_on<R>(
         &self,
         helped: bool,
@@ -567,8 +567,8 @@ impl SnapshotStore {
             [epoch] if pieces > 1 && self.cas().is_none() => Some(self.fetch(*epoch)),
             _ => None,
         };
-        if let Some(Ok(Fetched::Packed(_, bytes, first))) = &first {
-            if *first == bytes.len() {
+        if let Some(fetched) = &first {
+            if !matches!(fetched, Ok(Fetched::Packed(_, bytes, first)) if *first < bytes.len()) {
                 pieces = 1;
             }
         }
