@@ -9,8 +9,7 @@
 //! The tables are independent, and `table` takes `&self`, so the reader
 //! is shared by reference and a read of both tables may inflate them on
 //! two threads at once: [`stored_tables`] names a read's tables, one piece
-//! of work each, and [`EpochReader::columns`] puts what they returned
-//! together. The reader itself starts no thread.
+//! of work each. The reader itself starts no thread.
 //! [`EpochReader::snapshot_columns`] is the same read on one thread, and
 //! [`EpochReader::assemble`], the reference the tests hold them against,
 //! writes the text of the same tables. All of them go through one private
@@ -35,15 +34,6 @@ pub struct EpochReader<'s> {
     /// each of its units lies in it.
     pack: Vec<u8>,
     units: Vec<Range<usize>>,
-}
-
-/// The tables a scan asked for of a stored snapshot, each whole and
-/// checked ([`EpochReader::snapshot_columns`]).
-pub struct SnapshotColumns {
-    /// In stored order: CDR before NMS.
-    pub tables: Vec<(TableKind, ColumnTable)>,
-    /// Rows of the snapshot, both tables: what a walk of its text counts.
-    pub rows: u64,
 }
 
 /// The tables a read of `wanted` inflates, in stored order (CDR before
@@ -139,29 +129,19 @@ impl<'s> EpochReader<'s> {
         Ok(table)
     }
 
-    /// The tables `wanted` of the snapshot as columns ([`Self::table`] of
-    /// each, no other table inflated): what `Snapshot::scan` refuses of
-    /// these tables in [`Self::assemble`]'s text is refused here, and every
-    /// field reads the same. The store took only a snapshot whose text
-    /// reads back as it (no `\r`), so there is no text left to fall back
-    /// to.
-    pub fn snapshot_columns(&self, wanted: &[TableKind]) -> Result<SnapshotColumns, CasError> {
-        let tables = stored_tables(wanted).map(|(i, kind)| Ok((kind, self.table(i)?)));
-        Ok(self.columns(tables.collect::<Result<_, CasError>>()?))
-    }
-
-    /// The snapshot's columns from `tables`, each one [`Self::table`]
-    /// returned, in stored order: what [`Self::snapshot_columns`] lends of
-    /// the tables read.
-    pub fn columns(&self, tables: Vec<(TableKind, ColumnTable)>) -> SnapshotColumns {
-        let rows = self
-            .held
-            .manifest
-            .tables
-            .iter()
-            .map(|t| u64::from(t.rows))
-            .sum();
-        SnapshotColumns { tables, rows }
+    /// The tables `wanted` of the snapshot as columns, in stored order
+    /// ([`Self::table`] of each, no other table inflated): what
+    /// `Snapshot::scan` refuses of these tables in [`Self::assemble`]'s
+    /// text is refused here, and every field reads the same. The store took
+    /// only a snapshot whose text reads back as it (no `\r`), so there is
+    /// no text left to fall back to.
+    pub fn snapshot_columns(
+        &self,
+        wanted: &[TableKind],
+    ) -> Result<Vec<(TableKind, ColumnTable)>, CasError> {
+        stored_tables(wanted)
+            .map(|(i, kind)| Ok((kind, self.table(i)?)))
+            .collect()
     }
 
     /// The stored snapshot's text, rebuilt: both tables read as

@@ -71,10 +71,9 @@ fn check(cas: &CasStore, raw: &[u8]) -> Arm {
             assert!(wanted.len() < 2, "lent what the text walk refuses");
             continue;
         };
-        let kinds: Vec<TableKind> = columns.tables.iter().map(|(kind, _)| *kind).collect();
+        let kinds: Vec<TableKind> = columns.iter().map(|(kind, _)| *kind).collect();
         assert_eq!(kinds, wanted);
-        assert_eq!(columns.rows, (want[0].len() + want[1].len()) as u64);
-        for (kind, table) in &columns.tables {
+        for (kind, table) in &columns {
             let want = &want[usize::from(*kind == TableKind::Nms)];
             assert_eq!(table.rows(), want.len(), "{kind:?}");
             for (r, fields) in want.iter().enumerate() {
@@ -88,7 +87,7 @@ fn check(cas: &CasStore, raw: &[u8]) -> Arm {
     // What `SnapshotStore::load` builds of the epoch, against the text
     // parse of the reference.
     let loaded = reader.snapshot_columns(&both).ok().map(|columns| {
-        let records = |i: usize| columns.tables[i].1.records();
+        let records = |i: usize| columns[i].1.records();
         Snapshot::new(EpochId(EPOCH), records(0), records(1))
     });
     let parsed = Snapshot::from_bytes(&cas.get_epoch(EPOCH).unwrap()).ok();

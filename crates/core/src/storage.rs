@@ -24,23 +24,26 @@
 //! `SnapshotStore::decode` of each of its pieces, one a table asked for:
 //! a Path leaf's member inflated (the first member, which holds the
 //! header that names the epoch, always), or a CAS table read as columns.
+//! The read keeps the pieces as they came (`StoredRows`), and one walk
+//! lends their rows.
 //!
 //! Every read of stored epochs — `Q(a, b, w)`'s exact branch, T1–T8,
 //! SPATE-SQL and [`SnapshotStore::load`] — goes through [`read_ahead`]:
-//! from two pieces on, and where a second core exists, a helper thread
-//! fetches, inflates and verifies pieces beside the caller (a window of
-//! two epochs or more, or one epoch's two tables), while the caller scans
-//! whole epochs, one at a time and in epoch order.
+//! from two pieces on, and where a second core exists, a parked helper
+//! thread fetches, inflates and verifies pieces beside the caller (a
+//! window of two epochs or more, or one epoch's two tables), while the
+//! caller scans whole epochs, one at a time and in epoch order.
 
-use cas::{CasConfig, CasError, CasRecoverReport, CasStore, SnapshotColumns};
+use cas::{CasConfig, CasError, CasRecoverReport, CasStore};
 use codecs::{Codec, CodecError};
 use dfs::{Dfs, DfsError};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use telco_trace::schema::{cdr, nms, TableKind};
 use telco_trace::snapshot::{ColumnTable, Row, Snapshot, SnapshotParseError, TextPart};
 use telco_trace::time::EpochId;
+use telco_trace::Record;
 
 mod parked;
 
@@ -138,69 +141,75 @@ enum Fetched<'s> {
     Open(Box<cas::EpochReader<'s>>),
 }
 
-/// One stored epoch as a scan ([`SnapshotStore::read_ahead`]) or
-/// [`SnapshotStore::load`] reads it.
-enum EpochRows {
-    /// A Path leaf: the members read, the first (which holds the header)
-    /// first.
-    Text(Vec<TextPart>),
-    /// A CAS epoch: the tables the scan asked for, held as columns.
-    Columns(SnapshotColumns),
-}
-
 /// A scan's read of one epoch: its rows, or why it cannot be served.
 type EpochRead = Result<StoredRows, StorageError>;
 
 /// What a scan read of one stored epoch ([`SnapshotStore::read_ahead`]),
-/// whichever way it is stored: its rows are reached through
+/// whichever way it is stored: its pieces as they were decoded, in order
+/// ([`SnapshotStore::decode`]), whose rows are reached through
 /// [`Self::walk`] alone.
-pub(crate) struct StoredRows(EpochRows);
+pub(crate) struct StoredRows(Vec<Piece>);
 
 impl StoredRows {
     /// Lend `visit` every row of the tables read, CDR before NMS and in
     /// stored order, under the `parse` stage, and return how many: the
-    /// rows of the tables read, whichever way the epoch is stored. Text
-    /// is scanned member by member ([`TextPart::scan`]) once its header
-    /// names `epoch`; a CAS epoch's columns are whole and checked. On an
-    /// `Err` the rows lent belong to text that is refused, and the caller
-    /// discards them.
+    /// rows of the tables read, whichever way the epoch is stored. A Path
+    /// leaf's members are scanned one by one ([`TextPart::scan`]) once the
+    /// first one's header names `epoch`; a CAS epoch's columns are whole
+    /// and checked. On an `Err` the rows lent belong to text that is
+    /// refused, and the caller discards them.
     pub(crate) fn walk<'s>(
         &'s self,
         epoch: EpochId,
         mut visit: impl FnMut(TableKind, Row<'s>),
     ) -> Result<u64, StorageError> {
-        parse_stage(|| match &self.0 {
-            EpochRows::Text(parts) => {
-                check_epoch(epoch, Self::named(parts))?;
-                let mut rows = 0;
-                for part in parts {
-                    rows += part.scan(|table, row| visit(table, Row::Text(row)))?;
-                }
-                Ok(rows)
-            }
-            EpochRows::Columns(columns) => {
-                let mut lent = 0;
-                for (table, rows) in &columns.tables {
-                    (0..rows.rows()).for_each(|r| visit(*table, rows.row(r)));
-                    lent += rows.rows() as u64;
-                }
-                Ok(lent)
-            }
+        parse_stage(|| {
+            self.check(epoch)?;
+            self.0.iter().map(|piece| piece.walk(&mut visit)).sum()
         })
     }
 
-    /// The epoch a Path leaf's header names: its first member's.
-    fn named(parts: &[TextPart]) -> EpochId {
-        parts[0]
+    /// The records of both tables, CDR then NMS, under the `parse` stage,
+    /// as `Snapshot::from_bytes` builds them of the text: a member's rows
+    /// as [`Self::walk`] lends them, a CAS table's column by column
+    /// ([`ColumnTable::records`]; a record of each lent row loaded 48 CAS
+    /// epochs at 1/64 ~20 % slower).
+    fn records(&self, epoch: EpochId) -> Result<[Vec<Record>; 2], StorageError> {
+        let at = |table| usize::from(table == TableKind::Nms);
+        parse_stage(|| {
+            self.check(epoch)?;
+            let mut tables = [Vec::new(), Vec::new()];
+            for piece in &self.0 {
+                if let Piece::Table(table, columns) = piece {
+                    tables[at(*table)] = columns.records();
+                    continue;
+                }
+                piece.walk(&mut |table, row| {
+                    let width = [cdr::WIDTH, nms::WIDTH][at(table)];
+                    tables[at(table)].push(row.record(width));
+                })?;
+            }
+            Ok(tables)
+        })
+    }
+
+    /// A Path leaf's text is served only as the epoch its first member's
+    /// header names.
+    fn check(&self, epoch: EpochId) -> Result<(), StorageError> {
+        let Some(Piece::Text(head)) = self.0.first() else {
+            return Ok(());
+        };
+        let named = head
             .epoch()
-            .expect("a leaf's first member holds its header")
+            .expect("a leaf's first member holds its header");
+        check_epoch(epoch, named)
     }
 
     /// A Path leaf's read of `tables` when its one member is `text`.
     #[cfg(test)]
     pub(crate) fn text(text: Vec<u8>, tables: &[TableKind]) -> EpochRead {
         let part = TextPart::new(text, true, &SECTIONS, tables)?;
-        Ok(StoredRows(EpochRows::Text(vec![part])))
+        Ok(StoredRows(vec![Piece::Text(part)]))
     }
 }
 
@@ -209,11 +218,24 @@ static SECTIONS: [TableKind; 2] = [TableKind::Cdr, TableKind::Nms];
 
 /// One piece of an epoch's read ([`SnapshotStore::decode`]).
 enum Piece {
-    /// A member of a Path leaf inflated; `None` for the second piece of a
-    /// leaf of one member, whose first holds both tables.
-    Text(Option<TextPart>),
+    /// A member of a Path leaf, inflated.
+    Text(TextPart),
     /// One table of a CAS epoch, as columns.
     Table(TableKind, ColumnTable),
+}
+
+impl Piece {
+    /// Lend `visit` the piece's rows, in stored order, and return how
+    /// many.
+    fn walk<'s>(&'s self, visit: &mut impl FnMut(TableKind, Row<'s>)) -> Result<u64, StorageError> {
+        match self {
+            Piece::Text(part) => Ok(part.scan(|table, row| visit(table, Row::Text(row)))?),
+            Piece::Table(table, rows) => {
+                (0..rows.rows()).for_each(|r| visit(*table, rows.row(r)));
+                Ok(rows.rows() as u64)
+            }
+        }
+    }
 }
 
 /// Outcome of storing one snapshot.
@@ -407,36 +429,20 @@ impl SnapshotStore {
     }
 
     /// Load and decode the snapshot of an epoch: the read a scan of both
-    /// tables makes ([`read_ahead`] of the one epoch), then, under the
-    /// `parse` stage, a Path leaf's rows made records (its header must
-    /// name `epoch`) or a CAS epoch's records built from its verified
-    /// columns — refused exactly when a scan of both its tables is.
+    /// tables makes ([`read_ahead`] of the one epoch), made records
+    /// (`StoredRows::records`) — refused exactly when a scan of both its
+    /// tables is.
     ///
     /// A Path leaf is loaded on the calling thread alone, so that a traced
     /// request's spans come in the same order from run to run (with a
     /// helper, `repro trace`'s twice-run span order differed).
     pub fn load(&self, epoch: EpochId) -> Result<Snapshot, StorageError> {
-        let helped = second_core() && self.cas().is_some();
-        let read = self.read_on(helped, &[epoch], &SECTIONS, |reads| {
+        let helpers = helpers().filter(|_| self.cas().is_some());
+        let read = self.read_on(helpers, &[epoch], &SECTIONS, |reads| {
             reads.next().expect("a read of the one epoch").1
         })?;
-        parse_stage(|| match read.0 {
-            EpochRows::Text(parts) => {
-                check_epoch(epoch, StoredRows::named(&parts))?;
-                let (mut cdr, mut nms) = (Vec::new(), Vec::new());
-                for part in &parts {
-                    part.scan(|table, row| match table {
-                        TableKind::Cdr => cdr.push(Row::Text(row).record(cdr::WIDTH)),
-                        _ => nms.push(Row::Text(row).record(nms::WIDTH)),
-                    })?;
-                }
-                Ok(Snapshot::new(epoch, cdr, nms))
-            }
-            EpochRows::Columns(columns) => {
-                let records = |i: usize| columns.tables[i].1.records();
-                Ok(Snapshot::new(epoch, records(0), records(1)))
-            }
-        })
+        let [cdr, nms] = read.records(epoch)?;
+        Ok(Snapshot::new(epoch, cdr, nms))
     }
 
     /// The first half of a read of an epoch, every filesystem operation
@@ -481,22 +487,23 @@ impl SnapshotStore {
     /// each inflated under the `decompress` stage and taken as a
     /// [`TextPart`] (UTF-8 and header checked) under the `parse` stage,
     /// to be scanned by [`StoredRows::walk`]; a leaf of one member is read
-    /// whole by piece 0. A CAS epoch's piece `i` is the
-    /// `i`-th table of `tables` in stored order inflated, verified and
-    /// indexed, under the `read` stage ([`cas::EpochReader::table`]:
-    /// checked as the parser checks the same table of the text).
+    /// whole by piece 0, and its piece 1 is `None`. A CAS epoch's piece
+    /// `i` is the `i`-th table of `tables` in stored order inflated,
+    /// verified and indexed, under the `read` stage
+    /// ([`cas::EpochReader::table`]: checked as the parser checks the same
+    /// table of the text).
     fn decode(
         fetched: &Fetched<'_>,
         tables: &[TableKind],
         piece: usize,
-    ) -> Result<Piece, StorageError> {
+    ) -> Result<Option<Piece>, StorageError> {
         match fetched {
             Fetched::Packed(codec, bytes, first) => {
                 let (first, rest) = bytes.split_at(*first);
                 let (member, head, sections) = match piece {
                     0 if rest.is_empty() => (first, true, &SECTIONS[..]),
                     0 => (first, true, &SECTIONS[..1]),
-                    _ if rest.is_empty() => return Ok(Piece::Text(None)),
+                    _ if rest.is_empty() => return Ok(None),
                     _ => (rest, false, &SECTIONS[1..]),
                 };
                 let text = {
@@ -504,38 +511,16 @@ impl SnapshotStore {
                     codec.decompress_metered(member)?
                 };
                 let part = parse_stage(|| TextPart::new(text, head, sections, tables))?;
-                Ok(Piece::Text(Some(part)))
+                Ok(Some(Piece::Text(part)))
             }
             Fetched::Open(reader) => {
                 let _s = obs::stage("read");
                 let (at, kind) = cas::stored_tables(tables)
                     .nth(piece)
                     .expect("a piece per table asked for");
-                Ok(Piece::Table(kind, reader.table(at)?))
+                Ok(Some(Piece::Table(kind, reader.table(at)?)))
             }
         }
-    }
-
-    /// An epoch's read from its pieces, in order: the members, or
-    /// the columns of every table asked for. The first piece that failed
-    /// refuses the whole epoch, as [`cas::EpochReader::snapshot_columns`]
-    /// refuses it: nothing of an epoch is lent before every piece of it
-    /// has passed.
-    fn join(
-        fetched: Fetched<'_>,
-        pieces: impl Iterator<Item = Result<Piece, StorageError>>,
-    ) -> EpochRead {
-        let (mut parts, mut tables) = (Vec::new(), Vec::new());
-        for piece in pieces {
-            match piece? {
-                Piece::Text(part) => parts.extend(part),
-                Piece::Table(kind, table) => tables.push((kind, table)),
-            }
-        }
-        Ok(StoredRows(match fetched {
-            Fetched::Packed(..) => EpochRows::Text(parts),
-            Fetched::Open(reader) => EpochRows::Columns(reader.columns(tables)),
-        }))
     }
 
     /// Read `epochs` for a scan of `tables` and lend `scan` each epoch's
@@ -549,15 +534,18 @@ impl SnapshotStore {
         tables: &[TableKind],
         scan: impl FnOnce(&mut dyn Iterator<Item = (EpochId, EpochRead)>) -> R,
     ) -> R {
-        self.read_on(second_core(), epochs, tables, scan)
+        self.read_on(helpers(), epochs, tables, scan)
     }
 
-    /// [`Self::read_ahead`], with a helper only when `helped`. A window of
-    /// one Path epoch fetches its leaf first: a leaf of one member, or a
-    /// missing one, is then one piece, which takes no helper.
+    /// [`Self::read_ahead`], with a helper only from `helpers`. Each epoch's
+    /// read is its pieces as they were decoded; the first that failed
+    /// refuses the whole epoch, so nothing of an epoch is lent before
+    /// every piece of it has passed. A window of one Path epoch fetches
+    /// its leaf first: a leaf of one member, or a missing one, is then one
+    /// piece, which takes no helper.
     fn read_on<R>(
         &self,
-        helped: bool,
+        helpers: Option<&parked::Helpers>,
         epochs: &[EpochId],
         tables: &[TableKind],
         scan: impl FnOnce(&mut dyn Iterator<Item = (EpochId, EpochRead)>) -> R,
@@ -579,11 +567,12 @@ impl SnapshotStore {
         };
         let decode = |fetched: &Result<Fetched<'_>, StorageError>, piece| {
             let fetched = fetched.as_ref().ok()?;
-            Some(Self::decode(fetched, tables, piece))
+            Self::decode(fetched, tables, piece).transpose()
         };
-        read_ahead_on(helped, epochs, pieces, fetch, decode, |reads| {
+        read_ahead_on(helpers, epochs, pieces, fetch, decode, |reads| {
             scan(&mut reads.map(|(epoch, fetched, pieces)| {
-                let read = fetched.and_then(|f| Self::join(f, pieces.into_iter().flatten()));
+                let pieces = pieces.into_iter().flatten();
+                let read = fetched.and_then(|_| pieces.collect::<Result<_, _>>().map(StoredRows));
                 (epoch, read)
             }))
         })
@@ -707,7 +696,7 @@ pub const READ_AHEAD_SLOTS: usize = 4;
 /// of work is a piece, and an epoch's first piece does its fetch before it
 /// decodes.
 ///
-/// Where the process has a second core (`second_core`), a window of two
+/// Where the process has a second core (`helpers`), a window of two
 /// pieces or more is read by this thread and one helper thread,
 /// each claiming the next unclaimed piece from one shared cursor, in
 /// window order:
@@ -734,11 +723,11 @@ pub const READ_AHEAD_SLOTS: usize = 4;
 ///   here.
 /// - **No nesting.** `fetch` and `decode` start no thread: the pieces are
 ///   the only parallelism of a read, which takes two threads at most.
-/// - **One parked helper.** The helper is the process's parked thread,
-///   which takes one read at a time, or, while another read holds it, a
-///   scoped thread of this call's own; when neither can be spawned, or
-///   there is no second core for it, this thread reads the whole window
-///   alone, in the same order.
+/// - **Parked helpers.** The helper is one of the process's parked
+///   threads, an idle one or one parked anew when every other is held (a
+///   read nested in this one's scan takes a second); when none can be
+///   spawned, or there is no second core for it, this thread reads the
+///   whole window alone, in the same order.
 pub fn read_ahead<F: Send + Sync, P: Send, R>(
     epochs: &[EpochId],
     pieces: usize,
@@ -746,22 +735,23 @@ pub fn read_ahead<F: Send + Sync, P: Send, R>(
     decode: impl Fn(&F, usize) -> P + Sync,
     scan: impl FnOnce(&mut dyn Iterator<Item = (EpochId, F, Vec<P>)>) -> R,
 ) -> R {
-    read_ahead_on(second_core(), epochs, pieces, fetch, decode, scan)
+    read_ahead_on(helpers(), epochs, pieces, fetch, decode, scan)
 }
 
-/// Whether this process has a second core for a read-ahead helper to run
-/// on: [`std::thread::available_parallelism`], which honours the affinity
-/// mask (`taskset -c 0` reads 1), read once per process. On one core the
-/// helper would only add a thread start to the read.
-fn second_core() -> bool {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+/// The helpers a read may take: the process's parked ones, where it has a
+/// second core for them to run on. The cores are
+/// [`std::thread::available_parallelism`], which honours the affinity
+/// mask (`taskset -c 0` reads 1), read once per process. On one core a
+/// helper would only add a hand-over to the read.
+fn helpers() -> Option<&'static parked::Helpers> {
+    static CORES: OnceLock<usize> = OnceLock::new();
     let cores = CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    *cores >= 2
+    (*cores >= 2).then_some(&parked::HELPERS)
 }
 
-/// [`read_ahead`], starting a helper only when `helped`.
+/// [`read_ahead`], with a helper only from `helpers`.
 fn read_ahead_on<F: Send + Sync, P: Send, R>(
-    helped: bool,
+    helpers: Option<&parked::Helpers>,
     epochs: &[EpochId],
     pieces: usize,
     fetch: impl Fn(EpochId) -> F + Sync,
@@ -791,8 +781,16 @@ fn read_ahead_on<F: Send + Sync, P: Send, R>(
         changed: Condvar::new(),
     };
     let ahead = &ahead;
-    let wanted = helped && epochs.len() * pieces >= 2;
-    let context = wanted.then(obs::context::capture).unwrap_or_default();
+    let scan = || {
+        let mut lender = Lender { ahead, next: 0 };
+        let scanned = scan(&mut lender);
+        drop(lender);
+        scanned
+    };
+    let Some(helpers) = helpers.filter(|_| epochs.len() * pieces >= 2) else {
+        return scan();
+    };
+    let context = obs::context::capture();
     // What the helper left: its cost profile, or the panic it raised.
     let helped_out = Mutex::new(None);
     let help: &parked::Job = &|| {
@@ -804,21 +802,7 @@ fn read_ahead_on<F: Send + Sync, P: Send, R>(
         }));
         *helped_out.lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
     };
-    let scanned = parked::beside(wanted, help, |parked| {
-        std::thread::scope(|s| {
-            if wanted && !parked {
-                // The parked helper is busy with another read, or with the
-                // read this one is nested in (T4's join): start one.
-                let _ = std::thread::Builder::new()
-                    .name("read-ahead".into())
-                    .spawn_scoped(s, help);
-            }
-            let mut lender = Lender { ahead, next: 0 };
-            let scanned = scan(&mut lender);
-            drop(lender);
-            scanned
-        })
-    });
+    let scanned = helpers.beside(help, scan);
     match helped_out
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner)
@@ -1296,7 +1280,7 @@ mod tests {
         let store = &store;
         let both = |epoch: EpochId| {
             move || {
-                store.read_on(true, &[epoch], &SECTIONS, |reads| {
+                store.read_on(Some(&parked::HELPERS), &[epoch], &SECTIONS, |reads| {
                     let (epoch, read) = reads.next().unwrap();
                     assert!(read.unwrap().walk(epoch, |_, _| {}).is_ok());
                 });
@@ -1361,7 +1345,7 @@ mod tests {
             let trace = obs::trace::begin(0x0C0E_0001 + u64::from(second_core));
             let work = Mutex::new(Vec::new());
             let lent = read_ahead_on(
-                second_core,
+                second_core.then_some(&parked::HELPERS),
                 &epochs,
                 2,
                 |epoch: EpochId| {
@@ -1396,5 +1380,46 @@ mod tests {
         let (on_two, _, helpers) = read(true);
         assert_eq!(helpers, 1);
         assert_eq!(lent, on_two);
+    }
+
+    /// A read nested in a scan's visit, as T4's join nests its inner scan
+    /// in the outer one's: each read takes a helper of its own and records
+    /// one `read-ahead` instant, and however often the nested read is
+    /// repeated, it never holds more than the two helpers it needed first.
+    #[test]
+    fn a_nested_read_takes_a_second_helper_and_gives_both_back() {
+        let helpers = parked::Helpers::new();
+        let epochs: Vec<EpochId> = (0..3).map(EpochId).collect();
+        let read = |visit: &mut dyn FnMut(u32)| {
+            read_ahead_on(
+                Some(&helpers),
+                &epochs,
+                1,
+                |epoch: EpochId| epoch.0,
+                |&n, _| n,
+                |reads| reads.for_each(|(_, n, _)| visit(n)),
+            )
+        };
+        for round in 0..20 {
+            let trace = obs::trace::begin(0x4E57_0000 + round);
+            let (mut outer, mut inner) = (Vec::new(), Vec::new());
+            read(&mut |n| {
+                if n == 0 {
+                    let idle = usize::from(round > 0);
+                    assert_eq!(
+                        helpers.parked(),
+                        idle,
+                        "round {round}: the outer read holds one"
+                    );
+                    read(&mut |m| inner.push(m));
+                }
+                outer.push(n);
+            });
+            let events = trace.finish();
+            let instants = events.iter().filter(|e| e.name == "read-ahead").count();
+            assert_eq!((outer, inner), (vec![0, 1, 2], vec![0, 1, 2]));
+            assert_eq!(instants, 2, "round {round}: one helper a read");
+            assert_eq!(helpers.parked(), 2, "round {round}");
+        }
     }
 }

@@ -17,6 +17,11 @@
 //!   only insert while holding the framework read lock, so a stale entry
 //!   can never be re-populated concurrently with the eviction that
 //!   removed it.
+//! * **One load an epoch** — a resolver that misses loads through
+//!   [`EpochCache::load_once`]: while one thread loads an epoch, another
+//!   that misses it waits for that load, holding no framework guard, and
+//!   takes what it cached, so a leaf is not read twice because two
+//!   requests (or a request and a prefetch) missed it at once.
 //! * **Accounting split** — the cache keeps *lifetime* hit/miss totals
 //!   (the Stats frame); per-query outcomes, and which epochs a query
 //!   touched, flow into the active [`obs::cost`] profile. Nothing else
@@ -24,8 +29,8 @@
 //!   framework lock.
 
 use spate_core::StoreObserver;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use telco_trace::snapshot::Snapshot;
 use telco_trace::time::EpochId;
 
@@ -44,6 +49,10 @@ pub struct EpochCache {
     shards: Vec<Mutex<Shard>>,
     capacity_per_shard: usize,
     counts: CacheCounts,
+    /// The epochs being loaded ([`Self::load_once`]).
+    loading: Mutex<HashSet<u32>>,
+    /// Signalled when a load ends.
+    loaded: Condvar,
 }
 
 obs::tallies! {
@@ -88,6 +97,8 @@ impl EpochCache {
                 .collect(),
             capacity_per_shard: (epochs / shards).max(1),
             counts: CacheCounts::default(),
+            loading: Mutex::new(HashSet::new()),
+            loaded: Condvar::new(),
         }
     }
 
@@ -99,22 +110,68 @@ impl EpochCache {
     /// active [`obs::cost`] profile (per-query accounting); the cache
     /// itself keeps only lifetime totals.
     pub fn get(&self, epoch: EpochId) -> Option<Arc<Snapshot>> {
+        let found = self.touch(epoch);
+        if found.is_some() {
+            self.counts.hits.inc();
+            obs::cost::cache_hit();
+        } else {
+            self.counts.misses.inc();
+            obs::cost::cache_miss();
+        }
+        found
+    }
+
+    /// An epoch's entry, its recency refreshed, counting no lookup.
+    fn touch(&self, epoch: EpochId) -> Option<Arc<Snapshot>> {
         let mut sh = self.shard(epoch).lock().unwrap();
         sh.tick += 1;
         let tick = sh.tick;
-        match sh.map.get_mut(&epoch.0) {
-            Some(e) => {
-                e.last_used = tick;
-                self.counts.hits.inc();
-                obs::cost::cache_hit();
-                Some(e.snap.clone())
-            }
-            None => {
-                self.counts.misses.inc();
-                obs::cost::cache_miss();
-                None
+        let entry = sh.map.get_mut(&epoch.0)?;
+        entry.last_used = tick;
+        Some(entry.snap.clone())
+    }
+
+    /// Load an epoch that missed with `load`, which caches what it loads
+    /// ([`Self::insert`]), one load an epoch at a time: while another
+    /// thread loads it, wait for that load to end, holding no lock but
+    /// this cache's set of loads; then take the entry the last load
+    /// cached, as the request's cost profile records a touched epoch, or,
+    /// when there is none (the epoch not loaded yet, not retained, or
+    /// invalidated since), load it here.
+    pub fn load_once(
+        &self,
+        epoch: EpochId,
+        load: impl FnOnce() -> Option<Arc<Snapshot>>,
+    ) -> Option<Arc<Snapshot>> {
+        let mut loading = self.loading();
+        while loading.contains(&epoch.0) {
+            loading = self
+                .loaded
+                .wait(loading)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        if let Some(loaded) = self.touch(epoch) {
+            obs::cost::touch_epoch(u64::from(epoch.0));
+            return Some(loaded);
+        }
+        loading.insert(epoch.0);
+        drop(loading);
+        /// Ends the load, on return and on unwind alike.
+        struct Loading<'c>(&'c EpochCache, u32);
+        impl Drop for Loading<'_> {
+            fn drop(&mut self) {
+                self.0.loading().remove(&self.1);
+                self.0.loaded.notify_all();
             }
         }
+        let _loading = Loading(self, epoch.0);
+        load()
+    }
+
+    /// The epochs being loaded; every update is one insert or remove, so
+    /// the set is whole even after a poisoning.
+    fn loading(&self) -> MutexGuard<'_, HashSet<u32>> {
+        self.loading.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Whether an epoch is cached, without counting a lookup or touching
@@ -203,6 +260,8 @@ impl StoreObserver for CacheInvalidator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
     use telco_trace::{TraceConfig, TraceGenerator};
 
     fn snaps(n: usize) -> Vec<Arc<Snapshot>> {
@@ -287,5 +346,37 @@ mod tests {
         });
         let st = cache.stats();
         assert_eq!(st.hits + st.misses, 200);
+    }
+
+    /// Two threads that miss one epoch at once load it once: the second
+    /// waits for the first one's load and takes what it cached, and a
+    /// load that cached nothing leaves the next miss to load again.
+    #[test]
+    fn one_epoch_missed_twice_at_once_is_loaded_once() {
+        let cache = EpochCache::new(16);
+        let snap = snaps(1).remove(0);
+        let loads = AtomicUsize::new(0);
+        let load = || {
+            loads.fetch_add(1, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(30));
+            cache.insert(EpochId(0), snap.clone());
+            Some(snap.clone())
+        };
+        let got: Vec<_> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| cache.load_once(EpochId(0), load)))
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert_eq!(loads.load(Ordering::SeqCst), 1);
+        assert!(got.iter().all(|g| Arc::ptr_eq(g.as_ref().unwrap(), &snap)));
+
+        let missing = || {
+            loads.fetch_add(1, Ordering::SeqCst);
+            None
+        };
+        assert!(cache.load_once(EpochId(1), missing).is_none());
+        assert!(cache.load_once(EpochId(1), missing).is_none());
+        assert_eq!(loads.load(Ordering::SeqCst), 3);
     }
 }

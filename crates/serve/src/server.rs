@@ -1437,16 +1437,21 @@ fn lookahead(window: (u32, u32), last: EpochId) -> RangeInclusive<u32> {
 /// Load one epoch from every shard and cache it before any shard's guard
 /// drops ([`ShardedSpate::load_epoch_merged_with`]): no decay pass evicts
 /// it in between, the zero-stale-reads contract. `None`, and nothing
-/// cached, when a shard no longer retains it.
+/// cached, when a shard no longer retains it. One load an epoch at a
+/// time ([`EpochCache::load_once`]): a resolver or a prefetch that finds
+/// the epoch being loaded waits for that load, holding no guard, instead
+/// of reading its leaves again.
 fn load_into_cache(shared: &Shared, epoch: EpochId) -> Option<Arc<Snapshot>> {
     let every_shard = 0..shared.shards.n_shards();
-    shared
-        .shards
-        .load_epoch_merged_with(every_shard, epoch, |snapshot| {
-            let arc = Arc::new(snapshot);
-            shared.cache.insert(epoch, arc.clone());
-            arc
-        })
+    shared.cache.load_once(epoch, || {
+        shared
+            .shards
+            .load_epoch_merged_with(every_shard, epoch, |snapshot| {
+                let arc = Arc::new(snapshot);
+                shared.cache.insert(epoch, arc.clone());
+                arc
+            })
+    })
 }
 
 /// Resolve one epoch for serving: shared cache first, guard-all shard
@@ -1788,6 +1793,45 @@ mod tests {
             body: RequestBody::Stats,
         }
         .encode()
+    }
+
+    /// Two resolvers that miss one epoch at once read its leaf once, as
+    /// one resolver alone does: held at the shard by an ingest's write
+    /// guard until both have missed, the second waits for the first one's
+    /// load and serves what it cached.
+    #[test]
+    fn two_resolvers_of_one_missing_epoch_read_its_leaf_once() {
+        let server = server_over(1.0 / 2048.0, 4, ServeConfig::default());
+        let shared = &*server.shared;
+        let reads = |resolve: &dyn Fn() -> Vec<Option<Arc<Snapshot>>>| {
+            let before = shared.shards.read(0).store().dfs().metrics().reads;
+            let resolved = resolve();
+            let after = shared.shards.read(0).store().dfs().metrics().reads;
+            (after - before, resolved)
+        };
+        let (alone, _) = reads(&|| vec![resolve_epoch(shared, EpochId(1), false)]);
+        assert!(alone > 0);
+        let (twice, resolved) = reads(&|| {
+            std::thread::scope(|s| {
+                let misses = shared.cache.stats().misses;
+                let held = shared.shards.write(0);
+                let resolvers: Vec<_> = (0..2)
+                    .map(|_| s.spawn(|| resolve_epoch(shared, EpochId(2), false)))
+                    .collect();
+                while shared.cache.stats().misses < misses + 2 {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(Duration::from_millis(20));
+                drop(held);
+                resolvers.into_iter().map(|r| r.join().unwrap()).collect()
+            })
+        });
+        assert_eq!(twice, alone, "the leaf read once");
+        let [Some(a), Some(b)] = &resolved[..] else {
+            panic!("both resolvers serve the epoch");
+        };
+        assert!(Arc::ptr_eq(a, b));
+        server.shutdown();
     }
 
     /// The intake sees a byte stream: a frame may come in pieces, two may

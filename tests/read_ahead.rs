@@ -1,14 +1,15 @@
 //! The read-ahead contract (`core::storage::read_ahead`). Its unit of
-//! work is a piece: a Path epoch is one, a CAS epoch one per table read.
-//! A window of two pieces or more is read by the caller and a helper
-//! thread claiming pieces from one cursor, and scanned whole epoch by
-//! whole epoch, in epoch order, on the caller's thread; the answers must
-//! be the ones a scan of one epoch at a time gives, whichever thread read
-//! which piece — also when a leaf or one table's unit is missing or
-//! damaged, when the budget runs out mid-window or between an epoch's
-//! pieces, or when a piece panics. Every warehouse case runs on the Path
-//! and the CAS backend; a CAS store refuses to put damaged text, so its
-//! epochs are damaged at rest.
+//! work is a piece, one table on both backends: a Path leaf's member (the
+//! first, which holds the header, always; the second when NMS is read)
+//! or a CAS epoch's table. A window of two pieces or more is read by the
+//! caller and a parked helper thread claiming pieces from one cursor, and
+//! scanned whole epoch by whole epoch, in epoch order, on the caller's
+//! thread; the answers must be the ones a scan of one epoch at a time
+//! gives, whichever thread read which piece — also when a leaf or one
+//! table's unit is missing or damaged, when the budget runs out
+//! mid-window or between an epoch's pieces, or when a piece panics. Every
+//! warehouse case runs on the Path and the CAS backend; a CAS store
+//! refuses to put damaged text, so its epochs are damaged at rest.
 
 use cas::{CasStore, ChunkHash, EpochManifest};
 use obs::{EventKind, SpanEvent};

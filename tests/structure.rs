@@ -50,10 +50,11 @@ const RULES: &[Rule] = &[
     // Whether an epoch is stored as Path text or CAS columns is known to
     // `core::storage` alone, whose one walker lends its rows to the
     // query's one loop (DESIGN §9.3): the non-test part of `core::query`
-    // names no `cas::`, `Snapshot::scan` or `EpochRows` …
+    // names no `cas::`, `Snapshot::scan`, nor the pieces a read holds
+    // (`TextPart`, `ColumnTable`) …
     Rule {
         name: "One stored-epoch reader (the query's loop)",
-        pattern: "cas::|Snapshot::scan|EpochRows",
+        pattern: "cas::|Snapshot::scan|TextPart|ColumnTable",
         paths: &["crates/core/src/query.rs"],
         except: &[],
         cut: Some("mod tests"),
@@ -116,6 +117,27 @@ const RULES: &[Rule] = &[
         except: &[],
         cut: None,
         planted: "fn parse_kv(line: &[u8]) -> Option<(&[u8], &[u8])> {",
+    },
+    // A read's helper is one of `core::storage::parked`'s parked threads,
+    // handed its work in a condvar wake (DESIGN §2.4): the non-test part
+    // of `core::storage` starts no thread of its own …
+    Rule {
+        name: "One read-ahead helper (no thread of the read's own)",
+        pattern: r"thread::scope|spawn_scoped|thread::spawn",
+        paths: &["crates/core/src/storage.rs"],
+        except: &[],
+        cut: Some("mod tests"),
+        planted: "        std::thread::scope(|s| {",
+    },
+    // … and the lifetime cast of the work handed over is the core crate's
+    // one `unsafe`.
+    Rule {
+        name: "One read-ahead helper (one unsafe site)",
+        pattern: r"\bunsafe\b",
+        paths: &["crates/core/src"],
+        except: &["crates/core/src/storage/parked.rs"],
+        cut: None,
+        planted: "    let job = unsafe { std::mem::transmute(job) };",
     },
     // Timing lives in `repro`'s perf fields and in `benchmark/`, a
     // workspace of its own: no workspace manifest declares a bench target
