@@ -622,7 +622,8 @@ fn within_hang_bound<R: Send + 'static>(
 /// A window of eight epochs whose fetch reports, from the helper, every
 /// epoch it fetches on `helped`, and panics on the helper's fetch of
 /// `panic_at`. The scan takes nothing until the helper has fetched the
-/// first [`READ_AHEAD_SLOTS`] epochs, then everything.
+/// first [`READ_AHEAD_SLOTS`] epochs, then everything. On one core, where
+/// no read has a helper, the caller's fetch of `panic_at` panics.
 fn helper_first(panic_at: Option<u32>) -> std::thread::Result<Vec<(EpochId, u32)>> {
     within_hang_bound(move || {
         let epochs: Vec<EpochId> = (0..8).map(EpochId).collect();
@@ -633,15 +634,19 @@ fn helper_first(panic_at: Option<u32>) -> std::thread::Result<Vec<(EpochId, u32)
             &epochs,
             1,
             |epoch| {
-                if std::thread::current().id() != caller {
+                let on_helper = std::thread::current().id() != caller;
+                if on_helper {
                     helped.lock().unwrap().send(epoch.0).unwrap();
+                }
+                if on_helper || !second_core() {
                     assert_ne!(Some(epoch.0), panic_at, "a read panics on the helper");
                 }
                 epoch.0
             },
             |&n, _| n * 10,
             |reads| {
-                for _ in 0..READ_AHEAD_SLOTS {
+                let helped = if second_core() { READ_AHEAD_SLOTS } else { 0 };
+                for _ in 0..helped {
                     fetched.recv_timeout(HANG).expect("the helper reads ahead");
                 }
                 reads
@@ -697,11 +702,13 @@ enum On {
 }
 
 /// Read a window of eight epochs of two pieces each whose piece `piece`
-/// of epoch `at` panics, decoded where `on` forces it: the epochs the
-/// scan was lent, and the panic it met.
+/// of epoch `at` panics, decoded where `on` forces it (on one core, where
+/// no read has a helper, on the caller): the epochs the scan was lent,
+/// and the panic it met.
 fn piece_panics(at: u32, piece: usize, on: On) -> (Vec<u32>, String) {
     let scanned = Arc::new(Mutex::new(Vec::new()));
     let seen = scanned.clone();
+    let on = second_core().then_some(on);
     let outcome = within_hang_bound(move || {
         let epochs: Vec<EpochId> = (0..8).map(EpochId).collect();
         let caller = std::thread::current().id();
@@ -716,15 +723,15 @@ fn piece_panics(at: u32, piece: usize, on: On) -> (Vec<u32>, String) {
                 if (n, p) == (at, piece) {
                     assert_eq!(
                         on_helper,
-                        on == On::Helper,
+                        on == Some(On::Helper),
                         "the piece is decoded where forced"
                     );
                     reached.store(true, Ordering::SeqCst);
                     panic!("piece {p} of epoch {n} panics");
                 }
-                if on == On::Caller && on_helper {
+                if on == Some(On::Caller) && on_helper {
                     wait_until(|| reached.load(Ordering::SeqCst), "the caller's piece");
-                } else if on == On::Caller {
+                } else if on == Some(On::Caller) {
                     wait_until(
                         || started.load(Ordering::SeqCst),
                         "the helper's first piece",
@@ -733,7 +740,7 @@ fn piece_panics(at: u32, piece: usize, on: On) -> (Vec<u32>, String) {
                 n * 10 + p as u32
             },
             |reads| {
-                if on == On::Helper {
+                if on == Some(On::Helper) {
                     wait_until(|| reached.load(Ordering::SeqCst), "the helper's piece");
                 }
                 for (epoch, n, decoded) in reads {
@@ -802,8 +809,10 @@ fn a_served_request_that_panics_is_still_isolated() {
 #[test]
 fn no_more_than_the_slots_are_read_and_not_yet_lent() {
     let epochs: Vec<EpochId> = (0..40).map(EpochId).collect();
-    // A patient scan lets the helper read as far ahead as it may first.
-    // Epochs of no piece (a CAS scan of no table) are fetched alone.
+    // A patient scan lets the helper read as far ahead as it may first;
+    // on one core, where no read has a helper, nothing is read ahead of
+    // the scan. Epochs of no piece (a CAS scan of no table) are fetched
+    // alone.
     for (pieces, patient) in [(0, false), (1, false), (1, true), (2, false), (2, true)] {
         let (started, lent, most) = (
             AtomicUsize::new(0),
@@ -828,7 +837,7 @@ fn no_more_than_the_slots_are_read_and_not_yet_lent() {
                 (epoch, p)
             },
             |reads| {
-                if patient {
+                if patient && second_core() {
                     for _ in 0..READ_AHEAD_SLOTS {
                         decoded.recv_timeout(HANG).expect("the helper reads ahead");
                     }
@@ -855,7 +864,9 @@ fn no_more_than_the_slots_are_read_and_not_yet_lent() {
             most <= READ_AHEAD_SLOTS,
             "{what}: {most} read and not yet lent"
         );
-        if patient {
+        if !second_core() {
+            assert_eq!(most, 1, "{what}: read ahead with no helper");
+        } else if patient {
             assert_eq!(most, READ_AHEAD_SLOTS, "{what}");
         }
     }
@@ -902,7 +913,6 @@ fn a_read_spawns_its_helper_from_the_second_piece_on() {
     let (layout, snaps) = trace();
     let both = Query::new(&["upflux", "call_drops"], BoundingBox::everything());
     let cdr = Query::new(&["upflux"], BoundingBox::everything());
-    let second_core = std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2;
     let mut trace_id = 0x0E90_C400u64;
     for (backend, fw) in warehouses(&layout, &snaps) {
         let cas = fw.store().cas().is_some();
@@ -939,7 +949,7 @@ fn a_read_spawns_its_helper_from_the_second_piece_on() {
             ),
         ];
         for (what, read, path, on_cas) in cases {
-            let want = match (second_core, cas) {
+            let want = match (second_core(), cas) {
                 (false, _) => 0,
                 (true, true) => on_cas,
                 (true, false) => path,
@@ -947,6 +957,12 @@ fn a_read_spawns_its_helper_from_the_second_piece_on() {
             assert_eq!(helpers(read), want, "{backend}: {what}");
         }
     }
+}
+
+/// Whether the process has a second core, where a read of two pieces or
+/// more takes a helper: under `taskset -c 0` no read takes one.
+fn second_core() -> bool {
+    std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2
 }
 
 /// How many events of `events` are named `name`.
